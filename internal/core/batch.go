@@ -76,7 +76,7 @@ func (d *Datapath) classifyBatch(m *PMD, pkts []*packet.Packet) {
 	m.batchGroupOf = groupOf
 
 	for g, l := range leaders {
-		e := d.lookupHierarchy(m, keys[l])
+		e, _ := d.lookupHierarchy(m, &keys[l])
 		if e == nil {
 			// The whole group missed every cache: each packet takes the
 			// per-packet slow path individually (upcall-queue admission

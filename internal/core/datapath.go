@@ -329,11 +329,11 @@ func (d *Datapath) wireFlowHook(m *PMD) {
 
 // translate resolves a missed key through the registered upcall handler,
 // defaulting to the pipeline.
-func (d *Datapath) translate(key flow.Key) (ofproto.Megaflow, error) {
+func (d *Datapath) translate(key *flow.Key) (ofproto.Megaflow, error) {
 	if d.upcall != nil {
-		return d.upcall(key)
+		return d.upcall(*key)
 	}
-	return d.Pipeline.Translate(key)
+	return d.Pipeline.Translate(*key)
 }
 
 // upcallInterval is the bounded handler's per-upcall service time.
@@ -373,12 +373,13 @@ func (d *Datapath) handlerCPU() *sim.CPU {
 // instead of re-upcalling (and re-failing) at full cost. The entry
 // self-expires after NegativeFlowTTL, giving the flow a fresh chance once
 // the slow path recovers.
-func (d *Datapath) installNegativeFlow(m *PMD, key flow.Key) {
+func (d *Datapath) installNegativeFlow(m *PMD, key *flow.Key) {
 	ttl := d.Opts.NegativeFlowTTL
 	if ttl <= 0 {
 		return
 	}
-	e := m.cls.Insert(key, flow.MaskAll(), nil)
+	exact := flow.MaskAll()
+	e := m.cls.InsertKey(key, &exact, nil)
 	d.Eng.Schedule(ttl, func() {
 		if m.cls.Remove(e) {
 			m.InvalidateEMC(e)
@@ -473,11 +474,12 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 	}
 
 	// Flow key extraction (the real parser, charged at the calibrated
-	// rate).
+	// rate). The key lives here for the whole pass; everything below takes
+	// its address.
 	key := flow.Extract(p)
 	m.charge(perf.StageRx, costmodel.ParseFlowKey)
 
-	e := d.lookupHierarchy(m, key)
+	e, hashes := d.lookupHierarchy(m, &key)
 	if e == nil {
 		// Genuine parse failures are split from policy drops before
 		// any slow-path resource is consumed (the kernel flow
@@ -500,7 +502,7 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 				p.Release()
 				return
 			}
-			m.upcallQ = append(m.upcallQ, m.newUpcall(key, p))
+			m.upcallQ = append(m.upcallQ, m.newUpcall(&key, p))
 			if n := uint64(len(m.upcallQ)); n > m.Perf.UpcallQueuePeak {
 				m.Perf.UpcallQueuePeak = n
 			}
@@ -510,18 +512,18 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 		// Legacy path: inline slow-path translation on this PMD.
 		upcallBefore := cpu.BusyTotal()
 		m.charge(perf.StageUpcall, costmodel.UpcallCost)
-		mf, err := d.translate(key)
+		mf, err := d.translate(&key)
 		m.Perf.AddUpcall(cpu.BusyTotal() - upcallBefore)
 		m.traceResolved(perf.ResultUpcall)
 		if err != nil {
 			d.UpcallErrors++
 			d.Drops++
-			d.installNegativeFlow(m, key)
+			d.installNegativeFlow(m, &key)
 			p.Release()
 			return
 		}
-		e = m.cls.Insert(key, mf.Mask, mf.Actions)
-		m.cacheInsert(key, e)
+		e = m.cls.InsertKey(&key, &mf.Mask, mf.Actions)
+		m.cacheInsert(&key, hashes, e)
 	}
 
 	actions, _ := e.Actions.([]ofproto.DPAction)
@@ -535,7 +537,7 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 	// have short-circuited above) — push it down now. One byte compare on
 	// the default path.
 	if e.OffloadMark != 0 && depth == 0 && d.offload != nil {
-		d.offload.installFor(key, e)
+		d.offload.installFor(&key, e)
 	}
 	d.execute(m, p, actions, depth)
 }
@@ -544,10 +546,14 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 // megaflow classifier — charging each level probed and counting the hit at
 // the level that resolved it, exactly as dfc_processing walks the caches.
 // A dpcls hit back-fills the faster caches; nil means every level missed
-// and the caller owns the slow path.
-func (d *Datapath) lookupHierarchy(m *PMD, key flow.Key) *dpcls.Entry {
+// and the caller owns the slow path. The key is hashed once per cache
+// consulted, and the hashes are returned for the caller's own back-fill
+// after an upcall install.
+func (d *Datapath) lookupHierarchy(m *PMD, key *flow.Key) (*dpcls.Entry, keyHashes) {
+	var h keyHashes
 	if d.Opts.EMC {
-		if e, ok := m.emc.Lookup(key); ok {
+		h.emc = m.emc.Hash(key)
+		if e, ok := m.emc.LookupHashed(key, h.emc); ok {
 			m.charge(perf.StageEMC, costmodel.EMCHit)
 			if m.emc.Len() > d.Opts.ColdFlowThreshold {
 				m.charge(perf.StageEMC, costmodel.ColdFlowCacheMiss)
@@ -560,12 +566,13 @@ func (d *Datapath) lookupHierarchy(m *PMD, key flow.Key) *dpcls.Entry {
 			m.Perf.EMCHits++
 			m.lastLevel = perf.ResultEMC
 			m.traceResolved(perf.ResultEMC)
-			return e
+			return e, h
 		}
 		m.charge(perf.StageEMC, costmodel.EMCMissProbe)
 	}
 	if m.smc != nil {
-		if e, ok := m.smc.Lookup(key); ok {
+		h.smc = m.smc.Hash(key)
+		if e, ok := m.smc.LookupHashed(key, h.smc); ok {
 			m.charge(perf.StageSMC, costmodel.SMCHit)
 			if m.smc.Len() > d.Opts.ColdFlowThreshold {
 				m.charge(perf.StageSMC, costmodel.ColdFlowCacheMiss)
@@ -576,23 +583,23 @@ func (d *Datapath) lookupHierarchy(m *PMD, key flow.Key) *dpcls.Entry {
 			m.traceResolved(perf.ResultSMC)
 			// An SMC hit refreshes the EMC probabilistically, as
 			// dfc_processing does on its way out.
-			m.emcInsert(key, e)
-			return e
+			m.emcInsert(key, h.emc, e)
+			return e, h
 		}
 		m.charge(perf.StageSMC, costmodel.SMCMissProbe)
 	}
-	e, probes := m.cls.Lookup(key)
+	e, probes := m.cls.LookupKey(key)
 	m.charge(perf.StageDpcls, sim.Time(probes)*costmodel.DpclsLookupPerSubtable)
 	if e == nil {
 		m.lastLevel = perf.ResultNone
-		return nil
+		return nil, h
 	}
 	d.MegaflowHits++
 	m.Perf.MegaflowHits++
 	m.lastLevel = perf.ResultMegaflow
 	m.traceResolved(perf.ResultMegaflow)
-	m.cacheInsert(key, e)
-	return e
+	m.cacheInsert(key, h, e)
+	return e, h
 }
 
 // traceResolved notes the caching level that resolved the packet currently

@@ -257,8 +257,8 @@ func (o *offloadEngine) hwLookup(p *packet.Packet) (*dpcls.Entry, bool) {
 // charging the driver install to the offload thread. Called on the packet
 // path only for hardware misses of elephant-marked flows, so a resident
 // elephant costs nothing here.
-func (o *offloadEngine) installFor(key flow.Key, e *dpcls.Entry) {
-	evicted, ok := o.table.Install(key, e)
+func (o *offloadEngine) installFor(key *flow.Key, e *dpcls.Entry) {
+	evicted, ok := o.table.Install(*key, e)
 	if !ok {
 		return
 	}
@@ -268,7 +268,7 @@ func (o *offloadEngine) installFor(key flow.Key, e *dpcls.Entry) {
 		rec = &offloadRec{lastHits: e.Hits}
 		o.recs[e] = rec
 	}
-	rec.keys = append(rec.keys, key)
+	rec.keys = append(rec.keys, *key)
 	if evicted != nil {
 		o.dropHW(evicted)
 	}

@@ -239,27 +239,34 @@ func (m *PMD) InvalidateSMC(e *dpcls.Entry) {
 	}
 }
 
+// keyHashes carries one packet pass's key hashes, one per cache: each is
+// computed by lookupHierarchy when it consults that cache and reused by the
+// back-fill insert, which also takes its victim way from it. A field is
+// meaningful only while its cache is enabled, which is also the only time
+// it is read.
+type keyHashes struct{ emc, smc uint32 }
+
 // emcInsert inserts into the EMC, subject to the configured inverse
 // insertion probability. Values <= 1 insert always and draw no randomness.
-func (m *PMD) emcInsert(key flow.Key, e *dpcls.Entry) {
+func (m *PMD) emcInsert(key *flow.Key, hash uint32, e *dpcls.Entry) {
 	if !m.dp.Opts.EMC {
 		return
 	}
 	if p := m.dp.Opts.EMCInsertInvProb; p > 1 && m.insRand.Uint32()%uint32(p) != 0 {
 		return
 	}
-	m.emc.Insert(key, e)
+	m.emc.InsertHashed(key, hash, e)
 }
 
 // cacheInsert back-fills the fast caches after a dpcls hit or upcall
 // install: the EMC probabilistically, the SMC (when enabled) always — the
 // SMC is what keeps high-flow-count workloads out of the classifier once
 // the EMC saturates.
-func (m *PMD) cacheInsert(key flow.Key, e *dpcls.Entry) {
-	m.emcInsert(key, e)
+func (m *PMD) cacheInsert(key *flow.Key, h keyHashes, e *dpcls.Entry) {
+	m.emcInsert(key, h.emc, e)
 	if m.smc != nil {
 		m.charge(perf.StageSMC, costmodel.SMCInsert)
-		m.smc.Insert(key, e)
+		m.smc.InsertHashed(h.smc, e)
 	}
 }
 
@@ -403,14 +410,14 @@ type pendingUpcall struct {
 }
 
 // newUpcall takes a record from the PMD's free list or allocates one.
-func (m *PMD) newUpcall(key flow.Key, pkt *packet.Packet) *pendingUpcall {
+func (m *PMD) newUpcall(key *flow.Key, pkt *packet.Packet) *pendingUpcall {
 	if n := len(m.upcallFree); n > 0 {
 		u := m.upcallFree[n-1]
 		m.upcallFree = m.upcallFree[:n-1]
-		*u = pendingUpcall{key: key, pkt: pkt, enq: m.dp.Eng.Now()}
+		*u = pendingUpcall{key: *key, pkt: pkt, enq: m.dp.Eng.Now()}
 		return u
 	}
-	return &pendingUpcall{key: key, pkt: pkt, enq: m.dp.Eng.Now()}
+	return &pendingUpcall{key: *key, pkt: pkt, enq: m.dp.Eng.Now()}
 }
 
 // freeUpcall recycles a serviced record.
@@ -446,7 +453,7 @@ func (m *PMD) serviceUpcall() {
 
 	// Several packets of one flow may park before the first resolves:
 	// dedup against the classifier so only one translation happens.
-	if e, _ := m.cls.Lookup(u.key); e != nil {
+	if e, _ := m.cls.LookupKey(&u.key); e != nil {
 		d.processCounted(m, u.pkt, 0, false)
 		m.freeUpcall(u)
 		return
@@ -455,7 +462,7 @@ func (m *PMD) serviceUpcall() {
 	cpu := d.handlerCPU()
 	cpu.Consume(sim.User, costmodel.UpcallCost)
 	m.Perf.Add(perf.StageUpcall, costmodel.UpcallCost)
-	mf, err := d.translate(u.key)
+	mf, err := d.translate(&u.key)
 	if err != nil {
 		if te, ok := err.(interface{ Transient() bool }); ok && te.Transient() &&
 			u.attempt < d.maxUpcallRetries() {
@@ -472,12 +479,12 @@ func (m *PMD) serviceUpcall() {
 		d.UpcallErrors++
 		d.Drops++
 		m.Perf.AddUpcall(d.Eng.Now() - u.enq)
-		d.installNegativeFlow(m, u.key)
+		d.installNegativeFlow(m, &u.key)
 		u.pkt.Release()
 		m.freeUpcall(u)
 		return
 	}
-	m.cls.Insert(u.key, mf.Mask, mf.Actions)
+	m.cls.InsertKey(&u.key, &mf.Mask, mf.Actions)
 	m.Perf.AddUpcall(d.Eng.Now() - u.enq)
 	d.processCounted(m, u.pkt, 0, false)
 	m.freeUpcall(u)

@@ -59,3 +59,61 @@ func BenchmarkDpclsInsert(b *testing.B) {
 		}
 	}
 }
+
+// churnShape mirrors the benchmark's churn workload at its working-set size:
+// n megaflows over two masks, the second adding the source port to the
+// first, with odd flows stopping at the first subtable and even flows
+// falling through to the second. At 100k entries neither the slot arrays nor
+// the entries fit in L2, which the 1024-key benchmark above does not show.
+func churnShape(n int) (*Classifier, []flow.Key, [2]flow.Mask) {
+	base := flow.NewMaskBuilder().InPort().EthType().IPProto().IP4Src(32).IP4Dst(32).TPDst()
+	masks := [2]flow.Mask{base.Build(), base.TPSrc().Build()}
+	c := New(7)
+	keys := make([]flow.Key, n)
+	for i := range keys {
+		keys[i] = benchKey(i)
+		c.Insert(keys[i], masks[(i+1)%2], "actions")
+	}
+	return c, keys, masks
+}
+
+const churnFlows = 100_000
+
+var benchSink *Entry
+
+func BenchmarkDpclsLookupHit100k(b *testing.B) {
+	c, keys, _ := churnShape(churnFlows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = c.Lookup(keys[i*7919%churnFlows])
+	}
+}
+
+// BenchmarkDpclsLookupMiss100k looks up keys no megaflow covers: every
+// subtable is probed, the cost an upcall pays before translation.
+func BenchmarkDpclsLookupMiss100k(b *testing.B) {
+	c, keys, _ := churnShape(churnFlows)
+	for i := range keys {
+		keys[i][0] = 99 << 32 // an input port nothing is installed for
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = c.Lookup(keys[i*7919%churnFlows])
+	}
+}
+
+// BenchmarkDpclsInsertRemove100k installs and evicts one megaflow beside
+// 100k resident ones — the pair churn pays per new flow.
+func BenchmarkDpclsInsertRemove100k(b *testing.B) {
+	c, keys, masks := churnShape(churnFlows)
+	for i := range keys {
+		keys[i][0] = 99 << 32
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Remove(c.Insert(keys[i*7919%churnFlows], masks[i%2], nil))
+	}
+}

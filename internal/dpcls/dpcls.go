@@ -7,6 +7,10 @@
 // usage). Megaflows installed by ofproto translation are disjoint by
 // construction, so the first match wins and no priorities are needed.
 //
+// A subtable is a flat open-addressed table of hash-tagged entry pointers
+// (the cmap analog), probed with a hash of only the words its mask covers;
+// see table.go.
+//
 // The paper's Section 2.2.2 explains why this structure could not move into
 // eBPF ("the sandbox restrictions ... preclude implementing the OVS megaflow
 // cache"), which is one of the reasons the AF_XDP userspace architecture
@@ -14,8 +18,9 @@
 package dpcls
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ovsxdp/internal/flow"
 )
@@ -58,16 +63,21 @@ func (e *Entry) MarkDead() { e.dead = true }
 // Dead reports whether the entry has been removed from the datapath.
 func (e *Entry) Dead() bool { return e.dead }
 
+// Matches reports whether key falls under this megaflow: key masked by Mask
+// equals MaskedKey, compared in place without building the masked copy. It
+// is the verification the signature cache owes every candidate.
+func (e *Entry) Matches(key *flow.Key) bool {
+	for i := range key {
+		if key[i]&e.Mask[i] != e.MaskedKey[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // String summarizes the entry.
 func (e *Entry) String() string {
 	return fmt.Sprintf("megaflow{bits=%d hits=%d %s}", e.Mask.Bits(), e.Hits, e.MaskedKey)
-}
-
-// subtable holds all megaflows sharing one mask.
-type subtable struct {
-	mask    flow.Mask
-	entries map[flow.Key]*Entry
-	hits    uint64
 }
 
 // Classifier is the tuple-space-search megaflow table. It is used from a
@@ -78,8 +88,10 @@ type Classifier struct {
 	// Remove resolve a mask in O(1) instead of scanning.
 	subtables []*subtable
 	byMask    map[flow.Mask]*subtable
-	basis     uint32
-	count     int
+	// basis seeds every subtable's slot hash, so per-PMD classifiers and
+	// the kernel flow table place the same megaflows differently.
+	basis uint32
+	count int
 
 	// Lookups and SubtableProbes feed the cost model: a lookup costs
 	// per-subtable-probed.
@@ -95,7 +107,8 @@ type Classifier struct {
 	OnInsert func(*Entry)
 }
 
-// New returns an empty classifier.
+// New returns an empty classifier whose slot hashes are seeded with
+// hashBasis.
 func New(hashBasis uint32) *Classifier {
 	return &Classifier{
 		byMask: make(map[flow.Mask]*subtable),
@@ -107,16 +120,19 @@ func New(hashBasis uint32) *Classifier {
 // resortInterval is how many lookups happen between subtable reorderings.
 const resortInterval = 1024
 
-// Lookup finds the megaflow matching key. It returns the entry and the
+// Lookup is LookupKey for callers holding the key by value.
+func (c *Classifier) Lookup(key flow.Key) (*Entry, int) { return c.LookupKey(&key) }
+
+// LookupKey finds the megaflow matching key. It returns the entry and the
 // number of subtables probed (for cost accounting), or nil and the full
 // probe count on a miss.
-func (c *Classifier) Lookup(key flow.Key) (*Entry, int) {
+func (c *Classifier) LookupKey(key *flow.Key) (*Entry, int) {
 	c.Lookups++
 	probes := 0
 	for _, st := range c.subtables {
 		probes++
 		c.SubtableProbes++
-		if e, ok := st.entries[key.Apply(st.mask)]; ok {
+		if e := st.find(key, st.hash(key)); e != nil {
 			e.Hits++
 			st.hits++
 			c.maybeResort()
@@ -133,35 +149,41 @@ func (c *Classifier) maybeResort() {
 		return
 	}
 	c.resort = resortInterval
-	sort.SliceStable(c.subtables, func(i, j int) bool {
-		return c.subtables[i].hits > c.subtables[j].hits
+	// The comparison captures nothing, so the stable sort allocates nothing.
+	slices.SortStableFunc(c.subtables, func(a, b *subtable) int {
+		return cmp.Compare(b.hits, a.hits)
 	})
 	for _, st := range c.subtables {
 		st.hits = 0
 	}
 }
 
-// Insert installs a megaflow for key under mask with the given actions and
-// returns the entry. Inserting a key that matches an existing entry of the
-// same mask replaces its actions in place: the existing *Entry (which the
-// EMC and SMC may still point to) keeps its identity and hit count, so
+// Insert is InsertKey for callers holding the key and mask by value.
+func (c *Classifier) Insert(key flow.Key, mask flow.Mask, actions any) *Entry {
+	return c.InsertKey(&key, &mask, actions)
+}
+
+// InsertKey installs a megaflow for key under mask with the given actions
+// and returns the entry. Inserting a key that matches an existing entry of
+// the same mask replaces its actions in place: the existing *Entry (which
+// the EMC and SMC may still point to) keeps its identity and hit count, so
 // cached hits execute the new actions immediately instead of forwarding
 // with the stale ones a freshly allocated entry would leave behind.
-func (c *Classifier) Insert(key flow.Key, mask flow.Mask, actions any) *Entry {
-	st := c.findSubtable(mask)
+func (c *Classifier) InsertKey(key *flow.Key, mask *flow.Mask, actions any) *Entry {
+	st := c.byMask[*mask]
 	if st == nil {
-		st = &subtable{mask: mask, entries: make(map[flow.Key]*Entry)}
+		st = newSubtable(mask, c.basis)
 		c.subtables = append(c.subtables, st)
-		c.byMask[mask] = st
+		c.byMask[*mask] = st
 	}
-	masked := key.Apply(mask)
-	if e, existed := st.entries[masked]; existed {
+	h := st.hash(key)
+	if e := st.find(key, h); e != nil {
 		e.Actions = actions
 		return e
 	}
 	c.count++
-	e := &Entry{Mask: mask, MaskedKey: masked, Actions: actions}
-	st.entries[masked] = e
+	e := &Entry{Mask: *mask, MaskedKey: key.Apply(*mask), Actions: actions}
+	st.insert(h, e)
 	if c.OnInsert != nil {
 		c.OnInsert(e)
 	}
@@ -169,19 +191,16 @@ func (c *Classifier) Insert(key flow.Key, mask flow.Mask, actions any) *Entry {
 }
 
 // Remove deletes the megaflow that entry represents. It reports whether an
-// entry was removed.
+// entry was removed: a pointer that is no longer installed (already removed,
+// even if its masked key has since been installed again) removes nothing.
 func (c *Classifier) Remove(e *Entry) bool {
-	st := c.findSubtable(e.Mask)
-	if st == nil {
+	st := c.byMask[e.Mask]
+	if st == nil || !st.remove(e) {
 		return false
 	}
-	if cur, ok := st.entries[e.MaskedKey]; !ok || cur != e {
-		return false
-	}
-	delete(st.entries, e.MaskedKey)
 	e.MarkDead()
 	c.count--
-	if len(st.entries) == 0 {
+	if st.n == 0 {
 		c.dropSubtable(st)
 	}
 	return true
@@ -193,8 +212,10 @@ func (c *Classifier) Remove(e *Entry) bool {
 // the cost model are not skewed by a previous table's history.
 func (c *Classifier) Flush() {
 	for _, st := range c.subtables {
-		for _, e := range st.entries {
-			e.MarkDead()
+		for _, s := range st.slots {
+			if s.e != nil {
+				s.e.MarkDead()
+			}
 		}
 	}
 	c.subtables = nil
@@ -223,8 +244,10 @@ func (c *Classifier) Entries() []*Entry {
 func (c *Classifier) EntriesInto(buf []*Entry) []*Entry {
 	buf = buf[:0]
 	for _, st := range c.subtables {
-		for _, e := range st.entries {
-			buf = append(buf, e)
+		for _, s := range st.slots {
+			if s.e != nil {
+				buf = append(buf, s.e)
+			}
 		}
 	}
 	return buf
@@ -237,10 +260,6 @@ func (c *Classifier) AvgProbes() float64 {
 		return 0
 	}
 	return float64(c.SubtableProbes) / float64(c.Lookups)
-}
-
-func (c *Classifier) findSubtable(mask flow.Mask) *subtable {
-	return c.byMask[mask]
 }
 
 func (c *Classifier) dropSubtable(st *subtable) {

@@ -30,6 +30,14 @@ type entry[V any] struct {
 	valid bool
 }
 
+// fill overwrites the slot field by field, so no temporary entry is built
+// and copied.
+func (e *entry[V]) fill(key *flow.Key, value V) {
+	e.key = *key
+	e.value = value
+	e.valid = true
+}
+
 // Cache is a fixed-size exact-match cache from flow.Key to V (typically the
 // megaflow entry installed by the classifier).
 type Cache[V any] struct {
@@ -72,12 +80,19 @@ func New[V any](entries int, hashBasis uint32) *Cache[V] {
 	return &Cache[V]{sets: make([][Ways]entry[V], n), mask: uint32(n - 1), basis: hashBasis}
 }
 
-// Lookup returns the value cached for key, if any. An entry whose value
-// fails the alive check is purged and reported as a miss.
-func (c *Cache[V]) Lookup(key flow.Key) (V, bool) {
-	set := &c.sets[key.Hash(c.basis)&c.mask]
+// Hash returns key's hash under this cache's basis: the value LookupHashed
+// and InsertHashed take, so one packet pass hashes its key once for both.
+func (c *Cache[V]) Hash(key *flow.Key) uint32 { return key.Hash(c.basis) }
+
+// Lookup is LookupHashed for callers holding the key by value.
+func (c *Cache[V]) Lookup(key flow.Key) (V, bool) { return c.LookupHashed(&key, c.Hash(&key)) }
+
+// LookupHashed returns the value cached for key, whose Hash is h, if any. An
+// entry whose value fails the alive check is purged and reported as a miss.
+func (c *Cache[V]) LookupHashed(key *flow.Key, h uint32) (V, bool) {
+	set := &c.sets[h&c.mask]
 	for i := range set {
-		if set[i].valid && set[i].key == key {
+		if set[i].valid && set[i].key == *key {
 			if c.alive != nil && !c.alive(set[i].value) {
 				set[i] = entry[V]{}
 				c.count--
@@ -93,14 +108,17 @@ func (c *Cache[V]) Lookup(key flow.Key) (V, bool) {
 	return zero, false
 }
 
-// Insert caches value for key, replacing an existing entry for the same key
-// or evicting a pseudo-randomly chosen way.
-func (c *Cache[V]) Insert(key flow.Key, value V) {
-	set := &c.sets[key.Hash(c.basis)&c.mask]
+// Insert is InsertHashed for callers holding the key by value.
+func (c *Cache[V]) Insert(key flow.Key, value V) { c.InsertHashed(&key, c.Hash(&key), value) }
+
+// InsertHashed caches value for key, whose Hash is h, replacing an existing
+// entry for the same key or evicting a pseudo-randomly chosen way.
+func (c *Cache[V]) InsertHashed(key *flow.Key, h uint32, value V) {
+	set := &c.sets[h&c.mask]
 	c.Inserts++
 	// Same key: update in place.
 	for i := range set {
-		if set[i].valid && set[i].key == key {
+		if set[i].valid && set[i].key == *key {
 			set[i].value = value
 			return
 		}
@@ -108,12 +126,12 @@ func (c *Cache[V]) Insert(key flow.Key, value V) {
 	// Free way — a slot holding a dead value counts as free (lazy purge).
 	for i := range set {
 		if !set[i].valid {
-			set[i] = entry[V]{key: key, value: value, valid: true}
+			set[i].fill(key, value)
 			c.count++
 			return
 		}
 		if c.alive != nil && !c.alive(set[i].value) {
-			set[i] = entry[V]{key: key, value: value, valid: true}
+			set[i].fill(key, value)
 			c.StalePurged++
 			return
 		}
@@ -123,8 +141,8 @@ func (c *Cache[V]) Insert(key flow.Key, value V) {
 	// would make every set evict the same way in lockstep, so two keys
 	// alternating in one set deterministically thrash each other while the
 	// other way's entry never ages out.
-	victim := (key.Hash(c.basis) >> 16) % Ways
-	set[victim] = entry[V]{key: key, value: value, valid: true}
+	victim := (h >> 16) % Ways
+	set[victim].fill(key, value)
 	c.Evictions++
 }
 

@@ -12,9 +12,10 @@ import (
 // the packet metadata. Following OVS (and the DecodingLayerParser idiom from
 // gopacket), it decodes only the layers it recognizes, stops quietly at the
 // first unparseable byte, and never allocates: a malformed or truncated
-// packet simply yields a key that matches only as far as it parsed.
-func Extract(p *packet.Packet) Key {
-	var k Key
+// packet simply yields a key that matches only as far as it parsed. The key
+// is the named result, so it is built in the caller's slot rather than in a
+// local that every return would copy out.
+func Extract(p *packet.Packet) (k Key) {
 	d := p.Data
 
 	// Metadata words first: they are independent of packet bytes.

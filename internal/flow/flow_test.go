@@ -282,7 +282,8 @@ func TestHashDistribution(t *testing.T) {
 	for i := 0; i < n; i++ {
 		f := Fields{IP4Src: hdr.IP4(0x0a000000 + uint32(i)), IP4Dst: ipB,
 			IPProto: hdr.IPProtoUDP, TPSrc: uint16(i), TPDst: 80}
-		counts[f.Pack().Hash(0)%buckets]++
+		k := f.Pack()
+		counts[k.Hash(0)%buckets]++
 	}
 	for i, c := range counts {
 		if c < n/buckets*7/10 || c > n/buckets*13/10 {

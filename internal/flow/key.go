@@ -174,11 +174,13 @@ func (k Key) Equal(o Key) bool { return k == o }
 
 // Hash returns a 32-bit hash of the full key, suitable for EMC indexing and
 // RSS-style spreading. The mixer is xorshift-multiply per word with a final
-// avalanche, deterministic across runs.
-func (k Key) Hash(basis uint32) uint32 {
+// avalanche, deterministic across runs. The receiver is a pointer so the
+// per-packet callers, which hold the key in one place, hash it without
+// copying it.
+func (k *Key) Hash(basis uint32) uint32 {
 	h := uint64(basis) + 0x9e3779b97f4a7c15
-	for _, w := range k {
-		h ^= w
+	for i := range k {
+		h ^= k[i]
 		h *= 0xff51afd7ed558ccd
 		h ^= h >> 33
 	}

@@ -256,7 +256,7 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 
 	key := flow.Extract(p)
 	d.charge(cpu, sim.Softirq, perf.StageDpcls, d.cost(costmodel.KernelOVSLookup))
-	entry, _ := d.flows.Lookup(key)
+	entry, _ := d.flows.LookupKey(&key)
 	if entry == nil {
 		// The kernel flow extractor rejects malformed frames with EINVAL
 		// before any upcall is attempted; keep those distinct from policy
@@ -469,7 +469,7 @@ func (d *Datapath) serviceUpcall() {
 	d.upcallQ = d.upcallQ[1:]
 	defer d.kickUpcalls()
 
-	if e, _ := d.flows.Lookup(u.key); e != nil {
+	if e, _ := d.flows.LookupKey(&u.key); e != nil {
 		d.processCounted(u.cpu, u.pkt, 0, false)
 		return
 	}

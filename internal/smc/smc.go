@@ -107,13 +107,19 @@ func (c *Cache) clearBuckets() {
 	}
 }
 
-// Lookup resolves key to a cached megaflow. The signature is the upper 16
-// bits of the key's hash; a signature match is only returned after the
-// candidate megaflow verifies against the key (key masked by the megaflow's
-// mask equals its masked key), so a collision or stale index can never
-// mis-deliver a packet.
-func (c *Cache) Lookup(key flow.Key) (*dpcls.Entry, bool) {
-	h := key.Hash(c.basis)
+// Hash returns key's hash under this cache's basis: the value LookupHashed
+// and InsertHashed take, so one packet pass hashes its key once for both.
+func (c *Cache) Hash(key *flow.Key) uint32 { return key.Hash(c.basis) }
+
+// Lookup is LookupHashed for callers holding the key by value.
+func (c *Cache) Lookup(key flow.Key) (*dpcls.Entry, bool) { return c.LookupHashed(&key, c.Hash(&key)) }
+
+// LookupHashed resolves key, whose Hash is h, to a cached megaflow. The
+// signature is the upper 16 bits of the hash; a signature match is only
+// returned after the candidate megaflow verifies against the key (key masked
+// by the megaflow's mask equals its masked key), so a collision or stale
+// index can never mis-deliver a packet.
+func (c *Cache) LookupHashed(key *flow.Key, h uint32) (*dpcls.Entry, bool) {
 	b := &c.buckets[h&c.mask]
 	sig := uint16(h >> 16)
 	for w := 0; w < Ways; w++ {
@@ -125,7 +131,7 @@ func (c *Cache) Lookup(key flow.Key) (*dpcls.Entry, bool) {
 			c.StaleSkips++
 			continue
 		}
-		if key.Apply(e.Mask) != e.MaskedKey {
+		if !e.Matches(key) {
 			c.StaleSkips++
 			continue
 		}
@@ -137,17 +143,20 @@ func (c *Cache) Lookup(key flow.Key) (*dpcls.Entry, bool) {
 	return nil, false
 }
 
-// Insert caches the (signature -> megaflow index) mapping for key. The
-// victim way on a full bucket comes from the key's own hash bits, the same
-// pseudo-random replacement the EMC uses. Megaflows beyond the 16-bit index
-// space are not cacheable and are skipped.
-func (c *Cache) Insert(key flow.Key, e *dpcls.Entry) {
+// Insert is InsertHashed for callers holding the key by value.
+func (c *Cache) Insert(key flow.Key, e *dpcls.Entry) { c.InsertHashed(c.Hash(&key), e) }
+
+// InsertHashed caches the (signature -> megaflow index) mapping for the key
+// whose Hash is h; only the hash is stored, so the key itself is not needed.
+// The victim way on a full bucket comes from the key's own hash bits, the
+// same pseudo-random replacement the EMC uses. Megaflows beyond the 16-bit
+// index space are not cacheable and are skipped.
+func (c *Cache) InsertHashed(h uint32, e *dpcls.Entry) {
 	idx, ok := c.register(e)
 	if !ok {
 		c.Uncacheable++
 		return
 	}
-	h := key.Hash(c.basis)
 	b := &c.buckets[h&c.mask]
 	sig := uint16(h >> 16)
 	c.Inserts++
