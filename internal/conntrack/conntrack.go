@@ -45,7 +45,7 @@ func (t Tuple) String() string {
 }
 
 // less orders tuples lexicographically; used only on cold paths that need
-// a deterministic iteration order over map-held connections.
+// an iteration order over connections that does not depend on the index.
 func (t Tuple) less(o Tuple) bool {
 	if t.SrcIP != o.SrcIP {
 		return t.SrcIP < o.SrcIP
@@ -152,15 +152,19 @@ const (
 	DNAT
 )
 
-// Conn is one tracked connection.
+// Conn is one tracked connection. The fields every packet reads or writes
+// fill the first 64 bytes, the list links the LRU touch follows come next
+// and the cold rest last; at 168 bytes the record stays within the
+// allocator's 176-byte size class.
 type Conn struct {
 	Zone  uint16
+	class connClass
 	Orig  Tuple
-	State State
-	Mark  uint32
-	NAT   NAT
-
-	created sim.Time
+	// reply is the tuple reply packets carry, after translation: the
+	// connection's second index key, computed once at install.
+	reply   Tuple
+	Mark    uint32
+	State   State
 	expires sim.Time
 	// packets per direction.
 	PktsOrig, PktsReply uint64
@@ -169,7 +173,8 @@ type Conn struct {
 	// the free-list link when the record is recycled.
 	prev, next *Conn
 	zs         *zoneState
-	class      connClass
+	NAT        NAT
+	created    sim.Time
 
 	// Lazily created wheel timer (expiry.go); survives recycling so a
 	// record's timer closure is allocated at most once.
@@ -179,11 +184,6 @@ type Conn struct {
 	pool               *natPool
 	poolPrev, poolNext *Conn
 	poolPort           uint16
-}
-
-type connKey struct {
-	zone  uint16
-	tuple Tuple
 }
 
 // Table is the connection table.
@@ -320,7 +320,8 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 	}
 	now := t.eng.Now()
 
-	c, found := t.lookup(zone, tu)
+	c := t.lookup(zone, &tu)
+	found := c != nil
 	if found && c.State == StateClosed && c.Orig.Proto == hdr.IPProtoTCP &&
 		tcpFlags&hdr.TCPSyn != 0 && tcpFlags&(hdr.TCPAck|hdr.TCPRst|hdr.TCPFin) == 0 {
 		// A fresh SYN over a closed (RST'd) connection reopens it, the
@@ -409,28 +410,28 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 }
 
 // lookup finds the connection for tuple in zone, in either direction,
-// dropping it if expired.
-func (t *Table) lookup(zone uint16, tu Tuple) (*Conn, bool) {
-	c, ok := t.get(zone, tu)
-	if !ok {
-		return nil, false
-	}
-	if t.eng.Now() >= c.expires {
+// dropping it if expired; nil on a miss.
+func (t *Table) lookup(zone uint16, tu *Tuple) *Conn {
+	c := t.get(zone, tu)
+	if c != nil && t.eng.Now() >= c.expires {
 		t.removeConn(c)
 		t.Expired++
-		return nil, false
+		return nil
 	}
-	return c, true
+	return c
 }
 
 // Find returns the connection for a tuple in a zone without touching
 // state (diagnostics, tests).
-func (t *Table) Find(zone uint16, tu Tuple) (*Conn, bool) { return t.lookup(zone, tu) }
+func (t *Table) Find(zone uint16, tu Tuple) (*Conn, bool) {
+	c := t.lookup(zone, &tu)
+	return c, c != nil
+}
 
 // SetMark sets the connection mark (the ct_mark field rules match on).
 func (t *Table) SetMark(zone uint16, tu Tuple, mark uint32) bool {
-	c, ok := t.lookup(zone, tu)
-	if !ok {
+	c := t.lookup(zone, &tu)
+	if c == nil {
 		return false
 	}
 	c.Mark = mark
@@ -545,9 +546,13 @@ func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
 // its zone's recency list. The reply direction accounts for NAT: replies
 // arrive addressed to the translated tuple.
 func (t *Table) install(c *Conn) {
-	t.shardFor(c.Zone, c.Orig).conns[connKey{c.Zone, c.Orig}] = c
-	rt := t.replyTuple(c)
-	t.shardFor(c.Zone, rt).conns[connKey{c.Zone, rt}] = c
+	c.reply = replyTuple(c)
+	t.index(c, false)
+	if c.reply != c.Orig {
+		// A tuple that is its own reply is one key, held by the
+		// original-direction slot.
+		t.index(c, true)
+	}
 	c.zs.count++
 	c.zs.lists[c.class].pushBack(c)
 	t.live++
@@ -556,14 +561,15 @@ func (t *Table) install(c *Conn) {
 	}
 }
 
-// removeConn unlinks the connection from both shard indexes, its zone
-// list, its NAT port pool, and its wheel timer, then recycles the record.
+// removeConn removes the connection's two keys from the index — by key, as
+// the map it replaced did: a key a colliding install took over goes with it
+// — unlinks it from its zone list, its NAT port pool, and its wheel timer,
+// then recycles the record.
 // The caller attributes the removal by bumping exactly one of the Expired,
 // EarlyDrops, or Evicted counters.
 func (t *Table) removeConn(c *Conn) {
-	delete(t.shardFor(c.Zone, c.Orig).conns, connKey{c.Zone, c.Orig})
-	rt := t.replyTuple(c)
-	delete(t.shardFor(c.Zone, rt).conns, connKey{c.Zone, rt})
+	t.unindex(c.Zone, &c.Orig)
+	t.unindex(c.Zone, &c.reply)
 	c.zs.count--
 	c.zs.lists[c.class].remove(c)
 	t.live--
@@ -596,7 +602,7 @@ func (t *Table) freeConn(c *Conn) {
 }
 
 // replyTuple computes the tuple reply packets carry, after translation.
-func (t *Table) replyTuple(c *Conn) Tuple {
+func replyTuple(c *Conn) Tuple {
 	r := c.Orig.Reverse()
 	switch c.NAT.Kind {
 	case SNAT:
@@ -613,21 +619,17 @@ func (t *Table) replyTuple(c *Conn) Tuple {
 	return r
 }
 
-// Sweep removes expired connections and returns the count removed. With
-// wheel expiry enabled it is a no-op in steady state (timers fire first)
-// but remains correct.
+// Sweep removes expired connections, in slot order, and returns the count
+// removed. With wheel expiry enabled it is a no-op in steady state (timers
+// fire first) but remains correct.
 func (t *Table) Sweep() int {
 	now := t.eng.Now()
 	var victims []*Conn
-	seen := map[*Conn]bool{}
-	for i := range t.shards {
-		for _, c := range t.shards[i].conns {
-			if now >= c.expires && !seen[c] {
-				seen[c] = true
-				victims = append(victims, c)
-			}
+	t.eachConn(func(c *Conn) {
+		if now >= c.expires {
+			victims = append(victims, c)
 		}
-	}
+	})
 	for _, c := range victims {
 		t.removeConn(c)
 		t.Expired++

@@ -3,6 +3,7 @@ package conntrack
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
@@ -343,5 +344,22 @@ func TestConnLookupSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConnLayout pins the record layout: what every packet touches ends
+// within the first 64 bytes, and the record stays in the 176-byte size class
+// (a 16-byte slot and a 176-byte record per key pair is what the ct
+// workload's live heap is made of).
+func TestConnLayout(t *testing.T) {
+	var c Conn
+	if end := unsafe.Offsetof(c.PktsOrig) + unsafe.Sizeof(c.PktsOrig); end > 64 {
+		t.Errorf("per-packet fields end at byte %d, want <= 64", end)
+	}
+	if size := unsafe.Sizeof(c); size > 176 {
+		t.Errorf("Conn is %d bytes, want <= 176", size)
+	}
+	if size := unsafe.Sizeof(slot{}); size != 16 {
+		t.Errorf("slot is %d bytes, want 16", size)
 	}
 }

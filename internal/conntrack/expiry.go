@@ -24,8 +24,8 @@ import "sort"
 // unchanged.
 
 // EnableWheelExpiry turns timer-wheel expiry on or off. Enabling arms a
-// timer for every live connection in deterministic (sorted-key) order so
-// engine sequence allocation does not depend on map iteration; disabling
+// timer for every live connection in sorted-key order so engine sequence
+// allocation does not depend on where the index holds them; disabling
 // stops all timers.
 func (t *Table) EnableWheelExpiry(on bool) {
 	if on == t.wheel {
@@ -33,25 +33,18 @@ func (t *Table) EnableWheelExpiry(on bool) {
 	}
 	t.wheel = on
 	if !on {
-		for i := range t.shards {
-			for _, c := range t.shards[i].conns {
-				if c.timer != nil {
-					c.timer.Stop()
-				}
+		t.eachConn(func(c *Conn) {
+			if c.timer != nil {
+				c.timer.Stop()
 			}
-		}
+		})
 		return
 	}
+	// A connection lingering past its deadline is reclaimed now: a timer
+	// cannot be armed in the past.
+	t.Sweep()
 	var conns []*Conn
-	seen := map[*Conn]bool{}
-	for i := range t.shards {
-		for _, c := range t.shards[i].conns {
-			if !seen[c] {
-				seen[c] = true
-				conns = append(conns, c)
-			}
-		}
-	}
+	t.eachConn(func(c *Conn) { conns = append(conns, c) })
 	sort.Slice(conns, func(i, j int) bool {
 		if conns[i].Zone != conns[j].Zone {
 			return conns[i].Zone < conns[j].Zone

@@ -66,14 +66,16 @@ func (t *Table) processICMPError(p *packet.Packet, zone uint16) {
 // findRelated resolves an embedded tuple to its connection. The embedded
 // tuple is as seen on the wire, so for a NATed connection it may be the
 // post-translation form; both the direct and reversed forms are probed
-// against the table's two per-connection keys. embOrig reports whether the
-// embedded packet traveled the connection's original direction.
+// against the table's two per-connection keys, through lookup so that a
+// connection past its deadline is reclaimed, not related to. embOrig
+// reports whether the embedded packet traveled the connection's original
+// direction.
 func (t *Table) findRelated(zone uint16, emb Tuple) (c *Conn, embOrig, found bool) {
-	if c, ok := t.get(zone, emb); ok {
+	if c := t.lookup(zone, &emb); c != nil {
 		return c, emb == c.Orig, true
 	}
 	rev := emb.Reverse()
-	if c, ok := t.get(zone, rev); ok {
+	if c := t.lookup(zone, &rev); c != nil {
 		// rev matched a table key: if it is the reply key, the embedded
 		// tuple was the (translated) original direction.
 		return c, rev != c.Orig, true

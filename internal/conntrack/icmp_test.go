@@ -70,6 +70,41 @@ func TestICMPErrorUnNATed(t *testing.T) {
 	}
 }
 
+// TestICMPErrorForExpiredConnectionInvalid: with wheel expiry off a record
+// lingers past its deadline until something touches it. An error quoting
+// such a connection — here a source-NATed one, in either quoted direction —
+// must reclaim it like any other lookup would, not relate to it, count it
+// and rewrite the error's addresses from a dead translation.
+func TestICMPErrorForExpiredConnectionInvalid(t *testing.T) {
+	quotes := map[string][]byte{
+		"original direction": quotedPacket(natIP, ipB, 40000, 80),
+		"reply direction":    quotedPacket(ipB, natIP, 80, 40000),
+	}
+	for name, quoted := range quotes {
+		eng := sim.NewEngine(1)
+		ct := NewTable(eng)
+		ct.Timeouts.SynSent = 10 * sim.Millisecond
+		ct.Process(tcpPkt(ipA, ipB, 1000, 80, hdr.TCPSyn), 1, true, snatRange(40000, 40003))
+		eng.RunUntil(20 * sim.Millisecond)
+		if ct.Len() != 1 {
+			t.Fatalf("%s: len = %d, want the expired record still lingering", name, ct.Len())
+		}
+
+		p := icmpError(ipB, natIP, quoted)
+		ct.Process(p, 1, false, NAT{})
+		if p.CtState&packet.CtInvalid == 0 || p.CtState&packet.CtRelated != 0 {
+			t.Fatalf("%s: error for an expired connection classified %s, want invalid", name, p.CtState)
+		}
+		if ct.RelatedICMP != 0 || ct.Len() != 0 || ct.Expired != 1 {
+			t.Fatalf("%s: related=%d len=%d expired=%d, want 0/0/1 (record reclaimed)",
+				name, ct.RelatedICMP, ct.Len(), ct.Expired)
+		}
+		if ip, _ := hdr.ParseIPv4(p.Data[hdr.EthernetSize:]); ip.Dst != natIP {
+			t.Fatalf("%s: outer destination rewritten to %v by an expired translation", name, ip.Dst)
+		}
+	}
+}
+
 // TestICMPErrorUnmatchedInvalid: an error quoting an unknown tuple is
 // invalid and leaves no state behind even when committed.
 func TestICMPErrorUnmatchedInvalid(t *testing.T) {

@@ -6,22 +6,10 @@ import "sort"
 // "ct-shards" other_config default.
 const DefaultShards = 8
 
-// ctShard is one partition of the connection index. Real OVS (and the
-// kernel's nf_conntrack) partition the hash table so concurrent PMD
-// threads contend on bucket locks, not one table lock; the simulator is
-// single-goroutine per engine, so shards here model that partitioning —
-// each lookup touches exactly one shard, and the per-shard lookup counters
-// let scenarios verify the hot path never fans out — without needing
-// mutexes that virtual time would never contend.
-type ctShard struct {
-	conns   map[connKey]*Conn
-	lookups uint64
-}
-
 func (t *Table) initShards(n int) {
 	t.shards = make([]ctShard, n)
 	for i := range t.shards {
-		t.shards[i].conns = make(map[connKey]*Conn)
+		t.shards[i] = newShard()
 	}
 }
 
@@ -44,23 +32,64 @@ func tupleHash(zone uint16, tu Tuple) uint32 {
 	return h
 }
 
-func (t *Table) shardFor(zone uint16, tu Tuple) *ctShard {
-	return &t.shards[int(tupleHash(zone, tu)%uint32(len(t.shards)))]
+// shardOf picks the shard of a key whose tupleHash is h. Shard occupancy
+// and lookup counts appear in scenario output, so neither tupleHash's
+// values nor this modulo may change.
+func (t *Table) shardOf(h uint32) *ctShard {
+	return &t.shards[h%uint32(len(t.shards))]
 }
 
-// get looks the tuple up in its shard, counting the probe.
-func (t *Table) get(zone uint16, tu Tuple) (*Conn, bool) {
-	s := t.shardFor(zone, tu)
+// get looks the tuple up in its shard, counting the probe; nil on a miss.
+// The one tupleHash serves the shard choice, the home slot and the tag.
+func (t *Table) get(zone uint16, tu *Tuple) *Conn {
+	h := tupleHash(zone, *tu)
+	s := t.shardOf(h)
 	s.lookups++
-	c, ok := s.conns[connKey{zone, tu}]
-	return c, ok
+	return s.find(h, zone, tu)
+}
+
+// index enters c under its original or reply key.
+func (t *Table) index(c *Conn, reply bool) {
+	sl := slot{reply: reply, c: c}
+	sl.hash = tupleHash(c.Zone, *sl.key())
+	t.shardOf(sl.hash).put(sl)
+}
+
+// unindex removes key {zone, tu}, whichever connection holds it.
+func (t *Table) unindex(zone uint16, tu *Tuple) {
+	h := tupleHash(zone, *tu)
+	t.shardOf(h).del(h, zone, tu)
+}
+
+// eachConn calls fn once for every connection the index leads to, in slot
+// order: at the connection's original-direction slot, or at its reply slot
+// if a colliding install took the original key over. The probe that tells
+// is not a packet's, so it is not counted in lookups. fn must leave the
+// index alone.
+func (t *Table) eachConn(fn func(*Conn)) {
+	for i := range t.shards {
+		for _, sl := range t.shards[i].slots {
+			c := sl.c
+			if c == nil {
+				continue
+			}
+			if sl.reply {
+				h := tupleHash(c.Zone, c.Orig)
+				if t.shardOf(h).find(h, c.Zone, &c.Orig) == c {
+					continue
+				}
+			}
+			fn(c)
+		}
+	}
 }
 
 // NumShards returns the current shard count.
 func (t *Table) NumShards() int { return len(t.shards) }
 
 // SetShards repartitions the index into n shards (n < 1 is clamped to 1).
-// Existing connections are rehashed; per-shard lookup counters reset.
+// Existing entries move by their stored hashes; per-shard lookup counters
+// reset.
 // Cold path: reconfiguration, not per-packet.
 func (t *Table) SetShards(n int) {
 	if n < 1 {
@@ -72,8 +101,10 @@ func (t *Table) SetShards(n int) {
 	old := t.shards
 	t.initShards(n)
 	for i := range old {
-		for k, c := range old[i].conns {
-			t.shardFor(k.zone, k.tuple).conns[k] = c
+		for _, sl := range old[i].slots {
+			if sl.c != nil {
+				t.shardOf(sl.hash).insert(sl)
+			}
 		}
 	}
 }
@@ -83,7 +114,7 @@ func (t *Table) SetShards(n int) {
 func (t *Table) ShardSizes(dst []int) []int {
 	dst = dst[:0]
 	for i := range t.shards {
-		dst = append(dst, len(t.shards[i].conns))
+		dst = append(dst, t.shards[i].n)
 	}
 	return dst
 }

@@ -138,16 +138,42 @@ func TestFreshSYNReopensClosedConnection(t *testing.T) {
 	}
 }
 
-// TestConntrackEstablishedLookupZeroAlloc pins the hot path: processing a
-// packet of an established connection (lookup + state machine + LRU touch)
-// must not allocate.
+// TestConntrackEstablishedLookupZeroAlloc pins the hot paths: processing a
+// packet of an established connection (lookup + state machine + LRU touch),
+// a lookup that misses, and — once the free list and the index have reached
+// their steady size — a commit followed by the lookup that finds the record
+// expired and reclaims it must not allocate.
 func TestConntrackEstablishedLookupZeroAlloc(t *testing.T) {
-	ct := NewTable(sim.NewEngine(1))
+	eng := sim.NewEngine(1)
+	ct := NewTable(eng)
+	ct.Timeouts.SynSent = sim.Millisecond
 	handshake(ct, 1, 1000, 80)
 	p := tcpPkt(ipA, ipB, 1000, 80, hdr.TCPAck|hdr.TCPPsh)
 	if n := testing.AllocsPerRun(200, func() {
 		ct.Process(p, 1, true, NAT{})
 	}); n != 0 {
 		t.Fatalf("established-connection Process allocates %.1f/op, want 0", n)
+	}
+
+	miss := tcpPkt(ipA, ipB, 2000, 80, hdr.TCPAck)
+	if n := testing.AllocsPerRun(200, func() {
+		ct.Process(miss, 1, false, NAT{})
+	}); n != 0 {
+		t.Fatalf("missing lookup allocates %.1f/op, want 0", n)
+	}
+
+	syn := tcpPkt(ipA, ipB, 3000, 80, hdr.TCPSyn)
+	tu, _ := TupleOf(syn)
+	if n := testing.AllocsPerRun(200, func() {
+		ct.Process(syn, 1, true, NAT{})
+		eng.RunUntil(eng.Now() + 2*sim.Millisecond)
+		if _, ok := ct.Find(1, tu); ok {
+			t.Fatal("connection outlived its timeout")
+		}
+	}); n != 0 {
+		t.Fatalf("commit-then-expire cycle allocates %.1f/op, want 0", n)
+	}
+	if ct.Len() != 1 || ct.Created != 202 || ct.Expired != 201 {
+		t.Fatalf("len=%d created=%d expired=%d after the cycles, want 1/202/201", ct.Len(), ct.Created, ct.Expired)
 	}
 }

@@ -612,7 +612,8 @@ func (m *PMD) traceResolved(r perf.Result) {
 
 // execute runs a compiled datapath action list.
 func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction, depth int) {
-	for _, a := range actions {
+	for i := range actions {
+		a := &actions[i]
 		switch a.Type {
 		case ofproto.DPOutput:
 			out := d.ports[a.Port]

@@ -432,7 +432,8 @@ func (d *Datapath) OffloadCPU() *sim.CPU {
 // rewrites and forwards without host CPU involvement, so nothing here is
 // charged beyond the OffloadHit the caller already paid.
 func (d *Datapath) hwForward(m *PMD, p *packet.Packet, actions []ofproto.DPAction) {
-	for _, a := range actions {
+	for i := range actions {
+		a := &actions[i]
 		switch a.Type {
 		case ofproto.DPSetEthSrc:
 			if len(p.Data) >= 12 {

@@ -314,7 +314,8 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 }
 
 func (d *Datapath) execute(cpu *sim.CPU, p *packet.Packet, actions []ofproto.DPAction, depth int) {
-	for _, a := range actions {
+	for i := range actions {
+		a := &actions[i]
 		switch a.Type {
 		case ofproto.DPOutput:
 			d.charge(cpu, sim.Softirq, perf.StageActions, d.cost(costmodel.KernelOVSActions+costmodel.KernelDriverTx))
