@@ -16,6 +16,7 @@ const DefaultChunks = 4096
 type Umem struct {
 	area      []byte
 	chunkSize int
+	chunkMask uint64 // chunkSize - 1
 	chunks    int
 
 	// Fill carries empty buffers from userspace to the kernel (rx path
@@ -25,11 +26,17 @@ type Umem struct {
 	Completion *Ring
 }
 
-// NewUmem builds a umem with the given chunk count and size.
+// NewUmem builds a umem with the given chunk count and size. The chunk size
+// must be a power of two, as the kernel requires of an aligned-mode umem;
+// anything else is a bug in the caller.
 func NewUmem(chunks, chunkSize int) *Umem {
+	if chunkSize <= 0 || chunkSize&(chunkSize-1) != 0 {
+		panic(fmt.Sprintf("afxdp: umem chunk size %d is not a power of two", chunkSize))
+	}
 	return &Umem{
 		area:       make([]byte, chunks*chunkSize),
 		chunkSize:  chunkSize,
+		chunkMask:  uint64(chunkSize - 1),
 		chunks:     chunks,
 		Fill:       NewRing(DefaultRingSize),
 		Completion: NewRing(DefaultRingSize),
@@ -54,7 +61,7 @@ func (u *Umem) Buffer(addr uint64, n int) []byte {
 	if addr >= uint64(len(u.area)) {
 		panic(fmt.Sprintf("afxdp: umem address %d beyond area %d", addr, len(u.area)))
 	}
-	off := addr % uint64(u.chunkSize)
+	off := addr & u.chunkMask
 	if uint64(n) > uint64(u.chunkSize)-off {
 		panic(fmt.Sprintf("afxdp: umem access [%d,+%d) crosses chunk boundary (chunk size %d, offset %d)",
 			addr, n, u.chunkSize, off))

@@ -602,10 +602,13 @@ func TestPerQueueSteeringSeparatesManagementTraffic(t *testing.T) {
 		nic.Receive(udpPkt(uint16(i)))
 	}
 	for q := 0; q < 4; q++ {
-		passed, _ := nic.DriverReceive(nic.Queue(q), 64, cpu, nicsim.DriverVerdicts{
+		verdicts := &nicsim.DriverVerdicts{
+			Pass:  func(*packet.Packet) { toStack++ },
 			ToXsk: func(uint32, *packet.Packet) { toXsk++ },
-		})
-		toStack += len(passed)
+		}
+		for _, pkt := range nic.Queue(q).Pop(64) {
+			nic.DriverReceive(cpu, q, pkt, verdicts)
+		}
 	}
 	if toStack != 20 || toXsk != 20 {
 		t.Fatalf("stack=%d xsk=%d, want 20/20 split", toStack, toXsk)

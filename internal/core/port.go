@@ -70,9 +70,6 @@ type AFXDPPortConfig struct {
 	// universally at the cost of an extra packet copy" (Section 3.5
 	// limitations).
 	ZeroCopy bool
-	// ExtraVerdicts extends the XDP verdict handling (container
-	// redirect experiments); ToXsk is always handled internally.
-	ExtraVerdicts nicsim.DriverVerdicts
 }
 
 // AFXDPPort is the paper's port type: the NIC runs an XDP program that
@@ -92,8 +89,10 @@ type AFXDPPort struct {
 	softirq []*sim.CPU
 	actors  []*kernelsim.NAPIActor
 
-	pendingKick map[int]bool
-	armFns      map[int]func()
+	// pendingKick[q] is set while socket q holds tx descriptors no sendto
+	// has announced; armFns[q] is the interrupt-mode wakeup armed on it.
+	pendingKick []bool
+	armFns      []func()
 
 	// Per-port scratch buffers, reused across Rx calls (single-threaded
 	// simulation; PMDs run one event at a time).
@@ -134,8 +133,8 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 		umem:        umem,
 		pool:        afxdp.NewPool(umem, cfg.LockMode),
 		zeroCopy:    cfg.ZeroCopy,
-		pendingKick: make(map[int]bool),
-		armFns:      make(map[int]func()),
+		pendingKick: make([]bool, nq),
+		armFns:      make([]func(), nq),
 		rxPool:      packet.NewPool(rxPoolSize, umem.ChunkSize(), true),
 		txPool:      packet.NewPool(txPoolSize, umem.ChunkSize(), true),
 	}
@@ -160,44 +159,19 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 		}
 		p.softirq = append(p.softirq, cpu)
 
-		queue := cfg.NIC.Queue(q)
 		qIdx := q
-		verdicts := cfg.ExtraVerdicts
-		inner := verdicts.ToXsk
-		verdicts.ToXsk = func(sock uint32, pkt *packet.Packet) {
-			if int(sock) < len(p.xsks) {
-				s := p.xsks[sock]
-				// Kernel-side XSK delivery: with zero-copy the
-				// driver DMA'd straight into umem and only the
-				// descriptor moves; copy mode pays a memcpy.
-				cost := sim.Time(8)
-				if !p.zeroCopy {
-					cost += costmodel.CopyCost(len(pkt.Data))
-				}
-				p.softirq[qIdx].Consume(sim.Softirq, cost)
-				if s.KernelDeliver(pkt.Data) {
-					if fn := p.armFns[s.Queue]; fn != nil {
-						delete(p.armFns, s.Queue)
-						fn()
-					}
-				}
-			}
-			if inner != nil {
-				inner(sock, pkt)
-			} else {
-				// The frame now lives in umem (or was dropped by a
-				// full rx ring); the wire-side packet is done.
-				pkt.Release()
-			}
+		verdicts := &nicsim.DriverVerdicts{
+			ToXsk: func(sock uint32, pkt *packet.Packet) { p.toXsk(qIdx, sock, pkt) },
 		}
 		actor := &kernelsim.NAPIActor{
 			Eng: cfg.Eng, CPU: cpu,
-			Src: kernelsim.NICQueueSource{Q: queue},
+			Src: kernelsim.NICQueueSource{Q: cfg.NIC.Queue(q)},
 			Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-				// Re-queue then let the driver pull through XDP;
-				// DriverReceive charges driver + program cost.
+				// The driver pulls each frame through the XDP stage;
+				// what the program does not redirect into a socket goes
+				// to the host stack or back out the wire.
 				for _, pkt := range pkts {
-					p.deliverOne(cpu, queue, qIdx, pkt, verdicts)
+					p.nic.DriverReceive(cpu, qIdx, pkt, verdicts)
 				}
 			},
 		}
@@ -215,54 +189,27 @@ const (
 	txPoolSize = 2048
 )
 
-// deliverOne runs one packet through the XDP stage and verdict handling.
-func (p *AFXDPPort) deliverOne(cpu *sim.CPU, queue *nicsim.Queue, q int, pkt *packet.Packet, v nicsim.DriverVerdicts) {
-	cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
-	hook := p.nic.Hook
-	if !hook.HasProgram() {
-		pkt.Release()
-		return // no program: packet goes to the host stack (dropped here)
+// toXsk is the kernel-side XSK delivery of a frame the XDP program on queue
+// q redirected to socket sock: with zero-copy the driver DMA'd straight into
+// umem and only the descriptor moves; copy mode pays a memcpy. Either way
+// the frame then lives in umem (or was dropped by a full rx ring) and the
+// wire-side packet is done.
+func (p *AFXDPPort) toXsk(q int, sock uint32, pkt *packet.Packet) {
+	if int(sock) < len(p.xsks) {
+		s := p.xsks[sock]
+		cost := sim.Time(8)
+		if !p.zeroCopy {
+			cost += costmodel.CopyCost(len(pkt.Data))
+		}
+		p.softirq[q].Consume(sim.Softirq, cost)
+		if s.KernelDeliver(pkt.Data) {
+			if fn := p.armFns[s.Queue]; fn != nil {
+				p.armFns[s.Queue] = nil
+				fn()
+			}
+		}
 	}
-	res, cost, err := hook.Run(q, pkt.Data, p.nic.Ifindex)
-	cpu.Consume(sim.Softirq, cost)
-	if err != nil {
-		pkt.Release()
-		return
-	}
-	switch res.Action {
-	case 2: // XDP_PASS: host stack (dropped here)
-		pkt.Release()
-	case 3: // XDP_TX
-		cpu.Consume(sim.Softirq, costmodel.XDPTxForward)
-		if v.Tx != nil {
-			v.Tx(pkt)
-		} else {
-			p.nic.Transmit(pkt)
-		}
-	case 4: // XDP_REDIRECT
-		tm, ok := res.RedirectMap.(interface {
-			Target(uint32) (uint32, bool)
-		})
-		if !ok {
-			pkt.Release()
-			return
-		}
-		tgt, ok := tm.Target(res.RedirectIndex)
-		if !ok {
-			pkt.Release()
-			return
-		}
-		if res.RedirectMap.Type().String() == "xskmap" {
-			v.ToXsk(tgt, pkt)
-		} else if v.ToDev != nil {
-			cpu.Consume(sim.Softirq, costmodel.XDPRedirectVeth)
-			v.ToDev(tgt, pkt)
-		} else {
-			pkt.Release()
-		}
-	default: // XDP_DROP / XDP_ABORTED
-		pkt.Release()
-	}
+	pkt.Release()
 }
 
 // ID implements Port.
@@ -364,14 +311,14 @@ func (p *AFXDPPort) Tx(cpu *sim.CPU, txq int, pkt *packet.Packet) {
 	copy(p.umem.Buffer(addr, n), pkt.Data[:n])
 	// The frame now lives in a umem chunk; the packet object is done.
 	pkt.Release()
-	xsk := p.xsks[txq%len(p.xsks)]
+	q := txq % len(p.xsks)
 	cpu.Consume(sim.User, costmodel.AFXDPTxDescriptor)
-	if !xsk.UserTransmit(afxdp.Desc{Addr: addr, Len: uint32(n)}) {
+	if !p.xsks[q].UserTransmit(afxdp.Desc{Addr: addr, Len: uint32(n)}) {
 		p.pool.Release(addr)
 		p.TxDrops++
 		return
 	}
-	p.pendingKick[txq%len(p.xsks)] = true
+	p.pendingKick[q] = true
 }
 
 // Flush implements Port: issue the sendto kick and schedule the kernel tx
@@ -381,7 +328,7 @@ func (p *AFXDPPort) Flush(cpu *sim.CPU, txq int) {
 	if !p.pendingKick[q] {
 		return
 	}
-	delete(p.pendingKick, q)
+	p.pendingKick[q] = false
 	xsk := p.xsks[q]
 	if xsk.Kick() {
 		cpu.Consume(sim.System, costmodel.AFXDPTxKickSyscall)

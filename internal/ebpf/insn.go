@@ -7,8 +7,9 @@
 //
 // Programs are built with the assembler constructors in this file (the
 // moral equivalent of the Clang/LLVM step in the paper's Figure 4), pass
-// through Verify (the in-kernel verifier step), and execute in a VM attached
-// to an XDP hook (package xdp). Execution cost is metered per instruction
+// through Load (the in-kernel verifier step, then a one-time lowering of
+// the accepted program as the kernel's JIT does), and execute attached to
+// an XDP hook (package xdp). Execution cost is metered per instruction
 // and per helper so the simulation can charge realistic XDP processing
 // costs (Table 5).
 package ebpf
@@ -76,17 +77,18 @@ const (
 	OpExit
 )
 
+var opNames = [...]string{
+	OpMov: "mov", OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div",
+	OpMod: "mod", OpAnd: "and", OpOr: "or", OpXor: "xor", OpLsh: "lsh",
+	OpRsh: "rsh", OpNeg: "neg", OpLdx: "ldx", OpStx: "stx", OpSt: "st",
+	OpJa: "ja", OpJeq: "jeq", OpJne: "jne", OpJgt: "jgt", OpJge: "jge",
+	OpJlt: "jlt", OpJle: "jle", OpJset: "jset", OpCall: "call", OpExit: "exit",
+}
+
 // String returns the mnemonic.
 func (o Op) String() string {
-	names := map[Op]string{
-		OpMov: "mov", OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div",
-		OpMod: "mod", OpAnd: "and", OpOr: "or", OpXor: "xor", OpLsh: "lsh",
-		OpRsh: "rsh", OpNeg: "neg", OpLdx: "ldx", OpStx: "stx", OpSt: "st",
-		OpJa: "ja", OpJeq: "jeq", OpJne: "jne", OpJgt: "jgt", OpJge: "jge",
-		OpJlt: "jlt", OpJle: "jle", OpJset: "jset", OpCall: "call", OpExit: "exit",
-	}
-	if s, ok := names[o]; ok {
-		return s
+	if int(o) < len(opNames) && opNames[o] != "" {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }

@@ -181,19 +181,22 @@ func (a *ArrayMap) Delete(key []byte) error {
 // TargetMap is the shared implementation of DevMap and XskMap: an array of
 // redirect targets. A zero slot is empty.
 type TargetMap struct {
-	typ     MapType
-	targets []uint32
+	typ MapType
+	// vals holds each slot's target as its 4-byte little-endian map value,
+	// so Lookup returns the live value without allocating, like the other
+	// map kinds.
+	vals    [][4]byte
 	present []bool
 }
 
 // NewDevMap builds a device-redirect map.
 func NewDevMap(maxEntries int) *TargetMap {
-	return &TargetMap{typ: MapTypeDevMap, targets: make([]uint32, maxEntries), present: make([]bool, maxEntries)}
+	return &TargetMap{typ: MapTypeDevMap, vals: make([][4]byte, maxEntries), present: make([]bool, maxEntries)}
 }
 
 // NewXskMap builds an AF_XDP socket redirect map.
 func NewXskMap(maxEntries int) *TargetMap {
-	return &TargetMap{typ: MapTypeXskMap, targets: make([]uint32, maxEntries), present: make([]bool, maxEntries)}
+	return &TargetMap{typ: MapTypeXskMap, vals: make([][4]byte, maxEntries), present: make([]bool, maxEntries)}
 }
 
 // Type implements Map.
@@ -206,7 +209,7 @@ func (t *TargetMap) KeySize() int { return 4 }
 func (t *TargetMap) ValueSize() int { return 4 }
 
 // MaxEntries implements Map.
-func (t *TargetMap) MaxEntries() int { return len(t.targets) }
+func (t *TargetMap) MaxEntries() int { return len(t.vals) }
 
 // Len implements Map.
 func (t *TargetMap) Len() int {
@@ -225,12 +228,10 @@ func (t *TargetMap) Lookup(key []byte) []byte {
 		return nil
 	}
 	i := int(binary.LittleEndian.Uint32(key))
-	if i >= len(t.targets) || !t.present[i] {
+	if i >= len(t.vals) || !t.present[i] {
 		return nil
 	}
-	v := make([]byte, 4)
-	binary.LittleEndian.PutUint32(v, t.targets[i])
-	return v
+	return t.vals[i][:]
 }
 
 // Update implements Map.
@@ -239,10 +240,10 @@ func (t *TargetMap) Update(key, value []byte) error {
 		return fmt.Errorf("ebpf: target map update: key/value must be 4 bytes")
 	}
 	i := int(binary.LittleEndian.Uint32(key))
-	if i >= len(t.targets) {
+	if i >= len(t.vals) {
 		return fmt.Errorf("ebpf: target map update: index %d out of range", i)
 	}
-	t.targets[i] = binary.LittleEndian.Uint32(value)
+	copy(t.vals[i][:], value)
 	t.present[i] = true
 	return nil
 }
@@ -253,21 +254,21 @@ func (t *TargetMap) Delete(key []byte) error {
 		return fmt.Errorf("ebpf: target map delete: bad key")
 	}
 	i := int(binary.LittleEndian.Uint32(key))
-	if i >= len(t.targets) || !t.present[i] {
+	if i >= len(t.vals) || !t.present[i] {
 		return fmt.Errorf("ebpf: target map delete: no such entry")
 	}
 	t.present[i] = false
-	t.targets[i] = 0
+	t.vals[i] = [4]byte{}
 	return nil
 }
 
 // Target returns the redirect target at index, if set. The XDP runtime uses
 // this on the redirect fast path.
 func (t *TargetMap) Target(index uint32) (uint32, bool) {
-	if int(index) >= len(t.targets) || !t.present[index] {
+	if int(index) >= len(t.vals) || !t.present[index] {
 		return 0, false
 	}
-	return t.targets[index], true
+	return binary.LittleEndian.Uint32(t.vals[index][:]), true
 }
 
 // SetTarget is a convenience for Update with native integers.

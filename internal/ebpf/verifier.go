@@ -12,6 +12,10 @@ const MaxInsns = 4096
 // StackSize is the per-program stack, as in the kernel.
 const StackSize = 512
 
+// maxPtrOff bounds the constant offset a pointer may accumulate (the
+// kernel's BPF_MAX_VAR_OFF), so compiled offsets fit their field.
+const maxPtrOff = 1 << 29
+
 // VerifierError describes a program rejection with the offending
 // instruction index.
 type VerifierError struct {
@@ -114,18 +118,19 @@ func (s *absState) merge(o *absState) {
 	}
 }
 
-// Verify checks prog against the sandbox rules and returns nil if the
-// program is safe to run. The rules enforced are the ones the paper calls
-// out: program size cap, loop prohibition (forward jumps only), initialized
-// registers, bounds-checked packet access against data_end, null-checked
-// map values, and in-bounds stack and map-value access.
-func Verify(prog *Program) error {
+// verify checks prog against the sandbox rules. The rules enforced are the
+// ones the paper calls out: program size cap, loop prohibition (forward
+// jumps only), initialized registers, bounds-checked packet access against
+// data_end, null-checked map values, and in-bounds stack and map-value
+// access. For a program that is safe to run it returns the abstract state
+// on entry to each instruction, which is what Load compiles from.
+func verify(prog *Program) ([]absState, error) {
 	insns := prog.Insns
 	if len(insns) == 0 {
-		return &VerifierError{0, "empty program"}
+		return nil, &VerifierError{0, "empty program"}
 	}
 	if len(insns) > MaxInsns {
-		return &VerifierError{0, fmt.Sprintf("program too large: %d insns > %d", len(insns), MaxInsns)}
+		return nil, &VerifierError{0, fmt.Sprintf("program too large: %d insns > %d", len(insns), MaxInsns)}
 	}
 
 	states := make([]absState, len(insns)+1)
@@ -139,13 +144,13 @@ func Verify(prog *Program) error {
 		in := insns[pc]
 		next, jumped, err := step(prog, &st, pc, in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Propagate fall-through state.
 		if next != nil {
 			if pc+1 >= len(insns) {
 				if in.Op != OpExit && in.Op != OpJa {
-					return ErrNoExit
+					return nil, ErrNoExit
 				}
 			} else {
 				mergeInto(&states[pc+1], next)
@@ -155,10 +160,10 @@ func Verify(prog *Program) error {
 		if jumped != nil {
 			target := pc + 1 + int(in.Off)
 			if target <= pc {
-				return &VerifierError{pc, "back-edge detected: loops are forbidden"}
+				return nil, &VerifierError{pc, "back-edge detected: loops are forbidden"}
 			}
 			if target >= len(insns) {
-				return &VerifierError{pc, fmt.Sprintf("jump target %d out of range", target)}
+				return nil, &VerifierError{pc, fmt.Sprintf("jump target %d out of range", target)}
 			}
 			mergeInto(&states[target], jumped)
 		}
@@ -166,9 +171,9 @@ func Verify(prog *Program) error {
 	// Check that the final instruction cannot fall through.
 	last := insns[len(insns)-1]
 	if states[len(insns)-1].live && last.Op != OpExit && last.Op != OpJa {
-		return ErrNoExit
+		return nil, ErrNoExit
 	}
-	return nil
+	return states, nil
 }
 
 func mergeInto(dst, src *absState) {
@@ -188,6 +193,16 @@ func step(prog *Program, st *absState, pc int, in Insn) (fall, jump *absState, e
 		return nil, nil, &VerifierError{pc, fmt.Sprintf(format, args...)}
 	}
 	readable := func(r Reg) bool { return st.regs[r].kind != kindUninit }
+	if in.Dst >= NumRegs || in.Src >= NumRegs {
+		return bad("invalid register")
+	}
+	if in.Op == OpLdx || in.Op == OpStx || in.Op == OpSt {
+		switch in.Size {
+		case SizeB, SizeH, SizeW, SizeDW:
+		default:
+			return bad("invalid access size %d", in.Size)
+		}
+	}
 
 	switch in.Op {
 	case OpMov, OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpLsh, OpRsh, OpNeg:
@@ -366,6 +381,9 @@ func stepALU(st *absState, pc int, in Insn) error {
 			} else {
 				dst.off -= src.val
 			}
+			if src.val < -maxPtrOff || src.val > maxPtrOff || dst.off < -maxPtrOff || dst.off > maxPtrOff {
+				return bad("pointer offset %d out of range", dst.off)
+			}
 			return nil
 		}
 		if dst.kind != kindScalar {
@@ -517,29 +535,38 @@ func checkCall(prog *Program, st *absState, out *absState, pc int, h Helper) err
 		}
 		return m, nil
 	}
-	keyArg := func(m Map, r Reg) error {
+	// memArg checks that register r points at n readable bytes the helper
+	// may take as its what argument.
+	memArg := func(what string, r Reg, n int64) error {
 		k := st.regs[r]
 		switch k.kind {
 		case kindStackPtr:
 			start := k.off
-			if start < -StackSize || start+int64(m.KeySize()) > 0 {
-				return bad("%s: key pointer out of stack bounds", h)
+			if start < -StackSize || start+n > 0 {
+				return bad("%s: %s pointer out of stack bounds", h, what)
 			}
-			for i := start; i < start+int64(m.KeySize()); i++ {
+			for i := start; i < start+n; i++ {
 				if !st.stackInit[-i-1] {
-					return bad("%s: key includes uninitialized stack byte %d", h, i)
+					return bad("%s: %s includes uninitialized stack byte %d", h, what, i)
 				}
 			}
 			return nil
 		case kindPktPtr:
-			if k.off < 0 || k.off+int64(m.KeySize()) > st.checkedLen {
-				return bad("%s: packet key pointer exceeds verified bounds", h)
+			if k.off < 0 || k.off+n > st.checkedLen {
+				return bad("%s: packet %s pointer exceeds verified bounds", h, what)
+			}
+			return nil
+		case kindMapValue:
+			src := prog.mapByID(k.mapID)
+			if src == nil || k.off < 0 || k.off+n > int64(src.ValueSize()) {
+				return bad("%s: map-value %s pointer out of bounds", h, what)
 			}
 			return nil
 		default:
-			return bad("%s: key must point to stack or packet, got %s", h, k.kind)
+			return bad("%s: %s must point to stack, packet or a map value, got %s", h, what, k.kind)
 		}
 	}
+	keyArg := func(m Map) error { return memArg("key", R2, int64(m.KeySize())) }
 
 	clobber := func(result regState) {
 		out.regs[R0] = result
@@ -554,7 +581,7 @@ func checkCall(prog *Program, st *absState, out *absState, pc int, h Helper) err
 		if err != nil {
 			return err
 		}
-		if err := keyArg(m, R2); err != nil {
+		if err := keyArg(m); err != nil {
 			return err
 		}
 		r1 := st.regs[R1]
@@ -565,12 +592,11 @@ func checkCall(prog *Program, st *absState, out *absState, pc int, h Helper) err
 		if err != nil {
 			return err
 		}
-		if err := keyArg(m, R2); err != nil {
+		if err := keyArg(m); err != nil {
 			return err
 		}
-		v := st.regs[R3]
-		if v.kind != kindStackPtr && v.kind != kindPktPtr && v.kind != kindMapValue {
-			return bad("map_update: value must be a pointer, got %s", v.kind)
+		if err := memArg("value", R3, int64(m.ValueSize())); err != nil {
+			return err
 		}
 		clobber(regState{kind: kindScalar})
 		return nil
@@ -579,7 +605,7 @@ func checkCall(prog *Program, st *absState, out *absState, pc int, h Helper) err
 		if err != nil {
 			return err
 		}
-		if err := keyArg(m, R2); err != nil {
+		if err := keyArg(m); err != nil {
 			return err
 		}
 		clobber(regState{kind: kindScalar})

@@ -278,3 +278,113 @@ func TestVerifyEmptyJumpTargetBounds(t *testing.T) {
 		t.Fatal("jump past the end must be rejected")
 	}
 }
+
+// updateWithValue builds "map_update(map 1, key = stack[-4], value = <r3>)"
+// around the instructions that set r3, over a map with 4-byte keys and
+// 8-byte values.
+func updateWithValue(setR3 ...Insn) *Program {
+	insns := []Insn{
+		Ldx(SizeW, R6, R1, CtxData),
+		Ldx(SizeW, R7, R1, CtxDataEnd),
+		Mov(R8, R6),
+		AddImm(R8, 14),
+		Jgt(R8, R7, int16(len(setR3)+8)), // short frame: to the exit
+		St(SizeW, R10, -4, 7),            // key
+		St(SizeDW, R10, -16, 42),         // an initialised 8-byte slot
+	}
+	insns = append(insns, setR3...)
+	insns = append(insns,
+		MovImm(R1, 1),
+		Mov(R2, R10),
+		AddImm(R2, -4),
+		Call(HelperMapUpdate),
+		MovImm(R0, XDPPass),
+		Exit(),
+		MovImm(R0, XDPDrop),
+		Exit(),
+	)
+	return NewProgram("update-value", insns...).AttachMap(1, NewHashMap(4, 8, 8)).AttachMap(2, NewArrayMap(8, 4))
+}
+
+// lookupInto loads a null-checked pointer to map 2's 8-byte value 0 into r3,
+// offset by off.
+func lookupInto(off int64) []Insn {
+	return []Insn{
+		MovImm(R1, 2),
+		Mov(R2, R10),
+		AddImm(R2, -16),
+		St(SizeW, R10, -16, 0), // key 0
+		Call(HelperMapLookup),
+		JneImm(R0, 0, 2),
+		MovImm(R0, XDPDrop),
+		Exit(),
+		Mov(R3, R0),
+		AddImm(R3, off),
+	}
+}
+
+func TestVerifyChecksMapUpdateValue(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		setR3  []Insn
+		reject string
+	}{
+		{"stack value in bounds", []Insn{Mov(R3, R10), AddImm(R3, -16)}, ""},
+		{"stack value runs past the frame", []Insn{Mov(R3, R10), AddImm(R3, -4)}, "out of stack bounds"},
+		{"stack value never written", []Insn{Mov(R3, R10), AddImm(R3, -32)}, "uninitialized stack byte"},
+		{"packet value in bounds", []Insn{Mov(R3, R6), AddImm(R3, 6)}, ""},
+		{"packet value beyond the checked length", []Insn{Mov(R3, R6), AddImm(R3, 8)}, "exceeds verified bounds"},
+		{"map value in bounds", lookupInto(0), ""},
+		{"map value runs past the source value", lookupInto(4), "out of bounds"},
+		{"scalar value", []Insn{MovImm(R3, 0)}, "must point to"},
+	} {
+		p := updateWithValue(tc.setR3...)
+		err := p.Load()
+		if tc.reject == "" {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+				continue
+			}
+			// What the verifier accepts runs without a fault.
+			res, err := p.Run(&Context{Packet: make([]byte, 64)})
+			if err != nil || res.Action != XDPPass || p.MapByID(1).Len() != 1 {
+				t.Errorf("%s: run: res=%+v err=%v entries=%d", tc.name, res, err, p.MapByID(1).Len())
+			}
+		} else if err == nil || !strings.Contains(err.Error(), tc.reject) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.reject)
+		}
+	}
+}
+
+// TestVerifyRejectsMalformedInstructions: fields no assembler constructor
+// produces must not reach the executor (or index the verifier's own state).
+func TestVerifyRejectsMalformedInstructions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   Insn
+	}{
+		{"register past r10", Insn{Op: OpMov, Dst: 11, Imm: 1, UseImm: true}},
+		{"source register past r10", Insn{Op: OpMov, Dst: R2, Src: 200}},
+		{"three-byte load", Insn{Op: OpLdx, Dst: R2, Src: R10, Off: -8, Size: 3}},
+		{"zero-byte store", Insn{Op: OpSt, Dst: R10, Off: -8}},
+		{"pointer offset out of range", AddImm(R3, 1<<40)},
+	} {
+		p := NewProgram(tc.name, St(SizeDW, R10, -8, 0), Mov(R3, R10), tc.in, MovImm(R0, 0), Exit())
+		if err := p.Load(); err == nil {
+			t.Errorf("%s: must be rejected", tc.name)
+		}
+	}
+}
+
+// TestAttachMapUnloads: maps are bound to call sites at Load, so a program
+// whose map table changed must pass the verifier again before it runs.
+func TestAttachMapUnloads(t *testing.T) {
+	p := progDrop()
+	if err := p.Load(); err != nil {
+		t.Fatal(err)
+	}
+	p.AttachMap(1, NewHashMap(4, 4, 4))
+	if _, err := p.Run(&Context{}); err == nil || p.Verified() {
+		t.Fatal("a program must be reloaded after AttachMap")
+	}
+}

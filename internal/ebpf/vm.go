@@ -3,6 +3,7 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // Program is a loadable eBPF program: instructions plus references to the
@@ -13,19 +14,23 @@ type Program struct {
 	Insns []Insn
 	maps  map[int64]Map
 
-	verified bool
+	// code, calls and stackLo are what Load compiled Insns into (compile.go);
+	// code is nil until the verifier has accepted the program.
+	code    []op
+	calls   []callSite
+	stackLo int
 
-	// scratch is the per-execution memory reused across Run calls. The
-	// simulator is single-goroutine and programs never run reentrantly, so
-	// one scratch per program suffices; reusing it keeps the per-packet hot
-	// path allocation-free.
+	// scratch is the per-execution memory reused across runs. The simulator
+	// is single-goroutine and programs never run reentrantly, so one scratch
+	// per program suffices; reusing it keeps the per-packet hot path
+	// allocation-free.
 	scratch runScratch
 }
 
-// runScratch holds the interpreter's per-run mutable state: the BPF stack
-// and the map-value regions handed out by map_lookup during the run. The
-// stack is re-zeroed at the top of every Run so programs still observe a
-// fresh stack, exactly as when it was a local variable.
+// runScratch holds a run's mutable memory: the BPF stack and the map-value
+// regions handed out by map_lookup during the run. Every run starts with an
+// all-zero stack: only bytes from Program.stackLo up can ever be stored to,
+// and Exec re-zeroes exactly those.
 type runScratch struct {
 	stack   [StackSize]byte
 	mapVals [][]byte
@@ -36,10 +41,11 @@ func NewProgram(name string, insns ...Insn) *Program {
 	return &Program{Name: name, Insns: insns, maps: make(map[int64]Map)}
 }
 
-// AttachMap registers m under id so instructions can reference it. It must
-// be called before Verify.
+// AttachMap registers m under id so instructions can reference it. Load
+// binds maps to their call sites, so attaching one unloads the program.
 func (p *Program) AttachMap(id int64, m Map) *Program {
 	p.maps[id] = m
+	p.code = nil
 	return p
 }
 
@@ -53,26 +59,28 @@ func (p *Program) mapByID(id int64) Map {
 	return p.maps[id]
 }
 
-// Load verifies the program, marking it runnable — the analog of the BPF
-// syscall passing the in-kernel verifier in the paper's Figure 4 workflow.
+// Load verifies the program and compiles it into its runnable form — the
+// analog of the BPF syscall passing the in-kernel verifier and the JIT in
+// the paper's Figure 4 workflow.
 func (p *Program) Load() error {
-	if err := Verify(p); err != nil {
+	states, err := verify(p)
+	if err != nil {
 		return err
 	}
-	p.verified = true
+	p.compile(states)
 	return nil
 }
 
 // Verified reports whether Load has succeeded.
-func (p *Program) Verified() bool { return p.verified }
+func (p *Program) Verified() bool { return p.code != nil }
 
 // Disassemble returns the program listing, one instruction per line.
 func (p *Program) Disassemble() string {
-	out := ""
+	var b strings.Builder
 	for i, in := range p.Insns {
-		out += fmt.Sprintf("%3d: %s\n", i, in)
+		fmt.Fprintf(&b, "%3d: %s\n", i, in)
 	}
-	return out
+	return b.String()
 }
 
 // Context is the XDP execution context (struct xdp_md analog). Packet is
@@ -91,7 +99,7 @@ type Result struct {
 	Action int64
 	// Redirect describes the redirect_map target when Action is
 	// XDPRedirect.
-	RedirectMap   Map
+	RedirectMap   *TargetMap
 	RedirectIndex uint32
 
 	// Execution counters for cost metering.
@@ -103,9 +111,10 @@ type Result struct {
 	WrotePacket   bool
 }
 
-// Virtual address-space bases used by the interpreter. Verified programs
-// never fabricate addresses, but the interpreter still range-checks every
-// access and fails closed.
+// Virtual address-space bases programs see in their registers. Packet,
+// stack and context accesses are compiled to their region and never go
+// through an address; map-value pointers and helper arguments do, and are
+// range-checked on every use.
 const (
 	vaPacket   = 0x1000_0000
 	vaStackTop = 0x2000_0000 // stack grows down from here
@@ -125,318 +134,304 @@ func (e *ErrRuntime) Error() string {
 	return fmt.Sprintf("ebpf: runtime fault at insn %d: %s", e.PC, e.Reason)
 }
 
-// Run executes the program against ctx. The program must have been Loaded.
+// Run executes the program against ctx and returns the result by value, for
+// callers off the per-packet path.
+func (p *Program) Run(ctx *Context) (Result, error) {
+	var res Result
+	err := p.Exec(ctx, &res)
+	return res, err
+}
+
+// Exec executes the loaded program against ctx, overwriting *res.
 //
 // Memory model: loads and stores through packet pointers are big-endian
 // (network byte order, as if the program applied ntohs/ntohl at each load);
 // stack and map-value accesses are little-endian (host order). This spares
 // the sample programs explicit byte-swap instructions without changing
 // their structure or cost.
-func (p *Program) Run(ctx *Context) (Result, error) {
-	var res Result
-	if !p.verified {
-		return res, fmt.Errorf("ebpf: program %q not loaded", p.Name)
+//
+// A program cannot loop: compile emits only forward jump targets, so a run
+// executes each op at most once.
+func (p *Program) Exec(ctx *Context, res *Result) error {
+	*res = Result{}
+	code := p.code
+	if code == nil {
+		return fmt.Errorf("ebpf: program %q not loaded", p.Name)
 	}
 
-	var regs [NumRegs]uint64
+	// Sixteen slots so a masked index needs no bounds check; slot regImm
+	// carries the current op's immediate.
+	var regs [16]uint64
 	regs[R1] = vaCtx
 	regs[R10] = vaStackTop
-
-	// Reset the reusable scratch: a freshly zeroed stack (the range-clear
-	// compiles to a memclr) and an empty map-value table.
 	sc := &p.scratch
-	for i := range sc.stack {
-		sc.stack[i] = 0
-	}
+	clear(sc.stack[p.stackLo:])
 	sc.mapVals = sc.mapVals[:0]
+	pkt := ctx.Packet
 
-	const maxExec = 2 * MaxInsns // loop-free programs can't exceed len(Insns)
-	pc := 0
-	for steps := 0; ; steps++ {
-		if steps > maxExec {
-			return res, &ErrRuntime{pc, "instruction budget exceeded"}
+	pc, insns, fault := 0, 0, ""
+run:
+	for {
+		if uint(pc) >= uint(len(code)) {
+			fault = "pc out of range"
+			break
 		}
-		if pc < 0 || pc >= len(p.Insns) {
-			return res, &ErrRuntime{pc, "pc out of range"}
-		}
-		in := p.Insns[pc]
-		res.Insns++
+		in := &code[pc]
+		insns++
+		regs[regImm] = in.imm
+		d, s := in.dst&15, regs[in.src&15]
 
-		src := regs[0] // placeholder
-		if in.UseImm {
-			src = uint64(in.Imm)
-		} else {
-			src = regs[in.Src]
-		}
-
-		switch in.Op {
+		switch in.code {
 		case OpMov:
-			regs[in.Dst] = src
+			regs[d] = s
 		case OpAdd:
-			regs[in.Dst] += src
+			regs[d] += s
 		case OpSub:
-			regs[in.Dst] -= src
+			regs[d] -= s
 		case OpMul:
-			regs[in.Dst] *= src
+			regs[d] *= s
 		case OpDiv:
-			if src == 0 {
-				regs[in.Dst] = 0
+			if s == 0 {
+				regs[d] = 0
 			} else {
-				regs[in.Dst] /= src
+				regs[d] /= s
 			}
 		case OpMod:
-			if src == 0 {
-				regs[in.Dst] = 0
+			if s == 0 {
+				regs[d] = 0
 			} else {
-				regs[in.Dst] %= src
+				regs[d] %= s
 			}
 		case OpAnd:
-			regs[in.Dst] &= src
+			regs[d] &= s
 		case OpOr:
-			regs[in.Dst] |= src
+			regs[d] |= s
 		case OpXor:
-			regs[in.Dst] ^= src
+			regs[d] ^= s
 		case OpLsh:
-			regs[in.Dst] <<= src & 63
+			regs[d] <<= s & 63
 		case OpRsh:
-			regs[in.Dst] >>= src & 63
+			regs[d] >>= s & 63
 		case OpNeg:
-			regs[in.Dst] = -regs[in.Dst]
+			regs[d] = -regs[d]
 
-		case OpLdx:
-			if regs[in.Src] == vaCtx {
-				switch int64(in.Off) {
-				case CtxData:
-					regs[in.Dst] = vaPacket
-				case CtxDataEnd:
-					regs[in.Dst] = vaPacket + uint64(len(ctx.Packet))
-				case CtxIngressIface:
-					regs[in.Dst] = uint64(ctx.IngressIface)
-				case CtxRxQueue:
-					regs[in.Dst] = uint64(ctx.RxQueue)
-				default:
-					return res, &ErrRuntime{pc, "bad ctx offset"}
-				}
-				break
-			}
-			addr := regs[in.Src] + uint64(int64(in.Off))
-			mem, isPkt, err := p.resolve(ctx, addr, int(in.Size), pc)
-			if err != nil {
-				return res, err
-			}
-			if isPkt {
-				res.TouchedPacket = true
-				regs[in.Dst] = loadBE(mem)
-			} else {
-				regs[in.Dst] = loadLE(mem)
-			}
+		case opLdCtxData:
+			regs[d] = vaPacket
+		case opLdCtxDataEnd:
+			regs[d] = vaPacket + uint64(len(pkt))
+		case opLdCtxIngressIface:
+			regs[d] = uint64(ctx.IngressIface)
+		case opLdCtxRxQueue:
+			regs[d] = uint64(ctx.RxQueue)
 
-		case OpStx, OpSt:
-			addr := regs[in.Dst] + uint64(int64(in.Off))
-			mem, isPkt, err := p.resolve(ctx, addr, int(in.Size), pc)
-			if err != nil {
-				return res, err
+		case opLdPkt:
+			end := int(in.arg) + int(in.size)
+			if end > len(pkt) {
+				fault = "packet load beyond data_end"
+				break run
 			}
-			val := src
-			if in.Op == OpStx {
-				val = regs[in.Src]
-			} else {
-				val = uint64(in.Imm)
+			res.TouchedPacket = true
+			regs[d] = loadBE(pkt[in.arg:end])
+		case opLdStack:
+			regs[d] = loadLE(sc.stack[in.arg : int(in.arg)+int(in.size)])
+		case opLdMap:
+			mem := sc.resolve(s+uint64(int64(in.arg)), int(in.size))
+			if mem == nil {
+				fault = "bad map value load"
+				break run
 			}
-			if isPkt {
-				res.WrotePacket = true
-				storeBE(mem, val)
-			} else {
-				storeLE(mem, val)
+			regs[d] = loadLE(mem)
+
+		case opStPkt:
+			end := int(in.arg) + int(in.size)
+			if end > len(pkt) {
+				fault = "packet store beyond data_end"
+				break run
 			}
+			res.WrotePacket = true
+			storeBE(pkt[in.arg:end], s)
+		case opStStack:
+			storeLE(sc.stack[in.arg:int(in.arg)+int(in.size)], s)
+		case opStMap:
+			mem := sc.resolve(regs[d]+uint64(int64(in.arg)), int(in.size))
+			if mem == nil {
+				fault = "bad map value store"
+				break run
+			}
+			storeLE(mem, s)
 
 		case OpJa:
-			pc += int(in.Off)
+			pc = int(in.arg)
+			continue
 		case OpJeq:
-			if regs[in.Dst] == src {
-				pc += int(in.Off)
+			if regs[d] == s {
+				pc = int(in.arg)
+				continue
 			}
 		case OpJne:
-			if regs[in.Dst] != src {
-				pc += int(in.Off)
+			if regs[d] != s {
+				pc = int(in.arg)
+				continue
 			}
 		case OpJgt:
-			if regs[in.Dst] > src {
-				pc += int(in.Off)
+			if regs[d] > s {
+				pc = int(in.arg)
+				continue
 			}
 		case OpJge:
-			if regs[in.Dst] >= src {
-				pc += int(in.Off)
+			if regs[d] >= s {
+				pc = int(in.arg)
+				continue
 			}
 		case OpJlt:
-			if regs[in.Dst] < src {
-				pc += int(in.Off)
+			if regs[d] < s {
+				pc = int(in.arg)
+				continue
 			}
 		case OpJle:
-			if regs[in.Dst] <= src {
-				pc += int(in.Off)
+			if regs[d] <= s {
+				pc = int(in.arg)
+				continue
 			}
 		case OpJset:
-			if regs[in.Dst]&src != 0 {
-				pc += int(in.Off)
+			if regs[d]&s != 0 {
+				pc = int(in.arg)
+				continue
 			}
 
 		case OpCall:
-			if err := p.call(ctx, Helper(in.Imm), &regs, &res, pc); err != nil {
-				return res, err
+			if fault = p.call(ctx, &p.calls[in.arg], &regs, res); fault != "" {
+				break run
 			}
 
 		case OpExit:
 			res.Action = int64(regs[R0])
-			return res, nil
+			res.Insns = insns
+			return nil
 
-		default:
-			return res, &ErrRuntime{pc, "bad opcode"}
+		default: // opDead: the verifier found no path here
+			fault = "unreachable instruction"
+			break run
 		}
 		pc++
 	}
+	res.Insns = insns
+	return &ErrRuntime{pc, fault}
 }
 
-// resolve maps a virtual address to interpreter memory (packet, stack, or a
-// map value handed out this run). It is a method rather than a closure so
-// the hot loop captures nothing and the stack array never escapes.
-func (p *Program) resolve(ctx *Context, addr uint64, size int, pc int) ([]byte, bool, error) {
-	switch {
-	case addr >= vaPacket && addr+uint64(size) <= vaPacket+uint64(len(ctx.Packet)):
-		off := addr - vaPacket
-		return ctx.Packet[off : off+uint64(size)], true, nil
-	case addr <= vaStackTop && addr >= vaStackTop-StackSize && addr+uint64(size) <= vaStackTop:
-		off := StackSize - (vaStackTop - addr)
-		return p.scratch.stack[off : off+uint64(size)], false, nil
-	case addr >= vaMapVal:
-		idx := (addr - vaMapVal) / mapValStep
-		if int(idx) < len(p.scratch.mapVals) {
-			off := (addr - vaMapVal) % mapValStep
-			v := p.scratch.mapVals[idx]
-			if off+uint64(size) <= uint64(len(v)) {
-				return v[off : off+uint64(size)], false, nil
-			}
-		}
+// resolve maps the address of a map value handed out this run to its
+// memory, or nil when [addr, addr+size) is not inside one.
+func (sc *runScratch) resolve(addr uint64, size int) []byte {
+	if addr < vaMapVal {
+		return nil
 	}
-	return nil, false, &ErrRuntime{pc, fmt.Sprintf("bad memory access at %#x size %d", addr, size)}
+	idx, off := (addr-vaMapVal)/mapValStep, (addr-vaMapVal)%mapValStep
+	if idx >= uint64(len(sc.mapVals)) {
+		return nil
+	}
+	v := sc.mapVals[idx]
+	if off+uint64(size) > uint64(len(v)) {
+		return nil
+	}
+	return v[off : off+uint64(size)]
 }
 
-// readMem resolves a helper argument pointer (packet or stack only).
-func (p *Program) readMem(ctx *Context, res *Result, addr uint64, n int, pc int) ([]byte, error) {
+// readMem resolves a helper argument pointer to n bytes of packet, stack or
+// map-value memory, or nil.
+func (sc *runScratch) readMem(ctx *Context, res *Result, addr uint64, n int) []byte {
 	switch {
 	case addr >= vaPacket && addr+uint64(n) <= vaPacket+uint64(len(ctx.Packet)):
 		off := addr - vaPacket
 		res.TouchedPacket = true
-		return ctx.Packet[off : off+uint64(n)], nil
+		return ctx.Packet[off : off+uint64(n)]
 	case addr <= vaStackTop && addr >= vaStackTop-StackSize && addr+uint64(n) <= vaStackTop:
 		off := StackSize - (vaStackTop - addr)
-		return p.scratch.stack[off : off+uint64(n)], nil
+		return sc.stack[off : off+uint64(n)]
 	}
-	return nil, &ErrRuntime{pc, fmt.Sprintf("helper pointer %#x out of range", addr)}
+	return sc.resolve(addr, n)
 }
 
-// call dispatches a helper.
-func (p *Program) call(ctx *Context, h Helper, regs *[NumRegs]uint64, res *Result, pc int) error {
-	clobber := func(r0 uint64) {
-		regs[R0] = r0
-		for r := R1; r <= R5; r++ {
-			regs[r] = 0xdead // poison, matching the ABI
+// setReturn applies the helper calling convention: R0 receives the result
+// and the argument registers are poisoned, matching the ABI.
+func setReturn(regs *[16]uint64, r0 uint64) {
+	regs[R0] = r0
+	for r := R1; r <= R5; r++ {
+		regs[r] = 0xdead
+	}
+}
+
+// call runs the helper bound at one call site; a non-empty return is the
+// reason the run faulted.
+func (p *Program) call(ctx *Context, cs *callSite, regs *[16]uint64, res *Result) string {
+	sc := &p.scratch
+	m := cs.m
+	var key []byte
+	switch cs.helper {
+	case HelperMapLookup, HelperMapUpdate, HelperMapDelete:
+		if key = sc.readMem(ctx, res, regs[R2], m.KeySize()); key == nil {
+			return fmt.Sprintf("helper pointer %#x out of range", regs[R2])
 		}
 	}
 
-	switch h {
+	switch cs.helper {
 	case HelperMapLookup:
-		m := p.mapByID(int64(regs[R1]))
-		if m == nil {
-			return &ErrRuntime{pc, "map_lookup on unknown map"}
-		}
-		key, err := p.readMem(ctx, res, regs[R2], m.KeySize(), pc)
-		if err != nil {
-			return err
-		}
-		switch m.Type() {
-		case MapTypeArray:
+		if m.Type() == MapTypeArray {
 			res.ArrayLookups++
-		default:
+		} else {
 			res.HashLookups++
 		}
 		v := m.Lookup(key)
 		if v == nil {
-			clobber(0)
-			return nil
+			setReturn(regs, 0)
+			return ""
 		}
-		p.scratch.mapVals = append(p.scratch.mapVals, v)
-		clobber(vaMapVal + uint64(len(p.scratch.mapVals)-1)*mapValStep)
-		return nil
+		sc.mapVals = append(sc.mapVals, v)
+		setReturn(regs, vaMapVal+uint64(len(sc.mapVals)-1)*mapValStep)
 
 	case HelperMapUpdate:
-		m := p.mapByID(int64(regs[R1]))
-		if m == nil {
-			return &ErrRuntime{pc, "map_update on unknown map"}
-		}
-		key, err := p.readMem(ctx, res, regs[R2], m.KeySize(), pc)
-		if err != nil {
-			return err
-		}
-		val, err := p.readMem(ctx, res, regs[R3], m.ValueSize(), pc)
-		if err != nil {
-			return err
+		val := sc.readMem(ctx, res, regs[R3], m.ValueSize())
+		if val == nil {
+			return fmt.Sprintf("helper pointer %#x out of range", regs[R3])
 		}
 		res.OtherHelpers++
 		if err := m.Update(key, val); err != nil {
-			clobber(^uint64(0)) // -1
+			setReturn(regs, ^uint64(0)) // -1
 		} else {
-			clobber(0)
+			setReturn(regs, 0)
 		}
-		return nil
 
 	case HelperMapDelete:
-		m := p.mapByID(int64(regs[R1]))
-		if m == nil {
-			return &ErrRuntime{pc, "map_delete on unknown map"}
-		}
-		key, err := p.readMem(ctx, res, regs[R2], m.KeySize(), pc)
-		if err != nil {
-			return err
-		}
 		res.OtherHelpers++
 		if err := m.Delete(key); err != nil {
-			clobber(^uint64(0))
+			setReturn(regs, ^uint64(0))
 		} else {
-			clobber(0)
+			setReturn(regs, 0)
 		}
-		return nil
 
 	case HelperRedirectMap:
-		m := p.mapByID(int64(regs[R1]))
-		if m == nil {
-			return &ErrRuntime{pc, "redirect_map on unknown map"}
-		}
-		tm, ok := m.(*TargetMap)
-		if !ok {
-			return &ErrRuntime{pc, "redirect_map on non-target map"}
+		if cs.target == nil {
+			return "redirect_map on non-target map"
 		}
 		res.OtherHelpers++
 		idx := uint32(regs[R2])
-		if _, ok := tm.Target(idx); !ok {
+		if _, ok := cs.target.Target(idx); !ok {
 			// Kernel behaviour: fall back to the flags value
 			// (commonly XDP_ABORTED or XDP_PASS).
-			clobber(uint64(regs[R3]))
-			return nil
+			setReturn(regs, regs[R3])
+			return ""
 		}
-		res.RedirectMap = m
+		res.RedirectMap = cs.target
 		res.RedirectIndex = idx
-		clobber(XDPRedirect)
-		return nil
+		setReturn(regs, XDPRedirect)
 
 	case HelperCsumReplace:
 		res.OtherHelpers++
-		clobber(0)
-		return nil
+		setReturn(regs, 0)
 
 	default:
-		return &ErrRuntime{pc, fmt.Sprintf("unknown helper %d", int64(h))}
+		return fmt.Sprintf("unknown helper %d", int64(cs.helper))
 	}
+	return ""
 }
 
 func loadBE(b []byte) uint64 {

@@ -154,11 +154,11 @@ func extractARP(k []uint64, d []byte, off int) {
 // RSSHash computes the 5-tuple receive-side-scaling hash the NIC applies to
 // spread flows across queues, and that OVS computes in software when the
 // hardware hash is unavailable over AF_XDP (Section 5.5).
-func RSSHash(k Key) uint32 {
+func RSSHash(k *Key) uint32 {
 	// Hash only the addressing words so that the hash is symmetric-free
 	// but stable per flow: IPv4/IPv6 addresses, protocol, ports.
 	h := uint64(0x2d358dccaa6c78a5)
-	for _, w := range []uint64{k[wIP4], k[wIPMeta] >> 56, k[wL4] >> 32,
+	for _, w := range [...]uint64{k[wIP4], k[wIPMeta] >> 56, k[wL4] >> 32,
 		k[wIP6SrcA], k[wIP6SrcB], k[wIP6DstA], k[wIP6DstB]} {
 		h ^= w
 		h *= 0xff51afd7ed558ccd

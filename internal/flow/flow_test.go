@@ -302,13 +302,13 @@ func TestHashBasisChangesHash(t *testing.T) {
 func TestRSSHashStablePerFlow(t *testing.T) {
 	a := Extract(udpPacket())
 	b := Extract(udpPacket())
-	if RSSHash(a) != RSSHash(b) {
+	if RSSHash(&a) != RSSHash(&b) {
 		t.Fatal("same flow must hash identically")
 	}
 	// Different ports => different flow => (almost surely) different hash.
 	other := hdr.NewBuilder().Eth(macA, macB).IPv4H(ipA, ipB, 64).UDPH(1234, 9999).PayloadLen(18).Build()
 	c := Extract(packet.New(other))
-	if RSSHash(a) == RSSHash(c) {
+	if RSSHash(&a) == RSSHash(&c) {
 		t.Fatal("different flows should spread")
 	}
 }
@@ -317,7 +317,8 @@ func TestRSSHashIgnoresEthernet(t *testing.T) {
 	// RSS spreads on the 5-tuple; MAC addresses must not matter.
 	f1 := hdr.NewBuilder().Eth(macA, macB).IPv4H(ipA, ipB, 64).UDPH(1, 2).PayloadLen(4).Build()
 	f2 := hdr.NewBuilder().Eth(macB, macA).IPv4H(ipA, ipB, 64).UDPH(1, 2).PayloadLen(4).Build()
-	if RSSHash(Extract(packet.New(f1))) != RSSHash(Extract(packet.New(f2))) {
+	k1, k2 := Extract(packet.New(f1)), Extract(packet.New(f2))
+	if RSSHash(&k1) != RSSHash(&k2) {
 		t.Fatal("RSS hash must depend only on the 5-tuple")
 	}
 }

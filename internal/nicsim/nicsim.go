@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"ovsxdp/internal/costmodel"
+	"ovsxdp/internal/ebpf"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
@@ -303,6 +304,11 @@ func (n *NIC) ConnectWire(fn func(*packet.Packet)) {
 // the RSS hash is stored in the packet metadata when the NIC supports
 // delivering it.
 func (n *NIC) classify(p *packet.Packet) *Queue {
+	if len(n.queues) == 1 && !n.Offloads.RSSHashDeliver {
+		// Every steering rule, indirection slot and hash names the one
+		// queue, and nobody is owed the hash.
+		return n.queues[0]
+	}
 	key := flow.Extract(p)
 	if n.steeringRules() > 0 {
 		f := key.Unpack()
@@ -332,7 +338,7 @@ func (n *NIC) classify(p *packet.Packet) *Queue {
 			return n.queues[bestQueue]
 		}
 	}
-	h := flow.RSSHash(key)
+	h := flow.RSSHash(&key)
 	if n.Offloads.RSSHashDeliver {
 		p.RSSHash = h
 		p.HasRSSHash = true
@@ -413,72 +419,82 @@ func (n *NIC) Receive(p *packet.Packet) bool {
 	return true
 }
 
-// DriverReceive runs the XDP stage on packets popped from a queue, on
-// behalf of the softirq-context consumer. For each packet it charges the
-// driver overhead plus program cost to cpu and invokes the verdict
-// callbacks. Packets with XDP_PASS verdicts (or no program) are returned
-// for delivery up the stack.
+// DriverVerdicts receives each packet the XDP stage is finished with,
+// according to its verdict. A nil callback means the bed has no consumer
+// for that verdict and the packet is released.
 type DriverVerdicts struct {
+	// Pass receives packets bound for the host network stack: XDP_PASS, or
+	// no program attached to the queue.
+	Pass func(p *packet.Packet)
 	// ToXsk receives packets redirected into an AF_XDP socket, with the
 	// xskmap value (socket id).
 	ToXsk func(sock uint32, p *packet.Packet)
 	// ToDev receives packets redirected to another device (devmap
 	// ifindex target).
 	ToDev func(ifindex uint32, p *packet.Packet)
-	// Tx transmits the (possibly rewritten) packet back out this NIC.
+	// Tx transmits the (possibly rewritten) packet back out; nil sends it
+	// out this NIC.
 	Tx func(p *packet.Packet)
 }
 
-// DriverReceive processes up to max packets from queue q through the XDP
-// hook, charging costs to cpu in softirq context. It returns the packets
-// that passed to the stack and the count processed.
-func (n *NIC) DriverReceive(q *Queue, max int, cpu *sim.CPU, v DriverVerdicts) (passed []*packet.Packet, processed int) {
-	pkts := q.Pop(max)
-	for _, p := range pkts {
-		cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
-		if !n.Hook.HasProgram() {
-			passed = append(passed, p)
-			continue
-		}
-		res, cost, err := n.Hook.Run(q.ID, p.Data, n.Ifindex)
-		cpu.Consume(sim.Softirq, cost)
-		if err != nil {
-			// A faulting program drops the packet (XDP_ABORTED).
-			continue
-		}
-		switch res.Action {
-		case 2: // XDP_PASS
-			passed = append(passed, p)
-		case 3: // XDP_TX
-			cpu.Consume(sim.Softirq, costmodel.XDPTxForward)
-			if v.Tx != nil {
-				v.Tx(p)
-			}
-		case 4: // XDP_REDIRECT
-			target, _ := res.RedirectMap.(interface {
-				Target(uint32) (uint32, bool)
-			})
-			if target == nil {
-				continue
-			}
-			tgt, ok := target.Target(res.RedirectIndex)
-			if !ok {
-				continue
-			}
-			if res.RedirectMap.Type().String() == "xskmap" {
-				if v.ToXsk != nil {
-					v.ToXsk(tgt, p)
-				}
-			} else {
-				cpu.Consume(sim.Softirq, costmodel.XDPRedirectVeth)
-				if v.ToDev != nil {
-					v.ToDev(tgt, p)
-				}
-			}
-		default: // XDP_DROP / XDP_ABORTED
-		}
+// DriverReceive is the driver's XDP stage for one packet taken from queue
+// q, run on behalf of the softirq-context consumer: it charges the driver
+// overhead plus the program's cost to cpu and hands the packet to the
+// verdict's callback. Every path ends the packet's life here or passes it
+// on: a drop, an abort, a faulting program and a redirect with no target
+// all release it.
+func (n *NIC) DriverReceive(cpu *sim.CPU, q int, p *packet.Packet, v *DriverVerdicts) {
+	cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
+	if !n.Hook.HasProgram() {
+		deliver(v.Pass, p)
+		return
 	}
-	return passed, len(pkts)
+	res, cost, err := n.Hook.Run(q, p.Data, n.Ifindex)
+	cpu.Consume(sim.Softirq, cost)
+	if err != nil {
+		p.Release() // a faulting program drops the packet (XDP_ABORTED)
+		return
+	}
+	switch res.Action {
+	case ebpf.XDPPass:
+		deliver(v.Pass, p)
+	case ebpf.XDPTx:
+		cpu.Consume(sim.Softirq, costmodel.XDPTxForward)
+		if v.Tx != nil {
+			v.Tx(p)
+		} else {
+			n.Transmit(p)
+		}
+	case ebpf.XDPRedirect:
+		m := res.RedirectMap
+		if m == nil { // XDP_REDIRECT returned without a redirect_map call
+			p.Release()
+			return
+		}
+		tgt, ok := m.Target(res.RedirectIndex)
+		switch {
+		case !ok:
+			p.Release()
+		case m.Type() == ebpf.MapTypeXskMap && v.ToXsk != nil:
+			v.ToXsk(tgt, p)
+		case m.Type() == ebpf.MapTypeDevMap && v.ToDev != nil:
+			cpu.Consume(sim.Softirq, costmodel.XDPRedirectVeth)
+			v.ToDev(tgt, p)
+		default:
+			p.Release()
+		}
+	default: // XDP_DROP / XDP_ABORTED
+		p.Release()
+	}
+}
+
+// deliver hands p to fn, or releases it when the verdict has no consumer.
+func deliver(fn func(*packet.Packet), p *packet.Packet) {
+	if fn != nil {
+		fn(p)
+	} else {
+		p.Release()
+	}
 }
 
 // Transmit serializes the packet onto the wire at line rate, applying

@@ -214,6 +214,17 @@ func TestTSOWithoutHardwareNotSplit(t *testing.T) {
 	}
 }
 
+// driverReceiveAll pops queue q and runs each packet through the XDP stage,
+// collecting what passes up to the stack.
+func driverReceiveAll(nic *NIC, q int, cpu *sim.CPU, v DriverVerdicts) (passed []*packet.Packet, processed int) {
+	v.Pass = func(p *packet.Packet) { passed = append(passed, p) }
+	pkts := nic.Queue(q).Pop(32)
+	for _, p := range pkts {
+		nic.DriverReceive(cpu, q, p, &v)
+	}
+	return passed, len(pkts)
+}
+
 func TestDriverReceiveXDPVerdicts(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cpu := eng.NewCPU("softirq0")
@@ -234,7 +245,7 @@ func TestDriverReceiveXDPVerdicts(t *testing.T) {
 	var gotSock uint32
 	var gotPkt *packet.Packet
 	nic.Receive(udpPkt(1))
-	passed, n := nic.DriverReceive(nic.Queue(0), 32, cpu, DriverVerdicts{
+	passed, n := driverReceiveAll(nic, 0, cpu, DriverVerdicts{
 		ToXsk: func(s uint32, p *packet.Packet) { gotSock, gotPkt = s, p },
 	})
 	if n != 1 || len(passed) != 0 {
@@ -253,7 +264,7 @@ func TestDriverReceiveNoProgramPasses(t *testing.T) {
 	cpu := eng.NewCPU("softirq0")
 	nic := New(eng, Config{Name: "eth0", Queues: 1})
 	nic.Receive(udpPkt(1))
-	passed, _ := nic.DriverReceive(nic.Queue(0), 32, cpu, DriverVerdicts{})
+	passed, _ := driverReceiveAll(nic, 0, cpu, DriverVerdicts{})
 	if len(passed) != 1 {
 		t.Fatalf("passed = %d", len(passed))
 	}
@@ -272,7 +283,7 @@ func TestDriverReceiveTxVerdict(t *testing.T) {
 	}
 	var txd *packet.Packet
 	nic.Receive(udpPkt(1))
-	nic.DriverReceive(nic.Queue(0), 32, cpu, DriverVerdicts{
+	driverReceiveAll(nic, 0, cpu, DriverVerdicts{
 		Tx: func(p *packet.Packet) { txd = p },
 	})
 	if txd == nil {
@@ -281,6 +292,56 @@ func TestDriverReceiveTxVerdict(t *testing.T) {
 	eth, _ := hdr.ParseEthernet(txd.Data)
 	if eth.Dst != macA {
 		t.Fatal("task D must have swapped MACs in place")
+	}
+}
+
+// TestDriverReceiveReleasesTerminalVerdicts: a packet the XDP stage does not
+// hand on — dropped, aborted by a faulting program, passed or redirected
+// with no consumer — goes back to its pool.
+func TestDriverReceiveReleasesTerminalVerdicts(t *testing.T) {
+	xsk := ebpf.NewXskMap(4) // no targets: pass-to-XSK falls back to XDP_PASS
+	routed := ebpf.NewXskMap(4)
+	if err := routed.SetTarget(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	// A program whose map table changed after Load is refused at run time:
+	// the driver sees a faulting run.
+	faulting := xdp.NewParseSwapForward()
+	for _, tc := range []struct {
+		name    string
+		prog    *ebpf.Program
+		prepare func()
+	}{
+		{"drop", xdp.NewDropAll(), nil},
+		{"pass, no consumer", xdp.NewPassToXsk(xsk), nil},
+		{"redirect, no consumer", xdp.NewPassToXsk(routed), nil},
+		{"redirect without a redirect_map call", ebpf.NewProgram("bare-redirect",
+			ebpf.MovImm(ebpf.R0, ebpf.XDPRedirect), ebpf.Exit()), nil},
+		{"fault", faulting, func() { faulting.AttachMap(9, ebpf.NewHashMap(4, 4, 1)) }},
+		{"no program", nil, nil},
+	} {
+		eng := sim.NewEngine(1)
+		cpu := eng.NewCPU("softirq0")
+		nic := New(eng, Config{Name: "eth0", Queues: 1})
+		if tc.prog != nil {
+			if err := tc.prog.Load(); err != nil {
+				t.Fatal(err)
+			}
+			if err := nic.Hook.Attach(tc.prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.prepare != nil {
+			tc.prepare()
+		}
+		pool := packet.NewPool(4, 64, true)
+		nic.Receive(pool.GetCopy(udpPkt(1).Data))
+		for _, p := range nic.Queue(0).Pop(32) {
+			nic.DriverReceive(cpu, 0, p, &DriverVerdicts{})
+		}
+		if pool.Available() != 4 {
+			t.Errorf("%s: %d of 4 packets back in the pool", tc.name, pool.Available())
+		}
 	}
 }
 
@@ -296,3 +357,29 @@ func TestWireConnectsTwoNICs(t *testing.T) {
 		t.Fatal("frame did not cross the wire")
 	}
 }
+
+// benchmarkNICReceive times the wire-side ingress — classify, RSS, ring —
+// over 64 flows, popping the rings every 32 frames as a consumer would.
+func benchmarkNICReceive(b *testing.B, queues int) {
+	nic := New(sim.NewEngine(1), Config{Name: "eth0", Ifindex: 1, Queues: queues})
+	pool := packet.NewPool(256, 64, true)
+	frames := make([][]byte, 64)
+	for i := range frames {
+		frames[i] = udpPkt(uint16(1000 + i)).Data
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nic.Receive(pool.GetCopy(frames[i%len(frames)]))
+		if i%32 == 31 {
+			for q := 0; q < queues; q++ {
+				for _, p := range nic.Queue(q).Pop(64) {
+					p.Release()
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkNICReceive1Q(b *testing.B)  { benchmarkNICReceive(b, 1) }
+func BenchmarkNICReceive12Q(b *testing.B) { benchmarkNICReceive(b, 12) }

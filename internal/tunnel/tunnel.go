@@ -86,7 +86,8 @@ func (e *Encapper) Encap(p *packet.Packet, cfg Config) (*packet.Packet, error) {
 	if !ok {
 		return nil, ErrNoRoute{cfg.RemoteIP}
 	}
-	srcPort := uint16(0xC000 | (flow.RSSHash(flow.Extract(p)) & 0x3FFF))
+	key := flow.Extract(p)
+	srcPort := uint16(0xC000 | (flow.RSSHash(&key) & 0x3FFF))
 
 	var outer []byte
 	switch cfg.Kind {

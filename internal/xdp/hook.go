@@ -63,19 +63,24 @@ func (m Mode) String() string {
 
 // Hook is a device's XDP attachment point.
 type Hook struct {
-	model    AttachModel
-	mode     Mode
-	global   *ebpf.Program
-	perQueue map[int]*ebpf.Program
+	model  AttachModel
+	mode   Mode
+	global *ebpf.Program
+	// perQueue is indexed by receive queue; nil slots (and queues past its
+	// end) have no program. attached counts the non-nil slots.
+	perQueue []*ebpf.Program
+	attached int
 
-	// ctx is reused across Run calls; Program.Run does not retain it, so a
-	// single context per hook avoids a per-packet allocation.
+	// ctx and res are reused across Run calls: Program.Exec retains
+	// neither, so one of each per hook keeps the per-packet path free of
+	// allocation and of copying the result around.
 	ctx ebpf.Context
+	res ebpf.Result
 }
 
 // NewHook returns a hook with the given attachment model and mode.
 func NewHook(model AttachModel, mode Mode) *Hook {
-	return &Hook{model: model, mode: mode, perQueue: make(map[int]*ebpf.Program)}
+	return &Hook{model: model, mode: mode}
 }
 
 // Model returns the attachment model.
@@ -104,29 +109,38 @@ func (h *Hook) AttachQueue(queue int, prog *ebpf.Program) error {
 	if prog != nil && !prog.Verified() {
 		return fmt.Errorf("xdp: program %q has not passed the verifier", prog.Name)
 	}
-	if prog == nil {
-		delete(h.perQueue, queue)
-	} else {
-		h.perQueue[queue] = prog
+	if queue < 0 {
+		return fmt.Errorf("xdp: no receive queue %d", queue)
 	}
+	for len(h.perQueue) <= queue {
+		h.perQueue = append(h.perQueue, nil)
+	}
+	if h.perQueue[queue] != nil {
+		h.attached--
+	}
+	if prog != nil {
+		h.attached++
+	}
+	h.perQueue[queue] = prog
 	return nil
 }
 
 // Detach removes all programs.
 func (h *Hook) Detach() {
 	h.global = nil
-	h.perQueue = make(map[int]*ebpf.Program)
+	h.perQueue = nil
+	h.attached = 0
 }
 
 // ProgramFor returns the program that applies to a packet arriving on
 // queue, or nil if none is attached (packet goes to the network stack).
 func (h *Hook) ProgramFor(queue int) *ebpf.Program {
 	if h.model == ModelPerQueue {
-		if p, ok := h.perQueue[queue]; ok {
-			return p
-		}
 		// In the per-queue model, queues without a program bypass XDP
 		// (Figure 6b: queues 1-2 feed the network stack directly).
+		if uint(queue) < uint(len(h.perQueue)) {
+			return h.perQueue[queue]
+		}
 		return nil
 	}
 	return h.global
@@ -134,19 +148,22 @@ func (h *Hook) ProgramFor(queue int) *ebpf.Program {
 
 // HasProgram reports whether any program is attached.
 func (h *Hook) HasProgram() bool {
-	return h.global != nil || len(h.perQueue) > 0
+	return h.global != nil || h.attached > 0
 }
 
 // Run executes the applicable program on a packet arriving at queue. It
 // returns the program result and the softirq-context cost of running it.
-// When no program applies, it returns a pass verdict at zero cost.
-func (h *Hook) Run(queue int, pkt []byte, ifindex uint32) (ebpf.Result, sim.Time, error) {
+// When no program applies, it returns a pass verdict at zero cost. The
+// result is the hook's own and is overwritten by the next Run.
+func (h *Hook) Run(queue int, pkt []byte, ifindex uint32) (*ebpf.Result, sim.Time, error) {
+	res := &h.res
 	prog := h.ProgramFor(queue)
 	if prog == nil {
-		return ebpf.Result{Action: ebpf.XDPPass}, 0, nil
+		*res = ebpf.Result{Action: ebpf.XDPPass}
+		return res, 0, nil
 	}
 	h.ctx = ebpf.Context{Packet: pkt, IngressIface: ifindex, RxQueue: uint32(queue)}
-	res, err := prog.Run(&h.ctx)
+	err := prog.Exec(&h.ctx, res)
 	h.ctx.Packet = nil // do not pin the frame past the run
 	if err != nil {
 		return res, 0, err
@@ -164,7 +181,7 @@ func (h *Hook) Run(queue int, pkt []byte, ifindex uint32) (ebpf.Result, sim.Time
 // ExecCost converts a program execution result into virtual time, using the
 // Table 5 calibration: per instruction, per map lookup, and a one-time
 // packet cache-miss charge.
-func ExecCost(res ebpf.Result) sim.Time {
+func ExecCost(res *ebpf.Result) sim.Time {
 	c := sim.Time(res.Insns)*costmodel.EBPFPerInstruction +
 		sim.Time(res.HashLookups)*costmodel.EBPFMapLookupHash +
 		sim.Time(res.ArrayLookups)*costmodel.EBPFMapLookupArray +

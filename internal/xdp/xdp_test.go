@@ -26,7 +26,7 @@ func tcpFrame(dst hdr.IP4, dport uint16) []byte {
 		TCPH(40000, dport, 1, 0, hdr.TCPSyn).PadTo(64).Build()
 }
 
-func mustLoad(t *testing.T, p *ebpf.Program) *ebpf.Program {
+func mustLoad(t testing.TB, p *ebpf.Program) *ebpf.Program {
 	t.Helper()
 	if err := p.Load(); err != nil {
 		t.Fatalf("load %s: %v\n%s", p.Name, err, p.Disassemble())
@@ -100,7 +100,7 @@ func TestTable5CostLadder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		cost := costmodel.XDPDriverOverhead + ExecCost(res)
+		cost := costmodel.XDPDriverOverhead + ExecCost(&res)
 		if res.Action == ebpf.XDPTx {
 			cost += costmodel.XDPTxForward
 		}
@@ -331,4 +331,69 @@ func TestHookDetach(t *testing.T) {
 	if res.Action != ebpf.XDPPass {
 		t.Fatal("detached hook must pass packets")
 	}
+}
+
+// hookWith returns an all-queues hook running p, loaded.
+func hookWith(tb testing.TB, p *ebpf.Program) *Hook {
+	tb.Helper()
+	h := NewHook(ModelAllQueues, ModeDriver)
+	if err := h.Attach(mustLoad(tb, p)); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+func passToXskHook(tb testing.TB) *Hook {
+	xsk := ebpf.NewXskMap(1)
+	if err := xsk.SetTarget(0, 0); err != nil {
+		tb.Fatal(err)
+	}
+	return hookWith(tb, NewPassToXsk(xsk))
+}
+
+// TestHookRunZeroAlloc: the per-packet XDP stage must not allocate, for the
+// program every AF_XDP port runs and for the heaviest Table 5 task.
+func TestHookRunZeroAlloc(t *testing.T) {
+	for name, h := range map[string]*Hook{
+		"pass-to-xsk": passToXskHook(t),
+		"task D":      hookWith(t, NewParseSwapForward()),
+	} {
+		frame := udpFrame()
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, _, err := h.Run(0, frame, 1); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per Hook.Run, want 0", name, n)
+		}
+	}
+}
+
+func benchmarkHookRun(b *testing.B, h *Hook, frame []byte) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := h.Run(0, frame, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHookRunPassToXsk(b *testing.B) { benchmarkHookRun(b, passToXskHook(b), udpFrame()) }
+
+func BenchmarkHookRunTaskD(b *testing.B) {
+	benchmarkHookRun(b, hookWith(b, NewParseSwapForward()), udpFrame())
+}
+
+func BenchmarkHookRunL4LB(b *testing.B) {
+	vip := hdr.MakeIP4(192, 168, 0, 100)
+	backends := ebpf.NewArrayMap(4, 4)
+	for i := 0; i < 4; i++ {
+		if err := backends.Update([]byte{byte(i), 0, 0, 0}, []byte{byte(10 + i), 0, 0, 10}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	h := hookWith(b, NewL4LoadBalancer(LBConfig{VIP: uint32(vip), Port: 80, Backends: backends,
+		NumMask: 3, Xsk: ebpf.NewXskMap(1)}))
+	benchmarkHookRun(b, h, tcpFrame(vip, 80))
 }
