@@ -6,14 +6,18 @@
 //	ovsbench all                  # run everything (full profile)
 //	ovsbench fig9a table2 ...     # run selected experiments
 //	ovsbench -quick fig8a         # CI-sized windows
+//	ovsbench -scenario offload    # run a scenario; sweeps write BENCH_<scenario>.json
 //
 // Each experiment prints measured values next to the paper's anchors with
 // the measured/paper ratio, matching the per-experiment index in DESIGN.md.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -25,40 +29,49 @@ import (
 	"ovsxdp/internal/experiments"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "use shortened measurement windows")
-	perfStages := flag.Bool("perf", false, "add per-stage cycle attribution rows (fig9, table4)")
-	scenario := flag.String("scenario", "", "run a robustness scenario instead of an experiment (e.g. restart, cachesweep)")
-	smcOn := flag.Bool("smc", false, "enable the signature match cache on userspace-datapath beds")
-	emcProb := flag.Int("emc-prob", 1, "inverse EMC insertion probability (1 = always insert)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	simspeedOut := flag.String("simspeed-out", "BENCH_simspeed.json", "where -scenario simspeed writes its JSON result")
-	simspeedBaseline := flag.String("simspeed-baseline", "", "compare the simspeed run against this committed JSON; exit nonzero on >20% regression")
-	simspeedPoints := flag.String("simspeed-points", "", "comma-separated simspeed points to run (default: all)")
-	churnscaleOut := flag.String("churnscale-out", "BENCH_churnscale.json", "where -scenario churnscale writes its JSON result")
-	churnscalePoints := flag.String("churnscale-points", "", "comma-separated churnscale points to run (default: all)")
-	connscaleOut := flag.String("connscale-out", "BENCH_connscale.json", "where -scenario connscale writes its JSON result")
-	connscalePoints := flag.String("connscale-points", "", "comma-separated connscale points to run (default: all)")
-	offloadOut := flag.String("offload-out", "BENCH_offload.json", "where -scenario offload writes its JSON result")
-	offloadPoints := flag.String("offload-points", "", "comma-separated offload points to run (default: all)")
-	flag.Func("o", "other_config key=value applied to every bed (repeatable, e.g. -o pmd-rxq-assign=cycles)", func(s string) error {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit code instead of calling
+// os.Exit so the deferred profile writers always run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ovsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "use shortened measurement windows")
+	perfStages := fs.Bool("perf", false, "add per-stage cycle attribution rows (fig9, table4)")
+	scenario := fs.String("scenario", "", "run a robustness scenario instead of an experiment (e.g. restart, cachesweep)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	out := fs.String("out", "", "where a sweep scenario writes its JSON result (default BENCH_<scenario>.json)")
+	points := fs.String("points", "", "comma-separated sweep points to run (default: all)")
+	other := map[string]string{}
+	fs.Func("o", "other_config key=value applied to every bed (repeatable, e.g. -o pmd-rxq-assign=cycles)", func(s string) error {
 		k, v, err := api.ParseConfigArg(s)
 		if err != nil {
 			return err
 		}
-		if experiments.DefaultOther == nil {
-			experiments.DefaultOther = map[string]string{}
-		}
-		experiments.DefaultOther[k] = v
+		other[k] = v
 		return nil
 	})
-	flag.Usage = usage
-	flag.Parse()
+	fs.Usage = func() { usage(fs, stderr) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "ovsbench:", err)
+		return code
+	}
+	if *scenario == "" && (*points != "" || *out != "") {
+		return fail(2, errors.New("-points and -out apply to -scenario sweeps only"))
+	}
 
-	if err := dpif.CheckConfig(experiments.DefaultOther); err != nil {
-		fmt.Fprintln(os.Stderr, "ovsbench:", err)
-		os.Exit(1)
+	if err := dpif.CheckConfig(other); err != nil {
+		return fail(1, err)
+	}
+	if len(other) > 0 {
+		experiments.DefaultOther = other
 	}
 
 	profile := experiments.Full
@@ -66,33 +79,36 @@ func main() {
 		profile = experiments.Quick
 	}
 	profile.PerfStages = *perfStages
-	experiments.DefaultCache.SMC = *smcOn
-	experiments.DefaultCache.EMCInsertInvProb = *emcProb
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ovsbench:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ovsbench:", err)
-			os.Exit(1)
+			f.Close()
+			return fail(1, err)
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fail(1, err)
+			}
+		}()
 	}
 	if *memProfile != "" {
-		path := *memProfile
 		defer func() {
-			f, err := os.Create(path)
+			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ovsbench:", err)
+				fail(1, err)
 				return
 			}
-			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ovsbench:", err)
+				fail(1, err)
+			}
+			if err := f.Close(); err != nil {
+				fail(1, err)
 			}
 		}()
 	}
@@ -100,125 +116,103 @@ func main() {
 	if *scenario != "" {
 		s, ok := experiments.GetScenario(*scenario)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "ovsbench: unknown scenario %q; have:\n", *scenario)
+			fmt.Fprintf(stderr, "ovsbench: unknown scenario %q; have:\n", *scenario)
 			for _, s := range experiments.Scenarios() {
-				fmt.Fprintf(os.Stderr, "  %-8s %s\n", s.ID, s.Title)
+				fmt.Fprintf(stderr, "  %-8s %s\n", s.ID, s.Title)
 			}
-			os.Exit(1)
+			return 1
 		}
-		if s.ID == "simspeed" {
-			experiments.SimspeedJSONPath = *simspeedOut
-			if *simspeedPoints != "" {
-				experiments.SimspeedOnly = map[string]bool{}
-				for _, p := range strings.Split(*simspeedPoints, ",") {
-					experiments.SimspeedOnly[strings.TrimSpace(p)] = true
-				}
+		var sel []string
+		if *points != "" {
+			for _, p := range strings.Split(*points, ",") {
+				sel = append(sel, strings.TrimSpace(p))
 			}
 		}
-		if s.ID == "churnscale" {
-			experiments.ChurnscaleJSONPath = *churnscaleOut
-			if *churnscalePoints != "" {
-				experiments.ChurnscaleOnly = map[string]bool{}
-				for _, p := range strings.Split(*churnscalePoints, ",") {
-					experiments.ChurnscaleOnly[strings.TrimSpace(p)] = true
-				}
-			}
+		if err := s.CheckPoints(profile, sel); err != nil {
+			return fail(2, err)
 		}
-		if s.ID == "connscale" {
-			experiments.ConnscaleJSONPath = *connscaleOut
-			if *connscalePoints != "" {
-				experiments.ConnscaleOnly = map[string]bool{}
-				for _, p := range strings.Split(*connscalePoints, ",") {
-					experiments.ConnscaleOnly[strings.TrimSpace(p)] = true
-				}
-			}
-		}
-		if s.ID == "offload" {
-			experiments.OffloadJSONPath = *offloadOut
-			if *offloadPoints != "" {
-				experiments.OffloadOnly = map[string]bool{}
-				for _, p := range strings.Split(*offloadPoints, ",") {
-					experiments.OffloadOnly[strings.TrimSpace(p)] = true
-				}
-			}
+		if s.Points == nil && *out != "" {
+			return fail(2, fmt.Errorf("scenario %s has no JSON result to write", s.ID))
 		}
 		start := time.Now()
-		rep := s.Run(profile)
-		fmt.Print(rep)
-		fmt.Printf("  (%s in %.1fs)\n", s.ID, time.Since(start).Seconds())
-		if s.ID == "simspeed" && *simspeedBaseline != "" {
-			cur, err := experiments.LoadSimspeedJSON(*simspeedOut)
-			if err == nil {
-				var base experiments.SimspeedResult
-				base, err = experiments.LoadSimspeedJSON(*simspeedBaseline)
-				if err == nil {
-					err = experiments.CompareSimspeed(cur, base, 0.20)
-				}
+		rep, result := s.Run(profile, sel)
+		if result != nil {
+			path := *out
+			if path == "" {
+				path = "BENCH_" + s.ID + ".json"
 			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ovsbench:", err)
-				os.Exit(3)
+			if err := writeJSON(path, result); err != nil {
+				rep.AddNote("failed to write %s: %v", path, err)
+			} else {
+				rep.AddNote("wrote %s", path)
 			}
 		}
-		return
+		fmt.Fprint(stdout, rep)
+		fmt.Fprintf(stdout, "  (%s in %.1fs)\n", s.ID, time.Since(start).Seconds())
+		return 0
 	}
 
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+	ids := fs.Args()
+	if len(ids) == 0 {
+		fs.Usage()
+		return 2
 	}
 
-	if args[0] == "list" {
+	if ids[0] == "list" {
 		for _, e := range experiments.All() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "  %-8s %s\n", e.ID, e.Title)
 		}
 		for _, s := range experiments.Scenarios() {
-			fmt.Printf("  %-8s %s (scenario; run with -scenario %s)\n", s.ID, s.Title, s.ID)
+			fmt.Fprintf(stdout, "  %-8s %s (scenario; run with -scenario %s)\n", s.ID, s.Title, s.ID)
 		}
-		return
+		return 0
 	}
 
-	var ids []string
-	if args[0] == "all" {
+	if ids[0] == "all" {
+		ids = nil
 		for _, e := range experiments.All() {
 			ids = append(ids, e.ID)
 		}
-	} else {
-		ids = args
 	}
 
 	exit := 0
 	for _, id := range ids {
 		e, ok := experiments.Get(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "ovsbench: unknown experiment %q (try 'ovsbench list')\n", id)
+			fmt.Fprintf(stderr, "ovsbench: unknown experiment %q (try 'ovsbench list')\n", id)
 			exit = 1
 			continue
 		}
 		start := time.Now()
 		rep := e.Run(profile)
-		fmt.Print(rep)
-		fmt.Printf("  (%s in %.1fs)\n\n", id, time.Since(start).Seconds())
+		fmt.Fprint(stdout, rep)
+		fmt.Fprintf(stdout, "  (%s in %.1fs)\n\n", id, time.Since(start).Seconds())
 	}
-	os.Exit(exit)
+	return exit
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `ovsbench — regenerate the paper's evaluation
+// writeJSON persists a scenario's typed result, indented, with a trailing
+// newline — the committed BENCH_*.json format.
+func writeJSON(path string, result any) error {
+	data, err := json.MarshalIndent(result, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+func usage(fs *flag.FlagSet, w io.Writer) {
+	fmt.Fprintf(w, `ovsbench — regenerate the paper's evaluation
 
 usage:
-  ovsbench [-quick] [-perf] [-smc] [-emc-prob N] [-o key=value]... list | all | <experiment>...
-  ovsbench [-quick] [-cpuprofile f] [-memprofile f] -scenario <scenario>
-  ovsbench [-quick] -scenario simspeed [-simspeed-out f] [-simspeed-baseline f] [-simspeed-points a,b]
-  ovsbench [-quick] -scenario churnscale [-churnscale-out f] [-churnscale-points a,b]
-  ovsbench [-quick] -scenario connscale [-connscale-out f] [-connscale-points a,b]
-  ovsbench [-quick] -scenario offload [-offload-out f] [-offload-points a,b]
-  ovsbench [-quick] -scenario soak
+  ovsbench [-quick] [-perf] [-o key=value]... list | all | <experiment>...
+  ovsbench [-quick] [-o key=value]... -scenario <scenario> [-points a,b] [-out f]
+  (both forms take -cpuprofile f and -memprofile f)
 
 experiments: fig1 fig2 fig8a fig8b fig8c fig9a fig9b fig9c fig10 fig11 fig12
              table1 table2 table3 table4 table5
-scenarios:   restart cachesweep churnscale connscale corescale offload simspeed soak
+scenarios:   restart cachesweep corescale soak
+sweeps:      churnscale connscale offload (write BENCH_<scenario>.json; -points selects, -out redirects)
 `)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }

@@ -23,9 +23,8 @@ func NewConfigView(kv map[string]string) ConfigView {
 	return v
 }
 
-// Format renders the sorted "key=value" lines of `ovsctl get` — the same
-// shape dpif.FormatConfig produces, kept here so every config surface
-// renders through the view layer.
+// Format renders the sorted "key=value" lines of `ovsctl get`; it lives
+// here so every config surface renders through the view layer.
 func (v ConfigView) Format() string {
 	keys := make([]string, 0, len(v.Values))
 	for k := range v.Values {

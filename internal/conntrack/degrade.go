@@ -19,10 +19,11 @@ package conntrack
 //	                      admit; only if every connection in the zone is
 //	                      established is the commit refused (LimitHits)
 //
-// The legacy SetZoneLimit keeps its exact hard-reject semantics (it is
-// what TestZoneLimit and the fig8 pipeline rely on); SetZoneLimits opts a
-// zone into the ladder. A conntrack-pressure fault window (faultinject)
-// clamps the effective limit via SetPressure, forcing the ladder on.
+// SetZoneLimit is the paper's Section 2.1.1 per-zone hard limit with exact
+// hard-reject semantics (it is what TestZoneLimit and the fig8 pipeline
+// rely on); SetZoneLimits opts a zone into the ladder. A conntrack-pressure
+// fault window (faultinject) clamps the effective limit via SetPressure,
+// forcing the ladder on.
 
 // connClass buckets states for the per-zone recency lists.
 type connClass uint8
@@ -79,7 +80,7 @@ func (l *connList) remove(c *Conn) {
 // zoneState tracks one zone's occupancy, limits, and recency lists.
 type zoneState struct {
 	count int
-	// Legacy hard limit (SetZoneLimit) or ladder limits (SetZoneLimits).
+	// Hard-reject limit (SetZoneLimit) or ladder limits (SetZoneLimits).
 	soft, hard int
 	ladder     bool
 	// pressure is a fault-window clamp on the effective hard limit
@@ -112,7 +113,7 @@ func (t *Table) zone(z uint16) *zoneState {
 }
 
 // SetZoneLimit caps concurrent connections in zone (0 removes the cap)
-// with the legacy hard-reject behavior: at the limit every commit is
+// with hard-reject behavior: at the limit every commit is
 // refused and counted in LimitHits — the per-zone connection limiting
 // feature of Section 2.1.1.
 func (t *Table) SetZoneLimit(zone uint16, limit int) {
@@ -159,7 +160,7 @@ func (t *Table) touch(c *Conn) {
 // admit decides whether a commit may proceed, running the degradation
 // ladder. It may remove a victim connection to make room; it reports false
 // only when the zone is at its hard limit with no evictable victim (or the
-// zone uses the legacy hard-reject limit).
+// zone uses the hard-reject limit).
 func (t *Table) admit(zs *zoneState) bool {
 	soft, hard, ladder := zs.effective()
 	if hard <= 0 {

@@ -71,7 +71,7 @@ func TestLadderEvictionOrderAtHard(t *testing.T) {
 
 // TestLadderRejectsAllEstablished: with every slot held by an established
 // connection there is no acceptable victim — the commit is refused and
-// counted as a table-full drop, exactly like the legacy limit.
+// counted as a table-full drop, exactly like the hard-reject limit.
 func TestLadderRejectsAllEstablished(t *testing.T) {
 	ct := NewTable(sim.NewEngine(1))
 	ct.SetZoneLimits(1, 2, 2)

@@ -87,8 +87,8 @@ type Options struct {
 	ContentionCentis int
 	// UpcallQueueCap bounds the per-PMD queue of packets awaiting
 	// slow-path translation — the netdev analog of the kernel's bounded
-	// per-port netlink queues (ENOBUFS). Zero keeps the legacy inline
-	// upcall on the PMD thread.
+	// per-port netlink queues (ENOBUFS). Zero keeps the upcall inline on
+	// the PMD thread, as dpif-netdev does.
 	UpcallQueueCap int
 	// UpcallServiceInterval is the handler thread's per-upcall service
 	// time when the queue is bounded (its service rate is the inverse);
@@ -509,7 +509,7 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 			m.kickUpcalls()
 			return
 		}
-		// Legacy path: inline slow-path translation on this PMD.
+		// Inline slow-path translation on this PMD (dpif-netdev's way).
 		upcallBefore := cpu.BusyTotal()
 		m.charge(perf.StageUpcall, costmodel.UpcallCost)
 		mf, err := d.translate(&key)

@@ -419,15 +419,6 @@ func (d *Datapath) OffloadClamp(n int) {
 	}
 }
 
-// OffloadCPU exposes the offload driver thread's CPU (experiments report
-// its duty cycle); nil until the engine first ran.
-func (d *Datapath) OffloadCPU() *sim.CPU {
-	if d.offload == nil {
-		return nil
-	}
-	return d.offload.cpu
-}
-
 // hwForward executes a hardware-offloaded action list: the NIC applies the
 // rewrites and forwards without host CPU involvement, so nothing here is
 // charged beyond the OffloadHit the caller already paid.

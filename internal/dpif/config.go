@@ -174,18 +174,3 @@ func renderBool(v bool) string {
 func renderMicros(t sim.Time) string {
 	return strconv.FormatInt(int64(t/sim.Microsecond), 10)
 }
-
-// FormatConfig renders a config map as sorted "key=value" lines (ovsctl
-// get).
-func FormatConfig(kv map[string]string) string {
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		out += fmt.Sprintf("%s=%s\n", k, kv[k])
-	}
-	return out
-}

@@ -191,11 +191,6 @@ type Dpif interface {
 	// FlowDump snapshots the installed megaflows across all classifier
 	// shards.
 	FlowDump() []Flow
-	// FlowDumpInto is the allocation-free dump: buf is truncated and the
-	// installed flows appended, so a caller that dumps repeatedly (the
-	// revalidator's sweep) reuses one buffer instead of materializing a
-	// fresh slice per pass. FlowDump() is FlowDumpInto(nil).
-	FlowDumpInto(buf []Flow) []Flow
 	// FlowFlush drops every installed flow (revalidation after rule
 	// changes, daemon restart).
 	FlowFlush()

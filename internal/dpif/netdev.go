@@ -16,11 +16,6 @@ import (
 // interface — the dpif-netdev analog.
 type Netdev struct {
 	dp *core.Datapath
-
-	// entryScratch is reused across FlowDumpInto calls for the per-PMD
-	// classifier dumps, so repeated dumps (revalidator sweeps) allocate
-	// nothing once warm.
-	entryScratch []*dpcls.Entry
 }
 
 func init() {
@@ -121,18 +116,14 @@ func (d *Netdev) FlowDel(f Flow) bool {
 }
 
 // FlowDump implements Dpif.
-func (d *Netdev) FlowDump() []Flow { return d.FlowDumpInto(nil) }
-
-// FlowDumpInto implements Dpif.
-func (d *Netdev) FlowDumpInto(buf []Flow) []Flow {
-	buf = buf[:0]
+func (d *Netdev) FlowDump() []Flow {
+	var out []Flow
 	for _, m := range d.dp.PMDs() {
-		d.entryScratch = m.Classifier().EntriesInto(d.entryScratch)
-		for _, e := range d.entryScratch {
-			buf = append(buf, Flow{Entry: e, owner: m})
+		for _, e := range m.Classifier().Entries() {
+			out = append(out, Flow{Entry: e, owner: m})
 		}
 	}
-	return buf
+	return out
 }
 
 // FlowFlush implements Dpif.

@@ -37,10 +37,6 @@ type Netlink struct {
 	// GetConfig can echo them back, as OVS's global other_config column
 	// does even for keys this datapath ignores.
 	netdevOnly map[string]string
-
-	// entryScratch is reused across FlowDumpInto calls, so repeated dumps
-	// (revalidator sweeps) allocate nothing once warm.
-	entryScratch []*dpcls.Entry
 }
 
 func init() {
@@ -128,16 +124,12 @@ func (d *Netlink) FlowPut(key flow.Key, mask flow.Mask, actions any) {
 func (d *Netlink) FlowDel(f Flow) bool { return d.kdp.RemoveFlow(f.Entry) }
 
 // FlowDump implements Dpif.
-func (d *Netlink) FlowDump() []Flow { return d.FlowDumpInto(nil) }
-
-// FlowDumpInto implements Dpif.
-func (d *Netlink) FlowDumpInto(buf []Flow) []Flow {
-	buf = buf[:0]
-	d.entryScratch = d.kdp.FlowsInto(d.entryScratch)
-	for _, e := range d.entryScratch {
-		buf = append(buf, Flow{Entry: e, owner: d})
+func (d *Netlink) FlowDump() []Flow {
+	var out []Flow
+	for _, e := range d.kdp.Flows() {
+		out = append(out, Flow{Entry: e, owner: d})
 	}
-	return buf
+	return out
 }
 
 // FlowFlush implements Dpif.

@@ -10,7 +10,7 @@ import (
 
 // UpcallConfig bounds and paces the slow path, provider-independently:
 // QueueCap bounds the queue of packets awaiting translation (zero keeps
-// the legacy unbounded inline upcall), ServiceInterval is the handler's
+// the unbounded inline upcall), ServiceInterval is the handler's
 // per-upcall service time, and RetryBase/MaxRetries govern the
 // exponential-backoff retry of transient translation faults.
 type UpcallConfig struct {

@@ -2,145 +2,8 @@ package dpif
 
 import (
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/sim"
 )
-
-// Revalidator ages out idle megaflows, the way ovs-vswitchd's revalidator
-// threads do: a megaflow that saw no traffic for IdleSweeps consecutive
-// sweeps is removed (and the owning thread's caches drop just that entry —
-// the EMC via its lazy dead-entry purge, the SMC via its indirection
-// table). Without this, a long-running switch accumulates one megaflow per
-// decision path it ever made.
-//
-// The sweeper works entirely through the Dpif seam (FlowDumpInto/FlowDel),
-// so the kernel-module and eBPF datapaths age out idle flows with exactly
-// the same policy as the userspace one. The dump buffer and the tracking
-// map are reused across sweeps: an idle sweep over a warm table performs
-// zero heap allocations, so sweeping a large table is bounded by its size,
-// not by garbage-collector pressure.
-//
-// For tables large enough that even reading every flow per sweep is the
-// bottleneck, WheelRevalidator replaces periodic sweeps with per-flow
-// expiry timers.
-type Revalidator struct {
-	dp  Dpif
-	eng *sim.Engine
-	// Interval between sweeps.
-	Interval sim.Time
-	// IdleSweeps is how many hit-less sweeps a flow survives.
-	IdleSweeps int
-
-	// track holds per-flow observation state; dump is the reused flow-dump
-	// buffer; gen stamps which sweep last saw each tracked entry, so state
-	// for flows that vanished by other means (FlowFlush) is dropped
-	// without a second per-sweep set.
-	track   map[*dpcls.Entry]flowTrack
-	dump    []Flow
-	gen     uint64
-	running bool
-
-	// sweepTimer rearms the sweep; binding the callback once keeps
-	// rescheduling allocation-free.
-	sweepTimer *sim.Timer
-
-	// Stall, when set and returning true, models a wedged revalidator
-	// thread (fault injection): the sweep is skipped — idle flows age out
-	// late — but rescheduling continues, so it recovers when the window
-	// closes.
-	Stall func() bool
-
-	// Stats.
-	Sweeps  uint64
-	Evicted uint64
-	// StalledSweeps counts sweeps skipped by an injected stall.
-	StalledSweeps uint64
-}
-
-// flowTrack is one tracked megaflow's observation state.
-type flowTrack struct {
-	lastHits uint64
-	idle     int
-	gen      uint64
-}
-
-// StartRevalidator launches periodic sweeps over the datapath on eng.
-func StartRevalidator(eng *sim.Engine, dp Dpif, interval sim.Time, idleSweeps int) *Revalidator {
-	if idleSweeps <= 0 {
-		idleSweeps = 2
-	}
-	r := &Revalidator{
-		dp:         dp,
-		eng:        eng,
-		Interval:   interval,
-		IdleSweeps: idleSweeps,
-		track:      make(map[*dpcls.Entry]flowTrack),
-		running:    true,
-	}
-	r.sweepTimer = eng.NewTimer(r.sweep)
-	r.sweepTimer.Schedule(interval)
-	return r
-}
-
-// Stop halts future sweeps and releases the tracking state (which
-// otherwise pins every tracked dpcls.Entry for the daemon's lifetime). The
-// pending sweep arm is cancelled; a stopped revalidator never touches the
-// datapath again.
-func (r *Revalidator) Stop() {
-	r.running = false
-	r.track = nil
-	r.dump = nil
-	if r.sweepTimer != nil {
-		r.sweepTimer.Stop()
-	}
-}
-
-// Running reports whether the revalidator is still sweeping.
-func (r *Revalidator) Running() bool { return r.running }
-
-// sweep examines every installed megaflow and evicts the idle ones.
-func (r *Revalidator) sweep() {
-	if !r.running {
-		return
-	}
-	if r.Stall != nil && r.Stall() {
-		r.StalledSweeps++
-		r.sweepTimer.Schedule(r.Interval)
-		return
-	}
-	r.Sweeps++
-	r.gen++
-	r.dump = r.dp.FlowDumpInto(r.dump)
-	for _, f := range r.dump {
-		e := f.Entry
-		t := r.track[e] // zero value for a first sighting: lastHits 0, idle 0
-		if e.Hits != t.lastHits {
-			t.lastHits = e.Hits
-			t.idle = 0
-			t.gen = r.gen
-			r.track[e] = t
-			continue
-		}
-		t.idle++
-		if t.idle >= r.IdleSweeps {
-			if r.dp.FlowDel(f) {
-				r.Evicted++
-			}
-			delete(r.track, e)
-			continue
-		}
-		t.gen = r.gen
-		r.track[e] = t
-	}
-	// Forget tracking state for entries that vanished by other means
-	// (FlowFlush on rule changes): anything this sweep did not stamp.
-	for e, t := range r.track {
-		if t.gen != r.gen {
-			delete(r.track, e)
-		}
-	}
-	r.sweepTimer.Schedule(r.Interval)
-}
 
 // WheelRevalidator ages out idle megaflows with per-flow expiry timers on
 // the engine's timer wheel instead of periodic full-table sweeps: every
@@ -156,7 +19,10 @@ func (r *Revalidator) sweep() {
 // tracked from the instant the datapath installs it, whichever path
 // installed it (upcall, FlowPut, negative flow). Flows that vanish by
 // other means (FlowFlush, negative-flow TTL) are recognized dead at their
-// next deadline and dropped from tracking.
+// next deadline and dropped from tracking. Everything goes through the
+// Dpif seam (SetFlowHook/FlowDump/FlowDel), so the kernel-module and eBPF
+// datapaths age out idle flows with exactly the same policy as the
+// userspace one.
 //
 // Each check charges costmodel.RevalFlowCheck (and evictions
 // RevalFlowEvict) to the dedicated revalidator CPU, so experiments can

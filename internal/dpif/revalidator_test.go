@@ -43,83 +43,42 @@ func revalDpif(t *testing.T, name string) (*sim.Engine, Dpif) {
 	return eng, d
 }
 
-// TestRevalidatorAgesIdleFlows checks the core aging policy on every
-// provider: a flow that stops seeing traffic is evicted after IdleSweeps
-// hit-less sweeps.
-func TestRevalidatorAgesIdleFlows(t *testing.T) {
-	for _, name := range Types() {
-		t.Run(name, func(t *testing.T) {
-			eng, d := revalDpif(t, name)
-			d.Execute(revalPacket()) // miss -> installs one megaflow
-			if got := len(d.FlowDump()); got != 1 {
-				t.Fatalf("installed flows = %d, want 1", got)
-			}
-			r := StartRevalidator(eng, d, sim.Millisecond, 2)
-			eng.RunUntil(5 * sim.Millisecond)
-			if got := len(d.FlowDump()); got != 0 {
-				t.Errorf("idle flow survived %d sweeps: %d flows remain", r.Sweeps, got)
-			}
-			if r.Evicted != 1 {
-				t.Errorf("Evicted = %d, want 1", r.Evicted)
-			}
-		})
-	}
-}
-
-// TestRevalidatorKeepsActiveFlows drives steady traffic through the kernel
-// provider (where every packet bumps the megaflow hit counter) and checks
-// the revalidator leaves the flow alone.
-func TestRevalidatorKeepsActiveFlows(t *testing.T) {
+// TestWheelRevalidatorStop covers the Stop contract: the flow hook is
+// cleared (later installs are not tracked), every pending deadline releases
+// its record without touching the datapath, and stopping twice is harmless.
+func TestWheelRevalidatorStop(t *testing.T) {
 	eng, d := revalDpif(t, "netlink")
-	d.Execute(revalPacket())
-	r := StartRevalidator(eng, d, 2*sim.Millisecond, 2)
-	var tick func()
-	tick = func() {
-		d.Execute(revalPacket())
-		eng.Schedule(sim.Millisecond, tick)
+	d.SetUpcall(churnUpcall(2))
+	const tracked = 3
+	d.Execute(churnPacket(hdr.MakeIP4(10, 0, 0, 1), 2000)) // found by the initial dump
+	r := StartWheelRevalidator(eng, d, 2*sim.Millisecond)
+	for i := 1; i < tracked; i++ {
+		d.Execute(churnPacket(hdr.MakeIP4(10, 0, byte(i), 1), 2000)) // found by the hook
 	}
-	eng.Schedule(sim.Millisecond, tick)
-	eng.RunUntil(20 * sim.Millisecond)
-	if r.Sweeps < 5 {
-		t.Fatalf("Sweeps = %d, want several", r.Sweeps)
-	}
-	if r.Evicted != 0 {
-		t.Errorf("active flow evicted %d times", r.Evicted)
-	}
-	if got := len(d.FlowDump()); got != 1 {
-		t.Errorf("flows = %d, want 1", got)
-	}
-}
-
-// TestRevalidatorStop covers the Stop contract: tracking maps are released
-// (they otherwise pin every evicted dpcls.Entry for the daemon's lifetime),
-// the already-scheduled sweep closure is a no-op, and stopping twice is
-// harmless.
-func TestRevalidatorStop(t *testing.T) {
-	eng, d := revalDpif(t, "netlink")
-	d.Execute(revalPacket())
-	r := StartRevalidator(eng, d, sim.Millisecond, 2)
-	eng.RunUntil(sim.Millisecond + sim.Microsecond) // one sweep ran, next is queued
-	if r.Sweeps != 1 {
-		t.Fatalf("Sweeps = %d, want 1", r.Sweeps)
+	if r.Installs != tracked {
+		t.Fatalf("Installs = %d, want %d", r.Installs, tracked)
 	}
 
 	r.Stop()
 	if r.Running() {
 		t.Error("Running() true after Stop")
 	}
-	if r.track != nil || r.dump != nil {
-		t.Error("Stop did not release the tracking state")
+	d.Execute(churnPacket(hdr.MakeIP4(10, 0, 9, 1), 2000))
+	if r.Installs != tracked {
+		t.Errorf("install after Stop was tracked: Installs = %d (flow hook not cleared)", r.Installs)
 	}
 
-	// The engine still holds one scheduled sweep closure; it must observe
-	// the stopped state and neither sweep nor touch the nil maps.
+	// The engine still holds one deadline per tracked flow; each must see
+	// the stopped state, recycle its record and leave the idle flows alone.
 	eng.RunUntil(10 * sim.Millisecond)
-	if r.Sweeps != 1 {
-		t.Errorf("sweep ran after Stop: Sweeps = %d", r.Sweeps)
+	if r.Checks != 0 || r.Evicted != 0 {
+		t.Errorf("deadlines ran after Stop: Checks = %d, Evicted = %d", r.Checks, r.Evicted)
 	}
-	if got := len(d.FlowDump()); got != 1 {
-		t.Errorf("stopped revalidator changed the datapath: %d flows", got)
+	if got := len(r.free); got != tracked {
+		t.Errorf("released records = %d, want %d", got, tracked)
+	}
+	if got := len(d.FlowDump()); got != tracked+1 {
+		t.Errorf("stopped revalidator changed the datapath: %d flows, want %d", got, tracked+1)
 	}
 
 	r.Stop() // idempotent

@@ -22,7 +22,7 @@ func init() {
 	registerScenario(Scenario{
 		ID:    "cachesweep",
 		Title: "cache hierarchy sweep: EMC vs EMC+SMC vs SMC across flow counts",
-		Run:   runCacheSweep,
+		Run:   reportOnly(runCacheSweep),
 	})
 }
 
@@ -160,7 +160,7 @@ func runCacheSweep(p Profile) *Report {
 		name  string
 		flows int
 	}{{"1k", 1000}, {"10k", 10000}, {"100k", 100000}, {"1M", 1000000}}
-	if p.Window < Full.Window {
+	if p.quick() {
 		sizes = sizes[:3] // quick profile drops the 1M point
 	}
 

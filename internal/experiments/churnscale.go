@@ -22,10 +22,6 @@ package experiments
 // the JSON output is byte-identical run to run at fixed defaults.
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-
 	"ovsxdp/internal/api"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
@@ -33,16 +29,8 @@ import (
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/trafficgen"
 )
-
-// ChurnscaleJSONPath, when non-empty, is where the churnscale scenario
-// writes its machine-readable result. cmd/ovsbench defaults it to
-// BENCH_churnscale.json; tests leave it empty to skip the write.
-var ChurnscaleJSONPath string
-
-// ChurnscaleOnly, when non-empty, restricts the run to the named points
-// (CI runs just "10k" to keep the smoke job cheap).
-var ChurnscaleOnly map[string]bool
 
 // ChurnscalePoint is one measured (table size, setup rate) configuration.
 // Every field is computed in the virtual domain, so a point is
@@ -138,95 +126,44 @@ func churnMasks() [2]flow.Mask {
 	return [2]flow.Mask{base().TPSrc().Build(), base().Build()}
 }
 
-// churnSrcIP encodes a flow id into the source address (the only field the
-// generator varies), so the slow path can recover the id's parity.
-func churnSrcIP(id int) hdr.IP4 {
-	return hdr.MakeIP4(10, byte(id>>16), byte(id>>8), byte(id))
-}
-
-// churnGen drives round-robin traffic over the active flow window
-// [base, base+flows) by byte-patching the source IP into a prebuilt
-// template frame — no per-packet allocation, no RNG, fully deterministic.
-type churnGen struct {
-	eng      *sim.Engine
-	dp       dpif.Dpif
-	template []byte
-	pool     *packet.Pool
-	flows    int
-	base     int // advanced by the churn timer
-	cursor   int
-	stopped  bool
-	sent     uint64
-}
-
-// srcIPOffset is where the IPv4 source address sits in the template frame:
-// the Ethernet header plus the IPv4 source-address offset.
-const srcIPOffset = hdr.EthernetSize + 12
-
-func newChurnGen(eng *sim.Engine, dp dpif.Dpif, flows int) *churnGen {
-	frame := hdr.NewBuilder().
+// churnFrame is the 64-byte UDP frame the churnscale and offload generators
+// patch flow ids into (the source address is the only field they vary, so
+// the slow path can recover an id's parity from it).
+func churnFrame() []byte {
+	return hdr.NewBuilder().
 		Eth(hdr.MAC{0x02, 0xaa, 0, 0, 0, 1}, hdr.MAC{0x02, 0xbb, 0, 0, 0, 1}).
-		IPv4H(churnSrcIP(0), hdr.MakeIP4(10, 255, 0, 1), 64).
+		IPv4H(hdr.MakeIP4(10, 0, 0, 0), hdr.MakeIP4(10, 255, 0, 1), 64).
 		UDPH(1000, 2000).PadTo(64).Build()
-	return &churnGen{eng: eng, dp: dp, template: frame,
-		pool: packet.NewPool(64, len(frame), true), flows: flows}
 }
 
-// emit executes one packet for the next flow in the active window.
-func (g *churnGen) emit() {
-	id := g.base + g.cursor
-	g.cursor++
-	if g.cursor >= g.flows {
-		g.cursor = 0
+// executeSink feeds generated packets straight into the datapath fast path
+// as if they had arrived on port 1 — the Execute-driven beds have no NIC.
+func executeSink(d dpif.Dpif) func(*packet.Packet) {
+	return func(p *packet.Packet) {
+		p.InPort = 1
+		d.Execute(p)
 	}
-	ip := churnSrcIP(id)
-	g.template[srcIPOffset] = byte(ip >> 24)
-	g.template[srcIPOffset+1] = byte(ip >> 16)
-	g.template[srcIPOffset+2] = byte(ip >> 8)
-	g.template[srcIPOffset+3] = byte(ip)
-	p := g.pool.GetCopy(g.template)
-	p.InPort = 1
-	g.sent++
-	g.dp.Execute(p)
 }
 
-// run self-schedules packet arrivals at ratePPS until stopped.
-func (g *churnGen) run(ratePPS float64) {
-	interval := sim.Time(float64(sim.Second) / ratePPS)
-	if interval <= 0 {
-		interval = 1
-	}
-	next := g.eng.Now()
-	var tick func()
-	tick = func() {
-		if g.stopped {
-			return
-		}
-		g.emit()
-		next += interval
-		g.eng.ScheduleAt(next, tick)
-	}
-	g.eng.ScheduleAt(next, tick)
-}
-
-// churn advances the window base at churnPerS until stopped: each advance
-// retires the oldest flow and exposes a new one.
-func (g *churnGen) churn(churnPerS float64) {
+// slideWindow advances the generator's window base at churnPerS until the
+// generator stops: each advance retires the oldest flow and exposes a new
+// one.
+func slideWindow(g *trafficgen.SrcIPGen, churnPerS float64) {
 	interval := sim.Time(float64(sim.Second) / churnPerS)
 	if interval <= 0 {
 		interval = 1
 	}
-	next := g.eng.Now() + interval
+	next := g.Eng.Now() + interval
 	var tick func()
 	tick = func() {
-		if g.stopped {
+		if g.Stopped() {
 			return
 		}
-		g.base++
+		g.Base++
 		next += interval
-		g.eng.ScheduleAt(next, tick)
+		g.Eng.ScheduleAt(next, tick)
 	}
-	g.eng.ScheduleAt(next, tick)
+	g.Eng.ScheduleAt(next, tick)
 }
 
 // runChurnscalePoint executes one configuration: build an Execute-driven
@@ -250,9 +187,11 @@ func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
 	// every install through the flow hook (no map-ordered initial dump).
 	r := dpif.StartWheelRevalidator(eng, d, c.idle)
 
-	g := newChurnGen(eng, d, c.flows)
-	g.run(c.ratePPS)
-	g.churn(c.churnPerS)
+	// Round-robin traffic over the active flow window [Base, Base+flows).
+	g := &trafficgen.SrcIPGen{Eng: eng, Template: churnFrame(), Sink: executeSink(d),
+		Class: 10, Window: c.flows}
+	g.Run(c.ratePPS)
+	slideWindow(g, c.churnPerS)
 
 	// Fill: one full round of the window installs every flow. Warmup then
 	// extends one idle timeout past the fill so the first cohort of wheel
@@ -268,13 +207,13 @@ func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
 	for _, cpu := range eng.CPUs() {
 		cpu.ResetAccounting()
 	}
-	sent0, miss0 := g.sent, d.Stats().Missed
+	sent0, miss0 := g.Sent, d.Stats().Missed
 	inst0, evic0, chk0 := r.Installs, r.Evicted, r.Checks
 	events0 := eng.Executed()
 
 	eng.RunUntil(warmup + c.window)
 
-	pkts := g.sent - sent0
+	pkts := g.Sent - sent0
 	busy := pmd.CPU.BusyTotal()
 	revalBusy := r.CPU.BusyTotal()
 	pt := ChurnscalePoint{
@@ -298,7 +237,7 @@ func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
 	// Drain: stop traffic and churn; with no hits, every live flow's next
 	// deadline evicts it, so the table must empty within a few idle
 	// timeouts.
-	g.stopped = true
+	g.Stop()
 	now := warmup + c.window
 	for step := 0; step < 8 && d.Stats().Flows > 0; step++ {
 		now += c.idle
@@ -312,30 +251,34 @@ func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
 	return pt
 }
 
-// RunChurnscale executes the churnscale sweep for a profile and returns
-// the structured result (the scenario wrapper renders and persists it).
-func RunChurnscale(p Profile) ChurnscaleResult {
-	quick := p.Window < Full.Window
-	profileName := "full"
-	if quick {
-		profileName = "quick"
+// churnscalePointNames lists the sweep's point names for a profile.
+func churnscalePointNames(p Profile) []string {
+	var names []string
+	for _, c := range churnscalePoints(p.quick()) {
+		names = append(names, c.name)
 	}
-	res := ChurnscaleResult{Envelope: api.NewEnvelope("churnscale", 1, profileName)}
-	for _, c := range churnscalePoints(quick) {
-		if len(ChurnscaleOnly) > 0 && !ChurnscaleOnly[c.name] {
-			continue
+	return names
+}
+
+// RunChurnscale executes the selected points of the churnscale sweep for a
+// profile (all of them when points is empty).
+func RunChurnscale(p Profile, points []string) *ChurnscaleResult {
+	res := &ChurnscaleResult{Envelope: api.NewEnvelope("churnscale", 1, p.Name)}
+	for _, c := range churnscalePoints(p.quick()) {
+		if selected(points, c.name) {
+			res.Points = append(res.Points, runChurnscalePoint(c))
 		}
-		res.Points = append(res.Points, runChurnscalePoint(c))
 	}
 	return res
 }
 
 func init() {
 	registerScenario(Scenario{
-		ID:    "churnscale",
-		Title: "million-flow churn: capacity vs table size under flow setup/expiry",
-		Run: func(p Profile) *Report {
-			res := RunChurnscale(p)
+		ID:     "churnscale",
+		Title:  "million-flow churn: capacity vs table size under flow setup/expiry",
+		Points: churnscalePointNames,
+		Run: func(p Profile, points []string) (*Report, any) {
+			res := RunChurnscale(p, points)
 			rep := &Report{ID: "churnscale",
 				Title: "flow churn sweep (setup rate x table size, wheel-revalidated expiry)"}
 			for _, pt := range res.Points {
@@ -343,44 +286,11 @@ func init() {
 				rep.Add(pt.Name+" flows: busy time per packet", pt.NsPerPkt, 0, "ns/pkt")
 				rep.Add(pt.Name+" flows: upcalls in window", float64(pt.Upcalls), 0, "upcalls")
 				rep.Add(pt.Name+" flows: revalidator duty cycle", pt.RevalDutyPct, 0, "%")
-				ledger := "ok"
-				if !pt.LedgerOK {
-					ledger = "BROKEN"
-				}
 				rep.AddNote("%s: installs %d = evicted %d + live %d after drain (ledger %s); %d reval checks, %d engine events in window",
-					pt.Name, pt.TotalInstalls, pt.TotalEvicted, pt.LiveAfterDrain, ledger,
+					pt.Name, pt.TotalInstalls, pt.TotalEvicted, pt.LiveAfterDrain, ledgerWord(pt.LedgerOK),
 					pt.RevalChecks, pt.Events)
 			}
-			if ChurnscaleJSONPath != "" {
-				if err := WriteChurnscaleJSON(ChurnscaleJSONPath, res); err != nil {
-					rep.AddNote("failed to write %s: %v", ChurnscaleJSONPath, err)
-				} else {
-					rep.AddNote("wrote %s", ChurnscaleJSONPath)
-				}
-			}
-			return rep
+			return rep, res
 		},
 	})
-}
-
-// WriteChurnscaleJSON persists a churnscale result.
-func WriteChurnscaleJSON(path string, res ChurnscaleResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadChurnscaleJSON reads a previously written result.
-func LoadChurnscaleJSON(path string) (ChurnscaleResult, error) {
-	var res ChurnscaleResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return res, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
 }

@@ -17,15 +17,13 @@ package experiments
 // as invalid instead of being silently re-adopted.
 //
 // The SYN-flood arm runs the same bed twice — ladder limits
-// (SetZoneLimits) vs the legacy hard limit (SetZoneLimit) — and compares
+// (SetZoneLimits) vs the per-zone hard limit (SetZoneLimit) — and compares
 // goodput under flood to the no-flood baseline of the same run. All
 // measurements are in the virtual domain — the JSON output is
 // byte-identical run to run at fixed defaults.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"ovsxdp/internal/api"
 	"ovsxdp/internal/conntrack"
@@ -35,16 +33,8 @@ import (
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/trafficgen"
 )
-
-// ConnscaleJSONPath, when non-empty, is where the connscale scenario
-// writes its machine-readable result. cmd/ovsbench defaults it to
-// BENCH_connscale.json; tests leave it empty to skip the write.
-var ConnscaleJSONPath string
-
-// ConnscaleOnly, when non-empty, restricts the run to the named points
-// (CI runs just "10k" to keep the smoke job cheap).
-var ConnscaleOnly map[string]bool
 
 // ConnscalePoint is one measured configuration. Steady points sweep
 // (concurrent connections x shards); the synflood point (Flood true) adds
@@ -86,8 +76,8 @@ type ConnscalePoint struct {
 	// BaselineMpps/FloodMpps are goodput (established + legitimate-new
 	// deliveries) before and during the flood with the ladder on;
 	// HeldPct is their ratio, EstHeldPct the same for established
-	// traffic alone, and NoLadderHeldPct the ratio the legacy
-	// hard-reject limit manages on an identical schedule.
+	// traffic alone, and NoLadderHeldPct the ratio the hard-reject
+	// limit manages on an identical schedule.
 	BaselineMpps    float64 `json:"baseline_mpps,omitempty"`
 	FloodMpps       float64 `json:"flood_mpps,omitempty"`
 	HeldPct         float64 `json:"held_pct,omitempty"`
@@ -155,8 +145,8 @@ func connscaleFlood(quick bool) synfloodConfig {
 	// Sized so the no-flood phase sits below the soft limit (50k
 	// established + 2e6/s x 4ms = 8k embryonic = 58k < 60k) while the
 	// flood pushes the unlimited equilibrium (50k + 8e6/s x 4ms = 82k)
-	// past the hard limit — the ladder must engage, and the legacy limit
-	// must visibly refuse legitimate commits.
+	// past the hard limit — the ladder must engage, and the hard-reject
+	// limit must visibly refuse legitimate commits.
 	return synfloodConfig{
 		name: "synflood", estConns: 50_000,
 		estRate: 3e6, newRate: 2e6, floodRate: 6e6,
@@ -166,83 +156,18 @@ func connscaleFlood(quick bool) synfloodConfig {
 	}
 }
 
-// connSrcIP encodes a generator class (first octet) and connection id into
-// the source address — established traffic is 10.x, legitimate new 11.x,
-// flood 12.x, so the sink can split goodput without extra state.
-func connSrcIP(class byte, id int) hdr.IP4 {
-	return hdr.MakeIP4(class, byte(id>>16), byte(id>>8), byte(id))
-}
-
-// connGen drives TCP traffic by byte-patching the source IP into a
-// prebuilt template frame — no per-packet allocation. With cycle set it
-// round-robins over [0, conns) (established traffic); otherwise every
-// packet is a fresh connection id (SYN arrivals). Inter-arrival times
-// carry +-25% deterministic jitter from a per-class LCG: perfectly
-// periodic sources phase-lock with the equally periodic expiry stream
-// (every timeout is arrival + exact synTO), which would let one traffic
-// class deterministically absorb every table-full refusal.
-type connGen struct {
-	eng      *sim.Engine
-	dp       dpif.Dpif
-	template []byte
-	pool     *packet.Pool
-	class    byte
-	conns    int
-	cycle    bool
-	cursor   int
-	stopped  bool
-	sent     uint64
-	rng      uint64
-}
-
-func newConnGen(eng *sim.Engine, dp dpif.Dpif, class byte, conns int, cycle bool, dstPort uint16, tcpFlags uint8) *connGen {
+// newConnGen builds one TCP traffic class on the bed. The class is the
+// source address's first octet — established traffic is 10.x, legitimate
+// new 11.x, flood 12.x — so the sink can split goodput without extra state.
+// conns > 0 round-robins over that many connections (established traffic);
+// 0 makes every packet a fresh connection id (SYN arrivals).
+func newConnGen(b *connBed, class byte, conns int, dstPort uint16, tcpFlags uint8) *trafficgen.SrcIPGen {
 	frame := hdr.NewBuilder().
 		Eth(hdr.MAC{0x02, 0xaa, 0, 0, 0, 2}, hdr.MAC{0x02, 0xbb, 0, 0, 0, 2}).
-		IPv4H(connSrcIP(class, 0), hdr.MakeIP4(10, 255, 0, 1), 64).
+		IPv4H(hdr.MakeIP4(class, 0, 0, 0), hdr.MakeIP4(10, 255, 0, 1), 64).
 		TCPH(1000, dstPort, 1, 0, tcpFlags).PadTo(64).Build()
-	return &connGen{eng: eng, dp: dp, template: frame,
-		pool:  packet.NewPool(64, len(frame), true),
-		class: class, conns: conns, cycle: cycle,
-		rng: uint64(class)*0x9e3779b97f4a7c15 + 1}
-}
-
-// emit executes one packet for the next connection id.
-func (g *connGen) emit() {
-	id := g.cursor
-	g.cursor++
-	if g.cycle && g.cursor >= g.conns {
-		g.cursor = 0
-	}
-	ip := connSrcIP(g.class, id)
-	g.template[srcIPOffset] = byte(ip >> 24)
-	g.template[srcIPOffset+1] = byte(ip >> 16)
-	g.template[srcIPOffset+2] = byte(ip >> 8)
-	g.template[srcIPOffset+3] = byte(ip)
-	p := g.pool.GetCopy(g.template)
-	p.InPort = 1
-	g.sent++
-	g.dp.Execute(p)
-}
-
-// run self-schedules packet arrivals at ratePPS until stopped.
-func (g *connGen) run(ratePPS float64) {
-	interval := sim.Time(float64(sim.Second) / ratePPS)
-	if interval <= 0 {
-		interval = 1
-	}
-	next := g.eng.Now()
-	var tick func()
-	tick = func() {
-		if g.stopped {
-			return
-		}
-		g.emit()
-		g.rng = g.rng*6364136223846793005 + 1442695040888963407
-		frac := float64(g.rng>>11) / (1 << 53)
-		next += sim.Time(float64(interval) * (0.75 + 0.5*frac))
-		g.eng.ScheduleAt(next, tick)
-	}
-	g.eng.ScheduleAt(next, tick)
+	return &trafficgen.SrcIPGen{Eng: b.eng, Template: frame, Sink: executeSink(b.d),
+		Class: class, Window: conns, Jitter: true}
 }
 
 // connscaleZone is the conntrack zone every connscale flow commits into.
@@ -272,7 +197,7 @@ func newConnBed(shards int) *connBed {
 	if err := b.d.PortAdd(dpif.TxPort{PortID: 2, PortName: "sink",
 		Deliver: func(p *packet.Packet) {
 			b.delivered++
-			if p.Data[srcIPOffset] == 10 {
+			if p.Data[trafficgen.SrcIPOffset] == 10 {
 				b.estDelivered++
 			}
 		}}); err != nil {
@@ -310,9 +235,9 @@ func newConnBed(shards int) *connBed {
 
 // drain stops all traffic sources and runs virtual time forward until the
 // wheel has expired every connection (bounded at 8 timeout periods).
-func (b *connBed) drain(gens []*connGen, step sim.Time) {
+func (b *connBed) drain(gens []*trafficgen.SrcIPGen, step sim.Time) {
 	for _, g := range gens {
-		g.stopped = true
+		g.Stop()
 	}
 	now := b.eng.Now()
 	for i := 0; i < 8 && b.ct.Len() > 0; i++ {
@@ -353,8 +278,8 @@ func runConnscalePoint(c connscaleConfig) ConnscalePoint {
 		SynSent: estTO, Established: estTO, UDP: estTO, Fin: estTO,
 	}
 
-	g := newConnGen(b.eng, b.d, 10, c.conns, true, 80, hdr.TCPAck)
-	g.run(c.ratePPS)
+	g := newConnGen(b, 10, c.conns, 80, hdr.TCPAck)
+	g.Run(c.ratePPS)
 
 	// Fill: one full round establishes every connection (loose pickup).
 	fill := gap + 2*sim.Millisecond
@@ -365,11 +290,11 @@ func runConnscalePoint(c connscaleConfig) ConnscalePoint {
 	for _, cpu := range b.eng.CPUs() {
 		cpu.ResetAccounting()
 	}
-	sent0, delivered0 := g.sent, b.delivered
+	sent0, delivered0 := g.Sent, b.delivered
 
 	b.eng.RunUntil(fill + c.window)
 
-	pkts := g.sent - sent0
+	pkts := g.Sent - sent0
 	pt := ConnscalePoint{
 		Name: c.name, Conns: c.conns, Shards: c.shards,
 		RatePPS:   c.ratePPS,
@@ -394,24 +319,24 @@ func runConnscalePoint(c connscaleConfig) ConnscalePoint {
 		pt.ShardImbalance = float64(maxSz) * float64(len(sizes)) / float64(total)
 	}
 
-	b.drain([]*connGen{g}, estTO)
+	b.drain([]*trafficgen.SrcIPGen{g}, estTO)
 	b.ledger(&pt)
 	return pt
 }
 
 // runSynfloodArm runs the flood schedule once — fill, no-flood window,
-// flood window — under either the ladder (SetZoneLimits) or the legacy
-// hard limit (SetZoneLimit). It reports goodput for both windows, the
+// flood window — under either the ladder (SetZoneLimits) or the hard
+// limit (SetZoneLimit). It reports goodput for both windows, the
 // established-only share, and the bed for counter collection.
-func runSynfloodArm(c synfloodConfig, ladder bool) (baseGood, floodGood, baseEst, floodEst uint64, bed *connBed, gens []*connGen) {
+func runSynfloodArm(c synfloodConfig, ladder bool) (baseGood, floodGood, baseEst, floodEst uint64, bed *connBed, gens []*trafficgen.SrcIPGen) {
 	b := newConnBed(8)
 	b.ct.Timeouts = conntrack.Timeouts{
 		SynSent: c.synTimeout, Established: c.estTimeout,
 		UDP: c.estTimeout, Fin: c.synTimeout,
 	}
 
-	est := newConnGen(b.eng, b.d, 10, c.estConns, true, 80, hdr.TCPAck)
-	est.run(c.estRate)
+	est := newConnGen(b, 10, c.estConns, 80, hdr.TCPAck)
+	est.Run(c.estRate)
 	fill := sim.Time(float64(c.estConns)/c.estRate*float64(sim.Second)) + 2*sim.Millisecond
 	b.eng.RunUntil(fill)
 	b.ct.Loose = false
@@ -422,8 +347,8 @@ func runSynfloodArm(c synfloodConfig, ladder bool) (baseGood, floodGood, baseEst
 	}
 
 	// Phase A: legitimate connection churn, no flood.
-	legit := newConnGen(b.eng, b.d, 11, 0, false, 80, hdr.TCPSyn)
-	legit.run(c.newRate)
+	legit := newConnGen(b, 11, 0, 80, hdr.TCPSyn)
+	legit.Run(c.newRate)
 	b.eng.RunUntil(fill + c.warm)
 	d0, e0 := b.delivered, b.estDelivered
 	b.eng.RunUntil(fill + c.warm + c.window)
@@ -431,19 +356,19 @@ func runSynfloodArm(c synfloodConfig, ladder bool) (baseGood, floodGood, baseEst
 
 	// Phase B: the SYN flood joins.
 	floodStart := fill + c.warm + c.window
-	flood := newConnGen(b.eng, b.d, 12, 0, false, 81, hdr.TCPSyn)
-	flood.run(c.floodRate)
+	flood := newConnGen(b, 12, 0, 81, hdr.TCPSyn)
+	flood.Run(c.floodRate)
 	b.eng.RunUntil(floodStart + c.warm)
 	d0, e0 = b.delivered, b.estDelivered
 	b.eng.RunUntil(floodStart + c.warm + c.window)
 	floodGood, floodEst = b.delivered-d0, b.estDelivered-e0
 
-	return baseGood, floodGood, baseEst, floodEst, b, []*connGen{est, legit, flood}
+	return baseGood, floodGood, baseEst, floodEst, b, []*trafficgen.SrcIPGen{est, legit, flood}
 }
 
 // runSynflood measures the flood point: the ladder arm provides the
-// headline held-goodput numbers and counters; the legacy hard-limit arm
-// provides the comparison ratio.
+// headline held-goodput numbers and counters; the hard-limit arm provides
+// the comparison ratio.
 func runSynflood(c synfloodConfig) ConnscalePoint {
 	winS := float64(c.window) / float64(sim.Second)
 
@@ -481,23 +406,26 @@ func runSynflood(c synfloodConfig) ConnscalePoint {
 	return pt
 }
 
-// RunConnscale executes the connscale sweep for a profile and returns the
-// structured result (the scenario wrapper renders and persists it).
-func RunConnscale(p Profile) ConnscaleResult {
-	quick := p.Window < Full.Window
-	profileName := "full"
-	if quick {
-		profileName = "quick"
+// connscalePointNames lists the sweep's point names for a profile: the
+// steady points, then the flood arm.
+func connscalePointNames(p Profile) []string {
+	var names []string
+	for _, c := range connscalePoints(p.quick()) {
+		names = append(names, c.name)
 	}
-	res := ConnscaleResult{Envelope: api.NewEnvelope("connscale", 1, profileName)}
-	for _, c := range connscalePoints(quick) {
-		if len(ConnscaleOnly) > 0 && !ConnscaleOnly[c.name] {
-			continue
+	return append(names, connscaleFlood(p.quick()).name)
+}
+
+// RunConnscale executes the selected points of the connscale sweep for a
+// profile (all of them when points is empty).
+func RunConnscale(p Profile, points []string) *ConnscaleResult {
+	res := &ConnscaleResult{Envelope: api.NewEnvelope("connscale", 1, p.Name)}
+	for _, c := range connscalePoints(p.quick()) {
+		if selected(points, c.name) {
+			res.Points = append(res.Points, runConnscalePoint(c))
 		}
-		res.Points = append(res.Points, runConnscalePoint(c))
 	}
-	fc := connscaleFlood(quick)
-	if len(ConnscaleOnly) == 0 || ConnscaleOnly[fc.name] {
+	if fc := connscaleFlood(p.quick()); selected(points, fc.name) {
 		res.Points = append(res.Points, runSynflood(fc))
 	}
 	return res
@@ -505,10 +433,11 @@ func RunConnscale(p Profile) ConnscaleResult {
 
 func init() {
 	registerScenario(Scenario{
-		ID:    "connscale",
-		Title: "million-connection conntrack: capacity vs table size + SYN-flood degradation",
-		Run: func(p Profile) *Report {
-			res := RunConnscale(p)
+		ID:     "connscale",
+		Title:  "million-connection conntrack: capacity vs table size + SYN-flood degradation",
+		Points: connscalePointNames,
+		Run: func(p Profile, points []string) (*Report, any) {
+			res := RunConnscale(p, points)
 			rep := &Report{ID: "connscale",
 				Title: "conntrack scaling sweep (concurrent connections x shards, wheel expiry)"}
 			for _, pt := range res.Points {
@@ -522,44 +451,11 @@ func init() {
 					rep.Add(pt.Name+" conns: busy time per packet", pt.NsPerPkt, 0, "ns/pkt")
 					rep.Add(pt.Name+" conns: shard imbalance", pt.ShardImbalance, 0, "x mean")
 				}
-				ledger := "ok"
-				if !pt.LedgerOK {
-					ledger = "BROKEN"
-				}
 				rep.AddNote("%s: created %d = expired %d + early-drop %d + evicted %d + live %d (ledger %s); table-full %d, peak %d conns",
 					pt.Name, pt.Created, pt.Expired, pt.EarlyDrops, pt.Evicted,
-					pt.LiveAfterDrain, ledger, pt.TableFull, pt.PeakConns)
+					pt.LiveAfterDrain, ledgerWord(pt.LedgerOK), pt.TableFull, pt.PeakConns)
 			}
-			if ConnscaleJSONPath != "" {
-				if err := WriteConnscaleJSON(ConnscaleJSONPath, res); err != nil {
-					rep.AddNote("failed to write %s: %v", ConnscaleJSONPath, err)
-				} else {
-					rep.AddNote("wrote %s", ConnscaleJSONPath)
-				}
-			}
-			return rep
+			return rep, res
 		},
 	})
-}
-
-// WriteConnscaleJSON persists a connscale result.
-func WriteConnscaleJSON(path string, res ConnscaleResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadConnscaleJSON reads a previously written result.
-func LoadConnscaleJSON(path string) (ConnscaleResult, error) {
-	var res ConnscaleResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return res, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
 }

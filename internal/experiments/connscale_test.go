@@ -11,7 +11,7 @@ func TestConnscaleQuickAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs millions of virtual packets")
 	}
-	res := RunConnscale(Quick)
+	res := RunConnscale(Quick, nil)
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}
@@ -36,7 +36,7 @@ func TestConnscaleQuickAcceptance(t *testing.T) {
 				t.Errorf("%s: flood arm shed no embryonic state", pt.Name)
 			}
 			if pt.NoLadderHeldPct >= pt.HeldPct {
-				t.Errorf("%s: legacy limit held %.1f%% >= ladder %.1f%% — ladder shows no benefit",
+				t.Errorf("%s: hard limit held %.1f%% >= ladder %.1f%% — ladder shows no benefit",
 					pt.Name, pt.NoLadderHeldPct, pt.HeldPct)
 			}
 		} else {

@@ -19,7 +19,7 @@ func init() {
 	registerScenario(Scenario{
 		ID:    "corescale",
 		Title: "core scaling: Mpps/core for 1..8 cores, uniform and skewed RSS",
-		Run:   runCoreScale,
+		Run:   reportOnly(runCoreScale),
 	})
 }
 
@@ -64,7 +64,7 @@ func runCoreScale(p Profile) *Report {
 
 	coreCounts := []int{1, 2, 4, 8}
 	skewCores := []int{2, 4, 8}
-	if p.Window < Full.Window {
+	if p.quick() {
 		coreCounts = []int{1, 2, 4} // quick profile drops the 8-core points
 		skewCores = []int{4}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,6 +13,9 @@ import (
 // Profile trades fidelity for wall-clock time: Full reproduces the paper's
 // windows; Quick shortens them for tests and CI.
 type Profile struct {
+	// Name ("full", "quick") labels machine-readable results and selects
+	// the shortened sweeps.
+	Name       string
 	Warmup     sim.Time
 	Window     sim.Time
 	SearchIter int
@@ -24,10 +28,14 @@ type Profile struct {
 }
 
 // Full is the publication-quality profile.
-var Full = Profile{Warmup: 6 * sim.Millisecond, Window: 30 * sim.Millisecond, SearchIter: 11, RRCount: 2000}
+var Full = Profile{Name: "full", Warmup: 6 * sim.Millisecond, Window: 30 * sim.Millisecond, SearchIter: 11, RRCount: 2000}
 
 // Quick is the CI profile.
-var Quick = Profile{Warmup: 3 * sim.Millisecond, Window: 10 * sim.Millisecond, SearchIter: 9, RRCount: 400}
+var Quick = Profile{Name: "quick", Warmup: 3 * sim.Millisecond, Window: 10 * sim.Millisecond, SearchIter: 9, RRCount: 400}
+
+// quick reports whether p is the CI profile: sweeps drop their most
+// expensive points and shorten their own windows.
+func (p Profile) quick() bool { return p.Name == Quick.Name }
 
 // Row is one reported measurement with its paper anchor.
 type Row struct {
@@ -85,6 +93,14 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// ledgerWord renders a conservation ledger's verdict in scenario notes.
+func ledgerWord(ok bool) string {
+	if ok {
+		return "ok"
+	}
+	return "BROKEN"
+}
+
 // Experiment is a registered reproduction target.
 type Experiment struct {
 	ID    string
@@ -118,7 +134,46 @@ func All() []Experiment {
 type Scenario struct {
 	ID    string
 	Title string
-	Run   func(p Profile) *Report
+	// Points names the sweep's points for a profile, cheapest first. It is
+	// nil for a scenario that has no sweep to select from and no
+	// machine-readable result.
+	Points func(p Profile) []string
+	// Run executes the scenario. A non-empty points restricts the sweep to
+	// those names (validate them with CheckPoints first). The second result
+	// is the scenario's typed result for JSON output — a *Result struct
+	// embedding api.Envelope — and nil exactly when Points is nil.
+	Run func(p Profile, points []string) (*Report, any)
+}
+
+// CheckPoints rejects a points selection the scenario cannot honour for the
+// profile, naming the valid points — a misspelt point must not silently
+// measure nothing.
+func (s Scenario) CheckPoints(p Profile, points []string) error {
+	if len(points) == 0 {
+		return nil
+	}
+	if s.Points == nil {
+		return fmt.Errorf("scenario %s has no points to select", s.ID)
+	}
+	valid := s.Points(p)
+	for _, name := range points {
+		if !slices.Contains(valid, name) {
+			return fmt.Errorf("scenario %s has no point %q in the %s profile; have: %s",
+				s.ID, name, p.Name, strings.Join(valid, ", "))
+		}
+	}
+	return nil
+}
+
+// selected reports whether a sweep should run the named point: every point
+// when the selection is empty, otherwise only those listed.
+func selected(points []string, name string) bool {
+	return len(points) == 0 || slices.Contains(points, name)
+}
+
+// reportOnly adapts a scenario with no sweep and no typed result.
+func reportOnly(run func(Profile) *Report) func(Profile, []string) (*Report, any) {
+	return func(p Profile, _ []string) (*Report, any) { return run(p), nil }
 }
 
 var scenarioRegistry = map[string]Scenario{}

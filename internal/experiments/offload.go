@@ -23,9 +23,7 @@ package experiments
 // — the JSON output is byte-identical run to run at fixed defaults.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"ovsxdp/internal/api"
 	"ovsxdp/internal/dpif"
@@ -33,18 +31,9 @@ import (
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
-	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/trafficgen"
 )
-
-// OffloadJSONPath, when non-empty, is where the offload scenario writes
-// its machine-readable result. cmd/ovsbench defaults it to
-// BENCH_offload.json; tests leave it empty to skip the write.
-var OffloadJSONPath string
-
-// OffloadOnly, when non-empty, restricts the run to the named points (CI
-// runs baseline+fit to keep the smoke job cheap).
-var OffloadOnly map[string]bool
 
 // OffloadPoint is one measured offload configuration. Every field is
 // computed in the virtual domain, so a point is deterministic for a given
@@ -138,66 +127,6 @@ func offloadPoints(quick bool) []offloadConfig {
 	return pts
 }
 
-// offloadGen drives round-robin traffic over one flow class by
-// byte-patching the source IP into a prebuilt template frame — no
-// per-packet allocation, no RNG, fully deterministic. Flow ids are offset
-// per class so elephants and mice never share a five-tuple.
-type offloadGen struct {
-	eng      *sim.Engine
-	dp       dpif.Dpif
-	template []byte
-	pool     *packet.Pool
-	idBase   int
-	flows    int
-	cursor   int
-	stopped  bool
-	sent     uint64
-}
-
-func newOffloadGen(eng *sim.Engine, dp dpif.Dpif, idBase, flows int) *offloadGen {
-	frame := hdr.NewBuilder().
-		Eth(hdr.MAC{0x02, 0xaa, 0, 0, 0, 1}, hdr.MAC{0x02, 0xbb, 0, 0, 0, 1}).
-		IPv4H(churnSrcIP(0), hdr.MakeIP4(10, 255, 0, 1), 64).
-		UDPH(1000, 2000).PadTo(64).Build()
-	return &offloadGen{eng: eng, dp: dp, template: frame,
-		pool: packet.NewPool(64, len(frame), true), idBase: idBase, flows: flows}
-}
-
-func (g *offloadGen) emit() {
-	id := g.idBase + g.cursor
-	g.cursor++
-	if g.cursor >= g.flows {
-		g.cursor = 0
-	}
-	ip := churnSrcIP(id)
-	g.template[srcIPOffset] = byte(ip >> 24)
-	g.template[srcIPOffset+1] = byte(ip >> 16)
-	g.template[srcIPOffset+2] = byte(ip >> 8)
-	g.template[srcIPOffset+3] = byte(ip)
-	p := g.pool.GetCopy(g.template)
-	p.InPort = 1
-	g.sent++
-	g.dp.Execute(p)
-}
-
-func (g *offloadGen) run(ratePPS float64) {
-	interval := sim.Time(float64(sim.Second) / ratePPS)
-	if interval <= 0 {
-		interval = 1
-	}
-	next := g.eng.Now()
-	var tick func()
-	tick = func() {
-		if g.stopped {
-			return
-		}
-		g.emit()
-		next += interval
-		g.eng.ScheduleAt(next, tick)
-	}
-	g.eng.ScheduleAt(next, tick)
-}
-
 // runOffloadPoint executes one configuration: build an Execute-driven
 // netdev datapath, configure offload through the other_config surface,
 // warm up past fill and elephant detection, measure a steady-state window,
@@ -229,10 +158,14 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 
 	r := dpif.StartWheelRevalidator(eng, d, offloadIdle)
 
-	eg := newOffloadGen(eng, d, 0, offloadElephants)
-	mg := newOffloadGen(eng, d, 1<<20, offloadMice)
-	eg.run(offloadElephantPPS)
-	mg.run(offloadMousePPS)
+	// Round-robin traffic per flow class; ids are offset per class so
+	// elephants and mice never share a five-tuple.
+	eg := &trafficgen.SrcIPGen{Eng: eng, Template: churnFrame(), Sink: executeSink(d),
+		Class: 10, Window: offloadElephants}
+	mg := &trafficgen.SrcIPGen{Eng: eng, Template: churnFrame(), Sink: executeSink(d),
+		Class: 10, Base: 1 << 20, Window: offloadMice}
+	eg.Run(offloadElephantPPS)
+	mg.Run(offloadMousePPS)
 
 	// Warmup covers the mouse fill (4096 flows at 1 Mpps ≈ 4.1 ms) plus a
 	// few readback intervals for the elephant EWMA to cross the threshold
@@ -260,14 +193,14 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 	for _, cpu := range eng.CPUs() {
 		cpu.ResetAccounting()
 	}
-	sent0 := eg.sent + mg.sent
+	sent0 := eg.Sent + mg.Sent
 	st0 := d.Stats()
 	evic0 := r.Evicted
 
 	eng.RunUntil(warmup + window)
 
 	st1 := d.Stats()
-	pkts := eg.sent + mg.sent - sent0
+	pkts := eg.Sent + mg.Sent - sent0
 	busy := pmd.CPU.BusyTotal()
 	pt := OffloadPoint{
 		Name:                c.name,
@@ -291,8 +224,8 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 	// Drain: stop traffic; every flow goes idle, the revalidator expires
 	// it, and the FlowDel purge discipline must empty the hardware table
 	// along with the software caches.
-	eg.stopped = true
-	mg.stopped = true
+	eg.Stop()
+	mg.Stop()
 	now := warmup + window
 	for step := 0; step < 8 && d.Stats().Flows > 0; step++ {
 		now += offloadIdle
@@ -312,20 +245,26 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 	return pt
 }
 
-// RunOffload executes the offload sweep for a profile and returns the
-// structured result (the scenario wrapper renders and persists it).
-func RunOffload(p Profile) OffloadResult {
-	quick := p.Window < Full.Window
-	profileName := "full"
+// offloadPointNames lists the sweep's point names for a profile.
+func offloadPointNames(p Profile) []string {
+	var names []string
+	for _, c := range offloadPoints(p.quick()) {
+		names = append(names, c.name)
+	}
+	return names
+}
+
+// RunOffload executes the selected points of the offload sweep for a
+// profile (all of them when points is empty).
+func RunOffload(p Profile, points []string) *OffloadResult {
 	window := 40 * sim.Millisecond
-	if quick {
-		profileName = "quick"
+	if p.quick() {
 		window = 12 * sim.Millisecond
 	}
-	res := OffloadResult{Envelope: api.NewEnvelope("offload", 1, profileName)}
+	res := &OffloadResult{Envelope: api.NewEnvelope("offload", 1, p.Name)}
 	var baseline *OffloadPoint
-	for _, c := range offloadPoints(quick) {
-		if len(OffloadOnly) > 0 && !OffloadOnly[c.name] {
+	for _, c := range offloadPoints(p.quick()) {
+		if !selected(points, c.name) {
 			continue
 		}
 		pt := runOffloadPoint(c, window)
@@ -342,10 +281,11 @@ func RunOffload(p Profile) OffloadResult {
 
 func init() {
 	registerScenario(Scenario{
-		ID:    "offload",
-		Title: "hardware flow offload: elephants in the NIC table vs all-software",
-		Run: func(p Profile) *Report {
-			res := RunOffload(p)
+		ID:     "offload",
+		Title:  "hardware flow offload: elephants in the NIC table vs all-software",
+		Points: offloadPointNames,
+		Run: func(p Profile, points []string) (*Report, any) {
+			res := RunOffload(p, points)
 			rep := &Report{ID: "offload",
 				Title: "elephant offload sweep (NIC flow-table pressure x software fallback)"}
 			for _, pt := range res.Points {
@@ -356,45 +296,12 @@ func init() {
 					rep.Add(pt.Name+": speedup vs baseline", pt.MppsRatio, 0, "x")
 					rep.Add(pt.Name+": PMD cycles freed", pt.CyclesFreedPct, 0, "%")
 				}
-				ledger := "ok"
-				if !pt.LedgerOK {
-					ledger = "BROKEN"
-				}
 				rep.AddNote("%s: installs %d = evictions %d + uninstalls %d + live %d (ledger %s); refused %d, %d readbacks merged %d hw hits; window upcalls %d, reval evictions %d, hw live after drain %d",
-					pt.Name, pt.Installs, pt.Evictions, pt.Uninstalls, pt.Live, ledger,
+					pt.Name, pt.Installs, pt.Evictions, pt.Uninstalls, pt.Live, ledgerWord(pt.LedgerOK),
 					pt.Refused, pt.Readbacks, pt.HWMergedHits,
 					pt.Upcalls, pt.RevalEvicted, pt.LiveAfterDrain)
 			}
-			if OffloadJSONPath != "" {
-				if err := WriteOffloadJSON(OffloadJSONPath, res); err != nil {
-					rep.AddNote("failed to write %s: %v", OffloadJSONPath, err)
-				} else {
-					rep.AddNote("wrote %s", OffloadJSONPath)
-				}
-			}
-			return rep
+			return rep, res
 		},
 	})
-}
-
-// WriteOffloadJSON persists an offload result.
-func WriteOffloadJSON(path string, res OffloadResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadOffloadJSON reads a previously written result.
-func LoadOffloadJSON(path string) (OffloadResult, error) {
-	var res OffloadResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return res, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
 }

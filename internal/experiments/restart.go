@@ -18,7 +18,7 @@ func init() {
 	registerScenario(Scenario{
 		ID:    "restart",
 		Title: "vswitchd restart/upgrade: loss gap, userspace-AF_XDP vs kernel",
-		Run:   runRestart,
+		Run:   reportOnly(runRestart),
 	})
 }
 

@@ -41,6 +41,7 @@ import (
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/svc"
+	"ovsxdp/internal/trafficgen"
 )
 
 const (
@@ -96,58 +97,6 @@ func (s *SoakSummary) OK() bool {
 	return s.RxLedgerOK && s.CtLedgerOK && s.OffLedgerOK &&
 		s.SMCHits > 0 && s.Rebalances > 0 && s.OffEvictions > 0 &&
 		len(s.HTTPErrors) == 0
-}
-
-// soakTCPGen drives round-robin TCP connections into the bed's NIC by
-// byte-patching the source IP into one template frame, exactly like the
-// connscale generator but feeding the receive path instead of Execute.
-type soakTCPGen struct {
-	eng      *sim.Engine
-	sink     func(*packet.Packet)
-	template []byte
-	pool     *packet.Pool
-	conns    int
-	cursor   int
-	until    sim.Time
-	sent     uint64
-}
-
-func newSoakTCPGen(eng *sim.Engine, sink func(*packet.Packet), conns int) *soakTCPGen {
-	frame := hdr.NewBuilder().
-		Eth(hdr.MAC{0x02, 0xaa, 0, 0, 0, 3}, hdr.MAC{0x02, 0xbb, 0, 0, 0, 3}).
-		IPv4H(connSrcIP(192, 0), hdr.MakeIP4(10, 255, 0, 2), 64).
-		TCPH(1000, 80, 1, 0, hdr.TCPAck).PadTo(64).Build()
-	return &soakTCPGen{eng: eng, sink: sink, template: frame,
-		pool: packet.NewPool(64, len(frame), true), conns: conns}
-}
-
-func (g *soakTCPGen) run(ratePPS float64, until sim.Time) {
-	g.until = until
-	interval := sim.Time(float64(sim.Second) / ratePPS)
-	if interval <= 0 {
-		interval = 1
-	}
-	next := g.eng.Now()
-	var tick func()
-	tick = func() {
-		if g.eng.Now() >= g.until {
-			return
-		}
-		ip := connSrcIP(192, g.cursor)
-		g.cursor++
-		if g.cursor >= g.conns {
-			g.cursor = 0
-		}
-		g.template[srcIPOffset] = byte(ip >> 24)
-		g.template[srcIPOffset+1] = byte(ip >> 16)
-		g.template[srcIPOffset+2] = byte(ip >> 8)
-		g.template[srcIPOffset+3] = byte(ip)
-		g.sent++
-		g.sink(g.pool.GetCopy(g.template))
-		next += interval
-		g.eng.ScheduleAt(next, tick)
-	}
-	g.eng.ScheduleAt(next, tick)
 }
 
 // soakClient issues real HTTP requests against the httptest server and
@@ -304,9 +253,17 @@ func RunSoak(p Profile) *SoakSummary {
 		hCheck.Release()
 	}()
 
-	tcp := newSoakTCPGen(bed.Eng, func(p *packet.Packet) { bed.NICA.Receive(p) }, soakConns)
+	// The TCP class: round-robin connections from 192.x, fed to the NIC's
+	// receive path like the UDP class.
+	tcp := &trafficgen.SrcIPGen{Eng: bed.Eng,
+		Template: hdr.NewBuilder().
+			Eth(hdr.MAC{0x02, 0xaa, 0, 0, 0, 3}, hdr.MAC{0x02, 0xbb, 0, 0, 0, 3}).
+			IPv4H(hdr.MakeIP4(192, 0, 0, 0), hdr.MakeIP4(10, 255, 0, 2), 64).
+			TCPH(1000, 80, 1, 0, hdr.TCPAck).PadTo(64).Build(),
+		Sink:  func(p *packet.Packet) { bed.NICA.Receive(p) },
+		Class: 192, Window: soakConns, Until: total}
 	bed.Gen.Run(soakUDPRate, total)
-	tcp.run(soakTCPRate, total)
+	tcp.Run(soakTCPRate)
 	ctl.Run(total)
 
 	// Drain: in-flight packets first, then the conntrack wheel.
@@ -339,7 +296,7 @@ func RunSoak(p Profile) *SoakSummary {
 	rebalances, _, _ := nd.Datapath().RebalanceStats()
 	s := &SoakSummary{
 		UDPSent:            bed.Gen.Sent,
-		TCPSent:            tcp.sent,
+		TCPSent:            tcp.Sent,
 		Delivered:          bed.Delivered,
 		Drops:              bed.Drops(),
 		Lost:               final.Lost,
@@ -373,7 +330,7 @@ func init() {
 	registerScenario(Scenario{
 		ID:    "soak",
 		Title: "HTTP-driven soak: SMC flip + fault window + auto-LB rebalance over the live API",
-		Run: func(p Profile) *Report {
+		Run: reportOnly(func(p Profile) *Report {
 			s := RunSoak(p)
 			rep := &Report{ID: "soak",
 				Title: "live-reconfiguration soak over the ovs-svc control plane"}
@@ -407,6 +364,6 @@ func init() {
 				rep.AddNote("soak FAILED")
 			}
 			return rep
-		},
+		}),
 	})
 }

@@ -126,19 +126,10 @@ type BedConfig struct {
 	RSSWeights []int
 }
 
-// DefaultCache overlays cache-hierarchy toggles onto every bed DefaultBed
-// builds, so `ovsbench -smc`/`-emc-prob` can rerun the stock experiments
-// with the signature cache on or probabilistic EMC insertion. The zero
-// value changes nothing, keeping default measured outputs byte-identical.
-// Scenarios that pin their own cache configuration (cachesweep) overwrite
-// Opts after DefaultBed and are unaffected.
-var DefaultCache struct {
-	SMC              bool
-	EMCInsertInvProb int
-}
-
 // DefaultOther overlays ovs-vsctl-style other_config keys onto every bed
-// DefaultBed builds (`ovsbench -o key=value`). nil changes nothing, keeping
+// DefaultBed builds (`ovsbench -o key=value`, e.g. `-o smc-enable=true -o
+// emc-insert-inv-prob=100` to rerun the stock experiments with the signature
+// cache on and probabilistic EMC insertion). nil changes nothing, keeping
 // default measured outputs byte-identical. Scenarios that pin their own
 // config (corescale's auto-LB arm) set BedConfig.Other directly and are
 // unaffected.
@@ -151,12 +142,6 @@ func DefaultBed(kind DPKind, flows int) BedConfig {
 		LinkRate: costmodel.LinkRate25G,
 		Mode:     core.ModePoll, Lock: afxdp.LockSpinBatched,
 		Opts: core.DefaultOptions(), KernelQueues: 12, Seed: 1,
-	}
-	if DefaultCache.SMC {
-		cfg.Opts.SMC = true
-	}
-	if DefaultCache.EMCInsertInvProb > 1 {
-		cfg.Opts.EMCInsertInvProb = DefaultCache.EMCInsertInvProb
 	}
 	cfg.Other = DefaultOther
 	return cfg

@@ -49,16 +49,16 @@ func TestSteadyStatePMDLoopZeroAlloc(t *testing.T) {
 // byte. Every scenario builds its own engine from the same fixed seed, so
 // any divergence means hidden state leaked between runs or ordering became
 // nondeterministic (e.g. a map-iteration dependence in the event wheel or
-// the arenas). simspeed is excluded: its headline numbers are wall-clock.
+// the arenas).
 func TestScenariosSameSeedByteIdentical(t *testing.T) {
 	for _, id := range []string{"restart", "cachesweep", "corescale", "churnscale", "connscale", "offload"} {
 		sc, ok := GetScenario(id)
 		if !ok {
 			t.Fatalf("scenario %s not registered", id)
 		}
-		first := sc.Run(Quick).String()
-		second := sc.Run(Quick).String()
-		if first != second {
+		first, _ := sc.Run(Quick, nil)
+		second, _ := sc.Run(Quick, nil)
+		if first.String() != second.String() {
 			t.Errorf("scenario %s diverged between same-seed runs:\n--- first\n%s\n--- second\n%s",
 				id, first, second)
 		}

@@ -61,11 +61,10 @@ func TestWindowOnSetEdges(t *testing.T) {
 // TestFaultErrorTransient pins which kinds the retry machinery retries.
 func TestFaultErrorTransient(t *testing.T) {
 	transient := map[Kind]bool{
-		KindUpcallFailure:    true,
-		KindRingStall:        true,
-		KindUmemExhaustion:   false,
-		KindLinkFlap:         false,
-		KindRevalidatorStall: false,
+		KindUpcallFailure:  true,
+		KindRingStall:      true,
+		KindUmemExhaustion: false,
+		KindLinkFlap:       false,
 	}
 	for k, want := range transient {
 		err := (&Injector{}).Err(k, "x")

@@ -151,11 +151,6 @@ func (d *Datapath) FlowCount() int { return d.flows.Len() }
 // behind ovs-dpctl dump-flows on the kernel datapath).
 func (d *Datapath) Flows() []*dpcls.Entry { return d.flows.Entries() }
 
-// FlowsInto appends the installed datapath flows into buf (truncated
-// first) and returns it — the allocation-free dump form the revalidator
-// reuses its buffer with.
-func (d *Datapath) FlowsInto(buf []*dpcls.Entry) []*dpcls.Entry { return d.flows.EntriesInto(buf) }
-
 // SetFlowHook registers (or, with nil, clears) the flow-installed
 // notification fired for every freshly installed flow (upcall installs,
 // InstallFlow, negative flows). In-place replacements do not re-fire it.
@@ -205,18 +200,6 @@ func (d *Datapath) cost(base sim.Time) sim.Time {
 // This is the handler a NAPIActor drives.
 func (d *Datapath) Process(cpu *sim.CPU, p *packet.Packet) {
 	d.process(cpu, p, 0)
-}
-
-// ProcessBatch is the batch form, matching NAPIActor.Handler. One batch is
-// the kernel analog of a PMD poll iteration (a NAPI poll).
-func (d *Datapath) ProcessBatch(cpu *sim.CPU, pkts []*packet.Packet) {
-	d.Perf.AddIteration()
-	if len(pkts) > 0 {
-		d.Perf.AddBatch(len(pkts))
-	}
-	for _, p := range pkts {
-		d.Process(cpu, p)
-	}
 }
 
 const maxKernelRecirc = 8

@@ -42,11 +42,6 @@ type SearchConfig struct {
 	Iterations int
 }
 
-// DefaultSearch brackets 10 kpps to 40 Mpps.
-func DefaultSearch() SearchConfig {
-	return SearchConfig{LoPPS: 1e4, HiPPS: 40e6, LossTolerance: 0.001, Iterations: 12}
-}
-
 // LosslessRate bisects to the maximum rate the system sustains without
 // loss. It returns that rate, the trial measured at it, and whether any
 // rate in the bracket was sustainable; when found is false the rate is 0

@@ -14,7 +14,6 @@ package netlinksim
 
 import (
 	"fmt"
-	"sort"
 
 	"ovsxdp/internal/packet/hdr"
 )
@@ -211,16 +210,6 @@ func (k *Kernel) LinkByIndex(idx uint32) (*Link, error) {
 		return nil, ErrNoDevice{fmt.Sprintf("ifindex %d", idx)}
 	}
 	return l, nil
-}
-
-// Links lists devices sorted by index.
-func (k *Kernel) Links() []*Link {
-	out := make([]*Link, 0, len(k.links))
-	for _, l := range k.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
 }
 
 // SetLinkState brings a device up or down.

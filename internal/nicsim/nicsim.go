@@ -124,9 +124,6 @@ func (q *Queue) SetInterrupt(fn func()) { q.irqFn = fn }
 // ArmInterrupt enables interrupt delivery for the next packet arrival.
 func (q *Queue) ArmInterrupt() { q.irqArmed = true }
 
-// DisarmInterrupt disables interrupt delivery (NAPI poll mode).
-func (q *Queue) DisarmInterrupt() { q.irqArmed = false }
-
 // NIC is one simulated network interface.
 type NIC struct {
 	Name    string

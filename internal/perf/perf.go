@@ -93,8 +93,8 @@ type Stats struct {
 	// UpcallQueueDrops counts packets this thread dropped because its
 	// bounded upcall queue was full (the netdev analog of the kernel's
 	// ENOBUFS on the netlink socket); UpcallQueuePeak is the deepest the
-	// queue got. Both stay zero when the queue is unbounded (legacy
-	// inline upcalls).
+	// queue got. Both stay zero when the queue is unbounded (inline
+	// upcalls).
 	UpcallQueueDrops uint64
 	UpcallQueuePeak  uint64
 

@@ -121,16 +121,6 @@ func (c *CPU) Consume(cat Category, d Time) Time { return c.Exec(cat, d, nil) }
 // Idle reports whether the CPU has no queued work at the current time.
 func (c *CPU) Idle() bool { return c.freeAt <= c.engine.Now() }
 
-// Utilization returns the fraction of the elapsed window this CPU was busy,
-// summed over categories. It can exceed 1.0 only if the caller passes a
-// window shorter than the simulation actually ran.
-func (c *CPU) Utilization(elapsed Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.BusyTotal()) / float64(elapsed)
-}
-
 // ResetAccounting zeroes the busy counters, typically after a warm-up phase
 // so that steady-state windows are measured alone.
 func (c *CPU) ResetAccounting() { c.busy = [NumCategories]Time{} }

@@ -188,8 +188,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // excluded).
 func (e *Engine) Pending() int { return e.q.live }
 
-// Executed reports the total number of events run so far (simulator
-// throughput accounting for the simspeed benchmark).
+// Executed reports the total number of events run so far (the events/pkt
+// and events/wall-s accounting of the scenarios and `go run ./benchmark`).
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // NewCPU allocates a simulated CPU (one hardware hyperthread) and registers

@@ -118,6 +118,8 @@ func TestErrorPaths(t *testing.T) {
 		{"PUT", "/v1/config", "{not json", http.StatusBadRequest},
 		{"PUT", "/v1/config", `{"values":{}}`, http.StatusBadRequest},
 		{"POST", "/v1/faults", `{"kind":"meteor-strike","target":"x","duration_us":1}`, http.StatusBadRequest},
+		// Nothing gates on a revalidator stall, so it is not a kind.
+		{"POST", "/v1/faults", `{"kind":"revalidator-stall","target":"x","duration_us":1}`, http.StatusBadRequest},
 		{"POST", "/v1/faults", `{"kind":"upcall-failure","target":"x","duration_us":0}`, http.StatusBadRequest},
 		{"DELETE", "/v1/config", "", http.StatusMethodNotAllowed},
 		{"POST", "/v1/datapaths", "", http.StatusMethodNotAllowed},

@@ -181,3 +181,80 @@ func TestRRMeasuresRTT(t *testing.T) {
 		t.Fatalf("transactions/s = %.0f, want ~22k", tps)
 	}
 }
+
+// srcIPFrame is a minimal template for the SrcIPGen tests.
+func srcIPFrame() []byte {
+	return hdr.NewBuilder().
+		Eth(hdr.MAC{0x02, 0xaa, 0, 0, 0, 1}, hdr.MAC{0x02, 0xbb, 0, 0, 0, 1}).
+		IPv4H(hdr.MakeIP4(10, 0, 0, 0), hdr.MakeIP4(10, 255, 0, 1), 64).
+		UDPH(1000, 2000).PadTo(64).Build()
+}
+
+// srcIPRun runs g at 1 Mpps until the engine drains and returns each
+// packet's (arrival time, source address).
+func srcIPRun(g *SrcIPGen, horizon sim.Time) (at []sim.Time, src []hdr.IP4) {
+	g.Sink = func(p *packet.Packet) {
+		at = append(at, g.Eng.Now())
+		d := p.Data[SrcIPOffset:]
+		src = append(src, hdr.MakeIP4(d[0], d[1], d[2], d[3]))
+	}
+	g.Run(1e6)
+	g.Eng.RunUntil(horizon)
+	return at, src
+}
+
+func TestSrcIPGenCyclesOverASlidingWindow(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := &SrcIPGen{Eng: eng, Template: srcIPFrame(), Class: 10, Base: 1 << 16, Window: 3,
+		Until: 7 * sim.Microsecond}
+	// Slide the window by one id after the fourth packet.
+	eng.ScheduleAt(3*sim.Microsecond+1, func() { g.Base++ })
+	at, src := srcIPRun(g, sim.Millisecond)
+
+	want := []hdr.IP4{ // ids 65536+{0,1,2,0} then 65537+{1,2,0}
+		hdr.MakeIP4(10, 1, 0, 0), hdr.MakeIP4(10, 1, 0, 1), hdr.MakeIP4(10, 1, 0, 2), hdr.MakeIP4(10, 1, 0, 0),
+		hdr.MakeIP4(10, 1, 0, 2), hdr.MakeIP4(10, 1, 0, 3), hdr.MakeIP4(10, 1, 0, 1),
+	}
+	if len(src) != len(want) || g.Sent != uint64(len(want)) {
+		t.Fatalf("sent %d packets (Sent = %d), want %d: Until must cut generation at 7us", len(src), g.Sent, len(want))
+	}
+	for i := range want {
+		if src[i] != want[i] {
+			t.Errorf("packet %d: src %s, want %s", i, src[i], want[i])
+		}
+		if at[i] != sim.Time(i)*sim.Microsecond {
+			t.Errorf("packet %d at %v, want exactly periodic arrivals", i, at[i])
+		}
+	}
+}
+
+func TestSrcIPGenFreshIDsJitterAndStop(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := &SrcIPGen{Eng: eng, Template: srcIPFrame(), Class: 12, Jitter: true}
+	eng.ScheduleAt(sim.Millisecond, g.Stop)
+	at, src := srcIPRun(g, 2*sim.Millisecond)
+
+	if n := len(src); n < 900 || n > 1100 {
+		t.Fatalf("%d packets in 1 ms at 1 Mpps: jitter must preserve the mean rate", n)
+	}
+	varied := false
+	for i := range src {
+		if want := hdr.MakeIP4(12, byte(i>>16), byte(i>>8), byte(i)); src[i] != want {
+			t.Fatalf("packet %d: src %s, want fresh id %s", i, src[i], want)
+		}
+		if i == 0 {
+			continue
+		}
+		gap := at[i] - at[i-1]
+		if gap < 750 || gap > 1250 {
+			t.Fatalf("gap %d = %v, want within +-25%% of 1us", i, gap)
+		}
+		varied = varied || gap != sim.Microsecond
+	}
+	if !varied {
+		t.Error("jittered arrivals are exactly periodic")
+	}
+	if !g.Stopped() || at[len(at)-1] > sim.Millisecond {
+		t.Errorf("generation continued after Stop (last arrival %v)", at[len(at)-1])
+	}
+}

@@ -8,6 +8,9 @@
 //     driven through real datapath components;
 //   - RR, the netperf TCP_RR analog (Section 5.3): single-transaction
 //     ping-pong measuring the latency distribution.
+//
+// SrcIPGen is not from the paper: it is the open-loop source the scale
+// scenarios (churnscale, connscale, offload, soak) share.
 package trafficgen
 
 import (

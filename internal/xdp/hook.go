@@ -83,9 +83,6 @@ func NewHook(model AttachModel, mode Mode) *Hook {
 	return &Hook{model: model, mode: mode}
 }
 
-// Model returns the attachment model.
-func (h *Hook) Model() AttachModel { return h.model }
-
 // Mode returns the execution mode.
 func (h *Hook) Mode() Mode { return h.mode }
 
