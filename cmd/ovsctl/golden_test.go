@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"ovsxdp/internal/dpif"
 )
 
 // captureStdout runs fn with os.Stdout redirected into a buffer. The CLI
@@ -37,14 +35,14 @@ func captureStdout(t *testing.T, fn func() error) []byte {
 
 // TestGoldenOutputs pins the CLI's byte-exact rendering across the api view
 // layer: every subcommand output below was captured before the typed-DTO
-// refactor and must never drift. The simulation is virtual-time, so these
-// bytes are deterministic on every machine.
+// refactor and must never drift. The three fault-demo outputs were captured
+// while each datapath still carried its own copy of the bounded upcall
+// queue, so they pin the shared slow path (internal/upcall) to what both
+// copies did. The simulation is virtual-time, so these bytes are
+// deterministic on every machine.
 func TestGoldenOutputs(t *testing.T) {
-	base := func() cliConfig {
-		return cliConfig{cc: dpif.CacheConfig{EMCInsertInvProb: 1}, other: map[string]string{}}
-	}
-	smc := base()
-	smc.cc.SMC = true
+	base := func() cliConfig { return cliConfig{} }
+	smc := cliConfig{"smc-enable": "true"}
 
 	cases := []struct {
 		golden string
@@ -59,6 +57,9 @@ func TestGoldenOutputs(t *testing.T) {
 		{"perf-netdev.txt", "netdev", base(), pmdPerfShow},
 		{"perf-netlink.txt", "netlink", base(), pmdPerfShow},
 		{"perf-ebpf.txt", "ebpf", base(), pmdPerfShow},
+		{"fault-demo-netdev.txt", "netdev", base(), faultDemo},
+		{"fault-demo-netlink.txt", "netlink", base(), faultDemo},
+		{"fault-demo-ebpf.txt", "ebpf", base(), faultDemo},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {

@@ -18,17 +18,15 @@
 //	ovsctl [-datapath ...] pmd-perf-trace # last packet lifecycles through the fast path
 //	ovsctl [-datapath ...] fault-demo     # bounded upcall queue + injected slow-path fault
 //
-// The -upcall-queue and -upcall-svc-ns flags bound the slow path on any
-// subcommand: with a nonzero queue cap, flow-table misses park packets in a
-// bounded per-thread queue serviced at the given interval, and overflow is
-// counted as queue drops (the kernel's ENOBUFS analog) instead of growing
-// without limit.
-//
-// The -smc and -emc-prob flags shape the userspace cache hierarchy (the
-// other-config:smc-enable and emc-insert-inv-prob analogs): -smc enables
-// the signature match cache between the EMC and the megaflow classifier,
-// and -emc-prob N inserts into the EMC with probability 1/N. Both reach
-// only the netdev datapath, exactly as in OVS.
+// Every datapath tunable is an other_config key given as -o key=value
+// (repeatable; `ovsctl get` lists the keys) and applies to any subcommand.
+// -o upcall-queue-cap=N -o upcall-service-us=N bound the slow path: misses
+// park packets in a bounded per-thread queue serviced at that interval, and
+// overflow is counted as queue drops (the kernel's ENOBUFS analog) instead
+// of growing without limit. -o smc-enable=true -o emc-insert-inv-prob=N
+// shape the userspace cache hierarchy — the signature match cache between
+// the EMC and the megaflow classifier, EMC insertion with probability 1/N —
+// and reach only the netdev datapath, exactly as in OVS.
 package main
 
 import (
@@ -55,48 +53,27 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ovsctl [-datapath %v] [-upcall-queue N] [-upcall-svc-ns N] [-smc] [-emc-prob N] [-o key=value]... demo|show|dump-flows|dpctl-stats|pmd-perf-show|pmd-perf-trace|pmd-rxq-show|fault-demo|set key=value...|get [key]\n",
+	fmt.Fprintf(os.Stderr, "usage: ovsctl [-datapath %v] [-o key=value]... demo|show|dump-flows|dpctl-stats|pmd-perf-show|pmd-perf-trace|pmd-rxq-show|fault-demo|set key=value...|get [key]\n",
 		dpif.Types())
 }
 
-// cliConfig carries the flag-selected datapath tunables into every
-// subcommand: the bounded slow path, the cache hierarchy shape, and the
-// other_config key/value overlay.
-type cliConfig struct {
-	uc    dpif.UpcallConfig
-	cc    dpif.CacheConfig
-	other map[string]string
-}
+// cliConfig carries the -o other_config key/value pairs into every
+// subcommand.
+type cliConfig map[string]string
 
 func main() {
 	dpType := flag.String("datapath", "netdev", "dpif provider type")
-	upcallQueue := flag.Int("upcall-queue", 0, "bounded upcall queue capacity (0 = legacy unbounded inline upcalls)")
-	upcallSvcNs := flag.Int64("upcall-svc-ns", 0, "upcall handler service interval in virtual ns (0 = default)")
-	smcOn := flag.Bool("smc", false, "enable the signature match cache (other-config:smc-enable analog, netdev only)")
-	emcProb := flag.Int("emc-prob", 1, "inverse EMC insertion probability: insert with probability 1/N (emc-insert-inv-prob analog)")
-	other := map[string]string{}
+	cfg := cliConfig{}
 	flag.Func("o", "other_config key=value applied at open (repeatable; `ovsctl get` lists keys)", func(s string) error {
 		k, v, err := api.ParseConfigArg(s)
 		if err != nil {
 			return err
 		}
-		other[k] = v
+		cfg[k] = v
 		return nil
 	})
 	flag.Usage = usage
 	flag.Parse()
-
-	cfg := cliConfig{
-		uc: dpif.UpcallConfig{
-			QueueCap:        *upcallQueue,
-			ServiceInterval: sim.Time(*upcallSvcNs),
-		},
-		cc: dpif.CacheConfig{
-			SMC:              *smcOn,
-			EMCInsertInvProb: *emcProb,
-		},
-		other: other,
-	}
 
 	var err error
 	switch flag.Arg(0) {
@@ -142,7 +119,7 @@ type env struct {
 func newEnv(dpType string, cfg cliConfig) (*env, error) {
 	eng := sim.NewEngine(1)
 	pl := ofproto.NewPipeline()
-	d, err := dpif.Open(dpType, dpif.Config{Eng: eng, Pipeline: pl, Upcall: cfg.uc, Cache: cfg.cc, Other: cfg.other})
+	d, err := dpif.Open(dpType, dpif.Config{Eng: eng, Pipeline: pl, Other: cfg})
 	if err != nil {
 		return nil, err
 	}
@@ -282,9 +259,11 @@ func dpctlStats(dpType string, cfg cliConfig) error {
 // handler's failed translations retry with exponential backoff, and once
 // the fault window closes the flow installs and traffic cuts through.
 func faultDemo(dpType string, cfg cliConfig) error {
-	if cfg.uc.QueueCap == 0 {
-		cfg.uc = dpif.UpcallConfig{QueueCap: 4, ServiceInterval: 20 * sim.Microsecond,
-			RetryBase: 25 * sim.Microsecond, MaxRetries: 3}
+	if _, bounded := cfg["upcall-queue-cap"]; !bounded {
+		cfg["upcall-queue-cap"] = "4"
+		cfg["upcall-service-us"] = "20"
+		cfg["upcall-retry-base-us"] = "25"
+		cfg["upcall-max-retries"] = "3"
 	}
 	e, err := newEnv(dpType, cfg)
 	if err != nil {

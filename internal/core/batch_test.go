@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ovsxdp/internal/afxdp"
+	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
@@ -55,6 +56,34 @@ func TestBatchDedupMatchesPerPacketOutcomes(t *testing.T) {
 	}
 	if busy1 >= busy0 {
 		t.Fatalf("batched classification not cheaper: %d >= %d virtual ns", busy1, busy0)
+	}
+}
+
+// TestBatchDedupReleasesDroppedPackets drives a burst of one flow through a
+// drop megaflow (an empty pipeline's table-miss drop — the shape of the
+// negative flow the slow path installs): the batched path must hand every
+// dropped packet back to the port's rx arena exactly as the per-packet path
+// does, or the arena drains and never recovers.
+func TestBatchDedupReleasesDroppedPackets(t *testing.T) {
+	run := func(dedup bool) (drops uint64, avail int) {
+		opts := DefaultOptions()
+		opts.BatchDedup = dedup
+		bed := newAFXDPP2P(t, opts, afxdp.LockSpinBatched, ModePoll)
+		bed.dp.Pipeline = ofproto.NewPipeline()
+		bed.offer(1, 0)
+		for i := 0; i < 299; i++ {
+			bed.eng.Schedule(100*sim.Microsecond, func() { bed.nicA.Receive(udpPkt(7777)) })
+		}
+		bed.eng.RunUntil(10 * sim.Millisecond)
+		return bed.dp.Drops, bed.dp.Port(1).(*AFXDPPort).rxPool.Available()
+	}
+	drops0, avail0 := run(false)
+	drops1, avail1 := run(true)
+	if drops0 != 300 || drops1 != 300 {
+		t.Fatalf("dropped %d/%d, want 300/300", drops0, drops1)
+	}
+	if avail0 != rxPoolSize || avail1 != avail0 {
+		t.Fatalf("rx arena after the burst: per-packet %d, batched %d, want %d both", avail0, avail1, rxPoolSize)
 	}
 }
 

@@ -656,7 +656,7 @@ func TestNegativeFlowOnUpcallError(t *testing.T) {
 
 	// The entry self-expires (and the EMC is flushed with it), so the flow
 	// re-upcalls.
-	eng.RunUntil(eng.Now() + dp.Opts.NegativeFlowTTL + sim.Millisecond)
+	eng.RunUntil(eng.Now() + dp.Opts.Upcall.NegativeFlowTTL + sim.Millisecond)
 	if dp.FlowCount() != 0 {
 		t.Fatalf("negative flow outlived its TTL: flows=%d", dp.FlowCount())
 	}

@@ -11,6 +11,7 @@ import (
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/tunnel"
+	"ovsxdp/internal/upcall"
 )
 
 // Caps describes a port's transmit-side hardware offloads. The AF_XDP gap
@@ -85,25 +86,10 @@ type Options struct {
 	// scaling; the experiment beds set the per-datapath calibrated
 	// values for Figure 12.
 	ContentionCentis int
-	// UpcallQueueCap bounds the per-PMD queue of packets awaiting
-	// slow-path translation — the netdev analog of the kernel's bounded
-	// per-port netlink queues (ENOBUFS). Zero keeps the upcall inline on
-	// the PMD thread, as dpif-netdev does.
-	UpcallQueueCap int
-	// UpcallServiceInterval is the handler thread's per-upcall service
-	// time when the queue is bounded (its service rate is the inverse);
-	// zero defaults to costmodel.UpcallCost.
-	UpcallServiceInterval sim.Time
-	// UpcallRetryBase seeds the exponential backoff applied when
-	// translation fails transiently; zero defaults to UpcallCost/4.
-	UpcallRetryBase sim.Time
-	// UpcallMaxRetries bounds backoff retries of one transient upcall;
-	// zero defaults to 3.
-	UpcallMaxRetries int
-	// NegativeFlowTTL is the lifetime of the drop megaflow installed when
-	// an upcall fails for good, shielding the slow path from the failing
-	// flow; <= 0 disables the negative flow.
-	NegativeFlowTTL sim.Time
+	// Upcall bounds and paces the slow path (the upcall-* and
+	// negative-flow-ttl-us keys); the zero QueueCap keeps the upcall inline
+	// on the PMD thread, as dpif-netdev does.
+	Upcall upcall.Config
 	// RxqAssign selects how the assignment layer distributes receive
 	// queues across PMD threads (other_config:pmd-rxq-assign). The zero
 	// value is round-robin, which reproduces the historical
@@ -139,7 +125,7 @@ func DefaultOptions() Options {
 		AssumeCsumOffload: false,
 		BatchSize:         costmodel.BatchSize,
 		ColdFlowThreshold: 512,
-		NegativeFlowTTL:   costmodel.NegativeFlowTTL,
+		Upcall:            upcall.DefaultConfig(),
 	}
 }
 
@@ -173,7 +159,7 @@ type Datapath struct {
 	flowHook func(*PMD, *dpcls.Entry)
 
 	// handler is the shared upcall-handler thread CPU, created lazily when
-	// the bounded upcall queue is in force.
+	// a bounded upcall queue first services a miss.
 	handler *sim.CPU
 
 	// assign is the rxq-to-PMD assignment layer (policies, auto-LB, XPS);
@@ -184,22 +170,17 @@ type Datapath struct {
 	// first enabled, so the default datapath carries no offload state.
 	offload *offloadEngine
 
-	// Stats.
+	// Stats. The embedded block is the slow path's share: UpcallErrors,
+	// UpcallQueueDrops, UpcallRetries and Drops.
+	upcall.Counters
 	Processed      uint64
 	EMCHits        uint64
 	SMCHits        uint64
 	MegaflowHits   uint64
 	Upcalls        uint64
-	UpcallErrors   uint64
-	Drops          uint64
 	Recirculations uint64
 	MeterDrops     uint64
 	SegmentedPkts  uint64
-	// UpcallQueueDrops counts packets refused because a PMD's bounded
-	// upcall queue was full (the ENOBUFS analog); they are not in Drops.
-	UpcallQueueDrops uint64
-	// UpcallRetries counts backoff retries of transient upcall failures.
-	UpcallRetries uint64
 	// MalformedDrops counts slow-path parse failures, split from policy
 	// drops (the kernel flow extractor's EINVAL analog).
 	MalformedDrops uint64
@@ -336,57 +317,12 @@ func (d *Datapath) translate(key *flow.Key) (ofproto.Megaflow, error) {
 	return d.Pipeline.Translate(*key)
 }
 
-// upcallInterval is the bounded handler's per-upcall service time.
-func (d *Datapath) upcallInterval() sim.Time {
-	if d.Opts.UpcallServiceInterval > 0 {
-		return d.Opts.UpcallServiceInterval
-	}
-	return costmodel.UpcallCost
-}
-
-// retryBase seeds the exponential backoff for transient upcall failures.
-func (d *Datapath) retryBase() sim.Time {
-	if d.Opts.UpcallRetryBase > 0 {
-		return d.Opts.UpcallRetryBase
-	}
-	return costmodel.UpcallCost / 4
-}
-
-// maxUpcallRetries bounds backoff retries of one transient upcall.
-func (d *Datapath) maxUpcallRetries() int {
-	if d.Opts.UpcallMaxRetries > 0 {
-		return d.Opts.UpcallMaxRetries
-	}
-	return 3
-}
-
 // handlerCPU lazily creates the shared upcall-handler thread.
 func (d *Datapath) handlerCPU() *sim.CPU {
 	if d.handler == nil {
 		d.handler = d.Eng.NewCPU("upcall-handler")
 	}
 	return d.handler
-}
-
-// installNegativeFlow installs a short-lived drop megaflow after a failed
-// upcall, so subsequent packets of the failing flow drop in the fast path
-// instead of re-upcalling (and re-failing) at full cost. The entry
-// self-expires after NegativeFlowTTL, giving the flow a fresh chance once
-// the slow path recovers.
-func (d *Datapath) installNegativeFlow(m *PMD, key *flow.Key) {
-	ttl := d.Opts.NegativeFlowTTL
-	if ttl <= 0 {
-		return
-	}
-	exact := flow.MaskAll()
-	e := m.cls.InsertKey(key, &exact, nil)
-	d.Eng.Schedule(ttl, func() {
-		if m.cls.Remove(e) {
-			m.InvalidateEMC(e)
-			m.InvalidateSMC(e)
-			d.OffloadUninstall(e)
-		}
-	})
 }
 
 // Execute runs one packet through the fast path as if it had arrived on
@@ -490,23 +426,13 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 			return
 		}
 		d.Upcalls++
-		if d.Opts.UpcallQueueCap > 0 {
+		if d.Opts.Upcall.QueueCap > 0 {
 			// Bounded upcall queue: park the packet for the handler
 			// thread, or drop when full (ENOBUFS analog). Misses are
 			// counted above even when the queue refuses the packet,
 			// matching the kernel's lookup accounting.
 			m.traceResolved(perf.ResultUpcall)
-			if len(m.upcallQ) >= d.Opts.UpcallQueueCap {
-				d.UpcallQueueDrops++
-				m.Perf.UpcallQueueDrops++
-				p.Release()
-				return
-			}
-			m.upcallQ = append(m.upcallQ, m.newUpcall(&key, p))
-			if n := uint64(len(m.upcallQ)); n > m.Perf.UpcallQueuePeak {
-				m.Perf.UpcallQueuePeak = n
-			}
-			m.kickUpcalls()
+			m.slow.Admit(&key, p, cpu)
 			return
 		}
 		// Inline slow-path translation on this PMD (dpif-netdev's way).
@@ -516,10 +442,7 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 		m.Perf.AddUpcall(cpu.BusyTotal() - upcallBefore)
 		m.traceResolved(perf.ResultUpcall)
 		if err != nil {
-			d.UpcallErrors++
-			d.Drops++
-			d.installNegativeFlow(m, &key)
-			p.Release()
+			m.slow.Failed(&key, p)
 			return
 		}
 		e = m.cls.InsertKey(&key, &mf.Mask, mf.Actions)
@@ -679,31 +602,16 @@ func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction,
 			d.processOne(m, inner, depth+1)
 			return
 
-		case ofproto.DPPushVLAN:
-			m.charge(perf.StageActions, costmodel.ExecActionSimple)
-			p.Data = hdr.PushVLAN(p.Data, a.VLAN, a.VLANPrio)
-		case ofproto.DPPopVLAN:
-			m.charge(perf.StageActions, costmodel.ExecActionSimple)
-			p.Data = hdr.PopVLAN(p.Data)
-		case ofproto.DPSetEthSrc:
-			m.charge(perf.StageActions, costmodel.ExecActionSimple)
-			if len(p.Data) >= 12 {
-				copy(p.Data[6:12], a.MAC[:])
-			}
-		case ofproto.DPSetEthDst:
-			m.charge(perf.StageActions, costmodel.ExecActionSimple)
-			if len(p.Data) >= 6 {
-				copy(p.Data[0:6], a.MAC[:])
-			}
-		case ofproto.DPDecTTL:
-			m.charge(perf.StageActions, costmodel.ExecActionSimple)
-			decTTL(p)
 		case ofproto.DPMeter:
 			if !d.Pipeline.MeterAllow(a.MeterID, len(p.Data), d.Eng.Now()) {
 				d.MeterDrops++
 				d.Drops++
 				p.Release()
 				return
+			}
+		default:
+			if a.Rewrite(p) {
+				m.charge(perf.StageActions, costmodel.ExecActionSimple)
 			}
 		}
 	}
@@ -782,18 +690,4 @@ func softwareSegment(p *packet.Packet) []*packet.Packet {
 		return []*packet.Packet{p}
 	}
 	return out
-}
-
-func decTTL(p *packet.Packet) {
-	eth, err := hdr.ParseEthernet(p.Data)
-	if err != nil || eth.Type != hdr.EtherTypeIPv4 {
-		return
-	}
-	raw := p.Data[eth.HeaderLen:]
-	ip, err := hdr.ParseIPv4(raw)
-	if err != nil || ip.TTL == 0 {
-		return
-	}
-	ip.TTL--
-	ip.SerializeTo(raw[:hdr.IPv4MinSize])
 }

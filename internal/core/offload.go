@@ -33,7 +33,6 @@ import (
 	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
-	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 )
 
@@ -401,15 +400,6 @@ func (d *Datapath) OffloadStats() OffloadStats {
 	}
 }
 
-// OffloadUninstall purges a removed megaflow's hardware rules in the same
-// invalidation pass as InvalidateEMC/InvalidateSMC (flow delete
-// discipline): an uninstalled rule must never forward with stale actions.
-func (d *Datapath) OffloadUninstall(e *dpcls.Entry) {
-	if d.offload != nil {
-		d.offload.uninstallEntry(e)
-	}
-}
-
 // OffloadClamp applies (n > 0) or releases (n <= 0) a fault-injected
 // hardware-table capacity clamp — the offload-table-pressure fault's side
 // effect hook.
@@ -426,20 +416,6 @@ func (d *Datapath) hwForward(m *PMD, p *packet.Packet, actions []ofproto.DPActio
 	for i := range actions {
 		a := &actions[i]
 		switch a.Type {
-		case ofproto.DPSetEthSrc:
-			if len(p.Data) >= 12 {
-				copy(p.Data[6:12], a.MAC[:])
-			}
-		case ofproto.DPSetEthDst:
-			if len(p.Data) >= 6 {
-				copy(p.Data[0:6], a.MAC[:])
-			}
-		case ofproto.DPPushVLAN:
-			p.Data = hdr.PushVLAN(p.Data, a.VLAN, a.VLANPrio)
-		case ofproto.DPPopVLAN:
-			p.Data = hdr.PopVLAN(p.Data)
-		case ofproto.DPDecTTL:
-			decTTL(p)
 		case ofproto.DPOutput:
 			out := d.ports[a.Port]
 			if out == nil {
@@ -453,6 +429,8 @@ func (d *Datapath) hwForward(m *PMD, p *packet.Packet, actions []ofproto.DPActio
 			out.Tx(m.CPU, d.TxqFor(m, out), p)
 			m.touch(out)
 			return
+		default:
+			a.Rewrite(p)
 		}
 	}
 	d.Drops++

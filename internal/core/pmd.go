@@ -6,12 +6,12 @@ import (
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/emc"
-	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/smc"
+	"ovsxdp/internal/upcall"
 )
 
 // Mode selects how a packet-processing thread is driven.
@@ -95,18 +95,14 @@ type PMD struct {
 	// a PMD touches a handful of ports per iteration at most.
 	touched []Port
 
-	// iterTimer rearms the iterate loop; upcallTimer arms handler
-	// service. Timers bind the method value once, so rescheduling every
-	// iteration allocates nothing.
-	iterTimer   *sim.Timer
-	upcallTimer *sim.Timer
+	// iterTimer rearms the iterate loop. The timer binds the method value
+	// once, so rescheduling every iteration allocates nothing.
+	iterTimer *sim.Timer
 
-	// upcallQ parks packets awaiting slow-path translation when
-	// Options.UpcallQueueCap bounds the queue; upcallBusy is set while a
-	// handler service event is in flight. upcallFree recycles records.
-	upcallQ    []*pendingUpcall
-	upcallBusy bool
-	upcallFree []*pendingUpcall
+	// slow is the thread's slow path: it parks missed packets when
+	// Options.Upcall.QueueCap bounds the queue, and accounts failed
+	// translations on the inline path too.
+	slow *upcall.Queue
 
 	// Perf is the thread's performance-counter block (dpif-netdev-perf):
 	// virtual cycles bucketed by stage, batch and upcall histograms, and
@@ -148,7 +144,18 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 		d.wireFlowHook(m)
 	}
 	m.iterTimer = d.Eng.NewTimer(m.iterate)
-	m.upcallTimer = d.Eng.NewTimer(m.serviceUpcall)
+	// The slow path sees this thread's private classifier, the datapath's
+	// shared handler thread, and uncounted reinjection on this PMD.
+	m.slow = upcall.NewQueue(d.Eng, &d.Opts.Upcall, &d.Counters, m.Perf, upcall.Host{
+		Table:     m.cls,
+		Install:   m.cls.Insert,
+		Remove:    m.RemoveFlow,
+		Translate: d.translate,
+		Handler:   d.handlerCPU,
+		Category:  sim.User,
+		Reinject:  func(p *packet.Packet, _ *sim.CPU) { d.processCounted(m, p, 0, false) },
+		Release:   (*packet.Packet).Release,
+	})
 	if d.Opts.SMC {
 		entries := d.Opts.SMCEntries
 		if entries <= 0 {
@@ -218,17 +225,9 @@ func entryAlive(e *dpcls.Entry) bool { return !e.Dead() }
 
 // FlushEMC drops the thread's exact-match cache wholesale. This is the
 // flow-table-wide reset (FlowFlush, daemon restart); single-megaflow
-// deletion uses InvalidateEMC instead, which leaves unrelated cache
-// entries untouched.
+// deletion uses RemoveFlow instead, which leaves unrelated cache entries
+// untouched.
 func (m *PMD) FlushEMC() { m.emc.Flush() }
-
-// InvalidateEMC unlinks a removed megaflow from the exact-match cache —
-// the EMC counterpart of InvalidateSMC. A megaflow covers arbitrarily many
-// exact keys, so its EMC entries cannot be found by key; instead the entry
-// is marked dead and the cache's alive check purges each stale slot on its
-// next lookup, O(1) per delete instead of O(cache) — the fix for the
-// churn-collapsing full flush FlowDel used to do.
-func (m *PMD) InvalidateEMC(e *dpcls.Entry) { e.MarkDead() }
 
 // InvalidateSMC unlinks a removed megaflow from the signature cache's
 // indirection table (megaflow delete, revalidator sweep, negative-flow
@@ -401,91 +400,22 @@ func (m *PMD) touch(p Port) {
 	m.touched = append(m.touched, p)
 }
 
-// pendingUpcall is one packet parked in a PMD's bounded upcall queue.
-type pendingUpcall struct {
-	key     flow.Key
-	pkt     *packet.Packet
-	enq     sim.Time // admission time, for upcall latency accounting
-	attempt int      // backoff retries consumed so far
-}
-
-// newUpcall takes a record from the PMD's free list or allocates one.
-func (m *PMD) newUpcall(key *flow.Key, pkt *packet.Packet) *pendingUpcall {
-	if n := len(m.upcallFree); n > 0 {
-		u := m.upcallFree[n-1]
-		m.upcallFree = m.upcallFree[:n-1]
-		*u = pendingUpcall{key: *key, pkt: pkt, enq: m.dp.Eng.Now()}
-		return u
+// RemoveFlow deletes one megaflow from the thread's classifier and, in the
+// same pass, unlinks it from everything cached above it, so unrelated cache
+// entries survive (flow delete, negative-flow expiry). A megaflow covers
+// arbitrarily many exact keys, so its EMC entries cannot be found by key:
+// the classifier marks the removed entry dead and the EMC's alive check
+// purges each stale slot on its next lookup, O(1) per delete instead of the
+// churn-collapsing full flush. The SMC drops it from its indirection table,
+// and the NIC flow table its hardware rules — an uninstalled rule must never
+// forward with stale actions. It reports whether e was still installed.
+func (m *PMD) RemoveFlow(e *dpcls.Entry) bool {
+	if !m.cls.Remove(e) {
+		return false
 	}
-	return &pendingUpcall{key: *key, pkt: pkt, enq: m.dp.Eng.Now()}
-}
-
-// freeUpcall recycles a serviced record.
-func (m *PMD) freeUpcall(u *pendingUpcall) {
-	*u = pendingUpcall{}
-	m.upcallFree = append(m.upcallFree, u)
-}
-
-// kickUpcalls schedules the next queued upcall for service one handler
-// service interval from now — the configurable handler service rate that
-// makes the queue a real M/D/1-style bottleneck instead of an inline call.
-func (m *PMD) kickUpcalls() {
-	if m.upcallBusy || len(m.upcallQ) == 0 {
-		return
+	m.InvalidateSMC(e)
+	if off := m.dp.offload; off != nil {
+		off.uninstallEntry(e)
 	}
-	m.upcallBusy = true
-	m.upcallTimer.Schedule(m.dp.upcallInterval())
-}
-
-// serviceUpcall handles one parked upcall on the handler thread: translate
-// (retrying transient faults with exponential backoff in virtual time),
-// install the megaflow or a negative flow, and reinject the parked packet
-// through the fast path.
-func (m *PMD) serviceUpcall() {
-	m.upcallBusy = false
-	if len(m.upcallQ) == 0 {
-		return
-	}
-	d := m.dp
-	u := m.upcallQ[0]
-	m.upcallQ = m.upcallQ[1:]
-	defer m.kickUpcalls()
-
-	// Several packets of one flow may park before the first resolves:
-	// dedup against the classifier so only one translation happens.
-	if e, _ := m.cls.LookupKey(&u.key); e != nil {
-		d.processCounted(m, u.pkt, 0, false)
-		m.freeUpcall(u)
-		return
-	}
-
-	cpu := d.handlerCPU()
-	cpu.Consume(sim.User, costmodel.UpcallCost)
-	m.Perf.Add(perf.StageUpcall, costmodel.UpcallCost)
-	mf, err := d.translate(&u.key)
-	if err != nil {
-		if te, ok := err.(interface{ Transient() bool }); ok && te.Transient() &&
-			u.attempt < d.maxUpcallRetries() {
-			u.attempt++
-			d.UpcallRetries++
-			delay := faultinject.Backoff(d.Eng.Rand(), d.retryBase(), u.attempt)
-			d.Eng.Schedule(delay, func() {
-				// Retries bypass the cap: the packet was admitted once.
-				m.upcallQ = append(m.upcallQ, u)
-				m.kickUpcalls()
-			})
-			return
-		}
-		d.UpcallErrors++
-		d.Drops++
-		m.Perf.AddUpcall(d.Eng.Now() - u.enq)
-		d.installNegativeFlow(m, &u.key)
-		u.pkt.Release()
-		m.freeUpcall(u)
-		return
-	}
-	m.cls.InsertKey(&u.key, &mf.Mask, mf.Actions)
-	m.Perf.AddUpcall(d.Eng.Now() - u.enq)
-	d.processCounted(m, u.pkt, 0, false)
-	m.freeUpcall(u)
+	return true
 }

@@ -5,15 +5,17 @@ import (
 	"sort"
 	"strconv"
 
+	"ovsxdp/internal/conntrack"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/upcall"
 )
 
 // This file is the ovs-vsctl-style configuration surface: every datapath
 // tunable is an `other_config` key with a typed value, applied through
-// Dpif.SetConfig and read back through Dpif.GetConfig. It replaces the
-// sprawl of constructor flags (core.Options fields, CacheConfig,
-// UpcallConfig, per-flag CLI switches) as the primary way to configure a
-// datapath; the structs remain as a thin compatibility shim underneath.
+// Dpif.SetConfig (or Config.Other at Open) and read back through
+// Dpif.GetConfig. The keys are the only spelling of a tunable above the
+// datapath structs: callers and CLIs pass key/value pairs, never
+// per-tunable structs or flags.
 //
 // The schema below is the single source of truth: key names, value types,
 // defaults, and whether a key only has effect on the userspace (netdev)
@@ -173,4 +175,40 @@ func renderBool(v bool) string {
 // renderMicros renders a sim.Time as integer microseconds.
 func renderMicros(t sim.Time) string {
 	return strconv.FormatInt(int64(t/sim.Microsecond), 10)
+}
+
+// setShared and getShared bind the keys every provider acts on the same way
+// — the slow path's tunables and the conntrack shard count — to the live
+// state they configure, so each key is set and read in one place whichever
+// datapath is underneath. setShared reports whether key was one of them.
+func setShared(uc *upcall.Config, ct *conntrack.Table, key string, v any) (bool, error) {
+	switch key {
+	case "upcall-queue-cap":
+		uc.QueueCap = v.(int)
+	case "upcall-service-us":
+		uc.ServiceInterval = v.(sim.Time)
+	case "upcall-retry-base-us":
+		uc.RetryBase = v.(sim.Time)
+	case "upcall-max-retries":
+		uc.MaxRetries = v.(int)
+	case "negative-flow-ttl-us":
+		uc.NegativeFlowTTL = v.(sim.Time)
+	case "ct-shards":
+		if v.(int) < 1 {
+			return true, fmt.Errorf("dpif: ct-shards must be >= 1")
+		}
+		ct.SetShards(v.(int))
+	default:
+		return false, nil
+	}
+	return true, nil
+}
+
+func getShared(uc *upcall.Config, ct *conntrack.Table, out map[string]string) {
+	out["upcall-queue-cap"] = strconv.Itoa(uc.QueueCap)
+	out["upcall-service-us"] = renderMicros(uc.ServiceInterval)
+	out["upcall-retry-base-us"] = renderMicros(uc.RetryBase)
+	out["upcall-max-retries"] = strconv.Itoa(uc.MaxRetries)
+	out["negative-flow-ttl-us"] = renderMicros(uc.NegativeFlowTTL)
+	out["ct-shards"] = strconv.Itoa(ct.NumShards())
 }

@@ -189,7 +189,7 @@ func TestConformance(t *testing.T) {
 // TestConformanceWithSMC reruns the shared scenario with the EMC disabled
 // and the signature match cache enabled, so the warm phase's repeat packets
 // must resolve through the SMC on netdev. The kernel-path providers ignore
-// the CacheConfig (they have no SMC), so their SMCHits stay zero; the
+// smc-enable (they have no SMC), so their SMCHits stay zero; the
 // cross-provider comparison normalizes the field away and requires every
 // other observable — hit totals, upcall counts, flow lifecycles — to remain
 // identical. This is the guarantee that enabling the SMC changes where
@@ -199,7 +199,7 @@ func TestConformanceWithSMC(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.EMC = false // force repeat traffic onto the SMC level
 		cfg.Options = opts
-		cfg.Cache = dpif.CacheConfig{SMC: true}
+		cfg.Other = map[string]string{"smc-enable": "true"}
 	}
 	types := dpif.Types()
 	obs := make(map[string]observation, len(types))
@@ -349,8 +349,8 @@ func runFaultScenario(t *testing.T, name string) faultObservation {
 	eng := sim.NewEngine(1)
 	pl := forwardPipeline()
 	d, err := dpif.Open(name, dpif.Config{Eng: eng, Pipeline: pl,
-		Upcall: dpif.UpcallConfig{QueueCap: 4, ServiceInterval: 20 * sim.Microsecond,
-			RetryBase: 25 * sim.Microsecond, MaxRetries: 3}})
+		Other: map[string]string{"upcall-queue-cap": "4", "upcall-service-us": "20",
+			"upcall-retry-base-us": "25", "upcall-max-retries": "3"}})
 	if err != nil {
 		t.Fatalf("Open(%q): %v", name, err)
 	}

@@ -24,24 +24,6 @@ func init() {
 		if !ok {
 			opts = core.DefaultOptions()
 		}
-		if cfg.Upcall.QueueCap > 0 {
-			opts.UpcallQueueCap = cfg.Upcall.QueueCap
-			opts.UpcallServiceInterval = cfg.Upcall.ServiceInterval
-			opts.UpcallRetryBase = cfg.Upcall.RetryBase
-			opts.UpcallMaxRetries = cfg.Upcall.MaxRetries
-		}
-		if cfg.Cache.SMC {
-			opts.SMC = true
-			if cfg.Cache.SMCEntries > 0 {
-				opts.SMCEntries = cfg.Cache.SMCEntries
-			}
-		}
-		if cfg.Cache.EMCInsertInvProb > 1 {
-			opts.EMCInsertInvProb = cfg.Cache.EMCInsertInvProb
-		}
-		if cfg.Cache.BatchDedup {
-			opts.BatchDedup = true
-		}
 		return NewNetdev(core.NewDatapath(cfg.Eng, cfg.Pipeline, opts)), nil
 	})
 }
@@ -95,24 +77,15 @@ func (d *Netdev) FlowPut(key flow.Key, mask flow.Mask, actions any) {
 	}
 }
 
-// FlowDel implements Dpif: the owning PMD's classifier drops the entry,
-// and both fast caches are invalidated for that one megaflow — the EMC via
-// its lazy dead-entry purge, the SMC via its indirection table. Unrelated
-// cache entries survive; the historical full-EMC flush per delete (which
-// collapsed the cache hierarchy under any sustained eviction rate) is
-// reserved for FlowFlush.
+// FlowDel implements Dpif: the owning PMD drops the entry and invalidates
+// that one megaflow in everything cached above it (core.PMD.RemoveFlow);
+// the full-EMC flush is reserved for FlowFlush.
 func (d *Netdev) FlowDel(f Flow) bool {
 	m, ok := f.owner.(*core.PMD)
 	if !ok {
 		return false
 	}
-	if !m.Classifier().Remove(f.Entry) {
-		return false
-	}
-	m.InvalidateEMC(f.Entry)
-	m.InvalidateSMC(f.Entry)
-	d.dp.OffloadUninstall(f.Entry)
-	return true
+	return m.RemoveFlow(f.Entry)
 }
 
 // FlowDump implements Dpif.
@@ -154,6 +127,9 @@ func (d *Netdev) SetUpcall(fn UpcallFunc) { d.dp.SetUpcall(fn) }
 func (d *Netdev) SetConfig(kv map[string]string) error {
 	dp := d.dp
 	return applyConfig(kv, func(key string, v any) error {
+		if shared, err := setShared(&dp.Opts.Upcall, dp.Ct, key, v); shared {
+			return err
+		}
 		switch key {
 		case "pmd-rxq-assign":
 			p, err := core.ParseAssignPolicy(v.(string))
@@ -190,21 +166,6 @@ func (d *Netdev) SetConfig(kv map[string]string) error {
 			dp.ConfigureSMC(dp.Opts.SMC, v.(int))
 		case "batch-dedup":
 			dp.Opts.BatchDedup = v.(bool)
-		case "upcall-queue-cap":
-			dp.Opts.UpcallQueueCap = v.(int)
-		case "upcall-service-us":
-			dp.Opts.UpcallServiceInterval = v.(sim.Time)
-		case "upcall-retry-base-us":
-			dp.Opts.UpcallRetryBase = v.(sim.Time)
-		case "upcall-max-retries":
-			dp.Opts.UpcallMaxRetries = v.(int)
-		case "negative-flow-ttl-us":
-			dp.Opts.NegativeFlowTTL = v.(sim.Time)
-		case "ct-shards":
-			if v.(int) < 1 {
-				return fmt.Errorf("dpif-netdev: ct-shards must be >= 1")
-			}
-			dp.Ct.SetShards(v.(int))
 		case "hw-offload":
 			o := dp.Opts.Offload
 			o.Enable = v.(bool)
@@ -243,13 +204,13 @@ func (d *Netdev) SetConfig(kv map[string]string) error {
 }
 
 // GetConfig implements Dpif: values reflect the live datapath state, so a
-// bed configured through the legacy Options struct reads back identically
-// to one configured through SetConfig.
+// bed configured through core.Options at construction reads back
+// identically to one configured through SetConfig.
 func (d *Netdev) GetConfig() map[string]string {
 	dp := d.dp
 	interval, threshold := dp.AutoLBSettings()
 	off := dp.OffloadSettings()
-	return map[string]string{
+	out := map[string]string{
 		"pmd-rxq-assign":                    dp.AssignPolicyInEffect().String(),
 		"pmd-auto-lb":                       renderBool(dp.AutoLBEnabled()),
 		"pmd-auto-lb-rebal-interval-us":     renderMicros(interval),
@@ -260,18 +221,14 @@ func (d *Netdev) GetConfig() map[string]string {
 		"smc-enable":                        renderBool(dp.Opts.SMC),
 		"smc-entries":                       fmt.Sprintf("%d", dp.Opts.SMCEntries),
 		"batch-dedup":                       renderBool(dp.Opts.BatchDedup),
-		"upcall-queue-cap":                  fmt.Sprintf("%d", dp.Opts.UpcallQueueCap),
-		"upcall-service-us":                 renderMicros(dp.Opts.UpcallServiceInterval),
-		"upcall-retry-base-us":              renderMicros(dp.Opts.UpcallRetryBase),
-		"upcall-max-retries":                fmt.Sprintf("%d", dp.Opts.UpcallMaxRetries),
-		"negative-flow-ttl-us":              renderMicros(dp.Opts.NegativeFlowTTL),
-		"ct-shards":                         fmt.Sprintf("%d", dp.Ct.NumShards()),
 		"hw-offload":                        renderBool(off.Enable),
 		"hw-offload-table-size":             fmt.Sprintf("%d", off.TableSize),
 		"hw-offload-elephant-pps":           fmt.Sprintf("%d", off.ElephantPPS),
 		"hw-offload-readback-us":            renderMicros(off.ReadbackInterval),
 		"hw-offload-ewma-weight":            fmt.Sprintf("%d", off.EWMAWeightPct),
 	}
+	getShared(&dp.Opts.Upcall, dp.Ct, out)
+	return out
 }
 
 // PmdRxqShow implements Dpif.

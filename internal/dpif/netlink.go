@@ -46,14 +46,7 @@ func init() {
 
 func netlinkFactory(flavor kernelsim.Flavor) Factory {
 	return func(cfg Config) (Dpif, error) {
-		kdp := kernelsim.NewDatapath(cfg.Eng, flavor, cfg.Pipeline)
-		if cfg.Upcall.QueueCap > 0 {
-			kdp.UpcallQueueCap = cfg.Upcall.QueueCap
-			kdp.UpcallServiceInterval = cfg.Upcall.ServiceInterval
-			kdp.UpcallRetryBase = cfg.Upcall.RetryBase
-			kdp.UpcallMaxRetries = cfg.Upcall.MaxRetries
-		}
-		return NewNetlink(cfg.Eng, kdp), nil
+		return NewNetlink(cfg.Eng, kernelsim.NewDatapath(cfg.Eng, flavor, cfg.Pipeline)), nil
 	}
 }
 
@@ -165,26 +158,11 @@ func (d *Netlink) SetUpcall(fn UpcallFunc) { d.kdp.SetUpcall(fn) }
 // column is global while only dpif-netdev reads those keys.
 func (d *Netlink) SetConfig(kv map[string]string) error {
 	return applyConfig(kv, func(key string, v any) error {
-		switch key {
-		case "upcall-queue-cap":
-			d.kdp.UpcallQueueCap = v.(int)
-		case "upcall-service-us":
-			d.kdp.UpcallServiceInterval = v.(sim.Time)
-		case "upcall-retry-base-us":
-			d.kdp.UpcallRetryBase = v.(sim.Time)
-		case "upcall-max-retries":
-			d.kdp.UpcallMaxRetries = v.(int)
-		case "negative-flow-ttl-us":
-			d.kdp.NegativeFlowTTL = v.(sim.Time)
-		case "ct-shards":
-			if v.(int) < 1 {
-				return fmt.Errorf("dpif-%s: ct-shards must be >= 1", d.Type())
-			}
-			d.kdp.Ct.SetShards(v.(int))
-		default:
+		shared, err := setShared(&d.kdp.Upcall, d.kdp.Ct, key, v)
+		if !shared {
 			d.netdevOnly[key] = kv[key]
 		}
-		return nil
+		return err
 	})
 }
 
@@ -198,12 +176,7 @@ func (d *Netlink) GetConfig() map[string]string {
 	for k, v := range d.netdevOnly {
 		out[k] = v
 	}
-	out["upcall-queue-cap"] = fmt.Sprintf("%d", d.kdp.UpcallQueueCap)
-	out["upcall-service-us"] = renderMicros(d.kdp.UpcallServiceInterval)
-	out["upcall-retry-base-us"] = renderMicros(d.kdp.UpcallRetryBase)
-	out["upcall-max-retries"] = fmt.Sprintf("%d", d.kdp.UpcallMaxRetries)
-	out["negative-flow-ttl-us"] = renderMicros(d.kdp.NegativeFlowTTL)
-	out["ct-shards"] = fmt.Sprintf("%d", d.kdp.Ct.NumShards())
+	getShared(&d.kdp.Upcall, d.kdp.Ct, out)
 	return out
 }
 

@@ -174,7 +174,7 @@ func TestOffloadConformanceWithSMC(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.EMC = false
 		cfg.Options = opts
-		cfg.Cache = dpif.CacheConfig{SMC: true}
+		cfg.Other = map[string]string{"smc-enable": "true"}
 	}
 	types := dpif.Types()
 	obs := make(map[string]offloadObservation, len(types))

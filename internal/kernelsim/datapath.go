@@ -4,13 +4,12 @@ import (
 	"ovsxdp/internal/conntrack"
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpcls"
-	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
-	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/upcall"
 )
 
 // Flavor selects the in-kernel datapath implementation.
@@ -60,30 +59,15 @@ type Datapath struct {
 	// handler (dpif upcall registration).
 	upcall func(flow.Key) (ofproto.Megaflow, error)
 
-	// UpcallQueueCap bounds the queue of packets awaiting translation by
-	// the userspace handler — the per-port netlink socket buffer whose
-	// overflow the kernel reports as ENOBUFS. Zero keeps the legacy
-	// inline upcall.
-	UpcallQueueCap int
-	// UpcallServiceInterval is the handler's per-upcall service time when
-	// the queue is bounded; zero defaults to costmodel.UpcallCost.
-	UpcallServiceInterval sim.Time
-	// UpcallRetryBase seeds the exponential backoff for transient upcall
-	// failures; zero defaults to UpcallCost/4.
-	UpcallRetryBase sim.Time
-	// UpcallMaxRetries bounds backoff retries of one transient upcall;
-	// zero defaults to 3.
-	UpcallMaxRetries int
-	// NegativeFlowTTL is the lifetime of the drop flow installed when an
-	// upcall fails for good; <= 0 disables it.
-	NegativeFlowTTL sim.Time
-
-	// upcallQ parks packets awaiting translation when UpcallQueueCap is
-	// set; upcallBusy is set while a handler service event is in flight;
+	// Upcall bounds and paces the slow path; its QueueCap is the per-port
+	// netlink socket buffer whose overflow the kernel reports as ENOBUFS,
+	// and zero keeps the legacy inline upcall.
+	Upcall upcall.Config
+	// slow is the slow path the userspace handler runs: the bounded queue
+	// when Upcall.QueueCap is set, failed-translation accounting always.
+	slow *upcall.Queue
 	// handler is the userspace handler thread's CPU, created lazily.
-	upcallQ    []*kpendingUpcall
-	upcallBusy bool
-	handler    *sim.CPU
+	handler *sim.CPU
 
 	// Perf is the softirq context's performance-counter block, the kernel
 	// counterpart of a PMD's dpif-netdev-perf stats. The kernel path has no
@@ -93,21 +77,15 @@ type Datapath struct {
 	// currently in process.
 	trace *perf.TraceRecord
 
-	// Stats.
+	// Stats. The embedded block is the slow path's share: UpcallErrors,
+	// UpcallQueueDrops, UpcallRetries and Drops.
+	upcall.Counters
 	Hits    uint64
 	Misses  uint64
-	Drops   uint64
 	Upcalls uint64
 	// Processed counts fast-path passes (including recirculation), the
 	// conservation base for the drop counters.
 	Processed uint64
-	// UpcallErrors counts translations that failed for good.
-	UpcallErrors uint64
-	// UpcallQueueDrops counts packets refused because the bounded upcall
-	// queue was full (ENOBUFS); they are not in Drops.
-	UpcallQueueDrops uint64
-	// UpcallRetries counts backoff retries of transient upcall failures.
-	UpcallRetries uint64
 	// MalformedDrops counts slow-path parse failures (the flow
 	// extractor's EINVAL), split from policy drops.
 	MalformedDrops uint64
@@ -115,16 +93,31 @@ type Datapath struct {
 
 // NewDatapath builds a kernel datapath over a pipeline.
 func NewDatapath(eng *sim.Engine, flavor Flavor, pl *ofproto.Pipeline) *Datapath {
-	return &Datapath{
-		Eng:             eng,
-		Flavor:          flavor,
-		Pipeline:        pl,
-		Ct:              conntrack.NewTable(eng),
-		flows:           dpcls.New(0x6b73),
-		Outputs:         make(map[uint32]func(*packet.Packet)),
-		Perf:            perf.NewStats(),
-		NegativeFlowTTL: costmodel.NegativeFlowTTL,
+	d := &Datapath{
+		Eng:      eng,
+		Flavor:   flavor,
+		Pipeline: pl,
+		Ct:       conntrack.NewTable(eng),
+		flows:    dpcls.New(0x6b73),
+		Outputs:  make(map[uint32]func(*packet.Packet)),
+		Perf:     perf.NewStats(),
+		Upcall:   upcall.DefaultConfig(),
 	}
+	d.slow = upcall.NewQueue(eng, &d.Upcall, &d.Counters, d.Perf, upcall.Host{
+		Table:     d.flows,
+		Install:   d.InstallFlow,
+		Remove:    d.RemoveFlow,
+		Translate: d.translate,
+		Handler:   d.handlerCPU,
+		Category:  sim.System,
+		// The softirq CPU the packet arrived on is remembered so the
+		// reinjected packet charges the context it would have run in.
+		Reinject: func(p *packet.Packet, cpu *sim.CPU) { d.processCounted(cpu, p, 0, false) },
+		// Like every drop site in this file: skbs are left to the garbage
+		// collector, never handed back to a pool.
+		Release: func(*packet.Packet) {},
+	})
+	return d
 }
 
 // EnableTrace arms packet-lifecycle tracing with a ring of n records.
@@ -176,11 +169,11 @@ func (d *Datapath) SetUpcall(fn func(flow.Key) (ofproto.Megaflow, error)) { d.up
 
 // translate resolves a missed key through the registered upcall handler,
 // defaulting to the pipeline.
-func (d *Datapath) translate(key flow.Key) (ofproto.Megaflow, error) {
+func (d *Datapath) translate(key *flow.Key) (ofproto.Megaflow, error) {
 	if d.upcall != nil {
-		return d.upcall(key)
+		return d.upcall(*key)
 	}
-	return d.Pipeline.Translate(key)
+	return d.Pipeline.Translate(*key)
 }
 
 // cost scales a base cost for the flavor (eBPF sandbox penalty) and the
@@ -250,35 +243,23 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 		}
 		d.Misses++
 		d.Upcalls++
-		if d.UpcallQueueCap > 0 {
+		if d.Upcall.QueueCap > 0 {
 			// Bounded netlink socket: park the packet for the userspace
 			// handler, or drop with ENOBUFS when the queue is full.
 			// Misses are counted above even for refused packets.
 			d.traceResolved(perf.ResultUpcall)
-			if len(d.upcallQ) >= d.UpcallQueueCap {
-				d.UpcallQueueDrops++
-				d.Perf.UpcallQueueDrops++
-				return
-			}
-			d.upcallQ = append(d.upcallQ,
-				&kpendingUpcall{key: key, pkt: p, enq: d.Eng.Now(), cpu: cpu})
-			if n := uint64(len(d.upcallQ)); n > d.Perf.UpcallQueuePeak {
-				d.Perf.UpcallQueuePeak = n
-			}
-			d.kickUpcalls()
+			d.slow.Admit(&key, p, cpu)
 			return
 		}
 		// Legacy path: inline upcall to ovs-vswitchd over netlink —
 		// expensive, and the translation installs a flow for successors.
 		upcallBefore := cpu.BusyTotal()
 		d.charge(cpu, sim.System, perf.StageUpcall, costmodel.UpcallCost)
-		mf, err := d.translate(key)
+		mf, err := d.translate(&key)
 		d.Perf.AddUpcall(cpu.BusyTotal() - upcallBefore)
 		d.traceResolved(perf.ResultUpcall)
 		if err != nil {
-			d.UpcallErrors++
-			d.Drops++
-			d.installNegativeFlow(key)
+			d.slow.Failed(&key, p)
 			return
 		}
 		entry = d.InstallFlow(key, mf.Mask, mf.Actions)
@@ -329,20 +310,6 @@ func (d *Datapath) execute(cpu *sim.CPU, p *packet.Packet, actions []ofproto.DPA
 			}
 			d.process(cpu, p, depth+1)
 			return
-		case ofproto.DPPushVLAN:
-			p.Data = hdr.PushVLAN(p.Data, a.VLAN, a.VLANPrio)
-		case ofproto.DPPopVLAN:
-			p.Data = hdr.PopVLAN(p.Data)
-		case ofproto.DPSetEthSrc:
-			if len(p.Data) >= 12 {
-				copy(p.Data[6:12], a.MAC[:])
-			}
-		case ofproto.DPSetEthDst:
-			if len(p.Data) >= 6 {
-				copy(p.Data[0:6], a.MAC[:])
-			}
-		case ofproto.DPDecTTL:
-			decTTL(p)
 		case ofproto.DPTunnelPush:
 			// The kernel's own encapsulation: charged, and the
 			// packet grows by the overhead; the full byte-level
@@ -354,61 +321,14 @@ func (d *Datapath) execute(cpu *sim.CPU, p *packet.Packet, actions []ofproto.DPA
 				d.Drops++
 				return
 			}
+		default:
+			a.Rewrite(p)
 		}
 	}
 }
 
-func decTTL(p *packet.Packet) {
-	eth, err := hdr.ParseEthernet(p.Data)
-	if err != nil || eth.Type != hdr.EtherTypeIPv4 {
-		return
-	}
-	raw := p.Data[eth.HeaderLen:]
-	ip, err := hdr.ParseIPv4(raw)
-	if err != nil || ip.TTL == 0 {
-		return
-	}
-	ip.TTL--
-	ip.SerializeTo(raw[:hdr.IPv4MinSize])
-}
-
 // FlushFlows drops all installed datapath flows (revalidation).
 func (d *Datapath) FlushFlows() { d.flows.Flush() }
-
-// kpendingUpcall is one packet parked in the bounded upcall queue. The
-// softirq CPU it arrived on is kept so the reinjected packet charges the
-// same context it would have run in.
-type kpendingUpcall struct {
-	key     flow.Key
-	pkt     *packet.Packet
-	enq     sim.Time
-	attempt int
-	cpu     *sim.CPU
-}
-
-// upcallInterval is the bounded handler's per-upcall service time.
-func (d *Datapath) upcallInterval() sim.Time {
-	if d.UpcallServiceInterval > 0 {
-		return d.UpcallServiceInterval
-	}
-	return costmodel.UpcallCost
-}
-
-// retryBase seeds the exponential backoff for transient upcall failures.
-func (d *Datapath) retryBase() sim.Time {
-	if d.UpcallRetryBase > 0 {
-		return d.UpcallRetryBase
-	}
-	return costmodel.UpcallCost / 4
-}
-
-// maxUpcallRetries bounds backoff retries of one transient upcall.
-func (d *Datapath) maxUpcallRetries() int {
-	if d.UpcallMaxRetries > 0 {
-		return d.UpcallMaxRetries
-	}
-	return 3
-}
 
 // handlerCPU lazily creates the userspace handler thread (ovs-vswitchd's
 // handler pool, reduced to one thread).
@@ -417,71 +337,4 @@ func (d *Datapath) handlerCPU() *sim.CPU {
 		d.handler = d.Eng.NewCPU("ovs-handler")
 	}
 	return d.handler
-}
-
-// installNegativeFlow installs a short-lived drop flow after a failed
-// upcall; it self-expires after NegativeFlowTTL.
-func (d *Datapath) installNegativeFlow(key flow.Key) {
-	ttl := d.NegativeFlowTTL
-	if ttl <= 0 {
-		return
-	}
-	e := d.flows.Insert(key, flow.MaskAll(), nil)
-	d.Eng.Schedule(ttl, func() { d.flows.Remove(e) })
-}
-
-// kickUpcalls schedules the next queued upcall for service one handler
-// service interval from now.
-func (d *Datapath) kickUpcalls() {
-	if d.upcallBusy || len(d.upcallQ) == 0 {
-		return
-	}
-	d.upcallBusy = true
-	d.Eng.Schedule(d.upcallInterval(), d.serviceUpcall)
-}
-
-// serviceUpcall handles one parked upcall on the userspace handler thread,
-// mirroring the netdev provider's semantics exactly: dedup against the
-// flow table, translate with backoff retry on transient faults, install
-// the flow (or a negative flow on hard failure), reinject the packet.
-func (d *Datapath) serviceUpcall() {
-	d.upcallBusy = false
-	if len(d.upcallQ) == 0 {
-		return
-	}
-	u := d.upcallQ[0]
-	d.upcallQ = d.upcallQ[1:]
-	defer d.kickUpcalls()
-
-	if e, _ := d.flows.LookupKey(&u.key); e != nil {
-		d.processCounted(u.cpu, u.pkt, 0, false)
-		return
-	}
-
-	cpu := d.handlerCPU()
-	cpu.Consume(sim.System, costmodel.UpcallCost)
-	d.Perf.Add(perf.StageUpcall, costmodel.UpcallCost)
-	mf, err := d.translate(u.key)
-	if err != nil {
-		if te, ok := err.(interface{ Transient() bool }); ok && te.Transient() &&
-			u.attempt < d.maxUpcallRetries() {
-			u.attempt++
-			d.UpcallRetries++
-			delay := faultinject.Backoff(d.Eng.Rand(), d.retryBase(), u.attempt)
-			d.Eng.Schedule(delay, func() {
-				// Retries bypass the cap: the packet was admitted once.
-				d.upcallQ = append(d.upcallQ, u)
-				d.kickUpcalls()
-			})
-			return
-		}
-		d.UpcallErrors++
-		d.Drops++
-		d.Perf.AddUpcall(d.Eng.Now() - u.enq)
-		d.installNegativeFlow(u.key)
-		return
-	}
-	d.InstallFlow(u.key, mf.Mask, mf.Actions)
-	d.Perf.AddUpcall(d.Eng.Now() - u.enq)
-	d.processCounted(u.cpu, u.pkt, 0, false)
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"ovsxdp/internal/conntrack"
+	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/tunnel"
 )
@@ -220,4 +221,45 @@ func (a DPAction) String() string {
 	default:
 		return fmt.Sprintf("dp(%d)", int(a.Type))
 	}
+}
+
+// Rewrite applies a to the packet's headers when it is one of the rewrite
+// actions (VLAN push/pop, Ethernet address set, TTL decrement) and reports
+// whether it was. The byte edits are the same wherever the action runs —
+// a PMD thread, kernel softirq context, the NIC's offload engine — so they
+// live here once; what a rewrite costs stays with each executor.
+func (a *DPAction) Rewrite(p *packet.Packet) bool {
+	switch a.Type {
+	case DPPushVLAN:
+		p.Data = hdr.PushVLAN(p.Data, a.VLAN, a.VLANPrio)
+	case DPPopVLAN:
+		p.Data = hdr.PopVLAN(p.Data)
+	case DPSetEthSrc:
+		if len(p.Data) >= 12 {
+			copy(p.Data[6:12], a.MAC[:])
+		}
+	case DPSetEthDst:
+		if len(p.Data) >= 6 {
+			copy(p.Data[0:6], a.MAC[:])
+		}
+	case DPDecTTL:
+		decTTL(p)
+	default:
+		return false
+	}
+	return true
+}
+
+func decTTL(p *packet.Packet) {
+	eth, err := hdr.ParseEthernet(p.Data)
+	if err != nil || eth.Type != hdr.EtherTypeIPv4 {
+		return
+	}
+	raw := p.Data[eth.HeaderLen:]
+	ip, err := hdr.ParseIPv4(raw)
+	if err != nil || ip.TTL == 0 {
+		return
+	}
+	ip.TTL--
+	ip.SerializeTo(raw[:hdr.IPv4MinSize])
 }
