@@ -95,3 +95,17 @@ func BenchmarkConntrackCommitExpire100k(b *testing.B) {
 		b.Fatalf("len=%d created=%d: not one commit and one expiry per iteration", ct.Len(), ct.Created)
 	}
 }
+
+// BenchmarkCtExtract: the tuple reader alone, on the TCP frame the ct
+// workload sends.
+func BenchmarkCtExtract(b *testing.B) {
+	p := tcpPkt(ipA, ipB, 1000, 80, hdr.TCPAck)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPacket(p, i)
+		if _, _, _, ok := extract(p); !ok {
+			b.Fatal("frame rejected")
+		}
+	}
+}

@@ -48,7 +48,8 @@ func (d *Datapath) classifyBatch(m *PMD, pkts []*packet.Packet) {
 			}
 			p.Offloads |= packet.CsumVerified
 		}
-		keys = append(keys, flow.Extract(p))
+		keys = append(keys, flow.Key{})
+		flow.ExtractInto(p, &keys[len(keys)-1])
 		m.charge(perf.StageRx, costmodel.ParseFlowKey)
 	}
 	m.batchKeys = keys

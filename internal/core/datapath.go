@@ -412,7 +412,8 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 	// Flow key extraction (the real parser, charged at the calibrated
 	// rate). The key lives here for the whole pass; everything below takes
 	// its address.
-	key := flow.Extract(p)
+	var key flow.Key
+	flow.ExtractInto(p, &key)
 	m.charge(perf.StageRx, costmodel.ParseFlowKey)
 
 	e, hashes := d.lookupHierarchy(m, &key)

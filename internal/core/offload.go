@@ -235,7 +235,8 @@ func (o *offloadEngine) merge(cookie any, delta uint64) {
 // only live megaflows forward — a dead cookie is purged on sight instead
 // of forwarding with stale actions.
 func (o *offloadEngine) hwLookup(p *packet.Packet) (*dpcls.Entry, bool) {
-	key := flow.Extract(p)
+	var key flow.Key
+	flow.ExtractInto(p, &key)
 	c, ok := o.table.Lookup(key)
 	if !ok {
 		return nil, false

@@ -10,7 +10,9 @@
 // the OVS datapath because it causes a high miss rate in the OVS caching
 // layer"). The implementation follows OVS: a fixed-size, 2-way set
 // associative table with pseudo-random replacement and no locks (one EMC per
-// PMD thread).
+// PMD thread), probed tag first — OVS's emc_lookup compares the entry's
+// stored key.hash before it touches the miniflow, so in that worst case a
+// probe that misses reads two words, not two keys.
 package emc
 
 import (
@@ -23,25 +25,26 @@ const Ways = 2
 // DefaultEntries matches OVS's EM_FLOW_HASH_ENTRIES.
 const DefaultEntries = 8192
 
-// Entry is one cache slot.
-type entry[V any] struct {
-	key   flow.Key
+// way is the probe side of one slot: everything a lookup reads to reject it.
+// tag is the cached key's 32-bit hash with validBit set, so one word compare
+// answers "in use, and possibly this key"; zero is a free way.
+type way[V any] struct {
+	tag   uint64
 	value V
-	valid bool
 }
 
-// fill overwrites the slot field by field, so no temporary entry is built
-// and copied.
-func (e *entry[V]) fill(key *flow.Key, value V) {
-	e.key = *key
-	e.value = value
-	e.valid = true
-}
+const validBit = 1 << 32
 
 // Cache is a fixed-size exact-match cache from flow.Key to V (typically the
 // megaflow entry installed by the classifier).
 type Cache[V any] struct {
-	sets  [][Ways]entry[V]
+	// ways and keys are parallel: keys[s][w] is the key cached in
+	// ways[s][w]. They are split so the probe side is dense (32 bytes per
+	// set for a pointer V: two sets per cache line, 128 KB at the default
+	// size) and stays cache-resident however many flows thrash the cache; a
+	// 96-byte key is loaded only once its tag has matched.
+	ways  [][Ways]way[V]
+	keys  [][Ways]flow.Key
 	mask  uint32
 	basis uint32
 	count int // live entries (kept incrementally; Len is O(1))
@@ -77,7 +80,7 @@ func New[V any](entries int, hashBasis uint32) *Cache[V] {
 	for n < entries/Ways {
 		n <<= 1
 	}
-	return &Cache[V]{sets: make([][Ways]entry[V], n), mask: uint32(n - 1), basis: hashBasis}
+	return &Cache[V]{ways: make([][Ways]way[V], n), keys: make([][Ways]flow.Key, n), mask: uint32(n - 1), basis: hashBasis}
 }
 
 // Hash returns key's hash under this cache's basis: the value LookupHashed
@@ -90,11 +93,11 @@ func (c *Cache[V]) Lookup(key flow.Key) (V, bool) { return c.LookupHashed(&key, 
 // LookupHashed returns the value cached for key, whose Hash is h, if any. An
 // entry whose value fails the alive check is purged and reported as a miss.
 func (c *Cache[V]) LookupHashed(key *flow.Key, h uint32) (V, bool) {
-	set := &c.sets[h&c.mask]
+	set, keys, tag := &c.ways[h&c.mask], &c.keys[h&c.mask], uint64(h)|validBit
 	for i := range set {
-		if set[i].valid && set[i].key == *key {
+		if set[i].tag == tag && keys[i] == *key {
 			if c.alive != nil && !c.alive(set[i].value) {
-				set[i] = entry[V]{}
+				set[i] = way[V]{}
 				c.count--
 				c.StalePurged++
 				break
@@ -114,54 +117,58 @@ func (c *Cache[V]) Insert(key flow.Key, value V) { c.InsertHashed(&key, c.Hash(&
 // InsertHashed caches value for key, whose Hash is h, replacing an existing
 // entry for the same key or evicting a pseudo-randomly chosen way.
 func (c *Cache[V]) InsertHashed(key *flow.Key, h uint32, value V) {
-	set := &c.sets[h&c.mask]
+	set, keys, tag := &c.ways[h&c.mask], &c.keys[h&c.mask], uint64(h)|validBit
 	c.Inserts++
 	// Same key: update in place.
 	for i := range set {
-		if set[i].valid && set[i].key == *key {
+		if set[i].tag == tag && keys[i] == *key {
 			set[i].value = value
 			return
 		}
 	}
 	// Free way — a slot holding a dead value counts as free (lazy purge).
+	victim := -1
 	for i := range set {
-		if !set[i].valid {
-			set[i].fill(key, value)
+		if set[i].tag == 0 {
+			victim = i
 			c.count++
-			return
+			break
 		}
 		if c.alive != nil && !c.alive(set[i].value) {
-			set[i].fill(key, value)
+			victim = i
 			c.StalePurged++
-			return
+			break
 		}
 	}
-	// Evict: the victim way comes from the key's own hash bits above the
-	// set index, OVS's pseudo-random replacement. A cache-global rotor
-	// would make every set evict the same way in lockstep, so two keys
-	// alternating in one set deterministically thrash each other while the
-	// other way's entry never ages out.
-	victim := (h >> 16) % Ways
-	set[victim].fill(key, value)
-	c.Evictions++
+	if victim < 0 {
+		// Evict: the victim way comes from the key's own hash bits above
+		// the set index, OVS's pseudo-random replacement. A cache-global
+		// rotor would make every set evict the same way in lockstep, so two
+		// keys alternating in one set deterministically thrash each other
+		// while the other way's entry never ages out.
+		victim = int((h >> 16) % Ways)
+		c.Evictions++
+	}
+	keys[victim] = *key
+	set[victim] = way[V]{tag, value}
 }
 
 // Invalidate removes the entry for key if present.
 func (c *Cache[V]) Invalidate(key flow.Key) {
-	set := &c.sets[key.Hash(c.basis)&c.mask]
+	h := c.Hash(&key)
+	set, keys, tag := &c.ways[h&c.mask], &c.keys[h&c.mask], uint64(h)|validBit
 	for i := range set {
-		if set[i].valid && set[i].key == key {
-			set[i] = entry[V]{}
+		if set[i].tag == tag && keys[i] == key {
+			set[i] = way[V]{}
 			c.count--
 		}
 	}
 }
 
 // Flush removes every entry (megaflow revalidation invalidating the cache).
+// Only the probe side is cleared: a key is never read without a valid tag.
 func (c *Cache[V]) Flush() {
-	for i := range c.sets {
-		c.sets[i] = [Ways]entry[V]{}
-	}
+	clear(c.ways)
 	c.count = 0
 }
 
@@ -170,7 +177,7 @@ func (c *Cache[V]) Flush() {
 func (c *Cache[V]) Len() int { return c.count }
 
 // Capacity returns the total number of slots.
-func (c *Cache[V]) Capacity() int { return len(c.sets) * Ways }
+func (c *Cache[V]) Capacity() int { return len(c.ways) * Ways }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.
 func (c *Cache[V]) HitRate() float64 {

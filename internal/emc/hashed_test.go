@@ -75,10 +75,10 @@ func TestHashReuseLeavesEMCUnchanged(t *testing.T) {
 			if got := countersOf(hashed); got != tc.want {
 				t.Errorf("hashed counters = %+v, recorded %+v", got, tc.want)
 			}
-			for i := range byValue.sets {
-				for w := range byValue.sets[i] {
-					a, b := byValue.sets[i][w], hashed.sets[i][w]
-					if a.valid != b.valid || a.key != b.key || (a.valid && a.value.dead != b.value.dead) {
+			for i := range byValue.ways {
+				for w := range byValue.ways[i] {
+					a, b := byValue.ways[i][w], hashed.ways[i][w]
+					if a.tag != b.tag || byValue.keys[i][w] != hashed.keys[i][w] || (a.tag != 0 && a.value.dead != b.value.dead) {
 						t.Fatalf("set %d way %d differs: %+v vs %+v", i, w, a, b)
 					}
 				}

@@ -7,28 +7,36 @@ import (
 	"ovsxdp/internal/packet/hdr"
 )
 
-// Extract performs the miniflow_extract analog: a single pass over the
-// packet's headers that fills a packed Key and records the L3/L4 offsets in
-// the packet metadata. Following OVS (and the DecodingLayerParser idiom from
-// gopacket), it decodes only the layers it recognizes, stops quietly at the
-// first unparseable byte, and never allocates: a malformed or truncated
-// packet simply yields a key that matches only as far as it parsed. The key
-// is the named result, so it is built in the caller's slot rather than in a
-// local that every return would copy out.
+// Extract is ExtractInto for callers that want the key as a value.
 func Extract(p *packet.Packet) (k Key) {
+	ExtractInto(p, &k)
+	return k
+}
+
+// ExtractInto performs the miniflow_extract analog: a single pass over the
+// packet's headers that fills the caller's packed Key (every word, whatever
+// it held) and records the L3/L4 offsets in the packet metadata. Following
+// OVS (and the DecodingLayerParser idiom from gopacket), it decodes only the
+// layers it recognizes, stops quietly at the first unparseable byte, and
+// never allocates: a malformed or truncated packet simply yields a key that
+// matches only as far as it parsed. The per-packet paths call this form so
+// the 96-byte key is built where it will be used and never copied out of a
+// return slot.
+func ExtractInto(p *packet.Packet, k *Key) {
 	d := p.Data
+	*k = Key{}
 
 	// Metadata words first: they are independent of packet bytes.
 	k[wMeta] = uint64(p.InPort)<<32 | uint64(p.RecircID)
-	k[wIPMeta] |= uint64(p.CtState)<<24 | uint64(p.CtZone)
-	k[wTunSrc] |= uint64(p.CtMark)
+	k[wIPMeta] = uint64(p.CtState)<<24 | uint64(p.CtZone)
+	k[wTunSrc] = uint64(p.CtMark)
 	if t := p.Tunnel; t != nil {
 		k[wTunnel] = uint64(t.VNI)<<32 | uint64(t.DstIP)
 		k[wTunSrc] |= uint64(t.SrcIP) << 32
 	}
 
 	if len(d) < hdr.EthernetSize {
-		return k
+		return
 	}
 	// Ethernet addresses.
 	k[wEthDst] = uint64(d[0])<<56 | uint64(d[1])<<48 | uint64(d[2])<<40 |
@@ -40,7 +48,7 @@ func Extract(p *packet.Packet) (k Key) {
 	off := hdr.EthernetSize
 	if etherType == hdr.EtherTypeVLAN {
 		if len(d) < off+hdr.VLANSize {
-			return k
+			return
 		}
 		tci := binary.BigEndian.Uint16(d[14:16])
 		k[wEthSrc] |= uint64(VLANPresent | tci&0xefff)
@@ -52,23 +60,21 @@ func Extract(p *packet.Packet) (k Key) {
 
 	switch etherType {
 	case hdr.EtherTypeIPv4:
-		off = extractIPv4(p, k[:], d, off)
+		extractIPv4(p, k[:], d, off)
 	case hdr.EtherTypeIPv6:
-		off = extractIPv6(p, k[:], d, off)
+		extractIPv6(p, k[:], d, off)
 	case hdr.EtherTypeARP:
 		extractARP(k[:], d, off)
 	}
-	_ = off
-	return k
 }
 
-func extractIPv4(p *packet.Packet, k []uint64, d []byte, off int) int {
+func extractIPv4(p *packet.Packet, k []uint64, d []byte, off int) {
 	if len(d) < off+hdr.IPv4MinSize || d[off]>>4 != 4 {
-		return off
+		return
 	}
 	ihl := int(d[off]&0x0f) * 4
 	if ihl < hdr.IPv4MinSize || len(d) < off+ihl {
-		return off
+		return
 	}
 	src := binary.BigEndian.Uint32(d[off+12 : off+16])
 	dst := binary.BigEndian.Uint32(d[off+16 : off+20])
@@ -88,16 +94,14 @@ func extractIPv4(p *packet.Packet, k []uint64, d []byte, off int) int {
 	k[wIPMeta] |= uint64(proto)<<56 | uint64(tos)<<48 | uint64(ttl)<<40 | uint64(frag)<<32
 	l4 := off + ihl
 	p.L4Offset = l4
-	if frag == 3 {
-		return l4
+	if frag != 3 {
+		extractL4(k, d, l4, proto)
 	}
-	extractL4(k, d, l4, proto)
-	return l4
 }
 
-func extractIPv6(p *packet.Packet, k []uint64, d []byte, off int) int {
+func extractIPv6(p *packet.Packet, k []uint64, d []byte, off int) {
 	if len(d) < off+hdr.IPv6Size || d[off]>>4 != 6 {
-		return off
+		return
 	}
 	k[wIP6SrcA] = be64(d[off+8 : off+16])
 	k[wIP6SrcB] = be64(d[off+16 : off+24])
@@ -110,7 +114,6 @@ func extractIPv6(p *packet.Packet, k []uint64, d []byte, off int) int {
 	l4 := off + hdr.IPv6Size
 	p.L4Offset = l4
 	extractL4(k, d, l4, proto)
-	return l4
 }
 
 func extractL4(k []uint64, d []byte, off int, proto hdr.IPProto) {

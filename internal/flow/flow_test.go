@@ -299,6 +299,25 @@ func TestHashBasisChangesHash(t *testing.T) {
 	}
 }
 
+// TestExtractIntoOverwritesKey: the fast path reuses key storage from packet
+// to packet, so ExtractInto must leave no word of the previous contents —
+// whichever layer the parse stops at.
+func TestExtractIntoOverwritesKey(t *testing.T) {
+	frame := hdr.NewBuilder().Eth(macA, macB).VLAN(7, 1).IPv4H(ipA, ipB, 64).TCPH(1, 2, 3, 4, hdr.TCPSyn).Build()
+	for n := 0; n <= len(frame); n++ {
+		p := packet.New(frame[:n:n])
+		p.InPort, p.CtZone = 3, 9
+		var dirty Key
+		for i := range dirty {
+			dirty[i] = ^uint64(0)
+		}
+		ExtractInto(p, &dirty)
+		if want := Extract(p); dirty != want {
+			t.Fatalf("%d-byte prefix: reused key = %v, fresh key = %v", n, dirty, want)
+		}
+	}
+}
+
 func TestRSSHashStablePerFlow(t *testing.T) {
 	a := Extract(udpPacket())
 	b := Extract(udpPacket())
@@ -336,6 +355,22 @@ func BenchmarkExtract(b *testing.B) {
 		Extract(p)
 	}
 }
+
+// BenchmarkExtractInto is the per-packet shape of the fast path: build the
+// key where it will be used, then hash it for the first cache.
+func BenchmarkExtractInto(b *testing.B) {
+	p := udpPacket()
+	var k Key
+	var sink uint32
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ExtractInto(p, &k)
+		sink ^= k.Hash(1)
+	}
+	benchSink = sink
+}
+
+var benchSink uint32
 
 func BenchmarkHashMasked(b *testing.B) {
 	k := Extract(udpPacket())

@@ -230,7 +230,8 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 	}
 	d.charge(cpu, sim.Softirq, perf.StageRx, d.cost(costmodel.SkbAlloc+costmodel.KernelDriverRx))
 
-	key := flow.Extract(p)
+	var key flow.Key
+	flow.ExtractInto(p, &key)
 	d.charge(cpu, sim.Softirq, perf.StageDpcls, d.cost(costmodel.KernelOVSLookup))
 	entry, _ := d.flows.LookupKey(&key)
 	if entry == nil {

@@ -306,7 +306,8 @@ func (n *NIC) classify(p *packet.Packet) *Queue {
 		// queue, and nobody is owed the hash.
 		return n.queues[0]
 	}
-	key := flow.Extract(p)
+	var key flow.Key
+	flow.ExtractInto(p, &key)
 	if n.steeringRules() > 0 {
 		f := key.Unpack()
 		// The fully-specified rule, if any, in one map probe; then the

@@ -86,6 +86,33 @@ func TestTracerRingEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestTracerRingWrapsTwice fills a ring past its capacity more than twice,
+// checking after every Add that exactly the newest min(seen, cap) records
+// are retained, oldest first.
+func TestTracerRingWrapsTwice(t *testing.T) {
+	const size = 4
+	tr := NewTracer(size)
+	if len(tr.Records()) != 0 {
+		t.Fatal("a fresh ring must be empty")
+	}
+	for i := 0; i < 2*size+3; i++ {
+		tr.Add(TraceRecord{InPort: uint32(100 + i)})
+		recs := tr.Records()
+		want := i + 1
+		if want > size {
+			want = size
+		}
+		if len(recs) != want || tr.Seen() != uint64(i+1) {
+			t.Fatalf("after %d adds: retained %d (want %d), seen %d", i+1, len(recs), want, tr.Seen())
+		}
+		for j, r := range recs {
+			if seq := uint64(i + 1 - want + j); r.Seq != seq || r.InPort != uint32(100+seq) {
+				t.Fatalf("after %d adds: record %d = seq %d in %d, want seq %d", i+1, j, r.Seq, r.InPort, seq)
+			}
+		}
+	}
+}
+
 func TestEnableTraceToggle(t *testing.T) {
 	s := NewStats()
 	if s.Tracer() != nil || s.Trace() != nil {

@@ -60,7 +60,8 @@ type TraceRecord struct {
 	Start, End sim.Time
 }
 
-// Tracer is a fixed-size ring of the most recent packet lifecycles.
+// Tracer is a fixed-size ring of the most recent packet lifecycles: record
+// seq lives in buf[seq%len(buf)], so a full ring overwrites its oldest slot.
 type Tracer struct {
 	buf  []TraceRecord
 	seen uint64
@@ -71,20 +72,15 @@ func NewTracer(n int) *Tracer {
 	if n < 1 {
 		n = 1
 	}
-	return &Tracer{buf: make([]TraceRecord, 0, n)}
+	return &Tracer{buf: make([]TraceRecord, n)}
 }
 
-// Add appends one lifecycle, evicting the oldest when full, and stamps the
-// record's sequence number.
+// Add records one lifecycle, overwriting the oldest when full, and stamps
+// the record's sequence number.
 func (t *Tracer) Add(r TraceRecord) {
 	r.Seq = t.seen
+	t.buf[t.seen%uint64(len(t.buf))] = r
 	t.seen++
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, r)
-		return
-	}
-	copy(t.buf, t.buf[1:])
-	t.buf[len(t.buf)-1] = r
 }
 
 // Seen returns how many lifecycles were ever recorded.
@@ -92,8 +88,11 @@ func (t *Tracer) Seen() uint64 { return t.seen }
 
 // Records returns the retained lifecycles, oldest first.
 func (t *Tracer) Records() []TraceRecord {
-	out := make([]TraceRecord, len(t.buf))
-	copy(out, t.buf)
+	n := min(t.seen, uint64(len(t.buf)))
+	out := make([]TraceRecord, 0, n)
+	for seq := t.seen - n; seq < t.seen; seq++ {
+		out = append(out, t.buf[seq%uint64(len(t.buf))])
+	}
 	return out
 }
 

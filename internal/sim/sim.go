@@ -153,30 +153,27 @@ func (e *Engine) dispatch(idx int32) {
 }
 
 // Run executes events until none remain or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped {
-		idx := e.q.next()
-		if idx < 0 {
-			return
-		}
-		e.dispatch(idx)
-	}
-}
+func (e *Engine) Run() { e.runDue(math.MaxInt64) }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped {
-		at, ok := e.q.peek()
-		if !ok || at > t {
-			break
-		}
-		e.dispatch(e.q.next())
-	}
+	e.runDue(t)
 	if e.now < t {
 		e.now = t
+	}
+}
+
+// runDue dispatches events due at or before limit, in (at, seq) order, until
+// none is left or Stop is called.
+func (e *Engine) runDue(limit Time) {
+	e.stopped = false
+	for !e.stopped {
+		idx := e.q.popDue(limit)
+		if idx < 0 {
+			return
+		}
+		e.dispatch(idx)
 	}
 }
 

@@ -209,48 +209,31 @@ func (q *evQueue) nearInsert(idx int32) {
 	q.near[lo] = idx
 }
 
-// next pops the earliest live record, refilling the near ring from the
-// wheel as needed. Returns -1 when no events remain. The caller owns the
+// popDue pops the earliest live record if it is due at or before limit,
+// refilling the near ring from the wheel as needed; -1 means no live record
+// is due by then (the earliest one, if any, stays queued). One walk of the
+// near ring finds, checks and removes the record. The caller owns the
 // returned record and must freeRec it.
-func (q *evQueue) next() int32 {
+func (q *evQueue) popDue(limit Time) int32 {
 	for {
 		for q.nearHead < len(q.near) {
 			idx := q.near[q.nearHead]
+			dead := q.slab[idx].dead
+			if !dead && q.slab[idx].at > limit {
+				return -1
+			}
 			q.nearHead++
 			if q.nearHead == len(q.near) {
 				q.near = q.near[:0]
 				q.nearHead = 0
 			}
-			if q.slab[idx].dead {
-				q.freeRec(idx)
-				continue
+			if !dead {
+				return idx
 			}
-			return idx
+			q.freeRec(idx)
 		}
 		if q.count == 0 {
 			return -1
-		}
-		q.refill()
-	}
-}
-
-// peek returns the earliest pending timestamp without consuming the event.
-func (q *evQueue) peek() (Time, bool) {
-	for {
-		for q.nearHead < len(q.near) {
-			idx := q.near[q.nearHead]
-			if !q.slab[idx].dead {
-				return q.slab[idx].at, true
-			}
-			q.freeRec(idx)
-			q.nearHead++
-			if q.nearHead == len(q.near) {
-				q.near = q.near[:0]
-				q.nearHead = 0
-			}
-		}
-		if q.count == 0 {
-			return 0, false
 		}
 		q.refill()
 	}
