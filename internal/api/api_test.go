@@ -98,7 +98,7 @@ func TestNewStatsViewDoesNotAliasSource(t *testing.T) {
 		Hits: 7, Missed: 1, Flows: 1, CtConns: 5, CtCreated: 6, OffloadHits: 3, OffloadInstalls: 2,
 		ConnsPerZone: []dpif.CtZoneConns{{Zone: 1, Conns: 2}, {Zone: 9, Conns: 3}},
 	}
-	ths := []perf.ThreadStats{{Name: "pmd0", Stats: perf.NewStats()}}
+	ths := []perf.ThreadStats{{Name: "pmd0", Stats: &perf.Stats{}}}
 	ths[0].Packets, ths[0].EMCHits = 8, 7
 	v := NewStatsView("netdev", st, ths, 2)
 	want := NewStatsView("netdev", st.Clone(), ths, 2)
@@ -119,7 +119,7 @@ func TestNewStatsViewDoesNotAliasSource(t *testing.T) {
 }
 
 func TestNewPerfViewDoesNotAliasSource(t *testing.T) {
-	s := perf.NewStats()
+	s := &perf.Stats{}
 	s.Packets, s.Iterations, s.EMCHits = 10, 4, 9
 	s.Cycles[perf.StageRx], s.Cycles[perf.StageEMC] = 300, 100
 	s.AddUpcall(20 * sim.Microsecond)

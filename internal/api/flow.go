@@ -33,7 +33,7 @@ func NewFlowViews(flows []dpif.Flow) []FlowView {
 	for _, f := range flows {
 		out = append(out, FlowView{
 			Text:     f.Entry.String(),
-			MaskBits: f.Entry.Mask.Bits(),
+			MaskBits: f.Entry.Mask().Bits(),
 			Hits:     f.Entry.Hits,
 		})
 	}

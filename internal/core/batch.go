@@ -3,7 +3,6 @@ package core
 import (
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/flow"
-	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/perf"
 )
@@ -93,7 +92,6 @@ func (d *Datapath) classifyBatch(m *PMD, pkts []*packet.Packet) {
 			}
 			continue
 		}
-		actions, _ := e.Actions.([]ofproto.DPAction)
 		for i := l; i < n; i++ {
 			if groupOf[i] != g {
 				continue
@@ -104,12 +102,12 @@ func (d *Datapath) classifyBatch(m *PMD, pkts []*packet.Packet) {
 				m.charge(perf.StageRx, costmodel.BatchedFlowUpdate)
 				d.countFollowerHit(m)
 			}
-			if len(actions) == 0 {
+			if len(e.Actions) == 0 {
 				d.Drops++
 				pkts[i].Release()
 				continue
 			}
-			d.execute(m, pkts[i], actions, 0)
+			d.execute(m, pkts[i], e.Actions, 0)
 		}
 	}
 }

@@ -387,8 +387,7 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 			d.OffloadHits++
 			m.Perf.OffloadHits++
 			m.traceResolved(perf.ResultOffload)
-			actions, _ := e.Actions.([]ofproto.DPAction)
-			d.hwForward(m, p, actions)
+			d.hwForward(m, p, e.Actions)
 			return
 		}
 	}
@@ -450,8 +449,7 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 		m.cacheInsert(&key, hashes, e)
 	}
 
-	actions, _ := e.Actions.([]ofproto.DPAction)
-	if len(actions) == 0 {
+	if len(e.Actions) == 0 {
 		d.Drops++
 		p.Release()
 		return
@@ -463,7 +461,7 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 	if e.OffloadMark != 0 && depth == 0 && d.offload != nil {
 		d.offload.installFor(&key, e)
 	}
-	d.execute(m, p, actions, depth)
+	d.execute(m, p, e.Actions, depth)
 }
 
 // lookupHierarchy resolves key through the cache hierarchy — EMC, SMC,

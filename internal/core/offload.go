@@ -331,11 +331,7 @@ func (o *offloadEngine) clamp(n int) {
 // hardware's capability: eth rewrites, VLAN push/pop, and TTL decrement
 // followed by a single terminal output. Conntrack, tunnels, meters, and
 // empty (drop) lists stay in software, as tc offload declines them.
-func offloadableActions(a any) bool {
-	actions, ok := a.([]ofproto.DPAction)
-	if !ok || len(actions) == 0 {
-		return false
-	}
+func offloadableActions(actions []ofproto.DPAction) bool {
 	for i, act := range actions {
 		switch act.Type {
 		case ofproto.DPOutput:

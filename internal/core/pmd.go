@@ -136,7 +136,7 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 		emc:     emc.New[*dpcls.Entry](costmodel.EMCEntries, uint32(id)*0x9e37+1),
 		cls:     dpcls.New(uint32(id)*0x79b9 + 7),
 		mode:    mode,
-		Perf:    perf.NewStats(),
+		Perf:    &perf.Stats{},
 		insRand: sim.NewRand(0x51c0ffee ^ uint64(id)<<20),
 	}
 	m.emc.SetAliveCheck(entryAlive)

@@ -23,23 +23,26 @@ import (
 	"slices"
 
 	"ovsxdp/internal/flow"
+	"ovsxdp/internal/ofproto"
 )
 
-// Entry is one installed megaflow.
+// Entry is one installed megaflow, 144 bytes. The fields a hit touches come
+// first, so they share the head of the object with the first words of the
+// key the probe just compared.
 type Entry struct {
-	// Mask selects the fields this megaflow constrains.
-	Mask flow.Mask
-	// MaskedKey is the key already masked (key.Apply(Mask)).
-	MaskedKey flow.Key
-	// Actions is the opaque action list the datapath executes; the
-	// classifier does not interpret it.
-	Actions any
+	// Actions is the action list the datapath executes; the classifier
+	// does not interpret it.
+	Actions []ofproto.DPAction
 
 	// Hits counts packets matched, for revalidator heuristics. With
 	// hardware offload enabled, the periodic counter readback merges
 	// hardware matches in here too, so offloaded flows keep looking alive
 	// to the revalidator and the cache aliveness checks.
 	Hits uint64
+
+	// mask is the owning subtable's mask, shared by all its megaflows; nil
+	// only in an Entry no classifier built.
+	mask *flow.Mask
 
 	// OffloadMark is the hardware-offload engine's per-flow flag: nonzero
 	// while the engine classes this megaflow an elephant whose exact keys
@@ -55,6 +58,18 @@ type Entry struct {
 	// never resurrected (replacement updates the live entry in place, so
 	// a dead pointer stays dead forever).
 	dead bool
+
+	// MaskedKey is the key already masked (key.Apply(Mask())).
+	MaskedKey flow.Key
+}
+
+// Mask returns the fields this megaflow constrains: its subtable's mask,
+// or the zero mask for an Entry no classifier built.
+func (e *Entry) Mask() flow.Mask {
+	if e.mask == nil {
+		return flow.Mask{}
+	}
+	return *e.mask
 }
 
 // MarkDead marks the entry as removed from the datapath. Idempotent.
@@ -63,12 +78,12 @@ func (e *Entry) MarkDead() { e.dead = true }
 // Dead reports whether the entry has been removed from the datapath.
 func (e *Entry) Dead() bool { return e.dead }
 
-// Matches reports whether key falls under this megaflow: key masked by Mask
-// equals MaskedKey, compared in place without building the masked copy. It
-// is the verification the signature cache owes every candidate.
+// Matches reports whether key falls under this megaflow: key masked by
+// Mask() equals MaskedKey, compared in place without building the masked
+// copy. It is the verification the signature cache owes every candidate.
 func (e *Entry) Matches(key *flow.Key) bool {
 	for i := range key {
-		if key[i]&e.Mask[i] != e.MaskedKey[i] {
+		if key[i]&e.mask[i] != e.MaskedKey[i] {
 			return false
 		}
 	}
@@ -77,7 +92,7 @@ func (e *Entry) Matches(key *flow.Key) bool {
 
 // String summarizes the entry.
 func (e *Entry) String() string {
-	return fmt.Sprintf("megaflow{bits=%d hits=%d %s}", e.Mask.Bits(), e.Hits, e.MaskedKey)
+	return fmt.Sprintf("megaflow{bits=%d hits=%d %s}", e.Mask().Bits(), e.Hits, e.MaskedKey)
 }
 
 // Classifier is the tuple-space-search megaflow table. It is used from a
@@ -159,7 +174,7 @@ func (c *Classifier) maybeResort() {
 }
 
 // Insert is InsertKey for callers holding the key and mask by value.
-func (c *Classifier) Insert(key flow.Key, mask flow.Mask, actions any) *Entry {
+func (c *Classifier) Insert(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) *Entry {
 	return c.InsertKey(&key, &mask, actions)
 }
 
@@ -169,7 +184,7 @@ func (c *Classifier) Insert(key flow.Key, mask flow.Mask, actions any) *Entry {
 // the EMC and SMC may still point to) keeps its identity and hit count, so
 // cached hits execute the new actions immediately instead of forwarding
 // with the stale ones a freshly allocated entry would leave behind.
-func (c *Classifier) InsertKey(key *flow.Key, mask *flow.Mask, actions any) *Entry {
+func (c *Classifier) InsertKey(key *flow.Key, mask *flow.Mask, actions []ofproto.DPAction) *Entry {
 	st := c.byMask[*mask]
 	if st == nil {
 		st = newSubtable(mask, c.basis)
@@ -182,7 +197,7 @@ func (c *Classifier) InsertKey(key *flow.Key, mask *flow.Mask, actions any) *Ent
 		return e
 	}
 	c.count++
-	e := &Entry{Mask: *mask, MaskedKey: key.Apply(*mask), Actions: actions}
+	e := &Entry{Actions: actions, mask: st.mask, MaskedKey: key.Apply(*mask)}
 	st.insert(h, e)
 	if c.OnInsert != nil {
 		c.OnInsert(e)
@@ -194,7 +209,7 @@ func (c *Classifier) InsertKey(key *flow.Key, mask *flow.Mask, actions any) *Ent
 // entry was removed: a pointer that is no longer installed (already removed,
 // even if its masked key has since been installed again) removes nothing.
 func (c *Classifier) Remove(e *Entry) bool {
-	st := c.byMask[e.Mask]
+	st := c.byMask[e.Mask()]
 	if st == nil || !st.remove(e) {
 		return false
 	}
@@ -211,12 +226,8 @@ func (c *Classifier) Remove(e *Entry) bool {
 // classifier starts from the same state a fresh one would — AvgProbes and
 // the cost model are not skewed by a previous table's history.
 func (c *Classifier) Flush() {
-	for _, st := range c.subtables {
-		for _, s := range st.slots {
-			if s.e != nil {
-				s.e.MarkDead()
-			}
-		}
+	for _, e := range c.Entries() {
+		e.MarkDead()
 	}
 	c.subtables = nil
 	c.byMask = make(map[flow.Mask]*subtable)
@@ -263,11 +274,6 @@ func (c *Classifier) AvgProbes() float64 {
 }
 
 func (c *Classifier) dropSubtable(st *subtable) {
-	delete(c.byMask, st.mask)
-	for i, s := range c.subtables {
-		if s == st {
-			c.subtables = append(c.subtables[:i], c.subtables[i+1:]...)
-			return
-		}
-	}
+	delete(c.byMask, *st.mask)
+	c.subtables = slices.DeleteFunc(c.subtables, func(s *subtable) bool { return s == st })
 }

@@ -3,10 +3,44 @@ package dpcls
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ovsxdp/internal/flow"
+	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet/hdr"
 )
+
+// act stands in for an action list in these tests, which only need lists
+// they can tell apart: one output action whose port is the tag.
+func act(tag int) []ofproto.DPAction {
+	return []ofproto.DPAction{{Type: ofproto.DPOutput, Port: uint32(tag)}}
+}
+
+// tag recovers the tag act gave e's action list.
+func tag(e *Entry) int { return int(e.Actions[0].Port) }
+
+// TestEntryLayout pins what one megaflow costs: 144 bytes, no private mask
+// copy (every entry of a subtable points at the subtable's mask) and the
+// fields a hit touches ahead of the key.
+func TestEntryLayout(t *testing.T) {
+	var e Entry
+	if size := unsafe.Sizeof(e); size > 144 {
+		t.Fatalf("Entry is %d bytes, want at most 144", size)
+	}
+	if off := unsafe.Offsetof(e.MaskedKey); off != 48 {
+		t.Fatalf("MaskedKey sits at offset %d, want 48: the hot fields come first", off)
+	}
+	if e.Mask() != (flow.Mask{}) {
+		t.Fatal("an Entry no classifier built must report the zero mask")
+	}
+	c := New(0)
+	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
+	a := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
+	b := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 81), mask, act(2))
+	if a.mask != b.mask || a.Mask() != mask {
+		t.Fatal("entries of one subtable must share its mask")
+	}
+}
 
 func keyFor(srcIP hdr.IP4, dstPort uint16) flow.Key {
 	return (&flow.Fields{
@@ -20,14 +54,14 @@ func TestInsertAndLookup(t *testing.T) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().IPProto().TPDst().Build()
 	k := keyFor(hdr.MakeIP4(10, 0, 0, 1), 80)
-	c.Insert(k, mask, "to-port-2")
+	c.Insert(k, mask, act(2))
 
 	// Same dst port, different source: must match the wildcarded entry.
 	e, probes := c.Lookup(keyFor(hdr.MakeIP4(172, 16, 0, 5), 80))
 	if e == nil {
 		t.Fatal("wildcarded lookup missed")
 	}
-	if e.Actions != "to-port-2" {
+	if tag(e) != 2 {
 		t.Fatalf("actions = %v", e.Actions)
 	}
 	if probes != 1 {
@@ -47,15 +81,15 @@ func TestMultipleSubtables(t *testing.T) {
 	c := New(0)
 	mPort := flow.NewMaskBuilder().EthType().IPProto().TPDst().Build()
 	mSrc := flow.NewMaskBuilder().EthType().IPProto().IP4Src(24).Build()
-	c.Insert(keyFor(hdr.MakeIP4(10, 1, 1, 1), 80), mPort, "port-rule")
-	c.Insert(keyFor(hdr.MakeIP4(10, 2, 2, 2), 0), mSrc, "subnet-rule")
+	c.Insert(keyFor(hdr.MakeIP4(10, 1, 1, 1), 80), mPort, act(1))
+	c.Insert(keyFor(hdr.MakeIP4(10, 2, 2, 2), 0), mSrc, act(2))
 	if c.Subtables() != 2 {
 		t.Fatalf("subtables = %d", c.Subtables())
 	}
-	if e, _ := c.Lookup(keyFor(hdr.MakeIP4(10, 2, 2, 99), 9999)); e == nil || e.Actions != "subnet-rule" {
+	if e, _ := c.Lookup(keyFor(hdr.MakeIP4(10, 2, 2, 99), 9999)); e == nil || tag(e) != 2 {
 		t.Fatalf("subnet lookup = %+v", e)
 	}
-	if e, _ := c.Lookup(keyFor(hdr.MakeIP4(192, 168, 0, 1), 80)); e == nil || e.Actions != "port-rule" {
+	if e, _ := c.Lookup(keyFor(hdr.MakeIP4(192, 168, 0, 1), 80)); e == nil || tag(e) != 1 {
 		t.Fatalf("port lookup = %+v", e)
 	}
 }
@@ -64,13 +98,13 @@ func TestInsertReplacesSameMaskedKey(t *testing.T) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
 	k := keyFor(hdr.MakeIP4(1, 1, 1, 1), 80)
-	c.Insert(k, mask, "old")
-	c.Insert(keyFor(hdr.MakeIP4(2, 2, 2, 2), 80), mask, "new") // same masked key
+	c.Insert(k, mask, act(1))
+	c.Insert(keyFor(hdr.MakeIP4(2, 2, 2, 2), 80), mask, act(2)) // same masked key
 	if c.Len() != 1 {
 		t.Fatalf("len = %d, want 1 (replaced)", c.Len())
 	}
 	e, _ := c.Lookup(k)
-	if e == nil || e.Actions != "new" {
+	if e == nil || tag(e) != 2 {
 		t.Fatalf("lookup = %+v", e)
 	}
 }
@@ -78,7 +112,7 @@ func TestInsertReplacesSameMaskedKey(t *testing.T) {
 func TestRemove(t *testing.T) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
-	e := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, "x")
+	e := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
 	if !c.Remove(e) {
 		t.Fatal("remove failed")
 	}
@@ -91,12 +125,12 @@ func TestRemove(t *testing.T) {
 	// Reinserting the same masked key updates the entry in place: the
 	// caches' pointer stays valid and carries the new actions, so there is
 	// no stale pointer to mis-remove.
-	e1 := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, "a")
-	e2 := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, "b")
+	e1 := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
+	e2 := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(2))
 	if e1 != e2 {
 		t.Fatal("replacement must update the existing entry in place")
 	}
-	if e1.Actions != "b" {
+	if tag(e1) != 2 {
 		t.Fatalf("replaced actions = %v, want b", e1.Actions)
 	}
 	if !c.Remove(e1) {
@@ -114,11 +148,11 @@ func TestRemove(t *testing.T) {
 func TestRemoveMarksDead(t *testing.T) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
-	e := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, "x")
+	e := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
 	if e.Dead() {
 		t.Fatal("fresh entry must be alive")
 	}
-	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, "y")
+	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(2))
 	if e.Dead() {
 		t.Fatal("in-place replacement must keep the entry alive")
 	}
@@ -126,7 +160,7 @@ func TestRemoveMarksDead(t *testing.T) {
 	if !e.Dead() {
 		t.Fatal("removed entry must be dead")
 	}
-	e2 := c.Insert(keyFor(hdr.MakeIP4(2, 2, 2, 2), 443), mask, "z")
+	e2 := c.Insert(keyFor(hdr.MakeIP4(2, 2, 2, 2), 443), mask, act(3))
 	c.Flush()
 	if !e2.Dead() {
 		t.Fatal("flushed entry must be dead")
@@ -139,7 +173,7 @@ func TestFlushResetsProbeStats(t *testing.T) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
 	k := keyFor(hdr.MakeIP4(1, 1, 1, 1), 80)
-	c.Insert(k, mask, "x")
+	c.Insert(k, mask, act(1))
 	for i := 0; i < 10; i++ {
 		c.Lookup(k)
 	}
@@ -166,7 +200,7 @@ func TestProbeCountGrowsWithSubtables(t *testing.T) {
 	for i, m := range masks {
 		k := (&flow.Fields{EthType: hdr.EtherTypeIPv6, IPProto: hdr.IPProtoTCP,
 			TPSrc: uint16(i + 1), TPDst: uint16(i + 100)}).Pack()
-		c.Insert(k, m, i)
+		c.Insert(k, m, act(i))
 	}
 	// A missing key probes all subtables.
 	_, probes := c.Lookup(keyFor(hdr.MakeIP4(9, 9, 9, 9), 9))
@@ -183,8 +217,8 @@ func TestUsageBasedResort(t *testing.T) {
 	mB := flow.NewMaskBuilder().EthType().TPDst().Build()
 	kA := (&flow.Fields{EthType: hdr.EtherTypeIPv4, TPSrc: 7}).Pack()
 	kB := (&flow.Fields{EthType: hdr.EtherTypeIPv4, TPDst: 80}).Pack()
-	c.Insert(kA, mA, "a")
-	c.Insert(kB, mB, "b")
+	c.Insert(kA, mA, act(1))
+	c.Insert(kB, mB, act(2))
 
 	// Burn through more than resortInterval lookups on B.
 	for i := 0; i < resortInterval+10; i++ {
@@ -200,7 +234,7 @@ func TestFlushAndEntries(t *testing.T) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
 	for i := 0; i < 5; i++ {
-		c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), uint16(i)), mask, i)
+		c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), uint16(i)), mask, act(i))
 	}
 	if len(c.Entries()) != 5 {
 		t.Fatalf("entries = %d", len(c.Entries()))
@@ -217,7 +251,7 @@ func TestAvgProbes(t *testing.T) {
 		t.Fatal("no lookups: avg 0")
 	}
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
-	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, "x")
+	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
 	c.Lookup(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80))
 	if c.AvgProbes() != 1 {
 		t.Fatalf("avg probes = %v", c.AvgProbes())
@@ -232,12 +266,12 @@ func TestDisjointMegaflowsFirstMatchWins(t *testing.T) {
 	mUDP := flow.NewMaskBuilder().EthType().IPProto().TPSrc().Build()
 	tcpKey := (&flow.Fields{EthType: hdr.EtherTypeIPv4, IPProto: hdr.IPProtoTCP, TPDst: 22}).Pack()
 	udpKey := (&flow.Fields{EthType: hdr.EtherTypeIPv4, IPProto: hdr.IPProtoUDP, TPSrc: 53}).Pack()
-	c.Insert(tcpKey, mTCP, "tcp")
-	c.Insert(udpKey, mUDP, "udp")
-	if e, _ := c.Lookup(udpKey); e == nil || e.Actions != "udp" {
+	c.Insert(tcpKey, mTCP, act(6))
+	c.Insert(udpKey, mUDP, act(17))
+	if e, _ := c.Lookup(udpKey); e == nil || tag(e) != 17 {
 		t.Fatalf("udp lookup = %+v", e)
 	}
-	if e, _ := c.Lookup(tcpKey); e == nil || e.Actions != "tcp" {
+	if e, _ := c.Lookup(tcpKey); e == nil || tag(e) != 6 {
 		t.Fatalf("tcp lookup = %+v", e)
 	}
 }
@@ -246,7 +280,7 @@ func BenchmarkLookup1Subtable(b *testing.B) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().IPProto().TPDst().Build()
 	k := keyFor(hdr.MakeIP4(10, 0, 0, 1), 80)
-	c.Insert(k, mask, "x")
+	c.Insert(k, mask, act(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(k)
@@ -267,7 +301,7 @@ func BenchmarkLookup8Subtables(b *testing.B) {
 	}
 	for i, mb := range builders {
 		k := (&flow.Fields{EthType: hdr.EtherTypeIPv6, IPProto: hdr.IPProtoTCP, TPSrc: uint16(i + 1)}).Pack()
-		c.Insert(k, mb.Build(), i)
+		c.Insert(k, mb.Build(), act(i))
 	}
 	// Lookup key that matches the last subtable most of the time.
 	k := keyFor(hdr.MakeIP4(10, 0, 0, 1), 80)
@@ -288,7 +322,7 @@ func TestInsertLookupProperty(t *testing.T) {
 			IP4Src: hdr.IP4(srcIP), IP4Dst: hdr.IP4(dstIP),
 			TPSrc: sport, TPDst: dport,
 		}
-		c.Insert(base.Pack(), mask, "v")
+		c.Insert(base.Pack(), mask, act(1))
 
 		// Same masked fields, different unmasked fields: must hit.
 		same := base
@@ -320,7 +354,7 @@ func TestMaskIndexConsistency(t *testing.T) {
 		masks[i] = flow.NewMaskBuilder().InPort().EthType().IP4Src(8 + i).Build()
 		for j := 0; j < 3; j++ {
 			k := keyFor(hdr.MakeIP4(10, byte(i), byte(j), 1), uint16(1000+j))
-			entries = append(entries, c.Insert(k, masks[i], "a"))
+			entries = append(entries, c.Insert(k, masks[i], act(1)))
 		}
 	}
 	if c.Subtables() != 16 {
@@ -336,12 +370,12 @@ func TestMaskIndexConsistency(t *testing.T) {
 		t.Fatalf("subtables=%d len=%d after removing all", c.Subtables(), c.Len())
 	}
 	k := keyFor(hdr.MakeIP4(10, 0, 0, 1), 1000)
-	e := c.Insert(k, masks[0], "b")
+	e := c.Insert(k, masks[0], act(2))
 	if got, _ := c.Lookup(k); got != e {
 		t.Fatalf("lookup after reinsert = %v, want %v", got, e)
 	}
 	c.Flush()
-	if got := c.Insert(k, masks[0], "c"); got == nil {
+	if got := c.Insert(k, masks[0], act(3)); got == nil {
 		t.Fatal("insert after flush failed")
 	}
 	if c.Subtables() != 1 {

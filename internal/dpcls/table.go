@@ -26,7 +26,9 @@ type maskWord struct {
 // tombstone. Flow churn installs and evicts megaflows at the same steady
 // rate, and tombstones would lengthen every probe run until a rebuild.
 type subtable struct {
-	mask  flow.Mask
+	// mask is allocated on its own: every entry points at it, and a dead
+	// entry a cache still holds must not keep the slot array alive.
+	mask  *flow.Mask
 	words []maskWord
 	seed  uint64
 	slots []slot
@@ -38,8 +40,9 @@ type subtable struct {
 const minSlots = 8
 
 func newSubtable(mask *flow.Mask, basis uint32) *subtable {
+	m := *mask
 	st := &subtable{
-		mask:  *mask,
+		mask:  &m,
 		seed:  uint64(basis) + 0x9e3779b97f4a7c15,
 		slots: make([]slot, minSlots),
 	}

@@ -70,16 +70,16 @@ func (r *refClassifier) find(key flow.Key, mask flow.Mask) *Entry {
 }
 
 func (r *refClassifier) add(e *Entry) {
-	_, st := r.subtable(e.Mask)
+	_, st := r.subtable(e.Mask())
 	if st == nil {
-		st = &refSubtable{mask: e.Mask, entries: map[flow.Key]*Entry{}}
+		st = &refSubtable{mask: e.Mask(), entries: map[flow.Key]*Entry{}}
 		r.subtables = append(r.subtables, st)
 	}
 	st.entries[e.MaskedKey] = e
 }
 
 func (r *refClassifier) remove(e *Entry) bool {
-	i, st := r.subtable(e.Mask)
+	i, st := r.subtable(e.Mask())
 	if st == nil || st.entries[e.MaskedKey] != e {
 		return false
 	}
@@ -131,7 +131,7 @@ func checkSubtable(t testing.TB, st *subtable) {
 			continue
 		}
 		occupied++
-		if s.e.Mask != st.mask || s.hash != st.hash(&s.e.MaskedKey) {
+		if s.e.Mask() != *st.mask || s.hash != st.hash(&s.e.MaskedKey) {
 			t.Fatalf("slot %d: entry %v stored under the wrong mask or hash", i, s.e)
 		}
 		for j := s.hash & m; j != uint32(i); j = (j + 1) & m {
@@ -157,7 +157,7 @@ func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier) {
 		t.Fatalf("lookups=%d probes=%d, reference %d/%d", c.Lookups, c.SubtableProbes, ref.lookups, ref.probes)
 	}
 	for i, st := range c.subtables {
-		if st.mask != ref.subtables[i].mask || c.byMask[st.mask] != st {
+		if *st.mask != ref.subtables[i].mask || c.byMask[*st.mask] != st {
 			t.Fatalf("subtable %d out of order or missing from the mask index", i)
 		}
 		checkSubtable(t, st)
@@ -167,7 +167,7 @@ func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier) {
 		t.Fatalf("dump has %d entries, reference %d", len(entries), ref.len())
 	}
 	for _, e := range entries {
-		if e.Dead() || ref.find(e.MaskedKey, e.Mask) != e {
+		if e.Dead() || ref.find(e.MaskedKey, e.Mask()) != e {
 			t.Fatalf("dumped entry %v is dead or not the reference's", e)
 		}
 	}
@@ -185,18 +185,18 @@ func runOps(t testing.TB, ops []byte) (maxSlots int) {
 		case op <= 2: // insert, or replace in place
 			key, mask := opKey(a), opMasks[int(b)%len(opMasks)]
 			prev := ref.find(key, mask)
-			e := c.Insert(key, mask, step)
+			e := c.Insert(key, mask, act(step))
 			switch {
 			case prev != nil && e != prev:
 				t.Fatalf("step %d: replacement allocated a new entry", step)
 			case prev == nil:
-				if e.Dead() || e.Mask != mask || e.MaskedKey != key.Apply(mask) {
+				if e.Dead() || e.Mask() != mask || e.MaskedKey != key.Apply(mask) {
 					t.Fatalf("step %d: bad fresh entry %v", step, e)
 				}
 				ref.add(e)
 				handles = append(handles, e)
 			}
-			if e.Actions != step {
+			if tag(e) != step {
 				t.Fatalf("step %d: actions = %v", step, e.Actions)
 			}
 		case op <= 4 && len(handles) > 0: // remove a live entry or a stale pointer
@@ -205,7 +205,7 @@ func runOps(t testing.TB, ops []byte) (maxSlots int) {
 			if got := c.Remove(e); got != want {
 				t.Fatalf("step %d: Remove = %v, reference %v", step, got, want)
 			}
-			if !e.Dead() && ref.find(e.MaskedKey, e.Mask) != e {
+			if !e.Dead() && ref.find(e.MaskedKey, e.Mask()) != e {
 				t.Fatalf("step %d: uninstalled entry not marked dead", step)
 			}
 		case op == 5 && a < 8: // flush, rarely
@@ -304,7 +304,7 @@ func TestBackwardShiftAcrossWrap(t *testing.T) {
 		keys := wrapKeys(t, newSubtable(&mask, 0), homes)
 		entries := make([]*Entry, len(keys))
 		for i, k := range keys {
-			entries[i] = c.Insert(k, mask, i)
+			entries[i] = c.Insert(k, mask, act(i))
 		}
 		st := c.byMask[mask]
 		if len(st.slots) != minSlots || st.slots[2].e != entries[4] {
@@ -333,9 +333,9 @@ func TestRemoveStalePointerAfterReinstall(t *testing.T) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
 	k := keyFor(hdr.MakeIP4(1, 1, 1, 1), 80)
-	old := c.Insert(k, mask, "old")
+	old := c.Insert(k, mask, act(1))
 	c.Remove(old)
-	fresh := c.Insert(k, mask, "new")
+	fresh := c.Insert(k, mask, act(2))
 	if fresh == old || fresh.Dead() {
 		t.Fatal("re-install must allocate a live entry, never resurrect the dead one")
 	}
@@ -355,8 +355,8 @@ func TestBasisSeedsPlacement(t *testing.T) {
 	keys := make([]flow.Key, 96)
 	for i := range keys {
 		keys[i] = benchKey(i)
-		a.Insert(keys[i], srcMasks[i%len(srcMasks)], i)
-		b.Insert(keys[i], srcMasks[i%len(srcMasks)], i)
+		a.Insert(keys[i], srcMasks[i%len(srcMasks)], act(i))
+		b.Insert(keys[i], srcMasks[i%len(srcMasks)], act(i))
 	}
 	placement := func(c *Classifier) map[flow.Key]int {
 		at := map[flow.Key]int{}
@@ -382,7 +382,7 @@ func TestBasisSeedsPlacement(t *testing.T) {
 	for _, k := range append(keys, keyFor(hdr.MakeIP4(9, 9, 9, 9), 9)) {
 		ea, na := a.Lookup(k)
 		eb, nb := b.Lookup(k)
-		if na != nb || (ea == nil) != (eb == nil) || (ea != nil && (ea.Actions != eb.Actions || ea.MaskedKey != eb.MaskedKey)) {
+		if na != nb || (ea == nil) != (eb == nil) || (ea != nil && (tag(ea) != tag(eb) || ea.MaskedKey != eb.MaskedKey)) {
 			t.Fatalf("lookups differ across bases: (%v, %d) vs (%v, %d)", ea, na, eb, nb)
 		}
 	}
@@ -396,7 +396,7 @@ func TestDpclsLookupZeroAlloc(t *testing.T) {
 	keys := make([]flow.Key, 64)
 	for i := range keys {
 		keys[i] = benchKey(i)
-		c.Insert(keys[i], srcMasks[i%len(srcMasks)], "actions")
+		c.Insert(keys[i], srcMasks[i%len(srcMasks)], act(1))
 	}
 	miss := keyFor(hdr.MakeIP4(9, 9, 9, 9), 9)
 	allocs := testing.AllocsPerRun(1, func() {

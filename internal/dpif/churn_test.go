@@ -77,7 +77,7 @@ func TestFlowDelPreservesUnrelatedEMCEntries(t *testing.T) {
 	kB := flow.Extract(pktB())
 	deleted := false
 	for _, f := range flows {
-		if f.Entry.MaskedKey == kB.Apply(f.Entry.Mask) {
+		if f.Entry.MaskedKey == kB.Apply(f.Entry.Mask()) {
 			if !d.FlowDel(f) {
 				t.Fatal("FlowDel(B) failed")
 			}
@@ -140,7 +140,7 @@ func TestFlowPutReplacementUpdatesCachedActions(t *testing.T) {
 		t.Fatalf("flows = %d, want 1", len(flows))
 	}
 	e := flows[0].Entry
-	d.FlowPut(e.MaskedKey, e.Mask,
+	d.FlowPut(e.MaskedKey, e.Mask(),
 		[]ofproto.DPAction{{Type: ofproto.DPOutput, Port: 3}})
 
 	emcBefore := nd.dp.EMCHits

@@ -184,7 +184,7 @@ type Dpif interface {
 	// FlowPut installs a datapath flow directly, bypassing the upcall
 	// path (ovs-dpctl add-flow). Providers apply their own installation
 	// discipline: the ebpf flavor narrows every mask to exact-match.
-	FlowPut(key flow.Key, mask flow.Mask, actions any)
+	FlowPut(key flow.Key, mask flow.Mask, actions []ofproto.DPAction)
 	// FlowDel removes a previously dumped flow, reporting whether it was
 	// still installed.
 	FlowDel(f Flow) bool

@@ -6,6 +6,7 @@ import (
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
+	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
@@ -70,7 +71,7 @@ func (d *Netdev) PortCount() int { return d.dp.Ports() }
 // FlowPut implements Dpif: the flow is installed into every PMD's
 // classifier, as dpif-netdev replicates flows across the threads that may
 // see the traffic. A thread is created if none exists yet.
-func (d *Netdev) FlowPut(key flow.Key, mask flow.Mask, actions any) {
+func (d *Netdev) FlowPut(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) {
 	d.ensurePMD()
 	for _, m := range d.dp.PMDs() {
 		m.Classifier().Insert(key, mask, actions)

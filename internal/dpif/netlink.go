@@ -6,6 +6,7 @@ import (
 	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/kernelsim"
+	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
@@ -109,7 +110,7 @@ func (d *Netlink) PortDel(id uint32) error {
 func (d *Netlink) PortCount() int { return len(d.kdp.Outputs) }
 
 // FlowPut implements Dpif.
-func (d *Netlink) FlowPut(key flow.Key, mask flow.Mask, actions any) {
+func (d *Netlink) FlowPut(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) {
 	d.kdp.InstallFlow(key, mask, actions)
 }
 

@@ -100,7 +100,7 @@ func NewDatapath(eng *sim.Engine, flavor Flavor, pl *ofproto.Pipeline) *Datapath
 		Ct:       conntrack.NewTable(eng),
 		flows:    dpcls.New(0x6b73),
 		Outputs:  make(map[uint32]func(*packet.Packet)),
-		Perf:     perf.NewStats(),
+		Perf:     &perf.Stats{},
 		Upcall:   upcall.DefaultConfig(),
 	}
 	d.slow = upcall.NewQueue(eng, &d.Upcall, &d.Counters, d.Perf, upcall.Host{
@@ -156,7 +156,7 @@ func (d *Datapath) RemoveFlow(e *dpcls.Entry) bool { return d.flows.Remove(e) }
 // InstallFlow installs a datapath flow directly (dpif FlowPut). The eBPF
 // flavor's verifier restrictions forbid megaflow wildcarding, so its masks
 // are narrowed to exact-match exactly as on the upcall path.
-func (d *Datapath) InstallFlow(key flow.Key, mask flow.Mask, actions any) *dpcls.Entry {
+func (d *Datapath) InstallFlow(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) *dpcls.Entry {
 	if d.Flavor == FlavorEBPF {
 		mask = flow.MaskAll()
 	}
@@ -270,12 +270,11 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 		d.traceResolved(perf.ResultMegaflow)
 	}
 
-	actions, _ := entry.Actions.([]ofproto.DPAction)
-	if len(actions) == 0 {
+	if len(entry.Actions) == 0 {
 		d.Drops++
 		return
 	}
-	d.execute(cpu, p, actions, depth)
+	d.execute(cpu, p, entry.Actions, depth)
 }
 
 func (d *Datapath) execute(cpu *sim.CPU, p *packet.Packet, actions []ofproto.DPAction, depth int) {

@@ -70,6 +70,8 @@ func (s Stage) String() string {
 // virtual time (sim.Time) charged by the thread, bucketed by stage; the
 // hit counters split packets by the caching layer that resolved them,
 // exactly the EMC-hit / megaflow-hit / miss triple of Figure 9's analysis.
+// The zero Stats is empty and ready to use (tracing disabled), and it
+// records in constant memory: it does not grow with the traffic it has seen.
 type Stats struct {
 	// Cycles accumulates charged virtual time per stage.
 	Cycles [NumStages]sim.Time
@@ -111,14 +113,10 @@ type Stats struct {
 	// stays zero until a zone limit ladder engages.
 	CtEvictions uint64
 
-	batch  *sim.Histogram // packets per non-empty rx batch
-	upcall *sim.Histogram // upcall handling latency (virtual ns)
-	tracer *Tracer        // optional packet-lifecycle ring
-}
-
-// NewStats returns an empty counter block (tracing disabled).
-func NewStats() *Stats {
-	return &Stats{batch: sim.NewHistogram(), upcall: sim.NewHistogram()}
+	// Non-empty rx batches and the packets in them; BatchMean reads both.
+	batches, batchPkts uint64
+	upcall             sim.Histogram // upcall handling latency (virtual ns)
+	tracer             *Tracer       // optional packet-lifecycle ring
 }
 
 // Add charges d virtual cycles to a stage. Callers invoke it alongside the
@@ -128,21 +126,27 @@ func (s *Stats) Add(st Stage, d sim.Time) { s.Cycles[st] += d }
 // AddIteration counts one poll-loop pass.
 func (s *Stats) AddIteration() { s.Iterations++ }
 
-// AddBatch records one non-empty receive batch of n packets in the batch
-// histogram. Packets itself is counted where packets are processed, so
-// injected (Execute) packets are counted even though they skip the rx path.
+// AddBatch records one non-empty receive batch of n packets. Packets itself
+// is counted where packets are processed, so injected (Execute) packets are
+// counted even though they skip the rx path.
 func (s *Stats) AddBatch(n int) {
-	s.batch.Record(float64(n))
+	s.batches++
+	s.batchPkts += uint64(n)
 }
 
 // AddUpcall counts one slow-path miss and its handling latency.
 func (s *Stats) AddUpcall(lat sim.Time) {
 	s.Upcalls++
-	s.upcall.RecordTime(lat)
+	s.upcall.Record(lat)
 }
 
 // BatchMean returns the mean packets per non-empty batch.
-func (s *Stats) BatchMean() float64 { return s.batch.Mean() }
+func (s *Stats) BatchMean() float64 {
+	if s.batches == 0 {
+		return 0
+	}
+	return float64(s.batchPkts) / float64(s.batches)
+}
 
 // UpcallLatency summarizes upcall handling latency (P50/P90/P99).
 func (s *Stats) UpcallLatency() sim.Summary { return s.upcall.Summarize() }

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestStageAndResultNames(t *testing.T) {
 }
 
 func TestCycleAccounting(t *testing.T) {
-	s := NewStats()
+	s := &Stats{}
 	s.Add(StageRx, 100)
 	s.Add(StageEMC, 50)
 	s.Add(StageActions, 30)
@@ -45,7 +46,7 @@ func TestCycleAccounting(t *testing.T) {
 }
 
 func TestBatchHistogram(t *testing.T) {
-	s := NewStats()
+	s := &Stats{}
 	s.AddBatch(2)
 	s.AddBatch(4)
 	if m := s.BatchMean(); m != 3 {
@@ -54,7 +55,7 @@ func TestBatchHistogram(t *testing.T) {
 }
 
 func TestUpcallHistogram(t *testing.T) {
-	s := NewStats()
+	s := &Stats{}
 	for i := 1; i <= 100; i++ {
 		s.AddUpcall(sim.Time(i) * sim.Microsecond)
 	}
@@ -114,7 +115,7 @@ func TestTracerRingWrapsTwice(t *testing.T) {
 }
 
 func TestEnableTraceToggle(t *testing.T) {
-	s := NewStats()
+	s := &Stats{}
 	if s.Tracer() != nil || s.Trace() != nil {
 		t.Fatal("tracing must be off by default")
 	}
@@ -133,7 +134,7 @@ func TestEnableTraceToggle(t *testing.T) {
 }
 
 func TestFormatTrace(t *testing.T) {
-	s := NewStats()
+	s := &Stats{}
 	s.EnableTrace(2)
 	s.Tracer().Add(TraceRecord{InPort: 1, OutPort: 2, Result: ResultEMC,
 		Start: 0, End: 700})
@@ -143,8 +144,53 @@ func TestFormatTrace(t *testing.T) {
 			t.Fatalf("trace missing %q:\n%s", want, out)
 		}
 	}
-	off := NewStats()
+	off := &Stats{}
 	if FormatTrace([]ThreadStats{{Name: "x", Stats: off}}) != "tracing not enabled\n" {
 		t.Fatal("tracing-off sentinel wrong")
+	}
+}
+
+// statsLoad is the recording half of one rx batch that raised one upcall,
+// with latencies spread over 40-80 us the way a loaded handler's are.
+func statsLoad(s *Stats, r *sim.Rand) {
+	s.AddBatch(1 + r.Intn(32))
+	s.AddUpcall(40*sim.Microsecond + sim.Time(r.Intn(int(40*sim.Microsecond))))
+}
+
+// TestStatsMemoryIsFixed is the daemon's memory ceiling for this block: a
+// thread's statistics do not grow with the traffic it has seen. The
+// sample-slice histograms grew 16 bytes per batch-and-upcall.
+func TestStatsMemoryIsFixed(t *testing.T) {
+	s := &Stats{}
+	r := sim.NewRand(1)
+	statsLoad(s, r)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // twice: sync.Pool victims outlive one cycle
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 5_000_000; i++ {
+		statsLoad(s, r)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 64<<10 {
+		t.Fatalf("5M batches and 5M upcalls grew the heap by %d bytes, want at most 64 KB", grown)
+	}
+	if a := testing.AllocsPerRun(1000, func() { statsLoad(s, r) }); a != 0 {
+		t.Fatalf("steady-state recording allocates %v objects per batch-and-upcall, want 0", a)
+	}
+	// 1 + 5M here, 1 + 1000 inside AllocsPerRun.
+	if s.UpcallCount() != 5_001_002 || s.BatchMean() < 16 || s.BatchMean() > 17 {
+		t.Fatalf("recorded %d upcalls, batch mean %v", s.UpcallCount(), s.BatchMean())
+	}
+}
+
+// BenchmarkStatsRecord measures AddBatch + AddUpcall; B/op must read 0.
+func BenchmarkStatsRecord(b *testing.B) {
+	s := &Stats{}
+	r := sim.NewRand(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		statsLoad(s, r)
 	}
 }

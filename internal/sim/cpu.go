@@ -118,9 +118,6 @@ func (c *CPU) Exec(cat Category, d Time, done func()) Time {
 // cost components together before scheduling one continuation.
 func (c *CPU) Consume(cat Category, d Time) Time { return c.Exec(cat, d, nil) }
 
-// Idle reports whether the CPU has no queued work at the current time.
-func (c *CPU) Idle() bool { return c.freeAt <= c.engine.Now() }
-
 // ResetAccounting zeroes the busy counters, typically after a warm-up phase
 // so that steady-state windows are measured alone.
 func (c *CPU) ResetAccounting() { c.busy = [NumCategories]Time{} }

@@ -1,74 +1,100 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
+import "math/bits"
+
+// Histogram records non-negative samples (latencies in virtual nanoseconds)
+// in fixed memory and reports percentiles the way netperf does in the
+// paper's Figures 10 and 11 (P50/P90/P99). Buckets are log-linear: a value
+// below 2^12 has a bucket to itself, and every power-of-two range above is
+// split into 2^11 equal buckets, a relative width below 2^-11. A bucket
+// keeps its count and the sum of its samples' offsets from its low edge, so
+// it reports its mean: exactly the value when its samples are all equal,
+// the common case in a deterministic simulation. Rows of 256 buckets (4 KB)
+// are allocated on first touch; after that recording allocates nothing.
+// The zero Histogram is empty and ready to use.
+type Histogram struct {
+	rows []*histRow
+	n    uint64
+	sum  float64
+}
+
+const (
+	histSubBits = 11
+	histSubSize = 1 << histSubBits
+	histRowSize = 256
 )
 
-// Histogram records samples (typically latencies in virtual nanoseconds) and
-// reports percentiles the way netperf does in the paper's Figures 10 and 11
-// (P50/P90/P99).
-type Histogram struct {
-	samples []float64
-	sorted  bool
-	sum     float64
+type histRow [histRowSize]struct{ n, off uint64 }
+
+// Record adds one sample; a negative one counts as zero.
+func (h *Histogram) Record(t Time) {
+	v := uint64(max(t, 0))
+	// The top bit and the histSubBits below it select the bucket, the rest
+	// is the offset inside it; below 2^(histSubBits+1) the shift is zero.
+	shift := uint(max(bits.Len64(v)-histSubBits-1, 0))
+	i := uint64(shift)*histSubSize + v>>shift
+	for i/histRowSize >= uint64(len(h.rows)) {
+		h.rows = append(h.rows, nil)
+	}
+	row := &h.rows[i/histRowSize]
+	if *row == nil {
+		*row = new(histRow)
+	}
+	b := &(*row)[i%histRowSize]
+	b.n++
+	b.off += v & (1<<shift - 1)
+	h.n++
+	h.sum += float64(v)
 }
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
-
-// Record adds one sample.
-func (h *Histogram) Record(v float64) {
-	h.samples = append(h.samples, v)
-	h.sum += v
-	h.sorted = false
-}
-
-// RecordTime adds one virtual-time sample.
-func (h *Histogram) RecordTime(t Time) { h.Record(float64(t)) }
 
 // Count returns the number of samples recorded.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int { return int(h.n) }
 
-// Mean returns the arithmetic mean, or 0 with no samples.
+// Mean returns the arithmetic mean, exact to the sample, or 0 with none.
 func (h *Histogram) Mean() float64 {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	return h.sum / float64(len(h.samples))
+	return h.sum / float64(h.n)
+}
+
+// at returns the mean of the bucket holding the k-th smallest sample, k < n.
+func (h *Histogram) at(k uint64) float64 {
+	for r, row := range h.rows {
+		if row == nil {
+			continue
+		}
+		for j := range row {
+			b := &row[j]
+			if b.n <= k {
+				k -= b.n
+				continue
+			}
+			// The bucket's low edge undoes Record's index arithmetic.
+			low := uint64(r*histRowSize + j)
+			if low >= 2*histSubSize {
+				low = (histSubSize | low&(histSubSize-1)) << (low>>histSubBits - 1)
+			}
+			return float64(low) + float64(b.off)/float64(b.n)
+		}
+	}
+	panic("sim: histogram rank out of range")
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between closest ranks, or 0 with no samples.
 func (h *Histogram) Percentile(p float64) float64 {
-	n := len(h.samples)
-	if n == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
+	rank := min(max(p, 0), 100) / 100 * float64(h.n-1)
+	lo := uint64(rank)
+	if lo+1 >= h.n {
+		return h.at(h.n - 1)
 	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(rank)
 	frac := rank - float64(lo)
-	if lo+1 >= n {
-		return h.samples[n-1]
-	}
-	return h.samples[lo]*(1-frac) + h.samples[lo+1]*frac
+	return h.at(lo)*(1-frac) + h.at(lo+1)*frac
 }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 { return h.Percentile(0) }
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 { return h.Percentile(100) }
 
 // Summary holds the three percentiles the paper reports.
 type Summary struct {
@@ -78,37 +104,4 @@ type Summary struct {
 // Summarize returns the P50/P90/P99 summary.
 func (h *Histogram) Summarize() Summary {
 	return Summary{h.Percentile(50), h.Percentile(90), h.Percentile(99)}
-}
-
-// String formats the summary with microsecond units, matching the paper's
-// figures.
-func (s Summary) String() string {
-	return fmt.Sprintf("P50=%.1fus P90=%.1fus P99=%.1fus",
-		s.P50/float64(Microsecond), s.P90/float64(Microsecond), s.P99/float64(Microsecond))
-}
-
-// Counter is a monotonically increasing event tally with a helper for
-// computing rates over a virtual-time window.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current tally.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// RatePerSec returns events per second of virtual time across the window.
-func (c *Counter) RatePerSec(window Time) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(c.n) / window.Seconds()
 }

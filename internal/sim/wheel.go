@@ -1,17 +1,17 @@
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // The event queue is a hierarchical timer wheel over a slab of typed event
 // records, with a small sorted "near" ring holding the imminent horizon.
 //
-// The previous implementation was a container/heap of closures: every
-// ScheduleAt paid an interface boxing allocation in heap.Push plus O(log n)
-// comparisons, and rearming callbacks (PMD iterate, NAPI poll) allocated a
-// fresh method-value closure per event. This structure allocates nothing in
-// steady state: records live in a free-listed slab, Timers bind their
-// callback once, and ScheduleArg threads a pointer-sized argument through a
-// pre-bound function without capturing.
+// It allocates nothing in steady state: records live in a free-listed slab,
+// Timers bind their callback once, and ScheduleArg threads a pointer-sized
+// argument through a pre-bound function without capturing.
 //
 // Determinism contract: events are delivered in exactly the same
 // (at, seq) order as the heap — seq increments once per schedule call, the
@@ -340,9 +340,17 @@ func (q *evQueue) flushLevel0(slot int) {
 		}
 		idx = nxt
 	}
-	// Insertion sort: slots hold few events and chains arrive in roughly
-	// reverse scheduling order; avoids sort.Slice's closure allocation.
+	// Insertion sort: slots hold few events. A chain built by direct pushes
+	// arrives exactly reversed, the insertion sort's quadratic case, so a
+	// long one takes the general sort: (at, seq) is a total order, so both
+	// deliver the same sequence.
 	near, slab := q.near, q.slab
+	if len(near) > 32 {
+		slices.SortFunc(near, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(slab[a].at, slab[b].at), cmp.Compare(slab[a].seq, slab[b].seq))
+		})
+		return
+	}
 	for i := 1; i < len(near); i++ {
 		x := near[i]
 		at, seq := slab[x].at, slab[x].seq

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // collect runs the engine to completion and returns the order in which the
@@ -280,5 +281,35 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+run allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestFlushLargeSlotIsNotQuadratic schedules 40k events into one level-0
+// slot. Direct pushes chain them in exactly reverse (at, seq) order, the
+// insertion sort's worst case: it took 870 ms here before long slots went
+// to the general sort, which takes a few milliseconds.
+func TestFlushLargeSlotIsNotQuadratic(t *testing.T) {
+	const n = 40000
+	e := NewEngine(1)
+	got := make([]int32, 0, n)
+	fire := func(a any) { got = append(got, a.(int32)) }
+	for i := int32(0); i < n; i++ {
+		// Non-decreasing times inside slot 5, 64 events per timestamp, so
+		// both halves of the (at, seq) order are exercised.
+		e.ScheduleArgAt(5<<shift0+Time(i/64), fire, i)
+	}
+	start := time.Now()
+	e.Run()
+	elapsed := time.Since(start)
+	if len(got) != n {
+		t.Fatalf("ran %d of %d events", len(got), n)
+	}
+	for i, id := range got {
+		if id != int32(i) {
+			t.Fatalf("event %d fired at position %d: not (at, seq) order", id, i)
+		}
+	}
+	if elapsed > 400*time.Millisecond {
+		t.Fatalf("flushing a %d-event slot took %v, want well under 400ms", n, elapsed)
 	}
 }

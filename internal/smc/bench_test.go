@@ -14,7 +14,7 @@ func BenchmarkSMCLookup(b *testing.B) {
 	c := New(1<<16, 0)
 	const flows = 4096
 	keys := make([]flow.Key, flows)
-	e := cls.Insert(keyN(0), flow.NewMaskBuilder().InPort().Build(), "actions")
+	e := cls.Insert(keyN(0), flow.NewMaskBuilder().InPort().Build(), nil)
 	for i := range keys {
 		keys[i] = keyN(i)
 		c.Insert(keys[i], e)
@@ -33,7 +33,7 @@ func BenchmarkSMCInsert(b *testing.B) {
 	c := New(1<<16, 0)
 	const flows = 4096
 	keys := make([]flow.Key, flows)
-	e := cls.Insert(keyN(0), flow.NewMaskBuilder().InPort().Build(), "actions")
+	e := cls.Insert(keyN(0), flow.NewMaskBuilder().InPort().Build(), nil)
 	for i := range keys {
 		keys[i] = keyN(i)
 	}

@@ -34,10 +34,10 @@ func replayStream(c *Cache, keys, deadEvery int, hashed bool) {
 		if hashed {
 			h := c.Hash(&k)
 			if _, ok := c.LookupHashed(&k, h); !ok {
-				c.InsertHashed(h, cls.Insert(k, mask, "actions"))
+				c.InsertHashed(h, cls.Insert(k, mask, nil))
 			}
 		} else if _, ok := c.Lookup(k); !ok {
-			c.Insert(k, cls.Insert(k, mask, "actions"))
+			c.Insert(k, cls.Insert(k, mask, nil))
 		}
 	}
 }

@@ -22,7 +22,7 @@ func keyN(i int) flow.Key {
 
 // megaflowFor installs a megaflow covering key in cls and returns the entry.
 func megaflowFor(cls *dpcls.Classifier, key flow.Key, mask flow.Mask) *dpcls.Entry {
-	return cls.Insert(key, mask, "actions")
+	return cls.Insert(key, mask, nil)
 }
 
 func wideMask() flow.Mask {

@@ -221,9 +221,9 @@ type RRConfig struct {
 
 // RR is one running request/response test.
 type RR struct {
-	cfg       RRConfig
-	Latencies *sim.Histogram
-	completed int
+	cfg RRConfig
+	// Latencies holds one round-trip time per completed transaction.
+	Latencies sim.Histogram
 	t0        sim.Time
 }
 
@@ -232,7 +232,7 @@ func NewRR(cfg RRConfig) *RR {
 	if cfg.Transactions <= 0 {
 		cfg.Transactions = 1000
 	}
-	return &RR{cfg: cfg, Latencies: sim.NewHistogram()}
+	return &RR{cfg: cfg}
 }
 
 // Start issues the first request.
@@ -276,9 +276,8 @@ func (r *RR) OnRequestArrived(*packet.Packet) {
 // OnResponseArrived is called by the client endpoint; it records the RTT
 // and starts the next transaction.
 func (r *RR) OnResponseArrived(*packet.Packet) {
-	r.Latencies.RecordTime(r.cfg.Eng.Now() - r.t0)
-	r.completed++
-	if r.completed < r.cfg.Transactions {
+	r.Latencies.Record(r.cfg.Eng.Now() - r.t0)
+	if r.Latencies.Count() < r.cfg.Transactions {
 		r.sendRequest()
 		return
 	}
@@ -286,9 +285,6 @@ func (r *RR) OnResponseArrived(*packet.Packet) {
 		r.cfg.OnDone()
 	}
 }
-
-// Completed returns finished transactions.
-func (r *RR) Completed() int { return r.completed }
 
 // TransactionsPerSec converts the mean RTT (plus endpoint delays embedded
 // in it) into the netperf transaction rate.

@@ -165,8 +165,8 @@ func TestRRMeasuresRTT(t *testing.T) {
 	rr.Start()
 	eng.Run()
 
-	if rr.Completed() != 500 {
-		t.Fatalf("completed %d/500", rr.Completed())
+	if rr.Latencies.Count() != 500 {
+		t.Fatalf("completed %d/500", rr.Latencies.Count())
 	}
 	s := rr.Latencies.Summarize()
 	// Fixed path 40us + Exp(5us) server time: P50 ~ 43.5us, long tail.

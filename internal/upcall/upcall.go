@@ -94,7 +94,7 @@ type Host struct {
 	Table *dpcls.Classifier
 	// Install installs a flow into Table under the provider's own
 	// discipline (the eBPF flavor narrows every mask to exact-match).
-	Install func(key flow.Key, mask flow.Mask, actions any) *dpcls.Entry
+	Install func(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) *dpcls.Entry
 	// Remove uninstalls an expired negative flow together with whatever
 	// the provider caches above Table.
 	Remove func(e *dpcls.Entry) bool

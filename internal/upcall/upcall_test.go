@@ -70,7 +70,7 @@ type bed struct {
 }
 
 func newBed(cfg Config) *bed {
-	b := &bed{eng: sim.NewEngine(testSeed), cfg: cfg, perf: perf.NewStats()}
+	b := &bed{eng: sim.NewEngine(testSeed), cfg: cfg, perf: &perf.Stats{}}
 	b.host = &fakeHost{eng: b.eng, table: dpcls.New(1), cpu: b.eng.NewCPU("handler")}
 	b.q = NewQueue(b.eng, &b.cfg, &b.ctr, b.perf, b.host.hooks())
 	return b
@@ -308,7 +308,7 @@ func TestHardFailureNegativeFlow(t *testing.T) {
 			continue
 		}
 		e, _ := b.host.table.LookupKey(key(0))
-		if e == nil || e.Mask != flow.MaskAll() || e.Actions != nil {
+		if e == nil || e.Mask() != flow.MaskAll() || e.Actions != nil {
 			t.Fatalf("negative flow = %v, want an exact-match entry with no actions", e)
 		}
 		// A later packet of the flow parked behind the failure finds the
