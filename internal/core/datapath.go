@@ -220,8 +220,20 @@ func (d *Datapath) AddPort(p Port) { d.ports[p.ID()] = p }
 // Port returns a registered port or nil.
 func (d *Datapath) Port(id uint32) Port { return d.ports[id] }
 
-// RemovePort detaches a port.
-func (d *Datapath) RemovePort(id uint32) { delete(d.ports, id) }
+// RemovePort detaches a port: its receive queues leave their threads' poll
+// lists and the assignment map, so nothing arriving on it is polled again.
+func (d *Datapath) RemovePort(id uint32) {
+	p, ok := d.ports[id]
+	if !ok {
+		return
+	}
+	for q := 0; q < p.NumRxQueues(); q++ {
+		// The error is "not assigned": a queue no thread polls (a
+		// transmit-only port) has nothing to drop.
+		_ = d.UnassignRxq(p, q)
+	}
+	delete(d.ports, id)
+}
 
 // Ports returns the number of attached ports.
 func (d *Datapath) Ports() int { return len(d.ports) }

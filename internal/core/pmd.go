@@ -178,14 +178,6 @@ func (m *PMD) charge(st perf.Stage, d sim.Time) {
 	m.Perf.Add(st, d)
 }
 
-// AssignRxQueue adds a receive queue to this PMD's poll list through the
-// datapath's assignment layer. Unlike the historical version, it rejects a
-// (port, queue) pair that is already assigned — to this thread or any
-// other — instead of silently polling it twice.
-func (m *PMD) AssignRxQueue(p Port, q int) error {
-	return m.dp.AssignRxqTo(m, p, q)
-}
-
 // reconfigureSMC brings the thread's signature cache in line with the
 // datapath's current Options: allocated while SMC is on, released when off.
 func (m *PMD) reconfigureSMC() {

@@ -1,21 +1,19 @@
 package experiments
 
 import (
+	"ovsxdp/internal/afxdp"
 	"ovsxdp/internal/containersim"
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/ebpf"
-	"ovsxdp/internal/flow"
+	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/nicsim"
-	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/trafficgen"
 	"ovsxdp/internal/vdev"
 	"ovsxdp/internal/vmsim"
-	"ovsxdp/internal/xdp"
 )
 
 // Figure 10: netperf TCP_RR between a VM on one host and a server on the
@@ -49,19 +47,6 @@ type vmRRBed struct {
 	rr  *trafficgen.RR
 }
 
-func rrPipeline() *ofproto.Pipeline {
-	pl := ofproto.NewPipeline()
-	m := flow.NewMaskBuilder().InPort().Build()
-	// VM (3) <-> uplink (2).
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 3}, m),
-		Actions: []ofproto.Action{ofproto.Output(2)}})
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 2}, m),
-		Actions: []ofproto.Action{ofproto.Output(3)}})
-	return pl
-}
-
 func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBed {
 	eng := sim.NewEngine(seed)
 	bed := &vmRRBed{eng: eng}
@@ -89,8 +74,6 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBe
 	var sc kernelsim.SocketCosts
 
 	var rr *trafficgen.RR
-	var clientVM *vmsim.VM
-	var clientSend func(*packet.Packet)
 
 	// Server host B: attached to the far end of the wire; replies come
 	// back into nicB after wire delay.
@@ -105,72 +88,27 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBe
 		})
 	})
 
-	switch kind {
-	case KindKernel:
-		kdp := kernelsim.NewDatapath(eng, kernelsim.FlavorModule, rrPipeline())
-		tap := vdev.NewTap("tap0")
-		backend := vmsim.NewTapBackend(eng, tap, eng.NewCPU("qemu"))
-		clientVM = vmsim.New(eng, vmsim.Config{Name: "client", Backend: backend,
-			OnPacket: func(vm *vmsim.VM, p *packet.Packet) {
-				eng.Schedule(vmNotify()+clientWake(), func() { rr.OnResponseArrived(p) })
-			}})
-		kdp.Outputs[2] = func(p *packet.Packet) { nicB.Transmit(p) }
-		kdp.Outputs[3] = func(p *packet.Packet) { tap.ToKernel.Push(p) }
+	// Host A: the client VM is port 3, the uplink port 2.
+	client := newGuest(eng, vd, 3, "0", qemuCPUs(eng, vd, "qemu"), vmsim.Config{Name: "client",
+		OnPacket: func(vm *vmsim.VM, p *packet.Packet) {
+			eng.Schedule(vmNotify()+clientWake(), func() { rr.OnResponseArrived(p) })
+		}})
+	dcfg := dpif.Config{Eng: eng, Pipeline: loopbackPipeline(hop{3, 2}, hop{2, 3}),
+		Options: core.DefaultOptions()}
+	if kind == KindKernel {
+		nl := openKernel("netlink", dcfg, client.kernelTx(),
+			dpif.TxPort{PortID: 2, PortName: "uplink", Deliver: nicB.Transmit})
 		cpu := eng.NewCPU("ksoftirqd")
-		(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-			Src: kernelsim.VQueueSource{Q: tap.FromKernel},
-			Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-				for _, p := range pkts {
-					p.InPort = 3
-					pkt := p
-					eng.Schedule(softirqWake(), func() { kdp.Process(cpu, pkt) })
-				}
-			}}).Start()
-		(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-			Src: kernelsim.NICQueueSource{Q: nicB.Queue(0)},
-			Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-				for _, p := range pkts {
-					p.InPort = 2
-					pkt := p
-					eng.Schedule(softirqWake(), func() { kdp.Process(cpu, pkt) })
-				}
-			}}).Start()
-		clientSend = func(p *packet.Packet) { clientVM.Transmit(p) }
-
-	case KindAFXDP, KindDPDK:
-		dp := core.NewDatapath(eng, rrPipeline(), core.DefaultOptions())
-		var uplink core.Port
-		if kind == KindAFXDP {
-			if _, err := core.AttachDefaultProgram(nicB); err != nil {
-				panic(err)
-			}
-			uplink = core.NewAFXDPPort(core.AFXDPPortConfig{ID: 2, NIC: nicB, Eng: eng})
-		} else {
-			uplink = core.NewDPDKPort(2, nicB)
+		deferred := func(cpu *sim.CPU, p *packet.Packet) {
+			eng.Schedule(softirqWake(), func() { nl.Process(cpu, p) })
 		}
-		dp.AddPort(uplink)
-
-		var vmPort core.Port
-		var backend vmsim.Backend
-		if vd == VDevVhost {
-			dev := vdev.NewVhostUser("vhost0")
-			backend = &vmsim.VhostUserBackend{Dev: dev}
-			vmPort = core.NewVhostPort(3, dev)
-		} else {
-			tap := vdev.NewTap("tap0")
-			backend = vmsim.NewTapBackend(eng, tap, eng.NewCPU("qemu"))
-			vmPort = core.NewTapPort(3, tap)
-		}
-		dp.AddPort(vmPort)
-		clientVM = vmsim.New(eng, vmsim.Config{Name: "client", Backend: backend,
-			OnPacket: func(vm *vmsim.VM, p *packet.Packet) {
-				eng.Schedule(vmNotify()+clientWake(), func() { rr.OnResponseArrived(p) })
-			}})
-		pmd := dp.NewPMD(core.ModePoll, nil)
-		pmd.AssignRxQueue(uplink, 0)
-		pmd.AssignRxQueue(vmPort, 0)
-		pmd.Start()
-		clientSend = func(p *packet.Packet) { clientVM.Transmit(p) }
+		softirqRx(eng, cpu, client.kernelSrc(), 3, deferred)
+		softirqRx(eng, cpu, kernelsim.NICQueueSource{Q: nicB.Queue(0)}, 2, deferred)
+	} else {
+		// The AF_XDP uplink's umem pool is mutex-locked: the golden
+		// latencies are pinned to that cost.
+		uplink := nicPort(eng, kind, 2, nicB, afxdp.LockMutex, false)
+		openNetdev(dcfg, core.ModePoll, 1, []core.Port{uplink, client.port})
 	}
 
 	rr = trafficgen.NewRR(trafficgen.RRConfig{
@@ -178,7 +116,7 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBe
 		SrcMAC: hdr.MAC{2, 0, 0, 0, 0, 1}, DstMAC: hdr.MAC{2, 0, 0, 0, 0, 2},
 		SrcIP: hdr.MakeIP4(10, 0, 0, 1), DstIP: hdr.MakeIP4(10, 0, 0, 2),
 		SrcPort: 40000, DstPort: 12865,
-		SendRequest: clientSend,
+		SendRequest: client.vm.Transmit,
 		SendResponse: func(p *packet.Packet) {
 			// Server transmit: stack tx + wire back into nicB.
 			serverCPU.Consume(sim.System, sc.SendCost(len(p.Data)))
@@ -248,15 +186,12 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 	case PCPKernel:
 		// veth -> kernel OVS -> veth: one softirq hop each way.
 		cpu := eng.NewCPU("ksoftirqd")
-		kdp := kernelsim.NewDatapath(eng, kernelsim.FlavorModule, forwardPipelinePCP())
-		kdp.Outputs[3] = func(p *packet.Packet) { vethS.SendA(p) }
-		kdp.Outputs[2] = func(p *packet.Packet) { vethC.SendA(p) }
-		toServer = func(p *packet.Packet) {
-			eng.Schedule(0, func() { p.InPort = 1; kdp.Process(cpu, p) })
-		}
-		toClient = func(p *packet.Packet) {
-			eng.Schedule(0, func() { p.InPort = 3; revProcess(kdp, cpu, p) })
-		}
+		nl := openKernel("netlink",
+			dpif.Config{Eng: eng, Pipeline: loopbackPipeline(hop{1, 3}, hop{3, 2})},
+			dpif.TxPort{PortID: 3, PortName: "veth-server", Deliver: func(p *packet.Packet) { vethS.SendA(p) }},
+			dpif.TxPort{PortID: 2, PortName: "veth-client", Deliver: func(p *packet.Packet) { vethC.SendA(p) }})
+		toServer = func(p *packet.Packet) { eng.Schedule(0, func() { nl.Process(cpu, p) }) }
+		toClient = toServer
 	case PCPAFXDPRedir:
 		// In-kernel XDP redirect between the veths: one program run per
 		// hop, no userspace.
@@ -298,22 +233,13 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 		toClient = hop(func(p *packet.Packet) { vethC.SendA(p) })
 	}
 
-	// Container outbound queues feed the fabric.
+	// Container outbound queues feed the fabric: the client's veth is its
+	// port 1, the server's port 3.
 	cpu := eng.NewCPU("veth-softirq")
-	(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-		Src: kernelsim.VQueueSource{Q: vethC.BtoA},
-		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-			for _, p := range pkts {
-				toServer(p)
-			}
-		}}).Start()
-	(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-		Src: kernelsim.VQueueSource{Q: vethS.BtoA},
-		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-			for _, p := range pkts {
-				toClient(p)
-			}
-		}}).Start()
+	softirqRx(eng, cpu, kernelsim.VQueueSource{Q: vethC.BtoA}, 1,
+		func(_ *sim.CPU, p *packet.Packet) { toServer(p) })
+	softirqRx(eng, cpu, kernelsim.VQueueSource{Q: vethS.BtoA}, 3,
+		func(_ *sim.CPU, p *packet.Packet) { toClient(p) })
 
 	rr = trafficgen.NewRR(trafficgen.RRConfig{
 		Eng: eng, Transactions: transactions,
@@ -326,11 +252,6 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 	})
 	bed.rr = rr
 	return bed
-}
-
-// revProcess runs the reverse direction through the kernel datapath.
-func revProcess(kdp *kernelsim.Datapath, cpu *sim.CPU, p *packet.Packet) {
-	kdp.Process(cpu, p)
 }
 
 func runFig11(p Profile) *Report {
@@ -357,8 +278,3 @@ func runFig11(p Profile) *Report {
 	r.AddNote("shape: kernel ~ afxdp (both in-kernel paths); DPDK 5-12x slower with a heavy tail")
 	return r
 }
-
-// Silence the unused-import check for ebpf/xdp, which the PCP redirect bed
-// in testbed.go uses; fig11's hop model references their costs only.
-var _ = ebpf.XDPPass
-var _ = xdp.MapIDXsk

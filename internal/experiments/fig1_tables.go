@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"ovsxdp/internal/netlinksim"
 	"ovsxdp/internal/nsx"
 	"ovsxdp/internal/packet/hdr"
@@ -38,8 +40,8 @@ var fig1Series = []struct {
 func runFig1(p Profile) *Report {
 	r := &Report{ID: "fig1", Title: "LoC changed per year in the out-of-tree kernel datapath"}
 	for _, y := range fig1Series {
-		r.Add(itoa(y.Year)+" new features", float64(y.NewFeatures), float64(y.NewFeatures), "LoC")
-		r.Add(itoa(y.Year)+" backports", float64(y.Backports), float64(y.Backports), "LoC")
+		r.Add(strconv.Itoa(y.Year)+" new features", float64(y.NewFeatures), float64(y.NewFeatures), "LoC")
+		r.Add(strconv.Itoa(y.Year)+" backports", float64(y.Backports), float64(y.Backports), "LoC")
 	}
 	r.AddNote("embedded dataset (repository history, not simulation); backports dominate later years —")
 	r.AddNote("the 'running faster and faster just to stay in the same place' cost of Takeaway #2")

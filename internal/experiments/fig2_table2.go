@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"ovsxdp/internal/afxdp"
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/costmodel"
@@ -119,21 +121,7 @@ func runFig12(p Profile) *Report {
 }
 
 func caseName(kind DPKind, frame, queues int) string {
-	return kind.String() + "-" + itoa(frame) + "B-" + itoa(queues) + "q"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return kind.String() + "-" + strconv.Itoa(frame) + "B-" + strconv.Itoa(queues) + "q"
 }
 
 // fig12Paper returns the approximate Figure 12 bar heights in Gbps.

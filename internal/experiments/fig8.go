@@ -5,7 +5,7 @@ import (
 	"ovsxdp/internal/containersim"
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/ebpf"
+	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/netlinksim"
@@ -18,7 +18,6 @@ import (
 	"ovsxdp/internal/tunnel"
 	"ovsxdp/internal/vdev"
 	"ovsxdp/internal/vmsim"
-	"ovsxdp/internal/xdp"
 )
 
 // Figure 8: single-flow bulk TCP throughput in three production scenarios,
@@ -122,16 +121,6 @@ type fig8aConfig struct {
 	paper float64
 }
 
-// hostSide is one host's datapath plus its VM attachment in the dual-host
-// bed.
-type hostSide struct {
-	dp     *core.Datapath
-	kdp    *kernelsim.Datapath
-	vmDev  *vdev.VhostUser
-	tapDev *vmsim.TapBackend
-	vm     *vmsim.VM
-}
-
 // runFig8a builds the two hosts, runs the bulk transfer, and reports Gbps.
 func runFig8a(p Profile) *Report {
 	r := &Report{ID: "fig8a", Title: "bulk TCP, VM to VM across hosts, Geneve, 10GbE (Gbps)"}
@@ -173,9 +162,9 @@ func runFig8aCase(p Profile, c fig8aConfig) float64 {
 	pl2 := nsxStylePipeline(f8ReceiverMAC, f8SenderMAC, f8VTEP2, f8VTEP1, f8VM)
 
 	var bulk *trafficgen.Bulk
-	h1 := buildHost(eng, c, nic1, pl1, tunnelCache(eng, f8VTEP1, f8VTEP2), opts,
+	vm1 := buildHost(eng, c, nic1, pl1, tunnelCache(eng, f8VTEP1, f8VTEP2), opts,
 		func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnAckArrived(pk) })
-	h2 := buildHost(eng, c, nic2, pl2, tunnelCache(eng, f8VTEP2, f8VTEP1), opts,
+	vm2 := buildHost(eng, c, nic2, pl2, tunnelCache(eng, f8VTEP2, f8VTEP1), opts,
 		func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnDataArrived(pk) })
 
 	var sc kernelsim.SocketCosts
@@ -185,112 +174,64 @@ func runFig8aCase(p Profile, c fig8aConfig) float64 {
 		SrcIP: f8SenderIP, DstIP: f8ReceiverIP, SrcPort: 35000, DstPort: 5001,
 		MarkCsumPartial: false, // offload estimation happens in the datapath
 		SenderCharge: func(bytes int) {
-			h1.vm.CPU.Consume(sim.Guest, costmodel.SyscallBase+costmodel.CopyCost(bytes))
+			vm1.CPU.Consume(sim.Guest, costmodel.SyscallBase+costmodel.CopyCost(bytes))
 		},
 		ReceiverCharge: func(bytes int) {
-			h2.vm.CPU.Consume(sim.Guest, sc.RecvCost(bytes))
+			vm2.CPU.Consume(sim.Guest, sc.RecvCost(bytes))
 		},
-		SendData: func(pk *packet.Packet) { h1.vm.Transmit(pk) },
-		SendAck:  func(pk *packet.Packet) { h2.vm.Transmit(pk) },
+		SendData: func(pk *packet.Packet) { vm1.Transmit(pk) },
+		SendAck:  func(pk *packet.Packet) { vm2.Transmit(pk) },
 	})
 	bulk.Start()
 	eng.RunUntil(20 * sim.Millisecond)
 	return bulk.ThroughputGbps()
 }
 
-func offloadsFor(kind DPKind) nicsim.Offloads {
-	if kind == KindAFXDP {
-		return nicsim.Offloads{}
-	}
-	return nicsim.Offloads{RxCsum: true, TxCsum: true, TSO: true, RSSHashDeliver: true}
-}
-
-// buildHost wires one host: uplink + VM port + datapath of the right kind.
+// buildHost wires one Figure 8(a) host and returns its VM: the uplink NIC is
+// port f8Uplink, the VM port f8VM, under a datapath of the case's kind.
 func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipeline,
-	cache *netlinksim.Cache, opts core.Options, onPacket func(*vmsim.VM, *packet.Packet)) *hostSide {
-	h := &hostSide{}
-
+	cache *netlinksim.Cache, opts core.Options, onPacket func(*vmsim.VM, *packet.Packet)) *vmsim.VM {
 	kcpu := eng.NewCPU("ksoftirqd-" + nic.Name)
-	var backend vmsim.Backend
-	var vmPort core.Port
-	if c.vd == VDevVhost {
-		h.vmDev = vdev.NewVhostUser("vh-" + nic.Name)
-		backend = &vmsim.VhostUserBackend{Dev: h.vmDev}
-		vmPort = core.NewVhostPort(f8VM, h.vmDev)
-	} else {
-		tap := vdev.NewTap("tap-" + nic.Name)
-		relayCPU := eng.NewCPU("qemu-" + nic.Name)
-		if c.kind == KindKernel {
-			// The kernel datapath's tap traffic is relayed by the
-			// vhost-net kernel thread, which contends with the same
-			// softirq work (the paper's 2.2 Gbps ceiling).
-			relayCPU = kcpu
-		}
-		h.tapDev = vmsim.NewTapBackend(eng, tap, relayCPU)
-		backend = h.tapDev
-		vmPort = core.NewTapPort(f8VM, tap)
+	// The kernel datapath's tap traffic is relayed by the vhost-net kernel
+	// thread, which contends with the same softirq work (the paper's
+	// 2.2 Gbps ceiling); under AF_XDP the QEMU relay has its own CPU.
+	relay := []*sim.CPU{kcpu}
+	if c.kind != KindKernel {
+		relay = qemuCPUs(eng, c.vd, "qemu-"+nic.Name)
 	}
-	h.vm = vmsim.New(eng, vmsim.Config{Name: "vm-" + nic.Name, Backend: backend,
+	vm := newGuest(eng, c.vd, f8VM, "-"+nic.Name, relay, vmsim.Config{Name: "vm-" + nic.Name,
 		OffloadsNegotiated: c.assumeCsm, OnPacket: onPacket})
+	dcfg := dpif.Config{Eng: eng, Pipeline: pl, Options: opts}
 
-	switch c.kind {
-	case KindKernel:
-		kdp := kernelsim.NewDatapath(eng, kernelsim.FlavorModule, pl)
-		h.kdp = kdp
-		tapB := h.tapDev
-		kdp.Outputs[f8Uplink] = func(pk *packet.Packet) {
-			// Kernel-side Geneve encapsulation happens in execute();
-			// the byte-level encap for the wire is done here so the
-			// peer can decapsulate.
-			outer := encapForWire(eng, cache, pk)
-			if outer != nil {
-				nic.Transmit(outer)
-			}
-		}
-		kdp.Outputs[f8VM] = func(pk *packet.Packet) {
-			if tapB != nil {
-				tapB.Tap.ToKernel.Push(pk)
-			}
-		}
-		cpu := kcpu
-		(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
+	if c.kind == KindKernel {
+		nl := openKernel("netlink", dcfg, vm.kernelTx(),
+			dpif.TxPort{PortID: f8Uplink, PortName: nic.Name, Deliver: func(pk *packet.Packet) {
+				// Kernel-side Geneve encapsulation happens in execute();
+				// the byte-level encap for the wire is done here so the
+				// peer can decapsulate.
+				if outer := encapForWire(cache, pk); outer != nil {
+					nic.Transmit(outer)
+				}
+			}})
+		(&kernelsim.NAPIActor{Eng: eng, CPU: kcpu,
 			Src:     kernelsim.NICQueueSource{Q: nic.Queue(0)},
-			Handler: kdpKernelRx(kdp)}).Start()
-		if tapB != nil {
-			(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-				Src: kernelsim.VQueueSource{Q: tapB.Tap.FromKernel},
-				Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-					for _, pk := range pkts {
-						pk.InPort = f8VM
-						kdp.Process(cpu, pk)
-					}
-				}}).Start()
-		}
-	default: // AF_XDP
-		if _, err := core.AttachDefaultProgram(nic); err != nil {
-			panic(err)
-		}
-		dp := core.NewDatapath(eng, pl, opts)
-		dp.Encapper = tunnel.NewEncapper(cache)
-		h.dp = dp
-		lock := afxdp.LockSpinBatched
-		if c.bare {
-			lock = afxdp.LockMutex
-		}
-		uplink := core.NewAFXDPPort(core.AFXDPPortConfig{ID: f8Uplink, NIC: nic, Eng: eng, LockMode: lock})
-		dp.AddPort(uplink)
-		dp.AddPort(vmPort)
-		pmd := dp.NewPMD(c.mode, nil)
-		pmd.AssignRxQueue(uplink, 0)
-		pmd.AssignRxQueue(vmPort, 0)
-		pmd.Start()
+			Handler: kdpKernelRx(nl)}).Start()
+		softirqRx(eng, kcpu, vm.kernelSrc(), f8VM, nl.Process)
+		return vm.vm
 	}
-	return h
+	lock := afxdp.LockSpinBatched
+	if c.bare {
+		lock = afxdp.LockMutex
+	}
+	uplink := nicPort(eng, c.kind, f8Uplink, nic, lock, false)
+	nd := openNetdev(dcfg, c.mode, 1, []core.Port{uplink, vm.port})
+	nd.Datapath().Encapper = tunnel.NewEncapper(cache)
+	return vm.vm
 }
 
 // kdpKernelRx handles uplink arrivals on the kernel datapath: tunneled
 // packets are decapsulated in the kernel stack before the flow table pass.
-func kdpKernelRx(kdp *kernelsim.Datapath) func(*sim.CPU, []*packet.Packet) {
+func kdpKernelRx(kdp *dpif.Netlink) func(*sim.CPU, []*packet.Packet) {
 	return func(cpu *sim.CPU, pkts []*packet.Packet) {
 		for _, pk := range pkts {
 			if inner, was, err := tunnel.Decap(pk); was && err == nil {
@@ -307,7 +248,7 @@ func kdpKernelRx(kdp *kernelsim.Datapath) func(*sim.CPU, []*packet.Packet) {
 
 // encapForWire performs Geneve encapsulation for the kernel datapath's
 // uplink output (its execute() only charges the cost).
-func encapForWire(eng *sim.Engine, cache *netlinksim.Cache, pk *packet.Packet) *packet.Packet {
+func encapForWire(cache *netlinksim.Cache, pk *packet.Packet) *packet.Packet {
 	enc := tunnel.NewEncapper(cache)
 	remote := f8VTEP2
 	local := f8VTEP1
@@ -386,68 +327,24 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 	opts.AssumeTSO = c.tso
 
 	var bulk *trafficgen.Bulk
-	mkVM := func(name string, id uint32, onPkt func(*vmsim.VM, *packet.Packet)) (core.Port, *vmsim.VM) {
-		var backend vmsim.Backend
-		var port core.Port
-		if c.vd == VDevVhost {
-			dev := vdev.NewVhostUser("vh-" + name)
-			backend = &vmsim.VhostUserBackend{Dev: dev}
-			port = core.NewVhostPort(id, dev)
-		} else {
-			tap := vdev.NewTap("tap-" + name)
-			backend = vmsim.NewTapBackend(eng, tap, eng.NewCPU("qemu-"+name))
-			port = core.NewTapPort(id, tap)
-		}
-		vm := vmsim.New(eng, vmsim.Config{Name: name, Backend: backend,
-			OffloadsNegotiated: c.csum, OnPacket: onPkt})
-		return port, vm
+	mkVM := func(name string, id uint32, onPkt func(*vmsim.VM, *packet.Packet)) guest {
+		return newGuest(eng, c.vd, id, "-"+name, qemuCPUs(eng, c.vd, "qemu-"+name),
+			vmsim.Config{Name: name, OffloadsNegotiated: c.csum, OnPacket: onPkt})
 	}
+	sender := mkVM("s", f8VM, func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnAckArrived(pk) })
+	receiver := mkVM("r", f8VM2, func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnDataArrived(pk) })
+	senderVM, receiverVM := sender.vm, receiver.vm
+	dcfg := dpif.Config{Eng: eng, Pipeline: pl, Options: opts}
 
-	var senderVM, receiverVM *vmsim.VM
-	var senderPort, receiverPort core.Port
-
-	switch c.kind {
-	case KindKernel:
+	if c.kind == KindKernel {
 		// In-kernel switching between two taps with full offloads: the
 		// datapath moves 64kB frames without touching payload.
-		kdp := kernelsim.NewDatapath(eng, kernelsim.FlavorModule, pl)
-		tapS := vdev.NewTap("tap-s")
-		tapR := vdev.NewTap("tap-r")
-		backendS := vmsim.NewTapBackend(eng, tapS, eng.NewCPU("qemu-s"))
-		backendR := vmsim.NewTapBackend(eng, tapR, eng.NewCPU("qemu-r"))
-		senderVM = vmsim.New(eng, vmsim.Config{Name: "s", Backend: backendS,
-			OffloadsNegotiated: true,
-			OnPacket:           func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnAckArrived(pk) }})
-		receiverVM = vmsim.New(eng, vmsim.Config{Name: "r", Backend: backendR,
-			OffloadsNegotiated: true,
-			OnPacket:           func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnDataArrived(pk) }})
-		kdp.Outputs[f8VM2] = func(pk *packet.Packet) { tapR.ToKernel.Push(pk) }
-		kdp.Outputs[f8VM] = func(pk *packet.Packet) { tapS.ToKernel.Push(pk) }
+		nl := openKernel("netlink", dcfg, sender.kernelTx(), receiver.kernelTx())
 		cpu := eng.NewCPU("ksoftirqd")
-		for _, src := range []struct {
-			q  *vdev.Queue
-			in uint32
-		}{{tapS.FromKernel, f8VM}, {tapR.FromKernel, f8VM2}} {
-			s := src
-			(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-				Src: kernelsim.VQueueSource{Q: s.q},
-				Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-					for _, pk := range pkts {
-						pk.InPort = s.in
-						kdp.Process(cpu, pk)
-					}
-				}}).Start()
-		}
-	default:
-		dp := core.NewDatapath(eng, pl, opts)
-		senderPort, senderVM = mkVM("s", f8VM, func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnAckArrived(pk) })
-		receiverPort, receiverVM = mkVM("r", f8VM2, func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnDataArrived(pk) })
-		dp.AddPort(senderPort)
-		dp.AddPort(receiverPort)
-		pmd := dp.NewPMD(core.ModePoll, nil)
-		pmd.AssignRxQueue(senderPort, 0)
-		pmd.AssignRxQueue(receiverPort, 0)
-		pmd.Start()
+		softirqRx(eng, cpu, sender.kernelSrc(), f8VM, nl.Process)
+		softirqRx(eng, cpu, receiver.kernelSrc(), f8VM2, nl.Process)
+	} else {
+		openNetdev(dcfg, core.ModePoll, 1, []core.Port{sender.port, receiver.port})
 	}
 
 	sendSize := 1460
@@ -474,29 +371,7 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 	})
 	bulk.Start()
 	eng.RunUntil(20 * sim.Millisecond)
-	if fig8Debug {
-		for _, cpu := range eng.CPUs() {
-			if cpu.BusyTotal() > 0 {
-				println(cpu.Name(), "busy us:", int64(cpu.BusyTotal())/1000,
-					"user:", int64(cpu.Busy(sim.User))/1000,
-					"sys:", int64(cpu.Busy(sim.System))/1000,
-					"softirq:", int64(cpu.Busy(sim.Softirq))/1000,
-					"guest:", int64(cpu.Busy(sim.Guest))/1000)
-			}
-		}
-		println("delivered KB:", int(bulk.DeliveredBytes()/1024),
-			"sender tx:", int(senderVM.TxPackets), "recv rx:", int(receiverVM.RxPackets))
-	}
 	return bulk.ThroughputGbps()
-}
-
-var fig8Debug = false
-
-// runFig8bCaseDebug is runFig8bCase with CPU accounting output (tests only).
-func runFig8bCaseDebug(p Profile, c fig8bConfig) float64 {
-	fig8Debug = true
-	defer func() { fig8Debug = false }()
-	return runFig8bCase(p, c)
 }
 
 // --- Figure 8c: container to container ----------------------------------------
@@ -572,25 +447,11 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 		opts.AssumeCsumOffload = c.csum
 		opts.AssumeTSO = c.tso
 		// Bidirectional: data 1 -> 3, acks 3 -> 1.
-		plc := ofproto.NewPipeline()
-		mInC := flow.NewMaskBuilder().InPort().Build()
-		plc.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-			Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, mInC),
-			Actions: []ofproto.Action{ofproto.Output(3)}})
-		plc.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-			Match:   ofproto.NewMatch(flow.Fields{InPort: 3}, mInC),
-			Actions: []ofproto.Action{ofproto.Output(1)}})
-		dp := core.NewDatapath(eng, plc, opts)
 		softirq := eng.NewCPU("softirq")
-		portS := core.NewVethPort(1, eng, vethS, softirq)
-		portR := core.NewVethPort(3, eng, vethR, softirq)
-		dp.AddPort(portS)
-		dp.AddPort(portR)
-		// Reverse rule: acks from the receiver side go back out port 1.
-		pmd := dp.NewPMD(core.ModePoll, nil)
-		pmd.AssignRxQueue(portS, 0)
-		pmd.AssignRxQueue(portR, 0)
-		pmd.Start()
+		openNetdev(dpif.Config{Eng: eng, Pipeline: loopbackPipeline(hop{1, 3}, hop{3, 1}), Options: opts},
+			core.ModePoll, 1, []core.Port{
+				core.NewVethPort(1, eng, vethS, softirq),
+				core.NewVethPort(3, eng, vethR, softirq)})
 	}
 
 	sendSize := 1460
@@ -629,19 +490,5 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 	})
 	bulk.Start()
 	eng.RunUntil(20 * sim.Millisecond)
-	if fig8cDebug {
-		for _, cpu := range eng.CPUs() {
-			if cpu.BusyTotal() > 0 {
-				println(cpu.Name(), "busy us:", int64(cpu.BusyTotal())/1000)
-			}
-		}
-		println("delivered KB:", int(bulk.DeliveredBytes()/1024))
-	}
 	return bulk.ThroughputGbps()
 }
-
-var fig8cDebug = false
-
-var _ = ebpf.XDPPass
-var _ = xdp.MapIDDev
-var _ = trafficgen.NewUDPGen

@@ -101,16 +101,9 @@ func runRestart(p Profile) *Report {
 		af.delivered, af.sent, kn.delivered, kn.sent)
 	if af.lost < kn.lost {
 		r.AddNote("userspace restart loses %.1fx fewer packets than a kernel module reload",
-			float64(kn.lost)/float64(maxU64(af.lost, 1)))
+			float64(kn.lost)/float64(max(af.lost, 1)))
 	} else {
 		r.AddNote("WARNING: expected strictly smaller loss for the userspace restart")
 	}
 	return r
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

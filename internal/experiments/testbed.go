@@ -177,133 +177,148 @@ func (b *Bed) Drops() uint64 {
 	return total
 }
 
-// forwardPipeline forwards port 1 -> port 2 (and 2 -> 1 for the reverse
-// direction in PVP/PCP).
-func forwardPipeline() *ofproto.Pipeline {
+// --- the testbed kit -------------------------------------------------------------
+//
+// Every exhibit's host is assembled from the parts below, and they are the
+// only code that knows how a NIC, a guest or a softirq context attaches to
+// a userspace or a kernel datapath. A bed states its topology — which
+// parts, which port numbers, which CPUs are shared — and nothing else.
+
+// hop is one rule of a loopback pipeline: traffic entering port in leaves
+// through port out.
+type hop struct{ in, out uint32 }
+
+// loopbackPipeline builds the in_port -> output program the loopback and
+// request/response beds run, one priority-1 rule per hop.
+func loopbackPipeline(hops ...hop) *ofproto.Pipeline {
 	pl := ofproto.NewPipeline()
 	m := flow.NewMaskBuilder().InPort().Build()
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, m),
-		Actions: []ofproto.Action{ofproto.Output(2)}})
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 2}, m),
-		Actions: []ofproto.Action{ofproto.Output(1)}})
+	for _, h := range hops {
+		pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+			Match:   ofproto.NewMatch(flow.Fields{InPort: h.in}, m),
+			Actions: []ofproto.Action{ofproto.Output(h.out)}})
+	}
 	return pl
 }
 
-// NewP2PBed builds the Figure 9(a) physical-to-physical loopback.
-func NewP2PBed(cfg BedConfig) *Bed {
-	eng := sim.NewEngine(cfg.Seed)
-	bed := &Bed{Eng: eng}
-	pipeline := cfg.Pipeline
-	if pipeline == nil {
-		pipeline = forwardPipeline()
+// offloadsFor is what a NIC offers under a datapath kind: AF_XDP sockets
+// see raw frames, every other driver gets checksum, TSO and the RSS hash.
+func offloadsFor(kind DPKind) nicsim.Offloads {
+	if kind == KindAFXDP {
+		return nicsim.Offloads{}
 	}
-
-	queues := cfg.Queues
-	if cfg.Kind == KindKernel || cfg.Kind == KindEBPF {
-		queues = cfg.KernelQueues
-	}
-	offloads := nicsim.Offloads{}
-	if cfg.Kind == KindDPDK || cfg.Kind == KindKernel || cfg.Kind == KindEBPF {
-		offloads = nicsim.Offloads{RxCsum: true, TxCsum: true, TSO: true, RSSHashDeliver: true}
-	}
-	bed.NICA = nicsim.New(eng, nicsim.Config{Name: "p0", Ifindex: 1, Queues: queues,
-		LinkRate: cfg.LinkRate, Offloads: offloads})
-	bed.NICB = nicsim.New(eng, nicsim.Config{Name: "p1", Ifindex: 2, Queues: queues,
-		LinkRate: cfg.LinkRate, Offloads: offloads})
-	bed.NICB.ConnectWire(func(p *packet.Packet) { bed.Delivered++; p.Release() })
-	if len(cfg.RSSWeights) > 0 {
-		if err := bed.NICA.SetRSSIndirection(nicsim.WeightedIndirection(cfg.RSSWeights)); err != nil {
-			panic(err)
-		}
-	}
-
-	switch cfg.Kind {
-	case KindKernel, KindEBPF:
-		nl := mustOpen(cfg.Kind.DpifType(),
-			dpif.Config{Eng: eng, Pipeline: pipeline, Other: cfg.Other}).(*dpif.Netlink)
-		bed.DP = nl
-		nl.PortAdd(dpif.TxPort{PortID: 2, PortName: "p1",
-			Deliver: func(p *packet.Packet) { bed.NICB.Transmit(p) }})
-		active := 0
-		nl.SetActiveCPUs(func() int {
-			if active == 0 {
-				n := 0
-				for q := 0; q < queues; q++ {
-					if bed.NICA.Queue(q).RxPackets > 0 {
-						n++
-					}
-				}
-				if n == 0 {
-					n = 1
-				}
-				if cfg.Flows > 1 {
-					active = n // stabilize once spread is known
-				}
-				return n
-			}
-			return active
-		})
-		for q := 0; q < queues; q++ {
-			cpu := eng.NewCPU(fmt.Sprintf("ksoftirqd/%d", q))
-			actor := &kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-				Src:     kernelsim.NICQueueSource{Q: bed.NICA.Queue(q)},
-				Handler: kdpHandler(nl, 1),
-			}
-			bed.Actors = append(bed.Actors, actor)
-			actor.Start()
-		}
-	case KindAFXDP:
-		if _, err := core.AttachDefaultProgram(bed.NICA); err != nil {
-			panic(err)
-		}
-		if _, err := core.AttachDefaultProgram(bed.NICB); err != nil {
-			panic(err)
-		}
-		nd := mustOpen("netdev",
-			dpif.Config{Eng: eng, Pipeline: pipeline, Options: cfg.Opts, Other: cfg.Other}).(*dpif.Netdev)
-		bed.DP = nd
-		portA := core.NewAFXDPPort(core.AFXDPPortConfig{ID: 1, NIC: bed.NICA, Eng: eng,
-			LockMode: cfg.Lock, ZeroCopy: cfg.ZeroCopy})
-		portB := core.NewAFXDPPort(core.AFXDPPortConfig{ID: 2, NIC: bed.NICB, Eng: eng,
-			LockMode: cfg.Lock, ZeroCopy: cfg.ZeroCopy})
-		nd.PortAdd(portA)
-		nd.PortAdd(portB)
-		bed.dropFns = append(bed.dropFns,
-			func() uint64 { return xskDrops(portA, queues) },
-			func() uint64 { return portA.TxDrops + portB.TxDrops })
-		spawnPMDs(nd, cfg.Mode, cfg.PMDs, queues, portA)
-	case KindDPDK:
-		nd := mustOpen("netdev",
-			dpif.Config{Eng: eng, Pipeline: pipeline, Options: cfg.Opts, Other: cfg.Other}).(*dpif.Netdev)
-		bed.DP = nd
-		portA := core.NewDPDKPort(1, bed.NICA)
-		portB := core.NewDPDKPort(2, bed.NICB)
-		nd.PortAdd(portA)
-		nd.PortAdd(portB)
-		spawnPMDs(nd, core.ModePoll, cfg.PMDs, queues, portA)
-	}
-
-	bed.Gen = trafficgen.NewUDPGen(eng, cfg.Flows, cfg.FrameSize,
-		func(p *packet.Packet) { bed.NICA.Receive(p) })
-	return bed
+	return nicsim.Offloads{RxCsum: true, TxCsum: true, TSO: true, RSSHashDeliver: true}
 }
 
-// spawnPMDs creates the poll threads for a userspace bed and routes every
-// receive queue through the datapath's assignment layer. pmds <= 0 keeps the
-// legacy one-thread-per-NIC-queue shape; under the default round-robin
-// policy that places queue i on thread i, reproducing the historical hand
-// wiring exactly.
-func spawnPMDs(nd *dpif.Netdev, mode core.Mode, pmds, queues int, rxPorts ...core.Port) {
+// nicPort attaches a NIC to a userspace datapath as port id: AF_XDP sockets
+// behind the default XDP program, or the DPDK poll-mode driver.
+func nicPort(eng *sim.Engine, kind DPKind, id uint32, nic *nicsim.NIC,
+	lock afxdp.LockMode, zeroCopy bool) core.Port {
+	if kind == KindDPDK {
+		return core.NewDPDKPort(id, nic)
+	}
+	if _, err := core.AttachDefaultProgram(nic); err != nil {
+		panic(err)
+	}
+	return core.NewAFXDPPort(core.AFXDPPortConfig{ID: id, NIC: nic, Eng: eng,
+		LockMode: lock, ZeroCopy: zeroCopy})
+}
+
+// ringDrops counts what a userspace NIC port lost at its own bounded rings:
+// an AF_XDP port's fill, rx and tx rings. A DPDK port drops only at the
+// NIC, which Bed.Drops already counts.
+func ringDrops(p core.Port) uint64 {
+	x, ok := p.(*core.AFXDPPort)
+	if !ok {
+		return 0
+	}
+	d := x.TxDrops
+	for q := 0; q < x.NumRxQueues(); q++ {
+		s := x.XSK(q)
+		d += s.RxDropFill + s.RxDropRing
+	}
+	return d
+}
+
+// guest is a VM and its attachment to the switch.
+type guest struct {
+	vm *vmsim.VM
+	// port is the attachment as a userspace datapath port.
+	port core.Port
+	// toGuest and fromGuest are the attachment's two rings as the switch
+	// sees them; a kernel datapath attaches to them directly.
+	toGuest, fromGuest *vdev.Queue
+}
+
+// newGuest builds a VM attached as port id through a vhostuser device
+// ("vhost"+suffix), or through a tap ("tap"+suffix) whose QEMU relay runs on
+// the relay CPUs: one CPU relays both directions, two give each direction
+// its own. Which CPUs the relay shares is model, so the bed supplies them
+// (qemuCPUs); cfg.Backend is filled in here.
+func newGuest(eng *sim.Engine, vd VDevKind, id uint32, suffix string, relay []*sim.CPU, cfg vmsim.Config) guest {
+	var g guest
+	if vd == VDevVhost {
+		dev := vdev.NewVhostUser("vhost" + suffix)
+		cfg.Backend = &vmsim.VhostUserBackend{Dev: dev}
+		g = guest{port: core.NewVhostPort(id, dev), toGuest: dev.ToGuest, fromGuest: dev.FromGuest}
+	} else {
+		tap := vdev.NewTap("tap" + suffix)
+		cfg.Backend = vmsim.NewTapBackendMQ(eng, tap, relay[0], relay[len(relay)-1])
+		g = guest{port: core.NewTapPort(id, tap), toGuest: tap.ToKernel, fromGuest: tap.FromKernel}
+	}
+	g.vm = vmsim.New(eng, cfg)
+	return g
+}
+
+// qemuCPUs creates the named relay CPUs a tap guest needs; a vhostuser
+// guest has no relay, so none are made.
+func qemuCPUs(eng *sim.Engine, vd VDevKind, names ...string) []*sim.CPU {
+	if vd == VDevVhost {
+		return nil
+	}
+	cpus := make([]*sim.CPU, len(names))
+	for i, n := range names {
+		cpus[i] = eng.NewCPU(n)
+	}
+	return cpus
+}
+
+// drops counts packets lost at the attachment's rings.
+func (g guest) drops() uint64 { return g.toGuest.Dropped + g.fromGuest.Dropped }
+
+// kernelTx is the guest as a kernel datapath transmit port: an in-kernel
+// handoff into the guest-bound ring, no syscall.
+func (g guest) kernelTx() dpif.TxPort {
+	return dpif.TxPort{PortID: g.port.ID(), PortName: g.port.Name(),
+		Deliver: func(p *packet.Packet) { g.toGuest.Push(p) }}
+}
+
+// kernelSrc is the guest's transmissions as a softirq poll source.
+func (g guest) kernelSrc() kernelsim.PollSource { return kernelsim.VQueueSource{Q: g.fromGuest} }
+
+// openNetdev opens a userspace datapath, attaches the ports, spreads the
+// polled ports' receive queues over pmds poll threads through the
+// datapath's assignment layer and starts the threads. txOnly ports are
+// attached but never polled (NIC B of a loopback only transmits). pmds <= 0
+// means one thread per receive queue of the first polled port; under the
+// default round-robin policy that places queue i on thread i.
+func openNetdev(cfg dpif.Config, mode core.Mode, pmds int, polled []core.Port, txOnly ...core.Port) *dpif.Netdev {
+	nd := mustOpen("netdev", cfg).(*dpif.Netdev)
+	for _, ports := range [][]core.Port{polled, txOnly} {
+		for _, p := range ports {
+			if err := nd.PortAdd(p); err != nil {
+				panic(err)
+			}
+		}
+	}
 	if pmds <= 0 {
-		pmds = queues
+		pmds = polled[0].NumRxQueues()
 	}
 	threads := make([]*core.PMD, pmds)
 	for i := range threads {
 		threads[i] = nd.NewPMD(mode)
 	}
-	for _, p := range rxPorts {
+	for _, p := range polled {
 		if err := nd.Datapath().DistributeRxqs(p); err != nil {
 			panic(err)
 		}
@@ -311,144 +326,91 @@ func spawnPMDs(nd *dpif.Netdev, mode core.Mode, pmds, queues int, rxPorts ...cor
 	for _, m := range threads {
 		m.Start()
 	}
+	return nd
 }
 
-func xskDrops(p *core.AFXDPPort, queues int) uint64 {
-	var d uint64
-	for q := 0; q < queues; q++ {
-		x := p.XSK(q)
-		d += x.RxDropFill + x.RxDropRing
+// openKernel opens an in-kernel datapath ("netlink" or "ebpf") with its
+// transmit ports.
+func openKernel(typ string, cfg dpif.Config, tx ...dpif.TxPort) *dpif.Netlink {
+	nl := mustOpen(typ, cfg).(*dpif.Netlink)
+	for _, p := range tx {
+		if err := nl.PortAdd(p); err != nil {
+			panic(err)
+		}
 	}
-	return d
+	return nl
 }
 
-// NewPVPBed builds the Figure 9(b) physical-VM-physical loopback: packets
-// enter NIC A, go to a reflecting VM, and come back out NIC B.
-func NewPVPBed(cfg BedConfig) *Bed {
-	eng := sim.NewEngine(cfg.Seed)
+// softirqRx starts a NAPI actor on cpu that drains src, stamps each packet
+// with the port it arrived on and hands it to process — (*dpif.Netlink).
+// Process for a plain receive, or the bed's own step in front of it.
+func softirqRx(eng *sim.Engine, cpu *sim.CPU, src kernelsim.PollSource, inPort uint32,
+	process func(*sim.CPU, *packet.Packet)) *kernelsim.NAPIActor {
+	a := &kernelsim.NAPIActor{Eng: eng, CPU: cpu, Src: src,
+		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
+			for _, p := range pkts {
+				p.InPort = inPort
+				process(cpu, p)
+			}
+		}}
+	a.Start()
+	return a
+}
+
+// --- the loopback beds -----------------------------------------------------------
+
+// newLoopbackBed builds what every loopback shares: the engine, NIC A fed
+// by the generator, and NIC B's wire counting deliveries.
+func newLoopbackBed(seed uint64, queues int, linkRate int64, offloads nicsim.Offloads, flows, frameSize int) *Bed {
+	eng := sim.NewEngine(seed)
 	bed := &Bed{Eng: eng}
-
-	queues := cfg.Queues
-	if cfg.Kind == KindKernel {
-		queues = cfg.KernelQueues
-	}
-	offloads := nicsim.Offloads{}
-	if cfg.Kind == KindDPDK || cfg.Kind == KindKernel {
-		offloads = nicsim.Offloads{RxCsum: true, TxCsum: true, TSO: true, RSSHashDeliver: true}
-	}
 	bed.NICA = nicsim.New(eng, nicsim.Config{Name: "p0", Ifindex: 1, Queues: queues,
-		LinkRate: cfg.LinkRate, Offloads: offloads})
+		LinkRate: linkRate, Offloads: offloads})
 	bed.NICB = nicsim.New(eng, nicsim.Config{Name: "p1", Ifindex: 2, Queues: queues,
-		LinkRate: cfg.LinkRate, Offloads: offloads})
+		LinkRate: linkRate, Offloads: offloads})
 	bed.NICB.ConnectWire(func(p *packet.Packet) { bed.Delivered++; p.Release() })
-
-	// Pipeline: NIC A (port 1) -> VM (port 3); VM (port 3) -> NIC B
-	// (port 2).
-	pl := ofproto.NewPipeline()
-	m := flow.NewMaskBuilder().InPort().Build()
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, m),
-		Actions: []ofproto.Action{ofproto.Output(3)}})
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 3}, m),
-		Actions: []ofproto.Action{ofproto.Output(2)}})
-
-	// The VM.
-	var backend vmsim.Backend
-	var vmPort core.Port
-	switch cfg.VDev {
-	case VDevVhost:
-		dev := vdev.NewVhostUser("vhost0")
-		backend = &vmsim.VhostUserBackend{Dev: dev}
-		vmPort = core.NewVhostPort(3, dev)
-		bed.dropFns = append(bed.dropFns,
-			func() uint64 { return dev.ToGuest.Dropped + dev.FromGuest.Dropped })
-	default:
-		tap := vdev.NewTap("tap0")
-		backend = vmsim.NewTapBackendMQ(eng, tap,
-			eng.NewCPU("qemu-rx"), eng.NewCPU("qemu-tx"))
-		vmPort = core.NewTapPort(3, tap)
-		bed.dropFns = append(bed.dropFns,
-			func() uint64 { return tap.ToKernel.Dropped + tap.FromKernel.Dropped })
-	}
-	// The PVP loopback guest runs a poll-mode reflector (testpmd-style),
-	// as the paper's VM does.
-	vmsim.New(eng, vmsim.Config{Name: "vm0", Backend: backend, FastReflector: true})
-
-	switch cfg.Kind {
-	case KindKernel:
-		nl := mustOpen("netlink", dpif.Config{Eng: eng, Pipeline: pl, Other: cfg.Other}).(*dpif.Netlink)
-		bed.DP = nl
-		nl.SetActiveCPUs(kernelActiveFn(bed, queues, cfg.Flows))
-		// VM attaches via tap: in-kernel handoff (no syscall).
-		tapDev, _ := backend.(*vmsim.TapBackend)
-		nl.PortAdd(dpif.TxPort{PortID: 2, PortName: "p1",
-			Deliver: func(p *packet.Packet) { bed.NICB.Transmit(p) }})
-		nl.PortAdd(dpif.TxPort{PortID: 3, PortName: "tap0",
-			Deliver: func(p *packet.Packet) {
-				if tapDev != nil {
-					tapDev.Tap.ToKernel.Push(p)
-				}
-			}})
-		for q := 0; q < queues; q++ {
-			cpu := eng.NewCPU(fmt.Sprintf("ksoftirqd/%d", q))
-			(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-				Src:     kernelsim.NICQueueSource{Q: bed.NICA.Queue(q)},
-				Handler: kdpHandler(nl, 1)}).Start()
-		}
-		// Traffic leaving the VM re-enters the kernel datapath.
-		if tapDev != nil {
-			cpu := eng.NewCPU("ksoftirqd/tap")
-			(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-				Src: kernelsim.VQueueSource{Q: tapDev.Tap.FromKernel},
-				Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-					for _, p := range pkts {
-						p.ResetMetadata()
-						p.InPort = 3
-						nl.Process(cpu, p)
-					}
-				}}).Start()
-		}
-	case KindAFXDP, KindDPDK:
-		nd := mustOpen("netdev",
-			dpif.Config{Eng: eng, Pipeline: pl, Options: cfg.Opts, Other: cfg.Other}).(*dpif.Netdev)
-		bed.DP = nd
-		var portA, portB core.Port
-		if cfg.Kind == KindAFXDP {
-			if _, err := core.AttachDefaultProgram(bed.NICA); err != nil {
-				panic(err)
-			}
-			if _, err := core.AttachDefaultProgram(bed.NICB); err != nil {
-				panic(err)
-			}
-			pA := core.NewAFXDPPort(core.AFXDPPortConfig{ID: 1, NIC: bed.NICA, Eng: eng, LockMode: cfg.Lock})
-			portA = pA
-			portB = core.NewAFXDPPort(core.AFXDPPortConfig{ID: 2, NIC: bed.NICB, Eng: eng, LockMode: cfg.Lock})
-			bed.dropFns = append(bed.dropFns, func() uint64 { return xskDrops(pA, queues) })
-		} else {
-			portA = core.NewDPDKPort(1, bed.NICA)
-			portB = core.NewDPDKPort(2, bed.NICB)
-		}
-		nd.PortAdd(portA)
-		nd.PortAdd(portB)
-		nd.PortAdd(vmPort)
-		// Round-robin distribution lands the VM port's single queue on the
-		// first thread, matching the historical wiring.
-		spawnPMDs(nd, cfg.Mode, cfg.PMDs, queues, portA, vmPort)
-	}
-
-	bed.Gen = trafficgen.NewUDPGen(eng, cfg.Flows, cfg.FrameSize,
+	bed.Gen = trafficgen.NewUDPGen(eng, flows, frameSize,
 		func(p *packet.Packet) { bed.NICA.Receive(p) })
 	return bed
 }
 
-func kernelActiveFn(bed *Bed, queues, flows int) func() int {
+// newConfiguredBed is newLoopbackBed for a BedConfig: the kernel paths
+// spread over KernelQueues RSS queues, the userspace ones over Queues.
+func newConfiguredBed(cfg BedConfig) *Bed {
+	queues := cfg.Queues
+	if cfg.Kind == KindKernel || cfg.Kind == KindEBPF {
+		queues = cfg.KernelQueues
+	}
+	return newLoopbackBed(cfg.Seed, queues, cfg.LinkRate, offloadsFor(cfg.Kind), cfg.Flows, cfg.FrameSize)
+}
+
+// kernelLoopback puts an in-kernel datapath under the bed: NIC B is
+// transmit port 2 beside the bed's own tx ports, and one ksoftirqd per
+// NIC A queue receives on port 1. The actors are kept so scenarios can
+// park and resume them.
+func (b *Bed) kernelLoopback(typ string, cfg dpif.Config, flows int, tx ...dpif.TxPort) *dpif.Netlink {
+	nl := openKernel(typ, cfg, append([]dpif.TxPort{
+		{PortID: 2, PortName: "p1", Deliver: b.NICB.Transmit}}, tx...)...)
+	b.DP = nl
+	nl.SetActiveCPUs(b.activeSoftirqs(flows))
+	for q := 0; q < b.NICA.NumQueues(); q++ {
+		cpu := b.Eng.NewCPU(fmt.Sprintf("ksoftirqd/%d", q))
+		b.Actors = append(b.Actors, softirqRx(b.Eng, cpu,
+			kernelsim.NICQueueSource{Q: b.NICA.Queue(q)}, 1, nl.Process))
+	}
+	return nl
+}
+
+// activeSoftirqs is the kernel datapath's SMT-contention probe: how many
+// NIC A queues RSS has spread traffic over, frozen once the spread of a
+// multi-flow run is known.
+func (b *Bed) activeSoftirqs(flows int) func() int {
 	active := 0
 	return func() int {
 		if active == 0 {
 			n := 0
-			for q := 0; q < queues; q++ {
-				if bed.NICA.Queue(q).RxPackets > 0 {
+			for q := 0; q < b.NICA.NumQueues(); q++ {
+				if b.NICA.Queue(q).RxPackets > 0 {
 					n++
 				}
 			}
@@ -462,6 +424,70 @@ func kernelActiveFn(bed *Bed, queues, flows int) func() int {
 		}
 		return active
 	}
+}
+
+// netdevLoopback puts a userspace datapath under the bed: NIC A is polled
+// port 1, NIC B transmit-only port 2, both attached the way cfg.Kind says,
+// and the bed's extra ports are polled after NIC A.
+func (b *Bed) netdevLoopback(cfg BedConfig, pl *ofproto.Pipeline, extra ...core.Port) {
+	portA := nicPort(b.Eng, cfg.Kind, 1, b.NICA, cfg.Lock, cfg.ZeroCopy)
+	portB := nicPort(b.Eng, cfg.Kind, 2, b.NICB, cfg.Lock, cfg.ZeroCopy)
+	b.dropFns = append(b.dropFns, func() uint64 { return ringDrops(portA) + ringDrops(portB) })
+	mode := cfg.Mode
+	if cfg.Kind == KindDPDK {
+		mode = core.ModePoll // a poll-mode driver has no other
+	}
+	b.DP = openNetdev(dpif.Config{Eng: b.Eng, Pipeline: pl, Options: cfg.Opts, Other: cfg.Other},
+		mode, cfg.PMDs, append([]core.Port{portA}, extra...), portB)
+}
+
+// NewP2PBed builds the Figure 9(a) physical-to-physical loopback.
+func NewP2PBed(cfg BedConfig) *Bed {
+	bed := newConfiguredBed(cfg)
+	if len(cfg.RSSWeights) > 0 {
+		if err := bed.NICA.SetRSSIndirection(nicsim.WeightedIndirection(cfg.RSSWeights)); err != nil {
+			panic(err)
+		}
+	}
+	pipeline := cfg.Pipeline
+	if pipeline == nil {
+		pipeline = loopbackPipeline(hop{1, 2}, hop{2, 1})
+	}
+	switch cfg.Kind {
+	case KindKernel, KindEBPF:
+		bed.kernelLoopback(cfg.Kind.DpifType(),
+			dpif.Config{Eng: bed.Eng, Pipeline: pipeline, Other: cfg.Other}, cfg.Flows)
+	default:
+		bed.netdevLoopback(cfg, pipeline)
+	}
+	return bed
+}
+
+// NewPVPBed builds the Figure 9(b) physical-VM-physical loopback: packets
+// enter NIC A (port 1), go to a reflecting VM (port 3), and come back out
+// NIC B (port 2).
+func NewPVPBed(cfg BedConfig) *Bed {
+	bed := newConfiguredBed(cfg)
+	eng := bed.Eng
+	pl := loopbackPipeline(hop{1, 3}, hop{3, 2})
+	// The PVP loopback guest runs a poll-mode reflector (testpmd-style),
+	// as the paper's VM does, behind a multiqueue tap relay.
+	vm := newGuest(eng, cfg.VDev, 3, "0", qemuCPUs(eng, cfg.VDev, "qemu-rx", "qemu-tx"),
+		vmsim.Config{Name: "vm0", FastReflector: true})
+	bed.dropFns = append(bed.dropFns, vm.drops)
+
+	switch cfg.Kind {
+	case KindKernel:
+		nl := bed.kernelLoopback("netlink",
+			dpif.Config{Eng: eng, Pipeline: pl, Other: cfg.Other}, cfg.Flows, vm.kernelTx())
+		// Traffic leaving the VM re-enters the kernel datapath as a new
+		// arrival (the reset clears the port stamp with everything else).
+		softirqRx(eng, eng.NewCPU("ksoftirqd/tap"), vm.kernelSrc(), 3,
+			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Process(cpu, p) })
+	case KindAFXDP, KindDPDK:
+		bed.netdevLoopback(cfg, pl, vm.port)
+	}
+	return bed
 }
 
 // PCPMode selects the container attachment for the PCP bed.
@@ -486,45 +512,25 @@ func (m PCPMode) String() string {
 	}
 }
 
-// NewPCPBed builds the Figure 9(c) physical-container-physical loopback.
+// NewPCPBed builds the Figure 9(c) physical-container-physical loopback:
+// NIC A (port 1) -> container veth (port 3) -> NIC B (port 2).
 func NewPCPBed(mode PCPMode, flows int, seed uint64) *Bed {
-	eng := sim.NewEngine(seed)
-	bed := &Bed{Eng: eng}
-	bed.NICA = nicsim.New(eng, nicsim.Config{Name: "p0", Ifindex: 1, Queues: 1,
-		LinkRate: costmodel.LinkRate25G})
-	bed.NICB = nicsim.New(eng, nicsim.Config{Name: "p1", Ifindex: 2, Queues: 1,
-		LinkRate: costmodel.LinkRate25G})
-	bed.NICB.ConnectWire(func(p *packet.Packet) { bed.Delivered++; p.Release() })
-
+	bed := newLoopbackBed(seed, 1, costmodel.LinkRate25G, nicsim.Offloads{}, flows, 64)
+	eng := bed.Eng
 	veth := vdev.NewVethPair("veth0")
-	ct := containersim.New(eng, containersim.Config{Name: "c0", Veth: veth, FastPath: true})
+	containersim.New(eng, containersim.Config{Name: "c0", Veth: veth, FastPath: true})
 	bed.dropFns = append(bed.dropFns,
 		func() uint64 { return veth.AtoB.Dropped + veth.BtoA.Dropped })
+	pl := loopbackPipeline(hop{1, 3}, hop{3, 2})
 
 	switch mode {
 	case PCPKernel:
-		nl := mustOpen("netlink",
-			dpif.Config{Eng: eng, Pipeline: forwardPipelinePCP()}).(*dpif.Netlink)
-		bed.DP = nl
-		nl.PortAdd(dpif.TxPort{PortID: 2, PortName: "p1",
-			Deliver: func(p *packet.Packet) { bed.NICB.Transmit(p) }})
-		nl.PortAdd(dpif.TxPort{PortID: 3, PortName: "veth0",
-			Deliver: func(p *packet.Packet) { veth.SendA(p) }})
-		cpu := eng.NewCPU("ksoftirqd/0")
-		(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-			Src:     kernelsim.NICQueueSource{Q: bed.NICA.Queue(0)},
-			Handler: kdpHandler(nl, 1)}).Start()
-		// Container output re-enters the datapath.
-		cpu2 := eng.NewCPU("ksoftirqd/veth")
-		(&kernelsim.NAPIActor{Eng: eng, CPU: cpu2,
-			Src: kernelsim.VQueueSource{Q: veth.BtoA},
-			Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-				for _, p := range pkts {
-					p.ResetMetadata()
-					p.InPort = 3
-					nl.Process(cpu, p)
-				}
-			}}).Start()
+		nl := bed.kernelLoopback("netlink", dpif.Config{Eng: eng, Pipeline: pl}, flows,
+			dpif.TxPort{PortID: 3, PortName: "veth0",
+				Deliver: func(p *packet.Packet) { veth.SendA(p) }})
+		// Container output re-enters the datapath as a new arrival.
+		softirqRx(eng, eng.NewCPU("ksoftirqd/veth"), kernelsim.VQueueSource{Q: veth.BtoA}, 3,
+			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Process(cpu, p) })
 
 	case PCPAFXDPRedir:
 		// Figure 5 path C: the XDP program on NIC A redirects container
@@ -577,36 +583,12 @@ func NewPCPBed(mode PCPMode, flows int, seed uint64) *Bed {
 			}}).Start()
 
 	case PCPDPDK:
-		nd := mustOpen("netdev", dpif.Config{Eng: eng, Pipeline: forwardPipelinePCP(),
-			Options: core.DefaultOptions()}).(*dpif.Netdev)
-		bed.DP = nd
-		portA := core.NewDPDKPort(1, bed.NICA)
-		portB := core.NewDPDKPort(2, bed.NICB)
-		nd.PortAdd(portA)
-		nd.PortAdd(portB)
 		// Container access via AF_PACKET: extra user/kernel crossing
 		// each way (Section 5.3's explanation of DPDK's latency).
-		dpdkCt := &dpdkContainerPort{id: 3, veth: veth, eng: eng}
-		nd.PortAdd(dpdkCt)
-		spawnPMDs(nd, core.ModePoll, 1, 1, portA, dpdkCt)
+		bed.netdevLoopback(BedConfig{Kind: KindDPDK, Opts: core.DefaultOptions(), PMDs: 1}, pl,
+			&dpdkContainerPort{id: 3, veth: veth, eng: eng})
 	}
-
-	_ = ct
-	bed.Gen = trafficgen.NewUDPGen(eng, flows, 64,
-		func(p *packet.Packet) { bed.NICA.Receive(p) })
 	return bed
-}
-
-func forwardPipelinePCP() *ofproto.Pipeline {
-	pl := ofproto.NewPipeline()
-	m := flow.NewMaskBuilder().InPort().Build()
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, m),
-		Actions: []ofproto.Action{ofproto.Output(3)}})
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 3}, m),
-		Actions: []ofproto.Action{ofproto.Output(2)}})
-	return pl
 }
 
 // dpdkContainerPort reaches a container through AF_PACKET injection: every
@@ -643,17 +625,6 @@ func (p *dpdkContainerPort) Flush(*sim.CPU, int) {}
 func (p *dpdkContainerPort) Arm(_ int, fn func()) {
 	p.veth.BtoA.SetWakeup(fn)
 	p.veth.BtoA.ArmWakeup()
-}
-
-// kdpHandler feeds packets to the kernel datapath with the right input
-// port set.
-func kdpHandler(d *dpif.Netlink, inPort uint32) func(*sim.CPU, []*packet.Packet) {
-	return func(cpu *sim.CPU, pkts []*packet.Packet) {
-		for _, p := range pkts {
-			p.InPort = inPort
-			d.Process(cpu, p)
-		}
-	}
 }
 
 // RunProbe drives a bed at ratePPS with a warmup then measures a window,

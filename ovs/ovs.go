@@ -190,118 +190,115 @@ func (p *Port) Name() string { return p.name }
 // "veth").
 func (p *Port) Kind() string { return p.kind }
 
+// attach allocates the next port number, builds the datapath side of the
+// port with mk, hands its receive queues to the PMD and registers it on the
+// bridge. mk fills in the Port's device and returns what carries the
+// switch's output: a NIC's wire, or the queue OnOutput drains.
+func (b *Bridge) attach(name, kind string, mk func(p *Port) (core.Port, error)) (*Port, error) {
+	s := b.sw
+	p := &Port{sw: s, id: s.nextPort, name: name, kind: kind}
+	s.nextPort++
+	port, err := mk(p)
+	if err != nil {
+		return nil, fmt.Errorf("ovs: %w", err)
+	}
+	s.dp.AddPort(port)
+	if err := s.dp.DistributeRxqs(port); err != nil {
+		return nil, fmt.Errorf("ovs: %w", err)
+	}
+	if p.nic != nil {
+		p.nic.ConnectWire(func(pk *packet.Packet) { p.emit(pk) })
+	}
+	b.ports[name] = p
+	return p, nil
+}
+
+// emit hands one frame the switch sent out this port to OnOutput.
+func (p *Port) emit(pk *packet.Packet) {
+	if p.onOutput != nil {
+		p.onOutput(pk.Data)
+	}
+}
+
+// drain makes q the port's output: whatever the switch pushes into it is
+// handed to OnOutput.
+func (p *Port) drain(q *vdev.Queue) {
+	q.SetWakeup(func() {
+		for _, pk := range q.Pop(64) {
+			p.emit(pk)
+		}
+		q.ArmWakeup()
+	})
+	q.ArmWakeup()
+}
+
 // AddAFXDPPort attaches a simulated NIC via AF_XDP: the kernel keeps the
 // device (netlink tooling keeps working), an XDP program is loaded through
 // the verifier and attached, and per-queue AF_XDP sockets feed the PMD.
 func (b *Bridge) AddAFXDPPort(name string, queues int) (*Port, error) {
-	if queues <= 0 {
-		queues = 1
-	}
 	s := b.sw
-	id := s.nextPort
-	s.nextPort++
-	nic := nicsim.New(s.eng, nicsim.Config{Name: name, Ifindex: id, Queues: queues})
-	if _, err := core.AttachDefaultProgram(nic); err != nil {
-		return nil, fmt.Errorf("ovs: %w", err)
-	}
-	if _, err := s.kernel.AddLink(name, "simnic", macFor(id), 1500); err != nil {
-		return nil, fmt.Errorf("ovs: %w", err)
-	}
-	port := core.NewAFXDPPort(core.AFXDPPortConfig{ID: id, NIC: nic, Eng: s.eng})
-	s.dp.AddPort(port)
-	for q := 0; q < queues; q++ {
-		s.pmd.AssignRxQueue(port, q)
-	}
-	p := &Port{sw: s, id: id, name: name, kind: "afxdp", nic: nic}
-	nic.ConnectWire(func(pk *packet.Packet) {
-		if p.onOutput != nil {
-			p.onOutput(pk.Data)
+	return b.attach(name, "afxdp", func(p *Port) (core.Port, error) {
+		p.nic = nicsim.New(s.eng, nicsim.Config{Name: name, Ifindex: p.id, Queues: max(queues, 1)})
+		if _, err := core.AttachDefaultProgram(p.nic); err != nil {
+			return nil, err
 		}
+		if _, err := s.kernel.AddLink(name, "simnic", macFor(p.id), 1500); err != nil {
+			return nil, err
+		}
+		return core.NewAFXDPPort(core.AFXDPPortConfig{ID: p.id, NIC: p.nic, Eng: s.eng}), nil
 	})
-	b.ports[name] = p
-	return p, nil
 }
 
 // AddDPDKPort attaches a NIC via DPDK: the device is unbound from the
 // kernel (netlink tooling on it stops working, as Table 1 documents).
 func (b *Bridge) AddDPDKPort(name string, queues int) (*Port, error) {
-	if queues <= 0 {
-		queues = 1
-	}
 	s := b.sw
-	id := s.nextPort
-	s.nextPort++
-	nic := nicsim.New(s.eng, nicsim.Config{Name: name, Ifindex: id, Queues: queues,
-		Offloads: nicsim.Offloads{RxCsum: true, TxCsum: true, TSO: true, RSSHashDeliver: true}})
-	// Register then immediately unbind, mirroring dpdk-devbind.
-	if _, err := s.kernel.AddLink(name, "simnic", macFor(id), 1500); err != nil {
-		return nil, fmt.Errorf("ovs: %w", err)
-	}
-	if _, err := s.kernel.BindDPDK(name); err != nil {
-		return nil, fmt.Errorf("ovs: %w", err)
-	}
-	port := core.NewDPDKPort(id, nic)
-	s.dp.AddPort(port)
-	for q := 0; q < queues; q++ {
-		s.pmd.AssignRxQueue(port, q)
-	}
-	p := &Port{sw: s, id: id, name: name, kind: "dpdk", nic: nic}
-	nic.ConnectWire(func(pk *packet.Packet) {
-		if p.onOutput != nil {
-			p.onOutput(pk.Data)
+	return b.attach(name, "dpdk", func(p *Port) (core.Port, error) {
+		p.nic = nicsim.New(s.eng, nicsim.Config{Name: name, Ifindex: p.id, Queues: max(queues, 1),
+			Offloads: nicsim.Offloads{RxCsum: true, TxCsum: true, TSO: true, RSSHashDeliver: true}})
+		// Register then immediately unbind, mirroring dpdk-devbind.
+		if _, err := s.kernel.AddLink(name, "simnic", macFor(p.id), 1500); err != nil {
+			return nil, err
 		}
+		if _, err := s.kernel.BindDPDK(name); err != nil {
+			return nil, err
+		}
+		return core.NewDPDKPort(p.id, p.nic), nil
 	})
-	b.ports[name] = p
-	return p, nil
 }
 
 // AddTapPort attaches a kernel tap device (VM via QEMU relay).
 func (b *Bridge) AddTapPort(name string) (*Port, error) {
-	s := b.sw
-	id := s.nextPort
-	s.nextPort++
-	tap := vdev.NewTap(name)
-	s.dp.AddPort(core.NewTapPort(id, tap))
-	s.pmd.AssignRxQueue(s.dp.Port(id), 0)
-	p := &Port{sw: s, id: id, name: name, kind: "tap", tap: tap}
-	tap.ToKernel.SetWakeup(func() { p.drainTap() })
-	tap.ToKernel.ArmWakeup()
-	b.ports[name] = p
-	return p, nil
-}
-
-func (p *Port) drainTap() {
-	for _, pk := range p.tap.ToKernel.Pop(64) {
-		if p.onOutput != nil {
-			p.onOutput(pk.Data)
-		}
-	}
-	p.tap.ToKernel.ArmWakeup()
+	return b.attach(name, "tap", func(p *Port) (core.Port, error) {
+		p.tap = vdev.NewTap(name)
+		p.drain(p.tap.ToKernel)
+		return core.NewTapPort(p.id, p.tap), nil
+	})
 }
 
 // AddVhostUserPort attaches a vhostuser device (VM via shared-memory
 // virtio rings).
 func (b *Bridge) AddVhostUserPort(name string) (*Port, error) {
-	s := b.sw
-	id := s.nextPort
-	s.nextPort++
-	dev := vdev.NewVhostUser(name)
-	s.dp.AddPort(core.NewVhostPort(id, dev))
-	s.pmd.AssignRxQueue(s.dp.Port(id), 0)
-	p := &Port{sw: s, id: id, name: name, kind: "vhostuser", vh: dev}
-	dev.ToGuest.SetWakeup(func() { p.drainVhost() })
-	dev.ToGuest.ArmWakeup()
-	b.ports[name] = p
-	return p, nil
+	return b.attach(name, "vhostuser", func(p *Port) (core.Port, error) {
+		p.vh = vdev.NewVhostUser(name)
+		p.drain(p.vh.ToGuest)
+		return core.NewVhostPort(p.id, p.vh), nil
+	})
 }
 
-func (p *Port) drainVhost() {
-	for _, pk := range p.vh.ToGuest.Pop(64) {
-		if p.onOutput != nil {
-			p.onOutput(pk.Data)
+// AddVethPort attaches the host end of a veth pair via AF_XDP generic
+// mode (Figure 5 path A): Inject delivers frames from the container side,
+// OnOutput sees frames the switch sends toward the container.
+func (b *Bridge) AddVethPort(name string) (*Port, error) {
+	s := b.sw
+	return b.attach(name, "veth", func(p *Port) (core.Port, error) {
+		if _, err := s.kernel.AddLink(name, "veth", macFor(p.id), 1500); err != nil {
+			return nil, err
 		}
-	}
-	p.vh.ToGuest.ArmWakeup()
+		p.veth = vdev.NewVethPair(name)
+		p.drain(p.veth.AtoB)
+		return core.NewVethPort(p.id, s.eng, p.veth, s.eng.NewCPU("softirq-"+name)), nil
+	})
 }
 
 // Inject delivers a frame into the switch through this port, as if it
@@ -324,36 +321,6 @@ func (p *Port) Inject(frame []byte) {
 // OnOutput registers the callback receiving frames the switch sends out
 // this port.
 func (p *Port) OnOutput(fn func(frame []byte)) { p.onOutput = fn }
-
-// AddVethPort attaches the host end of a veth pair via AF_XDP generic
-// mode (Figure 5 path A): Inject delivers frames from the container side,
-// OnOutput sees frames the switch sends toward the container.
-func (b *Bridge) AddVethPort(name string) (*Port, error) {
-	s := b.sw
-	id := s.nextPort
-	s.nextPort++
-	pair := vdev.NewVethPair(name)
-	softirq := s.eng.NewCPU("softirq-" + name)
-	s.dp.AddPort(core.NewVethPort(id, s.eng, pair, softirq))
-	s.pmd.AssignRxQueue(s.dp.Port(id), 0)
-	if _, err := s.kernel.AddLink(name, "veth", macFor(id), 1500); err != nil {
-		return nil, fmt.Errorf("ovs: %w", err)
-	}
-	p := &Port{sw: s, id: id, name: name, kind: "veth", veth: pair}
-	pair.AtoB.SetWakeup(func() { p.drainVeth() })
-	pair.AtoB.ArmWakeup()
-	b.ports[name] = p
-	return p, nil
-}
-
-func (p *Port) drainVeth() {
-	for _, pk := range p.veth.AtoB.Pop(64) {
-		if p.onOutput != nil {
-			p.onOutput(pk.Data)
-		}
-	}
-	p.veth.AtoB.ArmWakeup()
-}
 
 // AddFlow parses an ovs-ofctl-style flow specification and installs it.
 // See ParseFlow for the supported syntax.
