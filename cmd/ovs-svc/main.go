@@ -51,6 +51,7 @@ import (
 	"ovsxdp/internal/experiments"
 	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/svc"
@@ -85,19 +86,6 @@ func main() {
 	}
 }
 
-// forwardPipeline is the bed's OpenFlow program: port 1 <-> port 2.
-func forwardPipeline() *ofproto.Pipeline {
-	pl := ofproto.NewPipeline()
-	m := flow.NewMaskBuilder().InPort().Build()
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, m),
-		Actions: []ofproto.Action{ofproto.Output(2)}})
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 2}, m),
-		Actions: []ofproto.Action{ofproto.Output(1)}})
-	return pl
-}
-
 func run(addr, bedKind, name string, flows, queues, pmds int, rate float64,
 	durationMs int64, pace float64, stepUs int64, other map[string]string) error {
 	var kind experiments.DPKind
@@ -128,7 +116,7 @@ func run(addr, bedKind, name string, flows, queues, pmds int, rate float64,
 		}
 		cfg.Other = merged
 	}
-	pl := forwardPipeline()
+	pl := kit.LoopbackPipeline(kit.Hop{1, 2}, kit.Hop{2, 1})
 	cfg.Pipeline = pl
 	bed := experiments.NewP2PBed(cfg)
 

@@ -37,19 +37,18 @@ import (
 	"sort"
 
 	"ovsxdp/internal/api"
-	"ovsxdp/internal/core"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
-	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/openflow"
 	"ovsxdp/internal/ovsdb"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
+	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
-	"ovsxdp/internal/vdev"
 	"ovsxdp/internal/vswitchd"
+	"ovsxdp/ovs"
 )
 
 func usage() {
@@ -124,40 +123,27 @@ func newEnv(dpType string, cfg cliConfig) (*env, error) {
 		return nil, err
 	}
 	db := ovsdb.NewServer()
-	daemon := vswitchd.New(db, pl, d)
-	daemon.Factory = portFactory(eng, d, daemon)
-	return &env{eng: eng, dp: d, db: db, daemon: daemon}, nil
+	return &env{eng: eng, dp: d, db: db, daemon: vswitchd.New(db, pl, d)}, nil
 }
 
-// portFactory builds datapath ports for Interface rows. The userspace
-// datapath gets real simulated devices (AF_XDP NICs, taps); the kernel
-// datapaths attach vports, modeled as transmit functions.
-func portFactory(eng *sim.Engine, d dpif.Dpif, daemon *vswitchd.VSwitchd) vswitchd.PortFactory {
-	return func(ifType, name string, options map[string]string) (dpif.Port, error) {
-		id := daemon.NextPortID()
-		if d.Type() != "netdev" {
-			return dpif.TxPort{PortID: id, PortName: name,
-				Deliver: func(*packet.Packet) {}}, nil
-		}
-		switch ifType {
-		case "afxdp":
-			nic := nicsim.New(eng, nicsim.Config{Name: name, Ifindex: id, Queues: 1})
-			if _, err := core.AttachDefaultProgram(nic); err != nil {
-				return nil, err
-			}
-			return core.NewAFXDPPort(core.AFXDPPortConfig{ID: id, NIC: nic, Eng: eng}), nil
-		case "tap":
-			return core.NewTapPort(id, vdev.NewTap(name)), nil
-		default:
-			return nil, fmt.Errorf("unsupported interface type %q", ifType)
-		}
+// demoFlow is the rule every subcommand installs, as ovs-ofctl would send
+// it: the text parser's rule turned into an OpenFlow flow mod.
+func demoFlow() openflow.FlowMod {
+	rule, err := ovs.ParseFlow("priority=10,in_port=1,actions=output:2")
+	if err != nil {
+		panic(err) // the spec is a constant
 	}
+	return openflow.AddFlow(rule)
 }
 
-// configure creates the canonical demo topology through OVSDB: bridge
-// br-int with an AF_XDP uplink (port 1) and a tap (port 2), then installs
-// the port 1 -> port 2 rule.
-func (e *env) configure() error {
+// demoEnv is newEnv holding the canonical demo topology, created through
+// OVSDB: bridge br-int with an AF_XDP uplink (port 1) and a tap (port 2),
+// and the port 1 -> port 2 rule.
+func demoEnv(dpType string, cfg cliConfig) (*env, error) {
+	e, err := newEnv(dpType, cfg)
+	if err != nil {
+		return nil, err
+	}
 	e.db.Transact([]ovsdb.Op{
 		{Op: "insert", Table: ovsdb.TableBridge, Row: ovsdb.Row{"name": "br-int"}},
 		{Op: "insert", Table: ovsdb.TableInterface,
@@ -165,16 +151,11 @@ func (e *env) configure() error {
 		{Op: "insert", Table: ovsdb.TableInterface,
 			Row: ovsdb.Row{"name": "p1", "type": "tap", "bridge": "br-int"}},
 	})
-	if e.dp.PortCount() != 2 {
-		return fmt.Errorf("expected 2 datapath ports, have %d", e.dp.PortCount())
+	if n := e.dp.Stats().Ports; n != 2 {
+		return nil, fmt.Errorf("expected 2 datapath ports, have %d", n)
 	}
-	e.daemon.ApplyFlowMod(openflow.FlowMod{
-		Command: openflow.FlowModAdd, TableID: 0, Priority: 10,
-		Match: ofproto.NewMatch(flow.Fields{InPort: 1},
-			flow.NewMaskBuilder().InPort().Build()),
-		Actions: []ofproto.Action{ofproto.Output(2)},
-	})
-	return nil
+	e.daemon.ApplyFlowMod(demoFlow())
+	return e, nil
 }
 
 // inject pushes n copies of one UDP flow into port 1 through the dpif
@@ -195,11 +176,8 @@ func (e *env) inject(n int) {
 // show prints the ovs-vsctl show analog: bridges, their ports, and the
 // datapath type behind them.
 func show(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+	e, err := demoEnv(dpType, cfg)
 	if err != nil {
-		return err
-	}
-	if err := e.configure(); err != nil {
 		return err
 	}
 	for _, name := range e.daemon.Bridges() {
@@ -212,7 +190,7 @@ func show(dpType string, cfg cliConfig) error {
 		}
 		sort.Strings(ports)
 		for _, p := range ports {
-			fmt.Printf("    port %s: id %d\n", p, b.Ports[p])
+			fmt.Printf("    port %s: id %d\n", p, b.Ports[p].ID())
 		}
 	}
 	return nil
@@ -221,11 +199,8 @@ func show(dpType string, cfg cliConfig) error {
 // dumpFlows prints the installed megaflows after injecting traffic — the
 // ovs-appctl dpctl/dump-flows analog.
 func dumpFlows(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+	e, err := demoEnv(dpType, cfg)
 	if err != nil {
-		return err
-	}
-	if err := e.configure(); err != nil {
 		return err
 	}
 	e.inject(8)
@@ -240,15 +215,12 @@ func dumpFlows(dpType string, cfg cliConfig) error {
 // dpctlStats prints the unified datapath counters — the ovs-dpctl show
 // analog (lookups hit/missed/lost plus the megaflow count).
 func dpctlStats(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+	e, err := demoEnv(dpType, cfg)
 	if err != nil {
 		return err
 	}
-	if err := e.configure(); err != nil {
-		return err
-	}
 	e.inject(8)
-	v := api.NewStatsView(e.dp.Type(), e.dp.Stats(), e.dp.PerfStats(), e.dp.PortCount())
+	v := api.NewStatsView(e.dp)
 	fmt.Print(v.FormatDpctl(fmt.Sprintf("%s@br-int", v.Type)))
 	return nil
 }
@@ -265,11 +237,8 @@ func faultDemo(dpType string, cfg cliConfig) error {
 		cfg["upcall-retry-base-us"] = "25"
 		cfg["upcall-max-retries"] = "3"
 	}
-	e, err := newEnv(dpType, cfg)
+	e, err := demoEnv(dpType, cfg)
 	if err != nil {
-		return err
-	}
-	if err := e.configure(); err != nil {
 		return err
 	}
 
@@ -309,15 +278,12 @@ func faultDemo(dpType string, cfg cliConfig) error {
 // traffic — the ovs-appctl dpif-netdev/pmd-perf-show analog: cycles per
 // stage, packets-per-batch mean, upcall latency percentiles.
 func pmdPerfShow(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+	e, err := demoEnv(dpType, cfg)
 	if err != nil {
 		return err
 	}
-	if err := e.configure(); err != nil {
-		return err
-	}
 	e.inject(64)
-	fmt.Print(e.daemon.PmdPerfShow())
+	fmt.Print(api.NewPerfView(e.dp.PerfStats()).FormatTable())
 	return nil
 }
 
@@ -325,19 +291,16 @@ func pmdPerfShow(dpType string, cfg cliConfig) error {
 // the ovs-appctl dpif-netdev/pmd-rxq-show analog. Kernel-side datapaths
 // report their softirq rx contexts instead of PMD threads.
 func pmdRxqShow(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+	e, err := demoEnv(dpType, cfg)
 	if err != nil {
 		return err
 	}
-	if err := e.configure(); err != nil {
-		return err
-	}
 	e.inject(64)
-	fmt.Print(e.daemon.PmdRxqShow())
+	fmt.Print(e.dp.PmdRxqShow())
 	return nil
 }
 
-// setConfig applies other_config key=value pairs through the daemon — the
+// setConfig applies other_config key=value pairs to the datapath — the
 // ovs-vsctl set Open_vSwitch . other_config:key=value analog — then echoes
 // the effective values back. Validation is all-or-nothing.
 func setConfig(dpType string, cfg cliConfig, args []string) error {
@@ -352,10 +315,10 @@ func setConfig(dpType string, cfg cliConfig, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := e.daemon.SetOtherConfig(kv); err != nil {
+	if err := e.dp.SetConfig(kv); err != nil {
 		return err
 	}
-	eff := e.daemon.OtherConfig()
+	eff := e.dp.GetConfig()
 	keys := make([]string, 0, len(kv))
 	for k := range kv {
 		keys = append(keys, k)
@@ -374,7 +337,7 @@ func getConfig(dpType string, cfg cliConfig, args []string) error {
 	if err != nil {
 		return err
 	}
-	eff := e.daemon.OtherConfig()
+	eff := e.dp.GetConfig()
 	if len(args) == 0 {
 		fmt.Print(api.NewConfigView(eff).Format())
 		return nil
@@ -392,16 +355,13 @@ func getConfig(dpType string, cfg cliConfig, args []string) error {
 // pmdPerfTrace arms lifecycle tracing, injects traffic, and prints the
 // retained packet lifecycles (portin -> cache level -> portout, virtual time).
 func pmdPerfTrace(dpType string, cfg cliConfig) error {
-	e, err := newEnv(dpType, cfg)
+	e, err := demoEnv(dpType, cfg)
 	if err != nil {
-		return err
-	}
-	if err := e.configure(); err != nil {
 		return err
 	}
 	e.dp.EnableTrace(16)
 	e.inject(8)
-	fmt.Print(e.daemon.PmdPerfTrace())
+	fmt.Print(perf.FormatTrace(e.dp.PerfStats()))
 	return nil
 }
 
@@ -476,12 +436,7 @@ func demo(dpType string, cfg cliConfig) error {
 	fmt.Printf("$ ovs-ofctl show br-int\n  datapath id %#x\n", dpid)
 
 	fmt.Println("$ ovs-ofctl add-flow br-int in_port=1,actions=output:2")
-	fm := openflow.EncodeFlowMod(openflow.FlowMod{
-		Command: openflow.FlowModAdd, TableID: 0, Priority: 10,
-		Match: ofproto.NewMatch(flow.Fields{InPort: 1},
-			flow.NewMaskBuilder().InPort().Build()),
-		Actions: []ofproto.Action{ofproto.Output(2)},
-	})
+	fm := openflow.EncodeFlowMod(demoFlow())
 	fm.Xid = 3
 	if err := openflow.WriteMessage(conn, fm); err != nil {
 		return err
@@ -493,6 +448,6 @@ func demo(dpType string, cfg cliConfig) error {
 	}
 
 	fmt.Printf("\npipeline now holds %d rule(s); bridge %v has %d port(s)\n",
-		e.daemon.Pipeline.RuleCount(), e.daemon.Bridges(), e.dp.PortCount())
+		e.daemon.Pipeline.RuleCount(), e.daemon.Bridges(), e.dp.Stats().Ports)
 	return nil
 }

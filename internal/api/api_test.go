@@ -93,15 +93,26 @@ func TestPageFlows(t *testing.T) {
 // provider's data after construction, the view keeps reporting what it saw.
 // Stats.Clone's aliasing bug was this contract broken one layer down.
 
+// fakeDP is a datapath that reports canned statistics and nothing else.
+type fakeDP struct {
+	dpif.Dpif
+	st  dpif.Stats
+	ths []perf.ThreadStats
+}
+
+func (f fakeDP) Type() string                  { return "netdev" }
+func (f fakeDP) Stats() dpif.Stats             { return f.st }
+func (f fakeDP) PerfStats() []perf.ThreadStats { return f.ths }
+
 func TestNewStatsViewDoesNotAliasSource(t *testing.T) {
 	st := dpif.Stats{
-		Hits: 7, Missed: 1, Flows: 1, CtConns: 5, CtCreated: 6, OffloadHits: 3, OffloadInstalls: 2,
+		Hits: 7, Missed: 1, Flows: 1, Ports: 2, CtConns: 5, CtCreated: 6, OffloadHits: 3, OffloadInstalls: 2,
 		ConnsPerZone: []dpif.CtZoneConns{{Zone: 1, Conns: 2}, {Zone: 9, Conns: 3}},
 	}
 	ths := []perf.ThreadStats{{Name: "pmd0", Stats: &perf.Stats{}}}
 	ths[0].Packets, ths[0].EMCHits = 8, 7
-	v := NewStatsView("netdev", st, ths, 2)
-	want := NewStatsView("netdev", st.Clone(), ths, 2)
+	v := NewStatsView(fakeDP{st: st, ths: ths})
+	want := NewStatsView(fakeDP{st: st.Clone(), ths: ths})
 
 	st.ConnsPerZone[0].Conns = 999
 	st.ConnsPerZone = append(st.ConnsPerZone[:1], dpif.CtZoneConns{Zone: 4, Conns: 4})
@@ -109,11 +120,11 @@ func TestNewStatsViewDoesNotAliasSource(t *testing.T) {
 	if !reflect.DeepEqual(v, want) {
 		t.Fatalf("view changed with its source:\n got %+v ct %+v\nwant %+v ct %+v", v, v.Conntrack, want, want.Conntrack)
 	}
-	if len(v.Conntrack.PerZone) != 2 || v.Conntrack.PerZone[0].Conns != 2 || v.Cache.Packets != 8 || v.Offload.Hits != 3 {
+	if len(v.Conntrack.PerZone) != 2 || v.Conntrack.PerZone[0].Conns != 2 || v.Cache.Packets != 8 || v.Offload.Hits != 3 || v.Ports != 2 {
 		t.Fatalf("view = %+v ct %+v offload %+v", v, v.Conntrack, v.Offload)
 	}
 	// The blocks appear only once their subsystem has seen use.
-	if idle := NewStatsView("netdev", dpif.Stats{Hits: 1}, nil, 0); idle.Conntrack != nil || idle.Offload != nil {
+	if idle := NewStatsView(fakeDP{st: dpif.Stats{Hits: 1}}); idle.Conntrack != nil || idle.Offload != nil {
 		t.Fatalf("idle datapath reports conntrack %+v offload %+v", idle.Conntrack, idle.Offload)
 	}
 }

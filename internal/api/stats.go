@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"ovsxdp/internal/dpif"
-	"ovsxdp/internal/perf"
 )
 
 // CacheHierarchy sums the per-thread resolution counters: how many packets
@@ -73,13 +72,16 @@ type StatsView struct {
 	Conntrack        *CtStatsView      `json:"conntrack,omitempty"`
 }
 
-// NewStatsView builds the view from a provider's counters. The offload and
+// NewStatsView builds the view from a datapath's counters. The offload and
 // conntrack blocks appear only once their subsystems have seen use,
-// mirroring the conditional sections of `ovs-dpctl show` output. threads
-// feeds the cache-hierarchy split; ports is the attached-port count.
-func NewStatsView(dpType string, st dpif.Stats, threads []perf.ThreadStats, ports int) StatsView {
+// mirroring the conditional sections of `ovs-dpctl show` output. The
+// per-thread counters feed the cache-hierarchy split.
+func NewStatsView(d dpif.Dpif) StatsView {
+	// Cloned, then deep-copied again below, so neither an encoder nor a
+	// client can ever alias provider state.
+	st := d.Stats().Clone()
 	v := StatsView{
-		Type:             dpType,
+		Type:             d.Type(),
 		Hits:             st.Hits,
 		Missed:           st.Missed,
 		Lost:             st.Lost,
@@ -88,9 +90,9 @@ func NewStatsView(dpType string, st dpif.Stats, threads []perf.ThreadStats, port
 		UpcallQueueDrops: st.UpcallQueueDrops,
 		MalformedDrops:   st.MalformedDrops,
 		Flows:            st.Flows,
-		Ports:            ports,
+		Ports:            st.Ports,
 	}
-	for _, th := range threads {
+	for _, th := range d.PerfStats() {
 		v.Cache.EMCHits += th.EMCHits
 		v.Cache.SMCHits += th.SMCHits
 		v.Cache.MegaflowHits += th.MegaflowHits

@@ -90,8 +90,8 @@ func runScenario(t *testing.T, name string, mutate func(*dpif.Config)) observati
 		Deliver: func(*packet.Packet) { obs.Delivered++ }}); err != nil {
 		t.Fatalf("%s: PortAdd(2): %v", name, err)
 	}
-	if n := d.PortCount(); n != 2 {
-		t.Fatalf("%s: PortCount = %d, want 2", name, n)
+	if n := d.Stats().Ports; n != 2 {
+		t.Fatalf("%s: Stats().Ports = %d, want 2", name, n)
 	}
 
 	run := func() { eng.RunUntil(eng.Now() + sim.Millisecond) }
@@ -142,7 +142,7 @@ func runScenario(t *testing.T, name string, mutate func(*dpif.Config)) observati
 	d.Execute(scenarioPacket())
 	run()
 	obs.AfterPortDel = d.Stats()
-	obs.FinalPorts = d.PortCount()
+	obs.FinalPorts = d.Stats().Ports
 	return obs
 }
 
@@ -165,7 +165,7 @@ func TestConformance(t *testing.T) {
 
 	// Spot-check the absolute numbers once (they are provider-independent).
 	ref := obs["netdev"]
-	if want := (dpif.Stats{Hits: 7, Missed: 1, Lost: 0, Processed: 8, Flows: 1}); !reflect.DeepEqual(ref.AfterWarm, want) {
+	if want := (dpif.Stats{Hits: 7, Missed: 1, Lost: 0, Processed: 8, Flows: 1, Ports: 2}); !reflect.DeepEqual(ref.AfterWarm, want) {
 		t.Errorf("netdev AfterWarm = %+v, want %+v", ref.AfterWarm, want)
 	}
 	// 10 = 8 warm + 1 after FlowDel + 1 after FlowPut (the port-del packet
@@ -212,7 +212,7 @@ func TestConformanceWithSMC(t *testing.T) {
 	// netdev must have resolved every warm repeat through the SMC: 8
 	// packets, 1 upcall, 7 signature-cache hits.
 	ref := obs["netdev"]
-	if want := (dpif.Stats{Hits: 7, SMCHits: 7, Missed: 1, Processed: 8, Flows: 1}); !reflect.DeepEqual(ref.AfterWarm, want) {
+	if want := (dpif.Stats{Hits: 7, SMCHits: 7, Missed: 1, Processed: 8, Flows: 1, Ports: 2}); !reflect.DeepEqual(ref.AfterWarm, want) {
 		t.Errorf("netdev AfterWarm with SMC = %+v, want %+v", ref.AfterWarm, want)
 	}
 	// FlowDel invalidated the SMC's megaflow index, so the re-executed

@@ -89,6 +89,8 @@ type Stats struct {
 	// Processed counts fast-path packet passes, including recirculation.
 	Processed uint64
 	Flows     int
+	// Ports is the number of attached ports.
+	Ports int
 
 	// Hardware-offload counters (other_config:hw-offload); all stay zero
 	// on the kernel-path providers, whose simulated NICs expose no flow
@@ -178,8 +180,6 @@ type Dpif interface {
 	PortAdd(p Port) error
 	// PortDel detaches the port with the given datapath port number.
 	PortDel(id uint32) error
-	// PortCount returns the number of attached ports.
-	PortCount() int
 
 	// FlowPut installs a datapath flow directly, bypassing the upcall
 	// path (ovs-dpctl add-flow). Providers apply their own installation

@@ -25,12 +25,9 @@ func init() {
 		if !ok {
 			opts = core.DefaultOptions()
 		}
-		return NewNetdev(core.NewDatapath(cfg.Eng, cfg.Pipeline, opts)), nil
+		return &Netdev{dp: core.NewDatapath(cfg.Eng, cfg.Pipeline, opts)}, nil
 	})
 }
-
-// NewNetdev wraps an existing userspace datapath.
-func NewNetdev(dp *core.Datapath) *Netdev { return &Netdev{dp: dp} }
 
 // Datapath exposes the wrapped userspace datapath for wiring that the dpif
 // seam does not cover (experiment-specific port internals).
@@ -64,9 +61,6 @@ func (d *Netdev) PortDel(id uint32) error {
 	d.dp.RemovePort(id)
 	return nil
 }
-
-// PortCount implements Dpif.
-func (d *Netdev) PortCount() int { return d.dp.Ports() }
 
 // FlowPut implements Dpif: the flow is installed into every PMD's
 // classifier, as dpif-netdev replicates flows across the threads that may
@@ -247,6 +241,7 @@ func (d *Netdev) Stats() Stats {
 		MalformedDrops:   d.dp.MalformedDrops,
 		Processed:        d.dp.Processed,
 		Flows:            d.dp.FlowCount(),
+		Ports:            d.dp.Ports(),
 	}
 	off := d.dp.OffloadStats()
 	s.OffloadHits = off.Hits

@@ -20,10 +20,6 @@ type Netlink struct {
 	kdp *kernelsim.Datapath
 	eng *sim.Engine
 
-	// names keeps port names for the control plane; the kernel datapath
-	// itself only knows transmit functions.
-	names map[uint32]string
-
 	// execCPU is the lazily created CPU Execute charges softirq work to
 	// (the dpctl-execute injection context).
 	execCPU *sim.CPU
@@ -47,15 +43,10 @@ func init() {
 
 func netlinkFactory(flavor kernelsim.Flavor) Factory {
 	return func(cfg Config) (Dpif, error) {
-		return NewNetlink(cfg.Eng, kernelsim.NewDatapath(cfg.Eng, flavor, cfg.Pipeline)), nil
+		return &Netlink{kdp: kernelsim.NewDatapath(cfg.Eng, flavor, cfg.Pipeline), eng: cfg.Eng,
+			softirqPkts: make(map[*sim.CPU]uint64),
+			netdevOnly:  make(map[string]string)}, nil
 	}
-}
-
-// NewNetlink wraps an existing kernel datapath.
-func NewNetlink(eng *sim.Engine, kdp *kernelsim.Datapath) *Netlink {
-	return &Netlink{kdp: kdp, eng: eng, names: make(map[uint32]string),
-		softirqPkts: make(map[*sim.CPU]uint64),
-		netdevOnly:  make(map[string]string)}
 }
 
 // Kernel exposes the wrapped kernel datapath for wiring that the dpif seam
@@ -71,10 +62,6 @@ func (d *Netlink) Process(cpu *sim.CPU, p *packet.Packet) {
 	d.softirqPkts[cpu]++
 	d.kdp.Process(cpu, p)
 }
-
-// SetActiveCPUs installs the softirq fan-out probe feeding the
-// SMT-contention model.
-func (d *Netlink) SetActiveCPUs(fn func() int) { d.kdp.ActiveCPUs = fn }
 
 // Type implements Dpif.
 func (d *Netlink) Type() string {
@@ -92,7 +79,6 @@ func (d *Netlink) PortAdd(p Port) error {
 		return fmt.Errorf("dpif-%s: unsupported port kind %T for %q (need TxPort)", d.Type(), p, p.Name())
 	}
 	d.kdp.Outputs[tp.PortID] = tp.Deliver
-	d.names[tp.PortID] = tp.PortName
 	return nil
 }
 
@@ -102,12 +88,8 @@ func (d *Netlink) PortDel(id uint32) error {
 		return fmt.Errorf("dpif-%s: no port %d", d.Type(), id)
 	}
 	delete(d.kdp.Outputs, id)
-	delete(d.names, id)
 	return nil
 }
-
-// PortCount implements Dpif.
-func (d *Netlink) PortCount() int { return len(d.kdp.Outputs) }
 
 // FlowPut implements Dpif.
 func (d *Netlink) FlowPut(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) {
@@ -225,6 +207,7 @@ func (d *Netlink) Stats() Stats {
 		MalformedDrops:   d.kdp.MalformedDrops,
 		Processed:        d.kdp.Processed,
 		Flows:            d.kdp.FlowCount(),
+		Ports:            len(d.kdp.Outputs),
 	}
 	fillCtStats(&s, d.kdp.Ct)
 	return s

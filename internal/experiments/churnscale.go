@@ -25,6 +25,7 @@ import (
 	"ovsxdp/internal/api"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
@@ -172,7 +173,7 @@ func slideWindow(g *trafficgen.SrcIPGen, churnPerS float64) {
 func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
 	eng := sim.NewEngine(1)
 	masks := churnMasks()
-	d := mustOpen("netdev", dpif.Config{Eng: eng, Pipeline: ofproto.NewPipeline()})
+	d := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: ofproto.NewPipeline()}))
 	if err := d.PortAdd(dpif.TxPort{PortID: 2, PortName: "sink",
 		Deliver: func(p *packet.Packet) {}}); err != nil {
 		panic(err)

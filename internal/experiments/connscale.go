@@ -29,6 +29,7 @@ import (
 	"ovsxdp/internal/conntrack"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
@@ -190,7 +191,7 @@ type connBed struct {
 
 func newConnBed(shards int) *connBed {
 	b := &connBed{eng: sim.NewEngine(1)}
-	b.d = mustOpen("netdev", dpif.Config{Eng: b.eng, Pipeline: ofproto.NewPipeline()})
+	b.d = kit.Must(dpif.Open("netdev", dpif.Config{Eng: b.eng, Pipeline: ofproto.NewPipeline()}))
 	if err := b.d.SetConfig(map[string]string{"ct-shards": fmt.Sprintf("%d", shards)}); err != nil {
 		panic(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/kernelsim"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
@@ -89,26 +90,26 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBe
 	})
 
 	// Host A: the client VM is port 3, the uplink port 2.
-	client := newGuest(eng, vd, 3, "0", qemuCPUs(eng, vd, "qemu"), vmsim.Config{Name: "client",
+	client := kit.NewGuest(eng, vd.String(), 3, "0", kit.QemuCPUs(eng, vd.String(), "qemu"), vmsim.Config{Name: "client",
 		OnPacket: func(vm *vmsim.VM, p *packet.Packet) {
 			eng.Schedule(vmNotify()+clientWake(), func() { rr.OnResponseArrived(p) })
 		}})
-	dcfg := dpif.Config{Eng: eng, Pipeline: loopbackPipeline(hop{3, 2}, hop{2, 3}),
+	dcfg := dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{3, 2}, kit.Hop{2, 3}),
 		Options: core.DefaultOptions()}
 	if kind == KindKernel {
-		nl := openKernel("netlink", dcfg, client.kernelTx(),
+		nl := kit.OpenKernel("netlink", dcfg, client.KernelTx(),
 			dpif.TxPort{PortID: 2, PortName: "uplink", Deliver: nicB.Transmit})
 		cpu := eng.NewCPU("ksoftirqd")
 		deferred := func(cpu *sim.CPU, p *packet.Packet) {
 			eng.Schedule(softirqWake(), func() { nl.Process(cpu, p) })
 		}
-		softirqRx(eng, cpu, client.kernelSrc(), 3, deferred)
-		softirqRx(eng, cpu, kernelsim.NICQueueSource{Q: nicB.Queue(0)}, 2, deferred)
+		kit.SoftirqRx(eng, cpu, client.KernelSrc(), 3, deferred)
+		kit.SoftirqRx(eng, cpu, kernelsim.NICQueueSource{Q: nicB.Queue(0)}, 2, deferred)
 	} else {
 		// The AF_XDP uplink's umem pool is mutex-locked: the golden
 		// latencies are pinned to that cost.
-		uplink := nicPort(eng, kind, 2, nicB, afxdp.LockMutex, false)
-		openNetdev(dcfg, core.ModePoll, 1, []core.Port{uplink, client.port})
+		uplink := kit.Must(kit.NICPort(eng, kind.String(), 2, nicB, afxdp.LockMutex, false))
+		kit.OpenNetdev(dcfg, core.ModePoll, 1, []core.Port{uplink, client.Port})
 	}
 
 	rr = trafficgen.NewRR(trafficgen.RRConfig{
@@ -116,7 +117,7 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBe
 		SrcMAC: hdr.MAC{2, 0, 0, 0, 0, 1}, DstMAC: hdr.MAC{2, 0, 0, 0, 0, 2},
 		SrcIP: hdr.MakeIP4(10, 0, 0, 1), DstIP: hdr.MakeIP4(10, 0, 0, 2),
 		SrcPort: 40000, DstPort: 12865,
-		SendRequest: client.vm.Transmit,
+		SendRequest: client.VM.Transmit,
 		SendResponse: func(p *packet.Packet) {
 			// Server transmit: stack tx + wire back into nicB.
 			serverCPU.Consume(sim.System, sc.SendCost(len(p.Data)))
@@ -186,8 +187,8 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 	case PCPKernel:
 		// veth -> kernel OVS -> veth: one softirq hop each way.
 		cpu := eng.NewCPU("ksoftirqd")
-		nl := openKernel("netlink",
-			dpif.Config{Eng: eng, Pipeline: loopbackPipeline(hop{1, 3}, hop{3, 2})},
+		nl := kit.OpenKernel("netlink",
+			dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 2})},
 			dpif.TxPort{PortID: 3, PortName: "veth-server", Deliver: func(p *packet.Packet) { vethS.SendA(p) }},
 			dpif.TxPort{PortID: 2, PortName: "veth-client", Deliver: func(p *packet.Packet) { vethC.SendA(p) }})
 		toServer = func(p *packet.Packet) { eng.Schedule(0, func() { nl.Process(cpu, p) }) }
@@ -236,9 +237,9 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 	// Container outbound queues feed the fabric: the client's veth is its
 	// port 1, the server's port 3.
 	cpu := eng.NewCPU("veth-softirq")
-	softirqRx(eng, cpu, kernelsim.VQueueSource{Q: vethC.BtoA}, 1,
+	kit.SoftirqRx(eng, cpu, kernelsim.VQueueSource{Q: vethC.BtoA}, 1,
 		func(_ *sim.CPU, p *packet.Packet) { toServer(p) })
-	softirqRx(eng, cpu, kernelsim.VQueueSource{Q: vethS.BtoA}, 3,
+	kit.SoftirqRx(eng, cpu, kernelsim.VQueueSource{Q: vethS.BtoA}, 3,
 		func(_ *sim.CPU, p *packet.Packet) { toClient(p) })
 
 	rr = trafficgen.NewRR(trafficgen.RRConfig{

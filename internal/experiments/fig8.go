@@ -8,6 +8,7 @@ import (
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/kernelsim"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/netlinksim"
 	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/ofproto"
@@ -145,10 +146,10 @@ func runFig8aCase(p Profile, c fig8aConfig) float64 {
 	// The 10 GbE wire between the hosts.
 	nic1 := nicsim.New(eng, nicsim.Config{Name: "h1-uplink", Ifindex: 1, Queues: 1,
 		LinkRate: costmodel.LinkRate10G,
-		Offloads: offloadsFor(c.kind)})
+		Offloads: kit.OffloadsFor(c.kind.String())})
 	nic2 := nicsim.New(eng, nicsim.Config{Name: "h2-uplink", Ifindex: 2, Queues: 1,
 		LinkRate: costmodel.LinkRate10G,
-		Offloads: offloadsFor(c.kind)})
+		Offloads: kit.OffloadsFor(c.kind.String())})
 	nic1.ConnectWire(func(pk *packet.Packet) { nic2.Receive(pk) })
 	nic2.ConnectWire(func(pk *packet.Packet) { nic1.Receive(pk) })
 
@@ -197,14 +198,14 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 	// 2.2 Gbps ceiling); under AF_XDP the QEMU relay has its own CPU.
 	relay := []*sim.CPU{kcpu}
 	if c.kind != KindKernel {
-		relay = qemuCPUs(eng, c.vd, "qemu-"+nic.Name)
+		relay = kit.QemuCPUs(eng, c.vd.String(), "qemu-"+nic.Name)
 	}
-	vm := newGuest(eng, c.vd, f8VM, "-"+nic.Name, relay, vmsim.Config{Name: "vm-" + nic.Name,
+	vm := kit.NewGuest(eng, c.vd.String(), f8VM, "-"+nic.Name, relay, vmsim.Config{Name: "vm-" + nic.Name,
 		OffloadsNegotiated: c.assumeCsm, OnPacket: onPacket})
 	dcfg := dpif.Config{Eng: eng, Pipeline: pl, Options: opts}
 
 	if c.kind == KindKernel {
-		nl := openKernel("netlink", dcfg, vm.kernelTx(),
+		nl := kit.OpenKernel("netlink", dcfg, vm.KernelTx(),
 			dpif.TxPort{PortID: f8Uplink, PortName: nic.Name, Deliver: func(pk *packet.Packet) {
 				// Kernel-side Geneve encapsulation happens in execute();
 				// the byte-level encap for the wire is done here so the
@@ -216,17 +217,17 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 		(&kernelsim.NAPIActor{Eng: eng, CPU: kcpu,
 			Src:     kernelsim.NICQueueSource{Q: nic.Queue(0)},
 			Handler: kdpKernelRx(nl)}).Start()
-		softirqRx(eng, kcpu, vm.kernelSrc(), f8VM, nl.Process)
-		return vm.vm
+		kit.SoftirqRx(eng, kcpu, vm.KernelSrc(), f8VM, nl.Process)
+		return vm.VM
 	}
 	lock := afxdp.LockSpinBatched
 	if c.bare {
 		lock = afxdp.LockMutex
 	}
-	uplink := nicPort(eng, c.kind, f8Uplink, nic, lock, false)
-	nd := openNetdev(dcfg, c.mode, 1, []core.Port{uplink, vm.port})
+	uplink := kit.Must(kit.NICPort(eng, c.kind.String(), f8Uplink, nic, lock, false))
+	nd := kit.OpenNetdev(dcfg, c.mode, 1, []core.Port{uplink, vm.Port})
 	nd.Datapath().Encapper = tunnel.NewEncapper(cache)
-	return vm.vm
+	return vm.VM
 }
 
 // kdpKernelRx handles uplink arrivals on the kernel datapath: tunneled
@@ -327,24 +328,24 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 	opts.AssumeTSO = c.tso
 
 	var bulk *trafficgen.Bulk
-	mkVM := func(name string, id uint32, onPkt func(*vmsim.VM, *packet.Packet)) guest {
-		return newGuest(eng, c.vd, id, "-"+name, qemuCPUs(eng, c.vd, "qemu-"+name),
+	mkVM := func(name string, id uint32, onPkt func(*vmsim.VM, *packet.Packet)) kit.Guest {
+		return kit.NewGuest(eng, c.vd.String(), id, "-"+name, kit.QemuCPUs(eng, c.vd.String(), "qemu-"+name),
 			vmsim.Config{Name: name, OffloadsNegotiated: c.csum, OnPacket: onPkt})
 	}
 	sender := mkVM("s", f8VM, func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnAckArrived(pk) })
 	receiver := mkVM("r", f8VM2, func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnDataArrived(pk) })
-	senderVM, receiverVM := sender.vm, receiver.vm
+	senderVM, receiverVM := sender.VM, receiver.VM
 	dcfg := dpif.Config{Eng: eng, Pipeline: pl, Options: opts}
 
 	if c.kind == KindKernel {
 		// In-kernel switching between two taps with full offloads: the
 		// datapath moves 64kB frames without touching payload.
-		nl := openKernel("netlink", dcfg, sender.kernelTx(), receiver.kernelTx())
+		nl := kit.OpenKernel("netlink", dcfg, sender.KernelTx(), receiver.KernelTx())
 		cpu := eng.NewCPU("ksoftirqd")
-		softirqRx(eng, cpu, sender.kernelSrc(), f8VM, nl.Process)
-		softirqRx(eng, cpu, receiver.kernelSrc(), f8VM2, nl.Process)
+		kit.SoftirqRx(eng, cpu, sender.KernelSrc(), f8VM, nl.Process)
+		kit.SoftirqRx(eng, cpu, receiver.KernelSrc(), f8VM2, nl.Process)
 	} else {
-		openNetdev(dcfg, core.ModePoll, 1, []core.Port{sender.port, receiver.port})
+		kit.OpenNetdev(dcfg, core.ModePoll, 1, []core.Port{sender.Port, receiver.Port})
 	}
 
 	sendSize := 1460
@@ -448,10 +449,10 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 		opts.AssumeTSO = c.tso
 		// Bidirectional: data 1 -> 3, acks 3 -> 1.
 		softirq := eng.NewCPU("softirq")
-		openNetdev(dpif.Config{Eng: eng, Pipeline: loopbackPipeline(hop{1, 3}, hop{3, 1}), Options: opts},
+		kit.OpenNetdev(dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 1}), Options: opts},
 			core.ModePoll, 1, []core.Port{
-				core.NewVethPort(1, eng, vethS, softirq),
-				core.NewVethPort(3, eng, vethR, softirq)})
+				kit.VethLink(eng, 1, vethS, softirq).Port,
+				kit.VethLink(eng, 3, vethR, softirq).Port})
 	}
 
 	sendSize := 1460

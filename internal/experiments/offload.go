@@ -29,6 +29,7 @@ import (
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/sim"
@@ -136,7 +137,7 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 	eng := sim.NewEngine(1)
 	mask := flow.NewMaskBuilder().InPort().EthType().IPProto().
 		IP4Src(32).IP4Dst(32).TPSrc().TPDst().Build()
-	d := mustOpen("netdev", dpif.Config{Eng: eng, Pipeline: ofproto.NewPipeline()})
+	d := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: ofproto.NewPipeline()}))
 	if err := d.PortAdd(dpif.TxPort{PortID: 2, PortName: "sink",
 		Deliver: func(p *packet.Packet) {}}); err != nil {
 		panic(err)

@@ -24,7 +24,7 @@ func snapshotBed(t *testing.T, bed *Bed) []byte {
 	}{
 		Sent: bed.Gen.Sent, Delivered: bed.Delivered, Drops: bed.Drops(),
 		Now:   int64(bed.Eng.Now()),
-		Stats: api.NewStatsView(bed.DP.Type(), bed.DP.Stats().Clone(), bed.DP.PerfStats(), bed.DP.PortCount()),
+		Stats: api.NewStatsView(bed.DP),
 		Perf:  api.NewPerfView(bed.DP.PerfStats()),
 	}
 	data, err := json.Marshal(snap)

@@ -13,8 +13,8 @@ import (
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/ebpf"
-	"ovsxdp/internal/flow"
 	"ovsxdp/internal/kernelsim"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/measure"
 	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/ofproto"
@@ -61,16 +61,6 @@ func (k DPKind) DpifType() string {
 	default:
 		return "netdev"
 	}
-}
-
-// mustOpen opens a registered dpif provider or panics — testbeds are
-// constructed from compile-time kinds, so a miss is a programming error.
-func mustOpen(name string, cfg dpif.Config) dpif.Dpif {
-	d, err := dpif.Open(name, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // VDevKind selects the VM device for PVP scenarios.
@@ -177,186 +167,6 @@ func (b *Bed) Drops() uint64 {
 	return total
 }
 
-// --- the testbed kit -------------------------------------------------------------
-//
-// Every exhibit's host is assembled from the parts below, and they are the
-// only code that knows how a NIC, a guest or a softirq context attaches to
-// a userspace or a kernel datapath. A bed states its topology — which
-// parts, which port numbers, which CPUs are shared — and nothing else.
-
-// hop is one rule of a loopback pipeline: traffic entering port in leaves
-// through port out.
-type hop struct{ in, out uint32 }
-
-// loopbackPipeline builds the in_port -> output program the loopback and
-// request/response beds run, one priority-1 rule per hop.
-func loopbackPipeline(hops ...hop) *ofproto.Pipeline {
-	pl := ofproto.NewPipeline()
-	m := flow.NewMaskBuilder().InPort().Build()
-	for _, h := range hops {
-		pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-			Match:   ofproto.NewMatch(flow.Fields{InPort: h.in}, m),
-			Actions: []ofproto.Action{ofproto.Output(h.out)}})
-	}
-	return pl
-}
-
-// offloadsFor is what a NIC offers under a datapath kind: AF_XDP sockets
-// see raw frames, every other driver gets checksum, TSO and the RSS hash.
-func offloadsFor(kind DPKind) nicsim.Offloads {
-	if kind == KindAFXDP {
-		return nicsim.Offloads{}
-	}
-	return nicsim.Offloads{RxCsum: true, TxCsum: true, TSO: true, RSSHashDeliver: true}
-}
-
-// nicPort attaches a NIC to a userspace datapath as port id: AF_XDP sockets
-// behind the default XDP program, or the DPDK poll-mode driver.
-func nicPort(eng *sim.Engine, kind DPKind, id uint32, nic *nicsim.NIC,
-	lock afxdp.LockMode, zeroCopy bool) core.Port {
-	if kind == KindDPDK {
-		return core.NewDPDKPort(id, nic)
-	}
-	if _, err := core.AttachDefaultProgram(nic); err != nil {
-		panic(err)
-	}
-	return core.NewAFXDPPort(core.AFXDPPortConfig{ID: id, NIC: nic, Eng: eng,
-		LockMode: lock, ZeroCopy: zeroCopy})
-}
-
-// ringDrops counts what a userspace NIC port lost at its own bounded rings:
-// an AF_XDP port's fill, rx and tx rings. A DPDK port drops only at the
-// NIC, which Bed.Drops already counts.
-func ringDrops(p core.Port) uint64 {
-	x, ok := p.(*core.AFXDPPort)
-	if !ok {
-		return 0
-	}
-	d := x.TxDrops
-	for q := 0; q < x.NumRxQueues(); q++ {
-		s := x.XSK(q)
-		d += s.RxDropFill + s.RxDropRing
-	}
-	return d
-}
-
-// guest is a VM and its attachment to the switch.
-type guest struct {
-	vm *vmsim.VM
-	// port is the attachment as a userspace datapath port.
-	port core.Port
-	// toGuest and fromGuest are the attachment's two rings as the switch
-	// sees them; a kernel datapath attaches to them directly.
-	toGuest, fromGuest *vdev.Queue
-}
-
-// newGuest builds a VM attached as port id through a vhostuser device
-// ("vhost"+suffix), or through a tap ("tap"+suffix) whose QEMU relay runs on
-// the relay CPUs: one CPU relays both directions, two give each direction
-// its own. Which CPUs the relay shares is model, so the bed supplies them
-// (qemuCPUs); cfg.Backend is filled in here.
-func newGuest(eng *sim.Engine, vd VDevKind, id uint32, suffix string, relay []*sim.CPU, cfg vmsim.Config) guest {
-	var g guest
-	if vd == VDevVhost {
-		dev := vdev.NewVhostUser("vhost" + suffix)
-		cfg.Backend = &vmsim.VhostUserBackend{Dev: dev}
-		g = guest{port: core.NewVhostPort(id, dev), toGuest: dev.ToGuest, fromGuest: dev.FromGuest}
-	} else {
-		tap := vdev.NewTap("tap" + suffix)
-		cfg.Backend = vmsim.NewTapBackendMQ(eng, tap, relay[0], relay[len(relay)-1])
-		g = guest{port: core.NewTapPort(id, tap), toGuest: tap.ToKernel, fromGuest: tap.FromKernel}
-	}
-	g.vm = vmsim.New(eng, cfg)
-	return g
-}
-
-// qemuCPUs creates the named relay CPUs a tap guest needs; a vhostuser
-// guest has no relay, so none are made.
-func qemuCPUs(eng *sim.Engine, vd VDevKind, names ...string) []*sim.CPU {
-	if vd == VDevVhost {
-		return nil
-	}
-	cpus := make([]*sim.CPU, len(names))
-	for i, n := range names {
-		cpus[i] = eng.NewCPU(n)
-	}
-	return cpus
-}
-
-// drops counts packets lost at the attachment's rings.
-func (g guest) drops() uint64 { return g.toGuest.Dropped + g.fromGuest.Dropped }
-
-// kernelTx is the guest as a kernel datapath transmit port: an in-kernel
-// handoff into the guest-bound ring, no syscall.
-func (g guest) kernelTx() dpif.TxPort {
-	return dpif.TxPort{PortID: g.port.ID(), PortName: g.port.Name(),
-		Deliver: func(p *packet.Packet) { g.toGuest.Push(p) }}
-}
-
-// kernelSrc is the guest's transmissions as a softirq poll source.
-func (g guest) kernelSrc() kernelsim.PollSource { return kernelsim.VQueueSource{Q: g.fromGuest} }
-
-// openNetdev opens a userspace datapath, attaches the ports, spreads the
-// polled ports' receive queues over pmds poll threads through the
-// datapath's assignment layer and starts the threads. txOnly ports are
-// attached but never polled (NIC B of a loopback only transmits). pmds <= 0
-// means one thread per receive queue of the first polled port; under the
-// default round-robin policy that places queue i on thread i.
-func openNetdev(cfg dpif.Config, mode core.Mode, pmds int, polled []core.Port, txOnly ...core.Port) *dpif.Netdev {
-	nd := mustOpen("netdev", cfg).(*dpif.Netdev)
-	for _, ports := range [][]core.Port{polled, txOnly} {
-		for _, p := range ports {
-			if err := nd.PortAdd(p); err != nil {
-				panic(err)
-			}
-		}
-	}
-	if pmds <= 0 {
-		pmds = polled[0].NumRxQueues()
-	}
-	threads := make([]*core.PMD, pmds)
-	for i := range threads {
-		threads[i] = nd.NewPMD(mode)
-	}
-	for _, p := range polled {
-		if err := nd.Datapath().DistributeRxqs(p); err != nil {
-			panic(err)
-		}
-	}
-	for _, m := range threads {
-		m.Start()
-	}
-	return nd
-}
-
-// openKernel opens an in-kernel datapath ("netlink" or "ebpf") with its
-// transmit ports.
-func openKernel(typ string, cfg dpif.Config, tx ...dpif.TxPort) *dpif.Netlink {
-	nl := mustOpen(typ, cfg).(*dpif.Netlink)
-	for _, p := range tx {
-		if err := nl.PortAdd(p); err != nil {
-			panic(err)
-		}
-	}
-	return nl
-}
-
-// softirqRx starts a NAPI actor on cpu that drains src, stamps each packet
-// with the port it arrived on and hands it to process — (*dpif.Netlink).
-// Process for a plain receive, or the bed's own step in front of it.
-func softirqRx(eng *sim.Engine, cpu *sim.CPU, src kernelsim.PollSource, inPort uint32,
-	process func(*sim.CPU, *packet.Packet)) *kernelsim.NAPIActor {
-	a := &kernelsim.NAPIActor{Eng: eng, CPU: cpu, Src: src,
-		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-			for _, p := range pkts {
-				p.InPort = inPort
-				process(cpu, p)
-			}
-		}}
-	a.Start()
-	return a
-}
-
 // --- the loopback beds -----------------------------------------------------------
 
 // newLoopbackBed builds what every loopback shares: the engine, NIC A fed
@@ -381,7 +191,7 @@ func newConfiguredBed(cfg BedConfig) *Bed {
 	if cfg.Kind == KindKernel || cfg.Kind == KindEBPF {
 		queues = cfg.KernelQueues
 	}
-	return newLoopbackBed(cfg.Seed, queues, cfg.LinkRate, offloadsFor(cfg.Kind), cfg.Flows, cfg.FrameSize)
+	return newLoopbackBed(cfg.Seed, queues, cfg.LinkRate, kit.OffloadsFor(cfg.Kind.String()), cfg.Flows, cfg.FrameSize)
 }
 
 // kernelLoopback puts an in-kernel datapath under the bed: NIC B is
@@ -389,13 +199,13 @@ func newConfiguredBed(cfg BedConfig) *Bed {
 // NIC A queue receives on port 1. The actors are kept so scenarios can
 // park and resume them.
 func (b *Bed) kernelLoopback(typ string, cfg dpif.Config, flows int, tx ...dpif.TxPort) *dpif.Netlink {
-	nl := openKernel(typ, cfg, append([]dpif.TxPort{
+	nl := kit.OpenKernel(typ, cfg, append([]dpif.TxPort{
 		{PortID: 2, PortName: "p1", Deliver: b.NICB.Transmit}}, tx...)...)
 	b.DP = nl
-	nl.SetActiveCPUs(b.activeSoftirqs(flows))
+	nl.Kernel().ActiveCPUs = b.activeSoftirqs(flows)
 	for q := 0; q < b.NICA.NumQueues(); q++ {
 		cpu := b.Eng.NewCPU(fmt.Sprintf("ksoftirqd/%d", q))
-		b.Actors = append(b.Actors, softirqRx(b.Eng, cpu,
+		b.Actors = append(b.Actors, kit.SoftirqRx(b.Eng, cpu,
 			kernelsim.NICQueueSource{Q: b.NICA.Queue(q)}, 1, nl.Process))
 	}
 	return nl
@@ -430,14 +240,14 @@ func (b *Bed) activeSoftirqs(flows int) func() int {
 // port 1, NIC B transmit-only port 2, both attached the way cfg.Kind says,
 // and the bed's extra ports are polled after NIC A.
 func (b *Bed) netdevLoopback(cfg BedConfig, pl *ofproto.Pipeline, extra ...core.Port) {
-	portA := nicPort(b.Eng, cfg.Kind, 1, b.NICA, cfg.Lock, cfg.ZeroCopy)
-	portB := nicPort(b.Eng, cfg.Kind, 2, b.NICB, cfg.Lock, cfg.ZeroCopy)
-	b.dropFns = append(b.dropFns, func() uint64 { return ringDrops(portA) + ringDrops(portB) })
+	portA := kit.Must(kit.NICPort(b.Eng, cfg.Kind.String(), 1, b.NICA, cfg.Lock, cfg.ZeroCopy))
+	portB := kit.Must(kit.NICPort(b.Eng, cfg.Kind.String(), 2, b.NICB, cfg.Lock, cfg.ZeroCopy))
+	b.dropFns = append(b.dropFns, func() uint64 { return kit.RingDrops(portA) + kit.RingDrops(portB) })
 	mode := cfg.Mode
 	if cfg.Kind == KindDPDK {
 		mode = core.ModePoll // a poll-mode driver has no other
 	}
-	b.DP = openNetdev(dpif.Config{Eng: b.Eng, Pipeline: pl, Options: cfg.Opts, Other: cfg.Other},
+	b.DP = kit.OpenNetdev(dpif.Config{Eng: b.Eng, Pipeline: pl, Options: cfg.Opts, Other: cfg.Other},
 		mode, cfg.PMDs, append([]core.Port{portA}, extra...), portB)
 }
 
@@ -451,7 +261,7 @@ func NewP2PBed(cfg BedConfig) *Bed {
 	}
 	pipeline := cfg.Pipeline
 	if pipeline == nil {
-		pipeline = loopbackPipeline(hop{1, 2}, hop{2, 1})
+		pipeline = kit.LoopbackPipeline(kit.Hop{1, 2}, kit.Hop{2, 1})
 	}
 	switch cfg.Kind {
 	case KindKernel, KindEBPF:
@@ -469,23 +279,23 @@ func NewP2PBed(cfg BedConfig) *Bed {
 func NewPVPBed(cfg BedConfig) *Bed {
 	bed := newConfiguredBed(cfg)
 	eng := bed.Eng
-	pl := loopbackPipeline(hop{1, 3}, hop{3, 2})
+	pl := kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 2})
 	// The PVP loopback guest runs a poll-mode reflector (testpmd-style),
 	// as the paper's VM does, behind a multiqueue tap relay.
-	vm := newGuest(eng, cfg.VDev, 3, "0", qemuCPUs(eng, cfg.VDev, "qemu-rx", "qemu-tx"),
+	vm := kit.NewGuest(eng, cfg.VDev.String(), 3, "0", kit.QemuCPUs(eng, cfg.VDev.String(), "qemu-rx", "qemu-tx"),
 		vmsim.Config{Name: "vm0", FastReflector: true})
-	bed.dropFns = append(bed.dropFns, vm.drops)
+	bed.dropFns = append(bed.dropFns, vm.Drops)
 
 	switch cfg.Kind {
 	case KindKernel:
 		nl := bed.kernelLoopback("netlink",
-			dpif.Config{Eng: eng, Pipeline: pl, Other: cfg.Other}, cfg.Flows, vm.kernelTx())
+			dpif.Config{Eng: eng, Pipeline: pl, Other: cfg.Other}, cfg.Flows, vm.KernelTx())
 		// Traffic leaving the VM re-enters the kernel datapath as a new
 		// arrival (the reset clears the port stamp with everything else).
-		softirqRx(eng, eng.NewCPU("ksoftirqd/tap"), vm.kernelSrc(), 3,
+		kit.SoftirqRx(eng, eng.NewCPU("ksoftirqd/tap"), vm.KernelSrc(), 3,
 			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Process(cpu, p) })
 	case KindAFXDP, KindDPDK:
-		bed.netdevLoopback(cfg, pl, vm.port)
+		bed.netdevLoopback(cfg, pl, vm.Port)
 	}
 	return bed
 }
@@ -521,7 +331,7 @@ func NewPCPBed(mode PCPMode, flows int, seed uint64) *Bed {
 	containersim.New(eng, containersim.Config{Name: "c0", Veth: veth, FastPath: true})
 	bed.dropFns = append(bed.dropFns,
 		func() uint64 { return veth.AtoB.Dropped + veth.BtoA.Dropped })
-	pl := loopbackPipeline(hop{1, 3}, hop{3, 2})
+	pl := kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 2})
 
 	switch mode {
 	case PCPKernel:
@@ -529,7 +339,7 @@ func NewPCPBed(mode PCPMode, flows int, seed uint64) *Bed {
 			dpif.TxPort{PortID: 3, PortName: "veth0",
 				Deliver: func(p *packet.Packet) { veth.SendA(p) }})
 		// Container output re-enters the datapath as a new arrival.
-		softirqRx(eng, eng.NewCPU("ksoftirqd/veth"), kernelsim.VQueueSource{Q: veth.BtoA}, 3,
+		kit.SoftirqRx(eng, eng.NewCPU("ksoftirqd/veth"), kernelsim.VQueueSource{Q: veth.BtoA}, 3,
 			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Process(cpu, p) })
 
 	case PCPAFXDPRedir:

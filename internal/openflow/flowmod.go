@@ -42,6 +42,15 @@ const (
 	nxastDrop          = 38
 )
 
+// The bytes a decoder reads from each instruction, action and Nicira action
+// body (after its 4-byte type/length header); a length field may claim less,
+// and types not listed read nothing.
+var (
+	instrMinBody = map[uint16]int{instrGotoTable: 1, instrMeter: 4, instrApplyActions: 4}
+	actMinBody   = map[uint16]int{actOutput: 4, actSetField: 4, actExp: 6}
+	nxastMinBody = map[uint16]int{nxastTunnelKind: 7, nxastTunnelPop: 12, nxastCT: 24}
+)
+
 // FlowMod is a decoded flow modification.
 type FlowMod struct {
 	Command  uint8
@@ -50,6 +59,12 @@ type FlowMod struct {
 	Cookie   uint64
 	Match    ofproto.Match
 	Actions  []ofproto.Action
+}
+
+// AddFlow is the flow mod that installs rule r.
+func AddFlow(r *ofproto.Rule) FlowMod {
+	return FlowMod{Command: FlowModAdd, TableID: r.TableID, Priority: r.Priority,
+		Cookie: r.Cookie, Match: r.Match, Actions: r.Actions}
 }
 
 // EncodeFlowMod serializes a flow mod message body.
@@ -246,6 +261,9 @@ func decodeInstructions(b []byte) ([]ofproto.Action, error) {
 			return nil, fmt.Errorf("openflow: bad instruction length %d", il)
 		}
 		body := b[4:il]
+		if len(body) < instrMinBody[it] {
+			return nil, fmt.Errorf("openflow: instruction %d has a %d-byte body, needs %d", it, len(body), instrMinBody[it])
+		}
 		switch it {
 		case instrGotoTable:
 			gotos = append(gotos, ofproto.GotoTable(body[0]))
@@ -309,6 +327,9 @@ func decodeActions(b []byte) ([]ofproto.Action, error) {
 			return nil, fmt.Errorf("openflow: bad action length %d", al)
 		}
 		body := b[4:al]
+		if len(body) < actMinBody[at] {
+			return nil, fmt.Errorf("openflow: action %d has a %d-byte body, needs %d", at, len(body), actMinBody[at])
+		}
 		switch at {
 		case actOutput:
 			flushTunnel()
@@ -329,6 +350,9 @@ func decodeActions(b []byte) ([]ofproto.Action, error) {
 				return nil, fmt.Errorf("openflow: set-field value overrun")
 			}
 			val := body[4 : 4+vlen]
+			if want, ok := oxmValueLen[oxmID{class, field}]; ok && vlen != want {
+				return nil, fmt.Errorf("openflow: set-field %d/%d carries %d bytes, needs %d", class, field, vlen, want)
+			}
 			switch {
 			case class == oxmClassBasic && field == oxmEthSrc:
 				var mac hdr.MAC
@@ -363,6 +387,9 @@ func decodeActions(b []byte) ([]ofproto.Action, error) {
 				return nil, fmt.Errorf("openflow: unknown experimenter %#x", expID)
 			}
 			sub := binary.BigEndian.Uint16(body[4:6])
+			if len(body) < nxastMinBody[sub] {
+				return nil, fmt.Errorf("openflow: Nicira action %d has a %d-byte body, needs %d", sub, len(body), nxastMinBody[sub])
+			}
 			switch sub {
 			case nxastTunnelKind:
 				tunnelCfg().Kind = tunnel.Kind(body[6])

@@ -43,6 +43,23 @@ const (
 	nxmRecircID   = 108
 )
 
+// oxmID names one OXM field; oxmValueLen is the value width of every field
+// the decoders accept, which a TLV's own length byte may contradict.
+type oxmID struct {
+	class uint16
+	field uint8
+}
+
+var oxmValueLen = map[oxmID]int{
+	{oxmClassBasic, oxmInPort}: 4, {oxmClassBasic, oxmEthDst}: 6, {oxmClassBasic, oxmEthSrc}: 6,
+	{oxmClassBasic, oxmEthType}: 2, {oxmClassBasic, oxmVlanVID}: 2, {oxmClassBasic, oxmIPProto}: 1,
+	{oxmClassBasic, oxmIPv4Src}: 4, {oxmClassBasic, oxmIPv4Dst}: 4,
+	{oxmClassBasic, oxmTCPSrc}: 2, {oxmClassBasic, oxmTCPDst}: 2,
+	{oxmClassBasic, oxmUDPSrc}: 2, {oxmClassBasic, oxmUDPDst}: 2, {oxmClassBasic, oxmTunnelID}: 8,
+	{oxmClassNicira, nxmCtState}: 1, {oxmClassNicira, nxmCtZone}: 2, {oxmClassNicira, nxmCtMark}: 4,
+	{oxmClassNicira, nxmTunIPv4Src}: 4, {oxmClassNicira, nxmTunIPv4Dst}: 4, {oxmClassNicira, nxmRecircID}: 4,
+}
+
 // EncodeMatch serializes an ofproto match as an OXM match structure
 // (ofp_match: type=1, length, TLVs, padded to 8).
 func EncodeMatch(m ofproto.Match) []byte {
@@ -190,6 +207,10 @@ func DecodeMatch(b []byte) (ofproto.Match, int, error) {
 		var mask []byte
 		if hasMask {
 			mask = payload[vlen:]
+		}
+		// An unknown field falls through to the switch's own error.
+		if want, ok := oxmValueLen[oxmID{class, field}]; ok && (vlen != want || hasMask && len(mask) != want) {
+			return zero, 0, fmt.Errorf("openflow: OXM %#x/%d carries %d value bytes, needs %d", class, field, vlen, want)
 		}
 
 		switch {

@@ -26,7 +26,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, t := range s.dps {
 			snaps = append(snaps, snap{
 				name:  t.Name,
-				stats: api.NewStatsView(t.DP.Type(), t.DP.Stats().Clone(), t.DP.PerfStats(), t.DP.PortCount()),
+				stats: api.NewStatsView(t.DP),
 				perf:  api.NewPerfView(t.DP.PerfStats()),
 			})
 		}

@@ -171,10 +171,9 @@ func (s *Server) handleDatapaths(w http.ResponseWriter, r *http.Request) {
 		Datapaths: []DatapathInfo{}}
 	s.do(func() {
 		for _, t := range s.dps {
+			st := t.DP.Stats()
 			body.Datapaths = append(body.Datapaths, DatapathInfo{
-				Name: t.Name, Type: t.DP.Type(),
-				Ports: t.DP.PortCount(), Flows: t.DP.Stats().Flows,
-			})
+				Name: t.Name, Type: t.DP.Type(), Ports: st.Ports, Flows: st.Flows})
 		}
 	})
 	writeJSON(w, http.StatusOK, body)
@@ -194,12 +193,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := statsBody{Envelope: api.Envelope{Schema: api.SchemaAPI}, Name: t.Name}
-	s.do(func() {
-		// Stats is cloned and the view constructor deep-copies again, so
-		// the encoder (and the client) can never alias provider state.
-		st := t.DP.Stats().Clone()
-		body.Stats = api.NewStatsView(t.DP.Type(), st, t.DP.PerfStats(), t.DP.PortCount())
-	})
+	s.do(func() { body.Stats = api.NewStatsView(t.DP) })
 	writeJSON(w, http.StatusOK, body)
 }
 

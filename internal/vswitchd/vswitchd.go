@@ -11,29 +11,28 @@ import (
 	"net"
 	"sync"
 
-	"ovsxdp/internal/api"
 	"ovsxdp/internal/dpif"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/openflow"
 	"ovsxdp/internal/ovsdb"
-	"ovsxdp/internal/perf"
 )
 
-// PortFactory builds a datapath port for an Interface row. The experiment
-// or example wiring supplies it, since only the caller knows which NICs
-// and virtual devices exist; the returned port must be one the daemon's
-// dpif provider accepts (core.Port or dpif.TxPort for netdev, dpif.TxPort
-// for the kernel datapaths).
-type PortFactory func(ifType, name string, options map[string]string) (dpif.Port, error)
+// PortFactory builds the device behind an Interface row as datapath port id.
+// New installs kit.NewIface on the daemon's datapath; tests substitute their
+// own to observe delivery.
+type PortFactory func(ifType, name string, id uint32, queues int) (*kit.Iface, error)
 
 // Bridge is one OVS bridge.
 type Bridge struct {
 	Name string
-	// Ports maps port name to datapath port id.
-	Ports map[string]uint32
+	// Ports maps port name to the attached interface.
+	Ports map[string]*kit.Iface
 }
 
-// VSwitchd is the daemon.
+// VSwitchd is the daemon. It is the one owner of the bridge and port
+// registry, of datapath port numbering, and of "install the rule, then
+// flush the datapath flows".
 type VSwitchd struct {
 	mu sync.Mutex
 
@@ -60,8 +59,9 @@ type VSwitchd struct {
 	FlowMods uint64
 }
 
-// New builds a daemon around a database, the OpenFlow pipeline, and any
-// dpif datapath provider — the daemon never learns which one it drives.
+// New builds a daemon around a database (nil for a daemon driven only
+// through its methods), the OpenFlow pipeline, and any dpif datapath
+// provider — the daemon never learns which one it drives.
 func New(db *ovsdb.Server, pl *ofproto.Pipeline, dp dpif.Dpif) *VSwitchd {
 	v := &VSwitchd{
 		DB:       db,
@@ -70,43 +70,22 @@ func New(db *ovsdb.Server, pl *ofproto.Pipeline, dp dpif.Dpif) *VSwitchd {
 		bridges:  make(map[string]*Bridge),
 		nextID:   1,
 	}
+	v.Factory = func(ifType, name string, id uint32, queues int) (*kit.Iface, error) {
+		return kit.NewIface(v.Datapath, ifType, name, id, queues)
+	}
 	if db != nil {
 		db.OnChange = v.onDBChange
 	}
 	return v
 }
 
-// PmdPerfShow renders the datapath's per-thread performance counters — the
-// `ovs-appctl dpif-netdev/pmd-perf-show` endpoint.
-func (v *VSwitchd) PmdPerfShow() string {
-	return api.NewPerfView(v.Datapath.PerfStats()).FormatTable()
-}
-
-// PmdPerfTrace renders captured packet lifecycles; call EnableTrace on the
-// datapath first (the `ovs-appctl` trace analog).
-func (v *VSwitchd) PmdPerfTrace() string {
-	return perf.FormatTrace(v.Datapath.PerfStats())
-}
-
-// PmdRxqShow renders the datapath's rxq-to-thread placement — the
-// `ovs-appctl dpif-netdev/pmd-rxq-show` endpoint. Kernel-side datapaths
-// report their softirq rx contexts instead.
-func (v *VSwitchd) PmdRxqShow() string {
-	return v.Datapath.PmdRxqShow()
-}
-
-// SetOtherConfig applies ovs-vsctl-style other_config keys to the datapath
-// — the `ovs-vsctl set Open_vSwitch . other_config:key=value` endpoint.
-// Validation is all-or-nothing: any unknown key or malformed value leaves
-// the datapath untouched.
-func (v *VSwitchd) SetOtherConfig(kv map[string]string) error {
-	return v.Datapath.SetConfig(kv)
-}
-
-// OtherConfig reads the datapath's effective configuration back — the
-// `ovs-vsctl get Open_vSwitch . other_config` endpoint.
-func (v *VSwitchd) OtherConfig() map[string]string {
-	return v.Datapath.GetConfig()
+// AddBridge creates a bridge; one that exists is left as it is.
+func (v *VSwitchd) AddBridge(name string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if _, ok := v.bridges[name]; !ok {
+		v.bridges[name] = &Bridge{Name: name, Ports: make(map[string]*kit.Iface)}
+	}
 }
 
 // Bridges returns the bridge names.
@@ -131,33 +110,18 @@ func (v *VSwitchd) Bridge(name string) (*Bridge, bool) {
 // onDBChange reacts to OVSDB updates: bridges appear/disappear, interfaces
 // become datapath ports.
 func (v *VSwitchd) onDBChange(u ovsdb.Update) {
-	switch u.Table {
-	case ovsdb.TableBridge:
-		name, _ := u.Row["name"].(string)
+	name, _ := u.Row["name"].(string)
+	switch {
+	case u.Table == ovsdb.TableBridge && u.Op == "insert":
+		v.AddBridge(name)
+	case u.Table == ovsdb.TableBridge && u.Op == "delete":
 		v.mu.Lock()
-		defer v.mu.Unlock()
-		switch u.Op {
-		case "insert":
-			if _, ok := v.bridges[name]; !ok {
-				v.bridges[name] = &Bridge{Name: name, Ports: make(map[string]uint32)}
-			}
-		case "delete":
-			delete(v.bridges, name)
-		}
-	case ovsdb.TableInterface:
-		if u.Op != "insert" {
-			return
-		}
-		name, _ := u.Row["name"].(string)
+		delete(v.bridges, name)
+		v.mu.Unlock()
+	case u.Table == ovsdb.TableInterface && u.Op == "insert":
 		ifType, _ := u.Row["type"].(string)
 		bridge, _ := u.Row["bridge"].(string)
-		opts := map[string]string{}
-		if m, ok := u.Row["options"].(map[string]any); ok {
-			for k, val := range m {
-				opts[k] = fmt.Sprint(val)
-			}
-		}
-		if err := v.AddPort(bridge, name, ifType, opts); err != nil {
+		if _, err := v.AddPort(bridge, name, ifType, 1); err != nil {
 			// Configuration errors surface via the Interface row.
 			v.DB.Transact([]ovsdb.Op{{Op: "update", Table: ovsdb.TableInterface,
 				UUID: u.Row.UUID(), Row: ovsdb.Row{"error": err.Error()}}})
@@ -165,38 +129,36 @@ func (v *VSwitchd) onDBChange(u ovsdb.Update) {
 	}
 }
 
-// AddPort creates a datapath port on a bridge using the factory. For
-// afxdp interfaces, the factory is expected to load and attach the XDP
-// program (core.AttachDefaultProgram) — the lifecycle step Section 4
-// describes.
-func (v *VSwitchd) AddPort(bridge, name, ifType string, options map[string]string) error {
-	if v.Factory == nil {
-		return fmt.Errorf("vswitchd: no port factory configured")
-	}
-	port, err := v.Factory(ifType, name, options)
-	if err != nil {
-		return fmt.Errorf("vswitchd: creating %s port %q: %w", ifType, name, err)
-	}
+// AddPort builds an interface of the given type with the factory (for afxdp
+// that loads and attaches the XDP program, the lifecycle step Section 4
+// describes), numbers it, attaches it to the datapath — onto the running PMD
+// threads, when there are any — and records it on the bridge.
+func (v *VSwitchd) AddPort(bridge, name, ifType string, queues int) (*kit.Iface, error) {
 	v.mu.Lock()
-	defer v.mu.Unlock()
 	b, ok := v.bridges[bridge]
 	if !ok {
-		return fmt.Errorf("vswitchd: no bridge %q", bridge)
+		v.mu.Unlock()
+		return nil, fmt.Errorf("vswitchd: no bridge %q", bridge)
 	}
-	if err := v.Datapath.PortAdd(port); err != nil {
-		return fmt.Errorf("vswitchd: attaching %s port %q: %w", ifType, name, err)
+	if _, dup := b.Ports[name]; dup {
+		v.mu.Unlock()
+		return nil, fmt.Errorf("vswitchd: bridge %q already has a port %q", bridge, name)
 	}
-	b.Ports[name] = port.ID()
-	return nil
-}
-
-// NextPortID hands out datapath port numbers for factories that need them.
-func (v *VSwitchd) NextPortID() uint32 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	id := v.nextID
 	v.nextID++
-	return id
+	v.mu.Unlock()
+
+	iface, err := v.Factory(ifType, name, id, queues)
+	if err != nil {
+		return nil, fmt.Errorf("vswitchd: creating %s port %q: %w", ifType, name, err)
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if err := kit.Attach(v.Datapath, iface.Port); err != nil {
+		return nil, fmt.Errorf("vswitchd: attaching %s port %q: %w", ifType, name, err)
+	}
+	b.Ports[name] = iface
+	return iface, nil
 }
 
 // DelPort removes a port from its bridge and the datapath.
@@ -207,11 +169,11 @@ func (v *VSwitchd) DelPort(bridge, name string) error {
 	if !ok {
 		return fmt.Errorf("vswitchd: no bridge %q", bridge)
 	}
-	id, ok := b.Ports[name]
+	p, ok := b.Ports[name]
 	if !ok {
 		return fmt.Errorf("vswitchd: no port %q on %q", name, bridge)
 	}
-	if err := v.Datapath.PortDel(id); err != nil {
+	if err := v.Datapath.PortDel(p.ID()); err != nil {
 		return err
 	}
 	delete(b.Ports, name)

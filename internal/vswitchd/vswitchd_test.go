@@ -1,7 +1,7 @@
 package vswitchd
 
 import (
-	"fmt"
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -9,14 +9,13 @@ import (
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
-	"ovsxdp/internal/nicsim"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/openflow"
 	"ovsxdp/internal/ovsdb"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
-	"ovsxdp/internal/vdev"
 )
 
 func testDaemon(t *testing.T) (*VSwitchd, *sim.Engine) {
@@ -27,24 +26,7 @@ func testDaemon(t *testing.T) (*VSwitchd, *sim.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := ovsdb.NewServer()
-	v := New(db, pl, d)
-	v.Factory = func(ifType, name string, options map[string]string) (dpif.Port, error) {
-		id := v.NextPortID()
-		switch ifType {
-		case "afxdp":
-			nic := nicsim.New(eng, nicsim.Config{Name: name, Ifindex: id, Queues: 1})
-			if _, err := core.AttachDefaultProgram(nic); err != nil {
-				return nil, err
-			}
-			return core.NewAFXDPPort(core.AFXDPPortConfig{ID: id, NIC: nic, Eng: eng}), nil
-		case "tap":
-			return core.NewTapPort(id, vdev.NewTap(name)), nil
-		default:
-			return nil, fmt.Errorf("unsupported type %q", ifType)
-		}
-	}
-	return v, eng
+	return New(ovsdb.NewServer(), pl, d), eng
 }
 
 func TestBridgeAndPortFromOVSDB(t *testing.T) {
@@ -63,8 +45,8 @@ func TestBridgeAndPortFromOVSDB(t *testing.T) {
 	if len(b.Ports) != 2 {
 		t.Fatalf("ports = %v", b.Ports)
 	}
-	if v.Datapath.PortCount() != 2 {
-		t.Fatalf("datapath ports = %d", v.Datapath.PortCount())
+	if v.Datapath.Stats().Ports != 2 {
+		t.Fatalf("datapath ports = %d", v.Datapath.Stats().Ports)
 	}
 }
 
@@ -79,7 +61,7 @@ func TestBadInterfaceTypeRecordsError(t *testing.T) {
 	if len(rows) != 1 || rows[0]["error"] == nil {
 		t.Fatalf("interface error not recorded: %+v", rows)
 	}
-	if v.Datapath.PortCount() != 0 {
+	if v.Datapath.Stats().Ports != 0 {
 		t.Fatal("failed port must not attach")
 	}
 }
@@ -94,7 +76,7 @@ func TestDelPort(t *testing.T) {
 	if err := v.DelPort("br0", "tap0"); err != nil {
 		t.Fatal(err)
 	}
-	if v.Datapath.PortCount() != 0 {
+	if v.Datapath.Stats().Ports != 0 {
 		t.Fatal("port not removed from datapath")
 	}
 	if err := v.DelPort("br0", "tap0"); err == nil {
@@ -145,6 +127,75 @@ func TestOpenFlowSessionInstallsRules(t *testing.T) {
 	}
 	if v.FlowMods != 1 {
 		t.Fatalf("flow mods = %d", v.FlowMods)
+	}
+}
+
+// TestVSwitchdPortIsPolled: a port added over OVSDB while a PMD thread is
+// already running must be polled. Frames enter through the NIC, not through
+// Execute, so nothing but the thread's own rx loop can move them.
+func TestVSwitchdPortIsPolled(t *testing.T) {
+	v, eng := testDaemon(t)
+	v.Datapath.(*dpif.Netdev).NewPMD(core.ModePoll).Start()
+	v.DB.Transact([]ovsdb.Op{
+		{Op: "insert", Table: ovsdb.TableBridge, Row: ovsdb.Row{"name": "br0"}},
+		{Op: "insert", Table: ovsdb.TableInterface,
+			Row: ovsdb.Row{"name": "eth0", "type": "afxdp", "bridge": "br0"}},
+		{Op: "insert", Table: ovsdb.TableInterface,
+			Row: ovsdb.Row{"name": "eth1", "type": "afxdp", "bridge": "br0"}},
+	})
+	v.ApplyFlowMod(openflow.FlowMod{Command: openflow.FlowModAdd, Priority: 10,
+		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()),
+		Actions: []ofproto.Action{ofproto.Output(2)}})
+	b, _ := v.Bridge("br0")
+	var got [][]byte
+	b.Ports["eth1"].OnOutput(func(p *packet.Packet) { got = append(got, p.Data) })
+
+	frame := testPacket(t).Data
+	for i := 0; i < 5; i++ {
+		b.Ports["eth0"].Inject(packet.New(append([]byte(nil), frame...)))
+	}
+	eng.RunUntil(sim.Millisecond)
+	if len(got) != 5 {
+		t.Fatalf("%d of 5 frames crossed the switch; rxq placement:\n%s", len(got), v.Datapath.PmdRxqShow())
+	}
+	for _, g := range got {
+		if !bytes.Equal(g, frame) {
+			t.Fatalf("frame changed in flight: % x", g)
+		}
+	}
+}
+
+// TestMalformedFlowModOverTCP: a well-framed flow mod whose output action is
+// too short to hold a port must come back as an OpenFlow error, and the
+// connection and the daemon must keep serving.
+func TestMalformedFlowModOverTCP(t *testing.T) {
+	v, _ := testDaemon(t)
+	addr, err := v.ServeOpenFlow("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	conn, err := dialOF(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	body := append(make([]byte, 40), // fixed part
+		0x00, 0x01, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, // empty OXM match
+		0x00, 0x04, 0x00, 0x0c, 0x00, 0x00, 0x00, 0x00, // apply-actions, length 12
+		0x00, 0x00, 0x00, 0x04) // output action, length 4: no port
+	openflow.WriteMessage(conn, openflow.Message{Type: openflow.TypeFlowMod, Xid: 7, Body: body})
+	reply, err := readUntil(conn, openflow.TypeError)
+	if err != nil || reply.Xid != 7 {
+		t.Fatalf("no error reply to the malformed flow mod: %+v, %v", reply, err)
+	}
+	openflow.WriteMessage(conn, openflow.EchoRequest(8, nil))
+	if _, err := readUntil(conn, openflow.TypeEchoReply); err != nil {
+		t.Fatalf("connection dead after the malformed flow mod: %v", err)
+	}
+	if v.Pipeline.RuleCount() != 0 || v.FlowMods != 0 {
+		t.Fatalf("malformed flow mod was applied: %d rules, %d flow mods", v.Pipeline.RuleCount(), v.FlowMods)
 	}
 }
 
@@ -273,9 +324,9 @@ func kernelDaemon(t *testing.T, dpType string, delivered *int) (*VSwitchd, dpif.
 		t.Fatal(err)
 	}
 	v := New(ovsdb.NewServer(), pl, d)
-	v.Factory = func(ifType, name string, options map[string]string) (dpif.Port, error) {
-		return dpif.TxPort{PortID: v.NextPortID(), PortName: name,
-			Deliver: func(*packet.Packet) { *delivered++ }}, nil
+	v.Factory = func(ifType, name string, id uint32, queues int) (*kit.Iface, error) {
+		return &kit.Iface{Type: ifType, Port: dpif.TxPort{PortID: id, PortName: name,
+			Deliver: func(*packet.Packet) { *delivered++ }}}, nil
 	}
 	return v, d
 }
@@ -295,8 +346,8 @@ func TestDaemonOverKernelDpif(t *testing.T) {
 				{Op: "insert", Table: ovsdb.TableInterface,
 					Row: ovsdb.Row{"name": "p1", "type": "internal", "bridge": "br0"}},
 			})
-			if v.Datapath.PortCount() != 2 {
-				t.Fatalf("ports = %d", v.Datapath.PortCount())
+			if v.Datapath.Stats().Ports != 2 {
+				t.Fatalf("ports = %d", v.Datapath.Stats().Ports)
 			}
 
 			// An OpenFlow rule programs the shared pipeline; traffic

@@ -26,25 +26,26 @@ import (
 	"time"
 
 	"ovsxdp/internal/core"
+	"ovsxdp/internal/dpif"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/netlinksim"
-	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/ofproto"
+	"ovsxdp/internal/openflow"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/tunnel"
-	"ovsxdp/internal/vdev"
+	"ovsxdp/internal/vswitchd"
 )
 
-// Switch is one simulated vSwitch instance: an event engine, a userspace
-// datapath, and the OpenFlow pipeline behind it.
+// Switch is one simulated vSwitch instance: an event engine and an
+// ovs-vswitchd over the userspace ("netdev") datapath provider. The daemon
+// owns the bridges, the ports and the OpenFlow pipeline; Switch is the typed
+// way in.
 type Switch struct {
-	eng      *sim.Engine
-	dp       *core.Datapath
-	pipeline *ofproto.Pipeline
-	kernel   *netlinksim.Kernel
-	bridges  map[string]*Bridge
-	nextPort uint32
-	pmd      *core.PMD
+	eng    *sim.Engine
+	daemon *vswitchd.VSwitchd
+	dp     *core.Datapath // the daemon's datapath, for its counters
+	kernel *netlinksim.Kernel
 }
 
 // Option configures New.
@@ -78,20 +79,11 @@ func New(options ...Option) *Switch {
 		o(&cfg)
 	}
 	eng := sim.NewEngine(cfg.seed)
-	kern := netlinksim.NewKernel()
 	pl := ofproto.NewPipeline()
-	dp := core.NewDatapath(eng, pl, cfg.opts)
-	dp.Encapper = tunnel.NewEncapper(netlinksim.NewCache(kern))
-	s := &Switch{
-		eng:      eng,
-		dp:       dp,
-		pipeline: pl,
-		kernel:   kern,
-		bridges:  make(map[string]*Bridge),
-		nextPort: 1,
-	}
-	s.pmd = dp.NewPMD(cfg.pmdMode, nil)
-	s.pmd.Start()
+	nd := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: pl, Options: cfg.opts})).(*dpif.Netdev)
+	s := &Switch{eng: eng, daemon: vswitchd.New(nil, pl, nd), dp: nd.Datapath(), kernel: netlinksim.NewKernel()}
+	s.dp.Encapper = tunnel.NewEncapper(netlinksim.NewCache(s.kernel))
+	nd.NewPMD(cfg.pmdMode).Start()
 	return s
 }
 
@@ -108,15 +100,16 @@ func (s *Switch) Now() time.Duration {
 
 // AddBridge creates a bridge.
 func (s *Switch) AddBridge(name string) *Bridge {
-	b := &Bridge{sw: s, Name: name, ports: make(map[string]*Port)}
-	s.bridges[name] = b
-	return b
+	s.daemon.AddBridge(name)
+	return &Bridge{sw: s, Name: name}
 }
 
 // Bridge returns a bridge by name.
 func (s *Switch) Bridge(name string) (*Bridge, bool) {
-	b, ok := s.bridges[name]
-	return b, ok
+	if _, ok := s.daemon.Bridge(name); !ok {
+		return nil, false
+	}
+	return &Bridge{sw: s, Name: name}, true
 }
 
 // Stats reports datapath counters.
@@ -139,7 +132,7 @@ func (s *Switch) Stats() Stats {
 		Upcalls:        s.dp.Upcalls,
 		Drops:          s.dp.Drops,
 		Recirculations: s.dp.Recirculations,
-		FlowRules:      s.pipeline.RuleCount(),
+		FlowRules:      s.FlowRuleCount(),
 	}
 }
 
@@ -157,170 +150,92 @@ func (s *Switch) CPUReport() map[string]float64 {
 
 // Bridge is a named group of ports sharing the switch's pipeline.
 type Bridge struct {
-	sw    *Switch
-	Name  string
-	ports map[string]*Port
+	sw   *Switch
+	Name string
 }
 
 // Port is one datapath port.
-type Port struct {
-	sw   *Switch
-	id   uint32
-	name string
-	kind string
-
-	nic  *nicsim.NIC
-	tap  *vdev.Tap
-	vh   *vdev.VhostUser
-	veth *vdev.VethPair
-
-	onOutput func([]byte)
-}
+type Port struct{ iface *kit.Iface }
 
 // ID returns the datapath port number (usable in flow specs).
-func (p *Port) ID() uint32 { return p.id }
+func (p *Port) ID() uint32 { return p.iface.ID() }
 
 // IDString formats the port number for flow specs.
-func (p *Port) IDString() string { return fmt.Sprint(p.id) }
+func (p *Port) IDString() string { return fmt.Sprint(p.ID()) }
 
 // Name returns the port name.
-func (p *Port) Name() string { return p.name }
+func (p *Port) Name() string { return p.iface.Name() }
 
 // Kind returns the transport kind ("afxdp", "dpdk", "tap", "vhostuser",
 // "veth").
-func (p *Port) Kind() string { return p.kind }
+func (p *Port) Kind() string { return p.iface.Type }
 
-// attach allocates the next port number, builds the datapath side of the
-// port with mk, hands its receive queues to the PMD and registers it on the
-// bridge. mk fills in the Port's device and returns what carries the
-// switch's output: a NIC's wire, or the queue OnOutput drains.
-func (b *Bridge) attach(name, kind string, mk func(p *Port) (core.Port, error)) (*Port, error) {
+// kernelDriver is the driver name under which the simulated kernel's netlink
+// view lists a port's device; tap and vhostuser devices are not listed.
+var kernelDriver = map[string]string{"afxdp": "simnic", "dpdk": "simnic", "veth": "veth"}
+
+// attach has the daemon build, number and attach a port of the given kind
+// and records its device with the simulated kernel.
+func (b *Bridge) attach(name, kind string, queues int) (*Port, error) {
 	s := b.sw
-	p := &Port{sw: s, id: s.nextPort, name: name, kind: kind}
-	s.nextPort++
-	port, err := mk(p)
+	iface, err := s.daemon.AddPort(b.Name, name, kind, queues)
+	if driver, listed := kernelDriver[kind]; err == nil && listed {
+		_, err = s.kernel.AddLink(name, driver, macFor(iface.ID()), 1500)
+		if err == nil && kind == "dpdk" {
+			// Registered, then immediately unbound, mirroring dpdk-devbind.
+			_, err = s.kernel.BindDPDK(name)
+		}
+		if err != nil {
+			s.daemon.DelPort(b.Name, name)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ovs: %w", err)
 	}
-	s.dp.AddPort(port)
-	if err := s.dp.DistributeRxqs(port); err != nil {
-		return nil, fmt.Errorf("ovs: %w", err)
-	}
-	if p.nic != nil {
-		p.nic.ConnectWire(func(pk *packet.Packet) { p.emit(pk) })
-	}
-	b.ports[name] = p
-	return p, nil
-}
-
-// emit hands one frame the switch sent out this port to OnOutput.
-func (p *Port) emit(pk *packet.Packet) {
-	if p.onOutput != nil {
-		p.onOutput(pk.Data)
-	}
-}
-
-// drain makes q the port's output: whatever the switch pushes into it is
-// handed to OnOutput.
-func (p *Port) drain(q *vdev.Queue) {
-	q.SetWakeup(func() {
-		for _, pk := range q.Pop(64) {
-			p.emit(pk)
-		}
-		q.ArmWakeup()
-	})
-	q.ArmWakeup()
+	return &Port{iface}, nil
 }
 
 // AddAFXDPPort attaches a simulated NIC via AF_XDP: the kernel keeps the
 // device (netlink tooling keeps working), an XDP program is loaded through
 // the verifier and attached, and per-queue AF_XDP sockets feed the PMD.
 func (b *Bridge) AddAFXDPPort(name string, queues int) (*Port, error) {
-	s := b.sw
-	return b.attach(name, "afxdp", func(p *Port) (core.Port, error) {
-		p.nic = nicsim.New(s.eng, nicsim.Config{Name: name, Ifindex: p.id, Queues: max(queues, 1)})
-		if _, err := core.AttachDefaultProgram(p.nic); err != nil {
-			return nil, err
-		}
-		if _, err := s.kernel.AddLink(name, "simnic", macFor(p.id), 1500); err != nil {
-			return nil, err
-		}
-		return core.NewAFXDPPort(core.AFXDPPortConfig{ID: p.id, NIC: p.nic, Eng: s.eng}), nil
-	})
+	return b.attach(name, "afxdp", queues)
 }
 
 // AddDPDKPort attaches a NIC via DPDK: the device is unbound from the
 // kernel (netlink tooling on it stops working, as Table 1 documents).
 func (b *Bridge) AddDPDKPort(name string, queues int) (*Port, error) {
-	s := b.sw
-	return b.attach(name, "dpdk", func(p *Port) (core.Port, error) {
-		p.nic = nicsim.New(s.eng, nicsim.Config{Name: name, Ifindex: p.id, Queues: max(queues, 1),
-			Offloads: nicsim.Offloads{RxCsum: true, TxCsum: true, TSO: true, RSSHashDeliver: true}})
-		// Register then immediately unbind, mirroring dpdk-devbind.
-		if _, err := s.kernel.AddLink(name, "simnic", macFor(p.id), 1500); err != nil {
-			return nil, err
-		}
-		if _, err := s.kernel.BindDPDK(name); err != nil {
-			return nil, err
-		}
-		return core.NewDPDKPort(p.id, p.nic), nil
-	})
+	return b.attach(name, "dpdk", queues)
 }
 
 // AddTapPort attaches a kernel tap device (VM via QEMU relay).
-func (b *Bridge) AddTapPort(name string) (*Port, error) {
-	return b.attach(name, "tap", func(p *Port) (core.Port, error) {
-		p.tap = vdev.NewTap(name)
-		p.drain(p.tap.ToKernel)
-		return core.NewTapPort(p.id, p.tap), nil
-	})
-}
+func (b *Bridge) AddTapPort(name string) (*Port, error) { return b.attach(name, "tap", 1) }
 
 // AddVhostUserPort attaches a vhostuser device (VM via shared-memory
 // virtio rings).
-func (b *Bridge) AddVhostUserPort(name string) (*Port, error) {
-	return b.attach(name, "vhostuser", func(p *Port) (core.Port, error) {
-		p.vh = vdev.NewVhostUser(name)
-		p.drain(p.vh.ToGuest)
-		return core.NewVhostPort(p.id, p.vh), nil
-	})
-}
+func (b *Bridge) AddVhostUserPort(name string) (*Port, error) { return b.attach(name, "vhostuser", 1) }
 
 // AddVethPort attaches the host end of a veth pair via AF_XDP generic
 // mode (Figure 5 path A): Inject delivers frames from the container side,
 // OnOutput sees frames the switch sends toward the container.
-func (b *Bridge) AddVethPort(name string) (*Port, error) {
-	s := b.sw
-	return b.attach(name, "veth", func(p *Port) (core.Port, error) {
-		if _, err := s.kernel.AddLink(name, "veth", macFor(p.id), 1500); err != nil {
-			return nil, err
-		}
-		p.veth = vdev.NewVethPair(name)
-		p.drain(p.veth.AtoB)
-		return core.NewVethPort(p.id, s.eng, p.veth, s.eng.NewCPU("softirq-"+name)), nil
-	})
-}
+func (b *Bridge) AddVethPort(name string) (*Port, error) { return b.attach(name, "veth", 1) }
 
 // Inject delivers a frame into the switch through this port, as if it
 // arrived from the wire (AF_XDP/DPDK), the guest (tap/vhostuser), or the
 // peer namespace (veth).
 func (p *Port) Inject(frame []byte) {
-	pk := packet.New(append([]byte(nil), frame...))
-	switch p.kind {
-	case "afxdp", "dpdk":
-		p.nic.Receive(pk)
-	case "tap":
-		p.tap.FromKernel.Push(pk)
-	case "vhostuser":
-		p.vh.FromGuest.Push(pk)
-	case "veth":
-		p.veth.SendB(pk)
-	}
+	p.iface.Inject(packet.New(append([]byte(nil), frame...)))
 }
 
 // OnOutput registers the callback receiving frames the switch sends out
 // this port.
-func (p *Port) OnOutput(fn func(frame []byte)) { p.onOutput = fn }
+func (p *Port) OnOutput(fn func(frame []byte)) {
+	if fn == nil {
+		p.iface.OnOutput(nil)
+		return
+	}
+	p.iface.OnOutput(func(pk *packet.Packet) { fn(pk.Data) })
+}
 
 // AddFlow parses an ovs-ofctl-style flow specification and installs it.
 // See ParseFlow for the supported syntax.
@@ -329,8 +244,7 @@ func (b *Bridge) AddFlow(spec string) error {
 	if err != nil {
 		return err
 	}
-	b.sw.pipeline.AddRule(rule)
-	b.sw.dp.FlushFlows() // revalidate cached megaflows
+	b.sw.daemon.ApplyFlowMod(openflow.AddFlow(rule))
 	return nil
 }
 
@@ -342,19 +256,19 @@ func (b *Bridge) MustAddFlow(spec string) {
 }
 
 // FlowRuleCount returns installed OpenFlow rules across all tables.
-func (s *Switch) FlowRuleCount() int { return s.pipeline.RuleCount() }
+func (s *Switch) FlowRuleCount() int { return s.daemon.Pipeline.RuleCount() }
 
 // SetMeterPPS installs (or replaces) meter id as a packet-rate limiter, for
 // use with the "meter:N" flow action — the rate-limiting stopgap Section 6
 // describes while real QoS is reimplemented in userspace.
 func (s *Switch) SetMeterPPS(id uint32, packetsPerSec, burst float64) {
-	s.pipeline.SetMeter(id, &ofproto.TokenBucket{
+	s.daemon.Pipeline.SetMeter(id, &ofproto.TokenBucket{
 		RatePerSec: packetsPerSec, Burst: burst, PerPacket: true})
 }
 
 // SetMeterBPS installs meter id as a bit-rate limiter.
 func (s *Switch) SetMeterBPS(id uint32, bitsPerSec, burstBits float64) {
-	s.pipeline.SetMeter(id, &ofproto.TokenBucket{
+	s.daemon.Pipeline.SetMeter(id, &ofproto.TokenBucket{
 		RatePerSec: bitsPerSec, Burst: burstBits})
 }
 
