@@ -23,10 +23,10 @@
 // -o upcall-queue-cap=N -o upcall-service-us=N bound the slow path: misses
 // park packets in a bounded per-thread queue serviced at that interval, and
 // overflow is counted as queue drops (the kernel's ENOBUFS analog) instead
-// of growing without limit. -o smc-enable=true -o emc-insert-inv-prob=N
-// shape the userspace cache hierarchy — the signature match cache between
-// the EMC and the megaflow classifier, EMC insertion with probability 1/N —
-// and reach only the netdev datapath, exactly as in OVS.
+// of growing without limit. -o smc-enable=true -o emc-enable=false shape
+// the userspace cache hierarchy — the signature match cache between the EMC
+// and the megaflow classifier — and reach only the netdev datapath, exactly
+// as in OVS.
 package main
 
 import (

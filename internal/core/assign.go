@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
 )
 
@@ -428,18 +427,12 @@ func (d *Datapath) txqContended(p Port) bool {
 	return n > 0 && len(d.pmds) > n
 }
 
-// chargeTxLock charges the transmit-queue lock for one packet on a
-// contended txq. Mutex mode pays per packet (the O2 analog); the default
-// spinlock mode pays once per flush batch instead (charged in flushTouched,
-// the O3 analog), so only bookkeeping happens here.
+// chargeTxLock counts one packet sent on a contended txq. The spinlock
+// itself is paid once per flush batch (the O3 analog, charged in
+// PMD.iterate), so only bookkeeping happens here.
 func (d *Datapath) chargeTxLock(m *PMD, out Port) {
-	if !d.txqContended(out) {
-		return
-	}
-	m.Perf.TxContended++
-	if d.Opts.TxLockMutex {
-		m.charge(perf.StageActions, costmodel.XPSTxMutexPerPacket)
-		m.Perf.TxLockCycles += costmodel.XPSTxMutexPerPacket
+	if d.txqContended(out) {
+		m.Perf.TxContended++
 	}
 }
 

@@ -49,21 +49,6 @@ type Options struct {
 	// entries covering two orders of magnitude more flows than the EMC at
 	// a slightly higher hit cost.
 	SMC bool
-	// SMCEntries overrides the signature cache capacity; zero uses
-	// costmodel.SMCEntries (1<<20, as in OVS).
-	SMCEntries int
-	// EMCInsertInvProb is the inverse probability of inserting a flow into
-	// the EMC after a miss resolves (OVS's emc-insert-inv-prob): a flow is
-	// inserted with probability 1/N, so thrashing workloads stop churning
-	// the EMC and stabilize in the SMC instead. Values <= 1 insert always
-	// (the default) and consume no randomness, keeping default runs
-	// byte-identical.
-	EMCInsertInvProb int
-	// BatchDedup enables batch-aware classification: packets of one rx
-	// batch that share a flow key are classified once and the rest pay
-	// only the per-packet flow-batch append (dp_netdev_input's per-flow
-	// batching). Off by default; the per-packet path is unchanged.
-	BatchDedup bool
 	// MetadataPrealloc is O4: dp_packet metadata in a preallocated
 	// contiguous array; disabled, every packet pays the mmap-allocation
 	// cost.
@@ -77,18 +62,14 @@ type Options struct {
 	AssumeTSO bool
 	// BatchSize is packets per poll (NETDEV_MAX_BURST).
 	BatchSize int
-	// ColdFlowThreshold is the EMC occupancy beyond which per-packet
-	// flow state no longer fits the CPU cache and each packet pays
-	// ColdFlowCacheMiss (the 1,000-flow effect of Figure 9).
-	ColdFlowThreshold int
 	// ContentionCentis is the multi-PMD contention coefficient (tenths;
 	// see costmodel.UserContentionMilli). Zero disables contention
 	// scaling; the experiment beds set the per-datapath calibrated
 	// values for Figure 12.
 	ContentionCentis int
-	// Upcall bounds and paces the slow path (the upcall-* and
-	// negative-flow-ttl-us keys); the zero QueueCap keeps the upcall inline
-	// on the PMD thread, as dpif-netdev does.
+	// Upcall bounds and paces the slow path (the upcall-* keys); the zero
+	// QueueCap keeps the upcall inline on the PMD thread, as dpif-netdev
+	// does.
 	Upcall upcall.Config
 	// RxqAssign selects how the assignment layer distributes receive
 	// queues across PMD threads (other_config:pmd-rxq-assign). The zero
@@ -105,11 +86,6 @@ type Options struct {
 	// improvement (percent) before a re-shard is applied; zero uses
 	// costmodel.AutoLBDefaultThresholdPct.
 	AutoLBThresholdPct int
-	// TxLockMutex guards shared transmit queues (XPS) with a mutex
-	// charged per packet instead of the default spinlock charged per
-	// flush — the tx-side analog of the umempool O2/O3 toggles. It only
-	// matters when a port has fewer txqs than the datapath has PMDs.
-	TxLockMutex bool
 	// Offload configures the hardware flow-offload engine
 	// (other_config:hw-offload); the zero value disables it, so default
 	// runs schedule no offload events and stay byte-identical.
@@ -124,7 +100,6 @@ func DefaultOptions() Options {
 		MetadataPrealloc:  true,
 		AssumeCsumOffload: false,
 		BatchSize:         costmodel.BatchSize,
-		ColdFlowThreshold: 512,
 		Upcall:            upcall.DefaultConfig(),
 	}
 }
@@ -239,19 +214,10 @@ func (d *Datapath) RemovePort(id uint32) {
 func (d *Datapath) Ports() int { return len(d.ports) }
 
 // ConfigureSMC enables or disables the signature match cache at runtime,
-// allocating or releasing the per-PMD tables (smc-enable). entries > 0 also
-// resizes the capacity; existing tables are rebuilt empty on resize, losing
-// only re-learnable cache state.
-func (d *Datapath) ConfigureSMC(on bool, entries int) {
-	resize := entries > 0 && entries != d.Opts.SMCEntries
+// allocating or releasing the per-PMD tables (smc-enable).
+func (d *Datapath) ConfigureSMC(on bool) {
 	d.Opts.SMC = on
-	if entries > 0 {
-		d.Opts.SMCEntries = entries
-	}
 	for _, m := range d.pmds {
-		if resize {
-			m.smc = nil
-		}
 		m.reconfigureSMC()
 	}
 }
@@ -489,7 +455,7 @@ func (d *Datapath) lookupHierarchy(m *PMD, key *flow.Key) (*dpcls.Entry, keyHash
 		h.emc = m.emc.Hash(key)
 		if e, ok := m.emc.LookupHashed(key, h.emc); ok {
 			m.charge(perf.StageEMC, costmodel.EMCHit)
-			if m.emc.Len() > d.Opts.ColdFlowThreshold {
+			if m.emc.Len() > costmodel.ColdFlowThreshold {
 				m.charge(perf.StageEMC, costmodel.ColdFlowCacheMiss)
 			}
 			// An EMC hit is activity on the underlying megaflow: count it
@@ -498,7 +464,6 @@ func (d *Datapath) lookupHierarchy(m *PMD, key *flow.Key) (*dpcls.Entry, keyHash
 			e.Hits++
 			d.EMCHits++
 			m.Perf.EMCHits++
-			m.lastLevel = perf.ResultEMC
 			m.traceResolved(perf.ResultEMC)
 			return e, h
 		}
@@ -508,15 +473,14 @@ func (d *Datapath) lookupHierarchy(m *PMD, key *flow.Key) (*dpcls.Entry, keyHash
 		h.smc = m.smc.Hash(key)
 		if e, ok := m.smc.LookupHashed(key, h.smc); ok {
 			m.charge(perf.StageSMC, costmodel.SMCHit)
-			if m.smc.Len() > d.Opts.ColdFlowThreshold {
+			if m.smc.Len() > costmodel.ColdFlowThreshold {
 				m.charge(perf.StageSMC, costmodel.ColdFlowCacheMiss)
 			}
 			d.SMCHits++
 			m.Perf.SMCHits++
-			m.lastLevel = perf.ResultSMC
 			m.traceResolved(perf.ResultSMC)
-			// An SMC hit refreshes the EMC probabilistically, as
-			// dfc_processing does on its way out.
+			// An SMC hit refreshes the EMC, as dfc_processing does on
+			// its way out.
 			m.emcInsert(key, h.emc, e)
 			return e, h
 		}
@@ -525,12 +489,10 @@ func (d *Datapath) lookupHierarchy(m *PMD, key *flow.Key) (*dpcls.Entry, keyHash
 	e, probes := m.cls.LookupKey(key)
 	m.charge(perf.StageDpcls, sim.Time(probes)*costmodel.DpclsLookupPerSubtable)
 	if e == nil {
-		m.lastLevel = perf.ResultNone
 		return nil, h
 	}
 	d.MegaflowHits++
 	m.Perf.MegaflowHits++
-	m.lastLevel = perf.ResultMegaflow
 	m.traceResolved(perf.ResultMegaflow)
 	m.cacheInsert(key, h, e)
 	return e, h

@@ -50,9 +50,6 @@ type OffloadOptions struct {
 	// ReadbackInterval is the counter-readback (and rate-sampling)
 	// period; zero uses costmodel.OffloadReadbackInterval.
 	ReadbackInterval sim.Time
-	// EWMAWeightPct is the weight (percent, 1..100) the rate EWMA gives
-	// the newest interval; zero uses costmodel.OffloadEWMAWeightPct.
-	EWMAWeightPct int
 }
 
 // withDefaults resolves zero fields to the costmodel defaults.
@@ -65,9 +62,6 @@ func (o OffloadOptions) withDefaults() OffloadOptions {
 	}
 	if o.ReadbackInterval <= 0 {
 		o.ReadbackInterval = costmodel.OffloadReadbackInterval
-	}
-	if o.EWMAWeightPct <= 0 || o.EWMAWeightPct > 100 {
-		o.EWMAWeightPct = costmodel.OffloadEWMAWeightPct
 	}
 	return o
 }
@@ -186,7 +180,7 @@ func (o *offloadEngine) tick() {
 	o.cpu.Consume(sim.User, costmodel.OffloadReadbackPerFlow*sim.Time(o.table.Len()))
 	o.table.Readback(o.merge)
 
-	w := uint64(o.opts.EWMAWeightPct)
+	const w = uint64(costmodel.OffloadRateEWMAPct)
 	for _, m := range o.dp.pmds {
 		o.scratch = m.cls.EntriesInto(o.scratch)
 		for _, e := range o.scratch {

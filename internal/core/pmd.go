@@ -69,23 +69,6 @@ type PMD struct {
 	rxqs []*rxqState
 	mode Mode
 
-	// insRand drives probabilistic EMC insertion (emc-insert-inv-prob).
-	// It is seeded from the PMD id alone — never from the engine's RNG
-	// stream, whose draw order calibrated experiments depend on — and is
-	// only consulted when EMCInsertInvProb > 1, so default runs stay
-	// byte-identical.
-	insRand *sim.Rand
-
-	// batchKeys / batchLeaders / batchGroupOf are scratch buffers for
-	// batch-aware classification, reused across iterations so the batch
-	// path allocates nothing in steady state.
-	batchKeys    []flow.Key
-	batchLeaders []int
-	batchGroupOf []int
-	// lastLevel is the cache level the most recent lookupHierarchy call
-	// resolved at; the batch path uses it to attribute follower packets.
-	lastLevel perf.Result
-
 	running bool
 	stopped bool
 	active  bool // has seen work; feeds the contention count
@@ -130,14 +113,13 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 		cpu = d.Eng.NewCPU(fmt.Sprintf("pmd%d", id))
 	}
 	m := &PMD{
-		ID:      id,
-		CPU:     cpu,
-		dp:      d,
-		emc:     emc.New[*dpcls.Entry](costmodel.EMCEntries, uint32(id)*0x9e37+1),
-		cls:     dpcls.New(uint32(id)*0x79b9 + 7),
-		mode:    mode,
-		Perf:    &perf.Stats{},
-		insRand: sim.NewRand(0x51c0ffee ^ uint64(id)<<20),
+		ID:   id,
+		CPU:  cpu,
+		dp:   d,
+		emc:  emc.New[*dpcls.Entry](costmodel.EMCEntries, uint32(id)*0x9e37+1),
+		cls:  dpcls.New(uint32(id)*0x79b9 + 7),
+		mode: mode,
+		Perf: &perf.Stats{},
 	}
 	m.emc.SetAliveCheck(entryAlive)
 	if d.flowHook != nil {
@@ -156,13 +138,7 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 		Reinject:  func(p *packet.Packet, _ *sim.CPU) { d.processCounted(m, p, 0, false) },
 		Release:   (*packet.Packet).Release,
 	})
-	if d.Opts.SMC {
-		entries := d.Opts.SMCEntries
-		if entries <= 0 {
-			entries = costmodel.SMCEntries
-		}
-		m.smc = smc.New(entries, uint32(id)*0x85eb+3)
-	}
+	m.reconfigureSMC()
 	if d.traceDepth > 0 {
 		m.Perf.EnableTrace(d.traceDepth)
 	}
@@ -186,11 +162,7 @@ func (m *PMD) reconfigureSMC() {
 		return
 	}
 	if m.smc == nil {
-		entries := m.dp.Opts.SMCEntries
-		if entries <= 0 {
-			entries = costmodel.SMCEntries
-		}
-		m.smc = smc.New(entries, uint32(m.ID)*0x85eb+3)
+		m.smc = smc.New(costmodel.SMCEntries, uint32(m.ID)*0x85eb+3)
 	}
 }
 
@@ -237,22 +209,16 @@ func (m *PMD) InvalidateSMC(e *dpcls.Entry) {
 // it is read.
 type keyHashes struct{ emc, smc uint32 }
 
-// emcInsert inserts into the EMC, subject to the configured inverse
-// insertion probability. Values <= 1 insert always and draw no randomness.
+// emcInsert inserts into the EMC when it is enabled.
 func (m *PMD) emcInsert(key *flow.Key, hash uint32, e *dpcls.Entry) {
-	if !m.dp.Opts.EMC {
-		return
+	if m.dp.Opts.EMC {
+		m.emc.InsertHashed(key, hash, e)
 	}
-	if p := m.dp.Opts.EMCInsertInvProb; p > 1 && m.insRand.Uint32()%uint32(p) != 0 {
-		return
-	}
-	m.emc.InsertHashed(key, hash, e)
 }
 
 // cacheInsert back-fills the fast caches after a dpcls hit or upcall
-// install: the EMC probabilistically, the SMC (when enabled) always — the
-// SMC is what keeps high-flow-count workloads out of the classifier once
-// the EMC saturates.
+// install: the EMC and, when enabled, the SMC — which is what keeps
+// high-flow-count workloads out of the classifier once the EMC saturates.
 func (m *PMD) cacheInsert(key *flow.Key, h keyHashes, e *dpcls.Entry) {
 	m.emcInsert(key, h.emc, e)
 	if m.smc != nil {
@@ -326,7 +292,9 @@ func (m *PMD) iterate() {
 			// each batch (Table 2's 0.8 vs 4.8 Mpps).
 			m.charge(perf.StageRx, costmodel.NonPMDPollGap)
 		}
-		m.dp.processBatch(m, pkts)
+		for _, p := range pkts {
+			m.dp.processOne(m, p, 0)
+		}
 		// Meter the queue's cycle share (receive through actions) for
 		// the cycles assignment policy and the auto-load-balancer.
 		// Pure accounting: the cycles were already charged above.
@@ -352,11 +320,10 @@ func (m *PMD) iterate() {
 	}
 	// Flush batched transmissions on every port this iteration touched,
 	// in first-touch order. A shared tx queue (XPS: more PMDs than the
-	// port has txqs) pays the batched spinlock once per flush here; the
-	// per-packet mutex alternative is charged in transmit.
+	// port has txqs) pays its spinlock once per flush here.
 	flushBefore := m.CPU.BusyTotal()
 	for _, port := range m.touched {
-		if m.dp.txqContended(port) && !m.dp.Opts.TxLockMutex {
+		if m.dp.txqContended(port) {
 			m.CPU.Consume(sim.User, costmodel.XPSTxSpinPerFlush)
 			m.Perf.TxLockCycles += costmodel.XPSTxSpinPerFlush
 		}

@@ -61,9 +61,6 @@ type AFXDPPortConfig struct {
 	Eng *sim.Engine
 	// LockMode selects the umempool strategy (O2/O3).
 	LockMode afxdp.LockMode
-	// SoftirqCPUs are the per-queue kernel-side CPUs; one per NIC queue.
-	// When nil, CPUs named "softirq-<port>-<q>" are created.
-	SoftirqCPUs []*sim.CPU
 	// ZeroCopy selects zero-copy AF_XDP (XDP_DRV + XDP_ZEROCOPY): the
 	// driver DMAs straight into umem, eliminating the kernel-side copy.
 	// Only some NIC drivers support it; the copy-mode fallback "works
@@ -150,13 +147,8 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 		xsk.RefillFill(p.pool, afxdp.DefaultRingSize/2)
 		p.xsks = append(p.xsks, xsk)
 
-		cpu := (*sim.CPU)(nil)
-		if q < len(cfg.SoftirqCPUs) {
-			cpu = cfg.SoftirqCPUs[q]
-		}
-		if cpu == nil {
-			cpu = cfg.Eng.NewCPU(fmt.Sprintf("softirq-%s-q%d", cfg.NIC.Name, q))
-		}
+		// Kernel-side work for queue q runs on its own softirq CPU.
+		cpu := cfg.Eng.NewCPU(fmt.Sprintf("softirq-%s-q%d", cfg.NIC.Name, q))
 		p.softirq = append(p.softirq, cpu)
 
 		qIdx := q
@@ -226,9 +218,6 @@ func (p *AFXDPPort) NumTxQueues() int { return len(p.xsks) }
 
 // XSK exposes the socket for queue q (tests, xskmap setup).
 func (p *AFXDPPort) XSK(q int) *afxdp.XSK { return p.xsks[q] }
-
-// Pool exposes the umempool (lock-mode accounting in tests).
-func (p *AFXDPPort) Pool() *afxdp.Pool { return p.pool }
 
 // lockCost returns the umempool synchronization cost for one batch of n
 // operations under the configured mode.

@@ -92,12 +92,6 @@ const (
 	// why smc-enable=false (the OVS default) costs nothing.
 	SMCInsert sim.Time = 8
 
-	// BatchedFlowUpdate is the per-packet cost of appending to an existing
-	// per-flow batch during batched classification instead of running a
-	// full cache probe (dp_netdev's packet_batch_per_flow_update): a
-	// pointer store and a count increment.
-	BatchedFlowUpdate sim.Time = 4
-
 	// DpclsLookupPerSubtable is the cost per tuple-space subtable probed
 	// during a megaflow (dpcls) lookup: mask application, hash, compare.
 	DpclsLookupPerSubtable sim.Time = 29
@@ -165,6 +159,11 @@ const (
 	ColdFlowCacheMiss sim.Time = 35
 )
 
+// ColdFlowThreshold is the EMC (or SMC) occupancy beyond which per-packet
+// flow state no longer fits the CPU data cache and each hit pays
+// ColdFlowCacheMiss.
+const ColdFlowThreshold = 512
+
 // ---------------------------------------------------------------------------
 // DPDK datapath (Section 2.2.1 baseline).
 //
@@ -225,13 +224,6 @@ const (
 	// (read/write/sendmsg on a hot path).
 	SyscallBase sim.Time = 480
 
-	// TapSendSyscall is the sendto() pushing one packet from OVS
-	// userspace into a tap device. Section 3.3 measures 2 us; with the
-	// batching OVS applies the amortized penalty observed is ~630 ns/pkt
-	// (7.1 -> 1.3 Mpps). We charge the raw syscall per batch-of-3 writes
-	// plus per-packet copy costs, which lands in the same place.
-	TapSendSyscall sim.Time = 2 * sim.Microsecond
-
 	// TapPerPacketAmortized is the effective additional per-packet cost
 	// of the tap path in the userspace datapath after batching.
 	TapPerPacketAmortized sim.Time = 630
@@ -239,10 +231,6 @@ const (
 	// VethCrossing is handing a packet across a veth pair between
 	// namespaces (no data copy, reference move + netif_rx).
 	VethCrossing sim.Time = 180
-
-	// ContextSwitch is a voluntary context switch (futex wakeup,
-	// scheduler, cache refill headroom).
-	ContextSwitch sim.Time = 1300
 
 	// InterruptLatencyMean is the mean delay from NIC DMA completion to
 	// the softirq handler running, in interrupt mode with typical
@@ -267,10 +255,6 @@ const (
 	// VhostRingOp is enqueue or dequeue of one descriptor on a vhostuser
 	// ring (shared memory, no kernel crossing).
 	VhostRingOp sim.Time = 55
-
-	// VhostPerByte16 is the per-16-byte copy cost into/out of guest
-	// memory.
-	VhostPerByte16 sim.Time = 1
 
 	// VirtioGuestRx is guest-side virtio-net receive processing per
 	// packet (charged to the guest category).
@@ -382,10 +366,6 @@ const (
 	// UpcallCost is a datapath miss handed to ofproto for slow-path
 	// translation, including the flow install that follows.
 	UpcallCost sim.Time = 60 * sim.Microsecond
-
-	// OpenFlowLookupPerTable is one table lookup during slow-path
-	// translation of the OpenFlow pipeline.
-	OpenFlowLookupPerTable sim.Time = 800
 )
 
 // ---------------------------------------------------------------------------
@@ -462,9 +442,9 @@ const (
 	// the software stats and be evicted mid-flight.
 	OffloadReadbackInterval sim.Time = 1 * sim.Millisecond
 
-	// OffloadEWMAWeightPct is the default weight (percent) the rate EWMA
-	// gives the newest readback interval.
-	OffloadEWMAWeightPct = 50
+	// OffloadRateEWMAPct is the weight (percent) the rate EWMA gives the
+	// newest readback interval.
+	OffloadRateEWMAPct = 50
 )
 
 // ---------------------------------------------------------------------------
@@ -485,14 +465,9 @@ const (
 	// default 25).
 	AutoLBDefaultThresholdPct = 25
 
-	// XPSTxMutexPerPacket is the per-packet cost of guarding a shared tx
-	// queue with a mutex when more PMDs than txqs force XPS queue sharing
-	// — same regime as the umempool O2 measurement.
-	XPSTxMutexPerPacket sim.Time = MutexLockPerPacket
-
 	// XPSTxSpinPerFlush is the per-flush cost of the shared-txq spinlock
-	// in the default batched mode: acquired once per tx burst rather than
-	// per packet, mirroring the O3 umempool batching.
+	// when more PMDs than txqs force XPS queue sharing: acquired once per
+	// tx burst rather than per packet, mirroring the O3 umempool batching.
 	XPSTxSpinPerFlush sim.Time = SpinlockPerAcquire
 )
 
@@ -503,14 +478,6 @@ const (
 	// WireAndNIC is the one-way wire propagation plus NIC ingress/egress
 	// latency between the back-to-back hosts.
 	WireAndNIC sim.Time = 3 * sim.Microsecond
-
-	// PollModeCheckGap is the mean time a busy-polling PMD takes to
-	// notice a new descriptor (half a polling iteration).
-	PollModeCheckGap sim.Time = 600
-
-	// SchedulerWakeupP50 is the typical latency to wake a blocked
-	// process (netserver in a container, QEMU I/O thread, ...).
-	SchedulerWakeupP50 sim.Time = 4 * sim.Microsecond
 
 	// DPDKContainerCrossing is the extra user/kernel boundary DPDK pays
 	// per direction to reach a container veth (AF_PACKET injection +

@@ -23,20 +23,34 @@ func openProvider(t *testing.T, name string, other map[string]string) dpif.Dpif 
 	return d
 }
 
+// TestSetConfigUnknownKeyEveryProvider: a key the table does not hold is an
+// error that names it and changes nothing. The six keys PR 22 retired (each
+// had one value in use; see EXPERIMENTS.md) are unknown like any other.
 func TestSetConfigUnknownKeyEveryProvider(t *testing.T) {
+	unknown := map[string]string{
+		"no-such-key":            "1",
+		"batch-dedup":            "true",
+		"emc-insert-inv-prob":    "100",
+		"smc-entries":            "4096",
+		"tx-lock-mutex":          "true",
+		"hw-offload-ewma-weight": "25",
+		"negative-flow-ttl-us":   "5000",
+	}
 	for _, name := range allProviders {
 		d := openProvider(t, name, nil)
 		before := d.GetConfig()
-		err := d.SetConfig(map[string]string{"no-such-key": "1"})
-		if err == nil {
-			t.Fatalf("%s: unknown key accepted", name)
-		}
-		if !strings.Contains(err.Error(), "no-such-key") {
-			t.Fatalf("%s: error should name the key: %v", name, err)
-		}
-		if after := d.GetConfig(); !reflect.DeepEqual(before, after) {
-			t.Fatalf("%s: failed SetConfig changed state:\nbefore %v\nafter  %v",
-				name, before, after)
+		for key, val := range unknown {
+			err := d.SetConfig(map[string]string{key: val})
+			if err == nil {
+				t.Fatalf("%s: unknown key %q accepted", name, key)
+			}
+			if !strings.Contains(err.Error(), key) {
+				t.Fatalf("%s: error should name the key %q: %v", name, key, err)
+			}
+			if after := d.GetConfig(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("%s: failed SetConfig of %q changed state:\nbefore %v\nafter  %v",
+					name, key, before, after)
+			}
 		}
 	}
 }
@@ -44,7 +58,7 @@ func TestSetConfigUnknownKeyEveryProvider(t *testing.T) {
 func TestSetConfigTypedParseErrors(t *testing.T) {
 	cases := []map[string]string{
 		{"pmd-auto-lb": "maybe"},
-		{"emc-insert-inv-prob": "-3"},
+		{"ct-shards": "-3"},
 		{"pmd-rxq-assign": "random"},
 		{"upcall-queue-cap": "many"},
 		{"pmd-auto-lb-rebal-interval-us": "-1"},
@@ -75,36 +89,94 @@ func TestSetConfigAllOrNothing(t *testing.T) {
 			t.Fatalf("%s: good key applied despite failed batch: %q", name, got)
 		}
 	}
+	// A value out of range fails the batch the same way, though the key
+	// before it in sorted order was fine.
+	d := openProvider(t, "netdev", nil)
+	if err := d.SetConfig(map[string]string{"hw-offload": "true", "hw-offload-table-size": "0"}); err == nil {
+		t.Fatal("netdev: hw-offload-table-size=0 accepted")
+	}
+	if got := d.GetConfig()["hw-offload"]; got != "false" {
+		t.Fatalf("netdev: hw-offload applied despite failed batch: %q", got)
+	}
 }
 
-// TestSetConfigRoundTrip drives every key to a non-default value on the
-// netdev provider and reads it back through GetConfig.
+// nonDefault gives every other_config key a legal value that differs from
+// its default. TestSetConfigRoundTrip fails on a key missing here, so a new
+// table row needs an entry too.
+var nonDefault = map[string]string{
+	"pmd-rxq-assign":                    "cycles",
+	"pmd-auto-lb":                       "true",
+	"pmd-auto-lb-rebal-interval-us":     "2500",
+	"pmd-auto-lb-improvement-threshold": "10",
+	"emc-enable":                        "false",
+	"smc-enable":                        "true",
+	"upcall-queue-cap":                  "128",
+	"upcall-service-us":                 "20",
+	"upcall-retry-base-us":              "25",
+	"upcall-max-retries":                "5",
+	"ct-shards":                         "4",
+	"hw-offload":                        "true",
+	"hw-offload-table-size":             "512",
+	"hw-offload-elephant-pps":           "5000",
+	"hw-offload-readback-us":            "250",
+}
+
+// kernelLive are the keys the kernel-path providers act on; every other key
+// is netdev-only and must be inert there.
+var kernelLive = map[string]bool{
+	"upcall-queue-cap": true, "upcall-service-us": true, "upcall-retry-base-us": true,
+	"upcall-max-retries": true, "ct-shards": true,
+}
+
+// TestSetConfigRoundTrip walks every key of the table on every provider:
+// set alone to a non-default value, it reads back through GetConfig and no
+// other key moves. On netlink and ebpf the netdev-only keys are echoed but
+// inert: with all of them set, the shared conformance scenario observes
+// exactly what it observes at the defaults.
 func TestSetConfigRoundTrip(t *testing.T) {
-	want := map[string]string{
-		"pmd-rxq-assign":                    "cycles",
-		"pmd-auto-lb":                       "true",
-		"pmd-auto-lb-rebal-interval-us":     "2500",
-		"pmd-auto-lb-improvement-threshold": "10",
-		"tx-lock-mutex":                     "true",
-		"emc-enable":                        "false",
-		"emc-insert-inv-prob":               "100",
-		"smc-enable":                        "true",
-		"smc-entries":                       "4096",
-		"batch-dedup":                       "true",
-		"upcall-queue-cap":                  "128",
-		"upcall-service-us":                 "20",
-		"upcall-retry-base-us":              "25",
-		"upcall-max-retries":                "3",
-		"negative-flow-ttl-us":              "5000",
+	keys := dpif.ConfigKeys()
+	if len(keys) != len(nonDefault) {
+		t.Fatalf("table has %d keys, nonDefault %d", len(keys), len(nonDefault))
 	}
-	d := openProvider(t, "netdev", nil)
-	if err := d.SetConfig(want); err != nil {
-		t.Fatalf("SetConfig: %v", err)
+	inert := map[string]string{}
+	defaults := openProvider(t, "netdev", nil).GetConfig()
+	for _, name := range allProviders {
+		// A row's default is what the live netdev datapath starts at.
+		if got := openProvider(t, name, nil).GetConfig(); !reflect.DeepEqual(got, defaults) {
+			t.Errorf("%s: defaults %v differ from netdev's %v", name, got, defaults)
+		}
+		for _, k := range keys {
+			v, ok := nonDefault[k]
+			if !ok {
+				t.Fatalf("no non-default value for key %q", k)
+			}
+			if !kernelLive[k] {
+				inert[k] = v
+			}
+			d := openProvider(t, name, nil)
+			before := d.GetConfig()
+			if before[k] == v {
+				t.Fatalf("%s: %s=%q is the default, not a second value", name, k, v)
+			}
+			if err := d.SetConfig(map[string]string{k: v}); err != nil {
+				t.Fatalf("%s: SetConfig(%s=%s): %v", name, k, v, err)
+			}
+			after := d.GetConfig()
+			if after[k] != v {
+				t.Errorf("%s: %s = %q after set, want %q", name, k, after[k], v)
+			}
+			for other, was := range before {
+				if other != k && after[other] != was {
+					t.Errorf("%s: setting %s moved %s: %q -> %q", name, k, other, was, after[other])
+				}
+			}
+		}
 	}
-	got := d.GetConfig()
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("%s = %q after set, want %q", k, got[k], v)
+	for _, name := range []string{"netlink", "ebpf"} {
+		def := runScenario(t, name, nil)
+		set := runScenario(t, name, func(cfg *dpif.Config) { cfg.Other = inert })
+		if !reflect.DeepEqual(def, set) {
+			t.Errorf("%s: netdev-only keys are not inert:\n  default %+v\n  set     %+v", name, def, set)
 		}
 	}
 }

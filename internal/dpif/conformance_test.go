@@ -529,6 +529,74 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	}
 }
 
+// TestConformanceDropsReleasePackets: a datapath that drops a pooled frame
+// must hand it back, on every provider and at every drop site a dpif
+// consumer can reach — or a drop-heavy run drains the generator's arena and
+// silently degrades to heap allocation. Each case executes 40 frames drawn
+// from a 64-frame pool; whatever is forwarded is released by the sink, so
+// the pool must be back at its start once the engine has drained.
+func TestConformanceDropsReleasePackets(t *testing.T) {
+	metered := func() *ofproto.Pipeline {
+		pl := ofproto.NewPipeline()
+		pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+			Match: ofproto.NewMatch(flow.Fields{InPort: 1},
+				flow.NewMaskBuilder().InPort().Build()),
+			Actions: []ofproto.Action{ofproto.Meter(1), ofproto.Output(2)}})
+		pl.SetMeter(1, &ofproto.TokenBucket{RatePerSec: 1, Burst: 1, PerPacket: true})
+		return pl
+	}
+	cases := []struct {
+		name     string
+		pipeline func() *ofproto.Pipeline
+		other    map[string]string
+		frame    []byte
+		noOutput bool // leave port 2 unattached
+	}{
+		{name: "empty actions", pipeline: ofproto.NewPipeline},
+		{name: "missing output port", pipeline: forwardPipeline, noOutput: true},
+		{name: "meter", pipeline: metered},
+		{name: "malformed frame", pipeline: forwardPipeline, frame: malformedPacket().Data},
+		{name: "upcall queue full", pipeline: forwardPipeline,
+			other: map[string]string{"upcall-queue-cap": "1"}},
+	}
+	for _, c := range cases {
+		for _, name := range dpif.Types() {
+			eng := sim.NewEngine(1)
+			d, err := dpif.Open(name, dpif.Config{Eng: eng, Pipeline: c.pipeline(), Other: c.other})
+			if err != nil {
+				t.Fatalf("%s/%s: Open: %v", c.name, name, err)
+			}
+			ports := []dpif.TxPort{{PortID: 1, PortName: "p0", Deliver: (*packet.Packet).Release}}
+			if !c.noOutput {
+				ports = append(ports, dpif.TxPort{PortID: 2, PortName: "p1", Deliver: (*packet.Packet).Release})
+			}
+			for _, tp := range ports {
+				if err := d.PortAdd(tp); err != nil {
+					t.Fatalf("%s/%s: PortAdd(%d): %v", c.name, name, tp.PortID, err)
+				}
+			}
+			frame := c.frame
+			if frame == nil {
+				frame = scenarioPacket().Data
+			}
+			pool := packet.NewPool(64, 128, true)
+			for i := 0; i < 40; i++ {
+				p := pool.GetCopy(frame)
+				p.InPort = 1
+				d.Execute(p)
+			}
+			eng.RunUntil(eng.Now() + 20*sim.Millisecond)
+			st := d.Stats()
+			if st.Lost+st.UpcallQueueDrops+st.MalformedDrops == 0 {
+				t.Errorf("%s/%s: nothing was dropped: %+v", c.name, name, st)
+			}
+			if got := pool.Available(); got != 64 {
+				t.Errorf("%s/%s: pool at %d/64 after the drops (stats %+v)", c.name, name, got, st)
+			}
+		}
+	}
+}
+
 // TestRegistry covers the registry itself: unknown types fail, duplicate
 // registration panics.
 func TestRegistry(t *testing.T) {

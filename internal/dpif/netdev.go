@@ -16,7 +16,8 @@ import (
 // per-PMD megaflow classifiers, AF_XDP/DPDK/vhost/tap ports) to the dpif
 // interface — the dpif-netdev analog.
 type Netdev struct {
-	dp *core.Datapath
+	dp     *core.Datapath
+	config configTarget
 }
 
 func init() {
@@ -25,7 +26,8 @@ func init() {
 		if !ok {
 			opts = core.DefaultOptions()
 		}
-		return &Netdev{dp: core.NewDatapath(cfg.Eng, cfg.Pipeline, opts)}, nil
+		dp := core.NewDatapath(cfg.Eng, cfg.Pipeline, opts)
+		return &Netdev{dp: dp, config: configTarget{uc: &dp.Opts.Upcall, ct: dp.Ct, dp: dp}}, nil
 	})
 }
 
@@ -119,112 +121,12 @@ func (d *Netdev) SetUpcall(fn UpcallFunc) { d.dp.SetUpcall(fn) }
 // SetConfig implements Dpif: every key acts on the live userspace datapath
 // — cache toggles take effect on the next packet, balancer and policy
 // changes on the next placement or tick.
-func (d *Netdev) SetConfig(kv map[string]string) error {
-	dp := d.dp
-	return applyConfig(kv, func(key string, v any) error {
-		if shared, err := setShared(&dp.Opts.Upcall, dp.Ct, key, v); shared {
-			return err
-		}
-		switch key {
-		case "pmd-rxq-assign":
-			p, err := core.ParseAssignPolicy(v.(string))
-			if err != nil {
-				return err
-			}
-			dp.Opts.RxqAssign = p
-			dp.SetAssignPolicy(p)
-		case "pmd-auto-lb":
-			dp.Opts.AutoLB = v.(bool)
-			dp.ConfigureAutoLB(v.(bool), 0, -1)
-		case "pmd-auto-lb-rebal-interval-us":
-			t := v.(sim.Time)
-			if t <= 0 {
-				return fmt.Errorf("dpif-netdev: pmd-auto-lb-rebal-interval-us must be positive")
-			}
-			dp.Opts.AutoLBInterval = t
-			dp.ConfigureAutoLB(dp.AutoLBEnabled(), t, -1)
-		case "pmd-auto-lb-improvement-threshold":
-			dp.Opts.AutoLBThresholdPct = v.(int)
-			dp.ConfigureAutoLB(dp.AutoLBEnabled(), 0, v.(int))
-		case "tx-lock-mutex":
-			dp.Opts.TxLockMutex = v.(bool)
-		case "emc-enable":
-			dp.Opts.EMC = v.(bool)
-		case "emc-insert-inv-prob":
-			if v.(int) < 1 {
-				return fmt.Errorf("dpif-netdev: emc-insert-inv-prob must be >= 1")
-			}
-			dp.Opts.EMCInsertInvProb = v.(int)
-		case "smc-enable":
-			dp.ConfigureSMC(v.(bool), 0)
-		case "smc-entries":
-			dp.ConfigureSMC(dp.Opts.SMC, v.(int))
-		case "batch-dedup":
-			dp.Opts.BatchDedup = v.(bool)
-		case "hw-offload":
-			o := dp.Opts.Offload
-			o.Enable = v.(bool)
-			dp.ConfigureOffload(o)
-		case "hw-offload-table-size":
-			if v.(int) < 1 {
-				return fmt.Errorf("dpif-netdev: hw-offload-table-size must be >= 1")
-			}
-			o := dp.Opts.Offload
-			o.TableSize = v.(int)
-			dp.ConfigureOffload(o)
-		case "hw-offload-elephant-pps":
-			if v.(int) < 1 {
-				return fmt.Errorf("dpif-netdev: hw-offload-elephant-pps must be >= 1")
-			}
-			o := dp.Opts.Offload
-			o.ElephantPPS = v.(int)
-			dp.ConfigureOffload(o)
-		case "hw-offload-readback-us":
-			if v.(sim.Time) <= 0 {
-				return fmt.Errorf("dpif-netdev: hw-offload-readback-us must be positive")
-			}
-			o := dp.Opts.Offload
-			o.ReadbackInterval = v.(sim.Time)
-			dp.ConfigureOffload(o)
-		case "hw-offload-ewma-weight":
-			if v.(int) < 1 || v.(int) > 100 {
-				return fmt.Errorf("dpif-netdev: hw-offload-ewma-weight must be in 1..100")
-			}
-			o := dp.Opts.Offload
-			o.EWMAWeightPct = v.(int)
-			dp.ConfigureOffload(o)
-		}
-		return nil
-	})
-}
+func (d *Netdev) SetConfig(kv map[string]string) error { return d.config.set(kv) }
 
 // GetConfig implements Dpif: values reflect the live datapath state, so a
 // bed configured through core.Options at construction reads back
 // identically to one configured through SetConfig.
-func (d *Netdev) GetConfig() map[string]string {
-	dp := d.dp
-	interval, threshold := dp.AutoLBSettings()
-	off := dp.OffloadSettings()
-	out := map[string]string{
-		"pmd-rxq-assign":                    dp.AssignPolicyInEffect().String(),
-		"pmd-auto-lb":                       renderBool(dp.AutoLBEnabled()),
-		"pmd-auto-lb-rebal-interval-us":     renderMicros(interval),
-		"pmd-auto-lb-improvement-threshold": fmt.Sprintf("%d", threshold),
-		"tx-lock-mutex":                     renderBool(dp.Opts.TxLockMutex),
-		"emc-enable":                        renderBool(dp.Opts.EMC),
-		"emc-insert-inv-prob":               fmt.Sprintf("%d", max(dp.Opts.EMCInsertInvProb, 1)),
-		"smc-enable":                        renderBool(dp.Opts.SMC),
-		"smc-entries":                       fmt.Sprintf("%d", dp.Opts.SMCEntries),
-		"batch-dedup":                       renderBool(dp.Opts.BatchDedup),
-		"hw-offload":                        renderBool(off.Enable),
-		"hw-offload-table-size":             fmt.Sprintf("%d", off.TableSize),
-		"hw-offload-elephant-pps":           fmt.Sprintf("%d", off.ElephantPPS),
-		"hw-offload-readback-us":            renderMicros(off.ReadbackInterval),
-		"hw-offload-ewma-weight":            fmt.Sprintf("%d", off.EWMAWeightPct),
-	}
-	getShared(&dp.Opts.Upcall, dp.Ct, out)
-	return out
-}
+func (d *Netdev) GetConfig() map[string]string { return d.config.get() }
 
 // PmdRxqShow implements Dpif.
 func (d *Netdev) PmdRxqShow() string { return d.dp.PmdRxqShow() }

@@ -30,10 +30,9 @@ type Netlink struct {
 	softirqPkts  map[*sim.CPU]uint64
 	softirqOrder []*sim.CPU
 
-	// netdevOnly remembers accepted-but-inert netdev-only config keys so
-	// GetConfig can echo them back, as OVS's global other_config column
-	// does even for keys this datapath ignores.
-	netdevOnly map[string]string
+	// config binds the other_config keys this provider acts on and
+	// remembers the netdev-only ones it echoes.
+	config configTarget
 }
 
 func init() {
@@ -43,9 +42,10 @@ func init() {
 
 func netlinkFactory(flavor kernelsim.Flavor) Factory {
 	return func(cfg Config) (Dpif, error) {
-		return &Netlink{kdp: kernelsim.NewDatapath(cfg.Eng, flavor, cfg.Pipeline), eng: cfg.Eng,
+		kdp := kernelsim.NewDatapath(cfg.Eng, flavor, cfg.Pipeline)
+		return &Netlink{kdp: kdp, eng: cfg.Eng,
 			softirqPkts: make(map[*sim.CPU]uint64),
-			netdevOnly:  make(map[string]string)}, nil
+			config:      configTarget{uc: &kdp.Upcall, ct: kdp.Ct, inert: make(map[string]string)}}, nil
 	}
 }
 
@@ -135,33 +135,15 @@ func (d *Netlink) Execute(p *packet.Packet) {
 // SetUpcall implements Dpif.
 func (d *Netlink) SetUpcall(fn UpcallFunc) { d.kdp.SetUpcall(fn) }
 
-// SetConfig implements Dpif: the slow-path keys act on the kernel
-// datapath; netdev-only keys (pmd-*, emc-*, smc-*, ...) are validated and
-// remembered but have no effect here, exactly as the real other_config
+// SetConfig implements Dpif: the slow-path and conntrack keys act on the
+// kernel datapath; netdev-only keys (pmd-*, emc-*, smc-*, ...) are validated
+// and remembered but have no effect here, exactly as the real other_config
 // column is global while only dpif-netdev reads those keys.
-func (d *Netlink) SetConfig(kv map[string]string) error {
-	return applyConfig(kv, func(key string, v any) error {
-		shared, err := setShared(&d.kdp.Upcall, d.kdp.Ct, key, v)
-		if !shared {
-			d.netdevOnly[key] = kv[key]
-		}
-		return err
-	})
-}
+func (d *Netlink) SetConfig(kv map[string]string) error { return d.config.set(kv) }
 
 // GetConfig implements Dpif: live values for the keys this provider acts
-// on, schema defaults (or the remembered inert sets) for the rest.
-func (d *Netlink) GetConfig() map[string]string {
-	out := make(map[string]string, len(configSchema))
-	for k, spec := range configSchema {
-		out[k] = spec.def
-	}
-	for k, v := range d.netdevOnly {
-		out[k] = v
-	}
-	getShared(&d.kdp.Upcall, d.kdp.Ct, out)
-	return out
-}
+// on, defaults (or the remembered inert sets) for the rest.
+func (d *Netlink) GetConfig() map[string]string { return d.config.get() }
 
 // PmdRxqShow implements Dpif: the kernel datapath has no PMD threads, so
 // the softirq-side equivalent is reported — every softirq context that has

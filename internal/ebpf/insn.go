@@ -43,7 +43,7 @@ type Op uint8
 // Opcodes. ALU operations come in register and immediate forms selected by
 // Insn.UseImm.
 const (
-	OpInvalid Op = iota
+	_ Op = iota // zero is no instruction: a zero Insn never verifies
 	// ALU64.
 	OpMov
 	OpAdd
@@ -222,9 +222,6 @@ func Add(dst, src Reg) Insn { return Insn{Op: OpAdd, Dst: dst, Src: src} }
 // AddImm sets dst += imm.
 func AddImm(dst Reg, imm int64) Insn { return Insn{Op: OpAdd, Dst: dst, Imm: imm, UseImm: true} }
 
-// Sub sets dst -= src.
-func Sub(dst, src Reg) Insn { return Insn{Op: OpSub, Dst: dst, Src: src} }
-
 // SubImm sets dst -= imm.
 func SubImm(dst Reg, imm int64) Insn { return Insn{Op: OpSub, Dst: dst, Imm: imm, UseImm: true} }
 
@@ -277,12 +274,6 @@ func JneImm(dst Reg, imm int64, off int16) Insn {
 
 // Jgt jumps if dst > src (unsigned).
 func Jgt(dst, src Reg, off int16) Insn { return Insn{Op: OpJgt, Dst: dst, Src: src, Off: off} }
-
-// Jge jumps if dst >= src (unsigned).
-func Jge(dst, src Reg, off int16) Insn { return Insn{Op: OpJge, Dst: dst, Src: src, Off: off} }
-
-// Jlt jumps if dst < src (unsigned).
-func Jlt(dst, src Reg, off int16) Insn { return Insn{Op: OpJlt, Dst: dst, Src: src, Off: off} }
 
 // Jle jumps if dst <= src (unsigned).
 func Jle(dst, src Reg, off int16) Insn { return Insn{Op: OpJle, Dst: dst, Src: src, Off: off} }

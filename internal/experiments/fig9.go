@@ -146,7 +146,7 @@ func runFig9c(p Profile) *Report {
 	for _, c := range cases {
 		var last *Bed
 		rate, res, _ := measure.LosslessRate(searchConfig(p, 20e6),
-			fig9Probe(p, func() *Bed { return NewPCPBed(c.mode, c.flows, 1) }, &last))
+			fig9Probe(p, func() *Bed { return NewPCPBed(c.mode, c.flows) }, &last))
 		name := c.mode.String() + flowsSuffix(c.flows)
 		r.Add(name, measure.Mpps(rate), c.paper, "Mpps")
 		r.Add(name+" cpu", res.Usage.Total(), 0, "HT")
@@ -202,7 +202,7 @@ func runTable4(p Profile) *Report {
 	} {
 		var last *Bed
 		_, res, _ := measure.LosslessRate(searchConfig(p, 20e6),
-			fig9Probe(p, func() *Bed { return NewPCPBed(c.mode, 1000, 1) }, &last))
+			fig9Probe(p, func() *Bed { return NewPCPBed(c.mode, 1000) }, &last))
 		addUsage("PCP "+c.mode.String(), res.Usage, c.sys, c.softirq, c.guest, c.user)
 		if p.PerfStages && last != nil {
 			addPerfRows(r, "PCP "+c.mode.String(), last.DP.PerfStats())

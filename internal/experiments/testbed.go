@@ -85,8 +85,7 @@ type BedConfig struct {
 	Kind      DPKind
 	Flows     int
 	FrameSize int
-	Queues    int // NIC receive queues = PMD threads (Fig 12)
-	LinkRate  int64
+	Queues    int       // NIC receive queues = PMD threads (Fig 12)
 	Mode      core.Mode // poll / interrupt / non-pmd for AF_XDP-style ports
 	Lock      afxdp.LockMode
 	ZeroCopy  bool // zero-copy AF_XDP (driver support dependent)
@@ -95,7 +94,6 @@ type BedConfig struct {
 	VDev VDevKind
 	// KernelQueues: RSS width for the kernel datapath (hyperthreads).
 	KernelQueues int
-	Seed         uint64
 	// Pipeline overrides the default port-forwarding pipeline (nil keeps
 	// it). The cache-hierarchy sweep uses this to install a multi-subtable
 	// rule set so the megaflow classifier has real tuple-space work to do.
@@ -118,9 +116,9 @@ type BedConfig struct {
 
 // DefaultOther overlays ovs-vsctl-style other_config keys onto every bed
 // DefaultBed builds (`ovsbench -o key=value`, e.g. `-o smc-enable=true -o
-// emc-insert-inv-prob=100` to rerun the stock experiments with the signature
-// cache on and probabilistic EMC insertion). nil changes nothing, keeping
-// default measured outputs byte-identical. Scenarios that pin their own
+// emc-enable=false` to rerun the stock experiments through the signature
+// cache). nil changes nothing, keeping default measured outputs
+// byte-identical. Scenarios that pin their own
 // config (corescale's auto-LB arm) set BedConfig.Other directly and are
 // unaffected.
 var DefaultOther map[string]string
@@ -129,9 +127,8 @@ var DefaultOther map[string]string
 func DefaultBed(kind DPKind, flows int) BedConfig {
 	cfg := BedConfig{
 		Kind: kind, Flows: flows, FrameSize: 64, Queues: 1,
-		LinkRate: costmodel.LinkRate25G,
-		Mode:     core.ModePoll, Lock: afxdp.LockSpinBatched,
-		Opts: core.DefaultOptions(), KernelQueues: 12, Seed: 1,
+		Mode: core.ModePoll, Lock: afxdp.LockSpinBatched,
+		Opts: core.DefaultOptions(), KernelQueues: 12,
 	}
 	cfg.Other = DefaultOther
 	return cfg
@@ -169,15 +166,20 @@ func (b *Bed) Drops() uint64 {
 
 // --- the loopback beds -----------------------------------------------------------
 
+// bedSeed seeds every loopback bed's engine: an exhibit is one deterministic
+// run, and the benchmark's seeds reach only its own generators.
+const bedSeed = 1
+
 // newLoopbackBed builds what every loopback shares: the engine, NIC A fed
-// by the generator, and NIC B's wire counting deliveries.
-func newLoopbackBed(seed uint64, queues int, linkRate int64, offloads nicsim.Offloads, flows, frameSize int) *Bed {
-	eng := sim.NewEngine(seed)
+// by the generator, and NIC B's wire counting deliveries, on the Section 5.2
+// testbed's 25G links.
+func newLoopbackBed(queues int, offloads nicsim.Offloads, flows, frameSize int) *Bed {
+	eng := sim.NewEngine(bedSeed)
 	bed := &Bed{Eng: eng}
 	bed.NICA = nicsim.New(eng, nicsim.Config{Name: "p0", Ifindex: 1, Queues: queues,
-		LinkRate: linkRate, Offloads: offloads})
+		LinkRate: costmodel.LinkRate25G, Offloads: offloads})
 	bed.NICB = nicsim.New(eng, nicsim.Config{Name: "p1", Ifindex: 2, Queues: queues,
-		LinkRate: linkRate, Offloads: offloads})
+		LinkRate: costmodel.LinkRate25G, Offloads: offloads})
 	bed.NICB.ConnectWire(func(p *packet.Packet) { bed.Delivered++; p.Release() })
 	bed.Gen = trafficgen.NewUDPGen(eng, flows, frameSize,
 		func(p *packet.Packet) { bed.NICA.Receive(p) })
@@ -191,7 +193,7 @@ func newConfiguredBed(cfg BedConfig) *Bed {
 	if cfg.Kind == KindKernel || cfg.Kind == KindEBPF {
 		queues = cfg.KernelQueues
 	}
-	return newLoopbackBed(cfg.Seed, queues, cfg.LinkRate, kit.OffloadsFor(cfg.Kind.String()), cfg.Flows, cfg.FrameSize)
+	return newLoopbackBed(queues, kit.OffloadsFor(cfg.Kind.String()), cfg.Flows, cfg.FrameSize)
 }
 
 // kernelLoopback puts an in-kernel datapath under the bed: NIC B is
@@ -324,8 +326,8 @@ func (m PCPMode) String() string {
 
 // NewPCPBed builds the Figure 9(c) physical-container-physical loopback:
 // NIC A (port 1) -> container veth (port 3) -> NIC B (port 2).
-func NewPCPBed(mode PCPMode, flows int, seed uint64) *Bed {
-	bed := newLoopbackBed(seed, 1, costmodel.LinkRate25G, nicsim.Offloads{}, flows, 64)
+func NewPCPBed(mode PCPMode, flows int) *Bed {
+	bed := newLoopbackBed(1, nicsim.Offloads{}, flows, 64)
 	eng := bed.Eng
 	veth := vdev.NewVethPair("veth0")
 	containersim.New(eng, containersim.Config{Name: "c0", Veth: veth, FastPath: true})

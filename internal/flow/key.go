@@ -168,10 +168,6 @@ func (k Key) Apply(m Mask) Key {
 	return out
 }
 
-// Equal reports bitwise equality (Keys are comparable; this is a readable
-// alias).
-func (k Key) Equal(o Key) bool { return k == o }
-
 // Hash returns a 32-bit hash of the full key, suitable for EMC indexing and
 // RSS-style spreading. The mixer is xorshift-multiply per word with a final
 // avalanche, deterministic across runs. The receiver is a pointer so the

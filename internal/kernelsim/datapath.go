@@ -113,9 +113,7 @@ func NewDatapath(eng *sim.Engine, flavor Flavor, pl *ofproto.Pipeline) *Datapath
 		// The softirq CPU the packet arrived on is remembered so the
 		// reinjected packet charges the context it would have run in.
 		Reinject: func(p *packet.Packet, cpu *sim.CPU) { d.processCounted(cpu, p, 0, false) },
-		// Like every drop site in this file: skbs are left to the garbage
-		// collector, never handed back to a pool.
-		Release: func(*packet.Packet) {},
+		Release:  (*packet.Packet).Release,
 	})
 	return d
 }
@@ -207,6 +205,7 @@ func (d *Datapath) process(cpu *sim.CPU, p *packet.Packet, depth int) {
 func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, count bool) {
 	if depth > maxKernelRecirc {
 		d.Drops++
+		p.Release()
 		return
 	}
 	if count {
@@ -240,6 +239,7 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 		// drops.
 		if flow.Malformed(p) {
 			d.MalformedDrops++
+			p.Release()
 			return
 		}
 		d.Misses++
@@ -272,6 +272,7 @@ func (d *Datapath) processCounted(cpu *sim.CPU, p *packet.Packet, depth int, cou
 
 	if len(entry.Actions) == 0 {
 		d.Drops++
+		p.Release()
 		return
 	}
 	d.execute(cpu, p, entry.Actions, depth)
@@ -286,11 +287,15 @@ func (d *Datapath) execute(cpu *sim.CPU, p *packet.Packet, actions []ofproto.DPA
 			if d.trace != nil {
 				d.trace.OutPort = a.Port
 			}
-			if out, ok := d.Outputs[a.Port]; ok {
-				out(p)
-			} else {
+			out, ok := d.Outputs[a.Port]
+			if !ok {
+				// kfree_skb: the frame goes back to whoever pooled it,
+				// so nothing after this action may touch it.
 				d.Drops++
+				p.Release()
+				return
 			}
+			out(p)
 		case ofproto.DPCT:
 			d.charge(cpu, sim.Softirq, perf.StageActions, d.cost(costmodel.ConntrackLookup))
 			if a.Commit {
@@ -319,6 +324,7 @@ func (d *Datapath) execute(cpu *sim.CPU, p *packet.Packet, actions []ofproto.DPA
 		case ofproto.DPMeter:
 			if !d.Pipeline.MeterAllow(a.MeterID, len(p.Data), d.Eng.Now()) {
 				d.Drops++
+				p.Release()
 				return
 			}
 		default:

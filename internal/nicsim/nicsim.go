@@ -161,15 +161,12 @@ type NIC struct {
 	// txFreeAt paces the transmit side at line rate.
 	txFreeAt sim.Time
 
-	// linkDown models a carrier-loss fault window: while set, frames are
-	// dropped at the PHY in both directions, as a real NIC does during a
-	// link flap.
-	linkDown bool
-
 	// Stats.
 	TxPackets uint64
 	TxBytes   uint64
-	// LinkDownRx / LinkDownTx count frames dropped while the link was down.
+	// LinkDownRx / LinkDownTx are the link-down drop classes of the frozen
+	// benchmark's rx ledger (benchmark/run.go). Nothing takes a carrier
+	// down, so they stay zero; they go when benchmark/ is next ported.
 	LinkDownRx uint64
 	LinkDownTx uint64
 }
@@ -185,8 +182,6 @@ type Config struct {
 	// AttachModel selects the Figure 6 XDP attachment style; the zero
 	// value is the Intel all-queues model.
 	AttachModel xdp.AttachModel
-	// XDPMode is the driver (native) or generic (skb) execution mode.
-	XDPMode xdp.Mode
 }
 
 // New builds a NIC on the engine.
@@ -205,7 +200,7 @@ func New(eng *sim.Engine, cfg Config) *NIC {
 		Ifindex:  cfg.Ifindex,
 		LinkRate: cfg.LinkRate,
 		Offloads: cfg.Offloads,
-		Hook:     xdp.NewHook(cfg.AttachModel, cfg.XDPMode),
+		Hook:     xdp.NewHook(cfg.AttachModel, xdp.ModeDriver),
 		eng:      eng,
 		rssBasis: uint32(cfg.Ifindex)*0x9e37 + 0x79b9,
 	}
@@ -378,21 +373,9 @@ func WeightedIndirection(weights []int) []int {
 	return table
 }
 
-// SetLink raises or drops the carrier (fault injection: a link flap).
-// While down, Receive and Transmit drop every frame and count it.
-func (n *NIC) SetLink(up bool) { n.linkDown = !up }
-
-// LinkUp reports whether the carrier is present.
-func (n *NIC) LinkUp() bool { return !n.linkDown }
-
 // Receive is the wire-side ingress: DMA the packet into its queue's ring,
 // dropping on overflow, and raise the queue's interrupt if armed.
 func (n *NIC) Receive(p *packet.Packet) bool {
-	if n.linkDown {
-		n.LinkDownRx++
-		p.Release()
-		return false
-	}
 	if n.Offloads.RxCsum {
 		p.Offloads |= packet.CsumVerified
 	}
@@ -501,11 +484,6 @@ func deliver(fn func(*packet.Packet), p *packet.Packet) {
 // in software before calling (and pay that cost themselves). The packet
 // arrives at the wire peer after serialization plus propagation delay.
 func (n *NIC) Transmit(p *packet.Packet) {
-	if n.linkDown {
-		n.LinkDownTx++
-		p.Release()
-		return
-	}
 	if p.Offloads&packet.CsumPartial != 0 && n.Offloads.TxCsum {
 		// Hardware fills the checksum: free for the CPU.
 		p.Offloads &^= packet.CsumPartial

@@ -32,7 +32,6 @@ const (
 	TableDFWBase   = 20 // distributed firewall rule tables (the bulk)
 	numDFWTables   = 35 // tables 20..54 hold firewall rules (40 tables total)
 	TableL2        = 60 // L2 forwarding by destination MAC
-	TableOutput    = 70 // final output actions
 )
 
 // Config sizes the generated rule set. Defaults reproduce Table 3.

@@ -98,11 +98,8 @@ type ARP struct {
 	TargetIP  IP4
 }
 
-// ARP opcodes.
-const (
-	ARPRequest = 1
-	ARPReply   = 2
-)
+// ARPRequest is the ARP request opcode.
+const ARPRequest = 1
 
 // ParseARP decodes an ARP message from b.
 func ParseARP(b []byte) (ARP, error) {

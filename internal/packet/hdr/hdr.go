@@ -121,20 +121,17 @@ func (ip IP6) String() string {
 
 // Sizes of fixed-length headers in bytes.
 const (
-	EthernetSize   = 14
-	VLANSize       = 4
-	ARPSize        = 28
-	IPv4MinSize    = 20
-	IPv6Size       = 40
-	TCPMinSize     = 20
-	UDPSize        = 8
-	ICMPSize       = 8
-	VXLANSize      = 8
-	GeneveMinSize  = 8
-	GREMinSize     = 4
-	MaxFrameSize   = 65535
-	StandardMTU    = 1500
-	MaxEthernetMTU = 9000
+	EthernetSize  = 14
+	VLANSize      = 4
+	ARPSize       = 28
+	IPv4MinSize   = 20
+	IPv6Size      = 40
+	TCPMinSize    = 20
+	UDPSize       = 8
+	ICMPSize      = 8
+	VXLANSize     = 8
+	GeneveMinSize = 8
+	GREMinSize    = 4
 )
 
 // ErrTruncated is returned when a buffer is too short for the header being

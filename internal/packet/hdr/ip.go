@@ -53,9 +53,6 @@ func ParseIPv4(b []byte) (IPv4, error) {
 	return h, nil
 }
 
-// SerializedLen returns the encoded header length (no options: 20).
-func (h *IPv4) SerializedLen() int { return IPv4MinSize }
-
 // SerializeTo writes a 20-byte IPv4 header into b with a freshly computed
 // checksum and returns the bytes written. HeaderLen and Checksum fields in h
 // are ignored; options are not emitted.

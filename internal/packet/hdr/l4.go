@@ -9,7 +9,6 @@ const (
 	TCPRst = 1 << 2
 	TCPPsh = 1 << 3
 	TCPAck = 1 << 4
-	TCPUrg = 1 << 5
 )
 
 // TCP is a decoded TCP header.
@@ -47,9 +46,6 @@ func ParseTCP(b []byte) (TCP, error) {
 	h.HeaderLen = off
 	return h, nil
 }
-
-// SerializedLen returns the encoded header length (no options: 20).
-func (h *TCP) SerializedLen() int { return TCPMinSize }
 
 // SerializeTo writes a 20-byte TCP header into b with a zero checksum field
 // (call FinishTCPChecksum afterwards) and returns the bytes written.

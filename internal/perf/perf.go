@@ -102,9 +102,8 @@ type Stats struct {
 
 	// TxContended counts packets this thread transmitted over a shared
 	// tx queue (XPS: more PMD threads than the egress port has txqs);
-	// TxLockCycles is the virtual time the shared-txq lock cost — per
-	// packet under the mutex option, per flush under the default batched
-	// spinlock. Both stay zero while every thread owns its tx queues.
+	// TxLockCycles is the virtual time the shared-txq spinlock cost, paid
+	// once per flush. Both stay zero while every thread owns its tx queues.
 	TxContended  uint64
 	TxLockCycles sim.Time
 

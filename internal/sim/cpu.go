@@ -46,14 +46,6 @@ func (u Usage) Total() float64 {
 	return t
 }
 
-// Add returns the element-wise sum of u and v.
-func (u Usage) Add(v Usage) Usage {
-	for i := range u {
-		u[i] += v[i]
-	}
-	return u
-}
-
 // String formats the usage like a Table 4 row.
 func (u Usage) String() string {
 	return fmt.Sprintf("system=%.1f softirq=%.1f guest=%.1f user=%.1f total=%.1f",
@@ -65,14 +57,10 @@ func (u Usage) String() string {
 // is accounted to a Category so experiments can report the Table 4 breakdown.
 type CPU struct {
 	engine *Engine
-	id     int
 	name   string
 	freeAt Time
 	busy   [NumCategories]Time
 }
-
-// ID returns the CPU's index in creation order.
-func (c *CPU) ID() int { return c.id }
 
 // Name returns the name given at creation (e.g. "pmd0", "softirq3").
 func (c *CPU) Name() string { return c.name }

@@ -192,7 +192,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // NewCPU allocates a simulated CPU (one hardware hyperthread) and registers
 // it with the engine for utilization reporting.
 func (e *Engine) NewCPU(name string) *CPU {
-	c := &CPU{engine: e, id: len(e.cpus), name: name}
+	c := &CPU{engine: e, name: name}
 	e.cpus = append(e.cpus, c)
 	return c
 }

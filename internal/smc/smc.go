@@ -245,12 +245,3 @@ func (c *Cache) Capacity() int { return len(c.buckets) * Ways }
 // FlowCount returns the number of megaflows registered in the indirection
 // table (diagnostics).
 func (c *Cache) FlowCount() int { return len(c.index) }
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *Cache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}

@@ -37,7 +37,6 @@ type UDPGen struct {
 
 	templates [][]byte
 	idx       int
-	stopped   bool
 
 	// pool recycles packet metadata and buffers: frames released by their
 	// terminal consumer (a NIC drop, an XSK copy, a test sink) come back
@@ -107,9 +106,6 @@ func (g *UDPGen) Run(ratePPS float64, duration sim.Time) {
 	var tick func()
 	next := start
 	tick = func() {
-		if g.stopped {
-			return
-		}
 		g.Sent++
 		g.Sink(g.Next())
 		next += interval
@@ -119,7 +115,3 @@ func (g *UDPGen) Run(ratePPS float64, duration sim.Time) {
 	}
 	g.Eng.ScheduleAt(next, tick)
 }
-
-// Stop prevents further generation (already-scheduled arrivals still fire;
-// use short Run windows instead for precise cuts).
-func (g *UDPGen) Stop() { g.stopped = true }

@@ -83,9 +83,6 @@ func NewHook(model AttachModel, mode Mode) *Hook {
 	return &Hook{model: model, mode: mode}
 }
 
-// Mode returns the execution mode.
-func (h *Hook) Mode() Mode { return h.mode }
-
 // Attach installs prog for all queues. The program must have passed the
 // verifier (Load), mirroring the kernel's refusal to attach unverified
 // bytecode.
