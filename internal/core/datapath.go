@@ -549,6 +549,7 @@ func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction,
 			outer, err := d.Encapper.Encap(p, a.Tunnel)
 			if err != nil {
 				d.Drops++
+				p.Release()
 				return
 			}
 			// The outer UDP checksum was computed in software by
@@ -557,6 +558,8 @@ func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction,
 			if !d.Opts.AssumeCsumOffload {
 				m.charge(perf.StageActions, costmodel.ChecksumCost(len(outer.Data)))
 			}
+			// Encap copied the inner frame into the outer's own buffer.
+			p.Release()
 			p = outer
 
 		case ofproto.DPTunnelPop:
@@ -564,8 +567,12 @@ func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction,
 			inner, wasTunnel, err := tunnel.Decap(p)
 			if err != nil || !wasTunnel {
 				d.Drops++
+				p.Release()
 				return
 			}
+			// The outer is not released: inner.Data aliases its buffer
+			// (tunnel.innerPacket), and whoever consumes the inner frees
+			// only the inner.
 			inner.InPort = a.Port
 			inner.RecircID = 0
 			d.Recirculations++

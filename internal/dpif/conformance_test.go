@@ -8,11 +8,13 @@ import (
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
+	"ovsxdp/internal/netlinksim"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/tunnel"
 )
 
 // observation is everything a dpif consumer can see from one scenario run.
@@ -545,12 +547,39 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 		pl.SetMeter(1, &ofproto.TokenBucket{RatePerSec: 1, Burst: 1, PerPacket: true})
 		return pl
 	}
+	// The tunnel arms: port 1 into a Geneve tunnel out port 2, or popped to
+	// virtual port 100. Only netdev encapsulates for real (the kernel
+	// providers charge the cost and forward the frame as it is), and its
+	// next hop comes from a replica cache with or without the neighbour.
+	vtep, remote := hdr.MakeIP4(172, 16, 0, 1), hdr.MakeIP4(172, 16, 0, 2)
+	tunneled := func(a ofproto.Action) func() *ofproto.Pipeline {
+		return func() *ofproto.Pipeline {
+			pl := ofproto.NewPipeline()
+			pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+				Match: ofproto.NewMatch(flow.Fields{InPort: 1},
+					flow.NewMaskBuilder().InPort().Build()),
+				Actions: []ofproto.Action{a, ofproto.Output(2)}})
+			return pl
+		}
+	}
+	push := tunneled(ofproto.SetTunnel(tunnel.Config{Kind: tunnel.Geneve, LocalIP: vtep, RemoteIP: remote, VNI: 88}))
+	encapper := func(routed bool) *tunnel.Encapper {
+		kern := netlinksim.NewKernel()
+		idx, _ := kern.AddLink("uplink", "mlx5", hdr.MAC{2, 0xff, 0, 0, 0, 1}, 1600)
+		kern.AddAddr("uplink", vtep, 16)
+		if routed {
+			kern.AddNeigh(netlinksim.Neigh{IP: remote, MAC: hdr.MAC{2, 0xff, 0, 0, 0, 2}, LinkIndex: idx})
+		}
+		return tunnel.NewEncapper(netlinksim.NewCache(kern))
+	}
 	cases := []struct {
 		name     string
 		pipeline func() *ofproto.Pipeline
 		other    map[string]string
 		frame    []byte
-		noOutput bool // leave port 2 unattached
+		noOutput bool             // leave port 2 unattached
+		encapper *tunnel.Encapper // non-nil: a netdev-only arm
+		forwards bool             // nothing is dropped: the frames a forwarding action replaces must come back
 	}{
 		{name: "empty actions", pipeline: ofproto.NewPipeline},
 		{name: "missing output port", pipeline: forwardPipeline, noOutput: true},
@@ -558,13 +587,22 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 		{name: "malformed frame", pipeline: forwardPipeline, frame: malformedPacket().Data},
 		{name: "upcall queue full", pipeline: forwardPipeline,
 			other: map[string]string{"upcall-queue-cap": "1"}},
+		{name: "tunnel push: no route", pipeline: push, encapper: encapper(false)},
+		{name: "tunnel push: forwarded", pipeline: push, encapper: encapper(true), forwards: true},
+		{name: "tunnel pop: not a tunnel frame", pipeline: tunneled(ofproto.TunnelPop(100)), encapper: encapper(true)},
 	}
 	for _, c := range cases {
 		for _, name := range dpif.Types() {
+			if c.encapper != nil && name != "netdev" {
+				continue
+			}
 			eng := sim.NewEngine(1)
 			d, err := dpif.Open(name, dpif.Config{Eng: eng, Pipeline: c.pipeline(), Other: c.other})
 			if err != nil {
 				t.Fatalf("%s/%s: Open: %v", c.name, name, err)
+			}
+			if c.encapper != nil {
+				d.(*dpif.Netdev).Datapath().Encapper = c.encapper
 			}
 			ports := []dpif.TxPort{{PortID: 1, PortName: "p0", Deliver: (*packet.Packet).Release}}
 			if !c.noOutput {
@@ -587,8 +625,8 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 			}
 			eng.RunUntil(eng.Now() + 20*sim.Millisecond)
 			st := d.Stats()
-			if st.Lost+st.UpcallQueueDrops+st.MalformedDrops == 0 {
-				t.Errorf("%s/%s: nothing was dropped: %+v", c.name, name, st)
+			if dropped := st.Lost+st.UpcallQueueDrops+st.MalformedDrops != 0; dropped == c.forwards {
+				t.Errorf("%s/%s: dropped = %v: %+v", c.name, name, dropped, st)
 			}
 			if got := pool.Available(); got != 64 {
 				t.Errorf("%s/%s: pool at %d/64 after the drops (stats %+v)", c.name, name, got, st)

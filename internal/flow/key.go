@@ -240,16 +240,6 @@ func (m Mask) Intersects(o Mask) bool {
 	return false
 }
 
-// Covers reports whether every bit set in o is also set in m.
-func (m Mask) Covers(o Mask) bool {
-	for i := range m {
-		if m[i]&o[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Empty reports whether the mask matches nothing.
 func (m Mask) Empty() bool { return m == Mask{} }
 

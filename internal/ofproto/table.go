@@ -3,6 +3,7 @@ package ofproto
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"ovsxdp/internal/flow"
 )
@@ -28,6 +29,12 @@ func (m Match) Matches(key flow.Key) bool {
 	return key.Apply(m.Mask) == m.Key
 }
 
+// String prints the match as flow text, name=value[/mask] pairs in the
+// syntax ovs.ParseFlow reads (flow.MatchFields); a match on anything is "".
+func (m Match) String() string {
+	return flow.SpecOf(m.Key, m.Mask).String()
+}
+
 // Rule is one OpenFlow rule.
 type Rule struct {
 	TableID  uint8
@@ -40,10 +47,19 @@ type Rule struct {
 	PacketCount uint64
 }
 
-// String summarizes the rule.
+// String prints the rule as flow text. ovs.ParseFlow reads the header and
+// the match back exactly, and the actions too where Action.String is in its
+// syntax.
 func (r *Rule) String() string {
-	return fmt.Sprintf("table=%d priority=%d cookie=%#x actions=%v",
-		r.TableID, r.Priority, r.Match.Mask.Bits(), r.Actions)
+	parts := []string{fmt.Sprintf("table=%d,priority=%d,cookie=%#x", r.TableID, r.Priority, r.Cookie)}
+	if m := r.Match.String(); m != "" {
+		parts = append(parts, m)
+	}
+	actions := make([]string, len(r.Actions))
+	for i, a := range r.Actions {
+		actions[i] = a.String()
+	}
+	return strings.Join(parts, ",") + ",actions=" + strings.Join(actions, ",")
 }
 
 // subtable groups rules sharing a mask within one table.

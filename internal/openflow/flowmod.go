@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ovsxdp/internal/conntrack"
+	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/tunnel"
@@ -40,6 +41,16 @@ const (
 	nxastTunnelKind    = 36
 	nxastTunnelPop     = 37
 	nxastDrop          = 38
+)
+
+// The rows of flow.MatchFields a set-field action may name.
+var (
+	fieldEthDst = flow.MatchFieldByName("dl_dst")
+	fieldEthSrc = flow.MatchFieldByName("dl_src")
+	fieldVLAN   = flow.MatchFieldByName("dl_vlan")
+	fieldTunID  = flow.MatchFieldByName("tun_id")
+	fieldTunSrc = flow.MatchFieldByName("tun_src")
+	fieldTunDst = flow.MatchFieldByName("tun_dst")
 )
 
 // The bytes a decoder reads from each instruction, action and Nicira action
@@ -120,17 +131,17 @@ func encodeInstructions(actions []ofproto.Action) []byte {
 
 	addAction := func(b []byte) { applied = append(applied, b...) }
 
-	emitSetField := func(class uint16, field uint8, value []byte) {
-		tlvLen := 4 + len(value)
-		total := pad8(4 + tlvLen)
-		b := make([]byte, total)
+	// emitSetField writes field r of f as a set-field action; the padding
+	// to 8 is the zeroed spare capacity of b.
+	emitSetField := func(r *flow.MatchField, f flow.Fields) {
+		total := pad8(8 + r.Width)
+		b := make([]byte, 8, total)
 		u16(b, 0, actSetField)
 		u16(b, 2, uint16(total))
-		u16(b, 4, class)
-		b[6] = field << 1
-		b[7] = uint8(len(value))
-		copy(b[8:], value)
-		addAction(b)
+		u16(b, 4, r.OXMClass)
+		b[6] = r.OXMField << 1
+		b[7] = uint8(r.Width)
+		addAction(appendUint(b, r.Get(&f), r.Width)[:total])
 	}
 
 	for _, a := range actions {
@@ -149,9 +160,7 @@ func encodeInstructions(actions []ofproto.Action) []byte {
 			u16(b, 4, uint16(hdr.EtherTypeVLAN))
 			addAction(b)
 			// The VID itself travels as a set-field.
-			vid := make([]byte, 2)
-			binary.BigEndian.PutUint16(vid, a.VLAN|uint16(a.VLANPrio)<<13)
-			emitSetField(oxmClassBasic, oxmVlanVID, vid)
+			emitSetField(fieldVLAN, flow.Fields{VLANTCI: a.VLAN | uint16(a.VLANPrio)<<13})
 		case ofproto.ActionPopVLAN:
 			b := make([]byte, 8)
 			u16(b, 0, actPopVLAN)
@@ -163,20 +172,14 @@ func encodeInstructions(actions []ofproto.Action) []byte {
 			u16(b, 2, 8)
 			addAction(b)
 		case ofproto.ActionSetEthSrc:
-			emitSetField(oxmClassBasic, oxmEthSrc, a.MAC[:])
+			emitSetField(fieldEthSrc, flow.Fields{EthSrc: a.MAC})
 		case ofproto.ActionSetEthDst:
-			emitSetField(oxmClassBasic, oxmEthDst, a.MAC[:])
+			emitSetField(fieldEthDst, flow.Fields{EthDst: a.MAC})
 		case ofproto.ActionSetTunnel:
 			// tun_id + endpoints as set-fields, kind via experimenter.
-			vni := make([]byte, 8)
-			binary.BigEndian.PutUint64(vni, uint64(a.Tunnel.VNI))
-			emitSetField(oxmClassBasic, oxmTunnelID, vni)
-			src := make([]byte, 4)
-			binary.BigEndian.PutUint32(src, uint32(a.Tunnel.LocalIP))
-			emitSetField(oxmClassNicira, nxmTunIPv4Src, src)
-			dst := make([]byte, 4)
-			binary.BigEndian.PutUint32(dst, uint32(a.Tunnel.RemoteIP))
-			emitSetField(oxmClassNicira, nxmTunIPv4Dst, dst)
+			emitSetField(fieldTunID, flow.Fields{TunVNI: a.Tunnel.VNI})
+			emitSetField(fieldTunSrc, flow.Fields{TunSrc: a.Tunnel.LocalIP})
+			emitSetField(fieldTunDst, flow.Fields{TunDst: a.Tunnel.RemoteIP})
 			b := make([]byte, 16)
 			u16(b, 0, actExp)
 			u16(b, 2, 16)
@@ -349,35 +352,35 @@ func decodeActions(b []byte) ([]ofproto.Action, error) {
 			if len(body) < 4+vlen {
 				return nil, fmt.Errorf("openflow: set-field value overrun")
 			}
-			val := body[4 : 4+vlen]
-			if want, ok := oxmValueLen[oxmID{class, field}]; ok && vlen != want {
-				return nil, fmt.Errorf("openflow: set-field %d/%d carries %d bytes, needs %d", class, field, vlen, want)
+			r := flow.MatchFieldByOXM(class, field)
+			if r == nil {
+				return nil, fmt.Errorf("openflow: unsupported set-field %d/%d", class, field)
 			}
-			switch {
-			case class == oxmClassBasic && field == oxmEthSrc:
-				var mac hdr.MAC
-				copy(mac[:], val)
-				out = append(out, ofproto.SetEthSrc(mac))
-			case class == oxmClassBasic && field == oxmEthDst:
-				var mac hdr.MAC
-				copy(mac[:], val)
-				out = append(out, ofproto.SetEthDst(mac))
-			case class == oxmClassBasic && field == oxmVlanVID:
-				tci := binary.BigEndian.Uint16(val)
+			if vlen != r.Width {
+				return nil, fmt.Errorf("openflow: set-field %d/%d carries %d bytes, needs %d", class, field, vlen, r.Width)
+			}
+			var set flow.Fields
+			r.Set(&set, readUint(body[4:4+vlen]))
+			switch r {
+			case fieldEthSrc:
+				out = append(out, ofproto.SetEthSrc(set.EthSrc))
+			case fieldEthDst:
+				out = append(out, ofproto.SetEthDst(set.EthDst))
+			case fieldVLAN:
 				// Update the preceding push_vlan placeholder.
 				for i := len(out) - 1; i >= 0; i-- {
 					if out[i].Type == ofproto.ActionPushVLAN {
-						out[i].VLAN = tci & 0x0fff
-						out[i].VLANPrio = uint8(tci >> 13)
+						out[i].VLAN = set.VLANTCI & 0x0fff
+						out[i].VLANPrio = uint8(set.VLANTCI >> 13)
 						break
 					}
 				}
-			case class == oxmClassBasic && field == oxmTunnelID:
-				tunnelCfg().VNI = uint32(binary.BigEndian.Uint64(val))
-			case class == oxmClassNicira && field == nxmTunIPv4Src:
-				tunnelCfg().LocalIP = hdr.IP4(binary.BigEndian.Uint32(val))
-			case class == oxmClassNicira && field == nxmTunIPv4Dst:
-				tunnelCfg().RemoteIP = hdr.IP4(binary.BigEndian.Uint32(val))
+			case fieldTunID:
+				tunnelCfg().VNI = set.TunVNI
+			case fieldTunSrc:
+				tunnelCfg().LocalIP = set.TunSrc
+			case fieldTunDst:
+				tunnelCfg().RemoteIP = set.TunDst
 			default:
 				return nil, fmt.Errorf("openflow: unsupported set-field %d/%d", class, field)
 			}

@@ -14,6 +14,8 @@ package hdr
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // EtherType identifies the payload protocol of an Ethernet frame.
@@ -84,6 +86,23 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
+// ParseMAC is the inverse of MAC.String.
+func ParseMAC(s string) (MAC, error) {
+	var m MAC
+	parts := strings.Split(s, ":")
+	if len(parts) != len(m) {
+		return m, fmt.Errorf("hdr: bad MAC %q", s)
+	}
+	for i, p := range parts {
+		b, err := strconv.ParseUint(p, 16, 8)
+		if err != nil {
+			return m, fmt.Errorf("hdr: bad MAC %q", s)
+		}
+		m[i] = byte(b)
+	}
+	return m, nil
+}
+
 // IsBroadcast reports whether the address is the broadcast address.
 func (m MAC) IsBroadcast() bool { return m == Broadcast }
 
@@ -101,6 +120,23 @@ func MakeIP4(a, b, c, d byte) IP4 {
 // String formats the address in dotted-quad form.
 func (ip IP4) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+}
+
+// ParseIP4 is the inverse of IP4.String.
+func ParseIP4(s string) (IP4, error) {
+	parts := strings.Split(s, ".")
+	if len(parts) != 4 {
+		return 0, fmt.Errorf("hdr: bad IPv4 address %q", s)
+	}
+	var ip IP4
+	for _, p := range parts {
+		b, err := strconv.ParseUint(p, 10, 8)
+		if err != nil {
+			return 0, fmt.Errorf("hdr: bad IPv4 address %q", s)
+		}
+		ip = ip<<8 | IP4(b)
+	}
+	return ip, nil
 }
 
 // IP6 is an IPv6 address.

@@ -170,32 +170,6 @@ func (p *Packet) String() string {
 		len(p.Data), p.InPort, p.RecircID, p.CtState)
 }
 
-// Batch is a group of packets processed together, NETDEV_MAX_BURST style.
-// The datapath fetches up to cap(Pkts) descriptors per poll.
-type Batch struct {
-	Pkts []*Packet
-}
-
-// NewBatch returns a batch with capacity n.
-func NewBatch(n int) *Batch { return &Batch{Pkts: make([]*Packet, 0, n)} }
-
-// Add appends a packet; it panics when the batch is full (caller bug).
-func (b *Batch) Add(p *Packet) {
-	if len(b.Pkts) == cap(b.Pkts) {
-		panic("packet: batch overflow")
-	}
-	b.Pkts = append(b.Pkts, p)
-}
-
-// Len returns the number of packets in the batch.
-func (b *Batch) Len() int { return len(b.Pkts) }
-
-// Clear empties the batch, retaining capacity.
-func (b *Batch) Clear() { b.Pkts = b.Pkts[:0] }
-
-// Full reports whether the batch is at capacity.
-func (b *Batch) Full() bool { return len(b.Pkts) == cap(b.Pkts) }
-
 // Pool is the pre-allocated packet-metadata pool of optimization O4. All
 // Packet structs live in one contiguous array with packet-independent fields
 // pre-initialized, so acquiring a packet costs an index bump rather than an

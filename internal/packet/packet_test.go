@@ -53,37 +53,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestBatch(t *testing.T) {
-	b := NewBatch(4)
-	if b.Len() != 0 || b.Full() {
-		t.Fatal("new batch must be empty")
-	}
-	for i := 0; i < 4; i++ {
-		b.Add(New(nil))
-	}
-	if !b.Full() || b.Len() != 4 {
-		t.Fatal("batch should be full")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("overflow must panic")
-		}
-	}()
-	b.Add(New(nil))
-}
-
-func TestBatchClear(t *testing.T) {
-	b := NewBatch(8)
-	b.Add(New(nil))
-	b.Clear()
-	if b.Len() != 0 {
-		t.Fatal("clear failed")
-	}
-	if cap(b.Pkts) != 8 {
-		t.Fatal("clear must retain capacity")
-	}
-}
-
 func TestPoolPreallocated(t *testing.T) {
 	pool := NewPool(4, 2048, true)
 	if pool.Available() != 4 {

@@ -14,12 +14,16 @@ import (
 
 // ParseFlow parses an ovs-ofctl-style flow specification into a rule.
 //
-// Matches (comma separated, before "actions="):
+// Matches (comma separated, before "actions="): the rule's table=N
+// priority=N cookie=0xN, the keywords of flow.MatchKeywords
 //
-//	table=N priority=N in_port=N dl_src=MAC dl_dst=MAC dl_type=0xNNNN
-//	dl_vlan=N ip tcp udp arp icmp nw_src=a.b.c.d[/len] nw_dst=a.b.c.d[/len]
-//	nw_proto=N tp_src=N tp_dst=N ct_state=+trk+est-new ct_zone=N
-//	ct_mark=N tun_id=N tun_src=IP tun_dst=IP
+//	ip arp tcp udp icmp
+//
+// and name=value for each named row of flow.MatchFields, in the row's syntax
+//
+//	in_port=N dl_dst=MAC dl_src=MAC dl_type=0xNNNN dl_vlan=VID nw_proto=N
+//	nw_src=a.b.c.d[/len] nw_dst=a.b.c.d[/len] nw_ttl=N tp_src=N tp_dst=N
+//	tun_id=N tun_src=IP tun_dst=IP ct_state=+trk+est-new ct_zone=N ct_mark=N
 //
 // Actions (comma separated after "actions="):
 //
@@ -39,176 +43,31 @@ func ParseFlow(spec string) (*ofproto.Rule, error) {
 	matchPart = strings.TrimSuffix(strings.TrimSpace(matchPart), ",")
 
 	rule := &ofproto.Rule{Priority: 1}
-	var fields flow.Fields
-	mb := flow.NewMaskBuilder()
-	var extraMask flow.Mask
-
+	var match flow.MatchSpec
 	for _, tok := range splitTop(matchPart) {
 		if tok == "" {
 			continue
 		}
-		key, val, hasVal := strings.Cut(tok, "=")
+		key, val, _ := strings.Cut(tok, "=")
+		var n uint64
+		var err error
 		switch key {
 		case "table":
-			n, err := parseUint(val, 8)
-			if err != nil {
-				return nil, err
-			}
+			n, err = parseUint(val, 8)
 			rule.TableID = uint8(n)
 		case "priority":
-			n, err := parseUint(val, 16)
-			if err != nil {
-				return nil, err
-			}
+			n, err = parseUint(val, 16)
 			rule.Priority = int(n)
 		case "cookie":
-			n, err := strconv.ParseUint(strings.TrimPrefix(val, "0x"), 16, 64)
-			if err != nil {
-				return nil, fmt.Errorf("ovs: bad cookie %q", val)
-			}
-			rule.Cookie = n
-		case "in_port":
-			n, err := parseUint(val, 32)
-			if err != nil {
-				return nil, err
-			}
-			fields.InPort = uint32(n)
-			mb.InPort()
-		case "dl_src":
-			mac, err := parseMAC(val)
-			if err != nil {
-				return nil, err
-			}
-			fields.EthSrc = mac
-			mb.EthSrc()
-		case "dl_dst":
-			mac, err := parseMAC(val)
-			if err != nil {
-				return nil, err
-			}
-			fields.EthDst = mac
-			mb.EthDst()
-		case "dl_type":
-			n, err := strconv.ParseUint(strings.TrimPrefix(val, "0x"), 16, 16)
-			if err != nil {
-				return nil, fmt.Errorf("ovs: bad dl_type %q", val)
-			}
-			fields.EthType = hdr.EtherType(n)
-			mb.EthType()
-		case "dl_vlan":
-			n, err := parseUint(val, 12)
-			if err != nil {
-				return nil, err
-			}
-			fields.VLANTCI = flow.VLANPresent | uint16(n)
-			mb.VLAN()
-		case "ip":
-			fields.EthType = hdr.EtherTypeIPv4
-			mb.EthType()
-		case "arp":
-			fields.EthType = hdr.EtherTypeARP
-			mb.EthType()
-		case "tcp", "udp", "icmp":
-			fields.EthType = hdr.EtherTypeIPv4
-			mb.EthType().IPProto()
-			switch key {
-			case "tcp":
-				fields.IPProto = hdr.IPProtoTCP
-			case "udp":
-				fields.IPProto = hdr.IPProtoUDP
-			case "icmp":
-				fields.IPProto = hdr.IPProtoICMP
-			}
-		case "nw_proto":
-			n, err := parseUint(val, 8)
-			if err != nil {
-				return nil, err
-			}
-			fields.IPProto = hdr.IPProto(n)
-			mb.IPProto()
-		case "nw_src", "nw_dst":
-			ip, plen, err := parseCIDR(val)
-			if err != nil {
-				return nil, err
-			}
-			if key == "nw_src" {
-				fields.IP4Src = ip
-				mb.IP4Src(plen)
-			} else {
-				fields.IP4Dst = ip
-				mb.IP4Dst(plen)
-			}
-		case "nw_ttl":
-			n, err := parseUint(val, 8)
-			if err != nil {
-				return nil, err
-			}
-			fields.IPTTL = uint8(n)
-			mb.IPTTL()
-		case "tp_src":
-			n, err := parseUint(val, 16)
-			if err != nil {
-				return nil, err
-			}
-			fields.TPSrc = uint16(n)
-			mb.TPSrc()
-		case "tp_dst":
-			n, err := parseUint(val, 16)
-			if err != nil {
-				return nil, err
-			}
-			fields.TPDst = uint16(n)
-			mb.TPDst()
-		case "ct_state":
-			state, bits, err := parseCtState(val)
-			if err != nil {
-				return nil, err
-			}
-			fields.CtState = state
-			extraMask = extraMask.Union(flow.NewMaskBuilder().CtState(bits).Build())
-		case "ct_zone":
-			n, err := parseUint(val, 16)
-			if err != nil {
-				return nil, err
-			}
-			fields.CtZone = uint16(n)
-			mb.CtZone()
-		case "ct_mark":
-			n, err := parseUint(val, 32)
-			if err != nil {
-				return nil, err
-			}
-			fields.CtMark = uint32(n)
-			mb.CtMark()
-		case "tun_id":
-			n, err := parseUint(val, 32)
-			if err != nil {
-				return nil, err
-			}
-			fields.TunVNI = uint32(n)
-			mb.TunVNI()
-		case "tun_src":
-			ip, err := parseIP(val)
-			if err != nil {
-				return nil, err
-			}
-			fields.TunSrc = ip
-			mb.TunSrc()
-		case "tun_dst":
-			ip, err := parseIP(val)
-			if err != nil {
-				return nil, err
-			}
-			fields.TunDst = ip
-			mb.TunDst()
+			rule.Cookie, err = strconv.ParseUint(strings.TrimPrefix(val, "0x"), 16, 64)
 		default:
-			if !hasVal {
-				return nil, fmt.Errorf("ovs: unknown match keyword %q", key)
-			}
-			return nil, fmt.Errorf("ovs: unknown match field %q", key)
+			err = match.AddText(key, val)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("ovs: match %q: %w", tok, err)
 		}
 	}
-	rule.Match = ofproto.NewMatch(fields, mb.Build().Union(extraMask))
+	rule.Match = ofproto.NewMatch(match.Value, match.PackMask())
 
 	actions, err := parseActions(actionPart)
 	if err != nil {
@@ -257,13 +116,13 @@ func parseActions(s string) ([]ofproto.Action, error) {
 			}
 			out = append(out, ofproto.PushVLAN(uint16(n), 0))
 		case strings.HasPrefix(tok, "mod_dl_src:"):
-			mac, err := parseMAC(tok[len("mod_dl_src:"):])
+			mac, err := hdr.ParseMAC(tok[len("mod_dl_src:"):])
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, ofproto.SetEthSrc(mac))
 		case strings.HasPrefix(tok, "mod_dl_dst:"):
-			mac, err := parseMAC(tok[len("mod_dl_dst:"):])
+			mac, err := hdr.ParseMAC(tok[len("mod_dl_dst:"):])
 			if err != nil {
 				return nil, err
 			}
@@ -340,7 +199,7 @@ func parseNat(body string) (conntrack.NAT, error) {
 		return nat, fmt.Errorf("ovs: nat kind %q", key)
 	}
 	addr, portStr, hasPort := strings.Cut(val, ":")
-	ip, err := parseIP(addr)
+	ip, err := hdr.ParseIP4(addr)
 	if err != nil {
 		return nat, err
 	}
@@ -394,13 +253,13 @@ func parseSetTunnel(body string) (ofproto.Action, error) {
 			}
 			cfg.VNI = uint32(n)
 		case "local":
-			ip, err := parseIP(val)
+			ip, err := hdr.ParseIP4(val)
 			if err != nil {
 				return ofproto.Action{}, err
 			}
 			cfg.LocalIP = ip
 		case "remote":
-			ip, err := parseIP(val)
+			ip, err := hdr.ParseIP4(val)
 			if err != nil {
 				return ofproto.Action{}, err
 			}
@@ -410,35 +269,6 @@ func parseSetTunnel(body string) (ofproto.Action, error) {
 		}
 	}
 	return ofproto.SetTunnel(cfg), nil
-}
-
-// parseCtState parses "+trk+est-new" into value and mask bits.
-func parseCtState(s string) (value uint8, bits uint8, err error) {
-	names := map[string]uint8{
-		"trk": 0x01, "new": 0x02, "est": 0x04, "rel": 0x08, "rpl": 0x10, "inv": 0x20,
-	}
-	i := 0
-	for i < len(s) {
-		sign := s[i]
-		if sign != '+' && sign != '-' {
-			return 0, 0, fmt.Errorf("ovs: ct_state must be +flag/-flag sequences, got %q", s)
-		}
-		i++
-		j := i
-		for j < len(s) && s[j] != '+' && s[j] != '-' {
-			j++
-		}
-		bit, ok := names[s[i:j]]
-		if !ok {
-			return 0, 0, fmt.Errorf("ovs: unknown ct_state flag %q", s[i:j])
-		}
-		bits |= bit
-		if sign == '+' {
-			value |= bit
-		}
-		i = j
-	}
-	return value, bits, nil
 }
 
 // splitTop splits on commas not inside parentheses.
@@ -468,53 +298,4 @@ func parseUint(s string, bits int) (uint64, error) {
 		return 0, fmt.Errorf("ovs: bad number %q", s)
 	}
 	return n, nil
-}
-
-func parseMAC(s string) (hdr.MAC, error) {
-	var m hdr.MAC
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return m, fmt.Errorf("ovs: bad MAC %q", s)
-	}
-	for i, p := range parts {
-		b, err := strconv.ParseUint(p, 16, 8)
-		if err != nil {
-			return m, fmt.Errorf("ovs: bad MAC %q", s)
-		}
-		m[i] = byte(b)
-	}
-	return m, nil
-}
-
-func parseIP(s string) (hdr.IP4, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("ovs: bad IPv4 address %q", s)
-	}
-	var octets [4]byte
-	for i, p := range parts {
-		b, err := strconv.ParseUint(p, 10, 8)
-		if err != nil {
-			return 0, fmt.Errorf("ovs: bad IPv4 address %q", s)
-		}
-		octets[i] = byte(b)
-	}
-	return hdr.MakeIP4(octets[0], octets[1], octets[2], octets[3]), nil
-}
-
-func parseCIDR(s string) (hdr.IP4, int, error) {
-	addr, lenStr, hasLen := strings.Cut(s, "/")
-	ip, err := parseIP(addr)
-	if err != nil {
-		return 0, 0, err
-	}
-	plen := 32
-	if hasLen {
-		n, err := parseUint(lenStr, 8)
-		if err != nil || n > 32 {
-			return 0, 0, fmt.Errorf("ovs: bad prefix length %q", lenStr)
-		}
-		plen = int(n)
-	}
-	return ip, plen, nil
 }
