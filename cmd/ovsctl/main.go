@@ -235,7 +235,6 @@ func faultDemo(dpType string, cfg cliConfig) error {
 		cfg["upcall-queue-cap"] = "4"
 		cfg["upcall-service-us"] = "20"
 		cfg["upcall-retry-base-us"] = "25"
-		cfg["upcall-max-retries"] = "3"
 	}
 	e, err := demoEnv(dpType, cfg)
 	if err != nil {

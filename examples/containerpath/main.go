@@ -24,7 +24,7 @@ func main() {
 	nic := nicsim.New(eng, nicsim.Config{Name: "eth0", Ifindex: 1, Queues: 1})
 
 	// A container behind a veth pair.
-	veth := vdev.NewVethPair("veth0")
+	veth := vdev.NewLink("veth0")
 	containersim.New(eng, containersim.Config{Name: "c0", Veth: veth,
 		OnPacket: func(c *containersim.Container, p *packet.Packet) { containerRx++ }})
 	ctMAC := hdr.MAC{0x02, 0xc0, 0, 0, 0, 1}
@@ -46,7 +46,7 @@ func main() {
 	softirq := eng.NewCPU("softirq")
 	redirected, toUserspace := 0, 0
 	(&kernelsim.NAPIActor{Eng: eng, CPU: softirq,
-		Src: kernelsim.NICQueueSource{Q: nic.Queue(0)},
+		Src: nic.Queue(0),
 		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
 			for _, p := range pkts {
 				cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
@@ -56,7 +56,7 @@ func main() {
 				if res.Action == ebpf.XDPRedirect {
 					if res.RedirectMap.Type() == ebpf.MapTypeDevMap {
 						cpu.Consume(sim.Softirq, costmodel.XDPRedirectVeth)
-						veth.AtoB.Push(p)
+						veth.ToPeer.Push(p)
 						redirected++
 					} else {
 						toUserspace++

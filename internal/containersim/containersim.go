@@ -17,7 +17,7 @@ import (
 	"ovsxdp/internal/vdev"
 )
 
-// Container is one namespace endpoint on a veth pair.
+// Container is one namespace endpoint: the peer of a veth link.
 type Container struct {
 	Name string
 	Eng  *sim.Engine
@@ -25,7 +25,7 @@ type Container struct {
 	StackCPU *sim.CPU
 	// AppCPU is the host CPU the containerized application runs on.
 	AppCPU *sim.CPU
-	Veth   *vdev.VethPair
+	Veth   *vdev.Link
 	// FastPath models a loopback reflector using recvmmsg/sendmmsg with
 	// GRO/GSO batching: per-packet stack and syscall costs shrink to
 	// their amortized share. The Figure 9(c) forwarding-rate loopback
@@ -44,14 +44,14 @@ type Container struct {
 // Config parameterizes New.
 type Config struct {
 	Name     string
-	Veth     *vdev.VethPair
+	Veth     *vdev.Link
 	StackCPU *sim.CPU // created when nil
 	AppCPU   *sim.CPU // defaults to StackCPU
 	FastPath bool     // batched-syscall loopback reflector
 	OnPacket func(c *Container, p *packet.Packet)
 }
 
-// New builds and starts a container consuming the B end of the veth pair.
+// New builds and starts a container at the peer end of the veth link.
 func New(eng *sim.Engine, cfg Config) *Container {
 	stack := cfg.StackCPU
 	if stack == nil {
@@ -73,7 +73,7 @@ func New(eng *sim.Engine, cfg Config) *Container {
 	}
 	actor := &kernelsim.NAPIActor{
 		Eng: eng, CPU: stack,
-		Src: kernelsim.VQueueSource{Q: cfg.Veth.AtoB},
+		Src: cfg.Veth.ToPeer,
 		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
 			for _, p := range pkts {
 				// Receive: veth ingress + namespace stack.
@@ -100,7 +100,7 @@ func (c *Container) Transmit(p *packet.Packet) {
 		c.StackCPU.Consume(sim.Softirq, (costmodel.KernelStackTxPerPacket+costmodel.VethCrossing)/3)
 		p.Offloads |= packet.CsumVerified
 		c.TxPackets++
-		c.Veth.SendB(p)
+		c.Veth.FromPeer.Push(p)
 		return
 	}
 	c.AppCPU.Consume(sim.System, costmodel.SyscallBase+costmodel.CopyCost(len(p.Data)))
@@ -108,7 +108,7 @@ func (c *Container) Transmit(p *packet.Packet) {
 	// Local kernel traffic carries validated checksums (no wire).
 	p.Offloads |= packet.CsumVerified
 	c.TxPackets++
-	c.Veth.SendB(p)
+	c.Veth.FromPeer.Push(p)
 }
 
 // Reflect is the default handler: swap MACs and transmit back.

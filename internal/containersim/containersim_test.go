@@ -22,13 +22,13 @@ func udpPkt() *packet.Packet {
 
 func TestContainerReflects(t *testing.T) {
 	eng := sim.NewEngine(1)
-	veth := vdev.NewVethPair("veth0")
+	veth := vdev.NewLink("veth0")
 	c := New(eng, Config{Name: "c0", Veth: veth})
 
-	veth.SendA(udpPkt())
+	veth.ToPeer.Push(udpPkt())
 	eng.Run()
 
-	out := veth.BtoA.Pop(4)
+	out := veth.FromPeer.Pop(4)
 	if len(out) != 1 {
 		t.Fatalf("reflected %d", len(out))
 	}
@@ -51,26 +51,26 @@ func TestContainerReflects(t *testing.T) {
 
 func TestContainerTransmitMarksLocalChecksum(t *testing.T) {
 	eng := sim.NewEngine(1)
-	veth := vdev.NewVethPair("veth0")
+	veth := vdev.NewLink("veth0")
 	c := New(eng, Config{Name: "c0", Veth: veth})
 	p := udpPkt()
 	c.Transmit(p)
 	if p.Offloads&packet.CsumVerified == 0 {
 		t.Fatal("local kernel traffic must carry verified checksums")
 	}
-	if veth.BtoA.Len() != 1 {
+	if veth.FromPeer.Len() != 1 {
 		t.Fatal("transmit did not cross the veth")
 	}
 }
 
 func TestContainerCustomHandler(t *testing.T) {
 	eng := sim.NewEngine(1)
-	veth := vdev.NewVethPair("veth0")
+	veth := vdev.NewLink("veth0")
 	hits := 0
 	New(eng, Config{Name: "c0", Veth: veth,
 		OnPacket: func(c *Container, p *packet.Packet) { hits++ }})
-	veth.SendA(udpPkt())
-	veth.SendA(udpPkt())
+	veth.ToPeer.Push(udpPkt())
+	veth.ToPeer.Push(udpPkt())
 	eng.Run()
 	if hits != 2 {
 		t.Fatalf("handler hits = %d", hits)

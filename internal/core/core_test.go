@@ -235,44 +235,44 @@ func TestDPDKFasterThanAFXDP(t *testing.T) {
 
 func TestVhostPortRoundTrip(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dev := vdev.NewVhostUser("vhost0")
+	dev := vdev.NewLink("vhost0")
 	dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
-	vp := NewVhostPort(1, dev)
+	vp := NewLinkPort(1, "vhostuser", dev, nil)
 	dp.AddPort(vp)
-	sinkDev := vdev.NewVhostUser("vhost1")
-	dp.AddPort(NewVhostPort(2, sinkDev))
+	sinkDev := vdev.NewLink("vhost1")
+	dp.AddPort(NewLinkPort(2, "vhostuser", sinkDev, nil))
 	pmd := dp.NewPMD(ModePoll, nil)
 	dp.AssignRxqTo(pmd, vp, 0)
 	pmd.Start()
 
 	// Guest transmits 10 packets.
 	for i := 0; i < 10; i++ {
-		dev.FromGuest.Push(udpPkt(uint16(i)))
+		dev.FromPeer.Push(udpPkt(uint16(i)))
 	}
 	eng.RunUntil(sim.Millisecond)
-	if got := sinkDev.ToGuest.Len(); got != 10 {
+	if got := sinkDev.ToPeer.Len(); got != 10 {
 		t.Fatalf("delivered %d/10 to the destination guest ring", got)
 	}
 }
 
 func TestTapPortChargesSystemTime(t *testing.T) {
 	eng := sim.NewEngine(1)
-	tap := vdev.NewTap("tap0")
+	tap := vdev.NewLink("tap0")
 	dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
-	tp := NewTapPort(1, tap)
+	tp := NewLinkPort(1, "tap", tap, nil)
 	dp.AddPort(tp)
-	tap2 := vdev.NewTap("tap1")
-	dp.AddPort(NewTapPort(2, tap2))
+	tap2 := vdev.NewLink("tap1")
+	dp.AddPort(NewLinkPort(2, "tap", tap2, nil))
 	pmd := dp.NewPMD(ModePoll, nil)
 	dp.AssignRxqTo(pmd, tp, 0)
 	pmd.Start()
 
 	for i := 0; i < 20; i++ {
-		tap.FromKernel.Push(udpPkt(uint16(i)))
+		tap.FromPeer.Push(udpPkt(uint16(i)))
 	}
 	eng.RunUntil(sim.Millisecond)
-	if tap2.ToKernel.Len() != 20 {
-		t.Fatalf("delivered %d/20", tap2.ToKernel.Len())
+	if tap2.ToPeer.Len() != 20 {
+		t.Fatalf("delivered %d/20", tap2.ToPeer.Len())
 	}
 	if pmd.CPU.Busy(sim.System) == 0 {
 		t.Fatal("tap I/O must charge system (syscall) time")
@@ -292,11 +292,11 @@ func TestCTRecirculationInUserspace(t *testing.T) {
 		Actions: []ofproto.Action{ofproto.Output(2)}})
 
 	dp := NewDatapath(eng, pl, DefaultOptions())
-	tapIn := vdev.NewTap("in")
-	tapOut := vdev.NewTap("out")
-	inPort := NewTapPort(1, tapIn)
+	tapIn := vdev.NewLink("in")
+	tapOut := vdev.NewLink("out")
+	inPort := NewLinkPort(1, "tap", tapIn, nil)
 	dp.AddPort(inPort)
-	dp.AddPort(NewTapPort(2, tapOut))
+	dp.AddPort(NewLinkPort(2, "tap", tapOut, nil))
 	pmd := dp.NewPMD(ModePoll, nil)
 	dp.AssignRxqTo(pmd, inPort, 0)
 	pmd.Start()
@@ -304,10 +304,10 @@ func TestCTRecirculationInUserspace(t *testing.T) {
 	syn := packet.New(hdr.NewBuilder().Eth(macA, macB).
 		IPv4H(hdr.MakeIP4(10, 0, 0, 1), hdr.MakeIP4(10, 0, 0, 2), 64).
 		TCPH(1000, 80, 1, 0, hdr.TCPSyn).PadTo(64).Build())
-	tapIn.FromKernel.Push(syn)
+	tapIn.FromPeer.Push(syn)
 	eng.RunUntil(sim.Millisecond)
 
-	if tapOut.ToKernel.Len() != 1 {
+	if tapOut.ToPeer.Len() != 1 {
 		t.Fatalf("ct+recirc did not forward (drops=%d)", dp.Drops)
 	}
 	if dp.Recirculations != 1 {
@@ -354,10 +354,10 @@ func TestTunnelPushPopThroughDatapath(t *testing.T) {
 	dp := NewDatapath(eng, pl, DefaultOptions())
 	dp.Encapper = tunnel.NewEncapper(cache)
 
-	taps := make([]*vdev.Tap, 5)
+	taps := make([]*vdev.Link, 5)
 	for i := 1; i <= 4; i++ {
-		taps[i-1] = vdev.NewTap("t")
-		dp.AddPort(NewTapPort(uint32(i), taps[i-1]))
+		taps[i-1] = vdev.NewLink("t")
+		dp.AddPort(NewLinkPort(uint32(i), "tap", taps[i-1], nil))
 	}
 	pmd := dp.NewPMD(ModePoll, nil)
 	dp.AssignRxqTo(pmd, dp.Port(1), 0)
@@ -365,9 +365,9 @@ func TestTunnelPushPopThroughDatapath(t *testing.T) {
 	pmd.Start()
 
 	// Encap: inner frame in, Geneve frame out port 2.
-	taps[0].FromKernel.Push(udpPkt(1))
+	taps[0].FromPeer.Push(udpPkt(1))
 	eng.RunUntil(sim.Millisecond)
-	outFrames := taps[1].ToKernel.Pop(10)
+	outFrames := taps[1].ToPeer.Pop(10)
 	if len(outFrames) != 1 {
 		t.Fatalf("encap output = %d frames", len(outFrames))
 	}
@@ -379,9 +379,9 @@ func TestTunnelPushPopThroughDatapath(t *testing.T) {
 	// Decap: feed the Geneve frame into port 3; the inner frame must
 	// appear at port 4.
 	outFrames[0].ResetMetadata()
-	taps[2].FromKernel.Push(outFrames[0])
+	taps[2].FromPeer.Push(outFrames[0])
 	eng.RunUntil(2 * sim.Millisecond)
-	got := taps[3].ToKernel.Pop(10)
+	got := taps[3].ToPeer.Pop(10)
 	if len(got) != 1 {
 		t.Fatalf("decap output = %d frames (drops=%d)", len(got), dp.Drops)
 	}
@@ -393,8 +393,8 @@ func TestTunnelPushPopThroughDatapath(t *testing.T) {
 func TestSoftwareTSOSegmentation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
-	tapIn := vdev.NewTap("in")
-	inPort := NewTapPort(1, tapIn)
+	tapIn := vdev.NewLink("in")
+	inPort := NewLinkPort(1, "tap", tapIn, nil)
 	dp.AddPort(inPort)
 
 	// Egress via AF_XDP (no TSO hardware).
@@ -414,7 +414,7 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 		TCPH(1, 2, 0, 0, hdr.TCPAck).PayloadLen(8000).Build())
 	big.SegSize = 1460
 	big.Offloads = packet.TSO
-	tapIn.FromKernel.Push(big)
+	tapIn.FromPeer.Push(big)
 	eng.RunUntil(sim.Millisecond)
 
 	want := (8000 + 1459) / 1460
@@ -430,8 +430,8 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	opts.AssumeTSO = true
 	eng2 := sim.NewEngine(1)
 	dp2 := NewDatapath(eng2, forwardPipeline(), opts)
-	tapIn2 := vdev.NewTap("in")
-	inPort2 := NewTapPort(1, tapIn2)
+	tapIn2 := vdev.NewLink("in")
+	inPort2 := NewLinkPort(1, "tap", tapIn2, nil)
 	dp2.AddPort(inPort2)
 	nicB2 := nicsim.New(eng2, nicsim.Config{Name: "ethB", Queues: 1})
 	if _, err := AttachDefaultProgram(nicB2); err != nil {
@@ -446,7 +446,7 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	big2 := big.Clone()
 	big2.ResetMetadata()
 	big2.SegSize = 1460
-	tapIn2.FromKernel.Push(big2)
+	tapIn2.FromPeer.Push(big2)
 	eng2.RunUntil(sim.Millisecond)
 	if frames2 != 1 {
 		t.Fatalf("AssumeTSO frames = %d, want 1", frames2)
@@ -480,20 +480,20 @@ func TestMeterDropsExcessTraffic(t *testing.T) {
 		Actions: []ofproto.Action{ofproto.Meter(1), ofproto.Output(2)}})
 
 	dp := NewDatapath(eng, pl, DefaultOptions())
-	tapIn, tapOut := vdev.NewTap("in"), vdev.NewTap("out")
-	inPort := NewTapPort(1, tapIn)
+	tapIn, tapOut := vdev.NewLink("in"), vdev.NewLink("out")
+	inPort := NewLinkPort(1, "tap", tapIn, nil)
 	dp.AddPort(inPort)
-	dp.AddPort(NewTapPort(2, tapOut))
+	dp.AddPort(NewLinkPort(2, "tap", tapOut, nil))
 	pmd := dp.NewPMD(ModePoll, nil)
 	dp.AssignRxqTo(pmd, inPort, 0)
 	pmd.Start()
 
 	// 50 packets in one instant: only the burst passes.
 	for i := 0; i < 50; i++ {
-		tapIn.FromKernel.Push(udpPkt(uint16(i)))
+		tapIn.FromPeer.Push(udpPkt(uint16(i)))
 	}
 	eng.RunUntil(sim.Millisecond)
-	passed := tapOut.ToKernel.Len()
+	passed := tapOut.ToPeer.Len()
 	if passed > 8 || passed < 4 {
 		t.Fatalf("meter passed %d packets, want ~5", passed)
 	}

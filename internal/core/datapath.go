@@ -22,19 +22,24 @@ type Caps struct {
 	TSO    bool
 }
 
-// PortCaps returns the offload capabilities for a known port type; the
-// datapath consults this before transmitting packets that still carry
-// CsumPartial or TSO state.
+// allOffloads is what a port has whose far side does the work: NIC hardware
+// behind DPDK, a virtio or kernel peer behind a link.
+var allOffloads = Caps{TxCsum: true, TSO: true}
+
+// PortCaps returns the offload capabilities of a port; the datapath
+// consults this before transmitting packets that still carry CsumPartial or
+// TSO state.
 func PortCaps(p Port) Caps {
-	switch p.(type) {
-	case *AFXDPPort, *VethPort:
+	switch p := p.(type) {
+	case *AFXDPPort:
 		// AF_XDP cannot reach the NIC's offload engines (Section 3.2
 		// O5: "AF_XDP does not yet [support offloads]").
 		return Caps{}
+	case *LinkPort:
+		return p.caps
 	default:
-		// DPDK programs hardware offloads; vhost/tap negotiate
-		// virtio offloads with the peer.
-		return Caps{TxCsum: true, TSO: true}
+		// DPDK programs hardware offloads.
+		return allOffloads
 	}
 }
 

@@ -187,12 +187,6 @@ func (m *PMD) Classifier() *dpcls.Classifier { return m.cls }
 // shares one value and wiring it allocates nothing.
 func entryAlive(e *dpcls.Entry) bool { return !e.Dead() }
 
-// FlushEMC drops the thread's exact-match cache wholesale. This is the
-// flow-table-wide reset (FlowFlush, daemon restart); single-megaflow
-// deletion uses RemoveFlow instead, which leaves unrelated cache entries
-// untouched.
-func (m *PMD) FlushEMC() { m.emc.Flush() }
-
 // InvalidateSMC unlinks a removed megaflow from the signature cache's
 // indirection table (megaflow delete, revalidator sweep, negative-flow
 // expiry), so stale signatures miss instead of mis-delivering.

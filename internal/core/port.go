@@ -157,7 +157,7 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 		}
 		actor := &kernelsim.NAPIActor{
 			Eng: cfg.Eng, CPU: cpu,
-			Src: kernelsim.NICQueueSource{Q: cfg.NIC.Queue(q)},
+			Src: cfg.NIC.Queue(q),
 			Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
 				// The driver pulls each frame through the XDP stage;
 				// what the program does not redirect into a socket goes
@@ -411,190 +411,144 @@ func (p *DPDKPort) Flush(*sim.CPU, int) {}
 // Arm implements Port: DPDK is poll-only; the wakeup fires immediately if
 // work exists (interrupt mode is unsupported, as in practice).
 func (p *DPDKPort) Arm(q int, fn func()) {
-	p.nic.Queue(q).SetInterrupt(fn)
-	p.nic.Queue(q).ArmInterrupt()
+	p.nic.Queue(q).SetWakeup(fn)
+	p.nic.Queue(q).ArmWakeup()
 }
 
-// --- vhostuser port ---------------------------------------------------------------
+// --- link port (tap, vhostuser, veth, AF_PACKET) ------------------------------------
 
-// VhostPort is the Section 3.3 path B device: OVS accesses the VM's virtio
-// rings directly through shared memory, with no kernel crossing and no
-// QEMU relay.
-type VhostPort struct {
-	id  uint32
-	dev *vdev.VhostUser
+// linkCosts is one row of linkKinds: what a LinkPort pays, and where, to move
+// a packet across its link. The paper compares tap, vhostuser and veth by
+// where the crossing is paid (Section 3.3-3.4, Figure 5), so a kind is
+// numbers, not code.
+type linkCosts struct {
+	// cat is the category the polling CPU's per-packet work lands in:
+	// System where every crossing is a system call, User where it is a
+	// shared-memory ring operation.
+	cat sim.Category
+	// rxBatch is paid once per non-empty receive batch.
+	rxBatch sim.Time
+	// rxPkt and txPkt are the fixed per-packet costs; copies adds
+	// CopyCost(len) to each.
+	rxPkt, txPkt sim.Time
+	copies       bool
+	// trustCsum marks received checksums verified (unless partial): the
+	// peer is a local guest or the local kernel, there is no wire.
+	trustCsum bool
+	// flush is the System-time kick that completes a transmit batch.
+	flush sim.Time
+	// caps are the transmit offloads the peer negotiates.
+	caps Caps
 }
 
-// NewVhostPort wraps a vhostuser device.
-func NewVhostPort(id uint32, dev *vdev.VhostUser) *VhostPort {
-	return &VhostPort{id: id, dev: dev}
+var linkKinds = map[string]linkCosts{
+	// Section 3.3 path A: "we measured the cost of this system call as
+	// 2 us on average" — a read() per batch, and with OVS's batching
+	// TapPerPacketAmortized of sendto() per packet.
+	"tap": {cat: sim.System, rxBatch: costmodel.SyscallBase, txPkt: costmodel.TapPerPacketAmortized,
+		copies: true, trustCsum: true, caps: allOffloads},
+	// Section 3.3 path B: the VM's virtio rings in shared memory, no kernel
+	// crossing and no QEMU relay; virtio negotiates the offloads.
+	"vhostuser": {cat: sim.User, rxPkt: costmodel.VhostRingOp, txPkt: costmodel.VhostRingOp,
+		copies: true, trustCsum: true, caps: allOffloads},
+	// Figure 5 path A for containers: an AF_XDP socket in generic mode on
+	// the host end of a veth. Like every AF_XDP port it reaches no offload
+	// engine (Section 3.2 O5); the port's softirq CPU pays the skb copies.
+	"veth": {cat: sim.User, rxPkt: costmodel.AFXDPRxDescriptor, txPkt: costmodel.AFXDPTxDescriptor,
+		flush: costmodel.AFXDPTxKickSyscall},
+	// DPDK reaching a container by AF_PACKET injection: a user/kernel
+	// crossing plus a copy each way (Section 5.3's explanation of DPDK's
+	// container latency). Under load the AF_PACKET ring amortizes the
+	// crossing across a batch of 16.
+	"afpacket": {cat: sim.System, rxPkt: costmodel.DPDKContainerCrossing / 16, txPkt: costmodel.DPDKContainerCrossing / 16,
+		copies: true, caps: allOffloads},
 }
 
-// ID implements Port.
-func (p *VhostPort) ID() uint32 { return p.id }
-
-// Name implements Port.
-func (p *VhostPort) Name() string { return p.dev.Name }
-
-// NumRxQueues implements Port.
-func (p *VhostPort) NumRxQueues() int { return 1 }
-
-// NumTxQueues implements Port: a single virtio ring pair.
-func (p *VhostPort) NumTxQueues() int { return 1 }
-
-// Rx implements Port: dequeue from the guest's tx ring, paying the ring op
-// and the copy out of guest memory.
-func (p *VhostPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
-	pkts := p.dev.FromGuest.Pop(max)
-	for _, pkt := range pkts {
-		pkt.InPort = p.id
-		// Local guest traffic is trusted: virtio marks checksums as
-		// already validated (or partial for offload negotiation).
-		if pkt.Offloads&packet.CsumPartial == 0 {
-			pkt.Offloads |= packet.CsumVerified
-		}
-		cpu.Consume(sim.User, costmodel.VhostRingOp+costmodel.CopyCost(len(pkt.Data)))
-	}
-	return pkts
-}
-
-// Tx implements Port: enqueue onto the guest's rx ring.
-func (p *VhostPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
-	cpu.Consume(sim.User, costmodel.VhostRingOp+costmodel.CopyCost(len(pkt.Data)))
-	p.dev.ToGuest.Push(pkt)
-}
-
-// Flush implements Port.
-func (p *VhostPort) Flush(*sim.CPU, int) {}
-
-// Arm implements Port.
-func (p *VhostPort) Arm(_ int, fn func()) {
-	p.dev.FromGuest.SetWakeup(fn)
-	p.dev.FromGuest.ArmWakeup()
-}
-
-// --- tap port ---------------------------------------------------------------------
-
-// TapPort is the Section 3.3 path A device: every packet OVS sends to the
-// VM/kernel costs a system call ("we measured the cost of this system call
-// as 2 µs on average"; with OVS's batching the amortized per-packet
-// penalty is TapPerPacketAmortized).
-type TapPort struct {
-	id  uint32
-	dev *vdev.Tap
-}
-
-// NewTapPort wraps a tap device.
-func NewTapPort(id uint32, dev *vdev.Tap) *TapPort {
-	return &TapPort{id: id, dev: dev}
-}
-
-// ID implements Port.
-func (p *TapPort) ID() uint32 { return p.id }
-
-// Name implements Port.
-func (p *TapPort) Name() string { return p.dev.Name }
-
-// NumRxQueues implements Port.
-func (p *TapPort) NumRxQueues() int { return 1 }
-
-// NumTxQueues implements Port: a single-queue tap.
-func (p *TapPort) NumTxQueues() int { return 1 }
-
-// Rx implements Port: read() from the tap, a syscall per batch plus copies.
-func (p *TapPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
-	pkts := p.dev.FromKernel.Pop(max)
-	if len(pkts) == 0 {
-		return nil
-	}
-	cpu.Consume(sim.System, costmodel.SyscallBase)
-	for _, pkt := range pkts {
-		pkt.InPort = p.id
-		if pkt.Offloads&packet.CsumPartial == 0 {
-			pkt.Offloads |= packet.CsumVerified
-		}
-		cpu.Consume(sim.System, costmodel.CopyCost(len(pkt.Data)))
-	}
-	return pkts
-}
-
-// Tx implements Port.
-func (p *TapPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
-	cpu.Consume(sim.System, costmodel.TapPerPacketAmortized+costmodel.CopyCost(len(pkt.Data)))
-	p.dev.ToKernel.Push(pkt)
-}
-
-// Flush implements Port.
-func (p *TapPort) Flush(*sim.CPU, int) {}
-
-// Arm implements Port.
-func (p *TapPort) Arm(_ int, fn func()) {
-	p.dev.FromKernel.SetWakeup(fn)
-	p.dev.FromKernel.ArmWakeup()
-}
-
-// --- veth port (AF_XDP generic mode on a veth) --------------------------------------
-
-// VethPort carries container traffic through OVS userspace (Figure 5 path
-// A): an AF_XDP socket in generic mode on the host end of a veth pair.
-// Generic mode means an extra skb copy on both directions, the reason the
-// Figure 8(c) veth bars trail the in-kernel numbers.
-type VethPort struct {
-	id      uint32
-	pair    *vdev.VethPair
+// LinkPort is a vdev.Link as a datapath port: it receives what the peer
+// sent, transmits toward the peer, and charges the polling CPU its kind's
+// linkCosts.
+type LinkPort struct {
+	id   uint32
+	link *vdev.Link
+	linkCosts
+	// softirq, when set, is the kernel CPU a transmit crosses on before
+	// the peer sees it.
 	softirq *sim.CPU
-	eng     *sim.Engine
 }
 
-// NewVethPort wraps the host end of a veth pair; softirq is the kernel CPU
-// charged for the generic-XDP copies.
-func NewVethPort(id uint32, eng *sim.Engine, pair *vdev.VethPair, softirq *sim.CPU) *VethPort {
-	return &VethPort{id: id, pair: pair, softirq: softirq, eng: eng}
+// NewLinkPort makes link port id of kind "tap", "vhostuser", "veth" or
+// "afpacket"; any other kind is a programming error. A veth's generic-mode
+// XSK ("a fallback mode that works universally at the cost of an extra
+// packet copy") does its transmit-side skb work on softirq, which the caller
+// supplies because which veths share a softirq CPU is model; the other kinds
+// pass nil and deliver at once.
+func NewLinkPort(id uint32, kind string, link *vdev.Link, softirq *sim.CPU) *LinkPort {
+	costs, ok := linkKinds[kind]
+	if !ok {
+		panic("core: unknown link kind " + kind)
+	}
+	return &LinkPort{id: id, link: link, linkCosts: costs, softirq: softirq}
 }
 
 // ID implements Port.
-func (p *VethPort) ID() uint32 { return p.id }
+func (p *LinkPort) ID() uint32 { return p.id }
 
 // Name implements Port.
-func (p *VethPort) Name() string { return p.pair.Name }
+func (p *LinkPort) Name() string { return p.link.Name }
 
 // NumRxQueues implements Port.
-func (p *VethPort) NumRxQueues() int { return 1 }
+func (p *LinkPort) NumRxQueues() int { return 1 }
 
-// NumTxQueues implements Port: one generic-mode XSK tx ring.
-func (p *VethPort) NumTxQueues() int { return 1 }
+// NumTxQueues implements Port: a link is one ring pair.
+func (p *LinkPort) NumTxQueues() int { return 1 }
 
-// Rx implements Port.
-func (p *VethPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
-	pkts := p.pair.BtoA.Pop(max)
+// perPacket is a fixed cost plus, on a copying kind, the copy of pkt.
+func (p *LinkPort) perPacket(fixed sim.Time, pkt *packet.Packet) sim.Time {
+	if p.copies {
+		fixed += costmodel.CopyCost(len(pkt.Data))
+	}
+	return fixed
+}
+
+// Rx implements Port: dequeue what the peer sent.
+func (p *LinkPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
+	pkts := p.link.FromPeer.Pop(max)
+	if len(pkts) > 0 && p.rxBatch > 0 {
+		cpu.Consume(p.cat, p.rxBatch)
+	}
 	for _, pkt := range pkts {
 		pkt.InPort = p.id
-		cpu.Consume(sim.User, costmodel.AFXDPRxDescriptor)
+		if p.trustCsum && pkt.Offloads&packet.CsumPartial == 0 {
+			pkt.Offloads |= packet.CsumVerified
+		}
+		cpu.Consume(p.cat, p.perPacket(p.rxPkt, pkt))
 	}
 	return pkts
 }
 
-// Tx implements Port.
-// Tx implements Port. Generic-mode XSK pays skb allocation, linearization,
-// and cold copies on both the receive and transmit crossings ("a fallback
-// mode that works universally at the cost of an extra packet copy"); all of
-// that serializes on the veth's softirq CPU, which gates delivery — the
-// reason Figure 8(c)'s AF_XDP-veth bars top out around 8 Gbps even with
-// TSO.
-func (p *VethPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
-	cpu.Consume(sim.User, costmodel.AFXDPTxDescriptor)
+// Tx implements Port: enqueue toward the peer. Behind a softirq CPU the
+// packet first pays skb allocation, linearization and cold copies on both
+// crossings there, and that CPU gates delivery — the reason Figure 8(c)'s
+// AF_XDP-veth bars top out around 8 Gbps even with TSO.
+func (p *LinkPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
+	cpu.Consume(p.cat, p.perPacket(p.txPkt, pkt))
+	if p.softirq == nil {
+		p.link.ToPeer.Push(pkt)
+		return
+	}
 	cost := costmodel.SkbAlloc + 4*costmodel.CopyCostCold(len(pkt.Data)) + costmodel.VethCrossing
-	pair := p.pair
-	p.softirq.Exec(sim.Softirq, cost, func() { pair.SendA(pkt) })
+	p.softirq.Exec(sim.Softirq, cost, func() { p.link.ToPeer.Push(pkt) })
 }
 
 // Flush implements Port.
-func (p *VethPort) Flush(cpu *sim.CPU, _ int) {
-	cpu.Consume(sim.System, costmodel.AFXDPTxKickSyscall)
+func (p *LinkPort) Flush(cpu *sim.CPU, _ int) {
+	if p.flush > 0 {
+		cpu.Consume(sim.System, p.flush)
+	}
 }
 
 // Arm implements Port.
-func (p *VethPort) Arm(_ int, fn func()) {
-	p.pair.BtoA.SetWakeup(fn)
-	p.pair.BtoA.ArmWakeup()
+func (p *LinkPort) Arm(_ int, fn func()) {
+	p.link.FromPeer.SetWakeup(fn)
+	p.link.FromPeer.ArmWakeup()
 }

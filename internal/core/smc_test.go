@@ -109,7 +109,7 @@ func TestSMCInvalidationPreventsStaleDelivery(t *testing.T) {
 	if !m.Classifier().Remove(e) {
 		t.Fatal("Remove reported the flow missing")
 	}
-	m.FlushEMC()
+	m.emc.Flush()
 	m.InvalidateSMC(e)
 	pl2 := outputPipeline(3)
 	dp.SetUpcall(pl2.Translate)

@@ -32,11 +32,6 @@ import "ovsxdp/internal/sim"
 // back the corresponding costs.
 // ---------------------------------------------------------------------------
 const (
-	// XDPProgPass is the cost of the minimal XDP program that redirects
-	// every packet into the AF_XDP socket (bpf_redirect_map into an
-	// xskmap), charged to softirq context.
-	XDPProgPass sim.Time = 24
-
 	// AFXDPRxDescriptor covers popping one descriptor from the XSK rx
 	// ring, translating its umem address, and attaching the buffer to a
 	// dp_packet.
@@ -389,6 +384,10 @@ const (
 	// the failing flow drop in the fast path instead of re-upcalling at
 	// full cost.
 	NegativeFlowTTL sim.Time = 10 * sim.Millisecond
+
+	// UpcallMaxRetries bounds the backoff retries of one transiently
+	// failing upcall before it counts as failed for good.
+	UpcallMaxRetries = 3
 
 	// RevalFlowCheck is one revalidator liveness check of a single
 	// megaflow: read its stats, compare against the last observation,

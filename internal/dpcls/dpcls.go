@@ -223,8 +223,8 @@ func (c *Classifier) Remove(e *Entry) bool {
 
 // Flush removes every megaflow (marking each dead for the pointer caches)
 // and resets the lookup statistics and the resort countdown, so a reused
-// classifier starts from the same state a fresh one would — AvgProbes and
-// the cost model are not skewed by a previous table's history.
+// classifier starts from the same state a fresh one would — probes per
+// lookup and the cost model are not skewed by a previous table's history.
 func (c *Classifier) Flush() {
 	for _, e := range c.Entries() {
 		e.MarkDead()
@@ -262,15 +262,6 @@ func (c *Classifier) EntriesInto(buf []*Entry) []*Entry {
 		}
 	}
 	return buf
-}
-
-// AvgProbes returns the mean subtables probed per lookup, the quantity the
-// cost model charges DpclsLookupPerSubtable for.
-func (c *Classifier) AvgProbes() float64 {
-	if c.Lookups == 0 {
-		return 0
-	}
-	return float64(c.SubtableProbes) / float64(c.Lookups)
 }
 
 func (c *Classifier) dropSubtable(st *subtable) {

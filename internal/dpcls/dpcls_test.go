@@ -184,9 +184,6 @@ func TestFlushResetsProbeStats(t *testing.T) {
 	if c.Lookups != 0 || c.SubtableProbes != 0 {
 		t.Fatalf("flush left Lookups=%d SubtableProbes=%d", c.Lookups, c.SubtableProbes)
 	}
-	if c.AvgProbes() != 0 {
-		t.Fatalf("AvgProbes after flush = %v", c.AvgProbes())
-	}
 }
 
 func TestProbeCountGrowsWithSubtables(t *testing.T) {
@@ -242,19 +239,6 @@ func TestFlushAndEntries(t *testing.T) {
 	c.Flush()
 	if c.Len() != 0 || len(c.Entries()) != 0 {
 		t.Fatal("flush incomplete")
-	}
-}
-
-func TestAvgProbes(t *testing.T) {
-	c := New(0)
-	if c.AvgProbes() != 0 {
-		t.Fatal("no lookups: avg 0")
-	}
-	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
-	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
-	c.Lookup(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80))
-	if c.AvgProbes() != 1 {
-		t.Fatalf("avg probes = %v", c.AvgProbes())
 	}
 }
 

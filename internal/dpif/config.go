@@ -126,9 +126,6 @@ var configTable = []configKey{
 	{name: "upcall-retry-base-us", kind: kindMicroseconds, def: "0",
 		set: func(t *configTarget, v any) { t.uc.RetryBase = v.(sim.Time) },
 		get: func(t *configTarget) any { return t.uc.RetryBase }},
-	{name: "upcall-max-retries", kind: kindInt, def: "0",
-		set: func(t *configTarget, v any) { t.uc.MaxRetries = v.(int) },
-		get: func(t *configTarget) any { return t.uc.MaxRetries }},
 
 	// Conntrack (all providers: both datapaths carry a tracker).
 	{name: "ct-shards", kind: kindInt, def: "8", min: 1,

@@ -24,8 +24,9 @@ func openProvider(t *testing.T, name string, other map[string]string) dpif.Dpif 
 }
 
 // TestSetConfigUnknownKeyEveryProvider: a key the table does not hold is an
-// error that names it and changes nothing. The six keys PR 22 retired (each
-// had one value in use; see EXPERIMENTS.md) are unknown like any other.
+// error that names it and changes nothing. The six keys PR 22 retired and the
+// one PR 24 did (each had one value in use; see EXPERIMENTS.md) are unknown
+// like any other.
 func TestSetConfigUnknownKeyEveryProvider(t *testing.T) {
 	unknown := map[string]string{
 		"no-such-key":            "1",
@@ -35,6 +36,7 @@ func TestSetConfigUnknownKeyEveryProvider(t *testing.T) {
 		"tx-lock-mutex":          "true",
 		"hw-offload-ewma-weight": "25",
 		"negative-flow-ttl-us":   "5000",
+		"upcall-max-retries":     "3",
 	}
 	for _, name := range allProviders {
 		d := openProvider(t, name, nil)
@@ -113,7 +115,6 @@ var nonDefault = map[string]string{
 	"upcall-queue-cap":                  "128",
 	"upcall-service-us":                 "20",
 	"upcall-retry-base-us":              "25",
-	"upcall-max-retries":                "5",
 	"ct-shards":                         "4",
 	"hw-offload":                        "true",
 	"hw-offload-table-size":             "512",
@@ -125,7 +126,7 @@ var nonDefault = map[string]string{
 // is netdev-only and must be inert there.
 var kernelLive = map[string]bool{
 	"upcall-queue-cap": true, "upcall-service-us": true, "upcall-retry-base-us": true,
-	"upcall-max-retries": true, "ct-shards": true,
+	"ct-shards": true,
 }
 
 // TestSetConfigRoundTrip walks every key of the table on every provider:

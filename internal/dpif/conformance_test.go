@@ -15,6 +15,7 @@ import (
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/tunnel"
+	"ovsxdp/internal/vdev"
 )
 
 // observation is everything a dpif consumer can see from one scenario run.
@@ -352,7 +353,7 @@ func runFaultScenario(t *testing.T, name string) faultObservation {
 	pl := forwardPipeline()
 	d, err := dpif.Open(name, dpif.Config{Eng: eng, Pipeline: pl,
 		Other: map[string]string{"upcall-queue-cap": "4", "upcall-service-us": "20",
-			"upcall-retry-base-us": "25", "upcall-max-retries": "3"}})
+			"upcall-retry-base-us": "25"}})
 	if err != nil {
 		t.Fatalf("Open(%q): %v", name, err)
 	}
@@ -580,6 +581,7 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 		noOutput bool             // leave port 2 unattached
 		encapper *tunnel.Encapper // non-nil: a netdev-only arm
 		forwards bool             // nothing is dropped: the frames a forwarding action replaces must come back
+		fullRing bool             // a netdev-only arm: port 2 is a vhostuser port whose guest ring is full
 	}{
 		{name: "empty actions", pipeline: ofproto.NewPipeline},
 		{name: "missing output port", pipeline: forwardPipeline, noOutput: true},
@@ -590,10 +592,11 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 		{name: "tunnel push: no route", pipeline: push, encapper: encapper(false)},
 		{name: "tunnel push: forwarded", pipeline: push, encapper: encapper(true), forwards: true},
 		{name: "tunnel pop: not a tunnel frame", pipeline: tunneled(ofproto.TunnelPop(100)), encapper: encapper(true)},
+		{name: "guest ring full", pipeline: forwardPipeline, fullRing: true},
 	}
 	for _, c := range cases {
 		for _, name := range dpif.Types() {
-			if c.encapper != nil && name != "netdev" {
+			if (c.encapper != nil || c.fullRing) && name != "netdev" {
 				continue
 			}
 			eng := sim.NewEngine(1)
@@ -604,13 +607,20 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 			if c.encapper != nil {
 				d.(*dpif.Netdev).Datapath().Encapper = c.encapper
 			}
-			ports := []dpif.TxPort{{PortID: 1, PortName: "p0", Deliver: (*packet.Packet).Release}}
-			if !c.noOutput {
+			ports := []dpif.Port{dpif.TxPort{PortID: 1, PortName: "p0", Deliver: (*packet.Packet).Release}}
+			guest := vdev.NewLink("vhost0")
+			switch {
+			case c.fullRing:
+				for i := 0; i < vdev.DefaultQueueDepth; i++ {
+					guest.ToPeer.Push(packet.New(nil))
+				}
+				ports = append(ports, core.NewLinkPort(2, "vhostuser", guest, nil))
+			case !c.noOutput:
 				ports = append(ports, dpif.TxPort{PortID: 2, PortName: "p1", Deliver: (*packet.Packet).Release})
 			}
 			for _, tp := range ports {
 				if err := d.PortAdd(tp); err != nil {
-					t.Fatalf("%s/%s: PortAdd(%d): %v", c.name, name, tp.PortID, err)
+					t.Fatalf("%s/%s: PortAdd(%d): %v", c.name, name, tp.ID(), err)
 				}
 			}
 			frame := c.frame
@@ -625,7 +635,7 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 			}
 			eng.RunUntil(eng.Now() + 20*sim.Millisecond)
 			st := d.Stats()
-			if dropped := st.Lost+st.UpcallQueueDrops+st.MalformedDrops != 0; dropped == c.forwards {
+			if dropped := st.Lost+st.UpcallQueueDrops+st.MalformedDrops+guest.ToPeer.Dropped != 0; dropped == c.forwards {
 				t.Errorf("%s/%s: dropped = %v: %+v", c.name, name, dropped, st)
 			}
 			if got := pool.Available(); got != 64 {

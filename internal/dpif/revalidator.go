@@ -95,9 +95,6 @@ func (r *WheelRevalidator) Stop() {
 	r.dp.SetFlowHook(nil)
 }
 
-// Running reports whether the revalidator is still tracking flows.
-func (r *WheelRevalidator) Running() bool { return r.running }
-
 // register starts tracking one installed flow: record its current hit
 // count and arm its idle deadline.
 func (r *WheelRevalidator) register(f Flow) {

@@ -60,8 +60,8 @@ func TestWheelRevalidatorStop(t *testing.T) {
 	}
 
 	r.Stop()
-	if r.Running() {
-		t.Error("Running() true after Stop")
+	if r.running {
+		t.Error("running after Stop")
 	}
 	d.Execute(churnPacket(hdr.MakeIP4(10, 0, 9, 1), 2000))
 	if r.Installs != tracked {
@@ -82,7 +82,7 @@ func TestWheelRevalidatorStop(t *testing.T) {
 	}
 
 	r.Stop() // idempotent
-	if r.Running() {
-		t.Error("Running() true after second Stop")
+	if r.running {
+		t.Error("running after second Stop")
 	}
 }

@@ -347,8 +347,8 @@ func TestVerifyChecksMapUpdateValue(t *testing.T) {
 			}
 			// What the verifier accepts runs without a fault.
 			res, err := p.Run(&Context{Packet: make([]byte, 64)})
-			if err != nil || res.Action != XDPPass || p.MapByID(1).Len() != 1 {
-				t.Errorf("%s: run: res=%+v err=%v entries=%d", tc.name, res, err, p.MapByID(1).Len())
+			if err != nil || res.Action != XDPPass || p.mapByID(1).Len() != 1 {
+				t.Errorf("%s: run: res=%+v err=%v entries=%d", tc.name, res, err, p.mapByID(1).Len())
 			}
 		} else if err == nil || !strings.Contains(err.Error(), tc.reject) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.reject)

@@ -49,9 +49,6 @@ func (p *Program) AttachMap(id int64, m Map) *Program {
 	return p
 }
 
-// MapByID exposes an attached map (for control-plane updates).
-func (p *Program) MapByID(id int64) Map { return p.mapByID(id) }
-
 func (p *Program) mapByID(id int64) Map {
 	if p.maps == nil {
 		return nil

@@ -3,13 +3,14 @@ package emc
 import (
 	"testing"
 
+	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/flow"
 )
 
 // BenchmarkEMCLookup measures the wall-clock exact-match hit path: one
 // hash, one set probe, one full-key compare.
 func BenchmarkEMCLookup(b *testing.B) {
-	c := New[int](DefaultEntries, 0)
+	c := New[int](costmodel.EMCEntries, 0)
 	const flows = 4096
 	keys := make([]flow.Key, flows)
 	for i := range keys {
@@ -26,7 +27,7 @@ func BenchmarkEMCLookup(b *testing.B) {
 // BenchmarkEMCInsert measures the steady-state insert (update-in-place of
 // a cached flow).
 func BenchmarkEMCInsert(b *testing.B) {
-	c := New[int](DefaultEntries, 0)
+	c := New[int](costmodel.EMCEntries, 0)
 	const flows = 4096
 	keys := make([]flow.Key, flows)
 	for i := range keys {
@@ -54,7 +55,7 @@ func lookupOrInsert(c *Cache[*hval], k *flow.Key, v *hval) bool {
 // p2p_dpcls workloads: 100k keys round-robin over 8192 entries, so every
 // probe misses against two resident strangers and every insert evicts.
 func BenchmarkEMCLookupThrash(b *testing.B) {
-	c := New[*hval](DefaultEntries, 1)
+	c := New[*hval](costmodel.EMCEntries, 1)
 	c.SetAliveCheck(func(v *hval) bool { return !v.dead })
 	const flows = 100_000
 	keys := make([]flow.Key, flows)
@@ -78,7 +79,7 @@ func BenchmarkEMCLookupThrash(b *testing.B) {
 // BenchmarkEMCLookupHit64 is the p2p_fast regime: 64 resident flows, every
 // probe a hit (one tag compare, one key compare, one alive check).
 func BenchmarkEMCLookupHit64(b *testing.B) {
-	c := New[*hval](DefaultEntries, 1)
+	c := New[*hval](costmodel.EMCEntries, 1)
 	c.SetAliveCheck(func(v *hval) bool { return !v.dead })
 	const flows = 64
 	keys := make([]flow.Key, flows)

@@ -22,9 +22,6 @@ import (
 // Ways is the set associativity of the cache.
 const Ways = 2
 
-// DefaultEntries matches OVS's EM_FLOW_HASH_ENTRIES.
-const DefaultEntries = 8192
-
 // way is the probe side of one slot: everything a lookup reads to reject it.
 // tag is the cached key's 32-bit hash with validBit set, so one word compare
 // answers "in use, and possibly this key"; zero is a free way.
@@ -175,15 +172,3 @@ func (c *Cache[V]) Flush() {
 // Len returns the number of live entries. It is O(1): the datapath consults
 // it per packet for the cold-flow cache-pressure heuristic.
 func (c *Cache[V]) Len() int { return c.count }
-
-// Capacity returns the total number of slots.
-func (c *Cache[V]) Capacity() int { return len(c.ways) * Ways }
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *Cache[V]) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}

@@ -3,6 +3,7 @@ package emc
 import (
 	"testing"
 
+	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet/hdr"
 )
@@ -75,8 +76,8 @@ func TestEvictionUnderPressure(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Insert(keyN(i), i)
 	}
-	if c.Len() > c.Capacity() {
-		t.Fatalf("len %d exceeds capacity %d", c.Len(), c.Capacity())
+	if c.Len() > len(c.ways)*Ways {
+		t.Fatalf("len %d exceeds capacity %d", c.Len(), len(c.ways)*Ways)
 	}
 	if c.Evictions == 0 {
 		t.Fatal("pressure must evict")
@@ -97,10 +98,10 @@ func TestTwoWaysPerSetSurvive(t *testing.T) {
 
 func TestCapacityRounding(t *testing.T) {
 	c := New[int](1000, 0)
-	if c.Capacity() < 1000 {
-		t.Fatalf("capacity %d < requested 1000", c.Capacity())
+	if len(c.ways)*Ways < 1000 {
+		t.Fatalf("capacity %d < requested 1000", len(c.ways)*Ways)
 	}
-	if c.Capacity()%Ways != 0 {
+	if len(c.ways)*Ways%Ways != 0 {
 		t.Fatal("capacity must be a multiple of the ways")
 	}
 }
@@ -108,7 +109,7 @@ func TestCapacityRounding(t *testing.T) {
 func TestThousandFlowsMostlyFit(t *testing.T) {
 	// The paper's 1,000-flow workload against the default 8192-entry EMC:
 	// most flows should be cache-resident (conflict misses only).
-	c := New[int](DefaultEntries, 0)
+	c := New[int](costmodel.EMCEntries, 0)
 	for i := 0; i < 1000; i++ {
 		c.Insert(keyN(i), i)
 	}
@@ -206,22 +207,8 @@ func TestEvictionVictimsSpreadAcrossWays(t *testing.T) {
 	}
 }
 
-func TestHitRate(t *testing.T) {
-	c := New[int](64, 0)
-	if c.HitRate() != 0 {
-		t.Fatal("no lookups yet: rate 0")
-	}
-	k := keyN(1)
-	c.Insert(k, 1)
-	c.Lookup(k)
-	c.Lookup(keyN(2))
-	if r := c.HitRate(); r != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", r)
-	}
-}
-
 func BenchmarkLookupHit(b *testing.B) {
-	c := New[int](DefaultEntries, 0)
+	c := New[int](costmodel.EMCEntries, 0)
 	k := keyN(7)
 	c.Insert(k, 7)
 	b.ReportAllocs()

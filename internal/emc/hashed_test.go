@@ -1,6 +1,10 @@
 package emc
 
-import "testing"
+import (
+	"testing"
+
+	"ovsxdp/internal/costmodel"
+)
 
 type hval struct{ dead bool }
 
@@ -66,7 +70,7 @@ func TestHashReuseLeavesEMCUnchanged(t *testing.T) {
 		{"alive-check-purges", 1, 50000, 7, emcCounters{21289, 28711, 28711, 17045, 3545, 8121}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			byValue, hashed := New[*hval](DefaultEntries, tc.basis), New[*hval](DefaultEntries, tc.basis)
+			byValue, hashed := New[*hval](costmodel.EMCEntries, tc.basis), New[*hval](costmodel.EMCEntries, tc.basis)
 			replayStream(byValue, tc.keys, tc.deadEvery, false)
 			replayStream(hashed, tc.keys, tc.deadEvery, true)
 			if got := countersOf(byValue); got != tc.want {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/flow"
 )
 
@@ -275,9 +276,9 @@ func TestEMCMatchesReference(t *testing.T) {
 		basis      uint32
 		aliveCheck bool
 	}{
-		{"default-size", 1, DefaultEntries, 1, true},
-		{"pmd1-basis", 2, DefaultEntries, 0x9e37 + 1, true},
-		{"no-alive-check", 3, DefaultEntries, 7, false},
+		{"default-size", 1, costmodel.EMCEntries, 1, true},
+		{"pmd1-basis", 2, costmodel.EMCEntries, 0x9e37 + 1, true},
+		{"no-alive-check", 3, costmodel.EMCEntries, 7, false},
 		{"tiny", 4, 16, 0, true},
 		{"one-set", 5, Ways, 3, true},
 	} {

@@ -103,8 +103,8 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBe
 		deferred := func(cpu *sim.CPU, p *packet.Packet) {
 			eng.Schedule(softirqWake(), func() { nl.Process(cpu, p) })
 		}
-		kit.SoftirqRx(eng, cpu, client.KernelSrc(), 3, deferred)
-		kit.SoftirqRx(eng, cpu, kernelsim.NICQueueSource{Q: nicB.Queue(0)}, 2, deferred)
+		kit.SoftirqRx(eng, cpu, client.FromPeer, 3, deferred)
+		kit.SoftirqRx(eng, cpu, nicB.Queue(0), 2, deferred)
 	} else {
 		// The AF_XDP uplink's umem pool is mutex-locked: the golden
 		// latencies are pinned to that cost.
@@ -166,8 +166,8 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 	eng := sim.NewEngine(seed)
 	bed := &containerRRBed{eng: eng}
 
-	vethC := vdev.NewVethPair("veth-client")
-	vethS := vdev.NewVethPair("veth-server")
+	vethC := vdev.NewLink("veth-client")
+	vethS := vdev.NewLink("veth-server")
 	clientWake := wakeupSampler(eng, 7*sim.Microsecond, 0.35)
 	serverWake := wakeupSampler(eng, 7*sim.Microsecond, 0.35)
 
@@ -189,8 +189,8 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 		cpu := eng.NewCPU("ksoftirqd")
 		nl := kit.OpenKernel("netlink",
 			dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 2})},
-			dpif.TxPort{PortID: 3, PortName: "veth-server", Deliver: func(p *packet.Packet) { vethS.SendA(p) }},
-			dpif.TxPort{PortID: 2, PortName: "veth-client", Deliver: func(p *packet.Packet) { vethC.SendA(p) }})
+			dpif.TxPort{PortID: 3, PortName: "veth-server", Deliver: func(p *packet.Packet) { vethS.ToPeer.Push(p) }},
+			dpif.TxPort{PortID: 2, PortName: "veth-client", Deliver: func(p *packet.Packet) { vethC.ToPeer.Push(p) }})
 		toServer = func(p *packet.Packet) { eng.Schedule(0, func() { nl.Process(cpu, p) }) }
 		toClient = toServer
 	case PCPAFXDPRedir:
@@ -206,8 +206,8 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 				})
 			}
 		}
-		toServer = hop(func(p *packet.Packet) { vethS.SendA(p) })
-		toClient = hop(func(p *packet.Packet) { vethC.SendA(p) })
+		toServer = hop(func(p *packet.Packet) { vethS.ToPeer.Push(p) })
+		toClient = hop(func(p *packet.Packet) { vethC.ToPeer.Push(p) })
 	case PCPDPDK:
 		// DPDK reaches containers via AF_PACKET: user/kernel crossings
 		// with heavy queueing jitter on both directions, plus the PMD
@@ -230,16 +230,16 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 				})
 			}
 		}
-		toServer = hop(func(p *packet.Packet) { vethS.SendA(p) })
-		toClient = hop(func(p *packet.Packet) { vethC.SendA(p) })
+		toServer = hop(func(p *packet.Packet) { vethS.ToPeer.Push(p) })
+		toClient = hop(func(p *packet.Packet) { vethC.ToPeer.Push(p) })
 	}
 
 	// Container outbound queues feed the fabric: the client's veth is its
 	// port 1, the server's port 3.
 	cpu := eng.NewCPU("veth-softirq")
-	kit.SoftirqRx(eng, cpu, kernelsim.VQueueSource{Q: vethC.BtoA}, 1,
+	kit.SoftirqRx(eng, cpu, vethC.FromPeer, 1,
 		func(_ *sim.CPU, p *packet.Packet) { toServer(p) })
-	kit.SoftirqRx(eng, cpu, kernelsim.VQueueSource{Q: vethS.BtoA}, 3,
+	kit.SoftirqRx(eng, cpu, vethS.FromPeer, 3,
 		func(_ *sim.CPU, p *packet.Packet) { toClient(p) })
 
 	rr = trafficgen.NewRR(trafficgen.RRConfig{

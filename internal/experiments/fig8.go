@@ -215,9 +215,9 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 				}
 			}})
 		(&kernelsim.NAPIActor{Eng: eng, CPU: kcpu,
-			Src:     kernelsim.NICQueueSource{Q: nic.Queue(0)},
+			Src:     nic.Queue(0),
 			Handler: kdpKernelRx(nl)}).Start()
-		kit.SoftirqRx(eng, kcpu, vm.KernelSrc(), f8VM, nl.Process)
+		kit.SoftirqRx(eng, kcpu, vm.FromPeer, f8VM, nl.Process)
 		return vm.VM
 	}
 	lock := afxdp.LockSpinBatched
@@ -342,8 +342,8 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 		// datapath moves 64kB frames without touching payload.
 		nl := kit.OpenKernel("netlink", dcfg, sender.KernelTx(), receiver.KernelTx())
 		cpu := eng.NewCPU("ksoftirqd")
-		kit.SoftirqRx(eng, cpu, sender.KernelSrc(), f8VM, nl.Process)
-		kit.SoftirqRx(eng, cpu, receiver.KernelSrc(), f8VM2, nl.Process)
+		kit.SoftirqRx(eng, cpu, sender.FromPeer, f8VM, nl.Process)
+		kit.SoftirqRx(eng, cpu, receiver.FromPeer, f8VM2, nl.Process)
 	} else {
 		kit.OpenNetdev(dcfg, core.ModePoll, 1, []core.Port{sender.Port, receiver.Port})
 	}
@@ -405,8 +405,8 @@ func runFig8c(p Profile) *Report {
 
 func runFig8cCase(p Profile, c fig8cConfig) float64 {
 	eng := sim.NewEngine(5)
-	vethS := vdev.NewVethPair("veth-s")
-	vethR := vdev.NewVethPair("veth-r")
+	vethS := vdev.NewLink("veth-s")
+	vethR := vdev.NewLink("veth-r")
 
 	var bulk *trafficgen.Bulk
 	var sender, receiver *containersim.Container
@@ -429,18 +429,18 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 			return costmodel.SkbAlloc + costmodel.KernelOVSLookup +
 				costmodel.KernelOVSActions + costmodel.VethCrossing
 		}
-		fwd := func(dst *vdev.VethPair) func(*sim.CPU, []*packet.Packet) {
+		fwd := func(dst *vdev.Link) func(*sim.CPU, []*packet.Packet) {
 			return func(cpu *sim.CPU, pkts []*packet.Packet) {
 				for _, pk := range pkts {
 					cpu.Consume(sim.Softirq, hopCost(pk))
-					dst.SendA(pk)
+					dst.ToPeer.Push(pk)
 				}
 			}
 		}
 		(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-			Src: kernelsim.VQueueSource{Q: vethS.BtoA}, Handler: fwd(vethR)}).Start()
+			Src: vethS.FromPeer, Handler: fwd(vethR)}).Start()
 		(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-			Src: kernelsim.VQueueSource{Q: vethR.BtoA}, Handler: fwd(vethS)}).Start()
+			Src: vethR.FromPeer, Handler: fwd(vethS)}).Start()
 	case "afxdp":
 		// Figure 5 path A: veth -> AF_XDP (generic) -> OVS userspace ->
 		// veth.
@@ -451,8 +451,8 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 		softirq := eng.NewCPU("softirq")
 		kit.OpenNetdev(dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 1}), Options: opts},
 			core.ModePoll, 1, []core.Port{
-				kit.VethLink(eng, 1, vethS, softirq).Port,
-				kit.VethLink(eng, 3, vethR, softirq).Port})
+				kit.NewLink(1, "veth", vethS, softirq).Port,
+				kit.NewLink(3, "veth", vethR, softirq).Port})
 	}
 
 	sendSize := 1460

@@ -43,7 +43,7 @@ func newXDPBed(prog *ebpf.Program, seed uint64) *xdpBed {
 	}
 	cpu := eng.NewCPU("softirq/0")
 	(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-		Src: kernelsim.NICQueueSource{Q: bed.nic.Queue(0)},
+		Src: bed.nic.Queue(0),
 		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
 			for _, p := range pkts {
 				cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)

@@ -208,7 +208,7 @@ func (b *Bed) kernelLoopback(typ string, cfg dpif.Config, flows int, tx ...dpif.
 	for q := 0; q < b.NICA.NumQueues(); q++ {
 		cpu := b.Eng.NewCPU(fmt.Sprintf("ksoftirqd/%d", q))
 		b.Actors = append(b.Actors, kit.SoftirqRx(b.Eng, cpu,
-			kernelsim.NICQueueSource{Q: b.NICA.Queue(q)}, 1, nl.Process))
+			b.NICA.Queue(q), 1, nl.Process))
 	}
 	return nl
 }
@@ -294,7 +294,7 @@ func NewPVPBed(cfg BedConfig) *Bed {
 			dpif.Config{Eng: eng, Pipeline: pl, Other: cfg.Other}, cfg.Flows, vm.KernelTx())
 		// Traffic leaving the VM re-enters the kernel datapath as a new
 		// arrival (the reset clears the port stamp with everything else).
-		kit.SoftirqRx(eng, eng.NewCPU("ksoftirqd/tap"), vm.KernelSrc(), 3,
+		kit.SoftirqRx(eng, eng.NewCPU("ksoftirqd/tap"), vm.FromPeer, 3,
 			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Process(cpu, p) })
 	case KindAFXDP, KindDPDK:
 		bed.netdevLoopback(cfg, pl, vm.Port)
@@ -329,19 +329,19 @@ func (m PCPMode) String() string {
 func NewPCPBed(mode PCPMode, flows int) *Bed {
 	bed := newLoopbackBed(1, nicsim.Offloads{}, flows, 64)
 	eng := bed.Eng
-	veth := vdev.NewVethPair("veth0")
+	veth := vdev.NewLink("veth0")
 	containersim.New(eng, containersim.Config{Name: "c0", Veth: veth, FastPath: true})
 	bed.dropFns = append(bed.dropFns,
-		func() uint64 { return veth.AtoB.Dropped + veth.BtoA.Dropped })
+		func() uint64 { return veth.ToPeer.Dropped + veth.FromPeer.Dropped })
 	pl := kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 2})
 
 	switch mode {
 	case PCPKernel:
 		nl := bed.kernelLoopback("netlink", dpif.Config{Eng: eng, Pipeline: pl}, flows,
 			dpif.TxPort{PortID: 3, PortName: "veth0",
-				Deliver: func(p *packet.Packet) { veth.SendA(p) }})
+				Deliver: func(p *packet.Packet) { veth.ToPeer.Push(p) }})
 		// Container output re-enters the datapath as a new arrival.
-		kit.SoftirqRx(eng, eng.NewCPU("ksoftirqd/veth"), kernelsim.VQueueSource{Q: veth.BtoA}, 3,
+		kit.SoftirqRx(eng, eng.NewCPU("ksoftirqd/veth"), veth.FromPeer, 3,
 			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Process(cpu, p) })
 
 	case PCPAFXDPRedir:
@@ -368,7 +368,7 @@ func NewPCPBed(mode PCPMode, flows int) *Bed {
 		}
 		softirq := eng.NewCPU("softirq/0")
 		(&kernelsim.NAPIActor{Eng: eng, CPU: softirq,
-			Src: kernelsim.NICQueueSource{Q: bed.NICA.Queue(0)},
+			Src: bed.NICA.Queue(0),
 			Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
 				for _, p := range pkts {
 					cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
@@ -379,14 +379,14 @@ func NewPCPBed(mode PCPMode, flows int) *Bed {
 					}
 					if res.Action == ebpf.XDPRedirect {
 						cpu.Consume(sim.Softirq, costmodel.XDPRedirectVeth)
-						veth.SendA(p)
+						veth.ToPeer.Push(p)
 					}
 				}
 			}}).Start()
 		// veth return side: in-kernel XDP redirect to NIC B.
 		softirq2 := eng.NewCPU("softirq/veth")
 		(&kernelsim.NAPIActor{Eng: eng, CPU: softirq2,
-			Src: kernelsim.VQueueSource{Q: veth.BtoA},
+			Src: veth.FromPeer,
 			Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
 				for _, p := range pkts {
 					cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead+costmodel.XDPRedirectVeth)
@@ -398,45 +398,9 @@ func NewPCPBed(mode PCPMode, flows int) *Bed {
 		// Container access via AF_PACKET: extra user/kernel crossing
 		// each way (Section 5.3's explanation of DPDK's latency).
 		bed.netdevLoopback(BedConfig{Kind: KindDPDK, Opts: core.DefaultOptions(), PMDs: 1}, pl,
-			&dpdkContainerPort{id: 3, veth: veth, eng: eng})
+			kit.NewLink(3, "afpacket", veth, nil).Port)
 	}
 	return bed
-}
-
-// dpdkContainerPort reaches a container through AF_PACKET injection: every
-// packet pays a user/kernel crossing plus copies in each direction.
-type dpdkContainerPort struct {
-	id   uint32
-	veth *vdev.VethPair
-	eng  *sim.Engine
-}
-
-func (p *dpdkContainerPort) ID() uint32       { return p.id }
-func (p *dpdkContainerPort) Name() string     { return "dpdk-afpacket" }
-func (p *dpdkContainerPort) NumRxQueues() int { return 1 }
-func (p *dpdkContainerPort) NumTxQueues() int { return 1 }
-
-func (p *dpdkContainerPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
-	pkts := p.veth.BtoA.Pop(max)
-	for _, pkt := range pkts {
-		pkt.InPort = p.id
-		// Under load the AF_PACKET ring amortizes the crossing across a
-		// batch; latency tests see the full per-wakeup cost instead.
-		cpu.Consume(sim.System, costmodel.DPDKContainerCrossing/16+costmodel.CopyCost(len(pkt.Data)))
-	}
-	return pkts
-}
-
-func (p *dpdkContainerPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
-	cpu.Consume(sim.System, costmodel.DPDKContainerCrossing/16+costmodel.CopyCost(len(pkt.Data)))
-	p.veth.SendA(pkt)
-}
-
-func (p *dpdkContainerPort) Flush(*sim.CPU, int) {}
-
-func (p *dpdkContainerPort) Arm(_ int, fn func()) {
-	p.veth.BtoA.SetWakeup(fn)
-	p.veth.BtoA.ArmWakeup()
 }
 
 // RunProbe drives a bed at ratePPS with a warmup then measures a window,

@@ -185,21 +185,6 @@ func (k *Key) Hash(basis uint32) uint32 {
 	return uint32(h)
 }
 
-// HashMasked hashes only the masked bits of the key; two keys that are equal
-// under the mask hash identically, the property tuple-space search relies
-// on.
-func (k Key) HashMasked(m Mask, basis uint32) uint32 {
-	h := uint64(basis) + 0x9e3779b97f4a7c15
-	for i, w := range k {
-		h ^= w & m[i]
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-	}
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return uint32(h)
-}
-
 // String summarizes the key's main fields for diagnostics.
 func (k Key) String() string {
 	f := k.Unpack()
@@ -209,9 +194,6 @@ func (k Key) String() string {
 }
 
 // --- Mask construction -----------------------------------------------------
-
-// MaskNone matches nothing (all wildcard).
-func MaskNone() Mask { return Mask{} }
 
 // MaskAll matches every field exactly.
 func MaskAll() Mask {
@@ -239,9 +221,6 @@ func (m Mask) Intersects(o Mask) bool {
 	}
 	return false
 }
-
-// Empty reports whether the mask matches nothing.
-func (m Mask) Empty() bool { return m == Mask{} }
 
 // Bits counts the number of set bits, a proxy for match specificity.
 func (m Mask) Bits() int {

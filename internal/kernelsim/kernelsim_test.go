@@ -159,7 +159,7 @@ func TestNAPIActorDrainsAndRearms(t *testing.T) {
 
 	var handled int
 	actor := &NAPIActor{
-		Eng: eng, CPU: cpu, Src: NICQueueSource{Q: nic.Queue(0)},
+		Eng: eng, CPU: cpu, Src: nic.Queue(0),
 		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
 			handled += len(pkts)
 			cpu.Consume(sim.Softirq, sim.Time(len(pkts))*100)
@@ -192,7 +192,7 @@ func TestNAPIActorOnVdevQueue(t *testing.T) {
 	q := vdev.NewQueue("tap", 0)
 	handled := 0
 	actor := &NAPIActor{
-		Eng: eng, CPU: cpu, Src: VQueueSource{Q: q},
+		Eng: eng, CPU: cpu, Src: q,
 		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) { handled += len(pkts) },
 	}
 	actor.Start()
@@ -200,6 +200,55 @@ func TestNAPIActorOnVdevQueue(t *testing.T) {
 	eng.Run()
 	if handled != 1 {
 		t.Fatalf("handled = %d", handled)
+	}
+}
+
+// TestNAPIActorStopResumeBothQueues: a hardware queue and a virtual device
+// ring are poll sources as they are. On either, a parked actor leaves
+// arrivals queued and Resume picks the whole backlog up and re-arms.
+func TestNAPIActorStopResumeBothQueues(t *testing.T) {
+	sources := map[string]func(*sim.Engine) (PollSource, func(*packet.Packet) bool){
+		"nicsim": func(eng *sim.Engine) (PollSource, func(*packet.Packet) bool) {
+			nic := nicsim.New(eng, nicsim.Config{Name: "eth0", Queues: 1})
+			return nic.Queue(0), nic.Receive
+		},
+		"vdev": func(eng *sim.Engine) (PollSource, func(*packet.Packet) bool) {
+			q := vdev.NewQueue("tap", 0)
+			return q, q.Push
+		},
+	}
+	for name, mk := range sources {
+		t.Run(name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			src, arrive := mk(eng)
+			handled := 0
+			actor := &NAPIActor{Eng: eng, CPU: eng.NewCPU("softirq0"), Src: src,
+				Handler: func(_ *sim.CPU, pkts []*packet.Packet) { handled += len(pkts) }}
+			actor.Start()
+			arrive(udpPkt(1))
+			eng.Run()
+			if handled != 1 {
+				t.Fatalf("handled %d of 1 before the stop", handled)
+			}
+			actor.Stop()
+			for i := 0; i < 100; i++ {
+				arrive(udpPkt(uint16(i)))
+			}
+			eng.Run()
+			if handled != 1 {
+				t.Fatalf("a parked actor handled %d packets", handled-1)
+			}
+			actor.Resume()
+			eng.Run()
+			if handled != 101 {
+				t.Fatalf("handled %d of 101 after Resume", handled)
+			}
+			arrive(udpPkt(7))
+			eng.Run()
+			if handled != 102 {
+				t.Fatal("actor did not re-arm after draining the backlog")
+			}
+		})
 	}
 }
 
@@ -339,7 +388,7 @@ func TestDatapathRecircDepthBound(t *testing.T) {
 	cpu := eng.NewCPU("softirq0")
 	pl := ofproto.NewPipeline()
 	mIn := flow.NewMaskBuilder().InPort().Build()
-	mAny := flow.MaskNone()
+	mAny := flow.Mask{}
 	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
 		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, mIn),
 		Actions: []ofproto.Action{ofproto.CT(1, false, 10)}})

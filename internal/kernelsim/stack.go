@@ -16,52 +16,17 @@ import (
 // NAPIBudget is the packet budget per softirq poll iteration, as in Linux.
 const NAPIBudget = 64
 
-// PollSource abstracts the queues a NAPI actor can drain: a NIC hardware
-// queue or a virtual device queue.
+// PollSource is what a NAPI actor drains; *nicsim.Queue (a hardware queue
+// behind a moderated interrupt) and *vdev.Queue (a virtual device ring) both
+// are one.
 type PollSource interface {
-	// PopPackets removes up to max packets.
-	PopPackets(max int) []*packet.Packet
-	// ArmWake requests a wakeup on the next packet arrival.
-	ArmWake()
-	// SetWake installs the wakeup callback.
-	SetWake(func())
+	// Pop removes up to max packets.
+	Pop(max int) []*packet.Packet
+	// ArmWakeup requests a wakeup on the next packet arrival.
+	ArmWakeup()
+	// SetWakeup installs the wakeup callback.
+	SetWakeup(func())
 }
-
-// NICQueueSource adapts a nicsim queue to PollSource.
-type NICQueueSource struct {
-	Q interface {
-		Pop(max int) []*packet.Packet
-		ArmInterrupt()
-		SetInterrupt(func())
-	}
-}
-
-// PopPackets implements PollSource.
-func (s NICQueueSource) PopPackets(max int) []*packet.Packet { return s.Q.Pop(max) }
-
-// ArmWake implements PollSource.
-func (s NICQueueSource) ArmWake() { s.Q.ArmInterrupt() }
-
-// SetWake implements PollSource.
-func (s NICQueueSource) SetWake(fn func()) { s.Q.SetInterrupt(fn) }
-
-// VQueueSource adapts a vdev queue to PollSource.
-type VQueueSource struct {
-	Q interface {
-		Pop(max int) []*packet.Packet
-		ArmWakeup()
-		SetWakeup(func())
-	}
-}
-
-// PopPackets implements PollSource.
-func (s VQueueSource) PopPackets(max int) []*packet.Packet { return s.Q.Pop(max) }
-
-// ArmWake implements PollSource.
-func (s VQueueSource) ArmWake() { s.Q.ArmWakeup() }
-
-// SetWake implements PollSource.
-func (s VQueueSource) SetWake(fn func()) { s.Q.SetWakeup(fn) }
 
 // NAPIActor drives one queue in softirq context: woken by an interrupt, it
 // polls up to NAPIBudget packets per iteration, processes them via the
@@ -96,8 +61,8 @@ func (a *NAPIActor) Start() {
 	if a.pollTimer == nil {
 		a.pollTimer = a.Eng.NewTimer(a.poll)
 	}
-	a.Src.SetWake(a.wake)
-	a.Src.ArmWake()
+	a.Src.SetWakeup(a.wake)
+	a.Src.ArmWakeup()
 }
 
 // Stop parks the actor: the in-flight poll finishes its batch and no
@@ -110,7 +75,7 @@ func (a *NAPIActor) Stop() { a.stopped = true }
 // and re-arming the interrupt.
 func (a *NAPIActor) Resume() {
 	a.stopped = false
-	a.Src.ArmWake()
+	a.Src.ArmWakeup()
 	a.wake()
 }
 
@@ -129,10 +94,10 @@ func (a *NAPIActor) poll() {
 		a.running = false
 		return
 	}
-	pkts := a.Src.PopPackets(NAPIBudget)
+	pkts := a.Src.Pop(NAPIBudget)
 	if len(pkts) == 0 {
 		a.running = false
-		a.Src.ArmWake()
+		a.Src.ArmWakeup()
 		return
 	}
 	a.Polls++

@@ -88,44 +88,31 @@ func RingDrops(p core.Port) uint64 {
 	return d
 }
 
-// Link is a virtual device between the switch and a guest or a container.
+// Link is a virtual device between the switch and a guest or a container:
+// the device's two rings, and the device as a userspace datapath port. A
+// kernel datapath attaches to the rings directly (KernelTx, FromPeer).
 type Link struct {
-	// Port is the device as a userspace datapath port.
-	Port core.Port
-	// ToGuest and FromGuest are the device's two rings as the switch sees
-	// them; a kernel datapath attaches to them directly.
-	ToGuest, FromGuest *vdev.Queue
+	*vdev.Link
+	Port *core.LinkPort
 }
 
-func tapLink(id uint32, name string) (Link, *vdev.Tap) {
-	tap := vdev.NewTap(name)
-	return Link{Port: core.NewTapPort(id, tap), ToGuest: tap.ToKernel, FromGuest: tap.FromKernel}, tap
-}
-
-func vhostLink(id uint32, name string) (Link, *vdev.VhostUser) {
-	dev := vdev.NewVhostUser(name)
-	return Link{Port: core.NewVhostPort(id, dev), ToGuest: dev.ToGuest, FromGuest: dev.FromGuest}, dev
-}
-
-// VethLink makes the host end of a veth pair port id through AF_XDP generic
-// mode (Figure 5 path A). The kernel half of that socket runs on softirq;
-// which veths share a softirq CPU is model, so the caller supplies it.
-func VethLink(eng *sim.Engine, id uint32, pair *vdev.VethPair, softirq *sim.CPU) Link {
-	return Link{Port: core.NewVethPort(id, eng, pair, softirq), ToGuest: pair.AtoB, FromGuest: pair.BtoA}
+// NewLink makes dev port id of the given kind ("tap", "vhostuser", "veth" =
+// AF_XDP generic mode, Figure 5 path A, or "afpacket"). The kernel half of a
+// veth's socket runs on softirq; which veths share a softirq CPU is model,
+// so the caller supplies it, and nil for the other kinds.
+func NewLink(id uint32, kind string, dev *vdev.Link, softirq *sim.CPU) Link {
+	return Link{Link: dev, Port: core.NewLinkPort(id, kind, dev, softirq)}
 }
 
 // Drops counts packets lost at the link's rings.
-func (l Link) Drops() uint64 { return l.ToGuest.Dropped + l.FromGuest.Dropped }
+func (l Link) Drops() uint64 { return l.ToPeer.Dropped + l.FromPeer.Dropped }
 
 // KernelTx is the link as a kernel datapath transmit port: an in-kernel
-// handoff into the guest-bound ring, no syscall.
+// handoff into the peer-bound ring, no syscall.
 func (l Link) KernelTx() dpif.TxPort {
-	return dpif.TxPort{PortID: l.Port.ID(), PortName: l.Port.Name(),
-		Deliver: func(p *packet.Packet) { l.ToGuest.Push(p) }}
+	return dpif.TxPort{PortID: l.Port.ID(), PortName: l.Name,
+		Deliver: func(p *packet.Packet) { l.ToPeer.Push(p) }}
 }
-
-// KernelSrc is the far side's transmissions as a softirq poll source.
-func (l Link) KernelSrc() kernelsim.PollSource { return kernelsim.VQueueSource{Q: l.FromGuest} }
 
 // Guest is a VM and its attachment to the switch.
 type Guest struct {
@@ -133,22 +120,21 @@ type Guest struct {
 	VM *vmsim.VM
 }
 
-// NewGuest builds a VM attached as port id through a vhostuser device
-// ("vhost"+suffix), or through a tap ("tap"+suffix) whose QEMU relay runs on
+// NewGuest builds a VM attached as port id through a "vhostuser" device
+// ("vhost"+suffix), or through a "tap" ("tap"+suffix) whose QEMU relay runs on
 // the relay CPUs: one CPU relays both directions, two give each direction
 // its own. Which CPUs the relay shares is model, so the bed supplies them
 // (QemuCPUs); cfg.Backend is filled in here.
 func NewGuest(eng *sim.Engine, ifType string, id uint32, suffix string, relay []*sim.CPU, cfg vmsim.Config) Guest {
-	var g Guest
+	var dev *vdev.Link
 	if ifType == "vhostuser" {
-		l, dev := vhostLink(id, "vhost"+suffix)
-		g.Link, cfg.Backend = l, &vmsim.VhostUserBackend{Dev: dev}
+		dev = vdev.NewLink("vhost" + suffix)
+		cfg.Backend = &vmsim.VhostUserBackend{Dev: dev}
 	} else {
-		l, tap := tapLink(id, "tap"+suffix)
-		g.Link, cfg.Backend = l, vmsim.NewTapBackendMQ(eng, tap, relay[0], relay[len(relay)-1])
+		dev = vdev.NewLink("tap" + suffix)
+		cfg.Backend = vmsim.NewTapBackendMQ(eng, dev, relay[0], relay[len(relay)-1])
 	}
-	g.VM = vmsim.New(eng, cfg)
-	return g
+	return Guest{Link: NewLink(id, ifType, dev, nil), VM: vmsim.New(eng, cfg)}
 }
 
 // QemuCPUs creates the named relay CPUs a tap guest needs; a vhostuser
@@ -306,18 +292,16 @@ func NewIface(dp dpif.Dpif, ifType, name string, id uint32, queues int) (*Iface,
 		}
 		i.Port = port
 		return i, nil
-	case "tap":
-		i.link, _ = tapLink(id, name)
-	case "vhostuser":
-		i.link, _ = vhostLink(id, name)
 	case "veth":
-		i.link = VethLink(eng, id, vdev.NewVethPair(name), eng.NewCPU("softirq-"+name))
+		i.link = NewLink(id, ifType, vdev.NewLink(name), eng.NewCPU("softirq-"+name))
+	default:
+		i.link = NewLink(id, ifType, vdev.NewLink(name), nil)
 	}
 	i.Port = i.link.Port
-	i.inject = func(p *packet.Packet) { i.link.FromGuest.Push(p) }
-	// Nobody sits on the far side, so the switch-to-guest ring is drained
+	i.inject = func(p *packet.Packet) { i.link.FromPeer.Push(p) }
+	// Nobody sits on the far side, so the switch-to-peer ring is drained
 	// into the output hook as it fills.
-	q := i.link.ToGuest
+	q := i.link.ToPeer
 	q.SetWakeup(func() {
 		for _, p := range q.Pop(64) {
 			emit(p)

@@ -5,8 +5,6 @@
 package measure
 
 import (
-	"fmt"
-
 	"ovsxdp/internal/sim"
 )
 
@@ -89,9 +87,3 @@ func LosslessRate(cfg SearchConfig, probe Probe) (rate float64, res ProbeResult,
 
 // Mpps formats packets/s as the paper's Mpps.
 func Mpps(pps float64) float64 { return pps / 1e6 }
-
-// FormatRow renders "rate Mpps, usage" like the Figure 9 bar + Table 4 row
-// pair.
-func FormatRow(name string, ratePPS float64, usage sim.Usage) string {
-	return fmt.Sprintf("%-28s %6.2f Mpps   %s", name, Mpps(ratePPS), usage)
-}

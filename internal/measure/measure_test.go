@@ -3,8 +3,6 @@ package measure
 import (
 	"math"
 	"testing"
-
-	"ovsxdp/internal/sim"
 )
 
 // fakeSystem sustains capacity pps losslessly and drops everything beyond.
@@ -119,13 +117,5 @@ func TestProbeResultLossFraction(t *testing.T) {
 	}
 	if (ProbeResult{}).LossFraction() != 0 {
 		t.Fatal("zero offered must not divide by zero")
-	}
-}
-
-func TestFormatRow(t *testing.T) {
-	var u sim.Usage
-	u[sim.User] = 1.0
-	if FormatRow("afxdp", 7.1e6, u) == "" {
-		t.Fatal("empty row")
 	}
 }

@@ -70,59 +70,28 @@ type steeringEntry struct {
 	seq  int
 }
 
-// Queue is one hardware receive queue.
+// Queue is one hardware receive queue: the shared packet FIFO behind the
+// NIC's arrival policy (Receive drops on ring overflow and raises a
+// moderated interrupt).
 type Queue struct {
+	packet.FIFO
 	ID int
 
-	// ring is consumed from head and appended at the tail; when fully
-	// drained both reset, so the backing array is reused indefinitely.
-	ring     []*packet.Packet
-	head     int
 	depth    int
 	irqFn    func()
 	irqArmed bool
-
-	// scratch is the reusable slice returned by Pop. Callers consume it
-	// synchronously (single-threaded simulation) and must not retain it
-	// across events.
-	scratch []*packet.Packet
 
 	// Stats.
 	RxPackets uint64
 	RxDrops   uint64
 }
 
-// Len returns the number of packets waiting in the queue.
-func (q *Queue) Len() int { return len(q.ring) - q.head }
-
-// Pop removes up to max packets. The returned slice is reused by the next
-// Pop; callers must finish with it before yielding to the engine.
-func (q *Queue) Pop(max int) []*packet.Packet {
-	n := max
-	if avail := len(q.ring) - q.head; n > avail {
-		n = avail
-	}
-	if n == 0 {
-		return nil
-	}
-	q.scratch = append(q.scratch[:0], q.ring[q.head:q.head+n]...)
-	for i := q.head; i < q.head+n; i++ {
-		q.ring[i] = nil
-	}
-	q.head += n
-	if q.head == len(q.ring) {
-		q.ring = q.ring[:0]
-		q.head = 0
-	}
-	return q.scratch
-}
-
-// SetInterrupt installs the interrupt handler; arming is separate so NAPI
+// SetWakeup installs the interrupt handler; arming is separate so NAPI
 // consumers can disable interrupts while polling.
-func (q *Queue) SetInterrupt(fn func()) { q.irqFn = fn }
+func (q *Queue) SetWakeup(fn func()) { q.irqFn = fn }
 
-// ArmInterrupt enables interrupt delivery for the next packet arrival.
-func (q *Queue) ArmInterrupt() { q.irqArmed = true }
+// ArmWakeup enables interrupt delivery for the next packet arrival.
+func (q *Queue) ArmWakeup() { q.irqArmed = true }
 
 // NIC is one simulated network interface.
 type NIC struct {
@@ -385,7 +354,7 @@ func (n *NIC) Receive(p *packet.Packet) bool {
 		p.Release()
 		return false
 	}
-	q.ring = append(q.ring, p)
+	q.Append(p)
 	q.RxPackets++
 	if q.irqArmed && q.irqFn != nil {
 		q.irqArmed = false

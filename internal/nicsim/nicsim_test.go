@@ -89,8 +89,8 @@ func TestInterruptDelivery(t *testing.T) {
 	nic := New(eng, Config{Name: "eth0", Queues: 1})
 	fired := sim.Time(-1)
 	q := nic.Queue(0)
-	q.SetInterrupt(func() { fired = eng.Now() })
-	q.ArmInterrupt()
+	q.SetWakeup(func() { fired = eng.Now() })
+	q.ArmWakeup()
 	eng.Schedule(100, func() { nic.Receive(udpPkt(1)) })
 	eng.Run()
 	min := sim.Time(100) + costmodel.InterruptLatencyMean/2

@@ -134,9 +134,6 @@ func New(data []byte) *Packet {
 	return p
 }
 
-// Len returns the frame length in bytes.
-func (p *Packet) Len() int { return len(p.Data) }
-
 // ResetMetadata restores packet-independent defaults, keeping the buffer.
 func (p *Packet) ResetMetadata() {
 	pool := p.pool

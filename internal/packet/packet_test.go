@@ -8,8 +8,8 @@ import (
 
 func TestNewPacketDefaults(t *testing.T) {
 	p := New(make([]byte, 64))
-	if p.Len() != 64 {
-		t.Fatalf("len = %d", p.Len())
+	if len(p.Data) != 64 {
+		t.Fatalf("len = %d", len(p.Data))
 	}
 	if p.L3Offset != -1 || p.L4Offset != -1 {
 		t.Fatal("header offsets must start unset")
@@ -30,7 +30,7 @@ func TestResetMetadata(t *testing.T) {
 	if p.InPort != 0 || p.RecircID != 0 || p.CtState != 0 || p.L3Offset != -1 || p.Tunnel != nil {
 		t.Fatalf("reset incomplete: %+v", p.Metadata)
 	}
-	if p.Len() != 10 {
+	if len(p.Data) != 10 {
 		t.Fatal("reset must keep the buffer")
 	}
 }
@@ -63,7 +63,7 @@ func TestPoolPreallocated(t *testing.T) {
 	if pool.Available() != 3 {
 		t.Fatal("get must take from the pool")
 	}
-	if p.Len() != 2 || p.Data[0] != 0xaa {
+	if len(p.Data) != 2 || p.Data[0] != 0xaa {
 		t.Fatal("get must carry the data")
 	}
 	if pool.Allocs != 0 {
@@ -128,7 +128,7 @@ func TestPoolOversizedBuffer(t *testing.T) {
 	big := make([]byte, 64)
 	big[63] = 7
 	p := pool.Get(big)
-	if p.Len() != 64 || p.Data[63] != 7 {
+	if len(p.Data) != 64 || p.Data[63] != 7 {
 		t.Fatal("oversized buffer must still be carried")
 	}
 }

@@ -94,18 +94,10 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 	e.q.insert(idx)
 }
 
-// ScheduleArg runs fn(arg) after delay d. Unlike Schedule with a capturing
-// closure, the callback is a pre-bound function plus a pointer-sized
-// argument, so hot paths (per-packet wire delivery) schedule without
-// allocating. A negative delay is treated as zero.
-func (e *Engine) ScheduleArg(d Time, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
-	e.ScheduleArgAt(e.now+d, fn, arg)
-}
-
-// ScheduleArgAt runs fn(arg) at absolute virtual time t.
+// ScheduleArgAt runs fn(arg) at absolute virtual time t. Unlike ScheduleAt
+// with a capturing closure, the callback is a pre-bound function plus a
+// pointer-sized argument, so hot paths (per-packet wire delivery) schedule
+// without allocating.
 func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) {
 	idx := e.newRecord(t)
 	e.q.slab[idx].argFn = fn

@@ -53,6 +53,3 @@ func (t *Timer) Stop() {
 	t.eng.q.live--
 	t.idx = -1
 }
-
-// Armed reports whether the timer has a pending arm.
-func (t *Timer) Armed() bool { return t.idx >= 0 }

@@ -10,7 +10,7 @@ import (
 // records, with a small sorted "near" ring holding the imminent horizon.
 //
 // It allocates nothing in steady state: records live in a free-listed slab,
-// Timers bind their callback once, and ScheduleArg threads a pointer-sized
+// Timers bind their callback once, and ScheduleArgAt threads a pointer-sized
 // argument through a pre-bound function without capturing.
 //
 // Determinism contract: events are delivered in exactly the same
@@ -42,7 +42,7 @@ type evRecord struct {
 	seq uint64
 	// fn is the no-argument callback (one-shot closures, Timer firings).
 	fn func()
-	// argFn/arg are the typed-callback form used by ScheduleArg: a
+	// argFn/arg are the typed-callback form used by ScheduleArgAt: a
 	// pre-bound function plus a pointer-sized argument, so per-event
 	// scheduling captures nothing.
 	argFn func(any)

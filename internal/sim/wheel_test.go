@@ -157,14 +157,14 @@ func TestTimerStopCancels(t *testing.T) {
 	fired := 0
 	tm := e.NewTimer(func() { fired++ })
 	tm.Schedule(100)
-	if !tm.Armed() {
+	if tm.idx < 0 {
 		t.Fatal("timer should be armed")
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", e.Pending())
 	}
 	tm.Stop()
-	if tm.Armed() {
+	if tm.idx >= 0 {
 		t.Fatal("timer should be disarmed after Stop")
 	}
 	if e.Pending() != 0 {
@@ -209,7 +209,7 @@ func TestTimerRearmFromCallback(t *testing.T) {
 	if e.Now() != 50 {
 		t.Fatalf("Now = %v, want 50ns", e.Now())
 	}
-	if tm.Armed() {
+	if tm.idx >= 0 {
 		t.Fatal("timer should be idle after the chain ends")
 	}
 }
@@ -236,8 +236,8 @@ func TestScheduleArgOrderAndDelivery(t *testing.T) {
 	var got []int
 	sink := func(v any) { got = append(got, v.(int)) }
 	x, y, z := 0, 1, 2
-	e.ScheduleArg(20, sink, y)
-	e.ScheduleArg(10, sink, x)
+	e.ScheduleArgAt(e.Now()+20, sink, y)
+	e.ScheduleArgAt(e.Now()+10, sink, x)
 	e.ScheduleArgAt(20, sink, z) // same time as y, scheduled later → after
 	e.Run()
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
@@ -271,12 +271,12 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	arg := &struct{}{}
 	// Prime the slab and near ring.
 	for i := 0; i < 64; i++ {
-		e.ScheduleArg(Time(i), sink, arg)
+		e.ScheduleArgAt(e.Now()+Time(i), sink, arg)
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		tm.Schedule(100)
-		e.ScheduleArg(50, sink, arg)
+		e.ScheduleArgAt(e.Now()+50, sink, arg)
 		e.RunUntil(e.Now() + 200)
 	})
 	if allocs != 0 {

@@ -3,6 +3,7 @@ package smc
 import (
 	"testing"
 
+	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
 )
@@ -48,7 +49,7 @@ type smcCounters struct {
 }
 
 func countersOf(c *Cache) smcCounters {
-	return smcCounters{c.Hits, c.Misses, c.Inserts, c.Evictions, c.StaleSkips, c.Uncacheable, c.Len(), c.FlowCount()}
+	return smcCounters{c.Hits, c.Misses, c.Inserts, c.Evictions, c.StaleSkips, c.Uncacheable, c.Len(), len(c.index)}
 }
 
 // TestHashReuseLeavesSMCUnchanged: hashing a key once and handing the hash to
@@ -65,7 +66,7 @@ func TestHashReuseLeavesSMCUnchanged(t *testing.T) {
 		keys, deadEvery int
 		want            smcCounters
 	}{
-		{"fits", DefaultEntries, 3, 50000, 0, smcCounters{24974, 25026, 25026, 0, 0, 0, 25026, 196}},
+		{"fits", costmodel.SMCEntries, 3, 50000, 0, smcCounters{24974, 25026, 25026, 0, 0, 0, 25026, 196}},
 		{"evicts", 8192, 0x85eb + 3, 50000, 0, smcCounters{24861, 25139, 25139, 16952, 1, 0, 8186, 196}},
 		{"stale-signatures", 8192, 3, 50000, 7, smcCounters{21299, 28701, 28701, 16965, 3551, 0, 8185, 196}},
 	} {

@@ -28,10 +28,6 @@ import (
 // Ways is the set associativity of a bucket (SMC_ENTRY_PER_BUCKET).
 const Ways = 4
 
-// DefaultEntries matches OVS's SMC_ENTRIES (1 << 20): 4 bytes per entry,
-// ~4 MB per PMD, room for a million signatures.
-const DefaultEntries = 1 << 20
-
 // maxIndex bounds the indirection table: indices are 16-bit, and the top
 // value is reserved as the empty marker.
 const maxIndex = 1<<16 - 1
@@ -238,10 +234,3 @@ func (c *Cache) Flush() {
 // place (they are reclaimed by later inserts), exactly as the real SMC's
 // occupancy only shrinks by overwrite.
 func (c *Cache) Len() int { return c.count }
-
-// Capacity returns the total number of signature slots.
-func (c *Cache) Capacity() int { return len(c.buckets) * Ways }
-
-// FlowCount returns the number of megaflows registered in the indirection
-// table (diagnostics).
-func (c *Cache) FlowCount() int { return len(c.index) }

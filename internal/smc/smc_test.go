@@ -62,8 +62,8 @@ func TestWildcardedMegaflowServesManyKeys(t *testing.T) {
 			t.Fatalf("key %d: lookup = %v,%v", i, got, ok)
 		}
 	}
-	if c.FlowCount() != 1 {
-		t.Fatalf("flow count = %d, want 1 (shared indirection slot)", c.FlowCount())
+	if len(c.index) != 1 {
+		t.Fatalf("flow count = %d, want 1 (shared indirection slot)", len(c.index))
 	}
 }
 
@@ -146,8 +146,8 @@ func TestFlushEmptiesEverything(t *testing.T) {
 		c.Insert(keyN(i), megaflowFor(cls, keyN(i), flow.MaskAll()))
 	}
 	c.Flush()
-	if c.Len() != 0 || c.FlowCount() != 0 {
-		t.Fatalf("len=%d flows=%d after flush", c.Len(), c.FlowCount())
+	if c.Len() != 0 || len(c.index) != 0 {
+		t.Fatalf("len=%d flows=%d after flush", c.Len(), len(c.index))
 	}
 	if _, ok := c.Lookup(keyN(0)); ok {
 		t.Fatal("flushed cache must miss")
@@ -161,8 +161,8 @@ func TestEvictionUnderPressure(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Insert(keyN(i), e)
 	}
-	if c.Len() > c.Capacity() {
-		t.Fatalf("len %d exceeds capacity %d", c.Len(), c.Capacity())
+	if c.Len() > len(c.buckets)*Ways {
+		t.Fatalf("len %d exceeds capacity %d", c.Len(), len(c.buckets)*Ways)
 	}
 	if c.Evictions == 0 {
 		t.Fatal("pressure must evict")

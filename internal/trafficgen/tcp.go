@@ -181,9 +181,6 @@ func (b *Bulk) OnAckArrived(p *packet.Packet) {
 	b.pump()
 }
 
-// DeliveredBytes returns payload bytes that reached the receiver.
-func (b *Bulk) DeliveredBytes() uint64 { return b.delivered }
-
 // ThroughputGbps computes goodput between the first delivered byte and
 // now.
 func (b *Bulk) ThroughputGbps() float64 {

@@ -74,7 +74,7 @@ func TestBulkTransferThroughLosslessPath(t *testing.T) {
 	bulk.Start()
 	eng.RunUntil(50 * sim.Millisecond)
 
-	if bulk.DeliveredBytes() == 0 {
+	if bulk.delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
 	// Window-limited throughput: W/RTT = 64kB / 20us ~ 26 Gbps.

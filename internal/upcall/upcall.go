@@ -32,9 +32,6 @@ type Config struct {
 	// RetryBase seeds the exponential backoff applied when translation
 	// fails transiently; zero defaults to UpcallCost/4.
 	RetryBase sim.Time
-	// MaxRetries bounds backoff retries of one transient upcall; zero
-	// defaults to 3.
-	MaxRetries int
 	// NegativeFlowTTL is the lifetime of the drop flow installed when an
 	// upcall fails for good, shielding the slow path from the failing flow;
 	// <= 0 disables the negative flow.
@@ -59,13 +56,6 @@ func (c *Config) retryBase() sim.Time {
 		return c.RetryBase
 	}
 	return costmodel.UpcallCost / 4
-}
-
-func (c *Config) maxRetries() int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
-	}
-	return 3
 }
 
 // Counters are the datapath-wide tallies the slow path writes. Each
@@ -219,7 +209,7 @@ func (q *Queue) service() {
 	mf, err := q.host.Translate(&u.key)
 	if err != nil {
 		if te, ok := err.(interface{ Transient() bool }); ok && te.Transient() &&
-			u.attempt < q.cfg.maxRetries() {
+			u.attempt < costmodel.UpcallMaxRetries {
 			u.attempt++
 			q.ctr.UpcallRetries++
 			delay := faultinject.Backoff(q.eng.Rand(), q.cfg.retryBase(), u.attempt)

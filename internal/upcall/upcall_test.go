@@ -94,7 +94,7 @@ var transient = &faultinject.FaultError{Kind: faultinject.KindUpcallFailure, Tar
 
 func TestZeroMeansDefault(t *testing.T) {
 	var zero Config
-	set := Config{ServiceInterval: 7, RetryBase: 9, MaxRetries: 5}
+	set := Config{ServiceInterval: 7, RetryBase: 9}
 	for _, c := range []struct {
 		name      string
 		got, want any
@@ -103,8 +103,6 @@ func TestZeroMeansDefault(t *testing.T) {
 		{"ServiceInterval set", set.serviceInterval(), sim.Time(7)},
 		{"RetryBase zero", zero.retryBase(), costmodel.UpcallCost / 4},
 		{"RetryBase set", set.retryBase(), sim.Time(9)},
-		{"MaxRetries zero", zero.maxRetries(), 3},
-		{"MaxRetries set", set.maxRetries(), 5},
 		{"default NegativeFlowTTL", DefaultConfig().NegativeFlowTTL, costmodel.NegativeFlowTTL},
 		{"default QueueCap (inline)", DefaultConfig().QueueCap, 0},
 	} {
@@ -202,15 +200,14 @@ func TestParkedPacketsOfOneFlowTranslateOnce(t *testing.T) {
 // TestBackoffInstants pins when each retry of a transient failure runs:
 // attempt k re-enters the queue faultinject.Backoff(seeded rng, base, k)
 // after the failed service and is translated one service interval later.
-// The fault outlasts MaxRetries, so the last failure is hard.
+// The fault outlasts costmodel.UpcallMaxRetries, so the last failure is hard.
 func TestBackoffInstants(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"explicit", Config{QueueCap: 4, ServiceInterval: 20 * sim.Microsecond, RetryBase: 25 * sim.Microsecond, MaxRetries: 3}},
+		{"explicit", Config{QueueCap: 4, ServiceInterval: 20 * sim.Microsecond, RetryBase: 25 * sim.Microsecond}},
 		{"defaults", Config{QueueCap: 4}},
-		{"five retries", Config{QueueCap: 1, ServiceInterval: sim.Microsecond, RetryBase: 3 * sim.Microsecond, MaxRetries: 5}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			b := newBed(c.cfg)
@@ -222,14 +219,14 @@ func TestBackoffInstants(t *testing.T) {
 			rng := sim.NewRand(testSeed)
 			at := b.cfg.serviceInterval()
 			want := []sim.Time{at}
-			for k := 1; k <= b.cfg.maxRetries(); k++ {
+			for k := 1; k <= costmodel.UpcallMaxRetries; k++ {
 				at += faultinject.Backoff(rng, b.cfg.retryBase(), k) + b.cfg.serviceInterval()
 				want = append(want, at)
 			}
 			if !reflect.DeepEqual(b.host.translated, want) {
 				t.Fatalf("translation instants %v, want %v", b.host.translated, want)
 			}
-			if got := uint64(b.cfg.maxRetries()); b.ctr.UpcallRetries != got {
+			if got := uint64(costmodel.UpcallMaxRetries); b.ctr.UpcallRetries != got {
 				t.Fatalf("retries = %d, want %d", b.ctr.UpcallRetries, got)
 			}
 			if b.ctr.UpcallErrors != 1 || b.ctr.Drops != 1 || len(b.host.released) != 1 || b.host.released[0] != p {

@@ -1,12 +1,12 @@
 // Package vdev provides the virtual devices of Sections 3.3 and 3.4: the
-// building-block bounded packet queue with wakeup signalling, and on top of
-// it the tap device (kernel-mediated, one system call per send from
-// userspace), the vhostuser ring pair (shared memory, no kernel crossing),
-// and the veth pair (two queues back-to-back across namespaces).
+// bounded packet queue with wakeup signalling, and the link built from two
+// of them that stands for a tap device (kernel-mediated), a vhostuser ring
+// pair (shared memory) and a veth pair (across namespaces) alike.
 //
-// Costs are charged by the layers that drive these devices; vdev itself
-// only implements the mechanics (bounded queues, loss on overflow, wakeup
-// callbacks for interrupt-style consumers).
+// What tells those devices apart is where the crossing is paid, and costs
+// are charged by the layers that drive a link (core.LinkPort's cost rows,
+// vmsim, containersim); vdev itself only implements the mechanics (bounded
+// queues, loss on overflow, wakeup callbacks for interrupt-style consumers).
 package vdev
 
 import (
@@ -23,18 +23,12 @@ const DefaultQueueDepth = 1024
 // the callback fires once (the consumer re-arms after draining, NAPI
 // style).
 type Queue struct {
+	packet.FIFO
 	Name  string
 	depth int
-	items []*packet.Packet
 
 	wakeFn    func()
 	wakeArmed bool
-
-	// head is the consume index into items; scratch is the reusable
-	// slice Pop returns (consumed synchronously by the single-threaded
-	// simulation, never retained across events).
-	head    int
-	scratch []*packet.Packet
 
 	// Gate, when set and returning true, refuses the push (fault
 	// injection: a detached backend or downed device).
@@ -55,53 +49,28 @@ func NewQueue(name string, depth int) *Queue {
 	return &Queue{Name: name, depth: depth}
 }
 
-// Len returns the number of queued packets.
-func (q *Queue) Len() int { return len(q.items) - q.head }
-
-// Cap returns the queue depth.
-func (q *Queue) Cap() int { return q.depth }
-
-// Push enqueues a packet, dropping (and counting) on overflow. It fires the
-// armed wakeup when the queue transitions from empty.
+// Push enqueues a packet. A refused packet — overflow or an injected gate —
+// is counted and released here, so no caller has to. It fires the armed
+// wakeup when the queue transitions from empty.
 func (q *Queue) Push(p *packet.Packet) bool {
 	if q.Gate != nil && q.Gate() {
 		q.GateDrops++
+		p.Release()
 		return false
 	}
 	if q.Len() >= q.depth {
 		q.Dropped++
+		p.Release()
 		return false
 	}
 	wasEmpty := q.Len() == 0
-	q.items = append(q.items, p)
+	q.Append(p)
 	q.Enqueued++
 	if wasEmpty && q.wakeArmed && q.wakeFn != nil {
 		q.wakeArmed = false
 		q.wakeFn()
 	}
 	return true
-}
-
-// Pop dequeues up to max packets. The returned slice is reused by the next
-// Pop; callers must finish with it before yielding to the engine.
-func (q *Queue) Pop(max int) []*packet.Packet {
-	n := max
-	if avail := q.Len(); n > avail {
-		n = avail
-	}
-	if n == 0 {
-		return nil
-	}
-	q.scratch = append(q.scratch[:0], q.items[q.head:q.head+n]...)
-	for i := q.head; i < q.head+n; i++ {
-		q.items[i] = nil
-	}
-	q.head += n
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return q.scratch
 }
 
 // SetWakeup installs the wakeup callback.
@@ -122,65 +91,22 @@ func (q *Queue) String() string {
 	return fmt.Sprintf("%s{%d/%d, drop=%d}", q.Name, q.Len(), q.depth, q.Dropped)
 }
 
-// Tap is the kernel tap device of Section 3.3 path A: userspace writes
-// packets with a sendto() system call into ToKernel; the kernel stack (or a
-// VM via QEMU) reads from it, and injects packets back through FromKernel.
-type Tap struct {
+// Link is a virtual device as the switch sees it: one ring toward the peer
+// and one back. The peer is a guest behind a tap (Section 3.3 path A: the
+// kernel and QEMU sit between) or behind vhostuser rings (path B: shared
+// memory, no kernel crossing), the kernel stack itself, or a container
+// namespace at the far end of a veth pair (Section 3.4).
+type Link struct {
 	Name string
-	// ToKernel carries packets from OVS userspace into the kernel/VM.
-	ToKernel *Queue
-	// FromKernel carries packets from the kernel/VM to OVS userspace.
-	FromKernel *Queue
+	// ToPeer carries what the switch sends; FromPeer what the peer sends.
+	ToPeer, FromPeer *Queue
 }
 
-// NewTap builds a tap device.
-func NewTap(name string) *Tap {
-	return &Tap{
-		Name:       name,
-		ToKernel:   NewQueue(name+":to-kernel", 0),
-		FromKernel: NewQueue(name+":from-kernel", 0),
+// NewLink builds a link with default-depth rings.
+func NewLink(name string) *Link {
+	return &Link{
+		Name:     name,
+		ToPeer:   NewQueue(name+":to-peer", 0),
+		FromPeer: NewQueue(name+":from-peer", 0),
 	}
 }
-
-// VhostUser is the shared-memory virtio ring pair of Section 3.3 path B:
-// OVS userspace and the VM exchange packets without any kernel crossing.
-type VhostUser struct {
-	Name string
-	// ToGuest is the ring OVS produces into (guest rx).
-	ToGuest *Queue
-	// FromGuest is the ring the guest produces into (guest tx).
-	FromGuest *Queue
-}
-
-// NewVhostUser builds a vhostuser device.
-func NewVhostUser(name string) *VhostUser {
-	return &VhostUser{
-		Name:      name,
-		ToGuest:   NewQueue(name+":to-guest", 0),
-		FromGuest: NewQueue(name+":from-guest", 0),
-	}
-}
-
-// VethPair is the namespace-crossing device of Section 3.4: what one end
-// sends, the other end receives, with no data copy.
-type VethPair struct {
-	Name string
-	// AtoB carries host-side sends to the container; BtoA the reverse.
-	AtoB *Queue
-	BtoA *Queue
-}
-
-// NewVethPair builds a veth pair.
-func NewVethPair(name string) *VethPair {
-	return &VethPair{
-		Name: name,
-		AtoB: NewQueue(name+":a-to-b", 0),
-		BtoA: NewQueue(name+":b-to-a", 0),
-	}
-}
-
-// SendA transmits from the A (host) end.
-func (v *VethPair) SendA(p *packet.Packet) bool { return v.AtoB.Push(p) }
-
-// SendB transmits from the B (container) end.
-func (v *VethPair) SendB(p *packet.Packet) bool { return v.BtoA.Push(p) }

@@ -65,41 +65,71 @@ func TestQueueWakeupOnlyOnEmptyTransition(t *testing.T) {
 }
 
 func TestQueueDefaultDepth(t *testing.T) {
-	if NewQueue("q", 0).Cap() != DefaultQueueDepth {
-		t.Fatal("default depth not applied")
+	q := NewQueue("q", 0)
+	for i := 0; i <= DefaultQueueDepth; i++ {
+		q.Push(pkt())
+	}
+	if q.Len() != DefaultQueueDepth || q.Dropped != 1 {
+		t.Fatalf("default depth not applied: len=%d dropped=%d", q.Len(), q.Dropped)
+	}
+}
+
+// TestRefusedPushReleases: a push the queue refuses — ring overflow or an
+// injected gate — gives a pooled packet back to its pool, because no caller
+// looks at the result.
+func TestRefusedPushReleases(t *testing.T) {
+	pool := packet.NewPool(4, 64, true)
+	frame := make([]byte, 64)
+
+	full := NewQueue("full", 1)
+	full.Push(pool.Get(frame))
+	if full.Push(pool.Get(frame)) {
+		t.Fatal("push beyond the depth was accepted")
+	}
+	if got := pool.Available(); got != 3 {
+		t.Fatalf("overflow: %d of 4 packets free, want 3 (one queued)", got)
+	}
+
+	gated := NewQueue("gated", 1)
+	gated.Gate = func() bool { return true }
+	if gated.Push(pool.Get(frame)) {
+		t.Fatal("gated push was accepted")
+	}
+	if got := pool.Available(); got != 3 || gated.GateDrops != 1 {
+		t.Fatalf("gate: %d of 4 packets free, want 3; gate drops %d", got, gated.GateDrops)
 	}
 }
 
 func TestTapQueuesAreDistinct(t *testing.T) {
-	tap := NewTap("tap0")
-	tap.ToKernel.Push(pkt())
-	if tap.FromKernel.Len() != 0 {
+	tap := NewLink("tap0")
+	tap.ToPeer.Push(pkt())
+	if tap.FromPeer.Len() != 0 {
 		t.Fatal("tap directions must be independent")
 	}
 }
 
 func TestVhostRings(t *testing.T) {
-	v := NewVhostUser("vhost0")
+	v := NewLink("vhost0")
 	p := pkt()
-	v.ToGuest.Push(p)
-	got := v.ToGuest.Pop(1)
+	v.ToPeer.Push(p)
+	got := v.ToPeer.Pop(1)
 	if len(got) != 1 || got[0] != p {
 		t.Fatal("vhost ring lost the packet")
 	}
 }
 
 func TestVethPairCrossing(t *testing.T) {
-	v := NewVethPair("veth0")
+	v := NewLink("veth0")
 	p := pkt()
-	if !v.SendA(p) {
+	if !v.ToPeer.Push(p) {
 		t.Fatal("send failed")
 	}
-	got := v.AtoB.Pop(1)
+	got := v.ToPeer.Pop(1)
 	if len(got) != 1 || got[0] != p {
 		t.Fatal("A->B crossing failed")
 	}
-	v.SendB(p)
-	if v.BtoA.Len() != 1 {
+	v.FromPeer.Push(p)
+	if v.FromPeer.Len() != 1 {
 		t.Fatal("B->A crossing failed")
 	}
 }

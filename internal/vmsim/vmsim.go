@@ -32,21 +32,21 @@ type Backend interface {
 
 // VhostUserBackend is shared-memory virtio: zero kernel involvement.
 type VhostUserBackend struct {
-	Dev *vdev.VhostUser
+	Dev *vdev.Link
 }
 
 // GuestRxQueue implements Backend.
-func (b *VhostUserBackend) GuestRxQueue() *vdev.Queue { return b.Dev.ToGuest }
+func (b *VhostUserBackend) GuestRxQueue() *vdev.Queue { return b.Dev.ToPeer }
 
 // GuestTransmit implements Backend.
-func (b *VhostUserBackend) GuestTransmit(p *packet.Packet) { b.Dev.FromGuest.Push(p) }
+func (b *VhostUserBackend) GuestTransmit(p *packet.Packet) { b.Dev.FromPeer.Push(p) }
 
 // TapBackend relays packets between the tap device and the guest through
 // the QEMU process, paying the extra hop on a host userspace CPU. With a
 // distinct TxCPU the two directions relay concurrently (multiqueue
 // virtio / vhost-net-style); with one CPU they serialize.
 type TapBackend struct {
-	Tap     *vdev.Tap
+	Tap     *vdev.Link
 	QemuCPU *sim.CPU
 	TxCPU   *sim.CPU
 	Eng     *sim.Engine
@@ -55,14 +55,9 @@ type TapBackend struct {
 	started bool
 }
 
-// NewTapBackend builds a tap backend whose relay directions share qemuCPU.
-func NewTapBackend(eng *sim.Engine, tap *vdev.Tap, qemuCPU *sim.CPU) *TapBackend {
-	return NewTapBackendMQ(eng, tap, qemuCPU, qemuCPU)
-}
-
-// NewTapBackendMQ builds a tap backend with separate relay CPUs per
-// direction (multiqueue virtio).
-func NewTapBackendMQ(eng *sim.Engine, tap *vdev.Tap, rxCPU, txCPU *sim.CPU) *TapBackend {
+// NewTapBackendMQ builds a tap backend with a relay CPU per direction
+// (multiqueue virtio); passing one CPU twice serializes the two.
+func NewTapBackendMQ(eng *sim.Engine, tap *vdev.Link, rxCPU, txCPU *sim.CPU) *TapBackend {
 	b := &TapBackend{Tap: tap, QemuCPU: rxCPU, TxCPU: txCPU, Eng: eng,
 		guestRx: vdev.NewQueue(tap.Name+":guest-rx", 0)}
 	// QEMU relay: tap -> guest rx queue. QEMU reads the tap (syscall +
@@ -71,7 +66,7 @@ func NewTapBackendMQ(eng *sim.Engine, tap *vdev.Tap, rxCPU, txCPU *sim.CPU) *Tap
 	// vhostuser.
 	relay := &kernelsim.NAPIActor{
 		Eng: eng, CPU: rxCPU,
-		Src:      kernelsim.VQueueSource{Q: tap.ToKernel},
+		Src:      tap.ToPeer,
 		Category: sim.User,
 		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
 			for _, p := range pkts {
@@ -92,7 +87,7 @@ func (b *TapBackend) GuestRxQueue() *vdev.Queue { return b.guestRx }
 func (b *TapBackend) GuestTransmit(p *packet.Packet) {
 	b.TxCPU.Consume(sim.User, costmodel.QemuTapRelay+costmodel.SyscallBase+
 		costmodel.QemuCopyCost(len(p.Data)))
-	b.Tap.FromKernel.Push(p)
+	b.Tap.FromPeer.Push(p)
 }
 
 // VM is one guest.
@@ -152,7 +147,7 @@ func New(eng *sim.Engine, cfg Config) *VM {
 	}
 	actor := &kernelsim.NAPIActor{
 		Eng: eng, CPU: cpu,
-		Src:      kernelsim.VQueueSource{Q: cfg.Backend.GuestRxQueue()},
+		Src:      cfg.Backend.GuestRxQueue(),
 		Category: sim.Guest,
 		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
 			for _, p := range pkts {

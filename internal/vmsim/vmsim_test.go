@@ -22,13 +22,13 @@ func udpPkt() *packet.Packet {
 
 func TestVhostReflector(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dev := vdev.NewVhostUser("vh0")
+	dev := vdev.NewLink("vh0")
 	vm := New(eng, Config{Name: "vm0", Backend: &VhostUserBackend{Dev: dev}})
 
-	dev.ToGuest.Push(udpPkt())
+	dev.ToPeer.Push(udpPkt())
 	eng.Run()
 
-	out := dev.FromGuest.Pop(4)
+	out := dev.FromPeer.Pop(4)
 	if len(out) != 1 {
 		t.Fatalf("reflected %d packets", len(out))
 	}
@@ -50,15 +50,15 @@ func TestVhostReflector(t *testing.T) {
 
 func TestTapBackendPaysQemuRelay(t *testing.T) {
 	eng := sim.NewEngine(1)
-	tap := vdev.NewTap("tap0")
+	tap := vdev.NewLink("tap0")
 	qemu := eng.NewCPU("qemu")
-	backend := NewTapBackend(eng, tap, qemu)
+	backend := NewTapBackendMQ(eng, tap, qemu, qemu)
 	vm := New(eng, Config{Name: "vm0", Backend: backend})
 
-	tap.ToKernel.Push(udpPkt())
+	tap.ToPeer.Push(udpPkt())
 	eng.Run()
 
-	if got := tap.FromKernel.Len(); got != 1 {
+	if got := tap.FromPeer.Len(); got != 1 {
 		t.Fatalf("reflected %d packets via tap", got)
 	}
 	if qemu.Busy(sim.User) == 0 {
@@ -71,7 +71,7 @@ func TestTapBackendPaysQemuRelay(t *testing.T) {
 
 func TestOffloadNegotiation(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dev := vdev.NewVhostUser("vh0")
+	dev := vdev.NewLink("vh0")
 	vm := New(eng, Config{Name: "vm0", Backend: &VhostUserBackend{Dev: dev}, OffloadsNegotiated: true})
 	p := udpPkt()
 	vm.Transmit(p)
@@ -82,7 +82,7 @@ func TestOffloadNegotiation(t *testing.T) {
 
 	// Without negotiation the guest pays the checksum itself.
 	eng2 := sim.NewEngine(1)
-	dev2 := vdev.NewVhostUser("vh1")
+	dev2 := vdev.NewLink("vh1")
 	vm2 := New(eng2, Config{Name: "vm1", Backend: &VhostUserBackend{Dev: dev2}})
 	p2 := udpPkt()
 	vm2.Transmit(p2)
@@ -96,16 +96,16 @@ func TestOffloadNegotiation(t *testing.T) {
 
 func TestCustomHandler(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dev := vdev.NewVhostUser("vh0")
+	dev := vdev.NewLink("vh0")
 	var got *packet.Packet
 	New(eng, Config{Name: "vm0", Backend: &VhostUserBackend{Dev: dev},
 		OnPacket: func(vm *VM, p *packet.Packet) { got = p }})
-	dev.ToGuest.Push(udpPkt())
+	dev.ToPeer.Push(udpPkt())
 	eng.Run()
 	if got == nil {
 		t.Fatal("custom handler not invoked")
 	}
-	if dev.FromGuest.Len() != 0 {
+	if dev.FromPeer.Len() != 0 {
 		t.Fatal("custom handler must not auto-reflect")
 	}
 }
