@@ -2,6 +2,9 @@ package afxdp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +151,153 @@ func TestUmemBufferNegativeLengthPanics(t *testing.T) {
 	u.Buffer(u.ChunkAddr(1), -1)
 }
 
+// umemAccess is one Buffer call; a write then fills the returned slice.
+type umemAccess struct {
+	addr  uint64
+	n     int
+	write bool
+	pat   byte
+}
+
+// try makes the access through buffer and returns a copy of the bytes it
+// saw, or the panic it raised.
+func (a umemAccess) try(buffer func(uint64, int) []byte) (got []byte, panicked string) {
+	defer func() {
+		if v := recover(); v != nil {
+			panicked = fmt.Sprint(v)
+		}
+	}()
+	b := buffer(a.addr, a.n)
+	if a.write {
+		for i := range b {
+			b[i] = a.pat + byte(i)
+		}
+	}
+	return append([]byte{}, b...), ""
+}
+
+// checkAccess makes a on both umems and requires the same bytes or the same
+// panic.
+func checkAccess(t testing.TB, u *Umem, ref *refUmem, a umemAccess) {
+	t.Helper()
+	got, gotPanic := a.try(u.Buffer)
+	want, wantPanic := a.try(ref.Buffer)
+	if gotPanic != wantPanic || !bytes.Equal(got, want) {
+		t.Fatalf("Buffer(%d, %d) write=%v: got % x panic %q, reference % x panic %q",
+			a.addr, a.n, a.write, got, gotPanic, want, wantPanic)
+	}
+}
+
+// checkWholeArea reads every chunk of both umems whole.
+func checkWholeArea(t testing.TB, u *Umem, ref *refUmem) {
+	t.Helper()
+	for c := 0; c < ref.Chunks(); c++ {
+		checkAccess(t, u, ref, umemAccess{addr: ref.ChunkAddr(c), n: ref.ChunkSize()})
+	}
+}
+
+// TestUmemMatchesReference drives the paged umem and the eager reference
+// (umem_ref_test.go) with the same seeded streams of writes and reads, at
+// chunk sizes from 64 bytes to 128 KiB — below, at and above the page
+// size, over areas that end inside a page — at random chunks, offsets and
+// lengths, including whole-chunk, chunk-end, cross-chunk, past-the-area
+// and negative-length accesses. Every access must return the same bytes or
+// panic with the same message, and the whole areas must agree at the end.
+func TestUmemMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		chunkSize := 64 << rng.Intn(12)
+		chunks := 1 + rng.Intn(max(2, (1<<20)/chunkSize))
+		u, ref := NewUmem(chunks, chunkSize), newRefUmem(chunks, chunkSize)
+		for step := 0; step < 400; step++ {
+			checkAccess(t, u, ref, randomAccess(rng, chunks, chunkSize))
+		}
+		checkWholeArea(t, u, ref)
+	}
+}
+
+// randomAccess draws an access aimed at the edges that matter: chunk and
+// area ends, the page a chunk sits in, and lengths either side of what the
+// chunk has left.
+func randomAccess(rng *rand.Rand, chunks, chunkSize int) umemAccess {
+	c := rng.Intn(chunks + 2) // chunks and chunks+1 lie past the area
+	if rng.Intn(4) == 0 {
+		c = chunks - 1 - rng.Intn(min(chunks, 2))
+	}
+	off := []int{0, 0, rng.Intn(chunkSize), chunkSize - 1}[rng.Intn(4)]
+	left := chunkSize - off
+	n := []int{0, 1, left, left, left + 1, chunkSize, rng.Intn(left + 1), -1 - rng.Intn(100)}[rng.Intn(8)]
+	addr := uint64(c*chunkSize + off)
+	if rng.Intn(50) == 0 {
+		addr = ^uint64(0) - uint64(rng.Intn(4))
+	}
+	return umemAccess{addr: addr, n: n, write: rng.Intn(2) == 0, pat: byte(rng.Intn(256))}
+}
+
+// FuzzUmemOps: the first two bytes pick the chunk size (64 B to 128 KiB)
+// and count, each following six an access (flags, chunk, offset, length);
+// the paged umem must agree with the reference on every access and on the
+// whole area at the end.
+func FuzzUmemOps(f *testing.F) {
+	f.Add([]byte{5, 3, 1, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 8})
+	f.Add([]byte{0, 200, 1, 199, 63, 0, 2, 0, 0, 200, 0, 0, 255, 255})
+	f.Add([]byte{11, 4, 3, 1, 255, 255, 1, 0, 0, 5, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		chunkSize := 64 << (data[0] % 12)
+		chunks := 1 + int(data[1])%max(2, (1<<20)/chunkSize)
+		u, ref := NewUmem(chunks, chunkSize), newRefUmem(chunks, chunkSize)
+		for ops := data[2:]; len(ops) >= 6; ops = ops[6:] {
+			c := int(ops[1]) % (chunks + 2)
+			off := int(binary.LittleEndian.Uint16(ops[2:])) % chunkSize
+			n := int(int16(binary.LittleEndian.Uint16(ops[4:])))
+			if ops[0]&2 != 0 { // a length relative to what the chunk has left
+				n = chunkSize - off + n%4
+			}
+			checkAccess(t, u, ref, umemAccess{addr: uint64(c*chunkSize + off), n: n,
+				write: ops[0]&1 != 0, pat: ops[0]})
+		}
+		checkWholeArea(t, u, ref)
+	})
+}
+
+// TestUmemFaultsInByPage: a fresh umem holds no memory; touching a chunk
+// faults in its page only — 64 KiB, or the chunk when chunks are larger —
+// and the last page stops at the area's end.
+func TestUmemFaultsInByPage(t *testing.T) {
+	u := NewUmem(DefaultChunks, DefaultChunkSize)
+	for i, p := range u.pages {
+		if p != nil {
+			t.Fatalf("page %d allocated before any access", i)
+		}
+	}
+	u.Buffer(u.ChunkAddr(40), 1)
+	touched := 0
+	for _, p := range u.pages {
+		if p != nil {
+			touched++
+			if len(p) != umemPageSize {
+				t.Fatalf("page of %d bytes, want %d", len(p), umemPageSize)
+			}
+		}
+	}
+	if touched != 1 || u.pages[40*DefaultChunkSize/umemPageSize] == nil {
+		t.Fatalf("%d pages allocated by one access, want chunk 40's", touched)
+	}
+	big := NewUmem(3, 2*umemPageSize)
+	big.Buffer(big.ChunkAddr(2), 1)
+	if len(big.pages) != 3 || len(big.pages[2]) != 2*umemPageSize {
+		t.Fatalf("128 KiB chunks: %d pages, last %d bytes", len(big.pages), len(big.pages[2]))
+	}
+	small := NewUmem(3, 64)
+	small.Buffer(small.ChunkAddr(2), 64)
+	if len(small.pages) != 1 || len(small.pages[0]) != 3*64 {
+		t.Fatalf("a 192-byte area: %d pages, first %d bytes", len(small.pages), len(small.pages[0]))
+	}
+}
+
 func TestPoolAllocRelease(t *testing.T) {
 	u := NewUmem(8, 128)
 	p := NewPool(u, LockSpin)
@@ -233,6 +383,24 @@ func TestXSKDropWhenFillEmpty(t *testing.T) {
 	}
 	if x.RxDropFill != 1 {
 		t.Fatalf("drop not counted: %+v", x)
+	}
+}
+
+// A frame longer than a chunk is refused and counted, not truncated into
+// one; the fill buffer stays for the next frame.
+func TestXSKRefusesOversizeFrame(t *testing.T) {
+	u := NewUmem(16, 2048)
+	p := NewPool(u, LockSpinBatched)
+	x := NewXSK(1, 0, u)
+	x.RefillFill(p, 1)
+	if x.KernelDeliver(make([]byte, 3000)) {
+		t.Fatal("a 3000-byte frame was delivered into 2048-byte chunks")
+	}
+	if x.RxDropOversize != 1 || x.Rx.Len() != 0 || u.Fill.Len() != 1 {
+		t.Fatalf("oversize drops %d, rx ring %d, fill ring %d; want 1, 0, 1", x.RxDropOversize, x.Rx.Len(), u.Fill.Len())
+	}
+	if !x.KernelDeliver(make([]byte, 2048)) {
+		t.Fatal("a whole-chunk frame must still be delivered")
 	}
 }
 

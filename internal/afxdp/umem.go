@@ -1,6 +1,9 @@
 package afxdp
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // DefaultChunkSize is the umem chunk (frame slot) size, matching
 // XSK_UMEM__DEFAULT_FRAME_SIZE.
@@ -9,15 +12,20 @@ const DefaultChunkSize = 2048
 // DefaultChunks is the default number of umem chunks.
 const DefaultChunks = 4096
 
-// Umem is the shared user memory region packets live in: a contiguous byte
-// area divided into fixed-size chunks, addressed by byte offset, plus the
-// fill and completion rings the kernel and userspace exchange ownership
-// through.
+// umemPageSize is the least a umem page holds: like an mmap'd umem, the area
+// is faulted in by page on first touch. A page is max(umemPageSize, chunk
+// size); both are powers of two, so no chunk straddles two pages.
+const umemPageSize = 64 << 10
+
+// Umem is the shared user memory region packets live in: a byte area
+// divided into fixed-size chunks, addressed by byte offset, plus the fill
+// and completion rings the kernel and userspace exchange ownership through.
 type Umem struct {
-	area      []byte
+	pages     [][]byte // page i covers [i<<pageShift, (i+1)<<pageShift); nil until touched
+	pageShift uint
+	size      uint64 // area length in bytes
 	chunkSize int
 	chunkMask uint64 // chunkSize - 1
-	chunks    int
 
 	// Fill carries empty buffers from userspace to the kernel (rx path
 	// 1 in Figure 4); Completion returns transmitted buffers from the
@@ -33,11 +41,14 @@ func NewUmem(chunks, chunkSize int) *Umem {
 	if chunkSize <= 0 || chunkSize&(chunkSize-1) != 0 {
 		panic(fmt.Sprintf("afxdp: umem chunk size %d is not a power of two", chunkSize))
 	}
+	size := uint64(chunks * chunkSize)
+	shift := uint(bits.TrailingZeros(uint(max(umemPageSize, chunkSize))))
 	return &Umem{
-		area:       make([]byte, chunks*chunkSize),
+		pages:      make([][]byte, (size+1<<shift-1)>>shift),
+		pageShift:  shift,
+		size:       size,
 		chunkSize:  chunkSize,
 		chunkMask:  uint64(chunkSize - 1),
-		chunks:     chunks,
 		Fill:       NewRing(DefaultRingSize),
 		Completion: NewRing(DefaultRingSize),
 	}
@@ -47,26 +58,29 @@ func NewUmem(chunks, chunkSize int) *Umem {
 func (u *Umem) ChunkSize() int { return u.chunkSize }
 
 // Chunks returns the number of chunks.
-func (u *Umem) Chunks() int { return u.chunks }
+func (u *Umem) Chunks() int { return int(u.size) / u.chunkSize }
 
-// Buffer returns the memory of the chunk containing addr, trimmed to n
-// bytes. It panics on an out-of-range or cross-chunk access: verified
-// producers only hand out addresses from the pool and frames never exceed
-// the chunk size, so either is a simulation bug — and an access running
-// past the chunk end would silently alias the next chunk's packet bytes.
+// Buffer returns the memory of the chunk containing addr, trimmed to n bytes,
+// faulting its page in on first touch. It panics on an out-of-range or
+// cross-chunk access: either is a simulation bug, and an access running past
+// the chunk end would silently alias the next chunk's packet bytes.
 func (u *Umem) Buffer(addr uint64, n int) []byte {
 	if n < 0 {
 		panic(fmt.Sprintf("afxdp: negative umem access length %d", n))
 	}
-	if addr >= uint64(len(u.area)) {
-		panic(fmt.Sprintf("afxdp: umem address %d beyond area %d", addr, len(u.area)))
+	if addr >= u.size {
+		panic(fmt.Sprintf("afxdp: umem address %d beyond area %d", addr, u.size))
 	}
 	off := addr & u.chunkMask
 	if uint64(n) > uint64(u.chunkSize)-off {
 		panic(fmt.Sprintf("afxdp: umem access [%d,+%d) crosses chunk boundary (chunk size %d, offset %d)",
 			addr, n, u.chunkSize, off))
 	}
-	return u.area[addr : addr+uint64(n)]
+	i, base := addr>>u.pageShift, addr>>u.pageShift<<u.pageShift
+	if u.pages[i] == nil {
+		u.pages[i] = make([]byte, min(1<<u.pageShift, u.size-base))
+	}
+	return u.pages[i][addr-base : addr-base+uint64(n)]
 }
 
 // ChunkAddr returns the base address of chunk i.

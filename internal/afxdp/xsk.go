@@ -32,13 +32,14 @@ type XSK struct {
 	addrScratch []uint64
 
 	// Stats.
-	RxDelivered uint64 // packets the kernel delivered to the rx ring
-	RxDropFill  uint64 // drops: fill ring empty
-	RxDropRing  uint64 // drops: rx ring full
-	RxDropStall uint64 // drops: injected ring stall
-	TxSubmitted uint64 // descriptors userspace queued
-	TxCompleted uint64 // descriptors the kernel transmitted
-	Kicks       uint64 // tx wakeup syscalls issued
+	RxDelivered    uint64 // packets the kernel delivered to the rx ring
+	RxDropFill     uint64 // drops: fill ring empty
+	RxDropRing     uint64 // drops: rx ring full
+	RxDropStall    uint64 // drops: injected ring stall
+	RxDropOversize uint64 // drops: frame longer than a chunk (refused, not truncated)
+	TxSubmitted    uint64 // descriptors userspace queued
+	TxCompleted    uint64 // descriptors the kernel transmitted
+	Kicks          uint64 // tx wakeup syscalls issued
 }
 
 // Stalled reports whether an injected ring stall is active right now.
@@ -58,11 +59,15 @@ func NewXSK(id uint32, queue int, umem *Umem) *XSK {
 
 // KernelDeliver is the kernel-side receive path (Figure 4 paths 2-4): pop a
 // buffer from the fill ring, copy the frame into it, push an rx descriptor.
-// It reports whether the packet was delivered; a false return is a drop,
-// with the reason counted.
+// It reports whether the packet was delivered; a false return is a drop
+// (a frame longer than a chunk is one, not truncated), with the reason counted.
 func (x *XSK) KernelDeliver(frame []byte) bool {
 	if x.Stalled() {
 		x.RxDropStall++
+		return false
+	}
+	if len(frame) > x.Umem.ChunkSize() {
+		x.RxDropOversize++
 		return false
 	}
 	if x.Rx.Free() == 0 {
@@ -74,12 +79,8 @@ func (x *XSK) KernelDeliver(frame []byte) bool {
 		x.RxDropFill++
 		return false
 	}
-	n := len(frame)
-	if n > x.Umem.ChunkSize() {
-		n = x.Umem.ChunkSize()
-	}
-	copy(x.Umem.Buffer(d.Addr, n), frame[:n])
-	x.Rx.Push(Desc{Addr: d.Addr, Len: uint32(n)})
+	copy(x.Umem.Buffer(d.Addr, len(frame)), frame)
+	x.Rx.Push(Desc{Addr: d.Addr, Len: uint32(len(frame))})
 	x.RxDelivered++
 	return true
 }

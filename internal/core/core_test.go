@@ -425,7 +425,10 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 		t.Fatalf("segmented = %d", dp.SegmentedPkts)
 	}
 
-	// With AssumeTSO the oversized frame passes through whole.
+	// With AssumeTSO the oversized frame passes through whole, out of the
+	// port without TSO that Figure 8(c) assumes it on: the generic-mode
+	// veth, whose skb carries the segment. (An AF_XDP NIC port refuses it:
+	// a 2 KB umem chunk cannot hold it, see TestAFXDPTxRefusesOversizeFrame.)
 	opts := DefaultOptions()
 	opts.AssumeTSO = true
 	eng2 := sim.NewEngine(1)
@@ -433,13 +436,8 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	tapIn2 := vdev.NewLink("in")
 	inPort2 := NewLinkPort(1, "tap", tapIn2, nil)
 	dp2.AddPort(inPort2)
-	nicB2 := nicsim.New(eng2, nicsim.Config{Name: "ethB", Queues: 1})
-	if _, err := AttachDefaultProgram(nicB2); err != nil {
-		t.Fatal(err)
-	}
-	frames2 := 0
-	nicB2.ConnectWire(func(*packet.Packet) { frames2++ })
-	dp2.AddPort(NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: nicB2, Eng: eng2}))
+	vethOut := vdev.NewLink("veth-out")
+	dp2.AddPort(NewLinkPort(2, "veth", vethOut, eng2.NewCPU("softirq")))
 	pmd2 := dp2.NewPMD(ModePoll, nil)
 	dp2.AssignRxqTo(pmd2, inPort2, 0)
 	pmd2.Start()
@@ -448,8 +446,32 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	big2.SegSize = 1460
 	tapIn2.FromPeer.Push(big2)
 	eng2.RunUntil(sim.Millisecond)
-	if frames2 != 1 {
-		t.Fatalf("AssumeTSO frames = %d, want 1", frames2)
+	if out := vethOut.ToPeer.Pop(10); len(out) != 1 || len(out[0].Data) != 14+20+20+8000 || dp2.SegmentedPkts != 0 {
+		t.Fatalf("AssumeTSO: %d frames (want 1 of %d bytes), segmented %d", len(out), 14+20+20+8000, dp2.SegmentedPkts)
+	}
+}
+
+// TestAFXDPTxRefusesOversizeFrame: a frame longer than a umem chunk cannot
+// be described to the kernel, so the AF_XDP port drops and counts it instead
+// of sending its first 2 KB.
+func TestAFXDPTxRefusesOversizeFrame(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nic := nicsim.New(eng, nicsim.Config{Name: "ethB", Queues: 1})
+	if _, err := AttachDefaultProgram(nic); err != nil {
+		t.Fatal(err)
+	}
+	var wire []int
+	nic.ConnectWire(func(p *packet.Packet) { wire = append(wire, len(p.Data)) })
+	port := NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: nic, Eng: eng})
+	cpu := eng.NewCPU("pmd")
+	pool := packet.NewPool(2, 64, true)
+	port.Tx(cpu, 0, pool.GetCopy(make([]byte, 3000)))
+	port.Tx(cpu, 0, pool.GetCopy(make([]byte, 2048)))
+	port.Flush(cpu, 0)
+	eng.RunUntil(sim.Millisecond)
+	if port.TxDrops != 1 || len(wire) != 1 || wire[0] != 2048 || pool.Available() != 2 {
+		t.Fatalf("tx drops %d, wire frames %v, pool %d of 2 free; want 1, [2048], 2",
+			port.TxDrops, wire, pool.Available())
 	}
 }
 

@@ -98,9 +98,9 @@ type AFXDPPort struct {
 	// scratchOut is the packet slice Rx returns; the PMD consumes it
 	// within the same event, so one buffer per port suffices.
 	scratchOut []*packet.Packet
-	// rxPool recycles receive-side packet metadata+buffers (released by
-	// Tx once the frame is copied into umem, or on any drop); txPool does
-	// the same for kernel tx-drain frames headed to the NIC.
+	// rxPool recycles receive-side packets (released by Tx once the frame
+	// is copied into umem, or on any drop); txPool does the same for
+	// kernel tx-drain frames headed to the NIC.
 	rxPool *packet.Pool
 	txPool *packet.Pool
 	// drainFns are the pre-bound per-queue tx-drain thunks Flush
@@ -109,7 +109,7 @@ type AFXDPPort struct {
 	drainFns  []func()
 	drainEmit func(frame []byte)
 
-	// TxDrops counts packets lost to a full tx ring.
+	// TxDrops counts packets lost to an empty umem, a full ring or oversize.
 	TxDrops uint64
 	// TxStallRetries counts kernel tx drains rescheduled with backoff
 	// because an injected XSK ring stall was active.
@@ -175,7 +175,9 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 
 // rxPoolSize / txPoolSize bound in-flight packets on each side of an
 // AF_XDP port: rx is capped by ring depth and batch size, tx by the drain
-// burst. Overflow falls back to heap allocation gracefully.
+// burst. Overflow falls back to heap allocation gracefully. Only the metadata
+// is pre-allocated (O4): a packet's buffer, like a umem page, arrives on first
+// use, so an idle port holds neither.
 const (
 	rxPoolSize = 1024
 	txPoolSize = 2048
@@ -274,10 +276,15 @@ func (p *AFXDPPort) Rx(cpu *sim.CPU, q, max int) []*packet.Packet {
 	return out
 }
 
-// Tx implements Port: allocate a chunk, copy the frame in, queue the
-// descriptor on the PMD's own tx queue's socket. The sendto kick and the
-// kernel-side drain happen in Flush.
+// Tx implements Port: allocate a chunk, copy the frame in (one longer than a
+// chunk is dropped, not truncated), queue the descriptor on the PMD's own tx
+// queue's socket. The sendto kick and the kernel-side drain happen in Flush.
 func (p *AFXDPPort) Tx(cpu *sim.CPU, txq int, pkt *packet.Packet) {
+	if len(pkt.Data) > p.umem.ChunkSize() {
+		p.TxDrops++
+		pkt.Release()
+		return
+	}
 	addr, ok := p.pool.Alloc()
 	if p.pool.Mode == afxdp.LockSpinBatched {
 		// Batched locking amortizes the tx-side pool lock across the
@@ -294,10 +301,7 @@ func (p *AFXDPPort) Tx(cpu *sim.CPU, txq int, pkt *packet.Packet) {
 		return
 	}
 	n := len(pkt.Data)
-	if n > p.umem.ChunkSize() {
-		n = p.umem.ChunkSize()
-	}
-	copy(p.umem.Buffer(addr, n), pkt.Data[:n])
+	copy(p.umem.Buffer(addr, n), pkt.Data)
 	// The frame now lives in a umem chunk; the packet object is done.
 	pkt.Release()
 	q := txq % len(p.xsks)

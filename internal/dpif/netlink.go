@@ -2,6 +2,7 @@ package dpif
 
 import (
 	"fmt"
+	"slices"
 
 	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
@@ -24,15 +25,19 @@ type Netlink struct {
 	// (the dpctl-execute injection context).
 	execCPU *sim.CPU
 
-	// softirqPkts counts packets per feeding softirq context, in
-	// first-seen order — the kernel-side equivalent of the netdev
-	// rxq-to-PMD map that PmdRxqShow reports. Pure accounting.
-	softirqPkts  map[*sim.CPU]uint64
-	softirqOrder []*sim.CPU
+	// softirq counts packets per feeding softirq context, in first-seen
+	// order — the kernel-side equivalent of the netdev rxq-to-PMD map that
+	// PmdRxqShow reports. Pure accounting, scanned: contexts are few.
+	softirq []softirqCount
 
 	// config binds the other_config keys this provider acts on and
 	// remembers the netdev-only ones it echoes.
 	config configTarget
+}
+
+type softirqCount struct {
+	cpu *sim.CPU
+	n   uint64
 }
 
 func init() {
@@ -44,8 +49,7 @@ func netlinkFactory(flavor kernelsim.Flavor) Factory {
 	return func(cfg Config) (Dpif, error) {
 		kdp := kernelsim.NewDatapath(cfg.Eng, flavor, cfg.Pipeline)
 		return &Netlink{kdp: kdp, eng: cfg.Eng,
-			softirqPkts: make(map[*sim.CPU]uint64),
-			config:      configTarget{uc: &kdp.Upcall, ct: kdp.Ct, inert: make(map[string]string)}}, nil
+			config: configTarget{uc: &kdp.Upcall, ct: kdp.Ct, inert: make(map[string]string)}}, nil
 	}
 }
 
@@ -56,10 +60,11 @@ func (d *Netlink) Kernel() *kernelsim.Datapath { return d.kdp }
 // Process feeds one packet to the datapath in softirq context on cpu — the
 // handler NAPI actors drive.
 func (d *Netlink) Process(cpu *sim.CPU, p *packet.Packet) {
-	if _, seen := d.softirqPkts[cpu]; !seen {
-		d.softirqOrder = append(d.softirqOrder, cpu)
+	i := slices.IndexFunc(d.softirq, func(s softirqCount) bool { return s.cpu == cpu })
+	if i < 0 {
+		i, d.softirq = len(d.softirq), append(d.softirq, softirqCount{cpu: cpu})
 	}
-	d.softirqPkts[cpu]++
+	d.softirq[i].n++
 	d.kdp.Process(cpu, p)
 }
 
@@ -151,19 +156,19 @@ func (d *Netlink) GetConfig() map[string]string { return d.config.get() }
 // NIC's RSS produced across ksoftirqd contexts).
 func (d *Netlink) PmdRxqShow() string {
 	var total uint64
-	for _, n := range d.softirqPkts {
-		total += n
+	for _, s := range d.softirq {
+		total += s.n
 	}
 	out := fmt.Sprintf("datapath %s: softirq-side rx contexts (no PMD threads)\n", d.Type())
-	for _, cpu := range d.softirqOrder {
+	for _, s := range d.softirq {
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * float64(d.softirqPkts[cpu]) / float64(total)
+			pct = 100 * float64(s.n) / float64(total)
 		}
 		out += fmt.Sprintf("  softirq %-16s packets: %10d   rx share: %3.0f %%\n",
-			cpu.Name(), d.softirqPkts[cpu], pct)
+			s.cpu.Name(), s.n, pct)
 	}
-	if len(d.softirqOrder) == 0 {
+	if len(d.softirq) == 0 {
 		out += "  (no softirq context has fed this datapath yet)\n"
 	}
 	return out

@@ -73,8 +73,8 @@ func NICPort(eng *sim.Engine, driver string, id uint32, nic *nicsim.NIC,
 }
 
 // RingDrops counts what a userspace NIC port lost at its own bounded rings:
-// an AF_XDP port's fill, rx and tx rings. A DPDK port drops only at the
-// NIC, which the NIC counts.
+// an AF_XDP port's fill, rx and tx rings, and the frames too long for a umem
+// chunk either way. A DPDK port drops only at the NIC, which the NIC counts.
 func RingDrops(p core.Port) uint64 {
 	x, ok := p.(*core.AFXDPPort)
 	if !ok {
@@ -83,7 +83,7 @@ func RingDrops(p core.Port) uint64 {
 	d := x.TxDrops
 	for q := 0; q < x.NumRxQueues(); q++ {
 		s := x.XSK(q)
-		d += s.RxDropFill + s.RxDropRing
+		d += s.RxDropFill + s.RxDropRing + s.RxDropOversize
 	}
 	return d
 }

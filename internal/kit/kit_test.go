@@ -2,6 +2,8 @@ package kit
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"ovsxdp/internal/core"
@@ -109,6 +111,92 @@ func TestIfaceOnKernelProviders(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAFXDPOversizeFrameIsDropped: a frame longer than a umem chunk is
+// refused where it would enter the umem — the socket on receive, the port on
+// transmit — and counted as a ring drop, never forwarded truncated. The
+// frames after it forward untouched.
+func TestAFXDPOversizeFrameIsDropped(t *testing.T) {
+	big := hdr.NewBuilder().
+		Eth(hdr.MAC{0x02, 0xaa, 0, 0, 0, 1}, hdr.MAC{0x02, 0xbb, 0, 0, 0, 1}).
+		IPv4H(hdr.MakeIP4(10, 0, 0, 1), hdr.MakeIP4(10, 0, 0, 2), 64).
+		UDPH(1000, 2000).PayloadLen(3000 - 42).Build()
+	if len(big) != 3000 {
+		t.Fatalf("frame of %d bytes, want 3000", len(big))
+	}
+	for _, inType := range []string{"afxdp", "tap"} {
+		t.Run(inType+"->afxdp", func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			dp, err := dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: LoopbackPipeline(Hop{1, 2})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp.(*dpif.Netdev).NewPMD(core.ModePoll).Start()
+			in := Must(NewIface(dp, inType, "in", 1, 1))
+			out := Must(NewIface(dp, "afxdp", "out", 2, 1))
+			for _, i := range []*Iface{in, out} {
+				if err := Attach(dp, i.Port); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got [][]byte
+			out.OnOutput(func(p *packet.Packet) { got = append(got, p.Data) })
+			in.Inject(packet.New(append([]byte(nil), big...)))
+			in.Inject(packet.New(testFrame()))
+			eng.RunUntil(sim.Millisecond)
+			if len(got) != 1 || !bytes.Equal(got[0], testFrame()) {
+				t.Fatalf("output got %d frames (lengths %v), want only the 64-byte one", len(got), lens(got))
+			}
+			dropper := out
+			if inType == "afxdp" {
+				dropper = in
+			}
+			if d := RingDrops(dropper.Port.(core.Port)); d != 1 {
+				t.Fatalf("%s counted %d ring drops, want 1", dropper.Name(), d)
+			}
+		})
+	}
+}
+
+func lens(frames [][]byte) []int {
+	var n []int
+	for _, f := range frames {
+		n = append(n, len(f))
+	}
+	return n
+}
+
+// TestIdleAFXDPPortFootprint: an AF_XDP interface costs the memory its
+// traffic touches. Thirty-two idle ones on one netdev datapath, built by the
+// port factory and attached to a running PMD thread, stay under 1 MiB of
+// live heap each: no umem page and no packet buffer exists before a frame
+// needs it.
+func TestIdleAFXDPPortFootprint(t *testing.T) {
+	eng := sim.NewEngine(1)
+	dp := Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: LoopbackPipeline()}))
+	dp.(*dpif.Netdev).NewPMD(core.ModePoll).Start()
+	const ports = 32
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	ifaces := make([]*Iface, ports)
+	for n := range ifaces {
+		ifaces[n] = Must(NewIface(dp, "afxdp", fmt.Sprintf("xdp%d", n), uint32(n+1), 1))
+		if err := Attach(dp, ifaces[n].Port); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(sim.Millisecond)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	per := float64(ms.HeapAlloc-before) / ports
+	runtime.KeepAlive(ifaces)
+	t.Logf("%d idle afxdp interfaces: %.0f KiB of live heap each", ports, per/1024)
+	if per >= 1<<20 {
+		t.Fatalf("an idle afxdp interface holds %.1f MiB of live heap, want under 1 MiB", per/(1<<20))
 	}
 }
 

@@ -170,7 +170,8 @@ func (p *Packet) String() string {
 // Pool is the pre-allocated packet-metadata pool of optimization O4. All
 // Packet structs live in one contiguous array with packet-independent fields
 // pre-initialized, so acquiring a packet costs an index bump rather than an
-// allocation, and metadata accesses have good cache locality.
+// allocation, and metadata accesses have good cache locality. A packet gets
+// its buffer on its first acquisition and keeps it.
 //
 // When Preallocated is false the pool simulates the pre-O4 behaviour by
 // allocating each Packet individually (the mmap-per-allocation cost is
@@ -179,6 +180,7 @@ func (p *Packet) String() string {
 type Pool struct {
 	backing []Packet
 	free    []*Packet
+	bufSize int
 	// Preallocated selects the O4 code path.
 	Preallocated bool
 	// Allocs counts packet acquisitions that fell back to the heap.
@@ -188,14 +190,12 @@ type Pool struct {
 // NewPool builds a pool of n packets with bufSize-byte buffers.
 // preallocated selects the O4 contiguous-array behaviour.
 func NewPool(n, bufSize int, preallocated bool) *Pool {
-	p := &Pool{Preallocated: preallocated}
+	p := &Pool{Preallocated: preallocated, bufSize: bufSize}
 	if preallocated {
 		p.backing = make([]Packet, n)
-		buffers := make([]byte, n*bufSize)
 		p.free = make([]*Packet, n)
 		for i := range p.backing {
 			pkt := &p.backing[i]
-			pkt.Data = buffers[i*bufSize : i*bufSize : (i+1)*bufSize]
 			pkt.Metadata = Metadata{L3Offset: -1, L4Offset: -1}
 			pkt.pool = p
 			pkt.pooled = true
@@ -205,44 +205,20 @@ func NewPool(n, bufSize int, preallocated bool) *Pool {
 	return p
 }
 
-// Get acquires a packet and sets its Data to a copy-free slice of buf if
-// pooled (the caller hands ownership of buf) or wraps buf directly.
-func (p *Pool) Get(buf []byte) *Packet {
-	if p.Preallocated && len(p.free) > 0 {
-		pkt := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		pkt.inFree = false
-		pkt.ResetMetadata()
-		if cap(pkt.Data) >= len(buf) {
-			pkt.Data = pkt.Data[:len(buf)]
-			copy(pkt.Data, buf)
-		} else {
-			pkt.Data = buf
-		}
-		return pkt
-	}
-	p.Allocs++
-	pkt := New(buf)
-	pkt.pool = p
-	return pkt
-}
-
 // GetCopy acquires a packet whose Data is always a private copy of buf,
-// including on the heap-fallback path. Use it when buf is owned by the
-// caller and reused afterwards (a umem chunk about to be recycled, a
-// generator's frame template) — plain Get would alias it.
+// including on the heap-fallback path, so buf may be owned by the caller
+// and reused afterwards (a umem chunk about to be recycled, a generator's
+// frame template).
 func (p *Pool) GetCopy(buf []byte) *Packet {
 	if p.Preallocated && len(p.free) > 0 {
 		pkt := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
 		pkt.inFree = false
 		pkt.ResetMetadata()
-		if cap(pkt.Data) >= len(buf) {
-			pkt.Data = pkt.Data[:len(buf)]
-		} else {
-			pkt.Data = make([]byte, len(buf))
+		if pkt.Data == nil || cap(pkt.Data) < len(buf) { // first use, or oversize
+			pkt.Data = make([]byte, 0, max(len(buf), p.bufSize))
 		}
-		copy(pkt.Data, buf)
+		pkt.Data = append(pkt.Data[:0], buf...)
 		return pkt
 	}
 	p.Allocs++

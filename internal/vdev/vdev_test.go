@@ -82,8 +82,8 @@ func TestRefusedPushReleases(t *testing.T) {
 	frame := make([]byte, 64)
 
 	full := NewQueue("full", 1)
-	full.Push(pool.Get(frame))
-	if full.Push(pool.Get(frame)) {
+	full.Push(pool.GetCopy(frame))
+	if full.Push(pool.GetCopy(frame)) {
 		t.Fatal("push beyond the depth was accepted")
 	}
 	if got := pool.Available(); got != 3 {
@@ -92,7 +92,7 @@ func TestRefusedPushReleases(t *testing.T) {
 
 	gated := NewQueue("gated", 1)
 	gated.Gate = func() bool { return true }
-	if gated.Push(pool.Get(frame)) {
+	if gated.Push(pool.GetCopy(frame)) {
 		t.Fatal("gated push was accepted")
 	}
 	if got := pool.Available(); got != 3 || gated.GateDrops != 1 {

@@ -357,6 +357,5 @@ var reachLooseAllowed = []string{
 	"internal/packet/hdr: method Builder.VLAN",
 	"internal/packet: method Packet.Clone",
 	"internal/packet: method Pool.Available", // the pool-conservation tests (dpif, vdev, packet)
-	"internal/packet: method Pool.Get",
-	"internal/sim: method Engine.Pending", // timer hygiene in sim, upcall and conntrack tests
+	"internal/sim: method Engine.Pending",    // timer hygiene in sim, upcall and conntrack tests
 }
