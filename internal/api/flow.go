@@ -7,7 +7,7 @@ import (
 )
 
 // FlowView is one installed megaflow as reported by the flow dump: the
-// canonical text rendering (`megaflow{bits=.. hits=.. ..}`) plus the fields
+// canonical text rendering (`megaflow{<match> hits=.. actions=[..]}`) plus the fields
 // a machine reader would otherwise have to re-parse out of it.
 type FlowView struct {
 	Text     string `json:"text"`

@@ -690,8 +690,9 @@ func TestNegativeFlowOnUpcallError(t *testing.T) {
 
 // TestInstallAllocs pins what one fresh megaflow costs the heap on its way
 // through the datapath — miss, translation, classifier install, EMC insert
-// — at the measured count: the translated action list and the Entry.
-// Actions used to travel as an `any`, whose boxed slice header was a third.
+// — at the measured count: the Entry. Actions used to travel as an `any`,
+// whose boxed slice header was a third, and each translation used to copy
+// its rule's action list, a second; now every megaflow of a rule shares it.
 func TestInstallAllocs(t *testing.T) {
 	// Every source port is its own megaflow: the higher-priority rule
 	// covers tp_src 0 only, so the others fall through to the forwarding
@@ -714,8 +715,8 @@ func TestInstallAllocs(t *testing.T) {
 		next++
 	}
 	install() // the first install builds the PMD and the subtable
-	if a := testing.AllocsPerRun(runs, install); a != 2 {
-		t.Fatalf("a fresh megaflow install allocates %v objects, want 2", a)
+	if a := testing.AllocsPerRun(runs, install); a != 1 {
+		t.Fatalf("a fresh megaflow install allocates %v objects, want 1", a)
 	}
 	if dp.FlowCount() != next || int(dp.Upcalls) != next {
 		t.Fatalf("%d packets installed %d flows over %d upcalls", next, dp.FlowCount(), dp.Upcalls)

@@ -90,9 +90,10 @@ func (e *Entry) Matches(key *flow.Key) bool {
 	return true
 }
 
-// String summarizes the entry.
+// String prints the entry as a flow: its match in the flow text of
+// flow.MatchFields, then hits and actions.
 func (e *Entry) String() string {
-	return fmt.Sprintf("megaflow{bits=%d hits=%d %s}", e.Mask().Bits(), e.Hits, e.MaskedKey)
+	return fmt.Sprintf("megaflow{%s hits=%d actions=%v}", flow.SpecOf(e.MaskedKey, e.Mask()), e.Hits, e.Actions)
 }
 
 // Classifier is the tuple-space-search megaflow table. It is used from a

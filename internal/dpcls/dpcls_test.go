@@ -77,6 +77,20 @@ func TestInsertAndLookup(t *testing.T) {
 	}
 }
 
+// TestEntryStringIsFlowText pins how a megaflow prints: its match as the
+// flow text ovs.ParseFlow reads, then hits and actions.
+func TestEntryStringIsFlowText(t *testing.T) {
+	c := New(0)
+	mask := flow.NewMaskBuilder().EthType().IPProto().TPDst().Build()
+	c.Insert(keyFor(hdr.MakeIP4(10, 0, 0, 1), 80), mask,
+		[]ofproto.DPAction{{Type: ofproto.DPDecTTL}, {Type: ofproto.DPOutput, Port: 2}})
+	e, _ := c.Lookup(keyFor(hdr.MakeIP4(10, 0, 0, 9), 80))
+	const want = "megaflow{dl_type=0x0800,nw_proto=17,tp_dst=80 hits=1 actions=[dec_ttl out(2)]}"
+	if got := e.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestMultipleSubtables(t *testing.T) {
 	c := New(0)
 	mPort := flow.NewMaskBuilder().EthType().IPProto().TPDst().Build()

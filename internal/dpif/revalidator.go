@@ -5,9 +5,10 @@ import (
 	"ovsxdp/internal/sim"
 )
 
-// WheelRevalidator ages out idle megaflows with per-flow expiry timers on
-// the engine's timer wheel instead of periodic full-table sweeps: every
-// installed flow registers an idle deadline, a deadline that fires finds
+// WheelRevalidator ages out idle megaflows with per-flow idle deadlines
+// instead of periodic full-table sweeps: every installed flow queues an
+// idle deadline (one sim.Deadlines FIFO, whose head alone sits in the
+// engine's timer wheel), a deadline that fires finds
 // the flow either active (hits advanced — the deadline is re-armed one
 // idle timeout out, the mintmr-style lazy re-arm that keeps the packet
 // path free of timer work) or idle (the flow is evicted). Work per
@@ -33,15 +34,14 @@ type WheelRevalidator struct {
 	// CPU is the revalidator thread's CPU; its busy share over a window is
 	// the revalidator duty cycle.
 	CPU *sim.CPU
-	// IdleTimeout is how long a flow may go without a hit before
+	// idleTimeout is how long a flow may go without a hit before
 	// eviction. With lazy re-arming the eviction lands between one and two
 	// timeouts after the last hit, exactly like OVS's max-idle against a
-	// coarse dump interval.
-	IdleTimeout sim.Time
-
-	expireFn func(any)
-	free     []*flowRec
-	running  bool
+	// coarse dump interval. It stays constant: every deadline is now plus
+	// idleTimeout, which is what lets them queue in one FIFO.
+	idleTimeout sim.Time
+	deadlines   *sim.Deadlines[flowRec]
+	running     bool
 
 	// Stats.
 	// Installs counts flows registered for tracking (every datapath
@@ -55,8 +55,7 @@ type WheelRevalidator struct {
 	Evicted uint64
 }
 
-// flowRec is one tracked flow's timer state; records recycle through the
-// revalidator's free list so steady-state churn allocates nothing.
+// flowRec is one tracked flow's deadline state, queued by value.
 type flowRec struct {
 	f        Flow
 	lastHits uint64
@@ -73,10 +72,10 @@ func StartWheelRevalidator(eng *sim.Engine, dp Dpif, idleTimeout sim.Time) *Whee
 		dp:          dp,
 		eng:         eng,
 		CPU:         eng.NewCPU("revalidator"),
-		IdleTimeout: idleTimeout,
+		idleTimeout: idleTimeout,
 		running:     true,
 	}
-	r.expireFn = r.onExpire
+	r.deadlines = sim.NewDeadlines(eng, r.onExpire)
 	dp.SetFlowHook(r.register)
 	for _, f := range dp.FlowDump() {
 		r.register(f)
@@ -85,8 +84,8 @@ func StartWheelRevalidator(eng *sim.Engine, dp Dpif, idleTimeout sim.Time) *Whee
 }
 
 // Stop detaches the revalidator: the flow hook is cleared and every
-// outstanding deadline, as it fires, releases its record without touching
-// the datapath.
+// outstanding deadline, as it fires, leaves the queue without touching the
+// datapath.
 func (r *WheelRevalidator) Stop() {
 	if !r.running {
 		return
@@ -99,25 +98,19 @@ func (r *WheelRevalidator) Stop() {
 // count and arm its idle deadline.
 func (r *WheelRevalidator) register(f Flow) {
 	r.Installs++
-	rec := r.newRec()
-	rec.f = f
-	rec.lastHits = f.Entry.Hits
-	r.eng.ScheduleArgAt(r.eng.Now()+r.IdleTimeout, r.expireFn, rec)
+	r.deadlines.Push(r.eng.Now()+r.idleTimeout, flowRec{f, f.Entry.Hits})
 }
 
 // onExpire is the deadline handler: drop dead flows from tracking, re-arm
 // active ones, evict idle ones.
-func (r *WheelRevalidator) onExpire(arg any) {
-	rec := arg.(*flowRec)
+func (r *WheelRevalidator) onExpire(rec flowRec) {
 	if !r.running {
-		r.freeRec(rec)
 		return
 	}
 	e := rec.f.Entry
 	if e.Dead() {
 		// Removed by other means (FlowFlush, negative-flow TTL, another
 		// revalidator): nothing to do but stop tracking it.
-		r.freeRec(rec)
 		return
 	}
 	r.Checks++
@@ -125,28 +118,11 @@ func (r *WheelRevalidator) onExpire(arg any) {
 	if e.Hits != rec.lastHits {
 		rec.lastHits = e.Hits
 		r.Rearms++
-		r.eng.ScheduleArgAt(r.eng.Now()+r.IdleTimeout, r.expireFn, rec)
+		r.deadlines.Push(r.eng.Now()+r.idleTimeout, rec)
 		return
 	}
 	r.CPU.Consume(sim.User, costmodel.RevalFlowEvict)
 	if r.dp.FlowDel(rec.f) {
 		r.Evicted++
 	}
-	r.freeRec(rec)
-}
-
-// newRec takes a record from the free list or allocates one.
-func (r *WheelRevalidator) newRec() *flowRec {
-	if n := len(r.free); n > 0 {
-		rec := r.free[n-1]
-		r.free = r.free[:n-1]
-		return rec
-	}
-	return &flowRec{}
-}
-
-// freeRec recycles a record whose flow is no longer tracked.
-func (r *WheelRevalidator) freeRec(rec *flowRec) {
-	*rec = flowRec{}
-	r.free = append(r.free, rec)
 }

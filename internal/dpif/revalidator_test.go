@@ -1,6 +1,7 @@
 package dpif
 
 import (
+	"runtime"
 	"testing"
 
 	"ovsxdp/internal/flow"
@@ -44,8 +45,8 @@ func revalDpif(t *testing.T, name string) (*sim.Engine, Dpif) {
 }
 
 // TestWheelRevalidatorStop covers the Stop contract: the flow hook is
-// cleared (later installs are not tracked), every pending deadline releases
-// its record without touching the datapath, and stopping twice is harmless.
+// cleared (later installs are not tracked), every pending deadline leaves
+// the queue without touching the datapath, and stopping twice is harmless.
 func TestWheelRevalidatorStop(t *testing.T) {
 	eng, d := revalDpif(t, "netlink")
 	d.SetUpcall(churnUpcall(2))
@@ -68,14 +69,17 @@ func TestWheelRevalidatorStop(t *testing.T) {
 		t.Errorf("install after Stop was tracked: Installs = %d (flow hook not cleared)", r.Installs)
 	}
 
-	// The engine still holds one deadline per tracked flow; each must see
-	// the stopped state, recycle its record and leave the idle flows alone.
+	// The queue still holds one deadline per tracked flow; each must see
+	// the stopped state, leave the queue and leave the idle flows alone.
+	if got := eng.Pending(); got != tracked {
+		t.Errorf("pending events = %d, want the %d queued deadlines", got, tracked)
+	}
 	eng.RunUntil(10 * sim.Millisecond)
 	if r.Checks != 0 || r.Evicted != 0 {
 		t.Errorf("deadlines ran after Stop: Checks = %d, Evicted = %d", r.Checks, r.Evicted)
 	}
-	if got := len(r.free); got != tracked {
-		t.Errorf("released records = %d, want %d", got, tracked)
+	if got := eng.Pending(); got != 0 {
+		t.Errorf("deadlines left queued = %d, want 0", got)
 	}
 	if got := len(d.FlowDump()); got != tracked+1 {
 		t.Errorf("stopped revalidator changed the datapath: %d flows, want %d", got, tracked+1)
@@ -85,4 +89,56 @@ func TestWheelRevalidatorStop(t *testing.T) {
 	if r.running {
 		t.Error("running after second Stop")
 	}
+}
+
+// TestMegaflowFootprint pins what a megaflow the revalidator tracks costs
+// the heap: its entry, its classifier slot and its queued idle deadline,
+// with the action list shared by every megaflow of its rule. 100k of them
+// stay under 300 bytes each (about 250); a copied action list per megaflow
+// and a wheel record plus a free-listed record per deadline put them at
+// about 420.
+func TestMegaflowFootprint(t *testing.T) {
+	const flows = 100_000
+	pl := ofproto.NewPipeline()
+	// A never-matching rule on the address pair is probed by every lookup,
+	// which pins each megaflow to its /32 source.
+	pin := flow.NewMaskBuilder().InPort().EthType().IPProto().IP4Src(32).IP4Dst(32).Build()
+	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 2,
+		Match: ofproto.NewMatch(flow.Fields{InPort: 1, EthType: hdr.EtherTypeIPv4, IPProto: hdr.IPProtoUDP,
+			IP4Src: hdr.MakeIP4(192, 0, 2, 1), IP4Dst: hdr.MakeIP4(192, 0, 2, 2)}, pin),
+		Actions: []ofproto.Action{ofproto.Drop()}})
+	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()),
+		Actions: []ofproto.Action{ofproto.Output(2)}})
+	eng := sim.NewEngine(1)
+	d, err := Open("netdev", Config{Eng: eng, Pipeline: pl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PortAdd(TxPort{PortID: 2, PortName: "p1", Deliver: func(*packet.Packet) {}}); err != nil {
+		t.Fatal(err)
+	}
+	r := StartWheelRevalidator(eng, d, sim.Second)
+	src := func(i int) hdr.IP4 { return hdr.MakeIP4(10, byte(i>>16), byte(i>>8), byte(i)) }
+	d.Execute(churnPacket(src(0), 2000)) // builds the thread, its caches and the subtable
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 1; i <= flows; i++ {
+		d.Execute(churnPacket(src(i), 2000))
+	}
+	after := heap()
+	if n := len(d.FlowDump()); n != flows+1 || eng.Pending() != flows+1 || r.Installs != flows+1 {
+		t.Fatalf("%d flows, %d deadlines queued, %d installs; want %d each", n, eng.Pending(), r.Installs, flows+1)
+	}
+	per := float64(after-before) / flows
+	t.Logf("%.0f heap bytes per tracked megaflow", per)
+	if per >= 300 {
+		t.Fatalf("a tracked megaflow costs %.0f heap bytes, want under 300", per)
+	}
+	runtime.KeepAlive(d)
 }

@@ -122,11 +122,10 @@ type NIC struct {
 	// table[i] = i, so configuring nothing changes nothing.
 	rssTable []int
 
-	// wire receives transmitted packets (after serialization delay);
-	// wireArg is the same callback in ScheduleArg form, bound once so
-	// per-frame delivery scheduling does not allocate a closure.
-	wire    func(*packet.Packet)
-	wireArg func(any)
+	// wire delivers transmitted packets to the other end after the
+	// serialization delay. Delivery times (txFreeAt + WireAndNIC) never
+	// decrease, so the frames in flight are one FIFO.
+	wire *sim.Deadlines[*packet.Packet]
 	// txFreeAt paces the transmit side at line rate.
 	txFreeAt sim.Time
 
@@ -256,8 +255,9 @@ func (n *NIC) findSteeringRule(proto hdr.IPProto, dstPort uint16) (SteeringRule,
 // ConnectWire attaches the function that receives transmitted packets (the
 // other end of the cable, a switch port, or a test sink).
 func (n *NIC) ConnectWire(fn func(*packet.Packet)) {
-	n.wire = fn
-	n.wireArg = func(a any) { fn(a.(*packet.Packet)) }
+	// A fresh queue, so frames already in flight keep the sink they were
+	// sent to.
+	n.wire = sim.NewDeadlines(n.eng, fn)
 }
 
 // classify picks the receive queue for a packet: ntuple rules first, then
@@ -480,7 +480,7 @@ func (n *NIC) transmitFrame(p *packet.Packet) {
 		p.Release()
 		return
 	}
-	n.eng.ScheduleArgAt(n.txFreeAt+costmodel.WireAndNIC, n.wireArg, p)
+	n.wire.Push(n.txFreeAt+costmodel.WireAndNIC, p)
 }
 
 // segment splits a TSO packet into SegSize-sized frames. Header bytes

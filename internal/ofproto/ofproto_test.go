@@ -322,3 +322,116 @@ func tunnelConfigForTest() tunnel.Config {
 		RemoteIP: hdr.MakeIP4(172, 16, 0, 2),
 		VNI:      4096}
 }
+
+// TestTranslateSharesRuleActions: every megaflow one rule decides carries
+// that rule's action list, compiled once, at cap == len.
+func TestTranslateSharesRuleActions(t *testing.T) {
+	p := NewPipeline()
+	p.AddRule(&Rule{TableID: 0, Priority: 1,
+		Match: NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()), Actions: []Action{Output(2)}})
+	a, err := p.Translate(keyWith(1, 80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Translate(keyWith(1, 443))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Actions) != 1 || &a.Actions[0] != &b.Actions[0] {
+		t.Fatalf("two megaflows of one rule: %v and %v, want one backing array", a.Actions, b.Actions)
+	}
+	if cap(a.Actions) != len(a.Actions) {
+		t.Fatalf("cap %d, len %d: an append would write into the rule's list", cap(a.Actions), len(a.Actions))
+	}
+}
+
+// TestTranslateGotoAfterSharedPrefix: a goto chain appends to the first
+// rule's list without writing into it, and a drop further on still clears
+// everything gathered.
+func TestTranslateGotoAfterSharedPrefix(t *testing.T) {
+	p := NewPipeline()
+	mIn := flow.NewMaskBuilder().InPort().Build()
+	mDst := flow.NewMaskBuilder().TPDst().Build()
+	prefix := &Rule{TableID: 0, Priority: 1,
+		Match: NewMatch(flow.Fields{InPort: 1}, mIn), Actions: []Action{PushVLAN(7, 0), GotoTable(10)}}
+	p.AddRule(prefix)
+	p.AddRule(&Rule{TableID: 10, Priority: 2,
+		Match: NewMatch(flow.Fields{TPDst: 80}, mDst), Actions: []Action{Output(5)}})
+	p.AddRule(&Rule{TableID: 10, Priority: 2,
+		Match: NewMatch(flow.Fields{TPDst: 443}, mDst), Actions: []Action{Output(6)}})
+	p.AddRule(&Rule{TableID: 10, Priority: 1, Match: MatchAny(), Actions: []Action{Drop()}})
+
+	var got [][]DPAction
+	for _, dport := range []uint16{80, 443, 22} {
+		mf, err := p.Translate(keyWith(1, dport))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, mf.Actions)
+	}
+	shared := prefix.xl.actions
+	if len(shared) != 1 || shared[0].Type != DPPushVLAN {
+		t.Fatalf("the prefix rule's list became %v", shared)
+	}
+	for i, want := range []uint32{5, 6} {
+		if a := got[i]; len(a) != 2 || a[0].Type != DPPushVLAN || a[1].Port != want {
+			t.Fatalf("megaflow %d = %v, want [push_vlan(7) out(%d)]", i, a, want)
+		}
+	}
+	if len(got[2]) != 0 {
+		t.Fatalf("drop megaflow = %v, want no actions", got[2])
+	}
+}
+
+// TestTranslateMemoKeepsActionMaskBits: the bits dec_ttl and pop_vlan add
+// to the megaflow come with the memoized list too.
+func TestTranslateMemoKeepsActionMaskBits(t *testing.T) {
+	p := NewPipeline()
+	p.AddRule(&Rule{TableID: 0, Priority: 1,
+		Match:   NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()),
+		Actions: []Action{PopVLAN(), DecTTL(), Output(4)}})
+	want := flow.NewMaskBuilder().IPTTL().VLAN().Build()
+	for i := 0; i < 2; i++ {
+		mf, err := p.Translate(keyWith(1, 80))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mf.Mask.Union(want) != mf.Mask {
+			t.Fatalf("translation %d: megaflow mask does not pin TTL and VLAN", i)
+		}
+	}
+}
+
+// TestRuleInTwoPipelinesGetsEachRecircID: one *Rule installed into two
+// pipelines (as nsx.Ruleset.Install allows) resolves its ct() to each
+// pipeline's own recirculation id.
+func TestRuleInTwoPipelinesGetsEachRecircID(t *testing.T) {
+	mIn := flow.NewMaskBuilder().InPort().Build()
+	shared := &Rule{TableID: 0, Priority: 1,
+		Match: NewMatch(flow.Fields{InPort: 1}, mIn), Actions: []Action{CT(1, true, 20)}}
+	p1, p2 := NewPipeline(), NewPipeline()
+	// p1 hands out an id for table 30 first, so the two pipelines number
+	// table 20 differently.
+	p1.AddRule(&Rule{TableID: 0, Priority: 1,
+		Match: NewMatch(flow.Fields{InPort: 2}, mIn), Actions: []Action{CT(1, true, 30)}})
+	if _, err := p1.Translate(keyWith(2, 80)); err != nil {
+		t.Fatal(err)
+	}
+	p1.AddRule(shared)
+	p2.AddRule(shared)
+	var ids []uint32
+	for _, p := range []*Pipeline{p1, p2, p1, p2} {
+		mf, err := p.Translate(keyWith(1, 80))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := mf.Actions[0].RecircID
+		if tbl, ok := p.RecircTable(id); !ok || tbl != 20 {
+			t.Fatalf("recirc id %d resolves to table %d (%v) in its pipeline, want 20", id, tbl, ok)
+		}
+		ids = append(ids, id)
+	}
+	if ids[0] == ids[1] || ids[0] != ids[2] || ids[1] != ids[3] {
+		t.Fatalf("recirc ids p1, p2, p1, p2 = %v: want each pipeline's own, stable", ids)
+	}
+}

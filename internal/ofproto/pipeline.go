@@ -2,6 +2,7 @@ package ofproto
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ovsxdp/internal/flow"
@@ -156,77 +157,131 @@ func (p *Pipeline) Translate(key flow.Key) (Megaflow, error) {
 			return Megaflow{Mask: mask, Actions: nil}, nil
 		}
 
-		next, done, err := p.compile(rule, &actions, &mask)
+		x, err := p.xlate(rule)
 		if err != nil {
 			return Megaflow{}, err
 		}
-		if done {
+		if x.mask != nil {
+			mask = mask.Union(*x.mask)
+		}
+		switch {
+		case x.drop:
+			actions = nil
+		case actions == nil:
+			// One rule's list, shared by every megaflow it decides.
+			actions = x.actions
+		default:
+			// cap == len, so the append copies and the rule's list stays
+			// intact.
+			actions = append(actions, x.actions...)
+		}
+		if x.done {
 			return Megaflow{Mask: mask, Actions: actions}, nil
 		}
-		cur = next
+		cur = x.next
 	}
 }
 
-// compile appends rule's actions to out. It returns the next table for a
-// goto, or done=true when translation ends (output/drop/ct).
-func (p *Pipeline) compile(rule *Rule, out *[]DPAction, mask *flow.Mask) (next uint8, done bool, err error) {
+// xlated is one rule's compiled datapath actions, memoized on the rule.
+type xlated struct {
+	// pl is the pipeline whose recirc ids the actions carry.
+	pl *Pipeline
+	// actions is shared by every translation that ends on the rule, so
+	// nothing may write to it; cap == len makes an append copy it.
+	actions []DPAction
+	// mask is the bits the actions add to the megaflow (pop_vlan, dec_ttl),
+	// or nil for none.
+	mask *flow.Mask
+	// drop discards every action translation has gathered, earlier tables'
+	// included.
+	drop bool
+	// done ends translation (output, drop, ct, tnl_pop); otherwise it goes
+	// on in table next.
+	done bool
+	next uint8
+}
+
+// xlate returns rule's compiled actions. They are compiled on the rule's
+// first translation, which is when its ct() actions allocate their recirc
+// ids, and reused after. A rule installed into two pipelines is compiled
+// again when the other one translates it, so each gets its own recirc ids.
+func (p *Pipeline) xlate(rule *Rule) (*xlated, error) {
+	if rule.xl == nil || rule.xl.pl != p {
+		x, err := p.compile(rule)
+		if err != nil {
+			return nil, err
+		}
+		rule.xl = x
+	}
+	return rule.xl, nil
+}
+
+// compile translates rule's actions on their own.
+func (p *Pipeline) compile(rule *Rule) (*xlated, error) {
+	x := &xlated{pl: p}
+	var add flow.Mask
 	var pendingTunnel *Action
 	gotoNext := -1
+actions:
 	for i := range rule.Actions {
 		a := &rule.Actions[i]
 		switch a.Type {
 		case ActionOutput:
 			if pendingTunnel != nil {
-				*out = append(*out, DPAction{Type: DPTunnelPush, Tunnel: pendingTunnel.Tunnel})
+				x.actions = append(x.actions, DPAction{Type: DPTunnelPush, Tunnel: pendingTunnel.Tunnel})
 				pendingTunnel = nil
 			}
-			*out = append(*out, DPAction{Type: DPOutput, Port: a.Port})
+			x.actions = append(x.actions, DPAction{Type: DPOutput, Port: a.Port})
 		case ActionGoto:
 			gotoNext = int(a.Table)
 		case ActionCT:
 			id := p.recircIDFor(a.Table)
-			*out = append(*out, DPAction{
+			x.actions = append(x.actions, DPAction{
 				Type: DPCT, Zone: a.Zone, Commit: a.Commit,
 				NAT: a.NAT, RecircID: id, CtMark: a.CtMark,
 			})
 			// ct() ends this translation pass.
-			return 0, true, nil
+			gotoNext = -1
+			break actions
 		case ActionPushVLAN:
-			*out = append(*out, DPAction{Type: DPPushVLAN, VLAN: a.VLAN, VLANPrio: a.VLANPrio})
+			x.actions = append(x.actions, DPAction{Type: DPPushVLAN, VLAN: a.VLAN, VLANPrio: a.VLANPrio})
 		case ActionPopVLAN:
 			// Popping requires knowing a tag is present.
-			*mask = mask.Union(flow.NewMaskBuilder().VLAN().Build())
-			*out = append(*out, DPAction{Type: DPPopVLAN})
+			add = add.Union(flow.NewMaskBuilder().VLAN().Build())
+			x.actions = append(x.actions, DPAction{Type: DPPopVLAN})
 		case ActionSetEthSrc:
-			*out = append(*out, DPAction{Type: DPSetEthSrc, MAC: a.MAC})
+			x.actions = append(x.actions, DPAction{Type: DPSetEthSrc, MAC: a.MAC})
 		case ActionSetEthDst:
-			*out = append(*out, DPAction{Type: DPSetEthDst, MAC: a.MAC})
+			x.actions = append(x.actions, DPAction{Type: DPSetEthDst, MAC: a.MAC})
 		case ActionDecTTL:
-			*mask = mask.Union(flow.NewMaskBuilder().IPTTL().Build())
-			*out = append(*out, DPAction{Type: DPDecTTL})
+			add = add.Union(flow.NewMaskBuilder().IPTTL().Build())
+			x.actions = append(x.actions, DPAction{Type: DPDecTTL})
 		case ActionSetTunnel:
 			cfg := *a
 			pendingTunnel = &cfg
 		case ActionTunnelPop:
 			// Decapsulation ends this pass: the inner frame is
 			// re-injected and translated by its own upcall.
-			*out = append(*out, DPAction{Type: DPTunnelPop, Port: a.Port})
-			return 0, true, nil
+			x.actions = append(x.actions, DPAction{Type: DPTunnelPop, Port: a.Port})
+			gotoNext = -1
+			break actions
 		case ActionMeter:
-			*out = append(*out, DPAction{Type: DPMeter, MeterID: a.MeterID})
+			x.actions = append(x.actions, DPAction{Type: DPMeter, MeterID: a.MeterID})
 		case ActionSetCtMark:
 			// Applied by the next DPCT commit; stash in mask only.
 		case ActionDrop:
-			*out = nil
-			return 0, true, nil
+			x.actions, x.drop, gotoNext = nil, true, -1
+			break actions
 		default:
-			return 0, true, ErrTranslation{fmt.Sprintf("unhandled action %v", a)}
+			return nil, ErrTranslation{fmt.Sprintf("unhandled action %v", a)}
 		}
 	}
-	if gotoNext >= 0 {
-		return uint8(gotoNext), false, nil
+	if add != (flow.Mask{}) {
+		x.mask = &add
 	}
-	return 0, true, nil
+	x.actions = slices.Clip(x.actions)
+	x.done, x.next = gotoNext < 0, uint8(gotoNext)
+	return x, nil
 }
 
 // --- Meters -------------------------------------------------------------------

@@ -45,6 +45,10 @@ type Rule struct {
 
 	// Stats.
 	PacketCount uint64
+
+	// xl memoizes the rule's compiled datapath actions for the pipeline
+	// that last translated it.
+	xl *xlated
 }
 
 // String prints the rule as flow text. ovs.ParseFlow reads the header and

@@ -88,36 +88,30 @@ func (e *Engine) Schedule(d Time, fn func()) {
 
 // ScheduleAt runs fn at absolute virtual time t. Scheduling in the past is an
 // error in the simulation logic and panics to surface the bug immediately.
-func (e *Engine) ScheduleAt(t Time, fn func()) {
-	idx := e.newRecord(t)
-	e.q.slab[idx].fn = fn
-	e.q.insert(idx)
-}
+func (e *Engine) ScheduleAt(t Time, fn func()) { e.file(t, e.draw(t), fn) }
 
-// ScheduleArgAt runs fn(arg) at absolute virtual time t. Unlike ScheduleAt
-// with a capturing closure, the callback is a pre-bound function plus a
-// pointer-sized argument, so hot paths (per-packet wire delivery) schedule
-// without allocating.
-func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) {
-	idx := e.newRecord(t)
-	e.q.slab[idx].argFn = fn
-	e.q.slab[idx].arg = arg
-	e.q.insert(idx)
-}
-
-// newRecord validates t, draws a sequence number, and returns a fresh slab
-// record with (at, seq) filled in. Every schedule variant draws exactly one
-// sequence number, which is what keeps same-seed runs byte-identical across
-// queue implementations.
-func (e *Engine) newRecord(t Time) int32 {
+// draw validates t and draws the sequence number of one scheduled event,
+// counting it pending. Every way of scheduling (ScheduleAt, a Timer arm, a
+// Deadlines push) draws exactly one, which is what keeps same-seed runs
+// byte-identical across queue implementations.
+func (e *Engine) draw(t Time) uint64 {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
+	e.q.live++
+	return e.seq
+}
+
+// file puts a slab record for fn under (at, seq) in the queue and returns
+// its index. The seq need not be the newest: a Deadlines head is filed
+// under the seq its push drew.
+func (e *Engine) file(at Time, seq uint64, fn func()) int32 {
 	idx := e.q.alloc()
 	r := &e.q.slab[idx]
-	r.at = t
-	r.seq = e.seq
+	r.at, r.seq, r.fn = at, seq, fn
+	e.q.count++
+	e.q.place(idx)
 	return idx
 }
 
@@ -126,10 +120,7 @@ func (e *Engine) newRecord(t Time) int32 {
 // disarms any owning Timer.
 func (e *Engine) dispatch(idx int32) {
 	r := &e.q.slab[idx]
-	at := r.at
-	fn := r.fn
-	argFn := r.argFn
-	arg := r.arg
+	at, fn := r.at, r.fn
 	if r.timer != nil {
 		r.timer.idx = -1
 	}
@@ -137,11 +128,7 @@ func (e *Engine) dispatch(idx int32) {
 	e.q.live--
 	e.now = at
 	e.executed++
-	if argFn != nil {
-		argFn(arg)
-	} else {
-		fn()
-	}
+	fn()
 }
 
 // Run executes events until none remain or Stop is called.
@@ -173,8 +160,8 @@ func (e *Engine) runDue(limit Time) {
 // events are retained and a subsequent Run resumes them.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of events waiting to run (cancelled timers
-// excluded).
+// Pending reports the number of events waiting to run, every queued
+// Deadlines entry included and cancelled timers excluded.
 func (e *Engine) Pending() int { return e.q.live }
 
 // Executed reports the total number of events run so far (the events/pkt

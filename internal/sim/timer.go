@@ -33,12 +33,8 @@ func (t *Timer) Schedule(d Time) {
 // ScheduleAt arms the timer to fire at absolute virtual time at.
 func (t *Timer) ScheduleAt(at Time) {
 	t.Stop()
-	idx := t.eng.newRecord(at)
-	r := &t.eng.q.slab[idx]
-	r.fn = t.fn
-	r.timer = t
-	t.idx = idx
-	t.eng.q.insert(idx)
+	t.idx = t.eng.file(at, t.eng.draw(at), t.fn)
+	t.eng.q.slab[t.idx].timer = t
 }
 
 // Stop cancels a pending arm; firing is suppressed. Stopping an idle timer

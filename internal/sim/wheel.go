@@ -10,14 +10,17 @@ import (
 // records, with a small sorted "near" ring holding the imminent horizon.
 //
 // It allocates nothing in steady state: records live in a free-listed slab,
-// Timers bind their callback once, and ScheduleArgAt threads a pointer-sized
-// argument through a pre-bound function without capturing.
+// Timers bind their callback once, and a Deadlines queue files only its
+// head.
 //
 // Determinism contract: events are delivered in exactly the same
 // (at, seq) order as the heap — seq increments once per schedule call, the
 // near ring is kept sorted by (at, seq), and the wheel only feeds the near
 // ring whole level-0 slots at a time (sorted on entry), so all same-seed
-// outputs are byte-identical to the heap implementation's.
+// outputs are byte-identical to the heap implementation's. A record is
+// not always filed with the newest seq: a Deadlines head is filed when its
+// predecessor fires, under the seq its push drew, so every placement orders
+// by the stored (at, seq) and never by arrival.
 //
 // Geometry: level-0 slots are 2^10 ns (~1 µs) wide, each level is 256 slots,
 // and three levels cover ~17 s of lookahead; anything beyond sits in an
@@ -36,17 +39,13 @@ const (
 	shift0 = 10
 )
 
-// evRecord is one scheduled event in the slab.
+// evRecord is one scheduled event in the slab, 40 bytes.
 type evRecord struct {
 	at  Time
 	seq uint64
-	// fn is the no-argument callback (one-shot closures, Timer firings).
+	// fn is the callback (one-shot closures, Timer firings, Deadlines
+	// heads).
 	fn func()
-	// argFn/arg are the typed-callback form used by ScheduleArgAt: a
-	// pre-bound function plus a pointer-sized argument, so per-event
-	// scheduling captures nothing.
-	argFn func(any)
-	arg   any
 	// timer backlinks to the owning Timer so firing disarms it.
 	timer *Timer
 	// next chains records within a wheel slot or on the free list.
@@ -151,21 +150,11 @@ func (q *evQueue) alloc() int32 {
 func (q *evQueue) freeRec(idx int32) {
 	r := &q.slab[idx]
 	r.fn = nil
-	r.argFn = nil
-	r.arg = nil
 	r.timer = nil
 	r.dead = false
 	r.next = q.freeTop
 	q.freeTop = idx
 	q.count--
-}
-
-// insert registers a freshly filled record (count accounting plus
-// placement).
-func (q *evQueue) insert(idx int32) {
-	q.count++
-	q.live++
-	q.place(idx)
 }
 
 // place files a record into the near ring, a wheel level, or the far list
@@ -189,9 +178,9 @@ func (q *evQueue) place(idx int32) {
 	q.far = append(q.far, idx)
 }
 
-// nearInsert adds a record to the sorted near ring (binary search; equal
-// timestamps order by seq, and seq is monotonic, so a new event lands after
-// existing equal-time ones).
+// nearInsert adds a record to the sorted near ring (binary search by
+// (at, seq): a record filed with an older seq than some already queued, a
+// Deadlines head, lands before them).
 func (q *evQueue) nearInsert(idx int32) {
 	r := &q.slab[idx]
 	lo, hi := q.nearHead, len(q.near)

@@ -231,20 +231,6 @@ func TestTimerStopFarFuture(t *testing.T) {
 	}
 }
 
-func TestScheduleArgOrderAndDelivery(t *testing.T) {
-	e := NewEngine(1)
-	var got []int
-	sink := func(v any) { got = append(got, v.(int)) }
-	x, y, z := 0, 1, 2
-	e.ScheduleArgAt(e.Now()+20, sink, y)
-	e.ScheduleArgAt(e.Now()+10, sink, x)
-	e.ScheduleArgAt(20, sink, z) // same time as y, scheduled later → after
-	e.Run()
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("got %v, want [0 1 2]", got)
-	}
-}
-
 func TestWheelMidDrainInsert(t *testing.T) {
 	// Insert an event for the near window while the near ring is being
 	// consumed: it must slot into the correct position.
@@ -267,16 +253,16 @@ func TestWheelMidDrainInsert(t *testing.T) {
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e := NewEngine(1)
 	tm := e.NewTimer(func() {})
-	sink := func(any) {}
+	d := NewDeadlines(e, func(*struct{}) {})
 	arg := &struct{}{}
-	// Prime the slab and near ring.
+	// Prime the slab, the near ring and the deadline ring.
 	for i := 0; i < 64; i++ {
-		e.ScheduleArgAt(e.Now()+Time(i), sink, arg)
+		d.Push(e.Now()+Time(i), arg)
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		tm.Schedule(100)
-		e.ScheduleArgAt(e.Now()+50, sink, arg)
+		d.Push(e.Now()+50, arg)
 		e.RunUntil(e.Now() + 200)
 	})
 	if allocs != 0 {
@@ -292,11 +278,10 @@ func TestFlushLargeSlotIsNotQuadratic(t *testing.T) {
 	const n = 40000
 	e := NewEngine(1)
 	got := make([]int32, 0, n)
-	fire := func(a any) { got = append(got, a.(int32)) }
 	for i := int32(0); i < n; i++ {
 		// Non-decreasing times inside slot 5, 64 events per timestamp, so
 		// both halves of the (at, seq) order are exercised.
-		e.ScheduleArgAt(5<<shift0+Time(i/64), fire, i)
+		e.ScheduleAt(5<<shift0+Time(i/64), func() { got = append(got, i) })
 	}
 	start := time.Now()
 	e.Run()
