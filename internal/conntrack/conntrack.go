@@ -11,10 +11,11 @@
 // study.
 //
 // The table is sharded (shard.go) the way the kernel's nf_conntrack hash
-// is bucket-locked, records are free-listed and can expire on the engine
-// timer wheel (expiry.go), per-zone limits degrade gracefully under
-// pressure instead of hard-failing (degrade.go), and SNAT can draw ports
-// from an allocator whose exhaustion path is deterministic (natpool.go).
+// is bucket-locked, records are free-listed and wait for expiry on one FIFO
+// per timeout, which the engine timer wheel can drain (expiry.go), per-zone
+// limits degrade gracefully under pressure instead of hard-failing
+// (degrade.go), and SNAT can draw ports from an allocator whose exhaustion
+// path is deterministic (natpool.go).
 package conntrack
 
 import (
@@ -45,26 +46,8 @@ func (t Tuple) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%s", t.SrcIP, t.SrcPort, t.DstIP, t.DstPort, t.Proto)
 }
 
-// less orders tuples lexicographically; used only on cold paths that need
-// an iteration order over connections that does not depend on the index.
-func (t Tuple) less(o Tuple) bool {
-	if t.SrcIP != o.SrcIP {
-		return t.SrcIP < o.SrcIP
-	}
-	if t.DstIP != o.DstIP {
-		return t.DstIP < o.DstIP
-	}
-	if t.Proto != o.Proto {
-		return t.Proto < o.Proto
-	}
-	if t.SrcPort != o.SrcPort {
-		return t.SrcPort < o.SrcPort
-	}
-	return t.DstPort < o.DstPort
-}
-
 // State is the connection's protocol state.
-type State int
+type State uint8
 
 // Connection states (a condensed netfilter TCP state machine plus the
 // two-step UDP/ICMP model).
@@ -130,9 +113,6 @@ func DefaultTimeouts() Timeouts {
 
 // NAT describes a translation to apply at commit time.
 type NAT struct {
-	// SNAT: rewrite source address/port on the original direction
-	// (destination on replies). DNAT is the converse.
-	Kind NATKind
 	Addr hdr.IP4
 	Port uint16 // 0 keeps the original port
 
@@ -141,10 +121,14 @@ type NAT struct {
 	// the pool and the connection holds it until removal. Both zero
 	// means no range; Port is then used verbatim.
 	PortLo, PortHi uint16
+
+	// SNAT: rewrite source address/port on the original direction
+	// (destination on replies). DNAT is the converse.
+	Kind NATKind
 }
 
 // NATKind discriminates source vs destination translation.
-type NATKind int
+type NATKind uint8
 
 // NAT kinds.
 const (
@@ -154,37 +138,72 @@ const (
 )
 
 // Conn is one tracked connection. The fields every packet reads or writes
-// fill the first 64 bytes, the list links the LRU touch follows come next
-// and the cold rest last; at 168 bytes the record stays within the
-// allocator's 176-byte size class.
+// fill the first 64 bytes, the list links the touch follows come next and
+// the cold rest last: 144 bytes, one allocator size class.
 type Conn struct {
 	Zone  uint16
 	class connClass
+	State State
 	Orig  Tuple
 	// reply is the tuple reply packets carry, after translation: the
 	// connection's second index key, computed once at install.
 	reply   Tuple
 	Mark    uint32
-	State   State
 	expires sim.Time
 	// packets per direction.
 	PktsOrig, PktsReply uint64
 
-	// Intrusive per-zone recency list (degrade.go). prev/next double as
-	// the free-list link when the record is recycled.
-	prev, next *Conn
-	zs         *zoneState
-	NAT        NAT
-	created    sim.Time
+	// links place the connection on its zone's recency list (degrade.go),
+	// its expiry list (expiry.go) and its NAT pool's allocation list
+	// (natpool.go). The recency link doubles as the free-list link when
+	// the record is recycled.
+	links [numLinks]link
+	zs    *zoneState
+	NAT   NAT
+	exp   uint8    // index of the expiry list in Table.exp
+	pool  *natPool // the NAT port pool the connection holds a port of
+}
 
-	// Lazily created wheel timer (expiry.go); survives recycling so a
-	// record's timer closure is allocated at most once.
-	timer *sim.Timer
+// The lists a connection is on, one link each.
+const (
+	onZone = iota
+	onExpiry
+	onPool
+	numLinks
+)
 
-	// NAT port allocator bookkeeping (natpool.go).
-	pool               *natPool
-	poolPrev, poolNext *Conn
-	poolPort           uint16
+// link is a connection's place on one connList.
+type link struct{ prev, next *Conn }
+
+// connList is an intrusive doubly-linked FIFO of connections through link
+// k of each: pushBack appends, so the head is the one appended longest ago.
+type connList struct {
+	head, tail *Conn
+}
+
+func (l *connList) pushBack(c *Conn, k int) {
+	c.links[k] = link{prev: l.tail}
+	if l.tail != nil {
+		l.tail.links[k].next = c
+	} else {
+		l.head = c
+	}
+	l.tail = c
+}
+
+func (l *connList) remove(c *Conn, k int) {
+	lk := &c.links[k]
+	if lk.prev != nil {
+		lk.prev.links[k].next = lk.next
+	} else {
+		l.head = lk.next
+	}
+	if lk.next != nil {
+		lk.next.links[k].prev = lk.prev
+	} else {
+		l.tail = lk.prev
+	}
+	*lk = link{}
 }
 
 // Table is the connection table.
@@ -193,8 +212,9 @@ type Table struct {
 	shards []ctShard
 	zones  map[uint16]*zoneState
 	pools  map[natPoolKey]*natPool
-	free   *Conn // recycled records, linked through next
+	free   *Conn // recycled records, linked through their recency link
 	live   int
+	exp    []expList // expiry.go
 	wheel  bool
 
 	// Loose enables mid-stream TCP pickup (nf_conntrack_tcp_loose,
@@ -237,7 +257,7 @@ func NewTable(eng *sim.Engine) *Table {
 }
 
 // Len returns the number of live connections (expired entries may linger
-// until touched, swept, or — with wheel expiry on — their timer fires).
+// until touched or swept unless wheel expiry is on).
 func (t *Table) Len() int { return t.live }
 
 // ZoneCount returns live connections in a zone.
@@ -387,15 +407,11 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 		return
 	}
 	c = t.allocConn()
-	c.Zone, c.Orig, c.State, c.NAT, c.created = zone, tu, StateNew, nat, now
-	if nat.Kind != NATNone && nat.PortLo != 0 {
-		port, ok := t.allocNATPort(c, nat)
-		if !ok {
-			t.freeConn(c)
-			p.CtState = packet.CtTracked | packet.CtInvalid
-			return
-		}
-		c.NAT.Port = port
+	c.Zone, c.Orig, c.State, c.NAT = zone, tu, StateNew, nat
+	if nat.Kind != NATNone && nat.PortLo != 0 && !t.allocNATPort(c) {
+		t.freeConn(c)
+		p.CtState = packet.CtTracked | packet.CtInvalid
+		return
 	}
 	switch {
 	case midstream:
@@ -549,8 +565,8 @@ func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
 }
 
 // install indexes the connection under both directions and threads it onto
-// its zone's recency list. The reply direction accounts for NAT: replies
-// arrive addressed to the translated tuple.
+// its zone's recency list and its expiry list. The reply direction accounts
+// for NAT: replies arrive addressed to the translated tuple.
 func (t *Table) install(c *Conn) {
 	c.reply = replyTuple(c)
 	t.index(c, false)
@@ -560,16 +576,14 @@ func (t *Table) install(c *Conn) {
 		t.index(c, true)
 	}
 	c.zs.count++
-	c.zs.lists[c.class].pushBack(c)
+	c.zs.lists[c.class].pushBack(c, onZone)
+	t.pushExp(c)
 	t.live++
-	if t.wheel {
-		t.armTimer(c)
-	}
 }
 
 // removeConn removes the connection's two keys from the index — by key, as
 // the map it replaced did: a key a colliding install took over goes with it
-// — unlinks it from its zone list, its NAT port pool, and its wheel timer,
+// — unlinks it from its zone list, its expiry list and its NAT port pool,
 // then recycles the record.
 // The caller attributes the removal by bumping exactly one of the Expired,
 // EarlyDrops, or Evicted counters.
@@ -577,11 +591,9 @@ func (t *Table) removeConn(c *Conn) {
 	t.unindex(c.Zone, &c.Orig)
 	t.unindex(c.Zone, &c.reply)
 	c.zs.count--
-	c.zs.lists[c.class].remove(c)
+	c.zs.lists[c.class].remove(c, onZone)
+	t.exp[c.exp].remove(c, onExpiry)
 	t.live--
-	if c.timer != nil {
-		c.timer.Stop()
-	}
 	if c.pool != nil {
 		c.pool.release(c)
 	}
@@ -591,19 +603,17 @@ func (t *Table) removeConn(c *Conn) {
 // allocConn takes a record off the free list, or allocates one.
 func (t *Table) allocConn() *Conn {
 	if c := t.free; c != nil {
-		t.free = c.next
-		c.next = nil
+		t.free = c.links[onZone].next
+		c.links[onZone].next = nil
 		return c
 	}
 	return &Conn{}
 }
 
-// freeConn resets a record (keeping its timer, whose closure is bound to
-// the record pointer) and pushes it on the free list.
+// freeConn resets a record and pushes it on the free list.
 func (t *Table) freeConn(c *Conn) {
-	timer := c.timer
-	*c = Conn{timer: timer}
-	c.next = t.free
+	*c = Conn{}
+	c.links[onZone].next = t.free
 	t.free = c
 }
 
@@ -625,22 +635,15 @@ func replyTuple(c *Conn) Tuple {
 	return r
 }
 
-// Sweep removes expired connections, in slot order, and returns the count
-// removed. With wheel expiry enabled it is a no-op in steady state (timers
-// fire first) but remains correct.
+// Sweep removes every connection past its deadline, from the heads of the
+// expiry lists, and returns the count removed. With wheel expiry on it
+// finds none: the timers remove each connection at its deadline.
 func (t *Table) Sweep() int {
-	now := t.eng.Now()
-	var victims []*Conn
-	t.eachConn(func(c *Conn) {
-		if now >= c.expires {
-			victims = append(victims, c)
-		}
-	})
-	for _, c := range victims {
-		t.removeConn(c)
-		t.Expired++
+	n := t.Expired
+	for i := range t.exp {
+		t.reap(&t.exp[i])
 	}
-	return len(victims)
+	return int(t.Expired - n)
 }
 
 // Counters is a snapshot of the tracker's global counters for stats

@@ -1,6 +1,7 @@
 package conntrack
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -348,18 +349,47 @@ func TestConnLookupSymmetryProperty(t *testing.T) {
 }
 
 // TestConnLayout pins the record layout: what every packet touches ends
-// within the first 64 bytes, and the record stays in the 176-byte size class
-// (a 16-byte slot and a 176-byte record per key pair is what the ct
+// within the first 64 bytes, and the record stays in the 144-byte size class
+// (a 144-byte record and two 16-byte slots per connection is what the ct
 // workload's live heap is made of).
 func TestConnLayout(t *testing.T) {
 	var c Conn
-	if end := unsafe.Offsetof(c.PktsOrig) + unsafe.Sizeof(c.PktsOrig); end > 64 {
+	if end := unsafe.Offsetof(c.PktsReply) + unsafe.Sizeof(c.PktsReply); end > 64 {
 		t.Errorf("per-packet fields end at byte %d, want <= 64", end)
 	}
-	if size := unsafe.Sizeof(c); size > 176 {
-		t.Errorf("Conn is %d bytes, want <= 176", size)
+	if size := unsafe.Sizeof(c); size > 144 {
+		t.Errorf("Conn is %d bytes, want <= 144", size)
 	}
 	if size := unsafe.Sizeof(slot{}); size != 16 {
 		t.Errorf("slot is %d bytes, want 16", size)
 	}
+}
+
+// TestConnFootprint: 100k established connections with wheel expiry on cost
+// their record and their index slots, under 256 heap bytes each: a
+// connection holds no timer of its own.
+func TestConnFootprint(t *testing.T) {
+	const n = 100_000
+	eng := sim.NewEngine(1)
+	ack := tcpPkt(ipA, ipB, 1000, 80, hdr.TCPAck)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ct := NewTable(eng)
+	ct.EnableWheelExpiry(true)
+	for id := 0; id < n; id++ {
+		benchPacket(ack, id)
+		ct.Process(ack, 1, true, NAT{}) // loose pickup: established
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if ct.Len() != n {
+		t.Fatalf("len = %d, want %d", ct.Len(), n)
+	}
+	per := float64(after.HeapAlloc-before.HeapAlloc) / n
+	t.Logf("%.0f heap bytes per connection", per)
+	if per >= 256 {
+		t.Fatalf("%.0f heap bytes per connection, want < 256", per)
+	}
+	runtime.KeepAlive(ct)
 }

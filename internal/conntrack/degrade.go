@@ -46,38 +46,9 @@ func classOf(s State) connClass {
 	}
 }
 
-// connList is an intrusive doubly-linked list ordered by recency: head is
-// the least recently touched connection (the eviction candidate).
-type connList struct {
-	head, tail *Conn
-}
-
-func (l *connList) pushBack(c *Conn) {
-	c.prev = l.tail
-	c.next = nil
-	if l.tail != nil {
-		l.tail.next = c
-	} else {
-		l.head = c
-	}
-	l.tail = c
-}
-
-func (l *connList) remove(c *Conn) {
-	if c.prev != nil {
-		c.prev.next = c.next
-	} else {
-		l.head = c.next
-	}
-	if c.next != nil {
-		c.next.prev = c.prev
-	} else {
-		l.tail = c.prev
-	}
-	c.prev, c.next = nil, nil
-}
-
-// zoneState tracks one zone's occupancy, limits, and recency lists.
+// zoneState tracks one zone's occupancy, limits, and recency lists, one per
+// class: each list's head is its least recently touched connection (the
+// eviction candidate).
 type zoneState struct {
 	count int
 	// Hard-reject limit (SetZoneLimit) or ladder limits (SetZoneLimits).
@@ -87,7 +58,7 @@ type zoneState struct {
 	// (0 = none); it forces the ladder on so clamped zones degrade
 	// instead of hard-failing.
 	pressure int
-	lists    [numClasses]connList
+	lists    [numClasses]connList // through link onZone
 }
 
 // effective resolves the zone's working limits under any pressure clamp.
@@ -149,12 +120,15 @@ func (t *Table) SetPressure(zone uint16, n int) {
 }
 
 // touch moves the connection to the back of its (possibly new) class list
-// after the state machine ran, keeping each list LRU-ordered.
+// after the state machine ran, keeping each list LRU-ordered, and to the
+// back of the expiry list for the timeout the state machine set.
 func (t *Table) touch(c *Conn) {
 	cl := classOf(c.State)
-	c.zs.lists[c.class].remove(c)
+	c.zs.lists[c.class].remove(c, onZone)
 	c.class = cl
-	c.zs.lists[cl].pushBack(c)
+	c.zs.lists[cl].pushBack(c, onZone)
+	t.exp[c.exp].remove(c, onExpiry)
+	t.pushExp(c)
 }
 
 // admit decides whether a commit may proceed, running the degradation

@@ -1,82 +1,115 @@
 package conntrack
 
-import "sort"
+import "ovsxdp/internal/sim"
 
-// Timer-wheel expiry. The original tracker only reclaimed expired
-// connections lazily (on lookup) or via Sweep's full linear scan — O(table)
-// per sweep, the same cost profile the sweep revalidator had before the
-// wheel revalidator (PR 7). With wheel expiry enabled, every connection
-// carries a rearmable sim.Timer on the engine's slab-backed wheel:
+// Expiry lists, the OVS userspace tracker's exp_lists. Every connection sits
+// on the FIFO of the timeout duration its last refresh used — the
+// c.expires - now of install or of the latest touch — and a refresh moves it
+// to the tail of its new duration's list. Refreshes happen at
+// non-decreasing virtual times, so deadlines never decrease along a list
+// and each list's head is the next of its connections to expire. A
+// Timeouts value reassigned mid-run is a new duration with a list of its
+// own, so the order holds across reassignment, and a refresh that shortens
+// the timeout (a FIN or RST on an established connection) moves the
+// connection onto a list that is due sooner.
 //
-//   - install arms the timer at the connection's deadline;
-//   - the hot path only writes c.expires (no wheel traffic per packet);
-//   - when the timer fires, a refreshed deadline just re-arms it (lazy
-//     re-arm, the mintmr discipline), an elapsed one removes the record.
-//
-// Expiry work then scales with expirations, not table size, and a
-// million-connection table costs one pending timer record per connection —
-// no scans.
+// The lists are kept whether or not wheel expiry is on; off, a connection
+// past its deadline goes on lookup or Sweep. On, each non-empty list has
+// one sim.Timer armed at or before its head's deadline; when it fires it
+// removes every head whose deadline has passed and re-arms at the next
+// head's. Expiry work scales with expirations, each connection goes at its
+// own deadline, and a connection costs its record and its index slots —
+// the table pays one timer per list, not one per connection.
 //
 // Wheel expiry is opt-in (scenarios enable it) because arming timers
 // consumes engine sequence numbers: enabling it by default would shift
 // event ordering in every existing experiment and break byte-identity of
-// their output. The default path — lookup-time expiry plus Sweep — is
-// unchanged.
+// their output.
 
-// EnableWheelExpiry turns timer-wheel expiry on or off. Enabling arms a
-// timer for every live connection in sorted-key order so engine sequence
-// allocation does not depend on where the index holds them; disabling
-// stops all timers.
+// expList is the FIFO, through link onExpiry, of the connections whose last
+// refresh used timeout d.
+type expList struct {
+	connList
+	d     sim.Time
+	timer *sim.Timer
+}
+
+// EnableWheelExpiry turns timer-wheel expiry on or off. Enabling sweeps —
+// a timer cannot be armed in the past — then arms one timer per non-empty
+// list, in list order; disabling stops the timers.
 func (t *Table) EnableWheelExpiry(on bool) {
 	if on == t.wheel {
 		return
 	}
 	t.wheel = on
-	if !on {
-		t.eachConn(func(c *Conn) {
-			if c.timer != nil {
-				c.timer.Stop()
-			}
-		})
-		return
+	if on {
+		t.Sweep()
 	}
-	// A connection lingering past its deadline is reclaimed now: a timer
-	// cannot be armed in the past.
-	t.Sweep()
-	var conns []*Conn
-	t.eachConn(func(c *Conn) { conns = append(conns, c) })
-	sort.Slice(conns, func(i, j int) bool {
-		if conns[i].Zone != conns[j].Zone {
-			return conns[i].Zone < conns[j].Zone
+	for i := range t.exp {
+		t.arm(&t.exp[i])
+	}
+}
+
+// pushExp appends c to the tail of the list for its timeout, arming the
+// list's timer if it is idle or due after c.
+func (t *Table) pushExp(c *Conn) {
+	d := c.expires - t.eng.Now()
+	if int(c.exp) >= len(t.exp) || t.exp[c.exp].d != d {
+		c.exp = t.expListFor(d)
+	}
+	l := &t.exp[c.exp]
+	l.pushBack(c, onExpiry)
+	if at, armed := l.timer.When(); t.wheel && (!armed || at > c.expires) {
+		l.timer.ScheduleAt(c.expires)
+	}
+}
+
+// expListFor returns the index of the list for timeout d, giving d an empty
+// list, or a new one, if no list has it. A connection names its list in
+// one byte, so at most 256 timeouts can be in use at once.
+func (t *Table) expListFor(d sim.Time) uint8 {
+	free := -1
+	for i := range t.exp {
+		if t.exp[i].d == d {
+			return uint8(i)
 		}
-		return conns[i].Orig.less(conns[j].Orig)
-	})
-	for _, c := range conns {
-		t.armTimer(c)
+		if free < 0 && t.exp[i].head == nil {
+			free = i
+		}
+	}
+	if free < 0 {
+		if len(t.exp) > 255 {
+			panic("conntrack: more than 256 timeouts in use at once")
+		}
+		free = len(t.exp)
+		t.exp = append(t.exp, expList{timer: t.eng.NewTimer(func() { t.expire(free) })})
+	}
+	t.exp[free].d = d
+	return uint8(free)
+}
+
+// expire is list i's timer: it removes the heads whose deadline has passed
+// and re-arms at the next head's.
+func (t *Table) expire(i int) {
+	l := &t.exp[i]
+	t.reap(l)
+	t.arm(l)
+}
+
+// reap removes the connections at the head of l whose deadline has passed.
+func (t *Table) reap(l *expList) {
+	for l.head != nil && l.head.expires <= t.eng.Now() {
+		t.removeConn(l.head)
+		t.Expired++
 	}
 }
 
-// armTimer schedules the connection's expiry timer at its deadline,
-// creating the timer (and its closure) at most once per record — recycled
-// records keep their timer, so steady-state churn allocates nothing.
-func (t *Table) armTimer(c *Conn) {
-	if c.timer == nil {
-		cc := c
-		c.timer = t.eng.NewTimer(func() { t.timerFired(cc) })
+// arm arms l's timer at its head's deadline while the wheel is on and l
+// holds a connection, and stops it otherwise.
+func (t *Table) arm(l *expList) {
+	if t.wheel && l.head != nil {
+		l.timer.ScheduleAt(l.head.expires)
+	} else {
+		l.timer.Stop()
 	}
-	c.timer.ScheduleAt(c.expires)
-}
-
-// timerFired handles a wheel expiry. The record is necessarily live:
-// removal stops the timer and recycling keeps it stopped, so a fired timer
-// always refers to the connection it was armed for.
-func (t *Table) timerFired(c *Conn) {
-	if t.eng.Now() < c.expires {
-		// The deadline moved while the timer was pending (the hot path
-		// refreshed c.expires): re-arm at the new deadline.
-		c.timer.ScheduleAt(c.expires)
-		return
-	}
-	t.removeConn(c)
-	t.Expired++
 }

@@ -60,18 +60,6 @@ func (r *refIndex) setShards(n int) {
 	}
 }
 
-// reachable returns every connection some key still leads to — what the
-// map-based Sweep and EnableWheelExpiry walked.
-func (r *refIndex) reachable() map[*Conn]bool {
-	set := map[*Conn]bool{}
-	for _, m := range r.shards {
-		for _, c := range m {
-			set[c] = true
-		}
-	}
-	return set
-}
-
 // checkShard verifies the open-addressing invariants of shard i: stored
 // hashes are the keys' own and belong to this shard, every slot is reachable
 // from its home without crossing a free one, the count is right and the load
@@ -168,6 +156,7 @@ func runIndexOps(t testing.TB, ops []byte) (maxSlots int) {
 	ct := NewTable(eng)
 	ref := newRefIndex(DefaultShards)
 	var live []*Conn
+	timeout := map[*Conn]sim.Time{} // the timeout each live connection was installed with
 	drop := func(gone map[*Conn]bool) {
 		kept := live[:0]
 		for _, c := range live {
@@ -177,17 +166,16 @@ func runIndexOps(t testing.TB, ops []byte) (maxSlots int) {
 		}
 		live = kept
 	}
-	// expireRef removes from the reference every reachable connection past
-	// its deadline — what Sweep is to remove from the table.
+	// expireRef removes from the reference every connection past its
+	// deadline, reachable by a key or not — what Sweep is to remove from
+	// the table: the expiry lists hold every installed connection.
 	expireRef := func() map[*Conn]bool {
 		gone := map[*Conn]bool{}
-		for c := range ref.reachable() {
+		for _, c := range live {
 			if eng.Now() >= c.expires {
 				gone[c] = true
+				ref.remove(c)
 			}
-		}
-		for c := range gone {
-			ref.remove(c)
 		}
 		return gone
 	}
@@ -203,9 +191,10 @@ func runIndexOps(t testing.TB, ops []byte) (maxSlots int) {
 			c.State = StateEstablished
 			c.class = classOf(c.State)
 			c.zs = ct.zone(c.Zone)
-			c.expires = eng.Now() + sim.Time(1+x%8)*sim.Millisecond
+			timeout[c] = sim.Time(1+x%8) * sim.Millisecond
+			c.expires = eng.Now() + timeout[c]
 			ref.install(c)
-			ct.install(c)
+			ct.install(c) // onto the expiry list for timeout[c]
 			live = append(live, c)
 		case op <= 8 && len(live) > 0: // remove by key
 			c := live[(int(a)<<8|int(b))%len(live)]
@@ -231,16 +220,21 @@ func runIndexOps(t testing.TB, ops []byte) (maxSlots int) {
 				t.Fatalf("step %d: Sweep removed %d, reference %d", step, n, len(gone))
 			}
 			drop(gone)
-		case op == 13 && a < 64: // reclaim the expired, arm every other reachable connection once
-			gone := expireRef()
+		case op == 13 && a < 64: // sweep, then arm one timer per timeout still in use
+			gone, timeouts := expireRef(), map[sim.Time]bool{}
+			for _, c := range live {
+				if !gone[c] {
+					timeouts[timeout[c]] = true
+				}
+			}
 			expired, pending := ct.Expired, eng.Pending()
 			ct.EnableWheelExpiry(true)
 			if got := int(ct.Expired - expired); got != len(gone) {
 				t.Fatalf("step %d: enabling the wheel reclaimed %d, reference %d", step, got, len(gone))
 			}
 			drop(gone)
-			if got, want := eng.Pending()-pending, len(ref.reachable()); got != want {
-				t.Fatalf("step %d: wheel armed %d timers, reference reaches %d connections", step, got, want)
+			if got, want := eng.Pending()-pending, len(timeouts); got != want {
+				t.Fatalf("step %d: wheel armed %d timers, live connections use %d timeouts", step, got, want)
 			}
 			ct.EnableWheelExpiry(false)
 			if eng.Pending() != pending {
@@ -293,6 +287,55 @@ func FuzzConnIndexOps(f *testing.F) {
 	// The same key installed twice, the wheel armed over the collision.
 	f.Add([]byte{0, 0x08, 0x01, 0, 0, 0x08, 0x01, 0, 13, 0, 0, 0, 6, 0, 0, 0, 6, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) { runIndexOps(t, ops) })
+}
+
+// TestCollidedConnExpiresAtOwnDeadline: a connection whose two keys later
+// NAT installs took over is reachable by no key, yet it stays on its expiry
+// list and the wheel removes it at its own deadline. Its removal deletes its
+// keys by key, so the two connections holding them lose their reply keys
+// with it.
+func TestCollidedConnExpiresAtOwnDeadline(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ct := NewTable(eng)
+	ct.Timeouts.SynSent = 10 * sim.Millisecond
+	ct.EnableWheelExpiry(true)
+	ct.Process(tcpPkt(ipA, ipB, 1000, 80, hdr.TCPSyn), 1, true, NAT{}) // due at 10 ms
+	tu, _ := TupleOf(tcpPkt(ipA, ipB, 1000, 80, hdr.TCPSyn))
+
+	// B's reply key is the first connection's original tuple, C's its
+	// reply tuple; both are due at 11 ms.
+	eng.RunUntil(sim.Millisecond)
+	ct.Process(tcpPkt(ipB, natIP, 80, 5555, hdr.TCPSyn), 1, true, NAT{Kind: DNAT, Addr: ipA, Port: 1000})
+	ct.Process(tcpPkt(ipRouter, ipB, 7, 80, hdr.TCPSyn), 1, true, NAT{Kind: SNAT, Addr: ipA, Port: 1000})
+	b, _ := ct.Find(1, Tuple{SrcIP: ipB, DstIP: natIP, Proto: hdr.IPProtoTCP, SrcPort: 80, DstPort: 5555})
+	c, _ := ct.Find(1, Tuple{SrcIP: ipRouter, DstIP: ipB, Proto: hdr.IPProtoTCP, SrcPort: 7, DstPort: 80})
+	if got, _ := ct.Find(1, tu); got != b || b == nil {
+		t.Fatalf("original key -> %p, want B %p", got, b)
+	}
+	if got, _ := ct.Find(1, tu.Reverse()); got != c || c == nil {
+		t.Fatalf("reply key -> %p, want C %p", got, c)
+	}
+
+	eng.RunUntil(10*sim.Millisecond - 1)
+	if ct.Len() != 3 || ct.Expired != 0 {
+		t.Fatalf("len=%d expired=%d before the first deadline, want 3/0", ct.Len(), ct.Expired)
+	}
+	eng.RunUntil(10 * sim.Millisecond)
+	if ct.Len() != 2 || ct.Expired != 1 {
+		t.Fatalf("len=%d expired=%d at the first deadline, want 2/1", ct.Len(), ct.Expired)
+	}
+	for _, k := range []Tuple{tu, tu.Reverse()} {
+		if got, ok := ct.Find(1, k); ok {
+			t.Fatalf("key %s -> %p after the first connection expired, want gone", k, got)
+		}
+	}
+	if got, _ := ct.Find(1, b.Orig); got != b {
+		t.Fatalf("B's original key lost with the first connection")
+	}
+	eng.RunUntil(11 * sim.Millisecond)
+	if ct.Len() != 0 || ct.Expired != 3 {
+		t.Fatalf("len=%d expired=%d at 11 ms, want 0/3", ct.Len(), ct.Expired)
+	}
 }
 
 // wrapTuples returns tuples of zone 1 whose home slots in a one-shard table

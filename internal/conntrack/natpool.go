@@ -26,17 +26,18 @@ type natPool struct {
 	// and freed ports are not immediately reused (minimizing accidental
 	// reply cross-wiring while a stale peer still holds table state).
 	rotor uint16
-	// Allocation-order list, oldest first, linked through poolPrev/Next:
-	// the eviction scan order.
-	head, tail *Conn
+	// Allocation-order list, oldest first, through link onPool: the
+	// eviction scan order.
+	conns connList
 }
 
-// allocNATPort reserves a port for c from nat's pool, evicting the oldest
-// non-established holder if the range is exhausted. It reports false (and
-// counts NATExhausted) when every port is held by an established
-// connection. c is not yet installed; on success its pool fields are set
-// and release happens in removeConn.
-func (t *Table) allocNATPort(c *Conn, nat NAT) (uint16, bool) {
+// allocNATPort reserves a port for c from its NAT's pool, evicting the
+// oldest non-established holder if the range is exhausted. It reports false
+// (and counts NATExhausted) when every port is held by an established
+// connection. c is not yet installed; on success c.NAT.Port and c.pool are
+// set and release happens in removeConn.
+func (t *Table) allocNATPort(c *Conn) bool {
+	nat := c.NAT
 	key := natPoolKey{kind: nat.Kind, addr: uint32(nat.Addr), lo: nat.PortLo, hi: nat.PortHi}
 	pool := t.pools[key]
 	if pool == nil {
@@ -57,13 +58,12 @@ func (t *Table) allocNATPort(c *Conn, nat NAT) (uint16, bool) {
 	}
 	if !ok {
 		t.NATExhausted++
-		return 0, false
+		return false
 	}
-	c.pool = pool
-	c.poolPort = port
+	c.pool, c.NAT.Port = pool, port
 	pool.inUse[port] = c
-	pool.pushBack(c)
-	return port, true
+	pool.conns.pushBack(c, onPool)
+	return true
 }
 
 // alloc scans next-fit from the rotor for a free port.
@@ -90,7 +90,7 @@ func (p *natPool) alloc() (uint16, bool) {
 
 // oldestEvictable returns the oldest holder that is not established.
 func (p *natPool) oldestEvictable() *Conn {
-	for c := p.head; c != nil; c = c.poolNext {
+	for c := p.conns.head; c != nil; c = c.links[onPool].next {
 		if c.State != StateEstablished {
 			return c
 		}
@@ -98,29 +98,8 @@ func (p *natPool) oldestEvictable() *Conn {
 	return nil
 }
 
-func (p *natPool) pushBack(c *Conn) {
-	c.poolPrev = p.tail
-	c.poolNext = nil
-	if p.tail != nil {
-		p.tail.poolNext = c
-	} else {
-		p.head = c
-	}
-	p.tail = c
-}
-
 // release frees the connection's port and unlinks it from the pool.
 func (p *natPool) release(c *Conn) {
-	delete(p.inUse, c.poolPort)
-	if c.poolPrev != nil {
-		c.poolPrev.poolNext = c.poolNext
-	} else {
-		p.head = c.poolNext
-	}
-	if c.poolNext != nil {
-		c.poolNext.poolPrev = c.poolPrev
-	} else {
-		p.tail = c.poolPrev
-	}
-	c.pool, c.poolPrev, c.poolNext = nil, nil, nil
+	delete(p.inUse, c.NAT.Port)
+	p.conns.remove(c, onPool)
 }

@@ -61,29 +61,6 @@ func (t *Table) unindex(zone uint16, tu *Tuple) {
 	t.shardOf(h).del(h, zone, tu)
 }
 
-// eachConn calls fn once for every connection the index leads to, in slot
-// order: at the connection's original-direction slot, or at its reply slot
-// if a colliding install took the original key over. The probe that tells
-// is not a packet's, so it is not counted in lookups. fn must leave the
-// index alone.
-func (t *Table) eachConn(fn func(*Conn)) {
-	for i := range t.shards {
-		for _, sl := range t.shards[i].slots {
-			c := sl.c
-			if c == nil {
-				continue
-			}
-			if sl.reply {
-				h := tupleHash(c.Zone, c.Orig)
-				if t.shardOf(h).find(h, c.Zone, &c.Orig) == c {
-					continue
-				}
-			}
-			fn(c)
-		}
-	}
-}
-
 // NumShards returns the current shard count.
 func (t *Table) NumShards() int { return len(t.shards) }
 

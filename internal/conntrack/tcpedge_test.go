@@ -138,42 +138,47 @@ func TestFreshSYNReopensClosedConnection(t *testing.T) {
 	}
 }
 
-// TestConntrackEstablishedLookupZeroAlloc pins the hot paths: processing a
-// packet of an established connection (lookup + state machine + LRU touch),
-// a lookup that misses, and — once the free list and the index have reached
-// their steady size — a commit followed by the lookup that finds the record
-// expired and reclaims it must not allocate.
+// TestConntrackEstablishedLookupZeroAlloc pins the hot paths, with the wheel
+// off and on: processing a packet of an established connection (lookup +
+// state machine + the touch that moves it on its recency and expiry lists),
+// a lookup that misses, and — once the free list, the index and the expiry
+// lists have reached their steady size — a commit followed by its expiry,
+// found by the lookup or fired by the wheel, must not allocate.
 func TestConntrackEstablishedLookupZeroAlloc(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ct := NewTable(eng)
-	ct.Timeouts.SynSent = sim.Millisecond
-	handshake(ct, 1, 1000, 80)
-	p := tcpPkt(ipA, ipB, 1000, 80, hdr.TCPAck|hdr.TCPPsh)
-	if n := testing.AllocsPerRun(200, func() {
-		ct.Process(p, 1, true, NAT{})
-	}); n != 0 {
-		t.Fatalf("established-connection Process allocates %.1f/op, want 0", n)
-	}
-
-	miss := tcpPkt(ipA, ipB, 2000, 80, hdr.TCPAck)
-	if n := testing.AllocsPerRun(200, func() {
-		ct.Process(miss, 1, false, NAT{})
-	}); n != 0 {
-		t.Fatalf("missing lookup allocates %.1f/op, want 0", n)
-	}
-
-	syn := tcpPkt(ipA, ipB, 3000, 80, hdr.TCPSyn)
-	tu, _ := TupleOf(syn)
-	if n := testing.AllocsPerRun(200, func() {
-		ct.Process(syn, 1, true, NAT{})
-		eng.RunUntil(eng.Now() + 2*sim.Millisecond)
-		if _, ok := ct.Find(1, tu); ok {
-			t.Fatal("connection outlived its timeout")
+	for _, wheel := range []bool{false, true} {
+		eng := sim.NewEngine(1)
+		ct := NewTable(eng)
+		ct.Timeouts.SynSent = sim.Millisecond
+		ct.EnableWheelExpiry(wheel)
+		handshake(ct, 1, 1000, 80)
+		p := tcpPkt(ipA, ipB, 1000, 80, hdr.TCPAck|hdr.TCPPsh)
+		if n := testing.AllocsPerRun(200, func() {
+			ct.Process(p, 1, true, NAT{})
+		}); n != 0 {
+			t.Fatalf("wheel %v: established-connection Process allocates %.1f/op, want 0", wheel, n)
 		}
-	}); n != 0 {
-		t.Fatalf("commit-then-expire cycle allocates %.1f/op, want 0", n)
-	}
-	if ct.Len() != 1 || ct.Created != 202 || ct.Expired != 201 {
-		t.Fatalf("len=%d created=%d expired=%d after the cycles, want 1/202/201", ct.Len(), ct.Created, ct.Expired)
+
+		miss := tcpPkt(ipA, ipB, 2000, 80, hdr.TCPAck)
+		if n := testing.AllocsPerRun(200, func() {
+			ct.Process(miss, 1, false, NAT{})
+		}); n != 0 {
+			t.Fatalf("wheel %v: missing lookup allocates %.1f/op, want 0", wheel, n)
+		}
+
+		syn := tcpPkt(ipA, ipB, 3000, 80, hdr.TCPSyn)
+		tu, _ := TupleOf(syn)
+		if n := testing.AllocsPerRun(200, func() {
+			ct.Process(syn, 1, true, NAT{})
+			eng.RunUntil(eng.Now() + 2*sim.Millisecond)
+			if _, ok := ct.Find(1, tu); ok {
+				t.Fatal("connection outlived its timeout")
+			}
+		}); n != 0 {
+			t.Fatalf("wheel %v: commit-then-expire cycle allocates %.1f/op, want 0", wheel, n)
+		}
+		if ct.Len() != 1 || ct.Created != 202 || ct.Expired != 201 {
+			t.Fatalf("wheel %v: len=%d created=%d expired=%d after the cycles, want 1/202/201",
+				wheel, ct.Len(), ct.Created, ct.Expired)
+		}
 	}
 }

@@ -37,6 +37,14 @@ func (t *Timer) ScheduleAt(at Time) {
 	t.eng.q.slab[t.idx].timer = t
 }
 
+// When returns the time the timer is armed for, and false if it is idle.
+func (t *Timer) When() (Time, bool) {
+	if t.idx < 0 {
+		return 0, false
+	}
+	return t.eng.q.slab[t.idx].at, true
+}
+
 // Stop cancels a pending arm; firing is suppressed. Stopping an idle timer
 // is a no-op. The cancelled record is reclaimed lazily by the queue.
 func (t *Timer) Stop() {
