@@ -137,17 +137,16 @@ const (
 	DNAT
 )
 
-// Conn is one tracked connection. The fields every packet reads or writes
-// fill the first 64 bytes, the list links the touch follows come next and
-// the cold rest last: 144 bytes, one allocator size class.
+// Conn is one tracked connection, a record in its table's slab. The fields
+// every packet reads or writes fill the first 48 bytes, the list links the
+// touch follows come next and the cold rest last: 96 bytes, none of them a
+// pointer, so the collector never scans a connection. Records do not move,
+// so a *Conn stays valid until the connection is removed.
 type Conn struct {
-	Zone  uint16
-	class connClass
-	State State
-	Orig  Tuple
-	// reply is the tuple reply packets carry, after translation: the
-	// connection's second index key, computed once at install.
-	reply   Tuple
+	Zone    uint16
+	class   connClass
+	State   State
+	Orig    Tuple
 	Mark    uint32
 	expires sim.Time
 	// packets per direction.
@@ -158,11 +157,21 @@ type Conn struct {
 	// (natpool.go). The recency link doubles as the free-list link when
 	// the record is recycled.
 	links [numLinks]link
-	zs    *zoneState
 	NAT   NAT
-	exp   uint8    // index of the expiry list in Table.exp
-	pool  *natPool // the NAT port pool the connection holds a port of
+	exp   uint8  // index of the expiry list in Table.exp
+	zi    uint16 // index of the zone in Table.zoneList
+	pool  uint32 // 1 + index in Table.poolList of the NAT port pool it holds a port of
+	self  ref    // the record's own ref
 }
+
+// ref names a record in a table's slab; 0 names none.
+type ref uint32
+
+// The slab grows by chunks of chunkSize records, which never move.
+const chunkBits, chunkSize = 10, 1 << chunkBits
+
+// conn returns the record r names.
+func (t *Table) conn(r ref) *Conn { return &t.slab[r>>chunkBits][r&(chunkSize-1)] }
 
 // The lists a connection is on, one link each.
 const (
@@ -173,33 +182,33 @@ const (
 )
 
 // link is a connection's place on one connList.
-type link struct{ prev, next *Conn }
+type link struct{ prev, next ref }
 
 // connList is an intrusive doubly-linked FIFO of connections through link
 // k of each: pushBack appends, so the head is the one appended longest ago.
 type connList struct {
-	head, tail *Conn
+	head, tail ref
 }
 
-func (l *connList) pushBack(c *Conn, k int) {
+func (l *connList) pushBack(t *Table, c *Conn, k int) {
 	c.links[k] = link{prev: l.tail}
-	if l.tail != nil {
-		l.tail.links[k].next = c
+	if l.tail != 0 {
+		t.conn(l.tail).links[k].next = c.self
 	} else {
-		l.head = c
+		l.head = c.self
 	}
-	l.tail = c
+	l.tail = c.self
 }
 
-func (l *connList) remove(c *Conn, k int) {
+func (l *connList) remove(t *Table, c *Conn, k int) {
 	lk := &c.links[k]
-	if lk.prev != nil {
-		lk.prev.links[k].next = lk.next
+	if lk.prev != 0 {
+		t.conn(lk.prev).links[k].next = lk.next
 	} else {
 		l.head = lk.next
 	}
-	if lk.next != nil {
-		lk.next.links[k].prev = lk.prev
+	if lk.next != 0 {
+		t.conn(lk.next).links[k].prev = lk.prev
 	} else {
 		l.tail = lk.prev
 	}
@@ -208,14 +217,18 @@ func (l *connList) remove(c *Conn, k int) {
 
 // Table is the connection table.
 type Table struct {
-	eng    *sim.Engine
-	shards []ctShard
-	zones  map[uint16]*zoneState
-	pools  map[natPoolKey]*natPool
-	free   *Conn // recycled records, linked through their recency link
-	live   int
-	exp    []expList // expiry.go
-	wheel  bool
+	eng      *sim.Engine
+	shards   []ctShard
+	slab     [][]Conn // the records, by ref
+	recs     ref      // refs handed out so far, record 0 included
+	free     ref      // recycled records, linked through their recency link
+	zones    map[uint16]*zoneState
+	zoneList []*zoneState // by Conn.zi
+	pools    map[natPoolKey]*natPool
+	poolList []*natPool // by Conn.pool - 1
+	live     int
+	exp      []expList // expiry.go
+	wheel    bool
 
 	// Loose enables mid-stream TCP pickup (nf_conntrack_tcp_loose,
 	// enabled by default in Linux): a non-SYN packet with no known
@@ -424,7 +437,7 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 		c.expires = now + t.Timeouts.UDP
 	}
 	c.PktsOrig = 1
-	c.zs = zs
+	c.zi = zs.zi
 	c.class = classOf(c.State)
 	t.install(c)
 	t.Created++
@@ -443,8 +456,10 @@ func (t *Table) lookup(zone uint16, tu *Tuple) *Conn {
 	return c
 }
 
-// Find returns the connection for a tuple in a zone without touching
-// state (diagnostics, tests).
+// Find returns the connection for a tuple in a zone (diagnostics, tests).
+// It runs no state machine and counts no packet, but like a packet's lookup
+// it removes a connection past its deadline, counted in Expired, and reports
+// a miss.
 func (t *Table) Find(zone uint16, tu Tuple) (*Conn, bool) {
 	c := t.lookup(zone, &tu)
 	return c, c != nil
@@ -568,15 +583,15 @@ func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
 // its zone's recency list and its expiry list. The reply direction accounts
 // for NAT: replies arrive addressed to the translated tuple.
 func (t *Table) install(c *Conn) {
-	c.reply = replyTuple(c)
-	t.index(c, false)
-	if c.reply != c.Orig {
+	t.index(c, &c.Orig, 0)
+	if reply := replyTuple(c); reply != c.Orig {
 		// A tuple that is its own reply is one key, held by the
 		// original-direction slot.
-		t.index(c, true)
+		t.index(c, &reply, 1)
 	}
-	c.zs.count++
-	c.zs.lists[c.class].pushBack(c, onZone)
+	zs := t.zoneList[c.zi]
+	zs.count++
+	zs.lists[c.class].pushBack(t, c, onZone)
 	t.pushExp(c)
 	t.live++
 }
@@ -588,36 +603,51 @@ func (t *Table) install(c *Conn) {
 // The caller attributes the removal by bumping exactly one of the Expired,
 // EarlyDrops, or Evicted counters.
 func (t *Table) removeConn(c *Conn) {
+	reply := replyTuple(c)
 	t.unindex(c.Zone, &c.Orig)
-	t.unindex(c.Zone, &c.reply)
-	c.zs.count--
-	c.zs.lists[c.class].remove(c, onZone)
-	t.exp[c.exp].remove(c, onExpiry)
+	t.unindex(c.Zone, &reply)
+	zs := t.zoneList[c.zi]
+	zs.count--
+	zs.lists[c.class].remove(t, c, onZone)
+	t.exp[c.exp].remove(t, c, onExpiry)
 	t.live--
-	if c.pool != nil {
-		c.pool.release(c)
+	if c.pool != 0 {
+		t.poolList[c.pool-1].release(t, c)
 	}
 	t.freeConn(c)
 }
 
-// allocConn takes a record off the free list, or allocates one.
+// allocConn takes a record off the free list, or the next record never
+// handed out, adding a chunk to the slab when it is full.
 func (t *Table) allocConn() *Conn {
-	if c := t.free; c != nil {
+	if r := t.free; r != 0 {
+		c := t.conn(r)
 		t.free = c.links[onZone].next
-		c.links[onZone].next = nil
+		c.links[onZone].next = 0
 		return c
 	}
-	return &Conn{}
+	r := max(t.recs, 1) // record 0 is never handed out: ref 0 names none
+	if int(r>>chunkBits) == len(t.slab) {
+		if r >= 1<<31 { // an index slot holds a ref shifted left by one
+			panic("conntrack: more than 2^31 connection records")
+		}
+		t.slab = append(t.slab, make([]Conn, chunkSize))
+	}
+	t.recs = r + 1
+	c := t.conn(r)
+	c.self = r
+	return c
 }
 
 // freeConn resets a record and pushes it on the free list.
 func (t *Table) freeConn(c *Conn) {
-	*c = Conn{}
+	*c = Conn{self: c.self}
 	c.links[onZone].next = t.free
-	t.free = c
+	t.free = c.self
 }
 
-// replyTuple computes the tuple reply packets carry, after translation.
+// replyTuple computes the tuple reply packets carry, after translation. NAT
+// does not change after install, so neither does the reply key.
 func replyTuple(c *Conn) Tuple {
 	r := c.Orig.Reverse()
 	switch c.NAT.Kind {

@@ -1,7 +1,9 @@
 package conntrack
 
 import (
+	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -349,24 +351,40 @@ func TestConnLookupSymmetryProperty(t *testing.T) {
 }
 
 // TestConnLayout pins the record layout: what every packet touches ends
-// within the first 64 bytes, and the record stays in the 144-byte size class
-// (a 144-byte record and two 16-byte slots per connection is what the ct
-// workload's live heap is made of).
+// within the first 48 bytes, the record is at most 96 bytes, an index slot
+// is 8, and no field of a record holds a pointer (a 96-byte record and two
+// 8-byte slots per connection is what the ct workload's live heap is made
+// of, and none of it is for the collector to scan).
 func TestConnLayout(t *testing.T) {
 	var c Conn
-	if end := unsafe.Offsetof(c.PktsReply) + unsafe.Sizeof(c.PktsReply); end > 64 {
-		t.Errorf("per-packet fields end at byte %d, want <= 64", end)
+	if end := unsafe.Offsetof(c.PktsReply) + unsafe.Sizeof(c.PktsReply); end > 48 {
+		t.Errorf("per-packet fields end at byte %d, want <= 48", end)
 	}
-	if size := unsafe.Sizeof(c); size > 144 {
-		t.Errorf("Conn is %d bytes, want <= 144", size)
+	if size := unsafe.Sizeof(c); size > 96 {
+		t.Errorf("Conn is %d bytes, want <= 96", size)
 	}
-	if size := unsafe.Sizeof(slot{}); size != 16 {
-		t.Errorf("slot is %d bytes, want 16", size)
+	if size := unsafe.Sizeof(slot{}); size != 8 {
+		t.Errorf("slot is %d bytes, want 8", size)
 	}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Interface,
+			reflect.Func, reflect.Chan, reflect.String:
+			t.Errorf("%s is a %s: a record must hold no pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(c), "Conn")
 }
 
 // TestConnFootprint: 100k established connections with wheel expiry on cost
-// their record and their index slots, under 256 heap bytes each: a
+// their record and their index slots, under 160 heap bytes each: a
 // connection holds no timer of its own.
 func TestConnFootprint(t *testing.T) {
 	const n = 100_000
@@ -388,8 +406,84 @@ func TestConnFootprint(t *testing.T) {
 	}
 	per := float64(after.HeapAlloc-before.HeapAlloc) / n
 	t.Logf("%.0f heap bytes per connection", per)
-	if per >= 256 {
-		t.Fatalf("%.0f heap bytes per connection, want < 256", per)
+	if per >= 160 {
+		t.Fatalf("%.0f heap bytes per connection, want < 160", per)
 	}
 	runtime.KeepAlive(ct)
+}
+
+// TestConnTableIsNoscan: 100k established connections with wheel expiry on
+// add under 64 KB to the heap the collector scans — the records and the
+// index slots hold refs, not pointers.
+func TestConnTableIsNoscan(t *testing.T) {
+	const n = 100_000
+	sample := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	scannable := func() uint64 {
+		runtime.GC()
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	eng := sim.NewEngine(1)
+	ack := tcpPkt(ipA, ipB, 1000, 80, hdr.TCPAck)
+	before := scannable()
+	ct := NewTable(eng)
+	ct.EnableWheelExpiry(true)
+	for id := 0; id < n; id++ {
+		benchPacket(ack, id)
+		ct.Process(ack, 1, true, NAT{}) // loose pickup: established
+	}
+	after := scannable()
+	if ct.Len() != n {
+		t.Fatalf("len = %d, want %d", ct.Len(), n)
+	}
+	grew := int64(after) - int64(before)
+	t.Logf("%d connections add %d scannable heap bytes", n, grew)
+	if grew >= 64<<10 {
+		t.Fatalf("%d connections add %d scannable heap bytes, want < 64 KB", n, grew)
+	}
+	runtime.KeepAlive(ct)
+}
+
+// TestConnRecordsStayPut: a *Conn from Find stays the connection's record
+// while the slab grows across several chunks, with its counters kept, and
+// a freed record is handed out again before the slab grows.
+func TestConnRecordsStayPut(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ct := NewTable(eng)
+	pkt := func(flags uint8) *packet.Packet { return tcpPkt(ipA, ipB, 2000, 80, flags) }
+	ct.Process(pkt(hdr.TCPSyn), 1, true, NAT{})
+	tu, _ := TupleOf(pkt(hdr.TCPSyn))
+	first, ok := ct.Find(1, tu)
+	if !ok {
+		t.Fatal("committed connection not found")
+	}
+	syn := tcpPkt(ipA, ipB, 1000, 80, hdr.TCPSyn)
+	const others = 4 * chunkSize
+	for id := 0; id < others; id++ {
+		benchPacket(syn, id)
+		ct.Process(syn, 1, true, NAT{})
+		ct.Process(pkt(hdr.TCPAck), 1, false, NAT{})
+	}
+	if len(ct.slab) < 4 {
+		t.Fatalf("slab holds %d chunks, want >= 4", len(ct.slab))
+	}
+	if got, _ := ct.Find(1, tu); got != first || first.Orig != tu || first.PktsOrig != 1+others {
+		t.Fatalf("Find -> %p (was %p): %s with %d packets, want %s with %d",
+			got, first, first.Orig, first.PktsOrig, tu, 1+others)
+	}
+
+	// An RST closes the connection; a fresh SYN retires its record and
+	// commits a new connection, which must take the freed record.
+	chunks, recs := len(ct.slab), ct.recs
+	ct.Process(pkt(hdr.TCPRst), 1, false, NAT{})
+	ct.Process(pkt(hdr.TCPSyn), 1, true, NAT{})
+	again, _ := ct.Find(1, tu)
+	if ct.Expired != 1 || again != first || first.PktsOrig != 1 || first.State != StateSynSent {
+		t.Fatalf("expired=%d, reopened record %p (freed %p) with %d packets in %s, want 1, the freed one, 1, syn-sent",
+			ct.Expired, again, first, first.PktsOrig, first.State)
+	}
+	if len(ct.slab) != chunks || ct.recs != recs {
+		t.Fatalf("slab %d chunks / %d refs, was %d / %d: the freed record was not reused",
+			len(ct.slab), ct.recs, chunks, recs)
+	}
 }

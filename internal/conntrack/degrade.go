@@ -59,6 +59,7 @@ type zoneState struct {
 	// instead of hard-failing.
 	pressure int
 	lists    [numClasses]connList // through link onZone
+	zi       uint16               // index in Table.zoneList
 }
 
 // effective resolves the zone's working limits under any pressure clamp.
@@ -77,8 +78,9 @@ func (zs *zoneState) effective() (soft, hard int, ladder bool) {
 func (t *Table) zone(z uint16) *zoneState {
 	zs := t.zones[z]
 	if zs == nil {
-		zs = &zoneState{}
+		zs = &zoneState{zi: uint16(len(t.zoneList))}
 		t.zones[z] = zs
+		t.zoneList = append(t.zoneList, zs)
 	}
 	return zs
 }
@@ -123,11 +125,11 @@ func (t *Table) SetPressure(zone uint16, n int) {
 // after the state machine ran, keeping each list LRU-ordered, and to the
 // back of the expiry list for the timeout the state machine set.
 func (t *Table) touch(c *Conn) {
-	cl := classOf(c.State)
-	c.zs.lists[c.class].remove(c, onZone)
-	c.class = cl
-	c.zs.lists[cl].pushBack(c, onZone)
-	t.exp[c.exp].remove(c, onExpiry)
+	zs := t.zoneList[c.zi]
+	zs.lists[c.class].remove(t, c, onZone)
+	c.class = classOf(c.State)
+	zs.lists[c.class].pushBack(t, c, onZone)
+	t.exp[c.exp].remove(t, c, onExpiry)
 	t.pushExp(c)
 }
 
@@ -142,13 +144,13 @@ func (t *Table) admit(zs *zoneState) bool {
 	}
 	if zs.count >= hard {
 		if ladder {
-			if v := zs.lists[classClosing].head; v != nil {
-				t.removeConn(v)
+			if v := zs.lists[classClosing].head; v != 0 {
+				t.removeConn(t.conn(v))
 				t.Evicted++
 				return true
 			}
-			if v := zs.lists[classEmbryonic].head; v != nil {
-				t.removeConn(v)
+			if v := zs.lists[classEmbryonic].head; v != 0 {
+				t.removeConn(t.conn(v))
 				t.Evicted++
 				return true
 			}
@@ -159,8 +161,8 @@ func (t *Table) admit(zs *zoneState) bool {
 	if ladder && zs.count >= soft {
 		// Soft band: admit, but shed the oldest embryonic connection
 		// so SYN-flood state recycles instead of accumulating.
-		if v := zs.lists[classEmbryonic].head; v != nil {
-			t.removeConn(v)
+		if v := zs.lists[classEmbryonic].head; v != 0 {
+			t.removeConn(t.conn(v))
 			t.EarlyDrops++
 		}
 	}

@@ -58,7 +58,7 @@ func (t *Table) pushExp(c *Conn) {
 		c.exp = t.expListFor(d)
 	}
 	l := &t.exp[c.exp]
-	l.pushBack(c, onExpiry)
+	l.pushBack(t, c, onExpiry)
 	if at, armed := l.timer.When(); t.wheel && (!armed || at > c.expires) {
 		l.timer.ScheduleAt(c.expires)
 	}
@@ -73,7 +73,7 @@ func (t *Table) expListFor(d sim.Time) uint8 {
 		if t.exp[i].d == d {
 			return uint8(i)
 		}
-		if free < 0 && t.exp[i].head == nil {
+		if free < 0 && t.exp[i].head == 0 {
 			free = i
 		}
 	}
@@ -98,8 +98,8 @@ func (t *Table) expire(i int) {
 
 // reap removes the connections at the head of l whose deadline has passed.
 func (t *Table) reap(l *expList) {
-	for l.head != nil && l.head.expires <= t.eng.Now() {
-		t.removeConn(l.head)
+	for l.head != 0 && t.conn(l.head).expires <= t.eng.Now() {
+		t.removeConn(t.conn(l.head))
 		t.Expired++
 	}
 }
@@ -107,8 +107,8 @@ func (t *Table) reap(l *expList) {
 // arm arms l's timer at its head's deadline while the wheel is on and l
 // holds a connection, and stops it otherwise.
 func (t *Table) arm(l *expList) {
-	if t.wheel && l.head != nil {
-		l.timer.ScheduleAt(l.head.expires)
+	if t.wheel && l.head != 0 {
+		l.timer.ScheduleAt(t.conn(l.head).expires)
 	} else {
 		l.timer.Stop()
 	}

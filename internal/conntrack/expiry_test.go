@@ -117,8 +117,8 @@ func TestWheelDisableStopsTimers(t *testing.T) {
 func liveConns(ct *Table) map[*Conn]sim.Time {
 	m := map[*Conn]sim.Time{}
 	for i := range ct.exp {
-		for c := ct.exp[i].head; c != nil; c = c.links[onExpiry].next {
-			m[c] = c.expires
+		for r := ct.exp[i].head; r != 0; r = ct.conn(r).links[onExpiry].next {
+			m[ct.conn(r)] = ct.conn(r).expires
 		}
 	}
 	return m
@@ -136,14 +136,15 @@ func checkExpiry(t testing.TB, ct *Table, step int) {
 	now, n := ct.eng.Now(), 0
 	for i := range ct.exp {
 		l := &ct.exp[i]
-		var prev *Conn
-		for c := l.head; c != nil; prev, c = c, c.links[onExpiry].next {
+		var prev ref
+		for r := l.head; r != 0; prev, r = r, ct.conn(r).links[onExpiry].next {
 			n++
+			c := ct.conn(r)
 			switch {
-			case c.links[onExpiry].prev != prev || c.exp != uint8(i):
+			case c.self != r || c.links[onExpiry].prev != prev || c.exp != uint8(i):
 				t.Fatalf("step %d: list %d badly linked at %s", step, i, c.Orig)
-			case prev != nil && c.expires < prev.expires:
-				t.Fatalf("step %d: list %d: deadline %v after %v", step, i, c.expires, prev.expires)
+			case prev != 0 && c.expires < ct.conn(prev).expires:
+				t.Fatalf("step %d: list %d: deadline %v after %v", step, i, c.expires, ct.conn(prev).expires)
 			case c.expires-l.d > now:
 				t.Fatalf("step %d: list %d (timeout %v) holds deadline %v at %v", step, i, l.d, c.expires, now)
 			case ct.wheel && c.expires <= now:
@@ -154,8 +155,8 @@ func checkExpiry(t testing.TB, ct *Table, step int) {
 			t.Fatalf("step %d: list %d tail is not its last connection", step, i)
 		}
 		at, armed := l.timer.When()
-		if ct.wheel && l.head != nil && (!armed || at > l.head.expires) {
-			t.Fatalf("step %d: list %d head due %v, timer armed=%v at %v", step, i, l.head.expires, armed, at)
+		if ct.wheel && l.head != 0 && (!armed || at > ct.conn(l.head).expires) {
+			t.Fatalf("step %d: list %d head due %v, timer armed=%v at %v", step, i, ct.conn(l.head).expires, armed, at)
 		}
 		if !ct.wheel && armed {
 			t.Fatalf("step %d: list %d timer armed with the wheel off", step, i)
@@ -192,9 +193,9 @@ func checkExpiredExactly(t testing.TB, ct *Table, step int, before map[*Conn]sim
 // nthConn returns the k-th connection in expiry-list order.
 func nthConn(ct *Table, k int) *Conn {
 	for i := range ct.exp {
-		for c := ct.exp[i].head; c != nil; c = c.links[onExpiry].next {
+		for r := ct.exp[i].head; r != 0; r = ct.conn(r).links[onExpiry].next {
 			if k == 0 {
-				return c
+				return ct.conn(r)
 			}
 			k--
 		}
@@ -267,7 +268,7 @@ func runExpiryOps(t testing.TB, ops []byte) (lists, timeouts int) {
 				c := nthConn(ct, (int(a)<<8|int(b))%ct.Len())
 				zone, tu = c.Zone, c.Orig
 				if x&0x80 != 0 {
-					tu = c.reply
+					tu = replyTuple(c)
 				}
 			}
 			flags := expiryFlags[x%6]

@@ -1,23 +1,26 @@
 package conntrack
 
-// slot is one cell of a shard's index: a connection, which of its two keys
-// this cell holds — {Zone, Orig}, or {Zone, reply} when reply is set — and
-// that key's tupleHash. The hash is a tag (a probe compares it before
-// loading the record) and what growth, SetShards and deletion re-place the
-// cell by, so none of them rehashes a key. A nil connection marks a free
-// slot.
+// slot is one cell of a shard's index: ref is a connection's ref shifted
+// left by one, its low bit set when the cell holds the connection's reply
+// key {Zone, replyTuple} rather than {Zone, Orig}, and hash is that key's
+// tupleHash. The hash is a tag (a probe compares it before loading the
+// record) and what growth, SetShards and deletion re-place the cell by, so
+// none of them rehashes a key. A zero ref marks a free slot.
 type slot struct {
-	hash  uint32
-	reply bool
-	c     *Conn
+	hash uint32
+	ref  uint32
 }
 
-// key returns the tuple this slot indexes its connection under.
-func (s *slot) key() *Tuple {
-	if s.reply {
-		return &s.c.reply
+// conn returns the connection a used slot names.
+func (sl slot) conn(t *Table) *Conn { return t.conn(ref(sl.ref >> 1)) }
+
+// key returns the tuple sl indexes c, its connection, under: the reply key
+// is computed, not stored.
+func (sl slot) key(c *Conn) Tuple {
+	if sl.ref&1 != 0 {
+		return replyTuple(c)
 	}
-	return &s.c.Orig
+	return c.Orig
 }
 
 // ctShard is one partition of the connection index. Real OVS (and the
@@ -56,26 +59,37 @@ func (s *ctShard) home(h uint32) uint32 {
 }
 
 // locate returns the index of the slot holding key {zone, tu}, whose
-// tupleHash is h, or the free slot that ends its probe run.
-func (s *ctShard) locate(h uint32, zone uint16, tu *Tuple) uint32 {
+// tupleHash is h, or the free slot that ends its probe run. It loads a
+// record only on a tag match, and computes a reply key only when the zone
+// matches too.
+func (s *ctShard) locate(t *Table, h uint32, zone uint16, tu *Tuple) uint32 {
 	m := uint32(len(s.slots) - 1)
 	i := s.home(h)
 	for ; ; i = (i + 1) & m {
-		sl := &s.slots[i]
-		if sl.c == nil || sl.hash == h && sl.c.Zone == zone && *sl.key() == *tu {
+		sl := s.slots[i]
+		if sl.ref == 0 {
 			return i
+		}
+		if sl.hash == h {
+			if c := sl.conn(t); c.Zone == zone && sl.key(c) == *tu {
+				return i
+			}
 		}
 	}
 }
 
 // find returns the connection indexed under {zone, tu}, or nil.
-func (s *ctShard) find(h uint32, zone uint16, tu *Tuple) *Conn {
-	return s.slots[s.locate(h, zone, tu)].c
+func (s *ctShard) find(t *Table, h uint32, zone uint16, tu *Tuple) *Conn {
+	if sl := s.slots[s.locate(t, h, zone, tu)]; sl.ref != 0 {
+		return sl.conn(t)
+	}
+	return nil
 }
 
-// put enters nw, replacing whatever slot held an equal key.
-func (s *ctShard) put(nw slot) {
-	if i := s.locate(nw.hash, nw.c.Zone, nw.key()); s.slots[i].c != nil {
+// put enters nw, which indexes key {zone, tu}, replacing whatever slot held
+// an equal key.
+func (s *ctShard) put(t *Table, nw slot, zone uint16, tu *Tuple) {
+	if i := s.locate(t, nw.hash, zone, tu); s.slots[i].ref != 0 {
 		s.slots[i] = nw
 		return
 	}
@@ -96,7 +110,7 @@ func (s *ctShard) grow() {
 	old := s.slots
 	s.slots = make([]slot, 2*len(old))
 	for _, sl := range old {
-		if sl.c != nil {
+		if sl.ref != 0 {
 			s.place(sl)
 		}
 	}
@@ -106,23 +120,23 @@ func (s *ctShard) grow() {
 func (s *ctShard) place(sl slot) {
 	m := uint32(len(s.slots) - 1)
 	i := s.home(sl.hash)
-	for s.slots[i].c != nil {
+	for s.slots[i].ref != 0 {
 		i = (i + 1) & m
 	}
 	s.slots[i] = sl
 }
 
 // del removes key {zone, tu}, whose tupleHash is h, if present.
-func (s *ctShard) del(h uint32, zone uint16, tu *Tuple) {
-	i := s.locate(h, zone, tu)
-	if s.slots[i].c == nil {
+func (s *ctShard) del(t *Table, h uint32, zone uint16, tu *Tuple) {
+	i := s.locate(t, h, zone, tu)
+	if s.slots[i].ref == 0 {
 		return
 	}
 	// Backward shift: walk the run after the hole and pull back every slot
 	// whose home does not lie (cyclically) after the hole, so each stays
 	// reachable from its home without crossing a free slot.
 	m := uint32(len(s.slots) - 1)
-	for j := (i + 1) & m; s.slots[j].c != nil; j = (j + 1) & m {
+	for j := (i + 1) & m; s.slots[j].ref != 0; j = (j + 1) & m {
 		if home := s.home(s.slots[j].hash); (j-home)&m >= (j-i)&m {
 			s.slots[i] = s.slots[j]
 			i = j

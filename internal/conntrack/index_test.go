@@ -60,10 +60,11 @@ func (r *refIndex) setShards(n int) {
 	}
 }
 
-// checkShard verifies the open-addressing invariants of shard i: stored
-// hashes are the keys' own and belong to this shard, every slot is reachable
-// from its home without crossing a free one, the count is right and the load
-// is at most 3/4.
+// checkShard verifies the open-addressing invariants of shard i: every slot
+// names a record handed out under its own ref, stored hashes are the keys'
+// own and belong to this shard, every slot is reachable from its home
+// without crossing a free one, the count is right and the load is at most
+// 3/4.
 func checkShard(t testing.TB, ct *Table, i int) {
 	t.Helper()
 	s := &ct.shards[i]
@@ -73,17 +74,20 @@ func checkShard(t testing.TB, ct *Table, i int) {
 	}
 	m := uint32(n - 1)
 	occupied := 0
-	for j := range s.slots {
-		sl := &s.slots[j]
-		if sl.c == nil {
+	for j, sl := range s.slots {
+		if sl.ref == 0 {
 			continue
 		}
 		occupied++
-		if sl.hash != tupleHash(sl.c.Zone, *sl.key()) || int(sl.hash%uint32(len(ct.shards))) != i {
-			t.Fatalf("shard %d slot %d: %s stored under the wrong hash or shard", i, j, sl.key())
+		if r := ref(sl.ref >> 1); r == 0 || r >= ct.recs || sl.conn(ct).self != r {
+			t.Fatalf("shard %d slot %d: ref %d names no live record (%d handed out)", i, j, r, ct.recs)
+		}
+		c := sl.conn(ct)
+		if key := sl.key(c); sl.hash != tupleHash(c.Zone, key) || int(sl.hash%uint32(len(ct.shards))) != i {
+			t.Fatalf("shard %d slot %d: %s stored under the wrong hash or shard", i, j, key)
 		}
 		for k := s.home(sl.hash); k != uint32(j); k = (k + 1) & m {
-			if s.slots[k].c == nil {
+			if s.slots[k].ref == 0 {
 				t.Fatalf("shard %d slot %d: free slot %d between home %d and entry", i, j, k, s.home(sl.hash))
 			}
 		}
@@ -190,7 +194,7 @@ func runIndexOps(t testing.TB, ops []byte) (maxSlots int) {
 			}
 			c.State = StateEstablished
 			c.class = classOf(c.State)
-			c.zs = ct.zone(c.Zone)
+			c.zi = ct.zone(c.Zone).zi
 			timeout[c] = sim.Time(1+x%8) * sim.Millisecond
 			c.expires = eng.Now() + timeout[c]
 			ref.install(c)
@@ -203,7 +207,7 @@ func runIndexOps(t testing.TB, ops []byte) (maxSlots int) {
 			drop(map[*Conn]bool{c: true})
 		case op == 9 && len(live) > 0: // probe a live connection's own keys
 			c := live[(int(a)<<8|int(b))%len(live)]
-			for _, tu := range []Tuple{c.Orig, c.reply} {
+			for _, tu := range []Tuple{c.Orig, replyTuple(c)} {
 				if got, want := ct.get(c.Zone, &tu), ref.get(c.Zone, tu); got != want {
 					t.Fatalf("step %d: get(%s) = %p, reference %p", step, tu, got, want)
 				}
@@ -368,20 +372,21 @@ func TestIndexBackwardShiftAcrossWrap(t *testing.T) {
 	homes := []uint32{6, 7, 7, 7, 0}
 	tuples := wrapTuples(t, homes)
 	for victim := range homes {
-		s := newShard()
+		ct := &Table{shards: []ctShard{newShard()}}
+		s := &ct.shards[0]
 		conns := make([]*Conn, len(tuples))
 		for i, tu := range tuples {
-			conns[i] = &Conn{Zone: 1, Orig: tu}
-			s.put(slot{hash: tupleHash(1, tu), c: conns[i]})
+			conns[i] = ct.allocConn()
+			conns[i].Zone, conns[i].Orig = 1, tu
+			s.put(ct, slot{hash: tupleHash(1, tu), ref: uint32(conns[i].self) << 1}, 1, &tu)
 		}
-		if len(s.slots) != minSlots || s.slots[2].c != conns[4] {
+		if len(s.slots) != minSlots || s.slots[2].conn(ct) != conns[4] {
 			t.Fatalf("setup: run does not wrap as intended")
 		}
-		s.del(tupleHash(1, tuples[victim]), 1, &tuples[victim])
-		ct := &Table{shards: []ctShard{s}}
+		s.del(ct, tupleHash(1, tuples[victim]), 1, &tuples[victim])
 		checkShard(t, ct, 0)
 		for i, tu := range tuples {
-			got := s.find(tupleHash(1, tu), 1, &tu)
+			got := s.find(ct, tupleHash(1, tu), 1, &tu)
 			if i == victim && got != nil {
 				t.Fatalf("victim %d still found", victim)
 			}

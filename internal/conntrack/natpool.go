@@ -20,7 +20,7 @@ type natPoolKey struct {
 // natPool tracks one {kind, address, port-range}'s allocations.
 type natPool struct {
 	lo, hi uint16
-	inUse  map[uint16]*Conn
+	inUse  map[uint16]struct{}
 	// rotor is the next-fit scan start: ports are handed out in
 	// ascending wrap-around order, so allocation order is deterministic
 	// and freed ports are not immediately reused (minimizing accidental
@@ -29,6 +29,7 @@ type natPool struct {
 	// Allocation-order list, oldest first, through link onPool: the
 	// eviction scan order.
 	conns connList
+	id    uint32 // 1 + index in Table.poolList, what Conn.pool holds
 }
 
 // allocNATPort reserves a port for c from its NAT's pool, evicting the
@@ -44,12 +45,14 @@ func (t *Table) allocNATPort(c *Conn) bool {
 		if t.pools == nil {
 			t.pools = make(map[natPoolKey]*natPool)
 		}
-		pool = &natPool{lo: nat.PortLo, hi: nat.PortHi, inUse: make(map[uint16]*Conn), rotor: nat.PortLo}
+		pool = &natPool{lo: nat.PortLo, hi: nat.PortHi, inUse: make(map[uint16]struct{}), rotor: nat.PortLo,
+			id: uint32(len(t.poolList)) + 1}
 		t.pools[key] = pool
+		t.poolList = append(t.poolList, pool)
 	}
 	port, ok := pool.alloc()
 	if !ok {
-		if v := pool.oldestEvictable(); v != nil {
+		if v := pool.oldestEvictable(t); v != nil {
 			t.removeConn(v)
 			t.Evicted++
 			t.NATPortEvictions++
@@ -60,9 +63,9 @@ func (t *Table) allocNATPort(c *Conn) bool {
 		t.NATExhausted++
 		return false
 	}
-	c.pool, c.NAT.Port = pool, port
-	pool.inUse[port] = c
-	pool.conns.pushBack(c, onPool)
+	c.pool, c.NAT.Port = pool.id, port
+	pool.inUse[port] = struct{}{}
+	pool.conns.pushBack(t, c, onPool)
 	return true
 }
 
@@ -89,9 +92,9 @@ func (p *natPool) alloc() (uint16, bool) {
 }
 
 // oldestEvictable returns the oldest holder that is not established.
-func (p *natPool) oldestEvictable() *Conn {
-	for c := p.conns.head; c != nil; c = c.links[onPool].next {
-		if c.State != StateEstablished {
+func (p *natPool) oldestEvictable(t *Table) *Conn {
+	for r := p.conns.head; r != 0; r = t.conn(r).links[onPool].next {
+		if c := t.conn(r); c.State != StateEstablished {
 			return c
 		}
 	}
@@ -99,7 +102,7 @@ func (p *natPool) oldestEvictable() *Conn {
 }
 
 // release frees the connection's port and unlinks it from the pool.
-func (p *natPool) release(c *Conn) {
+func (p *natPool) release(t *Table, c *Conn) {
 	delete(p.inUse, c.NAT.Port)
-	p.conns.remove(c, onPool)
+	p.conns.remove(t, c, onPool)
 }

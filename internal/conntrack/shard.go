@@ -45,20 +45,19 @@ func (t *Table) get(zone uint16, tu *Tuple) *Conn {
 	h := tupleHash(zone, *tu)
 	s := t.shardOf(h)
 	s.lookups++
-	return s.find(h, zone, tu)
+	return s.find(t, h, zone, tu)
 }
 
-// index enters c under its original or reply key.
-func (t *Table) index(c *Conn, reply bool) {
-	sl := slot{reply: reply, c: c}
-	sl.hash = tupleHash(c.Zone, *sl.key())
-	t.shardOf(sl.hash).put(sl)
+// index enters c under key, its original (reply 0) or reply (reply 1) key.
+func (t *Table) index(c *Conn, key *Tuple, reply uint32) {
+	h := tupleHash(c.Zone, *key)
+	t.shardOf(h).put(t, slot{hash: h, ref: uint32(c.self)<<1 | reply}, c.Zone, key)
 }
 
 // unindex removes key {zone, tu}, whichever connection holds it.
 func (t *Table) unindex(zone uint16, tu *Tuple) {
 	h := tupleHash(zone, *tu)
-	t.shardOf(h).del(h, zone, tu)
+	t.shardOf(h).del(t, h, zone, tu)
 }
 
 // NumShards returns the current shard count.
@@ -79,7 +78,7 @@ func (t *Table) SetShards(n int) {
 	t.initShards(n)
 	for i := range old {
 		for _, sl := range old[i].slots {
-			if sl.c != nil {
+			if sl.ref != 0 {
 				t.shardOf(sl.hash).insert(sl)
 			}
 		}

@@ -178,10 +178,11 @@ func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
 		Deliver: func(p *packet.Packet) {}}); err != nil {
 		panic(err)
 	}
+	// Every megaflow shares one action list, as a rule's megaflows do.
+	out := []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}
 	d.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
 		f := key.Unpack()
-		return ofproto.Megaflow{Mask: masks[byte(f.IP4Src)&1],
-			Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}}, nil
+		return ofproto.Megaflow{Mask: masks[byte(f.IP4Src)&1], Actions: out}, nil
 	})
 
 	// The revalidator attaches before any flow exists, so it discovers
