@@ -519,7 +519,7 @@ func TestMeterDropsExcessTraffic(t *testing.T) {
 	if passed > 8 || passed < 4 {
 		t.Fatalf("meter passed %d packets, want ~5", passed)
 	}
-	if dp.MeterDrops == 0 {
+	if dp.Drops == 0 {
 		t.Fatal("meter drops not counted")
 	}
 }

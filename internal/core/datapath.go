@@ -4,13 +4,13 @@ import (
 	"ovsxdp/internal/conntrack"
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpcls"
+	"ovsxdp/internal/fastpath"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
-	"ovsxdp/internal/tunnel"
 	"ovsxdp/internal/upcall"
 )
 
@@ -111,13 +111,11 @@ func DefaultOptions() Options {
 
 // Datapath is the shared state of the userspace datapath: ports, the
 // ofproto pipeline upcalls translate against, conntrack, tunneling, and
-// counters. Per-thread state (EMC, megaflow classifier) lives in each PMD.
+// counters. Per-thread state (EMC, megaflow classifier) lives in each PMD,
+// which runs the one fastpath pass over the netdev cost row.
 type Datapath struct {
-	Eng      *sim.Engine
-	Pipeline *ofproto.Pipeline
-	Ct       *conntrack.Table
-	Encapper *tunnel.Encapper
-	Opts     Options
+	fastpath.Datapath
+	Opts Options
 
 	ports map[uint32]Port
 	pmds  []*PMD
@@ -128,19 +126,11 @@ type Datapath struct {
 	// of that many records on every PMD (existing and future).
 	traceDepth int
 
-	// upcall, when set, replaces Pipeline.Translate as the slow-path
-	// handler (dpif upcall registration).
-	upcall func(flow.Key) (ofproto.Megaflow, error)
-
 	// flowHook, when set, is called for every freshly installed megaflow
 	// on any PMD (upcall installs, FlowPut, negative flows) — the
 	// notification the incremental revalidator registers expiry timers
 	// from. In-place replacements do not re-fire it.
 	flowHook func(*PMD, *dpcls.Entry)
-
-	// handler is the shared upcall-handler thread CPU, created lazily when
-	// a bounded upcall queue first services a miss.
-	handler *sim.CPU
 
 	// assign is the rxq-to-PMD assignment layer (policies, auto-LB, XPS);
 	// created lazily so the zero datapath keeps working.
@@ -150,20 +140,11 @@ type Datapath struct {
 	// first enabled, so the default datapath carries no offload state.
 	offload *offloadEngine
 
-	// Stats. The embedded block is the slow path's share: UpcallErrors,
-	// UpcallQueueDrops, UpcallRetries and Drops.
-	upcall.Counters
-	Processed      uint64
-	EMCHits        uint64
-	SMCHits        uint64
-	MegaflowHits   uint64
-	Upcalls        uint64
-	Recirculations uint64
-	MeterDrops     uint64
-	SegmentedPkts  uint64
-	// MalformedDrops counts slow-path parse failures, split from policy
-	// drops (the kernel flow extractor's EINVAL analog).
-	MalformedDrops uint64
+	// Stats; the pass's own come with fastpath.Datapath.
+	EMCHits       uint64
+	SMCHits       uint64
+	MegaflowHits  uint64
+	SegmentedPkts uint64
 	// OffloadHits counts packets the NIC forwarded from its hardware flow
 	// table, bypassing every software cache.
 	OffloadHits uint64
@@ -175,11 +156,12 @@ func NewDatapath(eng *sim.Engine, pl *ofproto.Pipeline, opts Options) *Datapath 
 		opts.BatchSize = costmodel.BatchSize
 	}
 	d := &Datapath{
-		Eng:      eng,
-		Pipeline: pl,
-		Ct:       conntrack.NewTable(eng),
-		Opts:     opts,
-		ports:    make(map[uint32]Port),
+		Datapath: fastpath.Datapath{Eng: eng, Pipeline: pl, Ct: conntrack.NewTable(eng),
+			AssumeCsumOffload: opts.AssumeCsumOffload,
+			Row: fastpath.Row{Cat: sim.User,
+				Output: costmodel.ExecActionOutput, Rewrite: costmodel.ExecActionSimple}},
+		Opts:  opts,
+		ports: make(map[uint32]Port),
 	}
 	if opts.AutoLB {
 		thr := opts.AutoLBThresholdPct
@@ -266,10 +248,6 @@ func (d *Datapath) EnableTrace(n int) {
 	}
 }
 
-// SetUpcall registers the slow-path handler consulted on classifier misses
-// in place of the pipeline's translator (dpif upcall registration).
-func (d *Datapath) SetUpcall(fn func(flow.Key) (ofproto.Megaflow, error)) { d.upcall = fn }
-
 // SetFlowHook registers (or, with nil, clears) the flow-installed
 // notification, wiring it through every PMD classifier's OnInsert callback
 // — existing threads and ones created later alike.
@@ -291,23 +269,6 @@ func (d *Datapath) wireFlowHook(m *PMD) {
 	m.cls.OnInsert = func(e *dpcls.Entry) { d.flowHook(m, e) }
 }
 
-// translate resolves a missed key through the registered upcall handler,
-// defaulting to the pipeline.
-func (d *Datapath) translate(key *flow.Key) (ofproto.Megaflow, error) {
-	if d.upcall != nil {
-		return d.upcall(*key)
-	}
-	return d.Pipeline.Translate(*key)
-}
-
-// handlerCPU lazily creates the shared upcall-handler thread.
-func (d *Datapath) handlerCPU() *sim.CPU {
-	if d.handler == nil {
-		d.handler = d.Eng.NewCPU("upcall-handler")
-	}
-	return d.handler
-}
-
 // Execute runs one packet through the fast path as if it had arrived on
 // p.InPort, on the first PMD (creating an unstarted one when the datapath
 // has no threads yet) — the dpif execute analog.
@@ -315,51 +276,15 @@ func (d *Datapath) Execute(p *packet.Packet) {
 	if len(d.pmds) == 0 {
 		d.NewPMD(ModeNonPMD, nil)
 	}
-	d.processOne(d.pmds[0], p, 0)
+	d.pmds[0].process(p, true)
 }
 
-const maxRecircDepth = 8
-
-// processOne runs one packet through the fast path on PMD m. Costs are
-// charged to m.CPU in the User category; the structure is the dpif-netdev
-// hot loop: metadata, key extraction, EMC, megaflow classifier, upcall,
-// action execution.
-func (d *Datapath) processOne(m *PMD, p *packet.Packet, depth int) {
-	d.processCounted(m, p, depth, true)
-}
-
-// processCounted is processOne with the admission accounting gated: packets
-// reinjected after a queued upcall resolves (count=false) were already
-// counted at admission, so Processed and the per-thread packet/trace
-// accounting must not double-count them.
-func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count bool) {
-	if depth > maxRecircDepth {
-		d.Drops++
-		p.Release()
-		return
-	}
-	if count {
-		d.Processed++
-	}
-	cpu := m.CPU
-
-	if depth == 0 && count {
-		m.Perf.Packets++
-		if tr := m.Perf.Tracer(); tr != nil {
-			start := cpu.FreeAt()
-			if now := d.Eng.Now(); start < now {
-				start = now
-			}
-			rec := perf.TraceRecord{InPort: p.InPort, Start: start}
-			m.trace = &rec
-			defer func() {
-				rec.End = cpu.FreeAt()
-				tr.Add(rec)
-				m.trace = nil
-			}()
-		}
-	}
-
+// Receive implements fastpath.Provider, the netdev receive path: a packet
+// the NIC's hardware flow table matches is forwarded there and goes no
+// further; the rest pay dp_packet metadata, receive checksum validation and
+// key extraction.
+func (m *PMD) Receive(_ *fastpath.Thread, _ *sim.CPU, p *packet.Packet, depth int) bool {
+	d := m.dp
 	// Hardware flow-table match: the NIC forwards offloaded flows itself,
 	// so the packet bypasses metadata, checksum, parse, and every software
 	// cache, paying only the near-zero host-side bookkeeping. Recirculated
@@ -369,9 +294,9 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 			m.charge(perf.StageOffload, costmodel.OffloadHit)
 			d.OffloadHits++
 			m.Perf.OffloadHits++
-			m.traceResolved(perf.ResultOffload)
+			m.Resolved(perf.ResultOffload)
 			d.hwForward(m, p, e.Actions)
-			return
+			return false
 		}
 	}
 
@@ -385,77 +310,58 @@ func (d *Datapath) processCounted(m *PMD, p *packet.Packet, depth int, count boo
 	// hardware vouched for (AF_XDP physical receive) are validated in
 	// software, unless the experiment assumes the future offload.
 	if depth == 0 && p.Offloads&(packet.CsumVerified|packet.CsumPartial) == 0 {
-		if !d.Opts.AssumeCsumOffload {
+		if !d.AssumeCsumOffload {
 			m.charge(perf.StageRx, costmodel.ChecksumCost(len(p.Data)))
 		}
 		p.Offloads |= packet.CsumVerified
 	}
 
-	// Flow key extraction (the real parser, charged at the calibrated
-	// rate). The key lives here for the whole pass; everything below takes
-	// its address.
-	var key flow.Key
-	flow.ExtractInto(p, &key)
+	// Key extraction, which the pass runs next, at the calibrated rate.
 	m.charge(perf.StageRx, costmodel.ParseFlowKey)
+	return true
+}
 
-	e, hashes := d.lookupHierarchy(m, &key)
-	if e == nil {
-		// Genuine parse failures are split from policy drops before
-		// any slow-path resource is consumed (the kernel flow
-		// extractor returns EINVAL, not an upcall).
-		if flow.Malformed(p) {
-			d.MalformedDrops++
-			p.Release()
-			return
-		}
-		d.Upcalls++
-		if d.Opts.Upcall.QueueCap > 0 {
-			// Bounded upcall queue: park the packet for the handler
-			// thread, or drop when full (ENOBUFS analog). Misses are
-			// counted above even when the queue refuses the packet,
-			// matching the kernel's lookup accounting.
-			m.traceResolved(perf.ResultUpcall)
-			m.slow.Admit(&key, p, cpu)
-			return
-		}
-		// Inline slow-path translation on this PMD (dpif-netdev's way).
-		upcallBefore := cpu.BusyTotal()
-		m.charge(perf.StageUpcall, costmodel.UpcallCost)
-		mf, err := d.translate(&key)
-		m.Perf.AddUpcall(cpu.BusyTotal() - upcallBefore)
-		m.traceResolved(perf.ResultUpcall)
-		if err != nil {
-			m.slow.Failed(&key, p)
-			return
-		}
-		e = m.cls.InsertKey(&key, &mf.Mask, mf.Actions)
-		m.cacheInsert(&key, hashes, e)
+// Lookup implements fastpath.Provider: the cache hierarchy, then the
+// elephant install — a software hit on a marked flow means its exact key is
+// not in hardware yet (Receive forwards resident ones), so it goes down now.
+func (m *PMD) Lookup(_ *fastpath.Thread, _ *sim.CPU, key *flow.Key, depth int) *dpcls.Entry {
+	e := m.lookupHierarchy(key)
+	if e != nil && e.OffloadMark != 0 && depth == 0 && len(e.Actions) > 0 && m.dp.offload != nil {
+		m.dp.offload.installFor(key, e)
 	}
+	return e
+}
 
-	if len(e.Actions) == 0 {
-		d.Drops++
-		p.Release()
-		return
+// Install implements fastpath.Provider: the megaflow goes into the thread's
+// classifier and back-fills the caches with the hashes Lookup computed.
+func (m *PMD) Install(_ *fastpath.Thread, key *flow.Key, mf ofproto.Megaflow) *dpcls.Entry {
+	e := m.cls.InsertKey(key, &mf.Mask, mf.Actions)
+	m.cacheInsert(key, m.hashes, e)
+	return e
+}
+
+// Transmit implements fastpath.Provider: the port, the output action's
+// cost, then transmit's offload fix-ups and the port's own Tx.
+func (m *PMD) Transmit(_ *fastpath.Thread, _ *sim.CPU, port uint32, p *packet.Packet) bool {
+	out := m.dp.ports[port]
+	if out == nil {
+		return false
 	}
-	// Elephant install: a software hit on a flow the offload engine marked
-	// means this exact key is not yet in hardware (a resident key would
-	// have short-circuited above) — push it down now. One byte compare on
-	// the default path.
-	if e.OffloadMark != 0 && depth == 0 && d.offload != nil {
-		d.offload.installFor(&key, e)
-	}
-	d.execute(m, p, e.Actions, depth)
+	m.charge(perf.StageActions, costmodel.ExecActionOutput)
+	m.dp.transmit(m, out, p)
+	return true
 }
 
 // lookupHierarchy resolves key through the cache hierarchy — EMC, SMC,
 // megaflow classifier — charging each level probed and counting the hit at
 // the level that resolved it, exactly as dfc_processing walks the caches.
 // A dpcls hit back-fills the faster caches; nil means every level missed
-// and the caller owns the slow path. The key is hashed once per cache
-// consulted, and the hashes are returned for the caller's own back-fill
-// after an upcall install.
-func (d *Datapath) lookupHierarchy(m *PMD, key *flow.Key) (*dpcls.Entry, keyHashes) {
-	var h keyHashes
+// and the pass owns the slow path. The key is hashed once per cache
+// consulted, and the hashes are kept in m.hashes for Install's back-fill
+// after an upcall.
+func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
+	d := m.dp
+	h := &m.hashes
 	if d.Opts.EMC {
 		h.emc = m.emc.Hash(key)
 		if e, ok := m.emc.LookupHashed(key, h.emc); ok {
@@ -469,8 +375,8 @@ func (d *Datapath) lookupHierarchy(m *PMD, key *flow.Key) (*dpcls.Entry, keyHash
 			e.Hits++
 			d.EMCHits++
 			m.Perf.EMCHits++
-			m.traceResolved(perf.ResultEMC)
-			return e, h
+			m.Resolved(perf.ResultEMC)
+			return e
 		}
 		m.charge(perf.StageEMC, costmodel.EMCMissProbe)
 	}
@@ -483,123 +389,24 @@ func (d *Datapath) lookupHierarchy(m *PMD, key *flow.Key) (*dpcls.Entry, keyHash
 			}
 			d.SMCHits++
 			m.Perf.SMCHits++
-			m.traceResolved(perf.ResultSMC)
+			m.Resolved(perf.ResultSMC)
 			// An SMC hit refreshes the EMC, as dfc_processing does on
 			// its way out.
 			m.emcInsert(key, h.emc, e)
-			return e, h
+			return e
 		}
 		m.charge(perf.StageSMC, costmodel.SMCMissProbe)
 	}
 	e, probes := m.cls.LookupKey(key)
 	m.charge(perf.StageDpcls, sim.Time(probes)*costmodel.DpclsLookupPerSubtable)
 	if e == nil {
-		return nil, h
+		return nil
 	}
 	d.MegaflowHits++
 	m.Perf.MegaflowHits++
-	m.traceResolved(perf.ResultMegaflow)
-	m.cacheInsert(key, h, e)
-	return e, h
-}
-
-// traceResolved notes the caching level that resolved the packet currently
-// being traced; only the first level sticks (recirculations re-resolve).
-func (m *PMD) traceResolved(r perf.Result) {
-	if m.trace != nil && m.trace.Result == perf.ResultNone {
-		m.trace.Result = r
-	}
-}
-
-// execute runs a compiled datapath action list.
-func (d *Datapath) execute(m *PMD, p *packet.Packet, actions []ofproto.DPAction, depth int) {
-	for i := range actions {
-		a := &actions[i]
-		switch a.Type {
-		case ofproto.DPOutput:
-			out := d.ports[a.Port]
-			if out == nil {
-				d.Drops++
-				p.Release()
-				return
-			}
-			m.charge(perf.StageActions, costmodel.ExecActionOutput)
-			if m.trace != nil {
-				m.trace.OutPort = a.Port
-			}
-			d.transmit(m, out, p)
-
-		case ofproto.DPCT:
-			m.charge(perf.StageActions, costmodel.ConntrackLookup)
-			if a.Commit {
-				m.charge(perf.StageActions, costmodel.ConntrackCommit-costmodel.ConntrackLookup)
-			}
-			ctRemovals := d.Ct.PressureRemovals()
-			d.Ct.Process(p, a.Zone, a.Commit, a.NAT)
-			if n := d.Ct.PressureRemovals() - ctRemovals; n > 0 {
-				m.charge(perf.StageActions, costmodel.ConntrackEvict*sim.Time(n))
-				m.Perf.CtEvictions += n
-			}
-			m.charge(perf.StageActions, costmodel.RecirculationOverhead)
-			p.RecircID = a.RecircID
-			d.Recirculations++
-			if m.trace != nil {
-				m.trace.Recircs++
-			}
-			d.processOne(m, p, depth+1)
-			return
-
-		case ofproto.DPTunnelPush:
-			m.charge(perf.StageActions, costmodel.TunnelEncap)
-			outer, err := d.Encapper.Encap(p, a.Tunnel)
-			if err != nil {
-				d.Drops++
-				p.Release()
-				return
-			}
-			// The outer UDP checksum was computed in software by
-			// the encapsulation; with estimated offload the cost
-			// vanishes (O5's methodology).
-			if !d.Opts.AssumeCsumOffload {
-				m.charge(perf.StageActions, costmodel.ChecksumCost(len(outer.Data)))
-			}
-			// Encap copied the inner frame into the outer's own buffer.
-			p.Release()
-			p = outer
-
-		case ofproto.DPTunnelPop:
-			m.charge(perf.StageActions, costmodel.TunnelDecap)
-			inner, wasTunnel, err := tunnel.Decap(p)
-			if err != nil || !wasTunnel {
-				d.Drops++
-				p.Release()
-				return
-			}
-			// The outer is not released: inner.Data aliases its buffer
-			// (tunnel.innerPacket), and whoever consumes the inner frees
-			// only the inner.
-			inner.InPort = a.Port
-			inner.RecircID = 0
-			d.Recirculations++
-			if m.trace != nil {
-				m.trace.Recircs++
-			}
-			d.processOne(m, inner, depth+1)
-			return
-
-		case ofproto.DPMeter:
-			if !d.Pipeline.MeterAllow(a.MeterID, len(p.Data), d.Eng.Now()) {
-				d.MeterDrops++
-				d.Drops++
-				p.Release()
-				return
-			}
-		default:
-			if a.Rewrite(p) {
-				m.charge(perf.StageActions, costmodel.ExecActionSimple)
-			}
-		}
-	}
+	m.Resolved(perf.ResultMegaflow)
+	m.cacheInsert(key, *h, e)
+	return e
 }
 
 // transmit handles offload fix-ups before handing the packet to the port:
@@ -611,7 +418,7 @@ func (d *Datapath) transmit(m *PMD, out Port, p *packet.Packet) {
 	cpu := m.CPU
 
 	if p.Offloads&packet.CsumPartial != 0 && !caps.TxCsum {
-		if !d.Opts.AssumeCsumOffload {
+		if !d.AssumeCsumOffload {
 			m.charge(perf.StageActions, costmodel.ChecksumCost(len(p.Data)))
 		}
 		p.Offloads &^= packet.CsumPartial
@@ -626,7 +433,7 @@ func (d *Datapath) transmit(m *PMD, out Port, p *packet.Packet) {
 		d.SegmentedPkts++
 		for _, s := range segs {
 			m.charge(perf.StageActions, costmodel.CopyCost(len(s.Data)))
-			if s.Offloads&packet.CsumPartial != 0 && !d.Opts.AssumeCsumOffload {
+			if s.Offloads&packet.CsumPartial != 0 && !d.AssumeCsumOffload {
 				m.charge(perf.StageActions, costmodel.ChecksumCost(len(s.Data)))
 				s.Offloads &^= packet.CsumPartial
 			}

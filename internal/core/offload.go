@@ -414,8 +414,8 @@ func (d *Datapath) hwForward(m *PMD, p *packet.Packet, actions []ofproto.DPActio
 				p.Release()
 				return
 			}
-			if m.trace != nil {
-				m.trace.OutPort = a.Port
+			if m.Trace != nil {
+				m.Trace.OutPort = a.Port
 			}
 			out.Tx(m.CPU, d.TxqFor(m, out), p)
 			m.touch(out)

@@ -6,6 +6,7 @@ import (
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/emc"
+	"ovsxdp/internal/fastpath"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/perf"
@@ -54,6 +55,9 @@ type RxQueue struct {
 // receive queues, and its private exact-match cache and megaflow
 // classifier (per-PMD, lockless, exactly as dpif-netdev partitions them).
 type PMD struct {
+	// Thread is the pass's per-thread state: the perf block
+	// (dpif-netdev-perf, pure accounting) and the slow path.
+	fastpath.Thread
 	ID  int
 	CPU *sim.CPU
 	dp  *Datapath
@@ -82,19 +86,8 @@ type PMD struct {
 	// once, so rescheduling every iteration allocates nothing.
 	iterTimer *sim.Timer
 
-	// slow is the thread's slow path: it parks missed packets when
-	// Options.Upcall.QueueCap bounds the queue, and accounts failed
-	// translations on the inline path too.
-	slow *upcall.Queue
-
-	// Perf is the thread's performance-counter block (dpif-netdev-perf):
-	// virtual cycles bucketed by stage, batch and upcall histograms, and
-	// the optional packet-lifecycle trace. Pure accounting — recording
-	// never perturbs virtual time.
-	Perf *perf.Stats
-	// trace, while non-nil, is the lifecycle record of the depth-0 packet
-	// currently in processOne; lookup and action code fill it in.
-	trace *perf.TraceRecord
+	// hashes are the pass in progress's key hashes, kept for Install.
+	hashes keyHashes
 
 	// Stats.
 	Iterations uint64
@@ -113,13 +106,13 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 		cpu = d.Eng.NewCPU(fmt.Sprintf("pmd%d", id))
 	}
 	m := &PMD{
-		ID:   id,
-		CPU:  cpu,
-		dp:   d,
-		emc:  emc.New[*dpcls.Entry](costmodel.EMCEntries, uint32(id)*0x9e37+1),
-		cls:  dpcls.New(uint32(id)*0x79b9 + 7),
-		mode: mode,
-		Perf: &perf.Stats{},
+		Thread: fastpath.Thread{Perf: &perf.Stats{}},
+		ID:     id,
+		CPU:    cpu,
+		dp:     d,
+		emc:    emc.New[*dpcls.Entry](costmodel.EMCEntries, uint32(id)*0x9e37+1),
+		cls:    dpcls.New(uint32(id)*0x79b9 + 7),
+		mode:   mode,
 	}
 	m.emc.SetAliveCheck(entryAlive)
 	if d.flowHook != nil {
@@ -128,14 +121,14 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 	m.iterTimer = d.Eng.NewTimer(m.iterate)
 	// The slow path sees this thread's private classifier, the datapath's
 	// shared handler thread, and uncounted reinjection on this PMD.
-	m.slow = upcall.NewQueue(d.Eng, &d.Opts.Upcall, &d.Counters, m.Perf, upcall.Host{
+	m.Slow = upcall.NewQueue(d.Eng, &d.Opts.Upcall, &d.Counters, m.Perf, upcall.Host{
 		Table:     m.cls,
 		Install:   m.cls.Insert,
 		Remove:    m.RemoveFlow,
-		Translate: d.translate,
-		Handler:   d.handlerCPU,
+		Translate: d.Translate,
+		Handler:   d.HandlerCPU,
 		Category:  sim.User,
-		Reinject:  func(p *packet.Packet, _ *sim.CPU) { d.processCounted(m, p, 0, false) },
+		Reinject:  func(p *packet.Packet, _ *sim.CPU) { m.process(p, false) },
 		Release:   (*packet.Packet).Release,
 	})
 	m.reconfigureSMC()
@@ -144,6 +137,12 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 	}
 	d.pmds = append(d.pmds, m)
 	return m
+}
+
+// process runs one received packet through the pass on this thread; count
+// is false for a packet reinjected after its queued upcall resolved.
+func (m *PMD) process(p *packet.Packet, count bool) {
+	m.dp.Process(m, &m.Thread, m.CPU, p, 0, count)
 }
 
 // charge consumes d in the User category on the PMD's CPU and attributes
@@ -287,7 +286,7 @@ func (m *PMD) iterate() {
 			m.charge(perf.StageRx, costmodel.NonPMDPollGap)
 		}
 		for _, p := range pkts {
-			m.dp.processOne(m, p, 0)
+			m.process(p, true)
 		}
 		// Meter the queue's cycle share (receive through actions) for
 		// the cycles assignment policy and the auto-load-balancer.

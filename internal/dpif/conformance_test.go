@@ -6,6 +6,7 @@ import (
 
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/dpif"
+	"ovsxdp/internal/fastpath"
 	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/netlinksim"
@@ -576,21 +577,29 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 		return pl
 	}
 	// The tunnel arms: port 1 into a Geneve tunnel out port 2, or popped to
-	// virtual port 100. Only netdev encapsulates for real (the kernel
-	// providers charge the cost and forward the frame as it is), and its
-	// next hop comes from a replica cache with or without the neighbour.
+	// virtual port 100. A provider given an Encapper encapsulates for real,
+	// its next hop from a replica cache with or without the neighbour; one
+	// without charges the push and forwards the frame as it is.
 	vtep, remote := hdr.MakeIP4(172, 16, 0, 1), hdr.MakeIP4(172, 16, 0, 2)
-	tunneled := func(a ofproto.Action) func() *ofproto.Pipeline {
+	actions := func(a ...ofproto.Action) func() *ofproto.Pipeline {
 		return func() *ofproto.Pipeline {
 			pl := ofproto.NewPipeline()
 			pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
 				Match: ofproto.NewMatch(flow.Fields{InPort: 1},
 					flow.NewMaskBuilder().InPort().Build()),
-				Actions: []ofproto.Action{a, ofproto.Output(2)}})
+				Actions: a})
 			return pl
 		}
 	}
-	push := tunneled(ofproto.SetTunnel(tunnel.Config{Kind: tunnel.Geneve, LocalIP: vtep, RemoteIP: remote, VNI: 88}))
+	push := actions(ofproto.SetTunnel(tunnel.Config{Kind: tunnel.Geneve, LocalIP: vtep, RemoteIP: remote, VNI: 88}), ofproto.Output(2))
+	pop := func() *ofproto.Pipeline {
+		pl := actions(ofproto.TunnelPop(100))()
+		pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+			Match: ofproto.NewMatch(flow.Fields{InPort: 100},
+				flow.NewMaskBuilder().InPort().Build()),
+			Actions: []ofproto.Action{ofproto.Output(2)}})
+		return pl
+	}
 	encapper := func(routed bool) *tunnel.Encapper {
 		kern := netlinksim.NewKernel()
 		idx, _ := kern.AddLink("uplink", "mlx5", hdr.MAC{2, 0xff, 0, 0, 0, 1}, 1600)
@@ -606,7 +615,7 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 		other    map[string]string
 		frame    []byte
 		noOutput bool             // leave port 2 unattached
-		encapper *tunnel.Encapper // non-nil: a netdev-only arm
+		encapper *tunnel.Encapper // given to the provider's pass
 		forwards bool             // nothing is dropped: the frames a forwarding action replaces must come back
 		fullRing bool             // a netdev-only arm: port 2 is a vhostuser port whose guest ring is full
 	}{
@@ -618,12 +627,15 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 			other: map[string]string{"upcall-queue-cap": "1"}},
 		{name: "tunnel push: no route", pipeline: push, encapper: encapper(false)},
 		{name: "tunnel push: forwarded", pipeline: push, encapper: encapper(true), forwards: true},
-		{name: "tunnel pop: not a tunnel frame", pipeline: tunneled(ofproto.TunnelPop(100)), encapper: encapper(true)},
+		{name: "tunnel push: no encapper", pipeline: push, forwards: true},
+		{name: "tunnel pop: not a tunnel frame", pipeline: pop},
+		{name: "tunnel pop: forwarded", pipeline: pop, frame: oracleFrame(7, 0), forwards: true},
+		{name: "rewrite only", pipeline: actions(ofproto.PushVLAN(7, 0))},
 		{name: "guest ring full", pipeline: forwardPipeline, fullRing: true},
 	}
 	for _, c := range cases {
 		for _, name := range dpif.Types() {
-			if (c.encapper != nil || c.fullRing) && name != "netdev" {
+			if c.fullRing && name != "netdev" {
 				continue
 			}
 			eng := sim.NewEngine(1)
@@ -631,9 +643,7 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: Open: %v", c.name, name, err)
 			}
-			if c.encapper != nil {
-				d.(*dpif.Netdev).Datapath().Encapper = c.encapper
-			}
+			passOf(d).Encapper = c.encapper
 			ports := []dpif.Port{dpif.TxPort{PortID: 1, PortName: "p0", Deliver: (*packet.Packet).Release}}
 			guest := vdev.NewLink("vhost0")
 			switch {
@@ -668,6 +678,76 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 			if got := pool.Available(); got != 64 {
 				t.Errorf("%s/%s: pool at %d/64 after the drops (stats %+v)", c.name, name, got, st)
 			}
+		}
+	}
+}
+
+// passOf returns the state of a provider's fastpath pass.
+func passOf(d dpif.Dpif) *fastpath.Datapath {
+	if nd, ok := d.(*dpif.Netdev); ok {
+		return &nd.Datapath().Datapath
+	}
+	return &d.(*dpif.Netlink).Kernel().Datapath
+}
+
+// TestConformanceOutputBeforeLastSendsCopy: an output that is not the last
+// action sends a copy, so what follows it cannot reach what it sent. Under
+// output:2, push_vlan(7), output:3, port 2 holds its own untagged 64-byte
+// frame once the actions are done and port 3 the tagged 68-byte one, on
+// every provider; the copy is drawn from the frame's pool and both come back
+// to it.
+func TestConformanceOutputBeforeLastSendsCopy(t *testing.T) {
+	pl := func() *ofproto.Pipeline {
+		pl := ofproto.NewPipeline()
+		pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+			Match: ofproto.NewMatch(flow.Fields{InPort: 1},
+				flow.NewMaskBuilder().InPort().Build()),
+			Actions: []ofproto.Action{ofproto.Output(2), ofproto.PushVLAN(7, 0), ofproto.Output(3)}})
+		return pl
+	}
+	for _, name := range dpif.Types() {
+		eng := sim.NewEngine(1)
+		d, err := dpif.Open(name, dpif.Config{Eng: eng, Pipeline: pl()})
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		got := map[uint32][]*packet.Packet{}
+		for _, id := range []uint32{1, 2, 3} {
+			id := id
+			if err := d.PortAdd(dpif.TxPort{PortID: id, PortName: "p", Deliver: func(p *packet.Packet) {
+				got[id] = append(got[id], p)
+			}}); err != nil {
+				t.Fatalf("%s: PortAdd(%d): %v", name, id, err)
+			}
+		}
+		pool := packet.NewPool(8, 128, true)
+		for i := 0; i < 2; i++ {
+			p := pool.GetCopy(scenarioPacket().Data)
+			p.InPort = 1
+			d.Execute(p)
+		}
+		eng.RunUntil(eng.Now() + sim.Millisecond)
+		lens := map[uint32][]int{}
+		for id, ps := range got {
+			for _, p := range ps {
+				lens[id] = append(lens[id], len(p.Data))
+			}
+		}
+		if !reflect.DeepEqual(lens, map[uint32][]int{2: {64, 64}, 3: {68, 68}}) {
+			t.Fatalf("%s: delivered frame lengths %v, want port 2 untagged 64 B and port 3 tagged 68 B", name, lens)
+		}
+		for i := range got[2] {
+			if got[2][i] == got[3][i] {
+				t.Errorf("%s: ports 2 and 3 got the same *Packet", name)
+			}
+		}
+		for _, ps := range got {
+			for _, p := range ps {
+				p.Release()
+			}
+		}
+		if n := pool.Available(); n != 8 {
+			t.Errorf("%s: pool at %d/8 after releasing every delivered frame", name, n)
 		}
 	}
 }

@@ -182,13 +182,13 @@ func (d *Netlink) PerfStats() []perf.ThreadStats {
 }
 
 // EnableTrace implements Dpif.
-func (d *Netlink) EnableTrace(n int) { d.kdp.EnableTrace(n) }
+func (d *Netlink) EnableTrace(n int) { d.kdp.Perf.EnableTrace(n) }
 
 // Stats implements Dpif.
 func (d *Netlink) Stats() Stats {
 	s := Stats{
 		Hits:             d.kdp.Hits,
-		Missed:           d.kdp.Misses,
+		Missed:           d.kdp.Upcalls,
 		Lost:             d.kdp.Drops,
 		UpcallQueueDrops: d.kdp.UpcallQueueDrops,
 		MalformedDrops:   d.kdp.MalformedDrops,

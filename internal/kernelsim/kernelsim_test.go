@@ -43,8 +43,8 @@ func TestDatapathMissUpcallThenHit(t *testing.T) {
 	dp.Outputs[2] = func(p *packet.Packet) { out = append(out, p) }
 
 	dp.Process(cpu, udpPkt(1))
-	if dp.Misses != 1 || dp.Hits != 0 || dp.Upcalls != 1 {
-		t.Fatalf("first packet: misses=%d hits=%d", dp.Misses, dp.Hits)
+	if dp.Upcalls != 1 || dp.Hits != 0 {
+		t.Fatalf("first packet: upcalls=%d hits=%d", dp.Upcalls, dp.Hits)
 	}
 	if len(out) != 1 {
 		t.Fatal("packet not forwarded")
@@ -433,15 +433,15 @@ func TestMalformedDrops(t *testing.T) {
 	bad.Data[12], bad.Data[13] = 0x08, 0x00
 	bad.InPort = 1
 	dp.Process(cpu, bad)
-	if dp.MalformedDrops != 1 || dp.Misses != 0 || dp.Upcalls != 0 || dp.Drops != 0 {
-		t.Fatalf("malformed=%d misses=%d upcalls=%d drops=%d, want 1/0/0/0",
-			dp.MalformedDrops, dp.Misses, dp.Upcalls, dp.Drops)
+	if dp.MalformedDrops != 1 || dp.Upcalls != 0 || dp.Drops != 0 {
+		t.Fatalf("malformed=%d upcalls=%d drops=%d, want 1/0/0",
+			dp.MalformedDrops, dp.Upcalls, dp.Drops)
 	}
 
 	// A valid frame still takes the normal upcall path.
 	dp.Process(cpu, udpPkt(1))
-	if dp.Misses != 1 || dp.Upcalls != 1 || dp.MalformedDrops != 1 {
-		t.Fatalf("valid frame after malformed: misses=%d upcalls=%d malformed=%d, want 1/1/1",
-			dp.Misses, dp.Upcalls, dp.MalformedDrops)
+	if dp.Upcalls != 1 || dp.MalformedDrops != 1 {
+		t.Fatalf("valid frame after malformed: upcalls=%d malformed=%d, want 1/1",
+			dp.Upcalls, dp.MalformedDrops)
 	}
 }

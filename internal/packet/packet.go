@@ -141,15 +141,20 @@ func (p *Packet) ResetMetadata() {
 	p.pool = pool
 }
 
-// Clone returns a deep copy with no pool affiliation.
+// Clone returns a deep copy, drawn from p's pool when p has one (so Release
+// hands it back there) and standalone otherwise.
 func (p *Packet) Clone() *Packet {
-	c := New(append([]byte(nil), p.Data...))
+	var c *Packet
+	if p.pool != nil {
+		c = p.pool.GetCopy(p.Data)
+	} else {
+		c = New(append([]byte(nil), p.Data...))
+	}
 	c.Metadata = p.Metadata
 	if p.Tunnel != nil {
 		t := *p.Tunnel
 		c.Tunnel = &t
 	}
-	c.pool = nil
 	return c
 }
 

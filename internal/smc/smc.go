@@ -94,12 +94,16 @@ func New(entries int, hashBasis uint32) *Cache {
 }
 
 // clearBuckets marks every way empty (index 0 is a valid megaflow index, so
-// the empty marker must be written explicitly).
+// the empty marker must be written explicitly). The first bucket is written
+// and then copied over the rest in doubling runs, at memmove speed; a
+// million-entry cache is flushed on every smc-enable and flow flush.
 func (c *Cache) clearBuckets() {
-	for i := range c.buckets {
-		for w := 0; w < Ways; w++ {
-			c.buckets[i].idx[w] = emptyIdx
-		}
+	c.buckets[0] = bucket{}
+	for w := range c.buckets[0].idx {
+		c.buckets[0].idx[w] = emptyIdx
+	}
+	for n := 1; n < len(c.buckets); n *= 2 {
+		copy(c.buckets[n:], c.buckets[:n])
 	}
 }
 

@@ -136,6 +136,28 @@ func NewQueue(eng *sim.Engine, cfg *Config, ctr *Counters, st *perf.Stats, host 
 	return q
 }
 
+// Miss takes a packet whose key missed on cpu. A bounded queue parks it
+// (Admit); otherwise it is translated inline on cpu, the upcall charged in
+// the host's category — dpif-netdev's way, and the kernel's legacy netlink
+// path. ok means an inline translation the caller installs; a failed one
+// drops the packet as Failed says.
+func (q *Queue) Miss(key *flow.Key, p *packet.Packet, cpu *sim.CPU) (mf ofproto.Megaflow, ok bool) {
+	if q.cfg.QueueCap > 0 {
+		q.Admit(key, p, cpu)
+		return mf, false
+	}
+	before := cpu.BusyTotal()
+	cpu.Consume(q.host.Category, costmodel.UpcallCost)
+	q.perf.Add(perf.StageUpcall, costmodel.UpcallCost)
+	mf, err := q.host.Translate(key)
+	q.perf.AddUpcall(cpu.BusyTotal() - before)
+	if err != nil {
+		q.Failed(key, p)
+		return mf, false
+	}
+	return mf, true
+}
+
 // Admit parks a missed packet for the handler thread, or drops it when the
 // queue is full (ENOBUFS). The caller has already counted the miss, which
 // matches the kernel's lookup accounting for refused packets too.

@@ -355,7 +355,6 @@ var reachLooseAllowed = []string{
 	"internal/packet/hdr: method Builder.IPv6H",
 	"internal/packet/hdr: method Builder.Payload",
 	"internal/packet/hdr: method Builder.VLAN",
-	"internal/packet: method Packet.Clone",
 	"internal/packet: method Pool.Available", // the pool-conservation tests (dpif, vdev, packet)
 	"internal/sim: method Engine.Pending",    // timer hygiene in sim, upcall and conntrack tests
 }
