@@ -163,9 +163,9 @@ func TestNewFlowViewsDoesNotAliasSource(t *testing.T) {
 	var flows []dpif.Flow
 	for i := 3; i >= 1; i-- {
 		key := (&flow.Fields{IP4Src: hdr.MakeIP4(10, 0, 0, byte(i))}).Pack()
-		e := cls.InsertKey(&key, &mask, nil)
-		e.Hits = uint64(i)
-		flows = append(flows, dpif.Flow{Entry: e})
+		r := cls.InsertKey(&key, &mask, nil)
+		cls.Get(r).Hits = uint64(i)
+		flows = append(flows, dpif.Flow{Table: cls, Ref: r})
 	}
 	views := NewFlowViews(flows)
 	want := append([]FlowView(nil), views...)
@@ -173,11 +173,14 @@ func TestNewFlowViewsDoesNotAliasSource(t *testing.T) {
 		t.Fatalf("views = %+v, want three 32-bit megaflows sorted by text", views)
 	}
 	for _, f := range flows {
-		f.Entry.Hits += 1000
-		cls.Remove(f.Entry)
+		f.Entry().Hits += 1000
+		cls.Remove(f.Ref)
 	}
 	if !reflect.DeepEqual(views, want) {
 		t.Fatalf("views changed with the classifier:\n got %+v\nwant %+v", views, want)
+	}
+	if stale := NewFlowViews(flows); len(stale) != 0 {
+		t.Fatalf("removed flows viewed as %+v", stale)
 	}
 }
 

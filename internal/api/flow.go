@@ -27,14 +27,18 @@ type FlowPage struct {
 // NewFlowViews materializes a flow dump into views, sorted by their text
 // rendering — the same order `ovsctl dump-flows` has always printed. The
 // dump entries are copied out immediately, so the returned views stay valid
-// after the classifier churns.
+// after the classifier churns; a flow removed since the dump is left out.
 func NewFlowViews(flows []dpif.Flow) []FlowView {
 	out := make([]FlowView, 0, len(flows))
 	for _, f := range flows {
+		e := f.Entry()
+		if e == nil {
+			continue
+		}
 		out = append(out, FlowView{
-			Text:     f.Entry.String(),
-			MaskBits: f.Entry.Mask().Bits(),
-			Hits:     f.Entry.Hits,
+			Text:     f.Table.String(e),
+			MaskBits: f.Table.Mask(e).Bits(),
+			Hits:     e.Hits,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Text < out[j].Text })

@@ -130,7 +130,7 @@ type Datapath struct {
 	// on any PMD (upcall installs, FlowPut, negative flows) — the
 	// notification the incremental revalidator registers expiry timers
 	// from. In-place replacements do not re-fire it.
-	flowHook func(*PMD, *dpcls.Entry)
+	flowHook func(*PMD, dpcls.Ref)
 
 	// assign is the rxq-to-PMD assignment layer (policies, auto-LB, XPS);
 	// created lazily so the zero datapath keeps working.
@@ -251,7 +251,7 @@ func (d *Datapath) EnableTrace(n int) {
 // SetFlowHook registers (or, with nil, clears) the flow-installed
 // notification, wiring it through every PMD classifier's OnInsert callback
 // — existing threads and ones created later alike.
-func (d *Datapath) SetFlowHook(fn func(*PMD, *dpcls.Entry)) {
+func (d *Datapath) SetFlowHook(fn func(*PMD, dpcls.Ref)) {
 	d.flowHook = fn
 	for _, m := range d.pmds {
 		if fn == nil {
@@ -266,7 +266,7 @@ func (d *Datapath) SetFlowHook(fn func(*PMD, *dpcls.Entry)) {
 // hook. The closure is created once per PMD at wiring time, so the install
 // path itself allocates nothing.
 func (d *Datapath) wireFlowHook(m *PMD) {
-	m.cls.OnInsert = func(e *dpcls.Entry) { d.flowHook(m, e) }
+	m.cls.OnInsert = func(r dpcls.Ref) { d.flowHook(m, r) }
 }
 
 // Execute runs one packet through the fast path as if it had arrived on
@@ -290,12 +290,12 @@ func (m *PMD) Receive(_ *fastpath.Thread, _ *sim.CPU, p *packet.Packet, depth in
 	// cache, paying only the near-zero host-side bookkeeping. Recirculated
 	// packets (depth > 0) are already on the host and stay there.
 	if depth == 0 && d.offload != nil && d.offload.on {
-		if e, ok := d.offload.hwLookup(p); ok {
+		if actions, ok := d.offload.hwLookup(p); ok {
 			m.charge(perf.StageOffload, costmodel.OffloadHit)
 			d.OffloadHits++
 			m.Perf.OffloadHits++
 			m.Resolved(perf.ResultOffload)
-			d.hwForward(m, p, e.Actions)
+			d.hwForward(m, p, actions)
 			return false
 		}
 	}
@@ -324,20 +324,23 @@ func (m *PMD) Receive(_ *fastpath.Thread, _ *sim.CPU, p *packet.Packet, depth in
 // Lookup implements fastpath.Provider: the cache hierarchy, then the
 // elephant install — a software hit on a marked flow means its exact key is
 // not in hardware yet (Receive forwards resident ones), so it goes down now.
-func (m *PMD) Lookup(_ *fastpath.Thread, _ *sim.CPU, key *flow.Key, depth int) *dpcls.Entry {
-	e := m.lookupHierarchy(key)
-	if e != nil && e.OffloadMark != 0 && depth == 0 && len(e.Actions) > 0 && m.dp.offload != nil {
-		m.dp.offload.installFor(key, e)
+func (m *PMD) Lookup(_ *fastpath.Thread, _ *sim.CPU, key *flow.Key, depth int) ([]ofproto.DPAction, bool) {
+	r := m.lookupHierarchy(key)
+	if r == 0 {
+		return nil, false
 	}
-	return e
+	e := m.cls.Get(r)
+	actions := m.cls.Actions(e)
+	if e.OffloadMark != 0 && depth == 0 && len(actions) > 0 && m.dp.offload != nil {
+		m.dp.offload.installFor(key, dpcls.Handle{Table: m.cls, Ref: r})
+	}
+	return actions, true
 }
 
 // Install implements fastpath.Provider: the megaflow goes into the thread's
 // classifier and back-fills the caches with the hashes Lookup computed.
-func (m *PMD) Install(_ *fastpath.Thread, key *flow.Key, mf ofproto.Megaflow) *dpcls.Entry {
-	e := m.cls.InsertKey(key, &mf.Mask, mf.Actions)
-	m.cacheInsert(key, m.hashes, e)
-	return e
+func (m *PMD) Install(_ *fastpath.Thread, key *flow.Key, mf ofproto.Megaflow) {
+	m.cacheInsert(key, m.hashes, m.cls.InsertKey(key, &mf.Mask, mf.Actions))
 }
 
 // Transmit implements fastpath.Provider: the port, the output action's
@@ -355,16 +358,16 @@ func (m *PMD) Transmit(_ *fastpath.Thread, _ *sim.CPU, port uint32, p *packet.Pa
 // lookupHierarchy resolves key through the cache hierarchy — EMC, SMC,
 // megaflow classifier — charging each level probed and counting the hit at
 // the level that resolved it, exactly as dfc_processing walks the caches.
-// A dpcls hit back-fills the faster caches; nil means every level missed
-// and the pass owns the slow path. The key is hashed once per cache
+// A dpcls hit back-fills the faster caches; the zero Ref means every level
+// missed and the pass owns the slow path. The key is hashed once per cache
 // consulted, and the hashes are kept in m.hashes for Install's back-fill
 // after an upcall.
-func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
+func (m *PMD) lookupHierarchy(key *flow.Key) dpcls.Ref {
 	d := m.dp
 	h := &m.hashes
 	if d.Opts.EMC {
 		h.emc = m.emc.Hash(key)
-		if e, ok := m.emc.LookupHashed(key, h.emc); ok {
+		if r, ok := m.emc.LookupHashed(key, h.emc); ok {
 			m.charge(perf.StageEMC, costmodel.EMCHit)
 			if m.emc.Len() > costmodel.ColdFlowThreshold {
 				m.charge(perf.StageEMC, costmodel.ColdFlowCacheMiss)
@@ -372,17 +375,17 @@ func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
 			// An EMC hit is activity on the underlying megaflow: count it
 			// there too (as the SMC path does), or the revalidator sees
 			// EMC-resident flows as idle and evicts live flows.
-			e.Hits++
+			m.cls.Get(r).Hits++
 			d.EMCHits++
 			m.Perf.EMCHits++
 			m.Resolved(perf.ResultEMC)
-			return e
+			return r
 		}
 		m.charge(perf.StageEMC, costmodel.EMCMissProbe)
 	}
 	if m.smc != nil {
 		h.smc = m.smc.Hash(key)
-		if e, ok := m.smc.LookupHashed(key, h.smc); ok {
+		if r, ok := m.smc.LookupHashed(m.cls, key, h.smc); ok {
 			m.charge(perf.StageSMC, costmodel.SMCHit)
 			if m.smc.Len() > costmodel.ColdFlowThreshold {
 				m.charge(perf.StageSMC, costmodel.ColdFlowCacheMiss)
@@ -392,21 +395,21 @@ func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
 			m.Resolved(perf.ResultSMC)
 			// An SMC hit refreshes the EMC, as dfc_processing does on
 			// its way out.
-			m.emcInsert(key, h.emc, e)
-			return e
+			m.emcInsert(key, h.emc, r)
+			return r
 		}
 		m.charge(perf.StageSMC, costmodel.SMCMissProbe)
 	}
-	e, probes := m.cls.LookupKey(key)
+	r, probes := m.cls.LookupKey(key)
 	m.charge(perf.StageDpcls, sim.Time(probes)*costmodel.DpclsLookupPerSubtable)
-	if e == nil {
-		return nil
+	if r == 0 {
+		return 0
 	}
 	d.MegaflowHits++
 	m.Perf.MegaflowHits++
 	m.Resolved(perf.ResultMegaflow)
-	m.cacheInsert(key, *h, e)
-	return e
+	m.cacheInsert(key, *h, r)
+	return r
 }
 
 // transmit handles offload fix-ups before handing the packet to the port:

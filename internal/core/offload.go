@@ -16,11 +16,11 @@ package core
 //     periodic merge into dpcls.Entry.Hits an offloaded flow would look
 //     idle to the revalidator and be evicted mid-flight. The readback
 //     interval must therefore stay well under the idle timeout.
-//   - Invalidation aliasing: a hardware rule's cookie is the live
-//     *dpcls.Entry, the same pointer the EMC holds — replacements update
+//   - Invalidation aliasing: a hardware rule's cookie is the megaflow's
+//     dpcls.Handle, the same ref the EMC holds — replacements update
 //     actions in place, and FlowDel purges the NIC table in the same pass
 //     as the EMC/SMC invalidation. The hit path additionally refuses to
-//     forward by a dead entry (defense in depth, the PR-7 EMC discipline).
+//     forward by a stale handle (defense in depth, the EMC discipline).
 //
 // Everything is off by default: with Offload.Enable false no engine
 // exists, no event is scheduled, and no charge is made, keeping default
@@ -109,7 +109,7 @@ type offloadRec struct {
 // disable (counters persist); the on flag gates all behavior.
 type offloadEngine struct {
 	dp    *Datapath
-	table *nicsim.FlowTable
+	table *nicsim.FlowTable[dpcls.Handle]
 	// cpu is the offload driver thread: rule installs and counter
 	// readback are charged here, so the PMD's cycles-freed headline is
 	// not polluted by offload bookkeeping.
@@ -118,8 +118,8 @@ type offloadEngine struct {
 	opts    OffloadOptions // defaults applied
 	on      bool
 	tickNo  uint64
-	recs    map[*dpcls.Entry]*offloadRec
-	scratch []*dpcls.Entry
+	recs    map[dpcls.Handle]*offloadRec
+	scratch []dpcls.Ref
 	// thresholdMilli is ElephantPPS converted to milli-hits per interval.
 	thresholdMilli uint64
 	// hwMergedHits counts hardware hits merged into megaflow stats.
@@ -129,9 +129,9 @@ type offloadEngine struct {
 func newOffloadEngine(d *Datapath, o OffloadOptions) *offloadEngine {
 	e := &offloadEngine{
 		dp:    d,
-		table: nicsim.NewFlowTable(o.TableSize),
+		table: nicsim.NewFlowTable[dpcls.Handle](o.TableSize),
 		cpu:   d.Eng.NewCPU("hw-offload"),
-		recs:  make(map[*dpcls.Entry]*offloadRec),
+		recs:  make(map[dpcls.Handle]*offloadRec),
 	}
 	e.timer = d.Eng.NewTimer(e.tick)
 	e.applyOpts(o)
@@ -182,18 +182,19 @@ func (o *offloadEngine) tick() {
 
 	const w = uint64(costmodel.OffloadRateEWMAPct)
 	for _, m := range o.dp.pmds {
-		o.scratch = m.cls.EntriesInto(o.scratch)
-		for _, e := range o.scratch {
-			rec := o.recs[e]
+		o.scratch = m.cls.Refs(o.scratch)
+		for _, r := range o.scratch {
+			h, e := dpcls.Handle{Table: m.cls, Ref: r}, m.cls.Get(r)
+			rec := o.recs[h]
 			if rec == nil {
 				rec = &offloadRec{}
-				o.recs[e] = rec
+				o.recs[h] = rec
 			}
 			delta := e.Hits - rec.lastHits
 			rec.lastHits = e.Hits
 			rec.ewmaMilli = (w*delta*1000 + (100-w)*rec.ewmaMilli) / 100
 			rec.seen = o.tickNo
-			if rec.ewmaMilli >= o.thresholdMilli && offloadableActions(e.Actions) {
+			if rec.ewmaMilli >= o.thresholdMilli && offloadableActions(m.cls.Actions(e)) {
 				e.OffloadMark = 1
 			} else {
 				e.OffloadMark = 0
@@ -204,63 +205,65 @@ func (o *offloadEngine) tick() {
 	// Reap flows that left the classifier without passing through
 	// FlowDel's uninstall (defense in depth; the removals commute, so map
 	// order cannot leak into observable state).
-	for e, rec := range o.recs {
+	for h, rec := range o.recs {
 		if rec.seen != o.tickNo {
 			for _, k := range rec.keys {
 				o.table.Uninstall(k)
 			}
-			delete(o.recs, e)
+			delete(o.recs, h)
 		}
 	}
 
 	o.timer.Schedule(o.opts.ReadbackInterval)
 }
 
-// merge folds one entry's hardware hit delta into its megaflow stats —
+// merge folds one rule's hardware hit delta into its megaflow stats —
 // what keeps the revalidator from idle-evicting hardware-hot flows.
-func (o *offloadEngine) merge(cookie any, delta uint64) {
-	e := cookie.(*dpcls.Entry)
-	e.Hits += delta
+func (o *offloadEngine) merge(h dpcls.Handle, delta uint64) {
+	if e := h.Entry(); e != nil {
+		e.Hits += delta
+	}
 	o.hwMergedHits += delta
 }
 
-// hwLookup matches a packet against the NIC flow table. The hardware
-// parses and matches for free (no CPU charge, like nicsim rxq steering);
-// only live megaflows forward — a dead cookie is purged on sight instead
-// of forwarding with stale actions.
-func (o *offloadEngine) hwLookup(p *packet.Packet) (*dpcls.Entry, bool) {
+// hwLookup matches a packet against the NIC flow table and returns the
+// actions to forward it by. The hardware parses and matches for free (no
+// CPU charge, like nicsim rxq steering); only live megaflows forward — a
+// stale cookie is purged on sight instead of forwarding with stale actions.
+func (o *offloadEngine) hwLookup(p *packet.Packet) ([]ofproto.DPAction, bool) {
 	var key flow.Key
 	flow.ExtractInto(p, &key)
-	c, ok := o.table.Lookup(key)
+	h, ok := o.table.Lookup(key)
 	if !ok {
 		return nil, false
 	}
-	e := c.(*dpcls.Entry)
-	if e.Dead() || !offloadableActions(e.Actions) {
-		// Either the megaflow was removed between our uninstall discipline's
-		// passes, or an in-place replacement swapped in actions the hardware
-		// cannot execute: purge every rule of the flow and fall back to
-		// software rather than forward wrongly.
-		o.uninstallEntry(e)
-		return nil, false
+	if e := h.Entry(); e != nil {
+		if actions := h.Table.Actions(e); offloadableActions(actions) {
+			return actions, true
+		}
 	}
-	return e, true
+	// Either the megaflow was removed between our uninstall discipline's
+	// passes, or an in-place replacement swapped in actions the hardware
+	// cannot execute: purge every rule of the flow and fall back to
+	// software rather than forward wrongly.
+	o.uninstall(h)
+	return nil, false
 }
 
 // installFor pushes one exact key of a marked megaflow into hardware,
 // charging the driver install to the offload thread. Called on the packet
 // path only for hardware misses of elephant-marked flows, so a resident
 // elephant costs nothing here.
-func (o *offloadEngine) installFor(key *flow.Key, e *dpcls.Entry) {
-	evicted, ok := o.table.Install(*key, e)
+func (o *offloadEngine) installFor(key *flow.Key, h dpcls.Handle) {
+	evicted, ok := o.table.Install(*key, h)
 	if !ok {
 		return
 	}
 	o.cpu.Consume(sim.User, costmodel.OffloadInstall)
-	rec := o.recs[e]
+	rec := o.recs[h]
 	if rec == nil {
-		rec = &offloadRec{lastHits: e.Hits}
-		o.recs[e] = rec
+		rec = &offloadRec{lastHits: h.Entry().Hits}
+		o.recs[h] = rec
 	}
 	rec.keys = append(rec.keys, *key)
 	if evicted != nil {
@@ -269,12 +272,8 @@ func (o *offloadEngine) installFor(key *flow.Key, e *dpcls.Entry) {
 }
 
 // dropHW unbooks an evicted hardware rule from its megaflow's record.
-func (o *offloadEngine) dropHW(hw *nicsim.HWFlow) {
-	e, ok := hw.Cookie.(*dpcls.Entry)
-	if !ok {
-		return
-	}
-	rec := o.recs[e]
+func (o *offloadEngine) dropHW(hw *nicsim.HWFlow[dpcls.Handle]) {
+	rec := o.recs[hw.Cookie]
 	if rec == nil {
 		return
 	}
@@ -286,12 +285,12 @@ func (o *offloadEngine) dropHW(hw *nicsim.HWFlow) {
 	}
 }
 
-// uninstallEntry purges every hardware rule of a removed megaflow — the
-// NIC-table leg of the FlowDel invalidation pass (EMC, SMC, and hardware
-// in the same breath).
-func (o *offloadEngine) uninstallEntry(e *dpcls.Entry) {
-	e.OffloadMark = 0
-	rec := o.recs[e]
+// uninstall purges every hardware rule of a megaflow — the NIC-table leg
+// of the FlowDel invalidation pass (EMC, SMC, and hardware in the same
+// breath).
+func (o *offloadEngine) uninstall(h dpcls.Handle) {
+	unmark(h)
+	rec := o.recs[h]
 	if rec == nil {
 		return
 	}
@@ -299,20 +298,23 @@ func (o *offloadEngine) uninstallEntry(e *dpcls.Entry) {
 		o.table.Uninstall(k)
 	}
 	rec.keys = rec.keys[:0]
-	delete(o.recs, e)
+	delete(o.recs, h)
+}
+
+// unmark clears the elephant mark of the megaflow h names, if it is live.
+func unmark(h dpcls.Handle) {
+	if e := h.Entry(); e != nil {
+		e.OffloadMark = 0
+	}
 }
 
 // flushAll empties the hardware table and the rate tracker (datapath flow
 // flush, engine disable).
 func (o *offloadEngine) flushAll() {
-	o.table.Flush(func(hw *nicsim.HWFlow) {
-		if e, ok := hw.Cookie.(*dpcls.Entry); ok {
-			e.OffloadMark = 0
-		}
-	})
-	for e := range o.recs {
-		e.OffloadMark = 0
-		delete(o.recs, e)
+	o.table.Flush(func(hw *nicsim.HWFlow[dpcls.Handle]) { unmark(hw.Cookie) })
+	for h := range o.recs {
+		unmark(h)
+		delete(o.recs, h)
 	}
 }
 

@@ -62,7 +62,7 @@ type PMD struct {
 	CPU *sim.CPU
 	dp  *Datapath
 
-	emc *emc.Cache[*dpcls.Entry]
+	emc *emc.Cache[dpcls.Ref]
 	// smc is the signature match cache, allocated only when Options.SMC
 	// is set (it is ~4 MB per PMD at the OVS-default capacity).
 	smc *smc.Cache
@@ -110,11 +110,13 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 		ID:     id,
 		CPU:    cpu,
 		dp:     d,
-		emc:    emc.New[*dpcls.Entry](costmodel.EMCEntries, uint32(id)*0x9e37+1),
+		emc:    emc.New[dpcls.Ref](costmodel.EMCEntries, uint32(id)*0x9e37+1),
 		cls:    dpcls.New(uint32(id)*0x79b9 + 7),
 		mode:   mode,
 	}
-	m.emc.SetAliveCheck(entryAlive)
+	// A removed megaflow's EMC entries purge lazily on their next lookup or
+	// insert (emc_entry_alive): its ref fails the generation compare.
+	m.emc.SetAliveCheck(m.cls.Live)
 	if d.flowHook != nil {
 		d.wireFlowHook(m)
 	}
@@ -180,21 +182,6 @@ func (m *PMD) SMCStats() (hits, misses uint64) {
 // Classifier exposes the megaflow classifier (tests, flow dumping).
 func (m *PMD) Classifier() *dpcls.Classifier { return m.cls }
 
-// entryAlive is the EMC's liveness predicate: a megaflow removed from the
-// classifier is marked dead, and its cache entries purge lazily on their
-// next lookup (emc_entry_alive). A package-level function, so every PMD
-// shares one value and wiring it allocates nothing.
-func entryAlive(e *dpcls.Entry) bool { return !e.Dead() }
-
-// InvalidateSMC unlinks a removed megaflow from the signature cache's
-// indirection table (megaflow delete, revalidator sweep, negative-flow
-// expiry), so stale signatures miss instead of mis-delivering.
-func (m *PMD) InvalidateSMC(e *dpcls.Entry) {
-	if m.smc != nil {
-		m.smc.Invalidate(e)
-	}
-}
-
 // keyHashes carries one packet pass's key hashes, one per cache: each is
 // computed by lookupHierarchy when it consults that cache and reused by the
 // back-fill insert, which also takes its victim way from it. A field is
@@ -203,20 +190,20 @@ func (m *PMD) InvalidateSMC(e *dpcls.Entry) {
 type keyHashes struct{ emc, smc uint32 }
 
 // emcInsert inserts into the EMC when it is enabled.
-func (m *PMD) emcInsert(key *flow.Key, hash uint32, e *dpcls.Entry) {
+func (m *PMD) emcInsert(key *flow.Key, hash uint32, r dpcls.Ref) {
 	if m.dp.Opts.EMC {
-		m.emc.InsertHashed(key, hash, e)
+		m.emc.InsertHashed(key, hash, r)
 	}
 }
 
 // cacheInsert back-fills the fast caches after a dpcls hit or upcall
 // install: the EMC and, when enabled, the SMC — which is what keeps
 // high-flow-count workloads out of the classifier once the EMC saturates.
-func (m *PMD) cacheInsert(key *flow.Key, h keyHashes, e *dpcls.Entry) {
-	m.emcInsert(key, h.emc, e)
+func (m *PMD) cacheInsert(key *flow.Key, h keyHashes, r dpcls.Ref) {
+	m.emcInsert(key, h.emc, r)
 	if m.smc != nil {
 		m.charge(perf.StageSMC, costmodel.SMCInsert)
-		m.smc.InsertHashed(h.smc, e)
+		m.smc.InsertHashed(h.smc, r)
 	}
 }
 
@@ -356,18 +343,20 @@ func (m *PMD) touch(p Port) {
 // same pass, unlinks it from everything cached above it, so unrelated cache
 // entries survive (flow delete, negative-flow expiry). A megaflow covers
 // arbitrarily many exact keys, so its EMC entries cannot be found by key:
-// the classifier marks the removed entry dead and the EMC's alive check
+// the removal advances its record's generation and the EMC's alive check
 // purges each stale slot on its next lookup, O(1) per delete instead of the
 // churn-collapsing full flush. The SMC drops it from its indirection table,
 // and the NIC flow table its hardware rules — an uninstalled rule must never
-// forward with stale actions. It reports whether e was still installed.
-func (m *PMD) RemoveFlow(e *dpcls.Entry) bool {
-	if !m.cls.Remove(e) {
+// forward with stale actions. It reports whether r was still installed.
+func (m *PMD) RemoveFlow(r dpcls.Ref) bool {
+	if !m.cls.Remove(r) {
 		return false
 	}
-	m.InvalidateSMC(e)
+	if m.smc != nil {
+		m.smc.Invalidate(r)
+	}
 	if off := m.dp.offload; off != nil {
-		off.uninstallEntry(e)
+		off.uninstall(dpcls.Handle{Table: m.cls, Ref: r})
 	}
 	return true
 }

@@ -101,7 +101,7 @@ func TestSMCInvalidationPreventsStaleDelivery(t *testing.T) {
 	// Revalidation: the megaflow is removed and the forwarding decision
 	// changes to port 3 (the rule update that made the old flow stale).
 	m := dp.PMDs()[0]
-	entries := m.Classifier().Entries()
+	entries := m.Classifier().Refs(nil)
 	if len(entries) != 1 {
 		t.Fatalf("installed flows = %d, want 1", len(entries))
 	}
@@ -110,7 +110,7 @@ func TestSMCInvalidationPreventsStaleDelivery(t *testing.T) {
 		t.Fatal("Remove reported the flow missing")
 	}
 	m.emc.Flush()
-	m.InvalidateSMC(e)
+	m.smc.Invalidate(e)
 	pl2 := outputPipeline(3)
 	dp.SetUpcall(pl2.Translate)
 

@@ -82,14 +82,14 @@ func churnShape(n int) (*Classifier, []flow.Key, [2]flow.Mask) {
 
 const churnFlows = 100_000
 
-var benchSink *Entry
+var benchSink Ref
 
 func BenchmarkDpclsLookupHit100k(b *testing.B) {
 	c, keys, _ := churnShape(churnFlows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink, _ = c.Lookup(keys[i*7919%churnFlows])
+		benchSink, _ = c.LookupKey(&keys[i*7919%churnFlows])
 	}
 }
 
@@ -103,14 +103,15 @@ func BenchmarkDpclsLookupMiss100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink, _ = c.Lookup(keys[i*7919%churnFlows])
+		benchSink, _ = c.LookupKey(&keys[i*7919%churnFlows])
 	}
 }
 
 // BenchmarkClassifierInstallRemove installs a fresh key under a resident
 // mask and evicts it, beside 100k resident megaflows — the pair churn pays
-// per new flow. B/op is what one install leaves on the heap: the Entry (the
-// action list is the translator's, shared here).
+// per new flow. B/op is what one install leaves on the heap: nothing, since
+// the removed record is the next install's (the action list is the
+// translator's, shared here).
 func BenchmarkClassifierInstallRemove(b *testing.B) {
 	c, keys, masks := churnShape(churnFlows)
 	for i := range keys {

@@ -1,6 +1,7 @@
 package dpcls
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -16,30 +17,57 @@ func act(tag int) []ofproto.DPAction {
 	return []ofproto.DPAction{{Type: ofproto.DPOutput, Port: uint32(tag)}}
 }
 
-// tag recovers the tag act gave e's action list.
-func tag(e *Entry) int { return int(e.Actions[0].Port) }
+// tag recovers the tag act gave the action list of the megaflow r names.
+func tag(c *Classifier, r Ref) int { return int(c.Actions(c.Get(r))[0].Port) }
 
-// TestEntryLayout pins what one megaflow costs: 144 bytes, no private mask
-// copy (every entry of a subtable points at the subtable's mask) and the
-// fields a hit touches ahead of the key.
+// lookup is LookupKey for a key held by value.
+func lookup(c *Classifier, key flow.Key) (Ref, int) { return c.LookupKey(&key) }
+
+// TestEntryLayout pins what one megaflow costs: a 120-byte record with no
+// pointer in it (the mask is its subtable's index, the actions an index in
+// the action table) and the fields a hit touches ahead of the key.
 func TestEntryLayout(t *testing.T) {
 	var e Entry
-	if size := unsafe.Sizeof(e); size > 144 {
-		t.Fatalf("Entry is %d bytes, want at most 144", size)
+	if size := unsafe.Sizeof(e); size != 120 {
+		t.Fatalf("Entry is %d bytes, want 120", size)
 	}
-	if off := unsafe.Offsetof(e.MaskedKey); off != 48 {
-		t.Fatalf("MaskedKey sits at offset %d, want 48: the hot fields come first", off)
+	if off := unsafe.Offsetof(e.MaskedKey); off != 24 {
+		t.Fatalf("MaskedKey sits at offset %d, want 24: the hot fields come first", off)
 	}
-	if e.Mask() != (flow.Mask{}) {
-		t.Fatal("an Entry no classifier built must report the zero mask")
+	if typ := reflect.TypeFor[Entry](); hasPointers(typ) {
+		t.Fatalf("%v holds a pointer; the collector would scan every megaflow", typ)
+	}
+	if size := unsafe.Sizeof(slot{}); size != 8 {
+		t.Fatalf("a subtable slot is %d bytes, want 8", size)
 	}
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
-	a := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
-	b := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 81), mask, act(2))
-	if a.mask != b.mask || a.Mask() != mask {
+	ra := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
+	rb := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 81), mask, act(2))
+	if a, b := c.Get(ra), c.Get(rb); a.sub != b.sub || c.Mask(a) != mask {
 		t.Fatal("entries of one subtable must share its mask")
 	}
+}
+
+// hasPointers reports whether a value of typ holds a pointer the collector
+// must follow.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
 }
 
 func keyFor(srcIP hdr.IP4, dstPort uint16) flow.Key {
@@ -57,22 +85,22 @@ func TestInsertAndLookup(t *testing.T) {
 	c.Insert(k, mask, act(2))
 
 	// Same dst port, different source: must match the wildcarded entry.
-	e, probes := c.Lookup(keyFor(hdr.MakeIP4(172, 16, 0, 5), 80))
-	if e == nil {
+	r, probes := lookup(c, keyFor(hdr.MakeIP4(172, 16, 0, 5), 80))
+	if r == 0 {
 		t.Fatal("wildcarded lookup missed")
 	}
-	if tag(e) != 2 {
-		t.Fatalf("actions = %v", e.Actions)
+	if tag(c, r) != 2 {
+		t.Fatalf("actions = %v", c.Actions(c.Get(r)))
 	}
 	if probes != 1 {
 		t.Fatalf("probes = %d, want 1", probes)
 	}
-	if e.Hits != 1 {
+	if e := c.Get(r); e.Hits != 1 {
 		t.Fatalf("hits = %d", e.Hits)
 	}
 
 	// Different dst port: miss.
-	if e, _ := c.Lookup(keyFor(hdr.MakeIP4(10, 0, 0, 1), 443)); e != nil {
+	if r, _ := lookup(c, keyFor(hdr.MakeIP4(10, 0, 0, 1), 443)); r != 0 {
 		t.Fatal("lookup for unmatched port must miss")
 	}
 }
@@ -84,9 +112,9 @@ func TestEntryStringIsFlowText(t *testing.T) {
 	mask := flow.NewMaskBuilder().EthType().IPProto().TPDst().Build()
 	c.Insert(keyFor(hdr.MakeIP4(10, 0, 0, 1), 80), mask,
 		[]ofproto.DPAction{{Type: ofproto.DPDecTTL}, {Type: ofproto.DPOutput, Port: 2}})
-	e, _ := c.Lookup(keyFor(hdr.MakeIP4(10, 0, 0, 9), 80))
+	h, _ := c.Lookup(keyFor(hdr.MakeIP4(10, 0, 0, 9), 80))
 	const want = "megaflow{dl_type=0x0800,nw_proto=17,tp_dst=80 hits=1 actions=[dec_ttl out(2)]}"
-	if got := e.String(); got != want {
+	if got := c.String(h.Entry()); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
@@ -100,11 +128,11 @@ func TestMultipleSubtables(t *testing.T) {
 	if c.Subtables() != 2 {
 		t.Fatalf("subtables = %d", c.Subtables())
 	}
-	if e, _ := c.Lookup(keyFor(hdr.MakeIP4(10, 2, 2, 99), 9999)); e == nil || tag(e) != 2 {
-		t.Fatalf("subnet lookup = %+v", e)
+	if r, _ := lookup(c, keyFor(hdr.MakeIP4(10, 2, 2, 99), 9999)); r == 0 || tag(c, r) != 2 {
+		t.Fatalf("subnet lookup = %v", r)
 	}
-	if e, _ := c.Lookup(keyFor(hdr.MakeIP4(192, 168, 0, 1), 80)); e == nil || tag(e) != 1 {
-		t.Fatalf("port lookup = %+v", e)
+	if r, _ := lookup(c, keyFor(hdr.MakeIP4(192, 168, 0, 1), 80)); r == 0 || tag(c, r) != 1 {
+		t.Fatalf("port lookup = %v", r)
 	}
 }
 
@@ -117,9 +145,8 @@ func TestInsertReplacesSameMaskedKey(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("len = %d, want 1 (replaced)", c.Len())
 	}
-	e, _ := c.Lookup(k)
-	if e == nil || tag(e) != 2 {
-		t.Fatalf("lookup = %+v", e)
+	if r, _ := lookup(c, k); r == 0 || tag(c, r) != 2 {
+		t.Fatalf("lookup = %v", r)
 	}
 }
 
@@ -137,15 +164,15 @@ func TestRemove(t *testing.T) {
 		t.Fatal("double remove must report false")
 	}
 	// Reinserting the same masked key updates the entry in place: the
-	// caches' pointer stays valid and carries the new actions, so there is
-	// no stale pointer to mis-remove.
+	// caches' ref stays valid and carries the new actions, so there is no
+	// stale ref to mis-remove.
 	e1 := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
 	e2 := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(2))
 	if e1 != e2 {
 		t.Fatal("replacement must update the existing entry in place")
 	}
-	if tag(e1) != 2 {
-		t.Fatalf("replaced actions = %v, want b", e1.Actions)
+	if tag(c, e1) != 2 {
+		t.Fatalf("replaced actions = %v, want b", c.Actions(c.Get(e1)))
 	}
 	if !c.Remove(e1) {
 		t.Fatal("remove of replaced entry must succeed")
@@ -155,28 +182,32 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-// TestRemoveMarksDead covers the lazy cache-invalidation contract: an entry
-// leaves the classifier dead (Remove, Flush), and stays alive through an
-// in-place replacement — the caches use Dead() to decide whether a held
-// pointer is still valid.
+// TestRemoveMarksDead covers the lazy cache-invalidation contract: a ref
+// goes stale when its megaflow leaves the classifier (Remove, Flush), stays
+// live through an in-place replacement, and stays stale when its record is
+// recycled for another megaflow — the caches use Live to decide whether a
+// held ref is still valid.
 func TestRemoveMarksDead(t *testing.T) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
-	e := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
-	if e.Dead() {
+	r := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
+	if !c.Live(r) {
 		t.Fatal("fresh entry must be alive")
 	}
 	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(2))
-	if e.Dead() {
+	if !c.Live(r) {
 		t.Fatal("in-place replacement must keep the entry alive")
 	}
-	c.Remove(e)
-	if !e.Dead() {
+	c.Remove(r)
+	if c.Live(r) || c.Get(r) != nil {
 		t.Fatal("removed entry must be dead")
 	}
-	e2 := c.Insert(keyFor(hdr.MakeIP4(2, 2, 2, 2), 443), mask, act(3))
+	r2 := c.Insert(keyFor(hdr.MakeIP4(2, 2, 2, 2), 443), mask, act(3))
+	if uint32(r2) != uint32(r) || r2 == r || c.Live(r) || tag(c, r2) != 3 {
+		t.Fatalf("recycled record: old ref %#x, new ref %#x", r, r2)
+	}
 	c.Flush()
-	if !e2.Dead() {
+	if c.Live(r2) || c.Live(0) {
 		t.Fatal("flushed entry must be dead")
 	}
 }
@@ -247,11 +278,11 @@ func TestFlushAndEntries(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), uint16(i)), mask, act(i))
 	}
-	if len(c.Entries()) != 5 {
-		t.Fatalf("entries = %d", len(c.Entries()))
+	if len(c.Refs(nil)) != 5 {
+		t.Fatalf("entries = %d", len(c.Refs(nil)))
 	}
 	c.Flush()
-	if c.Len() != 0 || len(c.Entries()) != 0 {
+	if c.Len() != 0 || len(c.Refs(nil)) != 0 {
 		t.Fatal("flush incomplete")
 	}
 }
@@ -266,11 +297,11 @@ func TestDisjointMegaflowsFirstMatchWins(t *testing.T) {
 	udpKey := (&flow.Fields{EthType: hdr.EtherTypeIPv4, IPProto: hdr.IPProtoUDP, TPSrc: 53}).Pack()
 	c.Insert(tcpKey, mTCP, act(6))
 	c.Insert(udpKey, mUDP, act(17))
-	if e, _ := c.Lookup(udpKey); e == nil || tag(e) != 17 {
-		t.Fatalf("udp lookup = %+v", e)
+	if r, _ := lookup(c, udpKey); r == 0 || tag(c, r) != 17 {
+		t.Fatalf("udp lookup = %v", r)
 	}
-	if e, _ := c.Lookup(tcpKey); e == nil || tag(e) != 6 {
-		t.Fatalf("tcp lookup = %+v", e)
+	if r, _ := lookup(c, tcpKey); r == 0 || tag(c, r) != 6 {
+		t.Fatalf("tcp lookup = %v", r)
 	}
 }
 
@@ -326,14 +357,14 @@ func TestInsertLookupProperty(t *testing.T) {
 		same := base
 		same.IP4Dst ^= 0xffff
 		same.TPSrc ^= 0x5555
-		if e, _ := c.Lookup(same.Pack()); e == nil {
+		if r, _ := lookup(c, same.Pack()); r == 0 {
 			return false
 		}
 		// Change a masked field: must miss.
 		diff := base
 		diff.TPDst ^= uint16(flip) | 1
-		e, _ := c.Lookup(diff.Pack())
-		return e == nil
+		r, _ := lookup(c, diff.Pack())
+		return r == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -346,7 +377,7 @@ func TestInsertLookupProperty(t *testing.T) {
 // throughout.
 func TestMaskIndexConsistency(t *testing.T) {
 	c := New(0)
-	var entries []*Entry
+	var entries []Ref
 	masks := make([]flow.Mask, 16)
 	for i := range masks {
 		masks[i] = flow.NewMaskBuilder().InPort().EthType().IP4Src(8 + i).Build()
@@ -369,11 +400,11 @@ func TestMaskIndexConsistency(t *testing.T) {
 	}
 	k := keyFor(hdr.MakeIP4(10, 0, 0, 1), 1000)
 	e := c.Insert(k, masks[0], act(2))
-	if got, _ := c.Lookup(k); got != e {
+	if got, _ := lookup(c, k); got != e {
 		t.Fatalf("lookup after reinsert = %v, want %v", got, e)
 	}
 	c.Flush()
-	if got := c.Insert(k, masks[0], act(3)); got == nil {
+	if got := c.Insert(k, masks[0], act(3)); got == 0 {
 		t.Fatal("insert after flush failed")
 	}
 	if c.Subtables() != 1 {

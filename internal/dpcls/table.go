@@ -2,13 +2,13 @@ package dpcls
 
 import "ovsxdp/internal/flow"
 
-// slot is one cell of a subtable: the entry and the 32-bit hash of its
-// masked key. The hash is a tag — a probe compares it before touching the
-// entry — and what growth and deletion re-place the entry by, so neither
-// rehashes a key. A nil entry marks a free slot.
+// slot is one cell of a subtable, 8 bytes: the slab index of a record and
+// the 32-bit hash of its masked key. The hash is a tag — a probe compares it
+// before touching the record — and what growth and deletion re-place the
+// record by, so neither rehashes a key. Index 0 marks a free slot.
 type slot struct {
 	hash uint32
-	e    *Entry
+	rec  uint32
 }
 
 // maskWord is one non-zero word of a subtable's mask.
@@ -26,23 +26,21 @@ type maskWord struct {
 // tombstone. Flow churn installs and evicts megaflows at the same steady
 // rate, and tombstones would lengthen every probe run until a rebuild.
 type subtable struct {
-	// mask is allocated on its own: every entry points at it, and a dead
-	// entry a cache still holds must not keep the slot array alive.
-	mask  *flow.Mask
+	mask  flow.Mask
 	words []maskWord
 	seed  uint64
 	slots []slot
 	n     int
 	hits  uint64
+	idx   uint32 // in Classifier.byIdx, what its records' sub holds
 }
 
 // minSlots is the size a subtable starts at.
 const minSlots = 8
 
 func newSubtable(mask *flow.Mask, basis uint32) *subtable {
-	m := *mask
 	st := &subtable{
-		mask:  &m,
+		mask:  *mask,
 		seed:  uint64(basis) + 0x9e3779b97f4a7c15,
 		slots: make([]slot, minSlots),
 	}
@@ -55,8 +53,8 @@ func newSubtable(mask *flow.Mask, basis uint32) *subtable {
 }
 
 // hash mixes the masked words of key (the xorshift-multiply mixer of
-// flow.Key.Hash, over fewer words). key may be a packet's full key or an
-// entry's already-masked one; both hash alike.
+// flow.Key.Hash, over fewer words). key may be a packet's full key or a
+// record's already-masked one; both hash alike.
 func (st *subtable) hash(key *flow.Key) uint32 {
 	h := st.seed
 	for _, w := range st.words {
@@ -69,7 +67,7 @@ func (st *subtable) hash(key *flow.Key) uint32 {
 	return uint32(h)
 }
 
-// matches reports whether e, an entry of this subtable, covers key.
+// matches reports whether e, a record of this subtable, covers key.
 func (st *subtable) matches(e *Entry, key *flow.Key) bool {
 	for _, w := range st.words {
 		if key[w.idx]&w.bits != e.MaskedKey[w.idx] {
@@ -79,33 +77,36 @@ func (st *subtable) matches(e *Entry, key *flow.Key) bool {
 	return true
 }
 
-// find returns the entry covering key, whose subtable hash is h, or nil.
-func (st *subtable) find(key *flow.Key, h uint32) *Entry {
+// find returns the slab index of the record covering key, whose subtable
+// hash is h, and the record, or 0 and nil.
+func (st *subtable) find(c *Classifier, key *flow.Key, h uint32) (uint32, *Entry) {
 	m := uint32(len(st.slots) - 1)
 	for i := h & m; ; i = (i + 1) & m {
 		s := &st.slots[i]
-		if s.e == nil {
-			return nil
+		if s.rec == 0 {
+			return 0, nil
 		}
-		if s.hash == h && st.matches(s.e, key) {
-			return s.e
+		if s.hash == h {
+			if e := c.rec(s.rec); st.matches(e, key) {
+				return s.rec, e
+			}
 		}
 	}
 }
 
-// insert places e, which find did not locate, growing the table first when
-// the new entry would take it past 3/4 full.
-func (st *subtable) insert(h uint32, e *Entry) {
+// insert places record rec, which find did not locate, growing the table
+// first when the new entry would take it past 3/4 full.
+func (st *subtable) insert(h, rec uint32) {
 	if (st.n+1)*4 > len(st.slots)*3 {
 		old := st.slots
 		st.slots = make([]slot, 2*len(old))
 		for _, s := range old {
-			if s.e != nil {
+			if s.rec != 0 {
 				st.place(s)
 			}
 		}
 	}
-	st.place(slot{hash: h, e: e})
+	st.place(slot{hash: h, rec: rec})
 	st.n++
 }
 
@@ -113,26 +114,23 @@ func (st *subtable) insert(h uint32, e *Entry) {
 func (st *subtable) place(s slot) {
 	m := uint32(len(st.slots) - 1)
 	i := s.hash & m
-	for st.slots[i].e != nil {
+	for st.slots[i].rec != 0 {
 		i = (i + 1) & m
 	}
 	st.slots[i] = s
 }
 
-// remove deletes e by pointer identity and reports whether it was present.
-func (st *subtable) remove(e *Entry) bool {
-	h := st.hash(&e.MaskedKey)
+// remove deletes record rec, installed here under hash h.
+func (st *subtable) remove(h, rec uint32) {
 	m := uint32(len(st.slots) - 1)
 	i := h & m
-	for ; st.slots[i].e != e; i = (i + 1) & m {
-		if st.slots[i].e == nil {
-			return false
-		}
+	for st.slots[i].rec != rec {
+		i = (i + 1) & m
 	}
 	// Backward shift: walk the run after the hole and pull back every entry
 	// whose home slot does not lie (cyclically) after the hole, so each
 	// stays reachable from its home without crossing a free slot.
-	for j := (i + 1) & m; st.slots[j].e != nil; j = (j + 1) & m {
+	for j := (i + 1) & m; st.slots[j].rec != 0; j = (j + 1) & m {
 		if home := st.slots[j].hash & m; (j-home)&m >= (j-i)&m {
 			st.slots[i] = st.slots[j]
 			i = j
@@ -140,5 +138,4 @@ func (st *subtable) remove(e *Entry) bool {
 	}
 	st.slots[i] = slot{}
 	st.n--
-	return true
 }

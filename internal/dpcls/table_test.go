@@ -2,6 +2,8 @@ package dpcls
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/metrics"
 	"sort"
 	"testing"
 
@@ -12,23 +14,30 @@ import (
 // refClassifier is the trivially correct reference the flat table is checked
 // against: the classifier as it was before, one Go map per mask keyed by the
 // masked copy of the key, with the same probe order, hit bookkeeping and
-// resort cadence. It stores the entries the real classifier hands out, so
-// the two can be compared by pointer identity.
+// resort cadence. It stores the refs the real classifier hands out and what
+// each was installed as, so the two can be compared ref for ref.
 type refSubtable struct {
 	mask    flow.Mask
-	entries map[flow.Key]*Entry
+	entries map[flow.Key]Ref
 	hits    uint64
+}
+
+type refEntry struct {
+	mask      flow.Mask
+	maskedKey flow.Key
+	tag       int
 }
 
 type refClassifier struct {
 	subtables       []*refSubtable
 	resort          int
 	lookups, probes uint64
-	entryHits       map[*Entry]uint64
+	entryHits       map[Ref]uint64
+	live            map[Ref]refEntry
 }
 
 func newRefClassifier() *refClassifier {
-	return &refClassifier{resort: resortInterval, entryHits: map[*Entry]uint64{}}
+	return &refClassifier{resort: resortInterval, entryHits: map[Ref]uint64{}, live: map[Ref]refEntry{}}
 }
 
 func (r *refClassifier) subtable(mask flow.Mask) (int, *refSubtable) {
@@ -40,7 +49,7 @@ func (r *refClassifier) subtable(mask flow.Mask) (int, *refSubtable) {
 	return -1, nil
 }
 
-func (r *refClassifier) lookup(key flow.Key) (found *Entry, probes int) {
+func (r *refClassifier) lookup(key flow.Key) (found Ref, probes int) {
 	r.lookups++
 	for _, st := range r.subtables {
 		probes++
@@ -62,28 +71,31 @@ func (r *refClassifier) lookup(key flow.Key) (found *Entry, probes int) {
 	return found, probes
 }
 
-func (r *refClassifier) find(key flow.Key, mask flow.Mask) *Entry {
+func (r *refClassifier) find(key flow.Key, mask flow.Mask) Ref {
 	if _, st := r.subtable(mask); st != nil {
 		return st.entries[key.Apply(mask)]
 	}
-	return nil
+	return 0
 }
 
-func (r *refClassifier) add(e *Entry) {
-	_, st := r.subtable(e.Mask())
+func (r *refClassifier) add(e Ref, re refEntry) {
+	_, st := r.subtable(re.mask)
 	if st == nil {
-		st = &refSubtable{mask: e.Mask(), entries: map[flow.Key]*Entry{}}
+		st = &refSubtable{mask: re.mask, entries: map[flow.Key]Ref{}}
 		r.subtables = append(r.subtables, st)
 	}
-	st.entries[e.MaskedKey] = e
+	st.entries[re.maskedKey] = e
+	r.live[e] = re
 }
 
-func (r *refClassifier) remove(e *Entry) bool {
-	i, st := r.subtable(e.Mask())
-	if st == nil || st.entries[e.MaskedKey] != e {
+func (r *refClassifier) remove(e Ref) bool {
+	re, ok := r.live[e]
+	if !ok {
 		return false
 	}
-	delete(st.entries, e.MaskedKey)
+	i, st := r.subtable(re.mask)
+	delete(st.entries, re.maskedKey)
+	delete(r.live, e)
 	if len(st.entries) == 0 {
 		r.subtables = append(r.subtables[:i], r.subtables[i+1:]...)
 	}
@@ -117,9 +129,9 @@ func opKey(a byte) flow.Key {
 }
 
 // checkSubtable verifies the open-addressing invariants: stored hashes are
-// the entries' own, every entry is reachable from its home slot without
+// the records' own, every record is reachable from its home slot without
 // crossing a free one, the count is right and the load is at most 3/4.
-func checkSubtable(t testing.TB, st *subtable) {
+func checkSubtable(t testing.TB, c *Classifier, st *subtable) {
 	t.Helper()
 	if n := len(st.slots); n < minSlots || n&(n-1) != 0 {
 		t.Fatalf("slot count %d is not a power of two >= %d", n, minSlots)
@@ -127,27 +139,31 @@ func checkSubtable(t testing.TB, st *subtable) {
 	m := uint32(len(st.slots) - 1)
 	occupied := 0
 	for i, s := range st.slots {
-		if s.e == nil {
+		if s.rec == 0 {
 			continue
 		}
 		occupied++
-		if s.e.Mask() != *st.mask || s.hash != st.hash(&s.e.MaskedKey) {
-			t.Fatalf("slot %d: entry %v stored under the wrong mask or hash", i, s.e)
+		e := c.rec(s.rec)
+		if c.byIdx[e.sub] != st || s.hash != st.hash(&e.MaskedKey) {
+			t.Fatalf("slot %d: record %d stored under the wrong mask or hash", i, s.rec)
 		}
 		for j := s.hash & m; j != uint32(i); j = (j + 1) & m {
-			if st.slots[j].e == nil {
-				t.Fatalf("slot %d: free slot %d between home %d and entry", i, j, s.hash&m)
+			if st.slots[j].rec == 0 {
+				t.Fatalf("slot %d: free slot %d between home %d and record", i, j, s.hash&m)
 			}
 		}
 	}
 	if occupied != st.n || st.n == 0 || st.n*4 > len(st.slots)*3 {
-		t.Fatalf("subtable holds %d entries, counts %d, in %d slots", occupied, st.n, len(st.slots))
+		t.Fatalf("subtable holds %d records, counts %d, in %d slots", occupied, st.n, len(st.slots))
 	}
 }
 
 // checkAgainst requires the classifier and the reference to agree on
-// everything observable, and the tables to be well formed.
-func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier) {
+// everything observable, the tables to be well formed, every ref ever handed
+// out to resolve exactly while the reference holds it live, and the action
+// table to hold exactly the live megaflows' lists (each insert brings its
+// own).
+func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier, handles []Ref) {
 	t.Helper()
 	if c.Len() != ref.len() || c.Subtables() != len(ref.subtables) || len(c.byMask) != len(ref.subtables) {
 		t.Fatalf("len=%d subtables=%d index=%d, reference len=%d subtables=%d",
@@ -157,19 +173,33 @@ func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier) {
 		t.Fatalf("lookups=%d probes=%d, reference %d/%d", c.Lookups, c.SubtableProbes, ref.lookups, ref.probes)
 	}
 	for i, st := range c.subtables {
-		if *st.mask != ref.subtables[i].mask || c.byMask[*st.mask] != st {
+		if st.mask != ref.subtables[i].mask || c.byMask[st.mask] != st || c.byIdx[st.idx] != st {
 			t.Fatalf("subtable %d out of order or missing from the mask index", i)
 		}
-		checkSubtable(t, st)
+		checkSubtable(t, c, st)
 	}
-	entries := c.Entries()
-	if len(entries) != ref.len() {
-		t.Fatalf("dump has %d entries, reference %d", len(entries), ref.len())
+	refs := c.Refs(nil)
+	if len(refs) != ref.len() {
+		t.Fatalf("dump has %d entries, reference %d", len(refs), ref.len())
 	}
-	for _, e := range entries {
-		if e.Dead() || ref.find(e.MaskedKey, e.Mask()) != e {
-			t.Fatalf("dumped entry %v is dead or not the reference's", e)
+	for _, r := range refs {
+		if _, ok := ref.live[r]; !ok {
+			t.Fatalf("dumped ref %#x is not live in the reference", r)
 		}
+	}
+	for _, h := range handles {
+		re, live := ref.live[h]
+		e := c.Get(h)
+		switch {
+		case live != (e != nil):
+			t.Fatalf("ref %#x resolves to %v, reference live=%v", h, e, live)
+		case live && (c.Mask(e) != re.mask || e.MaskedKey != re.maskedKey || tag(c, h) != re.tag):
+			t.Fatalf("ref %#x resolves to %s, reference %+v", h, c.String(e), re)
+		}
+	}
+	if len(c.acts.index) != ref.len() || len(c.acts.lists)-1 != len(c.acts.index)+len(c.acts.free) {
+		t.Fatalf("action table holds %d lists (%d slots, %d free) for %d megaflows",
+			len(c.acts.index), len(c.acts.lists), len(c.acts.free), ref.len())
 	}
 }
 
@@ -178,57 +208,45 @@ func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier) {
 // largest slot array seen, so callers can tell growth happened.
 func runOps(t testing.TB, ops []byte) (maxSlots int) {
 	c, ref := New(0x79b9+7), newRefClassifier()
-	var handles []*Entry // every entry ever handed out, live or stale
+	var handles []Ref // every ref ever handed out, live or stale
 	for step := 0; step+2 < len(ops); step += 3 {
 		op, a, b := ops[step]%8, ops[step+1], ops[step+2]
 		switch {
 		case op <= 2: // insert, or replace in place
 			key, mask := opKey(a), opMasks[int(b)%len(opMasks)]
 			prev := ref.find(key, mask)
-			e := c.Insert(key, mask, act(step))
+			r := c.Insert(key, mask, act(step))
 			switch {
-			case prev != nil && e != prev:
-				t.Fatalf("step %d: replacement allocated a new entry", step)
-			case prev == nil:
-				if e.Dead() || e.Mask() != mask || e.MaskedKey != key.Apply(mask) {
-					t.Fatalf("step %d: bad fresh entry %v", step, e)
+			case prev != 0 && r != prev:
+				t.Fatalf("step %d: replacement handed out a new ref", step)
+			case prev == 0:
+				if c.Get(r) == nil {
+					t.Fatalf("step %d: fresh ref %#x does not resolve", step, r)
 				}
-				ref.add(e)
-				handles = append(handles, e)
+				handles = append(handles, r)
 			}
-			if tag(e) != step {
-				t.Fatalf("step %d: actions = %v", step, e.Actions)
-			}
-		case op <= 4 && len(handles) > 0: // remove a live entry or a stale pointer
-			e := handles[(int(a)<<8|int(b))%len(handles)]
-			want := ref.remove(e)
-			if got := c.Remove(e); got != want {
+			ref.add(r, refEntry{mask, key.Apply(mask), step})
+		case op <= 4 && len(handles) > 0: // remove a live ref or a stale one
+			r := handles[(int(a)<<8|int(b))%len(handles)]
+			want := ref.remove(r)
+			if got := c.Remove(r); got != want {
 				t.Fatalf("step %d: Remove = %v, reference %v", step, got, want)
 			}
-			if !e.Dead() && ref.find(e.MaskedKey, e.Mask()) != e {
-				t.Fatalf("step %d: uninstalled entry not marked dead", step)
-			}
 		case op == 5 && a < 8: // flush, rarely
-			live := c.Entries()
 			c.Flush()
 			ref = newRefClassifier()
-			for _, e := range live {
-				if !e.Dead() {
-					t.Fatalf("step %d: flushed entry not marked dead", step)
-				}
-			}
 		default: // lookup
 			key := opKey(a ^ b)
-			wantE, wantProbes := ref.lookup(key)
-			gotE, gotProbes := c.Lookup(key)
-			if gotE != wantE || gotProbes != wantProbes {
-				t.Fatalf("step %d: Lookup = (%v, %d), reference (%v, %d)", step, gotE, gotProbes, wantE, wantProbes)
+			wantR, wantProbes := ref.lookup(key)
+			gotR, gotProbes := c.LookupKey(&key)
+			if gotR != wantR || gotProbes != wantProbes {
+				t.Fatalf("step %d: LookupKey = (%#x, %d), reference (%#x, %d)", step, gotR, gotProbes, wantR, wantProbes)
 			}
-			if gotE != nil && gotE.Hits != ref.entryHits[gotE] {
-				t.Fatalf("step %d: entry hits = %d, reference %d", step, gotE.Hits, ref.entryHits[gotE])
+			if gotR != 0 && c.Get(gotR).Hits != ref.entryHits[gotR] {
+				t.Fatalf("step %d: entry hits = %d, reference %d", step, c.Get(gotR).Hits, ref.entryHits[gotR])
 			}
 		}
-		checkAgainst(t, c, ref)
+		checkAgainst(t, c, ref, handles)
 		for _, st := range c.subtables {
 			maxSlots = max(maxSlots, len(st.slots))
 		}
@@ -243,7 +261,8 @@ func randomOps(seed int64, n int) []byte {
 }
 
 // TestClassifierMatchesReference is the differential test: seeded random op
-// streams, identical behaviour to the map-based reference at every step.
+// streams, identical behaviour to the map-based reference at every step, and
+// no stale ref ever resolving although removed records are recycled.
 func TestClassifierMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		if got := runOps(t, randomOps(seed, 6000)); got <= minSlots {
@@ -257,7 +276,8 @@ func FuzzClassifierOps(f *testing.F) {
 	f.Add(randomOps(2, 512))
 	// Insert under all four masks, remove everything in insertion order.
 	f.Add([]byte{0, 1, 0, 0, 1, 1, 0, 1, 2, 0, 1, 3, 3, 0, 0, 3, 0, 1, 3, 0, 2, 3, 0, 3, 7, 1, 0})
-	// Install, remove, re-install the same masked key, remove the stale pointer.
+	// Install, remove, re-install the same masked key (into the same record),
+	// remove the stale ref.
 	f.Add([]byte{0, 9, 3, 3, 0, 0, 0, 9, 3, 3, 0, 0, 6, 9, 0, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) { runOps(t, ops) })
 }
@@ -302,21 +322,21 @@ func TestBackwardShiftAcrossWrap(t *testing.T) {
 	for victim := range homes {
 		c := New(0)
 		keys := wrapKeys(t, newSubtable(&mask, 0), homes)
-		entries := make([]*Entry, len(keys))
+		entries := make([]Ref, len(keys))
 		for i, k := range keys {
 			entries[i] = c.Insert(k, mask, act(i))
 		}
 		st := c.byMask[mask]
-		if len(st.slots) != minSlots || st.slots[2].e != entries[4] {
+		if len(st.slots) != minSlots || st.slots[2].rec != uint32(entries[4]) {
 			t.Fatalf("setup: run does not wrap as intended")
 		}
 		if !c.Remove(entries[victim]) {
 			t.Fatalf("victim %d: remove failed", victim)
 		}
-		checkSubtable(t, st)
+		checkSubtable(t, c, st)
 		for i, k := range keys {
-			got, _ := c.Lookup(k)
-			if i == victim && got != nil {
+			got, _ := lookup(c, k)
+			if i == victim && got != 0 {
 				t.Fatalf("victim %d still found", victim)
 			}
 			if i != victim && got != entries[i] {
@@ -327,8 +347,8 @@ func TestBackwardShiftAcrossWrap(t *testing.T) {
 }
 
 // TestRemoveStalePointerAfterReinstall: removing an entry twice fails the
-// second time even when its masked key has been installed again since, and
-// the new entry stays in place.
+// second time even when its masked key has been installed again since, into
+// the very record it had, and the new entry stays in place.
 func TestRemoveStalePointerAfterReinstall(t *testing.T) {
 	c := New(0)
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
@@ -336,14 +356,14 @@ func TestRemoveStalePointerAfterReinstall(t *testing.T) {
 	old := c.Insert(k, mask, act(1))
 	c.Remove(old)
 	fresh := c.Insert(k, mask, act(2))
-	if fresh == old || fresh.Dead() {
-		t.Fatal("re-install must allocate a live entry, never resurrect the dead one")
+	if fresh == old || uint32(fresh) != uint32(old) || !c.Live(fresh) {
+		t.Fatal("re-install must recycle the record under a new generation, never resurrect the old ref")
 	}
 	if c.Remove(old) {
-		t.Fatal("stale pointer removed the re-installed entry")
+		t.Fatal("stale ref removed the re-installed entry")
 	}
-	if got, _ := c.Lookup(k); got != fresh || fresh.Dead() || c.Len() != 1 {
-		t.Fatalf("re-installed entry disturbed: got %v", got)
+	if got, _ := lookup(c, k); got != fresh || !c.Live(fresh) || c.Len() != 1 || tag(c, fresh) != 2 {
+		t.Fatalf("re-installed entry disturbed: got %#x", got)
 	}
 }
 
@@ -362,8 +382,8 @@ func TestBasisSeedsPlacement(t *testing.T) {
 		at := map[flow.Key]int{}
 		for _, st := range c.subtables {
 			for i, s := range st.slots {
-				if s.e != nil {
-					at[s.e.MaskedKey] = i
+				if s.rec != 0 {
+					at[c.rec(s.rec).MaskedKey] = i
 				}
 			}
 		}
@@ -380,10 +400,10 @@ func TestBasisSeedsPlacement(t *testing.T) {
 		t.Fatalf("%d of %d megaflows placed differently under another basis", moved, len(pa))
 	}
 	for _, k := range append(keys, keyFor(hdr.MakeIP4(9, 9, 9, 9), 9)) {
-		ea, na := a.Lookup(k)
-		eb, nb := b.Lookup(k)
-		if na != nb || (ea == nil) != (eb == nil) || (ea != nil && (tag(ea) != tag(eb) || ea.MaskedKey != eb.MaskedKey)) {
-			t.Fatalf("lookups differ across bases: (%v, %d) vs (%v, %d)", ea, na, eb, nb)
+		ea, na := lookup(a, k)
+		eb, nb := lookup(b, k)
+		if na != nb || (ea == 0) != (eb == 0) || (ea != 0 && (tag(a, ea) != tag(b, eb) || a.Get(ea).MaskedKey != b.Get(eb).MaskedKey)) {
+			t.Fatalf("lookups differ across bases: (%#x, %d) vs (%#x, %d)", ea, na, eb, nb)
 		}
 	}
 }
@@ -401,10 +421,10 @@ func TestDpclsLookupZeroAlloc(t *testing.T) {
 	miss := keyFor(hdr.MakeIP4(9, 9, 9, 9), 9)
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 2*resortInterval+7; i++ {
-			if e, _ := c.LookupKey(&keys[i%len(keys)]); e == nil {
+			if r, _ := c.LookupKey(&keys[i%len(keys)]); r == 0 {
 				t.Fatal("hit path missed")
 			}
-			if e, _ := c.LookupKey(&miss); e != nil {
+			if r, _ := c.LookupKey(&miss); r != 0 {
 				t.Fatal("miss path hit")
 			}
 		}
@@ -412,4 +432,29 @@ func TestDpclsLookupZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("%v allocations over %d lookups, want 0", allocs, 2*(2*resortInterval+7))
 	}
+}
+
+// TestMegaflowTableIsNoscan: 100k megaflows add almost nothing the collector
+// must scan. Records, slots and the action table's indices hold no pointer;
+// what is left is one slice header per chunk of records and the subtables.
+func TestMegaflowTableIsNoscan(t *testing.T) {
+	const n = 100_000
+	sample := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	scannable := func() uint64 {
+		runtime.GC()
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	before := scannable()
+	c, _, _ := churnShape(n)
+	after := scannable()
+	if c.Len() != n {
+		t.Fatalf("len = %d, want %d", c.Len(), n)
+	}
+	grew := int64(after) - int64(before)
+	t.Logf("%d megaflows add %d scannable heap bytes", n, grew)
+	if grew >= 64<<10 {
+		t.Fatalf("%d megaflows add %d scannable heap bytes, want < 64 KB", n, grew)
+	}
+	runtime.KeepAlive(c)
 }

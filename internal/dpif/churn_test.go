@@ -77,7 +77,7 @@ func TestFlowDelPreservesUnrelatedEMCEntries(t *testing.T) {
 	kB := flow.Extract(pktB())
 	deleted := false
 	for _, f := range flows {
-		if f.Entry.MaskedKey == kB.Apply(f.Entry.Mask()) {
+		if e := f.Entry(); e.MaskedKey == kB.Apply(f.Table.Mask(e)) {
 			if !d.FlowDel(f) {
 				t.Fatal("FlowDel(B) failed")
 			}
@@ -139,8 +139,8 @@ func TestFlowPutReplacementUpdatesCachedActions(t *testing.T) {
 	if len(flows) != 1 {
 		t.Fatalf("flows = %d, want 1", len(flows))
 	}
-	e := flows[0].Entry
-	d.FlowPut(e.MaskedKey, e.Mask(),
+	e := flows[0].Entry()
+	d.FlowPut(e.MaskedKey, flows[0].Table.Mask(e),
 		[]ofproto.DPAction{{Type: ofproto.DPOutput, Port: 3}})
 
 	emcBefore := nd.dp.EMCHits

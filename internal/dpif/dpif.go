@@ -53,15 +53,12 @@ func (p TxPort) Name() string { return p.PortName }
 // be registered directly; wrappers can count or veto upcalls.
 type UpcallFunc func(key flow.Key) (ofproto.Megaflow, error)
 
-// Flow is one installed datapath megaflow as returned by FlowDump. Entry is
-// the live classifier entry (its hit counter updates in place); the owner
-// token identifies the classifier shard holding it, so FlowDel can target
-// the right shard (per-PMD classifiers for netdev, the single kernel table
-// for netlink).
-type Flow struct {
-	Entry *dpcls.Entry
-	owner any
-}
+// Flow is one installed datapath megaflow as FlowDump returns it: the
+// classifier shard holding it (a per-PMD classifier for netdev, the single
+// kernel table for netlink), so FlowDel can target the right shard, and its
+// ref there. Entry() reads the live megaflow, whose hit counter updates in
+// place, and is nil once the flow is removed, however that happened.
+type Flow = dpcls.Handle
 
 // Stats is the unified datapath statistics block, the numbers `ovs-dpctl
 // show` prints: cache hits, misses that upcalled to the slow path, packets

@@ -74,23 +74,24 @@ func (d *Netdev) FlowPut(key flow.Key, mask flow.Mask, actions []ofproto.DPActio
 	}
 }
 
-// FlowDel implements Dpif: the owning PMD drops the entry and invalidates
-// that one megaflow in everything cached above it (core.PMD.RemoveFlow);
-// the full-EMC flush is reserved for FlowFlush.
+// FlowDel implements Dpif: the PMD owning the flow's classifier drops it
+// and invalidates that one megaflow in everything cached above it
+// (core.PMD.RemoveFlow); the full-EMC flush is reserved for FlowFlush.
 func (d *Netdev) FlowDel(f Flow) bool {
-	m, ok := f.owner.(*core.PMD)
-	if !ok {
-		return false
+	for _, m := range d.dp.PMDs() {
+		if m.Classifier() == f.Table {
+			return m.RemoveFlow(f.Ref)
+		}
 	}
-	return m.RemoveFlow(f.Entry)
+	return false
 }
 
 // FlowDump implements Dpif.
 func (d *Netdev) FlowDump() []Flow {
 	var out []Flow
 	for _, m := range d.dp.PMDs() {
-		for _, e := range m.Classifier().Entries() {
-			out = append(out, Flow{Entry: e, owner: m})
+		for _, r := range m.Classifier().Refs(nil) {
+			out = append(out, Flow{Table: m.Classifier(), Ref: r})
 		}
 	}
 	return out
@@ -100,15 +101,15 @@ func (d *Netdev) FlowDump() []Flow {
 func (d *Netdev) FlowFlush() { d.dp.FlushFlows() }
 
 // SetFlowHook implements Dpif, adapting the datapath's per-PMD install
-// notification to the provider-independent Flow shape (the PMD becomes the
-// owner token, exactly as FlowDump reports it).
+// notification to the provider-independent Flow shape, exactly as FlowDump
+// reports it.
 func (d *Netdev) SetFlowHook(fn func(Flow)) {
 	if fn == nil {
 		d.dp.SetFlowHook(nil)
 		return
 	}
-	d.dp.SetFlowHook(func(m *core.PMD, e *dpcls.Entry) {
-		fn(Flow{Entry: e, owner: m})
+	d.dp.SetFlowHook(func(m *core.PMD, r dpcls.Ref) {
+		fn(Flow{Table: m.Classifier(), Ref: r})
 	})
 }
 

@@ -102,13 +102,13 @@ func (d *Netlink) FlowPut(key flow.Key, mask flow.Mask, actions []ofproto.DPActi
 }
 
 // FlowDel implements Dpif.
-func (d *Netlink) FlowDel(f Flow) bool { return d.kdp.RemoveFlow(f.Entry) }
+func (d *Netlink) FlowDel(f Flow) bool { return f.Table == d.kdp.Flows() && f.Table.Remove(f.Ref) }
 
 // FlowDump implements Dpif.
 func (d *Netlink) FlowDump() []Flow {
 	var out []Flow
-	for _, e := range d.kdp.Flows() {
-		out = append(out, Flow{Entry: e, owner: d})
+	for _, r := range d.kdp.Flows().Refs(nil) {
+		out = append(out, Flow{Table: d.kdp.Flows(), Ref: r})
 	}
 	return out
 }
@@ -116,16 +116,16 @@ func (d *Netlink) FlowDump() []Flow {
 // FlowFlush implements Dpif.
 func (d *Netlink) FlowFlush() { d.kdp.FlushFlows() }
 
-// SetFlowHook implements Dpif: the kernel table's install notification,
-// with this provider as the owner token (the single classifier shard).
+// SetFlowHook implements Dpif: the kernel table's install notification
+// (the single classifier shard), fired for upcall installs, InstallFlow and
+// negative flows, not for in-place replacements.
 func (d *Netlink) SetFlowHook(fn func(Flow)) {
+	t := d.kdp.Flows()
 	if fn == nil {
-		d.kdp.SetFlowHook(nil)
+		t.OnInsert = nil
 		return
 	}
-	d.kdp.SetFlowHook(func(e *dpcls.Entry) {
-		fn(Flow{Entry: e, owner: d})
-	})
+	t.OnInsert = func(r dpcls.Ref) { fn(Flow{Table: t, Ref: r}) }
 }
 
 // Execute implements Dpif: the packet runs in softirq context on a

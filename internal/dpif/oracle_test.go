@@ -474,15 +474,16 @@ func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 			if len(flows) == 0 {
 				break
 			}
-			e := flows[arg%len(flows)].Entry
+			h := flows[arg%len(flows)]
+			e := h.Entry()
 			var f *refFlow
 			for _, g := range ref.flows {
-				if g.key == e.MaskedKey && g.mask == e.Mask() {
+				if g.key == e.MaskedKey && g.mask == h.Table.Mask(e) {
 					f = g
 				}
 			}
 			if f == nil {
-				t.Fatalf("%v: op %d %s: the reference has no flow %v", c, i/2, what, e)
+				t.Fatalf("%v: op %d %s: the reference has no flow %s", c, i/2, what, h.Table.String(e))
 			}
 			if !d.FlowDel(flows[arg%len(flows)]) || !ref.remove(f) {
 				t.Fatalf("%v: op %d %s: not removed", c, i/2, what)

@@ -55,7 +55,7 @@ type WheelRevalidator struct {
 	Evicted uint64
 }
 
-// flowRec is one tracked flow's deadline state, queued by value.
+// flowRec is one tracked flow's deadline state, queued by value: 24 bytes.
 type flowRec struct {
 	f        Flow
 	lastHits uint64
@@ -98,7 +98,7 @@ func (r *WheelRevalidator) Stop() {
 // count and arm its idle deadline.
 func (r *WheelRevalidator) register(f Flow) {
 	r.Installs++
-	r.deadlines.Push(r.eng.Now()+r.idleTimeout, flowRec{f, f.Entry.Hits})
+	r.deadlines.Push(r.eng.Now()+r.idleTimeout, flowRec{f, f.Entry().Hits})
 }
 
 // onExpire is the deadline handler: drop dead flows from tracking, re-arm
@@ -107,8 +107,8 @@ func (r *WheelRevalidator) onExpire(rec flowRec) {
 	if !r.running {
 		return
 	}
-	e := rec.f.Entry
-	if e.Dead() {
+	e := rec.f.Entry()
+	if e == nil {
 		// Removed by other means (FlowFlush, negative-flow TTL, another
 		// revalidator): nothing to do but stop tracking it.
 		return

@@ -92,11 +92,12 @@ func TestWheelRevalidatorStop(t *testing.T) {
 }
 
 // TestMegaflowFootprint pins what a megaflow the revalidator tracks costs
-// the heap: its entry, its classifier slot and its queued idle deadline,
-// with the action list shared by every megaflow of its rule. 100k of them
-// stay under 300 bytes each (about 250); a copied action list per megaflow
-// and a wheel record plus a free-listed record per deadline put them at
-// about 420.
+// the heap: its 120-byte slab record, its 8-byte classifier slot and its
+// queued idle deadline (a 40-byte ring slot), with the action list shared by
+// every megaflow of its rule. 100k of them stay under 210 bytes each (about
+// 192); a 144-byte object per entry with 16-byte slots and 48-byte ring
+// slots put them at about 248, and a copied action list per megaflow and a
+// wheel record plus a free-listed record per deadline at about 420.
 func TestMegaflowFootprint(t *testing.T) {
 	const flows = 100_000
 	pl := ofproto.NewPipeline()
@@ -137,8 +138,8 @@ func TestMegaflowFootprint(t *testing.T) {
 	}
 	per := float64(after-before) / flows
 	t.Logf("%.0f heap bytes per tracked megaflow", per)
-	if per >= 300 {
-		t.Fatalf("a tracked megaflow costs %.0f heap bytes, want under 300", per)
+	if per >= 210 {
+		t.Fatalf("a tracked megaflow costs %.0f heap bytes, want under 210", per)
 	}
 	runtime.KeepAlive(d)
 }

@@ -48,7 +48,7 @@ type emcCounters struct {
 	Len                                           int
 }
 
-func countersOf(c *Cache[*hval]) emcCounters {
+func countersOf[V any](c *Cache[V]) emcCounters {
 	return emcCounters{c.Hits, c.Misses, c.Inserts, c.Evictions, c.StalePurged, c.Len()}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ovsxdp/internal/costmodel"
+	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
 )
 
@@ -156,21 +157,29 @@ func (c *refCache[V]) Flush() {
 func (c *refCache[V]) Len() int { return c.count }
 
 // emcPair drives a Cache and the reference through one operation stream and
-// fails on the first observable difference.
+// fails on the first observable difference. The values are what the
+// datapath caches: refs to megaflows of a classifier, one exact-match
+// megaflow per key, which the stream removes (so their records are
+// recycled for other keys' megaflows). The cache's alive check is the
+// classifier's generation compare; the reference's is the set of refs the
+// stream has not removed, so a stale ref the compare let through would show
+// as a difference.
 type emcPair struct {
 	t    testing.TB
-	got  *Cache[*hval]
-	ref  *refCache[*hval]
-	vals []*hval // current value per key index; nil until first insert
+	got  *Cache[dpcls.Ref]
+	ref  *refCache[dpcls.Ref]
+	cls  *dpcls.Classifier
+	live map[dpcls.Ref]bool
+	vals []dpcls.Ref // current megaflow per key index; zero until first insert
 	step int
 }
 
 func newEMCPair(t testing.TB, entries int, basis uint32, keys int, aliveCheck bool) *emcPair {
-	p := &emcPair{t: t, got: New[*hval](entries, basis), ref: newRef[*hval](entries, basis), vals: make([]*hval, keys)}
+	p := &emcPair{t: t, got: New[dpcls.Ref](entries, basis), ref: newRef[dpcls.Ref](entries, basis),
+		cls: dpcls.New(basis), live: map[dpcls.Ref]bool{}, vals: make([]dpcls.Ref, keys)}
 	if aliveCheck {
-		alive := func(v *hval) bool { return !v.dead }
-		p.got.SetAliveCheck(alive)
-		p.ref.SetAliveCheck(alive)
+		p.got.SetAliveCheck(p.cls.Live)
+		p.ref.SetAliveCheck(func(r dpcls.Ref) bool { return p.live[r] })
 	}
 	return p
 }
@@ -182,7 +191,7 @@ const (
 	opInsert
 	opInsertHashed
 	opInvalidate
-	opMarkDead
+	opRemove
 	opFlush
 	opCount
 )
@@ -192,7 +201,7 @@ func (p *emcPair) apply(op, n int) {
 	k := keyN(n)
 	switch op {
 	case opLookup, opLookupHashed:
-		var gv, rv *hval
+		var gv, rv dpcls.Ref
 		var gok, rok bool
 		if op == opLookup {
 			gv, gok = p.got.Lookup(k)
@@ -202,11 +211,12 @@ func (p *emcPair) apply(op, n int) {
 			rv, rok = p.ref.LookupHashed(&k, p.ref.Hash(&k))
 		}
 		if gv != rv || gok != rok {
-			p.t.Fatalf("step %d: lookup key %d = (%p, %v), reference (%p, %v)", p.step, n, gv, gok, rv, rok)
+			p.t.Fatalf("step %d: lookup key %d = (%#x, %v), reference (%#x, %v)", p.step, n, gv, gok, rv, rok)
 		}
 	case opInsert, opInsertHashed:
-		if p.vals[n] == nil {
-			p.vals[n] = &hval{}
+		if p.vals[n] == 0 {
+			p.vals[n] = p.cls.Insert(k, flow.MaskAll(), nil)
+			p.live[p.vals[n]] = true
 		}
 		if op == opInsert {
 			p.got.Insert(k, p.vals[n])
@@ -218,11 +228,13 @@ func (p *emcPair) apply(op, n int) {
 	case opInvalidate:
 		p.got.Invalidate(k)
 		p.ref.Invalidate(k)
-	case opMarkDead:
-		// The megaflow behind key n dies; a later insert caches its successor.
-		if p.vals[n] != nil {
-			p.vals[n].dead = true
-			p.vals[n] = nil
+	case opRemove:
+		// The megaflow behind key n is removed; a later insert caches its
+		// successor, in whichever record the classifier recycles.
+		if p.vals[n] != 0 {
+			p.cls.Remove(p.vals[n])
+			delete(p.live, p.vals[n])
+			p.vals[n] = 0
 		}
 	case opFlush:
 		p.got.Flush()
@@ -250,7 +262,7 @@ func (p *emcPair) checkSlots() {
 			}
 			live++
 			if gk := &p.got.keys[s][w]; *gk != r.key || g.value != r.value || g.tag != uint64(p.got.Hash(gk))|validBit {
-				p.t.Fatalf("step %d: set %d way %d holds %v -> %p tag %#x, reference %v -> %p", p.step, s, w, *gk, g.value, g.tag, r.key, r.value)
+				p.t.Fatalf("step %d: set %d way %d holds %v -> %#x tag %#x, reference %v -> %#x", p.step, s, w, *gk, g.value, g.tag, r.key, r.value)
 			}
 		}
 	}
@@ -268,7 +280,7 @@ func (p *emcPair) checkSlots() {
 func TestEMCMatchesReference(t *testing.T) {
 	const keys, steps = 50000, 200000
 	// Weights out of 64: the flush is rare so the cache is mostly full.
-	weights := [opCount]int{opLookup: 8, opLookupHashed: 20, opInsert: 6, opInsertHashed: 18, opInvalidate: 5, opMarkDead: 6, opFlush: 1}
+	weights := [opCount]int{opLookup: 8, opLookupHashed: 20, opInsert: 6, opInsertHashed: 18, opInvalidate: 5, opRemove: 6, opFlush: 1}
 	for _, tc := range []struct {
 		name       string
 		seed       int64
@@ -314,9 +326,9 @@ func TestEMCMatchesReference(t *testing.T) {
 // every set is contended) and its reference: three bytes per operation, the
 // opcode and a 16-bit key index.
 func FuzzEMCOps(f *testing.F) {
-	f.Add([]byte{opInsert, 0, 1, opLookup, 0, 1, opMarkDead, 0, 1, opLookupHashed, 0, 1})
+	f.Add([]byte{opInsert, 0, 1, opLookup, 0, 1, opRemove, 0, 1, opLookupHashed, 0, 1})
 	f.Add([]byte{opInsertHashed, 0, 1, opInsertHashed, 0, 9, opInsertHashed, 0, 17, opInvalidate, 0, 9, opFlush, 0, 0})
-	f.Add([]byte{opInsert, 1, 0, opMarkDead, 1, 0, opInsert, 2, 0, opInsert, 3, 0, opLookup, 1, 0})
+	f.Add([]byte{opInsert, 1, 0, opRemove, 1, 0, opInsert, 2, 0, opInsert, 3, 0, opLookup, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newEMCPair(t, 16, 1, 1<<16, len(data)%2 == 0)
 		for ; len(data) >= 3; data = data[3:] {

@@ -10,7 +10,6 @@ package fastpath
 import (
 	"ovsxdp/internal/conntrack"
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
@@ -41,11 +40,12 @@ type Provider interface {
 	// on; false means the provider consumed the frame (NIC hardware
 	// forwarded it).
 	Receive(t *Thread, cpu *sim.CPU, p *packet.Packet, depth int) bool
-	// Lookup resolves the extracted key, charging the probes and counting
-	// the hit; nil is a miss.
-	Lookup(t *Thread, cpu *sim.CPU, key *flow.Key, depth int) *dpcls.Entry
+	// Lookup resolves the extracted key to the actions of the megaflow
+	// covering it, charging the probes and counting the hit; false is a
+	// miss.
+	Lookup(t *Thread, cpu *sim.CPU, key *flow.Key, depth int) ([]ofproto.DPAction, bool)
 	// Install installs the megaflow an inline upcall translated for key.
-	Install(t *Thread, key *flow.Key, mf ofproto.Megaflow) *dpcls.Entry
+	Install(t *Thread, key *flow.Key, mf ofproto.Megaflow)
 	// Transmit sends p out port, charging the row's Output cost, or reports
 	// false, with nothing charged and p untouched, when there is no such
 	// port.
@@ -172,8 +172,8 @@ func (d *Datapath) Process(pv Provider, t *Thread, cpu *sim.CPU, p *packet.Packe
 	}
 	key := &t.key
 	flow.ExtractInto(p, key)
-	e := pv.Lookup(t, cpu, key, depth)
-	if e == nil {
+	actions, ok := pv.Lookup(t, cpu, key, depth)
+	if !ok {
 		// A frame that does not parse is split from the misses before any
 		// slow-path resource is spent (the kernel flow extractor returns
 		// EINVAL, not an upcall).
@@ -188,9 +188,10 @@ func (d *Datapath) Process(pv Provider, t *Thread, cpu *sim.CPU, p *packet.Packe
 		if !ok {
 			return
 		}
-		e = pv.Install(t, key, mf)
+		pv.Install(t, key, mf)
+		actions = mf.Actions
 	}
-	d.execute(pv, t, cpu, p, e.Actions, depth)
+	d.execute(pv, t, cpu, p, actions, depth)
 }
 
 // execute runs a compiled datapath action list.

@@ -80,7 +80,7 @@ func NewDatapath(eng *sim.Engine, flavor Flavor, pl *ofproto.Pipeline) *Datapath
 	d.Slow = upcall.NewQueue(eng, &d.Upcall, &d.Counters, d.Perf, upcall.Host{
 		Table:     d.flows,
 		Install:   d.InstallFlow,
-		Remove:    d.RemoveFlow,
+		Remove:    d.flows.Remove,
 		Translate: d.Translate,
 		Handler:   d.HandlerCPU,
 		Category:  sim.System,
@@ -95,23 +95,15 @@ func NewDatapath(eng *sim.Engine, flavor Flavor, pl *ofproto.Pipeline) *Datapath
 // FlowCount returns installed datapath flows.
 func (d *Datapath) FlowCount() int { return d.flows.Len() }
 
-// Flows snapshots the installed datapath flows (dpif flow dumps, the data
-// behind ovs-dpctl dump-flows on the kernel datapath).
-func (d *Datapath) Flows() []*dpcls.Entry { return d.flows.Entries() }
-
-// SetFlowHook registers (or, with nil, clears) the flow-installed
-// notification fired for every freshly installed flow (upcall installs,
-// InstallFlow, negative flows). In-place replacements do not re-fire it.
-func (d *Datapath) SetFlowHook(fn func(*dpcls.Entry)) { d.flows.OnInsert = fn }
-
-// RemoveFlow deletes one installed flow, reporting whether it was present
-// (revalidator eviction).
-func (d *Datapath) RemoveFlow(e *dpcls.Entry) bool { return d.flows.Remove(e) }
+// Flows returns the flow table: what dpif dumps (ovs-dpctl dump-flows on
+// the kernel datapath), deletes from and hangs its install notification on.
+// Install through InstallFlow, which applies the flavor's discipline.
+func (d *Datapath) Flows() *dpcls.Classifier { return d.flows }
 
 // InstallFlow installs a datapath flow directly (dpif FlowPut). The eBPF
 // flavor's verifier restrictions forbid megaflow wildcarding, so its masks
 // are narrowed to exact-match exactly as on the upcall path.
-func (d *Datapath) InstallFlow(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) *dpcls.Entry {
+func (d *Datapath) InstallFlow(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) dpcls.Ref {
 	if d.Flavor == FlavorEBPF {
 		mask = flow.MaskAll()
 	}
@@ -145,21 +137,22 @@ func (d *Datapath) Receive(t *fastpath.Thread, cpu *sim.CPU, _ *packet.Packet, _
 }
 
 // Lookup implements fastpath.Provider: one probe of the one flow table.
-func (d *Datapath) Lookup(t *fastpath.Thread, cpu *sim.CPU, key *flow.Key, _ int) *dpcls.Entry {
+func (d *Datapath) Lookup(t *fastpath.Thread, cpu *sim.CPU, key *flow.Key, _ int) ([]ofproto.DPAction, bool) {
 	d.Charge(t, cpu, perf.StageDpcls, costmodel.KernelOVSLookup)
-	e, _ := d.flows.LookupKey(key)
-	if e != nil {
-		d.Hits++
-		t.Perf.MegaflowHits++
-		t.Resolved(perf.ResultMegaflow)
+	r, _ := d.flows.LookupKey(key)
+	if r == 0 {
+		return nil, false
 	}
-	return e
+	d.Hits++
+	t.Perf.MegaflowHits++
+	t.Resolved(perf.ResultMegaflow)
+	return d.flows.Actions(d.flows.Get(r)), true
 }
 
 // Install implements fastpath.Provider through InstallFlow, so an upcall's
 // megaflow is narrowed on the eBPF flavor like a FlowPut.
-func (d *Datapath) Install(_ *fastpath.Thread, key *flow.Key, mf ofproto.Megaflow) *dpcls.Entry {
-	return d.InstallFlow(*key, mf.Mask, mf.Actions)
+func (d *Datapath) Install(_ *fastpath.Thread, key *flow.Key, mf ofproto.Megaflow) {
+	d.InstallFlow(*key, mf.Mask, mf.Actions)
 }
 
 // Transmit implements fastpath.Provider: the vport's transmit function, run

@@ -1,10 +1,6 @@
 package nicsim
 
-import (
-	"fmt"
-
-	"ovsxdp/internal/flow"
-)
+import "ovsxdp/internal/flow"
 
 // FlowTable is the NIC's hardware flow-offload table: the tc/ASAP²-style
 // rule memory that lets established flows bypass the host CPU entirely.
@@ -30,14 +26,14 @@ import (
 // Install allocate nothing in steady state, and iteration for readback and
 // eviction walks an order slice, never a Go map, so every decision is
 // deterministic for a given operation sequence.
-type FlowTable struct {
+type FlowTable[C comparable] struct {
 	capacity int // configured capacity
 	clamp    int // fault-injected effective capacity; 0 = unclamped
 
-	entries map[flow.Key]*HWFlow
+	entries map[flow.Key]*HWFlow[C]
 	// order holds the same entries in a deterministic sequence (swap-remove
 	// on delete); readback and victim scans iterate it instead of the map.
-	order []*HWFlow
+	order []*HWFlow[C]
 	// seq is the lookup clock for LRU tie-breaking.
 	seq uint64
 	// blocked short-circuits install attempts while the table is full of
@@ -55,10 +51,11 @@ type FlowTable struct {
 	Readbacks  uint64 // counter readback sweeps
 }
 
-// HWFlow is one installed hardware flow-table entry.
-type HWFlow struct {
+// HWFlow is one installed hardware flow-table entry; C is the type of the
+// cookie the datapath names its flow by.
+type HWFlow[C comparable] struct {
 	Key    flow.Key
-	Cookie any
+	Cookie C
 
 	// hits counts hardware matches since install; hitsRead marks the
 	// portion already surrendered by Readback.
@@ -76,25 +73,25 @@ type HWFlow struct {
 // score is the entry's liveness for eviction ranking: the last interval's
 // rate plus any hits accumulated since, so a just-installed entry that is
 // already passing traffic outranks a gone-quiet one.
-func (e *HWFlow) score() uint64 { return e.rate + e.hits - e.hitsRead }
+func (e *HWFlow[C]) score() uint64 { return e.rate + e.hits - e.hitsRead }
 
 // NewFlowTable builds an empty table with the given capacity.
-func NewFlowTable(capacity int) *FlowTable {
+func NewFlowTable[C comparable](capacity int) *FlowTable[C] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &FlowTable{
+	return &FlowTable[C]{
 		capacity: capacity,
-		entries:  make(map[flow.Key]*HWFlow, capacity),
+		entries:  make(map[flow.Key]*HWFlow[C], capacity),
 	}
 }
 
 // Capacity returns the configured capacity.
-func (t *FlowTable) Capacity() int { return t.capacity }
+func (t *FlowTable[C]) Capacity() int { return t.capacity }
 
 // EffectiveCapacity returns the capacity in force, accounting for an
 // active pressure clamp.
-func (t *FlowTable) EffectiveCapacity() int {
+func (t *FlowTable[C]) EffectiveCapacity() int {
 	if t.clamp > 0 && t.clamp < t.capacity {
 		return t.clamp
 	}
@@ -102,14 +99,15 @@ func (t *FlowTable) EffectiveCapacity() int {
 }
 
 // Len returns the number of installed entries.
-func (t *FlowTable) Len() int { return len(t.order) }
+func (t *FlowTable[C]) Len() int { return len(t.order) }
 
 // Lookup matches a packet's exact key against the rule memory, counting
 // the hit in hardware. The returned cookie is whatever Install stored.
-func (t *FlowTable) Lookup(key flow.Key) (any, bool) {
+func (t *FlowTable[C]) Lookup(key flow.Key) (C, bool) {
 	e, ok := t.entries[key]
 	if !ok {
-		return nil, false
+		var none C
+		return none, false
 	}
 	e.hits++
 	t.seq++
@@ -124,7 +122,7 @@ func (t *FlowTable) Lookup(key flow.Key) (any, bool) {
 // passing traffic, in which case the install is refused (admission
 // control). The evicted entry, if any, is returned so the caller can
 // unmark the displaced flow.
-func (t *FlowTable) Install(key flow.Key, cookie any) (evicted *HWFlow, ok bool) {
+func (t *FlowTable[C]) Install(key flow.Key, cookie C) (evicted *HWFlow[C], ok bool) {
 	if e, exists := t.entries[key]; exists {
 		e.Cookie = cookie
 		return nil, true
@@ -144,7 +142,7 @@ func (t *FlowTable) Install(key flow.Key, cookie any) (evicted *HWFlow, ok bool)
 		t.remove(v)
 		t.Evictions++
 	}
-	e := &HWFlow{Key: key, Cookie: cookie, slot: len(t.order)}
+	e := &HWFlow[C]{Key: key, Cookie: cookie, slot: len(t.order)}
 	t.entries[key] = e
 	t.order = append(t.order, e)
 	t.Installs++
@@ -153,7 +151,7 @@ func (t *FlowTable) Install(key flow.Key, cookie any) (evicted *HWFlow, ok bool)
 
 // Uninstall removes the rule for key (flow delete, flush, invalidation),
 // returning it. A rule that is not resident is a no-op.
-func (t *FlowTable) Uninstall(key flow.Key) (*HWFlow, bool) {
+func (t *FlowTable[C]) Uninstall(key flow.Key) (*HWFlow[C], bool) {
 	e, ok := t.entries[key]
 	if !ok {
 		return nil, false
@@ -166,7 +164,7 @@ func (t *FlowTable) Uninstall(key flow.Key) (*HWFlow, bool) {
 
 // Flush uninstalls every rule, invoking fn (when non-nil) with each
 // removed entry — the hardware side of a datapath flow flush.
-func (t *FlowTable) Flush(fn func(*HWFlow)) {
+func (t *FlowTable[C]) Flush(fn func(*HWFlow[C])) {
 	for _, e := range t.order {
 		delete(t.entries, e.Key)
 		t.Uninstalls++
@@ -180,7 +178,7 @@ func (t *FlowTable) Flush(fn func(*HWFlow)) {
 
 // SetCapacity reconfigures the table size, force-evicting lowest-scored
 // entries (reported through fn) when shrinking below occupancy.
-func (t *FlowTable) SetCapacity(n int, fn func(*HWFlow)) {
+func (t *FlowTable[C]) SetCapacity(n int, fn func(*HWFlow[C])) {
 	if n < 1 {
 		n = 1
 	}
@@ -193,7 +191,7 @@ func (t *FlowTable) SetCapacity(n int, fn func(*HWFlow)) {
 // hardware hits, fn receives the cookie and the delta since the previous
 // sweep, and the delta becomes the entry's eviction rate. Entries that saw
 // nothing have their rate decay to zero, making them evictable again.
-func (t *FlowTable) Readback(fn func(cookie any, delta uint64)) {
+func (t *FlowTable[C]) Readback(fn func(cookie C, delta uint64)) {
 	t.Readbacks++
 	t.blocked = false
 	for _, e := range t.order {
@@ -210,7 +208,7 @@ func (t *FlowTable) Readback(fn func(cookie any, delta uint64)) {
 // limit — the offload-table-pressure fault. Clamping below the current
 // occupancy force-evicts lowest-scored entries down to the limit,
 // reporting each displaced entry through fn.
-func (t *FlowTable) Clamp(n int, fn func(*HWFlow)) {
+func (t *FlowTable[C]) Clamp(n int, fn func(*HWFlow[C])) {
 	t.clamp = n
 	t.blocked = false
 	t.evictDown(fn)
@@ -218,7 +216,7 @@ func (t *FlowTable) Clamp(n int, fn func(*HWFlow)) {
 
 // evictDown force-evicts lowest-scored entries until occupancy fits the
 // effective capacity.
-func (t *FlowTable) evictDown(fn func(*HWFlow)) {
+func (t *FlowTable[C]) evictDown(fn func(*HWFlow[C])) {
 	for len(t.order) > t.EffectiveCapacity() {
 		v := t.victim()
 		if fn != nil {
@@ -232,8 +230,8 @@ func (t *FlowTable) evictDown(fn func(*HWFlow)) {
 // victim returns the entry eviction would displace: lowest score, ties
 // broken by least-recent hit. Deterministic: the scan walks order, whose
 // sequence depends only on the operation history.
-func (t *FlowTable) victim() *HWFlow {
-	var v *HWFlow
+func (t *FlowTable[C]) victim() *HWFlow[C] {
+	var v *HWFlow[C]
 	for _, e := range t.order {
 		if v == nil || e.score() < v.score() ||
 			(e.score() == v.score() && e.lastHit < v.lastHit) {
@@ -244,7 +242,7 @@ func (t *FlowTable) victim() *HWFlow {
 }
 
 // remove unlinks an entry: map delete plus swap-remove from order.
-func (t *FlowTable) remove(e *HWFlow) {
+func (t *FlowTable[C]) remove(e *HWFlow[C]) {
 	delete(t.entries, e.Key)
 	last := len(t.order) - 1
 	moved := t.order[last]
@@ -252,10 +250,4 @@ func (t *FlowTable) remove(e *HWFlow) {
 	moved.slot = e.slot
 	t.order[last] = nil
 	t.order = t.order[:last]
-}
-
-// String summarizes the table state (diagnostics).
-func (t *FlowTable) String() string {
-	return fmt.Sprintf("hw-flowtable{live=%d/%d installs=%d evictions=%d uninstalls=%d hits=%d readbacks=%d}",
-		t.Len(), t.EffectiveCapacity(), t.Installs, t.Evictions, t.Uninstalls, t.Hits, t.Readbacks)
 }

@@ -11,7 +11,7 @@ import (
 func fkey(i int) flow.Key { return flow.Key{uint64(i) + 1} }
 
 // ledger asserts the conservation invariant at any point in a table's life.
-func ledger(t *testing.T, tbl *FlowTable) {
+func ledger[C comparable](t *testing.T, tbl *FlowTable[C]) {
 	t.Helper()
 	if tbl.Installs != tbl.Evictions+tbl.Uninstalls+uint64(tbl.Len()) {
 		t.Fatalf("ledger broken: installs=%d evictions=%d uninstalls=%d live=%d",
@@ -20,12 +20,12 @@ func ledger(t *testing.T, tbl *FlowTable) {
 }
 
 func TestFlowTableInstallLookup(t *testing.T) {
-	tbl := NewFlowTable(4)
+	tbl := NewFlowTable[string](4)
 	if _, ok := tbl.Install(fkey(1), "a"); !ok {
 		t.Fatal("install into empty table refused")
 	}
 	c, ok := tbl.Lookup(fkey(1))
-	if !ok || c.(string) != "a" {
+	if !ok || c != "a" {
 		t.Fatalf("lookup = %v, %v", c, ok)
 	}
 	if tbl.Hits != 1 {
@@ -35,7 +35,7 @@ func TestFlowTableInstallLookup(t *testing.T) {
 	if _, ok := tbl.Install(fkey(1), "b"); !ok {
 		t.Fatal("in-place replace refused")
 	}
-	if c, _ := tbl.Lookup(fkey(1)); c.(string) != "b" {
+	if c, _ := tbl.Lookup(fkey(1)); c != "b" {
 		t.Fatal("cookie not replaced in place")
 	}
 	if tbl.Installs != 1 || tbl.Len() != 1 {
@@ -48,7 +48,7 @@ func TestFlowTableInstallLookup(t *testing.T) {
 }
 
 func TestFlowTableEvictsLowestRate(t *testing.T) {
-	tbl := NewFlowTable(2)
+	tbl := NewFlowTable[int](2)
 	tbl.Install(fkey(1), 1)
 	tbl.Install(fkey(2), 2)
 	// Key 1 is hot, key 2 idle; after readback the rates differ.
@@ -70,7 +70,7 @@ func TestFlowTableEvictsLowestRate(t *testing.T) {
 }
 
 func TestFlowTableLRUTiebreak(t *testing.T) {
-	tbl := NewFlowTable(2)
+	tbl := NewFlowTable[int](2)
 	tbl.Install(fkey(1), 1)
 	tbl.Install(fkey(2), 2)
 	tbl.Lookup(fkey(2))
@@ -91,7 +91,7 @@ func TestFlowTableLRUTiebreak(t *testing.T) {
 }
 
 func TestFlowTableAdmissionControlBlocks(t *testing.T) {
-	tbl := NewFlowTable(2)
+	tbl := NewFlowTable[int](2)
 	tbl.Install(fkey(1), 1)
 	tbl.Install(fkey(2), 2)
 	tbl.Lookup(fkey(1))
@@ -116,20 +116,20 @@ func TestFlowTableAdmissionControlBlocks(t *testing.T) {
 }
 
 func TestFlowTableReadbackDeltas(t *testing.T) {
-	tbl := NewFlowTable(4)
+	tbl := NewFlowTable[string](4)
 	tbl.Install(fkey(1), "a")
 	tbl.Install(fkey(2), "b")
 	for i := 0; i < 7; i++ {
 		tbl.Lookup(fkey(1))
 	}
-	got := map[any]uint64{}
-	tbl.Readback(func(cookie any, delta uint64) { got[cookie] = delta })
+	got := map[string]uint64{}
+	tbl.Readback(func(cookie string, delta uint64) { got[cookie] = delta })
 	if len(got) != 1 || got["a"] != 7 {
 		t.Fatalf("readback deltas = %v, want only a:7", got)
 	}
 	// Second sweep: nothing new to report.
-	got = map[any]uint64{}
-	tbl.Readback(func(cookie any, delta uint64) { got[cookie] = delta })
+	got = map[string]uint64{}
+	tbl.Readback(func(cookie string, delta uint64) { got[cookie] = delta })
 	if len(got) != 0 {
 		t.Fatalf("second readback reported %v", got)
 	}
@@ -139,18 +139,18 @@ func TestFlowTableReadbackDeltas(t *testing.T) {
 }
 
 func TestFlowTableUninstallAndFlush(t *testing.T) {
-	tbl := NewFlowTable(4)
+	tbl := NewFlowTable[int](4)
 	for i := 0; i < 4; i++ {
 		tbl.Install(fkey(i), i)
 	}
-	if hw, ok := tbl.Uninstall(fkey(2)); !ok || hw.Cookie.(int) != 2 {
+	if hw, ok := tbl.Uninstall(fkey(2)); !ok || hw.Cookie != 2 {
 		t.Fatalf("uninstall = %v, %v", hw, ok)
 	}
 	if _, ok := tbl.Uninstall(fkey(2)); ok {
 		t.Fatal("double uninstall succeeded")
 	}
 	var flushed []int
-	tbl.Flush(func(hw *HWFlow) { flushed = append(flushed, hw.Cookie.(int)) })
+	tbl.Flush(func(hw *HWFlow[int]) { flushed = append(flushed, hw.Cookie) })
 	if len(flushed) != 3 || tbl.Len() != 0 {
 		t.Fatalf("flush dropped %d entries, live=%d", len(flushed), tbl.Len())
 	}
@@ -161,12 +161,12 @@ func TestFlowTableUninstallAndFlush(t *testing.T) {
 }
 
 func TestFlowTableClampForcesEvictions(t *testing.T) {
-	tbl := NewFlowTable(8)
+	tbl := NewFlowTable[int](8)
 	for i := 0; i < 8; i++ {
 		tbl.Install(fkey(i), i)
 	}
-	var out []*HWFlow
-	tbl.Clamp(3, func(hw *HWFlow) { out = append(out, hw) })
+	var out []*HWFlow[int]
+	tbl.Clamp(3, func(hw *HWFlow[int]) { out = append(out, hw) })
 	if len(out) != 5 || tbl.Len() != 3 {
 		t.Fatalf("clamp evicted %d, live=%d", len(out), tbl.Len())
 	}
@@ -185,7 +185,7 @@ func TestFlowTableDeterministicVictims(t *testing.T) {
 	// Same operation sequence twice: the eviction order must be identical
 	// (the victim scan walks the order slice, never a Go map).
 	run := func() []flow.Key {
-		tbl := NewFlowTable(8)
+		tbl := NewFlowTable[int](8)
 		for i := 0; i < 8; i++ {
 			tbl.Install(fkey(i), i)
 			tbl.Lookup(fkey(i))

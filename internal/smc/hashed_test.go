@@ -27,18 +27,18 @@ func replayStream(c *Cache, keys, deadEvery int, hashed bool) {
 		}
 		k := keyN(n)
 		if deadEvery > 0 && i%deadEvery == 0 {
-			if e, _ := cls.Lookup(k); e != nil {
-				cls.Remove(e)
-				c.Invalidate(e)
+			if r, _ := cls.LookupKey(&k); r != 0 {
+				cls.Remove(r)
+				c.Invalidate(r)
 			}
 		}
 		if hashed {
 			h := c.Hash(&k)
-			if _, ok := c.LookupHashed(&k, h); !ok {
+			if _, ok := c.LookupHashed(cls, &k, h); !ok {
 				c.InsertHashed(h, cls.Insert(k, mask, nil))
 			}
 		} else if _, ok := c.Lookup(k); !ok {
-			c.Insert(k, cls.Insert(k, mask, nil))
+			c.Insert(k, &dpcls.Handle{Table: cls, Ref: cls.Insert(k, mask, nil)})
 		}
 	}
 }

@@ -14,10 +14,10 @@
 // flow-count regime the cache-hierarchy sweep experiment explores.
 //
 // Layout follows OVS: 4-way set-associative buckets of (sig, index) pairs,
-// an index->*dpcls.Entry table capped at 2^16 entries (megaflows beyond
-// that are simply not SMC-cacheable, as in OVS where only the low 16 bits
-// of the cmap position are stored), and invalidation by clearing the
-// indirection slot so stale bucket entries miss on verification.
+// an index->dpcls.Ref table capped at 2^16 entries (megaflows beyond that
+// are simply not SMC-cacheable, as in OVS where only the low 16 bits of the
+// cmap position are stored), and invalidation by clearing the indirection
+// slot so stale bucket entries miss on verification.
 package smc
 
 import (
@@ -48,14 +48,18 @@ type Cache struct {
 	mask    uint32
 	basis   uint32
 
-	// flows is the index->megaflow indirection table; index[e] is its
+	// flows is the index->megaflow indirection table; index[r] is its
 	// inverse. freed recycles indices of removed megaflows — safe because
 	// every lookup verifies the candidate against the packet's key, so a
 	// stale signature resolving to a recycled index either matches the new
-	// megaflow legitimately or misses.
-	flows []*dpcls.Entry
-	index map[*dpcls.Entry]uint16
+	// megaflow legitimately or misses. Neither holds a pointer.
+	flows []dpcls.Ref
+	index map[dpcls.Ref]uint16
 	freed []uint16
+
+	// byValue is the classifier the by-value Lookup verifies against: the
+	// one the last by-value Insert's megaflow lives in.
+	byValue *dpcls.Classifier
 
 	count int // occupied bucket ways (approximate occupancy; see Len)
 
@@ -87,7 +91,7 @@ func New(entries int, hashBasis uint32) *Cache {
 		buckets: make([]bucket, n),
 		mask:    uint32(n - 1),
 		basis:   hashBasis,
-		index:   make(map[*dpcls.Entry]uint16),
+		index:   make(map[dpcls.Ref]uint16),
 	}
 	c.clearBuckets()
 	return c
@@ -111,48 +115,51 @@ func (c *Cache) clearBuckets() {
 // and InsertHashed take, so one packet pass hashes its key once for both.
 func (c *Cache) Hash(key *flow.Key) uint32 { return key.Hash(c.basis) }
 
-// Lookup is LookupHashed for callers holding the key by value.
-func (c *Cache) Lookup(key flow.Key) (*dpcls.Entry, bool) { return c.LookupHashed(&key, c.Hash(&key)) }
+// Lookup is LookupHashed for callers holding the key by value, against the
+// classifier of the last by-value Insert.
+func (c *Cache) Lookup(key flow.Key) (dpcls.Ref, bool) {
+	return c.LookupHashed(c.byValue, &key, c.Hash(&key))
+}
 
-// LookupHashed resolves key, whose Hash is h, to a cached megaflow. The
-// signature is the upper 16 bits of the hash; a signature match is only
-// returned after the candidate megaflow verifies against the key (key masked
-// by the megaflow's mask equals its masked key), so a collision or stale
-// index can never mis-deliver a packet.
-func (c *Cache) LookupHashed(key *flow.Key, h uint32) (*dpcls.Entry, bool) {
+// LookupHashed resolves key, whose Hash is h, to a megaflow of t, counting
+// the hit on it. The signature is the upper 16 bits of the hash; a
+// signature match is only returned after the candidate megaflow verifies
+// against the key (key masked by the megaflow's mask equals its masked
+// key), so a collision or stale index can never mis-deliver a packet.
+func (c *Cache) LookupHashed(t *dpcls.Classifier, key *flow.Key, h uint32) (dpcls.Ref, bool) {
 	b := &c.buckets[h&c.mask]
 	sig := uint16(h >> 16)
 	for w := 0; w < Ways; w++ {
 		if b.idx[w] == emptyIdx || b.sig[w] != sig {
 			continue
 		}
-		e := c.flows[b.idx[w]]
-		if e == nil {
-			c.StaleSkips++
-			continue
-		}
-		if !e.Matches(key) {
+		r := c.flows[b.idx[w]]
+		e := t.Get(r)
+		if e == nil || !t.Matches(e, key) {
 			c.StaleSkips++
 			continue
 		}
 		c.Hits++
 		e.Hits++
-		return e, true
+		return r, true
 	}
 	c.Misses++
-	return nil, false
+	return 0, false
 }
 
-// Insert is InsertHashed for callers holding the key by value.
-func (c *Cache) Insert(key flow.Key, e *dpcls.Entry) { c.InsertHashed(c.Hash(&key), e) }
+// Insert is InsertHashed for callers holding the key by value and a handle.
+func (c *Cache) Insert(key flow.Key, h *dpcls.Handle) {
+	c.byValue = h.Table
+	c.InsertHashed(c.Hash(&key), h.Ref)
+}
 
 // InsertHashed caches the (signature -> megaflow index) mapping for the key
 // whose Hash is h; only the hash is stored, so the key itself is not needed.
 // The victim way on a full bucket comes from the key's own hash bits, the
 // same pseudo-random replacement the EMC uses. Megaflows beyond the 16-bit
 // index space are not cacheable and are skipped.
-func (c *Cache) InsertHashed(h uint32, e *dpcls.Entry) {
-	idx, ok := c.register(e)
+func (c *Cache) InsertHashed(h uint32, r dpcls.Ref) {
+	idx, ok := c.register(r)
 	if !ok {
 		c.Uncacheable++
 		return
@@ -175,7 +182,7 @@ func (c *Cache) InsertHashed(h uint32, e *dpcls.Entry) {
 			c.count++
 			return
 		}
-		if c.flows[b.idx[w]] == nil {
+		if c.flows[b.idx[w]] == 0 {
 			b.sig[w] = sig
 			b.idx[w] = idx
 			return
@@ -187,25 +194,25 @@ func (c *Cache) InsertHashed(h uint32, e *dpcls.Entry) {
 	c.Evictions++
 }
 
-// register returns the indirection-table index for e, allocating one if
+// register returns the indirection-table index for r, allocating one if
 // needed. It reports false when the 16-bit index space is exhausted.
-func (c *Cache) register(e *dpcls.Entry) (uint16, bool) {
-	if idx, ok := c.index[e]; ok {
+func (c *Cache) register(r dpcls.Ref) (uint16, bool) {
+	if idx, ok := c.index[r]; ok {
 		return idx, true
 	}
 	if n := len(c.freed); n > 0 {
 		idx := c.freed[n-1]
 		c.freed = c.freed[:n-1]
-		c.flows[idx] = e
-		c.index[e] = idx
+		c.flows[idx] = r
+		c.index[r] = idx
 		return idx, true
 	}
 	if len(c.flows) >= maxIndex {
 		return 0, false
 	}
 	idx := uint16(len(c.flows))
-	c.flows = append(c.flows, e)
-	c.index[e] = idx
+	c.flows = append(c.flows, r)
+	c.index[r] = idx
 	return idx, true
 }
 
@@ -213,13 +220,13 @@ func (c *Cache) register(e *dpcls.Entry) (uint16, bool) {
 // delete, revalidator sweep). Bucket ways still carrying its signature are
 // left in place and skipped as stale on their next probe; the index is
 // recycled for future megaflows.
-func (c *Cache) Invalidate(e *dpcls.Entry) {
-	idx, ok := c.index[e]
+func (c *Cache) Invalidate(r dpcls.Ref) {
+	idx, ok := c.index[r]
 	if !ok {
 		return
 	}
-	c.flows[idx] = nil
-	delete(c.index, e)
+	c.flows[idx] = 0
+	delete(c.index, r)
 	c.freed = append(c.freed, idx)
 }
 
@@ -227,7 +234,7 @@ func (c *Cache) Invalidate(e *dpcls.Entry) {
 func (c *Cache) Flush() {
 	c.clearBuckets()
 	c.flows = c.flows[:0]
-	c.index = make(map[*dpcls.Entry]uint16)
+	c.index = make(map[dpcls.Ref]uint16)
 	c.freed = c.freed[:0]
 	c.count = 0
 }

@@ -20,9 +20,16 @@ func keyN(i int) flow.Key {
 	return f.Pack()
 }
 
-// megaflowFor installs a megaflow covering key in cls and returns the entry.
-func megaflowFor(cls *dpcls.Classifier, key flow.Key, mask flow.Mask) *dpcls.Entry {
+// megaflowFor installs a megaflow covering key in cls and returns its ref.
+func megaflowFor(cls *dpcls.Classifier, key flow.Key, mask flow.Mask) dpcls.Ref {
 	return cls.Insert(key, mask, nil)
+}
+
+// insert and lookup are the hashed entry points for a key held by value.
+func insert(c *Cache, key flow.Key, r dpcls.Ref) { c.InsertHashed(c.Hash(&key), r) }
+
+func lookup(c *Cache, cls *dpcls.Classifier, key flow.Key) (dpcls.Ref, bool) {
+	return c.LookupHashed(cls, &key, c.Hash(&key))
 }
 
 func wideMask() flow.Mask {
@@ -33,12 +40,12 @@ func TestLookupMissThenHit(t *testing.T) {
 	cls := dpcls.New(0)
 	c := New(64, 0)
 	k := keyN(1)
-	if _, ok := c.Lookup(k); ok {
+	if _, ok := lookup(c, cls, k); ok {
 		t.Fatal("empty cache must miss")
 	}
 	e := megaflowFor(cls, k, flow.MaskAll())
-	c.Insert(k, e)
-	got, ok := c.Lookup(k)
+	insert(c, k, e)
+	got, ok := lookup(c, cls, k)
 	if !ok || got != e {
 		t.Fatalf("lookup = %v,%v, want %v", got, ok, e)
 	}
@@ -54,10 +61,10 @@ func TestWildcardedMegaflowServesManyKeys(t *testing.T) {
 	// own signature but all indices resolve to the same entry.
 	e := megaflowFor(cls, keyN(0), wideMask())
 	for i := 0; i < 100; i++ {
-		c.Insert(keyN(i), e)
+		insert(c, keyN(i), e)
 	}
 	for i := 0; i < 100; i++ {
-		got, ok := c.Lookup(keyN(i))
+		got, ok := lookup(c, cls, keyN(i))
 		if !ok || got != e {
 			t.Fatalf("key %d: lookup = %v,%v", i, got, ok)
 		}
@@ -72,17 +79,17 @@ func TestInvalidateStaleIndexMisses(t *testing.T) {
 	c := New(64, 0)
 	k := keyN(1)
 	e := megaflowFor(cls, k, flow.MaskAll())
-	c.Insert(k, e)
+	insert(c, k, e)
 	cls.Remove(e)
 	c.Invalidate(e)
-	if _, ok := c.Lookup(k); ok {
+	if _, ok := lookup(c, cls, k); ok {
 		t.Fatal("stale signature must miss after invalidation")
 	}
 	if c.StaleSkips == 0 {
 		t.Fatal("stale probe not counted")
 	}
-	// Invalidating an unknown entry is a no-op.
-	c.Invalidate(&dpcls.Entry{})
+	// Invalidating an unknown megaflow is a no-op.
+	c.Invalidate(0)
 }
 
 // TestRecycledIndexNeverMisdelivers is the core SMC safety property: after a
@@ -95,16 +102,19 @@ func TestRecycledIndexNeverMisdelivers(t *testing.T) {
 	c := New(64, 0)
 	kA, kB := keyN(1), keyN(2)
 	eA := megaflowFor(cls, kA, flow.MaskAll())
-	c.Insert(kA, eA)
+	insert(c, kA, eA)
 	cls.Remove(eA)
 	c.Invalidate(eA)
 	// eB recycles eA's indirection index but matches only kB exactly.
 	eB := megaflowFor(cls, kB, flow.MaskAll())
-	c.Insert(kB, eB)
-	if got, ok := c.Lookup(kA); ok {
+	insert(c, kB, eB)
+	if uint32(eB) != uint32(eA) || eB == eA {
+		t.Fatalf("eB %#x does not recycle eA's record %#x under a new generation", eB, eA)
+	}
+	if got, ok := lookup(c, cls, kA); ok {
 		t.Fatalf("stale signature for removed megaflow resolved to %v", got)
 	}
-	if got, ok := c.Lookup(kB); !ok || got != eB {
+	if got, ok := lookup(c, cls, kB); !ok || got != eB {
 		t.Fatalf("recycled index lost the new megaflow: %v,%v", got, ok)
 	}
 }
@@ -130,8 +140,8 @@ func TestVerificationRejectsSignatureCollision(t *testing.T) {
 	// The cached megaflow matches base exactly; the colliding key must be
 	// rejected by verification, not delivered.
 	e := megaflowFor(cls, base, flow.MaskAll())
-	c.Insert(base, e)
-	if got, ok := c.Lookup(collider); ok {
+	insert(c, base, e)
+	if got, ok := lookup(c, cls, collider); ok {
 		t.Fatalf("signature collision mis-delivered %v", got)
 	}
 	if c.StaleSkips == 0 {
@@ -143,13 +153,13 @@ func TestFlushEmptiesEverything(t *testing.T) {
 	cls := dpcls.New(0)
 	c := New(64, 0)
 	for i := 0; i < 10; i++ {
-		c.Insert(keyN(i), megaflowFor(cls, keyN(i), flow.MaskAll()))
+		insert(c, keyN(i), megaflowFor(cls, keyN(i), flow.MaskAll()))
 	}
 	c.Flush()
 	if c.Len() != 0 || len(c.index) != 0 {
 		t.Fatalf("len=%d flows=%d after flush", c.Len(), len(c.index))
 	}
-	if _, ok := c.Lookup(keyN(0)); ok {
+	if _, ok := lookup(c, cls, keyN(0)); ok {
 		t.Fatal("flushed cache must miss")
 	}
 }
@@ -159,7 +169,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 	c := New(8, 0) // 2 buckets x 4 ways
 	e := megaflowFor(cls, keyN(0), wideMask())
 	for i := 0; i < 1000; i++ {
-		c.Insert(keyN(i), e)
+		insert(c, keyN(i), e)
 	}
 	if c.Len() > len(c.buckets)*Ways {
 		t.Fatalf("len %d exceeds capacity %d", c.Len(), len(c.buckets)*Ways)
@@ -174,20 +184,20 @@ func TestIndexSpaceExhaustion(t *testing.T) {
 	c := New(1<<18, 0)
 	// Fill the 16-bit index space with distinct megaflows, then one more.
 	for i := 0; i < maxIndex; i++ {
-		c.Insert(keyN(i), megaflowFor(cls, keyN(i), flow.MaskAll()))
+		insert(c, keyN(i), megaflowFor(cls, keyN(i), flow.MaskAll()))
 	}
 	if c.Uncacheable != 0 {
 		t.Fatalf("uncacheable = %d before exhaustion", c.Uncacheable)
 	}
-	c.Insert(keyN(maxIndex), megaflowFor(cls, keyN(maxIndex), flow.MaskAll()))
+	insert(c, keyN(maxIndex), megaflowFor(cls, keyN(maxIndex), flow.MaskAll()))
 	if c.Uncacheable != 1 {
 		t.Fatalf("uncacheable = %d, want 1", c.Uncacheable)
 	}
 	// Invalidation recycles an index, making room again.
 	victim := keyN(3)
-	ve, _ := cls.Lookup(victim)
+	ve, _ := cls.LookupKey(&victim)
 	c.Invalidate(ve)
-	c.Insert(keyN(maxIndex), megaflowFor(cls, keyN(maxIndex+1), flow.MaskAll()))
+	insert(c, keyN(maxIndex), megaflowFor(cls, keyN(maxIndex+1), flow.MaskAll()))
 	if c.Uncacheable != 1 {
 		t.Fatalf("recycled index not reused: uncacheable = %d", c.Uncacheable)
 	}

@@ -84,10 +84,10 @@ type Host struct {
 	Table *dpcls.Classifier
 	// Install installs a flow into Table under the provider's own
 	// discipline (the eBPF flavor narrows every mask to exact-match).
-	Install func(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) *dpcls.Entry
+	Install func(key flow.Key, mask flow.Mask, actions []ofproto.DPAction) dpcls.Ref
 	// Remove uninstalls an expired negative flow together with whatever
-	// the provider caches above Table.
-	Remove func(e *dpcls.Entry) bool
+	// the provider caches above Table; a stale ref removes nothing.
+	Remove func(r dpcls.Ref) bool
 	// Translate resolves a key on the provider's registered upcall handler.
 	Translate func(key *flow.Key) (ofproto.Megaflow, error)
 	// Handler returns the handler thread's CPU, charged in Category.
@@ -220,7 +220,7 @@ func (q *Queue) service() {
 
 	// Several packets of one flow may park before the first resolves:
 	// re-probe the flow table so only one translation happens.
-	if e, _ := q.host.Table.LookupKey(&u.key); e != nil {
+	if r, _ := q.host.Table.LookupKey(&u.key); r != 0 {
 		q.host.Reinject(u.pkt, u.cpu)
 		q.recycle(u)
 		return
@@ -263,8 +263,8 @@ func (q *Queue) Failed(key *flow.Key, p *packet.Packet) {
 	q.ctr.UpcallErrors++
 	q.ctr.Drops++
 	if ttl := q.cfg.NegativeFlowTTL; ttl > 0 {
-		e := q.host.Install(*key, flow.MaskAll(), nil)
-		q.eng.Schedule(ttl, func() { q.host.Remove(e) })
+		r := q.host.Install(*key, flow.MaskAll(), nil)
+		q.eng.Schedule(ttl, func() { q.host.Remove(r) })
 	}
 	q.host.Release(p)
 }
