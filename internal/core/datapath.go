@@ -130,7 +130,7 @@ type Datapath struct {
 	// on any PMD (upcall installs, FlowPut, negative flows) — the
 	// notification the incremental revalidator registers expiry timers
 	// from. In-place replacements do not re-fire it.
-	flowHook func(*PMD, dpcls.Ref)
+	flowHook func(dpcls.Handle)
 
 	// assign is the rxq-to-PMD assignment layer (policies, auto-LB, XPS);
 	// created lazily so the zero datapath keeps working.
@@ -249,24 +249,13 @@ func (d *Datapath) EnableTrace(n int) {
 }
 
 // SetFlowHook registers (or, with nil, clears) the flow-installed
-// notification, wiring it through every PMD classifier's OnInsert callback
-// — existing threads and ones created later alike.
-func (d *Datapath) SetFlowHook(fn func(*PMD, dpcls.Ref)) {
+// notification as every PMD classifier's OnInsert callback — existing
+// threads and ones created later alike.
+func (d *Datapath) SetFlowHook(fn func(dpcls.Handle)) {
 	d.flowHook = fn
 	for _, m := range d.pmds {
-		if fn == nil {
-			m.cls.OnInsert = nil
-		} else {
-			d.wireFlowHook(m)
-		}
+		m.cls.OnInsert = fn
 	}
-}
-
-// wireFlowHook binds one PMD's classifier insert callback to the datapath
-// hook. The closure is created once per PMD at wiring time, so the install
-// path itself allocates nothing.
-func (d *Datapath) wireFlowHook(m *PMD) {
-	m.cls.OnInsert = func(r dpcls.Ref) { d.flowHook(m, r) }
 }
 
 // Execute runs one packet through the fast path as if it had arrived on
@@ -325,14 +314,13 @@ func (m *PMD) Receive(_ *fastpath.Thread, _ *sim.CPU, p *packet.Packet, depth in
 // elephant install — a software hit on a marked flow means its exact key is
 // not in hardware yet (Receive forwards resident ones), so it goes down now.
 func (m *PMD) Lookup(_ *fastpath.Thread, _ *sim.CPU, key *flow.Key, depth int) ([]ofproto.DPAction, bool) {
-	r := m.lookupHierarchy(key)
-	if r == 0 {
+	e := m.lookupHierarchy(key)
+	if e == nil {
 		return nil, false
 	}
-	e := m.cls.Get(r)
 	actions := m.cls.Actions(e)
 	if e.OffloadMark != 0 && depth == 0 && len(actions) > 0 && m.dp.offload != nil {
-		m.dp.offload.installFor(key, dpcls.Handle{Table: m.cls, Ref: r})
+		m.dp.offload.installFor(key, dpcls.Handle{Table: m.cls, Ref: e.Ref()})
 	}
 	return actions, true
 }
@@ -358,11 +346,11 @@ func (m *PMD) Transmit(_ *fastpath.Thread, _ *sim.CPU, port uint32, p *packet.Pa
 // lookupHierarchy resolves key through the cache hierarchy — EMC, SMC,
 // megaflow classifier — charging each level probed and counting the hit at
 // the level that resolved it, exactly as dfc_processing walks the caches.
-// A dpcls hit back-fills the faster caches; the zero Ref means every level
-// missed and the pass owns the slow path. The key is hashed once per cache
+// A dpcls hit back-fills the faster caches; nil means every level missed
+// and the pass owns the slow path. The key is hashed once per cache
 // consulted, and the hashes are kept in m.hashes for Install's back-fill
 // after an upcall.
-func (m *PMD) lookupHierarchy(key *flow.Key) dpcls.Ref {
+func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
 	d := m.dp
 	h := &m.hashes
 	if d.Opts.EMC {
@@ -375,11 +363,12 @@ func (m *PMD) lookupHierarchy(key *flow.Key) dpcls.Ref {
 			// An EMC hit is activity on the underlying megaflow: count it
 			// there too (as the SMC path does), or the revalidator sees
 			// EMC-resident flows as idle and evicts live flows.
-			m.cls.Get(r).Hits++
+			e := m.cls.Get(r)
+			e.Hits++
 			d.EMCHits++
 			m.Perf.EMCHits++
 			m.Resolved(perf.ResultEMC)
-			return r
+			return e
 		}
 		m.charge(perf.StageEMC, costmodel.EMCMissProbe)
 	}
@@ -396,20 +385,20 @@ func (m *PMD) lookupHierarchy(key *flow.Key) dpcls.Ref {
 			// An SMC hit refreshes the EMC, as dfc_processing does on
 			// its way out.
 			m.emcInsert(key, h.emc, r)
-			return r
+			return m.cls.Get(r)
 		}
 		m.charge(perf.StageSMC, costmodel.SMCMissProbe)
 	}
-	r, probes := m.cls.LookupKey(key)
+	e, probes := m.cls.LookupKey(key)
 	m.charge(perf.StageDpcls, sim.Time(probes)*costmodel.DpclsLookupPerSubtable)
-	if r == 0 {
-		return 0
+	if e == nil {
+		return nil
 	}
 	d.MegaflowHits++
 	m.Perf.MegaflowHits++
 	m.Resolved(perf.ResultMegaflow)
-	m.cacheInsert(key, *h, r)
-	return r
+	m.cacheInsert(key, *h, e.Ref())
+	return e
 }
 
 // transmit handles offload fix-ups before handing the packet to the port:

@@ -117,9 +117,7 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 	// A removed megaflow's EMC entries purge lazily on their next lookup or
 	// insert (emc_entry_alive): its ref fails the generation compare.
 	m.emc.SetAliveCheck(m.cls.Live)
-	if d.flowHook != nil {
-		d.wireFlowHook(m)
-	}
+	m.cls.OnInsert = d.flowHook
 	m.iterTimer = d.Eng.NewTimer(m.iterate)
 	// The slow path sees this thread's private classifier, the datapath's
 	// shared handler thread, and uncounted reinjection on this PMD.

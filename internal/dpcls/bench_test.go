@@ -82,7 +82,7 @@ func churnShape(n int) (*Classifier, []flow.Key, [2]flow.Mask) {
 
 const churnFlows = 100_000
 
-var benchSink Ref
+var benchSink *Entry
 
 func BenchmarkDpclsLookupHit100k(b *testing.B) {
 	c, keys, _ := churnShape(churnFlows)

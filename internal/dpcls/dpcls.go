@@ -7,13 +7,15 @@
 // usage). Megaflows installed by ofproto translation are disjoint by
 // construction, so the first match wins and no priorities are needed.
 //
-// Megaflows live by value in a slab of pointer-free records and are named by
-// generation-tagged refs, so the collector never scans them and a record is
+// Megaflows live by value in their subtable, as pointer-free records: a
+// 32-byte header and only the key words the subtable's mask covers (OVS's
+// miniflow). They are named by generation-tagged refs, resolved through the
+// classifier's directory, so the collector never scans them and a record is
 // recycled the moment its megaflow is removed: a ref still held by a cache
 // fails the generation compare instead of resurrecting with another flow's
 // actions. A subtable is a flat open-addressed table of 8-byte slots (the
-// cmap analog), probed with a hash of only the words its mask covers; see
-// table.go.
+// cmap analog) naming record positions, probed with a hash of only the
+// words its mask covers; see table.go.
 //
 // The paper's Section 2.2.2 explains why this structure could not move into
 // eBPF ("the sandbox restrictions ... preclude implementing the OVS megaflow
@@ -30,9 +32,11 @@ import (
 	"ovsxdp/internal/ofproto"
 )
 
-// Entry is one installed megaflow, a 120-byte record in its classifier's
-// slab with no pointer in it. An *Entry is good for the pass that resolved
-// it, not across an install (see alloc); anything kept longer holds a Ref.
+// Entry is the header of one installed megaflow, a 32-byte record at its
+// position in its subtable with no pointer in it; the masked key words sit
+// at the same position in the subtable's key arena (Classifier.MaskedKey).
+// An *Entry is good for the pass that resolved it, not across an install
+// (see growRows); anything kept longer holds a Ref.
 type Entry struct {
 	// Hits counts packets matched, for revalidator heuristics. With
 	// hardware offload enabled, the periodic counter readback merges
@@ -40,14 +44,16 @@ type Entry struct {
 	// to the revalidator.
 	Hits uint64
 
-	// gen is the record's generation, part of every Ref naming it; freeing
-	// the record advances it, so refs to the removed megaflow go stale.
-	gen uint32
+	// self is the Ref naming the megaflow: its directory index and the
+	// generation its directory entry holds, so a probe names what it found
+	// without reading the directory.
+	self Ref
 	// actions indexes the classifier's action table (actions.go); while
-	// the record is free it links the free list instead.
+	// the position is free it links the subtable's free list instead.
 	actions uint32
-	// sub indexes the owning subtable in Classifier.byIdx.
-	sub uint32
+	// sub indexes the owning subtable in Classifier.byIdx, pos the
+	// record's position in it.
+	sub, pos uint32
 
 	// OffloadMark is the hardware-offload engine's per-flow flag: nonzero
 	// while the engine classes this megaflow an elephant whose exact keys
@@ -55,40 +61,42 @@ type Entry struct {
 	// it lives here so the per-packet elephant check is one field load
 	// instead of a map probe.
 	OffloadMark uint8
-
-	// MaskedKey is the key already masked (key.Apply(mask)).
-	MaskedKey flow.Key
 }
 
-// Ref names one installed megaflow: its record's slab index in the low 32
-// bits and the record's generation at install in the high 32. A ref goes
-// stale when its megaflow is removed and never names another one, even
-// after the record is recycled. The zero Ref names nothing.
+// Ref names one installed megaflow: its directory index in the low 32 bits
+// and the entry's generation at install in the high 32. A ref goes stale
+// when its megaflow is removed and never names another one, even after the
+// directory entry and the record's position are recycled. The zero Ref
+// names nothing.
 type Ref uint64
 
-func makeRef(idx, gen uint32) Ref { return Ref(gen)<<32 | Ref(idx) }
+// Ref returns the ref naming e, read from its header: no directory lookup.
+func (e *Entry) Ref() Ref { return e.self }
 
-// The slab grows by chunks of chunkSize records (120 KiB, 15 pages), which
-// never move; the first starts at firstChunk records and doubles.
+// dirEntry is where the megaflow a ref index names lives, and the
+// generation of the ref naming it; while free, pos links the free list.
+type dirEntry struct{ gen, sub, pos uint32 }
+
+// The directory and each subtable's records grow by chunks of chunkSize,
+// which never move; the first starts at firstChunk and doubles (growRows).
 const chunkBits, chunkSize, firstChunk = 10, 1 << chunkBits, 16
 
-// rec returns the record at slab index i.
-func (c *Classifier) rec(i uint32) *Entry { return &c.slab[i>>chunkBits][i&(chunkSize-1)] }
+// entry returns the directory entry at index i.
+func (c *Classifier) entry(i uint32) *dirEntry { return &c.dir[i>>chunkBits][i&(chunkSize-1)] }
 
-// Get returns the live megaflow r names, or nil if r is stale or zero.
+// Get returns the live megaflow r names, or nil if r is stale or zero: one
+// generation compare in r's directory entry.
 func (c *Classifier) Get(r Ref) *Entry {
-	i := uint32(r)
-	if i >= c.recs {
-		return nil
-	}
-	if e := c.rec(i); e.gen == uint32(r>>32) && e.gen != 0 {
-		return e
+	if i := uint32(r); i < c.refs {
+		if d := c.entry(i); d.gen == uint32(r>>32) && d.gen != 0 {
+			return c.byIdx[d.sub].hdr(d.pos)
+		}
 	}
 	return nil
 }
 
 // Live reports whether r still names an installed megaflow: the caches'
-// liveness check, one generation compare.
+// liveness check.
 func (c *Classifier) Live(r Ref) bool { return c.Get(r) != nil }
 
 // Actions returns the action list e executes, shared with every megaflow
@@ -101,16 +109,27 @@ func (c *Classifier) Mask(e *Entry) flow.Mask { return c.byIdx[e.sub].mask }
 // Matches reports whether key falls under e: key masked by e's mask equals
 // its masked key, compared in place without building the masked copy. It is
 // the verification the signature cache owes every candidate.
-func (c *Classifier) Matches(e *Entry, key *flow.Key) bool { return c.byIdx[e.sub].matches(e, key) }
+func (c *Classifier) Matches(e *Entry, key *flow.Key) bool { return c.byIdx[e.sub].matches(e.pos, key) }
+
+// MaskedKey returns the key e matches, already masked (key.Apply(mask)):
+// its stored words expanded back into a full key.
+func (c *Classifier) MaskedKey(e *Entry) flow.Key {
+	var k flow.Key
+	st := c.byIdx[e.sub]
+	for j, v := range st.row(e.pos) {
+		k[st.words[j].idx] = v
+	}
+	return k
+}
 
 // String prints e as a flow: its match in the flow text of
 // flow.MatchFields, then hits and actions.
 func (c *Classifier) String(e *Entry) string {
-	return fmt.Sprintf("megaflow{%s hits=%d actions=%v}", flow.SpecOf(e.MaskedKey, c.Mask(e)), e.Hits, c.Actions(e))
+	return fmt.Sprintf("megaflow{%s hits=%d actions=%v}", flow.SpecOf(c.MaskedKey(e), c.Mask(e)), e.Hits, c.Actions(e))
 }
 
 // Handle names a megaflow by its classifier and ref: what outlives a packet
-// pass (flow dumps, the revalidator's deadlines, hardware-rule cookies).
+// pass (flow dumps, the install hook, hardware-rule cookies).
 // It is comparable, and stale once the megaflow is removed.
 type Handle struct {
 	Table *Classifier
@@ -135,11 +154,11 @@ type Classifier struct {
 	basis uint32
 	count int
 
-	// slab holds the records; recs counts the indices handed out so far,
-	// record 0 included (it never is: slot 0 and link 0 mean none), and
-	// free heads the list of removed records, linked through actions.
-	slab [][]Entry
-	recs uint32
+	// dir is the ref directory; refs counts the indices handed out so far,
+	// index 0 included (it never is: ref 0 and link 0 mean none), and free
+	// heads the list of released indices, linked through pos.
+	dir  [][]dirEntry
+	refs uint32
 	free uint32
 	acts actionTable
 
@@ -154,7 +173,7 @@ type Classifier struct {
 	// — not for in-place replacements, whose ref the caller already holds.
 	// It is the flow-installed notification the incremental (wheel-based)
 	// revalidator registers expiry timers from.
-	OnInsert func(Ref)
+	OnInsert func(Handle)
 
 	// lookup is the handle the by-value Lookup returns.
 	lookup Handle
@@ -180,30 +199,31 @@ const resortInterval = 1024
 // handle on a hit. The handle is the classifier's own, overwritten by the
 // next Lookup: use it at once or copy it.
 func (c *Classifier) Lookup(key flow.Key) (h *Handle, probes int) {
-	if c.lookup.Ref, probes = c.LookupKey(&key); c.lookup.Ref != 0 {
-		h = &c.lookup
+	var e *Entry
+	if e, probes = c.LookupKey(&key); e != nil {
+		c.lookup.Ref, h = e.self, &c.lookup
 	}
 	return h, probes
 }
 
 // LookupKey finds the megaflow matching key, counting the hit on it. It
-// returns its ref and the number of subtables probed (for cost
-// accounting), or zero and the full probe count on a miss.
-func (c *Classifier) LookupKey(key *flow.Key) (Ref, int) {
+// returns the megaflow and the number of subtables probed (for cost
+// accounting), or nil and the full probe count on a miss.
+func (c *Classifier) LookupKey(key *flow.Key) (*Entry, int) {
 	c.Lookups++
 	probes := 0
 	for _, st := range c.subtables {
 		probes++
 		c.SubtableProbes++
-		if i, e := st.find(c, key, st.hash(key)); e != nil {
+		if e := st.find(key, st.hash(key)); e != nil {
 			e.Hits++
 			st.hits++
 			c.maybeResort()
-			return makeRef(i, e.gen), probes
+			return e, probes
 		}
 	}
 	c.maybeResort()
-	return 0, probes
+	return nil, probes
 }
 
 func (c *Classifier) maybeResort() {
@@ -237,19 +257,26 @@ func (c *Classifier) InsertKey(key *flow.Key, mask *flow.Mask, actions []ofproto
 		st = c.newSubtable(mask)
 	}
 	h := st.hash(key)
-	if i, e := st.find(c, key, h); e != nil {
+	if e := st.find(key, h); e != nil {
 		old := e.actions
 		e.actions = c.acts.intern(actions)
 		c.acts.release(old)
-		return makeRef(i, e.gen)
+		return e.Ref()
 	}
 	c.count++
-	i, e := c.alloc()
-	e.actions, e.sub, e.MaskedKey = c.acts.intern(actions), st.idx, key.Apply(*mask)
-	st.insert(h, i)
-	r := makeRef(i, e.gen)
+	i, d := c.alloc()
+	p := st.alloc()
+	d.sub, d.pos = st.idx, p
+	e := st.hdr(p)
+	*e = Entry{self: Ref(d.gen)<<32 | Ref(i), actions: c.acts.intern(actions), sub: st.idx, pos: p}
+	row := st.row(p)
+	for j, w := range st.words {
+		row[j] = key[w.idx] & w.bits
+	}
+	st.insert(h, p)
+	r := e.Ref()
 	if c.OnInsert != nil {
-		c.OnInsert(r)
+		c.OnInsert(Handle{c, r})
 	}
 	return r
 }
@@ -263,8 +290,8 @@ func (c *Classifier) Remove(r Ref) bool {
 		return false
 	}
 	st := c.byIdx[e.sub]
-	st.remove(st.hash(&e.MaskedKey), uint32(r))
-	c.freeRec(uint32(r))
+	st.remove(st.hashRow(st.row(e.pos)), e.pos)
+	c.release(st, e.pos)
 	c.count--
 	if st.n == 0 {
 		c.dropSubtable(st)
@@ -278,7 +305,8 @@ func (c *Classifier) Remove(r Ref) bool {
 // are not skewed by a previous table's history.
 func (c *Classifier) Flush() {
 	for _, r := range c.Refs(nil) {
-		c.freeRec(uint32(r))
+		d := c.entry(uint32(r))
+		c.release(c.byIdx[d.sub], d.pos)
 	}
 	c.subtables, c.byIdx = nil, nil
 	c.byMask = make(map[flow.Mask]*subtable)
@@ -291,9 +319,6 @@ func (c *Classifier) Flush() {
 // Len returns the number of installed megaflows.
 func (c *Classifier) Len() int { return c.count }
 
-// Subtables returns the number of distinct masks installed.
-func (c *Classifier) Subtables() int { return len(c.subtables) }
-
 // Refs appends the refs of all installed megaflows to buf (truncated first)
 // and returns it — the allocation-free dump the revalidator and the offload
 // engine reuse their buffers across sweeps with. Order is unspecified.
@@ -301,65 +326,57 @@ func (c *Classifier) Refs(buf []Ref) []Ref {
 	buf = buf[:0]
 	for _, st := range c.subtables {
 		for _, s := range st.slots {
-			if s.rec != 0 {
-				buf = append(buf, makeRef(s.rec, c.rec(s.rec).gen))
+			if s.pos != 0 {
+				buf = append(buf, st.hdr(s.pos).Ref())
 			}
 		}
 	}
 	return buf
 }
 
-// alloc takes a record off the free list, or the next record never handed
-// out, adding a chunk to the slab when it is full. The first chunk doubles
-// from firstChunk records instead, so a classifier of a few megaflows does
-// not hold 120 KiB; its records move while it grows, which is why no
-// *Entry is kept across an install. A fresh record starts at generation 1,
-// so no live ref has generation 0.
-func (c *Classifier) alloc() (uint32, *Entry) {
+// alloc takes a directory index off the free list, or the next one never
+// handed out. A fresh index starts at generation 1, so no live ref has
+// generation 0.
+func (c *Classifier) alloc() (uint32, *dirEntry) {
 	if i := c.free; i != 0 {
-		e := c.rec(i)
-		c.free = e.actions
-		return i, e
+		d := c.entry(i)
+		c.free = d.pos
+		return i, d
 	}
-	i := max(c.recs, 1)
-	switch {
-	case len(c.slab) == 0:
-		c.slab = append(c.slab, make([]Entry, firstChunk))
-	case len(c.slab) == 1 && int(i) == len(c.slab[0]) && i < chunkSize:
-		c.slab[0] = append(make([]Entry, 0, 2*i), c.slab[0]...)[:2*i]
-	case int(i>>chunkBits) == len(c.slab):
-		if i == ^uint32(0) {
-			panic("dpcls: 2^32 megaflow records")
-		}
-		c.slab = append(c.slab, make([]Entry, chunkSize))
+	i := max(c.refs, 1)
+	if i == ^uint32(0) {
+		panic("dpcls: 2^32 megaflow refs")
 	}
-	c.recs = i + 1
-	e := c.rec(i)
-	e.gen = 1
-	return i, e
+	c.dir = growRows(c.dir, i, 1)
+	c.refs = i + 1
+	d := c.entry(i)
+	d.gen = 1
+	return i, d
 }
 
-// freeRec releases record i's action list, resets it under its next
-// generation and pushes it on the free list.
-func (c *Classifier) freeRec(i uint32) {
-	e := c.rec(i)
+// release frees the record at position p of st: its action list, its
+// directory index, which goes on the classifier's free list under its next
+// generation, and its position, which goes on the subtable's.
+func (c *Classifier) release(st *subtable, p uint32) {
+	e := st.hdr(p)
 	c.acts.release(e.actions)
-	gen := e.gen + 1
-	if gen == 0 {
-		gen = 1
-	}
-	*e = Entry{gen: gen, actions: c.free}
-	c.free = i
+	d := c.entry(uint32(e.self))
+	c.free, *d = uint32(e.self), dirEntry{gen: max(d.gen+1, 1), pos: c.free}
+	st.free, *e = p, Entry{actions: st.free}
 }
 
+// newSubtable adds an empty subtable for mask, in the first free byIdx slot.
 func (c *Classifier) newSubtable(mask *flow.Mask) *subtable {
 	idx := slices.Index(c.byIdx, nil)
 	if idx < 0 {
-		idx = len(c.byIdx)
-		c.byIdx = append(c.byIdx, nil)
+		idx, c.byIdx = len(c.byIdx), append(c.byIdx, nil)
 	}
-	st := newSubtable(mask, c.basis)
-	st.idx = uint32(idx)
+	st := &subtable{mask: *mask, seed: uint64(c.basis) + 0x9e3779b97f4a7c15, slots: make([]slot, minSlots), idx: uint32(idx)}
+	for i, w := range mask {
+		if w != 0 {
+			st.words = append(st.words, maskWord{idx: uint8(i), bits: w})
+		}
+	}
 	c.byIdx[idx] = st
 	c.subtables = append(c.subtables, st)
 	c.byMask[*mask] = st

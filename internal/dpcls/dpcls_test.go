@@ -20,22 +20,34 @@ func act(tag int) []ofproto.DPAction {
 // tag recovers the tag act gave the action list of the megaflow r names.
 func tag(c *Classifier, r Ref) int { return int(c.Actions(c.Get(r))[0].Port) }
 
-// lookup is LookupKey for a key held by value.
-func lookup(c *Classifier, key flow.Key) (Ref, int) { return c.LookupKey(&key) }
+// lookup is LookupKey for a key held by value, returning the ref of the
+// megaflow found, or zero.
+func lookup(c *Classifier, key flow.Key) (Ref, int) {
+	e, probes := c.LookupKey(&key)
+	if e == nil {
+		return 0, probes
+	}
+	return e.Ref(), probes
+}
 
-// TestEntryLayout pins what one megaflow costs: a 120-byte record with no
-// pointer in it (the mask is its subtable's index, the actions an index in
-// the action table) and the fields a hit touches ahead of the key.
+// TestEntryLayout pins what one megaflow costs: a header of at most 32
+// bytes with no pointer in it (the mask is its subtable's index, the
+// actions an index in the action table), its mask's words in a uint64
+// arena, a 12-byte directory entry and an 8-byte slot.
 func TestEntryLayout(t *testing.T) {
-	var e Entry
-	if size := unsafe.Sizeof(e); size != 120 {
-		t.Fatalf("Entry is %d bytes, want 120", size)
+	if size := unsafe.Sizeof(Entry{}); size > 32 {
+		t.Fatalf("Entry is %d bytes, want at most 32", size)
 	}
-	if off := unsafe.Offsetof(e.MaskedKey); off != 24 {
-		t.Fatalf("MaskedKey sits at offset %d, want 24: the hot fields come first", off)
+	for _, typ := range []reflect.Type{reflect.TypeFor[Entry](), reflect.TypeFor[dirEntry]()} {
+		if hasPointers(typ) {
+			t.Fatalf("%v holds a pointer; the collector would scan every megaflow", typ)
+		}
 	}
-	if typ := reflect.TypeFor[Entry](); hasPointers(typ) {
-		t.Fatalf("%v holds a pointer; the collector would scan every megaflow", typ)
+	if f, _ := reflect.TypeFor[subtable]().FieldByName("keys"); f.Type.Elem().Elem() != reflect.TypeFor[uint64]() {
+		t.Fatalf("the key arena holds %v, want uint64", f.Type.Elem().Elem())
+	}
+	if size := unsafe.Sizeof(dirEntry{}); size != 12 {
+		t.Fatalf("a directory entry is %d bytes, want 12", size)
 	}
 	if size := unsafe.Sizeof(slot{}); size != 8 {
 		t.Fatalf("a subtable slot is %d bytes, want 8", size)
@@ -44,8 +56,12 @@ func TestEntryLayout(t *testing.T) {
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
 	ra := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
 	rb := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 81), mask, act(2))
-	if a, b := c.Get(ra), c.Get(rb); a.sub != b.sub || c.Mask(a) != mask {
+	a, b := c.Get(ra), c.Get(rb)
+	if a.sub != b.sub || c.Mask(a) != mask {
 		t.Fatal("entries of one subtable must share its mask")
+	}
+	if st := c.byIdx[a.sub]; len(st.words) != 2 || len(st.row(a.pos)) != 2 {
+		t.Fatalf("a record of a two-word mask stores %d words", len(st.row(a.pos)))
 	}
 }
 
@@ -125,8 +141,8 @@ func TestMultipleSubtables(t *testing.T) {
 	mSrc := flow.NewMaskBuilder().EthType().IPProto().IP4Src(24).Build()
 	c.Insert(keyFor(hdr.MakeIP4(10, 1, 1, 1), 80), mPort, act(1))
 	c.Insert(keyFor(hdr.MakeIP4(10, 2, 2, 2), 0), mSrc, act(2))
-	if c.Subtables() != 2 {
-		t.Fatalf("subtables = %d", c.Subtables())
+	if len(c.subtables) != 2 {
+		t.Fatalf("subtables = %d", len(c.subtables))
 	}
 	if r, _ := lookup(c, keyFor(hdr.MakeIP4(10, 2, 2, 99), 9999)); r == 0 || tag(c, r) != 2 {
 		t.Fatalf("subnet lookup = %v", r)
@@ -157,8 +173,8 @@ func TestRemove(t *testing.T) {
 	if !c.Remove(e) {
 		t.Fatal("remove failed")
 	}
-	if c.Len() != 0 || c.Subtables() != 0 {
-		t.Fatalf("len=%d subtables=%d after remove", c.Len(), c.Subtables())
+	if c.Len() != 0 || len(c.subtables) != 0 {
+		t.Fatalf("len=%d subtables=%d after remove", c.Len(), len(c.subtables))
 	}
 	if c.Remove(e) {
 		t.Fatal("double remove must report false")
@@ -386,8 +402,8 @@ func TestMaskIndexConsistency(t *testing.T) {
 			entries = append(entries, c.Insert(k, masks[i], act(1)))
 		}
 	}
-	if c.Subtables() != 16 {
-		t.Fatalf("subtables = %d, want 16", c.Subtables())
+	if len(c.subtables) != 16 {
+		t.Fatalf("subtables = %d, want 16", len(c.subtables))
 	}
 	// Removing every entry of a mask must drop its subtable from both the
 	// probe order and the index; a later insert under the same mask must
@@ -395,8 +411,8 @@ func TestMaskIndexConsistency(t *testing.T) {
 	for _, e := range entries {
 		c.Remove(e)
 	}
-	if c.Subtables() != 0 || c.Len() != 0 {
-		t.Fatalf("subtables=%d len=%d after removing all", c.Subtables(), c.Len())
+	if len(c.subtables) != 0 || c.Len() != 0 {
+		t.Fatalf("subtables=%d len=%d after removing all", len(c.subtables), c.Len())
 	}
 	k := keyFor(hdr.MakeIP4(10, 0, 0, 1), 1000)
 	e := c.Insert(k, masks[0], act(2))
@@ -407,7 +423,7 @@ func TestMaskIndexConsistency(t *testing.T) {
 	if got := c.Insert(k, masks[0], act(3)); got == 0 {
 		t.Fatal("insert after flush failed")
 	}
-	if c.Subtables() != 1 {
-		t.Fatalf("subtables after flush+insert = %d", c.Subtables())
+	if len(c.subtables) != 1 {
+		t.Fatalf("subtables after flush+insert = %d", len(c.subtables))
 	}
 }

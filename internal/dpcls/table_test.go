@@ -110,13 +110,15 @@ func (r *refClassifier) len() (n int) {
 }
 
 // opMasks overlap on purpose: first-match-wins then depends on the probe
-// order, which the reference must reproduce exactly. The last one covers
-// every word, so its subtable sees the whole key space and grows.
+// order, which the reference must reproduce exactly. MaskAll covers every
+// word, so its subtable sees the whole key space and grows; the zero mask
+// covers none, so its one record stores no word and matches every key.
 var opMasks = []flow.Mask{
 	flow.NewMaskBuilder().InPort().IP4Src(32).Build(),
 	flow.NewMaskBuilder().EthType().TPDst().Build(),
 	flow.NewMaskBuilder().IP4Dst(24).IPProto().Build(),
 	flow.MaskAll(),
+	{},
 }
 
 // opKey draws from a key space small enough that masked keys collide, get
@@ -139,16 +141,20 @@ func checkSubtable(t testing.TB, c *Classifier, st *subtable) {
 	m := uint32(len(st.slots) - 1)
 	occupied := 0
 	for i, s := range st.slots {
-		if s.rec == 0 {
+		if s.pos == 0 {
 			continue
 		}
 		occupied++
-		e := c.rec(s.rec)
-		if c.byIdx[e.sub] != st || s.hash != st.hash(&e.MaskedKey) {
-			t.Fatalf("slot %d: record %d stored under the wrong mask or hash", i, s.rec)
+		e := st.hdr(s.pos)
+		k := c.MaskedKey(e)
+		if c.byIdx[e.sub] != st || e.pos != s.pos || s.hash != st.hash(&k) || s.hash != st.hashRow(st.row(s.pos)) {
+			t.Fatalf("slot %d: record at %d stored under the wrong mask, position or hash", i, s.pos)
+		}
+		if d := c.entry(uint32(e.self)); d.gen != uint32(e.self>>32) || d.sub != e.sub || d.pos != e.pos {
+			t.Fatalf("slot %d: directory entry %#x says %+v, record says %d/%d", i, e.self, *d, e.sub, e.pos)
 		}
 		for j := s.hash & m; j != uint32(i); j = (j + 1) & m {
-			if st.slots[j].rec == 0 {
+			if st.slots[j].pos == 0 {
 				t.Fatalf("slot %d: free slot %d between home %d and record", i, j, s.hash&m)
 			}
 		}
@@ -165,9 +171,9 @@ func checkSubtable(t testing.TB, c *Classifier, st *subtable) {
 // own).
 func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier, handles []Ref) {
 	t.Helper()
-	if c.Len() != ref.len() || c.Subtables() != len(ref.subtables) || len(c.byMask) != len(ref.subtables) {
+	if c.Len() != ref.len() || len(c.subtables) != len(ref.subtables) || len(c.byMask) != len(ref.subtables) {
 		t.Fatalf("len=%d subtables=%d index=%d, reference len=%d subtables=%d",
-			c.Len(), c.Subtables(), len(c.byMask), ref.len(), len(ref.subtables))
+			c.Len(), len(c.subtables), len(c.byMask), ref.len(), len(ref.subtables))
 	}
 	if c.Lookups != ref.lookups || c.SubtableProbes != ref.probes {
 		t.Fatalf("lookups=%d probes=%d, reference %d/%d", c.Lookups, c.SubtableProbes, ref.lookups, ref.probes)
@@ -191,9 +197,9 @@ func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier, handles []Ref
 		re, live := ref.live[h]
 		e := c.Get(h)
 		switch {
-		case live != (e != nil):
-			t.Fatalf("ref %#x resolves to %v, reference live=%v", h, e, live)
-		case live && (c.Mask(e) != re.mask || e.MaskedKey != re.maskedKey || tag(c, h) != re.tag):
+		case live != (e != nil) || live != c.Live(h):
+			t.Fatalf("ref %#x resolves to %v (Live %v), reference live=%v", h, e, c.Live(h), live)
+		case live && (c.Mask(e) != re.mask || c.MaskedKey(e) != re.maskedKey || tag(c, h) != re.tag):
 			t.Fatalf("ref %#x resolves to %s, reference %+v", h, c.String(e), re)
 		}
 	}
@@ -203,19 +209,46 @@ func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier, handles []Ref
 	}
 }
 
+// opCoverage is what an op stream exercised, so callers can tell it
+// reached the cases they rely on.
+type opCoverage struct {
+	// maxSlots is the largest slot array seen (growth happened).
+	maxSlots int
+	// reused counts new subtables placed in a byIdx slot a subtable of
+	// another mask held; the refs to that one's records, all stale, are
+	// among the handles every step checks.
+	reused int
+	// flushedReuse counts flushes followed by an insert.
+	flushedReuse int
+}
+
 // runOps replays an op stream (three bytes per op: opcode, a, b) against a
-// classifier and the reference, comparing after every step. It returns the
-// largest slot array seen, so callers can tell growth happened.
-func runOps(t testing.TB, ops []byte) (maxSlots int) {
+// classifier and the reference, comparing after every step.
+func runOps(t testing.TB, ops []byte) (cov opCoverage) {
 	c, ref := New(0x79b9+7), newRefClassifier()
-	var handles []Ref // every ref ever handed out, live or stale
+	var handles []Ref       // every ref ever handed out, live or stale
+	var idxMask []flow.Mask // the mask each byIdx slot last held
+	flushed := false
 	for step := 0; step+2 < len(ops); step += 3 {
 		op, a, b := ops[step]%8, ops[step+1], ops[step+2]
 		switch {
 		case op <= 2: // insert, or replace in place
 			key, mask := opKey(a), opMasks[int(b)%len(opMasks)]
 			prev := ref.find(key, mask)
+			subtables := len(c.subtables)
 			r := c.Insert(key, mask, act(step))
+			if st := c.byMask[mask]; len(c.subtables) > subtables {
+				if int(st.idx) == len(idxMask) {
+					idxMask = append(idxMask, mask)
+				} else if idxMask[st.idx] != mask {
+					cov.reused++
+				}
+				idxMask[st.idx] = mask
+			}
+			if flushed {
+				cov.flushedReuse++
+				flushed = false
+			}
 			switch {
 			case prev != 0 && r != prev:
 				t.Fatalf("step %d: replacement handed out a new ref", step)
@@ -235,10 +268,11 @@ func runOps(t testing.TB, ops []byte) (maxSlots int) {
 		case op == 5 && a < 8: // flush, rarely
 			c.Flush()
 			ref = newRefClassifier()
+			flushed = true
 		default: // lookup
 			key := opKey(a ^ b)
 			wantR, wantProbes := ref.lookup(key)
-			gotR, gotProbes := c.LookupKey(&key)
+			gotR, gotProbes := lookup(c, key)
 			if gotR != wantR || gotProbes != wantProbes {
 				t.Fatalf("step %d: LookupKey = (%#x, %d), reference (%#x, %d)", step, gotR, gotProbes, wantR, wantProbes)
 			}
@@ -248,10 +282,10 @@ func runOps(t testing.TB, ops []byte) (maxSlots int) {
 		}
 		checkAgainst(t, c, ref, handles)
 		for _, st := range c.subtables {
-			maxSlots = max(maxSlots, len(st.slots))
+			cov.maxSlots = max(cov.maxSlots, len(st.slots))
 		}
 	}
-	return maxSlots
+	return cov
 }
 
 func randomOps(seed int64, n int) []byte {
@@ -262,11 +296,15 @@ func randomOps(seed int64, n int) []byte {
 
 // TestClassifierMatchesReference is the differential test: seeded random op
 // streams, identical behaviour to the map-based reference at every step, and
-// no stale ref ever resolving although removed records are recycled.
+// no stale ref ever resolving (Get, Live or Remove) although removed records,
+// their directory entries and dropped subtables' byIdx slots are recycled,
+// and a flushed classifier is reused.
 func TestClassifierMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		if got := runOps(t, randomOps(seed, 6000)); got <= minSlots {
-			t.Fatalf("seed %d: no subtable ever grew (max %d slots)", seed, got)
+		cov := runOps(t, randomOps(seed, 6000))
+		if cov.maxSlots <= minSlots || cov.reused == 0 || cov.flushedReuse == 0 {
+			t.Fatalf("seed %d: coverage %+v: want growth past %d slots, a reused byIdx slot and reuse after a flush",
+				seed, cov, minSlots)
 		}
 	}
 }
@@ -279,6 +317,12 @@ func FuzzClassifierOps(f *testing.F) {
 	// Install, remove, re-install the same masked key (into the same record),
 	// remove the stale ref.
 	f.Add([]byte{0, 9, 3, 3, 0, 0, 0, 9, 3, 3, 0, 0, 6, 9, 0, 5, 0, 0})
+	// Install under the first mask, remove it (its subtable drops), install
+	// under the zero mask into the same byIdx slot, directory entry and
+	// position, remove the stale ref, look up.
+	f.Add([]byte{0, 9, 0, 3, 0, 0, 0, 9, 4, 3, 0, 0, 6, 1, 2})
+	// Install under MaskAll, flush, install again, look up.
+	f.Add([]byte{0, 9, 3, 5, 0, 0, 0, 9, 3, 6, 9, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) { runOps(t, ops) })
 }
 
@@ -321,13 +365,13 @@ func TestBackwardShiftAcrossWrap(t *testing.T) {
 	homes := []uint32{6, 7, 7, 7, 0}
 	for victim := range homes {
 		c := New(0)
-		keys := wrapKeys(t, newSubtable(&mask, 0), homes)
+		keys := wrapKeys(t, New(0).newSubtable(&mask), homes)
 		entries := make([]Ref, len(keys))
 		for i, k := range keys {
 			entries[i] = c.Insert(k, mask, act(i))
 		}
 		st := c.byMask[mask]
-		if len(st.slots) != minSlots || st.slots[2].rec != uint32(entries[4]) {
+		if len(st.slots) != minSlots || st.slots[2].pos != c.Get(entries[4]).pos {
 			t.Fatalf("setup: run does not wrap as intended")
 		}
 		if !c.Remove(entries[victim]) {
@@ -354,15 +398,17 @@ func TestRemoveStalePointerAfterReinstall(t *testing.T) {
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
 	k := keyFor(hdr.MakeIP4(1, 1, 1, 1), 80)
 	old := c.Insert(k, mask, act(1))
+	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 81), mask, act(1)) // keeps the subtable
+	pos := c.Get(old).pos
 	c.Remove(old)
 	fresh := c.Insert(k, mask, act(2))
-	if fresh == old || uint32(fresh) != uint32(old) || !c.Live(fresh) {
-		t.Fatal("re-install must recycle the record under a new generation, never resurrect the old ref")
+	if fresh == old || uint32(fresh) != uint32(old) || !c.Live(fresh) || c.Get(fresh).pos != pos {
+		t.Fatal("re-install must recycle the directory entry and the position under a new generation, never resurrect the old ref")
 	}
 	if c.Remove(old) {
 		t.Fatal("stale ref removed the re-installed entry")
 	}
-	if got, _ := lookup(c, k); got != fresh || !c.Live(fresh) || c.Len() != 1 || tag(c, fresh) != 2 {
+	if got, _ := lookup(c, k); got != fresh || !c.Live(fresh) || c.Len() != 2 || tag(c, fresh) != 2 {
 		t.Fatalf("re-installed entry disturbed: got %#x", got)
 	}
 }
@@ -382,8 +428,8 @@ func TestBasisSeedsPlacement(t *testing.T) {
 		at := map[flow.Key]int{}
 		for _, st := range c.subtables {
 			for i, s := range st.slots {
-				if s.rec != 0 {
-					at[c.rec(s.rec).MaskedKey] = i
+				if s.pos != 0 {
+					at[c.MaskedKey(st.hdr(s.pos))] = i
 				}
 			}
 		}
@@ -402,7 +448,7 @@ func TestBasisSeedsPlacement(t *testing.T) {
 	for _, k := range append(keys, keyFor(hdr.MakeIP4(9, 9, 9, 9), 9)) {
 		ea, na := lookup(a, k)
 		eb, nb := lookup(b, k)
-		if na != nb || (ea == 0) != (eb == 0) || (ea != 0 && (tag(a, ea) != tag(b, eb) || a.Get(ea).MaskedKey != b.Get(eb).MaskedKey)) {
+		if na != nb || (ea == 0) != (eb == 0) || (ea != 0 && (tag(a, ea) != tag(b, eb) || a.MaskedKey(a.Get(ea)) != b.MaskedKey(b.Get(eb)))) {
 			t.Fatalf("lookups differ across bases: (%#x, %d) vs (%#x, %d)", ea, na, eb, nb)
 		}
 	}
@@ -421,10 +467,10 @@ func TestDpclsLookupZeroAlloc(t *testing.T) {
 	miss := keyFor(hdr.MakeIP4(9, 9, 9, 9), 9)
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 2*resortInterval+7; i++ {
-			if r, _ := c.LookupKey(&keys[i%len(keys)]); r == 0 {
+			if e, _ := c.LookupKey(&keys[i%len(keys)]); e == nil {
 				t.Fatal("hit path missed")
 			}
-			if r, _ := c.LookupKey(&miss); r != 0 {
+			if e, _ := c.LookupKey(&miss); e != nil {
 				t.Fatal("miss path hit")
 			}
 		}
@@ -435,8 +481,10 @@ func TestDpclsLookupZeroAlloc(t *testing.T) {
 }
 
 // TestMegaflowTableIsNoscan: 100k megaflows add almost nothing the collector
-// must scan. Records, slots and the action table's indices hold no pointer;
-// what is left is one slice header per chunk of records and the subtables.
+// must scan. Headers, key words, directory entries, slots and the action
+// table's indices hold no pointer; what is left is one slice header per
+// chunk of headers, of key words and of directory entries, and the
+// subtables.
 func TestMegaflowTableIsNoscan(t *testing.T) {
 	const n = 100_000
 	sample := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}

@@ -77,7 +77,7 @@ func TestFlowDelPreservesUnrelatedEMCEntries(t *testing.T) {
 	kB := flow.Extract(pktB())
 	deleted := false
 	for _, f := range flows {
-		if e := f.Entry(); e.MaskedKey == kB.Apply(f.Table.Mask(e)) {
+		if e := f.Entry(); f.Table.MaskedKey(e) == kB.Apply(f.Table.Mask(e)) {
 			if !d.FlowDel(f) {
 				t.Fatal("FlowDel(B) failed")
 			}
@@ -140,7 +140,7 @@ func TestFlowPutReplacementUpdatesCachedActions(t *testing.T) {
 		t.Fatalf("flows = %d, want 1", len(flows))
 	}
 	e := flows[0].Entry()
-	d.FlowPut(e.MaskedKey, flows[0].Table.Mask(e),
+	d.FlowPut(flows[0].Table.MaskedKey(e), flows[0].Table.Mask(e),
 		[]ofproto.DPAction{{Type: ofproto.DPOutput, Port: 3}})
 
 	emcBefore := nd.dp.EMCHits

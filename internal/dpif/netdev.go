@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ovsxdp/internal/core"
-	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
@@ -100,18 +99,9 @@ func (d *Netdev) FlowDump() []Flow {
 // FlowFlush implements Dpif.
 func (d *Netdev) FlowFlush() { d.dp.FlushFlows() }
 
-// SetFlowHook implements Dpif, adapting the datapath's per-PMD install
-// notification to the provider-independent Flow shape, exactly as FlowDump
-// reports it.
-func (d *Netdev) SetFlowHook(fn func(Flow)) {
-	if fn == nil {
-		d.dp.SetFlowHook(nil)
-		return
-	}
-	d.dp.SetFlowHook(func(m *core.PMD, r dpcls.Ref) {
-		fn(Flow{Table: m.Classifier(), Ref: r})
-	})
-}
+// SetFlowHook implements Dpif: every PMD classifier's install
+// notification, naming the flow exactly as FlowDump reports it.
+func (d *Netdev) SetFlowHook(fn func(Flow)) { d.dp.SetFlowHook(fn) }
 
 // Execute implements Dpif.
 func (d *Netdev) Execute(p *packet.Packet) { d.dp.Execute(p) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/ofproto"
@@ -119,14 +118,7 @@ func (d *Netlink) FlowFlush() { d.kdp.FlushFlows() }
 // SetFlowHook implements Dpif: the kernel table's install notification
 // (the single classifier shard), fired for upcall installs, InstallFlow and
 // negative flows, not for in-place replacements.
-func (d *Netlink) SetFlowHook(fn func(Flow)) {
-	t := d.kdp.Flows()
-	if fn == nil {
-		t.OnInsert = nil
-		return
-	}
-	t.OnInsert = func(r dpcls.Ref) { fn(Flow{Table: t, Ref: r}) }
-}
+func (d *Netlink) SetFlowHook(fn func(Flow)) { d.kdp.Flows().OnInsert = fn }
 
 // Execute implements Dpif: the packet runs in softirq context on a
 // dedicated injection CPU.

@@ -478,7 +478,7 @@ func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 			e := h.Entry()
 			var f *refFlow
 			for _, g := range ref.flows {
-				if g.key == e.MaskedKey && g.mask == h.Table.Mask(e) {
+				if g.key == h.Table.MaskedKey(e) && g.mask == h.Table.Mask(e) {
 					f = g
 				}
 			}

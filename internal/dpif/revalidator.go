@@ -1,7 +1,10 @@
 package dpif
 
 import (
+	"slices"
+
 	"ovsxdp/internal/costmodel"
+	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/sim"
 )
 
@@ -42,6 +45,10 @@ type WheelRevalidator struct {
 	idleTimeout sim.Time
 	deadlines   *sim.Deadlines[flowRec]
 	running     bool
+	// tables lists the classifiers the flow hook has reported, one per
+	// PMD thread (or the one kernel table), in the order first seen: a
+	// deadline names its flow's table by index here, not by pointer.
+	tables []*dpcls.Classifier
 
 	// Stats.
 	// Installs counts flows registered for tracking (every datapath
@@ -55,10 +62,16 @@ type WheelRevalidator struct {
 	Evicted uint64
 }
 
-// flowRec is one tracked flow's deadline state, queued by value: 24 bytes.
+// flowRec is one tracked flow's deadline state, queued by value: 16
+// bytes, so a ring slot is 32 and holds no pointer the collector would
+// scan. Only the low 32 bits of the hit count are kept, compared for
+// equality: an active flow reads as idle only if a multiple of 2^32 hits
+// landed in one idle timeout, and fewer than 2^32 fit in one (in a
+// one-second timeout that would take 4.3 Gpps on one megaflow).
 type flowRec struct {
-	f        Flow
-	lastHits uint64
+	ref      dpcls.Ref
+	table    uint32
+	lastHits uint32
 }
 
 // StartWheelRevalidator launches incremental flow expiry over the datapath:
@@ -98,7 +111,11 @@ func (r *WheelRevalidator) Stop() {
 // count and arm its idle deadline.
 func (r *WheelRevalidator) register(f Flow) {
 	r.Installs++
-	r.deadlines.Push(r.eng.Now()+r.idleTimeout, flowRec{f, f.Entry().Hits})
+	i := slices.Index(r.tables, f.Table)
+	if i < 0 {
+		i, r.tables = len(r.tables), append(r.tables, f.Table)
+	}
+	r.deadlines.Push(r.eng.Now()+r.idleTimeout, flowRec{f.Ref, uint32(i), uint32(f.Entry().Hits)})
 }
 
 // onExpire is the deadline handler: drop dead flows from tracking, re-arm
@@ -107,7 +124,8 @@ func (r *WheelRevalidator) onExpire(rec flowRec) {
 	if !r.running {
 		return
 	}
-	e := rec.f.Entry()
+	f := Flow{Table: r.tables[rec.table], Ref: rec.ref}
+	e := f.Entry()
 	if e == nil {
 		// Removed by other means (FlowFlush, negative-flow TTL, another
 		// revalidator): nothing to do but stop tracking it.
@@ -115,14 +133,14 @@ func (r *WheelRevalidator) onExpire(rec flowRec) {
 	}
 	r.Checks++
 	r.CPU.Consume(sim.User, costmodel.RevalFlowCheck)
-	if e.Hits != rec.lastHits {
-		rec.lastHits = e.Hits
+	if hits := uint32(e.Hits); hits != rec.lastHits {
+		rec.lastHits = hits
 		r.Rearms++
 		r.deadlines.Push(r.eng.Now()+r.idleTimeout, rec)
 		return
 	}
 	r.CPU.Consume(sim.User, costmodel.RevalFlowEvict)
-	if r.dp.FlowDel(rec.f) {
+	if r.dp.FlowDel(f) {
 		r.Evicted++
 	}
 }

@@ -2,8 +2,10 @@ package dpif
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
+	"ovsxdp/internal/core"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
@@ -42,6 +44,33 @@ func revalDpif(t *testing.T, name string) (*sim.Engine, Dpif) {
 		t.Fatalf("PortAdd: %v", err)
 	}
 	return eng, d
+}
+
+// TestWheelRevalidatorTracksEachPMD: a deadline names its classifier by
+// index into the revalidator's list, so when two PMD classifiers hold the
+// same megaflow under the same ref, the idle copy is evicted and the one
+// traffic hits is kept.
+func TestWheelRevalidatorTracksEachPMD(t *testing.T) {
+	eng, d := revalDpif(t, "netdev")
+	nd := d.(*Netdev)
+	nd.NewPMD(core.ModeNonPMD) // Execute runs on this one
+	nd.NewPMD(core.ModeNonPMD)
+	d.FlowPut((&flow.Fields{InPort: 1}).Pack(), flow.NewMaskBuilder().InPort().Build(),
+		[]ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}})
+	flows := d.FlowDump()
+	if len(flows) != 2 || flows[0].Table == flows[1].Table || flows[0].Ref != flows[1].Ref {
+		t.Fatalf("setup: want one megaflow under one ref in each of two classifiers, got %v", flows)
+	}
+	r := StartWheelRevalidator(eng, d, 2*sim.Millisecond)
+	for now := sim.Time(0); now < 10*sim.Millisecond; now += sim.Millisecond / 2 {
+		eng.RunUntil(now)
+		d.Execute(revalPacket())
+	}
+	pmds := nd.Datapath().PMDs()
+	if pmds[0].Classifier().Len() != 1 || pmds[1].Classifier().Len() != 0 || r.Evicted != 1 {
+		t.Fatalf("flows left: active PMD %d, idle PMD %d (evicted %d); want 1, 0 (1)",
+			pmds[0].Classifier().Len(), pmds[1].Classifier().Len(), r.Evicted)
+	}
 }
 
 // TestWheelRevalidatorStop covers the Stop contract: the flow hook is
@@ -91,18 +120,13 @@ func TestWheelRevalidatorStop(t *testing.T) {
 	}
 }
 
-// TestMegaflowFootprint pins what a megaflow the revalidator tracks costs
-// the heap: its 120-byte slab record, its 8-byte classifier slot and its
-// queued idle deadline (a 40-byte ring slot), with the action list shared by
-// every megaflow of its rule. 100k of them stay under 210 bytes each (about
-// 192); a 144-byte object per entry with 16-byte slots and 48-byte ring
-// slots put them at about 248, and a copied action list per megaflow and a
-// wheel record plus a free-listed record per deadline at about 420.
-func TestMegaflowFootprint(t *testing.T) {
+// trackMegaflows installs 100k megaflows through netdev under the wheel
+// revalidator, each pinned to its /32 source by a never-matching rule on the
+// address pair that every lookup probes, and returns how much heap reads
+// (after a collection) grew across the installs, per megaflow.
+func trackMegaflows(t *testing.T, heap func() uint64) float64 {
 	const flows = 100_000
 	pl := ofproto.NewPipeline()
-	// A never-matching rule on the address pair is probed by every lookup,
-	// which pins each megaflow to its /32 source.
 	pin := flow.NewMaskBuilder().InPort().EthType().IPProto().IP4Src(32).IP4Dst(32).Build()
 	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 2,
 		Match: ofproto.NewMatch(flow.Fields{InPort: 1, EthType: hdr.EtherTypeIPv4, IPProto: hdr.IPProtoUDP,
@@ -122,24 +146,51 @@ func TestMegaflowFootprint(t *testing.T) {
 	r := StartWheelRevalidator(eng, d, sim.Second)
 	src := func(i int) hdr.IP4 { return hdr.MakeIP4(10, byte(i>>16), byte(i>>8), byte(i)) }
 	d.Execute(churnPacket(src(0), 2000)) // builds the thread, its caches and the subtable
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
+	runtime.GC()
 	before := heap()
 	for i := 1; i <= flows; i++ {
 		d.Execute(churnPacket(src(i), 2000))
 	}
+	runtime.GC()
 	after := heap()
 	if n := len(d.FlowDump()); n != flows+1 || eng.Pending() != flows+1 || r.Installs != flows+1 {
 		t.Fatalf("%d flows, %d deadlines queued, %d installs; want %d each", n, eng.Pending(), r.Installs, flows+1)
 	}
-	per := float64(after-before) / flows
-	t.Logf("%.0f heap bytes per tracked megaflow", per)
-	if per >= 210 {
-		t.Fatalf("a tracked megaflow costs %.0f heap bytes, want under 210", per)
-	}
 	runtime.KeepAlive(d)
+	return (float64(after) - float64(before)) / flows
+}
+
+// TestMegaflowFootprint pins what a megaflow the revalidator tracks costs
+// the heap: its 32-byte header and the 32 bytes of key words its mask
+// covers (4 of 12) in its subtable, its 12-byte directory entry, its 8-byte
+// classifier slot and its queued idle deadline (a 32-byte ring slot), with
+// the action list shared by every megaflow of its rule. 100k of them stay
+// under 160 bytes each (about 139); a 120-byte record holding the full key
+// and 40-byte ring slots put them at about 192, and a 144-byte object per
+// entry with 16-byte slots and 48-byte ring slots at about 248.
+func TestMegaflowFootprint(t *testing.T) {
+	per := trackMegaflows(t, func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	})
+	t.Logf("%.0f heap bytes per tracked megaflow", per)
+	if per >= 160 {
+		t.Fatalf("a tracked megaflow costs %.0f heap bytes, want under 160", per)
+	}
+}
+
+// TestTrackedMegaflowsAreNoscan: 100k tracked megaflows add almost nothing
+// the collector must scan. The classifier's records and the revalidator's
+// deadline ring hold no pointer: a deadline names its classifier by index.
+func TestTrackedMegaflowsAreNoscan(t *testing.T) {
+	sample := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	per := trackMegaflows(t, func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	})
+	t.Logf("%.0f KB of scannable heap for 100k tracked megaflows", per*100_000/1024)
+	if per*100_000 >= 64<<10 {
+		t.Fatalf("100k tracked megaflows add %.0f KB of scannable heap, want < 64 KB", per*100_000/1024)
+	}
 }

@@ -139,14 +139,14 @@ func (d *Datapath) Receive(t *fastpath.Thread, cpu *sim.CPU, _ *packet.Packet, _
 // Lookup implements fastpath.Provider: one probe of the one flow table.
 func (d *Datapath) Lookup(t *fastpath.Thread, cpu *sim.CPU, key *flow.Key, _ int) ([]ofproto.DPAction, bool) {
 	d.Charge(t, cpu, perf.StageDpcls, costmodel.KernelOVSLookup)
-	r, _ := d.flows.LookupKey(key)
-	if r == 0 {
+	e, _ := d.flows.LookupKey(key)
+	if e == nil {
 		return nil, false
 	}
 	d.Hits++
 	t.Perf.MegaflowHits++
 	t.Resolved(perf.ResultMegaflow)
-	return d.flows.Actions(d.flows.Get(r)), true
+	return d.flows.Actions(e), true
 }
 
 // Install implements fastpath.Provider through InstallFlow, so an upcall's

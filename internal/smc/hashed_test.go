@@ -27,7 +27,8 @@ func replayStream(c *Cache, keys, deadEvery int, hashed bool) {
 		}
 		k := keyN(n)
 		if deadEvery > 0 && i%deadEvery == 0 {
-			if r, _ := cls.LookupKey(&k); r != 0 {
+			if e, _ := cls.LookupKey(&k); e != nil {
+				r := e.Ref()
 				cls.Remove(r)
 				c.Invalidate(r)
 			}

@@ -196,7 +196,7 @@ func TestIndexSpaceExhaustion(t *testing.T) {
 	// Invalidation recycles an index, making room again.
 	victim := keyN(3)
 	ve, _ := cls.LookupKey(&victim)
-	c.Invalidate(ve)
+	c.Invalidate(ve.Ref())
 	insert(c, keyN(maxIndex), megaflowFor(cls, keyN(maxIndex+1), flow.MaskAll()))
 	if c.Uncacheable != 1 {
 		t.Fatalf("recycled index not reused: uncacheable = %d", c.Uncacheable)

@@ -304,9 +304,8 @@ func TestHardFailureNegativeFlow(t *testing.T) {
 		if c.wantFlows == 0 {
 			continue
 		}
-		r, _ := b.host.table.LookupKey(key(0))
-		if e := b.host.table.Get(r); e == nil || b.host.table.Mask(e) != flow.MaskAll() || b.host.table.Actions(e) != nil {
-			t.Fatalf("negative flow = %#x, want an exact-match entry with no actions", r)
+		if e, _ := b.host.table.LookupKey(key(0)); e == nil || b.host.table.Mask(e) != flow.MaskAll() || b.host.table.Actions(e) != nil {
+			t.Fatalf("negative flow = %v, want an exact-match entry with no actions", e)
 		}
 		// A later packet of the flow parked behind the failure finds the
 		// negative flow on re-probe: no second translation.

@@ -339,7 +339,6 @@ var reachLooseAllowed = []string{
 	"internal/conntrack: method Table.Find",
 	"internal/conntrack: method Table.ZoneCount",
 	"internal/core: method PMD.Rxqs",
-	"internal/dpcls: method Classifier.Subtables",
 	"internal/faultinject: method Injector.Active",
 	"internal/faultinject: method Injector.Trips",
 	"internal/faultinject: method Injector.Windows",
