@@ -257,9 +257,7 @@ func faultDemo(dpType string, cfg cliConfig) error {
 
 	st := e.dp.Stats()
 	fmt.Printf("%s@br-int after 16 packets through a 200us slow-path outage:\n", e.dp.Type())
-	fmt.Printf("  lookups: hit:%d missed:%d lost:%d\n", st.Hits, st.Missed, st.Lost)
-	fmt.Printf("  slow path: processed:%d queue-drops:%d malformed:%d\n",
-		st.Processed, st.UpcallQueueDrops, st.MalformedDrops)
+	fmt.Print(api.LookupLines(&st))
 	var retries uint64
 	switch v := e.dp.(type) {
 	case *dpif.Netdev:

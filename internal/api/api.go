@@ -9,8 +9,11 @@
 // overlapping counters, so adding a counter meant touching three diverging
 // render paths. Now the flow is one-way:
 //
-//	dpif.Stats / perf.ThreadStats / dpif.Flow  --construct-->  view DTO
-//	view DTO  --render-->  text (CLI) or JSON (daemon, bench artifacts)
+//	dpif.Stats / perf.ThreadStats / dpif.Flow  -->  view  -->  render
+//
+// where render is text (CLI) or JSON (daemon, bench artifacts). The stats
+// view is dpif.Stats itself, embedded under its own JSON tags, plus the
+// cache-hierarchy sums; /metrics renders dpif.Stats through dpif.Counters.
 //
 // Construction deep-copies everything it takes from a provider (see
 // NewStatsView), so a caller that mutates a view — an HTTP client decoding
@@ -24,8 +27,9 @@ package api
 import "fmt"
 
 // SchemaAPI is the schema identifier carried by every ovs-svc HTTP
-// response body.
-const SchemaAPI = "ovsxdp-api/v1"
+// response body. v2 flattened the stats body: the offload and conntrack
+// blocks became offload_* and ct_* keys.
+const SchemaAPI = "ovsxdp-api/v2"
 
 // Envelope is the versioned header every machine-readable artifact starts
 // with: the committed BENCH_*.json files and every ovs-svc response embed

@@ -67,40 +67,41 @@ type Flow = dpcls.Handle
 // port, meter), UpcallQueueDrops is slow-path admission refusals, and
 // MalformedDrops is parse failures; with Processed counting fast-path
 // passes, Processed == delivered + Lost + UpcallQueueDrops +
-// MalformedDrops when no recirculation is in play.
+// MalformedDrops when no recirculation is in play. Each number has one
+// row in Counters (its /metrics family); the JSON tags are its names in
+// the control API's stats body.
 type Stats struct {
-	Hits   uint64
-	Missed uint64
-	Lost   uint64
+	Hits   uint64 `json:"hits"`
+	Missed uint64 `json:"missed"`
+	Lost   uint64 `json:"lost"`
 	// SMCHits is the signature-match-cache share of Hits. It is always
 	// zero for the kernel-path providers (no SMC) and for netdev with the
 	// SMC disabled, so cross-provider comparisons normalize it away.
-	SMCHits uint64
+	SMCHits uint64 `json:"smc_hits"`
 	// UpcallQueueDrops counts packets refused because the bounded upcall
 	// queue was full — the kernel's ENOBUFS on the per-port netlink
 	// socket, and its netdev analog.
-	UpcallQueueDrops uint64
+	UpcallQueueDrops uint64 `json:"upcall_queue_drops"`
 	// MalformedDrops counts slow-path parse failures (the flow
 	// extractor's EINVAL), split from policy drops.
-	MalformedDrops uint64
+	MalformedDrops uint64 `json:"malformed_drops"`
 	// Processed counts fast-path packet passes, including recirculation.
-	Processed uint64
-	Flows     int
+	Processed uint64 `json:"processed"`
+	Flows     int    `json:"flows"`
 	// Ports is the number of attached ports.
-	Ports int
+	Ports int `json:"ports"`
 
 	// Hardware-offload counters (other_config:hw-offload); all stay zero
 	// on the kernel-path providers, whose simulated NICs expose no flow
-	// table, and on netdev with offload off. OffloadInstalls ==
-	// OffloadEvictions + OffloadUninstalls + OffloadLive at every snapshot
-	// (the conservation ledger).
-	OffloadHits       uint64
-	OffloadInstalls   uint64
-	OffloadEvictions  uint64
-	OffloadUninstalls uint64
-	OffloadRefused    uint64
-	OffloadReadbacks  uint64
-	OffloadLive       int
+	// table, and on netdev with offload off. Invariants states their
+	// conservation ledger.
+	OffloadHits       uint64 `json:"offload_hits"`
+	OffloadInstalls   uint64 `json:"offload_installs"`
+	OffloadEvictions  uint64 `json:"offload_evictions"`
+	OffloadUninstalls uint64 `json:"offload_uninstalls"`
+	OffloadRefused    uint64 `json:"offload_refused"`
+	OffloadReadbacks  uint64 `json:"offload_readbacks"`
+	OffloadLive       int    `json:"offload_live"`
 
 	// Conntrack counters, straight from the provider's tracker; all stay
 	// zero while no flow carries a ct() action. CtTableFull counts
@@ -109,13 +110,13 @@ type Stats struct {
 	// evictions (including NAT-port-exhaustion evictions), and
 	// CtNATExhausted commits refused with a NAT port range fully held
 	// by established connections.
-	CtConns        int
-	CtCreated      uint64
-	CtExpired      uint64
-	CtEarlyDrops   uint64
-	CtEvictions    uint64
-	CtTableFull    uint64
-	CtNATExhausted uint64
+	CtConns        int    `json:"ct_conns"`
+	CtCreated      uint64 `json:"ct_created"`
+	CtExpired      uint64 `json:"ct_expired"`
+	CtEarlyDrops   uint64 `json:"ct_early_drops"`
+	CtEvictions    uint64 `json:"ct_evictions"`
+	CtTableFull    uint64 `json:"ct_table_full"`
+	CtNATExhausted uint64 `json:"ct_nat_exhausted"`
 	// ConnsPerZone lists live connections per nonempty zone, sorted by
 	// zone (nil when the tracker is idle). Note the slice makes Stats
 	// non-comparable: compare snapshots with reflect.DeepEqual.
@@ -126,7 +127,7 @@ type Stats struct {
 	// returns a freshly built slice (never the tracker's own storage), and
 	// anything that retains or re-exports a snapshot — the api view layer,
 	// the HTTP control plane — must go through Clone.
-	ConnsPerZone []CtZoneConns
+	ConnsPerZone []CtZoneConns `json:"ct_per_zone,omitempty"`
 }
 
 // Clone returns a deep copy of the snapshot: the ConnsPerZone backing
@@ -144,8 +145,8 @@ func (s Stats) Clone() Stats {
 
 // CtZoneConns is one zone's live-connection count in Stats.
 type CtZoneConns struct {
-	Zone  uint16
-	Conns int
+	Zone  uint16 `json:"zone"`
+	Conns int    `json:"conns"`
 }
 
 // fillCtStats copies the tracker's counters into a Stats snapshot; shared

@@ -237,8 +237,8 @@ func TestOffloadShortCircuitsSoftwarePath(t *testing.T) {
 	if *delivered != 103 {
 		t.Errorf("delivered = %d, want 103", *delivered)
 	}
-	if st.OffloadInstalls != st.OffloadEvictions+st.OffloadUninstalls+uint64(st.OffloadLive) {
-		t.Errorf("ledger broken: %+v", st)
+	if err := st.Invariants(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -347,8 +347,8 @@ func TestOffloadDisableFallsBackToSoftware(t *testing.T) {
 	if *delivered != 4 {
 		t.Fatalf("delivered = %d, want 4 (software fallback must forward)", *delivered)
 	}
-	if st.OffloadInstalls != st.OffloadEvictions+st.OffloadUninstalls+uint64(st.OffloadLive) {
-		t.Errorf("ledger broken after disable: %+v", st)
+	if err := st.Invariants(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -409,8 +409,8 @@ func TestOffloadTablePressureFault(t *testing.T) {
 		t.Fatalf("delivered = %d, want 8", *delivered)
 	}
 	st = d.Stats()
-	if st.OffloadInstalls != st.OffloadEvictions+st.OffloadUninstalls+uint64(st.OffloadLive) {
-		t.Errorf("ledger broken under clamp: %+v", st)
+	if err := st.Invariants(); err != nil {
+		t.Error(err)
 	}
 	if inj.Windows(faultinject.KindOffloadTablePressure) != 1 {
 		t.Error("fault window not recorded")

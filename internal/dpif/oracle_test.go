@@ -352,9 +352,10 @@ func (r *refDatapath) process(p *packet.Packet, depth int) {
 
 // oracleRun drives one trace through one configuration and through the
 // reference side by side, draining the engine after every op and failing on
-// the first difference. The trace's first byte picks whether the pass has an
-// Encapper (bit 0) and whether the kernel providers queue their upcalls (bit
-// 1); the rest is (opcode, argument) pairs.
+// the first difference or the first snapshot that fails Stats.Invariants.
+// The trace's first byte picks whether the pass has an Encapper (bit 0) and
+// whether the kernel providers queue their upcalls (bit 1); the rest is
+// (opcode, argument) pairs.
 func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 	t.Helper()
 	if len(trace) == 0 {
@@ -568,6 +569,9 @@ func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 			if delivered-copies+after.Lost+after.MalformedDrops+after.UpcallQueueDrops != admitted {
 				fail("ledger: delivered %d - copies %d + lost %d + malformed %d + queue-dropped %d != admitted %d",
 					delivered, copies, after.Lost, after.MalformedDrops, after.UpcallQueueDrops, admitted)
+			}
+			if err := after.Invariants(); err != nil {
+				fail("invariants: %v", err)
 			}
 		}
 	}

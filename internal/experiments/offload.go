@@ -67,8 +67,8 @@ type OffloadPoint struct {
 	// up as idle evictions followed by an upcall storm.
 	Upcalls      uint64 `json:"upcalls"`
 	RevalEvicted uint64 `json:"reval_evicted"`
-	// The hardware-table conservation ledger, end of run (after drain):
-	// Installs == Evictions + Uninstalls + Live.
+	// The hardware-table conservation ledger, end of run (after drain);
+	// LedgerOK is dpif.Stats.Invariants passing.
 	Installs   uint64 `json:"installs"`
 	Evictions  uint64 `json:"evictions"`
 	Uninstalls uint64 `json:"uninstalls"`
@@ -240,7 +240,7 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 	pt.Live = off.Live
 	pt.Readbacks = off.Readbacks
 	pt.HWMergedHits = off.HWMergedHits
-	pt.LedgerOK = off.Installs == off.Evictions+off.Uninstalls+uint64(off.Live)
+	pt.LedgerOK = d.Stats().Invariants() == nil
 	pt.LiveAfterDrain = off.Live
 	r.Stop()
 	return pt

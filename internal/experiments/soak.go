@@ -15,12 +15,11 @@ package experiments
 //	t4  GET  /v1/datapaths/{name}/stats  (mid-run eviction check)
 //
 // after which traffic drains and the final stats are read back over HTTP
-// too. The scenario passes only if all three conservation ledgers are
-// exact at shutdown — rx = delivered + drops, ct created = live + expired
-// + early-drops + evicted, offload installs = evictions + uninstalls +
-// live — and each mutation demonstrably acted: SMC hits appeared after the
-// flip, the balancer rebalanced after the enable, the clamp evicted
-// hardware rules.
+// too. The scenario passes only if the rx ledger (sent = delivered + every
+// drop class) closes and the final snapshot passes dpif.Stats.Invariants
+// (the ct and offload ledgers) at shutdown, and each mutation demonstrably
+// acted: SMC hits appeared after the flip, the balancer rebalanced after
+// the enable, the clamp evicted hardware rules.
 
 import (
 	"bytes"
@@ -68,34 +67,25 @@ const (
 // SoakSummary is everything the soak run observed, for the report and the
 // acceptance test.
 type SoakSummary struct {
-	UDPSent, TCPSent   uint64
-	Delivered, Drops   uint64
-	Lost, QueueDrops   uint64
-	MalformedDrops     uint64
-	RxLedgerOK         bool
-	CtCreated          uint64
-	CtExpired          uint64
-	CtEarlyDrops       uint64
-	CtEvictions        uint64
-	CtLive             int
-	CtLedgerOK         bool
-	OffInstalls        uint64
-	OffEvictions       uint64
-	OffUninstalls      uint64
-	OffLive            int
-	OffLedgerOK        bool
-	SMCHits            uint64 // final; the SMC only exists after the flip
-	Rebalances         uint64 // after the auto-LB enable
-	MidEvictions       uint64 // evictions seen by the mid-run HTTP check
-	HTTPCalls          []string
-	HTTPErrors         []string
-	FinalStatsOverHTTP api.StatsView
+	UDPSent, TCPSent uint64
+	Delivered, Drops uint64
+	RxLedgerOK       bool
+	Invariants       error  // Final.Invariants(): the ct and offload ledgers
+	Rebalances       uint64 // after the auto-LB enable
+	MidEvictions     uint64 // evictions seen by the mid-run HTTP check
+	HTTPCalls        []string
+	HTTPErrors       []string
+	// Final is the stats view read over HTTP after the drain; its SMC hits
+	// can only come from after the flip.
+	Final api.StatsView
 }
 
-// OK reports whether the run met every acceptance condition.
+// OK reports whether the run met every acceptance condition. Both ledgers
+// must have seen use: connections created and hardware rules installed.
 func (s *SoakSummary) OK() bool {
-	return s.RxLedgerOK && s.CtLedgerOK && s.OffLedgerOK &&
-		s.SMCHits > 0 && s.Rebalances > 0 && s.OffEvictions > 0 &&
+	f := &s.Final
+	return s.RxLedgerOK && s.Invariants == nil && f.CtCreated > 0 && f.OffloadInstalls > 0 &&
+		f.SMCHits > 0 && s.Rebalances > 0 && f.OffloadEvictions > 0 &&
 		len(s.HTTPErrors) == 0
 }
 
@@ -246,8 +236,8 @@ func RunSoak(p Profile) *SoakSummary {
 			var body struct {
 				Stats api.StatsView `json:"stats"`
 			}
-			if err := json.Unmarshal(data, &body); err == nil && body.Stats.Offload != nil {
-				midEvictions = body.Stats.Offload.Evictions
+			if err := json.Unmarshal(data, &body); err == nil {
+				midEvictions = body.Stats.OffloadEvictions
 			}
 		}
 		hCheck.Release()
@@ -295,34 +285,19 @@ func RunSoak(p Profile) *SoakSummary {
 
 	rebalances, _, _ := nd.Datapath().RebalanceStats()
 	s := &SoakSummary{
-		UDPSent:            bed.Gen.Sent,
-		TCPSent:            tcp.Sent,
-		Delivered:          bed.Delivered,
-		Drops:              bed.Drops(),
-		Lost:               final.Lost,
-		QueueDrops:         final.UpcallQueueDrops,
-		MalformedDrops:     final.MalformedDrops,
-		SMCHits:            final.SMCHits,
-		Rebalances:         rebalances,
-		MidEvictions:       midEvictions,
-		HTTPCalls:          sc.calls,
-		HTTPErrors:         sc.errs,
-		FinalStatsOverHTTP: final,
+		UDPSent:      bed.Gen.Sent,
+		TCPSent:      tcp.Sent,
+		Delivered:    bed.Delivered,
+		Drops:        bed.Drops(),
+		Invariants:   final.Invariants(),
+		Rebalances:   rebalances,
+		MidEvictions: midEvictions,
+		HTTPCalls:    sc.calls,
+		HTTPErrors:   sc.errs,
+		Final:        final,
 	}
 	s.RxLedgerOK = s.UDPSent+s.TCPSent ==
-		s.Delivered+s.Drops+s.Lost+s.QueueDrops+s.MalformedDrops
-	if c := final.Conntrack; c != nil {
-		s.CtCreated, s.CtExpired = c.Created, c.Expired
-		s.CtEarlyDrops, s.CtEvictions = c.EarlyDrops, c.Evictions
-		s.CtLive = c.Conns
-		s.CtLedgerOK = c.Created ==
-			c.Expired+c.EarlyDrops+c.Evictions+uint64(c.Conns)
-	}
-	if o := final.Offload; o != nil {
-		s.OffInstalls, s.OffEvictions, s.OffUninstalls = o.Installs, o.Evictions, o.Uninstalls
-		s.OffLive = o.Live
-		s.OffLedgerOK = o.Installs == o.Evictions+o.Uninstalls+uint64(o.Live)
-	}
+		s.Delivered+s.Drops+final.Lost+final.UpcallQueueDrops+final.MalformedDrops
 	return s
 }
 
@@ -336,22 +311,20 @@ func init() {
 				Title: "live-reconfiguration soak over the ovs-svc control plane"}
 			rep.Add("packets offered (udp+tcp)", float64(s.UDPSent+s.TCPSent), 0, "pkts")
 			rep.Add("delivered", float64(s.Delivered), 0, "pkts")
-			rep.Add("smc hits after flip", float64(s.SMCHits), 0, "hits")
+			f := &s.Final
+			rep.Add("smc hits after flip", float64(f.SMCHits), 0, "hits")
 			rep.Add("auto-lb rebalances after enable", float64(s.Rebalances), 0, "")
-			rep.Add("hw evictions under fault clamp", float64(s.OffEvictions), 0, "")
-			ledger := func(ok bool) string {
-				if ok {
-					return "exact"
-				}
-				return "BROKEN"
-			}
+			rep.Add("hw evictions under fault clamp", float64(f.OffloadEvictions), 0, "")
 			rep.AddNote("rx ledger %s: sent %d = delivered %d + drops %d + lost %d + queue-drops %d + malformed %d",
-				ledger(s.RxLedgerOK), s.UDPSent+s.TCPSent,
-				s.Delivered, s.Drops, s.Lost, s.QueueDrops, s.MalformedDrops)
+				ledgerWord(s.RxLedgerOK), s.UDPSent+s.TCPSent,
+				s.Delivered, s.Drops, f.Lost, f.UpcallQueueDrops, f.MalformedDrops)
 			rep.AddNote("ct ledger %s: created %d = expired %d + early-drops %d + evicted %d + live %d",
-				ledger(s.CtLedgerOK), s.CtCreated, s.CtExpired, s.CtEarlyDrops, s.CtEvictions, s.CtLive)
+				ledgerWord(s.Invariants == nil), f.CtCreated, f.CtExpired, f.CtEarlyDrops, f.CtEvictions, f.CtConns)
 			rep.AddNote("offload ledger %s: installs %d = evictions %d + uninstalls %d + live %d (mid-run check saw %d evictions)",
-				ledger(s.OffLedgerOK), s.OffInstalls, s.OffEvictions, s.OffUninstalls, s.OffLive, s.MidEvictions)
+				ledgerWord(s.Invariants == nil), f.OffloadInstalls, f.OffloadEvictions, f.OffloadUninstalls, f.OffloadLive, s.MidEvictions)
+			if s.Invariants != nil {
+				rep.AddNote("invariants: %v", s.Invariants)
+			}
 			for _, call := range s.HTTPCalls {
 				rep.AddNote("http: %s", call)
 			}

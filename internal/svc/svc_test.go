@@ -285,8 +285,9 @@ func TestStatsAndFlows(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition: the Prometheus endpoint speaks text format 0.0.4
-// and carries the core series.
+// TestMetricsExposition: the Prometheus endpoint speaks text format 0.0.4,
+// carries the core series, and serves one family with a sample per
+// datapath for every dpif.Counters row.
 func TestMetricsExposition(t *testing.T) {
 	ts, _ := newTestServer(t)
 	req, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
@@ -310,6 +311,20 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	for _, c := range dpif.Counters {
+		typ := "counter"
+		if c.Gauge {
+			typ = "gauge"
+		}
+		for _, want := range []string{
+			fmt.Sprintf("# TYPE ovsxdp_%s %s\n", c.Name, typ),
+			fmt.Sprintf("\novsxdp_%s{datapath=\"t0\"} ", c.Name),
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("metrics missing %q", want)
+			}
 		}
 	}
 }
