@@ -8,9 +8,8 @@ import (
 	"fmt"
 
 	"ovsxdp/internal/containersim"
-	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/ebpf"
-	"ovsxdp/internal/kernelsim"
+	"ovsxdp/internal/kit"
 	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
@@ -45,25 +44,10 @@ func main() {
 	// Softirq actor: driver receive through the XDP program.
 	softirq := eng.NewCPU("softirq")
 	redirected, toUserspace := 0, 0
-	(&kernelsim.NAPIActor{Eng: eng, CPU: softirq,
-		Src: nic.Queue(0),
-		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-			for _, p := range pkts {
-				cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
-				res, cost, err := nic.Hook.Run(0, p.Data, 1)
-				check(err)
-				cpu.Consume(sim.Softirq, cost)
-				if res.Action == ebpf.XDPRedirect {
-					if res.RedirectMap.Type() == ebpf.MapTypeDevMap {
-						cpu.Consume(sim.Softirq, costmodel.XDPRedirectVeth)
-						veth.ToPeer.Push(p)
-						redirected++
-					} else {
-						toUserspace++
-					}
-				}
-			}
-		}}).Start()
+	kit.XDPRx(eng, softirq, nic.Queue(0), nic.Hook, 0, 1, &xdp.Verdicts{
+		ToDev: func(_ uint32, p *packet.Packet) { veth.ToPeer.Push(p); redirected++ },
+		ToXsk: func(uint32, *packet.Packet) { toUserspace++ },
+	})
 
 	// Traffic: 1,000 packets to the container, 200 to an unknown MAC,
 	// spaced 1 us apart (a burst larger than the RX ring would drop).

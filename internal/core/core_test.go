@@ -475,6 +475,35 @@ func TestAFXDPTxRefusesOversizeFrame(t *testing.T) {
 	}
 }
 
+// TestAFXDPPortTaskDTransmitsOnWire: an AF_XDP port whose NIC runs Table
+// 5's task D sends the program's XDP_TX frame, MACs swapped, out that NIC's
+// wire without it reaching the socket.
+func TestAFXDPPortTaskDTransmitsOnWire(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nic := nicsim.New(eng, nicsim.Config{Name: "ethA", Queues: 1})
+	prog := xdp.NewParseSwapForward()
+	if err := prog.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if err := nic.Hook.Attach(prog); err != nil {
+		t.Fatal(err)
+	}
+	var wire []hdr.Ethernet
+	nic.ConnectWire(func(p *packet.Packet) {
+		eth, _ := hdr.ParseEthernet(p.Data)
+		wire = append(wire, eth)
+	})
+	port := NewAFXDPPort(AFXDPPortConfig{ID: 1, NIC: nic, Eng: eng})
+	nic.Receive(udpPkt(1))
+	eng.RunUntil(sim.Millisecond)
+	if len(wire) != 1 || wire[0].Dst != macA || wire[0].Src != macB {
+		t.Fatalf("wire frames %+v, want one from %v to %v", wire, macB, macA)
+	}
+	if got := port.XSK(0).RxDelivered; got != 0 {
+		t.Fatalf("socket received %d frames, want 0", got)
+	}
+}
+
 func TestEMCAblation(t *testing.T) {
 	// With the EMC off, every packet pays a classifier lookup; per-packet
 	// cost must rise.
@@ -624,12 +653,12 @@ func TestPerQueueSteeringSeparatesManagementTraffic(t *testing.T) {
 		nic.Receive(udpPkt(uint16(i)))
 	}
 	for q := 0; q < 4; q++ {
-		verdicts := &nicsim.DriverVerdicts{
+		verdicts := &xdp.Verdicts{
 			Pass:  func(*packet.Packet) { toStack++ },
 			ToXsk: func(uint32, *packet.Packet) { toXsk++ },
 		}
 		for _, pkt := range nic.Queue(q).Pop(64) {
-			nic.DriverReceive(cpu, q, pkt, verdicts)
+			nic.Hook.Receive(cpu, q, pkt, nic.Ifindex, verdicts)
 		}
 	}
 	if toStack != 20 || toXsk != 20 {

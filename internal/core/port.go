@@ -21,6 +21,7 @@ import (
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/vdev"
+	"ovsxdp/internal/xdp"
 )
 
 // Port is one datapath port. Implementations charge their I/O costs to the
@@ -152,8 +153,9 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 		p.softirq = append(p.softirq, cpu)
 
 		qIdx := q
-		verdicts := &nicsim.DriverVerdicts{
+		verdicts := &xdp.Verdicts{
 			ToXsk: func(sock uint32, pkt *packet.Packet) { p.toXsk(qIdx, sock, pkt) },
+			Tx:    cfg.NIC.Transmit,
 		}
 		actor := &kernelsim.NAPIActor{
 			Eng: cfg.Eng, CPU: cpu,
@@ -163,7 +165,7 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 				// what the program does not redirect into a socket goes
 				// to the host stack or back out the wire.
 				for _, pkt := range pkts {
-					p.nic.DriverReceive(cpu, qIdx, pkt, verdicts)
+					p.nic.Hook.Receive(cpu, qIdx, pkt, p.nic.Ifindex, verdicts)
 				}
 			},
 		}

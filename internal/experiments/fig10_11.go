@@ -155,6 +155,12 @@ func runFig10(p Profile) *Report {
 	return r
 }
 
+// The Figure 11 client's and server's MACs.
+var (
+	rrClientMAC = hdr.MAC{2, 0, 0, 0, 0, 1}
+	rrServerMAC = hdr.MAC{2, 0, 0, 0, 0, 2}
+)
+
 // containerRRBed wires two containers through one of the Figure 11
 // datapaths on a single host.
 type containerRRBed struct {
@@ -181,8 +187,16 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 			eng.Schedule(serverWake(), func() { rr.OnRequestArrived(p) })
 		}})
 
-	// The switching fabric between the two veth host ends.
-	var toServer, toClient func(*packet.Packet)
+	// The switching fabric between the two veth host ends: the client's
+	// veth is port 1, the server's port 3. Container outbound queues feed
+	// it through a softirq of their own.
+	feed := func(toServer, toClient func(*packet.Packet)) {
+		cpu := eng.NewCPU("veth-softirq")
+		kit.SoftirqRx(eng, cpu, vethC.FromPeer, 1,
+			func(_ *sim.CPU, p *packet.Packet) { toServer(p) })
+		kit.SoftirqRx(eng, cpu, vethS.FromPeer, 3,
+			func(_ *sim.CPU, p *packet.Packet) { toClient(p) })
+	}
 	switch mode {
 	case PCPKernel:
 		// veth -> kernel OVS -> veth: one softirq hop each way.
@@ -191,23 +205,14 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 			dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 2})},
 			dpif.TxPort{PortID: 3, PortName: "veth-server", Deliver: func(p *packet.Packet) { vethS.ToPeer.Push(p) }},
 			dpif.TxPort{PortID: 2, PortName: "veth-client", Deliver: func(p *packet.Packet) { vethC.ToPeer.Push(p) }})
-		toServer = func(p *packet.Packet) { eng.Schedule(0, func() { nl.Process(cpu, p) }) }
-		toClient = toServer
+		toServer := func(p *packet.Packet) { eng.Schedule(0, func() { nl.Process(cpu, p) }) }
+		feed(toServer, toServer)
 	case PCPAFXDPRedir:
-		// In-kernel XDP redirect between the veths: one program run per
-		// hop, no userspace.
-		cpu := eng.NewCPU("softirq")
-		hop := func(deliver func(*packet.Packet)) func(*packet.Packet) {
-			return func(p *packet.Packet) {
-				eng.Schedule(0, func() {
-					cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead+
-						costmodel.XDPRedirectVeth+costmodel.EBPFPacketTouch)
-					deliver(p)
-				})
-			}
-		}
-		toServer = hop(func(p *packet.Packet) { vethS.ToPeer.Push(p) })
-		toClient = hop(func(p *packet.Packet) { vethC.ToPeer.Push(p) })
+		// In-kernel XDP redirect between the veths: path C's program runs
+		// once per hop on the sending veth's host end, no userspace.
+		cpu := eng.NewCPU("veth-softirq")
+		kit.RedirectRx(eng, cpu, vethC.FromPeer, rrServerMAC, 3, func(p *packet.Packet) { vethS.ToPeer.Push(p) })
+		kit.RedirectRx(eng, cpu, vethS.FromPeer, rrClientMAC, 1, func(p *packet.Packet) { vethC.ToPeer.Push(p) })
 	case PCPDPDK:
 		// DPDK reaches containers via AF_PACKET: user/kernel crossings
 		// with heavy queueing jitter on both directions, plus the PMD
@@ -230,21 +235,13 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 				})
 			}
 		}
-		toServer = hop(func(p *packet.Packet) { vethS.ToPeer.Push(p) })
-		toClient = hop(func(p *packet.Packet) { vethC.ToPeer.Push(p) })
+		feed(hop(func(p *packet.Packet) { vethS.ToPeer.Push(p) }),
+			hop(func(p *packet.Packet) { vethC.ToPeer.Push(p) }))
 	}
-
-	// Container outbound queues feed the fabric: the client's veth is its
-	// port 1, the server's port 3.
-	cpu := eng.NewCPU("veth-softirq")
-	kit.SoftirqRx(eng, cpu, vethC.FromPeer, 1,
-		func(_ *sim.CPU, p *packet.Packet) { toServer(p) })
-	kit.SoftirqRx(eng, cpu, vethS.FromPeer, 3,
-		func(_ *sim.CPU, p *packet.Packet) { toClient(p) })
 
 	rr = trafficgen.NewRR(trafficgen.RRConfig{
 		Eng: eng, Transactions: transactions,
-		SrcMAC: hdr.MAC{2, 0, 0, 0, 0, 1}, DstMAC: hdr.MAC{2, 0, 0, 0, 0, 2},
+		SrcMAC: rrClientMAC, DstMAC: rrServerMAC,
 		SrcIP: hdr.MakeIP4(10, 0, 0, 1), DstIP: hdr.MakeIP4(10, 0, 0, 2),
 		SrcPort: 40000, DstPort: 12865,
 		SendRequest:  func(p *packet.Packet) { client.Transmit(p) },

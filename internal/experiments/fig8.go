@@ -100,15 +100,6 @@ func nsxStylePipeline(localMAC, remoteMAC hdr.MAC, localVTEP, remoteVTEP hdr.IP4
 	return pl
 }
 
-// tunnelCache builds a netlink replica resolving the peer VTEP.
-func tunnelCache(eng *sim.Engine, local, remote hdr.IP4) *netlinksim.Cache {
-	k := netlinksim.NewKernel()
-	idx, _ := k.AddLink("uplink", "mlx5_core", hdr.MAC{0x02, 0xee, 0, 0, 0, 1}, 1600)
-	k.AddAddr("uplink", local, 16)
-	k.AddNeigh(netlinksim.Neigh{IP: remote, MAC: hdr.MAC{0x02, 0xee, 0, 0, 0, 2}, LinkIndex: idx})
-	return netlinksim.NewCache(k)
-}
-
 // fig8aConfig is one Figure 8(a) bar.
 type fig8aConfig struct {
 	name      string
@@ -163,9 +154,9 @@ func runFig8aCase(p Profile, c fig8aConfig) float64 {
 	pl2 := nsxStylePipeline(f8ReceiverMAC, f8SenderMAC, f8VTEP2, f8VTEP1, f8VM)
 
 	var bulk *trafficgen.Bulk
-	vm1 := buildHost(eng, c, nic1, pl1, tunnelCache(eng, f8VTEP1, f8VTEP2), opts,
+	vm1 := buildHost(eng, c, nic1, pl1, f8VTEP1, f8VTEP2, opts,
 		func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnAckArrived(pk) })
-	vm2 := buildHost(eng, c, nic2, pl2, tunnelCache(eng, f8VTEP2, f8VTEP1), opts,
+	vm2 := buildHost(eng, c, nic2, pl2, f8VTEP2, f8VTEP1, opts,
 		func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnDataArrived(pk) })
 
 	var sc kernelsim.SocketCosts
@@ -189,9 +180,16 @@ func runFig8aCase(p Profile, c fig8aConfig) float64 {
 }
 
 // buildHost wires one Figure 8(a) host and returns its VM: the uplink NIC is
-// port f8Uplink, the VM port f8VM, under a datapath of the case's kind.
+// port f8Uplink, the VM port f8VM, under a datapath of the case's kind. The
+// host's Geneve tunnel runs from its own VTEP local to the peer's remote.
 func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipeline,
-	cache *netlinksim.Cache, opts core.Options, onPacket func(*vmsim.VM, *packet.Packet)) *vmsim.VM {
+	local, remote hdr.IP4, opts core.Options, onPacket func(*vmsim.VM, *packet.Packet)) *vmsim.VM {
+	// The encapsulation resolves the peer VTEP in a netlink replica.
+	k := netlinksim.NewKernel()
+	idx, _ := k.AddLink("uplink", "mlx5_core", hdr.MAC{0x02, 0xee, 0, 0, 0, 1}, 1600)
+	k.AddAddr("uplink", local, 16)
+	k.AddNeigh(netlinksim.Neigh{IP: remote, MAC: hdr.MAC{0x02, 0xee, 0, 0, 0, 2}, LinkIndex: idx})
+	enc := tunnel.NewEncapper(netlinksim.NewCache(k))
 	kcpu := eng.NewCPU("ksoftirqd-" + nic.Name)
 	// The kernel datapath's tap traffic is relayed by the vhost-net kernel
 	// thread, which contends with the same softirq work (the paper's
@@ -210,7 +208,9 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 				// Kernel-side Geneve encapsulation happens in execute();
 				// the byte-level encap for the wire is done here so the
 				// peer can decapsulate.
-				if outer := encapForWire(cache, pk); outer != nil {
+				outer, err := enc.Encap(pk, tunnel.Config{Kind: tunnel.Geneve,
+					LocalIP: local, RemoteIP: remote, VNI: 5000})
+				if err == nil {
 					nic.Transmit(outer)
 				}
 			}})
@@ -226,7 +226,7 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 	}
 	uplink := kit.Must(kit.NICPort(eng, c.kind.String(), f8Uplink, nic, lock, false))
 	nd := kit.OpenNetdev(dcfg, c.mode, 1, []core.Port{uplink, vm.Port})
-	nd.Datapath().Encapper = tunnel.NewEncapper(cache)
+	nd.Datapath().Encapper = enc
 	return vm.VM
 }
 
@@ -245,24 +245,6 @@ func kdpKernelRx(kdp *dpif.Netlink) func(*sim.CPU, []*packet.Packet) {
 			kdp.Process(cpu, pk)
 		}
 	}
-}
-
-// encapForWire performs Geneve encapsulation for the kernel datapath's
-// uplink output (its execute() only charges the cost).
-func encapForWire(cache *netlinksim.Cache, pk *packet.Packet) *packet.Packet {
-	enc := tunnel.NewEncapper(cache)
-	remote := f8VTEP2
-	local := f8VTEP1
-	// Direction: data goes 1->2, acks 2->1; pick by destination MAC.
-	if eth, err := hdr.ParseEthernet(pk.Data); err == nil && eth.Dst == f8SenderMAC {
-		remote, local = f8VTEP1, f8VTEP2
-	}
-	outer, err := enc.Encap(pk, tunnel.Config{Kind: tunnel.Geneve,
-		LocalIP: local, RemoteIP: remote, VNI: 5000})
-	if err != nil {
-		return nil
-	}
-	return outer
 }
 
 // --- Figure 8b: intra-host VM to VM ------------------------------------------
@@ -415,44 +397,32 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 	receiver = containersim.New(eng, containersim.Config{Name: "r", Veth: vethR,
 		OnPacket: func(ct *containersim.Container, pk *packet.Packet) { bulk.OnDataArrived(pk) }})
 
+	// Bidirectional: data 1 -> 3, acks 3 -> 1.
+	pl := kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 1})
+	cpu := eng.NewCPU("softirq")
 	switch c.mode {
-	case "kernel", "xdp":
-		// In-kernel switching (OVS module) or in-kernel XDP redirect
-		// between the veths; XDP charges program costs and cannot use
-		// csum/TSO.
-		cpu := eng.NewCPU("softirq")
-		hopCost := func(pk *packet.Packet) sim.Time {
-			if c.mode == "xdp" {
-				return costmodel.XDPDriverOverhead + costmodel.XDPRedirectVeth +
-					costmodel.EBPFPacketTouch + costmodel.VethCrossing
-			}
-			return costmodel.SkbAlloc + costmodel.KernelOVSLookup +
-				costmodel.KernelOVSActions + costmodel.VethCrossing
-		}
-		fwd := func(dst *vdev.Link) func(*sim.CPU, []*packet.Packet) {
-			return func(cpu *sim.CPU, pkts []*packet.Packet) {
-				for _, pk := range pkts {
-					cpu.Consume(sim.Softirq, hopCost(pk))
-					dst.ToPeer.Push(pk)
-				}
-			}
-		}
-		(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-			Src: vethS.FromPeer, Handler: fwd(vethR)}).Start()
-		(&kernelsim.NAPIActor{Eng: eng, CPU: cpu,
-			Src: vethR.FromPeer, Handler: fwd(vethS)}).Start()
+	case "kernel":
+		// In-kernel switching through the OVS module.
+		nl := kit.OpenKernel("netlink", dpif.Config{Eng: eng, Pipeline: pl},
+			dpif.TxPort{PortID: 1, PortName: "veth-s", Deliver: func(p *packet.Packet) { vethS.ToPeer.Push(p) }},
+			dpif.TxPort{PortID: 3, PortName: "veth-r", Deliver: func(p *packet.Packet) { vethR.ToPeer.Push(p) }})
+		kit.SoftirqRx(eng, cpu, vethS.FromPeer, 1, nl.Process)
+		kit.SoftirqRx(eng, cpu, vethR.FromPeer, 3, nl.Process)
+	case "xdp":
+		// In-kernel XDP redirect between the veths (Figure 5 path C's
+		// program on each host end), which cannot use csum/TSO.
+		kit.RedirectRx(eng, cpu, vethS.FromPeer, f8ReceiverMAC, 3, func(p *packet.Packet) { vethR.ToPeer.Push(p) })
+		kit.RedirectRx(eng, cpu, vethR.FromPeer, f8SenderMAC, 1, func(p *packet.Packet) { vethS.ToPeer.Push(p) })
 	case "afxdp":
 		// Figure 5 path A: veth -> AF_XDP (generic) -> OVS userspace ->
 		// veth.
 		opts := core.DefaultOptions()
 		opts.AssumeCsumOffload = c.csum
 		opts.AssumeTSO = c.tso
-		// Bidirectional: data 1 -> 3, acks 3 -> 1.
-		softirq := eng.NewCPU("softirq")
-		kit.OpenNetdev(dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 1}), Options: opts},
+		kit.OpenNetdev(dpif.Config{Eng: eng, Pipeline: pl, Options: opts},
 			core.ModePoll, 1, []core.Port{
-				kit.NewLink(1, "veth", vethS, softirq).Port,
-				kit.NewLink(3, "veth", vethR, softirq).Port})
+				kit.NewLink(1, "veth", vethS, cpu).Port,
+				kit.NewLink(3, "veth", vethR, cpu).Port})
 	}
 
 	sendSize := 1460

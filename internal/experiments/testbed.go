@@ -12,7 +12,6 @@ import (
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpif"
-	"ovsxdp/internal/ebpf"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/kit"
 	"ovsxdp/internal/measure"
@@ -346,53 +345,13 @@ func NewPCPBed(mode PCPMode, flows int) *Bed {
 
 	case PCPAFXDPRedir:
 		// Figure 5 path C: the XDP program on NIC A redirects container
-		// traffic straight to the veth; the container's return traffic
-		// is picked up by a veth-side XDP program that transmits NIC B.
-		l2 := ebpf.NewHashMap(8, 4, 128)
-		dev := ebpf.NewDevMap(8)
-		xskMap := ebpf.NewXskMap(8)
-		if err := dev.SetTarget(0, 3); err != nil {
-			panic(err)
-		}
-		// The generator's destination MAC maps to devmap slot 0.
-		genDst := [6]byte{0x02, 0xbb, 0, 0, 0, 1}
-		if err := l2.Update(xdp.MACKey(genDst), []byte{0, 0, 0, 0}); err != nil {
-			panic(err)
-		}
-		prog := xdp.NewRedirectToVeth(l2, dev, xskMap)
-		if err := prog.Load(); err != nil {
-			panic(err)
-		}
-		if err := bed.NICA.Hook.Attach(prog); err != nil {
-			panic(err)
-		}
-		softirq := eng.NewCPU("softirq/0")
-		(&kernelsim.NAPIActor{Eng: eng, CPU: softirq,
-			Src: bed.NICA.Queue(0),
-			Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-				for _, p := range pkts {
-					cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
-					res, cost, err := bed.NICA.Hook.Run(0, p.Data, 1)
-					cpu.Consume(sim.Softirq, cost)
-					if err != nil {
-						continue
-					}
-					if res.Action == ebpf.XDPRedirect {
-						cpu.Consume(sim.Softirq, costmodel.XDPRedirectVeth)
-						veth.ToPeer.Push(p)
-					}
-				}
-			}}).Start()
-		// veth return side: in-kernel XDP redirect to NIC B.
-		softirq2 := eng.NewCPU("softirq/veth")
-		(&kernelsim.NAPIActor{Eng: eng, CPU: softirq2,
-			Src: veth.FromPeer,
-			Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
-				for _, p := range pkts {
-					cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead+costmodel.XDPRedirectVeth)
-					bed.NICB.Transmit(p)
-				}
-			}}).Start()
+		// traffic straight to the veth (port 3); the container's return
+		// traffic, addressed back to the generator, is picked up by a
+		// veth-side XDP program that redirects it to NIC B.
+		kit.AttachRedirect(bed.NICA.Hook, bed.Gen.DstMAC, 3)
+		kit.XDPRx(eng, eng.NewCPU("softirq/0"), bed.NICA.Queue(0), bed.NICA.Hook, 0, 1,
+			&xdp.Verdicts{ToDev: func(_ uint32, p *packet.Packet) { veth.ToPeer.Push(p) }})
+		kit.RedirectRx(eng, eng.NewCPU("softirq/veth"), veth.FromPeer, bed.Gen.SrcMAC, 2, bed.NICB.Transmit)
 
 	case PCPDPDK:
 		// Container access via AF_PACKET: extra user/kernel crossing

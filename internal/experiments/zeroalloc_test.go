@@ -9,38 +9,64 @@ import (
 	"testing"
 
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/trafficgen"
+	"ovsxdp/internal/xdp"
 )
 
-// TestSteadyStatePMDLoopZeroAlloc drives the standard single-flow AF_XDP
-// P2P bed past warmup, then asserts that advancing the simulation — NIC
-// receive, XDP program, XSK rings, PMD poll, classification, transmit —
-// performs zero heap allocations per slice. This is the acceptance gate for
-// the event-wheel + arena refactor: any per-packet make/append/closure that
-// creeps back into the hot path fails this test.
+// TestSteadyStatePMDLoopZeroAlloc drives three beds past warmup at 2 Mpps,
+// then asserts that advancing the simulation performs zero heap allocations
+// per slice: the single-flow AF_XDP P2P bed (NIC receive, XDP program, XSK
+// rings, PMD poll, classification, transmit), Table 5's bed running task A,
+// and the PCP bed whose XDP programs redirect NIC A to the container's veth
+// and the veth to NIC B. This is the acceptance gate for the event-wheel +
+// arena refactor and for the one XDP driver stage: any per-packet
+// make/append/closure that creeps back into the hot path, or a stage that
+// keeps a frame it ends and so drains the generator's pool, fails it.
 func TestSteadyStatePMDLoopZeroAlloc(t *testing.T) {
-	bed := NewP2PBed(DefaultBed(KindAFXDP, 1))
-	const (
-		ratePPS = 2e6
-		runs    = 50
-	)
-	warmup := 2 * sim.Millisecond
-	slice := 200 * sim.Microsecond
-	// AllocsPerRun invokes the function runs+1 times (one untimed warmup
-	// call); schedule generation to cover the whole span with margin.
-	bed.Gen.Run(ratePPS, warmup+sim.Time(runs+4)*slice)
-	bed.Eng.RunUntil(warmup)
-
-	deliveredBefore := bed.Delivered
-	now := warmup
-	avg := testing.AllocsPerRun(runs, func() {
-		now += slice
-		bed.Eng.RunUntil(now)
-	})
-	if bed.Delivered == deliveredBefore {
-		t.Fatal("no packets delivered during the measured window")
+	type run struct {
+		eng  *sim.Engine
+		gen  *trafficgen.UDPGen
+		done func() uint64 // packets through the bed so far
 	}
-	if avg != 0 {
-		t.Fatalf("steady-state PMD loop allocates: %.2f allocs per %v slice (want 0)", avg, slice)
+	loopback := func(b *Bed) run { return run{b.Eng, b.Gen, func() uint64 { return b.Delivered }} }
+	for _, tc := range []struct {
+		name string
+		bed  func() run
+	}{
+		{"afxdp-p2p", func() run { return loopback(NewP2PBed(DefaultBed(KindAFXDP, 1))) }},
+		{"table5-task-a", func() run {
+			b := newXDPBed(xdp.NewDropAll(), 1)
+			return run{b.eng, b.gen, b.processed}
+		}},
+		{"pcp-afxdp-xdp-redirect", func() run { return loopback(NewPCPBed(PCPAFXDPRedir, 1)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bed := tc.bed()
+			const (
+				ratePPS = 2e6
+				runs    = 50
+			)
+			warmup := 4 * sim.Millisecond
+			slice := 200 * sim.Microsecond
+			// AllocsPerRun invokes the function runs+1 times (one untimed
+			// warmup call); schedule generation to cover the whole span
+			// with margin.
+			bed.gen.Run(ratePPS, warmup+sim.Time(runs+4)*slice)
+			bed.eng.RunUntil(warmup)
+
+			before := bed.done()
+			now := warmup
+			avg := testing.AllocsPerRun(runs, func() {
+				now += slice
+				bed.eng.RunUntil(now)
+			})
+			if bed.done() == before {
+				t.Fatal("no packets through the bed during the measured window")
+			}
+			if avg != 0 {
+				t.Fatalf("steady state allocates: %.2f allocs per %v slice (want 0)", avg, slice)
+			}
+		})
 	}
 }
 

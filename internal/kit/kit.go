@@ -12,14 +12,17 @@ import (
 	"ovsxdp/internal/afxdp"
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/dpif"
+	"ovsxdp/internal/ebpf"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
+	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/vdev"
 	"ovsxdp/internal/vmsim"
+	"ovsxdp/internal/xdp"
 )
 
 // Must returns v or panics — testbeds are constructed from compile-time
@@ -222,6 +225,51 @@ func SoftirqRx(eng *sim.Engine, cpu *sim.CPU, src kernelsim.PollSource, inPort u
 		}}
 	a.Start()
 	return a
+}
+
+// XDPRx starts a NAPI actor on cpu that drains src, receive queue q of
+// device ifindex, through hook's driver stage: the hook's program decides
+// which of v's callbacks gets each packet.
+func XDPRx(eng *sim.Engine, cpu *sim.CPU, src kernelsim.PollSource, hook *xdp.Hook, q int, ifindex uint32,
+	v *xdp.Verdicts) {
+	(&kernelsim.NAPIActor{Eng: eng, CPU: cpu, Src: src,
+		Handler: func(cpu *sim.CPU, pkts []*packet.Packet) {
+			for _, p := range pkts {
+				hook.Receive(cpu, q, p, ifindex, v)
+			}
+		}}).Start()
+}
+
+// AttachRedirect attaches Figure 5 path C's program to hook with a single
+// L2 route: frames to dst are redirected to device target (the ToDev
+// verdict); any other frame falls back to an AF_XDP socket, of which there
+// is none, and is dropped.
+func AttachRedirect(hook *xdp.Hook, dst hdr.MAC, target uint32) {
+	l2 := ebpf.NewHashMap(8, 4, 1)
+	dev := ebpf.NewDevMap(1)
+	if err := dev.SetTarget(0, target); err != nil {
+		panic(err)
+	}
+	if err := l2.Update(xdp.MACKey(dst), []byte{0, 0, 0, 0}); err != nil {
+		panic(err)
+	}
+	prog := xdp.NewRedirectToVeth(l2, dev, ebpf.NewXskMap(1))
+	if err := prog.Load(); err != nil {
+		panic(err)
+	}
+	if err := hook.Attach(prog); err != nil {
+		panic(err)
+	}
+}
+
+// RedirectRx is a veth host end running path C's program: src drains on
+// cpu through a driver-mode hook of its own, and frames to dst are
+// redirected to device target, whose transmit is deliver.
+func RedirectRx(eng *sim.Engine, cpu *sim.CPU, src kernelsim.PollSource, dst hdr.MAC, target uint32,
+	deliver func(*packet.Packet)) {
+	hook := xdp.NewHook(xdp.ModelAllQueues, xdp.ModeDriver)
+	AttachRedirect(hook, dst, target)
+	XDPRx(eng, cpu, src, hook, 0, 0, &xdp.Verdicts{ToDev: func(_ uint32, p *packet.Packet) { deliver(p) }})
 }
 
 // Iface is one interface of a switch, as an OVSDB Interface row, the public

@@ -11,6 +11,7 @@ import (
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/vdev"
 )
 
 var ifaceTypes = []string{"afxdp", "dpdk", "tap", "vhostuser", "veth"}
@@ -209,5 +210,32 @@ func TestUnknownIfaceType(t *testing.T) {
 		if n := dp.Stats().Ports; n != 2 {
 			t.Errorf("%s: %d ports attached, want the 2 from before", dpType, n)
 		}
+	}
+}
+
+// TestRedirectRxRoutesOneMAC: a veth host end running path C's program with
+// one route hands frames to that MAC to deliver, charges the XDP stage to
+// its softirq CPU, and releases every other frame.
+func TestRedirectRxRoutesOneMAC(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cpu := eng.NewCPU("softirq")
+	veth := vdev.NewLink("veth0")
+	var got []*packet.Packet
+	RedirectRx(eng, cpu, veth.FromPeer, hdr.MAC{0x02, 0xbb, 0, 0, 0, 1}, 2,
+		func(p *packet.Packet) { got = append(got, p) })
+	pool := packet.NewPool(2, 64, true)
+	veth.FromPeer.Push(pool.GetCopy(testFrame()))
+	other := pool.GetCopy(testFrame())
+	other.Data[5] = 9 // destination 02:bb:00:00:00:09 has no route
+	veth.FromPeer.Push(other)
+	eng.Run()
+	if len(got) != 1 || got[0].Data[5] != 1 {
+		t.Fatalf("delivered %d frames, want the one to the routed MAC", len(got))
+	}
+	if pool.Available() != 1 {
+		t.Fatalf("%d of 2 frames back in the pool, want the unrouted one", pool.Available())
+	}
+	if cpu.Busy(sim.Softirq) == 0 {
+		t.Fatal("the XDP stage must be charged to the softirq CPU")
 	}
 }

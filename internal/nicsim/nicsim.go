@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/ebpf"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
@@ -102,7 +101,7 @@ type NIC struct {
 	// Offloads are the hardware assists available.
 	Offloads Offloads
 	// Hook is the XDP attachment point, executed by the driver's
-	// receive path when a consumer calls DriverReceive.
+	// receive path when a consumer calls Hook.Receive.
 	Hook *xdp.Hook
 
 	eng      *sim.Engine
@@ -367,84 +366,6 @@ func (n *NIC) Receive(p *packet.Packet) bool {
 		n.eng.Schedule(base+jitter, fn)
 	}
 	return true
-}
-
-// DriverVerdicts receives each packet the XDP stage is finished with,
-// according to its verdict. A nil callback means the bed has no consumer
-// for that verdict and the packet is released.
-type DriverVerdicts struct {
-	// Pass receives packets bound for the host network stack: XDP_PASS, or
-	// no program attached to the queue.
-	Pass func(p *packet.Packet)
-	// ToXsk receives packets redirected into an AF_XDP socket, with the
-	// xskmap value (socket id).
-	ToXsk func(sock uint32, p *packet.Packet)
-	// ToDev receives packets redirected to another device (devmap
-	// ifindex target).
-	ToDev func(ifindex uint32, p *packet.Packet)
-	// Tx transmits the (possibly rewritten) packet back out; nil sends it
-	// out this NIC.
-	Tx func(p *packet.Packet)
-}
-
-// DriverReceive is the driver's XDP stage for one packet taken from queue
-// q, run on behalf of the softirq-context consumer: it charges the driver
-// overhead plus the program's cost to cpu and hands the packet to the
-// verdict's callback. Every path ends the packet's life here or passes it
-// on: a drop, an abort, a faulting program and a redirect with no target
-// all release it.
-func (n *NIC) DriverReceive(cpu *sim.CPU, q int, p *packet.Packet, v *DriverVerdicts) {
-	cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
-	if !n.Hook.HasProgram() {
-		deliver(v.Pass, p)
-		return
-	}
-	res, cost, err := n.Hook.Run(q, p.Data, n.Ifindex)
-	cpu.Consume(sim.Softirq, cost)
-	if err != nil {
-		p.Release() // a faulting program drops the packet (XDP_ABORTED)
-		return
-	}
-	switch res.Action {
-	case ebpf.XDPPass:
-		deliver(v.Pass, p)
-	case ebpf.XDPTx:
-		cpu.Consume(sim.Softirq, costmodel.XDPTxForward)
-		if v.Tx != nil {
-			v.Tx(p)
-		} else {
-			n.Transmit(p)
-		}
-	case ebpf.XDPRedirect:
-		m := res.RedirectMap
-		if m == nil { // XDP_REDIRECT returned without a redirect_map call
-			p.Release()
-			return
-		}
-		tgt, ok := m.Target(res.RedirectIndex)
-		switch {
-		case !ok:
-			p.Release()
-		case m.Type() == ebpf.MapTypeXskMap && v.ToXsk != nil:
-			v.ToXsk(tgt, p)
-		case m.Type() == ebpf.MapTypeDevMap && v.ToDev != nil:
-			cpu.Consume(sim.Softirq, costmodel.XDPRedirectVeth)
-			v.ToDev(tgt, p)
-		default:
-			p.Release()
-		}
-	default: // XDP_DROP / XDP_ABORTED
-		p.Release()
-	}
-}
-
-// deliver hands p to fn, or releases it when the verdict has no consumer.
-func deliver(fn func(*packet.Packet), p *packet.Packet) {
-	if fn != nil {
-		fn(p)
-	} else {
-		p.Release()
-	}
 }
 
 // Transmit serializes the packet onto the wire at line rate, applying

@@ -4,11 +4,9 @@ import (
 	"testing"
 
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/ebpf"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
-	"ovsxdp/internal/xdp"
 )
 
 var (
@@ -211,137 +209,6 @@ func TestTSOWithoutHardwareNotSplit(t *testing.T) {
 	eng.Run()
 	if len(frames) != 1 {
 		t.Fatalf("frames = %d; software must have segmented beforehand", len(frames))
-	}
-}
-
-// driverReceiveAll pops queue q and runs each packet through the XDP stage,
-// collecting what passes up to the stack.
-func driverReceiveAll(nic *NIC, q int, cpu *sim.CPU, v DriverVerdicts) (passed []*packet.Packet, processed int) {
-	v.Pass = func(p *packet.Packet) { passed = append(passed, p) }
-	pkts := nic.Queue(q).Pop(32)
-	for _, p := range pkts {
-		nic.DriverReceive(cpu, q, p, &v)
-	}
-	return passed, len(pkts)
-}
-
-func TestDriverReceiveXDPVerdicts(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cpu := eng.NewCPU("softirq0")
-	nic := New(eng, Config{Name: "eth0", Queues: 1})
-
-	xskMap := ebpf.NewXskMap(4)
-	if err := xskMap.SetTarget(0, 42); err != nil {
-		t.Fatal(err)
-	}
-	prog := xdp.NewPassToXsk(xskMap)
-	if err := prog.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if err := nic.Hook.Attach(prog); err != nil {
-		t.Fatal(err)
-	}
-
-	var gotSock uint32
-	var gotPkt *packet.Packet
-	nic.Receive(udpPkt(1))
-	passed, n := driverReceiveAll(nic, 0, cpu, DriverVerdicts{
-		ToXsk: func(s uint32, p *packet.Packet) { gotSock, gotPkt = s, p },
-	})
-	if n != 1 || len(passed) != 0 {
-		t.Fatalf("processed=%d passed=%d", n, len(passed))
-	}
-	if gotSock != 42 || gotPkt == nil {
-		t.Fatalf("xsk verdict: sock=%d", gotSock)
-	}
-	if cpu.Busy(sim.Softirq) <= costmodel.XDPDriverOverhead {
-		t.Fatal("driver + program cost must be charged to softirq")
-	}
-}
-
-func TestDriverReceiveNoProgramPasses(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cpu := eng.NewCPU("softirq0")
-	nic := New(eng, Config{Name: "eth0", Queues: 1})
-	nic.Receive(udpPkt(1))
-	passed, _ := driverReceiveAll(nic, 0, cpu, DriverVerdicts{})
-	if len(passed) != 1 {
-		t.Fatalf("passed = %d", len(passed))
-	}
-}
-
-func TestDriverReceiveTxVerdict(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cpu := eng.NewCPU("softirq0")
-	nic := New(eng, Config{Name: "eth0", Queues: 1})
-	prog := xdp.NewParseSwapForward()
-	if err := prog.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if err := nic.Hook.Attach(prog); err != nil {
-		t.Fatal(err)
-	}
-	var txd *packet.Packet
-	nic.Receive(udpPkt(1))
-	driverReceiveAll(nic, 0, cpu, DriverVerdicts{
-		Tx: func(p *packet.Packet) { txd = p },
-	})
-	if txd == nil {
-		t.Fatal("XDP_TX verdict not delivered")
-	}
-	eth, _ := hdr.ParseEthernet(txd.Data)
-	if eth.Dst != macA {
-		t.Fatal("task D must have swapped MACs in place")
-	}
-}
-
-// TestDriverReceiveReleasesTerminalVerdicts: a packet the XDP stage does not
-// hand on — dropped, aborted by a faulting program, passed or redirected
-// with no consumer — goes back to its pool.
-func TestDriverReceiveReleasesTerminalVerdicts(t *testing.T) {
-	xsk := ebpf.NewXskMap(4) // no targets: pass-to-XSK falls back to XDP_PASS
-	routed := ebpf.NewXskMap(4)
-	if err := routed.SetTarget(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	// A program whose map table changed after Load is refused at run time:
-	// the driver sees a faulting run.
-	faulting := xdp.NewParseSwapForward()
-	for _, tc := range []struct {
-		name    string
-		prog    *ebpf.Program
-		prepare func()
-	}{
-		{"drop", xdp.NewDropAll(), nil},
-		{"pass, no consumer", xdp.NewPassToXsk(xsk), nil},
-		{"redirect, no consumer", xdp.NewPassToXsk(routed), nil},
-		{"redirect without a redirect_map call", ebpf.NewProgram("bare-redirect",
-			ebpf.MovImm(ebpf.R0, ebpf.XDPRedirect), ebpf.Exit()), nil},
-		{"fault", faulting, func() { faulting.AttachMap(9, ebpf.NewHashMap(4, 4, 1)) }},
-		{"no program", nil, nil},
-	} {
-		eng := sim.NewEngine(1)
-		cpu := eng.NewCPU("softirq0")
-		nic := New(eng, Config{Name: "eth0", Queues: 1})
-		if tc.prog != nil {
-			if err := tc.prog.Load(); err != nil {
-				t.Fatal(err)
-			}
-			if err := nic.Hook.Attach(tc.prog); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if tc.prepare != nil {
-			tc.prepare()
-		}
-		pool := packet.NewPool(4, 64, true)
-		nic.Receive(pool.GetCopy(udpPkt(1).Data))
-		for _, p := range nic.Queue(0).Pop(32) {
-			nic.DriverReceive(cpu, 0, p, &DriverVerdicts{})
-		}
-		if pool.Available() != 4 {
-			t.Errorf("%s: %d of 4 packets back in the pool", tc.name, pool.Available())
-		}
 	}
 }
 

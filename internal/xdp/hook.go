@@ -20,6 +20,7 @@ import (
 
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/ebpf"
+	"ovsxdp/internal/packet"
 	"ovsxdp/internal/sim"
 )
 
@@ -170,6 +171,80 @@ func (h *Hook) Run(queue int, pkt []byte, ifindex uint32) (*ebpf.Result, sim.Tim
 		cost += costmodel.SkbAlloc + costmodel.CopyCost(len(pkt))
 	}
 	return res, cost, nil
+}
+
+// Verdicts receives each packet the driver stage is finished with,
+// according to its verdict. A nil callback means the device has no consumer
+// for that verdict and the packet is released.
+type Verdicts struct {
+	// Pass receives packets bound for the host network stack: XDP_PASS, or
+	// no program attached to the queue.
+	Pass func(p *packet.Packet)
+	// ToXsk receives packets redirected into an AF_XDP socket, with the
+	// xskmap value (socket id).
+	ToXsk func(sock uint32, p *packet.Packet)
+	// ToDev receives packets redirected to another device (devmap
+	// ifindex target).
+	ToDev func(ifindex uint32, p *packet.Packet)
+	// Tx transmits the (possibly rewritten) packet back out the device it
+	// arrived on (XDP_TX).
+	Tx func(p *packet.Packet)
+}
+
+// Receive is the driver's XDP stage for one packet taken from receive queue
+// q of device ifindex, run on behalf of the softirq-context consumer: it
+// charges the driver overhead plus the program's cost to cpu and hands the
+// packet to the verdict's callback. Every path ends the packet's life here
+// or passes it on: a drop, an abort, a faulting program, a redirect with no
+// target and a verdict with no consumer all release it.
+func (h *Hook) Receive(cpu *sim.CPU, q int, p *packet.Packet, ifindex uint32, v *Verdicts) {
+	cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
+	if !h.HasProgram() {
+		deliver(v.Pass, p)
+		return
+	}
+	res, cost, err := h.Run(q, p.Data, ifindex)
+	cpu.Consume(sim.Softirq, cost)
+	if err != nil {
+		p.Release() // a faulting program drops the packet (XDP_ABORTED)
+		return
+	}
+	switch res.Action {
+	case ebpf.XDPPass:
+		deliver(v.Pass, p)
+	case ebpf.XDPTx:
+		cpu.Consume(sim.Softirq, costmodel.XDPTxForward)
+		deliver(v.Tx, p)
+	case ebpf.XDPRedirect:
+		m := res.RedirectMap
+		if m == nil { // XDP_REDIRECT returned without a redirect_map call
+			p.Release()
+			return
+		}
+		tgt, ok := m.Target(res.RedirectIndex)
+		switch {
+		case !ok:
+			p.Release()
+		case m.Type() == ebpf.MapTypeXskMap && v.ToXsk != nil:
+			v.ToXsk(tgt, p)
+		case m.Type() == ebpf.MapTypeDevMap && v.ToDev != nil:
+			cpu.Consume(sim.Softirq, costmodel.XDPRedirectVeth)
+			v.ToDev(tgt, p)
+		default:
+			p.Release()
+		}
+	default: // XDP_DROP / XDP_ABORTED
+		p.Release()
+	}
+}
+
+// deliver hands p to fn, or releases it when the verdict has no consumer.
+func deliver(fn func(*packet.Packet), p *packet.Packet) {
+	if fn != nil {
+		fn(p)
+	} else {
+		p.Release()
+	}
 }
 
 // ExecCost converts a program execution result into virtual time, using the
