@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ovsxdp/internal/afxdp"
+	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/ebpf"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/netlinksim"
@@ -12,6 +13,7 @@ import (
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
+	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/tunnel"
 	"ovsxdp/internal/vdev"
@@ -322,71 +324,141 @@ func TestCTRecirculationInUserspace(t *testing.T) {
 	}
 }
 
+// TestTunnelPushPopThroughDatapath: a Geneve push leaves its outer UDP
+// checksum to the egress, which settles it like any partial frame — in
+// software, on the PMD's actions stage, out of a port without checksum
+// offload (AF_XDP) unless O5 is assumed, for free out of one with it (DPDK,
+// tap) — and the pushed frame pops back to its inner frame on a tunnel port.
+// The checksum charge is the push pass's actions cycles less the
+// encapsulation and less a pass sending the same outer frame straight out.
 func TestTunnelPushPopThroughDatapath(t *testing.T) {
-	eng := sim.NewEngine(1)
-
-	// Routing for the tunnel next hop.
-	kern := netlinksim.NewKernel()
-	idx, _ := kern.AddLink("uplink", "mlx5", hdr.MAC{2, 0xff, 0, 0, 0, 1}, 1600)
-	kern.AddAddr("uplink", hdr.MakeIP4(172, 16, 0, 1), 16)
-	kern.AddNeigh(netlinksim.Neigh{IP: hdr.MakeIP4(172, 16, 0, 2), MAC: hdr.MAC{2, 0xff, 0, 0, 0, 2}, LinkIndex: idx})
-	cache := netlinksim.NewCache(kern)
-
-	pl := ofproto.NewPipeline()
-	mIn := flow.NewMaskBuilder().InPort().Build()
-	// Encap side: traffic from port 1 goes into a Geneve tunnel out
-	// port 2.
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match: ofproto.NewMatch(flow.Fields{InPort: 1}, mIn),
-		Actions: []ofproto.Action{
-			ofproto.SetTunnel(tunnel.Config{Kind: tunnel.Geneve,
-				LocalIP: hdr.MakeIP4(172, 16, 0, 1), RemoteIP: hdr.MakeIP4(172, 16, 0, 2), VNI: 88}),
-			ofproto.Output(2)}})
-	// Decap side: tunneled traffic arriving on port 3 pops to virtual
-	// port 100, whose pass forwards to port 4.
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 2,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 3}, mIn),
-		Actions: []ofproto.Action{ofproto.TunnelPop(100)}})
-	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 100}, mIn),
-		Actions: []ofproto.Action{ofproto.Output(4)}})
-
-	dp := NewDatapath(eng, pl, DefaultOptions())
-	dp.Encapper = tunnel.NewEncapper(cache)
-
-	taps := make([]*vdev.Link, 5)
-	for i := 1; i <= 4; i++ {
-		taps[i-1] = vdev.NewLink("t")
-		dp.AddPort(NewLinkPort(uint32(i), "tap", taps[i-1], nil))
+	vtep, remote := hdr.MakeIP4(172, 16, 0, 1), hdr.MakeIP4(172, 16, 0, 2)
+	cases := []struct {
+		name   string
+		egress string // "tap", "afxdp" or "dpdk"
+		assume bool   // O5: AssumeCsumOffload
+		csum   bool   // the outer checksum costs ChecksumCost(len(outer)); else nothing
+	}{
+		{"tap egress", "tap", false, false},
+		{"afxdp egress", "afxdp", false, true},
+		{"afxdp egress, O5 assumed", "afxdp", true, false},
+		{"dpdk egress", "dpdk", false, false},
 	}
-	pmd := dp.NewPMD(ModePoll, nil)
-	dp.AssignRxqTo(pmd, dp.Port(1), 0)
-	dp.AssignRxqTo(pmd, dp.Port(3), 0)
-	pmd.Start()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
 
-	// Encap: inner frame in, Geneve frame out port 2.
-	taps[0].FromPeer.Push(udpPkt(1))
-	eng.RunUntil(sim.Millisecond)
-	outFrames := taps[1].ToPeer.Pop(10)
-	if len(outFrames) != 1 {
-		t.Fatalf("encap output = %d frames", len(outFrames))
-	}
-	inner, wasTunnel, err := tunnel.Decap(outFrames[0])
-	if err != nil || !wasTunnel || inner.Tunnel.VNI != 88 {
-		t.Fatalf("output is not a VNI-88 Geneve frame: %v %v", wasTunnel, err)
-	}
+			// Routing for the tunnel next hop.
+			kern := netlinksim.NewKernel()
+			idx, _ := kern.AddLink("uplink", "mlx5", hdr.MAC{2, 0xff, 0, 0, 0, 1}, 1600)
+			kern.AddAddr("uplink", vtep, 16)
+			kern.AddNeigh(netlinksim.Neigh{IP: remote, MAC: hdr.MAC{2, 0xff, 0, 0, 0, 2}, LinkIndex: idx})
 
-	// Decap: feed the Geneve frame into port 3; the inner frame must
-	// appear at port 4.
-	outFrames[0].ResetMetadata()
-	taps[2].FromPeer.Push(outFrames[0])
-	eng.RunUntil(2 * sim.Millisecond)
-	got := taps[3].ToPeer.Pop(10)
-	if len(got) != 1 {
-		t.Fatalf("decap output = %d frames (drops=%d)", len(got), dp.Drops)
-	}
-	if got[0].Tunnel == nil || got[0].Tunnel.VNI != 88 {
-		t.Fatal("decapped packet lost tunnel metadata")
+			pl := ofproto.NewPipeline()
+			mIn := flow.NewMaskBuilder().InPort().Build()
+			// Encap side: traffic from port 1 goes into a Geneve tunnel
+			// out port 2; port 5 sends an outer frame out port 2 as it is.
+			pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+				Match: ofproto.NewMatch(flow.Fields{InPort: 1}, mIn),
+				Actions: []ofproto.Action{
+					ofproto.SetTunnel(tunnel.Config{Kind: tunnel.Geneve, LocalIP: vtep, RemoteIP: remote, VNI: 88}),
+					ofproto.Output(2)}})
+			pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+				Match:   ofproto.NewMatch(flow.Fields{InPort: 5}, mIn),
+				Actions: []ofproto.Action{ofproto.Output(2)}})
+			// Decap side: tunneled traffic arriving on port 3 pops to
+			// virtual port 100, whose pass forwards to port 4.
+			pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 2,
+				Match:   ofproto.NewMatch(flow.Fields{InPort: 3}, mIn),
+				Actions: []ofproto.Action{ofproto.TunnelPop(100)}})
+			pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 1,
+				Match:   ofproto.NewMatch(flow.Fields{InPort: 100}, mIn),
+				Actions: []ofproto.Action{ofproto.Output(4)}})
+
+			opts := DefaultOptions()
+			opts.AssumeCsumOffload = c.assume
+			dp := NewDatapath(eng, pl, opts)
+			dp.Encapper = tunnel.NewEncapper(netlinksim.NewCache(kern))
+
+			taps := make([]*vdev.Link, 6)
+			var wire []*packet.Packet
+			for i := uint32(1); i <= 5; i++ {
+				taps[i] = vdev.NewLink("t")
+				if i != 2 || c.egress == "tap" {
+					dp.AddPort(NewLinkPort(i, "tap", taps[i], nil))
+					continue
+				}
+				var offloads nicsim.Offloads
+				if c.egress == "dpdk" {
+					offloads = nicsim.Offloads{TxCsum: true, RxCsum: true, TSO: true}
+				}
+				nic := nicsim.New(eng, nicsim.Config{Name: "uplink", Ifindex: 2, Queues: 1, Offloads: offloads})
+				nic.ConnectWire(func(p *packet.Packet) { wire = append(wire, p) })
+				if c.egress == "dpdk" {
+					dp.AddPort(NewDPDKPort(2, nic))
+					continue
+				}
+				if _, err := AttachDefaultProgram(nic); err != nil {
+					t.Fatal(err)
+				}
+				dp.AddPort(NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: nic, Eng: eng}))
+			}
+			egress := func() []*packet.Packet {
+				if c.egress == "tap" {
+					return taps[2].ToPeer.Pop(10)
+				}
+				out := wire
+				wire = nil
+				return out
+			}
+			pmd := dp.NewPMD(ModePoll, nil)
+			for _, id := range []uint32{1, 3, 5} {
+				dp.AssignRxqTo(pmd, dp.Port(id), 0)
+			}
+			pmd.Start()
+			actions := func() sim.Time { return pmd.Perf.Cycles[perf.StageActions] }
+
+			// Encap: inner frame in, Geneve frame out port 2.
+			taps[1].FromPeer.Push(udpPkt(1))
+			eng.RunUntil(sim.Millisecond)
+			pushed := actions()
+			outFrames := egress()
+			if len(outFrames) != 1 {
+				t.Fatalf("encap output = %d frames", len(outFrames))
+			}
+			inner, wasTunnel, err := tunnel.Decap(outFrames[0])
+			if err != nil || !wasTunnel || inner.Tunnel.VNI != 88 {
+				t.Fatalf("output is not a VNI-88 Geneve frame: %v %v", wasTunnel, err)
+			}
+
+			// The same outer frame, its checksum settled, sent straight out.
+			taps[5].FromPeer.Push(packet.New(append([]byte(nil), outFrames[0].Data...)))
+			eng.RunUntil(2 * sim.Millisecond)
+			straight := actions() - pushed
+			if len(egress()) != 1 {
+				t.Fatal("the outer frame sent straight out did not leave")
+			}
+			var want sim.Time
+			if c.csum {
+				want = costmodel.ChecksumCost(len(outFrames[0].Data))
+			}
+			if got := pushed - straight - costmodel.TunnelEncap; got != want {
+				t.Fatalf("outer checksum charged %v to actions, want %v", got, want)
+			}
+
+			// Decap: feed the Geneve frame into port 3; the inner frame
+			// must appear at port 4.
+			outFrames[0].ResetMetadata()
+			taps[3].FromPeer.Push(outFrames[0])
+			eng.RunUntil(3 * sim.Millisecond)
+			popped := taps[4].ToPeer.Pop(10)
+			if len(popped) != 1 {
+				t.Fatalf("decap output = %d frames (drops=%d)", len(popped), dp.Drops)
+			}
+			if popped[0].Tunnel == nil || popped[0].Tunnel.VNI != 88 {
+				t.Fatal("decapped packet lost tunnel metadata")
+			}
+		})
 	}
 }
 

@@ -157,7 +157,6 @@ func NewDatapath(eng *sim.Engine, pl *ofproto.Pipeline, opts Options) *Datapath 
 	}
 	d := &Datapath{
 		Datapath: fastpath.Datapath{Eng: eng, Pipeline: pl, Ct: conntrack.NewTable(eng),
-			AssumeCsumOffload: opts.AssumeCsumOffload,
 			Row: fastpath.Row{Cat: sim.User,
 				Output: costmodel.ExecActionOutput, Rewrite: costmodel.ExecActionSimple}},
 		Opts:  opts,
@@ -299,7 +298,7 @@ func (m *PMD) Receive(_ *fastpath.Thread, _ *sim.CPU, p *packet.Packet, depth in
 	// hardware vouched for (AF_XDP physical receive) are validated in
 	// software, unless the experiment assumes the future offload.
 	if depth == 0 && p.Offloads&(packet.CsumVerified|packet.CsumPartial) == 0 {
-		if !d.AssumeCsumOffload {
+		if !d.Opts.AssumeCsumOffload {
 			m.charge(perf.StageRx, costmodel.ChecksumCost(len(p.Data)))
 		}
 		p.Offloads |= packet.CsumVerified
@@ -410,7 +409,7 @@ func (d *Datapath) transmit(m *PMD, out Port, p *packet.Packet) {
 	cpu := m.CPU
 
 	if p.Offloads&packet.CsumPartial != 0 && !caps.TxCsum {
-		if !d.AssumeCsumOffload {
+		if !d.Opts.AssumeCsumOffload {
 			m.charge(perf.StageActions, costmodel.ChecksumCost(len(p.Data)))
 		}
 		p.Offloads &^= packet.CsumPartial
@@ -425,7 +424,7 @@ func (d *Datapath) transmit(m *PMD, out Port, p *packet.Packet) {
 		d.SegmentedPkts++
 		for _, s := range segs {
 			m.charge(perf.StageActions, costmodel.CopyCost(len(s.Data)))
-			if s.Offloads&packet.CsumPartial != 0 && !d.AssumeCsumOffload {
+			if s.Offloads&packet.CsumPartial != 0 && !d.Opts.AssumeCsumOffload {
 				m.charge(perf.StageActions, costmodel.ChecksumCost(len(s.Data)))
 				s.Offloads &^= packet.CsumPartial
 			}

@@ -445,6 +445,12 @@ type linkCosts struct {
 	flush sim.Time
 	// caps are the transmit offloads the peer negotiates.
 	caps Caps
+	// crossFixed, when set, makes a transmit wait out two user/kernel
+	// crossings, each crossFixed plus a log-normal(0, crossSigma) tail
+	// scaled by crossTail: latency, not CPU time. A host's crossings share
+	// its one kernel, so they draw from one engine stream.
+	crossFixed, crossTail sim.Time
+	crossSigma            float64
 }
 
 var linkKinds = map[string]linkCosts{
@@ -465,9 +471,12 @@ var linkKinds = map[string]linkCosts{
 	// DPDK reaching a container by AF_PACKET injection: a user/kernel
 	// crossing plus a copy each way (Section 5.3's explanation of DPDK's
 	// container latency). Under load the AF_PACKET ring amortizes the
-	// crossing across a batch of 16.
+	// crossing's CPU cost across a batch of 16, but every frame still waits
+	// out the boundary on both sides of the hop, DPDKContainerCrossing each
+	// with a heavy queueing tail: the source of Figure 11's 81/136/241 us.
 	"afpacket": {cat: sim.System, rxPkt: costmodel.DPDKContainerCrossing / 16, txPkt: costmodel.DPDKContainerCrossing / 16,
-		copies: true, caps: allOffloads},
+		copies: true, caps: allOffloads,
+		crossFixed: costmodel.DPDKContainerCrossing * 17 / 20, crossTail: costmodel.DPDKContainerCrossing / 5, crossSigma: 1.35},
 }
 
 // LinkPort is a vdev.Link as a datapath port: it receives what the peer
@@ -538,6 +547,15 @@ func (p *LinkPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
 // AF_XDP-veth bars top out around 8 Gbps even with TSO.
 func (p *LinkPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
 	cpu.Consume(p.cat, p.perPacket(p.txPkt, pkt))
+	if p.crossFixed > 0 {
+		eng := cpu.Engine()
+		rnd, wait := eng.Stream("link-crossing"), 2*p.crossFixed
+		for range 2 {
+			wait += sim.Time(rnd.LogNormal(0, p.crossSigma) * float64(p.crossTail))
+		}
+		eng.Schedule(wait, func() { p.link.ToPeer.Push(pkt) })
+		return
+	}
 	if p.softirq == nil {
 		p.link.ToPeer.Push(pkt)
 		return

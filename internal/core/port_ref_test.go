@@ -3,7 +3,9 @@ package core
 // The four virtual-device ports as they stood before core.LinkPort replaced
 // them, kept verbatim (names prefixed ref, the device structs they wrapped
 // moved here with them) as the reference TestLinkPortMatchesReference drives
-// LinkPort against.
+// LinkPort against. One addition: the AF_PACKET port's transmit also waits
+// out the two crossings Figure 11's hand-written DPDK hop once paid around
+// it, since that wait is now the afpacket kind's.
 
 import (
 	"fmt"
@@ -266,7 +268,9 @@ func (p *refVethPort) Arm(_ int, fn func()) {
 // --- AF_PACKET container port (was experiments.refAFPacketPort) -----------------
 
 // refAFPacketPort reaches a container through AF_PACKET injection: every
-// packet pays a user/kernel crossing plus copies in each direction.
+// packet pays a user/kernel crossing plus copies in each direction, and a
+// transmitted one reaches the container after the two seeded log-normal
+// crossings of Figure 11's DPDK hop.
 type refAFPacketPort struct {
 	id   uint32
 	veth *refVethPair
@@ -291,7 +295,14 @@ func (p *refAFPacketPort) Rx(cpu *sim.CPU, _, max int) []*packet.Packet {
 
 func (p *refAFPacketPort) Tx(cpu *sim.CPU, _ int, pkt *packet.Packet) {
 	cpu.Consume(sim.System, costmodel.DPDKContainerCrossing/16+costmodel.CopyCost(len(pkt.Data)))
-	p.veth.SendA(pkt)
+	rnd := p.eng.Stream("link-crossing")
+	crossing := func() sim.Time {
+		base := costmodel.DPDKContainerCrossing
+		return base*17/20 + sim.Time(rnd.LogNormal(0, 1.35)*float64(base)/5)
+	}
+	wait := crossing()
+	wait += crossing()
+	p.eng.Schedule(wait, func() { p.veth.SendA(pkt) })
 }
 
 func (p *refAFPacketPort) Flush(*sim.CPU, int) {}

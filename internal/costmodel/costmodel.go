@@ -478,9 +478,8 @@ const (
 	// latency between the back-to-back hosts.
 	WireAndNIC sim.Time = 3 * sim.Microsecond
 
-	// DPDKContainerCrossing is the extra user/kernel boundary DPDK pays
-	// per direction to reach a container veth (AF_PACKET injection +
-	// copy), the source of Figure 11's 81/136/241 us DPDK latencies.
+	// DPDKContainerCrossing is one AF_PACKET user/kernel crossing (the
+	// core "afpacket" link kind's row says where it is paid).
 	DPDKContainerCrossing sim.Time = 16 * sim.Microsecond
 )
 

@@ -10,6 +10,7 @@ import (
 	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/netlinksim"
+	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
@@ -618,6 +619,7 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 		encapper *tunnel.Encapper // given to the provider's pass
 		forwards bool             // nothing is dropped: the frames a forwarding action replaces must come back
 		fullRing bool             // a netdev-only arm: port 2 is a vhostuser port whose guest ring is full
+		uplink   bool             // on the kernel providers port 2 is a NIC with checksum offload: a pushed frame reaches it partial and leaves settled
 	}{
 		{name: "empty actions", pipeline: ofproto.NewPipeline},
 		{name: "missing output port", pipeline: forwardPipeline, noOutput: true},
@@ -626,7 +628,7 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 		{name: "upcall queue full", pipeline: forwardPipeline,
 			other: map[string]string{"upcall-queue-cap": "1"}},
 		{name: "tunnel push: no route", pipeline: push, encapper: encapper(false)},
-		{name: "tunnel push: forwarded", pipeline: push, encapper: encapper(true), forwards: true},
+		{name: "tunnel push: forwarded", pipeline: push, encapper: encapper(true), forwards: true, uplink: true},
 		{name: "tunnel push: no encapper", pipeline: push, forwards: true},
 		{name: "tunnel pop: not a tunnel frame", pipeline: pop},
 		{name: "tunnel pop: forwarded", pipeline: pop, frame: oracleFrame(7, 0), forwards: true},
@@ -646,7 +648,22 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 			passOf(d).Encapper = c.encapper
 			ports := []dpif.Port{dpif.TxPort{PortID: 1, PortName: "p0", Deliver: (*packet.Packet).Release}}
 			guest := vdev.NewLink("vhost0")
+			settled := 0
 			switch {
+			case c.uplink && name != "netdev":
+				nic := nicsim.New(eng, nicsim.Config{Name: "uplink", Queues: 1, Offloads: nicsim.Offloads{TxCsum: true}})
+				nic.ConnectWire(func(p *packet.Packet) {
+					if p.Offloads&packet.CsumPartial == 0 {
+						settled++
+					}
+					p.Release()
+				})
+				ports = append(ports, dpif.TxPort{PortID: 2, PortName: "uplink", Deliver: func(p *packet.Packet) {
+					if p.Offloads&packet.CsumPartial == 0 {
+						t.Errorf("%s/%s: the pushed frame reached the uplink with its outer checksum settled", c.name, name)
+					}
+					nic.Transmit(p)
+				}})
 			case c.fullRing:
 				for i := 0; i < vdev.DefaultQueueDepth; i++ {
 					guest.ToPeer.Push(packet.New(nil))
@@ -677,6 +694,9 @@ func TestConformanceDropsReleasePackets(t *testing.T) {
 			}
 			if got := pool.Available(); got != 64 {
 				t.Errorf("%s/%s: pool at %d/64 after the drops (stats %+v)", c.name, name, got, st)
+			}
+			if c.uplink && name != "netdev" && settled != 40 {
+				t.Errorf("%s/%s: the NIC settled the outer checksum of %d/40 frames", c.name, name, settled)
 			}
 		}
 	}

@@ -41,16 +41,22 @@ func wakeupSampler(eng *sim.Engine, p50 sim.Time, sigma float64) func() sim.Time
 	}
 }
 
-// vmRRBed wires: client VM on host A <-> OVS datapath <-> uplink NIC <->
-// wire <-> server host B (plain kernel endpoint).
-type vmRRBed struct {
-	eng *sim.Engine
-	rr  *trafficgen.RR
+// runRR runs rr's transactions on eng to the end and reports them as name's
+// P50/P90/P99 latency and kTPS rows against the paper's percentiles (us).
+func runRR(r *Report, name string, eng *sim.Engine, rr *trafficgen.RR, p50, p90, p99 float64) {
+	rr.Start()
+	eng.Run()
+	s := rr.Latencies.Summarize()
+	r.Add(name+" P50", s.P50/1e3, p50, "us")
+	r.Add(name+" P90", s.P90/1e3, p90, "us")
+	r.Add(name+" P99", s.P99/1e3, p99, "us")
+	r.Add(name+" kTPS", rr.TransactionsPerSec()/1e3, 1e3/p50, "k/s")
 }
 
-func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBed {
+// newVMRRBed wires: client VM on host A <-> OVS datapath <-> uplink NIC <->
+// wire <-> server host B (plain kernel endpoint).
+func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) (*sim.Engine, *trafficgen.RR) {
 	eng := sim.NewEngine(seed)
-	bed := &vmRRBed{eng: eng}
 
 	nicB := nicsim.New(eng, nicsim.Config{Name: "uplink", Ifindex: 2, Queues: 1,
 		LinkRate: costmodel.LinkRate25G,
@@ -125,8 +131,7 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) *vmRRBe
 		},
 		OnDone: eng.Stop, // busy-poll PMDs never drain the event queue
 	})
-	bed.rr = rr
-	return bed
+	return eng, rr
 }
 
 func runFig10(p Profile) *Report {
@@ -141,15 +146,8 @@ func runFig10(p Profile) *Report {
 		{KindDPDK, VDevVhost, 36, 38, 45},
 	}
 	for _, c := range cases {
-		bed := newVMRRBed(c.kind, c.vd, p.RRCount, 11)
-		bed.rr.Start()
-		bed.eng.Run()
-		s := bed.rr.Latencies.Summarize()
-		name := c.kind.String()
-		r.Add(name+" P50", s.P50/1e3, c.p50, "us")
-		r.Add(name+" P90", s.P90/1e3, c.p90, "us")
-		r.Add(name+" P99", s.P99/1e3, c.p99, "us")
-		r.Add(name+" kTPS", bed.rr.TransactionsPerSec()/1e3, 1e3/c.p50, "k/s")
+		eng, rr := newVMRRBed(c.kind, c.vd, p.RRCount, 11)
+		runRR(r, c.kind.String(), eng, rr, c.p50, c.p90, c.p99)
 	}
 	r.AddNote("shape: kernel slowest with the widest tail; AF_XDP trails DPDK by a few us")
 	return r
@@ -161,16 +159,10 @@ var (
 	rrServerMAC = hdr.MAC{2, 0, 0, 0, 0, 2}
 )
 
-// containerRRBed wires two containers through one of the Figure 11
+// newContainerRRBed wires two containers through one of the Figure 11
 // datapaths on a single host.
-type containerRRBed struct {
-	eng *sim.Engine
-	rr  *trafficgen.RR
-}
-
-func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRRBed {
+func newContainerRRBed(mode PCPMode, transactions int, seed uint64) (*sim.Engine, *trafficgen.RR) {
 	eng := sim.NewEngine(seed)
-	bed := &containerRRBed{eng: eng}
 
 	vethC := vdev.NewLink("veth-client")
 	vethS := vdev.NewLink("veth-server")
@@ -188,25 +180,20 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 		}})
 
 	// The switching fabric between the two veth host ends: the client's
-	// veth is port 1, the server's port 3. Container outbound queues feed
-	// it through a softirq of their own.
-	feed := func(toServer, toClient func(*packet.Packet)) {
-		cpu := eng.NewCPU("veth-softirq")
-		kit.SoftirqRx(eng, cpu, vethC.FromPeer, 1,
-			func(_ *sim.CPU, p *packet.Packet) { toServer(p) })
-		kit.SoftirqRx(eng, cpu, vethS.FromPeer, 3,
-			func(_ *sim.CPU, p *packet.Packet) { toClient(p) })
-	}
+	// veth is port 1, the server's port 3.
 	switch mode {
 	case PCPKernel:
-		// veth -> kernel OVS -> veth: one softirq hop each way.
+		// veth -> kernel OVS -> veth: one softirq hop each way. Container
+		// outbound queues feed it through a softirq of their own.
 		cpu := eng.NewCPU("ksoftirqd")
 		nl := kit.OpenKernel("netlink",
 			dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 2})},
 			dpif.TxPort{PortID: 3, PortName: "veth-server", Deliver: func(p *packet.Packet) { vethS.ToPeer.Push(p) }},
 			dpif.TxPort{PortID: 2, PortName: "veth-client", Deliver: func(p *packet.Packet) { vethC.ToPeer.Push(p) }})
-		toServer := func(p *packet.Packet) { eng.Schedule(0, func() { nl.Process(cpu, p) }) }
-		feed(toServer, toServer)
+		process := func(_ *sim.CPU, p *packet.Packet) { eng.Schedule(0, func() { nl.Process(cpu, p) }) }
+		feed := eng.NewCPU("veth-softirq")
+		kit.SoftirqRx(eng, feed, vethC.FromPeer, 1, process)
+		kit.SoftirqRx(eng, feed, vethS.FromPeer, 3, process)
 	case PCPAFXDPRedir:
 		// In-kernel XDP redirect between the veths: path C's program runs
 		// once per hop on the sending veth's host end, no userspace.
@@ -214,29 +201,13 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 		kit.RedirectRx(eng, cpu, vethC.FromPeer, rrServerMAC, 3, func(p *packet.Packet) { vethS.ToPeer.Push(p) })
 		kit.RedirectRx(eng, cpu, vethS.FromPeer, rrClientMAC, 1, func(p *packet.Packet) { vethC.ToPeer.Push(p) })
 	case PCPDPDK:
-		// DPDK reaches containers via AF_PACKET: user/kernel crossings
-		// with heavy queueing jitter on both directions, plus the PMD
-		// batching gap (Section 5.3's explanation for 81/136/241 us).
-		pmdCPU := eng.NewCPU("pmd")
-		rnd := eng.Rand().Fork()
-		crossing := func() sim.Time {
-			// AF_PACKET injection: a fixed user/kernel crossing plus a
-			// heavy-tailed queueing component (the source of Figure
-			// 11's 241us P99).
-			base := costmodel.DPDKContainerCrossing
-			return base*17/20 + sim.Time(rnd.LogNormal(0, 1.35)*float64(base)/5)
-		}
-		hop := func(deliver func(*packet.Packet)) func(*packet.Packet) {
-			return func(p *packet.Packet) {
-				eng.Schedule(crossing(), func() {
-					pmdCPU.Consume(sim.User, costmodel.DPDKRxDescriptor+costmodel.ParseFlowKey+
-						costmodel.EMCHit+costmodel.ExecActionOutput)
-					eng.Schedule(crossing(), func() { deliver(p) })
-				})
-			}
-		}
-		feed(hop(func(p *packet.Packet) { vethS.ToPeer.Push(p) }),
-			hop(func(p *packet.Packet) { vethC.ToPeer.Push(p) }))
+		// DPDK reaches each container through an AF_PACKET socket on its
+		// veth: the port kind pays the user/kernel crossings and their
+		// queueing tail, the PMD the forwarding (Section 5.3's
+		// explanation for 81/136/241 us).
+		kit.OpenNetdev(dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 1}),
+			Options: core.DefaultOptions()}, core.ModePoll, 1,
+			[]core.Port{kit.NewLink(1, "afpacket", vethC, nil).Port, kit.NewLink(3, "afpacket", vethS, nil).Port})
 	}
 
 	rr = trafficgen.NewRR(trafficgen.RRConfig{
@@ -248,8 +219,7 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) *containerRR
 		SendResponse: func(p *packet.Packet) { server.Transmit(p) },
 		OnDone:       eng.Stop,
 	})
-	bed.rr = rr
-	return bed
+	return eng, rr
 }
 
 func runFig11(p Profile) *Report {
@@ -263,15 +233,8 @@ func runFig11(p Profile) *Report {
 		{PCPDPDK, 81, 136, 241},
 	}
 	for _, c := range cases {
-		bed := newContainerRRBed(c.mode, p.RRCount, 13)
-		bed.rr.Start()
-		bed.eng.Run()
-		s := bed.rr.Latencies.Summarize()
-		name := c.mode.String()
-		r.Add(name+" P50", s.P50/1e3, c.p50, "us")
-		r.Add(name+" P90", s.P90/1e3, c.p90, "us")
-		r.Add(name+" P99", s.P99/1e3, c.p99, "us")
-		r.Add(name+" kTPS", bed.rr.TransactionsPerSec()/1e3, 1e3/c.p50, "k/s")
+		eng, rr := newContainerRRBed(c.mode, p.RRCount, 13)
+		runRR(r, c.mode.String(), eng, rr, c.p50, c.p90, c.p99)
 	}
 	r.AddNote("shape: kernel ~ afxdp (both in-kernel paths); DPDK 5-12x slower with a heavy tail")
 	return r

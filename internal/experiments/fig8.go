@@ -204,19 +204,9 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 
 	if c.kind == KindKernel {
 		nl := kit.OpenKernel("netlink", dcfg, vm.KernelTx(),
-			dpif.TxPort{PortID: f8Uplink, PortName: nic.Name, Deliver: func(pk *packet.Packet) {
-				// Kernel-side Geneve encapsulation happens in execute();
-				// the byte-level encap for the wire is done here so the
-				// peer can decapsulate.
-				outer, err := enc.Encap(pk, tunnel.Config{Kind: tunnel.Geneve,
-					LocalIP: local, RemoteIP: remote, VNI: 5000})
-				if err == nil {
-					nic.Transmit(outer)
-				}
-			}})
-		(&kernelsim.NAPIActor{Eng: eng, CPU: kcpu,
-			Src:     nic.Queue(0),
-			Handler: kdpKernelRx(nl)}).Start()
+			dpif.TxPort{PortID: f8Uplink, PortName: nic.Name, Deliver: nic.Transmit})
+		nl.Kernel().Encapper = enc
+		kit.SoftirqRx(eng, kcpu, nic.Queue(0), f8Uplink, nl.Process)
 		kit.SoftirqRx(eng, kcpu, vm.FromPeer, f8VM, nl.Process)
 		return vm.VM
 	}
@@ -228,23 +218,6 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 	nd := kit.OpenNetdev(dcfg, c.mode, 1, []core.Port{uplink, vm.Port})
 	nd.Datapath().Encapper = enc
 	return vm.VM
-}
-
-// kdpKernelRx handles uplink arrivals on the kernel datapath: tunneled
-// packets are decapsulated in the kernel stack before the flow table pass.
-func kdpKernelRx(kdp *dpif.Netlink) func(*sim.CPU, []*packet.Packet) {
-	return func(cpu *sim.CPU, pkts []*packet.Packet) {
-		for _, pk := range pkts {
-			if inner, was, err := tunnel.Decap(pk); was && err == nil {
-				cpu.Consume(sim.Softirq, costmodel.TunnelDecap)
-				inner.InPort = f8TnlPop
-				kdp.Process(cpu, inner)
-				continue
-			}
-			pk.InPort = f8Uplink
-			kdp.Process(cpu, pk)
-		}
-	}
 }
 
 // --- Figure 8b: intra-host VM to VM ------------------------------------------

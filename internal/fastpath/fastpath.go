@@ -87,9 +87,7 @@ type Datapath struct {
 	// Encapper encapsulates a tunnel push. Without one the push is charged
 	// and the frame leaves as it is, for the port to encapsulate.
 	Encapper *tunnel.Encapper
-	// AssumeCsumOffload is O5's estimate: no software checksum is charged.
-	AssumeCsumOffload bool
-	Row               Row
+	Row      Row
 
 	// translate, when set, replaces Pipeline.Translate as the slow-path
 	// handler (dpif upcall registration).
@@ -246,11 +244,10 @@ func (d *Datapath) execute(pv Provider, t *Thread, cpu *sim.CPU, p *packet.Packe
 				d.drop(p)
 				return
 			}
-			// The outer UDP checksum is computed in software by the
-			// encapsulation; with estimated offload the cost vanishes.
-			if !d.AssumeCsumOffload {
-				d.Charge(t, cpu, perf.StageActions, costmodel.ChecksumCost(len(outer.Data)))
-			}
+			// The outer UDP checksum is left for the egress to settle, as
+			// for any partial frame: in hardware where the port has
+			// checksum offload, in software where it has none.
+			outer.Offloads |= packet.CsumPartial
 			// Encap copied the inner frame into the outer's own buffer.
 			p.Release()
 			p = outer

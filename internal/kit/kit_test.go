@@ -8,9 +8,14 @@ import (
 
 	"ovsxdp/internal/core"
 	"ovsxdp/internal/dpif"
+	"ovsxdp/internal/flow"
+	"ovsxdp/internal/netlinksim"
+	"ovsxdp/internal/nicsim"
+	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
+	"ovsxdp/internal/tunnel"
 	"ovsxdp/internal/vdev"
 )
 
@@ -237,5 +242,74 @@ func TestRedirectRxRoutesOneMAC(t *testing.T) {
 	}
 	if cpu.Busy(sim.Softirq) == 0 {
 		t.Fatal("the XDP stage must be charged to the softirq CPU")
+	}
+}
+
+// TestKernelGeneveRoundTrip: two kernel datapaths, each with its own
+// encapper, wired NIC to NIC. A frame from host 1's VM is committed to
+// conntrack, pushed into Geneve by host 1's tnl_push arm, popped by host 2's
+// own tnl_pop arm (a recirculation) and leaves on host 2's VM port byte for
+// byte as host 1's VM sent it — with none of host 1's recirculation or
+// conntrack state carried across the wire.
+func TestKernelGeneveRoundTrip(t *testing.T) {
+	const uplink, vm, tnl = 1, 3, 100
+	vteps := [2]hdr.IP4{hdr.MakeIP4(172, 16, 0, 1), hdr.MakeIP4(172, 16, 0, 2)}
+	eng := sim.NewEngine(1)
+	var nics [2]*nicsim.NIC
+	var kdps [2]*dpif.Netlink
+	var got [][]byte
+	for h := range nics {
+		local, remote := vteps[h], vteps[1-h]
+		nics[h] = nicsim.New(eng, nicsim.Config{Name: fmt.Sprintf("uplink%d", h), Ifindex: uint32(h + 1),
+			Queues: 1, Offloads: OffloadsFor("kernel")})
+
+		pl := ofproto.NewPipeline()
+		mIn := flow.NewMaskBuilder().InPort().Build()
+		pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 200,
+			Match: ofproto.NewMatch(flow.Fields{InPort: uplink, EthType: hdr.EtherTypeIPv4,
+				IPProto: hdr.IPProtoUDP, TPDst: hdr.GenevePort},
+				flow.NewMaskBuilder().InPort().EthType().IPProto().TPDst().Build()),
+			Actions: []ofproto.Action{ofproto.TunnelPop(tnl)}})
+		pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 100,
+			Match:   ofproto.NewMatch(flow.Fields{InPort: tnl}, mIn),
+			Actions: []ofproto.Action{ofproto.Output(vm)}})
+		pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 100,
+			Match:   ofproto.NewMatch(flow.Fields{InPort: vm}, mIn),
+			Actions: []ofproto.Action{ofproto.CT(7, true, 11)}})
+		pl.AddRule(&ofproto.Rule{TableID: 11, Priority: 1,
+			Match: ofproto.NewMatch(flow.Fields{}, flow.NewMaskBuilder().Build()),
+			Actions: []ofproto.Action{
+				ofproto.SetTunnel(tunnel.Config{Kind: tunnel.Geneve, LocalIP: local, RemoteIP: remote, VNI: 5000}),
+				ofproto.Output(uplink)}})
+
+		k := netlinksim.NewKernel()
+		idx, _ := k.AddLink("uplink", "mlx5_core", hdr.MAC{0x02, 0xee, 0, 0, 0, byte(h + 1)}, 1600)
+		k.AddAddr("uplink", local, 16)
+		k.AddNeigh(netlinksim.Neigh{IP: remote, MAC: hdr.MAC{0x02, 0xee, 0, 0, 0, byte(2 - h)}, LinkIndex: idx})
+
+		kdps[h] = OpenKernel("netlink", dpif.Config{Eng: eng, Pipeline: pl},
+			dpif.TxPort{PortID: uplink, PortName: nics[h].Name, Deliver: nics[h].Transmit},
+			dpif.TxPort{PortID: vm, PortName: "vm", Deliver: func(p *packet.Packet) {
+				if h == 1 {
+					got = append(got, p.Data)
+				}
+			}})
+		kdps[h].Kernel().Encapper = tunnel.NewEncapper(netlinksim.NewCache(k))
+		SoftirqRx(eng, eng.NewCPU(fmt.Sprintf("ksoftirqd%d", h)), nics[h].Queue(0), uplink, kdps[h].Process)
+	}
+	nics[0].ConnectWire(func(p *packet.Packet) { nics[1].Receive(p) })
+	nics[1].ConnectWire(func(p *packet.Packet) { nics[0].Receive(p) })
+
+	frame := testFrame()
+	p := packet.New(append([]byte(nil), frame...))
+	p.InPort = vm
+	kdps[0].Execute(p)
+	eng.RunUntil(sim.Millisecond)
+
+	if len(got) != 1 || !bytes.Equal(got[0], frame) {
+		t.Fatalf("host 2's VM port got %d frames (want host 1's one, unchanged); host 2 stats %+v", len(got), kdps[1].Stats())
+	}
+	if r := kdps[1].Kernel().Recirculations; r == 0 {
+		t.Fatal("host 2 did not pop the frame through its own tnl_pop arm")
 	}
 }

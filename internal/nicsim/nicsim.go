@@ -342,8 +342,11 @@ func WeightedIndirection(weights []int) []int {
 }
 
 // Receive is the wire-side ingress: DMA the packet into its queue's ring,
-// dropping on overflow, and raise the queue's interrupt if armed.
+// dropping on overflow, and raise the queue's interrupt if armed. A wire
+// carries bytes, so whatever datapath state the frame left its sender with
+// (recirculation, conntrack, tunnel, offload flags) is gone on arrival.
 func (n *NIC) Receive(p *packet.Packet) bool {
+	p.ResetMetadata()
 	if n.Offloads.RxCsum {
 		p.Offloads |= packet.CsumVerified
 	}

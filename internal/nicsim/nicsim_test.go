@@ -225,6 +225,29 @@ func TestWireConnectsTwoNICs(t *testing.T) {
 	}
 }
 
+// TestWireCarriesNoDatapathMetadata: a frame the sender's datapath left
+// mid-pipeline state on (a recirculation id, conntrack state and zone,
+// tunnel metadata, its in_port) arrives at the wired peer as a fresh frame.
+func TestWireCarriesNoDatapathMetadata(t *testing.T) {
+	eng := sim.NewEngine(1)
+	a := New(eng, Config{Name: "a", Queues: 1})
+	b := New(eng, Config{Name: "b", Queues: 1})
+	a.ConnectWire(func(p *packet.Packet) { b.Receive(p) })
+	p := udpPkt(9)
+	p.RecircID, p.CtState, p.CtZone, p.InPort = 1, 0x05, 7, 3
+	p.Tunnel = &packet.TunnelInfo{VNI: 5000}
+	a.Transmit(p)
+	eng.Run()
+	got := b.Queue(0).Pop(1)
+	if len(got) != 1 {
+		t.Fatal("frame did not cross the wire")
+	}
+	if m := got[0].Metadata; m.RecircID != 0 || m.CtState != 0 || m.CtZone != 0 || m.Tunnel != nil || m.InPort != 0 {
+		t.Fatalf("the wire carried datapath state: recirc=%d ct=%v zone=%d tunnel=%v in_port=%d",
+			m.RecircID, m.CtState, m.CtZone, m.Tunnel, m.InPort)
+	}
+}
+
 // benchmarkNICReceive times the wire-side ingress — classify, RSS, ring —
 // over 64 flows, popping the rings every 32 frames as a consumer would.
 func benchmarkNICReceive(b *testing.B, queues int) {

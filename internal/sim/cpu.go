@@ -65,6 +65,9 @@ type CPU struct {
 // Name returns the name given at creation (e.g. "pmd0", "softirq3").
 func (c *CPU) Name() string { return c.name }
 
+// Engine returns the engine the CPU was created on.
+func (c *CPU) Engine() *Engine { return c.engine }
+
 // Busy returns the accumulated busy time for one category.
 func (c *CPU) Busy(cat Category) Time { return c.busy[cat] }
 

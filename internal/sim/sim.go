@@ -64,12 +64,13 @@ type Engine struct {
 	stopped  bool
 	cpus     []*CPU
 	rng      *Rand
+	streams  map[string]*Rand
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose random
 // stream is derived from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{q: newEvQueue(), rng: NewRand(seed)}
+	return &Engine{q: newEvQueue(), rng: NewRand(seed), streams: make(map[string]*Rand)}
 }
 
 // Now returns the current virtual time.
@@ -77,6 +78,16 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *Rand { return e.rng }
+
+// Stream returns the engine's child stream named key, forked from Rand the
+// first time the key is asked for: everything drawing under one key draws
+// from one sequence, and a key nobody asks for leaves Rand where it was.
+func (e *Engine) Stream(key string) *Rand {
+	if e.streams[key] == nil {
+		e.streams[key] = e.rng.Fork()
+	}
+	return e.streams[key]
+}
 
 // Schedule runs fn after delay d. A negative delay is treated as zero.
 func (e *Engine) Schedule(d Time, fn func()) {

@@ -107,8 +107,6 @@ func (e *Encapper) Encap(p *packet.Packet, cfg Config) (*packet.Packet, error) {
 	out.L3Offset = hdr.EthernetSize
 	out.L4Offset = hdr.EthernetSize + hdr.IPv4MinSize
 	out.Tunnel = nil
-	// The outer checksum was computed in software by the encapsulation
-	// unless hardware fills it later; carry the partial flag through.
 	return out, nil
 }
 
