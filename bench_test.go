@@ -188,7 +188,7 @@ func BenchmarkAblationEMCOn(b *testing.B) {
 func BenchmarkAblationEMCOff(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		rate = ablationRate(b, func(c *experiments.BedConfig) { c.Opts.EMC = false })
+		rate = ablationRate(b, func(c *experiments.BedConfig) { c.Other = map[string]string{"emc-enable": "false"} })
 	}
 	b.ReportMetric(measure.Mpps(rate), "Mpps")
 }

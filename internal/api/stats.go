@@ -7,9 +7,10 @@ import (
 	"ovsxdp/internal/dpif"
 )
 
-// CacheHierarchy sums the per-thread resolution counters: how many packets
-// each caching level resolved. Percentages are derived at render time so
-// JSON consumers get exact integers.
+// CacheHierarchy sums the per-thread resolution counters: how many lookups
+// (passes: a recirculated packet counts once per pass) each caching level
+// resolved. Their shares of the lookups are derived at render time so JSON
+// consumers get exact integers.
 type CacheHierarchy struct {
 	Packets      uint64 `json:"packets"`
 	EMCHits      uint64 `json:"emc_hits"`
@@ -58,10 +59,11 @@ func (v StatsView) FormatDpctl(label string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s:\n", label)
 	b.WriteString(LookupLines(&v.Stats))
-	if v.Cache.Packets > 0 {
-		pct := func(n uint64) float64 { return 100 * float64(n) / float64(v.Cache.Packets) }
+	c := &v.Cache
+	if lookups := c.EMCHits + c.SMCHits + c.MegaflowHits + c.Upcalls; lookups > 0 {
+		pct := func(n uint64) float64 { return 100 * float64(n) / float64(lookups) }
 		fmt.Fprintf(&b, "  cache hierarchy: emc:%.1f%% smc:%.1f%% megaflow:%.1f%% upcall:%.1f%%\n",
-			pct(v.Cache.EMCHits), pct(v.Cache.SMCHits), pct(v.Cache.MegaflowHits), pct(v.Cache.Upcalls))
+			pct(c.EMCHits), pct(c.SMCHits), pct(c.MegaflowHits), pct(c.Upcalls))
 	}
 	fmt.Fprintf(&b, "  flows: %d\n", v.Flows)
 	if v.OffloadInstalls > 0 || v.OffloadHits > 0 {

@@ -10,7 +10,8 @@ import (
 // TestFormatDpctlSections pins the `ovs-dpctl show` lines no ovsctl golden
 // prints — the offload and conntrack sections with two zones — byte for
 // byte, and the conditions that show them: either counter of a section
-// being non-zero is enough.
+// being non-zero is enough. The cache hierarchy splits lookups, not
+// packets: a packet that recirculates is looked up once per pass.
 func TestFormatDpctlSections(t *testing.T) {
 	full := dpif.Stats{
 		Hits: 90, Missed: 10, Lost: 2, SMCHits: 5, UpcallQueueDrops: 1, MalformedDrops: 3,
@@ -23,6 +24,9 @@ func TestFormatDpctlSections(t *testing.T) {
 	}
 	ths := []perf.ThreadStats{{Name: "pmd0", Stats: &perf.Stats{}}}
 	ths[0].Packets, ths[0].EMCHits, ths[0].SMCHits, ths[0].MegaflowHits, ths[0].Upcalls = 100, 60, 5, 25, 10
+	// 100 packets through ct(commit) and one recirculation: two passes
+	// each, the first packet's two upcalls and the rest EMC hits.
+	recirc := []perf.ThreadStats{{Name: "pmd0", Stats: &perf.Stats{Packets: 100, EMCHits: 198, Upcalls: 2}}}
 	for _, c := range []struct {
 		name string
 		st   dpif.Stats
@@ -39,6 +43,12 @@ func TestFormatDpctlSections(t *testing.T) {
 			"    zone 3: 2 conns\n" +
 			"    zone 9: 3 conns\n" +
 			"  ports: 3\n"},
+		{"recirculation", dpif.Stats{Hits: 198, Missed: 2, Processed: 200, Flows: 2, Ports: 2}, recirc, "netdev@br-int:\n" +
+			"  lookups: hit:198 missed:2 lost:0\n" +
+			"  slow path: processed:200 queue-drops:0 malformed:0\n" +
+			"  cache hierarchy: emc:99.0% smc:0.0% megaflow:0.0% upcall:1.0%\n" +
+			"  flows: 2\n" +
+			"  ports: 2\n"},
 		{"offload hits only", dpif.Stats{Hits: 4, OffloadHits: 4, Ports: 2}, nil, "netdev@br-int:\n" +
 			"  lookups: hit:4 missed:0 lost:0\n" +
 			"  slow path: processed:0 queue-drops:0 malformed:0\n" +

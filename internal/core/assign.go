@@ -94,7 +94,6 @@ func (d *Datapath) assignerInit() *assigner {
 	if d.assign == nil {
 		d.assign = &assigner{
 			rxqs:            make(map[RxQueue]*rxqState),
-			policy:          d.Opts.RxqAssign,
 			autoLBInterval:  costmodel.AutoLBDefaultInterval,
 			autoLBThreshold: costmodel.AutoLBDefaultThresholdPct,
 		}

@@ -11,11 +11,11 @@ import (
 
 // assignBed is a minimal datapath for assignment-layer tests: PMD threads
 // plus a multi-queue DPDK rx port, no traffic.
-func newAssignBed(t *testing.T, pmds, queues int, opts Options) (*Datapath, *DPDKPort, []*PMD) {
+func newAssignBed(t *testing.T, pmds, queues int) (*Datapath, *DPDKPort, []*PMD) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	nic := nicsim.New(eng, nicsim.Config{Name: "p0", Ifindex: 1, Queues: queues})
-	dp := NewDatapath(eng, forwardPipeline(), opts)
+	dp := NewDatapath(eng, forwardPipeline(), Options{})
 	port := NewDPDKPort(1, nic)
 	dp.AddPort(port)
 	threads := make([]*PMD, pmds)
@@ -29,7 +29,7 @@ func newAssignBed(t *testing.T, pmds, queues int, opts Options) (*Datapath, *DPD
 // polling the same queue from two threads. The assignment layer must reject
 // duplicates on the same thread and across threads.
 func TestAssignRejectsDuplicates(t *testing.T) {
-	dp, port, ms := newAssignBed(t, 2, 2, DefaultOptions())
+	dp, port, ms := newAssignBed(t, 2, 2)
 	if err := dp.AssignRxqTo(ms[0], port, 0); err != nil {
 		t.Fatalf("first assignment: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestAssignRejectsDuplicates(t *testing.T) {
 }
 
 func TestAssignValidatesQueueAndOwnership(t *testing.T) {
-	dp, port, ms := newAssignBed(t, 1, 2, DefaultOptions())
+	dp, port, ms := newAssignBed(t, 1, 2)
 	if err := dp.AssignRxqTo(ms[0], port, 2); err == nil {
 		t.Fatal("out-of-range queue accepted")
 	}
@@ -59,9 +59,9 @@ func TestAssignValidatesQueueAndOwnership(t *testing.T) {
 		t.Fatal("negative queue accepted")
 	}
 	// A PMD from a different datapath must be rejected.
-	other, _, foreign := newAssignBed(t, 1, 2, DefaultOptions())
+	other, _, foreign := newAssignBed(t, 1, 2)
 	_ = other
-	dp2, port2, _ := newAssignBed(t, 1, 2, DefaultOptions())
+	dp2, port2, _ := newAssignBed(t, 1, 2)
 	if err := dp2.AssignRxqTo(foreign[0], port2, 0); err == nil {
 		t.Fatal("foreign PMD accepted")
 	}
@@ -69,7 +69,7 @@ func TestAssignValidatesQueueAndOwnership(t *testing.T) {
 }
 
 func TestUnassignThenReassign(t *testing.T) {
-	dp, port, ms := newAssignBed(t, 2, 2, DefaultOptions())
+	dp, port, ms := newAssignBed(t, 2, 2)
 	if err := dp.AssignRxqTo(ms[0], port, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestUnassignThenReassign(t *testing.T) {
 }
 
 func TestRoundRobinDistribution(t *testing.T) {
-	dp, port, ms := newAssignBed(t, 2, 4, DefaultOptions())
+	dp, port, ms := newAssignBed(t, 2, 4)
 	if err := dp.DistributeRxqs(port); err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +103,8 @@ func TestRoundRobinDistribution(t *testing.T) {
 }
 
 func TestCyclesColdStartBalancesByCount(t *testing.T) {
-	opts := DefaultOptions()
-	opts.RxqAssign = AssignCycles
-	dp, port, ms := newAssignBed(t, 2, 4, opts)
+	dp, port, ms := newAssignBed(t, 2, 4)
+	dp.SetAssignPolicy(AssignCycles)
 	if err := dp.DistributeRxqs(port); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestParseAssignPolicy(t *testing.T) {
 // TestManualRebalance skews the measured interval cycles onto one thread and
 // checks the greedy bin-pack's deterministic outcome.
 func TestManualRebalance(t *testing.T) {
-	dp, port, ms := newAssignBed(t, 2, 4, DefaultOptions())
+	dp, port, ms := newAssignBed(t, 2, 4)
 	for q := 0; q < 4; q++ {
 		if err := dp.AssignRxqTo(ms[0], port, q); err != nil {
 			t.Fatal(err)
@@ -163,7 +162,7 @@ func TestManualRebalance(t *testing.T) {
 
 // TestRebalanceRespectsThreshold: a balanced load must dry-run, not move.
 func TestRebalanceRespectsThreshold(t *testing.T) {
-	dp, port, ms := newAssignBed(t, 2, 2, DefaultOptions())
+	dp, port, ms := newAssignBed(t, 2, 2)
 	if err := dp.DistributeRxqs(port); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func (p *xpsPort) Flush(*sim.CPU, int)                    {}
 func (p *xpsPort) Arm(int, func())                        {}
 
 func TestXPSTxqMappingAndContention(t *testing.T) {
-	dp, _, ms := newAssignBed(t, 3, 1, DefaultOptions())
+	dp, _, ms := newAssignBed(t, 3, 1)
 	shared := &xpsPort{txqs: 2}
 	unlimited := &xpsPort{txqs: 0}
 
@@ -220,7 +219,7 @@ func TestXPSTxqMappingAndContention(t *testing.T) {
 // The shared-txq spinlock counts contention per packet but charges at flush
 // time, once per burst.
 func TestChargeTxLockCountsContention(t *testing.T) {
-	dp, _, ms := newAssignBed(t, 3, 1, DefaultOptions())
+	dp, _, ms := newAssignBed(t, 3, 1)
 	shared := &xpsPort{txqs: 1}
 	dp.chargeTxLock(ms[0], shared)
 	if ms[0].Perf.TxContended != 1 || ms[0].Perf.TxLockCycles != 0 {
@@ -234,7 +233,7 @@ func TestChargeTxLockCountsContention(t *testing.T) {
 }
 
 func TestPmdRxqShowRendersAssignments(t *testing.T) {
-	dp, port, _ := newAssignBed(t, 2, 2, DefaultOptions())
+	dp, port, _ := newAssignBed(t, 2, 2)
 	if err := dp.DistributeRxqs(port); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestPmdRxqShowRendersAssignments(t *testing.T) {
 // and in the assigner's map, and traffic arriving on it was still polled,
 // classified and delivered.
 func TestRemovePortStopsPolling(t *testing.T) {
-	dp, port, ms := newAssignBed(t, 2, 2, DefaultOptions())
+	dp, port, ms := newAssignBed(t, 2, 2)
 	eng := dp.Eng
 	delivered := 0
 	nicB := nicsim.New(eng, nicsim.Config{Name: "p1", Ifindex: 2, Queues: 1})

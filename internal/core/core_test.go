@@ -94,7 +94,7 @@ func (b *p2pBed) offer(n int, interval sim.Time) {
 }
 
 func TestAFXDPForwardEndToEnd(t *testing.T) {
-	bed := newAFXDPP2P(t, DefaultOptions(), afxdp.LockSpinBatched, ModePoll)
+	bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, ModePoll)
 	bed.offer(100, 1000)
 	bed.eng.RunUntil(10 * sim.Millisecond)
 	if bed.recvd != 100 {
@@ -104,8 +104,8 @@ func TestAFXDPForwardEndToEnd(t *testing.T) {
 	if bed.dp.Upcalls != 1 {
 		t.Fatalf("upcalls = %d, want 1", bed.dp.Upcalls)
 	}
-	if bed.dp.EMCHits < 98 {
-		t.Fatalf("EMC hits = %d, want ~99", bed.dp.EMCHits)
+	if hits := bed.pmd.Perf.EMCHits; hits < 98 {
+		t.Fatalf("EMC hits = %d, want ~99", hits)
 	}
 	// CPU time must appear in both user (PMD) and softirq (XDP + tx
 	// drain) categories.
@@ -116,7 +116,7 @@ func TestAFXDPForwardEndToEnd(t *testing.T) {
 }
 
 func TestAFXDPInterruptModeForwards(t *testing.T) {
-	bed := newAFXDPP2P(t, DefaultOptions(), afxdp.LockSpinBatched, ModeInterrupt)
+	bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, ModeInterrupt)
 	bed.offer(50, 2000)
 	bed.eng.RunUntil(10 * sim.Millisecond)
 	if bed.recvd != 50 {
@@ -133,18 +133,14 @@ func TestTable2RateLadder(t *testing.T) {
 		lock afxdp.LockMode
 		mode Mode
 	}
-	base := DefaultOptions()
-	noO4 := base
-	noO4.MetadataPrealloc = false
-	withO5 := base
-	withO5.AssumeCsumOffload = true
+	noO4 := Options{MetadataMmap: true}
 	cfgs := []cfg{
 		{"none", noO4, afxdp.LockMutex, ModeNonPMD},
 		{"O1", noO4, afxdp.LockMutex, ModePoll},
 		{"O1+O2", noO4, afxdp.LockSpin, ModePoll},
 		{"O1..O3", noO4, afxdp.LockSpinBatched, ModePoll},
-		{"O1..O4", base, afxdp.LockSpinBatched, ModePoll},
-		{"O1..O5", withO5, afxdp.LockSpinBatched, ModePoll},
+		{"O1..O4", Options{}, afxdp.LockSpinBatched, ModePoll},
+		{"O1..O5", Options{AssumeCsumOffload: true}, afxdp.LockSpinBatched, ModePoll},
 	}
 	// Measure the PMD's user-CPU cost per packet for each configuration;
 	// rate ~ 1/cost. (The full lossless-rate search lives in the
@@ -177,7 +173,7 @@ func TestDPDKForwardEndToEnd(t *testing.T) {
 	recvd := 0
 	nicB.ConnectWire(func(*packet.Packet) { recvd++ })
 
-	dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
+	dp := NewDatapath(eng, forwardPipeline(), Options{})
 	dp.AddPort(NewDPDKPort(1, nicA))
 	portB := NewDPDKPort(2, nicB)
 	dp.AddPort(portB)
@@ -209,7 +205,7 @@ func TestDPDKFasterThanAFXDP(t *testing.T) {
 		return float64(pmd.CPU.BusyTotal()-pmd.IdleTime) / float64(*recvd)
 	}
 	afxdpCost := perPkt(func() (*sim.Engine, *PMD, *int) {
-		bed := newAFXDPP2P(t, DefaultOptions(), afxdp.LockSpinBatched, ModePoll)
+		bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, ModePoll)
 		bed.offer(200, 3000)
 		return bed.eng, bed.pmd, &bed.recvd
 	})
@@ -219,7 +215,7 @@ func TestDPDKFasterThanAFXDP(t *testing.T) {
 		nicB := nicsim.New(eng, nicsim.Config{Name: "d1", Queues: 1})
 		recvd := 0
 		nicB.ConnectWire(func(*packet.Packet) { recvd++ })
-		dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
+		dp := NewDatapath(eng, forwardPipeline(), Options{})
 		dp.AddPort(NewDPDKPort(1, nicA))
 		dp.AddPort(NewDPDKPort(2, nicB))
 		pmd := dp.NewPMD(ModePoll, nil)
@@ -238,7 +234,7 @@ func TestDPDKFasterThanAFXDP(t *testing.T) {
 func TestVhostPortRoundTrip(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dev := vdev.NewLink("vhost0")
-	dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
+	dp := NewDatapath(eng, forwardPipeline(), Options{})
 	vp := NewLinkPort(1, "vhostuser", dev, nil)
 	dp.AddPort(vp)
 	sinkDev := vdev.NewLink("vhost1")
@@ -260,7 +256,7 @@ func TestVhostPortRoundTrip(t *testing.T) {
 func TestTapPortChargesSystemTime(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tap := vdev.NewLink("tap0")
-	dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
+	dp := NewDatapath(eng, forwardPipeline(), Options{})
 	tp := NewLinkPort(1, "tap", tap, nil)
 	dp.AddPort(tp)
 	tap2 := vdev.NewLink("tap1")
@@ -293,7 +289,7 @@ func TestCTRecirculationInUserspace(t *testing.T) {
 		Match:   ofproto.NewMatch(flow.Fields{CtState: 0x03}, mCt),
 		Actions: []ofproto.Action{ofproto.Output(2)}})
 
-	dp := NewDatapath(eng, pl, DefaultOptions())
+	dp := NewDatapath(eng, pl, Options{})
 	tapIn := vdev.NewLink("in")
 	tapOut := vdev.NewLink("out")
 	inPort := NewLinkPort(1, "tap", tapIn, nil)
@@ -375,9 +371,7 @@ func TestTunnelPushPopThroughDatapath(t *testing.T) {
 				Match:   ofproto.NewMatch(flow.Fields{InPort: 100}, mIn),
 				Actions: []ofproto.Action{ofproto.Output(4)}})
 
-			opts := DefaultOptions()
-			opts.AssumeCsumOffload = c.assume
-			dp := NewDatapath(eng, pl, opts)
+			dp := NewDatapath(eng, pl, Options{AssumeCsumOffload: c.assume})
 			dp.Encapper = tunnel.NewEncapper(netlinksim.NewCache(kern))
 
 			taps := make([]*vdev.Link, 6)
@@ -464,7 +458,7 @@ func TestTunnelPushPopThroughDatapath(t *testing.T) {
 
 func TestSoftwareTSOSegmentation(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
+	dp := NewDatapath(eng, forwardPipeline(), Options{})
 	tapIn := vdev.NewLink("in")
 	inPort := NewLinkPort(1, "tap", tapIn, nil)
 	dp.AddPort(inPort)
@@ -501,10 +495,8 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	// port without TSO that Figure 8(c) assumes it on: the generic-mode
 	// veth, whose skb carries the segment. (An AF_XDP NIC port refuses it:
 	// a 2 KB umem chunk cannot hold it, see TestAFXDPTxRefusesOversizeFrame.)
-	opts := DefaultOptions()
-	opts.AssumeTSO = true
 	eng2 := sim.NewEngine(1)
-	dp2 := NewDatapath(eng2, forwardPipeline(), opts)
+	dp2 := NewDatapath(eng2, forwardPipeline(), Options{AssumeTSO: true})
 	tapIn2 := vdev.NewLink("in")
 	inPort2 := NewLinkPort(1, "tap", tapIn2, nil)
 	dp2.AddPort(inPort2)
@@ -580,9 +572,8 @@ func TestEMCAblation(t *testing.T) {
 	// With the EMC off, every packet pays a classifier lookup; per-packet
 	// cost must rise.
 	cost := func(emcOn bool) float64 {
-		opts := DefaultOptions()
-		opts.EMC = emcOn
-		bed := newAFXDPP2P(t, opts, afxdp.LockSpinBatched, ModePoll)
+		bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, ModePoll)
+		bed.dp.ConfigureEMC(emcOn)
 		bed.offer(200, 3000)
 		bed.eng.RunUntil(20 * sim.Millisecond)
 		return float64(bed.pmd.CPU.Busy(sim.User)-bed.pmd.IdleTime) / float64(bed.recvd)
@@ -602,7 +593,7 @@ func TestMeterDropsExcessTraffic(t *testing.T) {
 		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, mIn),
 		Actions: []ofproto.Action{ofproto.Meter(1), ofproto.Output(2)}})
 
-	dp := NewDatapath(eng, pl, DefaultOptions())
+	dp := NewDatapath(eng, pl, Options{})
 	tapIn, tapOut := vdev.NewLink("in"), vdev.NewLink("out")
 	inPort := NewLinkPort(1, "tap", tapIn, nil)
 	dp.AddPort(inPort)
@@ -627,7 +618,7 @@ func TestMeterDropsExcessTraffic(t *testing.T) {
 
 func TestThousandFlowsColdPenalty(t *testing.T) {
 	cost := func(flows int) float64 {
-		bed := newAFXDPP2P(t, DefaultOptions(), afxdp.LockSpinBatched, ModePoll)
+		bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, ModePoll)
 		n := 3000
 		for i := 0; i < n; i++ {
 			sport := uint16(1000 + i%flows)
@@ -658,7 +649,7 @@ func TestZeroCopyReducesSoftirqCost(t *testing.T) {
 		if _, err := AttachDefaultProgram(nicB); err != nil {
 			t.Fatal(err)
 		}
-		dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
+		dp := NewDatapath(eng, forwardPipeline(), Options{})
 		portA := NewAFXDPPort(AFXDPPortConfig{ID: 1, NIC: nicA, Eng: eng, ZeroCopy: zc})
 		dp.AddPort(portA)
 		dp.AddPort(NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: nicB, Eng: eng, ZeroCopy: zc}))
@@ -744,7 +735,7 @@ func TestPerQueueSteeringSeparatesManagementTraffic(t *testing.T) {
 // the flow gets a fresh upcall.
 func TestNegativeFlowOnUpcallError(t *testing.T) {
 	eng := sim.NewEngine(1)
-	dp := NewDatapath(eng, forwardPipeline(), DefaultOptions())
+	dp := NewDatapath(eng, forwardPipeline(), Options{})
 	dp.SetUpcall(func(flow.Key) (ofproto.Megaflow, error) {
 		return ofproto.Megaflow{}, errors.New("slow path down")
 	})
@@ -772,14 +763,14 @@ func TestNegativeFlowOnUpcallError(t *testing.T) {
 		t.Fatalf("negative flow not shielding: upcalls=%d drops=%d, want 1/3",
 			dp.Upcalls, dp.Drops)
 	}
-	if dp.MegaflowHits != 1 || dp.EMCHits != 1 {
+	if st := dp.PMDs()[0].Perf; st.MegaflowHits != 1 || st.EMCHits != 1 {
 		t.Fatalf("negative flow hits: megaflow=%d emc=%d, want 1/1",
-			dp.MegaflowHits, dp.EMCHits)
+			st.MegaflowHits, st.EMCHits)
 	}
 
 	// The entry self-expires (and the EMC is flushed with it), so the flow
 	// re-upcalls.
-	eng.RunUntil(eng.Now() + dp.Opts.Upcall.NegativeFlowTTL + sim.Millisecond)
+	eng.RunUntil(eng.Now() + dp.Upcall.NegativeFlowTTL + sim.Millisecond)
 	if dp.FlowCount() != 0 {
 		t.Fatalf("negative flow outlived its TTL: flows=%d", dp.FlowCount())
 	}
@@ -804,7 +795,7 @@ func TestInstallAllocs(t *testing.T) {
 	pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 2,
 		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().TPSrc().Build()),
 		Actions: []ofproto.Action{ofproto.Output(3)}})
-	dp := NewDatapath(sim.NewEngine(1), pl, DefaultOptions())
+	dp := NewDatapath(sim.NewEngine(1), pl, Options{})
 	const runs = 200
 	pkts := make([]*packet.Packet, 0, runs+2)
 	for i := 0; i < cap(pkts); i++ {

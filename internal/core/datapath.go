@@ -43,21 +43,15 @@ func PortCaps(p Port) Caps {
 	}
 }
 
-// Options are the datapath tunables; each maps to one of the paper's
-// optimizations or an ablation DESIGN.md calls out.
+// Options are the paper's construction-time ablations, which no other_config
+// key names; every runtime tunable is a key (dpif.SetConfig). The zero
+// Options is the fully optimized datapath: O1..O4, with O5's checksum
+// offload not assumed, as in the paper.
 type Options struct {
-	// EMC enables the exact-match cache (ablation: the cache the kernel
-	// maintainers rejected).
-	EMC bool
-	// SMC enables the signature match cache between the EMC and the
-	// megaflow classifier (OVS's smc-enable=true, off by default): 4-byte
-	// entries covering two orders of magnitude more flows than the EMC at
-	// a slightly higher hit cost.
-	SMC bool
-	// MetadataPrealloc is O4: dp_packet metadata in a preallocated
-	// contiguous array; disabled, every packet pays the mmap-allocation
-	// cost.
-	MetadataPrealloc bool
+	// MetadataMmap disables O4: without dp_packet metadata in a
+	// preallocated contiguous array, every packet pays the
+	// mmap-allocation cost.
+	MetadataMmap bool
 	// AssumeCsumOffload is O5's estimate: transmit a fixed checksum
 	// value instead of computing one in software.
 	AssumeCsumOffload bool
@@ -65,48 +59,14 @@ type Options struct {
 	// "checksum and TSO" bars): oversized segments are passed through
 	// without software segmentation.
 	AssumeTSO bool
-	// BatchSize is packets per poll (NETDEV_MAX_BURST).
+	// BatchSize is packets per poll (NETDEV_MAX_BURST); zero uses
+	// costmodel.BatchSize.
 	BatchSize int
 	// ContentionCentis is the multi-PMD contention coefficient (tenths;
 	// see costmodel.UserContentionMilli). Zero disables contention
 	// scaling; the experiment beds set the per-datapath calibrated
 	// values for Figure 12.
 	ContentionCentis int
-	// Upcall bounds and paces the slow path (the upcall-* keys); the zero
-	// QueueCap keeps the upcall inline on the PMD thread, as dpif-netdev
-	// does.
-	Upcall upcall.Config
-	// RxqAssign selects how the assignment layer distributes receive
-	// queues across PMD threads (other_config:pmd-rxq-assign). The zero
-	// value is round-robin, which reproduces the historical
-	// queue-i-to-PMD-i wiring exactly.
-	RxqAssign AssignPolicy
-	// AutoLB enables the deterministic PMD auto-load-balancer
-	// (other_config:pmd-auto-lb); off by default.
-	AutoLB bool
-	// AutoLBInterval overrides the balancer's virtual-time measurement
-	// interval; zero uses costmodel.AutoLBDefaultInterval.
-	AutoLBInterval sim.Time
-	// AutoLBThresholdPct overrides the minimum per-PMD load-variance
-	// improvement (percent) before a re-shard is applied; zero uses
-	// costmodel.AutoLBDefaultThresholdPct.
-	AutoLBThresholdPct int
-	// Offload configures the hardware flow-offload engine
-	// (other_config:hw-offload); the zero value disables it, so default
-	// runs schedule no offload events and stay byte-identical.
-	Offload OffloadOptions
-}
-
-// DefaultOptions returns the fully-optimized configuration (all of
-// O1..O5 except that checksum offload remains estimated, as in the paper).
-func DefaultOptions() Options {
-	return Options{
-		EMC:               true,
-		MetadataPrealloc:  true,
-		AssumeCsumOffload: false,
-		BatchSize:         costmodel.BatchSize,
-		Upcall:            upcall.DefaultConfig(),
-	}
 }
 
 // Datapath is the shared state of the userspace datapath: ports, the
@@ -138,16 +98,18 @@ type Datapath struct {
 
 	// offload is the hardware flow-offload engine; nil until hw-offload is
 	// first enabled, so the default datapath carries no offload state.
-	offload *offloadEngine
+	// offloadOpts is the last ConfigureOffload's settings, kept whether or
+	// not the engine exists.
+	offload     *offloadEngine
+	offloadOpts OffloadOptions
 
-	// Stats; the pass's own come with fastpath.Datapath.
-	EMCHits       uint64
-	SMCHits       uint64
-	MegaflowHits  uint64
+	// emcOff and smcOn are the cache toggles (emc-enable, smc-enable):
+	// the EMC is on and the SMC off until configured otherwise.
+	emcOff, smcOn bool
+
+	// SegmentedPkts counts software TSO segmentations; each cache
+	// resolution is tallied in the resolving thread's perf.Stats only.
 	SegmentedPkts uint64
-	// OffloadHits counts packets the NIC forwarded from its hardware flow
-	// table, bypassing every software cache.
-	OffloadHits uint64
 }
 
 // NewDatapath builds a datapath over a pipeline.
@@ -157,20 +119,10 @@ func NewDatapath(eng *sim.Engine, pl *ofproto.Pipeline, opts Options) *Datapath 
 	}
 	d := &Datapath{
 		Datapath: fastpath.Datapath{Eng: eng, Pipeline: pl, Ct: conntrack.NewTable(eng),
-			Row: fastpath.Row{Cat: sim.User,
+			Upcall: upcall.DefaultConfig(), Row: fastpath.Row{Cat: sim.User,
 				Output: costmodel.ExecActionOutput, Rewrite: costmodel.ExecActionSimple}},
 		Opts:  opts,
 		ports: make(map[uint32]Port),
-	}
-	if opts.AutoLB {
-		thr := opts.AutoLBThresholdPct
-		if thr <= 0 {
-			thr = -1 // keep the default
-		}
-		d.ConfigureAutoLB(true, opts.AutoLBInterval, thr)
-	}
-	if opts.Offload.Enable {
-		d.ConfigureOffload(opts.Offload)
 	}
 	return d
 }
@@ -199,14 +151,26 @@ func (d *Datapath) RemovePort(id uint32) {
 // Ports returns the number of attached ports.
 func (d *Datapath) Ports() int { return len(d.ports) }
 
+// ConfigureEMC enables or disables the exact-match cache from the next
+// packet on (emc-enable; off is the cache the kernel maintainers rejected).
+func (d *Datapath) ConfigureEMC(on bool) { d.emcOff = !on }
+
+// EMCEnabled reports whether the exact-match cache is consulted.
+func (d *Datapath) EMCEnabled() bool { return !d.emcOff }
+
 // ConfigureSMC enables or disables the signature match cache at runtime,
-// allocating or releasing the per-PMD tables (smc-enable).
+// allocating or releasing the per-PMD tables (smc-enable): 4-byte entries
+// covering two orders of magnitude more flows than the EMC at a slightly
+// higher hit cost.
 func (d *Datapath) ConfigureSMC(on bool) {
-	d.Opts.SMC = on
+	d.smcOn = on
 	for _, m := range d.pmds {
 		m.reconfigureSMC()
 	}
 }
+
+// SMCEnabled reports whether the signature match cache is consulted.
+func (d *Datapath) SMCEnabled() bool { return d.smcOn }
 
 // FlushFlows clears every PMD's caches (revalidation after rule changes)
 // and, with hw-offload on, the NIC flow table in the same pass — a flushed
@@ -280,7 +244,6 @@ func (m *PMD) Receive(_ *fastpath.Thread, _ *sim.CPU, p *packet.Packet, depth in
 	if depth == 0 && d.offload != nil && d.offload.on {
 		if actions, ok := d.offload.hwLookup(p); ok {
 			m.charge(perf.StageOffload, costmodel.OffloadHit)
-			d.OffloadHits++
 			m.Perf.OffloadHits++
 			m.Resolved(perf.ResultOffload)
 			d.hwForward(m, p, actions)
@@ -290,7 +253,7 @@ func (m *PMD) Receive(_ *fastpath.Thread, _ *sim.CPU, p *packet.Packet, depth in
 
 	// dp_packet metadata (O4).
 	m.charge(perf.StageRx, costmodel.PacketMetadataInit)
-	if !d.Opts.MetadataPrealloc {
+	if d.Opts.MetadataMmap {
 		m.charge(perf.StageRx, costmodel.PacketMetadataMmap)
 	}
 
@@ -350,9 +313,8 @@ func (m *PMD) Transmit(_ *fastpath.Thread, _ *sim.CPU, port uint32, p *packet.Pa
 // consulted, and the hashes are kept in m.hashes for Install's back-fill
 // after an upcall.
 func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
-	d := m.dp
 	h := &m.hashes
-	if d.Opts.EMC {
+	if !m.dp.emcOff {
 		h.emc = m.emc.Hash(key)
 		if r, ok := m.emc.LookupHashed(key, h.emc); ok {
 			m.charge(perf.StageEMC, costmodel.EMCHit)
@@ -364,7 +326,6 @@ func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
 			// EMC-resident flows as idle and evicts live flows.
 			e := m.cls.Get(r)
 			e.Hits++
-			d.EMCHits++
 			m.Perf.EMCHits++
 			m.Resolved(perf.ResultEMC)
 			return e
@@ -378,7 +339,6 @@ func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
 			if m.smc.Len() > costmodel.ColdFlowThreshold {
 				m.charge(perf.StageSMC, costmodel.ColdFlowCacheMiss)
 			}
-			d.SMCHits++
 			m.Perf.SMCHits++
 			m.Resolved(perf.ResultSMC)
 			// An SMC hit refreshes the EMC, as dfc_processing does on
@@ -393,7 +353,6 @@ func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
 	if e == nil {
 		return nil
 	}
-	d.MegaflowHits++
 	m.Perf.MegaflowHits++
 	m.Resolved(perf.ResultMegaflow)
 	m.cacheInsert(key, *h, e.Ref())

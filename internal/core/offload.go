@@ -346,7 +346,7 @@ func offloadableActions(actions []ofproto.DPAction) bool {
 // hardware rule, so traffic falls back to the software hierarchy; counters
 // persist across disable/enable.
 func (d *Datapath) ConfigureOffload(o OffloadOptions) {
-	d.Opts.Offload = o
+	d.offloadOpts = o
 	if !o.Enable {
 		if d.offload != nil {
 			d.offload.disable()
@@ -368,7 +368,7 @@ func (d *Datapath) OffloadEnabled() bool { return d.offload != nil && d.offload.
 // OffloadSettings returns the effective engine settings (defaults applied),
 // for config readback.
 func (d *Datapath) OffloadSettings() OffloadOptions {
-	o := d.Opts.Offload.withDefaults()
+	o := d.offloadOpts.withDefaults()
 	o.Enable = d.OffloadEnabled()
 	return o
 }

@@ -12,7 +12,7 @@ import (
 // stage: the counters are recorded alongside the CPU charges, so their sum
 // equals the thread's busy time (single PMD, no contention surcharge).
 func TestPerfCyclesMatchCPUBusyTime(t *testing.T) {
-	bed := newAFXDPP2P(t, DefaultOptions(), afxdp.LockSpinBatched, ModePoll)
+	bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, ModePoll)
 	bed.offer(100, 1000)
 	bed.eng.RunUntil(10 * sim.Millisecond)
 	if bed.recvd != 100 {
@@ -45,7 +45,7 @@ func TestPerfCyclesMatchCPUBusyTime(t *testing.T) {
 // identical runs, one traced, must agree on every observable outcome.
 func TestTraceDoesNotPerturbVirtualTime(t *testing.T) {
 	run := func(traceDepth int) (recvd int, busy sim.Time, now sim.Time, recs []perf.TraceRecord) {
-		bed := newAFXDPP2P(t, DefaultOptions(), afxdp.LockSpinBatched, ModePoll)
+		bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, ModePoll)
 		if traceDepth > 0 {
 			bed.dp.EnableTrace(traceDepth)
 		}
@@ -82,7 +82,7 @@ func TestTraceDoesNotPerturbVirtualTime(t *testing.T) {
 // The trace records the caching level that resolved each packet: first an
 // upcall, then EMC hits.
 func TestTraceRecordsResolutionLevels(t *testing.T) {
-	bed := newAFXDPP2P(t, DefaultOptions(), afxdp.LockSpinBatched, ModePoll)
+	bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, ModePoll)
 	bed.dp.EnableTrace(64)
 	bed.offer(20, 1000)
 	bed.eng.RunUntil(5 * sim.Millisecond)

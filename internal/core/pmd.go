@@ -63,8 +63,8 @@ type PMD struct {
 	dp  *Datapath
 
 	emc *emc.Cache[dpcls.Ref]
-	// smc is the signature match cache, allocated only when Options.SMC
-	// is set (it is ~4 MB per PMD at the OVS-default capacity).
+	// smc is the signature match cache, allocated only while smc-enable
+	// is on (it is ~4 MB per PMD at the OVS-default capacity).
 	smc *smc.Cache
 	cls *dpcls.Classifier
 	// rxqs is the thread's poll list; the entries are owned by the
@@ -121,7 +121,7 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 	m.iterTimer = d.Eng.NewTimer(m.iterate)
 	// The slow path sees this thread's private classifier, the datapath's
 	// shared handler thread, and uncounted reinjection on this PMD.
-	m.Slow = upcall.NewQueue(d.Eng, &d.Opts.Upcall, &d.Counters, m.Perf, upcall.Host{
+	m.Slow = upcall.NewQueue(d.Eng, &d.Upcall, &d.Counters, m.Perf, upcall.Host{
 		Table:     m.cls,
 		Install:   m.cls.Insert,
 		Remove:    m.RemoveFlow,
@@ -154,9 +154,9 @@ func (m *PMD) charge(st perf.Stage, d sim.Time) {
 }
 
 // reconfigureSMC brings the thread's signature cache in line with the
-// datapath's current Options: allocated while SMC is on, released when off.
+// datapath's smc-enable: allocated while it is on, released when off.
 func (m *PMD) reconfigureSMC() {
-	if !m.dp.Opts.SMC {
+	if !m.dp.smcOn {
 		m.smc = nil
 		return
 	}
@@ -189,7 +189,7 @@ type keyHashes struct{ emc, smc uint32 }
 
 // emcInsert inserts into the EMC when it is enabled.
 func (m *PMD) emcInsert(key *flow.Key, hash uint32, r dpcls.Ref) {
-	if m.dp.Opts.EMC {
+	if !m.dp.emcOff {
 		m.emc.InsertHashed(key, hash, r)
 	}
 }

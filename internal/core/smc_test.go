@@ -49,10 +49,9 @@ func outputPipeline(out uint32) *ofproto.Pipeline {
 // megaflow and registers it in the SMC; every successor is an SMC hit.
 func TestSMCServesRepeatTraffic(t *testing.T) {
 	eng := sim.NewEngine(1)
-	opts := DefaultOptions()
-	opts.EMC = false
-	opts.SMC = true
-	dp := NewDatapath(eng, outputPipeline(2), opts)
+	dp := NewDatapath(eng, outputPipeline(2), Options{})
+	dp.ConfigureEMC(false)
+	dp.ConfigureSMC(true)
 	out := &sinkPort{id: 2, name: "out"}
 	dp.AddPort(&sinkPort{id: 1, name: "in"})
 	dp.AddPort(out)
@@ -63,13 +62,10 @@ func TestSMCServesRepeatTraffic(t *testing.T) {
 	if out.recvd != 8 {
 		t.Fatalf("delivered %d/8", out.recvd)
 	}
-	if dp.Upcalls != 1 || dp.SMCHits != 7 || dp.EMCHits != 0 {
+	st := dp.PMDs()[0].Perf
+	if dp.Upcalls != 1 || st.SMCHits != 7 || st.EMCHits != 0 {
 		t.Fatalf("upcalls=%d smcHits=%d emcHits=%d, want 1/7/0",
-			dp.Upcalls, dp.SMCHits, dp.EMCHits)
-	}
-	m := dp.PMDs()[0]
-	if m.Perf.SMCHits != 7 {
-		t.Fatalf("perf SMCHits = %d, want 7", m.Perf.SMCHits)
+			dp.Upcalls, st.SMCHits, st.EMCHits)
 	}
 }
 
@@ -80,10 +76,9 @@ func TestSMCServesRepeatTraffic(t *testing.T) {
 // never resolve through the stale cache entry to the old output port.
 func TestSMCInvalidationPreventsStaleDelivery(t *testing.T) {
 	eng := sim.NewEngine(1)
-	opts := DefaultOptions()
-	opts.EMC = false
-	opts.SMC = true
-	dp := NewDatapath(eng, outputPipeline(2), opts)
+	dp := NewDatapath(eng, outputPipeline(2), Options{})
+	dp.ConfigureEMC(false)
+	dp.ConfigureSMC(true)
 	oldOut := &sinkPort{id: 2, name: "old"}
 	newOut := &sinkPort{id: 3, name: "new"}
 	dp.AddPort(&sinkPort{id: 1, name: "in"})
@@ -94,8 +89,8 @@ func TestSMCInvalidationPreventsStaleDelivery(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		dp.Execute(inPkt(7777))
 	}
-	if oldOut.recvd != 4 || dp.SMCHits != 3 {
-		t.Fatalf("warm phase: delivered=%d smcHits=%d, want 4/3", oldOut.recvd, dp.SMCHits)
+	if oldOut.recvd != 4 || dp.PMDs()[0].Perf.SMCHits != 3 {
+		t.Fatalf("warm phase: delivered=%d smcHits=%d, want 4/3", oldOut.recvd, dp.PMDs()[0].Perf.SMCHits)
 	}
 
 	// Revalidation: the megaflow is removed and the forwarding decision
@@ -128,7 +123,7 @@ func TestSMCInvalidationPreventsStaleDelivery(t *testing.T) {
 	if dp.Upcalls != 2 {
 		t.Fatalf("upcalls = %d, want 2 (invalidated index must not serve)", dp.Upcalls)
 	}
-	if dp.SMCHits != 6 {
-		t.Fatalf("smcHits = %d, want 6 (3 before + 3 after reinstall)", dp.SMCHits)
+	if m.Perf.SMCHits != 6 {
+		t.Fatalf("smcHits = %d, want 6 (3 before + 3 after reinstall)", m.Perf.SMCHits)
 	}
 }

@@ -63,8 +63,8 @@ func TestFlowDelPreservesUnrelatedEMCEntries(t *testing.T) {
 	d.Execute(pktB()) // miss: installs B's megaflow and EMC entry
 	d.Execute(pktA())
 	d.Execute(pktB())
-	if nd.dp.EMCHits != 2 {
-		t.Fatalf("warmup EMC hits = %d, want 2", nd.dp.EMCHits)
+	if nd.dp.PMDs()[0].Perf.EMCHits != 2 {
+		t.Fatalf("warmup EMC hits = %d, want 2", nd.dp.PMDs()[0].Perf.EMCHits)
 	}
 
 	// Delete B's megaflow (the one with zero... both have 1 hit; find B by
@@ -90,8 +90,8 @@ func TestFlowDelPreservesUnrelatedEMCEntries(t *testing.T) {
 
 	// A's EMC entry must have survived the delete.
 	d.Execute(pktA())
-	if nd.dp.EMCHits != 3 {
-		t.Errorf("EMC hits after unrelated delete = %d, want 3 (A's entry was evicted)", nd.dp.EMCHits)
+	if nd.dp.PMDs()[0].Perf.EMCHits != 3 {
+		t.Errorf("EMC hits after unrelated delete = %d, want 3 (A's entry was evicted)", nd.dp.PMDs()[0].Perf.EMCHits)
 	}
 	// B's entry is dead: its next packet must miss the caches and upcall.
 	upcallsBefore := nd.dp.Upcalls
@@ -143,11 +143,11 @@ func TestFlowPutReplacementUpdatesCachedActions(t *testing.T) {
 	d.FlowPut(flows[0].Table.MaskedKey(e), flows[0].Table.Mask(e),
 		[]ofproto.DPAction{{Type: ofproto.DPOutput, Port: 3}})
 
-	emcBefore := nd.dp.EMCHits
+	emcBefore := nd.dp.PMDs()[0].Perf.EMCHits
 	d.Execute(pkt())
-	if nd.dp.EMCHits != emcBefore+1 {
+	if nd.dp.PMDs()[0].Perf.EMCHits != emcBefore+1 {
 		t.Fatalf("replacement evicted the EMC entry (hits %d -> %d); want a cached hit with new actions",
-			emcBefore, nd.dp.EMCHits)
+			emcBefore, nd.dp.PMDs()[0].Perf.EMCHits)
 	}
 	if got3 != 1 || got2 != 2 {
 		t.Errorf("post-replacement delivery = p2:%d p3:%d, want p2:2 p3:1 (cached hit ran stale actions)",

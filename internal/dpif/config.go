@@ -5,10 +5,9 @@ import (
 	"sort"
 	"strconv"
 
-	"ovsxdp/internal/conntrack"
 	"ovsxdp/internal/core"
+	"ovsxdp/internal/fastpath"
 	"ovsxdp/internal/sim"
-	"ovsxdp/internal/upcall"
 )
 
 // This file is the ovs-vsctl-style configuration surface: every datapath
@@ -37,15 +36,14 @@ const (
 	kindEnum                                // Go string, one of enum
 )
 
-// configTarget is the live state a provider's keys bind to: the slow path's
-// tunables and the conntrack table every datapath carries, and the userspace
-// datapath on netdev. On the kernel-path providers dp is nil, netdev-only
+// configTarget is the live state a provider's keys bind to: the pass state
+// every datapath carries (the slow path's tunables, the conntrack table), and
+// the userspace datapath on netdev. On the kernel-path providers dp is nil, netdev-only
 // rows are not applied, and inert remembers what was set so GetConfig echoes
 // it back, as OVS's global other_config column does even for keys this
 // datapath ignores.
 type configTarget struct {
-	uc    *upcall.Config
-	ct    *conntrack.Table
+	fp    *fastpath.Datapath
 	dp    *core.Datapath
 	inert map[string]string
 }
@@ -73,7 +71,7 @@ type configKey struct {
 // setOffload edits one field of the offload settings and reconfigures the
 // engine with the result.
 func setOffload(t *configTarget, edit func(*core.OffloadOptions)) {
-	o := t.dp.Opts.Offload
+	o := t.dp.OffloadSettings()
 	edit(&o)
 	t.dp.ConfigureOffload(o)
 }
@@ -85,52 +83,42 @@ var configTable = []configKey{
 	{name: "pmd-rxq-assign", kind: kindEnum, def: "roundrobin", enum: []string{"roundrobin", "cycles"}, netdevOnly: true,
 		set: func(t *configTarget, v any) {
 			p, _ := core.ParseAssignPolicy(v.(string)) // cannot fail: enum admits only the policies' names
-			t.dp.Opts.RxqAssign = p
 			t.dp.SetAssignPolicy(p)
 		},
 		get: func(t *configTarget) any { return t.dp.AssignPolicyInEffect().String() }},
 	{name: "pmd-auto-lb", kind: kindBool, def: "false", netdevOnly: true,
-		set: func(t *configTarget, v any) {
-			t.dp.Opts.AutoLB = v.(bool)
-			t.dp.ConfigureAutoLB(v.(bool), 0, -1)
-		},
+		set: func(t *configTarget, v any) { t.dp.ConfigureAutoLB(v.(bool), 0, -1) },
 		get: func(t *configTarget) any { return t.dp.AutoLBEnabled() }},
 	{name: "pmd-auto-lb-rebal-interval-us", kind: kindMicroseconds, def: "5000", min: 1, netdevOnly: true,
-		set: func(t *configTarget, v any) {
-			t.dp.Opts.AutoLBInterval = v.(sim.Time)
-			t.dp.ConfigureAutoLB(t.dp.AutoLBEnabled(), v.(sim.Time), -1)
-		},
+		set: func(t *configTarget, v any) { t.dp.ConfigureAutoLB(t.dp.AutoLBEnabled(), v.(sim.Time), -1) },
 		get: func(t *configTarget) any { interval, _ := t.dp.AutoLBSettings(); return interval }},
 	{name: "pmd-auto-lb-improvement-threshold", kind: kindInt, def: "25", netdevOnly: true,
-		set: func(t *configTarget, v any) {
-			t.dp.Opts.AutoLBThresholdPct = v.(int)
-			t.dp.ConfigureAutoLB(t.dp.AutoLBEnabled(), 0, v.(int))
-		},
+		set: func(t *configTarget, v any) { t.dp.ConfigureAutoLB(t.dp.AutoLBEnabled(), 0, v.(int)) },
 		get: func(t *configTarget) any { _, threshold := t.dp.AutoLBSettings(); return threshold }},
 
 	// Cache hierarchy; toggles take effect on the next packet.
 	{name: "emc-enable", kind: kindBool, def: "true", netdevOnly: true,
-		set: func(t *configTarget, v any) { t.dp.Opts.EMC = v.(bool) },
-		get: func(t *configTarget) any { return t.dp.Opts.EMC }},
+		set: func(t *configTarget, v any) { t.dp.ConfigureEMC(v.(bool)) },
+		get: func(t *configTarget) any { return t.dp.EMCEnabled() }},
 	{name: "smc-enable", kind: kindBool, def: "false", netdevOnly: true,
 		set: func(t *configTarget, v any) { t.dp.ConfigureSMC(v.(bool)) },
-		get: func(t *configTarget) any { return t.dp.Opts.SMC }},
+		get: func(t *configTarget) any { return t.dp.SMCEnabled() }},
 
 	// Slow path (all providers).
 	{name: "upcall-queue-cap", kind: kindInt, def: "0",
-		set: func(t *configTarget, v any) { t.uc.QueueCap = v.(int) },
-		get: func(t *configTarget) any { return t.uc.QueueCap }},
+		set: func(t *configTarget, v any) { t.fp.Upcall.QueueCap = v.(int) },
+		get: func(t *configTarget) any { return t.fp.Upcall.QueueCap }},
 	{name: "upcall-service-us", kind: kindMicroseconds, def: "0",
-		set: func(t *configTarget, v any) { t.uc.ServiceInterval = v.(sim.Time) },
-		get: func(t *configTarget) any { return t.uc.ServiceInterval }},
+		set: func(t *configTarget, v any) { t.fp.Upcall.ServiceInterval = v.(sim.Time) },
+		get: func(t *configTarget) any { return t.fp.Upcall.ServiceInterval }},
 	{name: "upcall-retry-base-us", kind: kindMicroseconds, def: "0",
-		set: func(t *configTarget, v any) { t.uc.RetryBase = v.(sim.Time) },
-		get: func(t *configTarget) any { return t.uc.RetryBase }},
+		set: func(t *configTarget, v any) { t.fp.Upcall.RetryBase = v.(sim.Time) },
+		get: func(t *configTarget) any { return t.fp.Upcall.RetryBase }},
 
 	// Conntrack (all providers: both datapaths carry a tracker).
 	{name: "ct-shards", kind: kindInt, def: "8", min: 1,
-		set: func(t *configTarget, v any) { t.ct.SetShards(v.(int)) },
-		get: func(t *configTarget) any { return t.ct.NumShards() }},
+		set: func(t *configTarget, v any) { t.fp.Ct.SetShards(v.(int)) },
+		get: func(t *configTarget) any { return t.fp.Ct.NumShards() }},
 
 	// Hardware flow offload (netdev only: the kernel-path providers'
 	// simulated NICs expose no flow table, so the keys validate but stay

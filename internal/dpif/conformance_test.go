@@ -201,10 +201,8 @@ func TestConformance(t *testing.T) {
 // packets resolve, never what happens to them.
 func TestConformanceWithSMC(t *testing.T) {
 	withSMC := func(cfg *dpif.Config) {
-		opts := core.DefaultOptions()
-		opts.EMC = false // force repeat traffic onto the SMC level
-		cfg.Options = opts
-		cfg.Other = map[string]string{"smc-enable": "true"}
+		// The EMC off forces repeat traffic onto the SMC level.
+		cfg.Other = map[string]string{"emc-enable": "false", "smc-enable": "true"}
 	}
 	types := dpif.Types()
 	obs := make(map[string]observation, len(types))

@@ -149,6 +149,17 @@ type CtZoneConns struct {
 	Conns int    `json:"conns"`
 }
 
+// addThreads sums the threads' tallies into Hits, SMCHits and
+// UpcallQueueDrops, the one count of each, so the datapath-wide and
+// per-thread views cannot disagree.
+func (s *Stats) addThreads(ths []perf.ThreadStats) {
+	for _, th := range ths {
+		s.Hits += th.EMCHits + th.SMCHits + th.MegaflowHits
+		s.SMCHits += th.SMCHits
+		s.UpcallQueueDrops += th.UpcallQueueDrops
+	}
+}
+
 // fillCtStats copies the tracker's counters into a Stats snapshot; shared
 // by every provider so the conntrack surface cannot drift between them.
 func fillCtStats(s *Stats, t *conntrack.Table) {

@@ -21,12 +21,8 @@ type Netdev struct {
 
 func init() {
 	Register("netdev", func(cfg Config) (Dpif, error) {
-		opts, ok := cfg.Options.(core.Options)
-		if !ok {
-			opts = core.DefaultOptions()
-		}
-		dp := core.NewDatapath(cfg.Eng, cfg.Pipeline, opts)
-		return &Netdev{dp: dp, config: configTarget{uc: &dp.Opts.Upcall, ct: dp.Ct, dp: dp}}, nil
+		dp := core.NewDatapath(cfg.Eng, cfg.Pipeline, cfg.Options)
+		return &Netdev{dp: dp, config: configTarget{fp: &dp.Datapath, dp: dp}}, nil
 	})
 }
 
@@ -115,27 +111,26 @@ func (d *Netdev) SetUpcall(fn UpcallFunc) { d.dp.SetUpcall(fn) }
 func (d *Netdev) SetConfig(kv map[string]string) error { return d.config.set(kv) }
 
 // GetConfig implements Dpif: values reflect the live datapath state, so a
-// bed configured through core.Options at construction reads back
-// identically to one configured through SetConfig.
+// bed configured through Config.Other at open reads back identically to one
+// configured through SetConfig later.
 func (d *Netdev) GetConfig() map[string]string { return d.config.get() }
 
 // PmdRxqShow implements Dpif.
 func (d *Netdev) PmdRxqShow() string { return d.dp.PmdRxqShow() }
 
 // Stats implements Dpif: hits combine every caching level a packet can
-// shortcut through — EMC, SMC, and the megaflow classifier.
+// shortcut through — EMC, SMC, and the megaflow classifier — summed over
+// the PMD threads that tallied them.
 func (d *Netdev) Stats() Stats {
 	s := Stats{
-		Hits:             d.dp.EMCHits + d.dp.SMCHits + d.dp.MegaflowHits,
-		SMCHits:          d.dp.SMCHits,
-		Missed:           d.dp.Upcalls,
-		Lost:             d.dp.Drops,
-		UpcallQueueDrops: d.dp.UpcallQueueDrops,
-		MalformedDrops:   d.dp.MalformedDrops,
-		Processed:        d.dp.Processed,
-		Flows:            d.dp.FlowCount(),
-		Ports:            d.dp.Ports(),
+		Missed:         d.dp.Upcalls,
+		Lost:           d.dp.Drops,
+		MalformedDrops: d.dp.MalformedDrops,
+		Processed:      d.dp.Processed,
+		Flows:          d.dp.FlowCount(),
+		Ports:          d.dp.Ports(),
 	}
+	s.addThreads(d.PerfStats())
 	off := d.dp.OffloadStats()
 	s.OffloadHits = off.Hits
 	s.OffloadInstalls = off.Installs

@@ -48,7 +48,7 @@ func netlinkFactory(flavor kernelsim.Flavor) Factory {
 	return func(cfg Config) (Dpif, error) {
 		kdp := kernelsim.NewDatapath(cfg.Eng, flavor, cfg.Pipeline)
 		return &Netlink{kdp: kdp, eng: cfg.Eng,
-			config: configTarget{uc: &kdp.Upcall, ct: kdp.Ct, inert: make(map[string]string)}}, nil
+			config: configTarget{fp: &kdp.Datapath, inert: make(map[string]string)}}, nil
 	}
 }
 
@@ -179,15 +179,14 @@ func (d *Netlink) EnableTrace(n int) { d.kdp.Perf.EnableTrace(n) }
 // Stats implements Dpif.
 func (d *Netlink) Stats() Stats {
 	s := Stats{
-		Hits:             d.kdp.Hits,
-		Missed:           d.kdp.Upcalls,
-		Lost:             d.kdp.Drops,
-		UpcallQueueDrops: d.kdp.UpcallQueueDrops,
-		MalformedDrops:   d.kdp.MalformedDrops,
-		Processed:        d.kdp.Processed,
-		Flows:            d.kdp.FlowCount(),
-		Ports:            len(d.kdp.Outputs),
+		Missed:         d.kdp.Upcalls,
+		Lost:           d.kdp.Drops,
+		MalformedDrops: d.kdp.MalformedDrops,
+		Processed:      d.kdp.Processed,
+		Flows:          d.kdp.FlowCount(),
+		Ports:          len(d.kdp.Outputs),
 	}
+	s.addThreads(d.PerfStats())
 	fillCtStats(&s, d.kdp.Ct)
 	return s
 }

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ovsxdp/internal/core"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
@@ -171,10 +170,7 @@ func TestOffloadConformanceAcrossProviders(t *testing.T) {
 // the SMC signature, and (trivially) the EMC together.
 func TestOffloadConformanceWithSMC(t *testing.T) {
 	withSMC := func(cfg *dpif.Config) {
-		opts := core.DefaultOptions()
-		opts.EMC = false
-		cfg.Options = opts
-		cfg.Other = map[string]string{"smc-enable": "true"}
+		cfg.Other = map[string]string{"emc-enable": "false", "smc-enable": "true"}
 	}
 	types := dpif.Types()
 	obs := make(map[string]offloadObservation, len(types))

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"ovsxdp/internal/conntrack"
-	"ovsxdp/internal/core"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/netlinksim"
@@ -377,25 +377,19 @@ func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 		}
 	}
 
-	opts := core.DefaultOptions()
-	opts.EMC, opts.SMC = c.emc, c.smc
-	opts.Offload = core.OffloadOptions{Enable: c.hwOffload, ElephantPPS: 1}
-	other := map[string]string{"hw-offload-elephant-pps": "1"}
+	other := map[string]string{"emc-enable": strconv.FormatBool(c.emc), "smc-enable": strconv.FormatBool(c.smc),
+		"hw-offload": strconv.FormatBool(c.hwOffload), "hw-offload-elephant-pps": "1"}
 	if queued {
 		other["upcall-queue-cap"] = "8"
 	}
-	d, err := dpif.Open(c.typ, dpif.Config{Eng: eng, Pipeline: oraclePipeline(), Options: opts, Other: other})
+	d, err := dpif.Open(c.typ, dpif.Config{Eng: eng, Pipeline: oraclePipeline(), Other: other})
 	if err != nil {
 		t.Fatalf("%v: Open: %v", c, err)
 	}
 	pass := passOf(d)
 	d.SetUpcall(upcall(pass.Pipeline))
 	pass.Ct.Timeouts = oracleCtTimeouts
-	if nd, ok := d.(*dpif.Netdev); ok {
-		nd.Datapath().Opts.Upcall.NegativeFlowTTL = oracleNegTTL
-	} else {
-		d.(*dpif.Netlink).Kernel().Upcall.NegativeFlowTTL = oracleNegTTL
-	}
+	pass.Upcall.NegativeFlowTTL = oracleNegTTL
 
 	ref := &refDatapath{eng: eng, pl: oraclePipeline(), ct: conntrack.NewTable(eng),
 		exact: c.typ == "ebpf", ports: map[uint32]bool{}}
@@ -572,6 +566,19 @@ func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 			}
 			if err := after.Invariants(); err != nil {
 				fail("invariants: %v", err)
+			}
+			// Each resolution is tallied once, by the thread that made it;
+			// the datapath-wide counters are those tallies summed.
+			var sum dpif.Stats
+			for _, th := range d.PerfStats() {
+				sum.Hits += th.EMCHits + th.SMCHits + th.MegaflowHits
+				sum.SMCHits += th.SMCHits
+				sum.OffloadHits += th.OffloadHits
+				sum.UpcallQueueDrops += th.UpcallQueueDrops
+			}
+			tally := [4]uint64{after.Hits, after.SMCHits, after.OffloadHits, after.UpcallQueueDrops}
+			if perThread := [4]uint64{sum.Hits, sum.SMCHits, sum.OffloadHits, sum.UpcallQueueDrops}; tally != perThread {
+				fail("hits/smc/offload/queue-dropped %v, per-thread sums %v", tally, perThread)
 			}
 		}
 	}

@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"sort"
 
+	"ovsxdp/internal/core"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/sim"
 )
 
-// Config parameterizes Open. Options carries the provider's constructor
-// options (core.Options for the netdev provider — the paper's O1–O5
-// ablations, which are not other_config keys); providers that take none
-// ignore it.
+// Config parameterizes Open. Options are the userspace datapath's
+// construction-time ablations (the paper's O4, O5 and TSO estimates, batch
+// size, contention), which no other_config key names; the zero value is the
+// fully optimized datapath, and the kernel-path providers ignore it. Every
+// other setting has one spelling, its key in Other.
 type Config struct {
 	Eng      *sim.Engine
 	Pipeline *ofproto.Pipeline
-	Options  any
+	Options  core.Options
 	// Other carries ovs-vsctl-style other_config key/value pairs, applied
 	// through SetConfig after the provider is built — how every runtime
 	// tunable (slow path, cache hierarchy, PMD placement, offload) is set

@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"strconv"
 
-	"ovsxdp/internal/core"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet/hdr"
@@ -108,9 +109,9 @@ func sweepCounters(b *Bed) (busy sim.Time, s sweepSample) {
 // cycles per packet over a window that revisits each flow ~4 more times.
 // Costs come from the perf layer's stage counters (idle poll spin
 // excluded), so the metric is rate-independent.
-func sweepTrial(flows int, opts core.Options) sweepSample {
+func sweepTrial(flows int, other map[string]string) sweepSample {
 	cfg := DefaultBed(KindAFXDP, flows)
-	cfg.Opts = opts
+	cfg.Other = other
 	cfg.Pipeline = sweepPipeline()
 	bed := NewP2PBed(cfg)
 
@@ -174,10 +175,11 @@ func runCacheSweep(p Profile) *Report {
 	for _, sz := range sizes {
 		results := make([]sweepSample, len(sweepConfigs))
 		for i, cc := range sweepConfigs {
-			opts := core.DefaultOptions()
-			opts.EMC = cc.emc
-			opts.SMC = cc.smc
-			results[i] = sweepTrial(sz.flows, opts)
+			// ovsbench -o keys go in last, so they win over the sweep's.
+			other := map[string]string{
+				"emc-enable": strconv.FormatBool(cc.emc), "smc-enable": strconv.FormatBool(cc.smc)}
+			maps.Copy(other, DefaultOther)
+			results[i] = sweepTrial(sz.flows, other)
 			r.Add(fmt.Sprintf("%-4s flows, %-7s: cycles per packet", sz.name, cc.name),
 				results[i].nsPkt, 0, "ns/pkt")
 		}

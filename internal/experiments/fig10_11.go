@@ -100,8 +100,7 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) (*sim.E
 		OnPacket: func(vm *vmsim.VM, p *packet.Packet) {
 			eng.Schedule(vmNotify()+clientWake(), func() { rr.OnResponseArrived(p) })
 		}})
-	dcfg := dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{3, 2}, kit.Hop{2, 3}),
-		Options: core.DefaultOptions()}
+	dcfg := dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{3, 2}, kit.Hop{2, 3})}
 	if kind == KindKernel {
 		nl := kit.OpenKernel("netlink", dcfg, client.KernelTx(),
 			dpif.TxPort{PortID: 2, PortName: "uplink", Deliver: nicB.Transmit})
@@ -205,8 +204,8 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) (*sim.Engine
 		// veth: the port kind pays the user/kernel crossings and their
 		// queueing tail, the PMD the forwarding (Section 5.3's
 		// explanation for 81/136/241 us).
-		kit.OpenNetdev(dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 1}),
-			Options: core.DefaultOptions()}, core.ModePoll, 1,
+		kit.OpenNetdev(dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 1})},
+			core.ModePoll, 1,
 			[]core.Port{kit.NewLink(1, "afpacket", vethC, nil).Port, kit.NewLink(3, "afpacket", vethS, nil).Port})
 	}
 

@@ -45,11 +45,7 @@ func runFig2(p Profile) *Report {
 
 func runTable2(p Profile) *Report {
 	r := &Report{ID: "table2", Title: "single-flow 64B rate per optimization level"}
-	base := core.DefaultOptions()
-	noO4 := base
-	noO4.MetadataPrealloc = false
-	withO5 := base
-	withO5.AssumeCsumOffload = true
+	noO4 := core.Options{MetadataMmap: true}
 
 	cases := []struct {
 		name  string
@@ -62,8 +58,8 @@ func runTable2(p Profile) *Report {
 		{"O1", noO4, afxdp.LockMutex, core.ModePoll, 4.8},
 		{"O1+O2", noO4, afxdp.LockSpin, core.ModePoll, 6.0},
 		{"O1+O2+O3", noO4, afxdp.LockSpinBatched, core.ModePoll, 6.3},
-		{"O1..O4", base, afxdp.LockSpinBatched, core.ModePoll, 6.6},
-		{"O1..O5", withO5, afxdp.LockSpinBatched, core.ModePoll, 7.1},
+		{"O1..O4", core.Options{}, afxdp.LockSpinBatched, core.ModePoll, 6.6},
+		{"O1..O5", core.Options{AssumeCsumOffload: true}, afxdp.LockSpinBatched, core.ModePoll, 7.1},
 	}
 	prev := 0.0
 	for _, c := range cases {

@@ -144,11 +144,7 @@ func runFig8aCase(p Profile, c fig8aConfig) float64 {
 	nic1.ConnectWire(func(pk *packet.Packet) { nic2.Receive(pk) })
 	nic2.ConnectWire(func(pk *packet.Packet) { nic1.Receive(pk) })
 
-	opts := core.DefaultOptions()
-	opts.AssumeCsumOffload = c.assumeCsm
-	if c.bare {
-		opts.MetadataPrealloc = false
-	}
+	opts := core.Options{AssumeCsumOffload: c.assumeCsm, MetadataMmap: c.bare}
 
 	pl1 := nsxStylePipeline(f8SenderMAC, f8ReceiverMAC, f8VTEP1, f8VTEP2, f8VM)
 	pl2 := nsxStylePipeline(f8ReceiverMAC, f8SenderMAC, f8VTEP2, f8VTEP1, f8VM)
@@ -278,9 +274,7 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 		Match:   ofproto.NewMatch(flow.Fields{EthDst: f8SenderMAC}, mMac),
 		Actions: []ofproto.Action{ofproto.Output(f8VM)}})
 
-	opts := core.DefaultOptions()
-	opts.AssumeCsumOffload = c.csum
-	opts.AssumeTSO = c.tso
+	opts := core.Options{AssumeCsumOffload: c.csum, AssumeTSO: c.tso}
 
 	var bulk *trafficgen.Bulk
 	mkVM := func(name string, id uint32, onPkt func(*vmsim.VM, *packet.Packet)) kit.Guest {
@@ -389,10 +383,8 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 	case "afxdp":
 		// Figure 5 path A: veth -> AF_XDP (generic) -> OVS userspace ->
 		// veth.
-		opts := core.DefaultOptions()
-		opts.AssumeCsumOffload = c.csum
-		opts.AssumeTSO = c.tso
-		kit.OpenNetdev(dpif.Config{Eng: eng, Pipeline: pl, Options: opts},
+		kit.OpenNetdev(dpif.Config{Eng: eng, Pipeline: pl,
+			Options: core.Options{AssumeCsumOffload: c.csum, AssumeTSO: c.tso}},
 			core.ModePoll, 1, []core.Port{
 				kit.NewLink(1, "veth", vethS, cpu).Port,
 				kit.NewLink(3, "veth", vethR, cpu).Port})

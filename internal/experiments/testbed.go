@@ -103,8 +103,8 @@ type BedConfig struct {
 	// may be smaller than Queues (the corescale sweep's whole point).
 	PMDs int
 	// Other carries ovs-vsctl-style other_config keys applied through
-	// dpif.SetConfig at open — the key/value route to every tunable the
-	// legacy struct fields cover.
+	// dpif.SetConfig at open — the one spelling of every runtime tunable;
+	// Opts holds only the construction-time ablations.
 	Other map[string]string
 	// RSSWeights, when set, programs NIC A's RSS indirection table with
 	// one weight per queue (nicsim.WeightedIndirection), skewing traffic
@@ -126,8 +126,7 @@ var DefaultOther map[string]string
 func DefaultBed(kind DPKind, flows int) BedConfig {
 	cfg := BedConfig{
 		Kind: kind, Flows: flows, FrameSize: 64, Queues: 1,
-		Mode: core.ModePoll, Lock: afxdp.LockSpinBatched,
-		Opts: core.DefaultOptions(), KernelQueues: 12,
+		Mode: core.ModePoll, Lock: afxdp.LockSpinBatched, KernelQueues: 12,
 	}
 	cfg.Other = DefaultOther
 	return cfg
@@ -356,7 +355,7 @@ func NewPCPBed(mode PCPMode, flows int) *Bed {
 	case PCPDPDK:
 		// Container access via AF_PACKET: extra user/kernel crossing
 		// each way (Section 5.3's explanation of DPDK's latency).
-		bed.netdevLoopback(BedConfig{Kind: KindDPDK, Opts: core.DefaultOptions(), PMDs: 1}, pl,
+		bed.netdevLoopback(BedConfig{Kind: KindDPDK, PMDs: 1}, pl,
 			kit.NewLink(3, "afpacket", veth, nil).Port)
 	}
 	return bed

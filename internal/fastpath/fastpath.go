@@ -88,6 +88,9 @@ type Datapath struct {
 	// and the frame leaves as it is, for the port to encapsulate.
 	Encapper *tunnel.Encapper
 	Row      Row
+	// Upcall bounds and paces the slow path (the upcall-* keys); the zero
+	// QueueCap keeps the upcall inline on the thread that missed.
+	Upcall upcall.Config
 
 	// translate, when set, replaces Pipeline.Translate as the slow-path
 	// handler (dpif upcall registration).
@@ -96,10 +99,10 @@ type Datapath struct {
 	handler *sim.CPU
 
 	// Stats. The embedded block is the slow path's share: UpcallErrors,
-	// UpcallQueueDrops, UpcallRetries and Drops. Processed counts passes,
-	// recirculations included; Upcalls, misses handed to the slow path;
-	// MalformedDrops, frames that missed and failed to parse (the kernel
-	// flow extractor's EINVAL), split from policy drops.
+	// UpcallRetries and Drops. Processed counts passes, recirculations
+	// included; Upcalls, misses handed to the slow path; MalformedDrops,
+	// frames that missed and failed to parse (the kernel flow extractor's
+	// EINVAL), split from policy drops.
 	upcall.Counters
 	Processed, Upcalls, Recirculations, MalformedDrops uint64
 }

@@ -55,25 +55,17 @@ type Datapath struct {
 	// ActiveCPUs reports how many softirq CPUs process packets
 	// concurrently, feeding the SMT-contention model; nil means 1.
 	ActiveCPUs func() int
-
-	// Upcall bounds and paces the slow path; its QueueCap is the per-port
-	// netlink socket buffer whose overflow the kernel reports as ENOBUFS,
-	// and zero keeps the legacy inline upcall.
-	Upcall upcall.Config
-
-	// Hits counts flow-table hits.
-	Hits uint64
 }
 
 // NewDatapath builds a kernel datapath over a pipeline.
 func NewDatapath(eng *sim.Engine, flavor Flavor, pl *ofproto.Pipeline) *Datapath {
 	d := &Datapath{
-		Datapath: fastpath.Datapath{Eng: eng, Pipeline: pl, Ct: conntrack.NewTable(eng)},
-		Thread:   fastpath.Thread{Perf: &perf.Stats{}},
-		Flavor:   flavor,
-		flows:    dpcls.New(0x6b73),
-		Outputs:  make(map[uint32]func(*packet.Packet)),
-		Upcall:   upcall.DefaultConfig(),
+		Datapath: fastpath.Datapath{Eng: eng, Pipeline: pl, Ct: conntrack.NewTable(eng),
+			Upcall: upcall.DefaultConfig()},
+		Thread:  fastpath.Thread{Perf: &perf.Stats{}},
+		Flavor:  flavor,
+		flows:   dpcls.New(0x6b73),
+		Outputs: make(map[uint32]func(*packet.Packet)),
 	}
 	d.Row = fastpath.Row{Cat: sim.Softirq,
 		Output: costmodel.KernelOVSActions + costmodel.KernelDriverTx, Scale: d.cost}
@@ -143,7 +135,6 @@ func (d *Datapath) Lookup(t *fastpath.Thread, cpu *sim.CPU, key *flow.Key, _ int
 	if e == nil {
 		return nil, false
 	}
-	d.Hits++
 	t.Perf.MegaflowHits++
 	t.Resolved(perf.ResultMegaflow)
 	return d.flows.Actions(e), true

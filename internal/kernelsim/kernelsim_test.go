@@ -43,8 +43,8 @@ func TestDatapathMissUpcallThenHit(t *testing.T) {
 	dp.Outputs[2] = func(p *packet.Packet) { out = append(out, p) }
 
 	dp.Process(cpu, udpPkt(1))
-	if dp.Upcalls != 1 || dp.Hits != 0 {
-		t.Fatalf("first packet: upcalls=%d hits=%d", dp.Upcalls, dp.Hits)
+	if dp.Upcalls != 1 || dp.Perf.MegaflowHits != 0 {
+		t.Fatalf("first packet: upcalls=%d hits=%d", dp.Upcalls, dp.Perf.MegaflowHits)
 	}
 	if len(out) != 1 {
 		t.Fatal("packet not forwarded")
@@ -52,8 +52,8 @@ func TestDatapathMissUpcallThenHit(t *testing.T) {
 	// Different flow, same decision path: megaflow wildcarding makes it
 	// a hit (the kernel module supports megaflows).
 	dp.Process(cpu, udpPkt(2))
-	if dp.Hits != 1 || dp.Upcalls != 1 {
-		t.Fatalf("second packet: hits=%d upcalls=%d", dp.Hits, dp.Upcalls)
+	if dp.Perf.MegaflowHits != 1 || dp.Upcalls != 1 {
+		t.Fatalf("second packet: hits=%d upcalls=%d", dp.Perf.MegaflowHits, dp.Upcalls)
 	}
 	if dp.FlowCount() != 1 {
 		t.Fatalf("flows = %d", dp.FlowCount())

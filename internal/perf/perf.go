@@ -68,7 +68,7 @@ func (s Stage) String() string {
 
 // Stats is one thread's performance-counter block. Cycle counters are
 // virtual time (sim.Time) charged by the thread, bucketed by stage; the
-// hit counters split packets by the caching layer that resolved them,
+// hit counters split lookups by the caching layer that resolved them,
 // exactly the EMC-hit / megaflow-hit / miss triple of Figure 9's analysis.
 // The zero Stats is empty and ready to use (tracing disabled), and it
 // records in constant memory: it does not grow with the traffic it has seen.
@@ -80,9 +80,10 @@ type Stats struct {
 	Iterations uint64
 	// Packets counts packets processed.
 	Packets uint64
-	// EMCHits / SMCHits / MegaflowHits / Upcalls split Packets by
-	// resolution level. SMCHits stays zero unless the signature match
-	// cache is enabled.
+	// EMCHits / SMCHits / MegaflowHits / Upcalls split the thread's
+	// lookups (passes: a recirculated packet counts once per pass) by
+	// resolution level; dpif.Stats sums them over the threads. SMCHits
+	// stays zero unless the signature match cache is enabled.
 	EMCHits      uint64
 	SMCHits      uint64
 	MegaflowHits uint64

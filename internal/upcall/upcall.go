@@ -17,8 +17,8 @@ import (
 	"ovsxdp/internal/sim"
 )
 
-// Config is the slow path's tunables (the upcall-* and negative-flow-ttl-us
-// other_config keys).
+// Config is the slow path's tunables: the upcall-* other_config keys, and
+// the negative-flow lifetime, which no key names.
 type Config struct {
 	// QueueCap bounds the queue of packets awaiting translation — the
 	// per-port netlink socket buffer whose overflow the kernel reports as
@@ -59,13 +59,12 @@ func (c *Config) retryBase() sim.Time {
 }
 
 // Counters are the datapath-wide tallies the slow path writes. Each
-// datapath embeds one block, shared by all its queues.
+// datapath embeds one block, shared by all its queues; a queue's refusals
+// (the ENOBUFS analog, not in Drops) are the raising thread's
+// perf.Stats.UpcallQueueDrops.
 type Counters struct {
 	// UpcallErrors counts translations that failed for good.
 	UpcallErrors uint64
-	// UpcallQueueDrops counts packets refused because a bounded upcall
-	// queue was full (the ENOBUFS analog); they are not in Drops.
-	UpcallQueueDrops uint64
 	// UpcallRetries counts backoff retries of transient upcall failures.
 	UpcallRetries uint64
 	// Drops counts packets lost in the datapath: the slow path adds the
@@ -163,7 +162,6 @@ func (q *Queue) Miss(key *flow.Key, p *packet.Packet, cpu *sim.CPU) (mf ofproto.
 // matches the kernel's lookup accounting for refused packets too.
 func (q *Queue) Admit(key *flow.Key, p *packet.Packet, cpu *sim.CPU) {
 	if len(q.q) >= q.cfg.QueueCap {
-		q.ctr.UpcallQueueDrops++
 		q.perf.UpcallQueueDrops++
 		q.host.Release(p)
 		return

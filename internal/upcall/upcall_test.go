@@ -129,9 +129,9 @@ func TestAdmitCapOverflowPeak(t *testing.T) {
 		for i, p := range ps {
 			b.q.Admit(key(i), p, nil)
 		}
-		if b.ctr.UpcallQueueDrops != c.wantDrops || b.perf.UpcallQueueDrops != c.wantDrops {
-			t.Errorf("cap %d offered %d: queue drops datapath %d thread %d, want %d",
-				c.cap, c.offered, b.ctr.UpcallQueueDrops, b.perf.UpcallQueueDrops, c.wantDrops)
+		if b.perf.UpcallQueueDrops != c.wantDrops {
+			t.Errorf("cap %d offered %d: queue drops %d, want %d",
+				c.cap, c.offered, b.perf.UpcallQueueDrops, c.wantDrops)
 		}
 		if b.perf.UpcallQueuePeak != c.wantDepth {
 			t.Errorf("cap %d offered %d: peak %d, want %d", c.cap, c.offered, b.perf.UpcallQueuePeak, c.wantDepth)
@@ -257,16 +257,16 @@ func TestRetryBypassesCap(t *testing.T) {
 	b.q.Admit(key(1), ps[1], nil)
 	b.q.Admit(key(2), ps[2], nil)
 	b.q.Admit(key(3), ps[3], nil) // the cap refuses this one
-	if b.ctr.UpcallQueueDrops != 1 || len(b.q.q) != 2 {
-		t.Fatalf("queue drops = %d, depth = %d; want 1 and 2 (full)", b.ctr.UpcallQueueDrops, len(b.q.q))
+	if b.perf.UpcallQueueDrops != 1 || len(b.q.q) != 2 {
+		t.Fatalf("queue drops = %d, depth = %d; want 1 and 2 (full)", b.perf.UpcallQueueDrops, len(b.q.q))
 	}
 	b.eng.RunUntil(interval + 20*sim.Microsecond) // backoff over, next service not yet due
 	if len(b.q.q) != 3 {
 		t.Fatalf("depth = %d, want 3: the retry must re-enter past the full queue", len(b.q.q))
 	}
 	b.eng.Run()
-	if b.ctr.UpcallQueueDrops != 1 || len(b.host.released) != 1 {
-		t.Fatalf("queue drops = %d, released = %d; want 1 and 1", b.ctr.UpcallQueueDrops, len(b.host.released))
+	if b.perf.UpcallQueueDrops != 1 || len(b.host.released) != 1 {
+		t.Fatalf("queue drops = %d, released = %d; want 1 and 1", b.perf.UpcallQueueDrops, len(b.host.released))
 	}
 	if b.perf.UpcallQueuePeak != 2 {
 		t.Fatalf("peak = %d, want 2: the peak tracks admissions", b.perf.UpcallQueuePeak)

@@ -54,6 +54,7 @@ type Option func(*config)
 type config struct {
 	seed    uint64
 	opts    core.Options
+	other   map[string]string // other_config keys applied at open
 	pmdMode core.Mode
 }
 
@@ -61,7 +62,7 @@ type config struct {
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithoutEMC disables the exact-match cache (ablation).
-func WithoutEMC() Option { return func(c *config) { c.opts.EMC = false } }
+func WithoutEMC() Option { return func(c *config) { c.other["emc-enable"] = "false" } }
 
 // WithCsumOffloadEstimate enables the paper's O5 estimated checksum
 // offload.
@@ -74,13 +75,13 @@ func WithInterruptMode() Option { return func(c *config) { c.pmdMode = core.Mode
 
 // New builds a switch with one PMD thread.
 func New(options ...Option) *Switch {
-	cfg := config{seed: 1, opts: core.DefaultOptions(), pmdMode: core.ModePoll}
+	cfg := config{seed: 1, other: map[string]string{}, pmdMode: core.ModePoll}
 	for _, o := range options {
 		o(&cfg)
 	}
 	eng := sim.NewEngine(cfg.seed)
 	pl := ofproto.NewPipeline()
-	nd := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: pl, Options: cfg.opts})).(*dpif.Netdev)
+	nd := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: pl, Options: cfg.opts, Other: cfg.other})).(*dpif.Netdev)
 	s := &Switch{eng: eng, daemon: vswitchd.New(nil, pl, nd), dp: nd.Datapath(), kernel: netlinksim.NewKernel()}
 	s.dp.Encapper = tunnel.NewEncapper(netlinksim.NewCache(s.kernel))
 	nd.NewPMD(cfg.pmdMode).Start()
@@ -123,17 +124,21 @@ type Stats struct {
 	FlowRules      int
 }
 
-// Stats returns a snapshot of datapath counters.
+// Stats returns a snapshot of datapath counters; the cache hits are summed
+// over the PMD threads that tallied them.
 func (s *Switch) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Processed:      s.dp.Processed,
-		EMCHits:        s.dp.EMCHits,
-		MegaflowHits:   s.dp.MegaflowHits,
 		Upcalls:        s.dp.Upcalls,
 		Drops:          s.dp.Drops,
 		Recirculations: s.dp.Recirculations,
 		FlowRules:      s.FlowRuleCount(),
 	}
+	for _, m := range s.dp.PMDs() {
+		st.EMCHits += m.Perf.EMCHits
+		st.MegaflowHits += m.Perf.MegaflowHits
+	}
+	return st
 }
 
 // CPUReport returns per-category CPU consumption in hyperthread units for
