@@ -43,15 +43,16 @@ func forwardPipeline() *ofproto.Pipeline {
 
 // p2pBed wires an AF_XDP (or DPDK) P2P forwarding testbed: NIC A receives
 // generated packets, the datapath forwards them out NIC B, whose wire
-// counts deliveries.
+// counts deliveries and releases them.
 type p2pBed struct {
-	eng   *sim.Engine
-	dp    *Datapath
-	pmd   *PMD
-	nicA  *nicsim.NIC
-	nicB  *nicsim.NIC
-	sent  int
-	recvd int
+	eng          *sim.Engine
+	dp           *Datapath
+	pmd          *PMD
+	nicA         *nicsim.NIC
+	nicB         *nicsim.NIC
+	portA, portB *AFXDPPort
+	sent         int
+	recvd        int
 }
 
 func newAFXDPP2P(t *testing.T, opts Options, lock afxdp.LockMode, mode Mode) *p2pBed {
@@ -60,7 +61,10 @@ func newAFXDPP2P(t *testing.T, opts Options, lock afxdp.LockMode, mode Mode) *p2
 	bed := &p2pBed{eng: eng}
 	bed.nicA = nicsim.New(eng, nicsim.Config{Name: "ethA", Ifindex: 1, Queues: 1})
 	bed.nicB = nicsim.New(eng, nicsim.Config{Name: "ethB", Ifindex: 2, Queues: 1})
-	bed.nicB.ConnectWire(func(p *packet.Packet) { bed.recvd++ })
+	bed.nicB.ConnectWire(func(p *packet.Packet) {
+		bed.recvd++
+		p.Release()
+	})
 	if _, err := AttachDefaultProgram(bed.nicA); err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +73,13 @@ func newAFXDPP2P(t *testing.T, opts Options, lock afxdp.LockMode, mode Mode) *p2
 	}
 
 	dp := NewDatapath(eng, forwardPipeline(), opts)
-	portA := NewAFXDPPort(AFXDPPortConfig{ID: 1, NIC: bed.nicA, Eng: eng, LockMode: lock})
-	portB := NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: bed.nicB, Eng: eng, LockMode: lock})
-	dp.AddPort(portA)
-	dp.AddPort(portB)
+	bed.portA = NewAFXDPPort(AFXDPPortConfig{ID: 1, NIC: bed.nicA, Eng: eng, LockMode: lock})
+	bed.portB = NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: bed.nicB, Eng: eng, LockMode: lock})
+	dp.AddPort(bed.portA)
+	dp.AddPort(bed.portB)
 
 	pmd := dp.NewPMD(mode, nil)
-	dp.AssignRxqTo(pmd, portA, 0)
+	dp.AssignRxqTo(pmd, bed.portA, 0)
 	pmd.Start()
 
 	bed.dp = dp
@@ -121,6 +125,27 @@ func TestAFXDPInterruptModeForwards(t *testing.T) {
 	bed.eng.RunUntil(10 * sim.Millisecond)
 	if bed.recvd != 50 {
 		t.Fatalf("received %d/50 in interrupt mode", bed.recvd)
+	}
+}
+
+// TestAFXDPPortPoolsDrain: every packet an AF_XDP port's pool hands out
+// comes back. After 5,000 forwarded packets, in poll mode and in interrupt
+// mode, both ports' pools are at capacity and none fell back to the heap.
+// Pools grow on demand, so a missed release would grow the heap instead.
+func TestAFXDPPortPoolsDrain(t *testing.T) {
+	for _, mode := range []Mode{ModePoll, ModeInterrupt} {
+		bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, mode)
+		bed.offer(5000, 2000)
+		bed.eng.RunUntil(20 * sim.Millisecond)
+		if bed.recvd != 5000 {
+			t.Errorf("%s: received %d/5000", mode, bed.recvd)
+		}
+		for _, port := range []*AFXDPPort{bed.portA, bed.portB} {
+			if n, allocs := port.pkts.Available(), port.pkts.Allocs; n != pktPoolSize || allocs != 0 {
+				t.Errorf("%s: %s pool has %d of %d packets back and %d heap fallbacks, want all and 0",
+					mode, port.Name(), n, pktPoolSize, allocs)
+			}
+		}
 	}
 }
 

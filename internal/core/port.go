@@ -99,11 +99,10 @@ type AFXDPPort struct {
 	// scratchOut is the packet slice Rx returns; the PMD consumes it
 	// within the same event, so one buffer per port suffices.
 	scratchOut []*packet.Packet
-	// rxPool recycles receive-side packets (released by Tx once the frame
-	// is copied into umem, or on any drop); txPool does the same for
-	// kernel tx-drain frames headed to the NIC.
-	rxPool *packet.Pool
-	txPool *packet.Pool
+	// pkts recycles receive-side packets (released by Tx once the frame is
+	// copied into umem, or on any drop) and kernel tx-drain frames headed
+	// to the NIC (released by their terminal consumer).
+	pkts *packet.Pool
 	// drainFns are the pre-bound per-queue tx-drain thunks Flush
 	// schedules, so a flush does not allocate a closure; drainEmit is the
 	// bound frame-emit callback KernelDrainTx invokes.
@@ -133,15 +132,14 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 		zeroCopy:    cfg.ZeroCopy,
 		pendingKick: make([]bool, nq),
 		armFns:      make([]func(), nq),
-		rxPool:      packet.NewPool(rxPoolSize, umem.ChunkSize(), true),
-		txPool:      packet.NewPool(txPoolSize, umem.ChunkSize(), true),
+		pkts:        packet.NewPool(pktPoolSize, umem.ChunkSize(), true),
 	}
 	for q := 0; q < nq; q++ {
 		qq := q
 		p.drainFns = append(p.drainFns, func() { p.drainTx(qq, 0) })
 	}
 	p.drainEmit = func(frame []byte) {
-		p.nic.Transmit(p.txPool.GetCopy(frame))
+		p.nic.Transmit(p.pkts.GetCopy(frame))
 	}
 	for q := 0; q < nq; q++ {
 		xsk := afxdp.NewXSK(uint32(q), q, umem)
@@ -175,15 +173,12 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 	return p
 }
 
-// rxPoolSize / txPoolSize bound in-flight packets on each side of an
-// AF_XDP port: rx is capped by ring depth and batch size, tx by the drain
-// burst. Overflow falls back to heap allocation gracefully. Only the metadata
-// is pre-allocated (O4): a packet's buffer, like a umem page, arrives on first
-// use, so an idle port holds neither.
-const (
-	rxPoolSize = 1024
-	txPoolSize = 2048
-)
+// pktPoolSize bounds in-flight packets of an AF_XDP port: 1,024 for rx,
+// capped by ring depth and batch size, plus 2,048 for tx, capped by the drain
+// burst. Overflow falls back to heap allocation gracefully. The pool's
+// metadata grows by chunk and a packet's buffer arrives on first use, like a
+// umem page, so an idle port holds neither and a busy one its working set.
+const pktPoolSize = 1024 + 2048
 
 // toXsk is the kernel-side XSK delivery of a frame the XDP program on queue
 // q redirected to socket sock: with zero-copy the driver DMA'd straight into
@@ -253,7 +248,7 @@ func (p *AFXDPPort) Rx(cpu *sim.CPU, q, max int) []*packet.Packet {
 	addrs := p.scratchAddrs[:0]
 	for _, d := range descs[:n] {
 		buf := xsk.Umem.Buffer(d.Addr, int(d.Len))
-		pkt := p.rxPool.GetCopy(buf)
+		pkt := p.pkts.GetCopy(buf)
 		pkt.InPort = p.id
 		// AF_XDP cannot see the NIC's descriptor metadata: neither the
 		// validated-checksum flag nor the RSS hash survive the XDP

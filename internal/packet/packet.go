@@ -10,6 +10,8 @@ package packet
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"ovsxdp/internal/packet/hdr"
 )
@@ -52,23 +54,13 @@ func (s CtStateFlags) String() string {
 	if s == 0 {
 		return "-"
 	}
-	names := []struct {
-		bit  CtStateFlags
-		name string
-	}{
-		{CtTracked, "trk"}, {CtNew, "new"}, {CtEstablished, "est"},
-		{CtRelated, "rel"}, {CtReply, "rpl"}, {CtInvalid, "inv"},
-	}
-	out := ""
-	for _, n := range names {
-		if s&n.bit != 0 {
-			if out != "" {
-				out += ","
-			}
-			out += n.name
+	var names []string
+	for i, name := range []string{"trk", "new", "est", "rel", "rpl", "inv"} {
+		if s&(1<<i) != 0 {
+			names = append(names, name)
 		}
 	}
-	return out
+	return strings.Join(names, ",")
 }
 
 // Metadata is the per-packet state OVS keeps in dp_packet plus the pkt
@@ -119,8 +111,8 @@ type Packet struct {
 	Data []byte
 	// pool links the packet back to its owning pool for Release.
 	pool *Pool
-	// pooled marks packets that live in the pool's contiguous backing
-	// array (as opposed to heap-allocated overflow packets).
+	// pooled marks packets that live in one of the pool's chunks (as
+	// opposed to heap-allocated overflow packets).
 	pooled bool
 	// inFree guards against double-release.
 	inFree bool
@@ -128,18 +120,11 @@ type Packet struct {
 
 // New allocates a standalone packet (no pool) around data.
 func New(data []byte) *Packet {
-	p := &Packet{Data: data}
-	p.Metadata.L3Offset = -1
-	p.Metadata.L4Offset = -1
-	return p
+	return &Packet{Metadata: Metadata{L3Offset: -1, L4Offset: -1}, Data: data}
 }
 
 // ResetMetadata restores packet-independent defaults, keeping the buffer.
-func (p *Packet) ResetMetadata() {
-	pool := p.pool
-	p.Metadata = Metadata{L3Offset: -1, L4Offset: -1}
-	p.pool = pool
-}
+func (p *Packet) ResetMetadata() { p.Metadata = Metadata{L3Offset: -1, L4Offset: -1} }
 
 // Clone returns a deep copy, drawn from p's pool when p has one (so Release
 // hands it back there) and standalone otherwise.
@@ -172,42 +157,55 @@ func (p *Packet) String() string {
 		len(p.Data), p.InPort, p.RecircID, p.CtState)
 }
 
-// Pool is the pre-allocated packet-metadata pool of optimization O4. All
-// Packet structs live in one contiguous array with packet-independent fields
-// pre-initialized, so acquiring a packet costs an index bump rather than an
-// allocation, and metadata accesses have good cache locality. A packet gets
-// its buffer on its first acquisition and keeps it.
+// Pool is the pre-allocated packet-metadata pool of optimization O4. Packet
+// structs live in contiguous chunks of poolChunk with packet-independent
+// fields pre-initialized, so acquiring a packet is a free-list pop rather
+// than an allocation, and metadata accesses have good cache locality. An
+// acquisition that finds the free list empty grows one chunk, up to the
+// pool's capacity; chunks never move. A packet gets its buffer on its first
+// acquisition and keeps it. A pool thus holds its peak working set.
 //
-// When Preallocated is false the pool simulates the pre-O4 behaviour by
-// allocating each Packet individually (the mmap-per-allocation cost is
-// charged by the datapath's cost model, not here; this flag exists so the
-// code path difference is real).
+// A pool built with preallocated false is the pre-O4 behaviour: every
+// Packet is allocated individually. The switch's O4 ablation does not use
+// it; it charges the mmap-per-allocation cost in the datapath's cost model
+// (core.Options.MetadataMmap).
 type Pool struct {
-	backing []Packet
+	// chunks are the metadata arrays grown so far, each filling the slots
+	// below its predecessor's: fresh packets come out from slot n-1 down.
+	chunks  [][]Packet
 	free    []*Packet
 	bufSize int
-	// Preallocated selects the O4 code path.
-	Preallocated bool
+	// n is the capacity; grown counts the packets the chunks hold.
+	n, grown int
 	// Allocs counts packet acquisitions that fell back to the heap.
 	Allocs uint64
 }
 
-// NewPool builds a pool of n packets with bufSize-byte buffers.
-// preallocated selects the O4 contiguous-array behaviour.
+// poolChunk is the number of packets a pool's metadata grows by.
+const poolChunk = 64
+
+// NewPool builds a pool of up to n packets with bufSize-byte buffers.
+// preallocated selects the O4 chunked-array behaviour.
 func NewPool(n, bufSize int, preallocated bool) *Pool {
-	p := &Pool{Preallocated: preallocated, bufSize: bufSize}
+	p := &Pool{bufSize: bufSize}
 	if preallocated {
-		p.backing = make([]Packet, n)
-		p.free = make([]*Packet, n)
-		for i := range p.backing {
-			pkt := &p.backing[i]
-			pkt.Metadata = Metadata{L3Offset: -1, L4Offset: -1}
-			pkt.pool = p
-			pkt.pooled = true
-			p.free[i] = pkt
-		}
+		p.n = n
 	}
 	return p
+}
+
+// grow allocates the next chunk and pushes it onto the empty free list with
+// its top slot last, so LIFO acquisition walks slots downwards.
+func (p *Pool) grow() {
+	chunk := make([]Packet, min(poolChunk, p.n-p.grown))
+	p.grown += len(chunk)
+	p.chunks = append(p.chunks, chunk)
+	// The free list can hold every grown packet, so put never allocates.
+	p.free = slices.Grow(p.free, p.grown)
+	for i := range chunk {
+		chunk[i] = Packet{Metadata: Metadata{L3Offset: -1, L4Offset: -1}, pool: p, pooled: true}
+		p.free = append(p.free, &chunk[i])
+	}
 }
 
 // GetCopy acquires a packet whose Data is always a private copy of buf,
@@ -215,7 +213,10 @@ func NewPool(n, bufSize int, preallocated bool) *Pool {
 // and reused afterwards (a umem chunk about to be recycled, a generator's
 // frame template).
 func (p *Pool) GetCopy(buf []byte) *Packet {
-	if p.Preallocated && len(p.free) > 0 {
+	if len(p.free) == 0 && p.grown < p.n {
+		p.grow()
+	}
+	if len(p.free) > 0 {
 		pkt := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
 		pkt.inFree = false
@@ -241,5 +242,6 @@ func (p *Pool) put(pkt *Packet) {
 	}
 }
 
-// Available returns the number of pooled packets currently free.
-func (p *Pool) Available() int { return len(p.free) }
+// Available returns the number of pooled packets an acquisition can still
+// take without the heap: those free plus those not yet grown.
+func (p *Pool) Available() int { return len(p.free) + p.n - p.grown }

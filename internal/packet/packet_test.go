@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -137,95 +138,143 @@ func TestPoolOversizedBuffer(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesReference drives the pool and the eager-buffer reference
-// (pool_ref_test.go) with the same seeded streams of acquisitions — empty,
-// small, whole-buffer and oversized frames, the last taking the heap
-// fallback once the pool is dry — releases, double releases and metadata
-// scribbles. Every acquisition must come from the same backing slot with
-// the same Data bytes, capacity and reset metadata; Allocs and Available
-// must agree after every step; and every live packet must still hold what
-// was copied into it, so no two live packets share bytes.
+// TestPoolMatchesReference drives the pool and the eager reference
+// (pool_ref_test.go) with seeded streams of poolOps, at capacities within one
+// chunk and across several.
 func TestPoolMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n, bufSize := rng.Intn(9), []int{0, 1, 8, 64, 2048}[rng.Intn(5)]
-		prealloc := rng.Intn(8) != 0
-		pool, ref := NewPool(n, bufSize, prealloc), newRefPool(n, bufSize, prealloc)
-		type handle struct {
-			got, want *Packet
-			data      []byte
+		n := []int{rng.Intn(9), poolChunk - 2 + rng.Intn(4*poolChunk)}[rng.Intn(2)]
+		bufSize, prealloc := []int{0, 1, 8, 64, 2048}[rng.Intn(5)], rng.Intn(8) != 0
+		poolOps(t, fmt.Sprintf("seed %d", seed), n, bufSize, prealloc, 1000, rng.Intn, func(b []byte) { rng.Read(b) })
+	}
+}
+
+// FuzzPoolOps is TestPoolMatchesReference on byte-driven streams: the first
+// three bytes pick the capacity (0 to 255, so up to four chunks), the buffer
+// size and O4, and each later byte one choice of poolOps.
+func FuzzPoolOps(f *testing.F) {
+	f.Add([]byte{3, 4, 1, 0, 5, 6, 2, 0, 9})
+	f.Add([]byte{70, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 5, 0, 8, 0})
+	f.Add([]byte{200, 2, 0, 4, 4, 5, 1, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
 		}
-		var live, released []handle
-		for step := 0; step < 300; step++ {
-			where := func() string {
-				return fmt.Sprintf("seed %d (n=%d buf=%d prealloc=%v) step %d", seed, n, bufSize, prealloc, step)
+		n, bufSize, prealloc := int(data[0]), []int{0, 1, 8, 64, 2048}[data[1]%5], data[2]%8 != 0
+		ops, fill := data[3:], byte(0)
+		pick := func(k int) int {
+			if len(ops) == 0 {
+				return 0 // the stream ends in empty acquisitions: exhaustion
 			}
-			switch op := rng.Intn(10); {
-			case op < 5:
-				buf := make([]byte, []int{0, 1, bufSize / 2, bufSize, bufSize + 1, 3 * bufSize}[rng.Intn(6)])
-				rng.Read(buf)
-				h := handle{pool.GetCopy(buf), ref.GetCopy(buf), append([]byte(nil), buf...)}
-				rng.Read(buf) // the caller reuses buf
-				if h.got.pooled != h.want.pooled || (h.got.pooled && slot(pool.backing, h.got) != slot(ref.backing, h.want)) {
-					t.Fatalf("%s: acquired pooled=%v slot %d, reference pooled=%v slot %d", where(),
-						h.got.pooled, slot(pool.backing, h.got), h.want.pooled, slot(ref.backing, h.want))
-				}
-				if !bytes.Equal(h.got.Data, h.data) || !bytes.Equal(h.want.Data, h.data) || cap(h.got.Data) != cap(h.want.Data) {
-					t.Fatalf("%s: Data % x cap %d, reference % x cap %d, copied % x", where(),
-						h.got.Data, cap(h.got.Data), h.want.Data, cap(h.want.Data), h.data)
-				}
-				if h.got.Metadata != h.want.Metadata || h.got.L3Offset != -1 {
-					t.Fatalf("%s: metadata %+v, reference %+v", where(), h.got.Metadata, h.want.Metadata)
-				}
-				released = slices.DeleteFunc(released, func(r handle) bool { return r.got == h.got })
-				live = append(live, h)
-			case op < 8 && len(live) > 0:
-				i := rng.Intn(len(live))
-				h := live[i]
-				live = slices.Delete(live, i, i+1)
-				h.got.InPort, h.want.InPort = 7, 7
-				h.got.CtState, h.want.CtState = CtTracked, CtTracked
-				h.got.Release()
-				ref.put(h.want)
-				released = append(released, h)
-			case len(released) > 0:
-				h := released[rng.Intn(len(released))]
-				h.got.Release()
-				ref.put(h.want)
+			b := ops[0]
+			ops = ops[1:]
+			return int(b) % k
+		}
+		poolOps(t, "fuzz", n, bufSize, prealloc, 2*len(data), pick, func(b []byte) {
+			for i := range b {
+				b[i], fill = fill, fill+1
 			}
-			if pool.Allocs != ref.Allocs || pool.Available() != ref.Available() {
-				t.Fatalf("%s: Allocs %d Available %d, reference %d %d", where(),
-					pool.Allocs, pool.Available(), ref.Allocs, ref.Available())
+		})
+	})
+}
+
+// poolOps drives a pool and the reference with the same steps, each chosen
+// by pick(k) in [0, k): acquisitions of empty, small, whole-buffer and
+// oversized frames (the last taking the heap fallback once the pool is
+// dry), releases, double releases and metadata scribbles. Every acquisition
+// must come from the same slot with the same Data bytes, capacity and reset
+// metadata; Allocs and Available must agree after every step; and every
+// live packet must still hold what was copied into it, so no two live
+// packets share bytes.
+func poolOps(t *testing.T, name string, n, bufSize int, prealloc bool, steps int, pick func(int) int, fill func([]byte)) {
+	t.Helper()
+	pool, ref := NewPool(n, bufSize, prealloc), newRefPool(n, bufSize, prealloc)
+	type handle struct {
+		got, want *Packet
+		data      []byte
+	}
+	var live, released []handle
+	for step := 0; step < steps; step++ {
+		where := func() string {
+			return fmt.Sprintf("%s (n=%d buf=%d prealloc=%v) step %d", name, n, bufSize, prealloc, step)
+		}
+		switch op := pick(10); {
+		case op < 5:
+			buf := make([]byte, []int{0, 1, bufSize / 2, bufSize, bufSize + 1, 3 * bufSize}[pick(6)])
+			fill(buf)
+			h := handle{pool.GetCopy(buf), ref.GetCopy(buf), append([]byte(nil), buf...)}
+			fill(buf) // the caller reuses buf
+			gotSlot, wantSlot := slot(n, pool.chunks, h.got), slot(n, [][]Packet{ref.backing}, h.want)
+			if h.got.pooled != h.want.pooled || gotSlot != wantSlot {
+				t.Fatalf("%s: acquired pooled=%v slot %d, reference pooled=%v slot %d", where(),
+					h.got.pooled, gotSlot, h.want.pooled, wantSlot)
 			}
-			for _, h := range live {
-				if !bytes.Equal(h.got.Data, h.data) {
-					t.Fatalf("%s: a live packet's bytes changed under it: % x, copied % x", where(), h.got.Data, h.data)
-				}
+			if !bytes.Equal(h.got.Data, h.data) || !bytes.Equal(h.want.Data, h.data) || cap(h.got.Data) != cap(h.want.Data) {
+				t.Fatalf("%s: Data % x cap %d, reference % x cap %d, copied % x", where(),
+					h.got.Data, cap(h.got.Data), h.want.Data, cap(h.want.Data), h.data)
+			}
+			if h.got.Metadata != h.want.Metadata || h.got.L3Offset != -1 {
+				t.Fatalf("%s: metadata %+v, reference %+v", where(), h.got.Metadata, h.want.Metadata)
+			}
+			released = slices.DeleteFunc(released, func(r handle) bool { return r.got == h.got })
+			live = append(live, h)
+		case op < 8 && len(live) > 0:
+			i := pick(len(live))
+			h := live[i]
+			live = slices.Delete(live, i, i+1)
+			h.got.InPort, h.want.InPort = 7, 7
+			h.got.CtState, h.want.CtState = CtTracked, CtTracked
+			h.got.Release()
+			ref.put(h.want)
+			released = append(released, h)
+		case len(released) > 0:
+			h := released[pick(len(released))]
+			h.got.Release()
+			ref.put(h.want)
+		}
+		if pool.Allocs != ref.Allocs || pool.Available() != ref.Available() {
+			t.Fatalf("%s: Allocs %d Available %d, reference %d %d", where(),
+				pool.Allocs, pool.Available(), ref.Allocs, ref.Available())
+		}
+		for _, h := range live {
+			if !bytes.Equal(h.got.Data, h.data) {
+				t.Fatalf("%s: a live packet's bytes changed under it: % x, copied % x", where(), h.got.Data, h.data)
 			}
 		}
 	}
 }
 
-// slot is pkt's index in a pool's backing array, or -1.
-func slot(backing []Packet, pkt *Packet) int {
-	for i := range backing {
-		if &backing[i] == pkt {
-			return i
+// slot is pkt's index in a pool of n whose chunks fill slots downwards from
+// n-1 (the reference's one array is a single chunk), or -1.
+func slot(n int, chunks [][]Packet, pkt *Packet) int {
+	for _, c := range chunks {
+		n -= len(c)
+		for i := range c {
+			if &c[i] == pkt {
+				return n + i
+			}
 		}
 	}
 	return -1
 }
 
-// TestPoolBuffersOnFirstUse: a pool pre-allocates metadata only; a packet
-// gets its buffer on its first acquisition and keeps it after release.
+// TestPoolBuffersOnFirstUse: a pool grows metadata only when acquired from;
+// a packet gets its buffer on its first acquisition and keeps it after
+// release.
 func TestPoolBuffersOnFirstUse(t *testing.T) {
 	pool := NewPool(1024, 2048, true)
-	for i := range pool.backing {
-		if pool.backing[i].Data != nil {
-			t.Fatalf("packet %d has a buffer before its first use", i)
-		}
+	if len(pool.chunks) != 0 {
+		t.Fatalf("%d chunks before the first acquisition", len(pool.chunks))
 	}
 	p := pool.GetCopy(make([]byte, 64))
+	for _, c := range pool.chunks {
+		for i := range c {
+			if &c[i] != p && c[i].Data != nil {
+				t.Fatalf("packet %d has a buffer before its first use", i)
+			}
+		}
+	}
 	buf := &p.Data[:1][0]
 	if cap(p.Data) != 2048 {
 		t.Fatalf("first use gave a %d-byte buffer, want 2048", cap(p.Data))
@@ -233,6 +282,47 @@ func TestPoolBuffersOnFirstUse(t *testing.T) {
 	p.Release()
 	if q := pool.GetCopy(make([]byte, 64)); q != p || &q.Data[:1][0] != buf {
 		t.Fatal("a reacquired packet must keep its buffer")
+	}
+}
+
+// TestPoolHoldsItsWorkingSet: an untouched pool costs its header, not its
+// capacity, and one that has held k packets at once holds ceil(k/poolChunk)
+// chunks, however often they are reacquired.
+func TestPoolHoldsItsWorkingSet(t *testing.T) {
+	const pools = 64
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // a second cycle frees what the first left to sync.Pool victims
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	idle := make([]*Pool, pools)
+	for i := range idle {
+		idle[i] = NewPool(4096, 2048, true)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(idle)
+	per := (int64(ms.HeapAlloc) - int64(before)) / pools
+	t.Logf("an untouched 4096-packet pool holds %d B of heap", per)
+	if per >= 1024 {
+		t.Fatalf("an untouched 4096-packet pool holds %d B of heap, want under 1 KiB", per)
+	}
+	for _, k := range []int{1, poolChunk - 1, poolChunk, poolChunk + 1, 1000, 4096} {
+		pool := NewPool(4096, 64, true)
+		held := make([]*Packet, k)
+		for range 3 {
+			for i := range held {
+				held[i] = pool.GetCopy(nil)
+			}
+			for _, p := range held {
+				p.Release()
+			}
+		}
+		chunks := (k + poolChunk - 1) / poolChunk
+		if len(pool.chunks) != chunks || pool.grown != chunks*poolChunk || pool.Allocs != 0 || pool.Available() != 4096 {
+			t.Errorf("k=%d: %d chunks of %d packets, %d allocs, %d available; want %d of %d, 0, 4096",
+				k, len(pool.chunks), pool.grown, pool.Allocs, pool.Available(), chunks, chunks*poolChunk)
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package packet
 
-// refPool is Pool as it stood before buffers were allocated on first use:
-// NewPool carved every packet's buffer out of one eager n*bufSize
-// allocation. It is kept verbatim, but for the names and two things: a
-// packet's pool link is typed *Pool, so the reference leaves it nil and
-// tests return its packets with put rather than Packet.Release; and Get, the
-// aliasing acquisition deleted with it, is not kept.
+// refPool is Pool as it stood before metadata grew by chunk and buffers
+// arrived on first use: NewPool made one eager array of n packets and carved
+// every packet's buffer out of one eager n*bufSize allocation. It is kept
+// verbatim, but for the names and two things: a packet's pool link is typed
+// *Pool, so the reference leaves it nil and tests return its packets with
+// put rather than Packet.Release; and Get, the aliasing acquisition deleted
+// with it, is not kept.
 type refPool struct {
 	backing []Packet
 	free    []*Packet

@@ -46,7 +46,8 @@ type UDPGen struct {
 }
 
 // genPoolSize bounds in-flight generated frames; NIC rings and XSK rings
-// together hold a few thousand at most.
+// together hold a few thousand at most. The pool grows to the frames
+// actually in flight, so an idle generator holds none.
 const genPoolSize = 4096
 
 // NewUDPGen prebuilds per-flow frame templates.
