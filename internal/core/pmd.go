@@ -64,7 +64,7 @@ type PMD struct {
 
 	emc *emc.Cache[dpcls.Ref]
 	// smc is the signature match cache, allocated only while smc-enable
-	// is on (it is ~4 MB per PMD at the OVS-default capacity).
+	// is on (an 8 KiB page table; its 4 KiB bucket pages come on first use).
 	smc *smc.Cache
 	cls *dpcls.Classifier
 	// rxqs is the thread's poll list; the entries are owned by the

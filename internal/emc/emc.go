@@ -16,6 +16,8 @@
 package emc
 
 import (
+	"math/bits"
+
 	"ovsxdp/internal/flow"
 )
 
@@ -23,25 +25,32 @@ import (
 const Ways = 2
 
 // way is the probe side of one slot: everything a lookup reads to reject it.
-// tag is the cached key's 32-bit hash with validBit set, so one word compare
-// answers "in use, and possibly this key"; zero is a free way.
+// tag is the cached key's 32-bit hash, validBit, and from slotShift up the
+// way's slab slot plus one (zero: never filled). A probe compares probeBits,
+// so one word compare answers "in use, and possibly this key".
 type way[V any] struct {
 	tag   uint64
 	value V
 }
 
-const validBit = 1 << 32
+const (
+	validBit  = 1 << 32
+	probeBits = validBit<<1 - 1 // the hash and valid bit: all a clear drops
+	slotShift = 33
+	slabStart = 64 // keys in the slab's first allocation; it doubles from there
+)
 
 // Cache is a fixed-size exact-match cache from flow.Key to V (typically the
-// megaflow entry installed by the classifier).
+// megaflow entry installed by the classifier). It costs its probe side plus
+// the keys of the ways it has filled. ways is dense (32 bytes per set for a
+// pointer V, 128 KiB at the default size) and stays cache-resident however
+// many flows thrash the cache; a 96-byte key is loaded only once its tag has
+// matched, from the slab slot its way took when first filled and keeps for
+// life (a clear drops only probeBits), so the slab needs no free list and
+// never outgrows the ways. Keys are reached by index: the slab may move.
 type Cache[V any] struct {
-	// ways and keys are parallel: keys[s][w] is the key cached in
-	// ways[s][w]. They are split so the probe side is dense (32 bytes per
-	// set for a pointer V: two sets per cache line, 128 KB at the default
-	// size) and stays cache-resident however many flows thrash the cache; a
-	// 96-byte key is loaded only once its tag has matched.
 	ways  [][Ways]way[V]
-	keys  [][Ways]flow.Key
+	slab  []flow.Key
 	mask  uint32
 	basis uint32
 	count int // live entries (kept incrementally; Len is O(1))
@@ -70,14 +79,36 @@ func (c *Cache[V]) SetAliveCheck(fn func(V) bool) { c.alive = fn }
 // New returns a cache with the given number of entries, rounded up to a
 // power of two, at least Ways.
 func New[V any](entries int, hashBasis uint32) *Cache[V] {
-	if entries < Ways {
-		entries = Ways
+	n := 1 << bits.Len(uint(max(entries, Ways)/Ways-1)) // sets
+	return &Cache[V]{ways: make([][Ways]way[V], n), mask: uint32(n - 1), basis: hashBasis}
+}
+
+// find returns the way of set that holds key, whose Hash is h, or -1.
+func (c *Cache[V]) find(set *[Ways]way[V], h uint32, key *flow.Key) int {
+	for i := range set {
+		if set[i].tag&probeBits == uint64(h)|validBit && c.slab[set[i].tag>>slotShift-1] == *key {
+			return i
+		}
 	}
-	n := 1
-	for n < entries/Ways {
-		n <<= 1
+	return -1
+}
+
+// clear frees w but keeps its slot.
+func (w *way[V]) clear() { *w = way[V]{tag: w.tag &^ probeBits} }
+
+// fill caches key and value in w under tag, in the slab slot w took when
+// first filled; a way never filled takes the next one.
+func (c *Cache[V]) fill(w *way[V], tag uint64, key *flow.Key, value V) {
+	slot := w.tag >> slotShift
+	if slot == 0 {
+		if len(c.slab) == cap(c.slab) {
+			c.slab = append(make([]flow.Key, 0, min(max(2*cap(c.slab), slabStart), len(c.ways)*Ways)), c.slab...)
+		}
+		c.slab = append(c.slab, flow.Key{})
+		slot = uint64(len(c.slab))
 	}
-	return &Cache[V]{ways: make([][Ways]way[V], n), keys: make([][Ways]flow.Key, n), mask: uint32(n - 1), basis: hashBasis}
+	c.slab[slot-1] = *key
+	*w = way[V]{slot<<slotShift | tag, value}
 }
 
 // Hash returns key's hash under this cache's basis: the value LookupHashed
@@ -90,18 +121,15 @@ func (c *Cache[V]) Lookup(key flow.Key) (V, bool) { return c.LookupHashed(&key, 
 // LookupHashed returns the value cached for key, whose Hash is h, if any. An
 // entry whose value fails the alive check is purged and reported as a miss.
 func (c *Cache[V]) LookupHashed(key *flow.Key, h uint32) (V, bool) {
-	set, keys, tag := &c.ways[h&c.mask], &c.keys[h&c.mask], uint64(h)|validBit
-	for i := range set {
-		if set[i].tag == tag && keys[i] == *key {
-			if c.alive != nil && !c.alive(set[i].value) {
-				set[i] = way[V]{}
-				c.count--
-				c.StalePurged++
-				break
-			}
+	set := &c.ways[h&c.mask]
+	if i := c.find(set, h, key); i >= 0 {
+		if c.alive == nil || c.alive(set[i].value) {
 			c.Hits++
 			return set[i].value, true
 		}
+		set[i].clear()
+		c.count--
+		c.StalePurged++
 	}
 	c.Misses++
 	var zero V
@@ -114,27 +142,22 @@ func (c *Cache[V]) Insert(key flow.Key, value V) { c.InsertHashed(&key, c.Hash(&
 // InsertHashed caches value for key, whose Hash is h, replacing an existing
 // entry for the same key or evicting a pseudo-randomly chosen way.
 func (c *Cache[V]) InsertHashed(key *flow.Key, h uint32, value V) {
-	set, keys, tag := &c.ways[h&c.mask], &c.keys[h&c.mask], uint64(h)|validBit
+	set := &c.ways[h&c.mask]
 	c.Inserts++
 	// Same key: update in place.
-	for i := range set {
-		if set[i].tag == tag && keys[i] == *key {
-			set[i].value = value
-			return
-		}
+	if i := c.find(set, h, key); i >= 0 {
+		set[i].value = value
+		return
 	}
 	// Free way — a slot holding a dead value counts as free (lazy purge).
 	victim := -1
-	for i := range set {
-		if set[i].tag == 0 {
+	for i := 0; i < Ways && victim < 0; i++ {
+		if set[i].tag&validBit == 0 {
 			victim = i
 			c.count++
-			break
-		}
-		if c.alive != nil && !c.alive(set[i].value) {
+		} else if c.alive != nil && !c.alive(set[i].value) {
 			victim = i
 			c.StalePurged++
-			break
 		}
 	}
 	if victim < 0 {
@@ -146,26 +169,27 @@ func (c *Cache[V]) InsertHashed(key *flow.Key, h uint32, value V) {
 		victim = int((h >> 16) % Ways)
 		c.Evictions++
 	}
-	keys[victim] = *key
-	set[victim] = way[V]{tag, value}
+	c.fill(&set[victim], uint64(h)|validBit, key, value)
 }
 
 // Invalidate removes the entry for key if present.
 func (c *Cache[V]) Invalidate(key flow.Key) {
 	h := c.Hash(&key)
-	set, keys, tag := &c.ways[h&c.mask], &c.keys[h&c.mask], uint64(h)|validBit
-	for i := range set {
-		if set[i].tag == tag && keys[i] == key {
-			set[i] = way[V]{}
-			c.count--
-		}
+	set := &c.ways[h&c.mask]
+	if i := c.find(set, h, &key); i >= 0 {
+		set[i].clear()
+		c.count--
 	}
 }
 
 // Flush removes every entry (megaflow revalidation invalidating the cache).
-// Only the probe side is cleared: a key is never read without a valid tag.
+// Every way keeps its slot: a key is never read without a valid tag.
 func (c *Cache[V]) Flush() {
-	clear(c.ways)
+	for s := range c.ways {
+		for w := range c.ways[s] {
+			c.ways[s][w].clear()
+		}
+	}
 	c.count = 0
 }
 

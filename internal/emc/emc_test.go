@@ -1,9 +1,12 @@
 package emc
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"ovsxdp/internal/costmodel"
+	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet/hdr"
 )
@@ -284,5 +287,62 @@ func TestAliveCheckReclaimsSlotOnInsert(t *testing.T) {
 	}
 	if v, ok := c.Lookup(keyN(2)); !ok || *v != 1 {
 		t.Fatalf("live entry lost: %v, %v", v, ok)
+	}
+}
+
+// liveHeap returns the live heap after a collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestEMCHoldsItsWorkingSet: a cache costs its probe side plus the keys of
+// the ways it has filled. A fresh 8,192-entry cache holds its 128 KiB of
+// ways and no key; 64 flows add one 64-key slab; a flush keeps every way's
+// slot, so the same flows coming back add none; and thrashing fills every
+// way exactly once, however many keys pass.
+func TestEMCHoldsItsWorkingSet(t *testing.T) {
+	const caches = 16
+	before := liveHeap()
+	cs := make([]*Cache[dpcls.Ref], caches)
+	for i := range cs {
+		cs[i] = New[dpcls.Ref](costmodel.EMCEntries, uint32(i))
+	}
+	fresh := liveHeap()
+	if per := (fresh - before) / caches; per >= 132<<10 {
+		t.Fatalf("a fresh %d-entry cache holds %d B, want under 132 KiB", costmodel.EMCEntries, per)
+	}
+	for _, c := range cs {
+		for i := range 64 {
+			c.Insert(keyN(i), dpcls.Ref(i+1))
+		}
+	}
+	filled := liveHeap()
+	runtime.KeepAlive(cs)
+	if per := (filled - fresh) / caches; per > int64(slabStart*unsafe.Sizeof(flow.Key{}))+512 {
+		t.Fatalf("64 flows added %d B to a cache, want one %d-key slab", per, slabStart)
+	}
+	t.Logf("fresh cache %d B, 64 flows add %d B", (fresh-before)/caches, (filled-fresh)/caches)
+	for i, c := range cs {
+		if cap(c.slab) != slabStart || len(c.slab) != 64-int(c.Evictions) {
+			t.Fatalf("cache %d: slab of %d keys (cap %d) after 64 flows and %d evictions", i, len(c.slab), cap(c.slab), c.Evictions)
+		}
+		n := len(c.slab)
+		c.Flush()
+		for i := range 64 {
+			c.Insert(keyN(i), dpcls.Ref(i+1))
+		}
+		if len(c.slab) != n || cap(c.slab) != slabStart {
+			t.Fatalf("flush and the same 64 flows: slab of %d keys (cap %d), want %d (cap %d)", len(c.slab), cap(c.slab), n, slabStart)
+		}
+	}
+	c := cs[0]
+	for i := range 100_000 {
+		c.Insert(keyN(i), dpcls.Ref(i+1))
+	}
+	if len(c.slab) != costmodel.EMCEntries || cap(c.slab) != costmodel.EMCEntries {
+		t.Fatalf("a 100k-key thrash left a slab of %d keys (cap %d), want %d", len(c.slab), cap(c.slab), costmodel.EMCEntries)
 	}
 }

@@ -54,7 +54,8 @@ func countersOf[V any](c *Cache[V]) emcCounters {
 
 // TestHashReuseLeavesEMCUnchanged: hashing a key once and handing the hash to
 // the lookup and to the insert (which also takes its victim way from it)
-// leaves every counter and every slot where the by-value calls leave them.
+// leaves every counter and every way, its slot and the key there where the
+// by-value calls leave them.
 // The want column was recorded from the by-value calls before the hashed
 // entry points existed: set placement decides emc.hit_ratio, a virtual-clock
 // output, so a changed hash value must fail here.
@@ -79,10 +80,14 @@ func TestHashReuseLeavesEMCUnchanged(t *testing.T) {
 			if got := countersOf(hashed); got != tc.want {
 				t.Errorf("hashed counters = %+v, recorded %+v", got, tc.want)
 			}
+			if len(byValue.slab) != len(hashed.slab) {
+				t.Fatalf("slabs of %d and %d keys", len(byValue.slab), len(hashed.slab))
+			}
 			for i := range byValue.ways {
 				for w := range byValue.ways[i] {
 					a, b := byValue.ways[i][w], hashed.ways[i][w]
-					if a.tag != b.tag || byValue.keys[i][w] != hashed.keys[i][w] || (a.tag != 0 && a.value.dead != b.value.dead) {
+					slot := a.tag >> slotShift
+					if a.tag != b.tag || (slot != 0 && byValue.slab[slot-1] != hashed.slab[slot-1]) || (a.tag&validBit != 0 && a.value.dead != b.value.dead) {
 						t.Fatalf("set %d way %d differs: %+v vs %+v", i, w, a, b)
 					}
 				}

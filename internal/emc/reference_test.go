@@ -157,10 +157,11 @@ func (c *refCache[V]) Flush() {
 func (c *refCache[V]) Len() int { return c.count }
 
 // emcPair drives a Cache and the reference through one operation stream and
-// fails on the first observable difference. The values are what the
-// datapath caches: refs to megaflows of a classifier, one exact-match
-// megaflow per key, which the stream removes (so their records are
-// recycled for other keys' megaflows). The cache's alive check is the
+// fails on the first observable difference, or on the first break of the
+// slot discipline (see checkSlab). The values are what the datapath caches:
+// refs to megaflows of a classifier, one exact-match megaflow per key, which
+// the stream removes (so their records are recycled for other keys'
+// megaflows). The cache's alive check is the
 // classifier's generation compare; the reference's is the set of refs the
 // stream has not removed, so a stale ref the compare let through would show
 // as a difference.
@@ -172,11 +173,20 @@ type emcPair struct {
 	live map[dpcls.Ref]bool
 	vals []dpcls.Ref // current megaflow per key index; zero until first insert
 	step int
+
+	// filled marks each way (set*Ways+way) the reference has ever held an
+	// entry in, nFilled counts them, and owner maps a slab slot to the way
+	// that took it, plus one.
+	filled  []bool
+	nFilled int
+	owner   []int
 }
 
 func newEMCPair(t testing.TB, entries int, basis uint32, keys int, aliveCheck bool) *emcPair {
 	p := &emcPair{t: t, got: New[dpcls.Ref](entries, basis), ref: newRef[dpcls.Ref](entries, basis),
 		cls: dpcls.New(basis), live: map[dpcls.Ref]bool{}, vals: make([]dpcls.Ref, keys)}
+	p.filled = make([]bool, len(p.ref.sets)*Ways)
+	p.owner = make([]int, len(p.filled))
 	if aliveCheck {
 		p.got.SetAliveCheck(p.cls.Live)
 		p.ref.SetAliveCheck(func(r dpcls.Ref) bool { return p.live[r] })
@@ -245,23 +255,66 @@ func (p *emcPair) apply(op, n int) {
 	if g != r {
 		p.t.Fatalf("step %d (op %d key %d): counters %+v, reference %+v", p.step, op, n, g, r)
 	}
+	// Only the key's set can change, except on a flush.
+	if s := int(p.ref.Hash(&k) & p.ref.mask); op != opFlush && len(p.ref.sets) > 64 {
+		p.checkSlab(s, s+1)
+	} else {
+		p.checkSlab(0, len(p.ref.sets))
+	}
+}
+
+// checkSlab holds sets lo..hi-1 to the slot discipline: a way has a slot
+// once, and only once, the reference has held an entry in it; no two ways,
+// valid or not, share a slot (their keys would alias); and the slab holds
+// exactly one key per way ever filled, never more than the cache's capacity.
+func (p *emcPair) checkSlab(lo, hi int) {
+	for i := lo * Ways; i < hi*Ways; i++ {
+		s, w := i/Ways, i%Ways
+		if p.ref.sets[s][w].valid && !p.filled[i] {
+			p.filled[i] = true
+			p.nFilled++
+		}
+		slot := int(p.got.ways[s][w].tag >> slotShift)
+		if (slot != 0) != p.filled[i] {
+			p.t.Fatalf("step %d: set %d way %d has slot %d, ever filled %v", p.step, s, w, slot, p.filled[i])
+		}
+		if slot == 0 {
+			continue
+		}
+		if slot > len(p.got.slab) {
+			p.t.Fatalf("step %d: set %d way %d has slot %d of a %d-key slab", p.step, s, w, slot, len(p.got.slab))
+		}
+		if o := p.owner[slot-1]; o != 0 && o != i+1 {
+			p.t.Fatalf("step %d: set %d way %d shares slot %d with way %d", p.step, s, w, slot, o-1)
+		}
+		p.owner[slot-1] = i + 1
+	}
+	if len(p.got.slab) != p.nFilled || p.nFilled > len(p.filled) || cap(p.got.slab) > len(p.filled) {
+		p.t.Fatalf("step %d: slab len %d cap %d, %d ways ever filled of %d", p.step, len(p.got.slab), cap(p.got.slab), p.nFilled, len(p.filled))
+	}
 }
 
 // checkSlots compares the two caches way by way: same occupancy, key and
-// value in every slot, and every valid tag is its key's hash.
+// value in every slot, every valid tag is its key's hash, and a freed way
+// holds nothing but its slot.
 func (p *emcPair) checkSlots() {
 	live := 0
+	p.checkSlab(0, len(p.ref.sets))
 	for s := range p.ref.sets {
 		for w := range p.ref.sets[s] {
 			r, g := &p.ref.sets[s][w], &p.got.ways[s][w]
-			if r.valid != (g.tag != 0) {
-				p.t.Fatalf("step %d: set %d way %d valid %v, reference %v", p.step, s, w, g.tag != 0, r.valid)
+			if valid := g.tag&validBit != 0; r.valid != valid {
+				p.t.Fatalf("step %d: set %d way %d valid %v, reference %v", p.step, s, w, valid, r.valid)
 			}
 			if !r.valid {
+				// A freed way keeps only its slot: no hash, no value to pin.
+				if g.tag&probeBits != 0 || g.value != 0 {
+					p.t.Fatalf("step %d: freed set %d way %d kept tag %#x value %#x", p.step, s, w, g.tag, g.value)
+				}
 				continue
 			}
 			live++
-			if gk := &p.got.keys[s][w]; *gk != r.key || g.value != r.value || g.tag != uint64(p.got.Hash(gk))|validBit {
+			if gk := &p.got.slab[g.tag>>slotShift-1]; *gk != r.key || g.value != r.value || g.tag&probeBits != uint64(p.got.Hash(gk))|validBit {
 				p.t.Fatalf("step %d: set %d way %d holds %v -> %#x tag %#x, reference %v -> %#x", p.step, s, w, *gk, g.value, g.tag, r.key, r.value)
 			}
 		}
@@ -276,7 +329,8 @@ func (p *emcPair) checkSlots() {
 // updates and purges of dead values all occur beside the thrashing — and
 // requires the tag-first cache to agree with the reference on every return
 // value, all five counters and Len after every operation, and slot by slot
-// every 4096 operations.
+// every 4096 operations. After every operation the key slab must also keep
+// one slot per way ever filled (checkSlab).
 func TestEMCMatchesReference(t *testing.T) {
 	const keys, steps = 50000, 200000
 	// Weights out of 64: the flush is rare so the cache is mostly full.
@@ -324,7 +378,8 @@ func TestEMCMatchesReference(t *testing.T) {
 
 // FuzzEMCOps feeds byte-driven operation streams to a 16-entry cache (so
 // every set is contended) and its reference: three bytes per operation, the
-// opcode and a 16-bit key index.
+// opcode and a 16-bit key index. The slot discipline is checked after every
+// operation.
 func FuzzEMCOps(f *testing.F) {
 	f.Add([]byte{opInsert, 0, 1, opLookup, 0, 1, opRemove, 0, 1, opLookupHashed, 0, 1})
 	f.Add([]byte{opInsertHashed, 0, 1, opInsertHashed, 0, 9, opInsertHashed, 0, 17, opInvalidate, 0, 9, opFlush, 0, 0})

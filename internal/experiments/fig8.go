@@ -49,6 +49,19 @@ var (
 	f8VTEP2       = hdr.MakeIP4(172, 16, 0, 2)
 )
 
+// f8Flow is Figure 8's one iperf flow, sender to receiver at a 1460-byte
+// MSS: MSS-sized sends in a 512 KiB window, or with tso 64 KiB sends in a
+// 2 MiB one. tso and csum mark the segments for the offloads.
+func f8Flow(eng *sim.Engine, tso, csum bool) trafficgen.BulkConfig {
+	cfg := trafficgen.BulkConfig{Eng: eng, MSS: 1460, SendSize: 1460, Window: 512 * 1024,
+		SrcMAC: f8SenderMAC, DstMAC: f8ReceiverMAC, SrcIP: f8SenderIP, DstIP: f8ReceiverIP,
+		SrcPort: 35000, DstPort: 5001, MarkTSO: tso, MarkCsumPartial: csum}
+	if tso {
+		cfg.SendSize, cfg.Window = 65536, 2*1024*1024
+	}
+	return cfg
+}
+
 // nsxStylePipeline builds the three-pass pipeline for one host: classify,
 // conntrack, L2 with local VIF + remote peer behind a Geneve tunnel.
 func nsxStylePipeline(localMAC, remoteMAC hdr.MAC, localVTEP, remoteVTEP hdr.IP4, localPort uint32) *ofproto.Pipeline {
@@ -156,20 +169,15 @@ func runFig8aCase(p Profile, c fig8aConfig) float64 {
 		func(vm *vmsim.VM, pk *packet.Packet) { bulk.OnDataArrived(pk) })
 
 	var sc kernelsim.SocketCosts
-	bulk = trafficgen.NewBulk(trafficgen.BulkConfig{
-		Eng: eng, MSS: 1460, SendSize: 1460, Window: 256 * 1024,
-		SrcMAC: f8SenderMAC, DstMAC: f8ReceiverMAC,
-		SrcIP: f8SenderIP, DstIP: f8ReceiverIP, SrcPort: 35000, DstPort: 5001,
-		MarkCsumPartial: false, // offload estimation happens in the datapath
-		SenderCharge: func(bytes int) {
-			vm1.CPU.Consume(sim.Guest, costmodel.SyscallBase+costmodel.CopyCost(bytes))
-		},
-		ReceiverCharge: func(bytes int) {
-			vm2.CPU.Consume(sim.Guest, sc.RecvCost(bytes))
-		},
-		SendData: func(pk *packet.Packet) { vm1.Transmit(pk) },
-		SendAck:  func(pk *packet.Packet) { vm2.Transmit(pk) },
-	})
+	cfg := f8Flow(eng, false, false) // offload estimation happens in the datapath
+	cfg.Window = 256 * 1024
+	cfg.SenderCharge = func(bytes int) {
+		vm1.CPU.Consume(sim.Guest, costmodel.SyscallBase+costmodel.CopyCost(bytes))
+	}
+	cfg.ReceiverCharge = func(bytes int) { vm2.CPU.Consume(sim.Guest, sc.RecvCost(bytes)) }
+	cfg.SendData = func(pk *packet.Packet) { vm1.Transmit(pk) }
+	cfg.SendAck = func(pk *packet.Packet) { vm2.Transmit(pk) }
+	bulk = trafficgen.NewBulk(cfg)
 	bulk.Start()
 	eng.RunUntil(20 * sim.Millisecond)
 	return bulk.ThroughputGbps()
@@ -297,28 +305,15 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 		kit.OpenNetdev(dcfg, core.ModePoll, 1, []core.Port{sender.Port, receiver.Port})
 	}
 
-	sendSize := 1460
-	window := 512 * 1024
-	if c.tso {
-		sendSize = 65536
-		window = 2 * 1024 * 1024
-	}
 	var sc kernelsim.SocketCosts
-	bulk = trafficgen.NewBulk(trafficgen.BulkConfig{
-		Eng: eng, MSS: 1460, SendSize: sendSize, Window: window,
-		SrcMAC: f8SenderMAC, DstMAC: f8ReceiverMAC,
-		SrcIP: f8SenderIP, DstIP: f8ReceiverIP, SrcPort: 35000, DstPort: 5001,
-		MarkTSO:         c.tso,
-		MarkCsumPartial: c.csum,
-		SenderCharge: func(bytes int) {
-			senderVM.CPU.Consume(sim.Guest, costmodel.SyscallBase+costmodel.CopyCost(bytes))
-		},
-		ReceiverCharge: func(bytes int) {
-			receiverVM.CPU.Consume(sim.Guest, sc.RecvCost(bytes))
-		},
-		SendData: func(pk *packet.Packet) { senderVM.Transmit(pk) },
-		SendAck:  func(pk *packet.Packet) { receiverVM.Transmit(pk) },
-	})
+	cfg := f8Flow(eng, c.tso, c.csum)
+	cfg.SenderCharge = func(bytes int) {
+		senderVM.CPU.Consume(sim.Guest, costmodel.SyscallBase+costmodel.CopyCost(bytes))
+	}
+	cfg.ReceiverCharge = func(bytes int) { receiverVM.CPU.Consume(sim.Guest, sc.RecvCost(bytes)) }
+	cfg.SendData = func(pk *packet.Packet) { senderVM.Transmit(pk) }
+	cfg.SendAck = func(pk *packet.Packet) { receiverVM.Transmit(pk) }
+	bulk = trafficgen.NewBulk(cfg)
 	bulk.Start()
 	eng.RunUntil(20 * sim.Millisecond)
 	return bulk.ThroughputGbps()
@@ -390,40 +385,29 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 				kit.NewLink(3, "veth", vethR, cpu).Port})
 	}
 
-	sendSize := 1460
-	window := 512 * 1024
-	if c.tso {
-		sendSize = 65536
-		window = 2 * 1024 * 1024
-	}
 	var sc kernelsim.SocketCosts
-	bulk = trafficgen.NewBulk(trafficgen.BulkConfig{
-		Eng: eng, MSS: 1460, SendSize: sendSize, Window: window,
-		SrcMAC: f8SenderMAC, DstMAC: f8ReceiverMAC,
-		SrcIP: f8SenderIP, DstIP: f8ReceiverIP, SrcPort: 35000, DstPort: 5001,
-		MarkTSO:         c.tso,
-		MarkCsumPartial: c.csum,
-		// Container.Transmit already charges the send syscall and copy;
-		// only the optional software checksum is extra.
-		SenderCharge: func(bytes int) {
-			if !c.csum {
-				sender.AppCPU.Consume(sim.Softirq, costmodel.ChecksumCost(bytes))
-			}
-		},
-		ReceiverCharge: func(bytes int) {
-			receiver.AppCPU.Consume(sim.Softirq, sc.RecvCost(bytes))
-			if !c.csum {
-				receiver.AppCPU.Consume(sim.Softirq, costmodel.ChecksumCost(bytes))
-			}
-		},
-		SendData: func(pk *packet.Packet) {
-			if c.csum {
-				pk.Offloads |= packet.CsumPartial
-			}
-			sender.Transmit(pk)
-		},
-		SendAck: func(pk *packet.Packet) { receiver.Transmit(pk) },
-	})
+	cfg := f8Flow(eng, c.tso, c.csum)
+	// Container.Transmit already charges the send syscall and copy; only
+	// the optional software checksum is extra.
+	cfg.SenderCharge = func(bytes int) {
+		if !c.csum {
+			sender.AppCPU.Consume(sim.Softirq, costmodel.ChecksumCost(bytes))
+		}
+	}
+	cfg.ReceiverCharge = func(bytes int) {
+		receiver.AppCPU.Consume(sim.Softirq, sc.RecvCost(bytes))
+		if !c.csum {
+			receiver.AppCPU.Consume(sim.Softirq, costmodel.ChecksumCost(bytes))
+		}
+	}
+	cfg.SendData = func(pk *packet.Packet) {
+		if c.csum {
+			pk.Offloads |= packet.CsumPartial
+		}
+		sender.Transmit(pk)
+	}
+	cfg.SendAck = func(pk *packet.Packet) { receiver.Transmit(pk) }
+	bulk = trafficgen.NewBulk(cfg)
 	bulk.Start()
 	eng.RunUntil(20 * sim.Millisecond)
 	return bulk.ThroughputGbps()

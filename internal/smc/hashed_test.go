@@ -54,7 +54,7 @@ func countersOf(c *Cache) smcCounters {
 }
 
 // TestHashReuseLeavesSMCUnchanged: hashing a key once and handing the hash to
-// the lookup and to the insert leaves every counter and every bucket where
+// the lookup and to the insert leaves every counter and every page where
 // the by-value calls leave them. The want column was recorded from the
 // by-value calls before the hashed entry points existed: bucket placement
 // and signatures decide smc.hit_ratio, a virtual-clock output, so a changed
@@ -81,9 +81,9 @@ func TestHashReuseLeavesSMCUnchanged(t *testing.T) {
 			if got := countersOf(hashed); got != tc.want {
 				t.Errorf("hashed counters = %+v, recorded %+v", got, tc.want)
 			}
-			for i := range byValue.buckets {
-				if byValue.buckets[i] != hashed.buckets[i] {
-					t.Fatalf("bucket %d differs: %+v vs %+v", i, byValue.buckets[i], hashed.buckets[i])
+			for i, a := range byValue.pages {
+				if b := hashed.pages[i]; (a == nil) != (b == nil) || a != nil && *a != *b {
+					t.Fatalf("page %d differs: %v vs %v", i, a, b)
 				}
 			}
 		})

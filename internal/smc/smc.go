@@ -21,6 +21,8 @@
 package smc
 
 import (
+	"math/bits"
+
 	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
 )
@@ -28,12 +30,16 @@ import (
 // Ways is the set associativity of a bucket (SMC_ENTRY_PER_BUCKET).
 const Ways = 4
 
-// maxIndex bounds the indirection table: indices are 16-bit, and the top
-// value is reserved as the empty marker.
-const maxIndex = 1<<16 - 1
-
-// emptyIdx marks a never-written bucket way.
-const emptyIdx uint16 = 0xffff
+const (
+	// maxIndex bounds the indirection table: indices are 16-bit, and the
+	// top value is reserved as the empty marker.
+	maxIndex = 1<<16 - 1
+	// emptyIdx marks a never-written bucket way.
+	emptyIdx uint16 = 0xffff
+	// A page is 256 buckets, 4 KiB.
+	pageShift = 8
+	pageMask  = 1<<pageShift - 1
+)
 
 // bucket is one 4-way set: parallel signature and index arrays, 16 bytes.
 type bucket struct {
@@ -41,12 +47,17 @@ type bucket struct {
 	idx [Ways]uint16
 }
 
+type page [1 << pageShift]bucket
+
 // Cache is a fixed-size signature match cache resolving flow keys to
-// installed megaflows. Like the EMC it is per-PMD and lockless.
+// installed megaflows. Like the EMC it is per-PMD and lockless. It costs the
+// pages its flows touched: a page of buckets is allocated on the first
+// insert into it, every way marked empty (index 0 is a valid megaflow
+// index), a probe of a missing page misses, and Flush drops every page.
 type Cache struct {
-	buckets []bucket
-	mask    uint32
-	basis   uint32
+	pages []*page
+	mask  uint32
+	basis uint32
 
 	// flows is the index->megaflow indirection table; index[r] is its
 	// inverse. freed recycles indices of removed megaflows — safe because
@@ -80,35 +91,8 @@ type Cache struct {
 // New returns a cache with the given number of entries, rounded up to a
 // power of two, at least Ways.
 func New(entries int, hashBasis uint32) *Cache {
-	if entries < Ways {
-		entries = Ways
-	}
-	n := 1
-	for n < entries/Ways {
-		n <<= 1
-	}
-	c := &Cache{
-		buckets: make([]bucket, n),
-		mask:    uint32(n - 1),
-		basis:   hashBasis,
-		index:   make(map[dpcls.Ref]uint16),
-	}
-	c.clearBuckets()
-	return c
-}
-
-// clearBuckets marks every way empty (index 0 is a valid megaflow index, so
-// the empty marker must be written explicitly). The first bucket is written
-// and then copied over the rest in doubling runs, at memmove speed; a
-// million-entry cache is flushed on every smc-enable and flow flush.
-func (c *Cache) clearBuckets() {
-	c.buckets[0] = bucket{}
-	for w := range c.buckets[0].idx {
-		c.buckets[0].idx[w] = emptyIdx
-	}
-	for n := 1; n < len(c.buckets); n *= 2 {
-		copy(c.buckets[n:], c.buckets[:n])
-	}
+	n := 1 << bits.Len(uint(max(entries, Ways)/Ways-1)) // buckets
+	return &Cache{pages: make([]*page, (n-1)>>pageShift+1), mask: uint32(n - 1), basis: hashBasis, index: map[dpcls.Ref]uint16{}}
 }
 
 // Hash returns key's hash under this cache's basis: the value LookupHashed
@@ -127,21 +111,23 @@ func (c *Cache) Lookup(key flow.Key) (dpcls.Ref, bool) {
 // against the key (key masked by the megaflow's mask equals its masked
 // key), so a collision or stale index can never mis-deliver a packet.
 func (c *Cache) LookupHashed(t *dpcls.Classifier, key *flow.Key, h uint32) (dpcls.Ref, bool) {
-	b := &c.buckets[h&c.mask]
-	sig := uint16(h >> 16)
-	for w := 0; w < Ways; w++ {
-		if b.idx[w] == emptyIdx || b.sig[w] != sig {
-			continue
+	i := h & c.mask
+	if p := c.pages[i>>pageShift]; p != nil {
+		b, sig := &p[i&pageMask], uint16(h>>16)
+		for w := 0; w < Ways; w++ {
+			if b.idx[w] == emptyIdx || b.sig[w] != sig {
+				continue
+			}
+			r := c.flows[b.idx[w]]
+			e := t.Get(r)
+			if e == nil || !t.Matches(e, key) {
+				c.StaleSkips++
+				continue
+			}
+			c.Hits++
+			e.Hits++
+			return r, true
 		}
-		r := c.flows[b.idx[w]]
-		e := t.Get(r)
-		if e == nil || !t.Matches(e, key) {
-			c.StaleSkips++
-			continue
-		}
-		c.Hits++
-		e.Hits++
-		return r, true
 	}
 	c.Misses++
 	return 0, false
@@ -164,8 +150,16 @@ func (c *Cache) InsertHashed(h uint32, r dpcls.Ref) {
 		c.Uncacheable++
 		return
 	}
-	b := &c.buckets[h&c.mask]
-	sig := uint16(h >> 16)
+	i := h & c.mask
+	p := c.pages[i>>pageShift]
+	if p == nil {
+		p = new(page)
+		for b := range p {
+			p[b].idx = [Ways]uint16{emptyIdx, emptyIdx, emptyIdx, emptyIdx}
+		}
+		c.pages[i>>pageShift] = p
+	}
+	b, sig := &p[i&pageMask], uint16(h>>16)
 	c.Inserts++
 	// Same signature: update the index in place.
 	for w := 0; w < Ways; w++ {
@@ -174,24 +168,21 @@ func (c *Cache) InsertHashed(h uint32, r dpcls.Ref) {
 			return
 		}
 	}
-	// Free or stale way.
-	for w := 0; w < Ways; w++ {
+	// Free or stale way, else evict.
+	victim := -1
+	for w := 0; w < Ways && victim < 0; w++ {
 		if b.idx[w] == emptyIdx {
-			b.sig[w] = sig
-			b.idx[w] = idx
+			victim = w
 			c.count++
-			return
-		}
-		if c.flows[b.idx[w]] == 0 {
-			b.sig[w] = sig
-			b.idx[w] = idx
-			return
+		} else if c.flows[b.idx[w]] == 0 {
+			victim = w
 		}
 	}
-	victim := (h >> 16) % Ways
-	b.sig[victim] = sig
-	b.idx[victim] = idx
-	c.Evictions++
+	if victim < 0 {
+		victim = int(h>>16) % Ways
+		c.Evictions++
+	}
+	b.sig[victim], b.idx[victim] = sig, idx
 }
 
 // register returns the indirection-table index for r, allocating one if
@@ -230,9 +221,10 @@ func (c *Cache) Invalidate(r dpcls.Ref) {
 	c.freed = append(c.freed, idx)
 }
 
-// Flush drops every cached signature and the whole indirection table.
+// Flush drops every cached signature, with the pages holding them, and the
+// whole indirection table.
 func (c *Cache) Flush() {
-	c.clearBuckets()
+	clear(c.pages)
 	c.flows = c.flows[:0]
 	c.index = make(map[dpcls.Ref]uint16)
 	c.freed = c.freed[:0]

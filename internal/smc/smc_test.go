@@ -1,8 +1,10 @@
 package smc
 
 import (
+	"runtime"
 	"testing"
 
+	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpcls"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet/hdr"
@@ -171,8 +173,8 @@ func TestEvictionUnderPressure(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		insert(c, keyN(i), e)
 	}
-	if c.Len() > len(c.buckets)*Ways {
-		t.Fatalf("len %d exceeds capacity %d", c.Len(), len(c.buckets)*Ways)
+	if c.Len() > int(c.mask+1)*Ways {
+		t.Fatalf("len %d exceeds capacity %d", c.Len(), int(c.mask+1)*Ways)
 	}
 	if c.Evictions == 0 {
 		t.Fatal("pressure must evict")
@@ -201,4 +203,49 @@ func TestIndexSpaceExhaustion(t *testing.T) {
 	if c.Uncacheable != 1 {
 		t.Fatalf("recycled index not reused: uncacheable = %d", c.Uncacheable)
 	}
+}
+
+// TestSMCHoldsItsWorkingSet: a cache costs the pages its flows touched. A
+// fresh million-entry cache holds its page table and no bucket, 64 flows
+// hold at most 64 pages, and a flush drops them.
+func TestSMCHoldsItsWorkingSet(t *testing.T) {
+	const caches = 16
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	cs := make([]*Cache, caches)
+	for i := range cs {
+		cs[i] = New(costmodel.SMCEntries, uint32(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(cs)
+	per := (int64(ms.HeapAlloc) - int64(before)) / caches
+	t.Logf("a fresh %d-entry cache holds %d B", costmodel.SMCEntries, per)
+	if per >= 16<<10 {
+		t.Fatalf("a fresh %d-entry cache holds %d B, want under 16 KiB", costmodel.SMCEntries, per)
+	}
+	cls := dpcls.New(0)
+	c := cs[0]
+	for i := range 64 {
+		insert(c, keyN(i), megaflowFor(cls, keyN(i), flow.MaskAll()))
+	}
+	if n := pagesHeld(c); n == 0 || n > 64 {
+		t.Fatalf("64 flows hold %d pages, want 1 to 64", n)
+	}
+	c.Flush()
+	if n := pagesHeld(c); n != 0 {
+		t.Fatalf("a flushed cache holds %d pages", n)
+	}
+}
+
+func pagesHeld(c *Cache) int {
+	n := 0
+	for _, p := range c.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
 }
