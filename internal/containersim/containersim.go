@@ -13,6 +13,7 @@ import (
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/packet"
+	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/vdev"
 )
@@ -113,12 +114,7 @@ func (c *Container) Transmit(p *packet.Packet) {
 
 // Reflect is the default handler: swap MACs and transmit back.
 func Reflect(c *Container, p *packet.Packet) {
-	if len(p.Data) >= 12 {
-		var tmp [6]byte
-		copy(tmp[:], p.Data[0:6])
-		copy(p.Data[0:6], p.Data[6:12])
-		copy(p.Data[6:12], tmp[:])
-	}
+	hdr.SwapEthAddrs(p.Data)
 	p.ResetMetadata()
 	c.Transmit(p)
 }

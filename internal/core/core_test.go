@@ -493,8 +493,14 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	if _, err := AttachDefaultProgram(nicB); err != nil {
 		t.Fatal(err)
 	}
-	frames := 0
-	nicB.ConnectWire(func(*packet.Packet) { frames++ })
+	frames, payload := 0, 0
+	nicB.ConnectWire(func(f *packet.Packet) {
+		frames++
+		if len(f.Data) > 54+1460 {
+			t.Errorf("wire frame of %d bytes, above header + MSS", len(f.Data))
+		}
+		payload += len(f.Data) - 54
+	})
 	dp.AddPort(NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: nicB, Eng: eng}))
 	pmd := dp.NewPMD(ModePoll, nil)
 	dp.AssignRxqTo(pmd, inPort, 0)
@@ -509,11 +515,8 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	eng.RunUntil(sim.Millisecond)
 
 	want := (8000 + 1459) / 1460
-	if frames != want {
-		t.Fatalf("wire frames = %d, want %d (software TSO)", frames, want)
-	}
-	if dp.SegmentedPkts != 1 {
-		t.Fatalf("segmented = %d", dp.SegmentedPkts)
+	if frames != want || payload != 8000 {
+		t.Fatalf("wire frames = %d carrying %d payload bytes, want %d carrying 8000 (software TSO)", frames, payload, want)
 	}
 
 	// With AssumeTSO the oversized frame passes through whole, out of the
@@ -535,8 +538,59 @@ func TestSoftwareTSOSegmentation(t *testing.T) {
 	big2.SegSize = 1460
 	tapIn2.FromPeer.Push(big2)
 	eng2.RunUntil(sim.Millisecond)
-	if out := vethOut.ToPeer.Pop(10); len(out) != 1 || len(out[0].Data) != 14+20+20+8000 || dp2.SegmentedPkts != 0 {
-		t.Fatalf("AssumeTSO: %d frames (want 1 of %d bytes), segmented %d", len(out), 14+20+20+8000, dp2.SegmentedPkts)
+	if out := vethOut.ToPeer.Pop(10); len(out) != 1 || len(out[0].Data) != 14+20+20+8000 {
+		t.Fatalf("AssumeTSO: %d frames (want 1 of %d bytes)", len(out), 14+20+20+8000)
+	}
+}
+
+// TestTSOReleasesSuperFrame: a TSO super-frame drawn from a pool goes back to
+// it once its segments are sent, whether the datapath's software TSO split it
+// (out of an AF_XDP port) or a NIC's hardware TSO did.
+func TestTSOReleasesSuperFrame(t *testing.T) {
+	superFrame := func(pool *packet.Pool) *packet.Packet {
+		p := pool.GetCopy(hdr.NewBuilder().Eth(macA, macB).
+			IPv4H(hdr.MakeIP4(10, 0, 0, 1), hdr.MakeIP4(10, 0, 0, 2), 64).
+			TCPH(1, 2, 0, 0, hdr.TCPAck).PayloadLen(8000).Build())
+		p.L4Offset = 34
+		p.SegSize = 1460
+		p.Offloads = packet.TSO
+		return p
+	}
+	want := (8000 + 1459) / 1460
+
+	// Software TSO: tap in, AF_XDP NIC port (no TSO) out.
+	eng := sim.NewEngine(1)
+	dp := NewDatapath(eng, forwardPipeline(), Options{})
+	tapIn := vdev.NewLink("in")
+	inPort := NewLinkPort(1, "tap", tapIn, nil)
+	dp.AddPort(inPort)
+	nicB := nicsim.New(eng, nicsim.Config{Name: "ethB", Ifindex: 2, Queues: 1})
+	if _, err := AttachDefaultProgram(nicB); err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	nicB.ConnectWire(func(f *packet.Packet) { frames++; f.Release() })
+	dp.AddPort(NewAFXDPPort(AFXDPPortConfig{ID: 2, NIC: nicB, Eng: eng}))
+	pmd := dp.NewPMD(ModePoll, nil)
+	dp.AssignRxqTo(pmd, inPort, 0)
+	pmd.Start()
+	pool := packet.NewPool(4, 9000, true)
+	tapIn.FromPeer.Push(superFrame(pool))
+	eng.RunUntil(sim.Millisecond)
+	if frames != want || pool.Available() != 4 {
+		t.Fatalf("software TSO: %d wire frames (want %d), pool available %d of 4", frames, want, pool.Available())
+	}
+
+	// Hardware TSO: the NIC splits it.
+	eng2 := sim.NewEngine(1)
+	nic := nicsim.New(eng2, nicsim.Config{Name: "eth0", Queues: 1, Offloads: nicsim.Offloads{TSO: true, TxCsum: true}})
+	frames = 0
+	nic.ConnectWire(func(f *packet.Packet) { frames++; f.Release() })
+	pool2 := packet.NewPool(4, 9000, true)
+	nic.Transmit(superFrame(pool2))
+	eng2.Run()
+	if frames != want || pool2.Available() != 4 {
+		t.Fatalf("hardware TSO: %d wire frames (want %d), pool available %d of 4", frames, want, pool2.Available())
 	}
 }
 

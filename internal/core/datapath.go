@@ -8,7 +8,6 @@ import (
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
-	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/upcall"
@@ -56,8 +55,9 @@ type Options struct {
 	// value instead of computing one in software.
 	AssumeCsumOffload bool
 	// AssumeTSO models the expected AF_XDP TSO support (Figure 8's
-	// "checksum and TSO" bars): oversized segments are passed through
-	// without software segmentation.
+	// "checksum and TSO" bars): a TSO super-frame leaves a port without
+	// TSO whole, neither split by packet.(*Packet).Segment nor charged
+	// its per-segment copies.
 	AssumeTSO bool
 	// BatchSize is packets per poll (NETDEV_MAX_BURST); zero uses
 	// costmodel.BatchSize.
@@ -106,10 +106,6 @@ type Datapath struct {
 	// emcOff and smcOn are the cache toggles (emc-enable, smc-enable):
 	// the EMC is on and the SMC off until configured otherwise.
 	emcOff, smcOn bool
-
-	// SegmentedPkts counts software TSO segmentations; each cache
-	// resolution is tallied in the resolving thread's perf.Stats only.
-	SegmentedPkts uint64
 }
 
 // NewDatapath builds a datapath over a pipeline.
@@ -362,7 +358,8 @@ func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
 // transmit handles offload fix-ups before handing the packet to the port:
 // software checksumming when the egress lacks the offload (O5) and
 // software TSO segmentation when the egress lacks TSO (Figure 8's
-// pre-TSO-support bars).
+// pre-TSO-support bars), each segment paying a copy. Every Caps is all or
+// nothing, so a segment's checksum is settled above, with the super-frame's.
 func (d *Datapath) transmit(m *PMD, out Port, p *packet.Packet) {
 	caps := PortCaps(out)
 	cpu := m.CPU
@@ -376,60 +373,25 @@ func (d *Datapath) transmit(m *PMD, out Port, p *packet.Packet) {
 	}
 
 	txq := d.TxqFor(m, out)
-	if p.SegSize > 0 && len(p.Data) > p.SegSize+64 && !caps.TSO && !d.Opts.AssumeTSO {
-		// Software segmentation: split into MSS frames, each paying a
-		// copy, then transmit each.
-		segs := softwareSegment(p)
-		d.SegmentedPkts++
-		for _, s := range segs {
-			m.charge(perf.StageActions, costmodel.CopyCost(len(s.Data)))
-			if s.Offloads&packet.CsumPartial != 0 && !d.Opts.AssumeCsumOffload {
-				m.charge(perf.StageActions, costmodel.ChecksumCost(len(s.Data)))
-				s.Offloads &^= packet.CsumPartial
-			}
-			d.chargeTxLock(m, out)
-			txBefore := cpu.BusyTotal()
-			out.Tx(cpu, txq, s)
-			m.Perf.Add(perf.StageActions, cpu.BusyTotal()-txBefore)
+	// p alone, unless software TSO splits it; the array stays on the stack.
+	whole := [1]*packet.Packet{p}
+	frames, split := whole[:], false
+	if p.SegSize > 0 && !caps.TSO && !d.Opts.AssumeTSO {
+		if segs := p.Segment(); segs != nil {
+			frames, split = segs, true
 		}
-		m.touch(out)
-		return
 	}
-	d.chargeTxLock(m, out)
-	txBefore := cpu.BusyTotal()
-	out.Tx(cpu, txq, p)
-	m.Perf.Add(perf.StageActions, cpu.BusyTotal()-txBefore)
+	for _, f := range frames {
+		if split {
+			m.charge(perf.StageActions, costmodel.CopyCost(len(f.Data)))
+		}
+		d.chargeTxLock(m, out)
+		txBefore := cpu.BusyTotal()
+		out.Tx(cpu, txq, f)
+		m.Perf.Add(perf.StageActions, cpu.BusyTotal()-txBefore)
+	}
+	if split {
+		p.Release()
+	}
 	m.touch(out)
-}
-
-// softwareSegment splits an oversized TCP packet at its SegSize.
-func softwareSegment(p *packet.Packet) []*packet.Packet {
-	hdrLen := p.L4Offset
-	if hdrLen <= 0 || hdrLen > len(p.Data) {
-		hdrLen = 54
-	} else if hdrLen+hdr.TCPMinSize <= len(p.Data) {
-		hdrLen += int(p.Data[hdrLen+12]>>4) * 4
-	}
-	if hdrLen > len(p.Data) {
-		hdrLen = len(p.Data)
-	}
-	payload := p.Data[hdrLen:]
-	var out []*packet.Packet
-	for off := 0; off < len(payload); off += p.SegSize {
-		end := off + p.SegSize
-		if end > len(payload) {
-			end = len(payload)
-		}
-		data := make([]byte, hdrLen+end-off)
-		copy(data, p.Data[:hdrLen])
-		copy(data[hdrLen:], payload[off:end])
-		s := packet.New(data)
-		s.Metadata = p.Metadata
-		s.SegSize = 0
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		return []*packet.Packet{p}
-	}
-	return out
 }

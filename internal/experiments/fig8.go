@@ -62,6 +62,19 @@ func f8Flow(eng *sim.Engine, tso, csum bool) trafficgen.BulkConfig {
 	return cfg
 }
 
+// addCtPass adds the firewall's table 11, the pass after conntrack, that
+// Figures 8a and 8b share: tracked connections, established or new, go on
+// to table 20.
+func addCtPass(pl *ofproto.Pipeline) {
+	mCt := flow.NewMaskBuilder().CtState(0x07).Build()
+	pl.AddRule(&ofproto.Rule{TableID: 11, Priority: 100,
+		Match:   ofproto.NewMatch(flow.Fields{CtState: 0x05}, mCt),
+		Actions: []ofproto.Action{ofproto.GotoTable(20)}})
+	pl.AddRule(&ofproto.Rule{TableID: 11, Priority: 90,
+		Match:   ofproto.NewMatch(flow.Fields{CtState: 0x03}, mCt),
+		Actions: []ofproto.Action{ofproto.GotoTable(20)}})
+}
+
 // nsxStylePipeline builds the three-pass pipeline for one host: classify,
 // conntrack, L2 with local VIF + remote peer behind a Geneve tunnel.
 func nsxStylePipeline(localMAC, remoteMAC hdr.MAC, localVTEP, remoteVTEP hdr.IP4, localPort uint32) *ofproto.Pipeline {
@@ -69,7 +82,6 @@ func nsxStylePipeline(localMAC, remoteMAC hdr.MAC, localVTEP, remoteVTEP hdr.IP4
 	mIn := flow.NewMaskBuilder().InPort().Build()
 	mTun := flow.NewMaskBuilder().InPort().EthType().IPProto().TPDst().Build()
 	mEth := flow.NewMaskBuilder().EthType().Build()
-	mCt := flow.NewMaskBuilder().CtState(0x07).Build()
 	mMac := flow.NewMaskBuilder().EthDst().Build()
 
 	// Table 0: classification (pass 1).
@@ -93,12 +105,7 @@ func nsxStylePipeline(localMAC, remoteMAC hdr.MAC, localVTEP, remoteVTEP hdr.IP4
 		Actions: []ofproto.Action{ofproto.GotoTable(20)}})
 
 	// Table 11: post-conntrack (pass 3).
-	pl.AddRule(&ofproto.Rule{TableID: 11, Priority: 100,
-		Match:   ofproto.NewMatch(flow.Fields{CtState: 0x05}, mCt),
-		Actions: []ofproto.Action{ofproto.GotoTable(20)}})
-	pl.AddRule(&ofproto.Rule{TableID: 11, Priority: 90,
-		Match:   ofproto.NewMatch(flow.Fields{CtState: 0x03}, mCt),
-		Actions: []ofproto.Action{ofproto.GotoTable(20)}})
+	addCtPass(pl)
 
 	// Table 20: L2.
 	pl.AddRule(&ofproto.Rule{TableID: 20, Priority: 50,
@@ -259,7 +266,6 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 	pl := ofproto.NewPipeline()
 	mIn := flow.NewMaskBuilder().InPort().Build()
 	mEth := flow.NewMaskBuilder().EthType().Build()
-	mCt := flow.NewMaskBuilder().CtState(0x07).Build()
 	mMac := flow.NewMaskBuilder().EthDst().Build()
 	for _, port := range []uint32{f8VM, f8VM2} {
 		pl.AddRule(&ofproto.Rule{TableID: 0, Priority: 100,
@@ -269,12 +275,7 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 	pl.AddRule(&ofproto.Rule{TableID: 10, Priority: 10,
 		Match:   ofproto.NewMatch(flow.Fields{EthType: hdr.EtherTypeIPv4}, mEth),
 		Actions: []ofproto.Action{ofproto.CT(7, true, 11)}})
-	pl.AddRule(&ofproto.Rule{TableID: 11, Priority: 100,
-		Match:   ofproto.NewMatch(flow.Fields{CtState: 0x05}, mCt),
-		Actions: []ofproto.Action{ofproto.GotoTable(20)}})
-	pl.AddRule(&ofproto.Rule{TableID: 11, Priority: 90,
-		Match:   ofproto.NewMatch(flow.Fields{CtState: 0x03}, mCt),
-		Actions: []ofproto.Action{ofproto.GotoTable(20)}})
+	addCtPass(pl)
 	pl.AddRule(&ofproto.Rule{TableID: 20, Priority: 50,
 		Match:   ofproto.NewMatch(flow.Fields{EthDst: f8ReceiverMAC}, mMac),
 		Actions: []ofproto.Action{ofproto.Output(f8VM2)}})

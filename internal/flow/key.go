@@ -266,13 +266,13 @@ func (b *MaskBuilder) VLAN() *MaskBuilder { b.m[wEthSrc] |= 0xffff; return b }
 
 // IP4Src matches the source address under a prefix of the given length.
 func (b *MaskBuilder) IP4Src(prefixLen int) *MaskBuilder {
-	b.m[wIP4] |= uint64(prefixMask32(prefixLen)) << 32
+	b.m[wIP4] |= uint64(hdr.PrefixMask(prefixLen)) << 32
 	return b
 }
 
 // IP4Dst matches the destination address under a prefix of the given length.
 func (b *MaskBuilder) IP4Dst(prefixLen int) *MaskBuilder {
-	b.m[wIP4] |= uint64(prefixMask32(prefixLen))
+	b.m[wIP4] |= uint64(hdr.PrefixMask(prefixLen))
 	return b
 }
 
@@ -337,14 +337,3 @@ func (b *MaskBuilder) TunDst() *MaskBuilder { b.m[wTunnel] |= 0xffffffff; return
 
 // TunSrc matches the tunnel source IP exactly.
 func (b *MaskBuilder) TunSrc() *MaskBuilder { b.m[wTunSrc] |= 0xffffffff << 32; return b }
-
-func prefixMask32(n int) uint32 {
-	switch {
-	case n <= 0:
-		return 0
-	case n >= 32:
-		return ^uint32(0)
-	default:
-		return ^uint32(0) << (32 - n)
-	}
-}

@@ -251,7 +251,7 @@ func (k *Kernel) AddAddr(linkName string, ip hdr.IP4, prefixLen int) error {
 	k.addrs = append(k.addrs, a)
 	k.notify(Event{Op: OpAdd, Addr: &a})
 	// Connected route for the subnet.
-	network := ip & hdr.IP4(prefixMask(prefixLen))
+	network := ip & hdr.PrefixMask(prefixLen)
 	return k.AddRoute(Route{Dst: network, PrefixLen: prefixLen, LinkIndex: l.Index})
 }
 
@@ -297,7 +297,7 @@ func lookupRoute(routes []Route, dst hdr.IP4) (Route, bool) {
 	best := -1
 	var out Route
 	for _, r := range routes {
-		if dst&hdr.IP4(prefixMask(r.PrefixLen)) == r.Dst && r.PrefixLen > best {
+		if dst&hdr.PrefixMask(r.PrefixLen) == r.Dst && r.PrefixLen > best {
 			best = r.PrefixLen
 			out = r
 		}
@@ -336,17 +336,6 @@ func (k *Kernel) LookupNeigh(ip hdr.IP4) (Neigh, bool) {
 		}
 	}
 	return Neigh{}, false
-}
-
-func prefixMask(n int) uint32 {
-	switch {
-	case n <= 0:
-		return 0
-	case n >= 32:
-		return ^uint32(0)
-	default:
-		return ^uint32(0) << (32 - n)
-	}
 }
 
 // --- Userspace replica (Section 4) -------------------------------------------

@@ -372,21 +372,29 @@ func (n *NIC) Receive(p *packet.Packet) bool {
 }
 
 // Transmit serializes the packet onto the wire at line rate, applying
-// transmit-side offloads. TSO packets are split into MSS-sized frames here
-// when the hardware supports it; callers without TSO hardware must segment
-// in software before calling (and pay that cost themselves). The packet
-// arrives at the wire peer after serialization plus propagation delay.
+// transmit-side offloads. With TSO hardware a super-frame is split here by
+// packet.(*Packet).Segment, the segmenter the datapath's software TSO also
+// calls, at no CPU cost, and each segment leaves with its checksum filled;
+// without it the frame leaves whole, so a caller without TSO hardware
+// segments (and pays) before calling. The packet arrives at the wire peer
+// after serialization plus propagation delay.
 func (n *NIC) Transmit(p *packet.Packet) {
 	if p.Offloads&packet.CsumPartial != 0 && n.Offloads.TxCsum {
 		// Hardware fills the checksum: free for the CPU.
 		p.Offloads &^= packet.CsumPartial
 		p.Offloads |= packet.CsumVerified
 	}
-	if p.SegSize > 0 && n.Offloads.TSO && len(p.Data) > p.SegSize {
-		for _, seg := range segment(p) {
-			n.transmitFrame(seg)
+	if p.SegSize > 0 && n.Offloads.TSO {
+		if segs := p.Segment(); segs != nil {
+			for _, s := range segs {
+				// TSO hardware checksums each segment it cuts.
+				s.Offloads &^= packet.CsumPartial
+				s.Offloads |= packet.CsumVerified
+				n.transmitFrame(s)
+			}
+			p.Release()
+			return
 		}
-		return
 	}
 	n.transmitFrame(p)
 }
@@ -405,45 +413,6 @@ func (n *NIC) transmitFrame(p *packet.Packet) {
 		return
 	}
 	n.wire.Push(n.txFreeAt+costmodel.WireAndNIC, p)
-}
-
-// segment splits a TSO packet into SegSize-sized frames. Header bytes
-// through the end of the transport header are replicated onto each segment;
-// the split frames inherit verified-checksum state because the hardware
-// computes per-segment checksums as part of TSO.
-func segment(p *packet.Packet) []*packet.Packet {
-	hdrLen := 54 // eth + ipv4 + minimal tcp, when offsets are unknown
-	if p.L4Offset > 0 && p.L4Offset+hdr.TCPMinSize <= len(p.Data) {
-		dataOff := int(p.Data[p.L4Offset+12]>>4) * 4
-		if dataOff < hdr.TCPMinSize {
-			dataOff = hdr.TCPMinSize
-		}
-		hdrLen = p.L4Offset + dataOff
-	}
-	if hdrLen > len(p.Data) {
-		hdrLen = len(p.Data)
-	}
-	payload := p.Data[hdrLen:]
-	var out []*packet.Packet
-	for off := 0; off < len(payload); off += p.SegSize {
-		end := off + p.SegSize
-		if end > len(payload) {
-			end = len(payload)
-		}
-		data := make([]byte, hdrLen+end-off)
-		copy(data, p.Data[:hdrLen])
-		copy(data[hdrLen:], payload[off:end])
-		seg := packet.New(data)
-		seg.Metadata = p.Metadata
-		seg.SegSize = 0
-		seg.Offloads &^= packet.CsumPartial | packet.TSO
-		seg.Offloads |= packet.CsumVerified
-		out = append(out, seg)
-	}
-	if len(out) == 0 {
-		out = append(out, p)
-	}
-	return out
 }
 
 // RxDropsTotal sums drops across queues.

@@ -64,6 +64,17 @@ func (e *Ethernet) SerializeTo(b []byte) int {
 	return n
 }
 
+// SwapEthAddrs exchanges a frame's destination and source Ethernet addresses
+// in place, as a reflector does; a frame too short for both is left as is.
+func SwapEthAddrs(frame []byte) {
+	if len(frame) >= 12 {
+		var tmp [6]byte
+		copy(tmp[:], frame[0:6])
+		copy(frame[0:6], frame[6:12])
+		copy(frame[6:12], tmp[:])
+	}
+}
+
 // PushVLAN inserts an 802.1Q tag into frame (in place via copy into a new
 // slice) and returns the tagged frame. The frame must start with an untagged
 // Ethernet header.

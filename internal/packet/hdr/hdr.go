@@ -112,6 +112,19 @@ func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
 // IP4 is an IPv4 address in network byte order.
 type IP4 uint32
 
+// PrefixMask is the netmask of an n-bit IPv4 prefix: no bits for n <= 0,
+// all of them for n >= 32.
+func PrefixMask(n int) IP4 {
+	switch {
+	case n <= 0:
+		return 0
+	case n >= 32:
+		return ^IP4(0)
+	default:
+		return ^IP4(0) << (32 - n)
+	}
+}
+
 // MakeIP4 builds an address from its dotted-quad octets.
 func MakeIP4(a, b, c, d byte) IP4 {
 	return IP4(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))

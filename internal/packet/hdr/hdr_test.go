@@ -77,6 +77,27 @@ func TestPushPopVLAN(t *testing.T) {
 	}
 }
 
+func TestSwapEthAddrs(t *testing.T) {
+	frame := NewBuilder().Eth(macA, macB).IPv4H(ipA, ipB, 64).UDPH(1, 2).Build()
+	SwapEthAddrs(frame)
+	if e, _ := ParseEthernet(frame); e.Src != macB || e.Dst != macA || e.Type != EtherTypeIPv4 {
+		t.Fatalf("swapped header %+v", e)
+	}
+	short := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	SwapEthAddrs(short)
+	if !bytes.Equal(short, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) {
+		t.Fatal("a frame shorter than two addresses was changed")
+	}
+}
+
+func TestPrefixMask(t *testing.T) {
+	for n, want := range map[int]IP4{-1: 0, 0: 0, 1: 0x80000000, 8: 0xff000000, 24: 0xffffff00, 31: 0xfffffffe, 32: 0xffffffff, 40: 0xffffffff} {
+		if got := PrefixMask(n); got != want {
+			t.Errorf("PrefixMask(%d) = %#x, want %#x", n, uint32(got), uint32(want))
+		}
+	}
+}
+
 func TestMACPredicates(t *testing.T) {
 	if !Broadcast.IsBroadcast() || !Broadcast.IsMulticast() {
 		t.Fatal("broadcast predicates wrong")

@@ -143,6 +143,44 @@ func (p *Packet) Clone() *Packet {
 	return c
 }
 
+// Segment is TCP segmentation (TSO), written once for every egress that
+// performs it: it splits p into frames of p's header plus at most SegSize
+// payload bytes each, or returns nil when there is nothing to split (SegSize
+// unset, or a payload of at most SegSize). The header runs through the TCP
+// header: L4Offset plus the TCP data offset, at least 20 bytes; 54 (Ethernet,
+// IPv4, TCP) when L4Offset is unset or leaves no room for a TCP header; never
+// past the frame. Each segment is a standalone copy carrying p's metadata,
+// checksum state included, without SegSize and the TSO bit. Who pays for the
+// split, and releasing p, is the caller's.
+func (p *Packet) Segment() []*Packet {
+	if p.SegSize <= 0 {
+		return nil
+	}
+	hdrLen := 54
+	if p.L4Offset > 0 && p.L4Offset <= len(p.Data)-hdr.TCPMinSize {
+		dataOff := int(p.Data[p.L4Offset+12]>>4) * 4
+		hdrLen = p.L4Offset + max(dataOff, hdr.TCPMinSize)
+	}
+	hdrLen = min(hdrLen, len(p.Data))
+	payload := p.Data[hdrLen:]
+	if len(payload) <= p.SegSize {
+		return nil
+	}
+	segs := make([]*Packet, 0, (len(payload)+p.SegSize-1)/p.SegSize)
+	for off := 0; off < len(payload); off += p.SegSize {
+		end := min(off+p.SegSize, len(payload))
+		data := make([]byte, hdrLen+end-off)
+		copy(data, p.Data[:hdrLen])
+		copy(data[hdrLen:], payload[off:end])
+		s := New(data)
+		s.Metadata = p.Metadata
+		s.SegSize = 0
+		s.Offloads &^= TSO
+		segs = append(segs, s)
+	}
+	return segs
+}
+
 // Release returns a pooled packet to its pool; for standalone packets it is
 // a no-op.
 func (p *Packet) Release() {

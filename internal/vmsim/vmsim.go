@@ -17,6 +17,7 @@ import (
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/packet"
+	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/vdev"
 )
@@ -189,12 +190,7 @@ func (vm *VM) Transmit(p *packet.Packet) {
 // Reflect is the default handler: swap Ethernet addresses and transmit
 // back (the guest side of a PVP loop).
 func Reflect(vm *VM, p *packet.Packet) {
-	if len(p.Data) >= 12 {
-		var tmp [6]byte
-		copy(tmp[:], p.Data[0:6])
-		copy(p.Data[0:6], p.Data[6:12])
-		copy(p.Data[6:12], tmp[:])
-	}
+	hdr.SwapEthAddrs(p.Data)
 	p.ResetMetadata()
 	vm.Transmit(p)
 }
