@@ -5,14 +5,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRingPushPop(t *testing.T) {
 	r := NewRing(4)
 	if r.Cap() != 4 || r.Len() != 0 || r.Free() != 4 {
-		t.Fatalf("fresh ring: %s", r)
+		t.Fatalf("fresh ring: cap %d len %d free %d", r.Cap(), r.Len(), r.Free())
 	}
 	for i := 0; i < 4; i++ {
 		if !r.Push(Desc{Addr: uint64(i)}) {
@@ -196,11 +199,11 @@ func checkWholeArea(t testing.TB, u *Umem, ref *refUmem) {
 	}
 }
 
-// TestUmemMatchesReference drives the paged umem and the eager reference
-// (umem_ref_test.go) with the same seeded streams of writes and reads, at
-// chunk sizes from 64 bytes to 128 KiB — below, at and above the page
-// size, over areas that end inside a page — at random chunks, offsets and
-// lengths, including whole-chunk, chunk-end, cross-chunk, past-the-area
+// TestUmemMatchesReference drives the frame-sized umem and the eager
+// reference (umem_ref_test.go) with the same seeded streams of writes and
+// reads, at chunk sizes from 64 bytes to 128 KiB, at random chunks, offsets
+// and lengths — short accesses followed by longer ones into the same chunk
+// among them — including whole-chunk, chunk-end, cross-chunk, past-the-area
 // and negative-length accesses. Every access must return the same bytes or
 // panic with the same message, and the whole areas must agree at the end.
 func TestUmemMatchesReference(t *testing.T) {
@@ -217,8 +220,8 @@ func TestUmemMatchesReference(t *testing.T) {
 }
 
 // randomAccess draws an access aimed at the edges that matter: chunk and
-// area ends, the page a chunk sits in, and lengths either side of what the
-// chunk has left.
+// area ends, the last chunks again and again, and lengths either side of
+// what the chunk has left.
 func randomAccess(rng *rand.Rand, chunks, chunkSize int) umemAccess {
 	c := rng.Intn(chunks + 2) // chunks and chunks+1 lie past the area
 	if rng.Intn(4) == 0 {
@@ -236,7 +239,7 @@ func randomAccess(rng *rand.Rand, chunks, chunkSize int) umemAccess {
 
 // FuzzUmemOps: the first two bytes pick the chunk size (64 B to 128 KiB)
 // and count, each following six an access (flags, chunk, offset, length);
-// the paged umem must agree with the reference on every access and on the
+// the frame-sized umem must agree with the reference on every access and on the
 // whole area at the end.
 func FuzzUmemOps(f *testing.F) {
 	f.Add([]byte{5, 3, 1, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 8})
@@ -263,38 +266,70 @@ func FuzzUmemOps(f *testing.F) {
 	})
 }
 
-// TestUmemFaultsInByPage: a fresh umem holds no memory; touching a chunk
-// faults in its page only — 64 KiB, or the chunk when chunks are larger —
-// and the last page stops at the area's end.
-func TestUmemFaultsInByPage(t *testing.T) {
+// umemHeld is the bytes u's chunks hold and the length of its index.
+func umemHeld(u *Umem) (bytes, index int) {
+	for _, c := range u.chunks {
+		bytes += cap(c)
+	}
+	return bytes, len(u.chunks)
+}
+
+// TestUmemHoldsItsFrames: a umem chunk holds the bytes its frames reached,
+// rounded up to a power of two from 64 bytes to the chunk size, and the
+// index reaches the highest chunk touched.
+func TestUmemHoldsItsFrames(t *testing.T) {
 	u := NewUmem(DefaultChunks, DefaultChunkSize)
-	for i, p := range u.pages {
-		if p != nil {
-			t.Fatalf("page %d allocated before any access", i)
+	if b, idx := umemHeld(u); b != 0 || idx != 0 {
+		t.Fatalf("a fresh umem holds %d bytes over an index of %d chunks, want none", b, idx)
+	}
+
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	frame := bytes.Repeat([]byte{0x5a}, 60)
+	const frames = 1024
+	for c := 0; c < frames; c++ {
+		copy(u.Buffer(u.ChunkAddr(c), len(frame)), frame)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	heap := int(ms.HeapAlloc - before)
+	b, idx := umemHeld(u)
+	if b != frames*64 || idx != frames {
+		t.Fatalf("%d 60-byte frames: %d bytes over an index of %d chunks, want %d over %d",
+			frames, b, idx, frames*64, frames)
+	}
+	if limit := frames*64 + cap(u.chunks)*int(unsafe.Sizeof([]byte{})); heap > limit {
+		t.Fatalf("%d 60-byte frames grew the heap %d bytes, want at most %d (64 B each plus the index)",
+			frames, heap, limit)
+	}
+	t.Logf("%d 60-byte frames: %d bytes of chunks, %d of live heap", frames, b, heap)
+
+	big := bytes.Repeat([]byte{0xa5}, 1500)
+	copy(u.Buffer(u.ChunkAddr(7)+60, len(big)-60), big[60:])
+	if got := u.Buffer(u.ChunkAddr(7), len(big)); !bytes.Equal(got[:60], frame) || !bytes.Equal(got[60:], big[60:]) {
+		t.Fatal("a 1,500-byte frame written past a 60-byte one lost the prefix")
+	}
+	if got := u.Buffer(u.ChunkAddr(7)+1500, DefaultChunkSize-1500); !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatal("bytes past the furthest write do not read as zero")
+	}
+	if len(u.chunks[7]) != DefaultChunkSize {
+		t.Fatalf("chunk 7 holds %d bytes after a 1,500-byte frame, want %d", len(u.chunks[7]), DefaultChunkSize)
+	}
+	u.Buffer(u.ChunkAddr(DefaultChunks-1)+100, 100)
+	if b, idx := umemHeld(u); idx != DefaultChunks || len(u.chunks[DefaultChunks-1]) != 256 {
+		t.Fatalf("200 bytes into the last chunk: index %d, chunk %d bytes (%d in all), want %d and 256",
+			idx, len(u.chunks[DefaultChunks-1]), b, DefaultChunks)
+	}
+
+	for _, size := range []int{16, 64, 4096} {
+		small := NewUmem(2, size)
+		small.Buffer(small.ChunkAddr(1), 1)
+		small.Buffer(small.ChunkAddr(0), size)
+		if b, _ := umemHeld(small); len(small.chunks[1]) != min(size, 64) || b != size+min(size, 64) {
+			t.Fatalf("%d-byte chunks: one byte holds %d, the whole chunk %d", size, len(small.chunks[1]), len(small.chunks[0]))
 		}
-	}
-	u.Buffer(u.ChunkAddr(40), 1)
-	touched := 0
-	for _, p := range u.pages {
-		if p != nil {
-			touched++
-			if len(p) != umemPageSize {
-				t.Fatalf("page of %d bytes, want %d", len(p), umemPageSize)
-			}
-		}
-	}
-	if touched != 1 || u.pages[40*DefaultChunkSize/umemPageSize] == nil {
-		t.Fatalf("%d pages allocated by one access, want chunk 40's", touched)
-	}
-	big := NewUmem(3, 2*umemPageSize)
-	big.Buffer(big.ChunkAddr(2), 1)
-	if len(big.pages) != 3 || len(big.pages[2]) != 2*umemPageSize {
-		t.Fatalf("128 KiB chunks: %d pages, last %d bytes", len(big.pages), len(big.pages[2]))
-	}
-	small := NewUmem(3, 64)
-	small.Buffer(small.ChunkAddr(2), 64)
-	if len(small.pages) != 1 || len(small.pages[0]) != 3*64 {
-		t.Fatalf("a 192-byte area: %d pages, first %d bytes", len(small.pages), len(small.pages[0]))
 	}
 }
 
@@ -520,5 +555,115 @@ func TestRoundTripForwarding(t *testing.T) {
 	}
 	if x.TxCompleted != 100 || x.RxDelivered != 100 {
 		t.Fatalf("stats: rx=%d tx=%d", x.RxDelivered, x.TxCompleted)
+	}
+}
+
+// TestRingMatchesReference drives the growing ring and the eager reference
+// (ring_ref_test.go) with the same seeded streams of pushes, pops and batch
+// pops, at capacities from 1 to 4,096 and fill levels up to full: every
+// operation must return the same result, and Len, Free and Cap must agree
+// after each.
+func TestRingMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		size := 1 + rng.Intn(1<<rng.Intn(13))
+		r, ref := NewRing(size), newRefRing(size)
+		out, refOut := make([]Desc, 64), make([]Desc, 64)
+		pushes := 8 + rng.Intn(6) // of 16: from mostly empty to mostly full
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(16); {
+			case op < pushes:
+				d := Desc{Addr: rng.Uint64(), Len: rng.Uint32()}
+				if got, want := r.Push(d), ref.Push(d); got != want {
+					t.Fatalf("seed %d step %d: Push = %v, reference %v", seed, step, got, want)
+				}
+			case op == 15:
+				n := rng.Intn(9)
+				if rng.Intn(8) == 0 {
+					n = rng.Intn(len(out) + 8)
+				}
+				got, want := r.PopBatch(out, n), ref.PopBatch(refOut, n)
+				if got != want || !slices.Equal(out[:got], refOut[:want]) {
+					t.Fatalf("seed %d step %d: PopBatch(%d) = %v, reference %v", seed, step, n, out[:got], refOut[:want])
+				}
+			default:
+				d, ok := r.Pop()
+				rd, rok := ref.Pop()
+				if d != rd || ok != rok {
+					t.Fatalf("seed %d step %d: Pop = %+v %v, reference %+v %v", seed, step, d, ok, rd, rok)
+				}
+			}
+			if r.Len() != ref.Len() || r.Free() != ref.Free() || r.Cap() != ref.Cap() {
+				t.Fatalf("seed %d step %d: len/free/cap %d/%d/%d, reference %d/%d/%d",
+					seed, step, r.Len(), r.Free(), r.Cap(), ref.Len(), ref.Free(), ref.Cap())
+			}
+		}
+		if len(r.desc) > r.Cap() {
+			t.Fatalf("seed %d: backing array of %d for a ring of %d", seed, len(r.desc), r.Cap())
+		}
+	}
+}
+
+// TestUmemPoolMatchesReference drives the pool and the eager reference
+// (umem_ref_test.go) with the same seeded streams of single and batched
+// allocations and releases — of held chunks, and now and then a double
+// release — under each lock mode, with an injected exhaustion window: both
+// must hand out the same addresses in the same order, and agree on Free,
+// Ops, LockAcquisitions and ExhaustionFailures after every step.
+func TestUmemPoolMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		chunks := 1 + rng.Intn(300)
+		mode := LockMode(rng.Intn(3))
+		u := NewUmem(chunks, 64)
+		p, ref := NewPool(u, mode), newRefUmemPool(u, mode)
+		exhausted := false
+		p.FaultExhausted = func() bool { return exhausted }
+		ref.FaultExhausted = p.FaultExhausted
+		var held []uint64
+		out, refOut := make([]uint64, 40), make([]uint64, 40)
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(10); {
+			case op == 0:
+				exhausted = rng.Intn(8) == 0
+			case op <= 3:
+				a, ok := p.Alloc()
+				ra, rok := ref.Alloc()
+				if a != ra || ok != rok {
+					t.Fatalf("seed %d step %d: Alloc = %d %v, reference %d %v", seed, step, a, ok, ra, rok)
+				}
+				if ok {
+					held = append(held, a)
+				}
+			case op <= 5:
+				n := rng.Intn(len(out) + 4)
+				got, want := p.AllocBatch(out, n), ref.AllocBatch(refOut, n)
+				if got != want || !slices.Equal(out[:got], refOut[:want]) {
+					t.Fatalf("seed %d step %d: AllocBatch(%d) = %v, reference %v", seed, step, n, out[:got], refOut[:want])
+				}
+				held = append(held, out[:got]...)
+			case op <= 7 && len(held) > 0:
+				i := rng.Intn(len(held))
+				a := held[i]
+				if rng.Intn(20) != 0 { // else a double release
+					held = slices.Delete(held, i, i+1)
+				}
+				p.Release(a)
+				ref.Release(a)
+			default:
+				rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+				n := rng.Intn(len(held) + 1)
+				batch := slices.Clone(held[:n])
+				held = held[n:]
+				p.ReleaseBatch(batch)
+				ref.ReleaseBatch(batch)
+			}
+			if p.Free() != ref.Free() || p.Ops != ref.Ops || p.LockAcquisitions != ref.LockAcquisitions ||
+				p.ExhaustionFailures != ref.ExhaustionFailures {
+				t.Fatalf("seed %d step %d: free/ops/locks/failures %d/%d/%d/%d, reference %d/%d/%d/%d",
+					seed, step, p.Free(), p.Ops, p.LockAcquisitions, p.ExhaustionFailures,
+					ref.Free(), ref.Ops, ref.LockAcquisitions, ref.ExhaustionFailures)
+			}
+		}
 	}
 }

@@ -12,8 +12,6 @@
 // binary-searches for.
 package afxdp
 
-import "fmt"
-
 // DefaultRingSize matches XSK_RING_{PROD,CONS}__DEFAULT_NUM_DESCS.
 const DefaultRingSize = 2048
 
@@ -23,11 +21,12 @@ type Desc struct {
 	Len  uint32
 }
 
-// Ring is a bounded single-producer single-consumer descriptor ring. Size
-// must be a power of two.
+// Ring is a bounded single-producer single-consumer descriptor ring of a
+// power-of-two capacity, backed by an array that starts empty and doubles
+// on a Push that finds it full: a ring holds what it has held at most.
 type Ring struct {
-	desc []Desc
-	mask uint64
+	desc []Desc // len zero or a power of two, at most capacity
+	size int    // capacity
 	prod uint64
 	cons uint64
 }
@@ -38,11 +37,11 @@ func NewRing(size int) *Ring {
 	for n < size {
 		n <<= 1
 	}
-	return &Ring{desc: make([]Desc, n), mask: uint64(n - 1)}
+	return &Ring{size: n}
 }
 
 // Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.desc) }
+func (r *Ring) Cap() int { return r.size }
 
 // Len returns the number of descriptors currently queued.
 func (r *Ring) Len() int { return int(r.prod - r.cons) }
@@ -52,12 +51,25 @@ func (r *Ring) Free() int { return r.Cap() - r.Len() }
 
 // Push enqueues one descriptor; it reports false when the ring is full.
 func (r *Ring) Push(d Desc) bool {
-	if r.Len() == r.Cap() {
-		return false
+	if r.Len() == len(r.desc) {
+		if r.Len() == r.size {
+			return false
+		}
+		r.grow()
 	}
-	r.desc[r.prod&r.mask] = d
+	r.desc[r.prod&uint64(len(r.desc)-1)] = d
 	r.prod++
 	return true
+}
+
+// grow doubles the backing array (from 16, capped at the capacity),
+// keeping each queued descriptor at its counter's new index.
+func (r *Ring) grow() {
+	desc := make([]Desc, min(r.size, max(16, 2*len(r.desc))))
+	for i := r.cons; i != r.prod; i++ {
+		desc[i&uint64(len(desc)-1)] = r.desc[i&uint64(len(r.desc)-1)]
+	}
+	r.desc = desc
 }
 
 // Pop dequeues one descriptor; ok is false when the ring is empty.
@@ -65,29 +77,16 @@ func (r *Ring) Pop() (Desc, bool) {
 	if r.Len() == 0 {
 		return Desc{}, false
 	}
-	d := r.desc[r.cons&r.mask]
+	d := r.desc[r.cons&uint64(len(r.desc)-1)]
 	r.cons++
 	return d, true
 }
 
 // PopBatch dequeues up to n descriptors into out and returns the count.
 func (r *Ring) PopBatch(out []Desc, n int) int {
-	if n > len(out) {
-		n = len(out)
+	n = min(n, len(out), r.Len())
+	for i := range n {
+		out[i], _ = r.Pop()
 	}
-	got := 0
-	for got < n {
-		d, ok := r.Pop()
-		if !ok {
-			break
-		}
-		out[got] = d
-		got++
-	}
-	return got
-}
-
-// String summarizes ring occupancy.
-func (r *Ring) String() string {
-	return fmt.Sprintf("ring{%d/%d}", r.Len(), r.Cap())
+	return n
 }

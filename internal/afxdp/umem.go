@@ -12,20 +12,21 @@ const DefaultChunkSize = 2048
 // DefaultChunks is the default number of umem chunks.
 const DefaultChunks = 4096
 
-// umemPageSize is the least a umem page holds: like an mmap'd umem, the area
-// is faulted in by page on first touch. A page is max(umemPageSize, chunk
-// size); both are powers of two, so no chunk straddles two pages.
-const umemPageSize = 64 << 10
+// minChunkBytes is the least a touched chunk holds; see Umem.
+const minChunkBytes = 64
 
 // Umem is the shared user memory region packets live in: a byte area
 // divided into fixed-size chunks, addressed by byte offset, plus the fill
 // and completion rings the kernel and userspace exchange ownership through.
+// A chunk holds the bytes its frames reached, rounded up to a power of two
+// from minChunkBytes to the chunk size: the fill ring keeps a thousand
+// chunks posted, and a small frame must not pin a whole slot in each.
 type Umem struct {
-	pages     [][]byte // page i covers [i<<pageShift, (i+1)<<pageShift); nil until touched
-	pageShift uint
-	size      uint64 // area length in bytes
-	chunkSize int
-	chunkMask uint64 // chunkSize - 1
+	chunks     [][]byte // chunk i's bytes from its base; nil or absent until touched
+	size       uint64   // area length in bytes
+	chunkSize  int
+	chunkShift uint
+	chunkMask  uint64 // chunkSize - 1
 
 	// Fill carries empty buffers from userspace to the kernel (rx path
 	// 1 in Figure 4); Completion returns transmitted buffers from the
@@ -41,13 +42,10 @@ func NewUmem(chunks, chunkSize int) *Umem {
 	if chunkSize <= 0 || chunkSize&(chunkSize-1) != 0 {
 		panic(fmt.Sprintf("afxdp: umem chunk size %d is not a power of two", chunkSize))
 	}
-	size := uint64(chunks * chunkSize)
-	shift := uint(bits.TrailingZeros(uint(max(umemPageSize, chunkSize))))
 	return &Umem{
-		pages:      make([][]byte, (size+1<<shift-1)>>shift),
-		pageShift:  shift,
-		size:       size,
+		size:       uint64(chunks * chunkSize),
 		chunkSize:  chunkSize,
+		chunkShift: uint(bits.TrailingZeros(uint(chunkSize))),
 		chunkMask:  uint64(chunkSize - 1),
 		Fill:       NewRing(DefaultRingSize),
 		Completion: NewRing(DefaultRingSize),
@@ -58,12 +56,14 @@ func NewUmem(chunks, chunkSize int) *Umem {
 func (u *Umem) ChunkSize() int { return u.chunkSize }
 
 // Chunks returns the number of chunks.
-func (u *Umem) Chunks() int { return int(u.size) / u.chunkSize }
+func (u *Umem) Chunks() int { return int(u.size >> u.chunkShift) }
 
-// Buffer returns the memory of the chunk containing addr, trimmed to n bytes,
-// faulting its page in on first touch. It panics on an out-of-range or
-// cross-chunk access: either is a simulation bug, and an access running past
-// the chunk end would silently alias the next chunk's packet bytes.
+// Buffer returns the memory of the chunk containing addr, trimmed to n bytes.
+// A chunk's bytes are made on first touch and grown, prefix kept, by an
+// access reaching past them; bytes never written read as zero. It panics on
+// an out-of-range or cross-chunk access: either is a simulation bug, and an
+// access running past the chunk end would silently alias the next chunk's
+// packet bytes.
 func (u *Umem) Buffer(addr uint64, n int) []byte {
 	if n < 0 {
 		panic(fmt.Sprintf("afxdp: negative umem access length %d", n))
@@ -76,11 +76,21 @@ func (u *Umem) Buffer(addr uint64, n int) []byte {
 		panic(fmt.Sprintf("afxdp: umem access [%d,+%d) crosses chunk boundary (chunk size %d, offset %d)",
 			addr, n, u.chunkSize, off))
 	}
-	i, base := addr>>u.pageShift, addr>>u.pageShift<<u.pageShift
-	if u.pages[i] == nil {
-		u.pages[i] = make([]byte, min(1<<u.pageShift, u.size-base))
+	i, end := int(addr>>u.chunkShift), int(off)+n
+	if i >= len(u.chunks) || len(u.chunks[i]) < end {
+		u.grow(i, end)
 	}
-	return u.pages[i][addr-base : addr-base+uint64(n)]
+	return u.chunks[i][off:end]
+}
+
+// grow makes chunk i hold at least its first end bytes.
+func (u *Umem) grow(i, end int) {
+	if i >= len(u.chunks) {
+		u.chunks = append(u.chunks, make([][]byte, i+1-len(u.chunks))...)
+	}
+	b := make([]byte, min(u.chunkSize, max(minChunkBytes, 1<<bits.Len(uint(end-1)))))
+	copy(b, u.chunks[i])
+	u.chunks[i] = b
 }
 
 // ChunkAddr returns the base address of chunk i.
@@ -103,18 +113,6 @@ const (
 	LockSpinBatched
 )
 
-// String names the mode.
-func (m LockMode) String() string {
-	switch m {
-	case LockMutex:
-		return "mutex"
-	case LockSpin:
-		return "spinlock"
-	default:
-		return "spinlock-batched"
-	}
-}
-
 // Pool is the umempool of Section 3.2: the allocator that tracks which umem
 // chunks are free. Any thread may need to return buffers to any pool (a
 // packet received on one queue may be transmitted via another), which is
@@ -123,7 +121,10 @@ func (m LockMode) String() string {
 // acquisitions each strategy would have performed.
 type Pool struct {
 	umem *Umem
-	free []uint64
+	// released stacks the chunks given back; chunks next and above were
+	// never handed out. Alloc takes the top of released, else chunk next.
+	released []uint64
+	next     int
 	// Mode is the locking strategy in force.
 	Mode LockMode
 	// LockAcquisitions counts lock round-trips the strategy implies.
@@ -143,15 +144,25 @@ type Pool struct {
 
 // NewPool builds a pool owning every chunk of umem.
 func NewPool(umem *Umem, mode LockMode) *Pool {
-	p := &Pool{umem: umem, Mode: mode, free: make([]uint64, 0, umem.Chunks())}
-	for i := umem.Chunks() - 1; i >= 0; i-- {
-		p.free = append(p.free, umem.ChunkAddr(i))
-	}
-	return p
+	return &Pool{umem: umem, Mode: mode}
 }
 
 // Free returns the number of free chunks.
-func (p *Pool) Free() int { return len(p.free) }
+func (p *Pool) Free() int { return len(p.released) + p.umem.Chunks() - p.next }
+
+// take hands out one free chunk; ok is false when there is none.
+func (p *Pool) take() (uint64, bool) {
+	if n := len(p.released); n > 0 {
+		a := p.released[n-1]
+		p.released = p.released[:n-1]
+		return a, true
+	}
+	if p.next == p.umem.Chunks() {
+		return 0, false
+	}
+	p.next++
+	return p.umem.ChunkAddr(p.next - 1), true
+}
 
 // Alloc takes one chunk; ok is false when the pool is exhausted.
 func (p *Pool) Alloc() (uint64, bool) {
@@ -161,48 +172,37 @@ func (p *Pool) Alloc() (uint64, bool) {
 		p.ExhaustionFailures++
 		return 0, false
 	}
-	if len(p.free) == 0 {
-		return 0, false
-	}
-	a := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	return a, true
+	return p.take()
 }
 
 // AllocBatch takes up to n chunks under a single (batched) lock round-trip.
 func (p *Pool) AllocBatch(out []uint64, n int) int {
-	if n > len(out) {
-		n = len(out)
-	}
+	n = min(n, len(out))
 	p.chargeLock(n)
 	if p.FaultExhausted != nil && p.FaultExhausted() {
 		p.ExhaustionFailures++
 		return 0
 	}
 	got := 0
-	for got < n && len(p.free) > 0 {
-		out[got] = p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		got++
+	for ; got < n; got++ {
+		a, ok := p.take()
+		if !ok {
+			break
+		}
+		out[got] = a
 		p.Ops++
 	}
 	return got
 }
 
 // Release returns one chunk to the pool.
-func (p *Pool) Release(addr uint64) {
-	p.chargeLock(1)
-	p.Ops++
-	p.free = append(p.free, addr)
-}
+func (p *Pool) Release(addr uint64) { p.ReleaseBatch([]uint64{addr}) }
 
 // ReleaseBatch returns several chunks under a single lock round-trip.
 func (p *Pool) ReleaseBatch(addrs []uint64) {
 	p.chargeLock(len(addrs))
-	for _, a := range addrs {
-		p.free = append(p.free, a)
-		p.Ops++
-	}
+	p.released = append(p.released, addrs...)
+	p.Ops += uint64(len(addrs))
 }
 
 // chargeLock accounts the number of lock acquisitions an n-operation step

@@ -2,9 +2,9 @@ package afxdp
 
 import "fmt"
 
-// refUmem is Umem as it stood before its area was faulted in by page: one
-// eager chunks*chunkSize allocation. It is kept verbatim, but for the names,
-// as the reference TestUmemMatchesReference and FuzzUmemOps hold the paged
+// refUmem is Umem as it stood before its area was held by frame: one eager
+// chunks*chunkSize allocation. It is kept verbatim, but for the names, as the
+// reference TestUmemMatchesReference and FuzzUmemOps hold the frame-sized
 // Umem to.
 type refUmem struct {
 	area      []byte
@@ -64,3 +64,105 @@ func (u *refUmem) Buffer(addr uint64, n int) []byte {
 
 // ChunkAddr returns the base address of chunk i.
 func (u *refUmem) ChunkAddr(i int) uint64 { return uint64(i * u.chunkSize) }
+
+// refUmemPool is Pool as it stood before it kept only released chunks:
+// NewPool filled a free list with every chunk's address at once. It is kept
+// verbatim, but for the names, as the reference TestUmemPoolMatchesReference
+// holds Pool to.
+type refUmemPool struct {
+	umem *Umem
+	free []uint64
+	// Mode is the locking strategy in force.
+	Mode LockMode
+	// LockAcquisitions counts lock round-trips the strategy implies.
+	LockAcquisitions uint64
+	// Ops counts pool operations (alloc or free of one buffer).
+	Ops uint64
+	// FaultExhausted, when set and returning true, makes allocations fail
+	// as if every chunk were in flight — the fault-injection hook for
+	// umem/chunk exhaustion. Frees still succeed, so the pool recovers the
+	// moment the window closes.
+	FaultExhausted func() bool
+	// ExhaustionFailures counts allocations refused by the injected fault
+	// (natural exhaustion shows up in the callers' fill/alloc drop
+	// counters instead).
+	ExhaustionFailures uint64
+}
+
+// newRefUmemPool builds a pool owning every chunk of umem.
+func newRefUmemPool(umem *Umem, mode LockMode) *refUmemPool {
+	p := &refUmemPool{umem: umem, Mode: mode, free: make([]uint64, 0, umem.Chunks())}
+	for i := umem.Chunks() - 1; i >= 0; i-- {
+		p.free = append(p.free, umem.ChunkAddr(i))
+	}
+	return p
+}
+
+// Free returns the number of free chunks.
+func (p *refUmemPool) Free() int { return len(p.free) }
+
+// Alloc takes one chunk; ok is false when the pool is exhausted.
+func (p *refUmemPool) Alloc() (uint64, bool) {
+	p.chargeLock(1)
+	p.Ops++
+	if p.FaultExhausted != nil && p.FaultExhausted() {
+		p.ExhaustionFailures++
+		return 0, false
+	}
+	if len(p.free) == 0 {
+		return 0, false
+	}
+	a := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	return a, true
+}
+
+// AllocBatch takes up to n chunks under a single (batched) lock round-trip.
+func (p *refUmemPool) AllocBatch(out []uint64, n int) int {
+	if n > len(out) {
+		n = len(out)
+	}
+	p.chargeLock(n)
+	if p.FaultExhausted != nil && p.FaultExhausted() {
+		p.ExhaustionFailures++
+		return 0
+	}
+	got := 0
+	for got < n && len(p.free) > 0 {
+		out[got] = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+		got++
+		p.Ops++
+	}
+	return got
+}
+
+// Release returns one chunk to the pool.
+func (p *refUmemPool) Release(addr uint64) {
+	p.chargeLock(1)
+	p.Ops++
+	p.free = append(p.free, addr)
+}
+
+// ReleaseBatch returns several chunks under a single lock round-trip.
+func (p *refUmemPool) ReleaseBatch(addrs []uint64) {
+	p.chargeLock(len(addrs))
+	for _, a := range addrs {
+		p.free = append(p.free, a)
+		p.Ops++
+	}
+}
+
+// chargeLock accounts the number of lock acquisitions an n-operation step
+// costs under the current mode: one per operation for the per-packet modes,
+// one per batch for the batched mode.
+func (p *refUmemPool) chargeLock(n int) {
+	if n <= 0 {
+		return
+	}
+	if p.Mode == LockSpinBatched {
+		p.LockAcquisitions++
+	} else {
+		p.LockAcquisitions += uint64(n)
+	}
+}

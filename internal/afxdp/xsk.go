@@ -157,9 +157,7 @@ func (x *XSK) ReclaimCompletions(pool *Pool, n int) int {
 		}
 		addrs = append(addrs, d.Addr)
 	}
-	if len(addrs) > 0 {
-		pool.ReleaseBatch(addrs)
-	}
+	pool.ReleaseBatch(addrs)
 	x.addrScratch = addrs
 	return len(addrs)
 }
@@ -167,9 +165,7 @@ func (x *XSK) ReclaimCompletions(pool *Pool, n int) int {
 // RefillFill moves up to n free buffers from the pool to the fill ring so
 // the kernel can receive into them. It returns the number refilled.
 func (x *XSK) RefillFill(pool *Pool, n int) int {
-	if free := x.Umem.Fill.Free(); n > free {
-		n = free
-	}
+	n = min(n, x.Umem.Fill.Free())
 	if cap(x.addrScratch) < n {
 		x.addrScratch = make([]uint64, n)
 	}

@@ -217,22 +217,14 @@ func (b *Bed) kernelLoopback(typ string, cfg dpif.Config, flows int, tx ...dpif.
 func (b *Bed) activeSoftirqs(flows int) func() int {
 	active := 0
 	return func() int {
-		if active == 0 {
-			n := 0
-			for q := 0; q < b.NICA.NumQueues(); q++ {
-				if b.NICA.Queue(q).RxPackets > 0 {
-					n++
-				}
-			}
-			if n == 0 {
-				n = 1
-			}
-			if flows > 1 {
-				active = n
-			}
-			return n
+		if active > 0 {
+			return active
 		}
-		return active
+		n := max(1, b.NICA.ActiveQueues())
+		if flows > 1 {
+			active = n
+		}
+		return n
 	}
 }
 

@@ -107,6 +107,8 @@ type NIC struct {
 	eng      *sim.Engine
 	queues   []*Queue
 	rssBasis uint32
+	// activeQueues counts the queues that have received a packet.
+	activeQueues int
 	// ntupleExact indexes fully-specified (proto, port) rules by tuple
 	// hash — O(1) per packet however many rules are installed. Rules with
 	// a wildcard field stay in ntupleWild, scanned in insertion order;
@@ -357,6 +359,9 @@ func (n *NIC) Receive(p *packet.Packet) bool {
 		return false
 	}
 	q.Append(p)
+	if q.RxPackets == 0 {
+		n.activeQueues++
+	}
 	q.RxPackets++
 	if q.irqArmed && q.irqFn != nil {
 		q.irqArmed = false
@@ -423,6 +428,9 @@ func (n *NIC) RxDropsTotal() uint64 {
 	}
 	return d
 }
+
+// ActiveQueues returns how many queues have received a packet.
+func (n *NIC) ActiveQueues() int { return n.activeQueues }
 
 // RxPacketsTotal sums received packets across queues.
 func (n *NIC) RxPacketsTotal() uint64 {

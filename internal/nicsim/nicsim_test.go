@@ -51,6 +51,29 @@ func TestSameFlowSameQueue(t *testing.T) {
 	}
 }
 
+// TestActiveQueuesCountsReceivingQueues: the running count of queues that
+// have received a packet equals a scan of their RxPackets after every
+// arrival, a full ring's drop included.
+func TestActiveQueuesCountsReceivingQueues(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nic := New(eng, Config{Name: "eth0", Queues: 12, RingSize: 2})
+	for i := 0; i < 60; i++ {
+		nic.Receive(udpPkt(uint16(1000 + i%20)))
+		scan := 0
+		for q := 0; q < nic.NumQueues(); q++ {
+			if nic.Queue(q).RxPackets > 0 {
+				scan++
+			}
+		}
+		if got := nic.ActiveQueues(); got != scan {
+			t.Fatalf("after %d frames: ActiveQueues = %d, a scan counts %d", i+1, got, scan)
+		}
+	}
+	if nic.RxDropsTotal() == 0 || nic.ActiveQueues() < 2 {
+		t.Fatalf("%d drops over %d active queues: the trace missed a full ring or the spread", nic.RxDropsTotal(), nic.ActiveQueues())
+	}
+}
+
 func TestNtupleSteeringBeatsRSS(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nic := New(eng, Config{Name: "eth0", Queues: 4})
