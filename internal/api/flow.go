@@ -36,8 +36,8 @@ func NewFlowViews(flows []dpif.Flow) []FlowView {
 			continue
 		}
 		out = append(out, FlowView{
-			Text:     f.Table.String(e),
-			MaskBits: f.Table.Mask(e).Bits(),
+			Text:     f.Table.String(f.Ref),
+			MaskBits: f.Table.Mask(f.Ref).Bits(),
 			Hits:     e.Hits,
 		})
 	}

@@ -514,10 +514,12 @@ func (t *Table) advance(c *Conn, tcpFlags uint8, reply bool, now sim.Time) {
 	}
 }
 
-// applyNAT rewrites packet headers per the connection's translation,
-// recomputing checksums — the real work OVS had to reimplement in
-// userspace.
-func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
+// natAddr rewrites the IPv4 address the connection's translation changes
+// in p and returns the header's bytes, the rewritten header, whether the
+// source side changed and the port that side takes; ok is false when there
+// is nothing to rewrite. An ICMP error takes the address alone: the L4
+// inside it is the quoted original packet, and the outer ICMP has no ports.
+func natAddr(p *packet.Packet, c *Conn, reply bool) (ipRaw []byte, ip hdr.IPv4, rewriteSrc bool, newPort uint16, ok bool) {
 	if c.NAT.Kind == NATNone {
 		return
 	}
@@ -525,18 +527,14 @@ func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
 	if err != nil || eth.Type != hdr.EtherTypeIPv4 {
 		return
 	}
-	ipRaw := p.Data[eth.HeaderLen:]
-	ip, err := hdr.ParseIPv4(ipRaw)
-	if err != nil {
+	ipRaw = p.Data[eth.HeaderLen:]
+	if ip, err = hdr.ParseIPv4(ipRaw); err != nil {
 		return
 	}
-	l4 := ipRaw[ip.HeaderLen:]
 
 	// Forward direction applies the translation; the reply direction
 	// undoes it, restoring the original endpoint.
-	var rewriteSrc bool
 	var newAddr hdr.IP4
-	var newPort uint16
 	switch {
 	case c.NAT.Kind == SNAT && !reply:
 		rewriteSrc, newAddr, newPort = true, c.NAT.Addr, c.NAT.Port
@@ -553,7 +551,18 @@ func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
 		ip.Dst = newAddr
 	}
 	ip.SerializeTo(ipRaw)
+	return ipRaw, ip, rewriteSrc, newPort, true
+}
 
+// applyNAT rewrites packet headers per the connection's translation,
+// recomputing checksums — the real work OVS had to reimplement in
+// userspace.
+func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
+	ipRaw, ip, rewriteSrc, newPort, ok := natAddr(p, c, reply)
+	if !ok {
+		return
+	}
+	l4 := ipRaw[ip.HeaderLen:]
 	if newPort != 0 {
 		switch ip.Proto {
 		case hdr.IPProtoTCP, hdr.IPProtoUDP:

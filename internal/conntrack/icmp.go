@@ -56,10 +56,10 @@ func (t *Table) processICMPError(p *packet.Packet, zone uint16) {
 		// originator, through any translation.
 		p.CtState |= packet.CtReply
 		c.PktsReply++
-		t.applyNATAddr(p, c, true)
+		natAddr(p, c, true)
 	} else {
 		c.PktsOrig++
-		t.applyNATAddr(p, c, false)
+		natAddr(p, c, false)
 	}
 }
 
@@ -125,33 +125,4 @@ func embeddedTuple(p *packet.Packet) (Tuple, bool) {
 		return tu, false
 	}
 	return tu, true
-}
-
-// applyNATAddr rewrites only the outer IP addresses of an ICMP error per
-// the connection's translation — the L4 inside is the quoted original
-// packet, and the outer ICMP has no ports.
-func (t *Table) applyNATAddr(p *packet.Packet, c *Conn, reply bool) {
-	if c.NAT.Kind == NATNone {
-		return
-	}
-	eth, err := hdr.ParseEthernet(p.Data)
-	if err != nil || eth.Type != hdr.EtherTypeIPv4 {
-		return
-	}
-	ipRaw := p.Data[eth.HeaderLen:]
-	ip, err := hdr.ParseIPv4(ipRaw)
-	if err != nil {
-		return
-	}
-	switch {
-	case c.NAT.Kind == SNAT && !reply:
-		ip.Src = c.NAT.Addr
-	case c.NAT.Kind == SNAT && reply:
-		ip.Dst = c.Orig.SrcIP
-	case c.NAT.Kind == DNAT && !reply:
-		ip.Dst = c.NAT.Addr
-	default: // DNAT reply
-		ip.Src = c.Orig.DstIP
-	}
-	ip.SerializeTo(ipRaw)
 }

@@ -272,13 +272,13 @@ func (m *PMD) Receive(_ *fastpath.Thread, _ *sim.CPU, p *packet.Packet, depth in
 // elephant install — a software hit on a marked flow means its exact key is
 // not in hardware yet (Receive forwards resident ones), so it goes down now.
 func (m *PMD) Lookup(_ *fastpath.Thread, _ *sim.CPU, key *flow.Key, depth int) ([]ofproto.DPAction, bool) {
-	e := m.lookupHierarchy(key)
+	e, r := m.lookupHierarchy(key)
 	if e == nil {
 		return nil, false
 	}
 	actions := m.cls.Actions(e)
-	if e.OffloadMark != 0 && depth == 0 && len(actions) > 0 && m.dp.offload != nil {
-		m.dp.offload.installFor(key, dpcls.Handle{Table: m.cls, Ref: e.Ref()})
+	if e.OffloadMarked() && depth == 0 && len(actions) > 0 && m.dp.offload != nil {
+		m.dp.offload.installFor(key, dpcls.Handle{Table: m.cls, Ref: r})
 	}
 	return actions, true
 }
@@ -304,11 +304,11 @@ func (m *PMD) Transmit(_ *fastpath.Thread, _ *sim.CPU, port uint32, p *packet.Pa
 // lookupHierarchy resolves key through the cache hierarchy — EMC, SMC,
 // megaflow classifier — charging each level probed and counting the hit at
 // the level that resolved it, exactly as dfc_processing walks the caches.
-// A dpcls hit back-fills the faster caches; nil means every level missed
-// and the pass owns the slow path. The key is hashed once per cache
-// consulted, and the hashes are kept in m.hashes for Install's back-fill
-// after an upcall.
-func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
+// It returns the megaflow's header and its ref. A dpcls hit back-fills the
+// faster caches; nil means every level missed and the pass owns the slow
+// path. The key is hashed once per cache consulted, and the hashes are kept
+// in m.hashes for Install's back-fill after an upcall.
+func (m *PMD) lookupHierarchy(key *flow.Key) (*dpcls.Entry, dpcls.Ref) {
 	h := &m.hashes
 	if !m.dp.emcOff {
 		h.emc = m.emc.Hash(key)
@@ -324,7 +324,7 @@ func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
 			e.Hits++
 			m.Perf.EMCHits++
 			m.Resolved(perf.ResultEMC)
-			return e
+			return e, r
 		}
 		m.charge(perf.StageEMC, costmodel.EMCMissProbe)
 	}
@@ -340,19 +340,19 @@ func (m *PMD) lookupHierarchy(key *flow.Key) *dpcls.Entry {
 			// An SMC hit refreshes the EMC, as dfc_processing does on
 			// its way out.
 			m.emcInsert(key, h.emc, r)
-			return m.cls.Get(r)
+			return m.cls.Get(r), r
 		}
 		m.charge(perf.StageSMC, costmodel.SMCMissProbe)
 	}
-	e, probes := m.cls.LookupKey(key)
+	e, r, probes := m.cls.LookupKey(key)
 	m.charge(perf.StageDpcls, sim.Time(probes)*costmodel.DpclsLookupPerSubtable)
 	if e == nil {
-		return nil
+		return nil, 0
 	}
 	m.Perf.MegaflowHits++
 	m.Resolved(perf.ResultMegaflow)
-	m.cacheInsert(key, *h, e.Ref())
-	return e
+	m.cacheInsert(key, *h, r)
+	return e, r
 }
 
 // transmit handles offload fix-ups before handing the packet to the port:

@@ -194,11 +194,7 @@ func (o *offloadEngine) tick() {
 			rec.lastHits = e.Hits
 			rec.ewmaMilli = (w*delta*1000 + (100-w)*rec.ewmaMilli) / 100
 			rec.seen = o.tickNo
-			if rec.ewmaMilli >= o.thresholdMilli && offloadableActions(m.cls.Actions(e)) {
-				e.OffloadMark = 1
-			} else {
-				e.OffloadMark = 0
-			}
+			e.SetOffloadMark(rec.ewmaMilli >= o.thresholdMilli && offloadableActions(m.cls.Actions(e)))
 		}
 	}
 
@@ -304,7 +300,7 @@ func (o *offloadEngine) uninstall(h dpcls.Handle) {
 // unmark clears the elephant mark of the megaflow h names, if it is live.
 func unmark(h dpcls.Handle) {
 	if e := h.Entry(); e != nil {
-		e.OffloadMark = 0
+		e.SetOffloadMark(false)
 	}
 }
 

@@ -115,7 +115,7 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 		mode:   mode,
 	}
 	// A removed megaflow's EMC entries purge lazily on their next lookup or
-	// insert (emc_entry_alive): its ref fails the generation compare.
+	// insert (emc_entry_alive): its ref fails the stamp compare.
 	m.emc.SetAliveCheck(m.cls.Live)
 	m.cls.OnInsert = d.flowHook
 	m.iterTimer = d.Eng.NewTimer(m.iterate)
@@ -341,7 +341,7 @@ func (m *PMD) touch(p Port) {
 // same pass, unlinks it from everything cached above it, so unrelated cache
 // entries survive (flow delete, negative-flow expiry). A megaflow covers
 // arbitrarily many exact keys, so its EMC entries cannot be found by key:
-// the removal advances its record's generation and the EMC's alive check
+// the removal clears its record's stamp and the EMC's alive check
 // purges each stale slot on its next lookup, O(1) per delete instead of the
 // churn-collapsing full flush. The SMC drops it from its indirection table,
 // and the NIC flow table its hardware rules — an uninstalled rule must never

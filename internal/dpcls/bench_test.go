@@ -89,7 +89,20 @@ func BenchmarkDpclsLookupHit100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink, _ = c.LookupKey(&keys[i*7919%churnFlows])
+		benchSink, _, _ = c.LookupKey(&keys[i*7919%churnFlows])
+	}
+}
+
+// BenchmarkDpclsLookupGet100k resolves the ref a lookup returned, the way
+// an EMC hit's alive check and hit count resolve the ref the EMC holds: Get
+// reads the header at the ref's position and compares its stamp.
+func BenchmarkDpclsLookupGet100k(b *testing.B) {
+	c, keys, _ := churnShape(churnFlows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, r, _ := c.LookupKey(&keys[i*7919%churnFlows])
+		benchSink = c.Get(r)
 	}
 }
 
@@ -103,7 +116,7 @@ func BenchmarkDpclsLookupMiss100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink, _ = c.LookupKey(&keys[i*7919%churnFlows])
+		benchSink, _, _ = c.LookupKey(&keys[i*7919%churnFlows])
 	}
 }
 

@@ -8,12 +8,12 @@
 // construction, so the first match wins and no priorities are needed.
 //
 // Megaflows live by value in their subtable, as pointer-free records: a
-// 32-byte header and only the key words the subtable's mask covers (OVS's
-// miniflow). They are named by generation-tagged refs, resolved through the
-// classifier's directory, so the collector never scans them and a record is
-// recycled the moment its megaflow is removed: a ref still held by a cache
-// fails the generation compare instead of resurrecting with another flow's
-// actions. A subtable is a flat open-addressed table of 8-byte slots (the
+// 16-byte header and only the key words the subtable's mask covers (OVS's
+// miniflow). A ref names one by its subtable and position plus the stamp of
+// its install, which the header keeps, so the collector never scans them and
+// a record is recycled the moment its megaflow is removed: a ref still held
+// by a cache fails the stamp compare instead of resurrecting with another
+// flow's actions. A subtable is a flat open-addressed table of 8-byte slots (the
 // cmap analog) naming record positions, probed with a hash of only the
 // words its mask covers; see table.go.
 //
@@ -32,11 +32,12 @@ import (
 	"ovsxdp/internal/ofproto"
 )
 
-// Entry is the header of one installed megaflow, a 32-byte record at its
+// Entry is the header of one installed megaflow, a 16-byte record at its
 // position in its subtable with no pointer in it; the masked key words sit
 // at the same position in the subtable's key arena (Classifier.MaskedKey).
-// An *Entry is good for the pass that resolved it, not across an install
-// (see growRows); anything kept longer holds a Ref.
+// Where it lives is not in it: the Ref naming it says that. An *Entry is
+// good for the pass that resolved it, not across an install (see
+// growRows); anything kept longer holds a Ref.
 type Entry struct {
 	// Hits counts packets matched, for revalidator heuristics. With
 	// hardware offload enabled, the periodic counter readback merges
@@ -44,52 +45,66 @@ type Entry struct {
 	// to the revalidator.
 	Hits uint64
 
-	// self is the Ref naming the megaflow: its directory index and the
-	// generation its directory entry holds, so a probe names what it found
-	// without reading the directory.
-	self Ref
-	// actions indexes the classifier's action table (actions.go); while
-	// the position is free it links the subtable's free list instead.
+	// stamp is the classifier's install count when the megaflow went in,
+	// the high half of every ref naming it; 0 while the position is free.
+	stamp uint32
+	// actions indexes the classifier's action table (actions.go), with the
+	// offload mark in its top bit; while the position is free it links the
+	// subtable's free list instead.
 	actions uint32
-	// sub indexes the owning subtable in Classifier.byIdx, pos the
-	// record's position in it.
-	sub, pos uint32
-
-	// OffloadMark is the hardware-offload engine's per-flow flag: nonzero
-	// while the engine classes this megaflow an elephant whose exact keys
-	// should be pushed to the NIC. The classifier itself never reads it;
-	// it lives here so the per-packet elephant check is one field load
-	// instead of a map probe.
-	OffloadMark uint8
 }
 
-// Ref names one installed megaflow: its directory index in the low 32 bits
-// and the entry's generation at install in the high 32. A ref goes stale
-// when its megaflow is removed and never names another one, even after the
-// directory entry and the record's position are recycled. The zero Ref
-// names nothing.
+// markBit is the offload mark's bit in Entry.actions. The action table
+// cannot reach it: 2^31 lists would take 64 GB.
+const markBit = 1 << 31
+
+// OffloadMarked reports the hardware-offload engine's per-flow mark: set
+// while the engine classes this megaflow an elephant whose exact keys should
+// be pushed to the NIC. The classifier itself never reads it; it lives in
+// the header so the per-packet elephant check is one field load instead of
+// a map probe.
+func (e *Entry) OffloadMarked() bool { return e.actions&markBit != 0 }
+
+// SetOffloadMark sets or clears the offload mark. An in-place replacement of
+// the actions keeps it; removal clears it.
+func (e *Entry) SetOffloadMark(on bool) {
+	e.actions &^= markBit
+	if on {
+		e.actions |= markBit
+	}
+}
+
+// Ref names one installed megaflow by where it lives and when it went in:
+// its install stamp in the high 32 bits, then its subtable's index in
+// Classifier.byIdx (subBits) and its position in the subtable (posBits). A
+// ref goes stale when its megaflow is removed and never names another one,
+// even after the position and the byIdx slot are reused: the megaflow that
+// takes them has a later stamp. The zero Ref names nothing.
 type Ref uint64
 
-// Ref returns the ref naming e, read from its header: no directory lookup.
-func (e *Entry) Ref() Ref { return e.self }
+// A classifier holds at most 1<<subBits masks and 1<<posBits-1 megaflows
+// under each (position 0 is never used).
+const subBits, posBits = 10, 22
 
-// dirEntry is where the megaflow a ref index names lives, and the
-// generation of the ref naming it; while free, pos links the free list.
-type dirEntry struct{ gen, sub, pos uint32 }
+func makeRef(stamp, sub, pos uint32) Ref { return Ref(stamp)<<32 | Ref(sub)<<posBits | Ref(pos) }
 
-// The directory and each subtable's records grow by chunks of chunkSize,
-// which never move; the first starts at firstChunk and doubles (growRows).
+func (r Ref) sub() uint32 { return uint32(r) >> posBits }
+func (r Ref) pos() uint32 { return uint32(r) & (1<<posBits - 1) }
+
+// Each subtable's records grow by chunks of chunkSize, which never move; the
+// first starts at firstChunk and doubles (growRows).
 const chunkBits, chunkSize, firstChunk = 10, 1 << chunkBits, 16
 
-// entry returns the directory entry at index i.
-func (c *Classifier) entry(i uint32) *dirEntry { return &c.dir[i>>chunkBits][i&(chunkSize-1)] }
-
 // Get returns the live megaflow r names, or nil if r is stale or zero: one
-// generation compare in r's directory entry.
+// stamp compare in the header at r's position. It runs on every cache hit,
+// so it spells out the Ref accessors and hdr to stay inlinable.
 func (c *Classifier) Get(r Ref) *Entry {
-	if i := uint32(r); i < c.refs {
-		if d := c.entry(i); d.gen == uint32(r>>32) && d.gen != 0 {
-			return c.byIdx[d.sub].hdr(d.pos)
+	s, p := uint32(r)>>posBits, uint32(r)&(1<<posBits-1)
+	if s < uint32(len(c.byIdx)) {
+		if st := c.byIdx[s]; st != nil && p < st.used {
+			if e := &st.hdrs[p>>chunkBits][p&(chunkSize-1)]; e.stamp == uint32(r>>32) && e.stamp != 0 {
+				return e
+			}
 		}
 	}
 	return nil
@@ -101,31 +116,38 @@ func (c *Classifier) Live(r Ref) bool { return c.Get(r) != nil }
 
 // Actions returns the action list e executes, shared with every megaflow
 // installed from the same list: never write into it.
-func (c *Classifier) Actions(e *Entry) []ofproto.DPAction { return c.acts.lists[e.actions].list }
+func (c *Classifier) Actions(e *Entry) []ofproto.DPAction {
+	return c.acts.lists[e.actions&^markBit].list
+}
 
-// Mask returns the fields e constrains: its subtable's mask.
-func (c *Classifier) Mask(e *Entry) flow.Mask { return c.byIdx[e.sub].mask }
+// Mask returns the fields the live megaflow r constrains: its subtable's
+// mask.
+func (c *Classifier) Mask(r Ref) flow.Mask { return c.byIdx[r.sub()].mask }
 
-// Matches reports whether key falls under e: key masked by e's mask equals
-// its masked key, compared in place without building the masked copy. It is
-// the verification the signature cache owes every candidate.
-func (c *Classifier) Matches(e *Entry, key *flow.Key) bool { return c.byIdx[e.sub].matches(e.pos, key) }
+// Matches reports whether key falls under the live megaflow r: key masked by
+// its mask equals its masked key, compared in place without building the
+// masked copy. It is the verification the signature cache owes every
+// candidate, so like Get it spells out the Ref accessors to stay inlinable.
+func (c *Classifier) Matches(r Ref, key *flow.Key) bool {
+	return c.byIdx[uint32(r)>>posBits].matches(uint32(r)&(1<<posBits-1), key)
+}
 
-// MaskedKey returns the key e matches, already masked (key.Apply(mask)):
-// its stored words expanded back into a full key.
-func (c *Classifier) MaskedKey(e *Entry) flow.Key {
+// MaskedKey returns the key the live megaflow r matches, already masked
+// (key.Apply(mask)): its stored words expanded back into a full key.
+func (c *Classifier) MaskedKey(r Ref) flow.Key {
 	var k flow.Key
-	st := c.byIdx[e.sub]
-	for j, v := range st.row(e.pos) {
+	st := c.byIdx[r.sub()]
+	for j, v := range st.row(r.pos()) {
 		k[st.words[j].idx] = v
 	}
 	return k
 }
 
-// String prints e as a flow: its match in the flow text of
+// String prints the live megaflow r as a flow: its match in the flow text of
 // flow.MatchFields, then hits and actions.
-func (c *Classifier) String(e *Entry) string {
-	return fmt.Sprintf("megaflow{%s hits=%d actions=%v}", flow.SpecOf(c.MaskedKey(e), c.Mask(e)), e.Hits, c.Actions(e))
+func (c *Classifier) String(r Ref) string {
+	e := c.Get(r)
+	return fmt.Sprintf("megaflow{%s hits=%d actions=%v}", flow.SpecOf(c.MaskedKey(r), c.Mask(r)), e.Hits, c.Actions(e))
 }
 
 // Handle names a megaflow by its classifier and ref: what outlives a packet
@@ -144,8 +166,9 @@ func (h Handle) Entry() *Entry { return h.Table.Get(h.Ref) }
 type Classifier struct {
 	// subtables stays a slice because Lookup probes it in descending
 	// hit-count order; byMask indexes the same subtables so Insert resolves
-	// a mask in O(1) instead of scanning, and byIdx is where a record's sub
-	// points (nil where a dropped subtable was, reused by the next mask).
+	// a mask in O(1) instead of scanning, and byIdx is what a ref's subtable
+	// index indexes (nil where a dropped subtable was, reused by the next
+	// mask).
 	subtables []*subtable
 	byMask    map[flow.Mask]*subtable
 	byIdx     []*subtable
@@ -154,13 +177,11 @@ type Classifier struct {
 	basis uint32
 	count int
 
-	// dir is the ref directory; refs counts the indices handed out so far,
-	// index 0 included (it never is: ref 0 and link 0 mean none), and free
-	// heads the list of released indices, linked through pos.
-	dir  [][]dirEntry
-	refs uint32
-	free uint32
-	acts actionTable
+	// stamp is the last install's stamp: it counts installs, skipping 0,
+	// and Flush leaves it, so no stale ref's stamp is handed out again
+	// before 2^32-1 more installs.
+	stamp uint32
+	acts  actionTable
 
 	// Lookups and SubtableProbes feed the cost model: a lookup costs
 	// per-subtable-probed.
@@ -199,31 +220,32 @@ const resortInterval = 1024
 // handle on a hit. The handle is the classifier's own, overwritten by the
 // next Lookup: use it at once or copy it.
 func (c *Classifier) Lookup(key flow.Key) (h *Handle, probes int) {
-	var e *Entry
-	if e, probes = c.LookupKey(&key); e != nil {
-		c.lookup.Ref, h = e.self, &c.lookup
+	var r Ref
+	if _, r, probes = c.LookupKey(&key); r != 0 {
+		c.lookup.Ref, h = r, &c.lookup
 	}
 	return h, probes
 }
 
 // LookupKey finds the megaflow matching key, counting the hit on it. It
-// returns the megaflow and the number of subtables probed (for cost
-// accounting), or nil and the full probe count on a miss.
-func (c *Classifier) LookupKey(key *flow.Key) (*Entry, int) {
+// returns the megaflow's header, its ref and the number of subtables probed
+// (for cost accounting), or nil, 0 and the full probe count on a miss.
+func (c *Classifier) LookupKey(key *flow.Key) (*Entry, Ref, int) {
 	c.Lookups++
 	probes := 0
 	for _, st := range c.subtables {
 		probes++
 		c.SubtableProbes++
-		if e := st.find(key, st.hash(key)); e != nil {
+		if p := st.find(key, st.hash(key)); p != 0 {
+			e := st.hdr(p)
 			e.Hits++
 			st.hits++
 			c.maybeResort()
-			return e, probes
+			return e, makeRef(e.stamp, st.idx, p), probes
 		}
 	}
 	c.maybeResort()
-	return nil, probes
+	return nil, 0, probes
 }
 
 func (c *Classifier) maybeResort() {
@@ -257,24 +279,25 @@ func (c *Classifier) InsertKey(key *flow.Key, mask *flow.Mask, actions []ofproto
 		st = c.newSubtable(mask)
 	}
 	h := st.hash(key)
-	if e := st.find(key, h); e != nil {
+	if p := st.find(key, h); p != 0 {
+		e := st.hdr(p)
 		old := e.actions
-		e.actions = c.acts.intern(actions)
-		c.acts.release(old)
-		return e.Ref()
+		e.actions = c.acts.intern(actions) | old&markBit
+		c.acts.release(old &^ markBit)
+		return makeRef(e.stamp, st.idx, p)
 	}
 	c.count++
-	i, d := c.alloc()
+	if c.stamp++; c.stamp == 0 {
+		c.stamp = 1
+	}
 	p := st.alloc()
-	d.sub, d.pos = st.idx, p
-	e := st.hdr(p)
-	*e = Entry{self: Ref(d.gen)<<32 | Ref(i), actions: c.acts.intern(actions), sub: st.idx, pos: p}
+	*st.hdr(p) = Entry{stamp: c.stamp, actions: c.acts.intern(actions)}
 	row := st.row(p)
 	for j, w := range st.words {
 		row[j] = key[w.idx] & w.bits
 	}
 	st.insert(h, p)
-	r := e.Ref()
+	r := makeRef(c.stamp, st.idx, p)
 	if c.OnInsert != nil {
 		c.OnInsert(Handle{c, r})
 	}
@@ -289,9 +312,10 @@ func (c *Classifier) Remove(r Ref) bool {
 	if e == nil {
 		return false
 	}
-	st := c.byIdx[e.sub]
-	st.remove(st.hashRow(st.row(e.pos)), e.pos)
-	c.release(st, e.pos)
+	st, p := c.byIdx[r.sub()], r.pos()
+	st.remove(st.hashRow(st.row(p)), p)
+	c.acts.release(e.actions &^ markBit)
+	st.free, *e = p, Entry{actions: st.free}
 	c.count--
 	if st.n == 0 {
 		c.dropSubtable(st)
@@ -304,11 +328,7 @@ func (c *Classifier) Remove(r Ref) bool {
 // the same state a fresh one would — probes per lookup and the cost model
 // are not skewed by a previous table's history.
 func (c *Classifier) Flush() {
-	for _, r := range c.Refs(nil) {
-		d := c.entry(uint32(r))
-		c.release(c.byIdx[d.sub], d.pos)
-	}
-	c.subtables, c.byIdx = nil, nil
+	c.subtables, c.byIdx, c.acts = nil, nil, newActionTable()
 	c.byMask = make(map[flow.Mask]*subtable)
 	c.count = 0
 	c.Lookups = 0
@@ -327,48 +347,20 @@ func (c *Classifier) Refs(buf []Ref) []Ref {
 	for _, st := range c.subtables {
 		for _, s := range st.slots {
 			if s.pos != 0 {
-				buf = append(buf, st.hdr(s.pos).Ref())
+				buf = append(buf, makeRef(st.hdr(s.pos).stamp, st.idx, s.pos))
 			}
 		}
 	}
 	return buf
 }
 
-// alloc takes a directory index off the free list, or the next one never
-// handed out. A fresh index starts at generation 1, so no live ref has
-// generation 0.
-func (c *Classifier) alloc() (uint32, *dirEntry) {
-	if i := c.free; i != 0 {
-		d := c.entry(i)
-		c.free = d.pos
-		return i, d
-	}
-	i := max(c.refs, 1)
-	if i == ^uint32(0) {
-		panic("dpcls: 2^32 megaflow refs")
-	}
-	c.dir = growRows(c.dir, i, 1)
-	c.refs = i + 1
-	d := c.entry(i)
-	d.gen = 1
-	return i, d
-}
-
-// release frees the record at position p of st: its action list, its
-// directory index, which goes on the classifier's free list under its next
-// generation, and its position, which goes on the subtable's.
-func (c *Classifier) release(st *subtable, p uint32) {
-	e := st.hdr(p)
-	c.acts.release(e.actions)
-	d := c.entry(uint32(e.self))
-	c.free, *d = uint32(e.self), dirEntry{gen: max(d.gen+1, 1), pos: c.free}
-	st.free, *e = p, Entry{actions: st.free}
-}
-
 // newSubtable adds an empty subtable for mask, in the first free byIdx slot.
 func (c *Classifier) newSubtable(mask *flow.Mask) *subtable {
 	idx := slices.Index(c.byIdx, nil)
 	if idx < 0 {
+		if len(c.byIdx) == 1<<subBits {
+			panic("dpcls: 1024 megaflow masks")
+		}
 		idx, c.byIdx = len(c.byIdx), append(c.byIdx, nil)
 	}
 	st := &subtable{mask: *mask, seed: uint64(c.basis) + 0x9e3779b97f4a7c15, slots: make([]slot, minSlots), idx: uint32(idx)}

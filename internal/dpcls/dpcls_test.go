@@ -23,31 +23,23 @@ func tag(c *Classifier, r Ref) int { return int(c.Actions(c.Get(r))[0].Port) }
 // lookup is LookupKey for a key held by value, returning the ref of the
 // megaflow found, or zero.
 func lookup(c *Classifier, key flow.Key) (Ref, int) {
-	e, probes := c.LookupKey(&key)
-	if e == nil {
-		return 0, probes
-	}
-	return e.Ref(), probes
+	_, r, probes := c.LookupKey(&key)
+	return r, probes
 }
 
-// TestEntryLayout pins what one megaflow costs: a header of at most 32
-// bytes with no pointer in it (the mask is its subtable's index, the
-// actions an index in the action table), its mask's words in a uint64
-// arena, a 12-byte directory entry and an 8-byte slot.
+// TestEntryLayout pins what one megaflow costs: a 16-byte header with no
+// pointer in it (where it lives is in its ref, the mask is its subtable's,
+// the actions an index in the action table), its mask's words in a uint64
+// arena and an 8-byte slot.
 func TestEntryLayout(t *testing.T) {
-	if size := unsafe.Sizeof(Entry{}); size > 32 {
-		t.Fatalf("Entry is %d bytes, want at most 32", size)
+	if size := unsafe.Sizeof(Entry{}); size != 16 {
+		t.Fatalf("Entry is %d bytes, want 16", size)
 	}
-	for _, typ := range []reflect.Type{reflect.TypeFor[Entry](), reflect.TypeFor[dirEntry]()} {
-		if hasPointers(typ) {
-			t.Fatalf("%v holds a pointer; the collector would scan every megaflow", typ)
-		}
+	if hasPointers(reflect.TypeFor[Entry]()) {
+		t.Fatal("Entry holds a pointer; the collector would scan every megaflow")
 	}
 	if f, _ := reflect.TypeFor[subtable]().FieldByName("keys"); f.Type.Elem().Elem() != reflect.TypeFor[uint64]() {
 		t.Fatalf("the key arena holds %v, want uint64", f.Type.Elem().Elem())
-	}
-	if size := unsafe.Sizeof(dirEntry{}); size != 12 {
-		t.Fatalf("a directory entry is %d bytes, want 12", size)
 	}
 	if size := unsafe.Sizeof(slot{}); size != 8 {
 		t.Fatalf("a subtable slot is %d bytes, want 8", size)
@@ -56,12 +48,11 @@ func TestEntryLayout(t *testing.T) {
 	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
 	ra := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1))
 	rb := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 81), mask, act(2))
-	a, b := c.Get(ra), c.Get(rb)
-	if a.sub != b.sub || c.Mask(a) != mask {
+	if ra.sub() != rb.sub() || c.Mask(ra) != mask {
 		t.Fatal("entries of one subtable must share its mask")
 	}
-	if st := c.byIdx[a.sub]; len(st.words) != 2 || len(st.row(a.pos)) != 2 {
-		t.Fatalf("a record of a two-word mask stores %d words", len(st.row(a.pos)))
+	if st := c.byIdx[ra.sub()]; len(st.words) != 2 || len(st.row(ra.pos())) != 2 {
+		t.Fatalf("a record of a two-word mask stores %d words", len(st.row(ra.pos())))
 	}
 }
 
@@ -130,7 +121,7 @@ func TestEntryStringIsFlowText(t *testing.T) {
 		[]ofproto.DPAction{{Type: ofproto.DPDecTTL}, {Type: ofproto.DPOutput, Port: 2}})
 	h, _ := c.Lookup(keyFor(hdr.MakeIP4(10, 0, 0, 9), 80))
 	const want = "megaflow{dl_type=0x0800,nw_proto=17,tp_dst=80 hits=1 actions=[dec_ttl out(2)]}"
-	if got := c.String(h.Entry()); got != want {
+	if got := c.String(h.Ref); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }

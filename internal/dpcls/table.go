@@ -33,7 +33,7 @@ type subtable struct {
 	slots []slot
 	n     int
 	hits  uint64
-	idx   uint32 // in Classifier.byIdx, what its records' sub holds
+	idx   uint32 // in Classifier.byIdx, what its megaflows' refs carry
 
 	// hdrs and keys are the records, parallel arrays indexed by position:
 	// a header, and len(words) masked key words per position in the
@@ -98,17 +98,14 @@ func (st *subtable) matches(p uint32, key *flow.Key) bool {
 	return true
 }
 
-// find returns the header of the record covering key, whose subtable hash
-// is h, or nil.
-func (st *subtable) find(key *flow.Key, h uint32) *Entry {
+// find returns the position of the record covering key, whose subtable
+// hash is h, or 0.
+func (st *subtable) find(key *flow.Key, h uint32) uint32 {
 	m := uint32(len(st.slots) - 1)
 	for i := h & m; ; i = (i + 1) & m {
 		s := st.slots[i]
-		if s.pos == 0 {
-			return nil
-		}
-		if s.hash == h && st.matches(s.pos, key) {
-			return st.hdr(s.pos)
+		if s.pos == 0 || s.hash == h && st.matches(s.pos, key) {
+			return s.pos
 		}
 	}
 }
@@ -121,6 +118,9 @@ func (st *subtable) alloc() uint32 {
 		return p
 	}
 	p := max(st.used, 1)
+	if p == 1<<posBits {
+		panic("dpcls: 2^22 megaflows under one mask")
+	}
 	st.hdrs = growRows(st.hdrs, p, 1)
 	st.keys = growRows(st.keys, p, len(st.words))
 	st.used = p + 1

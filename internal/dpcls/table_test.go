@@ -145,13 +145,10 @@ func checkSubtable(t testing.TB, c *Classifier, st *subtable) {
 			continue
 		}
 		occupied++
-		e := st.hdr(s.pos)
-		k := c.MaskedKey(e)
-		if c.byIdx[e.sub] != st || e.pos != s.pos || s.hash != st.hash(&k) || s.hash != st.hashRow(st.row(s.pos)) {
-			t.Fatalf("slot %d: record at %d stored under the wrong mask, position or hash", i, s.pos)
-		}
-		if d := c.entry(uint32(e.self)); d.gen != uint32(e.self>>32) || d.sub != e.sub || d.pos != e.pos {
-			t.Fatalf("slot %d: directory entry %#x says %+v, record says %d/%d", i, e.self, *d, e.sub, e.pos)
+		r := makeRef(st.hdr(s.pos).stamp, st.idx, s.pos)
+		k := c.MaskedKey(r)
+		if c.Get(r) != st.hdr(s.pos) || s.hash != st.hash(&k) || s.hash != st.hashRow(st.row(s.pos)) {
+			t.Fatalf("slot %d: record at %d stored under the wrong stamp, position or hash", i, s.pos)
 		}
 		for j := s.hash & m; j != uint32(i); j = (j + 1) & m {
 			if st.slots[j].pos == 0 {
@@ -199,8 +196,8 @@ func checkAgainst(t testing.TB, c *Classifier, ref *refClassifier, handles []Ref
 		switch {
 		case live != (e != nil) || live != c.Live(h):
 			t.Fatalf("ref %#x resolves to %v (Live %v), reference live=%v", h, e, c.Live(h), live)
-		case live && (c.Mask(e) != re.mask || c.MaskedKey(e) != re.maskedKey || tag(c, h) != re.tag):
-			t.Fatalf("ref %#x resolves to %s, reference %+v", h, c.String(e), re)
+		case live && (c.Mask(h) != re.mask || c.MaskedKey(h) != re.maskedKey || tag(c, h) != re.tag):
+			t.Fatalf("ref %#x resolves to %s, reference %+v", h, c.String(h), re)
 		}
 	}
 	if len(c.acts.index) != ref.len() || len(c.acts.lists)-1 != len(c.acts.index)+len(c.acts.free) {
@@ -297,7 +294,7 @@ func randomOps(seed int64, n int) []byte {
 // TestClassifierMatchesReference is the differential test: seeded random op
 // streams, identical behaviour to the map-based reference at every step, and
 // no stale ref ever resolving (Get, Live or Remove) although removed records,
-// their directory entries and dropped subtables' byIdx slots are recycled,
+// their positions and dropped subtables' byIdx slots are recycled,
 // and a flushed classifier is reused.
 func TestClassifierMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -318,11 +315,15 @@ func FuzzClassifierOps(f *testing.F) {
 	// remove the stale ref.
 	f.Add([]byte{0, 9, 3, 3, 0, 0, 0, 9, 3, 3, 0, 0, 6, 9, 0, 5, 0, 0})
 	// Install under the first mask, remove it (its subtable drops), install
-	// under the zero mask into the same byIdx slot, directory entry and
-	// position, remove the stale ref, look up.
+	// under the zero mask into the same byIdx slot and position, remove the
+	// stale ref, look up.
 	f.Add([]byte{0, 9, 0, 3, 0, 0, 0, 9, 4, 3, 0, 0, 6, 1, 2})
 	// Install under MaskAll, flush, install again, look up.
 	f.Add([]byte{0, 9, 3, 5, 0, 0, 0, 9, 3, 6, 9, 0})
+	// Install under the first mask, flush, install the same key under the
+	// same mask (same byIdx slot, same position), remove the stale ref,
+	// look up, remove the fresh one.
+	f.Add([]byte{0, 9, 0, 5, 0, 0, 0, 9, 0, 3, 0, 0, 6, 9, 0, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) { runOps(t, ops) })
 }
 
@@ -371,7 +372,7 @@ func TestBackwardShiftAcrossWrap(t *testing.T) {
 			entries[i] = c.Insert(k, mask, act(i))
 		}
 		st := c.byMask[mask]
-		if len(st.slots) != minSlots || st.slots[2].pos != c.Get(entries[4]).pos {
+		if len(st.slots) != minSlots || st.slots[2].pos != entries[4].pos() {
 			t.Fatalf("setup: run does not wrap as intended")
 		}
 		if !c.Remove(entries[victim]) {
@@ -399,11 +400,10 @@ func TestRemoveStalePointerAfterReinstall(t *testing.T) {
 	k := keyFor(hdr.MakeIP4(1, 1, 1, 1), 80)
 	old := c.Insert(k, mask, act(1))
 	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 81), mask, act(1)) // keeps the subtable
-	pos := c.Get(old).pos
 	c.Remove(old)
 	fresh := c.Insert(k, mask, act(2))
-	if fresh == old || uint32(fresh) != uint32(old) || !c.Live(fresh) || c.Get(fresh).pos != pos {
-		t.Fatal("re-install must recycle the directory entry and the position under a new generation, never resurrect the old ref")
+	if fresh == old || uint32(fresh) != uint32(old) || !c.Live(fresh) {
+		t.Fatal("re-install must recycle the position under a new stamp, never resurrect the old ref")
 	}
 	if c.Remove(old) {
 		t.Fatal("stale ref removed the re-installed entry")
@@ -411,6 +411,109 @@ func TestRemoveStalePointerAfterReinstall(t *testing.T) {
 	if got, _ := lookup(c, k); got != fresh || !c.Live(fresh) || c.Len() != 2 || tag(c, fresh) != 2 {
 		t.Fatalf("re-installed entry disturbed: got %#x", got)
 	}
+}
+
+// TestStaleRefAcrossStampWrap starts the install counter four short of
+// 2^32: the stamps run to 2^32-1 and wrap to 1, never 0, and the refs
+// minted before the wrap stay stale after their positions, their byIdx slot
+// and a Flush are reused by megaflows stamped after it.
+func TestStaleRefAcrossStampWrap(t *testing.T) {
+	c := New(0)
+	c.stamp = 1<<32 - 5
+	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
+	var old []Ref
+	for i := range 4 {
+		old = append(old, c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), uint16(i)), mask, act(i)))
+		if got, want := uint32(old[i]>>32), uint32(1<<32-4+i); got != want {
+			t.Fatalf("install %d: stamp %#x, want %#x", i, got, want)
+		}
+	}
+	for _, r := range old {
+		c.Remove(r)
+	}
+	// The subtable dropped with its last megaflow: the next mask takes its
+	// byIdx slot and positions 1 to 4 again, under stamps 1 to 4.
+	other := flow.NewMaskBuilder().EthType().IP4Src(32).Build()
+	var fresh []Ref
+	for i := range 4 {
+		fresh = append(fresh, c.Insert(keyFor(hdr.MakeIP4(2, 2, 2, byte(i)), 80), other, act(10+i)))
+		if got, want := uint32(fresh[i]>>32), uint32(1+i); got != want {
+			t.Fatalf("install %d after the wrap: stamp %d, want %d", i, got, want)
+		}
+		if uint32(fresh[i]) != uint32(old[i]) {
+			t.Fatalf("install %d after the wrap: location %#x, want the reused %#x", i, uint32(fresh[i]), uint32(old[i]))
+		}
+	}
+	stale := func(when string) {
+		t.Helper()
+		for i, r := range old {
+			if c.Get(r) != nil || c.Live(r) || c.Remove(r) {
+				t.Fatalf("%s: ref %d minted before the wrap resolves", when, i)
+			}
+		}
+	}
+	stale("after reuse")
+	c.Flush()
+	if c.stamp != 4 {
+		t.Fatalf("Flush reset the stamp to %d", c.stamp)
+	}
+	for i := range 4 {
+		if r := c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), uint16(i)), mask, act(20+i)); uint32(r) != uint32(old[i]) || c.Live(fresh[i]) {
+			t.Fatalf("install %d after Flush: ref %#x", i, r)
+		}
+	}
+	stale("after Flush")
+	if c.Len() != 4 {
+		t.Fatalf("len = %d, want 4", c.Len())
+	}
+}
+
+// TestLocationLimitsPanic: a ref has room for 1<<subBits subtable indices
+// and 1<<posBits positions, and going past either panics instead of minting
+// a ref that names another megaflow. The limits are reached by setting the
+// counts, not by installing millions.
+func TestLocationLimitsPanic(t *testing.T) {
+	mustPanic := func(want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if got := recover(); got != want {
+				t.Fatalf("panic %v, want %q", got, want)
+			}
+		}()
+		f()
+	}
+	mask := flow.NewMaskBuilder().EthType().TPDst().Build()
+	c := New(0)
+	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 0), mask, act(1))
+	// Skip to the last chunk of positions: the ones between are never
+	// handed out, so their chunks need not exist.
+	st, last := c.byMask[mask], uint32(1<<posBits/chunkSize-1)
+	st.hdrs = append(st.hdrs, make([][]Entry, last-1)...)
+	st.keys = append(st.keys, make([][]uint64, last-1)...)
+	st.used = last * chunkSize
+	var r Ref
+	for i := range chunkSize {
+		r = c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), uint16(1+i)), mask, act(1))
+	}
+	if r.pos() != 1<<posBits-1 || c.MaskedKey(r) != keyFor(hdr.MakeIP4(1, 1, 1, 1), chunkSize).Apply(mask) {
+		t.Fatalf("last install at position %d, want %d", r.pos(), 1<<posBits-1)
+	}
+	mustPanic("dpcls: 2^22 megaflows under one mask", func() {
+		c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 2*chunkSize), mask, act(1))
+	})
+
+	c = New(0)
+	for i := range 1<<subBits - 1 {
+		c.byIdx = append(c.byIdx, &subtable{idx: uint32(i)})
+	}
+	c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), mask, act(1)) // the last index
+	if st := c.byMask[mask]; st.idx != 1<<subBits-1 {
+		t.Fatalf("last mask at byIdx %d", st.idx)
+	}
+	mustPanic("dpcls: 1024 megaflow masks", func() {
+		c.Insert(keyFor(hdr.MakeIP4(1, 1, 1, 1), 80), flow.MaskAll(), act(1))
+	})
 }
 
 // TestBasisSeedsPlacement: the constructor's hash basis really seeds the
@@ -429,7 +532,7 @@ func TestBasisSeedsPlacement(t *testing.T) {
 		for _, st := range c.subtables {
 			for i, s := range st.slots {
 				if s.pos != 0 {
-					at[c.MaskedKey(st.hdr(s.pos))] = i
+					at[c.MaskedKey(makeRef(st.hdr(s.pos).stamp, st.idx, s.pos))] = i
 				}
 			}
 		}
@@ -448,7 +551,7 @@ func TestBasisSeedsPlacement(t *testing.T) {
 	for _, k := range append(keys, keyFor(hdr.MakeIP4(9, 9, 9, 9), 9)) {
 		ea, na := lookup(a, k)
 		eb, nb := lookup(b, k)
-		if na != nb || (ea == 0) != (eb == 0) || (ea != 0 && (tag(a, ea) != tag(b, eb) || a.MaskedKey(a.Get(ea)) != b.MaskedKey(b.Get(eb)))) {
+		if na != nb || (ea == 0) != (eb == 0) || (ea != 0 && (tag(a, ea) != tag(b, eb) || a.MaskedKey(ea) != b.MaskedKey(eb))) {
 			t.Fatalf("lookups differ across bases: (%#x, %d) vs (%#x, %d)", ea, na, eb, nb)
 		}
 	}
@@ -467,10 +570,10 @@ func TestDpclsLookupZeroAlloc(t *testing.T) {
 	miss := keyFor(hdr.MakeIP4(9, 9, 9, 9), 9)
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 2*resortInterval+7; i++ {
-			if e, _ := c.LookupKey(&keys[i%len(keys)]); e == nil {
+			if e, _, _ := c.LookupKey(&keys[i%len(keys)]); e == nil {
 				t.Fatal("hit path missed")
 			}
-			if e, _ := c.LookupKey(&miss); e != nil {
+			if e, _, _ := c.LookupKey(&miss); e != nil {
 				t.Fatal("miss path hit")
 			}
 		}
@@ -481,10 +584,9 @@ func TestDpclsLookupZeroAlloc(t *testing.T) {
 }
 
 // TestMegaflowTableIsNoscan: 100k megaflows add almost nothing the collector
-// must scan. Headers, key words, directory entries, slots and the action
-// table's indices hold no pointer; what is left is one slice header per
-// chunk of headers, of key words and of directory entries, and the
-// subtables.
+// must scan. Headers, key words, slots and the action table's indices hold
+// no pointer; what is left is one slice header per chunk of headers and of
+// key words, and the subtables.
 func TestMegaflowTableIsNoscan(t *testing.T) {
 	const n = 100_000
 	sample := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}

@@ -77,7 +77,7 @@ func TestFlowDelPreservesUnrelatedEMCEntries(t *testing.T) {
 	kB := flow.Extract(pktB())
 	deleted := false
 	for _, f := range flows {
-		if e := f.Entry(); f.Table.MaskedKey(e) == kB.Apply(f.Table.Mask(e)) {
+		if f.Table.MaskedKey(f.Ref) == kB.Apply(f.Table.Mask(f.Ref)) {
 			if !d.FlowDel(f) {
 				t.Fatal("FlowDel(B) failed")
 			}
@@ -139,8 +139,7 @@ func TestFlowPutReplacementUpdatesCachedActions(t *testing.T) {
 	if len(flows) != 1 {
 		t.Fatalf("flows = %d, want 1", len(flows))
 	}
-	e := flows[0].Entry()
-	d.FlowPut(flows[0].Table.MaskedKey(e), flows[0].Table.Mask(e),
+	d.FlowPut(flows[0].Table.MaskedKey(flows[0].Ref), flows[0].Table.Mask(flows[0].Ref),
 		[]ofproto.DPAction{{Type: ofproto.DPOutput, Port: 3}})
 
 	emcBefore := nd.dp.PMDs()[0].Perf.EMCHits

@@ -470,15 +470,14 @@ func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 				break
 			}
 			h := flows[arg%len(flows)]
-			e := h.Entry()
 			var f *refFlow
 			for _, g := range ref.flows {
-				if g.key == h.Table.MaskedKey(e) && g.mask == h.Table.Mask(e) {
+				if g.key == h.Table.MaskedKey(h.Ref) && g.mask == h.Table.Mask(h.Ref) {
 					f = g
 				}
 			}
 			if f == nil {
-				t.Fatalf("%v: op %d %s: the reference has no flow %s", c, i/2, what, h.Table.String(e))
+				t.Fatalf("%v: op %d %s: the reference has no flow %s", c, i/2, what, h.Table.String(h.Ref))
 			}
 			if !d.FlowDel(flows[arg%len(flows)]) || !ref.remove(f) {
 				t.Fatalf("%v: op %d %s: not removed", c, i/2, what)

@@ -161,13 +161,14 @@ func trackMegaflows(t *testing.T, heap func() uint64) float64 {
 }
 
 // TestMegaflowFootprint pins what a megaflow the revalidator tracks costs
-// the heap: its 32-byte header and the 32 bytes of key words its mask
-// covers (4 of 12) in its subtable, its 12-byte directory entry, its 8-byte
-// classifier slot and its queued idle deadline (a 32-byte ring slot), with
-// the action list shared by every megaflow of its rule. 100k of them stay
-// under 160 bytes each (about 139); a 120-byte record holding the full key
-// and 40-byte ring slots put them at about 192, and a 144-byte object per
-// entry with 16-byte slots and 48-byte ring slots at about 248.
+// the heap: its 16-byte header and the 32 bytes of key words its mask
+// covers (4 of 12) in its subtable, its 8-byte classifier slot and its
+// queued idle deadline (a 32-byte ring slot), with the action list shared by
+// every megaflow of its rule. 100k of them stay under 128 bytes each (about
+// 119); a 32-byte header plus a 12-byte directory entry naming it put them
+// at about 147, a 120-byte record holding the full key and 40-byte ring
+// slots at about 192, and a 144-byte object per entry with 16-byte slots and
+// 48-byte ring slots at about 248.
 func TestMegaflowFootprint(t *testing.T) {
 	per := trackMegaflows(t, func() uint64 {
 		var ms runtime.MemStats
@@ -175,8 +176,8 @@ func TestMegaflowFootprint(t *testing.T) {
 		return ms.HeapAlloc
 	})
 	t.Logf("%.0f heap bytes per tracked megaflow", per)
-	if per >= 160 {
-		t.Fatalf("a tracked megaflow costs %.0f heap bytes, want under 160", per)
+	if per >= 128 {
+		t.Fatalf("a tracked megaflow costs %.0f heap bytes, want under 128", per)
 	}
 }
 

@@ -162,7 +162,7 @@ func (c *refCache[V]) Len() int { return c.count }
 // refs to megaflows of a classifier, one exact-match megaflow per key, which
 // the stream removes (so their records are recycled for other keys'
 // megaflows). The cache's alive check is the
-// classifier's generation compare; the reference's is the set of refs the
+// classifier's stamp compare; the reference's is the set of refs the
 // stream has not removed, so a stale ref the compare let through would show
 // as a difference.
 type emcPair struct {

@@ -131,7 +131,7 @@ func (d *Datapath) Receive(t *fastpath.Thread, cpu *sim.CPU, _ *packet.Packet, _
 // Lookup implements fastpath.Provider: one probe of the one flow table.
 func (d *Datapath) Lookup(t *fastpath.Thread, cpu *sim.CPU, key *flow.Key, _ int) ([]ofproto.DPAction, bool) {
 	d.Charge(t, cpu, perf.StageDpcls, costmodel.KernelOVSLookup)
-	e, _ := d.flows.LookupKey(key)
+	e, _, _ := d.flows.LookupKey(key)
 	if e == nil {
 		return nil, false
 	}

@@ -27,8 +27,7 @@ func replayStream(c *Cache, keys, deadEvery int, hashed bool) {
 		}
 		k := keyN(n)
 		if deadEvery > 0 && i%deadEvery == 0 {
-			if e, _ := cls.LookupKey(&k); e != nil {
-				r := e.Ref()
+			if e, r, _ := cls.LookupKey(&k); e != nil {
 				cls.Remove(r)
 				c.Invalidate(r)
 			}

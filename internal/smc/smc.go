@@ -120,7 +120,7 @@ func (c *Cache) LookupHashed(t *dpcls.Classifier, key *flow.Key, h uint32) (dpcl
 			}
 			r := c.flows[b.idx[w]]
 			e := t.Get(r)
-			if e == nil || !t.Matches(e, key) {
+			if e == nil || !t.Matches(r, key) {
 				c.StaleSkips++
 				continue
 			}

@@ -108,7 +108,7 @@ func (c *refCache) LookupHashed(t *dpcls.Classifier, key *flow.Key, h uint32) (d
 		}
 		r := c.flows[b.idx[w]]
 		e := t.Get(r)
-		if e == nil || !t.Matches(e, key) {
+		if e == nil || !t.Matches(r, key) {
 			c.StaleSkips++
 			continue
 		}

@@ -111,7 +111,7 @@ func TestRecycledIndexNeverMisdelivers(t *testing.T) {
 	eB := megaflowFor(cls, kB, flow.MaskAll())
 	insert(c, kB, eB)
 	if uint32(eB) != uint32(eA) || eB == eA {
-		t.Fatalf("eB %#x does not recycle eA's record %#x under a new generation", eB, eA)
+		t.Fatalf("eB %#x does not recycle eA's record %#x under a new stamp", eB, eA)
 	}
 	if got, ok := lookup(c, cls, kA); ok {
 		t.Fatalf("stale signature for removed megaflow resolved to %v", got)
@@ -197,8 +197,8 @@ func TestIndexSpaceExhaustion(t *testing.T) {
 	}
 	// Invalidation recycles an index, making room again.
 	victim := keyN(3)
-	ve, _ := cls.LookupKey(&victim)
-	c.Invalidate(ve.Ref())
+	_, vr, _ := cls.LookupKey(&victim)
+	c.Invalidate(vr)
 	insert(c, keyN(maxIndex), megaflowFor(cls, keyN(maxIndex+1), flow.MaskAll()))
 	if c.Uncacheable != 1 {
 		t.Fatalf("recycled index not reused: uncacheable = %d", c.Uncacheable)

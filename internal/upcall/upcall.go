@@ -218,7 +218,7 @@ func (q *Queue) service() {
 
 	// Several packets of one flow may park before the first resolves:
 	// re-probe the flow table so only one translation happens.
-	if e, _ := q.host.Table.LookupKey(&u.key); e != nil {
+	if e, _, _ := q.host.Table.LookupKey(&u.key); e != nil {
 		q.host.Reinject(u.pkt, u.cpu)
 		q.recycle(u)
 		return

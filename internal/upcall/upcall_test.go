@@ -304,7 +304,7 @@ func TestHardFailureNegativeFlow(t *testing.T) {
 		if c.wantFlows == 0 {
 			continue
 		}
-		if e, _ := b.host.table.LookupKey(key(0)); e == nil || b.host.table.Mask(e) != flow.MaskAll() || b.host.table.Actions(e) != nil {
+		if e, r, _ := b.host.table.LookupKey(key(0)); e == nil || b.host.table.Mask(r) != flow.MaskAll() || b.host.table.Actions(e) != nil {
 			t.Fatalf("negative flow = %v, want an exact-match entry with no actions", e)
 		}
 		// A later packet of the flow parked behind the failure finds the

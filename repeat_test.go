@@ -125,11 +125,6 @@ func TestRepeatedWindows(t *testing.T) {
 // repeatedWindows prints them. Remove one by writing its code once, then drop
 // its entry; never add one.
 var repeatAllowed = []string{
-	// The NAT rewrite's prologue: applyNAT and an ICMP error's applyNATAddr.
-	"internal/conntrack/conntrack.go ↔ internal/conntrack/icmp.go: eth, err := hdr.ParseEthernet(p.Data)",
-	"internal/conntrack/conntrack.go ↔ internal/conntrack/icmp.go: if c.NAT.Kind == NATNone {",
-	"internal/conntrack/conntrack.go ↔ internal/conntrack/icmp.go: if err != nil || eth.Type != hdr.EtherTypeIPv4 {",
-	"internal/conntrack/conntrack.go ↔ internal/conntrack/icmp.go: return",
 	// The redirect-to-XSK tail of the veth-redirect and load-balancer programs.
 	"internal/xdp/programs.go ↔ internal/xdp/programs.go: I(ebpf.Exit()).",
 	"internal/xdp/programs.go ↔ internal/xdp/programs.go: Label(\"toxsk\").",
