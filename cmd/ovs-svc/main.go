@@ -28,6 +28,11 @@
 //	POST /v1/faults                     schedule a fault window
 //	GET  /metrics                       Prometheus text format
 //
+// POST /v1/faults injects two kinds: upcall-failure on target "upcall" (the
+// slow path's gate, on every bed) and offload-table-pressure on target
+// "nic" (the NIC flow table's clamp, only on the afxdp bed, whose netdev
+// datapath offloads). Any other pair is refused with 400.
+//
 // -duration-ms bounds the traffic window in virtual time; after it the
 // daemon idles with the bed intact, still serving the API, until SIGINT or
 // SIGTERM. -pace slows the run to X wall seconds per virtual second

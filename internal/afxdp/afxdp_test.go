@@ -607,9 +607,9 @@ func TestRingMatchesReference(t *testing.T) {
 // TestUmemPoolMatchesReference drives the pool and the eager reference
 // (umem_ref_test.go) with the same seeded streams of single and batched
 // allocations and releases — of held chunks, and now and then a double
-// release — under each lock mode, with an injected exhaustion window: both
-// must hand out the same addresses in the same order, and agree on Free,
-// Ops, LockAcquisitions and ExhaustionFailures after every step.
+// release — under each lock mode: both must hand out the same addresses in
+// the same order, and agree on Free, Ops and LockAcquisitions after every
+// step.
 func TestUmemPoolMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -617,15 +617,10 @@ func TestUmemPoolMatchesReference(t *testing.T) {
 		mode := LockMode(rng.Intn(3))
 		u := NewUmem(chunks, 64)
 		p, ref := NewPool(u, mode), newRefUmemPool(u, mode)
-		exhausted := false
-		p.FaultExhausted = func() bool { return exhausted }
-		ref.FaultExhausted = p.FaultExhausted
 		var held []uint64
 		out, refOut := make([]uint64, 40), make([]uint64, 40)
 		for step := 0; step < 2000; step++ {
 			switch op := rng.Intn(10); {
-			case op == 0:
-				exhausted = rng.Intn(8) == 0
 			case op <= 3:
 				a, ok := p.Alloc()
 				ra, rok := ref.Alloc()
@@ -658,11 +653,9 @@ func TestUmemPoolMatchesReference(t *testing.T) {
 				p.ReleaseBatch(batch)
 				ref.ReleaseBatch(batch)
 			}
-			if p.Free() != ref.Free() || p.Ops != ref.Ops || p.LockAcquisitions != ref.LockAcquisitions ||
-				p.ExhaustionFailures != ref.ExhaustionFailures {
-				t.Fatalf("seed %d step %d: free/ops/locks/failures %d/%d/%d/%d, reference %d/%d/%d/%d",
-					seed, step, p.Free(), p.Ops, p.LockAcquisitions, p.ExhaustionFailures,
-					ref.Free(), ref.Ops, ref.LockAcquisitions, ref.ExhaustionFailures)
+			if p.Free() != ref.Free() || p.Ops != ref.Ops || p.LockAcquisitions != ref.LockAcquisitions {
+				t.Fatalf("seed %d step %d: free/ops/locks %d/%d/%d, reference %d/%d/%d",
+					seed, step, p.Free(), p.Ops, p.LockAcquisitions, ref.Free(), ref.Ops, ref.LockAcquisitions)
 			}
 		}
 	}

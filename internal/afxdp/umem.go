@@ -131,15 +131,6 @@ type Pool struct {
 	LockAcquisitions uint64
 	// Ops counts pool operations (alloc or free of one buffer).
 	Ops uint64
-	// FaultExhausted, when set and returning true, makes allocations fail
-	// as if every chunk were in flight — the fault-injection hook for
-	// umem/chunk exhaustion. Frees still succeed, so the pool recovers the
-	// moment the window closes.
-	FaultExhausted func() bool
-	// ExhaustionFailures counts allocations refused by the injected fault
-	// (natural exhaustion shows up in the callers' fill/alloc drop
-	// counters instead).
-	ExhaustionFailures uint64
 }
 
 // NewPool builds a pool owning every chunk of umem.
@@ -168,10 +159,6 @@ func (p *Pool) take() (uint64, bool) {
 func (p *Pool) Alloc() (uint64, bool) {
 	p.chargeLock(1)
 	p.Ops++
-	if p.FaultExhausted != nil && p.FaultExhausted() {
-		p.ExhaustionFailures++
-		return 0, false
-	}
 	return p.take()
 }
 
@@ -179,10 +166,6 @@ func (p *Pool) Alloc() (uint64, bool) {
 func (p *Pool) AllocBatch(out []uint64, n int) int {
 	n = min(n, len(out))
 	p.chargeLock(n)
-	if p.FaultExhausted != nil && p.FaultExhausted() {
-		p.ExhaustionFailures++
-		return 0
-	}
 	got := 0
 	for ; got < n; got++ {
 		a, ok := p.take()

@@ -78,15 +78,6 @@ type refUmemPool struct {
 	LockAcquisitions uint64
 	// Ops counts pool operations (alloc or free of one buffer).
 	Ops uint64
-	// FaultExhausted, when set and returning true, makes allocations fail
-	// as if every chunk were in flight — the fault-injection hook for
-	// umem/chunk exhaustion. Frees still succeed, so the pool recovers the
-	// moment the window closes.
-	FaultExhausted func() bool
-	// ExhaustionFailures counts allocations refused by the injected fault
-	// (natural exhaustion shows up in the callers' fill/alloc drop
-	// counters instead).
-	ExhaustionFailures uint64
 }
 
 // newRefUmemPool builds a pool owning every chunk of umem.
@@ -105,10 +96,6 @@ func (p *refUmemPool) Free() int { return len(p.free) }
 func (p *refUmemPool) Alloc() (uint64, bool) {
 	p.chargeLock(1)
 	p.Ops++
-	if p.FaultExhausted != nil && p.FaultExhausted() {
-		p.ExhaustionFailures++
-		return 0, false
-	}
 	if len(p.free) == 0 {
 		return 0, false
 	}
@@ -123,10 +110,6 @@ func (p *refUmemPool) AllocBatch(out []uint64, n int) int {
 		n = len(out)
 	}
 	p.chargeLock(n)
-	if p.FaultExhausted != nil && p.FaultExhausted() {
-		p.ExhaustionFailures++
-		return 0
-	}
 	got := 0
 	for got < n && len(p.free) > 0 {
 		out[got] = p.free[len(p.free)-1]

@@ -21,12 +21,6 @@ type XSK struct {
 	NeedWakeup bool
 	kicked     bool
 
-	// Stall, when set and returning true, freezes the ring pair: the
-	// kernel neither delivers to rx nor drains tx — the fault-injection
-	// hook for an XSK ring stall (e.g. a wedged driver queue). Tx drains
-	// are retried with backoff by the port, so a transient stall recovers.
-	Stall func() bool
-
 	// addrScratch is reused by ReclaimCompletions and RefillFill so the
 	// per-batch address staging allocates nothing in steady state.
 	addrScratch []uint64
@@ -35,15 +29,15 @@ type XSK struct {
 	RxDelivered    uint64 // packets the kernel delivered to the rx ring
 	RxDropFill     uint64 // drops: fill ring empty
 	RxDropRing     uint64 // drops: rx ring full
-	RxDropStall    uint64 // drops: injected ring stall
 	RxDropOversize uint64 // drops: frame longer than a chunk (refused, not truncated)
 	TxSubmitted    uint64 // descriptors userspace queued
 	TxCompleted    uint64 // descriptors the kernel transmitted
 	Kicks          uint64 // tx wakeup syscalls issued
+	// RxDropStall is a drop class of the frozen benchmark's rx ledger
+	// (benchmark/run.go). Nothing stalls a ring, so it stays zero; it goes
+	// when benchmark/ is next ported.
+	RxDropStall uint64
 }
-
-// Stalled reports whether an injected ring stall is active right now.
-func (x *XSK) Stalled() bool { return x.Stall != nil && x.Stall() }
 
 // NewXSK builds a socket bound to queue, sharing umem.
 func NewXSK(id uint32, queue int, umem *Umem) *XSK {
@@ -62,10 +56,6 @@ func NewXSK(id uint32, queue int, umem *Umem) *XSK {
 // It reports whether the packet was delivered; a false return is a drop
 // (a frame longer than a chunk is one, not truncated), with the reason counted.
 func (x *XSK) KernelDeliver(frame []byte) bool {
-	if x.Stalled() {
-		x.RxDropStall++
-		return false
-	}
 	if len(frame) > x.Umem.ChunkSize() {
 		x.RxDropOversize++
 		return false
@@ -118,11 +108,6 @@ func (x *XSK) Kick() bool {
 // and pushing the buffer onto the completion ring. With NeedWakeup set it
 // drains only after a kick.
 func (x *XSK) KernelDrainTx(n int, emit func(frame []byte)) int {
-	// The stall check precedes the kick handshake so a retried drain still
-	// finds the kick pending once the stall window closes.
-	if x.Stalled() {
-		return 0
-	}
 	if x.NeedWakeup && !x.kicked {
 		return 0
 	}

@@ -465,16 +465,6 @@ func (t *Table) Find(zone uint16, tu Tuple) (*Conn, bool) {
 	return c, c != nil
 }
 
-// SetMark sets the connection mark (the ct_mark field rules match on).
-func (t *Table) SetMark(zone uint16, tu Tuple, mark uint32) bool {
-	c := t.lookup(zone, &tu)
-	if c == nil {
-		return false
-	}
-	c.Mark = mark
-	return true
-}
-
 // advance runs the TCP (or UDP/ICMP) state machine for one packet.
 func (t *Table) advance(c *Conn, tcpFlags uint8, reply bool, now sim.Time) {
 	if c.Orig.Proto != hdr.IPProtoTCP {

@@ -255,22 +255,23 @@ func TestDNAT(t *testing.T) {
 	}
 }
 
+// TestSetMark: the mark set on a connection (ct_mark) is stamped on each
+// later packet of it.
 func TestSetMark(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ct := NewTable(eng)
 	p := tcpPkt(ipA, ipB, 1, 2, hdr.TCPSyn)
 	ct.Process(p, 1, true, NAT{})
 	tu, _ := TupleOf(p)
-	if !ct.SetMark(1, tu, 0xbeef) {
-		t.Fatal("SetMark failed")
+	c, ok := ct.Find(1, tu)
+	if !ok {
+		t.Fatal("committed connection not found")
 	}
+	c.Mark = 0xbeef
 	next := tcpPkt(ipA, ipB, 1, 2, hdr.TCPAck)
 	ct.Process(next, 1, false, NAT{})
 	if next.CtMark != 0xbeef {
 		t.Fatalf("mark = %#x", next.CtMark)
-	}
-	if ct.SetMark(1, Tuple{SrcIP: 9}, 1) {
-		t.Fatal("SetMark on missing conn must fail")
 	}
 }
 

@@ -21,9 +21,7 @@ package conntrack
 //
 // SetZoneLimit is the paper's Section 2.1.1 per-zone hard limit with exact
 // hard-reject semantics (it is what TestZoneLimit and the fig8 pipeline
-// rely on); SetZoneLimits opts a zone into the ladder. A conntrack-pressure
-// fault window (faultinject) clamps the effective limit via SetPressure,
-// forcing the ladder on.
+// rely on); SetZoneLimits opts a zone into the ladder.
 
 // connClass buckets states for the per-zone recency lists.
 type connClass uint8
@@ -51,28 +49,12 @@ func classOf(s State) connClass {
 // eviction candidate).
 type zoneState struct {
 	count int
-	// Hard-reject limit (SetZoneLimit) or ladder limits (SetZoneLimits).
+	// Hard-reject limit (SetZoneLimit) or ladder limits (SetZoneLimits);
+	// both setters keep 0 < soft <= hard, or all zero.
 	soft, hard int
 	ladder     bool
-	// pressure is a fault-window clamp on the effective hard limit
-	// (0 = none); it forces the ladder on so clamped zones degrade
-	// instead of hard-failing.
-	pressure int
-	lists    [numClasses]connList // through link onZone
-	zi       uint16               // index in Table.zoneList
-}
-
-// effective resolves the zone's working limits under any pressure clamp.
-func (zs *zoneState) effective() (soft, hard int, ladder bool) {
-	soft, hard, ladder = zs.soft, zs.hard, zs.ladder
-	if zs.pressure > 0 && (hard <= 0 || zs.pressure < hard) {
-		hard = zs.pressure
-		ladder = true
-	}
-	if hard > 0 && (soft <= 0 || soft > hard) {
-		soft = hard
-	}
-	return soft, hard, ladder
+	lists      [numClasses]connList // through link onZone
+	zi         uint16               // index in Table.zoneList
 }
 
 func (t *Table) zone(z uint16) *zoneState {
@@ -115,12 +97,6 @@ func (t *Table) SetZoneLimits(zone uint16, soft, hard int) {
 	zs.soft, zs.hard, zs.ladder = soft, hard, true
 }
 
-// SetPressure clamps the zone's effective hard limit to n (0 lifts the
-// clamp). Driven by faultinject's conntrack-pressure windows.
-func (t *Table) SetPressure(zone uint16, n int) {
-	t.zone(zone).pressure = n
-}
-
 // touch moves the connection to the back of its (possibly new) class list
 // after the state machine ran, keeping each list LRU-ordered, and to the
 // back of the expiry list for the timeout the state machine set.
@@ -138,12 +114,11 @@ func (t *Table) touch(c *Conn) {
 // only when the zone is at its hard limit with no evictable victim (or the
 // zone uses the hard-reject limit).
 func (t *Table) admit(zs *zoneState) bool {
-	soft, hard, ladder := zs.effective()
-	if hard <= 0 {
+	if zs.hard <= 0 {
 		return true
 	}
-	if zs.count >= hard {
-		if ladder {
+	if zs.count >= zs.hard {
+		if zs.ladder {
 			if v := zs.lists[classClosing].head; v != 0 {
 				t.removeConn(t.conn(v))
 				t.Evicted++
@@ -158,7 +133,7 @@ func (t *Table) admit(zs *zoneState) bool {
 		t.LimitHits++
 		return false
 	}
-	if ladder && zs.count >= soft {
+	if zs.ladder && zs.count >= zs.soft {
 		// Soft band: admit, but shed the oldest embryonic connection
 		// so SYN-flood state recycles instead of accumulating.
 		if v := zs.lists[classEmbryonic].head; v != 0 {

@@ -3,7 +3,6 @@ package conntrack
 import (
 	"testing"
 
-	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
@@ -108,52 +107,5 @@ func TestConservationLedger(t *testing.T) {
 	}
 	if c.EarlyDrops == 0 {
 		t.Fatal("expected soft-band early drops")
-	}
-}
-
-// TestConntrackPressureFault wires a faultinject conntrack-pressure window
-// to the zone clamp: inside the window commits run the forced ladder
-// against the clamped limit; after it closes the zone returns to
-// unlimited.
-func TestConntrackPressureFault(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ct := NewTable(eng)
-	inj := faultinject.New(eng)
-
-	fillConns(ct, 5, 4)
-	inj.Window(faultinject.KindConntrackPressure, "zone5",
-		10*sim.Millisecond, 20*sim.Millisecond, func(active bool) {
-			if active {
-				ct.SetPressure(5, 2)
-			} else {
-				ct.SetPressure(5, 0)
-			}
-		})
-
-	// Inside the window: the clamp forces the ladder, which must evict an
-	// embryonic victim to admit the commit.
-	eng.ScheduleAt(15*sim.Millisecond, func() {
-		p := tcpPkt(ipA, ipB, 7000, 80, hdr.TCPSyn)
-		ct.Process(p, 5, true, NAT{})
-		if p.CtState&packet.CtNew == 0 {
-			t.Errorf("clamped commit classified %s, want new via eviction", p.CtState)
-		}
-		if ct.Evicted != 1 {
-			t.Errorf("evicted = %d inside pressure window, want 1", ct.Evicted)
-		}
-	})
-	// After the window: unlimited again, no further pressure removals.
-	eng.ScheduleAt(40*sim.Millisecond, func() {
-		before := ct.PressureRemovals()
-		p := tcpPkt(ipA, ipB, 7001, 80, hdr.TCPSyn)
-		ct.Process(p, 5, true, NAT{})
-		if p.CtState&packet.CtNew == 0 || ct.PressureRemovals() != before {
-			t.Errorf("commit after window: state %s, removals %d->%d",
-				p.CtState, before, ct.PressureRemovals())
-		}
-	})
-	eng.RunUntil(50 * sim.Millisecond)
-	if inj.Windows(faultinject.KindConntrackPressure) != 1 {
-		t.Fatalf("windows = %d, want 1", inj.Windows(faultinject.KindConntrackPressure))
 	}
 }

@@ -293,15 +293,6 @@ func (d *Datapath) autoLBTick() {
 	a.Rebalances++
 }
 
-// Rebalance runs one balancer pass immediately (ovs-appctl
-// dpif-netdev/pmd-rxq-rebalance analog), returning the number of queues
-// moved.
-func (d *Datapath) Rebalance() int {
-	before := d.assignerInit().RebalanceMoves
-	d.autoLBTick()
-	return int(d.assign.RebalanceMoves - before)
-}
-
 // rxqMove is one planned reassignment.
 type rxqMove struct {
 	st *rxqState

@@ -6,7 +6,6 @@ import (
 
 	"ovsxdp/internal/afxdp"
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/ebpf"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/netlinksim"
 	"ovsxdp/internal/nicsim"
@@ -751,60 +750,6 @@ func TestZeroCopyReducesSoftirqCost(t *testing.T) {
 	copyMode, zcMode := perPkt(false), perPkt(true)
 	if zcMode >= copyMode {
 		t.Fatalf("zero-copy softirq cost %.0f must beat copy mode %.0f", zcMode, copyMode)
-	}
-}
-
-// TestPerQueueSteeringSeparatesManagementTraffic reproduces the Figure 6(b)
-// deployment: ntuple rules steer SSH to queue 0, which has no XDP program
-// (it feeds the kernel stack), while the data queues run the OVS program.
-func TestPerQueueSteeringSeparatesManagementTraffic(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nic := nicsim.New(eng, nicsim.Config{Name: "mlx0", Ifindex: 1, Queues: 4,
-		AttachModel: xdp.ModelPerQueue})
-	// SSH to queue 0 in hardware.
-	if err := nic.AddSteeringRule(nicsim.SteeringRule{Proto: hdr.IPProtoTCP, DstPort: 22, Queue: 0}); err != nil {
-		t.Fatal(err)
-	}
-	// Data flows elsewhere via RSS over queues 1-3 would need all queues
-	// programmed; steer the benchmark flow explicitly to queue 2.
-	if err := nic.AddSteeringRule(nicsim.SteeringRule{Proto: hdr.IPProtoUDP, DstPort: 2000, Queue: 2}); err != nil {
-		t.Fatal(err)
-	}
-
-	xskMap := ebpf.NewXskMap(4)
-	if err := xskMap.SetTarget(2, 2); err != nil {
-		t.Fatal(err)
-	}
-	prog := xdp.NewPassToXsk(xskMap)
-	if err := prog.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if err := nic.Hook.AttachQueue(2, prog); err != nil {
-		t.Fatal(err)
-	}
-
-	cpu := eng.NewCPU("softirq0")
-	toStack, toXsk := 0, 0
-	for i := 0; i < 20; i++ {
-		// Management: SSH.
-		ssh := packet.New(hdr.NewBuilder().Eth(macA, macB).
-			IPv4H(hdr.MakeIP4(10, 0, 0, 1), hdr.MakeIP4(10, 0, 0, 2), 64).
-			TCPH(40000, 22, 1, 0, hdr.TCPAck).PadTo(64).Build())
-		nic.Receive(ssh)
-		// Data.
-		nic.Receive(udpPkt(uint16(i)))
-	}
-	for q := 0; q < 4; q++ {
-		verdicts := &xdp.Verdicts{
-			Pass:  func(*packet.Packet) { toStack++ },
-			ToXsk: func(uint32, *packet.Packet) { toXsk++ },
-		}
-		for _, pkt := range nic.Queue(q).Pop(64) {
-			nic.Hook.Receive(cpu, q, pkt, nic.Ifindex, verdicts)
-		}
-	}
-	if toStack != 20 || toXsk != 20 {
-		t.Fatalf("stack=%d xsk=%d, want 20/20 split", toStack, toXsk)
 	}
 }
 

@@ -1,14 +1,14 @@
 package core
 
-// Hardware flow offload: the tc/ASAP²-style fast path the paper's Fig 6
-// steering model stops short of. An offload engine watches per-megaflow
-// hit rates (EWMA over counter-readback intervals), classes the hot tail
-// as elephants, and pushes their exact keys into the NIC's bounded
-// hardware flow table (nicsim.FlowTable). Packets that match in hardware
-// short-circuit the PMD at costmodel.OffloadHit — no metadata, no
-// checksum, no parse, no cache probe — while rule installs and the
-// periodic counter readback are charged to a dedicated offload driver
-// thread, never the PMD.
+// Hardware flow offload: the tc/ASAP²-style fast path, where the NIC
+// forwards a flow instead of only picking its receive queue. An offload
+// engine watches per-megaflow hit rates (EWMA over counter-readback
+// intervals), classes the hot tail as elephants, and pushes their exact
+// keys into the NIC's bounded hardware flow table (nicsim.FlowTable).
+// Packets that match in hardware short-circuit the PMD at
+// costmodel.OffloadHit — no metadata, no checksum, no parse, no cache
+// probe — while rule installs and the periodic counter readback are
+// charged to a dedicated offload driver thread, never the PMD.
 //
 // Correctness hinges on two disciplines:
 //
@@ -224,7 +224,7 @@ func (o *offloadEngine) merge(h dpcls.Handle, delta uint64) {
 
 // hwLookup matches a packet against the NIC flow table and returns the
 // actions to forward it by. The hardware parses and matches for free (no
-// CPU charge, like nicsim rxq steering); only live megaflows forward — a
+// CPU charge, like nicsim's RSS); only live megaflows forward — a
 // stale cookie is purged on sight instead of forwarding with stale actions.
 func (o *offloadEngine) hwLookup(p *packet.Packet) ([]ofproto.DPAction, bool) {
 	var key flow.Key

@@ -15,7 +15,6 @@ import (
 
 	"ovsxdp/internal/afxdp"
 	"ovsxdp/internal/costmodel"
-	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/kernelsim"
 	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/packet"
@@ -111,9 +110,6 @@ type AFXDPPort struct {
 
 	// TxDrops counts packets lost to an empty umem, a full ring or oversize.
 	TxDrops uint64
-	// TxStallRetries counts kernel tx drains rescheduled with backoff
-	// because an injected XSK ring stall was active.
-	TxStallRetries uint64
 }
 
 // NewAFXDPPort builds the port and starts its softirq driver actors. The
@@ -136,7 +132,7 @@ func NewAFXDPPort(cfg AFXDPPortConfig) *AFXDPPort {
 	}
 	for q := 0; q < nq; q++ {
 		qq := q
-		p.drainFns = append(p.drainFns, func() { p.drainTx(qq, 0) })
+		p.drainFns = append(p.drainFns, func() { p.drainTx(qq) })
 	}
 	p.drainEmit = func(frame []byte) {
 		p.nic.Transmit(p.pkts.GetCopy(frame))
@@ -326,25 +322,9 @@ func (p *AFXDPPort) Flush(cpu *sim.CPU, txq int) {
 	p.eng.Schedule(0, p.drainFns[q])
 }
 
-// maxTxStallRetries bounds the backoff retries of one stalled tx drain; at
-// the default base the last retry lands ~80ms out, far beyond any injected
-// stall window.
-const maxTxStallRetries = 12
-
-// drainTx runs the kernel-side tx drain for queue q. An injected XSK ring
-// stall (transient fault) does not lose the drain: it is rescheduled with
-// exponential backoff until the stall clears or the retry budget runs out.
-func (p *AFXDPPort) drainTx(q, attempt int) {
+// drainTx runs the kernel-side tx drain for queue q.
+func (p *AFXDPPort) drainTx(q int) {
 	xsk := p.xsks[q]
-	if xsk.Stalled() {
-		if attempt >= maxTxStallRetries {
-			return
-		}
-		p.TxStallRetries++
-		delay := faultinject.Backoff(p.eng.Rand(), 20*sim.Microsecond, attempt+1)
-		p.eng.Schedule(delay, func() { p.drainTx(q, attempt+1) })
-		return
-	}
 	scpu := p.softirq[q]
 	n := xsk.KernelDrainTx(afxdp.DefaultRingSize, p.drainEmit)
 	scpu.Consume(sim.Softirq, sim.Time(n)*costmodel.AFXDPTxKernelDrain)

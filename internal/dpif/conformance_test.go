@@ -316,8 +316,6 @@ type faultObservation struct {
 
 	UpcallWindows uint64
 	UpcallTrips   uint64
-	LinkWindows   uint64
-	LinkTrips     uint64
 
 	// Busy fingerprints virtual-time cost attribution across every CPU.
 	// Identical between two seeded runs of one provider; cleared for the
@@ -396,14 +394,16 @@ func runFaultScenario(t *testing.T, name string) faultObservation {
 		return pl.Translate(key)
 	})
 
-	linkGate := inj.Gate(faultinject.KindLinkFlap, "p1")
+	// The output port's carrier: the test's own port drops while it is
+	// down, beyond the dpif boundary.
+	linkDown := false
 	if err := d.PortAdd(dpif.TxPort{PortID: 1, PortName: "p0",
 		Deliver: func(*packet.Packet) {}}); err != nil {
 		t.Fatalf("%s: PortAdd(1): %v", name, err)
 	}
 	if err := d.PortAdd(dpif.TxPort{PortID: 2, PortName: "p1",
 		Deliver: func(*packet.Packet) {
-			if linkGate() {
+			if linkDown {
 				o.LinkDrops++
 			} else {
 				o.Delivered++
@@ -421,10 +421,11 @@ func runFaultScenario(t *testing.T, name string) faultObservation {
 	eng.RunUntil(sim.Millisecond) // retries resolve well before this
 
 	// Phase B: link flap on the output port while the flow is installed.
-	// The window edges are engine events, so arm it strictly in the future
-	// and advance into it before executing.
+	// The carrier's edges are engine events, so schedule them strictly in
+	// the future and advance into the down window before executing.
 	t1 := eng.Now()
-	inj.Window(faultinject.KindLinkFlap, "p1", t1+10*sim.Microsecond, 30*sim.Microsecond, nil)
+	eng.ScheduleAt(t1+10*sim.Microsecond, func() { linkDown = true })
+	eng.ScheduleAt(t1+40*sim.Microsecond, func() { linkDown = false })
 	eng.RunUntil(t1 + 20*sim.Microsecond)
 	for i := 0; i < 6; i++ {
 		d.Execute(scenarioPacket())
@@ -464,8 +465,6 @@ func runFaultScenario(t *testing.T, name string) faultObservation {
 	}
 	o.UpcallWindows = inj.Windows(faultinject.KindUpcallFailure)
 	o.UpcallTrips = inj.Trips(faultinject.KindUpcallFailure)
-	o.LinkWindows = inj.Windows(faultinject.KindLinkFlap)
-	o.LinkTrips = inj.Trips(faultinject.KindLinkFlap)
 	for _, c := range eng.CPUs() {
 		o.Busy += c.BusyTotal()
 	}
@@ -515,9 +514,8 @@ func TestFaultScheduleConformance(t *testing.T) {
 	if ref.FlowsAfterExpiry != 0 {
 		t.Errorf("FlowsAfterExpiry = %d, want 0 (TTL passed)", ref.FlowsAfterExpiry)
 	}
-	if ref.LinkTrips != 6 || ref.LinkWindows != 1 || ref.UpcallWindows != 2 {
-		t.Errorf("injector counters: linkTrips=%d linkWindows=%d upcallWindows=%d, want 6/1/2",
-			ref.LinkTrips, ref.LinkWindows, ref.UpcallWindows)
+	if ref.UpcallWindows != 2 {
+		t.Errorf("injector counters: upcallWindows=%d, want 2", ref.UpcallWindows)
 	}
 
 	// Conservation: every fast-path pass is delivered or counted in exactly

@@ -216,32 +216,11 @@ func Mov(dst, src Reg) Insn { return Insn{Op: OpMov, Dst: dst, Src: src} }
 // MovImm sets dst = imm.
 func MovImm(dst Reg, imm int64) Insn { return Insn{Op: OpMov, Dst: dst, Imm: imm, UseImm: true} }
 
-// Add sets dst += src.
-func Add(dst, src Reg) Insn { return Insn{Op: OpAdd, Dst: dst, Src: src} }
-
 // AddImm sets dst += imm.
 func AddImm(dst Reg, imm int64) Insn { return Insn{Op: OpAdd, Dst: dst, Imm: imm, UseImm: true} }
 
-// SubImm sets dst -= imm.
-func SubImm(dst Reg, imm int64) Insn { return Insn{Op: OpSub, Dst: dst, Imm: imm, UseImm: true} }
-
-// MulImm sets dst *= imm.
-func MulImm(dst Reg, imm int64) Insn { return Insn{Op: OpMul, Dst: dst, Imm: imm, UseImm: true} }
-
 // AndImm sets dst &= imm.
 func AndImm(dst Reg, imm int64) Insn { return Insn{Op: OpAnd, Dst: dst, Imm: imm, UseImm: true} }
-
-// OrImm sets dst |= imm.
-func OrImm(dst Reg, imm int64) Insn { return Insn{Op: OpOr, Dst: dst, Imm: imm, UseImm: true} }
-
-// XorReg sets dst ^= src.
-func XorReg(dst, src Reg) Insn { return Insn{Op: OpXor, Dst: dst, Src: src} }
-
-// LshImm sets dst <<= imm.
-func LshImm(dst Reg, imm int64) Insn { return Insn{Op: OpLsh, Dst: dst, Imm: imm, UseImm: true} }
-
-// RshImm sets dst >>= imm (logical).
-func RshImm(dst Reg, imm int64) Insn { return Insn{Op: OpRsh, Dst: dst, Imm: imm, UseImm: true} }
 
 // Ldx loads size bytes at src+off into dst (zero-extended, big-endian for
 // packet data to match network byte order semantics used by the programs).
@@ -274,14 +253,6 @@ func JneImm(dst Reg, imm int64, off int16) Insn {
 
 // Jgt jumps if dst > src (unsigned).
 func Jgt(dst, src Reg, off int16) Insn { return Insn{Op: OpJgt, Dst: dst, Src: src, Off: off} }
-
-// Jle jumps if dst <= src (unsigned).
-func Jle(dst, src Reg, off int16) Insn { return Insn{Op: OpJle, Dst: dst, Src: src, Off: off} }
-
-// JsetImm jumps if dst & imm != 0.
-func JsetImm(dst Reg, imm int64, off int16) Insn {
-	return Insn{Op: OpJset, Dst: dst, Imm: imm, Off: off, UseImm: true}
-}
 
 // Call invokes a helper.
 func Call(h Helper) Insn { return Insn{Op: OpCall, Imm: int64(h), UseImm: true} }

@@ -172,16 +172,6 @@ func (c *Cache[V]) InsertHashed(key *flow.Key, h uint32, value V) {
 	c.fill(&set[victim], uint64(h)|validBit, key, value)
 }
 
-// Invalidate removes the entry for key if present.
-func (c *Cache[V]) Invalidate(key flow.Key) {
-	h := c.Hash(&key)
-	set := &c.ways[h&c.mask]
-	if i := c.find(set, h, &key); i >= 0 {
-		set[i].clear()
-		c.count--
-	}
-}
-
 // Flush removes every entry (megaflow revalidation invalidating the cache).
 // Every way keeps its slot: a key is never read without a valid tag.
 func (c *Cache[V]) Flush() {

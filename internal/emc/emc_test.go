@@ -51,18 +51,6 @@ func TestInsertSameKeyUpdates(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New[int](64, 0)
-	k := keyN(1)
-	c.Insert(k, 1)
-	c.Invalidate(k)
-	if _, ok := c.Lookup(k); ok {
-		t.Fatal("invalidated entry must miss")
-	}
-	// Invalidating a missing key is a no-op.
-	c.Invalidate(keyN(99))
-}
-
 func TestFlush(t *testing.T) {
 	c := New[int](64, 0)
 	for i := 0; i < 10; i++ {

@@ -133,17 +133,6 @@ func (c *refCache[V]) InsertHashed(key *flow.Key, h uint32, value V) {
 	c.Evictions++
 }
 
-// Invalidate removes the entry for key if present.
-func (c *refCache[V]) Invalidate(key flow.Key) {
-	set := &c.sets[key.Hash(c.basis)&c.mask]
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			set[i] = entry[V]{}
-			c.count--
-		}
-	}
-}
-
 // Flush removes every entry (megaflow revalidation invalidating the cache).
 func (c *refCache[V]) Flush() {
 	for i := range c.sets {
@@ -200,7 +189,6 @@ const (
 	opLookupHashed
 	opInsert
 	opInsertHashed
-	opInvalidate
 	opRemove
 	opFlush
 	opCount
@@ -235,9 +223,6 @@ func (p *emcPair) apply(op, n int) {
 			p.got.InsertHashed(&k, p.got.Hash(&k), p.vals[n])
 			p.ref.InsertHashed(&k, p.ref.Hash(&k), p.vals[n])
 		}
-	case opInvalidate:
-		p.got.Invalidate(k)
-		p.ref.Invalidate(k)
 	case opRemove:
 		// The megaflow behind key n is removed; a later insert caches its
 		// successor, in whichever record the classifier recycles.
@@ -334,7 +319,7 @@ func (p *emcPair) checkSlots() {
 func TestEMCMatchesReference(t *testing.T) {
 	const keys, steps = 50000, 200000
 	// Weights out of 64: the flush is rare so the cache is mostly full.
-	weights := [opCount]int{opLookup: 8, opLookupHashed: 20, opInsert: 6, opInsertHashed: 18, opInvalidate: 5, opRemove: 6, opFlush: 1}
+	weights := [opCount]int{opLookup: 8, opLookupHashed: 20, opInsert: 6, opInsertHashed: 18, opRemove: 11, opFlush: 1}
 	for _, tc := range []struct {
 		name       string
 		seed       int64
@@ -382,7 +367,7 @@ func TestEMCMatchesReference(t *testing.T) {
 // operation.
 func FuzzEMCOps(f *testing.F) {
 	f.Add([]byte{opInsert, 0, 1, opLookup, 0, 1, opRemove, 0, 1, opLookupHashed, 0, 1})
-	f.Add([]byte{opInsertHashed, 0, 1, opInsertHashed, 0, 9, opInsertHashed, 0, 17, opInvalidate, 0, 9, opFlush, 0, 0})
+	f.Add([]byte{opInsertHashed, 0, 1, opInsertHashed, 0, 9, opInsertHashed, 0, 17, opRemove, 0, 9, opFlush, 0, 0})
 	f.Add([]byte{opInsert, 1, 0, opRemove, 1, 0, opInsert, 2, 0, opInsert, 3, 0, opLookup, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := newEMCPair(t, 16, 1, 1<<16, len(data)%2 == 0)

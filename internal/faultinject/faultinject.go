@@ -2,21 +2,18 @@
 // robustness exhibits: faults are scheduled in *virtual time* on the
 // simulation engine, so arming a fault window never perturbs packet timing
 // — two runs with the same seed and the same schedule are byte-identical,
-// faults included. The injector itself is pure bookkeeping; the substrates
-// (afxdp pools and rings, nicsim links, vdev queues, the dpif providers'
-// upcall paths) each expose a small gate hook the injector's closures plug
-// into.
+// faults included. The injector itself is pure bookkeeping: a substrate
+// either polls a gate the injector hands out (the slow path's upcall
+// handler) or has a window's edges drive it (the NIC flow table's clamp).
 //
-// The fault taxonomy mirrors what the paper's deployment section worries
-// about: slow-path overload (bounded upcall queues, the netdev analog of
-// the kernel's ENOBUFS on the netlink socket), umem/chunk exhaustion, XSK
-// ring stalls and device link flaps. Transient faults (handler failure,
-// ring stall) are retried with exponential backoff; hard faults count
-// drops.
+// Two kinds are injected: a slow-path outage (the vswitchd handler thread
+// wedged or restarting), which is transient and retried with exponential
+// backoff, and firmware rule-memory pressure on the NIC's offload table.
 package faultinject
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"ovsxdp/internal/sim"
@@ -27,23 +24,9 @@ type Kind int
 
 // Fault kinds.
 const (
-	// KindUmemExhaustion makes umempool allocations fail as if every
-	// chunk were in flight.
-	KindUmemExhaustion Kind = iota
-	// KindRingStall freezes an XSK ring pair: kernel-side deliveries drop
-	// and tx drains make no progress until the window closes.
-	KindRingStall
-	// KindLinkFlap takes a device link down: rx and tx frames are lost at
-	// the carrier, exactly like a cable pull.
-	KindLinkFlap
 	// KindUpcallFailure makes slow-path translation fail transiently (the
 	// vswitchd handler thread is wedged or restarting).
-	KindUpcallFailure
-	// KindConntrackPressure clamps a conntrack zone's effective
-	// connection limit for the window, forcing the graceful-degradation
-	// ladder (embryonic early-drop, LRU eviction) to engage — memory
-	// pressure on the connection table, injectable on schedule.
-	KindConntrackPressure
+	KindUpcallFailure Kind = iota
 	// KindOffloadTablePressure clamps the NIC hardware flow table's
 	// effective capacity for the window, force-evicting offloaded rules —
 	// firmware rule-memory pressure (shared with other offload consumers),
@@ -55,16 +38,8 @@ const (
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindUmemExhaustion:
-		return "umem-exhaustion"
-	case KindRingStall:
-		return "ring-stall"
-	case KindLinkFlap:
-		return "link-flap"
 	case KindUpcallFailure:
 		return "upcall-failure"
-	case KindConntrackPressure:
-		return "conntrack-pressure"
 	case KindOffloadTablePressure:
 		return "offload-table-pressure"
 	default:
@@ -72,8 +47,8 @@ func (k Kind) String() string {
 	}
 }
 
-// FaultError is the typed error an injected fault surfaces. Transient
-// faults are retried by the upcall machinery; hard faults are drops.
+// FaultError is the typed error an injected fault surfaces. A transient
+// fault is retried by the upcall machinery.
 type FaultError struct {
 	Kind   Kind
 	Target string
@@ -87,22 +62,25 @@ func (e *FaultError) Error() string {
 // Transient reports whether retrying can succeed once the fault window
 // closes; the datapaths' retry-with-backoff paths key off this.
 func (e *FaultError) Transient() bool {
-	return e.Kind == KindUpcallFailure || e.Kind == KindRingStall
+	return e.Kind == KindUpcallFailure
 }
 
 // Injector schedules fault windows in virtual time and hands out gate
 // closures the substrates poll. All state changes happen inside engine
 // events, so determinism follows from the engine's.
 type Injector struct {
-	eng     *sim.Engine
-	active  map[string]bool
+	eng    *sim.Engine
+	active map[string]bool
+	// gated holds the key of every gate handed out: the faults that
+	// something polls.
+	gated   map[string]bool
 	trips   [numKinds]uint64
 	windows [numKinds]uint64
 }
 
 // New builds an injector on the engine.
 func New(eng *sim.Engine) *Injector {
-	return &Injector{eng: eng, active: make(map[string]bool)}
+	return &Injector{eng: eng, active: make(map[string]bool), gated: make(map[string]bool)}
 }
 
 func faultKey(k Kind, target string) string { return k.String() + "|" + target }
@@ -132,6 +110,7 @@ func (in *Injector) Window(k Kind, target string, at, dur sim.Time, onSet func(a
 // one trip.
 func (in *Injector) Gate(k Kind, target string) func() bool {
 	key := faultKey(k, target)
+	in.gated[key] = true
 	return func() bool {
 		if in.active[key] {
 			in.trips[k]++
@@ -139,6 +118,17 @@ func (in *Injector) Gate(k Kind, target string) func() bool {
 		}
 		return false
 	}
+}
+
+// Gates lists the faults a gate was handed out for, as "kind|target",
+// sorted: a window on any other pair is felt only through its onSet.
+func (in *Injector) Gates() []string {
+	keys := make([]string, 0, len(in.gated))
+	for k := range in.gated {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Active reports whether the fault is inside an armed window right now.

@@ -9,13 +9,16 @@ import (
 )
 
 // TestWindowGateLifecycle walks a gate through before/inside/after one
-// armed window and checks the trip accounting.
+// armed window and checks the trip accounting and the list of gates.
 func TestWindowGateLifecycle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	inj := New(eng)
-	gate := inj.Gate(KindLinkFlap, "eth0")
+	gate := inj.Gate(KindUpcallFailure, "upcall")
+	if got := inj.Gates(); len(got) != 1 || got[0] != "upcall-failure|upcall" {
+		t.Fatalf("gates = %q, want the one handed out", got)
+	}
 
-	inj.Window(KindLinkFlap, "eth0", 10*sim.Microsecond, 20*sim.Microsecond, nil)
+	inj.Window(KindUpcallFailure, "upcall", 10*sim.Microsecond, 20*sim.Microsecond, nil)
 
 	var polls []bool
 	for _, at := range []sim.Time{5, 15, 25, 35} {
@@ -30,16 +33,16 @@ func TestWindowGateLifecycle(t *testing.T) {
 			t.Errorf("poll %d = %v, want %v", i, polls[i], want[i])
 		}
 	}
-	if inj.Trips(KindLinkFlap) != 2 {
-		t.Errorf("trips = %d, want 2", inj.Trips(KindLinkFlap))
+	if inj.Trips(KindUpcallFailure) != 2 {
+		t.Errorf("trips = %d, want 2", inj.Trips(KindUpcallFailure))
 	}
-	if inj.Windows(KindLinkFlap) != 1 {
-		t.Errorf("windows = %d, want 1", inj.Windows(KindLinkFlap))
+	if inj.Windows(KindUpcallFailure) != 1 {
+		t.Errorf("windows = %d, want 1", inj.Windows(KindUpcallFailure))
 	}
-	if inj.Active(KindLinkFlap, "eth0") {
+	if inj.Active(KindUpcallFailure, "upcall") {
 		t.Error("fault still active after window closed")
 	}
-	if !strings.Contains(inj.Report(), "link-flap") {
+	if !strings.Contains(inj.Report(), "upcall-failure") {
 		t.Errorf("report missing kind: %q", inj.Report())
 	}
 }
@@ -49,7 +52,7 @@ func TestWindowOnSetEdges(t *testing.T) {
 	eng := sim.NewEngine(1)
 	inj := New(eng)
 	var edges []bool
-	inj.Window(KindLinkFlap, "eth0", 0, 50*sim.Microsecond, func(active bool) {
+	inj.Window(KindOffloadTablePressure, "nic0", 0, 50*sim.Microsecond, func(active bool) {
 		edges = append(edges, active)
 	})
 	eng.RunUntil(sim.Millisecond)
@@ -61,10 +64,8 @@ func TestWindowOnSetEdges(t *testing.T) {
 // TestFaultErrorTransient pins which kinds the retry machinery retries.
 func TestFaultErrorTransient(t *testing.T) {
 	transient := map[Kind]bool{
-		KindUpcallFailure:  true,
-		KindRingStall:      true,
-		KindUmemExhaustion: false,
-		KindLinkFlap:       false,
+		KindUpcallFailure:        true,
+		KindOffloadTablePressure: false,
 	}
 	for k, want := range transient {
 		err := (&Injector{}).Err(k, "x")

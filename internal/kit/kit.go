@@ -267,7 +267,7 @@ func AttachRedirect(hook *xdp.Hook, dst hdr.MAC, target uint32) {
 // redirected to device target, whose transmit is deliver.
 func RedirectRx(eng *sim.Engine, cpu *sim.CPU, src kernelsim.PollSource, dst hdr.MAC, target uint32,
 	deliver func(*packet.Packet)) {
-	hook := xdp.NewHook(xdp.ModelAllQueues, xdp.ModeDriver)
+	hook := xdp.NewHook(xdp.ModeDriver)
 	AttachRedirect(hook, dst, target)
 	XDPRx(eng, cpu, src, hook, 0, 0, &xdp.Verdicts{ToDev: func(_ uint32, p *packet.Packet) { deliver(p) }})
 }

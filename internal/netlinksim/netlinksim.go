@@ -155,7 +155,8 @@ func (k *Kernel) AddLink(name, driver string, mac hdr.MAC, mtu int) (uint32, err
 	}
 	idx := k.nextIndex
 	k.nextIndex++
-	l := &Link{Index: idx, Name: name, MAC: mac, MTU: mtu, Driver: driver}
+	// A new link is administratively down, as `ip link` shows it.
+	l := &Link{Index: idx, Name: name, MAC: mac, MTU: mtu, State: LinkDown, Driver: driver}
 	k.links[idx] = l
 	k.byName[name] = idx
 	k.notify(Event{Op: OpAdd, Link: l})

@@ -4,9 +4,9 @@ import "ovsxdp/internal/flow"
 
 // FlowTable is the NIC's hardware flow-offload table: the tc/ASAP²-style
 // rule memory that lets established flows bypass the host CPU entirely.
-// Unlike the ntuple steering rules (which only pick a receive queue), a
-// flow-table entry carries an opaque cookie the datapath uses to forward
-// the packet without touching its software caches.
+// Unlike RSS (which only picks a receive queue), a flow-table entry carries
+// an opaque cookie the datapath uses to forward the packet without touching
+// its software caches.
 //
 // The table is exact-match on the full flow key — the hardware analog of
 // the EMC, not of the masked megaflow classifier — so lookup is one map

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"ovsxdp/internal/flow"
-	"ovsxdp/internal/packet/hdr"
-	"ovsxdp/internal/sim"
 )
 
 func fkey(i int) flow.Key { return flow.Key{uint64(i) + 1} }
@@ -210,88 +208,5 @@ func TestFlowTableDeterministicVictims(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("eviction order diverges at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestSteeringRuleRemoveAndDuplicate(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nic := New(eng, Config{Name: "eth0", Queues: 4})
-	if err := nic.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoUDP, DstPort: 5000, Queue: 3}); err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate match tuple (even to another queue) is rejected.
-	if err := nic.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoUDP, DstPort: 5000, Queue: 1}); err == nil {
-		t.Fatal("duplicate steering rule accepted")
-	}
-	if err := nic.RemoveSteeringRule(hdr.IPProtoUDP, 5000); err != nil {
-		t.Fatal(err)
-	}
-	// Removed: the flow falls back to RSS, and removal is not idempotent.
-	if err := nic.RemoveSteeringRule(hdr.IPProtoUDP, 5000); err == nil {
-		t.Fatal("removing an absent rule must fail")
-	}
-	for i := 0; i < 40; i++ {
-		nic.Receive(udpPkt(uint16(1000 + i)))
-	}
-	if nic.Queue(3).RxPackets == 40 {
-		t.Fatal("removed rule still steering")
-	}
-}
-
-func TestSteeringRuleWildcardPrecedence(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nic := New(eng, Config{Name: "eth0", Queues: 4})
-	// First-match-wins over insertion order, exact and wildcard mixed: the
-	// earlier wildcard (proto-only) rule must beat the later exact rule.
-	if err := nic.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoUDP, Queue: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nic.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoUDP, DstPort: 5000, Queue: 2}); err != nil {
-		t.Fatal(err)
-	}
-	nic.Receive(udpPkt(7))
-	if nic.Queue(1).RxPackets != 1 || nic.Queue(2).RxPackets != 0 {
-		t.Fatalf("q1=%d q2=%d; earlier wildcard rule must win",
-			nic.Queue(1).RxPackets, nic.Queue(2).RxPackets)
-	}
-	// Reversed order on a fresh NIC: the exact rule wins.
-	nic2 := New(eng, Config{Name: "eth1", Queues: 4})
-	nic2.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoUDP, DstPort: 5000, Queue: 2})
-	nic2.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoUDP, Queue: 1})
-	nic2.Receive(udpPkt(7))
-	if nic2.Queue(2).RxPackets != 1 {
-		t.Fatal("exact rule inserted first must win")
-	}
-}
-
-func TestSteeringRuleTableBound(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nic := New(eng, Config{Name: "eth0", Queues: 1})
-	for i := 0; i < MaxSteeringRules; i++ {
-		if err := nic.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoTCP, DstPort: uint16(i + 1), Queue: 0}); err != nil {
-			t.Fatalf("rule %d rejected: %v", i, err)
-		}
-	}
-	if err := nic.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoUDP, DstPort: 9, Queue: 0}); err == nil {
-		t.Fatal("rule table bound not enforced")
-	}
-}
-
-// BenchmarkClassifySteering is the satellite-1 regression gate: with the
-// exact-match rules indexed by tuple hash, rxq classification must stay
-// O(1) and allocation-free however many rules are installed.
-func BenchmarkClassifySteering(b *testing.B) {
-	eng := sim.NewEngine(1)
-	nic := New(eng, Config{Name: "eth0", Queues: 4, RingSize: 1 << 20})
-	for i := 0; i < MaxSteeringRules; i++ {
-		if err := nic.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoTCP, DstPort: uint16(i + 1), Queue: i % 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	p := udpPkt(4242)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nic.classify(p)
 	}
 }

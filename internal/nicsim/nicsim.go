@@ -1,12 +1,12 @@
 // Package nicsim models the physical NICs of the paper's testbeds: Intel
 // X540 10 GbE (Section 5.1) and Mellanox ConnectX-6 25 GbE (Section 5.2).
 //
-// A NIC has multiple receive queues fed by RSS hashing or hardware ntuple
-// steering rules (ethtool --config-ntuple, Figure 6b), bounded descriptor
-// rings whose overflow is packet loss, per-queue interrupt signalling for
-// interrupt-driven consumers, an XDP hook executed at the driver level, and
-// hardware offloads (checksum, TSO) that the AF_XDP path conspicuously
-// lacks (Table 2's O5, Section 5.5).
+// A NIC has multiple receive queues fed by RSS hashing through an
+// indirection table (ethtool -X), bounded descriptor rings whose overflow is
+// packet loss, per-queue interrupt signalling for interrupt-driven
+// consumers, an XDP hook executed at the driver level, and hardware
+// offloads (checksum, TSO) that the AF_XDP path conspicuously lacks (Table
+// 2's O5, Section 5.5).
 //
 // The NIC is passive on the receive side: consumers (the kernel stack, a
 // PMD thread, a DPDK driver) poll queues or arm interrupts. The transmit
@@ -19,7 +19,6 @@ import (
 	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/packet"
-	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/xdp"
 )
@@ -40,33 +39,6 @@ type Offloads struct {
 	// consumer (kernels get this via the descriptor; AF_XDP cannot
 	// access it yet, Section 5.5).
 	RSSHashDeliver bool
-}
-
-// SteeringRule is one hardware ntuple flow-steering rule (Figure 6b):
-// packets matching the 5-tuple constraints go to Queue.
-type SteeringRule struct {
-	Proto   hdr.IPProto // 0 matches any
-	DstPort uint16      // 0 matches any
-	Queue   int
-}
-
-// MaxSteeringRules bounds the ntuple rule memory, as real filter tables do
-// (ethtool -u reports the size); appends past it are errors, not silent
-// growth.
-const MaxSteeringRules = 1024
-
-// ntupleKey indexes a fully-specified steering rule for O(1) dispatch.
-type ntupleKey struct {
-	proto hdr.IPProto
-	port  uint16
-}
-
-// steeringEntry is an installed rule plus its insertion sequence, which
-// preserves evaluate-in-insertion-order semantics across the exact index
-// and the wildcard list.
-type steeringEntry struct {
-	rule SteeringRule
-	seq  int
 }
 
 // Queue is one hardware receive queue: the shared packet FIFO behind the
@@ -109,14 +81,6 @@ type NIC struct {
 	rssBasis uint32
 	// activeQueues counts the queues that have received a packet.
 	activeQueues int
-	// ntupleExact indexes fully-specified (proto, port) rules by tuple
-	// hash — O(1) per packet however many rules are installed. Rules with
-	// a wildcard field stay in ntupleWild, scanned in insertion order;
-	// ntupleSeq numbers installs so first-match semantics hold across
-	// both structures.
-	ntupleExact map[ntupleKey]steeringEntry
-	ntupleWild  []steeringEntry
-	ntupleSeq   int
 	// rssTable is the RSS indirection table (ethtool -X): the hash
 	// selects a slot, the slot names the queue. nil keeps the identity
 	// spread hash%queues — provably the same mapping as a table with
@@ -148,9 +112,6 @@ type Config struct {
 	RingSize int
 	LinkRate int64
 	Offloads Offloads
-	// AttachModel selects the Figure 6 XDP attachment style; the zero
-	// value is the Intel all-queues model.
-	AttachModel xdp.AttachModel
 }
 
 // New builds a NIC on the engine.
@@ -169,7 +130,7 @@ func New(eng *sim.Engine, cfg Config) *NIC {
 		Ifindex:  cfg.Ifindex,
 		LinkRate: cfg.LinkRate,
 		Offloads: cfg.Offloads,
-		Hook:     xdp.NewHook(cfg.AttachModel, xdp.ModeDriver),
+		Hook:     xdp.NewHook(xdp.ModeDriver),
 		eng:      eng,
 		rssBasis: uint32(cfg.Ifindex)*0x9e37 + 0x79b9,
 	}
@@ -185,74 +146,6 @@ func (n *NIC) NumQueues() int { return len(n.queues) }
 // Queue returns queue i.
 func (n *NIC) Queue(i int) *Queue { return n.queues[i] }
 
-// AddSteeringRule installs a hardware ntuple rule; rules are evaluated in
-// insertion order before RSS. A rule whose match tuple duplicates an
-// installed rule is rejected (hardware filter slots hold one rule per
-// tuple), as is a rule past the table bound or targeting a queue the NIC
-// does not have.
-func (n *NIC) AddSteeringRule(r SteeringRule) error {
-	if r.Queue < 0 || r.Queue >= len(n.queues) {
-		return fmt.Errorf("nicsim: steering rule targets queue %d of %d", r.Queue, len(n.queues))
-	}
-	if n.steeringRules() >= MaxSteeringRules {
-		return fmt.Errorf("nicsim: steering rule table full (%d rules)", MaxSteeringRules)
-	}
-	if _, ok := n.findSteeringRule(r.Proto, r.DstPort); ok {
-		return fmt.Errorf("nicsim: duplicate steering rule for proto=%d dst-port=%d", r.Proto, r.DstPort)
-	}
-	e := steeringEntry{rule: r, seq: n.ntupleSeq}
-	n.ntupleSeq++
-	if r.Proto != 0 && r.DstPort != 0 {
-		if n.ntupleExact == nil {
-			n.ntupleExact = make(map[ntupleKey]steeringEntry)
-		}
-		n.ntupleExact[ntupleKey{r.Proto, r.DstPort}] = e
-	} else {
-		n.ntupleWild = append(n.ntupleWild, e)
-	}
-	return nil
-}
-
-// RemoveSteeringRule deletes the installed rule with the given match tuple
-// (the ethtool --config-ntuple delete analog); removal is by match, so the
-// Queue field is ignored. Removing a rule that is not installed is an
-// error.
-func (n *NIC) RemoveSteeringRule(proto hdr.IPProto, dstPort uint16) error {
-	if proto != 0 && dstPort != 0 {
-		if _, ok := n.ntupleExact[ntupleKey{proto, dstPort}]; !ok {
-			return fmt.Errorf("nicsim: no steering rule for proto=%d dst-port=%d", proto, dstPort)
-		}
-		delete(n.ntupleExact, ntupleKey{proto, dstPort})
-		return nil
-	}
-	for i, e := range n.ntupleWild {
-		if e.rule.Proto == proto && e.rule.DstPort == dstPort {
-			n.ntupleWild = append(n.ntupleWild[:i], n.ntupleWild[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("nicsim: no steering rule for proto=%d dst-port=%d", proto, dstPort)
-}
-
-// steeringRules counts installed ntuple rules.
-func (n *NIC) steeringRules() int { return len(n.ntupleExact) + len(n.ntupleWild) }
-
-// findSteeringRule locates an installed rule by its exact match tuple.
-func (n *NIC) findSteeringRule(proto hdr.IPProto, dstPort uint16) (SteeringRule, bool) {
-	if proto != 0 && dstPort != 0 {
-		if e, ok := n.ntupleExact[ntupleKey{proto, dstPort}]; ok {
-			return e.rule, true
-		}
-		return SteeringRule{}, false
-	}
-	for _, e := range n.ntupleWild {
-		if e.rule.Proto == proto && e.rule.DstPort == dstPort {
-			return e.rule, true
-		}
-	}
-	return SteeringRule{}, false
-}
-
 // ConnectWire attaches the function that receives transmitted packets (the
 // other end of the cable, a switch port, or a test sink).
 func (n *NIC) ConnectWire(fn func(*packet.Packet)) {
@@ -261,46 +154,17 @@ func (n *NIC) ConnectWire(fn func(*packet.Packet)) {
 	n.wire = sim.NewDeadlines(n.eng, fn)
 }
 
-// classify picks the receive queue for a packet: ntuple rules first, then
-// RSS on the 5-tuple. Hardware does this work, so no CPU cost is charged;
-// the RSS hash is stored in the packet metadata when the NIC supports
-// delivering it.
+// classify picks the receive queue for a packet by RSS on the 5-tuple.
+// Hardware does this work, so no CPU cost is charged; the RSS hash is stored
+// in the packet metadata when the NIC supports delivering it.
 func (n *NIC) classify(p *packet.Packet) *Queue {
 	if len(n.queues) == 1 && !n.Offloads.RSSHashDeliver {
-		// Every steering rule, indirection slot and hash names the one
-		// queue, and nobody is owed the hash.
+		// Every indirection slot and hash names the one queue, and nobody
+		// is owed the hash.
 		return n.queues[0]
 	}
 	var key flow.Key
 	flow.ExtractInto(p, &key)
-	if n.steeringRules() > 0 {
-		f := key.Unpack()
-		// The fully-specified rule, if any, in one map probe; then the
-		// wildcard list in insertion order, stopping once no wildcard rule
-		// can predate the exact match. First match (lowest sequence) wins,
-		// exactly as the linear scan over a single list did.
-		bestSeq := -1
-		bestQueue := 0
-		if e, ok := n.ntupleExact[ntupleKey{f.IPProto, f.TPDst}]; ok {
-			bestSeq, bestQueue = e.seq, e.rule.Queue
-		}
-		for _, e := range n.ntupleWild {
-			if bestSeq >= 0 && e.seq > bestSeq {
-				break
-			}
-			if e.rule.Proto != 0 && e.rule.Proto != f.IPProto {
-				continue
-			}
-			if e.rule.DstPort != 0 && e.rule.DstPort != f.TPDst {
-				continue
-			}
-			bestSeq, bestQueue = e.seq, e.rule.Queue
-			break
-		}
-		if bestSeq >= 0 {
-			return n.queues[bestQueue]
-		}
-	}
 	h := flow.RSSHash(&key)
 	if n.Offloads.RSSHashDeliver {
 		p.RSSHash = h

@@ -74,23 +74,6 @@ func TestActiveQueuesCountsReceivingQueues(t *testing.T) {
 	}
 }
 
-func TestNtupleSteeringBeatsRSS(t *testing.T) {
-	eng := sim.NewEngine(1)
-	nic := New(eng, Config{Name: "eth0", Queues: 4})
-	if err := nic.AddSteeringRule(SteeringRule{Proto: hdr.IPProtoUDP, DstPort: 5000, Queue: 3}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		nic.Receive(udpPkt(uint16(i)))
-	}
-	if nic.Queue(3).RxPackets != 50 {
-		t.Fatalf("steering rule ignored: q3=%d", nic.Queue(3).RxPackets)
-	}
-	if err := nic.AddSteeringRule(SteeringRule{Queue: 99}); err == nil {
-		t.Fatal("rule to invalid queue must fail")
-	}
-}
-
 func TestRingOverflowDrops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nic := New(eng, Config{Name: "eth0", Queues: 1, RingSize: 8})

@@ -121,11 +121,6 @@ func CT(zone uint16, commit bool, t uint8) Action {
 	return Action{Type: ActionCT, Zone: zone, Commit: commit, Table: t}
 }
 
-// CTNat builds a conntrack action with NAT.
-func CTNat(zone uint16, t uint8, nat conntrack.NAT) Action {
-	return Action{Type: ActionCT, Zone: zone, Commit: true, Table: t, NAT: nat}
-}
-
 // PushVLAN builds a VLAN push.
 func PushVLAN(vid uint16, prio uint8) Action {
 	return Action{Type: ActionPushVLAN, VLAN: vid, VLANPrio: prio}

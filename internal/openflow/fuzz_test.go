@@ -27,8 +27,8 @@ func encodedFlowMods() [][]byte {
 			Actions: []ofproto.Action{ofproto.Meter(4), ofproto.PopVLAN(),
 				ofproto.SetEthDst(hdr.MAC{1, 2, 3, 4, 5, 6}), ofproto.DecTTL(),
 				ofproto.PushVLAN(100, 3), ofproto.Output(9), ofproto.GotoTable(20)}},
-		{Priority: 5, Match: ofproto.MatchAny(), Actions: []ofproto.Action{ofproto.CTNat(42, 30,
-			conntrack.NAT{Kind: conntrack.SNAT, Addr: hdr.MakeIP4(192, 0, 2, 1), Port: 40000})}},
+		{Priority: 5, Match: ofproto.MatchAny(), Actions: []ofproto.Action{{Type: ofproto.ActionCT, Zone: 42, Commit: true, Table: 30,
+			NAT: conntrack.NAT{Kind: conntrack.SNAT, Addr: hdr.MakeIP4(192, 0, 2, 1), Port: 40000}}}},
 		{Match: ofproto.MatchAny(), Actions: []ofproto.Action{ofproto.SetTunnel(tun), ofproto.Output(2)}},
 		{Match: ofproto.MatchAny(), Actions: []ofproto.Action{ofproto.TunnelPop(100)}},
 		{Match: ofproto.MatchAny(), Actions: []ofproto.Action{ofproto.Drop()}},

@@ -162,8 +162,8 @@ func TestFlowModCTAction(t *testing.T) {
 		Command: FlowModAdd, TableID: 0, Priority: 5,
 		Match: ofproto.MatchAny(),
 		Actions: []ofproto.Action{
-			ofproto.CTNat(42, 30, conntrack.NAT{Kind: conntrack.SNAT,
-				Addr: hdr.MakeIP4(192, 0, 2, 1), Port: 40000}),
+			{Type: ofproto.ActionCT, Zone: 42, Commit: true, Table: 30, NAT: conntrack.NAT{Kind: conntrack.SNAT,
+				Addr: hdr.MakeIP4(192, 0, 2, 1), Port: 40000}},
 		},
 	}
 	got, err := DecodeFlowMod(EncodeFlowMod(fm))

@@ -212,36 +212,3 @@ func EncapGeneve(inner []byte, outerSrcMAC, outerDstMAC MAC, outerSrc, outerDst 
 	PutUDPChecksum(outerSrc, outerDst, out[EthernetSize+IPv4MinSize:])
 	return out
 }
-
-// DecapGeneve validates outer headers and returns the inner frame along
-// with the VNI. It is the slow-path reference; the datapath fast path
-// performs the same checks on parsed offsets.
-func DecapGeneve(frame []byte) (inner []byte, vni uint32, err error) {
-	eth, err := ParseEthernet(frame)
-	if err != nil {
-		return nil, 0, err
-	}
-	if eth.Type != EtherTypeIPv4 {
-		return nil, 0, ErrMalformed{"geneve outer", "not IPv4"}
-	}
-	ip, err := ParseIPv4(frame[eth.HeaderLen:])
-	if err != nil {
-		return nil, 0, err
-	}
-	if ip.Proto != IPProtoUDP {
-		return nil, 0, ErrMalformed{"geneve outer", "not UDP"}
-	}
-	l4 := frame[eth.HeaderLen+ip.HeaderLen:]
-	udp, err := ParseUDP(l4)
-	if err != nil {
-		return nil, 0, err
-	}
-	if udp.DstPort != GenevePort {
-		return nil, 0, ErrMalformed{"geneve outer", "not the Geneve port"}
-	}
-	g, err := ParseGeneve(l4[UDPSize:])
-	if err != nil {
-		return nil, 0, err
-	}
-	return l4[UDPSize+g.HeaderLen:], g.VNI, nil
-}

@@ -112,25 +112,6 @@ type ARP struct {
 // ARPRequest is the ARP request opcode.
 const ARPRequest = 1
 
-// ParseARP decodes an ARP message from b.
-func ParseARP(b []byte) (ARP, error) {
-	var a ARP
-	if len(b) < ARPSize {
-		return a, ErrTruncated{"arp", ARPSize, len(b)}
-	}
-	if binary.BigEndian.Uint16(b[0:2]) != 1 || // Ethernet hardware space
-		EtherType(binary.BigEndian.Uint16(b[2:4])) != EtherTypeIPv4 ||
-		b[4] != 6 || b[5] != 4 {
-		return a, ErrMalformed{"arp", "not IPv4-over-Ethernet"}
-	}
-	a.Op = binary.BigEndian.Uint16(b[6:8])
-	copy(a.SenderMAC[:], b[8:14])
-	a.SenderIP = IP4(binary.BigEndian.Uint32(b[14:18]))
-	copy(a.TargetMAC[:], b[18:24])
-	a.TargetIP = IP4(binary.BigEndian.Uint32(b[24:28]))
-	return a, nil
-}
-
 // SerializeTo writes the ARP message into b (at least ARPSize bytes) and
 // returns the bytes written.
 func (a *ARP) SerializeTo(b []byte) int {

@@ -103,12 +103,6 @@ func ParseMAC(s string) (MAC, error) {
 	return m, nil
 }
 
-// IsBroadcast reports whether the address is the broadcast address.
-func (m MAC) IsBroadcast() bool { return m == Broadcast }
-
-// IsMulticast reports whether the address has the group bit set.
-func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
-
 // IP4 is an IPv4 address in network byte order.
 type IP4 uint32
 

@@ -98,19 +98,6 @@ func TestPrefixMask(t *testing.T) {
 	}
 }
 
-func TestMACPredicates(t *testing.T) {
-	if !Broadcast.IsBroadcast() || !Broadcast.IsMulticast() {
-		t.Fatal("broadcast predicates wrong")
-	}
-	if macA.IsBroadcast() || macA.IsMulticast() {
-		t.Fatal("unicast misclassified")
-	}
-	mcast := MAC{0x01, 0x00, 0x5e, 0, 0, 1}
-	if !mcast.IsMulticast() || mcast.IsBroadcast() {
-		t.Fatal("multicast misclassified")
-	}
-}
-
 func TestIPv4RoundTrip(t *testing.T) {
 	h := IPv4{TOS: 0x10, TotalLen: 60, ID: 7, TTL: 64, Proto: IPProtoTCP, Src: ipA, Dst: ipB, DontFrag: true}
 	buf := make([]byte, IPv4MinSize)

@@ -106,26 +106,6 @@ type IPv6 struct {
 	Dst          IP6
 }
 
-// ParseIPv6 decodes an IPv6 fixed header from b.
-func ParseIPv6(b []byte) (IPv6, error) {
-	var h IPv6
-	if len(b) < IPv6Size {
-		return h, ErrTruncated{"ipv6", IPv6Size, len(b)}
-	}
-	if v := b[0] >> 4; v != 6 {
-		return h, ErrMalformed{"ipv6", "version is not 6"}
-	}
-	vtf := binary.BigEndian.Uint32(b[0:4])
-	h.TrafficClass = uint8(vtf >> 20)
-	h.FlowLabel = vtf & 0xfffff
-	h.PayloadLen = binary.BigEndian.Uint16(b[4:6])
-	h.NextHeader = IPProto(b[6])
-	h.HopLimit = b[7]
-	copy(h.Src[:], b[8:24])
-	copy(h.Dst[:], b[24:40])
-	return h, nil
-}
-
 // SerializeTo writes the fixed header into b and returns the bytes written.
 func (h *IPv6) SerializeTo(b []byte) int {
 	_ = b[IPv6Size-1]

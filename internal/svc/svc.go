@@ -15,7 +15,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
+	"sort"
 	"strconv"
+	"strings"
 
 	"ovsxdp/internal/api"
 	"ovsxdp/internal/core"
@@ -302,9 +305,11 @@ func (s *Server) handlePutConfig(w http.ResponseWriter, r *http.Request) {
 }
 
 // FaultRequest is the POST /v1/faults body. Kind names a faultinject.Kind
-// ("upcall-failure", "offload-table-pressure", ...); AtUs/DurationUs are
-// the window's start and length in virtual microseconds. A start in the
-// virtual past is clamped to now.
+// ("upcall-failure" or "offload-table-pressure") and Target what it acts
+// on; the pair must be wired on this daemon, by a gate the injector handed
+// out or a registered actuator. AtUs/DurationUs are the window's start and
+// length in virtual microseconds. A start in the virtual past is clamped to
+// now.
 type FaultRequest struct {
 	Kind       string `json:"kind"`
 	Target     string `json:"target"`
@@ -323,11 +328,22 @@ type faultBody struct {
 // two can never disagree.
 var faultKinds = func() map[string]faultinject.Kind {
 	m := make(map[string]faultinject.Kind)
-	for k := faultinject.KindUmemExhaustion; k.String() != fmt.Sprintf("Kind(%d)", int(k)); k++ {
+	for k := faultinject.Kind(0); k.String() != fmt.Sprintf("Kind(%d)", int(k)); k++ {
 		m[k.String()] = k
 	}
 	return m
 }()
+
+// wiredFaults lists the (kind, target) pairs a window can act on, as
+// "kind|target", sorted: the injector's gates and the registered actuators.
+func (s *Server) wiredFaults() []string {
+	wired := s.inj.Gates()
+	for key := range s.actuators {
+		wired = append(wired, key)
+	}
+	sort.Strings(wired)
+	return wired
+}
 
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	if s.inj == nil {
@@ -348,8 +364,14 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "duration_us must be positive")
 		return
 	}
+	key := req.Kind + "|" + req.Target
+	onSet := s.actuators[key]
+	if wired := s.wiredFaults(); !slices.Contains(wired, key) {
+		writeError(w, http.StatusBadRequest, "nothing on this daemon injects %s on %q; wired: %s",
+			req.Kind, req.Target, strings.Join(wired, ", "))
+		return
+	}
 	body := faultBody{Envelope: api.Envelope{Schema: api.SchemaAPI}, FaultRequest: req}
-	onSet := s.actuators[req.Kind+"|"+req.Target]
 	s.do(func() {
 		at := sim.Time(req.AtUs) * sim.Microsecond
 		if now := s.ctl.Engine().Now(); at < now {

@@ -19,6 +19,9 @@ import (
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/experiments"
 	"ovsxdp/internal/faultinject"
+	"ovsxdp/internal/flow"
+	"ovsxdp/internal/kit"
+	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/svc"
 )
@@ -26,13 +29,23 @@ import (
 const testWindow = 2 * sim.Millisecond
 
 // newTestServer runs a short traffic window on a small bed, then leaves the
-// controller idle-serving and the API live.
+// controller idle-serving and the API live. The upcall gate wraps the slow
+// path as cmd/ovs-svc wires it; no actuator is registered.
 func newTestServer(t *testing.T) (*httptest.Server, *experiments.Bed) {
 	t.Helper()
 	cfg := experiments.DefaultBed(experiments.KindAFXDP, 16)
+	pl := kit.LoopbackPipeline(kit.Hop{1, 2}, kit.Hop{2, 1})
+	cfg.Pipeline = pl
 	bed := experiments.NewP2PBed(cfg)
 	ctl := core.NewController(bed.Eng)
 	inj := faultinject.New(bed.Eng)
+	gate := inj.Gate(faultinject.KindUpcallFailure, "upcall")
+	bed.DP.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
+		if gate() {
+			return ofproto.Megaflow{}, inj.Err(faultinject.KindUpcallFailure, "upcall")
+		}
+		return pl.Translate(key)
+	})
 	server := svc.NewServer(ctl, svc.Target{Name: "t0", DP: bed.DP})
 	server.SetInjector(inj)
 
@@ -118,9 +131,11 @@ func TestErrorPaths(t *testing.T) {
 		{"PUT", "/v1/config", "{not json", http.StatusBadRequest},
 		{"PUT", "/v1/config", `{"values":{}}`, http.StatusBadRequest},
 		{"POST", "/v1/faults", `{"kind":"meteor-strike","target":"x","duration_us":1}`, http.StatusBadRequest},
-		// Nothing gates on a revalidator stall, so it is not a kind.
+		// Nothing gates on a revalidator stall or an XSK ring stall, so
+		// neither is a kind.
 		{"POST", "/v1/faults", `{"kind":"revalidator-stall","target":"x","duration_us":1}`, http.StatusBadRequest},
-		{"POST", "/v1/faults", `{"kind":"upcall-failure","target":"x","duration_us":0}`, http.StatusBadRequest},
+		{"POST", "/v1/faults", `{"kind":"ring-stall","target":"x","duration_us":1}`, http.StatusBadRequest},
+		{"POST", "/v1/faults", `{"kind":"upcall-failure","target":"upcall","duration_us":0}`, http.StatusBadRequest},
 		{"DELETE", "/v1/config", "", http.StatusMethodNotAllowed},
 		{"POST", "/v1/datapaths", "", http.StatusMethodNotAllowed},
 		{"PUT", "/v1/faults", "", http.StatusMethodNotAllowed},
@@ -219,6 +234,27 @@ func TestFaultPastStartClamps(t *testing.T) {
 	}
 	if want := int64(testWindow / sim.Microsecond); body.ArmedAtUs != want {
 		t.Fatalf("armed_at_us = %d, want clamped to %d", body.ArmedAtUs, want)
+	}
+}
+
+// TestFaultsRefuseUnwiredPairs: a window on a (kind, target) pair that no
+// gate polls and no actuator drives would be accepted and then do nothing,
+// so it is refused, and the error names the pairs that are wired.
+func TestFaultsRefuseUnwiredPairs(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, body := range []string{
+		`{"kind":"upcall-failure","target":"nobody","duration_us":50}`,
+		// The test server, like ovs-svc -bed kernel, registers no actuator.
+		`{"kind":"offload-table-pressure","target":"nic","duration_us":50}`,
+	} {
+		status, data := doReq(t, ts, "POST", "/v1/faults", body)
+		if status != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400: %s", body, status, data)
+			continue
+		}
+		if !strings.Contains(string(data), "upcall-failure|upcall") {
+			t.Errorf("POST %s: error does not name the wired pair: %s", body, data)
+		}
 	}
 }
 

@@ -37,8 +37,6 @@ type BulkConfig struct {
 	SenderCharge func(bytes int)
 	// ReceiverCharge runs for each delivered data packet.
 	ReceiverCharge func(bytes int)
-	// AckCharge runs for each delivered ack on the sender side.
-	AckCharge func()
 
 	// SendData injects a data segment into the forward path.
 	SendData func(*packet.Packet)
@@ -158,9 +156,6 @@ func (b *Bulk) OnDataArrived(p *packet.Packet) {
 // cumulative ack number is read from the TCP header, so intermediate hops
 // may freely rewrite packet metadata.
 func (b *Bulk) OnAckArrived(p *packet.Packet) {
-	if b.cfg.AckCharge != nil {
-		b.cfg.AckCharge()
-	}
 	ackNo := b.lastAcked
 	if eth, err := hdr.ParseEthernet(p.Data); err == nil {
 		if ip, err := hdr.ParseIPv4(p.Data[eth.HeaderLen:]); err == nil {
@@ -207,11 +202,6 @@ type RRConfig struct {
 	// the response into the reverse path.
 	SendRequest  func(*packet.Packet)
 	SendResponse func(*packet.Packet)
-	// ClientDelay/ServerDelay sample the endpoint processing time per
-	// message (includes scheduler-wakeup jitter); they run on virtual
-	// time via the returned duration.
-	ClientDelay func() sim.Time
-	ServerDelay func() sim.Time
 	// OnDone runs after the last transaction.
 	OnDone func()
 }
@@ -236,11 +226,9 @@ func NewRR(cfg RRConfig) *RR {
 func (r *RR) Start() { r.sendRequest() }
 
 func (r *RR) sendRequest() {
-	delay := sim.Time(0)
-	if r.cfg.ClientDelay != nil {
-		delay = r.cfg.ClientDelay()
-	}
-	r.cfg.Eng.Schedule(delay, func() {
+	// An event of its own, after those already due now: Figs 10 and 11
+	// count on that order.
+	r.cfg.Eng.Schedule(0, func() {
 		r.t0 = r.cfg.Eng.Now()
 		req := packet.New(hdr.NewBuilder().
 			Eth(r.cfg.SrcMAC, r.cfg.DstMAC).
@@ -253,13 +241,10 @@ func (r *RR) sendRequest() {
 }
 
 // OnRequestArrived is called by the server endpoint; it schedules the
-// response after the server delay.
+// response. The endpoints' own processing waits are the caller's, on the
+// paths it hands in.
 func (r *RR) OnRequestArrived(*packet.Packet) {
-	delay := sim.Time(0)
-	if r.cfg.ServerDelay != nil {
-		delay = r.cfg.ServerDelay()
-	}
-	r.cfg.Eng.Schedule(delay, func() {
+	r.cfg.Eng.Schedule(0, func() {
 		resp := packet.New(hdr.NewBuilder().
 			Eth(r.cfg.DstMAC, r.cfg.SrcMAC).
 			IPv4H(r.cfg.DstIP, r.cfg.SrcIP, 64).

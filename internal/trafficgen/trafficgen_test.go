@@ -154,13 +154,14 @@ func TestRRMeasuresRTT(t *testing.T) {
 		SrcMAC: hdr.MAC{2, 0, 0, 0, 0, 1}, DstMAC: hdr.MAC{2, 0, 0, 0, 0, 2},
 		SrcIP: hdr.MakeIP4(10, 0, 0, 1), DstIP: hdr.MakeIP4(10, 0, 0, 2),
 		SrcPort: 40000, DstPort: 12865,
+		// The server's processing time rides on the request's path.
 		SendRequest: func(p *packet.Packet) {
-			eng.Schedule(20*sim.Microsecond, func() { rr.OnRequestArrived(p) })
+			serve := sim.Time(eng.Rand().Exp(5000))
+			eng.Schedule(20*sim.Microsecond+serve, func() { rr.OnRequestArrived(p) })
 		},
 		SendResponse: func(p *packet.Packet) {
 			eng.Schedule(20*sim.Microsecond, func() { rr.OnResponseArrived(p) })
 		},
-		ServerDelay: func() sim.Time { return sim.Time(eng.Rand().Exp(5000)) },
 	})
 	rr.Start()
 	eng.Run()

@@ -30,15 +30,9 @@ type Queue struct {
 	wakeFn    func()
 	wakeArmed bool
 
-	// Gate, when set and returning true, refuses the push (fault
-	// injection: a detached backend or downed device).
-	Gate func() bool
-
 	// Stats.
 	Enqueued uint64
 	Dropped  uint64
-	// GateDrops counts pushes refused by an injected gate fault.
-	GateDrops uint64
 }
 
 // NewQueue builds a queue with the given depth (<=0 selects the default).
@@ -49,15 +43,10 @@ func NewQueue(name string, depth int) *Queue {
 	return &Queue{Name: name, depth: depth}
 }
 
-// Push enqueues a packet. A refused packet — overflow or an injected gate —
-// is counted and released here, so no caller has to. It fires the armed
-// wakeup when the queue transitions from empty.
+// Push enqueues a packet. A packet refused on overflow is counted and
+// released here, so no caller has to. It fires the armed wakeup when the
+// queue transitions from empty.
 func (q *Queue) Push(p *packet.Packet) bool {
-	if q.Gate != nil && q.Gate() {
-		q.GateDrops++
-		p.Release()
-		return false
-	}
 	if q.Len() >= q.depth {
 		q.Dropped++
 		p.Release()

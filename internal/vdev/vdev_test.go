@@ -74,9 +74,8 @@ func TestQueueDefaultDepth(t *testing.T) {
 	}
 }
 
-// TestRefusedPushReleases: a push the queue refuses — ring overflow or an
-// injected gate — gives a pooled packet back to its pool, because no caller
-// looks at the result.
+// TestRefusedPushReleases: a push the queue refuses on ring overflow gives a
+// pooled packet back to its pool, because no caller looks at the result.
 func TestRefusedPushReleases(t *testing.T) {
 	pool := packet.NewPool(4, 64, true)
 	frame := make([]byte, 64)
@@ -86,17 +85,8 @@ func TestRefusedPushReleases(t *testing.T) {
 	if full.Push(pool.GetCopy(frame)) {
 		t.Fatal("push beyond the depth was accepted")
 	}
-	if got := pool.Available(); got != 3 {
-		t.Fatalf("overflow: %d of 4 packets free, want 3 (one queued)", got)
-	}
-
-	gated := NewQueue("gated", 1)
-	gated.Gate = func() bool { return true }
-	if gated.Push(pool.GetCopy(frame)) {
-		t.Fatal("gated push was accepted")
-	}
-	if got := pool.Available(); got != 3 || gated.GateDrops != 1 {
-		t.Fatalf("gate: %d of 4 packets free, want 3; gate drops %d", got, gated.GateDrops)
+	if got := pool.Available(); got != 3 || full.Dropped != 1 {
+		t.Fatalf("overflow: %d of 4 packets free, want 3 (one queued); drops %d", got, full.Dropped)
 	}
 }
 

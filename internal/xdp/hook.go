@@ -2,12 +2,9 @@
 // NIC driver where a verified eBPF program inspects every received packet
 // before the kernel allocates any socket buffer (paper Section 3.1).
 //
-// Two vendor attachment models are implemented, following Figure 6:
-//
-//   - ModelAllQueues (Intel): one program sees every queue's traffic.
-//   - ModelPerQueue (Mellanox): programs attach to individual receive
-//     queues; hardware ntuple steering decides which queue (and therefore
-//     which program) sees a packet.
+// A hook holds one program for every receive queue: Figure 6's Intel
+// all-queue style. The Mellanox per-queue style and its ntuple steering are
+// described in the paper but measured by no exhibit, and are not modelled.
 //
 // The package also carries the paper's program library: the minimal
 // pass-everything-to-AF_XDP program OVS installs, the Table 5 benchmark
@@ -23,25 +20,6 @@ import (
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/sim"
 )
-
-// AttachModel selects the vendor attachment style of Figure 6.
-type AttachModel int
-
-// Attachment models.
-const (
-	// ModelAllQueues attaches one program for the whole device (Intel).
-	ModelAllQueues AttachModel = iota
-	// ModelPerQueue attaches programs to chosen queues (Mellanox).
-	ModelPerQueue
-)
-
-// String names the model.
-func (m AttachModel) String() string {
-	if m == ModelAllQueues {
-		return "all-queues"
-	}
-	return "per-queue"
-}
 
 // Mode is the driver execution mode: native driver support or the
 // universal-but-slower generic (skb) fallback the paper mentions for NICs
@@ -64,13 +42,8 @@ func (m Mode) String() string {
 
 // Hook is a device's XDP attachment point.
 type Hook struct {
-	model  AttachModel
-	mode   Mode
-	global *ebpf.Program
-	// perQueue is indexed by receive queue; nil slots (and queues past its
-	// end) have no program. attached counts the non-nil slots.
-	perQueue []*ebpf.Program
-	attached int
+	mode Mode
+	prog *ebpf.Program
 
 	// ctx and res are reused across Run calls: Program.Exec retains
 	// neither, so one of each per hook keeps the per-packet path free of
@@ -79,9 +52,9 @@ type Hook struct {
 	res ebpf.Result
 }
 
-// NewHook returns a hook with the given attachment model and mode.
-func NewHook(model AttachModel, mode Mode) *Hook {
-	return &Hook{model: model, mode: mode}
+// NewHook returns a hook running its program in the given mode.
+func NewHook(mode Mode) *Hook {
+	return &Hook{mode: mode}
 }
 
 // Attach installs prog for all queues. The program must have passed the
@@ -91,68 +64,22 @@ func (h *Hook) Attach(prog *ebpf.Program) error {
 	if prog != nil && !prog.Verified() {
 		return fmt.Errorf("xdp: program %q has not passed the verifier", prog.Name)
 	}
-	h.global = prog
+	h.prog = prog
 	return nil
 }
 
-// AttachQueue installs prog for one receive queue. Only the per-queue model
-// supports this (Figure 6b).
-func (h *Hook) AttachQueue(queue int, prog *ebpf.Program) error {
-	if h.model != ModelPerQueue {
-		return fmt.Errorf("xdp: %s attachment does not support per-queue programs", h.model)
-	}
-	if prog != nil && !prog.Verified() {
-		return fmt.Errorf("xdp: program %q has not passed the verifier", prog.Name)
-	}
-	if queue < 0 {
-		return fmt.Errorf("xdp: no receive queue %d", queue)
-	}
-	for len(h.perQueue) <= queue {
-		h.perQueue = append(h.perQueue, nil)
-	}
-	if h.perQueue[queue] != nil {
-		h.attached--
-	}
-	if prog != nil {
-		h.attached++
-	}
-	h.perQueue[queue] = prog
-	return nil
-}
-
-// Detach removes all programs.
-func (h *Hook) Detach() {
-	h.global = nil
-	h.perQueue = nil
-	h.attached = 0
-}
-
-// ProgramFor returns the program that applies to a packet arriving on
-// queue, or nil if none is attached (packet goes to the network stack).
-func (h *Hook) ProgramFor(queue int) *ebpf.Program {
-	if h.model == ModelPerQueue {
-		// In the per-queue model, queues without a program bypass XDP
-		// (Figure 6b: queues 1-2 feed the network stack directly).
-		if uint(queue) < uint(len(h.perQueue)) {
-			return h.perQueue[queue]
-		}
-		return nil
-	}
-	return h.global
-}
-
-// HasProgram reports whether any program is attached.
+// HasProgram reports whether a program is attached.
 func (h *Hook) HasProgram() bool {
-	return h.global != nil || h.attached > 0
+	return h.prog != nil
 }
 
-// Run executes the applicable program on a packet arriving at queue. It
+// Run executes the attached program on a packet arriving at queue. It
 // returns the program result and the softirq-context cost of running it.
-// When no program applies, it returns a pass verdict at zero cost. The
+// When no program is attached, it returns a pass verdict at zero cost. The
 // result is the hook's own and is overwritten by the next Run.
 func (h *Hook) Run(queue int, pkt []byte, ifindex uint32) (*ebpf.Result, sim.Time, error) {
 	res := &h.res
-	prog := h.ProgramFor(queue)
+	prog := h.prog
 	if prog == nil {
 		*res = ebpf.Result{Action: ebpf.XDPPass}
 		return res, 0, nil
@@ -175,11 +102,10 @@ func (h *Hook) Run(queue int, pkt []byte, ifindex uint32) (*ebpf.Result, sim.Tim
 
 // Verdicts receives each packet the driver stage is finished with,
 // according to its verdict. A nil callback means the device has no consumer
-// for that verdict and the packet is released.
+// for that verdict and the packet is released. No device here has a host
+// network stack behind its driver, so XDP_PASS (or no program) releases the
+// packet too.
 type Verdicts struct {
-	// Pass receives packets bound for the host network stack: XDP_PASS, or
-	// no program attached to the queue.
-	Pass func(p *packet.Packet)
 	// ToXsk receives packets redirected into an AF_XDP socket, with the
 	// xskmap value (socket id).
 	ToXsk func(sock uint32, p *packet.Packet)
@@ -195,12 +121,12 @@ type Verdicts struct {
 // q of device ifindex, run on behalf of the softirq-context consumer: it
 // charges the driver overhead plus the program's cost to cpu and hands the
 // packet to the verdict's callback. Every path ends the packet's life here
-// or passes it on: a drop, an abort, a faulting program, a redirect with no
-// target and a verdict with no consumer all release it.
+// or passes it on: a pass, a drop, an abort, a faulting program, a redirect
+// with no target and a verdict with no consumer all release it.
 func (h *Hook) Receive(cpu *sim.CPU, q int, p *packet.Packet, ifindex uint32, v *Verdicts) {
 	cpu.Consume(sim.Softirq, costmodel.XDPDriverOverhead)
 	if !h.HasProgram() {
-		deliver(v.Pass, p)
+		p.Release()
 		return
 	}
 	res, cost, err := h.Run(q, p.Data, ifindex)
@@ -210,11 +136,13 @@ func (h *Hook) Receive(cpu *sim.CPU, q int, p *packet.Packet, ifindex uint32, v 
 		return
 	}
 	switch res.Action {
-	case ebpf.XDPPass:
-		deliver(v.Pass, p)
 	case ebpf.XDPTx:
 		cpu.Consume(sim.Softirq, costmodel.XDPTxForward)
-		deliver(v.Tx, p)
+		if v.Tx == nil {
+			p.Release()
+			return
+		}
+		v.Tx(p)
 	case ebpf.XDPRedirect:
 		m := res.RedirectMap
 		if m == nil { // XDP_REDIRECT returned without a redirect_map call
@@ -233,16 +161,7 @@ func (h *Hook) Receive(cpu *sim.CPU, q int, p *packet.Packet, ifindex uint32, v 
 		default:
 			p.Release()
 		}
-	default: // XDP_DROP / XDP_ABORTED
-		p.Release()
-	}
-}
-
-// deliver hands p to fn, or releases it when the verdict has no consumer.
-func deliver(fn func(*packet.Packet), p *packet.Packet) {
-	if fn != nil {
-		fn(p)
-	} else {
+	default: // XDP_PASS / XDP_DROP / XDP_ABORTED
 		p.Release()
 	}
 }

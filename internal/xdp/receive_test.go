@@ -10,16 +10,6 @@ import (
 	"ovsxdp/internal/sim"
 )
 
-// receiveAll runs each packet through h's driver stage as received on queue
-// 0, collecting what passes up to the stack.
-func receiveAll(h *Hook, cpu *sim.CPU, v Verdicts, pkts ...*packet.Packet) (passed []*packet.Packet) {
-	v.Pass = func(p *packet.Packet) { passed = append(passed, p) }
-	for _, p := range pkts {
-		h.Receive(cpu, 0, p, 1, &v)
-	}
-	return passed
-}
-
 func TestHookReceiveXDPVerdicts(t *testing.T) {
 	cpu := sim.NewEngine(1).NewCPU("softirq0")
 	xskMap := ebpf.NewXskMap(4)
@@ -30,12 +20,9 @@ func TestHookReceiveXDPVerdicts(t *testing.T) {
 
 	var gotSock uint32
 	var gotPkt *packet.Packet
-	passed := receiveAll(h, cpu, Verdicts{
+	h.Receive(cpu, 0, packet.New(udpFrame()), 1, &Verdicts{
 		ToXsk: func(s uint32, p *packet.Packet) { gotSock, gotPkt = s, p },
-	}, packet.New(udpFrame()))
-	if len(passed) != 0 {
-		t.Fatalf("passed=%d", len(passed))
-	}
+	})
 	if gotSock != 42 || gotPkt == nil {
 		t.Fatalf("xsk verdict: sock=%d", gotSock)
 	}
@@ -44,11 +31,18 @@ func TestHookReceiveXDPVerdicts(t *testing.T) {
 	}
 }
 
+// TestHookReceiveNoProgramPasses: with no program attached a frame gets
+// XDP_PASS for free, and the driver stage charges only its own overhead.
 func TestHookReceiveNoProgramPasses(t *testing.T) {
+	h := NewHook(ModeDriver)
+	res, cost, err := h.Run(0, udpFrame(), 1)
+	if err != nil || res.Action != ebpf.XDPPass || cost != 0 {
+		t.Fatalf("no program = %+v cost=%d err=%v", res, cost, err)
+	}
 	cpu := sim.NewEngine(1).NewCPU("softirq0")
-	h := NewHook(ModelAllQueues, ModeDriver)
-	if passed := receiveAll(h, cpu, Verdicts{}, packet.New(udpFrame())); len(passed) != 1 {
-		t.Fatalf("passed = %d", len(passed))
+	h.Receive(cpu, 0, packet.New(udpFrame()), 1, &Verdicts{})
+	if got := cpu.Busy(sim.Softirq); got != costmodel.XDPDriverOverhead {
+		t.Fatalf("softirq charged %d, want the driver overhead %d", got, costmodel.XDPDriverOverhead)
 	}
 }
 
@@ -56,7 +50,7 @@ func TestHookReceiveTxVerdict(t *testing.T) {
 	cpu := sim.NewEngine(1).NewCPU("softirq0")
 	h := hookWith(t, NewParseSwapForward())
 	var txd *packet.Packet
-	receiveAll(h, cpu, Verdicts{Tx: func(p *packet.Packet) { txd = p }}, packet.New(udpFrame()))
+	h.Receive(cpu, 0, packet.New(udpFrame()), 1, &Verdicts{Tx: func(p *packet.Packet) { txd = p }})
 	if txd == nil {
 		t.Fatal("XDP_TX verdict not delivered")
 	}
@@ -93,7 +87,7 @@ func TestHookReceiveReleasesTerminalVerdicts(t *testing.T) {
 		{"no program", nil, nil},
 	} {
 		cpu := sim.NewEngine(1).NewCPU("softirq0")
-		h := NewHook(ModelAllQueues, ModeDriver)
+		h := NewHook(ModeDriver)
 		if tc.prog != nil {
 			h = hookWith(t, tc.prog)
 		}

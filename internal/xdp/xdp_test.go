@@ -60,7 +60,7 @@ func TestPassToXskRedirects(t *testing.T) {
 	if err := xsk.SetTarget(2, 77); err != nil {
 		t.Fatal(err)
 	}
-	h := NewHook(ModelAllQueues, ModeDriver)
+	h := NewHook(ModeDriver)
 	if err := h.Attach(mustLoad(t, NewPassToXsk(xsk))); err != nil {
 		t.Fatal(err)
 	}
@@ -263,48 +263,16 @@ func TestL4LoadBalancer(t *testing.T) {
 }
 
 func TestHookAttachRequiresVerification(t *testing.T) {
-	h := NewHook(ModelAllQueues, ModeDriver)
+	h := NewHook(ModeDriver)
 	if err := h.Attach(NewDropAll()); err == nil {
 		t.Fatal("attach of unverified program must fail")
 	}
 }
 
-func TestHookPerQueueModel(t *testing.T) {
-	h := NewHook(ModelPerQueue, ModeDriver)
-	drop := mustLoad(t, NewDropAll())
-	if err := h.AttachQueue(3, drop); err != nil {
-		t.Fatal(err)
-	}
-	if h.ProgramFor(3) != drop {
-		t.Fatal("queue 3 must have the program")
-	}
-	if h.ProgramFor(1) != nil {
-		t.Fatal("queue 1 must bypass XDP (Figure 6b)")
-	}
-	// Packets on unprogrammed queues pass at no cost.
-	res, cost, err := h.Run(1, udpFrame(), 0)
-	if err != nil || res.Action != ebpf.XDPPass || cost != 0 {
-		t.Fatalf("bypass = %+v cost=%d err=%v", res, cost, err)
-	}
-	if err := h.AttachQueue(3, nil); err != nil {
-		t.Fatal(err)
-	}
-	if h.HasProgram() {
-		t.Fatal("detached hook must report no program")
-	}
-}
-
-func TestHookAllQueuesRejectsPerQueueAttach(t *testing.T) {
-	h := NewHook(ModelAllQueues, ModeDriver)
-	if err := h.AttachQueue(0, mustLoad(t, NewDropAll())); err == nil {
-		t.Fatal("per-queue attach on all-queues model must fail")
-	}
-}
-
 func TestGenericModeCostsMore(t *testing.T) {
 	prog := mustLoad(t, NewDropAll())
-	drv := NewHook(ModelAllQueues, ModeDriver)
-	gen := NewHook(ModelAllQueues, ModeGeneric)
+	drv := NewHook(ModeDriver)
+	gen := NewHook(ModeGeneric)
 	if err := drv.Attach(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -318,12 +286,16 @@ func TestGenericModeCostsMore(t *testing.T) {
 	}
 }
 
+// TestHookDetach: attaching no program detaches the one attached (the
+// kernel's detach is an attach of fd -1).
 func TestHookDetach(t *testing.T) {
-	h := NewHook(ModelAllQueues, ModeDriver)
+	h := NewHook(ModeDriver)
 	if err := h.Attach(mustLoad(t, NewDropAll())); err != nil {
 		t.Fatal(err)
 	}
-	h.Detach()
+	if err := h.Attach(nil); err != nil {
+		t.Fatal(err)
+	}
 	if h.HasProgram() {
 		t.Fatal("detach failed")
 	}
@@ -333,10 +305,10 @@ func TestHookDetach(t *testing.T) {
 	}
 }
 
-// hookWith returns an all-queues hook running p, loaded.
+// hookWith returns a hook running p, loaded.
 func hookWith(tb testing.TB, p *ebpf.Program) *Hook {
 	tb.Helper()
-	h := NewHook(ModelAllQueues, ModeDriver)
+	h := NewHook(ModeDriver)
 	if err := h.Attach(mustLoad(tb, p)); err != nil {
 		tb.Fatal(err)
 	}

@@ -16,7 +16,11 @@ package ovsxdp
 // its own unit test reaches is listed. Those are reachLooseAllowed, in two
 // groups — paper features with a test but no exhibit, and test helpers — and
 // the test fails on any symbol outside the list and on any entry that is
-// reachable again or gone, so the list only shrinks.
+// reachable again or gone, so the list only shrinks. It asks the same of
+// hooks, which are struct fields and so invisible to the symbol check: an
+// exported func-typed field that no non-test code assigns (by =, by a
+// composite-literal key or by taking its address) is a mechanism nothing
+// plugs in, and must be on the shrink-only hookAllowed list.
 //
 // Not reported: anything under ovs/ (the public API is for callers outside
 // the module) or benchmark/ (frozen by BENCHMARK.json); main and init; and a
@@ -271,6 +275,98 @@ func unreached(t *testing.T, countTests bool) []string {
 	return dead
 }
 
+// unassignedHooks lists the exported func-typed struct fields declared in
+// non-test files outside ovs/ and benchmark/ that no non-test code assigns,
+// as "dir: field Type.Name", sorted. Assigning means an assignment to the
+// field, a key (or position) in a composite literal, or taking its address.
+func unassignedHooks(t *testing.T) []string {
+	l, err := reachLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := l.fset
+	isTest := func(pos token.Pos) bool { return strings.HasSuffix(fset.Position(pos).Filename, "_test.go") }
+	field := func(e ast.Expr) *types.Var {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if v, ok := l.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+
+	assigned := map[*types.Var]bool{}
+	for _, f := range l.files {
+		if isTest(f.Pos()) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if v := field(lhs); v != nil {
+						assigned[v] = true
+					}
+				}
+			case *ast.UnaryExpr:
+				if v := field(n.X); n.Op == token.AND && v != nil {
+					assigned[v] = true
+				}
+			case *ast.CompositeLit:
+				st, _ := l.info.Types[n].Type.Underlying().(*types.Struct)
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := l.info.Uses[id].(*types.Var); ok && v.IsField() {
+								assigned[v.Origin()] = true
+							}
+						}
+					} else if st != nil && i < st.NumFields() {
+						assigned[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	// The struct each field belongs to, by the package-level types.
+	owner := map[*types.Var]string{}
+	for _, p := range l.pkgs {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					owner[st.Field(i)] = tn.Name()
+				}
+			}
+		}
+	}
+
+	var hooks []string
+	for id, obj := range l.info.Defs {
+		v, ok := obj.(*types.Var)
+		if !ok || !v.IsField() || !v.Exported() || assigned[v] || owner[v] == "" {
+			continue
+		}
+		if _, ok := v.Type().Underlying().(*types.Signature); !ok {
+			continue
+		}
+		file := filepath.ToSlash(fset.Position(id.Pos()).Filename)
+		if isTest(id.Pos()) || strings.HasPrefix(file, "ovs/") || strings.HasPrefix(file, "benchmark/") {
+			continue
+		}
+		hooks = append(hooks, fmt.Sprintf("%s: field %s.%s", path.Dir(file), owner[v], v.Name()))
+	}
+	sort.Strings(hooks)
+	return hooks
+}
+
 func TestReachability(t *testing.T) {
 	for _, d := range unreached(t, true) {
 		t.Errorf("%s has no reference in code or tests", d)
@@ -291,6 +387,20 @@ func TestReachabilityLoose(t *testing.T) {
 	for a := range allowed {
 		t.Errorf("reachLooseAllowed lists %q, which is reachable from code or gone: drop the entry", a)
 	}
+
+	hooks := map[string]bool{}
+	for _, h := range hookAllowed {
+		hooks[h] = true
+	}
+	for _, h := range unassignedHooks(t) {
+		if !hooks[h] {
+			t.Errorf("%s is a hook no non-test code plugs in and is not in hookAllowed: use it or delete it", h)
+		}
+		delete(hooks, h)
+	}
+	for h := range hooks {
+		t.Errorf("hookAllowed lists %q, which non-test code assigns or is gone: drop the entry", h)
+	}
 }
 
 // reachLooseAllowed: what only tests reach, sorted (PR 24) into the two kinds
@@ -298,39 +408,12 @@ func TestReachabilityLoose(t *testing.T) {
 // in neither group until it has a reason to.
 var reachLooseAllowed = []string{
 	// A feature the paper's system has, modelled and unit-tested here, that
-	// no exhibit, scenario, workload, CLI or example exercises.
-	"internal/conntrack: method Table.SetMark",     // ct_mark
-	"internal/conntrack: method Table.SetPressure", // early drop under zone pressure
-	"internal/core: method Datapath.Rebalance",     // pmd-rxq-rebalance on demand
-	// Nine opcodes the VM and the verifier implement that no shipped program
-	// uses.
-	"internal/ebpf: func Add",
-	"internal/ebpf: func Jle",
-	"internal/ebpf: func JsetImm",
-	"internal/ebpf: func LshImm",
-	"internal/ebpf: func MulImm",
-	"internal/ebpf: func OrImm",
-	"internal/ebpf: func RshImm",
-	"internal/ebpf: func SubImm",
-	"internal/ebpf: func XorReg",
-	"internal/emc: method Cache.Invalidate",       // emc_clear_entry; the datapath purges lazily
-	"internal/netlinksim: const LinkDown",         // the state `ip link` shows a new link in
-	"internal/nicsim: method NIC.AddSteeringRule", // ethtool -N ntuple steering
-	"internal/nicsim: method NIC.RemoveSteeringRule",
-	"internal/ofproto: func CTNat",             // ct(nat)
+	// no exhibit, scenario, workload, CLI or example exercises. The control
+	// plane's four wait for it to carry an exhibit.
 	"internal/openflow: func FlowStatsRequest", // OFPMP_FLOW
 	"internal/openflow: func ParseFlowStatsReply",
-	"internal/ovsdb: method Client.Monitor", // OVSDB monitor
-	"internal/packet/hdr: func DecapGeneve",
-	"internal/packet/hdr: func ParseARP",
-	"internal/packet/hdr: func ParseIPv6",
-	"internal/packet/hdr: func VerifyIPv4Checksum",
-	"internal/packet/hdr: func VerifyL4Checksum",
-	"internal/packet/hdr: method MAC.IsBroadcast",
-	"internal/packet/hdr: method MAC.IsMulticast",
+	"internal/ovsdb: method Client.Monitor",    // OVSDB monitor
 	"internal/vswitchd: method VSwitchd.Guard", // a parser crash restarts the daemon, not the host
-	"internal/xdp: method Hook.AttachQueue",    // per-queue XDP attachment
-	"internal/xdp: method Hook.Detach",
 
 	// A test helper: how tests of more than one behaviour observe state or
 	// build input that non-test code has no reason to.
@@ -354,6 +437,16 @@ var reachLooseAllowed = []string{
 	"internal/packet/hdr: method Builder.IPv6H",
 	"internal/packet/hdr: method Builder.Payload",
 	"internal/packet/hdr: method Builder.VLAN",
+	// Checksum oracles: the kernelsim and conntrack tests check with them
+	// that a rewritten frame's checksums are right.
+	"internal/packet/hdr: func VerifyIPv4Checksum",
+	"internal/packet/hdr: func VerifyL4Checksum",
 	"internal/packet: method Pool.Available", // the pool-conservation tests (dpif, vdev, packet)
 	"internal/sim: method Engine.Pending",    // timer hygiene in sim, upcall and conntrack tests
+}
+
+// hookAllowed: the func-typed fields no non-test code assigns, which only
+// shrinks.
+var hookAllowed = []string{
+	"internal/vswitchd: field VSwitchd.OnRestart", // the crash-restart monitor's callback, with Guard
 }
