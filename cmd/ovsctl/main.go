@@ -127,13 +127,17 @@ func newEnv(dpType string, cfg cliConfig) (*env, error) {
 }
 
 // demoFlow is the rule every subcommand installs, as ovs-ofctl would send
-// it: the text parser's rule turned into an OpenFlow flow mod.
-func demoFlow() openflow.FlowMod {
+// it: the text parser's rule encoded as an OpenFlow flow mod.
+func demoFlow() openflow.Message {
 	rule, err := ovs.ParseFlow("priority=10,in_port=1,actions=output:2")
+	var msg openflow.Message
+	if err == nil {
+		msg, err = openflow.EncodeFlowMod(openflow.AddFlow(rule))
+	}
 	if err != nil {
 		panic(err) // the spec is a constant
 	}
-	return openflow.AddFlow(rule)
+	return msg
 }
 
 // demoEnv is newEnv holding the canonical demo topology, created through
@@ -154,7 +158,9 @@ func demoEnv(dpType string, cfg cliConfig) (*env, error) {
 	if n := e.dp.Stats().Ports; n != 2 {
 		return nil, fmt.Errorf("expected 2 datapath ports, have %d", n)
 	}
-	e.daemon.ApplyFlowMod(demoFlow())
+	if reply, refused := e.daemon.Handle(demoFlow()); refused {
+		return nil, fmt.Errorf("the demo flow mod was answered with %v", reply.Type)
+	}
 	return e, nil
 }
 
@@ -433,7 +439,7 @@ func demo(dpType string, cfg cliConfig) error {
 	fmt.Printf("$ ovs-ofctl show br-int\n  datapath id %#x\n", dpid)
 
 	fmt.Println("$ ovs-ofctl add-flow br-int in_port=1,actions=output:2")
-	fm := openflow.EncodeFlowMod(demoFlow())
+	fm := demoFlow()
 	fm.Xid = 3
 	if err := openflow.WriteMessage(conn, fm); err != nil {
 		return err

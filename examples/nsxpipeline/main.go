@@ -1,7 +1,8 @@
 // NSX pipeline example: generate the Table 3-scale production rule set
-// (103,302 OpenFlow rules, 40 tables, 291 Geneve tunnels), install it, and
-// walk a packet through the paper's three datapath passes — classification,
-// conntrack recirculation, and L2 forwarding into a Geneve tunnel.
+// (103,302 OpenFlow rules, 40 tables, 291 Geneve tunnels), send it to a
+// vswitchd as OpenFlow flow mods, and walk a packet through the paper's
+// three datapath passes — classification, conntrack recirculation, and L2
+// forwarding into a Geneve tunnel.
 package main
 
 import (
@@ -17,10 +18,11 @@ func main() {
 	cfg := nsx.DefaultConfig()
 	fmt.Println("generating the NSX rule set (Table 3 scale)...")
 	rs := nsx.Generate(cfg)
-	fmt.Printf("  %s\n\n", rs.Stats())
-
-	pl := ofproto.NewPipeline()
-	rs.Install(pl)
+	v := nsx.Hypervisor()
+	check(rs.Program(v))
+	pl := v.Pipeline
+	fmt.Printf("  tunnels=%d vms=%d(x%d) rules=%d tables=%d fields=%d\n\n", len(rs.RemoteVTEPs),
+		cfg.NumVMs, cfg.IfacesPerVM, pl.RuleCount(), pl.TableCount(), pl.FieldCount())
 
 	// A TCP SYN from the first VM interface to a workload behind tunnel 7.
 	vif := rs.VIFs[0]

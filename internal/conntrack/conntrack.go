@@ -147,7 +147,6 @@ type Conn struct {
 	class   connClass
 	State   State
 	Orig    Tuple
-	Mark    uint32
 	expires sim.Time
 	// packets per direction.
 	PktsOrig, PktsReply uint64
@@ -342,10 +341,11 @@ func extract(p *packet.Packet) (tu Tuple, tcpFlags uint8, icmpErr bool, ok bool)
 }
 
 // Process runs the packet through the tracker in the given zone: the ct()
-// datapath action. It sets the packet's conntrack metadata (CtState, CtZone,
-// CtMark). With commit set, a new connection is installed (subject to the
-// zone limit ladder); without it, new connections are only classified, as in
-// OVS where commit happens on the firewall's allow rule.
+// datapath action. It sets the packet's conntrack metadata (CtState,
+// CtZone; nothing sets a connection mark, so CtMark stays 0). With commit
+// set, a new connection is installed (subject to the zone limit ladder);
+// without it, new connections are only classified, as in OVS where commit
+// happens on the firewall's allow rule.
 func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 	p.CtZone = zone
 	tu, tcpFlags, icmpErr, ok := extract(p)
@@ -375,7 +375,6 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 		t.advance(c, tcpFlags, reply, now)
 		t.touch(c)
 		p.CtState = packet.CtTracked
-		p.CtMark = c.Mark
 		switch c.State {
 		case StateEstablished, StateFinWait:
 			p.CtState |= packet.CtEstablished

@@ -255,26 +255,6 @@ func TestDNAT(t *testing.T) {
 	}
 }
 
-// TestSetMark: the mark set on a connection (ct_mark) is stamped on each
-// later packet of it.
-func TestSetMark(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ct := NewTable(eng)
-	p := tcpPkt(ipA, ipB, 1, 2, hdr.TCPSyn)
-	ct.Process(p, 1, true, NAT{})
-	tu, _ := TupleOf(p)
-	c, ok := ct.Find(1, tu)
-	if !ok {
-		t.Fatal("committed connection not found")
-	}
-	c.Mark = 0xbeef
-	next := tcpPkt(ipA, ipB, 1, 2, hdr.TCPAck)
-	ct.Process(next, 1, false, NAT{})
-	if next.CtMark != 0xbeef {
-		t.Fatalf("mark = %#x", next.CtMark)
-	}
-}
-
 func TestLooseMidStreamPickup(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ct := NewTable(eng)

@@ -48,7 +48,6 @@ func (t *Table) processICMPError(p *packet.Packet, zone uint16) {
 		return
 	}
 	p.CtState = packet.CtTracked | packet.CtRelated
-	p.CtMark = c.Mark
 	t.RelatedICMP++
 	if embOrig {
 		// The embedded packet traveled the original direction, so the

@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -17,10 +18,13 @@ import (
 // Fields; a Mask has the Key's layout, so a field's mask is read and written
 // with the same accessors as its value (MatchSpec).
 
-// OXM classes: OpenFlow basic, and the Nicira extension (NXM_1) OVS uses for
-// conntrack and tunnel endpoint fields.
+// OXM classes: OpenFlow basic, and the Nicira extensions OVS uses for the
+// fields OpenFlow 1.3 has no id for: NXM_0, the OpenFlow 1.0 fields Nicira
+// numbered first (IP TOS), and NXM_1 (conntrack, tunnel endpoints, TTL,
+// fragments, TCP flags).
 const (
 	OXMBasic  = 0x8000
+	OXMNXM0   = 0x0000
 	OXMNicira = 0x0001
 )
 
@@ -33,7 +37,7 @@ const (
 	SyntaxVLAN                  // VID 0..4095; the value matched is the TCI with VLANPresent set
 	SyntaxMAC                   // 02:00:00:00:00:01
 	SyntaxIPv4                  // 10.1.2.3, and 10.1.0.0/16 on a MaskPrefix field
-	SyntaxCtState               // +trk+est-new: value and mask together
+	SyntaxFlags                 // +trk+est-new: value and mask together, one name per bit in Flags
 )
 
 // MaskKind is which masks the control plane can state for a field.
@@ -47,14 +51,16 @@ const (
 
 // MatchField is one row of MatchFields.
 type MatchField struct {
-	Name        string // ovs-ofctl name; "" when flow text cannot state the field
-	OXMClass    uint16 // OXMBasic or OXMNicira; 0 when OpenFlow cannot carry the field
-	OXMField    uint8
-	OXMFieldUDP uint8 // non-zero: encoded as this field when nw_proto is UDP, decoded from either
-	Width       int   // OXM value bytes
-	Syntax      Syntax
-	Mask        MaskKind
-	OmitZero    bool // OXM-encoded only when the value is non-zero
+	Name     string // ovs-ofctl name; "" when flow text cannot state the field
+	OXMClass uint16
+	OXMField uint8
+	OXMAlt   uint8 // non-zero: encoded as this field when nw_proto is AltProto, decoded from either
+	AltProto hdr.IPProto
+	Width    int // OXM value bytes
+	Syntax   Syntax
+	Flags    []string // SyntaxFlags: the bit names, least significant first
+	Mask     MaskKind
+	OmitZero bool // OXM-encoded only when the value is non-zero
 	access
 }
 
@@ -116,19 +122,31 @@ var MatchFields = []MatchField{
 		access: num(func(f *Fields) *hdr.IP4 { return &f.IP4Src })},
 	{Name: "nw_dst", OXMClass: OXMBasic, OXMField: 12, Width: 4, Syntax: SyntaxIPv4, Mask: MaskPrefix,
 		access: num(func(f *Fields) *hdr.IP4 { return &f.IP4Dst })},
-	{Name: "nw_ttl",
+	{Name: "nw_tos", OXMClass: OXMNXM0, OXMField: 8, Width: 1, // NXM_OF_IP_TOS
+		access: num(func(f *Fields) *uint8 { return &f.IPTOS })},
+	{Name: "nw_ttl", OXMClass: OXMNicira, OXMField: 29, Width: 1, // NXM_NX_IP_TTL
 		access: num(func(f *Fields) *uint8 { return &f.IPTTL })},
-	{Name: "tp_src", OXMClass: OXMBasic, OXMField: 13, OXMFieldUDP: 15, Width: 2,
+	{Name: "ip_frag", OXMClass: OXMNicira, OXMField: 26, Width: 1, // NXM_NX_IP_FRAG: 1 first, 3 later
+		access: num(func(f *Fields) *uint8 { return &f.IPFrag })},
+	{Name: "tp_src", OXMClass: OXMBasic, OXMField: 13, OXMAlt: 15, AltProto: hdr.IPProtoUDP, Width: 2,
 		access: num(func(f *Fields) *uint16 { return &f.TPSrc })},
-	{Name: "tp_dst", OXMClass: OXMBasic, OXMField: 14, OXMFieldUDP: 16, Width: 2,
+	{Name: "tp_dst", OXMClass: OXMBasic, OXMField: 14, OXMAlt: 16, AltProto: hdr.IPProtoUDP, Width: 2,
 		access: num(func(f *Fields) *uint16 { return &f.TPDst })},
+	{Name: "tcp_flags", OXMClass: OXMNicira, OXMField: 34, Width: 2, Syntax: SyntaxFlags, Mask: MaskBits, // NXM_NX_TCP_FLAGS
+		Flags:  []string{"fin", "syn", "rst", "psh", "ack", "urg", "ece", "cwr"},
+		access: num(func(f *Fields) *uint8 { return &f.TCPFlags })},
+	{Name: "icmp_type", OXMClass: OXMBasic, OXMField: 19, OXMAlt: 29, AltProto: hdr.IPProtoICMPv6, Width: 1,
+		access: num(func(f *Fields) *uint8 { return &f.ICMPType })},
+	{Name: "icmp_code", OXMClass: OXMBasic, OXMField: 20, OXMAlt: 30, AltProto: hdr.IPProtoICMPv6, Width: 1,
+		access: num(func(f *Fields) *uint8 { return &f.ICMPCode })},
 	{Name: "tun_id", OXMClass: OXMBasic, OXMField: 38, Width: 8,
 		access: num(func(f *Fields) *uint32 { return &f.TunVNI })},
 	{Name: "tun_src", OXMClass: OXMNicira, OXMField: 31, Width: 4, Syntax: SyntaxIPv4,
 		access: num(func(f *Fields) *hdr.IP4 { return &f.TunSrc })},
 	{Name: "tun_dst", OXMClass: OXMNicira, OXMField: 32, Width: 4, Syntax: SyntaxIPv4,
 		access: num(func(f *Fields) *hdr.IP4 { return &f.TunDst })},
-	{Name: "ct_state", OXMClass: OXMNicira, OXMField: 105, Width: 1, Syntax: SyntaxCtState, Mask: MaskBits,
+	{Name: "ct_state", OXMClass: OXMNicira, OXMField: 105, Width: 1, Syntax: SyntaxFlags, Mask: MaskBits,
+		Flags:  []string{"trk", "new", "est", "rel", "rpl", "inv"},
 		access: num(func(f *Fields) *uint8 { return &f.CtState })},
 	{Name: "ct_zone", OXMClass: OXMNicira, OXMField: 106, Width: 2,
 		access: num(func(f *Fields) *uint16 { return &f.CtZone })},
@@ -151,9 +169,6 @@ var MatchKeywords = []struct {
 	{Name: "icmp", EthType: hdr.EtherTypeIPv4, IPProto: hdr.IPProtoICMP, HasProto: true},
 }
 
-// ctStateFlags names the ct_state bits, least significant first.
-var ctStateFlags = []string{"trk", "new", "est", "rel", "rpl", "inv"}
-
 // MatchFieldByName returns the row flow text calls name, or nil.
 func MatchFieldByName(name string) *MatchField {
 	for i := range MatchFields {
@@ -168,7 +183,7 @@ func MatchFieldByName(name string) *MatchField {
 func MatchFieldByOXM(class uint16, field uint8) *MatchField {
 	for i := range MatchFields {
 		r := &MatchFields[i]
-		if r.OXMClass == class && class != 0 && (r.OXMField == field || r.OXMFieldUDP == field && field != 0) {
+		if r.OXMClass == class && (r.OXMField == field || r.OXMAlt == field && field != 0) {
 			return r
 		}
 	}
@@ -180,8 +195,8 @@ func (r *MatchField) Ones() uint64 { return 1<<r.bits - 1 }
 
 // WireField is the OXM field number that carries the row in a match on v.
 func (r *MatchField) WireField(v *Fields) uint8 {
-	if r.OXMFieldUDP != 0 && v.IPProto == hdr.IPProtoUDP {
-		return r.OXMFieldUDP
+	if r.OXMAlt != 0 && v.IPProto == r.AltProto {
+		return r.OXMAlt
 	}
 	return r.OXMField
 }
@@ -243,8 +258,8 @@ func (r *MatchField) Parse(s string) (v, m uint64, err error) {
 		var ip hdr.IP4
 		ip, err = hdr.ParseIP4(s)
 		v = uint64(ip)
-	case SyntaxCtState:
-		return parseCtState(s)
+	case SyntaxFlags:
+		return r.parseFlags(s)
 	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("flow: %s: bad value %q", r.Name, s)
@@ -267,9 +282,9 @@ func (r *MatchField) Format(v, m uint64) string {
 			s += "/" + strconv.Itoa(bits.OnesCount64(m))
 		}
 		return s
-	case SyntaxCtState:
+	case SyntaxFlags:
 		var s string
-		for i, name := range ctStateFlags {
+		for i, name := range r.Flags {
 			switch bit := uint64(1) << i; {
 			case m&bit == 0:
 			case v&bit != 0:
@@ -283,22 +298,22 @@ func (r *MatchField) Format(v, m uint64) string {
 	return strconv.FormatUint(v, 10)
 }
 
-// parseCtState parses "+trk+est-new" into value and mask bits.
-func parseCtState(s string) (v, m uint64, err error) {
+// parseFlags parses "+trk+est-new" into value and mask bits.
+func (r *MatchField) parseFlags(s string) (v, m uint64, err error) {
 	for len(s) > 0 {
 		sign := s[0]
 		if sign != '+' && sign != '-' {
-			return 0, 0, fmt.Errorf("flow: ct_state must be +flag/-flag sequences, got %q", s)
+			return 0, 0, fmt.Errorf("flow: %s must be +flag/-flag sequences, got %q", r.Name, s)
 		}
 		end := 1 + strings.IndexAny(s[1:]+"+", "+-")
 		bit := uint64(0)
-		for i, name := range ctStateFlags {
+		for i, name := range r.Flags {
 			if s[1:end] == name {
 				bit = 1 << i
 			}
 		}
 		if bit == 0 {
-			return 0, 0, fmt.Errorf("flow: unknown ct_state flag %q", s[1:end])
+			return 0, 0, fmt.Errorf("flow: unknown %s flag %q", r.Name, s[1:end])
 		}
 		m |= bit
 		if sign == '+' {
@@ -307,6 +322,35 @@ func parseCtState(s string) (v, m uint64, err error) {
 		s = s[end:]
 	}
 	return v, m, nil
+}
+
+// Uncarried names the member of Fields whose part of mask m no row of
+// MatchFields states: one no row reads (IPv6Src), or one whose row's mask
+// kind cannot state that part (nw_proto under 0x0f). It returns "" when the
+// rows state all of m, and "unused key bits" for bits outside every member.
+func Uncarried(m Mask) string {
+	f := Key(m).Unpack()
+	if Mask(f.Pack()) != m {
+		return "unused key bits"
+	}
+	for i := range MatchFields {
+		r := &MatchFields[i]
+		if fm := r.Get(&f); fm != 0 {
+			if e, _ := r.Expressible(fm); e == fm {
+				r.Set(&f, 0)
+			}
+		}
+	}
+	if f == (Fields{}) {
+		return ""
+	}
+	rest := reflect.ValueOf(f)
+	for i := 0; i < rest.NumField(); i++ {
+		if !rest.Field(i).IsZero() {
+			return rest.Type().Field(i).Name
+		}
+	}
+	return ""
 }
 
 // MatchSpec is a match field by field: Value holds each field's value and

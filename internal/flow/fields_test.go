@@ -8,9 +8,9 @@ import (
 )
 
 // notMatchable are the fields of Fields the control plane cannot match on:
-// the datapath extracts them and megaflow masks may cover them, but neither
-// flow text nor OXM names them.
-var notMatchable = []string{"IPv6Src", "IPv6Dst", "IPTOS", "IPFrag", "TCPFlags", "ICMPType", "ICMPCode"}
+// the datapath extracts them and megaflow masks may cover them, but a row
+// holds at most 64 bits, so neither flow text nor OXM names them.
+var notMatchable = []string{"IPv6Src", "IPv6Dst"}
 
 // TestMatchFieldsCoverFields: every field of Fields has exactly one row of
 // MatchFields or is listed in notMatchable, so a field added to Fields
@@ -55,18 +55,12 @@ func TestMatchFieldsCoverFields(t *testing.T) {
 				t.Errorf("MatchFieldByName(%q) is not row %d", r.Name, i)
 			}
 		}
-		if r.OXMClass == 0 {
-			if r.OXMField != 0 || r.OXMFieldUDP != 0 || r.Width != 0 {
-				t.Errorf("row %d (%s) has OXM attributes but no class", i, touched[0])
-			}
-			continue
-		}
 		if r.Width*8 < r.bits {
 			t.Errorf("row %d (%s): %d OXM bytes cannot hold %d bits", i, touched[0], r.Width, r.bits)
 		}
 		fields := []uint8{r.OXMField}
-		if r.OXMFieldUDP != 0 {
-			fields = append(fields, r.OXMFieldUDP)
+		if r.OXMAlt != 0 {
+			fields = append(fields, r.OXMAlt)
 		}
 		for _, field := range fields {
 			id := oxm{r.OXMClass, field}
@@ -79,8 +73,8 @@ func TestMatchFieldsCoverFields(t *testing.T) {
 			}
 		}
 	}
-	if MatchFieldByName("") != nil || MatchFieldByOXM(0, 0) != nil {
-		t.Error("the nameless row or the OXM-less row was found by lookup")
+	if MatchFieldByName("") != nil || MatchFieldByOXM(OXMNXM0, 0) != nil {
+		t.Error("the nameless row or an unnumbered field was found by lookup")
 	}
 
 	skip := map[string]bool{}
@@ -182,12 +176,12 @@ func TestFormatParsesBack(t *testing.T) {
 			case MaskPrefix:
 				m = r.Ones() &^ (r.Ones() >> (1 + rng.Intn(r.bits)))
 			case MaskBits:
-				m = 1 + rng.Uint64()%(1<<len(ctStateFlags)-1)
+				m = 1 + rng.Uint64()%(1<<len(r.Flags)-1)
 			}
 			if r.Syntax == SyntaxVLAN {
 				v = VLANPresent | v&0xfff // all the syntax can say
 			}
-			if r.Syntax == SyntaxCtState {
+			if r.Syntax == SyntaxFlags {
 				v &= m // a flag outside the mask has no sign to print
 			}
 			text := r.Format(v, m)
@@ -195,6 +189,29 @@ func TestFormatParsesBack(t *testing.T) {
 			if err != nil || gotV != v || gotM != m {
 				t.Fatalf("%s: %#x/%#x printed as %q, parsed back as %#x/%#x, %v", r.Name, v, m, text, gotV, gotM, err)
 			}
+		}
+	}
+}
+
+// TestUncarriedNamesTheField: a mask the rows state is carried whole; a
+// member no row reads, a part an exact row cannot state and bits between the
+// members are named.
+func TestUncarriedNamesTheField(t *testing.T) {
+	cases := []struct {
+		m    Mask
+		want string
+	}{
+		{Mask{}, ""},
+		{NewMaskBuilder().EthType().IPProto().TCPFlags(0x12).ICMP().IPTOS().IPTTL().IPFrag().IP4Src(8).Build(), ""},
+		{NewMaskBuilder().EthType().Build().Union(Mask{wIP6SrcA: 1}), "IPv6Src"},
+		{Mask{wIP6DstB: 1 << 63}, "IPv6Dst"},
+		{Mask{wIPMeta: 0x0f << 56}, "IPProto"},
+		{Mask{wIP4: 0x00ff0000}, "IP4Dst"}, // not a prefix
+		{Mask{wL4: 0xff}, "unused key bits"},
+	}
+	for _, c := range cases {
+		if got := Uncarried(c.m); got != c.want {
+			t.Errorf("Uncarried(%x) = %q, want %q", c.m, got, c.want)
 		}
 	}
 }

@@ -212,16 +212,6 @@ func (m Mask) Union(o Mask) Mask {
 	return m
 }
 
-// Intersects reports whether m and o share any bit.
-func (m Mask) Intersects(o Mask) bool {
-	for i := range m {
-		if m[i]&o[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Bits counts the number of set bits, a proxy for match specificity.
 func (m Mask) Bits() int {
 	n := 0
@@ -273,20 +263,6 @@ func (b *MaskBuilder) IP4Src(prefixLen int) *MaskBuilder {
 // IP4Dst matches the destination address under a prefix of the given length.
 func (b *MaskBuilder) IP4Dst(prefixLen int) *MaskBuilder {
 	b.m[wIP4] |= uint64(hdr.PrefixMask(prefixLen))
-	return b
-}
-
-// IPv6Src matches the IPv6 source exactly.
-func (b *MaskBuilder) IPv6Src() *MaskBuilder {
-	b.m[wIP6SrcA] = ^uint64(0)
-	b.m[wIP6SrcB] = ^uint64(0)
-	return b
-}
-
-// IPv6Dst matches the IPv6 destination exactly.
-func (b *MaskBuilder) IPv6Dst() *MaskBuilder {
-	b.m[wIP6DstA] = ^uint64(0)
-	b.m[wIP6DstB] = ^uint64(0)
 	return b
 }
 

@@ -1,7 +1,7 @@
 // Package nsx models the NSX agent of Section 4: it generates a
 // production-grade OpenFlow rule set with the same shape and statistics as
-// the paper's Table 3 (taken "from one of our hypervisors"), and installs
-// it into an ofproto pipeline — either directly or over the OpenFlow wire.
+// the paper's Table 3 (taken "from one of our hypervisors"), and programs a
+// vswitchd with it the way the agent does: one OpenFlow flow mod per rule.
 //
 // The pipeline reproduces the three-pass packet walk Section 5.1 describes:
 //
@@ -17,10 +17,14 @@ package nsx
 import (
 	"fmt"
 
+	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/ofproto"
+	"ovsxdp/internal/openflow"
 	"ovsxdp/internal/packet/hdr"
+	"ovsxdp/internal/sim"
 	"ovsxdp/internal/tunnel"
+	"ovsxdp/internal/vswitchd"
 )
 
 // Table layout of the generated pipeline.
@@ -78,16 +82,6 @@ type Ruleset struct {
 	RemoteVTEPs []hdr.IP4
 	// RemoteMACs maps remote workload MACs to their VTEP index.
 	RemoteMACs map[hdr.MAC]int
-}
-
-// Stats summarizes the rule set the way Table 3 does.
-type Stats struct {
-	GeneveTunnels  int
-	VMs            int
-	IfacesPerVM    int
-	OpenFlowRules  int
-	OpenFlowTables int
-	MatchingFields int
 }
 
 // VIFMAC returns the deterministic MAC of VIF i.
@@ -264,10 +258,10 @@ func Generate(cfg Config) *Ruleset {
 			Match: ofproto.NewMatch(flow.Fields{CtZone: 999},
 				flow.NewMaskBuilder().CtZone().Build()),
 			Actions: []ofproto.Action{ofproto.Drop()}},
-		{TableID: TableDFWBase + 4, Priority: 790, // IPv6 neighbor policy
+		{TableID: TableDFWBase + 4, Priority: 790, // IPv6 neighbor solicitation policy
 			Match: ofproto.NewMatch(flow.Fields{EthType: hdr.EtherTypeIPv6,
-				IPProto: hdr.IPProtoICMPv6},
-				flow.NewMaskBuilder().EthType().IPProto().IPv6Src().Build()),
+				IPProto: hdr.IPProtoICMPv6, ICMPType: 135},
+				flow.NewMaskBuilder().EthType().IPProto().ICMP().Build()),
 			Actions: []ofproto.Action{ofproto.Drop()}},
 		{TableID: TableDFWBase + 5, Priority: 780, // tunnel-destination scoped
 			Match: ofproto.NewMatch(flow.Fields{TunDst: cfg.LocalVTEP},
@@ -336,78 +330,29 @@ func Generate(cfg Config) *Ruleset {
 	return rs
 }
 
-// Install adds every rule to the pipeline.
-func (rs *Ruleset) Install(pl *ofproto.Pipeline) {
-	for _, r := range rs.Rules {
-		pl.AddRule(r)
+// Hypervisor opens the switch the agent programs: a vswitchd over a
+// portless netdev datapath, whose pipeline holds what the agent sent.
+func Hypervisor() *vswitchd.VSwitchd {
+	pl := ofproto.NewPipeline()
+	d, err := dpif.Open("netdev", dpif.Config{Eng: sim.NewEngine(1), Pipeline: pl})
+	if err != nil {
+		panic(err) // the netdev provider is always registered
 	}
+	return vswitchd.New(nil, pl, d)
 }
 
-// Stats computes the Table 3 summary from the generated rules.
-func (rs *Ruleset) Stats() Stats {
-	tables := map[uint8]bool{}
-	fields := map[string]bool{}
+// Program sends every rule to the daemon as an OpenFlow add-flow message,
+// in generation order (Section 4: the agent "transforms the NSX network
+// policies into flow rules" over OpenFlow).
+func (rs *Ruleset) Program(v *vswitchd.VSwitchd) error {
 	for _, r := range rs.Rules {
-		tables[r.TableID] = true
-		for _, f := range maskFieldNames(r.Match.Mask) {
-			fields[f] = true
+		msg, err := openflow.EncodeFlowMod(openflow.AddFlow(r))
+		if err != nil {
+			return fmt.Errorf("nsx: rule %v: %w", r, err)
+		}
+		if reply, refused := v.Handle(msg); refused {
+			return fmt.Errorf("nsx: rule %v: the switch answered %v", r, reply.Type)
 		}
 	}
-	return Stats{
-		GeneveTunnels:  len(rs.RemoteVTEPs),
-		VMs:            rs.Config.NumVMs,
-		IfacesPerVM:    rs.Config.IfacesPerVM,
-		OpenFlowRules:  len(rs.Rules),
-		OpenFlowTables: len(tables),
-		MatchingFields: len(fields),
-	}
-}
-
-// maskFieldNames lists the named fields a mask constrains (the "matching
-// fields among all rules" statistic).
-func maskFieldNames(m flow.Mask) []string {
-	probes := []struct {
-		name  string
-		build func(*flow.MaskBuilder) *flow.MaskBuilder
-	}{
-		{"in_port", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.InPort() }},
-		{"recirc_id", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.RecircID() }},
-		{"eth_dst", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.EthDst() }},
-		{"eth_src", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.EthSrc() }},
-		{"eth_type", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.EthType() }},
-		{"vlan", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.VLAN() }},
-		{"ip_proto", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.IPProto() }},
-		{"ip_tos", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.IPTOS() }},
-		{"ip_ttl", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.IPTTL() }},
-		{"ip_frag", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.IPFrag() }},
-		{"ipv4_src", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.IP4Src(1) }},
-		{"ipv4_dst", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.IP4Dst(1) }},
-		{"ipv6_src", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.IPv6Src() }},
-		{"ipv6_dst", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.IPv6Dst() }},
-		{"tp_src", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.TPSrc() }},
-		{"tp_dst", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.TPDst() }},
-		{"tcp_flags", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.TCPFlags(0xff) }},
-		{"icmp", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.ICMP() }},
-		{"ct_state", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.CtState(0x01) }},
-		{"ct_zone", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.CtZone() }},
-		{"ct_mark", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.CtMark() }},
-		{"tun_id", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.TunVNI() }},
-		{"tun_src", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.TunSrc() }},
-		{"tun_dst", func(b *flow.MaskBuilder) *flow.MaskBuilder { return b.TunDst() }},
-	}
-	var out []string
-	for _, p := range probes {
-		probe := p.build(flow.NewMaskBuilder()).Build()
-		// A field counts when the mask constrains any of its bits.
-		if m.Intersects(probe) {
-			out = append(out, p.name)
-		}
-	}
-	return out
-}
-
-// String formats the stats like Table 3.
-func (s Stats) String() string {
-	return fmt.Sprintf("tunnels=%d vms=%d(x%d) rules=%d tables=%d fields=%d",
-		s.GeneveTunnels, s.VMs, s.IfacesPerVM, s.OpenFlowRules, s.OpenFlowTables, s.MatchingFields)
+	return nil
 }

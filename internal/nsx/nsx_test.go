@@ -1,6 +1,7 @@
 package nsx
 
 import (
+	"reflect"
 	"testing"
 
 	"ovsxdp/internal/flow"
@@ -8,28 +9,70 @@ import (
 	"ovsxdp/internal/packet/hdr"
 )
 
+// programmed sends rs through a fresh daemon and returns its pipeline.
+func programmed(t *testing.T, rs *Ruleset) *ofproto.Pipeline {
+	t.Helper()
+	v := Hypervisor()
+	if err := rs.Program(v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Pipeline
+}
+
+// TestGenerateReproducesTable3: the daemon the generated rule set is sent
+// to holds Table 3's rules and tables, and the generator has its tunnels
+// and VMs.
 func TestGenerateReproducesTable3(t *testing.T) {
 	rs := Generate(DefaultConfig())
-	s := rs.Stats()
-	if s.OpenFlowRules != 103302 {
-		t.Fatalf("rules = %d, Table 3 says 103,302", s.OpenFlowRules)
+	if n := len(rs.RemoteVTEPs); n != 291 {
+		t.Fatalf("tunnels = %d, Table 3 says 291", n)
 	}
-	if s.GeneveTunnels != 291 {
-		t.Fatalf("tunnels = %d, Table 3 says 291", s.GeneveTunnels)
+	if rs.Config.NumVMs != 15 || rs.Config.IfacesPerVM != 2 || len(rs.VIFs) != 30 {
+		t.Fatalf("vms = %d x %d (%d VIFs), Table 3 says 15 x 2", rs.Config.NumVMs, rs.Config.IfacesPerVM, len(rs.VIFs))
 	}
-	if s.VMs != 15 || s.IfacesPerVM != 2 {
-		t.Fatalf("vms = %d x %d, Table 3 says 15 x 2", s.VMs, s.IfacesPerVM)
+	pl := programmed(t, rs)
+	if n := pl.RuleCount(); n != 103302 {
+		t.Fatalf("daemon holds %d rules, Table 3 says 103,302", n)
 	}
-	// Table 3 reports 40 tables; the generator's layout must land close
-	// (the exact NSX table ids are proprietary).
-	if s.OpenFlowTables < 28 || s.OpenFlowTables > 44 {
-		t.Fatalf("tables = %d, want ~40", s.OpenFlowTables)
+	if n := pl.TableCount(); n != 40 {
+		t.Fatalf("daemon holds %d tables, Table 3 says 40", n)
 	}
-	// Table 3 reports 31 matching fields; our flow model exposes fewer
-	// named fields (NSX also matches on registers), so require a rich
-	// spread rather than the exact count.
-	if s.MatchingFields < 10 {
-		t.Fatalf("matching fields = %d, want >= 10", s.MatchingFields)
+	// Table 3 reports 31 matching fields; our flow model names fewer (NSX
+	// also matches on registers), so require a rich spread.
+	if n := pl.FieldCount(); n < 10 {
+		t.Fatalf("matching fields = %d, want >= 10", n)
+	}
+}
+
+// TestRulesetCrossesTheWire: every generated rule, sent through the daemon
+// as an encoded flow mod, is installed as generated, one for one in table,
+// priority, cookie, match and actions — a match field the codec could not
+// carry would install a broader rule (the SYN-flood guard as "tcp, drop").
+func TestRulesetCrossesTheWire(t *testing.T) {
+	rs := Generate(DefaultConfig())
+	pl := programmed(t, rs)
+	type slot struct {
+		table    uint8
+		priority int
+		match    ofproto.Match
+	}
+	installed := map[slot]*ofproto.Rule{}
+	for _, id := range pl.TableIDs() {
+		for _, r := range pl.Table(id).Rules() {
+			installed[slot{r.TableID, r.Priority, r.Match}] = r
+		}
+	}
+	differ := 0
+	for _, want := range rs.Rules {
+		got := installed[slot{want.TableID, want.Priority, want.Match}]
+		if got == nil || got.Cookie != want.Cookie || !reflect.DeepEqual(got.Actions, want.Actions) {
+			if differ++; differ <= 6 {
+				t.Errorf("generated %v\n installed %v", want, got)
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d rules arrived other than generated", differ, len(rs.Rules))
 	}
 }
 
@@ -37,8 +80,7 @@ func TestPipelineThreePassWalk(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetRules = 2000 // keep the test fast; structure is identical
 	rs := Generate(cfg)
-	pl := ofproto.NewPipeline()
-	rs.Install(pl)
+	pl := programmed(t, rs)
 
 	// Pass 1: a VIF packet classifies into the egress pipeline and stops
 	// at ct (the DPCT action ends translation).
@@ -125,8 +167,7 @@ func TestUnknownVTEPDropped(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetRules = 1500
 	rs := Generate(cfg)
-	pl := ofproto.NewPipeline()
-	rs.Install(pl)
+	pl := programmed(t, rs)
 
 	inner := (&flow.Fields{
 		InPort: cfg.TunnelVPort, EthType: hdr.EtherTypeIPv4,
@@ -145,14 +186,13 @@ func TestNewConnectionsWalkTheDFW(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetRules = 5000
 	rs := Generate(cfg)
-	pl := ofproto.NewPipeline()
-	rs.Install(pl)
+	pl := programmed(t, rs)
 
 	vifA, vifB := rs.VIFs[0], rs.VIFs[1]
 	key := (&flow.Fields{
 		InPort: vifA.Port, EthDst: vifB.MAC, EthType: hdr.EtherTypeIPv4,
 		IPProto: hdr.IPProtoTCP, IPTTL: 64, IP4Src: vifA.IP, IP4Dst: vifB.IP,
-		TPSrc: 2000, TPDst: 8080,
+		TPSrc: 2000, TPDst: 8080, TCPFlags: hdr.TCPAck, // not the SYN-flood guard's +syn+fin
 		RecircID: 0,
 	}).Pack()
 	mf, err := pl.Translate(key)
@@ -182,8 +222,7 @@ func TestARPFloods(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetRules = 1500
 	rs := Generate(cfg)
-	pl := ofproto.NewPipeline()
-	rs.Install(pl)
+	pl := programmed(t, rs)
 
 	key := (&flow.Fields{
 		InPort: rs.VIFs[0].Port, EthDst: hdr.Broadcast, EthType: hdr.EtherTypeARP,
@@ -194,13 +233,5 @@ func TestARPFloods(t *testing.T) {
 	}
 	if len(mf.Actions) != len(rs.VIFs) {
 		t.Fatalf("broadcast outputs = %d, want %d", len(mf.Actions), len(rs.VIFs))
-	}
-}
-
-func TestStatsString(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TargetRules = 1500
-	if Generate(cfg).Stats().String() == "" {
-		t.Fatal("empty stats string")
 	}
 }

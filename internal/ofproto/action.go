@@ -46,8 +46,6 @@ const (
 	ActionTunnelPop
 	// ActionMeter applies a rate limiter.
 	ActionMeter
-	// ActionSetCtMark sets the connection mark at commit.
-	ActionSetCtMark
 	// ActionDrop ends processing (explicit drop; an empty action list
 	// drops too).
 	ActionDrop
@@ -67,7 +65,6 @@ type Action struct {
 	NAT      conntrack.NAT // CT
 	Tunnel   tunnel.Config // SetTunnel
 	MeterID  uint32        // Meter
-	CtMark   uint32        // SetCtMark / CT commit
 }
 
 // String names the action for flow dumps.
@@ -99,8 +96,6 @@ func (a Action) String() string {
 		return fmt.Sprintf("tnl_pop:%d", a.Port)
 	case ActionMeter:
 		return fmt.Sprintf("meter:%d", a.MeterID)
-	case ActionSetCtMark:
-		return fmt.Sprintf("set_ct_mark:%#x", a.CtMark)
 	case ActionDrop:
 		return "drop"
 	default:
@@ -187,7 +182,6 @@ type DPAction struct {
 	RecircID uint32
 	Tunnel   tunnel.Config
 	MeterID  uint32
-	CtMark   uint32
 }
 
 // String names the datapath action.

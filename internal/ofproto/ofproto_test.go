@@ -403,7 +403,7 @@ func TestTranslateMemoKeepsActionMaskBits(t *testing.T) {
 }
 
 // TestRuleInTwoPipelinesGetsEachRecircID: one *Rule installed into two
-// pipelines (as nsx.Ruleset.Install allows) resolves its ct() to each
+// pipelines (as Pipeline.AddRule allows) resolves its ct() to each
 // pipeline's own recirculation id.
 func TestRuleInTwoPipelinesGetsEachRecircID(t *testing.T) {
 	mIn := flow.NewMaskBuilder().InPort().Build()

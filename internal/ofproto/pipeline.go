@@ -73,10 +73,21 @@ func (p *Pipeline) RuleCount() int {
 
 // TableCount returns the number of non-empty tables (Table 3's "OpenFlow
 // tables").
-func (p *Pipeline) TableCount() int {
-	n := 0
+func (p *Pipeline) TableCount() int { return len(p.TableIDs()) }
+
+// FieldCount returns how many named rows of flow.MatchFields some rule's
+// mask touches (Table 3's "matching fields among all rules").
+func (p *Pipeline) FieldCount() int {
+	var union flow.Mask
 	for _, t := range p.tables {
-		if t.Len() > 0 {
+		for _, r := range t.Rules() {
+			union = union.Union(r.Match.Mask)
+		}
+	}
+	touched := flow.SpecOf(flow.Key{}, union)
+	n := 0
+	for i := range flow.MatchFields {
+		if r := &flow.MatchFields[i]; r.Name != "" && r.Get(&touched.Mask) != 0 {
 			n++
 		}
 	}
@@ -238,7 +249,7 @@ actions:
 			id := p.recircIDFor(a.Table)
 			x.actions = append(x.actions, DPAction{
 				Type: DPCT, Zone: a.Zone, Commit: a.Commit,
-				NAT: a.NAT, RecircID: id, CtMark: a.CtMark,
+				NAT: a.NAT, RecircID: id,
 			})
 			// ct() ends this translation pass.
 			gotoNext = -1
@@ -267,8 +278,6 @@ actions:
 			break actions
 		case ActionMeter:
 			x.actions = append(x.actions, DPAction{Type: DPMeter, MeterID: a.MeterID})
-		case ActionSetCtMark:
-			// Applied by the next DPCT commit; stash in mask only.
 		case ActionDrop:
 			x.actions, x.drop, gotoNext = nil, true, -1
 			break actions

@@ -59,7 +59,7 @@ var (
 var (
 	instrMinBody = map[uint16]int{instrGotoTable: 1, instrMeter: 4, instrApplyActions: 4}
 	actMinBody   = map[uint16]int{actOutput: 4, actSetField: 4, actExp: 6}
-	nxastMinBody = map[uint16]int{nxastTunnelKind: 7, nxastTunnelPop: 12, nxastCT: 24}
+	nxastMinBody = map[uint16]int{nxastTunnelKind: 7, nxastTunnelPop: 12, nxastCT: 22}
 )
 
 // FlowMod is a decoded flow modification.
@@ -78,8 +78,13 @@ func AddFlow(r *ofproto.Rule) FlowMod {
 		Cookie: r.Cookie, Match: r.Match, Actions: r.Actions}
 }
 
-// EncodeFlowMod serializes a flow mod message body.
-func EncodeFlowMod(fm FlowMod) Message {
+// EncodeFlowMod serializes a flow mod message body. A match on bits no row
+// of flow.MatchFields carries is refused, naming the field, rather than
+// sent without them.
+func EncodeFlowMod(fm FlowMod) (Message, error) {
+	if name := flow.Uncarried(fm.Match.Mask); name != "" {
+		return Message{}, fmt.Errorf("openflow: no OXM field carries the match on %s", name)
+	}
 	// Fixed part: cookie(8) cookie_mask(8) table(1) command(1)
 	// idle(2) hard(2) priority(2) buffer(4) out_port(4) out_group(4)
 	// flags(2) pad(2) = 40 bytes, then match, then instructions.
@@ -91,7 +96,7 @@ func EncodeFlowMod(fm FlowMod) Message {
 	match := EncodeMatch(fm.Match)
 	instrs := encodeInstructions(fm.Actions)
 	body := append(append(fixed, match...), instrs...)
-	return Message{Type: TypeFlowMod, Body: body}
+	return Message{Type: TypeFlowMod, Body: body}, nil
 }
 
 // DecodeFlowMod parses a flow mod message.
@@ -196,7 +201,7 @@ func encodeInstructions(actions []ofproto.Action) []byte {
 			u32(b, 12, a.Port)
 			addAction(b)
 		case ofproto.ActionCT:
-			// NXAST_CT: flags, zone, recirc table, NAT.
+			// NXAST_CT: flags, zone, recirc table, NAT with its port range.
 			b := make([]byte, 32)
 			u16(b, 0, actExp)
 			u16(b, 2, 32)
@@ -212,7 +217,8 @@ func encodeInstructions(actions []ofproto.Action) []byte {
 			b[15] = byte(a.NAT.Kind)
 			u32(b, 16, uint32(a.NAT.Addr))
 			u16(b, 20, a.NAT.Port)
-			u32(b, 24, a.CtMark)
+			u16(b, 22, a.NAT.PortLo)
+			u16(b, 24, a.NAT.PortHi)
 			addAction(b)
 		case ofproto.ActionDrop:
 			b := make([]byte, 16)
@@ -233,8 +239,6 @@ func encodeInstructions(actions []ofproto.Action) []byte {
 			u16(b, 2, 8)
 			u32(b, 4, a.MeterID)
 			tail = append(tail, b...)
-		case ofproto.ActionSetCtMark:
-			// Carried inside the CT action encoding above.
 		}
 	}
 
@@ -395,7 +399,9 @@ func decodeActions(b []byte) ([]ofproto.Action, error) {
 			}
 			switch sub {
 			case nxastTunnelKind:
+				// The kind closes a set_tunnel, so it decodes in place.
 				tunnelCfg().Kind = tunnel.Kind(body[6])
+				flushTunnel()
 			case nxastTunnelPop:
 				out = append(out, ofproto.TunnelPop(binary.BigEndian.Uint32(body[8:12])))
 			case nxastCT:
@@ -406,11 +412,12 @@ func decodeActions(b []byte) ([]ofproto.Action, error) {
 					Zone:   binary.BigEndian.Uint16(body[8:10]),
 					Table:  body[10],
 					NAT: conntrack.NAT{
-						Kind: conntrack.NATKind(body[11]),
-						Addr: hdr.IP4(binary.BigEndian.Uint32(body[12:16])),
-						Port: binary.BigEndian.Uint16(body[16:18]),
+						Kind:   conntrack.NATKind(body[11]),
+						Addr:   hdr.IP4(binary.BigEndian.Uint32(body[12:16])),
+						Port:   binary.BigEndian.Uint16(body[16:18]),
+						PortLo: binary.BigEndian.Uint16(body[18:20]),
+						PortHi: binary.BigEndian.Uint16(body[20:22]),
 					},
-					CtMark: binary.BigEndian.Uint32(body[20:24]),
 				}
 				out = append(out, a)
 			case nxastDrop:

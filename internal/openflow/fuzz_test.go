@@ -33,7 +33,7 @@ func encodedFlowMods() [][]byte {
 		{Match: ofproto.MatchAny(), Actions: []ofproto.Action{ofproto.TunnelPop(100)}},
 		{Match: ofproto.MatchAny(), Actions: []ofproto.Action{ofproto.Drop()}},
 	} {
-		out = append(out, EncodeFlowMod(fm).Body)
+		out = append(out, encoded(fm).Body)
 	}
 	return out
 }

@@ -34,7 +34,7 @@ func EncodeMatch(m ofproto.Match) []byte {
 	spec := flow.SpecOf(m.Key, m.Mask)
 	out := []byte{0, 1, 0, 0} // type=1 (OXM); the length is filled in below
 	spec.Each(func(r *flow.MatchField, v, mask uint64) {
-		if r.OXMClass == 0 || r.OmitZero && v == 0 {
+		if r.OmitZero && v == 0 {
 			return
 		}
 		hasMask, plen := uint8(0), r.Width

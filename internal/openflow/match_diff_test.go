@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -9,11 +10,38 @@ import (
 	"ovsxdp/internal/ofproto"
 )
 
+// refKnows reports whether the reference codec has the OXM id: the rows
+// added since (nw_tos, nw_ttl's id, ip_frag, tcp_flags, icmp_type,
+// icmp_code) are outside this differential, and FuzzFlowModRoundTrip (ovs)
+// covers them.
+func refKnows(class uint16, field uint8) bool {
+	_, ok := refOxmValueLen[refOxmID{class, field}]
+	return ok
+}
+
+// namesNewRow reports whether a TLV header of match bytes b names a row the
+// reference does not know; the table decodes such bytes and the reference
+// refuses them, so they are not compared.
+func namesNewRow(b []byte) bool {
+	if len(b) < 4 {
+		return false
+	}
+	for tlvs := b[4:max(4, min(int(binary.BigEndian.Uint16(b[2:4])), len(b)))]; len(tlvs) >= 4; {
+		class, field := binary.BigEndian.Uint16(tlvs[0:2]), tlvs[2]>>1
+		if flow.MatchFieldByOXM(class, field) != nil && !refKnows(class, field) {
+			return true
+		}
+		tlvs = tlvs[min(4+int(tlvs[3]), len(tlvs)):]
+	}
+	return false
+}
+
 // randomMatch draws every field of flow.Fields at random and, row by row of
-// flow.MatchFields, one of: no mask, the exact mask, a mask of the row's
-// kind (a prefix length, a bit set), or arbitrary bits the row's kind cannot
-// state. Fields without a row get arbitrary mask bits too; neither codec may
-// look at them.
+// flow.MatchFields the reference knows, one of: no mask, the exact mask, a
+// mask of the row's kind (a prefix length, a bit set), or arbitrary bits the
+// row's kind cannot state. The other rows stay unmasked. Fields without a row
+// get arbitrary mask bits too: EncodeMatch skips them (EncodeFlowMod refuses
+// a flow mod that has them), and so does the reference.
 func randomMatch(rng *rand.Rand) ofproto.Match {
 	var k flow.Key
 	for i := range k {
@@ -35,6 +63,10 @@ func randomMatch(rng *rand.Rand) ofproto.Match {
 	}
 	for i := range flow.MatchFields {
 		r := &flow.MatchFields[i]
+		if !refKnows(r.OXMClass, r.OXMField) {
+			r.Set(&spec.Mask, 0)
+			continue
+		}
 		var m uint64
 		switch rng.Intn(5) {
 		case 0, 1:
@@ -62,9 +94,13 @@ func exact(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 // decodeBoth runs b through both decoders and fails unless they agree on
 // accept-or-reject and, when they accept, on the match and the bytes
-// consumed. It reports whether b was accepted.
+// consumed. It reports whether b was accepted; bytes naming a row the
+// reference does not know count as not accepted.
 func decodeBoth(t *testing.T, b []byte) (ofproto.Match, bool) {
 	t.Helper()
+	if namesNewRow(b) {
+		return ofproto.Match{}, false
+	}
 	want, wantN, wantErr := refDecodeMatch(exact(b))
 	got, gotN, gotErr := DecodeMatch(exact(b))
 	if (wantErr == nil) != (gotErr == nil) {

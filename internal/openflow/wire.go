@@ -1,8 +1,7 @@
 // Package openflow implements the OpenFlow 1.3 wire subset the NSX agent
 // uses to program OVS (Section 4): HELLO/ECHO keepalives, FLOW_MOD with
-// OXM matches, APPLY_ACTIONS/GOTO_TABLE/METER instructions, Nicira-style
-// experimenter actions for conntrack and tunnel operations, and multipart
-// flow-stats.
+// OXM matches, APPLY_ACTIONS/GOTO_TABLE/METER instructions, and
+// Nicira-style experimenter actions for conntrack and tunnel operations.
 //
 // Encoding follows the OpenFlow 1.3 framing (8-byte header, OXM TLVs,
 // 8-byte-aligned structures). Matches and actions convert to and from the
@@ -24,15 +23,13 @@ type MsgType uint8
 
 // Message types (OpenFlow 1.3 numbering).
 const (
-	TypeHello          MsgType = 0
-	TypeError          MsgType = 1
-	TypeEchoRequest    MsgType = 2
-	TypeEchoReply      MsgType = 3
-	TypeFeaturesReq    MsgType = 5
-	TypeFeaturesReply  MsgType = 6
-	TypeFlowMod        MsgType = 14
-	TypeMultipartReq   MsgType = 18
-	TypeMultipartReply MsgType = 19
+	TypeHello         MsgType = 0
+	TypeError         MsgType = 1
+	TypeEchoRequest   MsgType = 2
+	TypeEchoReply     MsgType = 3
+	TypeFeaturesReq   MsgType = 5
+	TypeFeaturesReply MsgType = 6
+	TypeFlowMod       MsgType = 14
 )
 
 // String names the message type.
@@ -52,10 +49,6 @@ func (t MsgType) String() string {
 		return "features-reply"
 	case TypeFlowMod:
 		return "flow-mod"
-	case TypeMultipartReq:
-		return "multipart-request"
-	case TypeMultipartReply:
-		return "multipart-reply"
 	default:
 		return fmt.Sprintf("type-%d", uint8(t))
 	}

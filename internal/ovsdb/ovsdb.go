@@ -1,6 +1,7 @@
 // Package ovsdb implements a compact OVSDB-style configuration database:
-// JSON-RPC over TCP with transact (insert/select/update/delete), echo, and
-// monitor with change notifications. The NSX agent uses it the way
+// JSON-RPC over TCP with transact (insert/select/update/delete) and echo;
+// the daemon learns of committed changes in process (Server.OnChange). The
+// NSX agent uses it the way
 // Section 4 describes: "The NSX agent uses OVSDB ... to create two bridges
 // ... Then it transforms the NSX network policies into flow rules".
 //
@@ -63,12 +64,9 @@ type rpcResponse struct {
 	Result any    `json:"result,omitempty"`
 	Error  string `json:"error,omitempty"`
 	ID     *int64 `json:"id"`
-	// Method/Params present on notifications.
-	Method string `json:"method,omitempty"`
-	Params any    `json:"params,omitempty"`
 }
 
-// Update is a monitor notification.
+// Update is one committed change to a row.
 type Update struct {
 	Table string `json:"table"`
 	Op    string `json:"op"` // insert | update | delete
@@ -80,7 +78,6 @@ type Server struct {
 	mu       sync.Mutex
 	tables   map[string]map[string]Row
 	nextUUID int
-	monitors []chan Update
 	ln       net.Listener
 
 	// OnChange, when set, receives every committed update synchronously
@@ -216,15 +213,6 @@ func (s *Server) notify(u Update) {
 	if s.OnChange != nil {
 		s.OnChange(u)
 	}
-	s.mu.Lock()
-	monitors := append([]chan Update(nil), s.monitors...)
-	s.mu.Unlock()
-	for _, ch := range monitors {
-		select {
-		case ch <- u:
-		default: // slow monitor: drop rather than block the DB
-		}
-	}
 }
 
 // Rows returns a snapshot of a table's rows (diagnostics, vswitchd sync).
@@ -273,9 +261,6 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	dec := json.NewDecoder(bufio.NewReader(conn))
 	enc := json.NewEncoder(conn)
-	var monitorCh chan Update
-	var writeMu sync.Mutex
-
 	for {
 		var req rpcRequest
 		if err := dec.Decode(&req); err != nil {
@@ -283,45 +268,16 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		switch req.Method {
 		case "echo":
-			writeMu.Lock()
 			enc.Encode(rpcResponse{Result: "echo", ID: req.ID})
-			writeMu.Unlock()
 		case "transact":
 			var ops []Op
 			if err := json.Unmarshal(req.Params, &ops); err != nil {
-				writeMu.Lock()
 				enc.Encode(rpcResponse{Error: err.Error(), ID: req.ID})
-				writeMu.Unlock()
 				continue
 			}
-			res := s.Transact(ops)
-			writeMu.Lock()
-			enc.Encode(rpcResponse{Result: res, ID: req.ID})
-			writeMu.Unlock()
-		case "monitor":
-			if monitorCh == nil {
-				monitorCh = make(chan Update, 256)
-				s.mu.Lock()
-				s.monitors = append(s.monitors, monitorCh)
-				s.mu.Unlock()
-				go func() {
-					for u := range monitorCh {
-						writeMu.Lock()
-						err := enc.Encode(rpcResponse{Method: "update", Params: u})
-						writeMu.Unlock()
-						if err != nil {
-							return
-						}
-					}
-				}()
-			}
-			writeMu.Lock()
-			enc.Encode(rpcResponse{Result: "ok", ID: req.ID})
-			writeMu.Unlock()
+			enc.Encode(rpcResponse{Result: s.Transact(ops), ID: req.ID})
 		default:
-			writeMu.Lock()
 			enc.Encode(rpcResponse{Error: "unknown method " + req.Method, ID: req.ID})
-			writeMu.Unlock()
 		}
 	}
 }
@@ -334,8 +290,6 @@ type Client struct {
 	mu   sync.Mutex
 	next int64
 
-	// Updates receives monitor notifications after Monitor is called.
-	Updates chan Update
 	pending map[int64]chan rpcResponse
 }
 
@@ -349,7 +303,6 @@ func Dial(addr string) (*Client, error) {
 		conn:    conn,
 		dec:     json.NewDecoder(bufio.NewReader(conn)),
 		enc:     json.NewEncoder(conn),
-		Updates: make(chan Update, 256),
 		pending: make(map[int64]chan rpcResponse),
 	}
 	go c.readLoop()
@@ -363,16 +316,7 @@ func (c *Client) readLoop() {
 	for {
 		var resp rpcResponse
 		if err := c.dec.Decode(&resp); err != nil {
-			close(c.Updates)
 			return
-		}
-		if resp.Method == "update" {
-			raw, _ := json.Marshal(resp.Params)
-			var u Update
-			if json.Unmarshal(raw, &u) == nil {
-				c.Updates <- u
-			}
-			continue
 		}
 		if resp.ID != nil {
 			c.mu.Lock()
@@ -428,11 +372,5 @@ func (c *Client) Transact(ops []Op) ([]OpResult, error) {
 // Echo verifies liveness.
 func (c *Client) Echo() error {
 	_, err := c.call("echo", nil)
-	return err
-}
-
-// Monitor subscribes to change notifications on c.Updates.
-func (c *Client) Monitor() error {
-	_, err := c.call("monitor", nil)
 	return err
 }

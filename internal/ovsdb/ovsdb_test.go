@@ -1,6 +1,7 @@
 package ovsdb
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -100,40 +101,36 @@ func TestWireProtocol(t *testing.T) {
 	}
 }
 
+// TestWireMonitor: a client cannot subscribe to changes ("monitor" is an
+// unknown method); a client's insert over the wire reaches the in-process
+// OnChange, which is how the daemon learns of rows.
 func TestWireMonitor(t *testing.T) {
 	s := NewServer()
+	changes := make(chan Update, 1)
+	s.OnChange = func(u Update) { changes <- u }
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Monitor(); err != nil {
+	if _, err := c.call("monitor", nil); err == nil || !strings.Contains(err.Error(), "unknown method monitor") {
+		t.Fatalf("monitor answered %v", err)
+	}
+	if _, err := c.Transact([]Op{{Op: "insert", Table: TablePort, Row: Row{"name": "p1"}}}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Another client inserts; the monitor must hear about it.
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if _, err := c2.Transact([]Op{{Op: "insert", Table: TablePort, Row: Row{"name": "p1"}}}); err != nil {
-		t.Fatal(err)
-	}
-
 	select {
-	case u := <-c.Updates:
+	case u := <-changes:
 		if u.Table != TablePort || u.Op != "insert" || u.Row["name"] != "p1" {
 			t.Fatalf("update = %+v", u)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("monitor notification timed out")
+		t.Fatal("OnChange never heard the insert")
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package vswitchd is the ovs-vswitchd analog: the userspace daemon that
 // owns the datapath, reconfigures it from OVSDB (bridges, ports, interface
-// types), accepts OpenFlow connections that program the pipeline, manages
-// the XDP program lifecycle on AF_XDP ports, and — per the Section 6
-// lessons — survives its own crashes by auto-restarting instead of taking
-// the host down with it.
+// types), takes the OpenFlow messages that program the pipeline — over TCP
+// or in process, through one method — and manages the XDP program lifecycle
+// on AF_XDP ports.
 package vswitchd
 
 import (
@@ -46,16 +45,7 @@ type VSwitchd struct {
 
 	ofLn net.Listener
 
-	// Health monitoring (Section 6 "Reduced risk" / "Easier
-	// troubleshooting"): a panic in packet processing crashes only the
-	// daemon; the monitor restarts it and the flow caches rebuild from
-	// upcalls.
-	Crashes  uint64
-	Restarts uint64
-	// OnRestart, when set, is called after an auto-restart completes.
-	OnRestart func()
-
-	// FlowMods counts rules installed via OpenFlow.
+	// FlowMods counts the flow mods applied.
 	FlowMods uint64
 }
 
@@ -217,35 +207,42 @@ func (v *VSwitchd) handleOpenFlow(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		switch msg.Type {
-		case openflow.TypeHello:
-			// Version negotiated; nothing to do.
-		case openflow.TypeEchoRequest:
-			openflow.WriteMessage(conn, openflow.EchoReply(msg))
-		case openflow.TypeFeaturesReq:
-			openflow.WriteMessage(conn, openflow.FeaturesReply(msg.Xid, 0x0000feedbeef0001))
-		case openflow.TypeFlowMod:
-			fm, err := openflow.DecodeFlowMod(msg)
-			if err != nil {
-				openflow.WriteMessage(conn, openflow.ErrorMsg(msg.Xid, 4, 0, nil))
-				continue
-			}
-			v.ApplyFlowMod(fm)
-		case openflow.TypeMultipartReq:
-			table, err := openflow.ParseFlowStatsRequest(msg)
-			if err != nil {
-				openflow.WriteMessage(conn, openflow.ErrorMsg(msg.Xid, 18, 0, nil))
-				continue
-			}
-			openflow.WriteMessage(conn, openflow.FlowStatsReply(msg.Xid, v.FlowStats(table)))
-		default:
-			openflow.WriteMessage(conn, openflow.ErrorMsg(msg.Xid, 1, 0, nil))
+		if reply, ok := v.Handle(msg); ok {
+			openflow.WriteMessage(conn, reply)
 		}
 	}
 }
 
-// ApplyFlowMod installs or removes a rule and revalidates datapath flows.
-func (v *VSwitchd) ApplyFlowMod(fm openflow.FlowMod) {
+// Handle is the daemon's one way in for a controller: it applies one
+// OpenFlow message and returns the reply, ok false when the message has
+// none. A flow mod is applied and has no reply unless it does not decode.
+// The TCP sessions ServeOpenFlow accepts and in-process controllers send
+// their encoded messages here alike.
+func (v *VSwitchd) Handle(msg openflow.Message) (reply openflow.Message, ok bool) {
+	switch msg.Type {
+	case openflow.TypeHello:
+		// Version negotiated; nothing to do.
+		return reply, false
+	case openflow.TypeEchoRequest:
+		return openflow.EchoReply(msg), true
+	case openflow.TypeFeaturesReq:
+		return openflow.FeaturesReply(msg.Xid, 0x0000feedbeef0001), true
+	case openflow.TypeFlowMod:
+		fm, err := openflow.DecodeFlowMod(msg)
+		if err != nil {
+			return openflow.ErrorMsg(msg.Xid, 4, 0, nil), true
+		}
+		v.applyFlowMod(fm)
+		return reply, false
+	default:
+		return openflow.ErrorMsg(msg.Xid, 1, 0, nil), true
+	}
+}
+
+// applyFlowMod installs or removes a rule and revalidates datapath flows.
+func (v *VSwitchd) applyFlowMod(fm openflow.FlowMod) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	switch fm.Command {
 	case openflow.FlowModAdd:
 		v.Pipeline.AddRule(&ofproto.Rule{
@@ -261,55 +258,4 @@ func (v *VSwitchd) ApplyFlowMod(fm openflow.FlowMod) {
 	v.FlowMods++
 	// Revalidation: cached megaflows may encode stale decisions.
 	v.Datapath.FlowFlush()
-}
-
-// FlowStats gathers per-rule statistics for a table (0xff = all tables),
-// the data behind ovs-ofctl dump-flows.
-func (v *VSwitchd) FlowStats(table uint8) []openflow.FlowStatEntry {
-	var out []openflow.FlowStatEntry
-	tables := v.Pipeline.TableIDs()
-	for _, id := range tables {
-		if table != 0xff && id != table {
-			continue
-		}
-		for _, r := range v.Pipeline.Table(id).Rules() {
-			out = append(out, openflow.FlowStatEntry{
-				Table:    r.TableID,
-				Priority: r.Priority,
-				Packets:  r.PacketCount,
-				Cookie:   r.Cookie,
-			})
-		}
-	}
-	return out
-}
-
-// --- Health monitor --------------------------------------------------------------
-
-// Guard wraps a packet-path call; a panic is converted into a crash +
-// restart cycle instead of propagating (the userspace analog of "a bug in
-// OVS with AF_XDP only crashes the OVS process, which automatically
-// restarts").
-func (v *VSwitchd) Guard(fn func()) (crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			crashed = true
-			v.Crashes++
-			v.restart()
-		}
-	}()
-	fn()
-	return false
-}
-
-// restart is the health-monitor action: flush all cached flow state (the
-// process died; caches die with it) and resume. Ports and OpenFlow rules
-// survive because their configuration lives in OVSDB / the controller,
-// which re-installs on reconnect — modeled here by retaining the pipeline.
-func (v *VSwitchd) restart() {
-	v.Datapath.FlowFlush()
-	v.Restarts++
-	if v.OnRestart != nil {
-		v.OnRestart()
-	}
 }

@@ -29,6 +29,31 @@ func testDaemon(t *testing.T) (*VSwitchd, *sim.Engine) {
 	return New(ovsdb.NewServer(), pl, d), eng
 }
 
+// send hands a flow mod to the daemon the way an in-process controller
+// does: encoded, through Handle, with no reply expected.
+func send(t *testing.T, v *VSwitchd, fm openflow.FlowMod) {
+	t.Helper()
+	if reply, ok := v.Handle(encode(t, fm)); ok {
+		t.Fatalf("flow mod answered with %v", reply.Type)
+	}
+}
+
+func encode(t *testing.T, fm openflow.FlowMod) openflow.Message {
+	t.Helper()
+	msg, err := openflow.EncodeFlowMod(fm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg
+}
+
+// inPortRule is the flow mod "in_port=in, priority, actions".
+func inPortRule(in uint32, priority int, actions ...ofproto.Action) openflow.FlowMod {
+	return openflow.FlowMod{Command: openflow.FlowModAdd, Priority: priority,
+		Match:   ofproto.NewMatch(flow.Fields{InPort: in}, flow.NewMaskBuilder().InPort().Build()),
+		Actions: actions}
+}
+
 func TestBridgeAndPortFromOVSDB(t *testing.T) {
 	v, _ := testDaemon(t)
 	v.DB.Transact([]ovsdb.Op{
@@ -109,11 +134,7 @@ func TestOpenFlowSessionInstallsRules(t *testing.T) {
 	}
 
 	// Install a rule.
-	m := ofproto.NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build())
-	fm := openflow.EncodeFlowMod(openflow.FlowMod{
-		Command: openflow.FlowModAdd, TableID: 0, Priority: 10,
-		Match: m, Actions: []ofproto.Action{ofproto.Output(2)}})
-	if err := openflow.WriteMessage(conn, fm); err != nil {
+	if err := openflow.WriteMessage(conn, encode(t, inPortRule(1, 10, ofproto.Output(2)))); err != nil {
 		t.Fatal(err)
 	}
 	// Echo round trip serializes behind the flow mod.
@@ -143,9 +164,7 @@ func TestVSwitchdPortIsPolled(t *testing.T) {
 		{Op: "insert", Table: ovsdb.TableInterface,
 			Row: ovsdb.Row{"name": "eth1", "type": "afxdp", "bridge": "br0"}},
 	})
-	v.ApplyFlowMod(openflow.FlowMod{Command: openflow.FlowModAdd, Priority: 10,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()),
-		Actions: []ofproto.Action{ofproto.Output(2)}})
+	send(t, v, inPortRule(1, 10, ofproto.Output(2)))
 	b, _ := v.Bridge("br0")
 	var got [][]byte
 	b.Ports["eth1"].OnOutput(func(p *packet.Packet) { got = append(got, p.Data) })
@@ -199,24 +218,6 @@ func TestMalformedFlowModOverTCP(t *testing.T) {
 	}
 }
 
-func TestGuardRecoversCrash(t *testing.T) {
-	v, _ := testDaemon(t)
-	restarted := false
-	v.OnRestart = func() { restarted = true }
-
-	crashed := v.Guard(func() { panic("geneve parser null deref") })
-	if !crashed {
-		t.Fatal("crash not detected")
-	}
-	if v.Crashes != 1 || v.Restarts != 1 || !restarted {
-		t.Fatalf("crashes=%d restarts=%d", v.Crashes, v.Restarts)
-	}
-	// The daemon keeps working afterwards.
-	if v.Guard(func() {}) {
-		t.Fatal("healthy call reported as crash")
-	}
-}
-
 // dialOF connects and performs the hello exchange.
 func dialOF(addr string) (conn netConn, err error) {
 	c, err := dialTCP(addr)
@@ -267,16 +268,11 @@ func readUntil(c netConn, want openflow.MsgType) (openflow.Message, error) {
 
 func netDial(addr string) (netConn, error) { return net.Dial("tcp", addr) }
 
+// TestOpenFlowDumpFlows: a dump-flows request (an OFPMP_FLOW multipart
+// request) gets the error reply of any unsupported message type, and the
+// session keeps serving; the daemon answers no multipart request.
 func TestOpenFlowDumpFlows(t *testing.T) {
 	v, _ := testDaemon(t)
-	// Install two rules directly.
-	v.ApplyFlowMod(openflow.FlowMod{Command: openflow.FlowModAdd, TableID: 0, Priority: 10,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()),
-		Actions: []ofproto.Action{ofproto.Output(2)}})
-	v.ApplyFlowMod(openflow.FlowMod{Command: openflow.FlowModAdd, TableID: 5, Priority: 20,
-		Match:   ofproto.NewMatch(flow.Fields{InPort: 2}, flow.NewMaskBuilder().InPort().Build()),
-		Actions: []ofproto.Action{ofproto.Drop()}})
-
 	addr, err := v.ServeOpenFlow("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -288,28 +284,64 @@ func TestOpenFlowDumpFlows(t *testing.T) {
 	}
 	defer conn.Close()
 
-	openflow.WriteMessage(conn, openflow.FlowStatsRequest(7, 0xff))
-	reply, err := readUntil(conn, openflow.TypeMultipartReply)
-	if err != nil {
-		t.Fatal(err)
+	const multipartRequest, multipartFlow = 18, 1
+	body := make([]byte, 16)
+	body[1], body[8] = multipartFlow, 0xff // all tables
+	openflow.WriteMessage(conn, openflow.Message{Type: multipartRequest, Xid: 7, Body: body})
+	reply, err := readUntil(conn, openflow.TypeError)
+	if err != nil || reply.Xid != 7 {
+		t.Fatalf("no error reply to the multipart request: %+v, %v", reply, err)
 	}
-	entries, err := openflow.ParseFlowStatsReply(reply)
-	if err != nil {
-		t.Fatal(err)
+	if want, _ := v.Handle(openflow.Message{Type: 0x7f, Xid: 7}); !bytes.Equal(reply.Body, want.Body) {
+		t.Fatalf("multipart error % x, unknown-type error % x", reply.Body, want.Body)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("dump-flows returned %d entries", len(entries))
+	openflow.WriteMessage(conn, openflow.EchoRequest(8, nil))
+	if _, err := readUntil(conn, openflow.TypeEchoReply); err != nil {
+		t.Fatalf("connection dead after the multipart request: %v", err)
 	}
+}
 
-	// Single-table dump.
-	openflow.WriteMessage(conn, openflow.FlowStatsRequest(8, 5))
-	reply, err = readUntil(conn, openflow.TypeMultipartReply)
+// TestTCPAndInProcessShareHandle: a controller session over TCP and an
+// in-process caller send flow mods at once; both go through Handle, and
+// every rule lands (run under -race, this checks the daemon's locking).
+func TestTCPAndInProcessShareHandle(t *testing.T) {
+	v, _ := testDaemon(t)
+	addr, err := v.ServeOpenFlow("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _ = openflow.ParseFlowStatsReply(reply)
-	if len(entries) != 1 || entries[0].Table != 5 || entries[0].Priority != 20 {
-		t.Fatalf("table-5 dump = %+v", entries)
+	defer v.Close()
+	conn, err := dialOF(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const n = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			msg, err := openflow.EncodeFlowMod(inPortRule(uint32(i), 10, ofproto.Output(1)))
+			if err == nil {
+				err = openflow.WriteMessage(conn, msg)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		openflow.WriteMessage(conn, openflow.EchoRequest(1, nil))
+		_, err := readUntil(conn, openflow.TypeEchoReply)
+		done <- err
+	}()
+	for i := 0; i < n; i++ {
+		send(t, v, inPortRule(uint32(n+i), 10, ofproto.Output(2)))
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if v.Pipeline.RuleCount() != 2*n || v.FlowMods != 2*n {
+		t.Fatalf("%d rules, %d flow mods; want %d each", v.Pipeline.RuleCount(), v.FlowMods, 2*n)
 	}
 }
 
@@ -332,7 +364,7 @@ func kernelDaemon(t *testing.T, dpType string, delivered *int) (*VSwitchd, dpif.
 }
 
 // TestDaemonOverKernelDpif is the point of the provider seam: the exact
-// same daemon logic (OVSDB-driven ports, flow mods, crash restart) drives
+// same daemon logic (OVSDB-driven ports, flow mods) drives
 // the kernel-module and eBPF datapaths it previously could not.
 func TestDaemonOverKernelDpif(t *testing.T) {
 	for _, dpType := range []string{"netlink", "ebpf"} {
@@ -352,9 +384,7 @@ func TestDaemonOverKernelDpif(t *testing.T) {
 
 			// An OpenFlow rule programs the shared pipeline; traffic
 			// installs a datapath flow and is delivered to the TxPort.
-			v.ApplyFlowMod(openflow.FlowMod{Command: openflow.FlowModAdd, TableID: 0, Priority: 10,
-				Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()),
-				Actions: []ofproto.Action{ofproto.Output(2)}})
+			send(t, v, inPortRule(1, 10, ofproto.Output(2)))
 			p := testPacket(t)
 			d.Execute(p)
 			if delivered != 1 {
@@ -366,17 +396,9 @@ func TestDaemonOverKernelDpif(t *testing.T) {
 
 			// A later flow mod revalidates: the cached datapath flow is
 			// flushed through the seam.
-			v.ApplyFlowMod(openflow.FlowMod{Command: openflow.FlowModAdd, TableID: 0, Priority: 20,
-				Match:   ofproto.NewMatch(flow.Fields{InPort: 1}, flow.NewMaskBuilder().InPort().Build()),
-				Actions: []ofproto.Action{ofproto.Drop()}})
+			send(t, v, inPortRule(1, 20, ofproto.Drop()))
 			if s := d.Stats(); s.Flows != 0 {
 				t.Fatalf("flow mod did not flush datapath flows: %+v", s)
-			}
-
-			// Crash recovery flushes through the seam too.
-			v.Guard(func() { panic("boom") })
-			if v.Restarts != 1 {
-				t.Fatalf("restarts = %d", v.Restarts)
 			}
 		})
 	}

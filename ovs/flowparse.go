@@ -22,15 +22,19 @@ import (
 // and name=value for each named row of flow.MatchFields, in the row's syntax
 //
 //	in_port=N dl_dst=MAC dl_src=MAC dl_type=0xNNNN dl_vlan=VID nw_proto=N
-//	nw_src=a.b.c.d[/len] nw_dst=a.b.c.d[/len] nw_ttl=N tp_src=N tp_dst=N
+//	nw_src=a.b.c.d[/len] nw_dst=a.b.c.d[/len] nw_tos=N nw_ttl=N ip_frag=N
+//	tp_src=N tp_dst=N tcp_flags=+syn-ack icmp_type=N icmp_code=N
 //	tun_id=N tun_src=IP tun_dst=IP ct_state=+trk+est-new ct_zone=N ct_mark=N
 //
 // Actions (comma separated after "actions="):
 //
 //	output:N drop goto_table:N meter:N push_vlan:VID pop_vlan
 //	mod_dl_src:MAC mod_dl_dst:MAC dec_ttl
-//	ct(commit,zone=N,table=N[,nat(snat=IP[:port])|nat(dnat=IP[:port])])
+//	ct(commit,zone=N,table=N[,nat(snat=IP[:port|:lo-hi])|nat(dnat=...)])
 //	set_tunnel(kind=geneve,vni=N,local=IP,remote=IP) tnl_pop:N
+//
+// OpenFlow carries a meter and a goto_table as instructions around the
+// action list, so, as in ovs-ofctl, meters come first and goto_table last.
 //
 // Example:
 //
@@ -80,6 +84,17 @@ func ParseFlow(spec string) (*ofproto.Rule, error) {
 // parseActions parses the action list.
 func parseActions(s string) ([]ofproto.Action, error) {
 	var out []ofproto.Action
+	// stage orders an action as the instruction that carries it: meter,
+	// apply-actions, goto-table.
+	stage := func(a ofproto.Action) int {
+		switch a.Type {
+		case ofproto.ActionMeter:
+			return 0
+		case ofproto.ActionGoto:
+			return 2
+		}
+		return 1
+	}
 	for _, tok := range splitTop(strings.TrimSpace(s)) {
 		if tok == "" {
 			continue
@@ -147,6 +162,9 @@ func parseActions(s string) ([]ofproto.Action, error) {
 			out = append(out, a)
 		default:
 			return nil, fmt.Errorf("ovs: unknown action %q", tok)
+		}
+		if n := len(out); n > 1 && stage(out[n-1]) < stage(out[n-2]) {
+			return nil, fmt.Errorf("ovs: %v after %v: meters come first, goto_table last", out[n-1], out[n-2])
 		}
 	}
 	return out, nil

@@ -33,7 +33,7 @@ func parseBoth(t *testing.T, spec string) bool {
 }
 
 // stringLiterals returns every string literal of a Go source file.
-func stringLiterals(t *testing.T, file string) []string {
+func stringLiterals(t testing.TB, file string) []string {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
 	if err != nil {
@@ -72,9 +72,14 @@ func TestParseFlowMatchesReference(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(23))
+	// The named rows the reference knows: the ones it parses a value of.
+	// The rows added since (nw_tos, ip_frag, tcp_flags, icmp_type,
+	// icmp_code) are outside this differential; FuzzFlowModRoundTrip and
+	// TestFormatParsesBack (internal/flow) cover them.
 	var named []*flow.MatchField
 	for i := range flow.MatchFields {
-		if r := &flow.MatchFields[i]; r.Name != "" {
+		r := &flow.MatchFields[i]
+		if _, err := refParseFlow(r.Name + "=" + r.Format(0, r.Ones()) + ",actions=drop"); r.Name != "" && err == nil {
 			named = append(named, r)
 		}
 	}

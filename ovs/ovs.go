@@ -242,14 +242,21 @@ func (p *Port) OnOutput(fn func(frame []byte)) {
 	p.iface.OnOutput(func(pk *packet.Packet) { fn(pk.Data) })
 }
 
-// AddFlow parses an ovs-ofctl-style flow specification and installs it.
-// See ParseFlow for the supported syntax.
+// AddFlow parses an ovs-ofctl-style flow specification and sends it to the
+// switch's daemon as an OpenFlow flow mod, as ovs-ofctl add-flow would. See
+// ParseFlow for the supported syntax.
 func (b *Bridge) AddFlow(spec string) error {
 	rule, err := ParseFlow(spec)
 	if err != nil {
 		return err
 	}
-	b.sw.daemon.ApplyFlowMod(openflow.AddFlow(rule))
+	msg, err := openflow.EncodeFlowMod(openflow.AddFlow(rule))
+	if err != nil {
+		return err
+	}
+	if reply, refused := b.sw.daemon.Handle(msg); refused {
+		return fmt.Errorf("ovs: flow %q: the switch answered %v", spec, reply.Type)
+	}
 	return nil
 }
 
