@@ -342,7 +342,7 @@ func extract(p *packet.Packet) (tu Tuple, tcpFlags uint8, icmpErr bool, ok bool)
 
 // Process runs the packet through the tracker in the given zone: the ct()
 // datapath action. It sets the packet's conntrack metadata (CtState,
-// CtZone; nothing sets a connection mark, so CtMark stays 0). With commit
+// CtZone; a packet carries no connection mark). With commit
 // set, a new connection is installed (subject to the zone limit ladder);
 // without it, new connections are only classified, as in OVS where commit
 // happens on the firewall's allow rule.

@@ -384,7 +384,7 @@ func runLinkScript(s linkSide, seed uint64) []string {
 	wakes, next := 0, uint32(0)
 	mkPacket := func() *packet.Packet {
 		p := packet.New(frame[:sizes[rng.Intn(len(sizes))]])
-		p.CtMark = next // the packet's sequence number
+		p.RSSHash = next // the packet's sequence number
 		next++
 		// Every mix of CsumVerified and CsumPartial.
 		p.Offloads = packet.OffloadFlags(rng.Intn(4))
@@ -402,7 +402,7 @@ func runLinkScript(s linkSide, seed uint64) []string {
 	show := func(pkts []*packet.Packet) string {
 		var out strings.Builder
 		for _, p := range pkts {
-			fmt.Fprintf(&out, " %d/%d/%d/%d", p.CtMark, len(p.Data), p.Offloads, p.InPort)
+			fmt.Fprintf(&out, " %d/%d/%d/%d", p.RSSHash, len(p.Data), p.Offloads, p.InPort)
 		}
 		return out.String()
 	}

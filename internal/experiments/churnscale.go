@@ -22,12 +22,9 @@ package experiments
 // the JSON output is byte-identical run to run at fixed defaults.
 
 import (
-	"ovsxdp/internal/api"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
-	"ovsxdp/internal/kit"
 	"ovsxdp/internal/ofproto"
-	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/trafficgen"
@@ -78,12 +75,6 @@ type ChurnscalePoint struct {
 	TotalEvicted   uint64 `json:"total_evicted"`
 	LiveAfterDrain int    `json:"live_after_drain"`
 	LedgerOK       bool   `json:"ledger_ok"`
-}
-
-// ChurnscaleResult is the BENCH_churnscale.json schema.
-type ChurnscaleResult struct {
-	api.Envelope
-	Points []ChurnscalePoint `json:"points"`
 }
 
 // churnscaleConfig parameterizes one point.
@@ -137,15 +128,6 @@ func churnFrame() []byte {
 		UDPH(1000, 2000).PadTo(64).Build()
 }
 
-// executeSink feeds generated packets straight into the datapath fast path
-// as if they had arrived on port 1 — the Execute-driven beds have no NIC.
-func executeSink(d dpif.Dpif) func(*packet.Packet) {
-	return func(p *packet.Packet) {
-		p.InPort = 1
-		d.Execute(p)
-	}
-}
-
 // slideWindow advances the generator's window base at churnPerS until the
 // generator stops: each advance retires the oldest flow and exposes a new
 // one.
@@ -167,30 +149,24 @@ func slideWindow(g *trafficgen.SrcIPGen, churnPerS float64) {
 	g.Eng.ScheduleAt(next, tick)
 }
 
-// runChurnscalePoint executes one configuration: build an Execute-driven
-// netdev datapath, fill the table, measure a churning steady-state window,
-// then stop traffic and drain the table through the wheel revalidator.
+// runChurnscalePoint executes one configuration: fill the table, measure a
+// churning steady-state window, then stop traffic and drain the table
+// through the wheel revalidator.
 func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
-	eng := sim.NewEngine(1)
 	masks := churnMasks()
-	d := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: ofproto.NewPipeline()}))
-	if err := d.PortAdd(dpif.TxPort{PortID: 2, PortName: "sink",
-		Deliver: func(p *packet.Packet) {}}); err != nil {
-		panic(err)
-	}
 	// Every megaflow shares one action list, as a rule's megaflows do.
 	out := []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}
-	d.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
+	b := newExecuteBed(nil, func(key flow.Key) (ofproto.Megaflow, error) {
 		f := key.Unpack()
 		return ofproto.Megaflow{Mask: masks[byte(f.IP4Src)&1], Actions: out}, nil
-	})
+	}, discardSink)
 
 	// The revalidator attaches before any flow exists, so it discovers
 	// every install through the flow hook (no map-ordered initial dump).
-	r := dpif.StartWheelRevalidator(eng, d, c.idle)
+	r := dpif.StartWheelRevalidator(b.eng, b.d, c.idle)
 
 	// Round-robin traffic over the active flow window [Base, Base+flows).
-	g := &trafficgen.SrcIPGen{Eng: eng, Template: churnFrame(), Sink: executeSink(d),
+	g := &trafficgen.SrcIPGen{Eng: b.eng, Template: churnFrame(), Sink: b.execute,
 		Class: 10, Window: c.flows}
 	g.Run(c.ratePPS)
 	slideWindow(g, c.churnPerS)
@@ -202,97 +178,56 @@ func runChurnscalePoint(c churnscaleConfig) ChurnscalePoint {
 	// the churn rate), not the quiet period before any deadline matures.
 	fill := sim.Time(float64(c.flows) / c.ratePPS * float64(sim.Second))
 	warmup := fill + c.idle + 5*sim.Millisecond
-	eng.RunUntil(warmup)
+	b.eng.RunUntil(warmup)
 
-	nd := d.(*dpif.Netdev)
-	pmd := nd.Datapath().PMDs()[0]
-	for _, cpu := range eng.CPUs() {
-		cpu.ResetAccounting()
-	}
-	sent0, miss0 := g.Sent, d.Stats().Missed
 	inst0, evic0, chk0 := r.Installs, r.Evicted, r.Checks
-	events0 := eng.Executed()
-
-	eng.RunUntil(warmup + c.window)
-
-	pkts := g.Sent - sent0
-	busy := pmd.CPU.BusyTotal()
-	revalBusy := r.CPU.BusyTotal()
+	w := b.measure(warmup+c.window, g)
 	pt := ChurnscalePoint{
 		Name: c.name, Flows: c.flows,
 		RatePPS: c.ratePPS, ChurnPerS: c.churnPerS,
-		IdleMs:      float64(c.idle) / float64(sim.Millisecond),
-		WindowMs:    float64(c.window) / float64(sim.Millisecond),
-		Packets:     pkts,
-		Upcalls:     d.Stats().Missed - miss0,
-		Installs:    r.Installs - inst0,
-		Evicted:     r.Evicted - evic0,
-		RevalChecks: r.Checks - chk0,
-		Events:      eng.Executed() - events0,
+		IdleMs:       float64(c.idle) / float64(sim.Millisecond),
+		WindowMs:     float64(c.window) / float64(sim.Millisecond),
+		Packets:      w.packets,
+		NsPerPkt:     w.nsPerPkt,
+		CapacityMpps: w.capacityMpps,
+		Upcalls:      w.after.Missed - w.before.Missed,
+		Installs:     r.Installs - inst0,
+		Evicted:      r.Evicted - evic0,
+		RevalChecks:  r.Checks - chk0,
+		RevalDutyPct: 100 * float64(r.CPU.BusyTotal()) / float64(c.window),
+		Events:       w.events,
 	}
-	if pkts > 0 {
-		pt.NsPerPkt = float64(busy) / float64(pkts)
-		pt.CapacityMpps = 1e3 / pt.NsPerPkt
-	}
-	pt.RevalDutyPct = 100 * float64(revalBusy) / float64(c.window)
 
-	// Drain: stop traffic and churn; with no hits, every live flow's next
-	// deadline evicts it, so the table must empty within a few idle
-	// timeouts.
-	g.Stop()
-	now := warmup + c.window
-	for step := 0; step < 8 && d.Stats().Flows > 0; step++ {
-		now += c.idle
-		eng.RunUntil(now)
-	}
+	// Drain: with no hits, every live flow's next deadline evicts it, so
+	// the table must empty within a few idle timeouts.
+	b.drain(c.idle, b.flows, g)
 	pt.TotalInstalls = r.Installs
 	pt.TotalEvicted = r.Evicted
-	pt.LiveAfterDrain = d.Stats().Flows
+	pt.LiveAfterDrain = b.flows()
 	pt.LedgerOK = r.Installs == r.Evicted+uint64(pt.LiveAfterDrain)
 	r.Stop()
 	return pt
 }
 
-// churnscalePointNames lists the sweep's point names for a profile.
-func churnscalePointNames(p Profile) []string {
-	var names []string
-	for _, c := range churnscalePoints(p.quick()) {
-		names = append(names, c.name)
-	}
-	return names
-}
-
-// RunChurnscale executes the selected points of the churnscale sweep for a
-// profile (all of them when points is empty).
-func RunChurnscale(p Profile, points []string) *ChurnscaleResult {
-	res := &ChurnscaleResult{Envelope: api.NewEnvelope("churnscale", 1, p.Name)}
-	for _, c := range churnscalePoints(p.quick()) {
-		if selected(points, c.name) {
-			res.Points = append(res.Points, runChurnscalePoint(c))
-		}
-	}
-	return res
-}
-
 func init() {
-	registerScenario(Scenario{
-		ID:     "churnscale",
-		Title:  "million-flow churn: capacity vs table size under flow setup/expiry",
-		Points: churnscalePointNames,
-		Run: func(p Profile, points []string) (*Report, any) {
-			res := RunChurnscale(p, points)
-			rep := &Report{ID: "churnscale",
-				Title: "flow churn sweep (setup rate x table size, wheel-revalidated expiry)"}
-			for _, pt := range res.Points {
-				rep.Add(pt.Name+" flows: capacity per core", pt.CapacityMpps, 0, "Mpps")
-				rep.Add(pt.Name+" flows: busy time per packet", pt.NsPerPkt, 0, "ns/pkt")
-				rep.Add(pt.Name+" flows: upcalls in window", float64(pt.Upcalls), 0, "upcalls")
-				rep.Add(pt.Name+" flows: revalidator duty cycle", pt.RevalDutyPct, 0, "%")
-				rep.AddNote("%s: installs %d = evicted %d + live %d after drain (ledger %s); %d reval checks, %d engine events in window",
-					pt.Name, pt.TotalInstalls, pt.TotalEvicted, pt.LiveAfterDrain, ledgerWord(pt.LedgerOK),
-					pt.RevalChecks, pt.Events)
+	registerSweep(sweep[ChurnscalePoint]{
+		id:          "churnscale",
+		title:       "million-flow churn: capacity vs table size under flow setup/expiry",
+		reportTitle: "flow churn sweep (setup rate x table size, wheel-revalidated expiry)",
+		points: func(p Profile) (pts []sweepPoint[ChurnscalePoint]) {
+			for _, c := range churnscalePoints(p.quick()) {
+				pts = append(pts, sweepPoint[ChurnscalePoint]{c.name, func() ChurnscalePoint { return runChurnscalePoint(c) }})
 			}
-			return rep, res
+			return pts
+		},
+		report: func(rep *Report, pt ChurnscalePoint) {
+			rep.Add(pt.Name+" flows: capacity per core", pt.CapacityMpps, 0, "Mpps")
+			rep.Add(pt.Name+" flows: busy time per packet", pt.NsPerPkt, 0, "ns/pkt")
+			rep.Add(pt.Name+" flows: upcalls in window", float64(pt.Upcalls), 0, "upcalls")
+			rep.Add(pt.Name+" flows: revalidator duty cycle", pt.RevalDutyPct, 0, "%")
+			rep.AddNote("%s: installs %d = evicted %d + live %d after drain (ledger %s); %d reval checks, %d engine events in window",
+				pt.Name, pt.TotalInstalls, pt.TotalEvicted, pt.LiveAfterDrain, ledgerWord(pt.LedgerOK),
+				pt.RevalChecks, pt.Events)
 		},
 	})
 }

@@ -25,11 +25,9 @@ package experiments
 import (
 	"fmt"
 
-	"ovsxdp/internal/api"
 	"ovsxdp/internal/conntrack"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
-	"ovsxdp/internal/kit"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/packet/hdr"
@@ -84,12 +82,6 @@ type ConnscalePoint struct {
 	HeldPct         float64 `json:"held_pct,omitempty"`
 	EstHeldPct      float64 `json:"est_held_pct,omitempty"`
 	NoLadderHeldPct float64 `json:"no_ladder_held_pct,omitempty"`
-}
-
-// ConnscaleResult is the BENCH_connscale.json schema.
-type ConnscaleResult struct {
-	api.Envelope
-	Points []ConnscalePoint `json:"points"`
 }
 
 // connscaleConfig parameterizes one steady point.
@@ -167,98 +159,67 @@ func newConnGen(b *connBed, class byte, conns int, dstPort uint16, tcpFlags uint
 		Eth(hdr.MAC{0x02, 0xaa, 0, 0, 0, 2}, hdr.MAC{0x02, 0xbb, 0, 0, 0, 2}).
 		IPv4H(hdr.MakeIP4(class, 0, 0, 0), hdr.MakeIP4(10, 255, 0, 1), 64).
 		TCPH(1000, dstPort, 1, 0, tcpFlags).PadTo(64).Build()
-	return &trafficgen.SrcIPGen{Eng: b.eng, Template: frame, Sink: executeSink(b.d),
+	return &trafficgen.SrcIPGen{Eng: b.eng, Template: frame, Sink: b.execute,
 		Class: class, Window: conns, Jitter: true}
 }
 
 // connscaleZone is the conntrack zone every connscale flow commits into.
 const connscaleZone uint16 = 7
 
-// connBed is an Execute-driven netdev bed with the stateful-firewall
-// pipeline: pass 1 recirculates through ct(commit), pass 2 matches
-// ct_state — established or legitimate-new (port 80) traffic to the sink,
-// everything else (attack SYNs, refused commits, invalid) to the shed
-// port.
+// connBed is an Execute bed with the stateful-firewall pipeline: pass 1
+// recirculates through ct(commit), pass 2 matches ct_state — established
+// or legitimate-new (port 80) traffic to the sink, everything else (attack
+// SYNs, refused commits, invalid) to the shed port.
 type connBed struct {
-	eng *sim.Engine
-	d   dpif.Dpif
-	ct  *conntrack.Table
+	*executeBed
+	ct *conntrack.Table
 
 	delivered    uint64 // sink-port packets (goodput)
 	estDelivered uint64 // of delivered: established traffic (10.x)
-	shed         uint64 // shed-port packets
 }
 
 func newConnBed(shards int) *connBed {
-	b := &connBed{eng: sim.NewEngine(1)}
-	b.d = kit.Must(dpif.Open("netdev", dpif.Config{Eng: b.eng, Pipeline: ofproto.NewPipeline()}))
-	if err := b.d.SetConfig(map[string]string{"ct-shards": fmt.Sprintf("%d", shards)}); err != nil {
-		panic(err)
-	}
-	if err := b.d.PortAdd(dpif.TxPort{PortID: 2, PortName: "sink",
-		Deliver: func(p *packet.Packet) {
+	b := &connBed{}
+	maskR0 := flow.NewMaskBuilder().InPort().RecircID().Build()
+	maskR1 := flow.NewMaskBuilder().RecircID().
+		CtState(uint8(packet.CtNew | packet.CtEstablished | packet.CtInvalid)).TPDst().Build()
+	b.executeBed = newExecuteBed(map[string]string{"ct-shards": fmt.Sprintf("%d", shards)},
+		func(key flow.Key) (ofproto.Megaflow, error) {
+			f := key.Unpack()
+			if f.RecircID == 0 {
+				return ofproto.Megaflow{Mask: maskR0, Actions: []ofproto.DPAction{
+					{Type: ofproto.DPCT, Zone: connscaleZone, Commit: true, RecircID: 1}}}, nil
+			}
+			out := uint32(3)
+			switch {
+			case uint8(f.CtState)&uint8(packet.CtEstablished) != 0:
+				out = 2
+			case uint8(f.CtState)&uint8(packet.CtNew) != 0 && f.TPDst == 80:
+				out = 2 // legitimate new connection admitted
+			}
+			return ofproto.Megaflow{Mask: maskR1,
+				Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: out}}}, nil
+		},
+		dpif.TxPort{PortID: 2, PortName: "sink", Deliver: func(p *packet.Packet) {
 			b.delivered++
 			if p.Data[trafficgen.SrcIPOffset] == 10 {
 				b.estDelivered++
 			}
-		}}); err != nil {
-		panic(err)
-	}
-	if err := b.d.PortAdd(dpif.TxPort{PortID: 3, PortName: "shed",
-		Deliver: func(p *packet.Packet) { b.shed++ }}); err != nil {
-		panic(err)
-	}
-
-	maskR0 := flow.NewMaskBuilder().InPort().RecircID().Build()
-	maskR1 := flow.NewMaskBuilder().RecircID().
-		CtState(uint8(packet.CtNew | packet.CtEstablished | packet.CtInvalid)).TPDst().Build()
-	b.d.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
-		f := key.Unpack()
-		if f.RecircID == 0 {
-			return ofproto.Megaflow{Mask: maskR0, Actions: []ofproto.DPAction{
-				{Type: ofproto.DPCT, Zone: connscaleZone, Commit: true, RecircID: 1}}}, nil
-		}
-		out := uint32(3)
-		switch {
-		case uint8(f.CtState)&uint8(packet.CtEstablished) != 0:
-			out = 2
-		case uint8(f.CtState)&uint8(packet.CtNew) != 0 && f.TPDst == 80:
-			out = 2 // legitimate new connection admitted
-		}
-		return ofproto.Megaflow{Mask: maskR1,
-			Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: out}}}, nil
-	})
-
-	b.ct = b.d.(*dpif.Netdev).Datapath().Ct
+		}},
+		dpif.TxPort{PortID: 3, PortName: "shed", Deliver: func(*packet.Packet) {}})
+	b.ct = b.dp.Ct
 	b.ct.EnableWheelExpiry(true)
 	return b
 }
 
-// drain stops all traffic sources and runs virtual time forward until the
-// wheel has expired every connection (bounded at 8 timeout periods).
-func (b *connBed) drain(gens []*trafficgen.SrcIPGen, step sim.Time) {
-	for _, g := range gens {
-		g.Stop()
-	}
-	now := b.eng.Now()
-	for i := 0; i < 8 && b.ct.Len() > 0; i++ {
-		now += step
-		b.eng.RunUntil(now)
-	}
-}
-
-// ledger fills the whole-run tracker counters and checks conservation:
-// every created connection must be accounted for as expired, early-dropped,
-// evicted, or still live.
+// ledger fills the whole-run tracker counters from the datapath's stats
+// and checks conservation: every created connection must be accounted for
+// as expired, early-dropped, evicted, or still live.
 func (b *connBed) ledger(pt *ConnscalePoint) {
-	c := b.ct.Counters()
-	pt.Created = c.Created
-	pt.Expired = c.Expired
-	pt.EarlyDrops = c.EarlyDrops
-	pt.Evicted = c.Evicted
-	pt.TableFull = c.TableFull
-	pt.LiveAfterDrain = b.ct.Len()
-	pt.LedgerOK = c.Created == c.Expired+c.EarlyDrops+c.Evicted+uint64(pt.LiveAfterDrain)
+	s := b.d.Stats()
+	pt.Created, pt.Expired, pt.EarlyDrops = s.CtCreated, s.CtExpired, s.CtEarlyDrops
+	pt.Evicted, pt.TableFull, pt.LiveAfterDrain = s.CtEvictions, s.CtTableFull, s.CtConns
+	pt.LedgerOK = s.Invariants() == nil
 }
 
 // runConnscalePoint executes one steady configuration: establish N
@@ -287,26 +248,17 @@ func runConnscalePoint(c connscaleConfig) ConnscalePoint {
 	b.eng.RunUntil(fill)
 	b.ct.Loose = false // wrongful evictions now misroute visibly
 
-	pmd := b.d.(*dpif.Netdev).Datapath().PMDs()[0]
-	for _, cpu := range b.eng.CPUs() {
-		cpu.ResetAccounting()
-	}
-	sent0, delivered0 := g.Sent, b.delivered
-
-	b.eng.RunUntil(fill + c.window)
-
-	pkts := g.Sent - sent0
+	delivered0 := b.delivered
+	w := b.measure(fill+c.window, g)
 	pt := ConnscalePoint{
 		Name: c.name, Conns: c.conns, Shards: c.shards,
-		RatePPS:   c.ratePPS,
-		WindowMs:  float64(c.window) / float64(sim.Millisecond),
-		Packets:   pkts,
-		Delivered: b.delivered - delivered0,
-		PeakConns: b.ct.Len(),
-	}
-	if pkts > 0 {
-		pt.NsPerPkt = float64(pmd.CPU.BusyTotal()) / float64(pkts)
-		pt.CapacityMpps = 1e3 / pt.NsPerPkt
+		RatePPS:      c.ratePPS,
+		WindowMs:     float64(c.window) / float64(sim.Millisecond),
+		Packets:      w.packets,
+		Delivered:    b.delivered - delivered0,
+		NsPerPkt:     w.nsPerPkt,
+		CapacityMpps: w.capacityMpps,
+		PeakConns:    b.ct.Len(),
 	}
 	sizes := b.ct.ShardSizes(nil)
 	maxSz, total := 0, 0
@@ -320,16 +272,16 @@ func runConnscalePoint(c connscaleConfig) ConnscalePoint {
 		pt.ShardImbalance = float64(maxSz) * float64(len(sizes)) / float64(total)
 	}
 
-	b.drain([]*trafficgen.SrcIPGen{g}, estTO)
+	b.drain(estTO, b.ct.Len, g)
 	b.ledger(&pt)
 	return pt
 }
 
 // runSynfloodArm runs the flood schedule once — fill, no-flood window,
-// flood window — under either the ladder (SetZoneLimits) or the hard
-// limit (SetZoneLimit). It reports goodput for both windows, the
-// established-only share, and the bed for counter collection.
-func runSynfloodArm(c synfloodConfig, ladder bool) (baseGood, floodGood, baseEst, floodEst uint64, bed *connBed, gens []*trafficgen.SrcIPGen) {
+// flood window, drain — under either the ladder (SetZoneLimits) or the
+// hard limit (SetZoneLimit). It reports goodput for both windows and the
+// established-only share, and fills pt's peak and ledger.
+func runSynfloodArm(c synfloodConfig, ladder bool, pt *ConnscalePoint) (baseGood, floodGood, baseEst, floodEst uint64) {
 	b := newConnBed(8)
 	b.ct.Timeouts = conntrack.Timeouts{
 		SynSent: c.synTimeout, Established: c.estTimeout,
@@ -364,7 +316,10 @@ func runSynfloodArm(c synfloodConfig, ladder bool) (baseGood, floodGood, baseEst
 	b.eng.RunUntil(floodStart + c.warm + c.window)
 	floodGood, floodEst = b.delivered-d0, b.estDelivered-e0
 
-	return baseGood, floodGood, baseEst, floodEst, b, []*trafficgen.SrcIPGen{est, legit, flood}
+	pt.PeakConns = b.ct.Len()
+	b.drain(c.estTimeout, b.ct.Len, est, legit, flood)
+	b.ledger(pt)
+	return baseGood, floodGood, baseEst, floodEst
 }
 
 // runSynflood measures the flood point: the ladder arm provides the
@@ -372,18 +327,16 @@ func runSynfloodArm(c synfloodConfig, ladder bool) (baseGood, floodGood, baseEst
 // the comparison ratio.
 func runSynflood(c synfloodConfig) ConnscalePoint {
 	winS := float64(c.window) / float64(sim.Second)
-
-	baseGood, floodGood, baseEst, floodEst, bed, gens := runSynfloodArm(c, true)
 	pt := ConnscalePoint{
 		Name: c.name, Conns: c.estConns, Shards: 8,
-		RatePPS:   c.estRate + c.newRate,
-		WindowMs:  float64(c.window) / float64(sim.Millisecond),
-		Packets:   baseGood + floodGood, // goodput packets across both windows
-		Delivered: baseGood + floodGood,
-		Flood:     true,
-		FloodPPS:  c.floodRate,
-		PeakConns: bed.ct.Len(),
+		RatePPS:  c.estRate + c.newRate,
+		WindowMs: float64(c.window) / float64(sim.Millisecond),
+		Flood:    true,
+		FloodPPS: c.floodRate,
 	}
+	baseGood, floodGood, baseEst, floodEst := runSynfloodArm(c, true, &pt)
+	pt.Packets = baseGood + floodGood // goodput packets across both windows
+	pt.Delivered = pt.Packets
 	pt.BaselineMpps = float64(baseGood) / winS / 1e6
 	pt.FloodMpps = float64(floodGood) / winS / 1e6
 	if baseGood > 0 {
@@ -392,71 +345,42 @@ func runSynflood(c synfloodConfig) ConnscalePoint {
 	if baseEst > 0 {
 		pt.EstHeldPct = 100 * float64(floodEst) / float64(baseEst)
 	}
-	bed.drain(gens, c.estTimeout)
-	bed.ledger(&pt)
 
-	baseGood, floodGood, _, _, bed2, gens2 := runSynfloodArm(c, false)
-	if baseGood > 0 {
+	var hard ConnscalePoint
+	if baseGood, floodGood, _, _ := runSynfloodArm(c, false, &hard); baseGood > 0 {
 		pt.NoLadderHeldPct = 100 * float64(floodGood) / float64(baseGood)
 	}
-	bed2.drain(gens2, c.estTimeout)
-	var pt2 ConnscalePoint
-	bed2.ledger(&pt2)
-	pt.LedgerOK = pt.LedgerOK && pt2.LedgerOK
-
+	pt.LedgerOK = pt.LedgerOK && hard.LedgerOK
 	return pt
 }
 
-// connscalePointNames lists the sweep's point names for a profile: the
-// steady points, then the flood arm.
-func connscalePointNames(p Profile) []string {
-	var names []string
-	for _, c := range connscalePoints(p.quick()) {
-		names = append(names, c.name)
-	}
-	return append(names, connscaleFlood(p.quick()).name)
-}
-
-// RunConnscale executes the selected points of the connscale sweep for a
-// profile (all of them when points is empty).
-func RunConnscale(p Profile, points []string) *ConnscaleResult {
-	res := &ConnscaleResult{Envelope: api.NewEnvelope("connscale", 1, p.Name)}
-	for _, c := range connscalePoints(p.quick()) {
-		if selected(points, c.name) {
-			res.Points = append(res.Points, runConnscalePoint(c))
-		}
-	}
-	if fc := connscaleFlood(p.quick()); selected(points, fc.name) {
-		res.Points = append(res.Points, runSynflood(fc))
-	}
-	return res
-}
-
 func init() {
-	registerScenario(Scenario{
-		ID:     "connscale",
-		Title:  "million-connection conntrack: capacity vs table size + SYN-flood degradation",
-		Points: connscalePointNames,
-		Run: func(p Profile, points []string) (*Report, any) {
-			res := RunConnscale(p, points)
-			rep := &Report{ID: "connscale",
-				Title: "conntrack scaling sweep (concurrent connections x shards, wheel expiry)"}
-			for _, pt := range res.Points {
-				if pt.Flood {
-					rep.Add(pt.Name+": goodput held under flood (ladder)", pt.HeldPct, 0, "%")
-					rep.Add(pt.Name+": established goodput held", pt.EstHeldPct, 0, "%")
-					rep.Add(pt.Name+": goodput held (legacy hard limit)", pt.NoLadderHeldPct, 0, "%")
-					rep.Add(pt.Name+": baseline goodput", pt.BaselineMpps, 0, "Mpps")
-				} else {
-					rep.Add(pt.Name+" conns: capacity per core", pt.CapacityMpps, 0, "Mpps")
-					rep.Add(pt.Name+" conns: busy time per packet", pt.NsPerPkt, 0, "ns/pkt")
-					rep.Add(pt.Name+" conns: shard imbalance", pt.ShardImbalance, 0, "x mean")
-				}
-				rep.AddNote("%s: created %d = expired %d + early-drop %d + evicted %d + live %d (ledger %s); table-full %d, peak %d conns",
-					pt.Name, pt.Created, pt.Expired, pt.EarlyDrops, pt.Evicted,
-					pt.LiveAfterDrain, ledgerWord(pt.LedgerOK), pt.TableFull, pt.PeakConns)
+	registerSweep(sweep[ConnscalePoint]{
+		id:          "connscale",
+		title:       "million-connection conntrack: capacity vs table size + SYN-flood degradation",
+		reportTitle: "conntrack scaling sweep (concurrent connections x shards, wheel expiry)",
+		// The steady points, then the flood arm.
+		points: func(p Profile) (pts []sweepPoint[ConnscalePoint]) {
+			for _, c := range connscalePoints(p.quick()) {
+				pts = append(pts, sweepPoint[ConnscalePoint]{c.name, func() ConnscalePoint { return runConnscalePoint(c) }})
 			}
-			return rep, res
+			fc := connscaleFlood(p.quick())
+			return append(pts, sweepPoint[ConnscalePoint]{fc.name, func() ConnscalePoint { return runSynflood(fc) }})
+		},
+		report: func(rep *Report, pt ConnscalePoint) {
+			if pt.Flood {
+				rep.Add(pt.Name+": goodput held under flood (ladder)", pt.HeldPct, 0, "%")
+				rep.Add(pt.Name+": established goodput held", pt.EstHeldPct, 0, "%")
+				rep.Add(pt.Name+": goodput held (legacy hard limit)", pt.NoLadderHeldPct, 0, "%")
+				rep.Add(pt.Name+": baseline goodput", pt.BaselineMpps, 0, "Mpps")
+			} else {
+				rep.Add(pt.Name+" conns: capacity per core", pt.CapacityMpps, 0, "Mpps")
+				rep.Add(pt.Name+" conns: busy time per packet", pt.NsPerPkt, 0, "ns/pkt")
+				rep.Add(pt.Name+" conns: shard imbalance", pt.ShardImbalance, 0, "x mean")
+			}
+			rep.AddNote("%s: created %d = expired %d + early-drop %d + evicted %d + live %d (ledger %s); table-full %d, peak %d conns",
+				pt.Name, pt.Created, pt.Expired, pt.EarlyDrops, pt.Evicted,
+				pt.LiveAfterDrain, ledgerWord(pt.LedgerOK), pt.TableFull, pt.PeakConns)
 		},
 	})
 }

@@ -3,27 +3,22 @@ package experiments
 import "testing"
 
 // TestConnscaleQuickAcceptance runs the quick profile and checks the
-// scenario's headline claims: the conservation ledger holds at every
-// point, connections actually reach the configured scale, and the
-// degradation ladder keeps goodput within 10% of the no-flood baseline
-// while shedding embryonic flood state.
+// scenario's headline claims beyond its ledger (TestSweepsHoldTheirLedgers):
+// connections actually reach the configured scale, and the degradation
+// ladder keeps goodput within 10% of the no-flood baseline while shedding
+// embryonic flood state.
 func TestConnscaleQuickAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs millions of virtual packets")
 	}
-	res := RunConnscale(Quick, nil)
+	s, _ := GetScenario("connscale")
+	_, out := s.Run(Quick, nil)
+	res := out.(*sweepResult[ConnscalePoint])
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}
 	var sawSteady, sawFlood bool
 	for _, pt := range res.Points {
-		if !pt.LedgerOK {
-			t.Errorf("%s: ledger broken: created %d != expired %d + early %d + evicted %d + live %d",
-				pt.Name, pt.Created, pt.Expired, pt.EarlyDrops, pt.Evicted, pt.LiveAfterDrain)
-		}
-		if pt.LiveAfterDrain != 0 {
-			t.Errorf("%s: %d connections survived the drain", pt.Name, pt.LiveAfterDrain)
-		}
 		if pt.Flood {
 			sawFlood = true
 			if pt.HeldPct < 90 {

@@ -140,8 +140,8 @@ type Scenario struct {
 	Points func(p Profile) []string
 	// Run executes the scenario. A non-empty points restricts the sweep to
 	// those names (validate them with CheckPoints first). The second result
-	// is the scenario's typed result for JSON output — a *Result struct
-	// embedding api.Envelope — and nil exactly when Points is nil.
+	// is the scenario's typed result for JSON output — a *sweepResult[P],
+	// api.Envelope plus typed points — and nil exactly when Points is nil.
 	Run func(p Profile, points []string) (*Report, any)
 }
 
@@ -163,12 +163,6 @@ func (s Scenario) CheckPoints(p Profile, points []string) error {
 		}
 	}
 	return nil
-}
-
-// selected reports whether a sweep should run the named point: every point
-// when the selection is empty, otherwise only those listed.
-func selected(points []string, name string) bool {
-	return len(points) == 0 || slices.Contains(points, name)
 }
 
 // reportOnly adapts a scenario with no sweep and no typed result.

@@ -34,8 +34,7 @@ func runFig2(p Profile) *Report {
 	for _, c := range cases {
 		cfg := DefaultBed(c.kind, 1)
 		cfg.KernelQueues = 1 // single core
-		rate, _, _ := measure.LosslessRate(searchConfig(p, 40e6),
-			fig9Probe(p, func() *Bed { return NewP2PBed(cfg) }, nil))
+		rate := losslessSearch(p, 40e6, p2p(cfg)).rate
 		r.Add(c.kind.String(), measure.Mpps(rate), c.paper, "Mpps")
 		rates = append(rates, rate)
 	}
@@ -67,8 +66,7 @@ func runTable2(p Profile) *Report {
 		cfg.Opts = c.opts
 		cfg.Lock = c.lock
 		cfg.Mode = c.mode
-		rate, _, _ := measure.LosslessRate(searchConfig(p, 20e6),
-			fig9Probe(p, func() *Bed { return NewP2PBed(cfg) }, nil))
+		rate := losslessSearch(p, 20e6, p2p(cfg)).rate
 		r.Add(c.name, measure.Mpps(rate), c.paper, "Mpps")
 		if measure.Mpps(rate) <= prev {
 			r.AddNote("WARNING: %s did not improve on the previous level", c.name)
@@ -104,8 +102,7 @@ func runFig12(p Profile) *Report {
 				if frame == 1518 {
 					hi = lineRate1518 * 1.02
 				}
-				rate, _, _ := measure.LosslessRate(searchConfig(p, hi),
-					fig9Probe(p, func() *Bed { return NewP2PBed(cfg) }, nil))
+				rate := losslessSearch(p, hi, p2p(cfg)).rate
 				gbps := rate * float64(frame+costmodel.EthernetOverheadBytes) * 8 / 1e9
 				paper := fig12Paper(kind, frame, queues)
 				r.Add(caseName(kind, frame, queues), gbps, paper, "Gbps")

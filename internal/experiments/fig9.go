@@ -19,24 +19,6 @@ func init() {
 	register(Experiment{ID: "table4", Title: "CPU use by category at 1000 flows (Table 4)", Run: runTable4})
 }
 
-// fig9Probe builds a fresh bed per trial. When last is non-nil it records
-// the most recent bed, so callers can read its perf counters afterwards.
-func fig9Probe(p Profile, mk func() *Bed, last **Bed) measure.Probe {
-	return func(rate float64) measure.ProbeResult {
-		bed := mk()
-		if last != nil {
-			*last = bed
-		}
-		return RunProbe(bed, rate, p.Warmup, p.Window)
-	}
-}
-
-type fig9Result struct {
-	rate  float64
-	usage sim.Usage
-	perf  []perf.ThreadStats
-}
-
 // addPerfRows appends the opt-in per-stage attribution: for each processing
 // thread of the case's final probe, the amortized virtual-time cost of every
 // datapath stage (the pmd-perf-show breakdown in experiment-report form).
@@ -51,16 +33,19 @@ func addPerfRows(r *Report, name string, threads []perf.ThreadStats) {
 	}
 }
 
-func runP2PCase(p Profile, kind DPKind, flows int, hiPPS float64) fig9Result {
+// p2p, pvp and pcp are a lossless search's bed sources: Figure 9's three
+// loopbacks, a fresh bed per call.
+func p2p(cfg BedConfig) func() *Bed { return func() *Bed { return NewP2PBed(cfg) } }
+
+// pvp builds the PVP loopback at the defaults with the VM attached by vd.
+func pvp(kind DPKind, vd VDevKind, flows int) func() *Bed {
 	cfg := DefaultBed(kind, flows)
-	var last *Bed
-	rate, res, _ := measure.LosslessRate(searchConfig(p, hiPPS),
-		fig9Probe(p, func() *Bed { return NewP2PBed(cfg) }, &last))
-	out := fig9Result{rate: rate, usage: res.Usage}
-	if p.PerfStages && last != nil {
-		out.perf = last.DP.PerfStats()
-	}
-	return out
+	cfg.VDev = vd
+	return func() *Bed { return NewPVPBed(cfg) }
+}
+
+func pcp(mode PCPMode, flows int) func() *Bed {
+	return func() *Bed { return NewPCPBed(mode, flows) }
 }
 
 func runFig9a(p Profile) *Report {
@@ -78,7 +63,7 @@ func runFig9a(p Profile) *Report {
 		{KindDPDK, 1000, 9.0},
 	}
 	for _, c := range cases {
-		res := runP2PCase(p, c.kind, c.flows, 40e6)
+		res := losslessSearch(p, 40e6, p2p(DefaultBed(c.kind, c.flows)))
 		name := c.kind.String() + flowsSuffix(c.flows)
 		r.Add(name, measure.Mpps(res.rate), c.paper, "Mpps")
 		r.Add(name+" cpu", res.usage.Total(), 0, "HT")
@@ -86,19 +71,6 @@ func runFig9a(p Profile) *Report {
 	}
 	r.AddNote("orderings to hold: dpdk > afxdp > kernel@1flow; kernel@1000 > kernel@1 (RSS)")
 	return r
-}
-
-func runPVPCase(p Profile, kind DPKind, vd VDevKind, flows int) fig9Result {
-	cfg := DefaultBed(kind, flows)
-	cfg.VDev = vd
-	var last *Bed
-	rate, res, _ := measure.LosslessRate(searchConfig(p, 20e6),
-		fig9Probe(p, func() *Bed { return NewPVPBed(cfg) }, &last))
-	out := fig9Result{rate: rate, usage: res.Usage}
-	if p.PerfStages && last != nil {
-		out.perf = last.DP.PerfStats()
-	}
-	return out
 }
 
 func runFig9b(p Profile) *Report {
@@ -119,7 +91,7 @@ func runFig9b(p Profile) *Report {
 		{KindDPDK, VDevVhost, 1000, 3.1},
 	}
 	for _, c := range cases {
-		res := runPVPCase(p, c.kind, c.vd, c.flows)
+		res := losslessSearch(p, 20e6, pvp(c.kind, c.vd, c.flows))
 		name := c.kind.String() + "+" + c.vd.String() + flowsSuffix(c.flows)
 		r.Add(name, measure.Mpps(res.rate), c.paper, "Mpps")
 		r.Add(name+" cpu", res.usage.Total(), 0, "HT")
@@ -144,15 +116,11 @@ func runFig9c(p Profile) *Report {
 		{PCPDPDK, 1000, 0.9},
 	}
 	for _, c := range cases {
-		var last *Bed
-		rate, res, _ := measure.LosslessRate(searchConfig(p, 20e6),
-			fig9Probe(p, func() *Bed { return NewPCPBed(c.mode, c.flows) }, &last))
+		res := losslessSearch(p, 20e6, pcp(c.mode, c.flows))
 		name := c.mode.String() + flowsSuffix(c.flows)
-		r.Add(name, measure.Mpps(rate), c.paper, "Mpps")
-		r.Add(name+" cpu", res.Usage.Total(), 0, "HT")
-		if p.PerfStages && last != nil {
-			addPerfRows(r, name, last.DP.PerfStats())
-		}
+		r.Add(name, measure.Mpps(res.rate), c.paper, "Mpps")
+		r.Add(name+" cpu", res.usage.Total(), 0, "HT")
+		addPerfRows(r, name, res.perf)
 	}
 	r.AddNote("ordering: afxdp (XDP redirect, path C) beats both kernel and dpdk in rate and CPU")
 	return r
@@ -162,51 +130,29 @@ func runFig9c(p Profile) *Report {
 func runTable4(p Profile) *Report {
 	r := &Report{ID: "table4", Title: "CPU use with 1000 flows (hyperthreads per category)"}
 
-	addUsage := func(prefix string, u sim.Usage, paperSys, paperSoftirq, paperGuest, paperUser float64) {
-		r.Add(prefix+" system", u[sim.System], paperSys, "HT")
-		r.Add(prefix+" softirq", u[sim.Softirq], paperSoftirq, "HT")
-		r.Add(prefix+" guest", u[sim.Guest], paperGuest, "HT")
-		r.Add(prefix+" user", u[sim.User], paperUser, "HT")
-	}
-
-	// P2P rows.
-	k := runP2PCase(p, KindKernel, 1000, 40e6)
-	addUsage("P2P kernel", k.usage, 0.1, 9.7, 0, 0.1)
-	addPerfRows(r, "P2P kernel", k.perf)
-	d := runP2PCase(p, KindDPDK, 1000, 40e6)
-	addUsage("P2P dpdk", d.usage, 0, 0, 0, 1.0)
-	addPerfRows(r, "P2P dpdk", d.perf)
-	a := runP2PCase(p, KindAFXDP, 1000, 40e6)
-	addUsage("P2P afxdp", a.usage, 0.1, 1.1, 0, 0.9)
-	addPerfRows(r, "P2P afxdp", a.perf)
-
-	// PVP rows.
-	kv := runPVPCase(p, KindKernel, VDevTap, 1000)
-	addUsage("PVP kernel+tap", kv.usage, 1.2, 6.0, 1.1, 0.2)
-	addPerfRows(r, "PVP kernel+tap", kv.perf)
-	dv := runPVPCase(p, KindDPDK, VDevVhost, 1000)
-	addUsage("PVP dpdk+vhost", dv.usage, 0.9, 0, 1.0, 1.0)
-	addPerfRows(r, "PVP dpdk+vhost", dv.perf)
-	av := runPVPCase(p, KindAFXDP, VDevVhost, 1000)
-	addUsage("PVP afxdp+vhost", av.usage, 0.9, 0.8, 1.0, 1.9)
-	addPerfRows(r, "PVP afxdp+vhost", av.perf)
-
-	// PCP rows.
-	for _, c := range []struct {
-		mode                      PCPMode
+	cases := []struct {
+		name                      string
+		hiPPS                     float64
+		beds                      func() *Bed
 		sys, softirq, guest, user float64
 	}{
-		{PCPKernel, 0, 1.5, 0, 0},
-		{PCPDPDK, 0.3, 0.5, 0, 0.2},
-		{PCPAFXDPRedir, 0, 1.0, 0, 0},
-	} {
-		var last *Bed
-		_, res, _ := measure.LosslessRate(searchConfig(p, 20e6),
-			fig9Probe(p, func() *Bed { return NewPCPBed(c.mode, 1000) }, &last))
-		addUsage("PCP "+c.mode.String(), res.Usage, c.sys, c.softirq, c.guest, c.user)
-		if p.PerfStages && last != nil {
-			addPerfRows(r, "PCP "+c.mode.String(), last.DP.PerfStats())
-		}
+		{"P2P kernel", 40e6, p2p(DefaultBed(KindKernel, 1000)), 0.1, 9.7, 0, 0.1},
+		{"P2P dpdk", 40e6, p2p(DefaultBed(KindDPDK, 1000)), 0, 0, 0, 1.0},
+		{"P2P afxdp", 40e6, p2p(DefaultBed(KindAFXDP, 1000)), 0.1, 1.1, 0, 0.9},
+		{"PVP kernel+tap", 20e6, pvp(KindKernel, VDevTap, 1000), 1.2, 6.0, 1.1, 0.2},
+		{"PVP dpdk+vhost", 20e6, pvp(KindDPDK, VDevVhost, 1000), 0.9, 0, 1.0, 1.0},
+		{"PVP afxdp+vhost", 20e6, pvp(KindAFXDP, VDevVhost, 1000), 0.9, 0.8, 1.0, 1.9},
+		{"PCP kernel", 20e6, pcp(PCPKernel, 1000), 0, 1.5, 0, 0},
+		{"PCP dpdk", 20e6, pcp(PCPDPDK, 1000), 0.3, 0.5, 0, 0.2},
+		{"PCP afxdp-xdp-redirect", 20e6, pcp(PCPAFXDPRedir, 1000), 0, 1.0, 0, 0},
+	}
+	for _, c := range cases {
+		u := losslessSearch(p, c.hiPPS, c.beds)
+		r.Add(c.name+" system", u.usage[sim.System], c.sys, "HT")
+		r.Add(c.name+" softirq", u.usage[sim.Softirq], c.softirq, "HT")
+		r.Add(c.name+" guest", u.usage[sim.Guest], c.guest, "HT")
+		r.Add(c.name+" user", u.usage[sim.User], c.user, "HT")
+		addPerfRows(r, c.name, u.perf)
 	}
 	r.AddNote("paper values are Table 4 verbatim; busy-poll PMD threads always report ~1.0 user per thread")
 	return r

@@ -25,13 +25,10 @@ package experiments
 import (
 	"fmt"
 
-	"ovsxdp/internal/api"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/faultinject"
 	"ovsxdp/internal/flow"
-	"ovsxdp/internal/kit"
 	"ovsxdp/internal/ofproto"
-	"ovsxdp/internal/packet"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/trafficgen"
 )
@@ -87,12 +84,6 @@ type OffloadPoint struct {
 	LiveAfterDrain int `json:"live_after_drain"`
 }
 
-// OffloadResult is the BENCH_offload.json schema.
-type OffloadResult struct {
-	api.Envelope
-	Points []OffloadPoint `json:"points"`
-}
-
 // offloadConfig parameterizes one point.
 type offloadConfig struct {
 	name      string
@@ -128,42 +119,35 @@ func offloadPoints(quick bool) []offloadConfig {
 	return pts
 }
 
-// runOffloadPoint executes one configuration: build an Execute-driven
-// netdev datapath, configure offload through the other_config surface,
-// warm up past fill and elephant detection, measure a steady-state window,
-// then stop traffic and drain the megaflow table through the revalidator
-// (which must empty the hardware table with it).
+// runOffloadPoint executes one configuration: configure offload through
+// the other_config surface, warm up past fill and elephant detection,
+// measure a steady-state window, then stop traffic and drain the megaflow
+// table through the revalidator (which must empty the hardware table with
+// it).
 func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
-	eng := sim.NewEngine(1)
 	mask := flow.NewMaskBuilder().InPort().EthType().IPProto().
 		IP4Src(32).IP4Dst(32).TPSrc().TPDst().Build()
-	d := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: ofproto.NewPipeline()}))
-	if err := d.PortAdd(dpif.TxPort{PortID: 2, PortName: "sink",
-		Deliver: func(p *packet.Packet) {}}); err != nil {
-		panic(err)
-	}
-	d.SetUpcall(func(key flow.Key) (ofproto.Megaflow, error) {
-		return ofproto.Megaflow{Mask: mask,
-			Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}}, nil
-	})
+	var other map[string]string
 	if c.tableSize > 0 {
-		if err := d.SetConfig(map[string]string{
+		other = map[string]string{
 			"hw-offload":              "true",
 			"hw-offload-table-size":   fmt.Sprintf("%d", c.tableSize),
 			"hw-offload-elephant-pps": fmt.Sprintf("%d", offloadThreshold),
 			"hw-offload-readback-us":  "1000",
-		}); err != nil {
-			panic(err)
 		}
 	}
+	b := newExecuteBed(other, func(key flow.Key) (ofproto.Megaflow, error) {
+		return ofproto.Megaflow{Mask: mask,
+			Actions: []ofproto.DPAction{{Type: ofproto.DPOutput, Port: 2}}}, nil
+	}, discardSink)
 
-	r := dpif.StartWheelRevalidator(eng, d, offloadIdle)
+	r := dpif.StartWheelRevalidator(b.eng, b.d, offloadIdle)
 
 	// Round-robin traffic per flow class; ids are offset per class so
 	// elephants and mice never share a five-tuple.
-	eg := &trafficgen.SrcIPGen{Eng: eng, Template: churnFrame(), Sink: executeSink(d),
+	eg := &trafficgen.SrcIPGen{Eng: b.eng, Template: churnFrame(), Sink: b.execute,
 		Class: 10, Window: offloadElephants}
-	mg := &trafficgen.SrcIPGen{Eng: eng, Template: churnFrame(), Sink: executeSink(d),
+	mg := &trafficgen.SrcIPGen{Eng: b.eng, Template: churnFrame(), Sink: b.execute,
 		Class: 10, Base: 1 << 20, Window: offloadMice}
 	eg.Run(offloadElephantPPS)
 	mg.Run(offloadMousePPS)
@@ -172,37 +156,24 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 	// few readback intervals for the elephant EWMA to cross the threshold
 	// and the install burst to complete.
 	warmup := 8 * sim.Millisecond
-	eng.RunUntil(warmup)
+	b.eng.RunUntil(warmup)
 
-	nd := d.(*dpif.Netdev)
-	dp := nd.Datapath()
 	if c.clamp {
 		// Firmware rule-memory pressure mid-window: clamp the table to a
 		// fraction of its size for the middle half of the window, forcing
 		// evictions out and a re-install wave back in.
-		inj := faultinject.New(eng)
+		inj := faultinject.New(b.eng)
 		inj.Window(faultinject.KindOffloadTablePressure, "nic0",
 			warmup+window/4, window/2, func(active bool) {
 				if active {
-					dp.OffloadClamp(c.tableSize / 4)
+					b.dp.OffloadClamp(c.tableSize / 4)
 				} else {
-					dp.OffloadClamp(0)
+					b.dp.OffloadClamp(0)
 				}
 			})
 	}
-	pmd := dp.PMDs()[0]
-	for _, cpu := range eng.CPUs() {
-		cpu.ResetAccounting()
-	}
-	sent0 := eg.Sent + mg.Sent
-	st0 := d.Stats()
 	evic0 := r.Evicted
-
-	eng.RunUntil(warmup + window)
-
-	st1 := d.Stats()
-	pkts := eg.Sent + mg.Sent - sent0
-	busy := pmd.CPU.BusyTotal()
+	w := b.measure(warmup+window, eg, mg)
 	pt := OffloadPoint{
 		Name:                c.name,
 		HWTableSize:         c.tableSize,
@@ -210,29 +181,23 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 		Mice:                offloadMice,
 		ElephantPktSharePct: 100 * offloadElephantPPS / (offloadElephantPPS + offloadMousePPS),
 		WindowMs:            float64(window) / float64(sim.Millisecond),
-		Packets:             pkts,
-		OffloadHits:         st1.OffloadHits - st0.OffloadHits,
-		Upcalls:             st1.Missed - st0.Missed,
+		Packets:             w.packets,
+		OffloadHits:         w.after.OffloadHits - w.before.OffloadHits,
+		NsPerPkt:            w.nsPerPkt,
+		CapacityMpps:        w.capacityMpps,
+		Upcalls:             w.after.Missed - w.before.Missed,
 		RevalEvicted:        r.Evicted - evic0,
 		FaultClamped:        c.clamp,
 	}
-	if pkts > 0 {
-		pt.NsPerPkt = float64(busy) / float64(pkts)
-		pt.CapacityMpps = 1e3 / pt.NsPerPkt
-		pt.OffloadSharePct = 100 * float64(pt.OffloadHits) / float64(pkts)
+	if w.packets > 0 {
+		pt.OffloadSharePct = 100 * float64(pt.OffloadHits) / float64(w.packets)
 	}
 
-	// Drain: stop traffic; every flow goes idle, the revalidator expires
-	// it, and the FlowDel purge discipline must empty the hardware table
-	// along with the software caches.
-	eg.Stop()
-	mg.Stop()
-	now := warmup + window
-	for step := 0; step < 8 && d.Stats().Flows > 0; step++ {
-		now += offloadIdle
-		eng.RunUntil(now)
-	}
-	off := dp.OffloadStats()
+	// Drain: every flow goes idle, the revalidator expires it, and the
+	// FlowDel purge discipline must empty the hardware table along with
+	// the software caches.
+	b.drain(offloadIdle, b.flows, eg, mg)
+	off := b.dp.OffloadStats()
 	pt.Installs = off.Installs
 	pt.Evictions = off.Evictions
 	pt.Uninstalls = off.Uninstalls
@@ -240,69 +205,55 @@ func runOffloadPoint(c offloadConfig, window sim.Time) OffloadPoint {
 	pt.Live = off.Live
 	pt.Readbacks = off.Readbacks
 	pt.HWMergedHits = off.HWMergedHits
-	pt.LedgerOK = d.Stats().Invariants() == nil
+	pt.LedgerOK = b.d.Stats().Invariants() == nil
 	pt.LiveAfterDrain = off.Live
 	r.Stop()
 	return pt
 }
 
-// offloadPointNames lists the sweep's point names for a profile.
-func offloadPointNames(p Profile) []string {
-	var names []string
-	for _, c := range offloadPoints(p.quick()) {
-		names = append(names, c.name)
-	}
-	return names
-}
-
-// RunOffload executes the selected points of the offload sweep for a
-// profile (all of them when points is empty).
-func RunOffload(p Profile, points []string) *OffloadResult {
-	window := 40 * sim.Millisecond
-	if p.quick() {
-		window = 12 * sim.Millisecond
-	}
-	res := &OffloadResult{Envelope: api.NewEnvelope("offload", 1, p.Name)}
+// relateToBaseline compares every offloading point with the baseline
+// measured before it in the same run, at the same offered load.
+func relateToBaseline(pts []OffloadPoint) {
 	var baseline *OffloadPoint
-	for _, c := range offloadPoints(p.quick()) {
-		if !selected(points, c.name) {
-			continue
-		}
-		pt := runOffloadPoint(c, window)
+	for i := range pts {
+		pt := &pts[i]
 		if pt.HWTableSize == 0 {
-			baseline = &pt
+			baseline = pt
 		} else if baseline != nil && baseline.NsPerPkt > 0 {
 			pt.MppsRatio = pt.CapacityMpps / baseline.CapacityMpps
 			pt.CyclesFreedPct = 100 * (baseline.NsPerPkt - pt.NsPerPkt) / baseline.NsPerPkt
 		}
-		res.Points = append(res.Points, pt)
 	}
-	return res
 }
 
 func init() {
-	registerScenario(Scenario{
-		ID:     "offload",
-		Title:  "hardware flow offload: elephants in the NIC table vs all-software",
-		Points: offloadPointNames,
-		Run: func(p Profile, points []string) (*Report, any) {
-			res := RunOffload(p, points)
-			rep := &Report{ID: "offload",
-				Title: "elephant offload sweep (NIC flow-table pressure x software fallback)"}
-			for _, pt := range res.Points {
-				rep.Add(pt.Name+": capacity per core", pt.CapacityMpps, 0, "Mpps")
-				rep.Add(pt.Name+": busy time per packet", pt.NsPerPkt, 0, "ns/pkt")
-				if pt.HWTableSize > 0 {
-					rep.Add(pt.Name+": hw-forwarded share", pt.OffloadSharePct, 0, "%")
-					rep.Add(pt.Name+": speedup vs baseline", pt.MppsRatio, 0, "x")
-					rep.Add(pt.Name+": PMD cycles freed", pt.CyclesFreedPct, 0, "%")
-				}
-				rep.AddNote("%s: installs %d = evictions %d + uninstalls %d + live %d (ledger %s); refused %d, %d readbacks merged %d hw hits; window upcalls %d, reval evictions %d, hw live after drain %d",
-					pt.Name, pt.Installs, pt.Evictions, pt.Uninstalls, pt.Live, ledgerWord(pt.LedgerOK),
-					pt.Refused, pt.Readbacks, pt.HWMergedHits,
-					pt.Upcalls, pt.RevalEvicted, pt.LiveAfterDrain)
+	registerSweep(sweep[OffloadPoint]{
+		id:          "offload",
+		title:       "hardware flow offload: elephants in the NIC table vs all-software",
+		reportTitle: "elephant offload sweep (NIC flow-table pressure x software fallback)",
+		points: func(p Profile) (pts []sweepPoint[OffloadPoint]) {
+			window := 40 * sim.Millisecond
+			if p.quick() {
+				window = 12 * sim.Millisecond
 			}
-			return rep, res
+			for _, c := range offloadPoints(p.quick()) {
+				pts = append(pts, sweepPoint[OffloadPoint]{c.name, func() OffloadPoint { return runOffloadPoint(c, window) }})
+			}
+			return pts
+		},
+		relate: relateToBaseline,
+		report: func(rep *Report, pt OffloadPoint) {
+			rep.Add(pt.Name+": capacity per core", pt.CapacityMpps, 0, "Mpps")
+			rep.Add(pt.Name+": busy time per packet", pt.NsPerPkt, 0, "ns/pkt")
+			if pt.HWTableSize > 0 {
+				rep.Add(pt.Name+": hw-forwarded share", pt.OffloadSharePct, 0, "%")
+				rep.Add(pt.Name+": speedup vs baseline", pt.MppsRatio, 0, "x")
+				rep.Add(pt.Name+": PMD cycles freed", pt.CyclesFreedPct, 0, "%")
+			}
+			rep.AddNote("%s: installs %d = evictions %d + uninstalls %d + live %d (ledger %s); refused %d, %d readbacks merged %d hw hits; window upcalls %d, reval evictions %d, hw live after drain %d",
+				pt.Name, pt.Installs, pt.Evictions, pt.Uninstalls, pt.Live, ledgerWord(pt.LedgerOK),
+				pt.Refused, pt.Readbacks, pt.HWMergedHits,
+				pt.Upcalls, pt.RevalEvicted, pt.LiveAfterDrain)
 		},
 	})
 }

@@ -18,6 +18,7 @@ import (
 	"ovsxdp/internal/nicsim"
 	"ovsxdp/internal/ofproto"
 	"ovsxdp/internal/packet"
+	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
 	"ovsxdp/internal/trafficgen"
 	"ovsxdp/internal/vdev"
@@ -375,4 +376,32 @@ func RunProbe(bed *Bed, ratePPS float64, warmup, window sim.Time) measure.ProbeR
 	drops := bed.Drops() - dropsBefore
 	usage := bed.Eng.CPUReport(window + 200*sim.Microsecond)
 	return measure.ProbeResult{Offered: offered, Delivered: delivered, Dropped: drops, Usage: usage}
+}
+
+// searchResult is one exhibit case's lossless search: the highest rate a
+// fresh bed per probe carried without loss, the CPU usage at that rate and,
+// under the profile's PerfStages, the per-stage counters of the last bed
+// probed (not of the bed at the found rate).
+type searchResult struct {
+	rate  float64
+	usage sim.Usage
+	perf  []perf.ThreadStats
+}
+
+// losslessSearch finds the maximum lossless rate of the beds mk builds,
+// bisecting up to hiPPS.
+func losslessSearch(p Profile, hiPPS float64, mk func() *Bed) searchResult {
+	var last *Bed
+	rate, res, _ := measure.LosslessRate(searchConfig(p, hiPPS), func(rate float64) measure.ProbeResult {
+		bed := mk()
+		if p.PerfStages {
+			last = bed
+		}
+		return RunProbe(bed, rate, p.Warmup, p.Window)
+	})
+	out := searchResult{rate: rate, usage: res.Usage}
+	if last != nil && last.DP != nil { // PCP's XDP redirect runs no datapath
+		out.perf = last.DP.PerfStats()
+	}
+	return out
 }

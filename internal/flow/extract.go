@@ -29,10 +29,9 @@ func ExtractInto(p *packet.Packet, k *Key) {
 	// Metadata words first: they are independent of packet bytes.
 	k[wMeta] = uint64(p.InPort)<<32 | uint64(p.RecircID)
 	k[wIPMeta] = uint64(p.CtState)<<24 | uint64(p.CtZone)
-	k[wTunSrc] = uint64(p.CtMark)
 	if t := p.Tunnel; t != nil {
 		k[wTunnel] = uint64(t.VNI)<<32 | uint64(t.DstIP)
-		k[wTunSrc] |= uint64(t.SrcIP) << 32
+		k[wTunSrc] = uint64(t.SrcIP) << 32
 	}
 
 	if len(d) < hdr.EthernetSize {

@@ -196,9 +196,8 @@ func TestExtractCtMetadata(t *testing.T) {
 	p := udpPacket()
 	p.CtState = packet.CtTracked | packet.CtEstablished
 	p.CtZone = 42
-	p.CtMark = 0xbeef
 	f := Extract(p).Unpack()
-	if f.CtState != uint8(packet.CtTracked|packet.CtEstablished) || f.CtZone != 42 || f.CtMark != 0xbeef {
+	if f.CtState != uint8(packet.CtTracked|packet.CtEstablished) || f.CtZone != 42 {
 		t.Fatalf("ct metadata lost: %+v", f)
 	}
 }

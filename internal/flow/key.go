@@ -74,7 +74,7 @@ type Fields struct {
 
 	CtState packetCtState
 	CtZone  uint16
-	CtMark  uint32
+	CtMark  uint32 // a match field only: no packet carries a mark, so an extracted key's is 0
 
 	TunVNI uint32
 	TunSrc hdr.IP4

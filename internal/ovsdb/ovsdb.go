@@ -291,6 +291,9 @@ type Client struct {
 	next int64
 
 	pending map[int64]chan rpcResponse
+	// err is the read loop's terminal error: once set, every pending call
+	// has been failed and every later call fails at once.
+	err error
 }
 
 // Dial connects to a server.
@@ -316,6 +319,13 @@ func (c *Client) readLoop() {
 	for {
 		var resp rpcResponse
 		if err := c.dec.Decode(&resp); err != nil {
+			c.mu.Lock()
+			c.err = err
+			for id, ch := range c.pending {
+				close(ch)
+				delete(c.pending, id)
+			}
+			c.mu.Unlock()
 			return
 		}
 		if resp.ID != nil {
@@ -336,6 +346,11 @@ func (c *Client) call(method string, params any) (rpcResponse, error) {
 		return rpcResponse{}, err
 	}
 	c.mu.Lock()
+	if c.err != nil {
+		err := c.err
+		c.mu.Unlock()
+		return rpcResponse{}, fmt.Errorf("ovsdb: connection closed: %w", err)
+	}
 	c.next++
 	id := c.next
 	ch := make(chan rpcResponse, 1)
@@ -345,7 +360,7 @@ func (c *Client) call(method string, params any) (rpcResponse, error) {
 	if err != nil {
 		return rpcResponse{}, err
 	}
-	resp, ok := <-ch, true
+	resp, ok := <-ch
 	if !ok {
 		return rpcResponse{}, fmt.Errorf("ovsdb: connection closed")
 	}

@@ -1,6 +1,7 @@
 package ovsdb
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +99,41 @@ func TestWireProtocol(t *testing.T) {
 	}
 	if res[0].UUID == "" || res[1].Count != 1 {
 		t.Fatalf("wire transact = %+v", res)
+	}
+}
+
+// TestDroppedConnectionFailsCalls: a server that accepts and closes the
+// connection must fail the client's calls, pending and later ones alike,
+// instead of leaving them waiting for a reply that cannot come.
+func TestDroppedConnectionFailsCalls(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			conn.Close()
+		}
+	}()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, name := range []string{"first", "second"} {
+		done := make(chan error, 1)
+		go func() { done <- c.Echo() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("%s Echo on a dropped connection succeeded", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s Echo on a dropped connection never returned", name)
+		}
 	}
 }
 

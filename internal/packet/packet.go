@@ -86,7 +86,6 @@ type Metadata struct {
 	// Conntrack state attached by the ct() action.
 	CtState CtStateFlags
 	CtZone  uint16
-	CtMark  uint32
 	// Tunnel carries decapsulated-tunnel metadata (outer addresses and
 	// VNI) between pipeline stages, or nil when the packet is native.
 	Tunnel *TunnelInfo
