@@ -60,24 +60,14 @@ const (
 	StateClosed
 )
 
+var stateNames = [...]string{"new", "syn-sent", "syn-recv", "established", "fin-wait", "closed"}
+
 // String names the state.
 func (s State) String() string {
-	switch s {
-	case StateNew:
-		return "new"
-	case StateSynSent:
-		return "syn-sent"
-	case StateSynRecv:
-		return "syn-recv"
-	case StateEstablished:
-		return "established"
-	case StateFinWait:
-		return "fin-wait"
-	case StateClosed:
-		return "closed"
-	default:
-		return "?"
+	if int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return "?"
 }
 
 // Default timeouts per state, in virtual time. They are compressed relative
@@ -95,20 +85,12 @@ const (
 // them further (connscale uses millisecond-scale timeouts to cycle a
 // million connections inside one measurement window).
 type Timeouts struct {
-	SynSent     sim.Time
-	Established sim.Time
-	UDP         sim.Time
-	Fin         sim.Time
+	SynSent, Established, UDP, Fin sim.Time
 }
 
 // DefaultTimeouts returns the package-constant intervals.
 func DefaultTimeouts() Timeouts {
-	return Timeouts{
-		SynSent:     TimeoutSynSent,
-		Established: TimeoutEstablished,
-		UDP:         TimeoutUDP,
-		Fin:         TimeoutFin,
-	}
+	return Timeouts{TimeoutSynSent, TimeoutEstablished, TimeoutUDP, TimeoutFin}
 }
 
 // NAT describes a translation to apply at commit time.
@@ -138,28 +120,24 @@ const (
 )
 
 // Conn is one tracked connection, a record in its table's slab. The fields
-// every packet reads or writes fill the first 48 bytes, the list links the
-// touch follows come next and the cold rest last: 96 bytes, none of them a
-// pointer, so the collector never scans a connection. Records do not move,
-// so a *Conn stays valid until the connection is removed.
+// every packet reads or writes, the list links the touch moves included,
+// fill the first 48 bytes and the cold rest comes last: 56 bytes, none of
+// them a pointer, so the collector never scans a connection. Records do not
+// move, so a *Conn stays valid until the connection is removed.
 type Conn struct {
 	Zone    uint16
 	class   connClass
 	State   State
 	Orig    Tuple
+	exp     uint8  // index of the expiry list in Table.exp
+	zi      uint16 // index of the zone in Table.zoneList
 	expires sim.Time
-	// packets per direction.
-	PktsOrig, PktsReply uint64
 
-	// links place the connection on its zone's recency list (degrade.go),
-	// its expiry list (expiry.go) and its NAT pool's allocation list
-	// (natpool.go). The recency link doubles as the free-list link when
-	// the record is recycled.
+	// links place the connection on its zone's recency list (degrade.go)
+	// and its expiry list (expiry.go). The recency link doubles as the
+	// free-list link when the record is recycled.
 	links [numLinks]link
-	NAT   NAT
-	exp   uint8  // index of the expiry list in Table.exp
-	zi    uint16 // index of the zone in Table.zoneList
-	pool  uint32 // 1 + index in Table.poolList of the NAT port pool it holds a port of
+	nat   uint32 // index of the translation in Table.nats, 0 for none
 	self  ref    // the record's own ref
 }
 
@@ -176,7 +154,6 @@ func (t *Table) conn(r ref) *Conn { return &t.slab[r>>chunkBits][r&(chunkSize-1)
 const (
 	onZone = iota
 	onExpiry
-	onPool
 	numLinks
 )
 
@@ -222,9 +199,11 @@ type Table struct {
 	recs     ref      // refs handed out so far, record 0 included
 	free     ref      // recycled records, linked through their recency link
 	zones    map[uint16]*zoneState
-	zoneList []*zoneState // by Conn.zi
-	pools    map[natPoolKey]*natPool
-	poolList []*natPool // by Conn.pool - 1
+	zoneList []*zoneState   // by Conn.zi
+	nats     []natRec       // by Conn.nat; record 0 names none
+	natFree  uint32         // recycled NAT records, linked through their pool field
+	pools    map[NAT]uint32 // 1 + index in poolList of the pool of a kind, address and range
+	poolList []natPool      // by natRec.pool - 1
 	live     int
 	exp      []expList // expiry.go
 	wheel    bool
@@ -261,6 +240,8 @@ func NewTable(eng *sim.Engine) *Table {
 	t := &Table{
 		eng:      eng,
 		zones:    make(map[uint16]*zoneState),
+		nats:     make([]natRec, 1),
+		pools:    make(map[NAT]uint32),
 		Loose:    true,
 		Timeouts: DefaultTimeouts(),
 	}
@@ -360,17 +341,16 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 	now := t.eng.Now()
 
 	c := t.lookup(zone, &tu)
-	found := c != nil
-	if found && c.State == StateClosed && c.Orig.Proto == hdr.IPProtoTCP &&
+	if c != nil && c.State == StateClosed && c.Orig.Proto == hdr.IPProtoTCP &&
 		tcpFlags&hdr.TCPSyn != 0 && tcpFlags&(hdr.TCPAck|hdr.TCPRst|hdr.TCPFin) == 0 {
 		// A fresh SYN over a closed (RST'd) connection reopens it, the
 		// netfilter TIME_WAIT-reuse behavior: retire the stale record and
 		// let the SYN start a new connection below.
 		t.removeConn(c)
 		t.Expired++
-		found = false
+		c = nil
 	}
-	if found {
+	if c != nil {
 		reply := c.Orig != tu
 		t.advance(c, tcpFlags, reply, now)
 		t.touch(c)
@@ -389,12 +369,8 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 		}
 		if reply {
 			p.CtState |= packet.CtReply
-			c.PktsReply++
-			t.applyNAT(p, c, true)
-		} else {
-			c.PktsOrig++
-			t.applyNAT(p, c, false)
 		}
+		t.applyNAT(p, c, reply)
 		return
 	}
 
@@ -419,8 +395,8 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 		return
 	}
 	c = t.allocConn()
-	c.Zone, c.Orig, c.State, c.NAT = zone, tu, StateNew, nat
-	if nat.Kind != NATNone && nat.PortLo != 0 && !t.allocNATPort(c) {
+	c.Zone, c.Orig, c.State = zone, tu, StateNew
+	if t.setNAT(c, nat); c.nat != 0 && nat.PortLo != 0 && !t.allocNATPort(c) {
 		t.freeConn(c)
 		p.CtState = packet.CtTracked | packet.CtInvalid
 		return
@@ -435,7 +411,6 @@ func (t *Table) Process(p *packet.Packet, zone uint16, commit bool, nat NAT) {
 	default:
 		c.expires = now + t.Timeouts.UDP
 	}
-	c.PktsOrig = 1
 	c.zi = zs.zi
 	c.class = classOf(c.State)
 	t.install(c)
@@ -508,10 +483,11 @@ func (t *Table) advance(c *Conn, tcpFlags uint8, reply bool, now sim.Time) {
 // source side changed and the port that side takes; ok is false when there
 // is nothing to rewrite. An ICMP error takes the address alone: the L4
 // inside it is the quoted original packet, and the outer ICMP has no ports.
-func natAddr(p *packet.Packet, c *Conn, reply bool) (ipRaw []byte, ip hdr.IPv4, rewriteSrc bool, newPort uint16, ok bool) {
-	if c.NAT.Kind == NATNone {
+func (t *Table) natAddr(p *packet.Packet, c *Conn, reply bool) (ipRaw []byte, ip hdr.IPv4, rewriteSrc bool, newPort uint16, ok bool) {
+	if c.nat == 0 {
 		return
 	}
+	nat := &t.nats[c.nat].NAT
 	eth, err := hdr.ParseEthernet(p.Data)
 	if err != nil || eth.Type != hdr.EtherTypeIPv4 {
 		return
@@ -525,12 +501,12 @@ func natAddr(p *packet.Packet, c *Conn, reply bool) (ipRaw []byte, ip hdr.IPv4, 
 	// undoes it, restoring the original endpoint.
 	var newAddr hdr.IP4
 	switch {
-	case c.NAT.Kind == SNAT && !reply:
-		rewriteSrc, newAddr, newPort = true, c.NAT.Addr, c.NAT.Port
-	case c.NAT.Kind == SNAT && reply:
+	case nat.Kind == SNAT && !reply:
+		rewriteSrc, newAddr, newPort = true, nat.Addr, nat.Port
+	case nat.Kind == SNAT && reply:
 		rewriteSrc, newAddr, newPort = false, c.Orig.SrcIP, c.Orig.SrcPort
-	case c.NAT.Kind == DNAT && !reply:
-		rewriteSrc, newAddr, newPort = false, c.NAT.Addr, c.NAT.Port
+	case nat.Kind == DNAT && !reply:
+		rewriteSrc, newAddr, newPort = false, nat.Addr, nat.Port
 	default: // DNAT reply
 		rewriteSrc, newAddr, newPort = true, c.Orig.DstIP, c.Orig.DstPort
 	}
@@ -547,23 +523,17 @@ func natAddr(p *packet.Packet, c *Conn, reply bool) (ipRaw []byte, ip hdr.IPv4, 
 // recomputing checksums — the real work OVS had to reimplement in
 // userspace.
 func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
-	ipRaw, ip, rewriteSrc, newPort, ok := natAddr(p, c, reply)
+	ipRaw, ip, rewriteSrc, newPort, ok := t.natAddr(p, c, reply)
 	if !ok {
 		return
 	}
 	l4 := ipRaw[ip.HeaderLen:]
-	if newPort != 0 {
-		switch ip.Proto {
-		case hdr.IPProtoTCP, hdr.IPProtoUDP:
-			if len(l4) >= 4 {
-				portOff := 0
-				if !rewriteSrc {
-					portOff = 2
-				}
-				l4[portOff] = byte(newPort >> 8)
-				l4[portOff+1] = byte(newPort)
-			}
+	if newPort != 0 && (ip.Proto == hdr.IPProtoTCP || ip.Proto == hdr.IPProtoUDP) && len(l4) >= 4 {
+		portOff := 2
+		if rewriteSrc {
+			portOff = 0
 		}
+		binary.BigEndian.PutUint16(l4[portOff:], newPort)
 	}
 	switch ip.Proto {
 	case hdr.IPProtoTCP:
@@ -582,7 +552,7 @@ func (t *Table) applyNAT(p *packet.Packet, c *Conn, reply bool) {
 // for NAT: replies arrive addressed to the translated tuple.
 func (t *Table) install(c *Conn) {
 	t.index(c, &c.Orig, 0)
-	if reply := replyTuple(c); reply != c.Orig {
+	if reply := t.replyTuple(c); reply != c.Orig {
 		// A tuple that is its own reply is one key, held by the
 		// original-direction slot.
 		t.index(c, &reply, 1)
@@ -596,12 +566,12 @@ func (t *Table) install(c *Conn) {
 
 // removeConn removes the connection's two keys from the index — by key, as
 // the map it replaced did: a key a colliding install took over goes with it
-// — unlinks it from its zone list, its expiry list and its NAT port pool,
-// then recycles the record.
+// — unlinks it from its zone list and its expiry list, then recycles the
+// record and its translation.
 // The caller attributes the removal by bumping exactly one of the Expired,
 // EarlyDrops, or Evicted counters.
 func (t *Table) removeConn(c *Conn) {
-	reply := replyTuple(c)
+	reply := t.replyTuple(c)
 	t.unindex(c.Zone, &c.Orig)
 	t.unindex(c.Zone, &reply)
 	zs := t.zoneList[c.zi]
@@ -609,9 +579,6 @@ func (t *Table) removeConn(c *Conn) {
 	zs.lists[c.class].remove(t, c, onZone)
 	t.exp[c.exp].remove(t, c, onExpiry)
 	t.live--
-	if c.pool != 0 {
-		t.poolList[c.pool-1].release(t, c)
-	}
 	t.freeConn(c)
 }
 
@@ -637,8 +604,17 @@ func (t *Table) allocConn() *Conn {
 	return c
 }
 
-// freeConn resets a record and pushes it on the free list.
+// freeConn resets a record and pushes it on the free list, releasing its
+// translation and the NAT port that holds.
 func (t *Table) freeConn(c *Conn) {
+	if c.nat != 0 {
+		nr := &t.nats[c.nat]
+		if nr.pool != 0 {
+			delete(t.poolList[nr.pool-1].inUse, nr.Port)
+		}
+		*nr = natRec{pool: t.natFree}
+		t.natFree = c.nat
+	}
 	*c = Conn{self: c.self}
 	c.links[onZone].next = t.free
 	t.free = c.self
@@ -646,18 +622,21 @@ func (t *Table) freeConn(c *Conn) {
 
 // replyTuple computes the tuple reply packets carry, after translation. NAT
 // does not change after install, so neither does the reply key.
-func replyTuple(c *Conn) Tuple {
+func (t *Table) replyTuple(c *Conn) Tuple {
 	r := c.Orig.Reverse()
-	switch c.NAT.Kind {
+	if c.nat == 0 {
+		return r
+	}
+	switch nat := &t.nats[c.nat].NAT; nat.Kind {
 	case SNAT:
-		r.DstIP = c.NAT.Addr
-		if c.NAT.Port != 0 {
-			r.DstPort = c.NAT.Port
+		r.DstIP = nat.Addr
+		if nat.Port != 0 {
+			r.DstPort = nat.Port
 		}
 	case DNAT:
-		r.SrcIP = c.NAT.Addr
-		if c.NAT.Port != 0 {
-			r.SrcPort = c.NAT.Port
+		r.SrcIP = nat.Addr
+		if nat.Port != 0 {
+			r.SrcPort = nat.Port
 		}
 	}
 	return r

@@ -331,21 +331,33 @@ func TestConnLookupSymmetryProperty(t *testing.T) {
 	}
 }
 
-// TestConnLayout pins the record layout: what every packet touches ends
-// within the first 48 bytes, the record is at most 96 bytes, an index slot
-// is 8, and no field of a record holds a pointer (a 96-byte record and two
-// 8-byte slots per connection is what the ct workload's live heap is made
-// of, and none of it is for the collector to scan).
+// TestConnLayout pins the record layout: what every packet touches (the
+// state machine's fields, the deadline and the list links the touch moves)
+// ends within the first 48 bytes, the record is at most 56 bytes, an index
+// slot is 8 and a bucket of them 64, and no field of a record, a bucket or
+// a NAT record holds a pointer (a 56-byte record and two slots of a bucket
+// per connection is what the ct workload's live heap is made of, and none
+// of it is for the collector to scan).
 func TestConnLayout(t *testing.T) {
 	var c Conn
-	if end := unsafe.Offsetof(c.PktsReply) + unsafe.Sizeof(c.PktsReply); end > 48 {
-		t.Errorf("per-packet fields end at byte %d, want <= 48", end)
+	for _, end := range []uintptr{
+		unsafe.Offsetof(c.State) + unsafe.Sizeof(c.State),
+		unsafe.Offsetof(c.Orig) + unsafe.Sizeof(c.Orig),
+		unsafe.Offsetof(c.expires) + unsafe.Sizeof(c.expires),
+		unsafe.Offsetof(c.links) + unsafe.Sizeof(c.links),
+	} {
+		if end > 48 {
+			t.Errorf("per-packet fields end at byte %d, want <= 48", end)
+		}
 	}
-	if size := unsafe.Sizeof(c); size > 96 {
-		t.Errorf("Conn is %d bytes, want <= 96", size)
+	if size := unsafe.Sizeof(c); size > 56 {
+		t.Errorf("Conn is %d bytes, want <= 56", size)
 	}
 	if size := unsafe.Sizeof(slot{}); size != 8 {
 		t.Errorf("slot is %d bytes, want 8", size)
+	}
+	if size := unsafe.Sizeof(bucket{}); size != 64 {
+		t.Errorf("bucket is %d bytes, want 64", size)
 	}
 	var walk func(typ reflect.Type, path string)
 	walk = func(typ reflect.Type, path string) {
@@ -362,11 +374,14 @@ func TestConnLayout(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(c), "Conn")
+	walk(reflect.TypeOf(bucket{}), "bucket")
+	walk(reflect.TypeOf(natRec{}), "natRec")
 }
 
 // TestConnFootprint: 100k established connections with wheel expiry on cost
-// their record and their index slots, under 160 heap bytes each: a
-// connection holds no timer of its own.
+// their record and their index slots, under 96 heap bytes each (76 measured
+// here): a connection holds no timer of its own and no NAT state it does
+// not use.
 func TestConnFootprint(t *testing.T) {
 	const n = 100_000
 	eng := sim.NewEngine(1)
@@ -387,8 +402,8 @@ func TestConnFootprint(t *testing.T) {
 	}
 	per := float64(after.HeapAlloc-before.HeapAlloc) / n
 	t.Logf("%.0f heap bytes per connection", per)
-	if per >= 160 {
-		t.Fatalf("%.0f heap bytes per connection, want < 160", per)
+	if per >= 96 {
+		t.Fatalf("%.0f heap bytes per connection, want < 96", per)
 	}
 	runtime.KeepAlive(ct)
 }
@@ -426,8 +441,8 @@ func TestConnTableIsNoscan(t *testing.T) {
 }
 
 // TestConnRecordsStayPut: a *Conn from Find stays the connection's record
-// while the slab grows across several chunks, with its counters kept, and
-// a freed record is handed out again before the slab grows.
+// while the slab grows across several chunks, with its tuple and state
+// kept, and a freed record is handed out again before the slab grows.
 func TestConnRecordsStayPut(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ct := NewTable(eng)
@@ -448,9 +463,9 @@ func TestConnRecordsStayPut(t *testing.T) {
 	if len(ct.slab) < 4 {
 		t.Fatalf("slab holds %d chunks, want >= 4", len(ct.slab))
 	}
-	if got, _ := ct.Find(1, tu); got != first || first.Orig != tu || first.PktsOrig != 1+others {
-		t.Fatalf("Find -> %p (was %p): %s with %d packets, want %s with %d",
-			got, first, first.Orig, first.PktsOrig, tu, 1+others)
+	if got, _ := ct.Find(1, tu); got != first || first.Orig != tu || first.State != StateSynSent {
+		t.Fatalf("Find -> %p (was %p): %s in %s, want %s in syn-sent",
+			got, first, first.Orig, first.State, tu)
 	}
 
 	// An RST closes the connection; a fresh SYN retires its record and
@@ -459,9 +474,9 @@ func TestConnRecordsStayPut(t *testing.T) {
 	ct.Process(pkt(hdr.TCPRst), 1, false, NAT{})
 	ct.Process(pkt(hdr.TCPSyn), 1, true, NAT{})
 	again, _ := ct.Find(1, tu)
-	if ct.Expired != 1 || again != first || first.PktsOrig != 1 || first.State != StateSynSent {
-		t.Fatalf("expired=%d, reopened record %p (freed %p) with %d packets in %s, want 1, the freed one, 1, syn-sent",
-			ct.Expired, again, first, first.PktsOrig, first.State)
+	if ct.Expired != 1 || again != first || first.State != StateSynSent {
+		t.Fatalf("expired=%d, reopened record %p (freed %p) in %s, want 1, the freed one, syn-sent",
+			ct.Expired, again, first, first.State)
 	}
 	if len(ct.slab) != chunks || ct.recs != recs {
 		t.Fatalf("slab %d chunks / %d refs, was %d / %d: the freed record was not reused",

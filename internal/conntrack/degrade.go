@@ -33,16 +33,11 @@ const (
 	numClasses
 )
 
-func classOf(s State) connClass {
-	switch s {
-	case StateEstablished:
-		return classEstablished
-	case StateFinWait, StateClosed:
-		return classClosing
-	default:
-		return classEmbryonic
-	}
-}
+// stateClass is each state's class; the states it does not name are
+// embryonic.
+var stateClass = [...]connClass{StateEstablished: classEstablished, StateFinWait: classClosing, StateClosed: classClosing}
+
+func classOf(s State) connClass { return stateClass[s] }
 
 // zoneState tracks one zone's occupancy, limits, and recency lists, one per
 // class: each list's head is its least recently touched connection (the
@@ -73,10 +68,7 @@ func (t *Table) zone(z uint16) *zoneState {
 // feature of Section 2.1.1.
 func (t *Table) SetZoneLimit(zone uint16, limit int) {
 	zs := t.zone(zone)
-	if limit <= 0 {
-		zs.soft, zs.hard, zs.ladder = 0, 0, false
-		return
-	}
+	limit = max(limit, 0)
 	zs.soft, zs.hard, zs.ladder = limit, limit, false
 }
 
@@ -87,14 +79,10 @@ func (t *Table) SetZoneLimit(zone uint16, limit int) {
 // only an all-established zone refuses the commit.
 func (t *Table) SetZoneLimits(zone uint16, soft, hard int) {
 	zs := t.zone(zone)
-	if hard <= 0 {
-		zs.soft, zs.hard, zs.ladder = 0, 0, false
-		return
-	}
 	if soft <= 0 || soft > hard {
 		soft = hard
 	}
-	zs.soft, zs.hard, zs.ladder = soft, hard, true
+	zs.soft, zs.hard, zs.ladder = max(soft, 0), max(hard, 0), hard > 0
 }
 
 // touch moves the connection to the back of its (possibly new) class list
@@ -118,13 +106,8 @@ func (t *Table) admit(zs *zoneState) bool {
 		return true
 	}
 	if zs.count >= zs.hard {
-		if zs.ladder {
-			if v := zs.lists[classClosing].head; v != 0 {
-				t.removeConn(t.conn(v))
-				t.Evicted++
-				return true
-			}
-			if v := zs.lists[classEmbryonic].head; v != 0 {
+		for _, cl := range [...]connClass{classClosing, classEmbryonic} {
+			if v := zs.lists[cl].head; v != 0 && zs.ladder {
 				t.removeConn(t.conn(v))
 				t.Evicted++
 				return true
@@ -133,13 +116,11 @@ func (t *Table) admit(zs *zoneState) bool {
 		t.LimitHits++
 		return false
 	}
-	if zs.ladder && zs.count >= zs.soft {
-		// Soft band: admit, but shed the oldest embryonic connection
-		// so SYN-flood state recycles instead of accumulating.
-		if v := zs.lists[classEmbryonic].head; v != 0 {
-			t.removeConn(t.conn(v))
-			t.EarlyDrops++
-		}
+	// Soft band: admit, but shed the oldest embryonic connection so
+	// SYN-flood state recycles instead of accumulating.
+	if v := zs.lists[classEmbryonic].head; zs.ladder && zs.count >= zs.soft && v != 0 {
+		t.removeConn(t.conn(v))
+		t.EarlyDrops++
 	}
 	return true
 }

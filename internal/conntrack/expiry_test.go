@@ -268,7 +268,7 @@ func runExpiryOps(t testing.TB, ops []byte) (lists, timeouts int) {
 				c := nthConn(ct, (int(a)<<8|int(b))%ct.Len())
 				zone, tu = c.Zone, c.Orig
 				if x&0x80 != 0 {
-					tu = replyTuple(c)
+					tu = ct.replyTuple(c)
 				}
 			}
 			flags := expiryFlags[x%6]

@@ -34,7 +34,7 @@ func icmpErrorType(typ uint8) bool {
 
 // processICMPError relates an ICMP error to the connection that triggered
 // it via the embedded tuple. Matched errors are marked related (never
-// new), counted on the connection, and de-NATed; unmatched ones are
+// new), counted in RelatedICMP, and de-NATed; unmatched ones are
 // invalid. No table entry is ever created for an error, commit or not.
 func (t *Table) processICMPError(p *packet.Packet, zone uint16) {
 	emb, ok := embeddedTuple(p)
@@ -54,12 +54,8 @@ func (t *Table) processICMPError(p *packet.Packet, zone uint16) {
 		// error travels the reply direction — back toward the
 		// originator, through any translation.
 		p.CtState |= packet.CtReply
-		c.PktsReply++
-		natAddr(p, c, true)
-	} else {
-		c.PktsOrig++
-		natAddr(p, c, false)
 	}
+	t.natAddr(p, c, embOrig)
 }
 
 // findRelated resolves an embedded tuple to its connection. The embedded

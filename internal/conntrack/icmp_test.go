@@ -27,14 +27,18 @@ func icmpError(src, dst hdr.IP4, quoted []byte) *packet.Packet {
 
 // TestICMPErrorRelatesToConnection: an ICMP error quoting an existing
 // connection's packet maps back to that connection — related, reply
-// direction, counted — and never creates a table entry, commit or not.
+// direction, counted in RelatedICMP, the connection still the one found
+// under its tuple with the deadline its last packet gave it (an error, as in
+// OVS, runs no state machine and refreshes nothing) — and never creates a
+// table entry, commit or not.
 // The old tracker keyed the error as a fresh ICMP flow by its (zero)
 // identifier, so errors never matched and polluted the table.
 func TestICMPErrorRelatesToConnection(t *testing.T) {
 	ct := NewTable(sim.NewEngine(1))
 	handshake(ct, 1, 1000, 80)
 	c := findConn(t, ct, 1, 1000, 80)
-	replyBefore := c.PktsReply
+	due := c.expires
+	ct.eng.RunUntil(sim.Second)
 
 	p := icmpError(ipRouter, ipA, quotedPacket(ipA, ipB, 1000, 80))
 	ct.Process(p, 1, true, NAT{})
@@ -46,8 +50,9 @@ func TestICMPErrorRelatesToConnection(t *testing.T) {
 		t.Fatalf("related=%d len=%d created=%d, want 1/1/1 (no entry for the error)",
 			ct.RelatedICMP, ct.Len(), ct.Created)
 	}
-	if c.PktsReply != replyBefore+1 {
-		t.Fatalf("error not counted on the connection: %d -> %d", replyBefore, c.PktsReply)
+	if got := findConn(t, ct, 1, 1000, 80); got != c || c.State != StateEstablished || c.expires != due {
+		t.Fatalf("error related to %p (connection %p), leaving it %s due %v, want it established due %v",
+			got, c, c.State, c.expires, due)
 	}
 }
 

@@ -1,5 +1,29 @@
 package conntrack
 
+// natRec is a connection's translation, kept in Table.nats off the records
+// of the connections that have none: most connections are committed without
+// nat(...), and a record pays 4 bytes for the index instead of 24 for the
+// state. Records hold no pointer and are free-listed like connections.
+type natRec struct {
+	NAT
+	pool uint32 // 1 + index in Table.poolList of the pool NAT.Port is from; when free, the next free record
+	seq  uint64 // the pool's allocation count when it handed out NAT.Port
+}
+
+// setNAT gives c, a fresh record, the translation nat, unless nat
+// translates nothing.
+func (t *Table) setNAT(c *Conn, nat NAT) {
+	if nat.Kind == NATNone {
+		return
+	}
+	if c.nat = t.natFree; c.nat == 0 {
+		c.nat = uint32(len(t.nats))
+		t.nats = append(t.nats, natRec{})
+	}
+	t.natFree = t.nats[c.nat].pool // a new record links to none
+	t.nats[c.nat] = natRec{NAT: nat}
+}
+
 // NAT port allocation. A NAT with a PortLo..PortHi range draws each
 // committed connection's translated port from a shared pool (one pool per
 // {kind, address, range}), the ct(nat(src=ip:lo-hi)) form. The interesting
@@ -11,45 +35,35 @@ package conntrack
 // Evicted and NATPortEvictions); if every holder is established, refuse
 // the commit (NATExhausted) — established connections keep their ports.
 
-type natPoolKey struct {
-	kind   NATKind
-	addr   uint32 // hdr.IP4 widened for the key
-	lo, hi uint16
-}
-
 // natPool tracks one {kind, address, port-range}'s allocations.
 type natPool struct {
 	lo, hi uint16
-	inUse  map[uint16]struct{}
+	inUse  map[uint16]ref // the connection holding each port
 	// rotor is the next-fit scan start: ports are handed out in
 	// ascending wrap-around order, so allocation order is deterministic
 	// and freed ports are not immediately reused (minimizing accidental
 	// reply cross-wiring while a stale peer still holds table state).
 	rotor uint16
-	// Allocation-order list, oldest first, through link onPool: the
-	// eviction scan order.
-	conns connList
-	id    uint32 // 1 + index in Table.poolList, what Conn.pool holds
+	// allocs counts the ports handed out: a holder's natRec.seq orders
+	// the eviction scan, oldest first.
+	allocs uint64
 }
 
 // allocNATPort reserves a port for c from its NAT's pool, evicting the
 // oldest non-established holder if the range is exhausted. It reports false
 // (and counts NATExhausted) when every port is held by an established
-// connection. c is not yet installed; on success c.NAT.Port and c.pool are
-// set and release happens in removeConn.
+// connection. c is not yet installed; on success its translation's Port
+// and pool are set and release happens in freeConn.
 func (t *Table) allocNATPort(c *Conn) bool {
-	nat := c.NAT
-	key := natPoolKey{kind: nat.Kind, addr: uint32(nat.Addr), lo: nat.PortLo, hi: nat.PortHi}
-	pool := t.pools[key]
-	if pool == nil {
-		if t.pools == nil {
-			t.pools = make(map[natPoolKey]*natPool)
-		}
-		pool = &natPool{lo: nat.PortLo, hi: nat.PortHi, inUse: make(map[uint16]struct{}), rotor: nat.PortLo,
-			id: uint32(len(t.poolList)) + 1}
-		t.pools[key] = pool
-		t.poolList = append(t.poolList, pool)
+	key := t.nats[c.nat].NAT
+	key.Port = 0 // a pool is named by its kind, address and range
+	id := t.pools[key]
+	if id == 0 {
+		t.poolList = append(t.poolList, natPool{lo: key.PortLo, hi: key.PortHi, inUse: make(map[uint16]ref), rotor: key.PortLo})
+		id = uint32(len(t.poolList))
+		t.pools[key] = id
 	}
+	pool := &t.poolList[id-1]
 	port, ok := pool.alloc()
 	if !ok {
 		if v := pool.oldestEvictable(t); v != nil {
@@ -63,46 +77,35 @@ func (t *Table) allocNATPort(c *Conn) bool {
 		t.NATExhausted++
 		return false
 	}
-	c.pool, c.NAT.Port = pool.id, port
-	pool.inUse[port] = struct{}{}
-	pool.conns.pushBack(t, c, onPool)
+	pool.allocs++
+	nr := &t.nats[c.nat]
+	nr.pool, nr.Port, nr.seq = id, port, pool.allocs
+	pool.inUse[port] = c.self
 	return true
 }
 
-// alloc scans next-fit from the rotor for a free port.
+// alloc scans next-fit from the rotor for a free port, leaving the rotor
+// just past it; a scan that finds none goes round to where it started.
 func (p *natPool) alloc() (uint16, bool) {
-	span := int(p.hi) - int(p.lo) + 1
-	cand := p.rotor
-	for i := 0; i < span; i++ {
-		if _, used := p.inUse[cand]; !used {
-			if cand == p.hi {
-				p.rotor = p.lo
-			} else {
-				p.rotor = cand + 1
-			}
-			return cand, true
+	for i := int(p.hi) - int(p.lo); i >= 0; i-- {
+		cand := p.rotor
+		if p.rotor++; cand == p.hi {
+			p.rotor = p.lo
 		}
-		if cand == p.hi {
-			cand = p.lo
-		} else {
-			cand++
+		if _, used := p.inUse[cand]; !used {
+			return cand, true
 		}
 	}
 	return 0, false
 }
 
-// oldestEvictable returns the oldest holder that is not established.
-func (p *natPool) oldestEvictable(t *Table) *Conn {
-	for r := p.conns.head; r != 0; r = t.conn(r).links[onPool].next {
-		if c := t.conn(r); c.State != StateEstablished {
-			return c
+// oldestEvictable returns the holder that took its port first among those
+// not established.
+func (p *natPool) oldestEvictable(t *Table) (old *Conn) {
+	for _, r := range p.inUse {
+		if c := t.conn(r); c.State != StateEstablished && (old == nil || t.nats[c.nat].seq < t.nats[old.nat].seq) {
+			old = c
 		}
 	}
-	return nil
-}
-
-// release frees the connection's port and unlinks it from the pool.
-func (p *natPool) release(t *Table, c *Conn) {
-	delete(p.inUse, c.NAT.Port)
-	p.conns.remove(t, c, onPool)
+	return old
 }

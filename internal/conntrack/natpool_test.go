@@ -24,6 +24,9 @@ func findConn(t *testing.T, ct *Table, zone, sport, dport uint16) *Conn {
 	return c
 }
 
+// natPort returns the port c's translation rewrites to, 0 for none.
+func natPort(ct *Table, c *Conn) uint16 { return ct.nats[c.nat].Port }
+
 // TestNATPortDeterministicAllocation: the next-fit rotor hands out ports
 // in ascending wrap-around order — same commits, same ports, every run.
 func TestNATPortDeterministicAllocation(t *testing.T) {
@@ -31,7 +34,7 @@ func TestNATPortDeterministicAllocation(t *testing.T) {
 	for i, want := range []uint16{40000, 40001, 40002} {
 		sport := uint16(1000 + i)
 		ct.Process(tcpPkt(ipA, ipB, sport, 80, hdr.TCPSyn), 1, true, snatRange(40000, 40003))
-		if got := findConn(t, ct, 1, sport, 80).NAT.Port; got != want {
+		if got := natPort(ct, findConn(t, ct, 1, sport, 80)); got != want {
 			t.Fatalf("conn %d allocated port %d, want %d", i, got, want)
 		}
 	}
@@ -91,7 +94,7 @@ func TestNATExhaustionEvictsThenRejects(t *testing.T) {
 	// Establish both holders: no evictable victim remains.
 	for _, sport := range []uint16{2001, 2002} {
 		c := findConn(t, ct, 1, sport, 80)
-		ct.Process(tcpPkt(ipB, natIP, 80, c.NAT.Port, hdr.TCPSyn|hdr.TCPAck), 1, false, NAT{})
+		ct.Process(tcpPkt(ipB, natIP, 80, natPort(ct, c), hdr.TCPSyn|hdr.TCPAck), 1, false, NAT{})
 		ct.Process(tcpPkt(ipA, ipB, sport, 80, hdr.TCPAck), 1, false, NAT{})
 	}
 	p = tcpPkt(ipA, ipB, 2003, 80, hdr.TCPSyn)
@@ -121,8 +124,8 @@ func TestNATPortReleaseOnRemoval(t *testing.T) {
 
 	ct.Process(tcpPkt(ipA, ipB, 3001, 80, hdr.TCPSyn), 1, true, nat)
 	c := findConn(t, ct, 1, 3001, 80)
-	if c.NAT.Port != 42000 || ct.NATPortEvictions != 0 || ct.NATExhausted != 0 {
+	if natPort(ct, c) != 42000 || ct.NATPortEvictions != 0 || ct.NATExhausted != 0 {
 		t.Fatalf("port=%d evictions=%d exhausted=%d, want released port reused cleanly",
-			c.NAT.Port, ct.NATPortEvictions, ct.NATExhausted)
+			natPort(ct, c), ct.NATPortEvictions, ct.NATExhausted)
 	}
 }

@@ -9,7 +9,7 @@ const DefaultShards = 8
 func (t *Table) initShards(n int) {
 	t.shards = make([]ctShard, n)
 	for i := range t.shards {
-		t.shards[i] = newShard()
+		t.shards[i] = ctShard{buckets: make([]bucket, minBuckets)}
 	}
 }
 
@@ -68,20 +68,13 @@ func (t *Table) NumShards() int { return len(t.shards) }
 // reset.
 // Cold path: reconfiguration, not per-packet.
 func (t *Table) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n == len(t.shards) {
+	if n = max(n, 1); n == len(t.shards) {
 		return
 	}
 	old := t.shards
 	t.initShards(n)
 	for i := range old {
-		for _, sl := range old[i].slots {
-			if sl.ref != 0 {
-				t.shardOf(sl.hash).insert(sl)
-			}
-		}
+		old[i].each(func(sl slot) { t.shardOf(sl.hash).insert(sl) })
 	}
 }
 
