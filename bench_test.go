@@ -193,22 +193,6 @@ func BenchmarkAblationEMCOff(b *testing.B) {
 	b.ReportMetric(measure.Mpps(rate), "Mpps")
 }
 
-func BenchmarkAblationBatch8(b *testing.B) {
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		rate = ablationRate(b, func(c *experiments.BedConfig) { c.Opts.BatchSize = 8 })
-	}
-	b.ReportMetric(measure.Mpps(rate), "Mpps")
-}
-
-func BenchmarkAblationBatch128(b *testing.B) {
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		rate = ablationRate(b, func(c *experiments.BedConfig) { c.Opts.BatchSize = 128 })
-	}
-	b.ReportMetric(measure.Mpps(rate), "Mpps")
-}
-
 func BenchmarkAblationMutexLocking(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {

@@ -38,8 +38,10 @@ func captureStdout(t *testing.T, fn func() error) []byte {
 // refactor and must never drift. The three fault-demo outputs were captured
 // while each datapath still carried its own copy of the bounded upcall
 // queue, so they pin the shared slow path (internal/upcall) to what both
-// copies did. The simulation is virtual-time, so these bytes are
-// deterministic on every machine.
+// copies did, and still pin it now that the handler's service interval and
+// retry base are constants. rxq-netdev.txt was captured while pmd-rxq-show
+// was still a method of every provider. The simulation is virtual-time, so
+// these bytes are deterministic on every machine.
 func TestGoldenOutputs(t *testing.T) {
 	base := func() cliConfig { return cliConfig{} }
 	smc := cliConfig{"smc-enable": "true"}
@@ -57,6 +59,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{"perf-netdev.txt", "netdev", base(), pmdPerfShow},
 		{"perf-netlink.txt", "netlink", base(), pmdPerfShow},
 		{"perf-ebpf.txt", "ebpf", base(), pmdPerfShow},
+		{"rxq-netdev.txt", "netdev", base(), pmdRxqShow},
 		{"fault-demo-netdev.txt", "netdev", base(), faultDemo},
 		{"fault-demo-netlink.txt", "netlink", base(), faultDemo},
 		{"fault-demo-ebpf.txt", "ebpf", base(), faultDemo},
@@ -72,5 +75,16 @@ func TestGoldenOutputs(t *testing.T) {
 				t.Fatalf("output drifted from golden %s:\n--- got ---\n%s\n--- want ---\n%s", c.golden, got, want)
 			}
 		})
+	}
+}
+
+// TestPmdRxqShowNeedsPMDs: pmd-rxq-show is a userspace-datapath command; the
+// kernel providers have no PMD threads and refuse it by name.
+func TestPmdRxqShowNeedsPMDs(t *testing.T) {
+	for _, typ := range []string{"netlink", "ebpf"} {
+		err := pmdRxqShow(typ, cliConfig{})
+		if want := "pmd-rxq-show: datapath " + typ + " has no PMD threads"; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", typ, err, want)
+		}
 	}
 }

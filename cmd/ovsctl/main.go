@@ -5,8 +5,8 @@
 // the NSX agent drives OVS with (Section 4).
 //
 // The daemon reaches its datapath only through the dpif provider layer, so
-// every subcommand works identically against the userspace ("netdev"),
-// kernel-module ("netlink"), and eBPF ("ebpf") datapaths.
+// every subcommand but pmd-rxq-show (netdev's alone, as in OVS) works alike
+// on the userspace ("netdev"), kernel ("netlink") and eBPF ("ebpf") datapaths.
 //
 // Usage:
 //
@@ -16,14 +16,15 @@
 //	ovsctl [-datapath ...] dpctl-stats    # datapath counters (ovs-dpctl show)
 //	ovsctl [-datapath ...] pmd-perf-show  # per-thread stage cycles (dpif-netdev/pmd-perf-show)
 //	ovsctl [-datapath ...] pmd-perf-trace # last packet lifecycles through the fast path
+//	ovsctl pmd-rxq-show                   # rxq-to-PMD placement (dpif-netdev/pmd-rxq-show)
 //	ovsctl [-datapath ...] fault-demo     # bounded upcall queue + injected slow-path fault
 //
 // Every datapath tunable is an other_config key given as -o key=value
 // (repeatable; `ovsctl get` lists the keys) and applies to any subcommand.
-// -o upcall-queue-cap=N -o upcall-service-us=N bound the slow path: misses
-// park packets in a bounded per-thread queue serviced at that interval, and
-// overflow is counted as queue drops (the kernel's ENOBUFS analog) instead
-// of growing without limit. -o smc-enable=true -o emc-enable=false shape
+// -o upcall-queue-cap=N bounds the slow path: misses park packets in a
+// per-thread queue of N that the handler serves one per 20us, and overflow
+// is counted as queue drops (the kernel's ENOBUFS analog) instead of
+// growing without limit. -o smc-enable=true -o emc-enable=false shape
 // the userspace cache hierarchy — the signature match cache between the EMC
 // and the megaflow classifier — and reach only the netdev datapath, exactly
 // as in OVS.
@@ -239,8 +240,6 @@ func dpctlStats(dpType string, cfg cliConfig) error {
 func faultDemo(dpType string, cfg cliConfig) error {
 	if _, bounded := cfg["upcall-queue-cap"]; !bounded {
 		cfg["upcall-queue-cap"] = "4"
-		cfg["upcall-service-us"] = "20"
-		cfg["upcall-retry-base-us"] = "25"
 	}
 	e, err := demoEnv(dpType, cfg)
 	if err != nil {
@@ -291,15 +290,19 @@ func pmdPerfShow(dpType string, cfg cliConfig) error {
 }
 
 // pmdRxqShow prints the rxq-to-thread placement after injecting traffic —
-// the ovs-appctl dpif-netdev/pmd-rxq-show analog. Kernel-side datapaths
-// report their softirq rx contexts instead of PMD threads.
+// the ovs-appctl dpif-netdev/pmd-rxq-show analog, a userspace-datapath
+// command: the kernel datapaths have no PMD threads to show.
 func pmdRxqShow(dpType string, cfg cliConfig) error {
 	e, err := demoEnv(dpType, cfg)
 	if err != nil {
 		return err
 	}
+	nd, ok := e.dp.(*dpif.Netdev)
+	if !ok {
+		return fmt.Errorf("pmd-rxq-show: datapath %s has no PMD threads", e.dp.Type())
+	}
 	e.inject(64)
-	fmt.Print(e.dp.PmdRxqShow())
+	fmt.Print(nd.Datapath().PmdRxqShow())
 	return nil
 }
 

@@ -177,7 +177,7 @@ func TestTable2RateLadder(t *testing.T) {
 		if bed.recvd < 190 {
 			t.Fatalf("%s: received %d/200", c.name, bed.recvd)
 		}
-		busy := bed.pmd.CPU.Busy(sim.User) + bed.pmd.CPU.Busy(sim.System) - bed.pmd.IdleTime
+		busy := bed.pmd.CPU.Busy(sim.User) + bed.pmd.CPU.Busy(sim.System) - bed.pmd.Perf.Cycles[perf.StageIdle]
 		costs = append(costs, float64(busy)/float64(bed.recvd))
 	}
 	for i := 1; i < len(costs); i++ {
@@ -226,7 +226,7 @@ func TestDPDKFasterThanAFXDP(t *testing.T) {
 		if *recvd < 190 {
 			t.Fatalf("received %d", *recvd)
 		}
-		return float64(pmd.CPU.BusyTotal()-pmd.IdleTime) / float64(*recvd)
+		return float64(pmd.CPU.BusyTotal()-pmd.Perf.Cycles[perf.StageIdle]) / float64(*recvd)
 	}
 	afxdpCost := perPkt(func() (*sim.Engine, *PMD, *int) {
 		bed := newAFXDPP2P(t, Options{}, afxdp.LockSpinBatched, ModePoll)
@@ -654,7 +654,7 @@ func TestEMCAblation(t *testing.T) {
 		bed.dp.ConfigureEMC(emcOn)
 		bed.offer(200, 3000)
 		bed.eng.RunUntil(20 * sim.Millisecond)
-		return float64(bed.pmd.CPU.Busy(sim.User)-bed.pmd.IdleTime) / float64(bed.recvd)
+		return float64(bed.pmd.CPU.Busy(sim.User)-bed.pmd.Perf.Cycles[perf.StageIdle]) / float64(bed.recvd)
 	}
 	with, without := cost(true), cost(false)
 	if without <= with {
@@ -706,7 +706,7 @@ func TestThousandFlowsColdPenalty(t *testing.T) {
 		if bed.recvd < n*9/10 {
 			t.Fatalf("flows=%d received %d/%d", flows, bed.recvd, n)
 		}
-		return float64(bed.pmd.CPU.Busy(sim.User)-bed.pmd.IdleTime) / float64(bed.recvd)
+		return float64(bed.pmd.CPU.Busy(sim.User)-bed.pmd.Perf.Cycles[perf.StageIdle]) / float64(bed.recvd)
 	}
 	one, thousand := cost(1), cost(1000)
 	if thousand <= one {
@@ -794,7 +794,7 @@ func TestNegativeFlowOnUpcallError(t *testing.T) {
 
 	// The entry self-expires (and the EMC is flushed with it), so the flow
 	// re-upcalls.
-	eng.RunUntil(eng.Now() + dp.Upcall.NegativeFlowTTL + sim.Millisecond)
+	eng.RunUntil(eng.Now() + costmodel.NegativeFlowTTL + sim.Millisecond)
 	if dp.FlowCount() != 0 {
 		t.Fatalf("negative flow outlived its TTL: flows=%d", dp.FlowCount())
 	}

@@ -10,7 +10,6 @@ import (
 	"ovsxdp/internal/packet"
 	"ovsxdp/internal/perf"
 	"ovsxdp/internal/sim"
-	"ovsxdp/internal/upcall"
 )
 
 // Caps describes a port's transmit-side hardware offloads. The AF_XDP gap
@@ -59,9 +58,6 @@ type Options struct {
 	// TSO whole, neither split by packet.(*Packet).Segment nor charged
 	// its per-segment copies.
 	AssumeTSO bool
-	// BatchSize is packets per poll (NETDEV_MAX_BURST); zero uses
-	// costmodel.BatchSize.
-	BatchSize int
 	// ContentionCentis is the multi-PMD contention coefficient (tenths;
 	// see costmodel.UserContentionMilli). Zero disables contention
 	// scaling; the experiment beds set the per-datapath calibrated
@@ -110,17 +106,13 @@ type Datapath struct {
 
 // NewDatapath builds a datapath over a pipeline.
 func NewDatapath(eng *sim.Engine, pl *ofproto.Pipeline, opts Options) *Datapath {
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = costmodel.BatchSize
-	}
-	d := &Datapath{
+	return &Datapath{
 		Datapath: fastpath.Datapath{Eng: eng, Pipeline: pl, Ct: conntrack.NewTable(eng),
-			Upcall: upcall.DefaultConfig(), Row: fastpath.Row{Cat: sim.User,
+			Row: fastpath.Row{Cat: sim.User,
 				Output: costmodel.ExecActionOutput, Rewrite: costmodel.ExecActionSimple}},
 		Opts:  opts,
 		ports: make(map[uint32]Port),
 	}
-	return d
 }
 
 // AddPort registers a port.

@@ -88,14 +88,6 @@ type PMD struct {
 
 	// hashes are the pass in progress's key hashes, kept for Install.
 	hashes keyHashes
-
-	// Stats.
-	Iterations uint64
-	RxPackets  uint64
-	// IdleTime accumulates busy-poll time spent on empty iterations, so
-	// experiments can separate useful work from the idle spin that makes
-	// a PMD CPU always-100%.
-	IdleTime sim.Time
 }
 
 // NewPMD creates a PMD on the datapath. Each PMD gets its own CPU unless
@@ -121,7 +113,7 @@ func (d *Datapath) NewPMD(mode Mode, cpu *sim.CPU) *PMD {
 	m.iterTimer = d.Eng.NewTimer(m.iterate)
 	// The slow path sees this thread's private classifier, the datapath's
 	// shared handler thread, and uncounted reinjection on this PMD.
-	m.Slow = upcall.NewQueue(d.Eng, &d.Upcall, &d.Counters, m.Perf, upcall.Host{
+	m.Slow = upcall.NewQueue(d.Eng, &d.UpcallQueueCap, &d.Counters, m.Perf, upcall.Host{
 		Table:     m.cls,
 		Install:   m.cls.Insert,
 		Remove:    m.RemoveFlow,
@@ -249,21 +241,23 @@ func (m *PMD) iterate() {
 		m.running = false
 		return
 	}
-	m.Iterations++
 	m.Perf.AddIteration()
-	batch := m.dp.Opts.BatchSize
+	contention := m.dp.Opts.ContentionCentis
+	var stagesBefore [perf.NumStages]sim.Time
+	if contention > 0 {
+		stagesBefore = m.Perf.Cycles
+	}
 	work := 0
 	busyBefore := m.CPU.BusyTotal()
 	for _, st := range m.rxqs {
 		rxq := st.rxq
 		rxBefore := m.CPU.BusyTotal()
-		pkts := rxq.Port.Rx(m.CPU, rxq.Queue, batch)
+		pkts := rxq.Port.Rx(m.CPU, rxq.Queue, costmodel.BatchSize)
 		m.Perf.Add(perf.StageRx, m.CPU.BusyTotal()-rxBefore)
 		if len(pkts) == 0 {
 			continue
 		}
 		work += len(pkts)
-		m.RxPackets += uint64(len(pkts))
 		m.Perf.AddBatch(len(pkts))
 		if m.mode == ModeNonPMD {
 			// The shared thread pays the poll()/wakeup gap around
@@ -288,11 +282,12 @@ func (m *PMD) iterate() {
 		// Multi-PMD contention: shared cache and memory bandwidth
 		// inflate per-packet costs as more threads run hot
 		// (Figure 12's sub-linear 64B scaling).
-		if k := m.dp.Opts.ContentionCentis; k > 0 && m.dp.activePMDs > 1 {
-			milli := costmodel.UserContentionMilli(m.dp.activePMDs, k)
+		if contention > 0 && m.dp.activePMDs > 1 {
+			milli := costmodel.UserContentionMilli(m.dp.activePMDs, contention)
 			extra := (m.CPU.BusyTotal() - busyBefore) * sim.Time(milli-1000) / 1000
 			if extra > 0 {
 				m.CPU.Consume(sim.User, extra)
+				m.spreadContention(extra, &stagesBefore)
 			}
 		}
 	}
@@ -318,7 +313,6 @@ func (m *PMD) iterate() {
 	default:
 		if work == 0 {
 			m.charge(perf.StageIdle, costmodel.PollIdleIteration)
-			m.IdleTime += costmodel.PollIdleIteration
 		}
 		next := m.CPU.FreeAt()
 		if now := m.dp.Eng.Now(); next < now {
@@ -326,6 +320,29 @@ func (m *PMD) iterate() {
 		}
 		m.iterTimer.ScheduleAt(next)
 	}
+}
+
+// spreadContention attributes a contention surcharge to the stages that
+// inflated it, pro rata to what each charged since before; the integer
+// remainder goes to the largest.
+func (m *PMD) spreadContention(extra sim.Time, before *[perf.NumStages]sim.Time) {
+	var spent [perf.NumStages]sim.Time
+	var total sim.Time
+	largest := perf.Stage(0)
+	for st := range spent {
+		spent[st] = m.Perf.Cycles[st] - before[st]
+		total += spent[st]
+		if spent[st] > spent[largest] {
+			largest = perf.Stage(st)
+		}
+	}
+	rest := extra
+	for st, c := range spent {
+		share := extra * c / total
+		m.Perf.Add(perf.Stage(st), share)
+		rest -= share
+	}
+	m.Perf.Add(largest, rest)
 }
 
 func (m *PMD) touch(p Port) {

@@ -389,6 +389,15 @@ const (
 	// failing upcall before it counts as failed for good.
 	UpcallMaxRetries = 3
 
+	// UpcallServiceInterval is the handler thread's per-upcall service
+	// time when the upcall queue is bounded (its service rate is the
+	// inverse).
+	UpcallServiceInterval sim.Time = 20 * sim.Microsecond
+
+	// UpcallRetryBase seeds the exponential backoff applied when a queued
+	// upcall's translation fails transiently.
+	UpcallRetryBase sim.Time = 25 * sim.Microsecond
+
 	// RevalFlowCheck is one revalidator liveness check of a single
 	// megaflow: read its stats, compare against the last observation,
 	// decide keep/evict — the per-flow unit of ovs-vswitchd's revalidator

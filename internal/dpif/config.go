@@ -106,14 +106,8 @@ var configTable = []configKey{
 
 	// Slow path (all providers).
 	{name: "upcall-queue-cap", kind: kindInt, def: "0",
-		set: func(t *configTarget, v any) { t.fp.Upcall.QueueCap = v.(int) },
-		get: func(t *configTarget) any { return t.fp.Upcall.QueueCap }},
-	{name: "upcall-service-us", kind: kindMicroseconds, def: "0",
-		set: func(t *configTarget, v any) { t.fp.Upcall.ServiceInterval = v.(sim.Time) },
-		get: func(t *configTarget) any { return t.fp.Upcall.ServiceInterval }},
-	{name: "upcall-retry-base-us", kind: kindMicroseconds, def: "0",
-		set: func(t *configTarget, v any) { t.fp.Upcall.RetryBase = v.(sim.Time) },
-		get: func(t *configTarget) any { return t.fp.Upcall.RetryBase }},
+		set: func(t *configTarget, v any) { t.fp.UpcallQueueCap = v.(int) },
+		get: func(t *configTarget) any { return t.fp.UpcallQueueCap }},
 
 	// Conntrack (all providers: both datapaths carry a tracker).
 	{name: "ct-shards", kind: kindInt, def: "8", min: 1,

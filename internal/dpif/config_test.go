@@ -113,8 +113,6 @@ var nonDefault = map[string]string{
 	"emc-enable":                        "false",
 	"smc-enable":                        "true",
 	"upcall-queue-cap":                  "128",
-	"upcall-service-us":                 "20",
-	"upcall-retry-base-us":              "25",
 	"ct-shards":                         "4",
 	"hw-offload":                        "true",
 	"hw-offload-table-size":             "512",
@@ -125,8 +123,7 @@ var nonDefault = map[string]string{
 // kernelLive are the keys the kernel-path providers act on; every other key
 // is netdev-only and must be inert there.
 var kernelLive = map[string]bool{
-	"upcall-queue-cap": true, "upcall-service-us": true, "upcall-retry-base-us": true,
-	"ct-shards": true,
+	"upcall-queue-cap": true, "ct-shards": true,
 }
 
 // TestSetConfigRoundTrip walks every key of the table on every provider:

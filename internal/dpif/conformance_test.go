@@ -328,33 +328,6 @@ type faultObservation struct {
 // installed flow on any provider (the ebpf flavor's exact-match narrowing
 // included), so the packet reaches the slow-path admission check where the
 // malformed split happens.
-// TestKernelPmdRxqShow: a kernel provider lists every softirq context that
-// has fed it, in the order each first did, with its packets and share.
-func TestKernelPmdRxqShow(t *testing.T) {
-	for _, typ := range []string{"netlink", "ebpf"} {
-		eng := sim.NewEngine(1)
-		dp, err := dpif.Open(typ, dpif.Config{Eng: eng, Pipeline: forwardPipeline()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		head := "datapath " + typ + ": softirq-side rx contexts (no PMD threads)\n"
-		if got, want := dp.PmdRxqShow(), head+"  (no softirq context has fed this datapath yet)\n"; got != want {
-			t.Fatalf("%s before traffic:\n%s\nwant:\n%s", typ, got, want)
-		}
-		a, b, c := eng.NewCPU("softirq-a"), eng.NewCPU("softirq-b"), eng.NewCPU("softirq-c")
-		for _, cpu := range []*sim.CPU{b, a, b, c, b, a, c, b, a, b} {
-			dp.(*dpif.Netlink).Process(cpu, scenarioPacket())
-		}
-		want := head +
-			"  softirq softirq-b        packets:          5   rx share:  50 %\n" +
-			"  softirq softirq-a        packets:          3   rx share:  30 %\n" +
-			"  softirq softirq-c        packets:          2   rx share:  20 %\n"
-		if got := dp.PmdRxqShow(); got != want {
-			t.Fatalf("%s:\n%s\nwant:\n%s", typ, got, want)
-		}
-	}
-}
-
 func malformedPacket() *packet.Packet {
 	data := make([]byte, hdr.EthernetSize+4)
 	data[12], data[13] = 0x08, 0x00 // EtherTypeIPv4
@@ -377,8 +350,7 @@ func runFaultScenario(t *testing.T, name string) faultObservation {
 	eng := sim.NewEngine(1)
 	pl := forwardPipeline()
 	d, err := dpif.Open(name, dpif.Config{Eng: eng, Pipeline: pl,
-		Other: map[string]string{"upcall-queue-cap": "4", "upcall-service-us": "20",
-			"upcall-retry-base-us": "25"}})
+		Other: map[string]string{"upcall-queue-cap": "4"}})
 	if err != nil {
 		t.Fatalf("Open(%q): %v", name, err)
 	}

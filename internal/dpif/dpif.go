@@ -232,12 +232,6 @@ type Dpif interface {
 	// its current (or default) value.
 	GetConfig() map[string]string
 
-	// PmdRxqShow renders the rxq-to-thread assignment with per-queue load
-	// shares (`ovs-appctl dpif-netdev/pmd-rxq-show`). Kernel-path
-	// providers report their softirq-side equivalent: which softirq
-	// contexts have been feeding the datapath and their packet shares.
-	PmdRxqShow() string
-
 	// Stats reports the unified datapath counters.
 	Stats() Stats
 

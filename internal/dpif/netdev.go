@@ -115,9 +115,6 @@ func (d *Netdev) SetConfig(kv map[string]string) error { return d.config.set(kv)
 // configured through SetConfig later.
 func (d *Netdev) GetConfig() map[string]string { return d.config.get() }
 
-// PmdRxqShow implements Dpif.
-func (d *Netdev) PmdRxqShow() string { return d.dp.PmdRxqShow() }
-
 // Stats implements Dpif: hits combine every caching level a packet can
 // shortcut through — EMC, SMC, and the megaflow classifier — summed over
 // the PMD threads that tallied them.

@@ -2,7 +2,6 @@ package dpif
 
 import (
 	"fmt"
-	"slices"
 
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/kernelsim"
@@ -24,19 +23,9 @@ type Netlink struct {
 	// (the dpctl-execute injection context).
 	execCPU *sim.CPU
 
-	// softirq counts packets per feeding softirq context, in first-seen
-	// order — the kernel-side equivalent of the netdev rxq-to-PMD map that
-	// PmdRxqShow reports. Pure accounting, scanned: contexts are few.
-	softirq []softirqCount
-
 	// config binds the other_config keys this provider acts on and
 	// remembers the netdev-only ones it echoes.
 	config configTarget
-}
-
-type softirqCount struct {
-	cpu *sim.CPU
-	n   uint64
 }
 
 func init() {
@@ -55,17 +44,6 @@ func netlinkFactory(flavor kernelsim.Flavor) Factory {
 // Kernel exposes the wrapped kernel datapath for wiring that the dpif seam
 // does not cover (NAPI actor handlers, experiment internals).
 func (d *Netlink) Kernel() *kernelsim.Datapath { return d.kdp }
-
-// Process feeds one packet to the datapath in softirq context on cpu — the
-// handler NAPI actors drive.
-func (d *Netlink) Process(cpu *sim.CPU, p *packet.Packet) {
-	i := slices.IndexFunc(d.softirq, func(s softirqCount) bool { return s.cpu == cpu })
-	if i < 0 {
-		i, d.softirq = len(d.softirq), append(d.softirq, softirqCount{cpu: cpu})
-	}
-	d.softirq[i].n++
-	d.kdp.Process(cpu, p)
-}
 
 // Type implements Dpif.
 func (d *Netlink) Type() string {
@@ -126,7 +104,7 @@ func (d *Netlink) Execute(p *packet.Packet) {
 	if d.execCPU == nil {
 		d.execCPU = d.eng.NewCPU("dpif-exec")
 	}
-	d.Process(d.execCPU, p)
+	d.kdp.Process(d.execCPU, p)
 }
 
 // SetUpcall implements Dpif.
@@ -141,30 +119,6 @@ func (d *Netlink) SetConfig(kv map[string]string) error { return d.config.set(kv
 // GetConfig implements Dpif: live values for the keys this provider acts
 // on, defaults (or the remembered inert sets) for the rest.
 func (d *Netlink) GetConfig() map[string]string { return d.config.get() }
-
-// PmdRxqShow implements Dpif: the kernel datapath has no PMD threads, so
-// the softirq-side equivalent is reported — every softirq context that has
-// fed the datapath, with its share of processed packets (the spread the
-// NIC's RSS produced across ksoftirqd contexts).
-func (d *Netlink) PmdRxqShow() string {
-	var total uint64
-	for _, s := range d.softirq {
-		total += s.n
-	}
-	out := fmt.Sprintf("datapath %s: softirq-side rx contexts (no PMD threads)\n", d.Type())
-	for _, s := range d.softirq {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(s.n) / float64(total)
-		}
-		out += fmt.Sprintf("  softirq %-16s packets: %10d   rx share: %3.0f %%\n",
-			s.cpu.Name(), s.n, pct)
-	}
-	if len(d.softirq) == 0 {
-		out += "  (no softirq context has fed this datapath yet)\n"
-	}
-	return out
-}
 
 // PerfStats implements Dpif: the kernel datapath processes packets in one
 // logical softirq context, so a single block is returned, named after the

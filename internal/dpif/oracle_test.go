@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ovsxdp/internal/conntrack"
+	"ovsxdp/internal/costmodel"
 	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/flow"
 	"ovsxdp/internal/netlinksim"
@@ -27,22 +28,22 @@ import (
 // frame. Ops come from a byte stream, so FuzzDatapathOps explores the same
 // space TestDatapathMatchesReference samples.
 
-// Time in a trace moves in whole milliseconds; every expiry the trace can
-// reach sits half a millisecond off that grid, more than a queued upcall
-// (60us a pass) can shift it, so inline and queued slow paths expire the same
-// flows and connections before the same op.
+// Time in a trace moves in steps of 4ms; every expiry the trace can reach
+// (a negative flow's costmodel.NegativeFlowTTL and the ct timeouts below)
+// sits half a step off that grid, more than a queued upcall (20us a pass)
+// can shift it, so inline and queued slow paths expire the same flows and
+// connections before the same op.
 const (
-	oracleStep   = sim.Millisecond
-	oracleNegTTL = 10*sim.Millisecond + sim.Millisecond/2
-	oracleNear   = 11 * sim.Millisecond // past the negative flows
-	oracleFar    = 45 * sim.Millisecond // past every ct timeout below
+	oracleStep = 4 * sim.Millisecond
+	oracleNear = 12 * sim.Millisecond // past the negative flows
+	oracleFar  = 44 * sim.Millisecond // past every ct timeout below
 )
 
 var oracleCtTimeouts = conntrack.Timeouts{
-	SynSent:     30*sim.Millisecond + sim.Millisecond/2,
-	Established: 40*sim.Millisecond + sim.Millisecond/2,
-	UDP:         20*sim.Millisecond + sim.Millisecond/2,
-	Fin:         15*sim.Millisecond + sim.Millisecond/2,
+	SynSent:     30 * sim.Millisecond,
+	Established: 42 * sim.Millisecond,
+	UDP:         22 * sim.Millisecond,
+	Fin:         14 * sim.Millisecond,
 }
 
 var (
@@ -298,7 +299,7 @@ func (r *refDatapath) process(p *packet.Packet, depth int) {
 		if err != nil {
 			r.v.lost++
 			f := r.install(key, flow.MaskAll(), nil)
-			f.expires = r.eng.Now() + oracleNegTTL
+			f.expires = r.eng.Now() + costmodel.NegativeFlowTTL
 			return
 		}
 		f = r.install(key, mf.Mask, mf.Actions)
@@ -389,7 +390,6 @@ func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 	pass := passOf(d)
 	d.SetUpcall(upcall(pass.Pipeline))
 	pass.Ct.Timeouts = oracleCtTimeouts
-	pass.Upcall.NegativeFlowTTL = oracleNegTTL
 
 	ref := &refDatapath{eng: eng, pl: oraclePipeline(), ct: conntrack.NewTable(eng),
 		exact: c.typ == "ebpf", ports: map[uint32]bool{}}
@@ -623,6 +623,9 @@ func oracleTrace(seed int64) []byte {
 // TestDatapathMatchesReference runs oracleTraces seeded traces through all
 // 18 configurations against the reference.
 func TestDatapathMatchesReference(t *testing.T) {
+	if costmodel.NegativeFlowTTL%oracleStep != oracleStep/2 {
+		t.Fatalf("negative flows expire on the trace's grid: TTL %v, step %v", costmodel.NegativeFlowTTL, oracleStep)
+	}
 	configs := oracleConfigs()
 	if len(configs) != 18 {
 		t.Fatalf("%d configurations, want 18", len(configs))

@@ -76,11 +76,8 @@ type flowRec struct {
 
 // StartWheelRevalidator launches incremental flow expiry over the datapath:
 // existing flows are registered immediately, future ones as the datapath
-// installs them. idleTimeout <= 0 defaults to costmodel.NegativeFlowTTL.
+// installs them.
 func StartWheelRevalidator(eng *sim.Engine, dp Dpif, idleTimeout sim.Time) *WheelRevalidator {
-	if idleTimeout <= 0 {
-		idleTimeout = costmodel.NegativeFlowTTL
-	}
 	r := &WheelRevalidator{
 		dp:          dp,
 		eng:         eng,

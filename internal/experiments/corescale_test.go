@@ -61,7 +61,7 @@ func corescaleFingerprint(t *testing.T) (string, uint64) {
 	reb, moves, dry := nd.Datapath().RebalanceStats()
 	fp := fmt.Sprintf("delivered=%d drops=%d rebalances=%d moves=%d dryruns=%d\n%s%s",
 		bed.Delivered, bed.Drops(), reb, moves, dry,
-		nd.PmdRxqShow(), api.NewPerfView(nd.PerfStats()).FormatTable())
+		nd.Datapath().PmdRxqShow(), api.NewPerfView(nd.PerfStats()).FormatTable())
 	return fp, reb
 }
 

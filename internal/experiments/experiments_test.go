@@ -3,7 +3,10 @@ package experiments
 import (
 	"testing"
 
+	"ovsxdp/internal/costmodel"
+	"ovsxdp/internal/dpif"
 	"ovsxdp/internal/measure"
+	"ovsxdp/internal/sim"
 )
 
 // The experiment tests assert the paper's qualitative shapes — orderings,
@@ -245,4 +248,47 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestStageCyclesSumToBusy: every processing thread's stage cycles add up
+// to the busy time of the CPUs it ran on — with Figure 12's multi-PMD
+// contention surcharge, and with a bounded upcall queue, whose translations
+// the handler thread pays for.
+func TestStageCyclesSumToBusy(t *testing.T) {
+	bounded := map[string]string{"upcall-queue-cap": "4"}
+	for _, c := range []struct {
+		name       string
+		kind       DPKind
+		contention int
+		other      map[string]string
+	}{
+		{"netdev contention", KindAFXDP, costmodel.ContentionAFXDPCentis, nil},
+		{"netdev bounded queue", KindAFXDP, 0, bounded},
+		{"netlink", KindKernel, 0, nil},
+		{"netlink bounded queue", KindKernel, 0, bounded},
+	} {
+		cfg := DefaultBed(c.kind, 256)
+		cfg.Queues = 2
+		cfg.Opts.ContentionCentis = c.contention
+		cfg.Other = c.other
+		bed := NewP2PBed(cfg)
+		bed.Gen.Run(2e6, 2*sim.Millisecond)
+		bed.Eng.RunUntil(3 * sim.Millisecond)
+
+		if nd, ok := bed.DP.(*dpif.Netdev); ok {
+			for _, m := range nd.Datapath().PMDs() {
+				if stages, busy := m.Perf.TotalCycles(), m.CPU.BusyTotal(); stages != busy {
+					t.Errorf("%s: %s stages %d ns, CPU busy %d ns", c.name, m.CPU.Name(), stages, busy)
+				}
+			}
+			continue
+		}
+		var busy sim.Time
+		for _, a := range bed.Actors {
+			busy += a.CPU.BusyTotal()
+		}
+		if stages := bed.DP.PerfStats()[0].Stats.TotalCycles(); stages != busy {
+			t.Errorf("%s: softirq stages %d ns, CPUs busy %d ns", c.name, stages, busy)
+		}
+	}
 }

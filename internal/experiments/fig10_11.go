@@ -106,7 +106,7 @@ func newVMRRBed(kind DPKind, vd VDevKind, transactions int, seed uint64) (*sim.E
 			dpif.TxPort{PortID: 2, PortName: "uplink", Deliver: nicB.Transmit})
 		cpu := eng.NewCPU("ksoftirqd")
 		deferred := func(cpu *sim.CPU, p *packet.Packet) {
-			eng.Schedule(softirqWake(), func() { nl.Process(cpu, p) })
+			eng.Schedule(softirqWake(), func() { nl.Kernel().Process(cpu, p) })
 		}
 		kit.SoftirqRx(eng, cpu, client.FromPeer, 3, deferred)
 		kit.SoftirqRx(eng, cpu, nicB.Queue(0), 2, deferred)
@@ -189,7 +189,7 @@ func newContainerRRBed(mode PCPMode, transactions int, seed uint64) (*sim.Engine
 			dpif.Config{Eng: eng, Pipeline: kit.LoopbackPipeline(kit.Hop{1, 3}, kit.Hop{3, 2})},
 			dpif.TxPort{PortID: 3, PortName: "veth-server", Deliver: func(p *packet.Packet) { vethS.ToPeer.Push(p) }},
 			dpif.TxPort{PortID: 2, PortName: "veth-client", Deliver: func(p *packet.Packet) { vethC.ToPeer.Push(p) }})
-		process := func(_ *sim.CPU, p *packet.Packet) { eng.Schedule(0, func() { nl.Process(cpu, p) }) }
+		process := func(_ *sim.CPU, p *packet.Packet) { eng.Schedule(0, func() { nl.Kernel().Process(cpu, p) }) }
 		feed := eng.NewCPU("veth-softirq")
 		kit.SoftirqRx(eng, feed, vethC.FromPeer, 1, process)
 		kit.SoftirqRx(eng, feed, vethS.FromPeer, 3, process)

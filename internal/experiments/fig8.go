@@ -217,8 +217,8 @@ func buildHost(eng *sim.Engine, c fig8aConfig, nic *nicsim.NIC, pl *ofproto.Pipe
 		nl := kit.OpenKernel("netlink", dcfg, vm.KernelTx(),
 			dpif.TxPort{PortID: f8Uplink, PortName: nic.Name, Deliver: nic.Transmit})
 		nl.Kernel().Encapper = enc
-		kit.SoftirqRx(eng, kcpu, nic.Queue(0), f8Uplink, nl.Process)
-		kit.SoftirqRx(eng, kcpu, vm.FromPeer, f8VM, nl.Process)
+		kit.SoftirqRx(eng, kcpu, nic.Queue(0), f8Uplink, nl.Kernel().Process)
+		kit.SoftirqRx(eng, kcpu, vm.FromPeer, f8VM, nl.Kernel().Process)
 		return vm.VM
 	}
 	lock := afxdp.LockSpinBatched
@@ -300,8 +300,8 @@ func runFig8bCase(p Profile, c fig8bConfig) float64 {
 		// datapath moves 64kB frames without touching payload.
 		nl := kit.OpenKernel("netlink", dcfg, sender.KernelTx(), receiver.KernelTx())
 		cpu := eng.NewCPU("ksoftirqd")
-		kit.SoftirqRx(eng, cpu, sender.FromPeer, f8VM, nl.Process)
-		kit.SoftirqRx(eng, cpu, receiver.FromPeer, f8VM2, nl.Process)
+		kit.SoftirqRx(eng, cpu, sender.FromPeer, f8VM, nl.Kernel().Process)
+		kit.SoftirqRx(eng, cpu, receiver.FromPeer, f8VM2, nl.Kernel().Process)
 	} else {
 		kit.OpenNetdev(dcfg, core.ModePoll, 1, []core.Port{sender.Port, receiver.Port})
 	}
@@ -369,8 +369,8 @@ func runFig8cCase(p Profile, c fig8cConfig) float64 {
 		nl := kit.OpenKernel("netlink", dpif.Config{Eng: eng, Pipeline: pl},
 			dpif.TxPort{PortID: 1, PortName: "veth-s", Deliver: func(p *packet.Packet) { vethS.ToPeer.Push(p) }},
 			dpif.TxPort{PortID: 3, PortName: "veth-r", Deliver: func(p *packet.Packet) { vethR.ToPeer.Push(p) }})
-		kit.SoftirqRx(eng, cpu, vethS.FromPeer, 1, nl.Process)
-		kit.SoftirqRx(eng, cpu, vethR.FromPeer, 3, nl.Process)
+		kit.SoftirqRx(eng, cpu, vethS.FromPeer, 1, nl.Kernel().Process)
+		kit.SoftirqRx(eng, cpu, vethR.FromPeer, 3, nl.Kernel().Process)
 	case "xdp":
 		// In-kernel XDP redirect between the veths (Figure 5 path C's
 		// program on each host end), which cannot use csum/TSO.

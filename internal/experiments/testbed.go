@@ -207,7 +207,7 @@ func (b *Bed) kernelLoopback(typ string, cfg dpif.Config, flows int, tx ...dpif.
 	for q := 0; q < b.NICA.NumQueues(); q++ {
 		cpu := b.Eng.NewCPU(fmt.Sprintf("ksoftirqd/%d", q))
 		b.Actors = append(b.Actors, kit.SoftirqRx(b.Eng, cpu,
-			b.NICA.Queue(q), 1, nl.Process))
+			b.NICA.Queue(q), 1, nl.Kernel().Process))
 	}
 	return nl
 }
@@ -286,7 +286,7 @@ func NewPVPBed(cfg BedConfig) *Bed {
 		// Traffic leaving the VM re-enters the kernel datapath as a new
 		// arrival (the reset clears the port stamp with everything else).
 		kit.SoftirqRx(eng, eng.NewCPU("ksoftirqd/tap"), vm.FromPeer, 3,
-			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Process(cpu, p) })
+			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Kernel().Process(cpu, p) })
 	case KindAFXDP, KindDPDK:
 		bed.netdevLoopback(cfg, pl, vm.Port)
 	}
@@ -333,7 +333,7 @@ func NewPCPBed(mode PCPMode, flows int) *Bed {
 				Deliver: func(p *packet.Packet) { veth.ToPeer.Push(p) }})
 		// Container output re-enters the datapath as a new arrival.
 		kit.SoftirqRx(eng, eng.NewCPU("ksoftirqd/veth"), veth.FromPeer, 3,
-			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Process(cpu, p) })
+			func(cpu *sim.CPU, p *packet.Packet) { p.ResetMetadata(); p.InPort = 3; nl.Kernel().Process(cpu, p) })
 
 	case PCPAFXDPRedir:
 		// Figure 5 path C: the XDP program on NIC A redirects container

@@ -88,9 +88,9 @@ type Datapath struct {
 	// and the frame leaves as it is, for the port to encapsulate.
 	Encapper *tunnel.Encapper
 	Row      Row
-	// Upcall bounds and paces the slow path (the upcall-* keys); the zero
-	// QueueCap keeps the upcall inline on the thread that missed.
-	Upcall upcall.Config
+	// UpcallQueueCap bounds the slow path's queues (upcall-queue-cap);
+	// zero keeps the upcall inline on the thread that missed.
+	UpcallQueueCap int
 
 	// translate, when set, replaces Pipeline.Translate as the slow-path
 	// handler (dpif upcall registration).

@@ -60,16 +60,15 @@ type Datapath struct {
 // NewDatapath builds a kernel datapath over a pipeline.
 func NewDatapath(eng *sim.Engine, flavor Flavor, pl *ofproto.Pipeline) *Datapath {
 	d := &Datapath{
-		Datapath: fastpath.Datapath{Eng: eng, Pipeline: pl, Ct: conntrack.NewTable(eng),
-			Upcall: upcall.DefaultConfig()},
-		Thread:  fastpath.Thread{Perf: &perf.Stats{}},
-		Flavor:  flavor,
-		flows:   dpcls.New(0x6b73),
-		Outputs: make(map[uint32]func(*packet.Packet)),
+		Datapath: fastpath.Datapath{Eng: eng, Pipeline: pl, Ct: conntrack.NewTable(eng)},
+		Thread:   fastpath.Thread{Perf: &perf.Stats{}},
+		Flavor:   flavor,
+		flows:    dpcls.New(0x6b73),
+		Outputs:  make(map[uint32]func(*packet.Packet)),
 	}
 	d.Row = fastpath.Row{Cat: sim.Softirq,
 		Output: costmodel.KernelOVSActions + costmodel.KernelDriverTx, Scale: d.cost}
-	d.Slow = upcall.NewQueue(eng, &d.Upcall, &d.Counters, d.Perf, upcall.Host{
+	d.Slow = upcall.NewQueue(eng, &d.UpcallQueueCap, &d.Counters, d.Perf, upcall.Host{
 		Table:     d.flows,
 		Install:   d.InstallFlow,
 		Remove:    d.flows.Remove,

@@ -212,8 +212,9 @@ func OpenKernel(typ string, cfg dpif.Config, tx ...dpif.TxPort) *dpif.Netlink {
 }
 
 // SoftirqRx starts a NAPI actor on cpu that drains src, stamps each packet
-// with the port it arrived on and hands it to process — (*dpif.Netlink).
-// Process for a plain receive, or the bed's own step in front of it.
+// with the port it arrived on and hands it to process — the kernel
+// datapath's Process for a plain receive, or the bed's own step in front of
+// it.
 func SoftirqRx(eng *sim.Engine, cpu *sim.CPU, src kernelsim.PollSource, inPort uint32,
 	process func(*sim.CPU, *packet.Packet)) *kernelsim.NAPIActor {
 	a := &kernelsim.NAPIActor{Eng: eng, CPU: cpu, Src: src,

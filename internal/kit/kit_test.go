@@ -70,7 +70,7 @@ func TestIfaceForwards(t *testing.T) {
 			}
 			eng.RunUntil(sim.Millisecond)
 			if len(got) != 3 {
-				t.Fatalf("%d of 3 frames reached the output hook\n%s", len(got), dp.PmdRxqShow())
+				t.Fatalf("%d of 3 frames reached the output hook\n%s", len(got), dp.(*dpif.Netdev).Datapath().PmdRxqShow())
 			}
 			for _, g := range got {
 				if !bytes.Equal(g, frame) {
@@ -390,7 +390,7 @@ func TestKernelGeneveRoundTrip(t *testing.T) {
 				}
 			}})
 		kdps[h].Kernel().Encapper = tunnel.NewEncapper(netlinksim.NewCache(k))
-		SoftirqRx(eng, eng.NewCPU(fmt.Sprintf("ksoftirqd%d", h)), nics[h].Queue(0), uplink, kdps[h].Process)
+		SoftirqRx(eng, eng.NewCPU(fmt.Sprintf("ksoftirqd%d", h)), nics[h].Queue(0), uplink, kdps[h].Kernel().Process)
 	}
 	nics[0].ConnectWire(func(p *packet.Packet) { nics[1].Receive(p) })
 	nics[1].ConnectWire(func(p *packet.Packet) { nics[0].Receive(p) })

@@ -48,7 +48,6 @@ type Queue struct {
 	packet.FIFO
 	ID int
 
-	depth    int
 	irqFn    func()
 	irqArmed bool
 
@@ -109,7 +108,6 @@ type Config struct {
 	Name     string
 	Ifindex  uint32
 	Queues   int
-	RingSize int
 	LinkRate int64
 	Offloads Offloads
 }
@@ -118,9 +116,6 @@ type Config struct {
 func New(eng *sim.Engine, cfg Config) *NIC {
 	if cfg.Queues <= 0 {
 		cfg.Queues = 1
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingDepth
 	}
 	if cfg.LinkRate == 0 {
 		cfg.LinkRate = costmodel.LinkRate10G
@@ -135,7 +130,7 @@ func New(eng *sim.Engine, cfg Config) *NIC {
 		rssBasis: uint32(cfg.Ifindex)*0x9e37 + 0x79b9,
 	}
 	for i := 0; i < cfg.Queues; i++ {
-		n.queues = append(n.queues, &Queue{ID: i, depth: cfg.RingSize})
+		n.queues = append(n.queues, &Queue{ID: i})
 	}
 	return n
 }
@@ -217,7 +212,7 @@ func (n *NIC) Receive(p *packet.Packet) bool {
 		p.Offloads |= packet.CsumVerified
 	}
 	q := n.classify(p)
-	if q.Len() >= q.depth {
+	if q.Len() >= DefaultRingDepth {
 		q.RxDrops++
 		p.Release()
 		return false

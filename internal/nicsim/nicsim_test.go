@@ -56,8 +56,10 @@ func TestSameFlowSameQueue(t *testing.T) {
 // arrival, a full ring's drop included.
 func TestActiveQueuesCountsReceivingQueues(t *testing.T) {
 	eng := sim.NewEngine(1)
-	nic := New(eng, Config{Name: "eth0", Queues: 12, RingSize: 2})
-	for i := 0; i < 60; i++ {
+	nic := New(eng, Config{Name: "eth0", Queues: 12})
+	// 20 flows over 12 queues put two flows on some queue, whose ring
+	// overflows once each flow has sent a ring's worth.
+	for i := 0; i < 20*DefaultRingDepth; i++ {
 		nic.Receive(udpPkt(uint16(1000 + i%20)))
 		scan := 0
 		for q := 0; q < nic.NumQueues(); q++ {
@@ -76,12 +78,12 @@ func TestActiveQueuesCountsReceivingQueues(t *testing.T) {
 
 func TestRingOverflowDrops(t *testing.T) {
 	eng := sim.NewEngine(1)
-	nic := New(eng, Config{Name: "eth0", Queues: 1, RingSize: 8})
-	for i := 0; i < 20; i++ {
+	nic := New(eng, Config{Name: "eth0", Queues: 1})
+	for i := 0; i < DefaultRingDepth+12; i++ {
 		nic.Receive(udpPkt(1))
 	}
-	if nic.Queue(0).RxPackets != 8 {
-		t.Fatalf("accepted %d, want 8", nic.Queue(0).RxPackets)
+	if nic.Queue(0).RxPackets != DefaultRingDepth {
+		t.Fatalf("accepted %d, want %d", nic.Queue(0).RxPackets, DefaultRingDepth)
 	}
 	if nic.RxDropsTotal() != 12 {
 		t.Fatalf("drops = %d, want 12", nic.RxDropsTotal())

@@ -17,47 +17,6 @@ import (
 	"ovsxdp/internal/sim"
 )
 
-// Config is the slow path's tunables: the upcall-* other_config keys, and
-// the negative-flow lifetime, which no key names.
-type Config struct {
-	// QueueCap bounds the queue of packets awaiting translation — the
-	// per-port netlink socket buffer whose overflow the kernel reports as
-	// ENOBUFS, and its per-PMD netdev analog. Zero keeps the upcall inline
-	// on the thread that missed, as dpif-netdev does.
-	QueueCap int
-	// ServiceInterval is the handler thread's per-upcall service time when
-	// the queue is bounded (its service rate is the inverse); zero defaults
-	// to costmodel.UpcallCost.
-	ServiceInterval sim.Time
-	// RetryBase seeds the exponential backoff applied when translation
-	// fails transiently; zero defaults to UpcallCost/4.
-	RetryBase sim.Time
-	// NegativeFlowTTL is the lifetime of the drop flow installed when an
-	// upcall fails for good, shielding the slow path from the failing flow;
-	// <= 0 disables the negative flow.
-	NegativeFlowTTL sim.Time
-}
-
-// DefaultConfig is the inline slow path with the calibrated negative-flow
-// lifetime — what both datapaths start from.
-func DefaultConfig() Config {
-	return Config{NegativeFlowTTL: costmodel.NegativeFlowTTL}
-}
-
-func (c *Config) serviceInterval() sim.Time {
-	if c.ServiceInterval > 0 {
-		return c.ServiceInterval
-	}
-	return costmodel.UpcallCost
-}
-
-func (c *Config) retryBase() sim.Time {
-	if c.RetryBase > 0 {
-		return c.RetryBase
-	}
-	return costmodel.UpcallCost / 4
-}
-
 // Counters are the datapath-wide tallies the slow path writes. Each
 // datapath embeds one block, shared by all its queues; a queue's refusals
 // (the ENOBUFS analog, not in Drops) are the raising thread's
@@ -111,11 +70,16 @@ type pending struct {
 
 // Queue is one bounded upcall queue and the handler that drains it.
 type Queue struct {
-	eng  *sim.Engine
-	cfg  *Config
-	ctr  *Counters
-	perf *perf.Stats
-	host Host
+	eng *sim.Engine
+	// queueCap points at the owning datapath's upcall-queue-cap: the bound
+	// on packets awaiting translation, the per-port netlink socket buffer
+	// whose overflow the kernel reports as ENOBUFS, and its per-PMD netdev
+	// analog. Zero keeps the upcall inline on the thread that missed, as
+	// dpif-netdev does.
+	queueCap *int
+	ctr      *Counters
+	perf     *perf.Stats
+	host     Host
 
 	// q parks admitted packets in arrival order; busy is set while a
 	// handler service event is in flight; free recycles records, so the
@@ -126,11 +90,11 @@ type Queue struct {
 	timer *sim.Timer
 }
 
-// NewQueue builds a queue for host. cfg and ctr point at the owning
-// datapath's live tunables and counters (so a SetConfig takes effect on the
-// next miss); st is the perf block of the thread that raises the misses.
-func NewQueue(eng *sim.Engine, cfg *Config, ctr *Counters, st *perf.Stats, host Host) *Queue {
-	q := &Queue{eng: eng, cfg: cfg, ctr: ctr, perf: st, host: host}
+// NewQueue builds a queue for host. queueCap and ctr point at the owning
+// datapath's live cap and counters (so a SetConfig takes effect on the next
+// miss); st is the perf block of the thread that raises the misses.
+func NewQueue(eng *sim.Engine, queueCap *int, ctr *Counters, st *perf.Stats, host Host) *Queue {
+	q := &Queue{eng: eng, queueCap: queueCap, ctr: ctr, perf: st, host: host}
 	q.timer = eng.NewTimer(q.service)
 	return q
 }
@@ -141,7 +105,7 @@ func NewQueue(eng *sim.Engine, cfg *Config, ctr *Counters, st *perf.Stats, host 
 // path. ok means an inline translation the caller installs; a failed one
 // drops the packet as Failed says.
 func (q *Queue) Miss(key *flow.Key, p *packet.Packet, cpu *sim.CPU) (mf ofproto.Megaflow, ok bool) {
-	if q.cfg.QueueCap > 0 {
+	if *q.queueCap > 0 {
 		q.Admit(key, p, cpu)
 		return mf, false
 	}
@@ -161,7 +125,7 @@ func (q *Queue) Miss(key *flow.Key, p *packet.Packet, cpu *sim.CPU) (mf ofproto.
 // queue is full (ENOBUFS). The caller has already counted the miss, which
 // matches the kernel's lookup accounting for refused packets too.
 func (q *Queue) Admit(key *flow.Key, p *packet.Packet, cpu *sim.CPU) {
-	if len(q.q) >= q.cfg.QueueCap {
+	if len(q.q) >= *q.queueCap {
 		q.perf.UpcallQueueDrops++
 		q.host.Release(p)
 		return
@@ -188,14 +152,14 @@ func (q *Queue) recycle(u *pending) {
 }
 
 // kick schedules the next queued upcall for service one handler service
-// interval from now — the configurable service rate that makes the queue a
-// real M/D/1-style bottleneck instead of an inline call.
+// interval from now — the service rate that makes the queue a real
+// M/D/1-style bottleneck instead of an inline call.
 func (q *Queue) kick() {
 	if q.busy || len(q.q) == 0 {
 		return
 	}
 	q.busy = true
-	q.timer.Schedule(q.cfg.serviceInterval())
+	q.timer.Schedule(costmodel.UpcallServiceInterval)
 }
 
 // service handles the oldest parked upcall on the handler thread: translate
@@ -207,7 +171,7 @@ func (q *Queue) service() {
 	if len(q.q) == 0 {
 		return
 	}
-	// Pop by shifting down: the queue is at most QueueCap plus in-flight
+	// Pop by shifting down: the queue is at most its cap plus in-flight
 	// retries deep, and keeping the slice's base means append never
 	// reallocates in steady state.
 	u := q.q[0]
@@ -224,15 +188,17 @@ func (q *Queue) service() {
 		return
 	}
 
+	// The handler thread pays for the translation; the raising thread's
+	// stages stay what its own CPU spent, and it keeps the upcall's count
+	// and latency (AddUpcall below).
 	q.host.Handler().Consume(q.host.Category, costmodel.UpcallCost)
-	q.perf.Add(perf.StageUpcall, costmodel.UpcallCost)
 	mf, err := q.host.Translate(&u.key)
 	if err != nil {
 		if te, ok := err.(interface{ Transient() bool }); ok && te.Transient() &&
 			u.attempt < costmodel.UpcallMaxRetries {
 			u.attempt++
 			q.ctr.UpcallRetries++
-			delay := faultinject.Backoff(q.eng.Rand(), q.cfg.retryBase(), u.attempt)
+			delay := faultinject.Backoff(q.eng.Rand(), costmodel.UpcallRetryBase, u.attempt)
 			q.eng.Schedule(delay, func() {
 				// Retries bypass the cap: the packet was admitted once.
 				q.q = append(q.q, u)
@@ -260,9 +226,7 @@ func (q *Queue) service() {
 func (q *Queue) Failed(key *flow.Key, p *packet.Packet) {
 	q.ctr.UpcallErrors++
 	q.ctr.Drops++
-	if ttl := q.cfg.NegativeFlowTTL; ttl > 0 {
-		r := q.host.Install(*key, flow.MaskAll(), nil)
-		q.eng.Schedule(ttl, func() { q.host.Remove(r) })
-	}
+	r := q.host.Install(*key, flow.MaskAll(), nil)
+	q.eng.Schedule(costmodel.NegativeFlowTTL, func() { q.host.Remove(r) })
 	q.host.Release(p)
 }

@@ -61,18 +61,18 @@ const testSeed = 42
 
 // bed is one queue over a fake host, with the state a datapath would own.
 type bed struct {
-	eng  *sim.Engine
-	cfg  Config
-	ctr  Counters
-	perf *perf.Stats
-	host *fakeHost
-	q    *Queue
+	eng      *sim.Engine
+	queueCap int
+	ctr      Counters
+	perf     *perf.Stats
+	host     *fakeHost
+	q        *Queue
 }
 
-func newBed(cfg Config) *bed {
-	b := &bed{eng: sim.NewEngine(testSeed), cfg: cfg, perf: &perf.Stats{}}
+func newBed(queueCap int) *bed {
+	b := &bed{eng: sim.NewEngine(testSeed), queueCap: queueCap, perf: &perf.Stats{}}
 	b.host = &fakeHost{eng: b.eng, table: dpcls.New(1), cpu: b.eng.NewCPU("handler")}
-	b.q = NewQueue(b.eng, &b.cfg, &b.ctr, b.perf, b.host.hooks())
+	b.q = NewQueue(b.eng, &b.queueCap, &b.ctr, b.perf, b.host.hooks())
 	return b
 }
 
@@ -92,26 +92,6 @@ func pkts(n int) []*packet.Packet {
 
 var transient = &faultinject.FaultError{Kind: faultinject.KindUpcallFailure, Target: "upcall"}
 
-func TestZeroMeansDefault(t *testing.T) {
-	var zero Config
-	set := Config{ServiceInterval: 7, RetryBase: 9}
-	for _, c := range []struct {
-		name      string
-		got, want any
-	}{
-		{"ServiceInterval zero", zero.serviceInterval(), costmodel.UpcallCost},
-		{"ServiceInterval set", set.serviceInterval(), sim.Time(7)},
-		{"RetryBase zero", zero.retryBase(), costmodel.UpcallCost / 4},
-		{"RetryBase set", set.retryBase(), sim.Time(9)},
-		{"default NegativeFlowTTL", DefaultConfig().NegativeFlowTTL, costmodel.NegativeFlowTTL},
-		{"default QueueCap (inline)", DefaultConfig().QueueCap, 0},
-	} {
-		if !reflect.DeepEqual(c.got, c.want) {
-			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
-		}
-	}
-}
-
 // TestAdmitCapOverflowPeak: admissions past the cap are refused, counted on
 // the datapath and the thread, and released; the peak is the deepest depth.
 func TestAdmitCapOverflowPeak(t *testing.T) {
@@ -124,7 +104,7 @@ func TestAdmitCapOverflowPeak(t *testing.T) {
 		{cap: 4, offered: 16, wantDrops: 12, wantDepth: 4},
 		{cap: 1, offered: 5, wantDrops: 4, wantDepth: 1},
 	} {
-		b := newBed(Config{QueueCap: c.cap})
+		b := newBed(c.cap)
 		ps := pkts(c.offered)
 		for i, p := range ps {
 			b.q.Admit(key(i), p, nil)
@@ -147,10 +127,12 @@ func TestAdmitCapOverflowPeak(t *testing.T) {
 }
 
 // TestServiceFIFOAndPacing: distinct flows are serviced in arrival order,
-// one per service interval, each reinjected on the CPU it missed on.
+// one per service interval, each reinjected on the CPU it missed on. The
+// handler's CPU pays for the translations; the raising thread's upcall stage
+// does not.
 func TestServiceFIFOAndPacing(t *testing.T) {
-	const interval = 20 * sim.Microsecond
-	b := newBed(Config{QueueCap: 8, ServiceInterval: interval})
+	const interval = costmodel.UpcallServiceInterval
+	b := newBed(8)
 	ps := pkts(4)
 	cpus := []*sim.CPU{b.eng.NewCPU("a"), b.eng.NewCPU("b"), b.eng.NewCPU("a2"), nil}
 	for i, p := range ps {
@@ -167,8 +149,8 @@ func TestServiceFIFOAndPacing(t *testing.T) {
 	if !reflect.DeepEqual(b.host.translated, want) {
 		t.Fatalf("service instants %v, want %v", b.host.translated, want)
 	}
-	if b.host.handler() != 4*costmodel.UpcallCost || b.perf.Cycles[perf.StageUpcall] != 4*costmodel.UpcallCost {
-		t.Fatalf("handler charged %v, stage %v, want %v both",
+	if b.host.handler() != 4*costmodel.UpcallCost || b.perf.Cycles[perf.StageUpcall] != 0 {
+		t.Fatalf("handler charged %v, stage %v, want %v and 0",
 			b.host.handler(), b.perf.Cycles[perf.StageUpcall], 4*costmodel.UpcallCost)
 	}
 	if b.perf.UpcallCount() != 4 || b.host.table.Len() != 4 {
@@ -180,7 +162,7 @@ func TestServiceFIFOAndPacing(t *testing.T) {
 // dedups N parked packets of one flow down to one translation and one
 // handler charge; all N are reinjected.
 func TestParkedPacketsOfOneFlowTranslateOnce(t *testing.T) {
-	b := newBed(Config{QueueCap: 8})
+	b := newBed(8)
 	ps := pkts(6)
 	for _, p := range ps {
 		b.q.Admit(key(0), p, nil)
@@ -201,56 +183,53 @@ func TestParkedPacketsOfOneFlowTranslateOnce(t *testing.T) {
 // attempt k re-enters the queue faultinject.Backoff(seeded rng, base, k)
 // after the failed service and is translated one service interval later.
 // The fault outlasts costmodel.UpcallMaxRetries, so the last failure is hard.
+// The "explicit" case times against the literal 20us service interval and
+// 25us retry base, so it also pins the calibrated costmodel values.
 func TestBackoffInstants(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"explicit", Config{QueueCap: 4, ServiceInterval: 20 * sim.Microsecond, RetryBase: 25 * sim.Microsecond}},
-		{"defaults", Config{QueueCap: 4}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			b := newBed(c.cfg)
-			b.host.fail, b.host.failing = transient, func() bool { return true }
-			p := pkts(1)[0]
-			b.q.Admit(key(0), p, nil)
-			b.eng.Run()
+	t.Run("explicit", func(t *testing.T) {
+		const interval, base = 20 * sim.Microsecond, 25 * sim.Microsecond
+		b := newBed(4)
+		b.host.fail, b.host.failing = transient, func() bool { return true }
+		p := pkts(1)[0]
+		b.q.Admit(key(0), p, nil)
+		b.eng.Run()
 
-			rng := sim.NewRand(testSeed)
-			at := b.cfg.serviceInterval()
-			want := []sim.Time{at}
-			for k := 1; k <= costmodel.UpcallMaxRetries; k++ {
-				at += faultinject.Backoff(rng, b.cfg.retryBase(), k) + b.cfg.serviceInterval()
-				want = append(want, at)
-			}
-			if !reflect.DeepEqual(b.host.translated, want) {
-				t.Fatalf("translation instants %v, want %v", b.host.translated, want)
-			}
-			if got := uint64(costmodel.UpcallMaxRetries); b.ctr.UpcallRetries != got {
-				t.Fatalf("retries = %d, want %d", b.ctr.UpcallRetries, got)
-			}
-			if b.ctr.UpcallErrors != 1 || b.ctr.Drops != 1 || len(b.host.released) != 1 || b.host.released[0] != p {
-				t.Fatalf("after exhausting retries: errors %d drops %d released %d, want 1 1 1",
-					b.ctr.UpcallErrors, b.ctr.Drops, len(b.host.released))
-			}
-			if b.perf.UpcallCount() != 1 {
-				t.Fatalf("latency samples = %d, want 1 (the hard failure)", b.perf.UpcallCount())
-			}
-		})
-	}
+		rng := sim.NewRand(testSeed)
+		at := interval
+		want := []sim.Time{at}
+		for k := 1; k <= costmodel.UpcallMaxRetries; k++ {
+			at += faultinject.Backoff(rng, base, k) + interval
+			want = append(want, at)
+		}
+		if !reflect.DeepEqual(b.host.translated, want) {
+			t.Fatalf("translation instants %v, want %v", b.host.translated, want)
+		}
+		if got := uint64(costmodel.UpcallMaxRetries); b.ctr.UpcallRetries != got {
+			t.Fatalf("retries = %d, want %d", b.ctr.UpcallRetries, got)
+		}
+		if b.ctr.UpcallErrors != 1 || b.ctr.Drops != 1 || len(b.host.released) != 1 || b.host.released[0] != p {
+			t.Fatalf("after exhausting retries: errors %d drops %d released %d, want 1 1 1",
+				b.ctr.UpcallErrors, b.ctr.Drops, len(b.host.released))
+		}
+		if b.perf.UpcallCount() != 1 {
+			t.Fatalf("latency samples = %d, want 1 (the hard failure)", b.perf.UpcallCount())
+		}
+	})
 }
 
 // TestRetryBypassesCap: a retried packet was admitted once, so it re-enters
 // a queue that new arrivals have meanwhile filled to the cap.
 func TestRetryBypassesCap(t *testing.T) {
-	const interval = 100 * sim.Microsecond // longer than the ~10us first backoff
-	b := newBed(Config{QueueCap: 2, ServiceInterval: interval, RetryBase: 5 * sim.Microsecond})
+	b := newBed(2)
 	failures := 1
 	b.host.fail = transient
 	b.host.failing = func() bool { failures--; return failures >= 0 }
 	ps := pkts(4)
 	b.q.Admit(key(0), ps[0], nil)
-	b.eng.RunUntil(interval) // ps[0] fails once and is backing off
+	// ps[0] fails at its first service and re-enters one backoff later.
+	retryAt := costmodel.UpcallServiceInterval +
+		faultinject.Backoff(sim.NewRand(testSeed), costmodel.UpcallRetryBase, 1)
+	b.eng.RunUntil(retryAt - 1)
 	if b.ctr.UpcallRetries != 1 || len(b.q.q) != 0 {
 		t.Fatalf("retries = %d, depth = %d; want 1 and 0", b.ctr.UpcallRetries, len(b.q.q))
 	}
@@ -260,7 +239,7 @@ func TestRetryBypassesCap(t *testing.T) {
 	if b.perf.UpcallQueueDrops != 1 || len(b.q.q) != 2 {
 		t.Fatalf("queue drops = %d, depth = %d; want 1 and 2 (full)", b.perf.UpcallQueueDrops, len(b.q.q))
 	}
-	b.eng.RunUntil(interval + 20*sim.Microsecond) // backoff over, next service not yet due
+	b.eng.RunUntil(retryAt) // backoff over, next service not yet due
 	if len(b.q.q) != 3 {
 		t.Fatalf("depth = %d, want 3: the retry must re-enter past the full queue", len(b.q.q))
 	}
@@ -279,45 +258,31 @@ func TestRetryBypassesCap(t *testing.T) {
 
 // TestHardFailureNegativeFlow: a non-transient failure is not retried; it
 // leaves an exact-match drop flow that shields the slow path until
-// NegativeFlowTTL, and none at TTL <= 0.
+// costmodel.NegativeFlowTTL.
 func TestHardFailureNegativeFlow(t *testing.T) {
-	for _, c := range []struct {
-		ttl       sim.Time
-		wantFlows int
-	}{
-		{ttl: 500 * sim.Microsecond, wantFlows: 1},
-		{ttl: 0, wantFlows: 0},
-		{ttl: -1, wantFlows: 0},
-	} {
-		b := newBed(Config{QueueCap: 4, ServiceInterval: 10 * sim.Microsecond, NegativeFlowTTL: c.ttl})
-		b.host.fail, b.host.failing = errors.New("no such table"), func() bool { return true }
-		ps := pkts(2)
-		b.q.Admit(key(0), ps[0], nil)
-		b.eng.RunUntil(10 * sim.Microsecond)
-		if b.ctr.UpcallRetries != 0 || b.ctr.UpcallErrors != 1 || b.ctr.Drops != 1 {
-			t.Fatalf("ttl %v: retries %d errors %d drops %d, want 0 1 1",
-				c.ttl, b.ctr.UpcallRetries, b.ctr.UpcallErrors, b.ctr.Drops)
-		}
-		if b.host.table.Len() != c.wantFlows {
-			t.Fatalf("ttl %v: flows after failure = %d, want %d", c.ttl, b.host.table.Len(), c.wantFlows)
-		}
-		if c.wantFlows == 0 {
-			continue
-		}
-		if e, r, _ := b.host.table.LookupKey(key(0)); e == nil || b.host.table.Mask(r) != flow.MaskAll() || b.host.table.Actions(e) != nil {
-			t.Fatalf("negative flow = %v, want an exact-match entry with no actions", e)
-		}
-		// A later packet of the flow parked behind the failure finds the
-		// negative flow on re-probe: no second translation.
-		b.q.Admit(key(0), ps[1], nil)
-		b.eng.RunUntil(10*sim.Microsecond + c.ttl - 1)
-		if len(b.host.translated) != 1 || b.host.table.Len() != 1 {
-			t.Fatalf("before TTL: %d translations, %d flows; want 1 and 1", len(b.host.translated), b.host.table.Len())
-		}
-		b.eng.RunUntil(10*sim.Microsecond + c.ttl)
-		if b.host.table.Len() != 0 {
-			t.Fatalf("negative flow outlived its TTL")
-		}
+	const failedAt, ttl = costmodel.UpcallServiceInterval, costmodel.NegativeFlowTTL
+	b := newBed(4)
+	b.host.fail, b.host.failing = errors.New("no such table"), func() bool { return true }
+	ps := pkts(2)
+	b.q.Admit(key(0), ps[0], nil)
+	b.eng.RunUntil(failedAt)
+	if b.ctr.UpcallRetries != 0 || b.ctr.UpcallErrors != 1 || b.ctr.Drops != 1 {
+		t.Fatalf("retries %d errors %d drops %d, want 0 1 1", b.ctr.UpcallRetries, b.ctr.UpcallErrors, b.ctr.Drops)
+	}
+	if e, r, _ := b.host.table.LookupKey(key(0)); b.host.table.Len() != 1 || e == nil ||
+		b.host.table.Mask(r) != flow.MaskAll() || b.host.table.Actions(e) != nil {
+		t.Fatalf("%d flows after failure, want one exact-match entry with no actions", b.host.table.Len())
+	}
+	// A later packet of the flow parked behind the failure finds the
+	// negative flow on re-probe: no second translation.
+	b.q.Admit(key(0), ps[1], nil)
+	b.eng.RunUntil(failedAt + ttl - 1)
+	if len(b.host.translated) != 1 || b.host.table.Len() != 1 {
+		t.Fatalf("before TTL: %d translations, %d flows; want 1 and 1", len(b.host.translated), b.host.table.Len())
+	}
+	b.eng.RunUntil(failedAt + ttl)
+	if b.host.table.Len() != 0 {
+		t.Fatalf("negative flow outlived its TTL")
 	}
 }
 
@@ -325,7 +290,7 @@ func TestHardFailureNegativeFlow(t *testing.T) {
 // translation through the same routine — counters, negative flow, release —
 // without ever touching the queue.
 func TestFailedInline(t *testing.T) {
-	b := newBed(DefaultConfig())
+	b := newBed(0)
 	p := pkts(1)[0]
 	b.q.Failed(key(0), p)
 	if b.ctr.UpcallErrors != 1 || b.ctr.Drops != 1 || len(b.host.released) != 1 {
@@ -344,7 +309,7 @@ func TestFailedInline(t *testing.T) {
 // TestSteadyStateZeroAlloc: once the record free list and the queue slice
 // have grown, admitting a burst and servicing it allocates nothing.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	b := newBed(Config{QueueCap: 8})
+	b := newBed(8)
 	ps := pkts(8)
 	k := key(0)
 	b.host.table.Insert(*k, flow.MaskAll(), nil) // every service dedups on the installed flow

@@ -175,7 +175,7 @@ func TestVSwitchdPortIsPolled(t *testing.T) {
 	}
 	eng.RunUntil(sim.Millisecond)
 	if len(got) != 5 {
-		t.Fatalf("%d of 5 frames crossed the switch; rxq placement:\n%s", len(got), v.Datapath.PmdRxqShow())
+		t.Fatalf("%d of 5 frames crossed the switch; rxq placement:\n%s", len(got), v.Datapath.(*dpif.Netdev).Datapath().PmdRxqShow())
 	}
 	for _, g := range got {
 		if !bytes.Equal(g, frame) {

@@ -52,10 +52,8 @@ type Switch struct {
 type Option func(*config)
 
 type config struct {
-	seed    uint64
-	opts    core.Options
-	other   map[string]string // other_config keys applied at open
-	pmdMode core.Mode
+	seed  uint64
+	other map[string]string // other_config keys applied at open
 }
 
 // WithSeed fixes the randomness seed (default 1).
@@ -64,27 +62,18 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 // WithoutEMC disables the exact-match cache (ablation).
 func WithoutEMC() Option { return func(c *config) { c.other["emc-enable"] = "false" } }
 
-// WithCsumOffloadEstimate enables the paper's O5 estimated checksum
-// offload.
-func WithCsumOffloadEstimate() Option {
-	return func(c *config) { c.opts.AssumeCsumOffload = true }
-}
-
-// WithInterruptMode runs the PMD interrupt-driven instead of busy-polling.
-func WithInterruptMode() Option { return func(c *config) { c.pmdMode = core.ModeInterrupt } }
-
 // New builds a switch with one PMD thread.
 func New(options ...Option) *Switch {
-	cfg := config{seed: 1, other: map[string]string{}, pmdMode: core.ModePoll}
+	cfg := config{seed: 1, other: map[string]string{}}
 	for _, o := range options {
 		o(&cfg)
 	}
 	eng := sim.NewEngine(cfg.seed)
 	pl := ofproto.NewPipeline()
-	nd := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: pl, Options: cfg.opts, Other: cfg.other})).(*dpif.Netdev)
+	nd := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: pl, Other: cfg.other})).(*dpif.Netdev)
 	s := &Switch{eng: eng, daemon: vswitchd.New(nil, pl, nd), dp: nd.Datapath(), kernel: netlinksim.NewKernel()}
 	s.dp.Encapper = tunnel.NewEncapper(netlinksim.NewCache(s.kernel))
-	nd.NewPMD(cfg.pmdMode).Start()
+	nd.NewPMD(core.ModePoll).Start()
 	return s
 }
 
