@@ -101,23 +101,32 @@ func (s *ctShard) find(t *Table, h uint32, zone uint16, tu *Tuple) *Conn {
 }
 
 // put enters nw, which indexes key {zone, tu}, replacing whatever slot held
-// an equal key.
+// an equal key. A new key takes the free slot that ended its probe, which is
+// where place would write it, unless the shard must grow first.
 func (s *ctShard) put(t *Table, nw slot, zone uint16, tu *Tuple) {
-	if b, i := s.locate(t, nw.hash, zone, tu); s.buckets[b][i].ref != 0 {
-		s.buckets[b][i] = nw
-		return
+	b, i := s.locate(t, nw.hash, zone, tu)
+	if s.buckets[b][i].ref == 0 {
+		if s.crowded() {
+			s.insert(nw)
+			return
+		}
+		s.n++
 	}
-	s.insert(nw)
+	s.buckets[b][i] = nw
 }
+
+// crowded reports whether one more key would take the shard past 7/8 full.
+func (s *ctShard) crowded() bool { return (s.n+1)*8 > len(s.buckets)*bucketSlots*7 }
 
 // insert adds sl, whose key the table does not hold, first growing the
 // table by half (one bucket to two) when sl would take it past 7/8 full.
 func (s *ctShard) insert(sl slot) {
-	if s.n++; s.n*8 > len(s.buckets)*bucketSlots*7 {
+	if s.crowded() {
 		old := *s
 		s.buckets = make([]bucket, max(len(old.buckets)*3/2, len(old.buckets)+1))
 		old.each(s.place)
 	}
+	s.n++
 	s.place(sl)
 }
 

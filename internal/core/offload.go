@@ -66,11 +66,9 @@ func (o OffloadOptions) withDefaults() OffloadOptions {
 	return o
 }
 
-// OffloadStats is the engine's counter snapshot; all zero while offload
-// has never been enabled.
+// OffloadStats is the engine's counter snapshot, all zero while offload has
+// never been enabled; its hits are each PMD's perf.Stats.OffloadHits.
 type OffloadStats struct {
-	// Hits counts packets forwarded from the hardware table.
-	Hits uint64
 	// Installs / Evictions / Uninstalls / Live form the conservation
 	// ledger: Installs == Evictions + Uninstalls + Live at all times.
 	Installs   uint64
@@ -377,7 +375,6 @@ func (d *Datapath) OffloadStats() OffloadStats {
 		return OffloadStats{}
 	}
 	return OffloadStats{
-		Hits:         o.table.Hits,
 		Installs:     o.table.Installs,
 		Evictions:    o.table.Evictions,
 		Uninstalls:   o.table.Uninstalls,

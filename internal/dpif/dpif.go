@@ -149,13 +149,14 @@ type CtZoneConns struct {
 	Conns int    `json:"conns"`
 }
 
-// addThreads sums the threads' tallies into Hits, SMCHits and
+// addThreads sums the threads' tallies into Hits, SMCHits, OffloadHits and
 // UpcallQueueDrops, the one count of each, so the datapath-wide and
 // per-thread views cannot disagree.
 func (s *Stats) addThreads(ths []perf.ThreadStats) {
 	for _, th := range ths {
 		s.Hits += th.EMCHits + th.SMCHits + th.MegaflowHits
 		s.SMCHits += th.SMCHits
+		s.OffloadHits += th.OffloadHits
 		s.UpcallQueueDrops += th.UpcallQueueDrops
 	}
 }
@@ -200,8 +201,8 @@ type Dpif interface {
 	// FlowDump snapshots the installed megaflows across all classifier
 	// shards.
 	FlowDump() []Flow
-	// FlowFlush drops every installed flow (revalidation after rule
-	// changes, daemon restart).
+	// FlowFlush drops every installed flow: a daemon restart. A rule
+	// change revalidates the installed flows instead (Revalidate).
 	FlowFlush()
 	// SetFlowHook registers (or, with nil, clears) a notification called
 	// for every freshly installed datapath flow, however it was installed

@@ -129,7 +129,6 @@ func (d *Netdev) Stats() Stats {
 	}
 	s.addThreads(d.PerfStats())
 	off := d.dp.OffloadStats()
-	s.OffloadHits = off.Hits
 	s.OffloadInstalls = off.Installs
 	s.OffloadEvictions = off.Evictions
 	s.OffloadUninstalls = off.Uninstalls

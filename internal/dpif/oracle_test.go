@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -25,8 +26,10 @@ import (
 // in order, the first match wins, and no match is a miss. It keeps its own
 // pipeline (built by the same constructor, so meter buckets are not shared),
 // conntrack table and flow list, and runs actions on a private copy of each
-// frame. Ops come from a byte stream, so FuzzDatapathOps explores the same
-// space TestDatapathMatchesReference samples.
+// frame. A rule change goes into both pipelines; the datapath then runs
+// dpif.Revalidate and the reference its own plain pass over its list. Ops
+// come from a byte stream, so FuzzDatapathOps explores the same space
+// TestDatapathMatchesReference samples.
 
 // Time in a trace moves in steps of 4ms; every expiry the trace can reach
 // (a negative flow's costmodel.NegativeFlowTTL and the ct timeouts below)
@@ -62,9 +65,10 @@ const (
 // recirculation table, push/pop VLAN, set_eth, dec_ttl, tnl_pop (of real and
 // of not-a-tunnel frames), tnl_push, a meter that passes three packets and
 // never refills, an explicit drop, a goto chain and table misses. Every rule
-// of table 0 is under the highest-priority one, which matches the failing
-// key class, so every megaflow's mask decides that class: a megaflow never
-// covers both a negative flow's key and a key that translates.
+// of table 0, those a trace adds included (oracleRuleChange), is under the
+// highest-priority one, which matches the failing key class, so every
+// megaflow's mask decides that class: a megaflow never covers both a
+// negative flow's key and a key that translates.
 func oraclePipeline() *ofproto.Pipeline {
 	pl := ofproto.NewPipeline()
 	// l4 matches an IP protocol, on inPort unless it is 0, to tpDst unless
@@ -273,6 +277,72 @@ func (r *refDatapath) expire() {
 	}
 }
 
+// revalidate is the reference's pass after a rule change: each flow's masked
+// key is translated again; a translation whose mask lies within the flow's
+// gives the flow its actions, and any other flow is removed.
+func (r *refDatapath) revalidate() {
+	var kept []*refFlow
+	for _, f := range r.flows {
+		mf, err := r.translate(f.key)
+		if err == nil && mf.Mask.Union(f.mask) == f.mask {
+			f.actions = mf.Actions
+			kept = append(kept, f)
+		}
+	}
+	r.flows = kept
+}
+
+// oracleRule names a rule a trace added to table 0 of both pipelines.
+type oracleRule struct {
+	match    ofproto.Match
+	priority int
+}
+
+// oracleRuleChange applies the rule change arg picks to both pipelines and
+// describes it; added holds the rules earlier changes added. The change is
+// (a) a rule at priority 60-63 on an in-port/protocol class, whose mask
+// every table-0 megaflow already reads, so its megaflows take the new
+// actions in place; (b) a rule on tp_src, which no megaflow reads, so the
+// megaflows that probe it are deleted (the ebpf flavor's exact ones stay);
+// or (c) the deletion of a rule added earlier. Every priority is under the
+// failing class's 100 and no action is a ct() into a new table, so the
+// pipelines keep handing out the same recirculation ids.
+func oracleRuleChange(pls [2]*ofproto.Pipeline, arg int, added *[]oracleRule) string {
+	protos := [3]hdr.IPProto{hdr.IPProtoUDP, hdr.IPProtoTCP, hdr.IPProtoICMP}
+	proto, inPort, v := protos[arg/3%3], uint32(arg/8%4+1), uint16(arg/32%4)
+	actions := [][]ofproto.Action{{ofproto.Output(inPort)}, {ofproto.Drop()},
+		{ofproto.PushVLAN(9, 0), ofproto.Output(3)}, {ofproto.Output(1), ofproto.Output(4)}}[arg/9%4]
+	var r oracleRule
+	switch arg % 3 {
+	case 0:
+		r = oracleRule{ofproto.NewMatch(flow.Fields{InPort: inPort, EthType: hdr.EtherTypeIPv4, IPProto: proto},
+			flow.NewMaskBuilder().InPort().EthType().IPProto().Build()), 60 + int(v)}
+	case 1:
+		tpSrc := 1000 + v
+		if proto != hdr.IPProtoUDP {
+			proto, tpSrc = hdr.IPProtoTCP, 3000+v%2
+		}
+		r = oracleRule{ofproto.NewMatch(flow.Fields{EthType: hdr.EtherTypeIPv4, IPProto: proto, TPSrc: tpSrc},
+			flow.NewMaskBuilder().EthType().IPProto().TPSrc().Build()), 70}
+	default:
+		if len(*added) == 0 {
+			return "rule delete with no rule added"
+		}
+		i := arg / 3 % len(*added)
+		r = (*added)[i]
+		*added = append((*added)[:i], (*added)[i+1:]...)
+		for _, pl := range pls {
+			pl.Table(0).Remove(r.match, r.priority)
+		}
+		return fmt.Sprintf("rule delete %v priority %d", r.match, r.priority)
+	}
+	*added = append(*added, r)
+	for _, pl := range pls {
+		pl.AddRule(&ofproto.Rule{Priority: r.priority, Match: r.match, Actions: actions})
+	}
+	return fmt.Sprintf("rule add %v priority %d actions %v", r.match, r.priority, actions)
+}
+
 // execute runs one frame and returns its verdict.
 func (r *refDatapath) execute(data []byte, inPort uint32) refVerdict {
 	r.v = refVerdict{}
@@ -421,6 +491,7 @@ func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 	pool := packet.NewPool(16, 256, true)
 	var admitted, delivered, copies uint64
 	configKeys := []string{"emc-enable", "smc-enable", "hw-offload"}
+	var added []oracleRule
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, arg := ops[i], int(ops[i+1])
 		class, v, inPort := arg%8, arg/32%4, uint32(arg/8%4+1)
@@ -428,6 +499,21 @@ func oracleRun(t *testing.T, c oracleConfig, trace []byte) {
 		switch op % 16 {
 		default:
 			what, packets = fmt.Sprintf("packet class %d variant %d on port %d", class, v, inPort), 1
+		case 6:
+			what = oracleRuleChange([2]*ofproto.Pipeline{pass.Pipeline, ref.pl}, arg, &added)
+			translate := upcall(pass.Pipeline)
+			dpif.Revalidate(d, translate)
+			ref.revalidate()
+			// Every live megaflow is what its masked key translates to now,
+			// under a mask within its own, so overlapping megaflows agree.
+			for _, f := range d.FlowDump() {
+				key, mask := f.Table.MaskedKey(f.Ref), f.Table.Mask(f.Ref)
+				mf, err := translate(key)
+				if got := f.Table.Actions(f.Entry()); err != nil || mf.Mask.Union(mask) != mask ||
+					len(got)+len(mf.Actions) > 0 && !reflect.DeepEqual(got, mf.Actions) {
+					t.Fatalf("%v: op %d %s: %s left stale: translates to %v, %v", c, i/2, what, f.Table.String(f.Ref), mf, err)
+				}
+			}
 		case 7: // a burst of one key: enough hits for it to turn elephant and offload
 			what, packets = fmt.Sprintf("burst of class %d variant %d on port %d", class, v, inPort), 6
 		case 8:

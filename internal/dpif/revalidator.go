@@ -22,11 +22,11 @@ import (
 // Flow discovery is event-driven through the Dpif flow hook, so a flow is
 // tracked from the instant the datapath installs it, whichever path
 // installed it (upcall, FlowPut, negative flow). Flows that vanish by
-// other means (FlowFlush, negative-flow TTL) are recognized dead at their
-// next deadline and dropped from tracking. Everything goes through the
-// Dpif seam (SetFlowHook/FlowDump/FlowDel), so the kernel-module and eBPF
-// datapaths age out idle flows with exactly the same policy as the
-// userspace one.
+// other means (Revalidate, FlowFlush, negative-flow TTL) are recognized
+// dead at their next deadline and dropped from tracking. Everything goes
+// through the Dpif seam (SetFlowHook/FlowDump/FlowDel), so the
+// kernel-module and eBPF datapaths age out idle flows with exactly the
+// same policy as the userspace one.
 //
 // Each check charges costmodel.RevalFlowCheck (and evictions
 // RevalFlowEvict) to the dedicated revalidator CPU, so experiments can
@@ -124,8 +124,8 @@ func (r *WheelRevalidator) onExpire(rec flowRec) {
 	f := Flow{Table: r.tables[rec.table], Ref: rec.ref}
 	e := f.Entry()
 	if e == nil {
-		// Removed by other means (FlowFlush, negative-flow TTL, another
-		// revalidator): nothing to do but stop tracking it.
+		// Removed by other means (Revalidate, FlowFlush, negative-flow
+		// TTL, another revalidator): nothing to do but stop tracking it.
 		return
 	}
 	r.Checks++
@@ -139,5 +139,21 @@ func (r *WheelRevalidator) onExpire(rec flowRec) {
 	r.CPU.Consume(sim.User, costmodel.RevalFlowEvict)
 	if r.dp.FlowDel(f) {
 		r.Evicted++
+	}
+}
+
+// Revalidate brings the installed megaflows up to date with a rule change.
+// A megaflow, negative flows included, whose masked key now translates
+// under a mask within its own takes the new actions in place (ref, hits and
+// mask kept, so the caches above it follow and the flow hook does not
+// fire); any other is deleted.
+func Revalidate(dp Dpif, translate UpcallFunc) {
+	for _, f := range dp.FlowDump() {
+		key, old := f.Table.MaskedKey(f.Ref), f.Table.Mask(f.Ref)
+		if mf, err := translate(key); err == nil && mf.Mask.Union(old) == old {
+			f.Table.InsertKey(&key, &old, mf.Actions)
+		} else {
+			dp.FlowDel(f)
+		}
 	}
 }

@@ -30,8 +30,8 @@ type Bridge struct {
 }
 
 // VSwitchd is the daemon. It is the one owner of the bridge and port
-// registry, of datapath port numbering, and of "install the rule, then
-// flush the datapath flows".
+// registry and of datapath port numbering; a flow mod it applies leaves the
+// installed megaflows to dpif.Revalidate.
 type VSwitchd struct {
 	mu sync.Mutex
 
@@ -44,9 +44,6 @@ type VSwitchd struct {
 	nextID  uint32
 
 	ofLn net.Listener
-
-	// FlowMods counts the flow mods applied.
-	FlowMods uint64
 }
 
 // New builds a daemon around a database (nil for a daemon driven only
@@ -239,7 +236,7 @@ func (v *VSwitchd) Handle(msg openflow.Message) (reply openflow.Message, ok bool
 	}
 }
 
-// applyFlowMod installs or removes a rule and revalidates datapath flows.
+// applyFlowMod installs or removes a rule and revalidates the datapath flows.
 func (v *VSwitchd) applyFlowMod(fm openflow.FlowMod) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -255,7 +252,5 @@ func (v *VSwitchd) applyFlowMod(fm openflow.FlowMod) {
 	case openflow.FlowModDelete:
 		v.Pipeline.Table(fm.TableID).Remove(fm.Match, fm.Priority)
 	}
-	v.FlowMods++
-	// Revalidation: cached megaflows may encode stale decisions.
-	v.Datapath.FlowFlush()
+	dpif.Revalidate(v.Datapath, v.Pipeline.Translate)
 }

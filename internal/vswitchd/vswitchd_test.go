@@ -2,6 +2,7 @@ package vswitchd
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -146,9 +147,6 @@ func TestOpenFlowSessionInstallsRules(t *testing.T) {
 	if v.Pipeline.RuleCount() != 1 {
 		t.Fatalf("pipeline rules = %d", v.Pipeline.RuleCount())
 	}
-	if v.FlowMods != 1 {
-		t.Fatalf("flow mods = %d", v.FlowMods)
-	}
 }
 
 // TestVSwitchdPortIsPolled: a port added over OVSDB while a PMD thread is
@@ -213,8 +211,8 @@ func TestMalformedFlowModOverTCP(t *testing.T) {
 	if _, err := readUntil(conn, openflow.TypeEchoReply); err != nil {
 		t.Fatalf("connection dead after the malformed flow mod: %v", err)
 	}
-	if v.Pipeline.RuleCount() != 0 || v.FlowMods != 0 {
-		t.Fatalf("malformed flow mod was applied: %d rules, %d flow mods", v.Pipeline.RuleCount(), v.FlowMods)
+	if v.Pipeline.RuleCount() != 0 {
+		t.Fatalf("malformed flow mod was applied: %d rules", v.Pipeline.RuleCount())
 	}
 }
 
@@ -340,27 +338,28 @@ func TestTCPAndInProcessShareHandle(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if v.Pipeline.RuleCount() != 2*n || v.FlowMods != 2*n {
-		t.Fatalf("%d rules, %d flow mods; want %d each", v.Pipeline.RuleCount(), v.FlowMods, 2*n)
+	if v.Pipeline.RuleCount() != 2*n {
+		t.Fatalf("%d rules, want %d", v.Pipeline.RuleCount(), 2*n)
 	}
 }
 
-// kernelDaemon builds a daemon over the given kernel-side dpif provider
-// ("netlink" or "ebpf"); ports are TxPort sinks counting delivery.
-func kernelDaemon(t *testing.T, dpType string, delivered *int) (*VSwitchd, dpif.Dpif) {
+// sinkDaemon builds a daemon over a dpType datapath opened with the
+// other_config keys other; its ports are TxPort sinks counting delivery in
+// delivered, indexed by port number.
+func sinkDaemon(t *testing.T, dpType string, other map[string]string, delivered *[4]int) (*VSwitchd, dpif.Dpif, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	pl := ofproto.NewPipeline()
-	d, err := dpif.Open(dpType, dpif.Config{Eng: eng, Pipeline: pl})
+	d, err := dpif.Open(dpType, dpif.Config{Eng: eng, Pipeline: pl, Other: other})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := New(ovsdb.NewServer(), pl, d)
 	v.Factory = func(ifType, name string, id uint32, queues int) (*kit.Iface, error) {
 		return &kit.Iface{Type: ifType, Port: dpif.TxPort{PortID: id, PortName: name,
-			Deliver: func(*packet.Packet) { *delivered++ }}}, nil
+			Deliver: func(p *packet.Packet) { delivered[id]++; p.Release() }}}, nil
 	}
-	return v, d
+	return v, d, eng
 }
 
 // TestDaemonOverKernelDpif is the point of the provider seam: the exact
@@ -369,8 +368,8 @@ func kernelDaemon(t *testing.T, dpType string, delivered *int) (*VSwitchd, dpif.
 func TestDaemonOverKernelDpif(t *testing.T) {
 	for _, dpType := range []string{"netlink", "ebpf"} {
 		t.Run(dpType, func(t *testing.T) {
-			delivered := 0
-			v, d := kernelDaemon(t, dpType, &delivered)
+			var delivered [4]int
+			v, d, _ := sinkDaemon(t, dpType, nil, &delivered)
 			v.DB.Transact([]ovsdb.Op{
 				{Op: "insert", Table: ovsdb.TableBridge, Row: ovsdb.Row{"name": "br0"}},
 				{Op: "insert", Table: ovsdb.TableInterface,
@@ -387,18 +386,22 @@ func TestDaemonOverKernelDpif(t *testing.T) {
 			send(t, v, inPortRule(1, 10, ofproto.Output(2)))
 			p := testPacket(t)
 			d.Execute(p)
-			if delivered != 1 {
-				t.Fatalf("delivered = %d", delivered)
+			if delivered[2] != 1 {
+				t.Fatalf("delivered = %v", delivered)
 			}
 			if s := d.Stats(); s.Flows != 1 || s.Missed != 1 {
 				t.Fatalf("stats = %+v", s)
 			}
 
-			// A later flow mod revalidates: the cached datapath flow is
-			// flushed through the seam.
+			// A later flow mod revalidates through the seam: the cached
+			// datapath flow stays and drops the next packet without a miss.
 			send(t, v, inPortRule(1, 20, ofproto.Drop()))
-			if s := d.Stats(); s.Flows != 0 {
-				t.Fatalf("flow mod did not flush datapath flows: %+v", s)
+			if s := d.Stats(); s.Flows != 1 {
+				t.Fatalf("flow mod removed the datapath flow: %+v", s)
+			}
+			d.Execute(testPacket(t))
+			if s := d.Stats(); delivered[2] != 1 || s.Missed != 1 || s.Lost != 1 {
+				t.Fatalf("after the drop rule: delivered = %v, stats = %+v", delivered, s)
 			}
 		})
 	}
@@ -413,4 +416,104 @@ func testPacket(t *testing.T) *packet.Packet {
 	p := packet.New(frame)
 	p.InPort = 1
 	return p
+}
+
+// TestFlowModRevalidates: a flow mod keeps what it does not change. A
+// daemon holds 1,000 megaflows, one per UDP destination port from port 1
+// (a drop rule on tp_dst=9 makes every translation read it). A rule for
+// another in port leaves them all in place, a rule that turns in_port=1
+// into a drop changes every verdict without a miss, and a rule on tp_src,
+// which no megaflow reads, deletes them; the next wave installs megaflows
+// with that rule's verdicts. The ebpf flavor's megaflows are exact, so
+// they read tp_src already and take the new verdicts in place.
+func TestFlowModRevalidates(t *testing.T) {
+	for _, c := range []struct {
+		dpType string
+		other  map[string]string
+	}{
+		{"netdev", nil}, {"netlink", nil}, {"ebpf", nil},
+		{"netdev", map[string]string{"hw-offload": "true", "hw-offload-elephant-pps": "1"}},
+		{"netdev", map[string]string{"smc-enable": "true", "emc-enable": "false"}},
+	} {
+		t.Run(fmt.Sprint(c.dpType, c.other), func(t *testing.T) {
+			var delivered [4]int
+			v, d, eng := sinkDaemon(t, c.dpType, c.other, &delivered)
+			v.AddBridge("br0")
+			for _, name := range []string{"p1", "p2", "p3"} {
+				if _, err := v.AddPort("br0", name, "internal", 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			udp := func(tpSrc, tpDst uint16) ofproto.Match {
+				f := flow.Fields{InPort: 1, EthType: hdr.EtherTypeIPv4, IPProto: hdr.IPProtoUDP, TPSrc: tpSrc, TPDst: tpDst}
+				mb := flow.NewMaskBuilder().InPort().EthType().IPProto()
+				if tpSrc != 0 {
+					mb.TPSrc()
+				}
+				if tpDst != 0 {
+					mb.TPDst()
+				}
+				return ofproto.NewMatch(f, mb.Build())
+			}
+			send(t, v, inPortRule(1, 10, ofproto.Output(2)))
+			send(t, v, openflow.FlowMod{Command: openflow.FlowModAdd, Priority: 20, Match: udp(0, 9), Actions: []ofproto.Action{ofproto.Drop()}})
+
+			// wave sends one packet of each of the 1,000 flows (source port
+			// 1000 or 1001, destination port 2000+i) and returns the misses,
+			// the losses and the deliveries to ports 2 and 3 it made.
+			const n = 1000
+			wave := func() [4]int {
+				before, was := d.Stats(), delivered
+				for i := 0; i < n; i++ {
+					p := packet.New(hdr.NewBuilder().Eth(hdr.MAC{2, 0xaa, 0, 0, 0, 1}, hdr.MAC{2, 0xbb, 0, 0, 0, 1}).
+						IPv4H(hdr.MakeIP4(10, 0, 0, 1), hdr.MakeIP4(10, 0, 0, 2), 64).
+						UDPH(uint16(1000+i%2), uint16(2000+i)).PadTo(64).Build())
+					p.InPort = 1
+					d.Execute(p)
+				}
+				eng.RunUntil(eng.Now() + sim.Millisecond)
+				after := d.Stats()
+				return [4]int{int(after.Missed - before.Missed), int(after.Lost - before.Lost),
+					delivered[2] - was[2], delivered[3] - was[3]}
+			}
+			expect := func(step string, got, want [4]int, flows int) {
+				t.Helper()
+				if got != want || d.Stats().Flows != flows {
+					t.Fatalf("%s: missed/lost/to port 2/to port 3 %v, want %v; %d flows, want %d",
+						step, got, want, d.Stats().Flows, flows)
+				}
+			}
+			expect("first wave", wave(), [4]int{n, 0, n, 0}, n)
+			expect("second wave", wave(), [4]int{0, 0, n, 0}, n)
+
+			send(t, v, inPortRule(2, 10, ofproto.Output(1)))
+			if got := d.Stats().Flows; got != n {
+				t.Fatalf("a rule on in_port=2 left %d of the %d megaflows", got, n)
+			}
+			expect("after a rule on in_port=2", wave(), [4]int{0, 0, n, 0}, n)
+			expect("the wave after", wave(), [4]int{0, 0, n, 0}, n)
+			if s := d.Stats(); c.other["hw-offload"] == "true" && (s.OffloadHits == 0 || s.OffloadLive == 0) {
+				t.Fatalf("the hardware forwards nothing before the drop rule: %+v", s)
+			}
+
+			send(t, v, inPortRule(1, 10, ofproto.Drop()))
+			expect("after in_port=1 turned into a drop", wave(), [4]int{0, n, 0, 0}, n)
+
+			send(t, v, openflow.FlowMod{Command: openflow.FlowModAdd, Priority: 30, Match: udp(1001, 0), Actions: []ofproto.Action{ofproto.Output(3)}})
+			if c.dpType == "ebpf" {
+				expect("after a rule on tp_src", wave(), [4]int{0, n / 2, 0, n / 2}, n)
+				return
+			}
+			if got := d.Stats().Flows; got != 0 {
+				t.Fatalf("a rule on tp_src left %d of the megaflows that do not read it", got)
+			}
+			// The rule decides the 500 flows from source port 1001 before
+			// any lookup reads tp_dst, so they share one megaflow.
+			expect("after a rule on tp_src", wave(), [4]int{n/2 + 1, n / 2, 0, n / 2}, n/2+1)
+			expect("the wave after", wave(), [4]int{0, n / 2, 0, n / 2}, n/2+1)
+			if c.other["smc-enable"] == "true" && d.Stats().SMCHits == 0 {
+				t.Fatal("no packet hit the SMC")
+			}
+		})
+	}
 }

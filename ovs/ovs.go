@@ -48,29 +48,11 @@ type Switch struct {
 	kernel *netlinksim.Kernel
 }
 
-// Option configures New.
-type Option func(*config)
-
-type config struct {
-	seed  uint64
-	other map[string]string // other_config keys applied at open
-}
-
-// WithSeed fixes the randomness seed (default 1).
-func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
-
-// WithoutEMC disables the exact-match cache (ablation).
-func WithoutEMC() Option { return func(c *config) { c.other["emc-enable"] = "false" } }
-
-// New builds a switch with one PMD thread.
-func New(options ...Option) *Switch {
-	cfg := config{seed: 1, other: map[string]string{}}
-	for _, o := range options {
-		o(&cfg)
-	}
-	eng := sim.NewEngine(cfg.seed)
+// New builds a switch with one PMD thread, seeded 1.
+func New() *Switch {
+	eng := sim.NewEngine(1)
 	pl := ofproto.NewPipeline()
-	nd := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: pl, Other: cfg.other})).(*dpif.Netdev)
+	nd := kit.Must(dpif.Open("netdev", dpif.Config{Eng: eng, Pipeline: pl})).(*dpif.Netdev)
 	s := &Switch{eng: eng, daemon: vswitchd.New(nil, pl, nd), dp: nd.Datapath(), kernel: netlinksim.NewKernel()}
 	s.dp.Encapper = tunnel.NewEncapper(netlinksim.NewCache(s.kernel))
 	nd.NewPMD(core.ModePoll).Start()

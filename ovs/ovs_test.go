@@ -118,33 +118,6 @@ func TestSwitchConntrackPipeline(t *testing.T) {
 	}
 }
 
-func TestSwitchEMCAblationOption(t *testing.T) {
-	run := func(opts ...Option) Stats {
-		sw := New(opts...)
-		br := sw.AddBridge("br0")
-		p1, _ := br.AddAFXDPPort("eth0", 1)
-		p2, _ := br.AddAFXDPPort("eth1", 1)
-		br.MustAddFlow("in_port=" + p1.IDString() + ",actions=output:" + p2.IDString())
-		p2.OnOutput(func([]byte) {})
-		for i := 0; i < 20; i++ {
-			p1.Inject(udpFrame(7))
-		}
-		sw.Run(3 * time.Millisecond)
-		return sw.Stats()
-	}
-	with := run()
-	without := run(WithoutEMC())
-	if with.EMCHits == 0 {
-		t.Fatal("EMC must hit by default")
-	}
-	if without.EMCHits != 0 {
-		t.Fatal("WithoutEMC must disable the cache")
-	}
-	if without.MegaflowHits == 0 {
-		t.Fatal("megaflow classifier must carry the load without the EMC")
-	}
-}
-
 func TestSwitchDPDKPortWorksButUnbindsKernel(t *testing.T) {
 	sw := New()
 	br := sw.AddBridge("br0")
@@ -174,7 +147,7 @@ func TestSwitchDPDKPortWorksButUnbindsKernel(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() (Stats, time.Duration) {
-		sw := New(WithSeed(42))
+		sw := New()
 		br := sw.AddBridge("br0")
 		p1, _ := br.AddAFXDPPort("eth0", 1)
 		p2, _ := br.AddAFXDPPort("eth1", 1)
